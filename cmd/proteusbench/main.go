@@ -64,7 +64,6 @@ func main() {
 	wireMode := flag.Bool("wire", false, "run the sim-vs-wire parity table (real UDP loopback, real time) instead of figures; with -replay, replay the counterexample through the wire shim")
 	chaosMode := flag.Bool("chaos", false, "replay the chaos fault plan through the simulator and the real UDP shim and compare survival + fault attribution (real time)")
 	wireProtos := flag.String("wire-protos", "proteus-p,proteus-s,proteus-h", "comma-separated protocols for -wire")
-	wireEngine := flag.Bool("wire-engine", false, "run the -wire parity wire half on the sharded engine datapath instead of the legacy per-flow path")
 	wireDur := flag.Float64("wire-dur", 0, "seconds per -wire run (0 = 12, or 8 with -fast)")
 	wireMbps := flag.Float64("wire-mbps", 20, "bottleneck capacity for -wire")
 	wireRTT := flag.Float64("wire-rtt", 0.040, "base RTT for -wire, seconds")
@@ -104,7 +103,7 @@ func main() {
 		return
 	}
 	if *wireMode && *replay == "" {
-		if err := runWireParity(os.Stdout, *wireProtos, *wireDur, *wireMbps, *wireRTT, *seed, *fast, *wireEngine); err != nil {
+		if err := runWireParity(os.Stdout, *wireProtos, *wireDur, *wireMbps, *wireRTT, *seed, *fast); err != nil {
 			fmt.Fprintf(os.Stderr, "proteusbench: %v\n", err)
 			os.Exit(1)
 		}

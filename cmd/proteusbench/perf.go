@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"runtime"
 	"testing"
@@ -137,61 +136,15 @@ func benchBBR2Step(b *testing.B) {
 	}
 }
 
-// ppsFlows and ppsWindow size the engine-vs-legacy aggregate
-// throughput comparison: 1k concurrent fixed-rate flows, each path
-// measured over the same steady-state window.
+// ppsFlows and ppsWindow size the aggregate datapath throughput rows:
+// 1k concurrent fixed-rate flows over one steady-state window.
 const (
 	ppsFlows  = 1000
 	ppsWindow = 2 * time.Second
 )
 
-// measureLegacyPPS is the per-flow-goroutine baseline for the engine
-// comparison: flows wire.Senders (two goroutines and one syscall per
-// packet each) into one wire.Receiver, same fixed offered load and
-// packet size as engine.MeasurePPS.
-func measureLegacyPPS(flows int, d time.Duration) (float64, int64, error) {
-	recvConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return 0, 0, err
-	}
-	recvConn.SetReadBuffer(1 << 22)
-	recv := &wire.Receiver{Conn: recvConn, MaxFlows: flows}
-	if err := recv.Start(); err != nil {
-		return 0, 0, err
-	}
-	defer recv.Stop()
-	dst := recv.Addr()
-	senders := make([]*wire.Sender, 0, flows)
-	defer func() {
-		for _, s := range senders {
-			s.Stop()
-		}
-	}()
-	for i := 0; i < flows; i++ {
-		conn, err := net.DialUDP("udp", nil, dst)
-		if err != nil {
-			return 0, 0, err
-		}
-		snd := &wire.Sender{
-			CC:         &engine.FixedRateCC{Rate: 4e6, Win: 8 * 400},
-			Conn:       conn,
-			PacketSize: 400,
-		}
-		if err := snd.Start(); err != nil {
-			conn.Close()
-			return 0, 0, err
-		}
-		senders = append(senders, snd)
-	}
-	time.Sleep(300 * time.Millisecond)
-	p0 := recv.Stats().Pkts
-	time.Sleep(d)
-	p1 := recv.Stats().Pkts
-	return float64(p1-p0) / d.Seconds(), p1 - p0, nil
-}
-
 // runPerf runs every hot-path micro-benchmark plus the 1k-flow
-// datapath throughput comparison and writes the report.
+// datapath throughput rows and writes the report.
 func runPerf(w io.Writer, outPath string) error {
 	benches := []struct {
 		name string
@@ -229,9 +182,8 @@ func runPerf(w io.Writer, outPath string) error {
 		fmt.Fprintf(w, "%-18s %12.1f %10d %10d %12s\n",
 			bench.name, pr.NsPerOp, pr.BytesPerOp, pr.AllocsPerOp, mbs)
 	}
-	// Aggregate datapath throughput at 1k concurrent flows: the
-	// sharded engine vs the per-flow-goroutine legacy path, identical
-	// offered load. Both run over real loopback sockets.
+	// Aggregate datapath throughput at 1k concurrent flows over real
+	// loopback sockets.
 	enginePPS, enginePkts, err := engine.MeasurePPS(ppsFlows, ppsWindow)
 	if err != nil {
 		return fmt.Errorf("engine pps: %w", err)
@@ -251,16 +203,7 @@ func runPerf(w io.Writer, outPath string) error {
 		PktsPerSec: ovPPS, N: int(ovPkts),
 		NsPerOp: 1e9 / ovPPS,
 	}
-	legacyPPS, legacyPkts, err := measureLegacyPPS(ppsFlows, ppsWindow)
-	if err != nil {
-		return fmt.Errorf("legacy pps: %w", err)
-	}
-	rep.Benchmarks["legacy_pps_1k"] = perfResult{
-		PktsPerSec: legacyPPS, N: int(legacyPkts),
-		NsPerOp: 1e9 / legacyPPS,
-	}
-	fmt.Fprintf(w, "datapath @%d flows: engine %.0f pps, overloaded %.0f pps, legacy %.0f pps (%.1f×)\n",
-		ppsFlows, enginePPS, ovPPS, legacyPPS, enginePPS/legacyPPS)
+	fmt.Fprintf(w, "datapath @%d flows: engine %.0f pps, overloaded %.0f pps\n", ppsFlows, enginePPS, ovPPS)
 	rep.SimEventsPerSec = 1e9 / rep.Benchmarks["sim_event"].NsPerOp
 	fmt.Fprintf(w, "sim events/sec: %.2fM\n", rep.SimEventsPerSec/1e6)
 	b, err := json.MarshalIndent(rep, "", "  ")

@@ -10,10 +10,10 @@ import (
 )
 
 // runWireParity cross-validates the controllers between the simulator
-// and the real UDP loopback datapath — the legacy per-flow path, or
-// the sharded engine with engineDP. Runs in real time: expect about
-// one -wire-dur per protocol.
-func runWireParity(w io.Writer, protos string, dur, mbps, rtt float64, seed int64, fast, engineDP bool) error {
+// and the real UDP loopback datapath (an engine flow through the
+// impairment shim). Runs in real time: expect about one -wire-dur per
+// protocol.
+func runWireParity(w io.Writer, protos string, dur, mbps, rtt float64, seed int64, fast bool) error {
 	if dur <= 0 {
 		dur = 12
 		if fast {
@@ -32,7 +32,6 @@ func runWireParity(w io.Writer, protos string, dur, mbps, rtt float64, seed int6
 		RTT:      rtt,
 		Duration: dur,
 		Seed:     seed,
-		Engine:   engineDP,
 	})
 	if err != nil {
 		return err

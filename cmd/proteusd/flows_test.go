@@ -1,13 +1,11 @@
 package main
 
 import (
-	"net"
 	"runtime"
 	"testing"
 	"time"
 
 	"pccproteus/internal/engine"
-	"pccproteus/internal/wire"
 )
 
 // TestStartFlowsCapBeforeSpawn is the regression test for flow-cap
@@ -38,34 +36,23 @@ func TestStartFlowsCapBeforeSpawn(t *testing.T) {
 	}
 }
 
-// TestFlowCapChurnLeaksNoGoroutines drives the real sender-spawn path
-// through repeated over-cap rejections and checks the process
-// goroutine count stays flat — the leak mode the cap ordering guards
-// against.
+// TestFlowCapChurnLeaksNoGoroutines drives the real admission path —
+// startFlows over engine.AddFlow — through repeated over-cap
+// rejections and checks that a rejected round costs nothing: no
+// goroutines, no admitted flows, no engine table slots.
 func TestFlowCapChurnLeaksNoGoroutines(t *testing.T) {
-	recvConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	eng, err := engine.New(engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := &wire.Receiver{Conn: recvConn}
-	if err := recv.Start(); err != nil {
+	defer eng.Stop()
+	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer recv.Stop()
-	dst := recv.Addr()
-
+	dst := eng.Addrs()[0]
 	spawn := func(int) error {
-		conn, err := net.DialUDP("udp", nil, dst)
-		if err != nil {
-			return err
-		}
-		snd := &wire.Sender{CC: &engine.FixedRateCC{Rate: 1}, Conn: conn}
-		if err := snd.Start(); err != nil {
-			conn.Close()
-			return err
-		}
-		t.Cleanup(snd.Stop)
-		return nil
+		_, err := eng.AddFlow(engine.FlowConfig{Dst: dst, CC: &engine.FixedRateCC{Rate: 1}})
+		return err
 	}
 
 	runtime.GC()
@@ -79,6 +66,9 @@ func TestFlowCapChurnLeaksNoGoroutines(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if n := runtime.NumGoroutine(); n > base+2 {
 		t.Fatalf("goroutines grew under churn: %d -> %d", base, n)
+	}
+	if st := eng.Stats(); st.AdmittedPrimary != 0 || st.Flows != 0 {
+		t.Fatalf("rejected rounds admitted flows: %+v", st)
 	}
 }
 

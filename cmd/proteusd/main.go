@@ -1,7 +1,7 @@
 // Command proteusd is the standalone wire-datapath daemon: the same
-// Sender/Receiver/Shim stack the parity harness drives in-process,
-// exposed as a command so the Proteus controllers can be run between
-// two real processes (typically both on localhost).
+// engine/shim stack the parity harness drives in-process, exposed as a
+// command so the Proteus controllers can be run between two real
+// processes (typically both on localhost).
 //
 // A two-process session looks like:
 //
@@ -25,8 +25,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -34,7 +32,6 @@ import (
 	"pccproteus/internal/exp"
 	"pccproteus/internal/fetch"
 	"pccproteus/internal/overload"
-	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
 
@@ -66,50 +63,31 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: proteusd <recv|send|demo> [flags]
 
-  recv  -listen ADDR [-serve DIR] [-engine -shards N]    ack-generating receiver / fetch server
-  send  -to ADDR -proto NAME [-flows N] [-engine] [-shim ...]  congestion-controlled sender
-  demo  [-proto NAME ...]                                single-process loopback run
+  recv  -listen ADDR [-serve DIR] [-shards N]         ack-generating receiver / fetch server
+  send  -to ADDR -proto NAME [-flows N] [-shim ...]    congestion-controlled sender
+  demo  [-proto NAME ...]                              single-process loopback run
 
 run "proteusd <mode> -h" for the mode's flags`)
 }
 
-// listenUDPRetry binds the address, retrying transient socket errors
+// newEngineRetry builds the engine, retrying transient bind errors
 // with exponential backoff (100 ms doubling, 6 attempts) so a daemon
 // restarting into a lingering port wins the race instead of dying.
-func listenUDPRetry(addr *net.UDPAddr) (*net.UDPConn, error) {
+func newEngineRetry(cfg engine.Config) (*engine.Engine, error) {
 	var err error
 	backoff := 100 * time.Millisecond
 	for attempt := 0; attempt < 6; attempt++ {
 		if attempt > 0 {
-			fmt.Fprintf(os.Stderr, "proteusd: bind %s: %v — retrying in %v\n", addr, err, backoff)
+			fmt.Fprintf(os.Stderr, "proteusd: bind: %v — retrying in %v\n", err, backoff)
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		var conn *net.UDPConn
-		if conn, err = net.ListenUDP("udp", addr); err == nil {
-			return conn, nil
+		var eng *engine.Engine
+		if eng, err = engine.New(cfg); err == nil {
+			return eng, nil
 		}
 	}
-	return nil, fmt.Errorf("bind %s: %w", addr, err)
-}
-
-// dialUDPRetry connects to the destination with the same backoff
-// policy as listenUDPRetry.
-func dialUDPRetry(dst *net.UDPAddr) (*net.UDPConn, error) {
-	var err error
-	backoff := 100 * time.Millisecond
-	for attempt := 0; attempt < 6; attempt++ {
-		if attempt > 0 {
-			fmt.Fprintf(os.Stderr, "proteusd: dial %s: %v — retrying in %v\n", dst, err, backoff)
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		var conn *net.UDPConn
-		if conn, err = net.DialUDP("udp", nil, dst); err == nil {
-			return conn, nil
-		}
-	}
-	return nil, fmt.Errorf("dial %s: %w", dst, err)
+	return nil, fmt.Errorf("bind: %w", err)
 }
 
 // startFlows admits n flows through start, enforcing the flow cap
@@ -130,77 +108,6 @@ func startFlows(n, maxFlows int, start func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// runRecv listens for the data stream and prints a per-second line of
-// receive-side counters until interrupted.
-func runRecv(args []string) error {
-	fs := flag.NewFlagSet("recv", flag.ExitOnError)
-	listen := fs.String("listen", "127.0.0.1:9741", "UDP address to listen on")
-	quiet := fs.Bool("quiet", false, "suppress per-second stats")
-	idle := fs.Float64("idle", 60, "evict a flow after this many seconds without packets (0 = default)")
-	maxFlows := fs.Int("max-flows", 0, "flow-state cap; stalest flow is evicted at the cap (0 = default)")
-	serve := fs.String("serve", "", "also answer segmented fetch requests for every file in this directory (proteusfetch is the client)")
-	engineMode := fs.Bool("engine", false, "receive on the sharded event-loop engine (shard i listens on port+i)")
-	shards := fs.Int("shards", 2, "engine shards (with -engine)")
-	statsInterval := fs.Float64("stats-interval", 0, "with -engine: print a per-class overload stats line every this many seconds (0 = off)")
-	fs.Parse(args)
-
-	addr, err := net.ResolveUDPAddr("udp", *listen)
-	if err != nil {
-		return err
-	}
-	if *engineMode {
-		if *serve != "" {
-			return fmt.Errorf("-serve requires the legacy receiver (drop -engine)")
-		}
-		return runRecvEngine(addr, *shards, *idle, *maxFlows, *quiet, *statsInterval)
-	}
-	conn, err := listenUDPRetry(addr)
-	if err != nil {
-		return err
-	}
-	conn.SetReadBuffer(1 << 21)
-	conn.SetWriteBuffer(1 << 21)
-	recv := &wire.Receiver{Conn: conn, IdleTimeout: *idle, MaxFlows: *maxFlows}
-	if *serve != "" {
-		store := fetch.NewStore(0)
-		names, err := store.ServeDir(*serve)
-		if err != nil {
-			return err
-		}
-		recv.OnFetch = store.HandleFetch
-		fmt.Printf("proteusd recv: serving %d objects from %s: %v\n", len(names), *serve, names)
-	}
-	if err := recv.Start(); err != nil {
-		return err
-	}
-	defer recv.Stop()
-	fmt.Printf("proteusd recv: listening on %s\n", recv.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	var last wire.ReceiverStats
-	for {
-		select {
-		case <-sig:
-			st := recv.Stats()
-			fmt.Printf("total: pkts=%d bytes=%d dups=%d acks=%d cum=%d flows=%d evicted=%d bad=%d fetch=%d segs=%d\n",
-				st.Pkts, st.Bytes, st.Dups, st.AcksSent, st.CumAck, st.Flows, st.Evicted, st.BadPkts,
-				st.FetchReqs, st.SegsSent)
-			return nil
-		case <-tick.C:
-			st := recv.Stats()
-			if !*quiet && (st.Pkts != last.Pkts || st.FetchReqs != last.FetchReqs) {
-				fmt.Printf("rx %7.3f Mbps  pkts=%d dups=%d cum=%d sacks=%d fetch=%d segs=%d\n",
-					float64(st.Bytes-last.Bytes)*8/1e6, st.Pkts, st.Dups, st.CumAck, st.AcksSent,
-					st.FetchReqs, st.SegsSent)
-			}
-			last = st
-		}
-	}
 }
 
 // classStatsLine formats the engine's brownout state and per-class
@@ -226,17 +133,43 @@ func statsTicker(interval float64) (<-chan time.Time, func()) {
 	return t.C, t.Stop
 }
 
-// runRecvEngine is the sharded receive path: one engine, shard i on
-// listen-port+i, all incoming flows multiplexed onto the shard loops.
-func runRecvEngine(addr *net.UDPAddr, shards int, idle float64, maxFlows int, quiet bool, statsInterval float64) error {
-	ip := "0.0.0.0"
-	if addr.IP != nil {
-		ip = addr.IP.String()
+// runRecv receives on one engine — shard i on listen-port+i, every
+// incoming flow multiplexed onto the shard loops — optionally serving
+// fetch requests, and prints a per-second line of receive-side
+// counters until interrupted.
+func runRecv(args []string) error {
+	fs := flag.NewFlagSet("recv", flag.ExitOnError)
+	listen := fs.String("listen", "127.0.0.1:9741", "UDP address to listen on (shard i listens on port+i)")
+	quiet := fs.Bool("quiet", false, "suppress per-second stats")
+	idle := fs.Float64("idle", 60, "evict a flow after this many seconds without packets (0 = default)")
+	maxFlows := fs.Int("max-flows", 0, "per-shard flow-state cap; stalest flow is evicted at the cap (0 = default)")
+	serve := fs.String("serve", "", "also answer segmented fetch requests for every file in this directory (proteusfetch is the client)")
+	shards := fs.Int("shards", 2, "engine shards")
+	statsInterval := fs.Float64("stats-interval", 0, "print a per-class overload stats line every this many seconds (0 = off)")
+	fs.Parse(args)
+
+	addr, err := net.ResolveUDPAddr("udp", *listen)
+	if err != nil {
+		return err
 	}
-	eng, err := engine.New(engine.Config{
-		Shards: shards, ListenIP: ip, ListenPort: addr.Port,
-		IdleTimeout: idle, MaxFlowsPerShard: maxFlows,
-	})
+	cfg := engine.Config{
+		Shards: *shards, ListenIP: "0.0.0.0", ListenPort: addr.Port,
+		IdleTimeout: *idle, MaxFlowsPerShard: *maxFlows,
+	}
+	if addr.IP != nil {
+		cfg.ListenIP = addr.IP.String()
+	}
+	if *serve != "" {
+		store := fetch.NewStore(0)
+		names, err := store.ServeDir(*serve)
+		if err != nil {
+			return err
+		}
+		cfg.OnFetch = store.HandleFetch
+		cfg.MaxPacket = max(2048, store.SegSize+wire.SegmentHeaderLen)
+		fmt.Printf("proteusd recv: serving %d objects from %s: %v\n", len(names), *serve, names)
+	}
+	eng, err := newEngineRetry(cfg)
 	if err != nil {
 		return err
 	}
@@ -244,44 +177,46 @@ func runRecvEngine(addr *net.UDPAddr, shards int, idle float64, maxFlows int, qu
 	if err := eng.Start(); err != nil {
 		return err
 	}
-	fmt.Printf("proteusd recv: engine listening on %v\n", eng.Addrs())
+	fmt.Printf("proteusd recv: listening on %v\n", eng.Addrs())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	tick := time.NewTicker(time.Second)
 	defer tick.Stop()
-	ovTick, stopOv := statsTicker(statsInterval)
+	ovTick, stopOv := statsTicker(*statsInterval)
 	defer stopOv()
 	var last engine.Stats
 	for {
 		select {
 		case <-sig:
-			// Graceful drain: quiesce admissions by stopping the engine
-			// only after the final summary is captured, so the counters
-			// reflect everything the datapath did.
+			// The engine stops only after the final summary is captured,
+			// so the counters reflect everything the datapath did.
 			st := eng.Stats()
-			fmt.Printf("total: pkts=%d bytes=%d dups=%d acks=%d flows=%d evicted=%d rebinds=%d bad=%d batches=%d\n",
-				st.Delivered, st.DeliveredBytes, st.RxDups, st.TxPkts, st.Flows,
-				st.Evicted, st.Rebinds, st.BadPkts, st.RxBatches)
+			fmt.Printf("total: pkts=%d bytes=%d dups=%d acks=%d flows=%d evicted=%d rebinds=%d bad=%d batches=%d fetch=%d segs=%d\n",
+				st.Delivered, st.DeliveredBytes, st.RxDups, st.TxPkts-st.SegsTx, st.Flows,
+				st.Evicted, st.Rebinds, st.BadPkts, st.RxBatches, st.FetchReqs, st.SegsTx)
 			fmt.Println(classStatsLine(st))
 			return nil
 		case <-ovTick:
 			fmt.Println(classStatsLine(eng.Stats()))
 		case <-tick.C:
 			st := eng.Stats()
-			if !quiet && st.RxPkts != last.RxPkts {
-				fmt.Printf("rx %7.3f Mbps  pkts=%d dups=%d flows=%d batches=%d\n",
+			if !*quiet && st.RxPkts != last.RxPkts {
+				fmt.Printf("rx %7.3f Mbps  pkts=%d dups=%d flows=%d batches=%d fetch=%d segs=%d\n",
 					float64(st.DeliveredBytes-last.DeliveredBytes)*8/1e6,
-					st.Delivered, st.RxDups, st.Flows, st.RxBatches)
+					st.Delivered, st.RxDups, st.Flows, st.RxBatches, st.FetchReqs, st.SegsTx)
 			}
 			last = st
 		}
 	}
 }
 
-// runSend drives congestion-controlled flows at the given address,
-// optionally through an in-process impairment shim, and prints a
-// per-second line of send-side counters.
+// runSend drives congestion-controlled flows at the given address on
+// one engine — a fixed set of event loops, batched socket I/O, no
+// per-flow goroutines — optionally through an in-process impairment
+// shim, and prints a per-second line of send-side counters. Scavenger
+// protocols are tagged with the scavenger class so the receiver's
+// overload control sheds them first.
 func runSend(args []string) error {
 	fs := flag.NewFlagSet("send", flag.ExitOnError)
 	to := fs.String("to", "127.0.0.1:9741", "receiver UDP address")
@@ -289,13 +224,12 @@ func runSend(args []string) error {
 	duration := fs.Float64("duration", 10, "seconds to run (0 = until interrupted)")
 	seed := fs.Int64("seed", 1, "controller RNG seed")
 	quiet := fs.Bool("quiet", false, "suppress per-second stats")
-	drain := fs.Duration("drain", 2*time.Second, "on SIGINT/SIGTERM, wait up to this long for in-flight packets to be acked before exiting")
+	drain := fs.Duration("drain", 2*time.Second, "on exit, stop sending and wait up to this long for in-flight packets to be acked")
 	flows := fs.Int("flows", 1, "concurrent flows (each with its own controller)")
-	maxFlows := fs.Int("max-flows", 4096, "refuse to start more than this many flows (checked before any flow is spawned)")
-	engineMode := fs.Bool("engine", false, "run flows on the sharded event-loop engine instead of one goroutine pair per flow")
-	shards := fs.Int("shards", 2, "engine shards (with -engine; -shim forces 1, the shim tracks a single return socket)")
-	bind := fs.String("bind", "127.0.0.1", "engine shard bind IP (with -engine)")
-	statsInterval := fs.Float64("stats-interval", 0, "with -engine: print a per-class overload stats line every this many seconds (0 = off)")
+	maxFlows := fs.Int("max-flows", 4096, "refuse to start more than this many flows (checked before any flow is admitted)")
+	shards := fs.Int("shards", 2, "engine shards (-shim forces 1, the shim tracks a single return socket)")
+	bind := fs.String("bind", "127.0.0.1", "engine shard bind IP")
+	statsInterval := fs.Float64("stats-interval", 0, "print a per-class overload stats line every this many seconds (0 = off)")
 	shimFlags := newShimFlags(fs)
 	fs.Parse(args)
 
@@ -318,111 +252,15 @@ func runSend(args []string) error {
 				st.Enqueued, st.Dropped, st.LostRandom, st.Delivered, st.AcksRelay)
 		}()
 		dst = shim.Addr()
+		*shards = 1
 		fmt.Printf("proteusd send: shim %s at %s\n", shimFlags.describe(), dst)
-		if *engineMode && *shards != 1 {
-			*shards = 1
-		}
 	}
-	newCC := func(i int) transport.Controller {
-		rng := rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55+int64(i))))
-		return exp.NewControllerRNG(rng, *proto)
-	}
-	if *engineMode {
-		return runSendEngine(dst, *proto, *flows, *maxFlows, *shards, *bind, *duration, *quiet, *statsInterval, newCC)
-	}
-
-	// Legacy path: one socket and one goroutine pair per flow — the
-	// datapath the engine replaces at scale, kept for comparison and
-	// for single-flow runs.
-	senders := make([]*wire.Sender, 0, *flows)
-	defer func() {
-		for _, s := range senders {
-			s.Stop()
-		}
-	}()
-	err = startFlows(*flows, *maxFlows, func(i int) error {
-		conn, err := dialUDPRetry(dst)
-		if err != nil {
-			return err
-		}
-		conn.SetReadBuffer(1 << 21)
-		conn.SetWriteBuffer(1 << 21)
-		snd := &wire.Sender{CC: newCC(i), Conn: conn}
-		if err := snd.Start(); err != nil {
-			conn.Close()
-			return err
-		}
-		senders = append(senders, snd)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("proteusd send: %s ×%d -> %s\n", *proto, *flows, *to)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	deadline := time.Now().Add(time.Duration(*duration * float64(time.Second)))
-	var last wire.SenderStats
-	for {
-		select {
-		case <-sig:
-			gracefulDrain(senders, sig, *drain)
-			printSendTotal(sumSendStats(senders))
-			return nil
-		case <-tick.C:
-			st := sumSendStats(senders)
-			if !*quiet {
-				fmt.Printf("tx %7.3f Mbps  rate=%6.2f srtt=%5.1fms inflight=%d lost=%d\n",
-					float64(st.AckedBytes-last.AckedBytes)*8/1e6,
-					st.RateMbps, st.SRTT*1e3, st.Inflight, st.LostPkts)
-			}
-			last = st
-			if *duration > 0 && !time.Now().Before(deadline) {
-				gracefulDrain(senders, sig, *drain)
-				printSendTotal(sumSendStats(senders))
-				return nil
-			}
-		}
-	}
-}
-
-// sumSendStats aggregates legacy senders: counters add up, rate and
-// RTT report the across-flow mean.
-func sumSendStats(snds []*wire.Sender) wire.SenderStats {
-	var out wire.SenderStats
-	for _, s := range snds {
-		st := s.Stats()
-		out.SentPkts += st.SentPkts
-		out.AckedPkts += st.AckedPkts
-		out.LostPkts += st.LostPkts
-		out.AckedBytes += st.AckedBytes
-		out.Inflight += st.Inflight
-		out.RateMbps += st.RateMbps
-		out.SRTT += st.SRTT
-		out.MinRTT += st.MinRTT
-	}
-	if n := float64(len(snds)); n > 1 {
-		out.SRTT /= n
-		out.MinRTT /= n
-	}
-	return out
-}
-
-// runSendEngine runs the flows on the sharded engine: a fixed set of
-// event loops, batched socket I/O, no per-flow goroutines. Scavenger
-// protocols are tagged with the scavenger class so the receiver's
-// overload control sheds them first.
-func runSendEngine(dst *net.UDPAddr, proto string, flows, maxFlows, shards int, bind string,
-	duration float64, quiet bool, statsInterval float64, newCC func(i int) transport.Controller) error {
 	perShard := 0
-	if maxFlows > 0 {
-		perShard = (maxFlows + shards - 1) / shards
+	if *maxFlows > 0 {
+		perShard = (*maxFlows + *shards - 1) / *shards
 	}
 	eng, err := engine.New(engine.Config{
-		Shards: shards, ListenIP: bind, MaxFlowsPerShard: perShard,
+		Shards: *shards, ListenIP: *bind, MaxFlowsPerShard: perShard,
 	})
 	if err != nil {
 		return err
@@ -431,11 +269,13 @@ func runSendEngine(dst *net.UDPAddr, proto string, flows, maxFlows, shards int, 
 	if err := eng.Start(); err != nil {
 		return err
 	}
-	dstAP := dst.AddrPort()
-	class := overload.ClassOf(proto)
-	handles := make([]*engine.Flow, 0, flows)
-	err = startFlows(flows, maxFlows, func(i int) error {
-		fl, err := eng.AddFlow(engine.FlowConfig{Dst: dstAP, CC: newCC(i), Class: class})
+	class := overload.ClassOf(*proto)
+	handles := make([]*engine.Flow, 0, *flows)
+	err = startFlows(*flows, *maxFlows, func(i int) error {
+		rng := rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55+int64(i))))
+		fl, err := eng.AddFlow(engine.FlowConfig{
+			Dst: dst.AddrPort(), CC: exp.NewControllerRNG(rng, *proto), Class: class,
+		})
 		if err == nil {
 			handles = append(handles, fl)
 		}
@@ -444,22 +284,23 @@ func runSendEngine(dst *net.UDPAddr, proto string, flows, maxFlows, shards int, 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("proteusd send: engine %s ×%d (%d shards) -> %s\n", proto, flows, shards, dst)
+	fmt.Printf("proteusd send: %s ×%d (%d shards) -> %s\n", *proto, *flows, *shards, dst)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	tick := time.NewTicker(time.Second)
 	defer tick.Stop()
-	ovTick, stopOv := statsTicker(statsInterval)
+	ovTick, stopOv := statsTicker(*statsInterval)
 	defer stopOv()
-	deadline := time.Now().Add(time.Duration(duration * float64(time.Second)))
+	deadline := time.Now().Add(time.Duration(*duration * float64(time.Second)))
 	var lastAcked int64
-	total := func() (acked, lost int64, srtt float64) {
+	total := func() (acked, lost int64, srtt float64, unacked int) {
 		for _, fl := range handles {
 			st := fl.Stats()
 			acked += st.AckedBytes
 			lost += st.LostPkts
 			srtt += st.SRTT
+			unacked += st.UnackedRecs
 		}
 		srtt /= float64(len(handles))
 		return
@@ -471,18 +312,20 @@ func runSendEngine(dst *net.UDPAddr, proto string, flows, maxFlows, shards int, 
 			fmt.Println(classStatsLine(eng.Stats()))
 			continue
 		case <-tick.C:
-			acked, lost, srtt := total()
-			if !quiet {
+			acked, lost, srtt, _ := total()
+			if !*quiet {
 				est := eng.Stats()
 				fmt.Printf("tx %7.3f Mbps  srtt=%5.1fms lost=%d pkts=%d batches=%d\n",
 					float64(acked-lastAcked)*8/1e6, srtt*1e3, lost, est.TxPkts, est.TxBatches)
 			}
 			lastAcked = acked
-			if duration <= 0 || time.Now().Before(deadline) {
+			if *duration <= 0 || time.Now().Before(deadline) {
 				continue
 			}
 		}
-		acked, lost, srtt := total()
+		eng.Drain()
+		awaitDrain(func() int { _, _, _, n := total(); return n }, sig, *drain)
+		acked, lost, srtt, _ := total()
 		est := eng.Stats()
 		fmt.Printf("total: acked=%d bytes lost=%d srtt=%.1fms txpkts=%d txbatches=%d rxbatches=%d\n",
 			acked, lost, srtt*1e3, est.TxPkts, est.TxBatches, est.RxBatches)
@@ -491,50 +334,37 @@ func runSendEngine(dst *net.UDPAddr, proto string, flows, maxFlows, shards int, 
 	}
 }
 
-// gracefulDrain waits for the senders' in-flight packets to be acked
-// (bounded by timeout) so shutdown doesn't strand a window of data. A
-// second signal aborts the wait immediately.
-func gracefulDrain(snds []*wire.Sender, sig chan os.Signal, timeout time.Duration) {
-	inflight := 0
-	for _, s := range snds {
-		inflight += s.Stats().Inflight
-	}
-	if timeout <= 0 || inflight == 0 {
+// awaitDrain is the tail of a graceful shutdown: with the engine
+// already draining (no new data offered), wait for the in-flight
+// packets to resolve so exit doesn't strand a window — bounded by
+// timeout, and aborted by a second signal.
+func awaitDrain(unacked func() int, sig <-chan os.Signal, timeout time.Duration) {
+	n := unacked()
+	if timeout <= 0 || n == 0 {
 		return
 	}
-	fmt.Printf("proteusd send: draining %d in-flight bytes (signal again to abort)\n", inflight)
-	done := make(chan bool, 1)
-	go func() {
-		var timedOut atomic.Bool
-		var wg sync.WaitGroup
-		for _, s := range snds {
-			wg.Add(1)
-			go func(s *wire.Sender) {
-				defer wg.Done()
-				if !s.Drain(timeout) {
-					timedOut.Store(true)
-				}
-			}(s)
-		}
-		wg.Wait()
-		done <- !timedOut.Load()
-	}()
-	select {
-	case ok := <-done:
-		if !ok {
+	fmt.Printf("proteusd send: draining %d in-flight packets (signal again to abort)\n", n)
+	poll := time.NewTicker(10 * time.Millisecond)
+	defer poll.Stop()
+	expired := time.After(timeout)
+	for {
+		select {
+		case <-poll.C:
+			if unacked() == 0 {
+				return
+			}
+		case <-expired:
 			fmt.Println("proteusd send: drain timed out")
+			return
+		case <-sig:
+			fmt.Println("proteusd send: drain aborted")
+			return
 		}
-	case <-sig:
-		fmt.Println("proteusd send: drain aborted")
 	}
 }
 
-func printSendTotal(st wire.SenderStats) {
-	fmt.Printf("total: sent=%d acked=%d lost=%d bytes=%d srtt=%.1fms minrtt=%.1fms\n",
-		st.SentPkts, st.AckedPkts, st.LostPkts, st.AckedBytes, st.SRTT*1e3, st.MinRTT*1e3)
-}
-
-// runDemo is the single-process version: RunLoopback with a summary.
+// runDemo is the single-process version: engine.RunShimLoopback with a
+// summary.
 func runDemo(args []string) error {
 	fs := flag.NewFlagSet("demo", flag.ExitOnError)
 	proto := fs.String("proto", exp.ProtoProteusP, "controller to run")
@@ -544,10 +374,8 @@ func runDemo(args []string) error {
 	fs.Parse(args)
 
 	fmt.Printf("proteusd demo: %s over %s for %.0fs\n", *proto, shimFlags.describe(), *duration)
-	res, err := wire.RunLoopback(wire.LoopbackConfig{
-		NewController: func() transport.Controller {
-			return exp.NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55))), *proto)
-		},
+	res, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
+		CC:       exp.NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55))), *proto),
 		Shim:     shimFlags.config(*seed),
 		Duration: *duration,
 	})

@@ -9,6 +9,7 @@ import (
 
 	"pccproteus/internal/chaos"
 	"pccproteus/internal/core"
+	"pccproteus/internal/engine"
 	"pccproteus/internal/exp"
 	"pccproteus/internal/pathmodel"
 	"pccproteus/internal/transport"
@@ -50,7 +51,7 @@ type WireReplay struct {
 	Updates      []wire.ShimUpdate
 	FaultPlan    *chaos.Plan // fault segments on the compressed clock, nil if none
 	SkippedFlows int         // flow segments the single-flow wire path cannot run
-	Result       *wire.LoopbackResult
+	Result       *engine.ShimLoopbackResult
 	Verdicts     []Verdict
 	Violations   []Verdict
 }
@@ -148,17 +149,17 @@ func ReplayWire(ce *Counterexample) (*WireReplay, error) {
 		chaosPlan = &scaled
 		w.FaultPlan = &scaled
 	}
-	newCC := func() transport.Controller {
-		rng := rand.New(rand.NewSource(wire.MixSeed(ce.Seed, 0x9a)))
-		if sc.Proto == exp.ProtoProteusH {
-			c, h := core.NewProteusH(rng)
-			h.SetThreshold(hybridThresholdFor(sc))
-			return c
-		}
-		return exp.NewControllerRNG(rng, sc.Proto)
+	rng := rand.New(rand.NewSource(wire.MixSeed(ce.Seed, 0x9a)))
+	var cc transport.Controller
+	if sc.Proto == exp.ProtoProteusH {
+		c, h := core.NewProteusH(rng)
+		h.SetThreshold(hybridThresholdFor(sc))
+		cc = c
+	} else {
+		cc = exp.NewControllerRNG(rng, sc.Proto)
 	}
-	res, err := wire.RunLoopback(wire.LoopbackConfig{
-		NewController: newCC,
+	res, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
+		CC: cc,
 		Shim: wire.ShimConfig{
 			RateMbps:   sc.LinkMbps,
 			QueueBytes: sc.BufBytes,
@@ -185,12 +186,12 @@ func ReplayWire(ce *Counterexample) (*WireReplay, error) {
 }
 
 // checkWire evaluates the wire invariants on a finished loopback run.
-func checkWire(res *wire.LoopbackResult) []Verdict {
+func checkWire(res *engine.ShimLoopbackResult) []Verdict {
 	// wire-capacity: acked bytes vs the capacity integral the shim
 	// actually emulated (rate changes included), with queue-drain slack.
 	capV := Verdict{Invariant: "wire-capacity", Margin: 1}
 	if allowed := wireCapTol * res.CapacityMbps; allowed > 0 {
-		acked := float64(res.Sender.AckedBytes) * 8 / 1e6 / wireReplayDur
+		acked := float64(res.Flow.AckedBytes) * 8 / 1e6 / wireReplayDur
 		capV.Margin = clamp((allowed-acked)/allowed, -1, 1)
 		capV.Detail = fmt.Sprintf("acked %.2f Mbps vs %.2f allowed (cap %.2f × %.1f)",
 			acked, allowed, res.CapacityMbps, wireCapTol)

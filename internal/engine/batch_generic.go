@@ -13,12 +13,18 @@ type mmsgState struct{}
 
 func (sh *shard) initBatch() {}
 
+// minReadWait is the shortest read deadline the fallback sets: a
+// deadline that has already expired makes the read return i/o timeout
+// without issuing the syscall, so a due timer must still leave the
+// read a moment in the future.
+const minReadWait = 20 * time.Microsecond
+
 // readBatch on the fallback reads exactly one datagram per call with
 // the ordinary blocking read — the portable half of the batch-I/O
 // matrix. Returns the number of datagrams staged (0 on timeout, so
 // the event loop runs its timers), or -1 when the socket is closed.
-func (sh *shard) readBatch(deadline time.Time) int {
-	sh.conn.SetReadDeadline(deadline)
+func (sh *shard) readBatch(wait time.Duration) int {
+	sh.conn.SetReadDeadline(time.Now().Add(max(wait, minReadWait)))
 	n, src, err := sh.conn.ReadFromUDPAddrPort(sh.rxBufs[0])
 	if err != nil {
 		if isTimeout(err) {

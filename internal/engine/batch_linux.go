@@ -97,14 +97,15 @@ type mmsgState struct {
 
 	// GSO staging: per-entry control messages and segment counts, and
 	// the per-flush destination-grouping table.
-	gso    bool
-	wctrl  []cmsgGSO
-	wsegs  []int
-	gdst   [gsoMaxDsts]netip.AddrPort
-	gidx   [gsoMaxDsts][]int
-	gflat  []int // overflow: packets sent as plain entries
+	gso   bool
+	wctrl []cmsgGSO
+	wsegs []int
+	gdst  [gsoMaxDsts]netip.AddrPort
+	gidx  [gsoMaxDsts][]int
+	gflat []int // overflow: packets sent as plain entries
 
 	readFn  func(fd uintptr) bool
+	pollFn  func(fd uintptr) // readFn once, never parking
 	writeFn func(fd uintptr) bool
 
 	rGot  int
@@ -195,6 +196,7 @@ func (sh *shard) initBatch() {
 		}
 		return true
 	}
+	m.pollFn = func(fd uintptr) { m.readFn(fd) }
 	m.writeFn = func(fd uintptr) bool {
 		r1, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
 			uintptr(unsafe.Pointer(&m.whdrs[m.wOff])), uintptr(m.wTot-m.wOff),
@@ -224,14 +226,16 @@ func (sh *shard) initBatch() {
 	}
 }
 
-// readBatch stages up to batchSize datagrams in one recvmmsg. Returns
-// the count (0 on deadline, so timers run), or -1 on a closed socket.
-func (sh *shard) readBatch(deadline time.Time) int {
+// readBatch stages up to batchSize datagrams in one recvmmsg, blocking
+// up to wait for the first. Returns the count (0 on timeout, so timers
+// run), or -1 on a closed socket. With wait ≤ 0 it still issues one
+// non-blocking recvmmsg: RawConn.Read would return i/o timeout on an
+// already-expired deadline without making the syscall at all.
+func (sh *shard) readBatch(wait time.Duration) int {
 	m := &sh.mmsg
 	if m.rc == nil {
 		return -1
 	}
-	sh.conn.SetReadDeadline(deadline)
 	// Namelen and Controllen are value-result: restore before every
 	// syscall, and clear the stale control payload.
 	for i := range m.rhdrs {
@@ -242,7 +246,13 @@ func (sh *shard) readBatch(deadline time.Time) int {
 		}
 	}
 	m.rGot, m.rErr = 0, 0
-	err := m.rc.Read(m.readFn)
+	var err error
+	if wait <= 0 {
+		err = m.rc.Control(m.pollFn)
+	} else {
+		sh.conn.SetReadDeadline(time.Now().Add(wait))
+		err = m.rc.Read(m.readFn)
+	}
 	if err != nil {
 		if isTimeout(err) {
 			return 0

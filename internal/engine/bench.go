@@ -102,22 +102,13 @@ func RunHotpathBench(b *testing.B) {
 // controllers — is the bottleneck. Returns delivered pps and the
 // packet count over the measurement window.
 func MeasurePPS(flows int, d time.Duration) (float64, int64, error) {
-	recv, err := New(Config{Shards: 2, BatchSize: 1024, MaxFlowsPerShard: flows})
+	cfg := Config{Shards: 2, BatchSize: 1024, MaxFlowsPerShard: flows}
+	snd, recv, err := startPair(cfg, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer recv.Stop()
-	snd, err := New(Config{Shards: 2, BatchSize: 1024, MaxFlowsPerShard: flows})
-	if err != nil {
-		return 0, 0, err
-	}
 	defer snd.Stop()
-	if err := recv.Start(); err != nil {
-		return 0, 0, err
-	}
-	if err := snd.Start(); err != nil {
-		return 0, 0, err
-	}
 	addrs := recv.Addrs()
 	for i := 0; i < flows; i++ {
 		// 10k pps/flow offered — far beyond achievable at 1k flows, so

@@ -44,6 +44,13 @@ type Config struct {
 	// Seed derives the per-shard jitter RNGs (BUSY retry backoff).
 	// Zero is a fixed default, so runs are reproducible by default.
 	Seed int64
+	// OnFetch, when set, answers fetch requests (fetch.Store.HandleFetch
+	// is the implementation): it is handed the decoded request and a
+	// MaxPacket-sized tx buffer and returns the encoded SEGMENT response
+	// — a prefix of buf — or nil to ignore the request. It runs on shard
+	// goroutines, concurrently across shards, so it must only read
+	// shared state. MaxPacket must cover the largest response.
+	OnFetch func(h wire.FetchHeader, buf []byte) []byte
 }
 
 func (c Config) withDefaults() Config {
@@ -73,8 +80,7 @@ func (c Config) withDefaults() Config {
 
 // FlowConfig describes one sender flow.
 type FlowConfig struct {
-	// Dst is the peer (an engine shard or a legacy receiver — both
-	// speak the version-2 ack exchange).
+	// Dst is the peer: an engine shard, possibly behind a wire.Shim.
 	Dst netip.AddrPort
 	// CC is the flow's congestion controller. Each flow needs its own
 	// instance: callbacks run on the owning shard's goroutine.
@@ -121,6 +127,14 @@ type FlowStats struct {
 	LostPkts   int64
 	LostBytes  int64
 	SRTT       float64
+
+	ProbesSent    int64 // keep-alive probes emitted during outages
+	WatchdogTrips int64 // stall-watchdog activations
+	Recoveries    int64 // outages ended by a delivered ack
+	InOutage      bool  // watchdog currently tripped
+	// UnackedRecs is the live in-flight bookkeeping (probes included),
+	// refreshed every 10 ms; zero means nothing is outstanding.
+	UnackedRecs int
 }
 
 // RTTSamples returns a copy of the per-ack RTT samples recorded so
@@ -138,7 +152,10 @@ func (fl *Flow) Stats() FlowStats {
 		SentPkts: fl.s.sentPkts.Load(), SentBytes: fl.s.sentBytes.Load(),
 		AckedPkts: fl.s.ackedPkts.Load(), AckedBytes: fl.s.ackedBytes.Load(),
 		LostPkts: fl.s.lostPkts.Load(), LostBytes: fl.s.lostBytes.Load(),
-		SRTT: float64(fl.s.srttNanos.Load()) / 1e9,
+		SRTT:       float64(fl.s.srttNanos.Load()) / 1e9,
+		ProbesSent: fl.s.probes.Load(), WatchdogTrips: fl.s.wdTrips.Load(),
+		Recoveries: fl.s.wdRecovs.Load(), InOutage: fl.s.outage.Load(),
+		UnackedRecs: int(fl.s.unackedLen.Load()),
 	}
 }
 
@@ -155,6 +172,8 @@ type Stats struct {
 	Rebinds        int64 // (addr,flowID) collisions reset as new flows
 	Delivered      int64 // distinct data packets received
 	DeliveredBytes int64
+	FetchReqs      int64 // fetch requests handed to Config.OnFetch
+	SegsTx         int64 // segment responses sent back
 	Flows          int
 
 	// Overload surface: per-class admission/degradation counters plus
@@ -163,14 +182,14 @@ type Stats struct {
 	// ShedPrimary stays 0 while any scavenger exists to shed.
 	AdmittedPrimary   int64 // AddFlow successes per class
 	AdmittedScavenger int64
-	RejectedPrimary   int64 // primary AddFlow refusals (hard cap only)
-	RejectedScavenger int64 // scavenger refusals: local AddFlow + remote BUSY
-	ShedPrimary       int64 // primary recv flows evicted at the table cap
-	ShedScavenger     int64 // scavenger flows paused, evicted, or shed
-	BusyTx            int64 // BUSY frames sent (refusals + sheds)
-	BusyRx            int64 // BUSY frames received (we were pushed back)
-	TxSoftErrs        int64 // ENOBUFS/ENOMEM-class tx flush errors
-	Paused            int64 // local scavenger senders currently paused
+	RejectedPrimary   int64          // primary AddFlow refusals (hard cap only)
+	RejectedScavenger int64          // scavenger refusals: local AddFlow + remote BUSY
+	ShedPrimary       int64          // primary recv flows evicted at the table cap
+	ShedScavenger     int64          // scavenger flows paused, evicted, or shed
+	BusyTx            int64          // BUSY frames sent (refusals + sheds)
+	BusyRx            int64          // BUSY frames received (we were pushed back)
+	TxSoftErrs        int64          // ENOBUFS/ENOMEM-class tx flush errors
+	Paused            int64          // local scavenger senders currently paused
 	Overload          overload.State // worst shard's current state
 	WorstOverload     overload.State // worst state any shard ever entered
 	Pressure          float64
@@ -186,6 +205,8 @@ type Engine struct {
 	rr      atomic.Uint32
 	senders atomic.Int64 // admitted sender flows, for the AddFlow cap
 	done    chan struct{}
+	// draining stops every sender flow from emitting new data (Drain).
+	draining atomic.Bool
 
 	// Per-class admission accounting (AddFlow runs on caller
 	// goroutines, so these live on the engine, not a shard).
@@ -253,6 +274,24 @@ func (e *Engine) Stop() {
 		}
 	})
 	e.wg.Wait()
+}
+
+// Drain stops every sender flow from offering new data; packets
+// already in flight keep resolving (acked, or aged out by RTO), which
+// Flow.Stats().UnackedRecs reaching zero reports. There is no resume:
+// it is the first half of a graceful shutdown, Stop the second.
+func (e *Engine) Drain() { e.draining.Store(true) }
+
+// Reset discards every receiver flow's state without a final ack,
+// modeling a receiver-process restart: senders see their cumulative
+// acks regress to zero and must cope (the chaos peer-restart fault
+// drives this). Applied by each shard on its next loop pass.
+func (e *Engine) Reset() {
+	for _, sh := range e.shards {
+		sh.admitMu.Lock()
+		sh.resetReq = true
+		sh.admitMu.Unlock()
+	}
 }
 
 // Addrs returns each shard's listening address. Flows land on the
@@ -371,6 +410,8 @@ func (e *Engine) Stats() Stats {
 		st.Rebinds += sh.ctr.rebinds.Load()
 		st.Delivered += sh.ctr.delivered.Load()
 		st.DeliveredBytes += sh.ctr.deliveredBytes.Load()
+		st.FetchReqs += sh.ctr.fetchReqs.Load()
+		st.SegsTx += sh.ctr.segsTx.Load()
 		st.Flows += int(sh.flowGauge.Load())
 		st.RejectedScavenger += sh.ctr.rejectScav.Load()
 		st.ShedPrimary += sh.ctr.shedPrim.Load()

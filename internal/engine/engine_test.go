@@ -94,6 +94,6 @@ func TestAddFlowValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fl.ID() == 0 {
-		t.Fatal("flow ID must be nonzero (zero is the legacy v1 marker)")
+		t.Fatal("flow ID must be nonzero (zero is the version-1 marker)")
 	}
 }

@@ -13,9 +13,8 @@ import (
 
 // flowKey identifies one flow on a shard: peer address plus the wire
 // flow ID. Engine-originated flows always carry nonzero IDs (the
-// engine allocator starts at 1), so ID 0 marks legacy version-1
-// traffic, which is keyed by source address alone exactly as the
-// legacy Receiver keys it.
+// engine allocator starts at 1), so ID 0 marks version-1 traffic,
+// which is keyed by source address alone.
 type flowKey struct {
 	addr netip.AddrPort
 	id   uint32
@@ -40,40 +39,67 @@ type flow struct {
 	rcv *recvFlow
 }
 
-// Datapath constants mirroring the legacy wire.Sender so the engine's
-// per-flow behavior is the same protocol, only batched differently.
+// Sender datapath constants.
 const (
-	dupAckThreshold = 3
-	rtoCheckEvery   = 0.010
-	maxRTOBackoff   = 4
-	maxRTOCap       = 3.0
-	maxUnackedRecs  = 1 << 16
-	schedSlack      = 0.25
-	// ackPoll is the wake cadence while window- or limit-gated (the
-	// legacy sender's maxSleep); minWake is the shortest pacing sleep
-	// worth scheduling (its minSleep).
+	dupAckThreshold = 3 // matches the simulated transport
+	// rtoCheckEvery throttles the timeout scan (and the watchdog check
+	// that rides on it) on the pump path.
+	rtoCheckEvery = 0.010
+	// maxRTOBackoff caps the exponential RTO backoff exponent: across
+	// consecutive ack-less expiries the effective RTO doubles up to
+	// 2^maxRTOBackoff times, so a dead path costs geometrically fewer
+	// spurious loss declarations instead of one per scan forever.
+	// maxRTOCap bounds the backed-off RTO in seconds (unless the base
+	// estimate already exceeds it).
+	maxRTOBackoff = 4
+	maxRTOCap     = 3.0
+	// watchdogFloor is the minimum ack silence (seconds) before the
+	// stall watchdog may trip; 2·RTO applies when that is larger.
+	watchdogFloor = 0.5
+	// probeEvery is the keep-alive probe cadence (seconds) during an
+	// outage: header-only packets that bypass the controller and whose
+	// first ack proves the path has healed.
+	probeEvery = 0.25
+	// maxUnackedRecs bounds in-flight bookkeeping: the backstop
+	// guaranteeing no state growth when acks never come.
+	maxUnackedRecs = 1 << 16
+	// schedSlack is how far past one bucket depth the pacing schedule
+	// may trail the clock before an idle restart re-anchors it. Steady
+	// sending keeps the schedule within a bucket depth, so only a
+	// genuine stall re-anchors; rate changes never do.
+	schedSlack = 0.25
+	// ackPoll is the wake cadence while window- or limit-gated; minWake
+	// is the shortest pacing sleep worth scheduling.
 	ackPoll = 0.001
 	minWake = 50e-6
 )
 
-// rec is the sender-side record of one in-flight packet; identical in
-// meaning to the legacy wireRec (scheduled send time vs wall emission
-// time), recycled through a per-flow freelist.
+// rec is the sender-side record of one in-flight packet, recycled
+// through a per-flow freelist. sentAt is the scheduled (token-bucket)
+// send time — the measurement timebase. agedFrom is what loss and RTO
+// aging count from: the actual emission time, since aging must follow
+// elapsed time — or sentAt when that is later. Stamps are committed a
+// train ahead, so the schedule leads the clock by up to one train time
+// at the flow's start-up rate (DESIGN §7); the shim releases a packet
+// no earlier than its stamp and the RTO is built from RTTs measured
+// from the stamp, so aging a leading packet from its emission would
+// declare a whole standing queue lost just before its acks arrive.
 type rec struct {
-	seq    int64
-	size   int
-	sentAt float64 // scheduled (token-bucket timeline) send time
-	wallAt float64 // actual emission time, for loss aging
-	mi     int64
-	acked  bool
-	lost   bool
+	seq      int64
+	size     int
+	sentAt   float64
+	agedFrom float64
+	mi       int64
+	acked    bool
+	lost     bool
+	probe    bool // keep-alive probe: invisible to the controller
 }
 
 // senderFlow drives one congestion-controlled flow from shard events:
-// pump() on timer fires, onAck() on ack arrival. It is the legacy
-// wire.Sender state machine with the goroutines, mutex, and
-// outage-probe machinery stripped out — RTO backoff remains the
-// dead-path backstop. All methods run on the owning shard goroutine.
+// pump() on timer fires, onAck() on ack arrival, with the same
+// OnSend/OnAck/OnLoss semantics as the simulated transport. All
+// methods run on the owning shard goroutine, so controllers — which
+// are not thread-safe — only ever see single-threaded calls.
 type senderFlow struct {
 	cc         transport.Controller
 	rtt        transport.RTTEstimator
@@ -97,6 +123,15 @@ type senderFlow struct {
 	revBase      float64
 	revCal       bool
 
+	// Survival machinery: exponential RTO backoff plus a stall watchdog
+	// that freezes the controller during a path outage, probes with
+	// header-only keep-alives, and resumes from the last ack-time rate
+	// once the path heals.
+	lastGoodRate float64 // controller rate (B/s) at the last ack
+	resumeRate   float64 // rate restored on recovery
+	nextProbeAt  float64
+	outage       atomic.Bool
+
 	// Overload state. class fixes who yields under host pressure;
 	// paused is set by the owning shard's Shed action (emission stops,
 	// RTO aging continues); busyUntil/busyStreak implement the jittered
@@ -114,6 +149,10 @@ type senderFlow struct {
 	lostPkts   atomic.Int64
 	lostBytes  atomic.Int64
 	srttNanos  atomic.Int64
+	probes     atomic.Int64
+	wdTrips    atomic.Int64
+	wdRecovs   atomic.Int64
+	unackedLen atomic.Int64 // len(unacked), refreshed on the RTO cadence
 
 	// Per-ack RTT sample log for measurement harnesses (parity runs);
 	// off unless FlowConfig.RecordRTT, so the hot path never touches
@@ -127,37 +166,60 @@ type senderFlow struct {
 	done      chan struct{}
 }
 
-// pump advances the flow: RTO scan, pacer accrual, and a burst of
-// emissions while tokens, window, and limit allow. It returns the
-// next wake deadline, or 0 when the flow has nothing left to do.
+// pump advances the flow: RTO scan, stall watchdog, pacer accrual, and
+// a burst of emissions while tokens, window, and limit allow. It
+// returns the next wake deadline, or 0 when the flow has nothing left
+// to do.
 func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 	if now-s.lastRTOCheck >= rtoCheckEvery {
 		s.lastRTOCheck = now
 		s.checkRTO(now)
+		// Stall watchdog: with data outstanding (prune leaves the head
+		// record live, so non-empty unacked means outstanding) and no
+		// ack for 2·RTO (floored), declare an outage.
+		if !s.outage.Load() && len(s.unacked) > 0 && now-s.lastAckAt >= s.watchdogTimeout() {
+			s.tripWatchdog(now)
+		}
+		s.unackedLen.Store(int64(len(s.unacked)))
 	}
 	if s.completed && len(s.unacked) == 0 {
 		return 0 // fully acked finite transfer: nothing to schedule
 	}
-	// Pushed back or shed: no emission, but keep waking on the RTO
-	// cadence so loss aging (and an eventual busy expiry) still run.
-	if s.paused {
+	if s.outage.Load() {
+		// Data sending is frozen; only keep-alive probes go out, hunting
+		// for the first ack that proves the path healed.
+		if now >= s.nextProbeAt {
+			s.nextProbeAt = now + probeEvery
+			s.sendProbe(sh, f, now)
+		}
 		return now + rtoCheckEvery
 	}
-	if now < s.busyUntil {
-		next := s.busyUntil
-		if d := now + rtoCheckEvery; d < next {
-			next = d
+	// Pushed back, shed, or draining: no emission, but keep waking on
+	// the RTO cadence so loss aging (and a busy expiry) still run. The
+	// silence is explained, so the watchdog's clock does not run.
+	if s.paused || now < s.busyUntil || sh.eng.draining.Load() {
+		s.lastAckAt = now
+		next := now + rtoCheckEvery
+		if !s.paused && now < s.busyUntil && s.busyUntil < next {
+			next = s.busyUntil
 		}
 		return next
 	}
 	rate := s.pacingRate()
 	s.pacer.Advance(now, rate)
 	gated := false
+	// Trains are all-or-nothing: wait until the bucket covers a full
+	// burst, then drain it. Each packet is stamped not with the clock
+	// but with its *scheduled* send time, kept on a leaky-bucket
+	// timeline that advances by exactly size/rate per packet, so the
+	// timebase the receiver and the impairment shim measure against is
+	// that of a perfectly paced sender no matter how wakes jitter —
+	// which is what the controllers' gradient regression needs.
 	if s.pacer.Delay(s.trainBytes(), rate) == 0 {
 		finite := rate > 0 && rate <= wire.MaxFiniteRate
 		if !finite || !s.schedAnchor || now-s.sched > s.pacer.Cap/rate+schedSlack {
-			// Re-anchor the scheduled-send timeline after idle, exactly
-			// as the legacy sender does: no back-credit for dead time.
+			// Re-anchor after idle: no back-credit, so a post-idle
+			// catch-up burst never carries stamps from the dead time.
 			s.sched = now
 			s.schedAnchor = true
 		}
@@ -202,8 +264,8 @@ func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 	s.sp = transport.SentPacket{Seq: s.seq, Size: size, SentAt: virt}
 	s.cc.OnSend(now, &s.sp)
 	r := s.newRec()
-	r.seq, r.size, r.sentAt, r.wallAt, r.mi = s.seq, size, virt, now, s.sp.MI
-	r.acked, r.lost = false, false
+	r.seq, r.size, r.sentAt, r.agedFrom, r.mi = s.seq, size, virt, max(now, virt), s.sp.MI
+	r.acked, r.lost, r.probe = false, false, false
 	s.seq++
 	s.unacked = append(s.unacked, r)
 	s.inflight += size
@@ -215,6 +277,63 @@ func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 		Seq: r.seq, SentAt: sh.clock.NanosAt(virt), Flow: f.key.id,
 	}, size)
 	sh.queueTx(pkt, f.key.addr)
+}
+
+// sendProbe emits one header-only keep-alive packet during an outage.
+// Probes carry real sequence numbers (so the receiver acks them like
+// any data) but are invisible to the controller: no OnSend, no
+// inflight, no byte accounting.
+func (s *senderFlow) sendProbe(sh *shard, f *flow, now float64) {
+	s.capUnacked(now)
+	r := s.newRec()
+	r.seq, r.size, r.sentAt, r.agedFrom, r.mi = s.seq, wire.DataHeaderLenV2, now, now, 0
+	r.acked, r.lost, r.probe = false, false, true
+	s.seq++
+	s.unacked = append(s.unacked, r)
+	s.probes.Add(1)
+	pkt := wire.EncodeDataV2(sh.txBuf(), wire.DataHeader{
+		Seq: r.seq, SentAt: sh.clock.NanosAt(now), Flow: f.key.id,
+	}, wire.DataHeaderLenV2)
+	sh.queueTx(pkt, f.key.addr)
+}
+
+func (s *senderFlow) watchdogTimeout() float64 {
+	return math.Max(2*s.rtt.RTO(), watchdogFloor)
+}
+
+// tripWatchdog enters outage mode: data sending freezes, the
+// controller's measurement state is parked (OutageAware when the
+// controller supports it, the app-pause path otherwise), and probing
+// begins on the next wake.
+func (s *senderFlow) tripWatchdog(now float64) {
+	s.outage.Store(true)
+	s.wdTrips.Add(1)
+	s.resumeRate = s.lastGoodRate
+	s.nextProbeAt = now
+	switch cc := s.cc.(type) {
+	case transport.OutageAware:
+		cc.OnOutage(now)
+	case transport.PauseAware:
+		cc.OnAppPause(now)
+	}
+}
+
+// recoverFromOutage leaves outage mode at the first delivered ack and
+// restores the pre-outage rate, so the controller re-enters probing
+// from there rather than crawling up from a loss-collapsed rate.
+func (s *senderFlow) recoverFromOutage(now float64) {
+	s.outage.Store(false)
+	s.wdRecovs.Add(1)
+	switch cc := s.cc.(type) {
+	case transport.OutageAware:
+		cc.OnRecovery(now, s.resumeRate)
+	case transport.PauseAware:
+		cc.OnAppResume(now)
+	}
+	// Re-anchor pacing: the dead time must not turn into a catch-up
+	// burst or stale schedule stamps.
+	s.schedAnchor = false
+	s.pacer.Reset(now)
 }
 
 // Busy-backoff bounds: the exponent stops doubling after
@@ -252,9 +371,14 @@ func (s *senderFlow) onBusy(sh *shard, bp wire.BusyPacket, now float64) {
 // onAck applies one decoded ack: retire covered packets with
 // controller callbacks, run RACK-style loss detection, prune.
 func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
+	// Any decoded ack is liveness: it resets the backoffs, and during an
+	// outage it is proof the path healed.
 	s.lastAckAt = now
 	s.rtoBackoff = 0
 	s.busyStreak = 0
+	if s.outage.Load() {
+		s.recoverFromOutage(now)
+	}
 	if a.Seq > s.maxSack {
 		s.maxSack = a.Seq
 	}
@@ -267,9 +391,14 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 		}
 	}
 	recvAt := sh.clock.SecondsSince(a.RecvAt)
-	// Same timestamp RTT scheme as the legacy sender: forward half from
-	// the receiver's echoed arrival stamp, reverse half a constant
-	// calibrated once at the first ack.
+	// Timestamp-based RTT, in the style of TCP timestamps: the forward
+	// half is measured against the receiver's echoed arrival stamp, the
+	// reverse half is a constant calibrated once at the first ack. The
+	// congestion signal — the bottleneck queue — lives in the forward
+	// path, so this loses no queueing while keeping ack-path timer noise
+	// out of the controller's gradient regression. The calibration is
+	// locked, not a running minimum: a drifting offset reads as an RTT
+	// trend, a fixed one that is a millisecond off is invisible.
 	if !s.revCal {
 		s.revBase = now - recvAt
 		s.revCal = true
@@ -293,7 +422,7 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 		}
 	}
 	if lo < len(s.unacked) {
-		if r := s.unacked[lo]; r.seq == a.Seq && !r.acked && !r.lost {
+		if r := s.unacked[lo]; r.seq == a.Seq && !r.acked && !r.lost && !r.probe {
 			ackRTT = (recvAt - r.sentAt) + s.revBase
 			if ackRTT < 0 {
 				ackRTT = 0
@@ -321,6 +450,12 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 	}
 	s.detectLosses(now)
 	s.prune()
+	// The last ack-time rate is what recovery restores: acks stop the
+	// moment an outage starts, so this is the pre-outage rate, not the
+	// loss-collapsed one the controller decays to while blacked out.
+	if r := s.cc.PacingRate(); r > 0 {
+		s.lastGoodRate = r
+	}
 	if s.limit > 0 && !s.completed && s.ackedBytes.Load() >= s.limit {
 		s.completed = true
 		close(s.done)
@@ -329,6 +464,9 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 
 func (s *senderFlow) ackRec(r *rec, now, recvAt, rtt float64) {
 	r.acked = true
+	if r.probe {
+		return // liveness only: no bytes the controller should hear about
+	}
 	s.inflight -= r.size
 	s.ackedPkts.Add(1)
 	s.ackedBytes.Add(int64(r.size))
@@ -339,15 +477,17 @@ func (s *senderFlow) ackRec(r *rec, now, recvAt, rtt float64) {
 	})
 }
 
-// detectLosses: a packet dupAckThreshold behind the highest SACKed
-// sequence and older than srtt + reorder window is lost.
+// detectLosses is the RACK-style rule shared with the simulated
+// transport: a packet dupAckThreshold behind the highest SACKed
+// sequence is lost only once it is also older than srtt + reorder
+// window, so path reordering does not manufacture losses.
 func (s *senderFlow) detectLosses(now float64) {
 	window := s.rtt.SRTT() + s.reorderWindow()
 	for _, r := range s.unacked {
 		if r.seq > s.maxSack-dupAckThreshold {
 			break
 		}
-		if !r.acked && !r.lost && now-r.wallAt > window {
+		if !r.acked && !r.lost && now-r.agedFrom > window {
 			s.markLost(r, now)
 		}
 	}
@@ -370,12 +510,15 @@ func (s *senderFlow) checkRTO(now float64) {
 		if r.acked || r.lost {
 			continue
 		}
-		if now-r.wallAt < rto {
+		if now-r.agedFrom < rto {
 			break // sorted by send time: the rest are younger
 		}
 		s.markLost(r, now)
 		declared = true
 	}
+	// Back off only when the expiry happened in true ack silence:
+	// straggler declarations while acks still flow are ordinary
+	// congestion, not a dead path.
 	if declared && now-s.lastAckAt >= rto && s.rtoBackoff < maxRTOBackoff {
 		s.rtoBackoff++
 	}
@@ -396,6 +539,9 @@ func (s *senderFlow) effRTO() float64 {
 
 func (s *senderFlow) markLost(r *rec, now float64) {
 	r.lost = true
+	if r.probe {
+		return // never in inflight, never reported to the controller
+	}
 	s.inflight -= r.size
 	s.lostPkts.Add(1)
 	s.lostBytes.Add(int64(r.size))
@@ -509,8 +655,8 @@ const (
 	delayedAckTO = 0.005
 )
 
-// recvFlow is the ack-generating side of one flow: the same
-// cumulative-ack + SACK tracker the legacy Receiver keeps per source.
+// recvFlow is the ack-generating side of one flow: a cumulative-ack +
+// SACK tracker answering data with (coalesced) acks.
 type recvFlow struct {
 	wire.AckTracker
 	highest int64
@@ -550,8 +696,9 @@ func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now flo
 	if h.Seq > rf.highest {
 		rf.highest = h.Seq
 	}
-	// Prefer a shim's emulated arrival stamp, as the legacy receiver
-	// does; on a bare path the local wall clock is the truth.
+	// Prefer a shim's emulated arrival stamp: RTTs then measure the
+	// emulated path with host delivery jitter excluded. On a bare path
+	// the local wall clock is the truth.
 	recvAt := h.Arrival
 	if recvAt == 0 {
 		recvAt = sh.clock.WallNanos()
@@ -567,6 +714,15 @@ func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now flo
 	if !f.armed {
 		sh.wh.arm(f, now+delayedAckTO)
 	}
+}
+
+// emitFinalAck sends one last cumulative ack for a flow about to be
+// evicted, so a sender whose data raced the eviction learns which
+// packets landed instead of discovering the gap by RTO after it
+// rebinds. No packet is being echoed, so SentAtEcho is zero.
+func (rf *recvFlow) emitFinalAck(sh *shard, f *flow) {
+	rf.pendSeq, rf.pendSentAt, rf.pendRecvAt = max(rf.highest, 0), 0, sh.clock.WallNanos()
+	rf.emitAck(sh, f)
 }
 
 // emitAck flushes the coalesced ack state as one ack packet echoing

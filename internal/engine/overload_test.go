@@ -383,10 +383,10 @@ func TestAddFlowScavengerGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Stop()
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// Force the single shard's mirror into Brownout.
+	// AddFlow only consults the shard's state mirror, so the shard loop
+	// — which would overwrite a forced mirror on its next pass — is
+	// never launched: mark the engine started and set the mirror.
+	eng.started = true
 	eng.shards[0].ovState.Store(uint32(overload.StateBrownout))
 	dst := eng.Addrs()[0]
 	if _, err := eng.AddFlow(FlowConfig{

@@ -68,10 +68,10 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 
 // OverloadResult summarizes one overload scenario run.
 type OverloadResult struct {
-	PreGoodput   float64 // primary bytes/sec before the first phase
-	LoadGoodput  float64 // primary bytes/sec while phases are active
-	PostGoodput  float64 // primary bytes/sec after recovery
-	RecoverySecs float64 // load end → receiver Normal again; -1 = never
+	PreGoodput   float64        // primary bytes/sec before the first phase
+	LoadGoodput  float64        // primary bytes/sec while phases are active
+	PostGoodput  float64        // primary bytes/sec after recovery
+	RecoverySecs float64        // load end → receiver Normal again; -1 = never
 	WorstState   overload.State // worst receiver state observed under load
 
 	Recv    Stats // receiver engine at teardown
@@ -120,31 +120,23 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	}
 	plan := cfg.Plan.Canonical()
 
-	recv, err := New(Config{
-		Shards: cfg.RecvShards, BatchSize: cfg.BatchSize,
-		MaxFlowsPerShard: cfg.RecvFlowCap, Overload: cfg.Overload,
-		Seed: cfg.Seed,
-		// Short idle timeout: scavenger receiver flows admitted between
-		// shed waves go quiet once their senders back off; they must
-		// drain quickly or lingering occupancy holds the shard in
-		// Brownout long after the load is gone.
-		IdleTimeout: 1,
-	})
+	prim, recv, err := startPair(
+		Config{BatchSize: cfg.BatchSize, Seed: cfg.Seed + 1},
+		Config{
+			Shards: cfg.RecvShards, BatchSize: cfg.BatchSize,
+			MaxFlowsPerShard: cfg.RecvFlowCap, Overload: cfg.Overload,
+			Seed: cfg.Seed,
+			// Short idle timeout: scavenger receiver flows admitted between
+			// shed waves go quiet once their senders back off; they must
+			// drain quickly or lingering occupancy holds the shard in
+			// Brownout long after the load is gone.
+			IdleTimeout: 1,
+		})
 	if err != nil {
 		return nil, err
 	}
 	defer recv.Stop()
-	prim, err := New(Config{BatchSize: cfg.BatchSize, Seed: cfg.Seed + 1})
-	if err != nil {
-		return nil, err
-	}
 	defer prim.Stop()
-	if err := recv.Start(); err != nil {
-		return nil, err
-	}
-	if err := prim.Start(); err != nil {
-		return nil, err
-	}
 
 	addrs := recv.Addrs()
 	primFlows := make([]*Flow, 0, cfg.PrimaryFlows)
@@ -195,11 +187,6 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	res.PreGoodput = float64(ackedPrim()-a0) / time.Since(t0).Seconds()
 
 	base := time.Now() // the plan's t=0
-	sleepUntil := func(at float64) {
-		if d := time.Until(base.Add(time.Duration(at * float64(time.Second)))); d > 0 {
-			time.Sleep(d)
-		}
-	}
 
 	// Launch each phase on its own ephemeral engine so "load removal"
 	// is a clean teardown, not a lingering population.
@@ -215,7 +202,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		wg.Add(1)
 		go func(ph overload.Phase) {
 			defer wg.Done()
-			sleepUntil(ph.At)
+			sleepUntil(nil, base, ph.At)
 			ecfg := Config{BatchSize: cfg.BatchSize, Seed: cfg.Seed + 100 + int64(ph.Flows)}
 			dst := addrs
 			if ph.Kind == overload.KindAckStarve {
@@ -255,7 +242,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 					addErrs++ // expected once the phase engine browns out
 				}
 			}
-			sleepUntil(ph.At + ph.Dur)
+			sleepUntil(nil, base, ph.At+ph.Dur)
 			st := eng.Stats()
 			eng.Stop()
 			mu.Lock()
@@ -265,11 +252,15 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		}(ph)
 	}
 
-	// Primary goodput over the whole load window.
+	// Primary goodput over the whole load window. The recovery clock
+	// starts when the plan says the load ends, before the phase engines
+	// are torn down: their Stop is part of what recovery waits out.
+	removed := time.Now()
 	if len(plan.Phases) > 0 {
-		sleepUntil(plan.Phases[0].At)
+		sleepUntil(nil, base, plan.Phases[0].At)
 		la, lt := ackedPrim(), time.Now()
-		sleepUntil(loadEnd)
+		sleepUntil(nil, base, loadEnd)
+		removed = time.Now()
 		wg.Wait() // phase engines fully stopped: load is removed
 		res.LoadGoodput = float64(ackedPrim()-la) / time.Since(lt).Seconds()
 	}
@@ -281,7 +272,6 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 
 	// Recovery clock: load removal → receiver (and primary sender)
 	// report Normal with nothing paused.
-	removed := time.Now()
 	deadline := removed.Add(cfg.Cooldown)
 	for time.Now().Before(deadline) {
 		rs, ps := recv.Stats(), prim.Stats()
@@ -314,22 +304,14 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 // class-aware eviction, BUSY emission, and pressure bookkeeping all
 // run on the hot path while the primaries keep flowing.
 func MeasureOverloadPPS(flows int, d time.Duration) (float64, int64, error) {
-	recv, err := New(Config{Shards: 2, BatchSize: 1024, MaxFlowsPerShard: (flows + 7) / 8})
+	snd, recv, err := startPair(
+		Config{Shards: 2, BatchSize: 1024, MaxFlowsPerShard: flows},
+		Config{Shards: 2, BatchSize: 1024, MaxFlowsPerShard: (flows + 7) / 8})
 	if err != nil {
 		return 0, 0, err
 	}
 	defer recv.Stop()
-	snd, err := New(Config{Shards: 2, BatchSize: 1024, MaxFlowsPerShard: flows})
-	if err != nil {
-		return 0, 0, err
-	}
 	defer snd.Stop()
-	if err := recv.Start(); err != nil {
-		return 0, 0, err
-	}
-	if err := snd.Start(); err != nil {
-		return 0, 0, err
-	}
 	addrs := recv.Addrs()
 	for i := 0; i < flows; i++ {
 		fc := FlowConfig{

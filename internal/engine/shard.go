@@ -15,8 +15,7 @@ import (
 
 // maxLoopSleep bounds how long a shard blocks in the socket read when
 // the wheel is idle, so admissions, shutdown, and the idle sweep are
-// observed promptly — the event-loop analog of the legacy sender's
-// maxSleep ack-poll cadence.
+// observed promptly.
 const maxLoopSleep = time.Millisecond
 
 // shardCounters is the shard's atomic stats surface; everything else
@@ -33,6 +32,8 @@ type shardCounters struct {
 	rebinds        atomic.Int64 // reused (addr,flowID) collisions reset
 	delivered      atomic.Int64 // distinct data packets received
 	deliveredBytes atomic.Int64
+	fetchReqs      atomic.Int64 // fetch requests handed to Config.OnFetch
+	segsTx         atomic.Int64 // segment responses queued
 
 	// Overload surface (see engine.Stats for field meanings).
 	rejectScav atomic.Int64 // remote scavenger admissions refused (BUSY)
@@ -83,8 +84,9 @@ type shard struct {
 	ackScratch wire.AckPacket // encode scratch for receiver flows
 	ackDecode  wire.AckPacket // decode scratch for sender dispatch
 
-	admitMu sync.Mutex
-	admitQ  []*flow
+	admitMu  sync.Mutex
+	admitQ   []*flow
+	resetReq bool // Engine.Reset: drop every receiver flow on the next pass
 
 	// fireFn is the wheel-fire callback, bound once so advance() runs
 	// without a per-wake closure allocation; fireNow carries the wake
@@ -144,69 +146,70 @@ func newShard(eng *Engine, idx int, conn *net.UDPConn) *shard {
 	return sh
 }
 
-// loop is the shard event loop: admit → fire due timers → flush tx →
-// block in a batched read until the next deadline → dispatch → flush.
+// loop is the shard event loop: pass until the engine stops.
 func (sh *shard) loop() {
 	defer sh.eng.wg.Done()
 	sh.wh.init(sh.clock.Now())
-	for {
-		select {
-		case <-sh.eng.done:
-			return
-		default:
-		}
-		sh.admit()
-		now := sh.clock.Now()
-		sh.fireNow = now
-		sh.wh.advance(now, sh.fireFn)
-		sh.sweep(now)
-		sh.updateOverload(now)
-		sh.flushTx()
+	for sh.pass() {
+	}
+}
 
-		dur := maxLoopSleep
-		if next := sh.wh.next(); !math.IsInf(next, 1) {
-			d := next - sh.clock.Now()
-			if d < 0 {
-				d = 0
+// pass is one turn of the event loop: admit → fire due timers → flush
+// tx → one batched read, blocking until the next deadline → dispatch →
+// flush. It reports false once the engine is stopped or the socket is
+// closed.
+func (sh *shard) pass() bool {
+	select {
+	case <-sh.eng.done:
+		return false
+	default:
+	}
+	sh.admit()
+	now := sh.clock.Now()
+	sh.fireNow = now
+	sh.wh.advance(now, sh.fireFn)
+	sh.sweep(now)
+	sh.updateOverload(now)
+	sh.flushTx()
+
+	// A timer that is already due makes wait ≤ 0: readBatch then polls
+	// the socket without blocking, so a shard that always finds a due
+	// timer still drains its acks every pass.
+	wait := maxLoopSleep
+	if next := sh.wh.next(); !math.IsInf(next, 1) {
+		wait = min(wait, time.Duration((next-sh.clock.Now())*float64(time.Second)))
+	}
+	n := sh.readBatch(wait)
+	if n < 0 {
+		return false // socket closed
+	}
+	// Rx saturation EWMA: a read that fills every slot means the
+	// shard is not keeping up with arrival; an idle or partial read
+	// decays the signal, so pressure falls once load is removed.
+	full := 0.0
+	if n >= len(sh.rxBufs) {
+		full = 1.0
+	}
+	sh.rxFullEWMA += (full - sh.rxFullEWMA) / 32
+	if n == 0 {
+		return true
+	}
+	sh.ctr.rxBatches.Add(1)
+	now = sh.clock.Now()
+	for i := 0; i < n; i++ {
+		b := sh.rxBufs[i][:sh.rxLens[i]]
+		if g := sh.rxSegs[i]; g > 0 && g < len(b) {
+			// GRO-coalesced buffer: slice it back into the
+			// original datagrams (the last may be shorter).
+			for off := 0; off < len(b); off += g {
+				sh.dispatch(sh.rxSrcs[i], b[off:min(off+g, len(b))], now)
 			}
-			if dd := time.Duration(d * float64(time.Second)); dd < dur {
-				dur = dd
-			}
-		}
-		n := sh.readBatch(time.Now().Add(dur))
-		if n < 0 {
-			return // socket closed
-		}
-		// Rx saturation EWMA: a read that fills every slot means the
-		// shard is not keeping up with arrival; an idle or partial read
-		// decays the signal, so pressure falls once load is removed.
-		full := 0.0
-		if n >= len(sh.rxBufs) {
-			full = 1.0
-		}
-		sh.rxFullEWMA += (full - sh.rxFullEWMA) / 32
-		if n > 0 {
-			sh.ctr.rxBatches.Add(1)
-			now = sh.clock.Now()
-			for i := 0; i < n; i++ {
-				b := sh.rxBufs[i][:sh.rxLens[i]]
-				if g := sh.rxSegs[i]; g > 0 && g < len(b) {
-					// GRO-coalesced buffer: slice it back into the
-					// original datagrams (the last may be shorter).
-					for off := 0; off < len(b); off += g {
-						end := off + g
-						if end > len(b) {
-							end = len(b)
-						}
-						sh.dispatch(sh.rxSrcs[i], b[off:end], now)
-					}
-				} else {
-					sh.dispatch(sh.rxSrcs[i], b, now)
-				}
-			}
-			sh.flushTx()
+		} else {
+			sh.dispatch(sh.rxSrcs[i], b, now)
 		}
 	}
+	sh.flushTx()
+	return true
 }
 
 // dispatch routes one datagram through the flow table.
@@ -265,6 +268,28 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 		f.lastSeen = now
 		f.snd.onBusy(sh, bp, now)
 		sh.service(f, now) // re-arm against the new busy deadline
+	case 'F':
+		onFetch := sh.eng.cfg.OnFetch
+		if onFetch == nil {
+			sh.ctr.bad.Add(1)
+			return
+		}
+		fh, err := wire.DecodeFetch(b)
+		if err != nil {
+			sh.ctr.bad.Add(1)
+			return
+		}
+		sh.ctr.rxPkts.Add(1)
+		sh.ctr.fetchReqs.Add(1)
+		// Fetch serving is stateless: no flow-table entry, the response
+		// is encoded straight into a tx buffer and rides the next batch.
+		buf := sh.txBuf()
+		if pkt := onFetch(fh, buf); pkt != nil {
+			sh.queueTx(pkt, src)
+			sh.ctr.segsTx.Add(1)
+		} else {
+			sh.txFree = append(sh.txFree, buf)
+		}
 	default:
 		sh.ctr.bad.Add(1)
 	}
@@ -321,6 +346,7 @@ func (sh *shard) newRecvFlow(key flowKey, now float64) *flow {
 			oldKey, old, oldScav = k, f, fs
 		}
 		if old != nil {
+			old.rcv.emitFinalAck(sh, old)
 			sh.dropFlow(oldKey, old)
 			sh.ctr.evicted.Add(1)
 			if oldScav {
@@ -339,7 +365,7 @@ func (sh *shard) newRecvFlow(key flowKey, now float64) *flow {
 
 // sweep evicts idle flows, at most once per second. Sender flows are
 // reclaimed only once completed (or abandoned) and idle; receiver
-// flows on the idle deadline alone, like the legacy Receiver.
+// flows on the idle deadline alone, with a final ack.
 func (sh *shard) sweep(now float64) {
 	if now-sh.lastSweep < 1 {
 		return
@@ -351,6 +377,9 @@ func (sh *shard) sweep(now float64) {
 		}
 		if f.snd != nil && !f.snd.completed && f.snd.limit > 0 {
 			continue // a stalled finite sender keeps retrying by RTO
+		}
+		if f.rcv != nil {
+			f.rcv.emitFinalAck(sh, f)
 		}
 		sh.dropFlow(k, f)
 		sh.ctr.evicted.Add(1)
@@ -474,21 +503,30 @@ func (sh *shard) dropFlow(key flowKey, f *flow) {
 	}
 }
 
-// admit drains the cross-goroutine admission queue and gives each new
-// flow its first service.
+// admit drains the cross-goroutine admission queue, giving each new
+// flow its first service, and applies a pending Engine.Reset.
 func (sh *shard) admit() {
 	sh.admitMu.Lock()
-	if len(sh.admitQ) == 0 {
-		sh.admitMu.Unlock()
+	q, reset := sh.admitQ, sh.resetReq
+	sh.admitQ, sh.resetReq = nil, false
+	sh.admitMu.Unlock()
+	if reset {
+		for k, f := range sh.flows {
+			if f.rcv != nil {
+				sh.dropFlow(k, f)
+			}
+		}
+	}
+	if len(q) == 0 {
 		return
 	}
-	q := sh.admitQ
-	sh.admitQ = nil
-	sh.admitMu.Unlock()
 	now := sh.clock.Now()
 	for _, f := range q {
 		sh.flows[f.key] = f
 		f.lastSeen = now
+		if f.snd != nil {
+			f.snd.lastAckAt = now // ack silence is measured from admission
+		}
 		// A scavenger admitted while the shard is shedding raced the
 		// AddFlow gate; it starts paused and resumes with the rest.
 		if f.snd != nil && f.snd.class == overload.ClassScavenger &&

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"pccproteus/internal/chaos"
+	"pccproteus/internal/engine"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
@@ -144,10 +145,8 @@ func ChaosSoak(o ChaosSoakOptions) (*ChaosSoakResult, error) {
 		row := ChaosSoakRow{Proto: proto}
 		row.SimMbps, row.SimTrips, row.SimRecov, row.SimAttr = chaosSoakSim(seed, o, plan, proto)
 
-		lb, err := wire.RunLoopback(wire.LoopbackConfig{
-			NewController: func() transport.Controller {
-				return NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(seed, 0x55))), proto)
-			},
+		lb, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
+			CC: NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(seed, 0x55))), proto),
 			Shim: wire.ShimConfig{
 				RateMbps:   o.Mbps,
 				QueueBytes: o.QueueBytes,
@@ -161,9 +160,9 @@ func ChaosSoak(o ChaosSoakOptions) (*ChaosSoakResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wire soak %s: %w", proto, err)
 		}
-		row.WireMbps = float64(lb.Sender.AckedBytes) * 8 / o.Duration / 1e6
-		row.WireTrips = lb.Sender.WatchdogTrips
-		row.WireRecov = lb.Sender.Recoveries
+		row.WireMbps = float64(lb.Flow.AckedBytes) * 8 / o.Duration / 1e6
+		row.WireTrips = lb.Flow.WatchdogTrips
+		row.WireRecov = lb.Flow.Recoveries
 		row.WireAttr = ChaosAttribution{
 			FaultDrop:  lb.Shim.FaultDrop,
 			AckDropped: lb.Shim.AckFaultDrop,

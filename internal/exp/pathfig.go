@@ -2,15 +2,14 @@ package exp
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"pccproteus/internal/chaos"
+	"pccproteus/internal/engine"
 	"pccproteus/internal/pathmodel"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/stats"
 	"pccproteus/internal/transport"
-	"pccproteus/internal/wire"
 )
 
 // ---------------------------------------------------------------------
@@ -408,48 +407,18 @@ func PathModelWireParity(o WireParityOptions, m pathmodel.Model) (*WireParityRes
 		if err != nil {
 			return nil, fmt.Errorf("sim run %s: %w", proto, err)
 		}
-		plan, hasFaults := pathmodel.FaultPlan(m, o.Duration)
-		cfg := wire.LoopbackConfig{
-			NewController: func() transport.Controller {
-				return NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(seed, 0x55))), proto)
-			},
-			Shim:        parityShim(seed, o),
-			Schedule:    pathmodel.ShimUpdates(m, o.Duration),
-			Duration:    o.Duration,
-			MeasureFrom: o.MeasureFrom,
-		}
-		if hasFaults {
+		cfg := engine.ShimLoopbackConfig{Schedule: pathmodel.ShimUpdates(m, o.Duration)}
+		if plan, hasFaults := pathmodel.FaultPlan(m, o.Duration); hasFaults {
 			cfg.Chaos = &plan
 		}
-		lb, err := wire.RunLoopback(cfg)
+		row, err := parityWireRow(seed, o, proto, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("wire run %s: %w", proto, err)
+			return nil, err
 		}
-		var wLoss float64
-		if tot := lb.Sender.AckedBytes + lb.Sender.LostBytes; tot > 0 {
-			wLoss = float64(lb.Sender.LostBytes) / float64(tot)
-		}
-		row := WireParityRow{
-			Proto:   proto,
-			SimMbps: simMbps, WireMbps: lb.Mbps,
-			SimMeanRTT: simMean, WireMeanRTT: lb.MeanRTT,
-			SimP95RTT: simP95, WireP95RTT: lb.P95RTT,
-			SimLoss: simLoss, WireLoss: wLoss,
-		}
-		if simMbps > 0 {
-			row.TputErrPct = abs(lb.Mbps-simMbps) / simMbps * 100
-		}
-		row.Pass = row.TputErrPct <= o.TolerancePct
+		row.fillSim(o, simMbps, simMean, simP95, simLoss)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // ParityStaircase is the default trace for the sim-vs-wire model gate:

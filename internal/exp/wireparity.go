@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"strings"
-	"time"
 
 	"pccproteus/internal/engine"
 	"pccproteus/internal/sim"
@@ -17,8 +15,9 @@ import (
 
 // WireParityOptions configures one sim-vs-wire cross-validation run:
 // the same controller code drives both the discrete-event simulator
-// and the real UDP loopback datapath on a matched bottleneck, and the
-// resulting throughput/RTT/loss are compared.
+// and the real UDP datapath (an internal/engine flow through the
+// impairment shim) on a matched bottleneck, and the resulting
+// throughput/RTT/loss are compared.
 type WireParityOptions struct {
 	Protos       []string // default: proteus-p, proteus-s, proteus-h
 	Mbps         float64  // bottleneck capacity (default 20)
@@ -28,11 +27,6 @@ type WireParityOptions struct {
 	MeasureFrom  float64  // default 0.4 × Duration
 	Seed         int64    // master seed (0 = 1)
 	TolerancePct float64  // throughput parity tolerance (default 15)
-	// Engine runs the wire half on the sharded event-loop datapath
-	// (internal/engine) instead of the legacy per-flow-goroutine path —
-	// same controllers, same shim bottleneck, so the parity gate
-	// cross-validates the engine datapath against the simulator.
-	Engine bool
 }
 
 func (o *WireParityOptions) defaults() {
@@ -100,111 +94,47 @@ func WireParity(o WireParityOptions) (*WireParityResult, error) {
 	for i, proto := range o.Protos {
 		seed := o.Seed + int64(i)
 		simMbps, simMean, simP95, simLoss := wireParitySim(seed, o, proto)
-
-		var wMbps, wMean, wP95, wLoss float64
-		if o.Engine {
-			var err error
-			wMbps, wMean, wP95, wLoss, err = wireParityEngine(seed, o, proto)
-			if err != nil {
-				return nil, fmt.Errorf("engine wire run %s: %w", proto, err)
-			}
-		} else {
-			lb, err := wire.RunLoopback(wire.LoopbackConfig{
-				NewController: func() transport.Controller {
-					return NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(seed, 0x55))), proto)
-				},
-				Shim:        parityShim(seed, o),
-				Duration:    o.Duration,
-				MeasureFrom: o.MeasureFrom,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("wire run %s: %w", proto, err)
-			}
-			wMbps, wMean, wP95 = lb.Mbps, lb.MeanRTT, lb.P95RTT
-			if tot := lb.Sender.AckedBytes + lb.Sender.LostBytes; tot > 0 {
-				wLoss = float64(lb.Sender.LostBytes) / float64(tot)
-			}
+		row, err := parityWireRow(seed, o, proto, engine.ShimLoopbackConfig{})
+		if err != nil {
+			return nil, err
 		}
-		row := WireParityRow{
-			Proto:   proto,
-			SimMbps: simMbps, WireMbps: wMbps,
-			SimMeanRTT: simMean, WireMeanRTT: wMean,
-			SimP95RTT: simP95, WireP95RTT: wP95,
-			SimLoss: simLoss, WireLoss: wLoss,
-		}
-		if simMbps > 0 {
-			row.TputErrPct = math.Abs(wMbps-simMbps) / simMbps * 100
-		}
-		row.Pass = row.TputErrPct <= o.TolerancePct
+		row.fillSim(o, simMbps, simMean, simP95, simLoss)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// parityShim is the matched bottleneck both wire datapaths run
-// through, derived from the same option fields the sim link uses.
-func parityShim(seed int64, o WireParityOptions) wire.ShimConfig {
-	return wire.ShimConfig{
+// parityWireRow runs the wire half of one parity row: proto's
+// controller on an engine flow through the matched shim bottleneck,
+// with whatever schedule or fault plan cfg carries.
+func parityWireRow(seed int64, o WireParityOptions, proto string, cfg engine.ShimLoopbackConfig) (WireParityRow, error) {
+	cfg.CC = NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(seed, 0x55))), proto)
+	cfg.Shim = wire.ShimConfig{
 		RateMbps:   o.Mbps,
 		QueueBytes: o.QueueBytes,
 		Delay:      o.RTT / 2,
 		AckDelay:   o.RTT / 2,
 		Seed:       wire.MixSeed(seed, 0x77),
 	}
+	cfg.Duration, cfg.MeasureFrom = o.Duration, o.MeasureFrom
+	lb, err := engine.RunShimLoopback(cfg)
+	if err != nil {
+		return WireParityRow{}, fmt.Errorf("wire run %s: %w", proto, err)
+	}
+	row := WireParityRow{Proto: proto, WireMbps: lb.Mbps, WireMeanRTT: lb.MeanRTT, WireP95RTT: lb.P95RTT}
+	if tot := lb.Flow.AckedBytes + lb.Flow.LostBytes; tot > 0 {
+		row.WireLoss = float64(lb.Flow.LostBytes) / float64(tot)
+	}
+	return row, nil
 }
 
-// wireParityEngine is the engine-datapath wire half: the same
-// controller drives one sender flow on a sharded event loop through
-// the matched shim bottleneck into an engine receiver, measured over
-// the same real-time window as the legacy path.
-func wireParityEngine(seed int64, o WireParityOptions, proto string) (mbps, meanRTT, p95RTT, loss float64, err error) {
-	recv, err := engine.New(engine.Config{})
-	if err != nil {
-		return
+// fillSim completes a row with the simulator half and the verdict.
+func (row *WireParityRow) fillSim(o WireParityOptions, mbps, meanRTT, p95RTT, loss float64) {
+	row.SimMbps, row.SimMeanRTT, row.SimP95RTT, row.SimLoss = mbps, meanRTT, p95RTT, loss
+	if mbps > 0 {
+		row.TputErrPct = math.Abs(row.WireMbps-mbps) / mbps * 100
 	}
-	defer recv.Stop()
-	snd, err := engine.New(engine.Config{})
-	if err != nil {
-		return
-	}
-	defer snd.Stop()
-	if err = recv.Start(); err != nil {
-		return
-	}
-	if err = snd.Start(); err != nil {
-		return
-	}
-	shim, err := wire.NewShim(parityShim(seed, o), net.UDPAddrFromAddrPort(recv.Addrs()[0]))
-	if err != nil {
-		return
-	}
-	if err = shim.Start(); err != nil {
-		shim.Stop()
-		return
-	}
-	defer shim.Stop()
-	fl, err := snd.AddFlow(engine.FlowConfig{
-		Dst:       shim.Addr().AddrPort(),
-		CC:        NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(seed, 0x55))), proto),
-		RecordRTT: true,
-	})
-	if err != nil {
-		return
-	}
-	time.Sleep(time.Duration(o.MeasureFrom * float64(time.Second)))
-	mark := fl.Stats()
-	markSamples := len(fl.RTTSamples())
-	time.Sleep(time.Duration((o.Duration - o.MeasureFrom) * float64(time.Second)))
-	st := fl.Stats()
-	rtts := fl.RTTSamples()[markSamples:]
-	window := o.Duration - o.MeasureFrom
-	mbps = float64(st.AckedBytes-mark.AckedBytes) * 8 / window / 1e6
-	meanRTT = stats.Mean(rtts)
-	p95RTT = stats.Percentile(rtts, 95)
-	if tot := st.AckedBytes + st.LostBytes; tot > 0 {
-		loss = float64(st.LostBytes) / float64(tot)
-	}
-	return
+	row.Pass = row.TputErrPct <= o.TolerancePct
 }
 
 // wireParitySim is the simulator half: a solo flow on the matched link,
@@ -239,12 +169,8 @@ func wireParitySim(seed int64, o WireParityOptions, proto string) (mbps, meanRTT
 // Render formats the parity table with a PASS/FAIL verdict per row.
 func (r *WireParityResult) Render() string {
 	var b strings.Builder
-	dp := "legacy"
-	if r.Opts.Engine {
-		dp = "engine"
-	}
-	fmt.Fprintf(&b, "# Sim vs wire parity (%s datapath): %.0f Mbps, %.0f ms RTT, %.1f s window, tolerance %.0f%%\n",
-		dp, r.Opts.Mbps, r.Opts.RTT*1e3, r.Opts.Duration-r.Opts.MeasureFrom, r.Opts.TolerancePct)
+	fmt.Fprintf(&b, "# Sim vs wire parity: %.0f Mbps, %.0f ms RTT, %.1f s window, tolerance %.0f%%\n",
+		r.Opts.Mbps, r.Opts.RTT*1e3, r.Opts.Duration-r.Opts.MeasureFrom, r.Opts.TolerancePct)
 	fmt.Fprintf(&b, "%-12s %9s %9s %7s %9s %9s %9s %9s %8s %8s  %s\n",
 		"proto", "sim Mbps", "wire Mbps", "err%",
 		"sim RTT", "wire RTT", "sim p95", "wire p95", "sim loss", "wire loss", "verdict")

@@ -19,7 +19,7 @@
 // and end-to-end (whole-object SHA-256 from the metadata exchange).
 //
 // The same scheduler core runs on both worlds: Fetcher drives it over
-// UDP sockets against a wire.Receiver serving a Store, and SimTransfer
+// UDP sockets against an engine serving a Store, and SimTransfer
 // drives it over a netem.Path inside the simulator, which is what lets
 // experiments put a bulk fetch behind Proteus-S underneath simulated
 // dash/web foreground and gate the two worlds against each other.
@@ -57,8 +57,8 @@ type object struct {
 
 // Store is the server side: a read-only set of named objects answering
 // fetch requests. Load objects with Add/AddFile/ServeDir before wiring
-// HandleFetch into a receiver; after that the store is never mutated,
-// so the receiver goroutine reads it without locking.
+// HandleFetch into an engine; after that the store is never mutated,
+// so the shard goroutines read it without locking.
 type Store struct {
 	SegSize int // payload bytes per segment (default DefaultSegSize)
 
@@ -132,7 +132,7 @@ func TotalSegs(size int64, segSize int) int64 {
 // HandleFetch answers one fetch request, encoding the SEGMENT response
 // into buf and returning the packet slice, or nil for an unknown object
 // or out-of-range segment (the fetcher treats silence as loss). It has
-// the exact signature of wire.Receiver.OnFetch.
+// the exact signature of engine.Config.OnFetch.
 func (st *Store) HandleFetch(h wire.FetchHeader, buf []byte) []byte {
 	obj, ok := st.objs[h.ObjID]
 	if !ok {

@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"time"
 
 	"pccproteus/internal/chaos"
+	"pccproteus/internal/engine"
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
 
 // LoopbackConfig describes one single-process multi-flow fetch run:
-// one server (receiver + segment store) and Flows concurrent fetchers,
+// one server (an engine serving a segment store) and Flows concurrent fetchers,
 // each behind its own impairment shim, all over 127.0.0.1 sockets.
 //
 // Per-fetcher shims are a topology choice, not a limitation: the shim
@@ -36,7 +38,7 @@ type LoopbackConfig struct {
 	Timeout float64
 	// Chaos, when non-nil, replays a fault plan in real time against
 	// every shim, with restarts flushing in-flight queues and resetting
-	// the receiver — the same semantics as the wire sender's loopback.
+	// the server — the same semantics as engine.RunShimLoopback.
 	Chaos *chaos.Plan
 	// Seed drives object contents and per-shim impairment RNGs.
 	Seed int64
@@ -56,10 +58,18 @@ type FlowResult struct {
 	Shim        wire.ShimStats
 }
 
+// ServerStats is the serving engine's side of a run.
+type ServerStats struct {
+	FetchReqs int64 // fetch requests answered or ignored
+	SegsTx    int64 // segment responses sent
+	Pkts      int64 // data packets received (fetchers send none)
+	BadPkts   int64 // datagrams the codecs rejected
+}
+
 // LoopbackResult summarizes one multi-flow fetch run.
 type LoopbackResult struct {
 	Flows       []FlowResult
-	Receiver    wire.ReceiverStats
+	Receiver    ServerStats
 	TotalBytes  int64
 	AggMbps     float64 // total delivered bytes over the wall duration
 	AllDone     bool
@@ -86,8 +96,9 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 		seed = 1
 	}
 
-	// Server: one receiver answering fetches from an in-memory store of
-	// per-flow objects with deterministic pseudorandom contents.
+	// Server: one single-shard engine answering fetches from an
+	// in-memory store of per-flow objects with deterministic
+	// pseudorandom contents.
 	store := NewStore(cfg.SegSize)
 	objIDs := make([]uint64, cfg.Flows)
 	for i := 0; i < cfg.Flows; i++ {
@@ -96,18 +107,17 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 		rng.Read(data)
 		objIDs[i] = store.Add(fmt.Sprintf("obj-%d", i), data)
 	}
-	rconn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	srv, err := engine.New(engine.Config{
+		OnFetch: store.HandleFetch, MaxPacket: store.SegSize + wire.SegmentHeaderLen,
+	})
 	if err != nil {
 		return nil, err
 	}
-	rconn.SetReadBuffer(1 << 21)
-	rconn.SetWriteBuffer(1 << 21)
-	recv := &wire.Receiver{Conn: rconn, OnFetch: store.HandleFetch}
-	if err := recv.Start(); err != nil {
-		rconn.Close()
+	defer srv.Stop()
+	if err := srv.Start(); err != nil {
 		return nil, err
 	}
-	defer recv.Stop()
+	srvAddr := net.UDPAddrFromAddrPort(srv.Addrs()[0])
 
 	shims := make([]*wire.Shim, cfg.Flows)
 	fetchers := make([]*Fetcher, cfg.Flows)
@@ -126,7 +136,7 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 	for i := 0; i < cfg.Flows; i++ {
 		shimCfg := cfg.Shim
 		shimCfg.Seed = wire.MixSeed(seed, 0x5ea1+int64(i))
-		sh, err := wire.NewShim(shimCfg, recv.Addr())
+		sh, err := wire.NewShim(shimCfg, srvAddr)
 		if err != nil {
 			cleanup()
 			return nil, err
@@ -157,30 +167,16 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 	}
 	defer cleanup()
 
-	// Chaos replay: every step lands on all shims; a restart flushes
-	// their in-flight queues and resets the receiver's flow state.
 	if cfg.Chaos != nil {
-		plan := cfg.Chaos.Canonical()
-		steps := plan.Steps(cfg.Timeout)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
 		go func() {
-			t0 := time.Now()
-			for _, step := range steps {
-				d := time.Duration(step.At*float64(time.Second)) - time.Since(t0)
-				if d > 0 {
-					time.Sleep(d)
-				}
-				if step.Restart {
-					for _, sh := range shims {
-						sh.Flush()
-					}
-					recv.Reset()
-					continue
-				}
-				for _, sh := range shims {
-					sh.SetFault(step.State)
-				}
-			}
+			defer wg.Done()
+			engine.ReplayChaos(stop, *cfg.Chaos, cfg.Timeout, srv, shims...)
 		}()
+		defer wg.Wait()
+		defer close(stop)
 	}
 
 	t0 := time.Now()
@@ -224,7 +220,8 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 		res.AllDone = res.AllDone && st.Done
 		res.AllVerified = res.AllVerified && st.Verified
 	}
-	res.Receiver = recv.Stats()
+	st := srv.Stats()
+	res.Receiver = ServerStats{FetchReqs: st.FetchReqs, SegsTx: st.SegsTx, Pkts: st.Delivered, BadPkts: st.BadPkts}
 	if wall > 0 {
 		res.AggMbps = float64(res.TotalBytes) * 8 / wall / 1e6
 	}

@@ -67,16 +67,16 @@ func GenLTE(seed int64, dur float64) *Trace {
 func Gen5G(seed int64, dur float64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
 	const (
-		losMean    = 190.0
-		losSigma   = 0.12
-		losMin     = 120.0
-		losMax     = 250.0
-		blockProb  = 0.015 // per-step chance LoS -> NLoS
-		unblockPr  = 0.12  // per-step chance NLoS -> LoS
-		nlosSigma  = 0.30
-		nlosMin    = 5.0
-		nlosMax    = 30.0
-		nlosDelay  = 0.015
+		losMean   = 190.0
+		losSigma  = 0.12
+		losMin    = 120.0
+		losMax    = 250.0
+		blockProb = 0.015 // per-step chance LoS -> NLoS
+		unblockPr = 0.12  // per-step chance NLoS -> LoS
+		nlosSigma = 0.30
+		nlosMin   = 5.0
+		nlosMax   = 30.0
+		nlosDelay = 0.015
 	)
 	tr := &Trace{Label: "5g", Loop: true, Step: genStep}
 	mbps := losMean

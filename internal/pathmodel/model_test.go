@@ -31,9 +31,9 @@ func TestStepsDedup(t *testing.T) {
 // bitwise from their seed and respect their capacity envelopes.
 func TestGeneratorsDeterministic(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		gen      func(int64, float64) *Trace
-		lo, hi   float64
+		name   string
+		gen    func(int64, float64) *Trace
+		lo, hi float64
 	}{
 		{"lte", GenLTE, 0.5, 55},
 		{"5g", Gen5G, 2, 250},

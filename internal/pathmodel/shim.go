@@ -7,9 +7,9 @@ import (
 // ShimUpdates compiles the model's step schedule into the wire shim's
 // timed-update records: the same Steps enumeration ApplySim replays as
 // sim events, expressed as wire.ShimUpdate rows for
-// wire.LoopbackConfig.Schedule (or a hand-rolled shim driver). Outage
-// windows are omitted — pair this with FaultPlan, whose chaos blackout
-// plan the wire loopback already knows how to execute — and capacity
+// engine.ShimLoopbackConfig.Schedule (or a hand-rolled shim driver).
+// Outage windows are omitted — pair this with FaultPlan, whose chaos
+// blackout plan the shim loopback already knows how to execute — and capacity
 // samples arrive pre-clamped to the netem floor, so a fade can never
 // alias into ShimUpdate's "zero means keep" convention.
 func ShimUpdates(m Model, horizon float64) []wire.ShimUpdate {

@@ -2,17 +2,12 @@ package wire
 
 import (
 	"math/rand"
-	"net/netip"
 	"testing"
 )
 
-func testAddr(i int) netip.AddrPort {
-	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(40000+i))
-}
-
 // expectRecord drives the per-flow SACK tracker directly; ok is the
 // expected "new packet" result.
-func expectRecord(t *testing.T, f *flowState, seq int64, ok bool) {
+func expectRecord(t *testing.T, f *AckTracker, seq int64, ok bool) {
 	t.Helper()
 	if got := f.Record(seq); got != ok {
 		t.Fatalf("record(%d) = %v want %v (cum=%d ranges=%v)", seq, got, ok, f.Cum, f.Ranges)
@@ -20,7 +15,7 @@ func expectRecord(t *testing.T, f *flowState, seq int64, ok bool) {
 }
 
 func TestReceiverRecordInOrder(t *testing.T) {
-	f := &flowState{}
+	f := &AckTracker{}
 	for i := int64(0); i < 5; i++ {
 		expectRecord(t, f, i, true)
 	}
@@ -31,7 +26,7 @@ func TestReceiverRecordInOrder(t *testing.T) {
 }
 
 func TestReceiverRecordGapAndFill(t *testing.T) {
-	f := &flowState{}
+	f := &AckTracker{}
 	expectRecord(t, f, 0, true)
 	expectRecord(t, f, 2, true) // hole at 1
 	if f.Cum != 1 || len(f.Ranges) != 1 || f.Ranges[0] != (SackBlock{2, 3}) {
@@ -45,7 +40,7 @@ func TestReceiverRecordGapAndFill(t *testing.T) {
 }
 
 func TestReceiverRecordMergesAdjacentRanges(t *testing.T) {
-	f := &flowState{}
+	f := &AckTracker{}
 	f.Cum = 0
 	expectRecord(t, f, 5, true)
 	expectRecord(t, f, 7, true)
@@ -74,7 +69,7 @@ func TestReceiverRecordMergesAdjacentRanges(t *testing.T) {
 }
 
 func TestReceiverRecordOverflowDropsLowest(t *testing.T) {
-	f := &flowState{}
+	f := &AckTracker{}
 	// Every other sequence: maxTrackedRanges+1 disjoint singletons.
 	for i := 0; i <= maxTrackedRanges; i++ {
 		expectRecord(t, f, int64(2*i+2), true)
@@ -91,7 +86,7 @@ func TestReceiverRecordOverflowDropsLowest(t *testing.T) {
 // ranges) after N distinct packets delivered with each packet repeated
 // k times must equal the view after each packet delivered once.
 func TestReceiverRecordDuplicationNoDoubleCount(t *testing.T) {
-	f := &flowState{}
+	f := &AckTracker{}
 	newCount := 0
 	for i := int64(0); i < 50; i++ {
 		for rep := 0; rep < 3; rep++ {
@@ -107,7 +102,7 @@ func TestReceiverRecordDuplicationNoDoubleCount(t *testing.T) {
 		t.Fatalf("cum=%d ranges=%v", f.Cum, f.Ranges)
 	}
 	// Duplicates of out-of-order packets sitting in SACK ranges.
-	g := &flowState{}
+	g := &AckTracker{}
 	for _, seq := range []int64{5, 5, 7, 7, 5, 9, 7} {
 		g.Record(seq)
 	}
@@ -131,7 +126,7 @@ func TestReceiverRecordSevereReordering(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		const n = 200
 		order := rng.Perm(n)
-		f := &flowState{}
+		f := &AckTracker{}
 		for _, v := range order {
 			f.Record(int64(v))
 			if rng.Intn(4) == 0 {
@@ -145,7 +140,7 @@ func TestReceiverRecordSevereReordering(t *testing.T) {
 	}
 }
 
-func checkFlowConsistent(t *testing.T, f *flowState) {
+func checkFlowConsistent(t *testing.T, f *AckTracker) {
 	t.Helper()
 	prev := f.Cum
 	for i, bl := range f.Ranges {
@@ -156,39 +151,5 @@ func checkFlowConsistent(t *testing.T, f *flowState) {
 			t.Fatalf("range %d overlaps/below cum=%d: %v", i, f.Cum, f.Ranges)
 		}
 		prev = bl.End
-	}
-}
-
-// Per-source flow isolation and bounded state: distinct sources get
-// distinct ack state, the flow cap evicts the stalest flow, and the
-// idle sweep reclaims silent flows.
-func TestReceiverFlowEvictionBounds(t *testing.T) {
-	r := &Receiver{MaxFlows: 4, IdleTimeout: 10, flows: map[flowKey]*flowState{}}
-	for i := 0; i < 8; i++ {
-		f := r.flow(flowKey{src: testAddr(i)}, float64(i))
-		f.lastSeen = float64(i)
-		f.Record(int64(i))
-	}
-	if len(r.flows) != 4 {
-		t.Fatalf("flows=%d want 4 (cap not enforced)", len(r.flows))
-	}
-	if r.evicted != 4 {
-		t.Fatalf("evicted=%d want 4", r.evicted)
-	}
-	// The survivors must be the 4 most recently seen sources.
-	for i := 4; i < 8; i++ {
-		if _, ok := r.flows[flowKey{src: testAddr(i)}]; !ok {
-			t.Fatalf("flow %d missing: %v", i, r.flows)
-		}
-	}
-	// Idle sweep: advance past the deadline for flows 4 and 5 only.
-	r.flows[flowKey{src: testAddr(6)}].lastSeen = 100
-	r.flows[flowKey{src: testAddr(7)}].lastSeen = 100
-	r.sweep(101)
-	if len(r.flows) != 2 {
-		t.Fatalf("after sweep: flows=%d want 2", len(r.flows))
-	}
-	if r.evicted != 6 {
-		t.Fatalf("evicted=%d want 6", r.evicted)
 	}
 }

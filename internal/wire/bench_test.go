@@ -2,49 +2,7 @@ package wire
 
 import "testing"
 
-// BenchmarkPacerSend measures the steady-state per-packet send path:
-// token-bucket advance, OnSend, record from the freelist, header
-// encode, socket write (stubbed), and front-pruning after the ack.
-// The hot path must stay allocation-free.
-func BenchmarkPacerSend(b *testing.B) {
-	cc := &countingCC{rate: 125e6, cwnd: 1e12}
-	s := newUnitSender(cc)
-	now := 0.0
-	b.ReportAllocs()
-	b.SetBytes(1200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now += 1e-4
-		s.pacer.Advance(now, cc.rate)
-		s.pacer.Take(1200)
-		s.emit(now, now, 1200)
-		rec := s.unacked[len(s.unacked)-1]
-		rec.acked = true
-		s.inflight -= rec.size
-		s.prune()
-	}
-}
-
-// BenchmarkAckProcess measures the per-ack receive path: ack decode,
-// unacked walk, RTT update, OnAck dispatch, RACK scan, and prune —
-// one emitted packet per processed ack, as in steady state.
-func BenchmarkAckProcess(b *testing.B) {
-	cc := &countingCC{rate: 125e6, cwnd: 1e12}
-	s := newUnitSender(cc)
-	var buf [MaxAckLen]byte
-	a := AckPacket{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := float64(i) * 1e-4
-		s.emit(now, now, 1200)
-		a.Seq = int64(i)
-		a.CumAck = int64(i + 1)
-		a.RecvAt = s.clock.NanosAt(now)
-		pkt := a.Encode(buf[:])
-		if err := DecodeAck(pkt, &s.ack); err != nil {
-			b.Fatal("decode failed")
-		}
-		s.processAck(&s.ack)
-	}
-}
+// The hot path must stay allocation-free; see bench.go for what each
+// benchmark covers.
+func BenchmarkPacerSend(b *testing.B)  { RunPacerBench(b) }
+func BenchmarkAckProcess(b *testing.B) { RunAckBench(b) }

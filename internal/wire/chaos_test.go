@@ -1,4 +1,4 @@
-package wire
+package wire_test
 
 import (
 	"math/rand"
@@ -10,118 +10,10 @@ import (
 	"pccproteus/internal/cc/fixedrate"
 	"pccproteus/internal/chaos"
 	"pccproteus/internal/core"
+	"pccproteus/internal/engine"
 	"pccproteus/internal/transport"
+	"pccproteus/internal/wire"
 )
-
-// TestSenderRTOExponentialBackoff exercises the backoff ladder
-// directly: consecutive ack-less expiries double the effective RTO up
-// to the cap, and one delivered ack resets it.
-func TestSenderRTOExponentialBackoff(t *testing.T) {
-	cc := &countingCC{rate: 1e6, cwnd: 1e9}
-	s := newUnitSender(cc)
-	// No RTT samples yet: base RTO is the estimator's 1.0 s default.
-	if got := s.effRTO(); got != 1.0 {
-		t.Fatalf("base effRTO %v want 1.0", got)
-	}
-	s.emit(0, 0, 1200)
-	s.checkRTO(1.1) // expiry in full ack silence: declare + back off
-	if cc.losses != 1 || s.rtoBackoff != 1 {
-		t.Fatalf("after first expiry: losses=%d backoff=%d", cc.losses, s.rtoBackoff)
-	}
-	if got := s.effRTO(); got != 2.0 {
-		t.Fatalf("backed-off effRTO %v want 2.0", got)
-	}
-	// A packet younger than the backed-off RTO is not declared.
-	s.emit(1.2, 1.2, 1200)
-	s.checkRTO(2.0)
-	if cc.losses != 1 {
-		t.Fatalf("declared a loss before the backed-off RTO: losses=%d", cc.losses)
-	}
-	s.checkRTO(3.3) // age 2.1 >= 2.0: declare, backoff -> 2
-	if cc.losses != 2 || s.rtoBackoff != 2 {
-		t.Fatalf("after second expiry: losses=%d backoff=%d", cc.losses, s.rtoBackoff)
-	}
-	// 1.0 * 2^2 = 4.0 exceeds the 3 s ceiling.
-	if got := s.effRTO(); got != maxRTOCap {
-		t.Fatalf("effRTO %v want capped at %v", got, maxRTOCap)
-	}
-	// The cap also bounds the exponent: expiries cannot push backoff
-	// past maxRTOBackoff.
-	for i := 0; i < 10; i++ {
-		s.emit(10+float64(i), 10+float64(i), 1200)
-		s.checkRTO(20 + 10*float64(i))
-	}
-	if s.rtoBackoff != maxRTOBackoff {
-		t.Fatalf("backoff %d want clamped at %d", s.rtoBackoff, maxRTOBackoff)
-	}
-	// Any delivered ack resets the ladder.
-	s.emit(100, 100, 1200)
-	a := AckPacket{Seq: s.seq - 1, CumAck: s.seq, RecvAt: s.clock.WallNanos()}
-	s.processAck(&a)
-	if s.rtoBackoff != 0 {
-		t.Fatalf("backoff %d after an ack, want 0", s.rtoBackoff)
-	}
-	if got := s.effRTO(); got == maxRTOCap {
-		t.Fatalf("effRTO still at the cap after reset: %v", got)
-	}
-}
-
-// outageCC is a controller that records outage callbacks.
-type outageCC struct {
-	countingCC
-	outages, recoveries int
-	resumeRate          float64
-}
-
-func (c *outageCC) OnOutage(now float64) { c.outages++ }
-func (c *outageCC) OnRecovery(now float64, rate float64) {
-	c.recoveries++
-	c.resumeRate = rate
-}
-
-// TestSenderWatchdogProbeLifecycle drives trip → probe → recovery at
-// the unit level: the watchdog freezes data, probes bypass the
-// controller, and the first delivered ack restores the pre-outage rate.
-func TestSenderWatchdogProbeLifecycle(t *testing.T) {
-	cc := &outageCC{countingCC: countingCC{rate: 2e6, cwnd: 1e9}}
-	s := newUnitSender(cc)
-	s.emit(0, 0, 1200)
-	a := AckPacket{Seq: 0, CumAck: 1, RecvAt: s.clock.WallNanos()}
-	s.processAck(&a) // establishes lastGoodRate = 2e6
-	if s.lastGoodRate != 2e6 {
-		t.Fatalf("lastGoodRate %v want 2e6", s.lastGoodRate)
-	}
-	s.emit(1, 1, 1200)
-	s.tripWatchdog(2.0)
-	if !s.outage || cc.outages != 1 || s.wdTrips != 1 {
-		t.Fatalf("trip: outage=%v outages=%d trips=%d", s.outage, cc.outages, s.wdTrips)
-	}
-	sends := cc.sends
-	inflight := s.inflight
-	if !s.sendProbe(2.1) {
-		t.Fatal("probe send failed")
-	}
-	if cc.sends != sends || s.inflight != inflight {
-		t.Fatalf("probe leaked into the controller: sends %d->%d inflight %d->%d", sends, cc.sends, inflight, s.inflight)
-	}
-	if s.probes != 1 {
-		t.Fatalf("probes=%d want 1", s.probes)
-	}
-	// The probe's ack ends the outage and restores the pre-outage rate.
-	probeSeq := s.seq - 1
-	pa := AckPacket{Seq: probeSeq, CumAck: 0, RecvAt: s.clock.WallNanos(),
-		Blocks: []SackBlock{{probeSeq, probeSeq + 1}}}
-	s.processAck(&pa)
-	if s.outage || cc.recoveries != 1 || s.wdRecoveries != 1 {
-		t.Fatalf("recovery: outage=%v recoveries=%d/%d", s.outage, cc.recoveries, s.wdRecoveries)
-	}
-	if cc.resumeRate != 2e6 {
-		t.Fatalf("resume rate %v want the pre-outage 2e6", cc.resumeRate)
-	}
-	if cc.acks != 1 {
-		t.Fatalf("probe ack reached OnAck: acks=%d want 1", cc.acks)
-	}
-}
 
 // TestChaosBlackoutSurvivalWire is the acceptance-criterion gate in the
 // real-UDP world: 40 ms RTT, 20 Mbps, 2 s full blackout — each Proteus
@@ -143,9 +35,9 @@ func TestChaosBlackoutSurvivalWire(t *testing.T) {
 		name, factory := name, factory
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunLoopback(LoopbackConfig{
-				NewController: factory,
-				Shim: ShimConfig{
+			res, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
+				CC: factory(),
+				Shim: wire.ShimConfig{
 					RateMbps: 20, QueueBytes: 150_000,
 					Delay: 0.020, AckDelay: 0.020, Seed: 5,
 				},
@@ -181,10 +73,10 @@ func TestChaosBlackoutSurvivalWire(t *testing.T) {
 			if best < 0.8*pre {
 				t.Errorf("%s: post-heal best %.2f < 80%% of pre %.2f (perSec=%v)", name, best, pre, per)
 			}
-			if res.Sender.WatchdogTrips < 1 || res.Sender.Recoveries < 1 {
-				t.Errorf("%s: watchdog trips=%d recoveries=%d, want >=1 each", name, res.Sender.WatchdogTrips, res.Sender.Recoveries)
+			if res.Flow.WatchdogTrips < 1 || res.Flow.Recoveries < 1 {
+				t.Errorf("%s: watchdog trips=%d recoveries=%d, want >=1 each", name, res.Flow.WatchdogTrips, res.Flow.Recoveries)
 			}
-			if res.Sender.InOutage {
+			if res.Flow.InOutage {
 				t.Errorf("%s: still flagged in-outage at the end", name)
 			}
 		})
@@ -192,23 +84,31 @@ func TestChaosBlackoutSurvivalWire(t *testing.T) {
 }
 
 // TestChaosOutageBoundedState drives a blackout against the manually
-// wired datapath and asserts the survival invariants the ISSUE gates
-// on: no sender/receiver state growth and no goroutine growth during
-// the outage, and resumed progress after it.
+// wired datapath and asserts the survival invariants: no sender or
+// receiver state growth and no goroutine growth during the outage, and
+// resumed progress after it.
 func TestChaosOutageBoundedState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	rconn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	recv, err := engine.New(engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := &Receiver{Conn: rconn}
+	defer recv.Stop()
+	snd, err := engine.New(engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snd.Stop()
 	if err := recv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer recv.Stop()
-	shim, err := NewShim(ShimConfig{RateMbps: 16, QueueBytes: 96_000, Delay: 0.020, AckDelay: 0.020, Seed: 3}, recv.Addr())
+	if err := snd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	shim, err := wire.NewShim(wire.ShimConfig{RateMbps: 16, QueueBytes: 96_000, Delay: 0.020, AckDelay: 0.020, Seed: 3},
+		net.UDPAddrFromAddrPort(recv.Addrs()[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,27 +116,22 @@ func TestChaosOutageBoundedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shim.Stop()
-	sconn, err := net.DialUDP("udp", nil, shim.Addr())
+	fl, err := snd.AddFlow(engine.FlowConfig{Dst: shim.Addr().AddrPort(), CC: fixedrate.New(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snd := &Sender{CC: fixedrate.New(8), Conn: sconn}
-	if err := snd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer snd.Stop()
 
 	time.Sleep(1 * time.Second)
 	g0 := runtime.NumGoroutine()
 
 	shim.SetFault(chaos.PathState{LinkDown: true, AckDown: true})
 	time.Sleep(1 * time.Second)
-	st1 := snd.Stats()
+	st1 := fl.Stats()
 	if !st1.InOutage || st1.WatchdogTrips != 1 {
 		t.Fatalf("watchdog should have tripped: %+v", st1)
 	}
 	time.Sleep(1500 * time.Millisecond)
-	st2 := snd.Stats()
+	st2 := fl.Stats()
 	g1 := runtime.NumGoroutine()
 	if st2.UnackedRecs > st1.UnackedRecs+16 {
 		t.Errorf("sender state grew during outage: %d -> %d records", st1.UnackedRecs, st2.UnackedRecs)
@@ -253,7 +148,7 @@ func TestChaosOutageBoundedState(t *testing.T) {
 
 	shim.SetFault(chaos.PathState{})
 	time.Sleep(1200 * time.Millisecond)
-	st3 := snd.Stats()
+	st3 := fl.Stats()
 	if st3.InOutage || st3.Recoveries != 1 {
 		t.Fatalf("no recovery after heal: %+v", st3)
 	}
@@ -269,9 +164,9 @@ func TestChaosPeerRestartWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	res, err := RunLoopback(LoopbackConfig{
-		NewController: func() transport.Controller { return fixedrate.New(8) },
-		Shim: ShimConfig{
+	res, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
+		CC: fixedrate.New(8),
+		Shim: wire.ShimConfig{
 			RateMbps: 16, QueueBytes: 96_000,
 			Delay: 0.020, AckDelay: 0.020, Seed: 9,
 		},

@@ -1,26 +1,28 @@
-package wire
+package wire_test
 
 import (
 	"math"
-	"net"
 	"testing"
-	"time"
 
 	"pccproteus/internal/cc/fixedrate"
-	"pccproteus/internal/transport"
+	"pccproteus/internal/engine"
+	"pccproteus/internal/wire"
 )
 
-// TestLoopbackFixedRate runs the full datapath — sender, shim,
-// receiver over real loopback sockets — and checks that an 8 Mbps
-// fixed-rate flow through an uncongested 16 Mbps bottleneck gets its
-// rate, its RTT, and (almost) no losses.
+// The tests in this package's external half drive the wire formats and
+// the shim end to end the only way they run in production: an engine
+// flow → shim → engine receiver over real loopback sockets.
+
+// TestLoopbackFixedRate checks that an 8 Mbps fixed-rate flow through
+// an uncongested 16 Mbps bottleneck gets its rate, its RTT, and
+// (almost) no losses.
 func TestLoopbackFixedRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	res, err := RunLoopback(LoopbackConfig{
-		NewController: func() transport.Controller { return fixedrate.New(8) },
-		Shim: ShimConfig{
+	res, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
+		CC: fixedrate.New(8),
+		Shim: wire.ShimConfig{
 			RateMbps: 16, QueueBytes: 64 * 1500,
 			Delay: 0.020, AckDelay: 0.020, Seed: 1,
 		},
@@ -45,7 +47,7 @@ func TestLoopbackFixedRate(t *testing.T) {
 	if res.Shim.Overflow != 0 {
 		t.Fatalf("shim overflow %d, internal backlog dropped packets", res.Shim.Overflow)
 	}
-	if res.Receiver.Pkts == 0 || res.Sender.AckedPkts == 0 {
+	if res.Recv.Delivered == 0 || res.Flow.AckedPkts == 0 {
 		t.Fatal("no packets made it end to end")
 	}
 }
@@ -57,9 +59,9 @@ func TestLoopbackRandomLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	res, err := RunLoopback(LoopbackConfig{
-		NewController: func() transport.Controller { return fixedrate.New(6) },
-		Shim: ShimConfig{
+	res, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
+		CC: fixedrate.New(6),
+		Shim: wire.ShimConfig{
 			RateMbps: 50, QueueBytes: 64 * 1500,
 			Delay: 0.010, AckDelay: 0.010, LossProb: 0.04, Seed: 7,
 		},
@@ -72,67 +74,10 @@ func TestLoopbackRandomLoss(t *testing.T) {
 	if res.Shim.LostRandom == 0 {
 		t.Fatal("shim destroyed no packets at 4% loss")
 	}
-	if res.Sender.LostPkts == 0 {
+	if res.Flow.LostPkts == 0 {
 		t.Fatal("sender detected none of the shim's losses")
 	}
 	if res.LossRate < 0.005 || res.LossRate > 0.12 {
 		t.Fatalf("detected loss rate %.3f want ≈0.04", res.LossRate)
-	}
-}
-
-// TestShimCapacityIntegralAndUpdate drives the shim's time-varying
-// capacity accounting directly: the capacity integral must track rate
-// changes applied through Update.
-func TestShimCapacityIntegralAndUpdate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time test")
-	}
-	dst := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9} // discard
-	sh, err := NewShim(ShimConfig{RateMbps: 10, QueueBytes: 1 << 16}, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Stop()
-	time.Sleep(300 * time.Millisecond)
-	sh.Update(ShimUpdate{RateMbps: 20})
-	time.Sleep(300 * time.Millisecond)
-	got := sh.CapacityBytes()
-	want := (10*0.3 + 20*0.3) * 1e6 / 8
-	if got < want*0.7 || got > want*1.3 {
-		t.Fatalf("capacity integral %.0f want ≈%.0f", got, want)
-	}
-	// Partial updates: zero rate keeps it, negative loss keeps it.
-	sh.Update(ShimUpdate{LossProb: 0.5})
-	sh.mu.Lock()
-	rate, loss := sh.rate, sh.lossProb
-	sh.mu.Unlock()
-	if rate != 20e6/8 {
-		t.Fatalf("rate changed by loss-only update: %v", rate)
-	}
-	if loss != 0.5 {
-		t.Fatalf("loss %v want 0.5", loss)
-	}
-	sh.Update(ShimUpdate{LossProb: -1, ExtraDelay: 0.030})
-	sh.mu.Lock()
-	loss, delay := sh.lossProb, sh.delay
-	sh.mu.Unlock()
-	if loss != 0.5 {
-		t.Fatalf("negative LossProb overwrote loss: %v", loss)
-	}
-	if delay != 0.030 {
-		t.Fatalf("delay %v want base 0 + 0.030", delay)
-	}
-}
-
-func TestShimRejectsBadConfig(t *testing.T) {
-	dst := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
-	if _, err := NewShim(ShimConfig{RateMbps: 0, QueueBytes: 100}, dst); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	if _, err := NewShim(ShimConfig{RateMbps: 10, QueueBytes: 0}, dst); err == nil {
-		t.Fatal("zero queue accepted")
 	}
 }

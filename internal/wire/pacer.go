@@ -7,9 +7,8 @@ package wire
 // millisecond finds the accumulated tokens waiting and emits a train,
 // keeping the average rate exact — the same mechanism as Linux's
 // fq/pacing with GSO trains, and the real-time analog of the
-// simulator's multi-packet pacing events. Exported so the sharded
-// engine datapath reuses the exact pacing semantics of the per-flow
-// Sender; Cap must be set before first use.
+// simulator's multi-packet pacing events. Cap must be set before first
+// use.
 type Pacer struct {
 	tokens float64 // bytes available
 	last   float64 // clock seconds of the previous advance
@@ -72,6 +71,3 @@ func (p *Pacer) Delay(n int, rate float64) float64 {
 // disabled (math.Inf would also work, but an explicit ceiling keeps
 // the arithmetic finite). 125e9 B/s = 1 Tbps.
 const MaxFiniteRate = 125e9
-
-// maxFiniteRate keeps the package-internal spelling working.
-const maxFiniteRate = MaxFiniteRate

@@ -80,6 +80,7 @@ var (
 //	22  8   recvAt
 //	30  8   cumAck
 //	38  16n SACK blocks
+//
 // Busy packet (type 0x59 'Y', BusyLen bytes, fixed length): the
 // receiver-side overload control frame. Sent instead of creating (or
 // while dropping) flow state when the receiving host is under
@@ -130,8 +131,8 @@ const (
 // *receiving* host can apply the paper's utility ordering under its own
 // overload — shed scavengers first — without any extra header bytes.
 // Engine flow allocation counts up from 1, so the bit is unambiguous
-// until 2³¹ flows; legacy version-1 traffic (flow ID 0) reads as
-// primary, the conservative default.
+// until 2³¹ flows; version-1 traffic (flow ID 0) reads as primary, the
+// conservative default.
 const FlowClassScavenger uint32 = 1 << 31
 
 // ScavengerID reports whether a wire flow ID carries the scavenger
@@ -161,8 +162,8 @@ func EncodeData(buf []byte, h DataHeader, size int) []byte {
 
 // EncodeDataV2 writes a version-2 (flow-ID-bearing) data packet of
 // exactly size bytes into buf (len >= size >= DataHeaderLenV2) and
-// returns the packet slice. The engine datapath uses this form; the
-// legacy per-flow path keeps emitting version 1 byte-for-byte.
+// returns the packet slice. Engine flows send this form; version 1 is
+// still decoded and acked in kind.
 func EncodeDataV2(buf []byte, h DataHeader, size int) []byte {
 	buf[0] = typeData
 	buf[1] = wireVersionV2
@@ -361,6 +362,16 @@ func DecodeAck(b []byte, a *AckPacket) error {
 		off += 16
 	}
 	return nil
+}
+
+// Covers reports whether seq falls in one of the ack's SACK blocks.
+func (a *AckPacket) Covers(seq int64) bool {
+	for _, bl := range a.Blocks {
+		if seq >= bl.Start && seq < bl.End {
+			return true
+		}
+	}
+	return false
 }
 
 // BusyPacket is the decoded form of an overload push-back frame.

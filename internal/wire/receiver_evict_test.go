@@ -1,27 +1,29 @@
-package wire
+package wire_test
 
 import (
 	"net"
 	"testing"
 	"time"
+
+	"pccproteus/internal/engine"
+	. "pccproteus/internal/wire"
 )
 
 // A flow evicted under cap pressure gets one final cumulative ack, so a
 // sender whose last packets raced the eviction learns what landed
 // before it rebinds — instead of discovering the gap by RTO afterward.
 func TestReceiverEvictionFlushesFinalAck(t *testing.T) {
-	rconn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	recv, err := engine.New(engine.Config{MaxFlowsPerShard: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recv := &Receiver{Conn: rconn, MaxFlows: 1}
+	defer recv.Stop()
 	if err := recv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer recv.Stop()
 
 	dial := func() *net.UDPConn {
-		c, err := net.DialUDP("udp", nil, recv.Addr())
+		c, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(recv.Addrs()[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +65,7 @@ func TestReceiverEvictionFlushesFinalAck(t *testing.T) {
 		}
 	}
 
-	// B's first packet exceeds MaxFlows=1 and evicts A.
+	// B's first packet exceeds MaxFlowsPerShard=1 and evicts A.
 	send(connB, 0)
 
 	// A must now receive the final ack: SentAtEcho 0, cum 3, SACK {4,5}.

@@ -6,11 +6,24 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"sync"
 	"time"
 
 	"pccproteus/internal/chaos"
 )
+
+// readTimeout is the proxy loop's poll interval for shutdown.
+const readTimeout = 50 * time.Millisecond
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+func isClosed(err error) bool {
+	return errors.Is(err, net.ErrClosed) || errors.Is(err, os.ErrClosed)
+}
 
 // ShimConfig parameterizes the emulated bottleneck the shim inserts
 // into the loopback path. It deliberately mirrors netem.Link +
@@ -77,7 +90,7 @@ type ShimUpdate struct {
 // epoch at enqueue: items from a flushed epoch are discarded at
 // release.
 // toSender selects the release destination: the learned dialing
-// endpoint (a wire sender's acks, a fetcher's segments) instead of the
+// endpoint (a sender flow's acks, a fetcher's segments) instead of the
 // configured dst.
 type forwardItem struct {
 	at       float64

@@ -1,46 +1,51 @@
-// Package wire is the real-network datapath: it runs the same
-// congestion controllers the simulator drives — anything implementing
-// transport.Controller — over actual UDP sockets in real time. It is
-// the Pantheon-analogue deployment layer of the reproduction: the
-// controller code is byte-for-byte identical between the discrete-event
-// simulator and the wire, so matched scenarios can be cross-validated
-// (see exp.WireParity and `proteusbench -wire`).
+// Package wire is the vocabulary of the real-network datapath: the
+// packet formats, pacing arithmetic, receive-side sequence tracking and
+// path emulation that internal/engine (the one code path that puts a
+// congestion-controlled flow on a UDP socket) and internal/fetch are
+// built from. The controller code is byte-for-byte identical between
+// the discrete-event simulator and the wire, so matched scenarios can
+// be cross-validated (see exp.WireParity and `proteusbench -wire`).
 //
-// The datapath has four pieces:
+// The pieces:
 //
-//   - a compact binary packet format (packet.go): data packets carry a
-//     sequence number and a send timestamp; acks carry a cumulative ack,
-//     up to four SACK-style blocks, and echoed timestamps so the sender
-//     computes per-packet RTT and one-way delay without clock agreement
-//     beyond the host's own.
+//   - compact binary packet formats (packet.go, fetchpkt.go): data
+//     packets carry a sequence number, a flow ID and a send timestamp;
+//     acks carry a cumulative ack, up to four SACK-style blocks, and
+//     echoed timestamps so the sender computes per-packet RTT and
+//     one-way delay without clock agreement beyond the host's own; BUSY
+//     frames push back under overload; FETCH/SEGMENT frames carry the
+//     bulk-transfer protocol. Every decoder is strict and fuzzed.
 //
-//   - a token-bucket pacer (pacer.go) that converts the controller's
+//   - a token-bucket pacer (pacer.go) that converts a controller's
 //     target rate into spaced multi-packet trains, absorbing OS timer
 //     granularity the same way Linux pacing offloads do.
 //
-//   - an ack-clocked sender (sender.go) and a SACK-tracking receiver
-//     (receiver.go): per-packet RTT samples, RACK-style loss declaration
-//     (dup-ack count plus a reordering time threshold) and an RTO
-//     backstop, all feeding the controller through the same OnSend /
-//     OnAck / OnLoss hooks the simulated transport uses — which is what
-//     routes wire measurements into the Monitor and noise-filter
-//     machinery of internal/core unchanged.
+//   - an ack tracker (acktracker.go): cumulative ack plus sorted,
+//     bounded SACK ranges — the receive-side state of one flow.
 //
 //   - an impairment shim (shim.go): an in-process UDP proxy that
 //     emulates a bottleneck (serialization at a configurable rate, a
 //     tail-drop byte queue, propagation delay, seeded jitter and random
-//     loss) on the loopback path, so wire experiments are reproducible
-//     on any machine without root or tc/netem privileges.
+//     loss, injected chaos faults) on the loopback path, so wire
+//     experiments are reproducible on any machine without root or
+//     tc/netem privileges.
 //
-// Concurrency model: each Sender runs two goroutines (a pacing send
-// loop and an ack receive loop) serialized by one mutex, so controllers
-// — which are not thread-safe — only ever see single-threaded calls.
-// The per-packet hot path is allocation-free: headers encode into a
-// reused buffer and sent-packet records come from a freelist (guarded
-// by BenchmarkPacerSend / BenchmarkAckProcess).
+//   - a clock (this file) mapping the host's monotonic clock onto the
+//     float64-seconds timeline controllers expect, and a pooled packet
+//     buffer (bufpool.go).
 package wire
 
 import "time"
+
+// Conn is the connected datagram socket surface fetch.Fetcher drives.
+// *net.UDPConn (from net.DialUDP) satisfies it; tests substitute
+// in-process fakes.
+type Conn interface {
+	Write(b []byte) (int, error)
+	Read(b []byte) (int, error)
+	SetReadDeadline(t time.Time) error
+	Close() error
+}
 
 // Clock converts the host's monotonic clock into the float64 seconds
 // timeline controllers expect. The zero value is not usable; create
