@@ -10,7 +10,6 @@
 //	proteusbench -fig 14 -fast -trace /tmp/t -trace-events mi,rate,drop
 //	proteusbench -chaos -fast           # cross-world fault replay (real time)
 //	proteusbench -campaign specs/campaign-smoke.json -campaign-out agg.json
-//	proteusbench -perf                  # hot-path micro-benchmarks → BENCH_proteus.json
 //
 // Figure ids: 2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,
 // plus "ablation", "equilibrium", the §7.2 extension "lte", and the
@@ -70,8 +69,6 @@ func main() {
 	campaignSpec := flag.String("campaign", "", "run a simulation campaign from this JSON spec instead of figures")
 	campaignWorkers := flag.Int("campaign-workers", 0, "campaign worker pool size (0 = NumCPU); the aggregate is identical for any value")
 	campaignOut := flag.String("campaign-out", "", "write the campaign aggregate JSON here (with -campaign)")
-	perfMode := flag.Bool("perf", false, "run hot-path micro-benchmarks instead of figures")
-	perfOut := flag.String("perf-out", "BENCH_proteus.json", "output path for the -perf report")
 	flag.Parse()
 
 	if *campaignSpec != "" {
@@ -82,13 +79,6 @@ func main() {
 			}
 		}
 		if err := runCampaign(os.Stdout, *campaignSpec, *campaignWorkers, *campaignOut); err != nil {
-			fmt.Fprintf(os.Stderr, "proteusbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfMode {
-		if err := runPerf(os.Stdout, *perfOut); err != nil {
 			fmt.Fprintf(os.Stderr, "proteusbench: %v\n", err)
 			os.Exit(1)
 		}

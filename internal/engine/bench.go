@@ -4,7 +4,6 @@ import (
 	"math"
 	"net/netip"
 	"testing"
-	"time"
 
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
@@ -64,14 +63,11 @@ func newHotpathHarness(packetSize int) *hotpathHarness {
 	// every Advance) with a window bound: the flow is ack-clocked, so
 	// inflight — and with it the unacked list the ack path scans —
 	// stays pinned at 64 packets instead of growing without limit.
-	s := &senderFlow{
-		cc:         &FixedRateCC{Rate: 1e12, Win: float64(64 * packetSize)},
-		burst:      transport.DefaultBurst,
-		packetSize: packetSize,
-		done:       make(chan struct{}),
-	}
-	s.pacer.Cap = float64(2 * s.burst * packetSize)
-	h.f = &flow{key: flowKey{addr: h.rcvAddr, id: 1}, snd: s}
+	h.f = &flow{key: flowKey{addr: h.rcvAddr, id: 1}, snd: newSenderFlow(FlowConfig{
+		CC:         &FixedRateCC{Rate: 1e12, Win: float64(64 * packetSize)},
+		Burst:      transport.DefaultBurst,
+		PacketSize: packetSize,
+	})}
 	h.sndShard.flows[h.f.key] = h.f
 	h.sndShard.service(h.f, 0) // first service arms the wheel
 	return h
@@ -80,7 +76,7 @@ func newHotpathHarness(packetSize int) *hotpathHarness {
 // RunHotpathBench measures the full in-memory per-packet engine path
 // (pump, encode, dispatch, ack tracking, ack processing, wheel
 // re-arm) — the allocs/op gate for the zero-allocation claim.
-// Exported for proteusbench -perf.
+// Exported for the benchmark harness.
 func RunHotpathBench(b *testing.B) {
 	h := newHotpathHarness(400)
 	// Warm past a full wheel revolution so every slot's entry slice has
@@ -94,42 +90,6 @@ func RunHotpathBench(b *testing.B) {
 	for n := 0; n < b.N; {
 		n += h.step()
 	}
-}
-
-// MeasurePPS measures steady-state aggregate packets/sec through a
-// real-socket engine loopback: flows fixed-rate senders offered at
-// roughly 2× the achievable load, so the datapath — not the
-// controllers — is the bottleneck. Returns delivered pps and the
-// packet count over the measurement window.
-func MeasurePPS(flows int, d time.Duration) (float64, int64, error) {
-	cfg := Config{Shards: 2, BatchSize: 1024, MaxFlowsPerShard: flows}
-	snd, recv, err := startPair(cfg, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer recv.Stop()
-	defer snd.Stop()
-	addrs := recv.Addrs()
-	for i := 0; i < flows; i++ {
-		// 10k pps/flow offered — far beyond achievable at 1k flows, so
-		// the datapath, not the controllers, is the bottleneck. The
-		// 8-packet window keeps the overload ack-clocked: aggregate
-		// inflight (8k packets) stays within socket-buffer capacity, so
-		// the measured path is lossless and every sent packet counts.
-		_, err := snd.AddFlow(FlowConfig{
-			Dst:        addrs[i%len(addrs)],
-			CC:         &FixedRateCC{Rate: 4e6, Win: 8 * 400},
-			PacketSize: 400,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	time.Sleep(300 * time.Millisecond) // admission + warmup
-	p0 := recv.Stats().Delivered
-	time.Sleep(d)
-	p1 := recv.Stats().Delivered
-	return float64(p1-p0) / d.Seconds(), p1 - p0, nil
 }
 
 // step emits up to burst packets, delivers them to the receiver

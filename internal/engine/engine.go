@@ -357,12 +357,7 @@ func (e *Engine) AddFlow(fc FlowConfig) (*Flow, error) {
 		// receiving engine sheds class-aware without extra header bytes.
 		id |= wire.FlowClassScavenger
 	}
-	s := &senderFlow{
-		cc: fc.CC, limit: fc.Limit, burst: fc.Burst,
-		packetSize: fc.PacketSize, done: make(chan struct{}),
-		recordRTT: fc.RecordRTT, class: fc.Class,
-	}
-	s.pacer.Cap = float64(2 * fc.Burst * fc.PacketSize)
+	s := newSenderFlow(fc)
 	f := &flow{
 		key: flowKey{addr: netip.AddrPortFrom(fc.Dst.Addr().Unmap(), fc.Dst.Port()), id: id},
 		snd: s,

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -39,98 +38,37 @@ type flow struct {
 	rcv *recvFlow
 }
 
-// Sender datapath constants.
+// Sender datapath constants. Loss declaration, RTO backoff, the stall
+// watchdog and the probe cadence live in transport.Recovery.
 const (
-	dupAckThreshold = 3 // matches the simulated transport
-	// rtoCheckEvery throttles the timeout scan (and the watchdog check
-	// that rides on it) on the pump path.
+	// rtoCheckEvery is the cadence of the book's periodic work (watchdog,
+	// RTO sweep) on the pump path.
 	rtoCheckEvery = 0.010
-	// maxRTOBackoff caps the exponential RTO backoff exponent: across
-	// consecutive ack-less expiries the effective RTO doubles up to
-	// 2^maxRTOBackoff times, so a dead path costs geometrically fewer
-	// spurious loss declarations instead of one per scan forever.
-	// maxRTOCap bounds the backed-off RTO in seconds (unless the base
-	// estimate already exceeds it).
-	maxRTOBackoff = 4
-	maxRTOCap     = 3.0
-	// watchdogFloor is the minimum ack silence (seconds) before the
-	// stall watchdog may trip; 2·RTO applies when that is larger.
-	watchdogFloor = 0.5
-	// probeEvery is the keep-alive probe cadence (seconds) during an
-	// outage: header-only packets that bypass the controller and whose
-	// first ack proves the path has healed.
-	probeEvery = 0.25
-	// maxUnackedRecs bounds in-flight bookkeeping: the backstop
-	// guaranteeing no state growth when acks never come.
-	maxUnackedRecs = 1 << 16
-	// schedSlack is how far past one bucket depth the pacing schedule
-	// may trail the clock before an idle restart re-anchors it. Steady
-	// sending keeps the schedule within a bucket depth, so only a
-	// genuine stall re-anchors; rate changes never do.
-	schedSlack = 0.25
 	// ackPoll is the wake cadence while window- or limit-gated; minWake
 	// is the shortest pacing sleep worth scheduling.
 	ackPoll = 0.001
 	minWake = 50e-6
 )
 
-// rec is the sender-side record of one in-flight packet, recycled
-// through a per-flow freelist. sentAt is the scheduled (token-bucket)
-// send time — the measurement timebase. agedFrom is what loss and RTO
-// aging count from: the actual emission time, since aging must follow
-// elapsed time — or sentAt when that is later. Stamps are committed a
-// train ahead, so the schedule leads the clock by up to one train time
-// at the flow's start-up rate (DESIGN §7); the shim releases a packet
-// no earlier than its stamp and the RTO is built from RTTs measured
-// from the stamp, so aging a leading packet from its emission would
-// declare a whole standing queue lost just before its acks arrive.
-type rec struct {
-	seq      int64
-	size     int
-	sentAt   float64
-	agedFrom float64
-	mi       int64
-	acked    bool
-	lost     bool
-	probe    bool // keep-alive probe: invisible to the controller
-}
-
 // senderFlow drives one congestion-controlled flow from shard events:
-// pump() on timer fires, onAck() on ack arrival, with the same
-// OnSend/OnAck/OnLoss semantics as the simulated transport. All
+// pump() on timer fires, onAck() on ack arrival. It is a driver of
+// transport.Recovery — the same record book, loss rules and survival
+// machinery the simulated transport runs — adding what is the engine's
+// own: pacing, the wire codecs, overload class and push-back. All
 // methods run on the owning shard goroutine, so controllers — which
 // are not thread-safe — only ever see single-threaded calls.
 type senderFlow struct {
 	cc         transport.Controller
-	rtt        transport.RTTEstimator
+	book       transport.Recovery
 	pacer      wire.Pacer
-	unacked    []*rec
-	freelist   []*rec
-	sp         transport.SentPacket // reused OnSend scratch
-	seq        int64
-	inflight   int
 	launched   int64
 	limit      int64
 	burst      int
 	packetSize int
-	maxSack    int64
 
-	sched        float64
-	schedAnchor  bool
 	lastRTOCheck float64
-	rtoBackoff   int
-	lastAckAt    float64
 	revBase      float64
 	revCal       bool
-
-	// Survival machinery: exponential RTO backoff plus a stall watchdog
-	// that freezes the controller during a path outage, probes with
-	// header-only keep-alives, and resumes from the last ack-time rate
-	// once the path heals.
-	lastGoodRate float64 // controller rate (B/s) at the last ack
-	resumeRate   float64 // rate restored on recovery
-	nextProbeAt  float64
-	outage       atomic.Bool
 
 	// Overload state. class fixes who yields under host pressure;
 	// paused is set by the owning shard's Shed action (emission stops,
@@ -152,7 +90,8 @@ type senderFlow struct {
 	probes     atomic.Int64
 	wdTrips    atomic.Int64
 	wdRecovs   atomic.Int64
-	unackedLen atomic.Int64 // len(unacked), refreshed on the RTO cadence
+	outage     atomic.Bool  // mirrors book.InOutage
+	unackedLen atomic.Int64 // book.Len(), refreshed on the RTO cadence
 
 	// Per-ack RTT sample log for measurement harnesses (parity runs);
 	// off unless FlowConfig.RecordRTT, so the hot path never touches
@@ -166,30 +105,42 @@ type senderFlow struct {
 	done      chan struct{}
 }
 
-// pump advances the flow: RTO scan, stall watchdog, pacer accrual, and
+// newSenderFlow builds the sender state for an (already defaulted)
+// flow configuration.
+func newSenderFlow(fc FlowConfig) *senderFlow {
+	s := &senderFlow{
+		cc: fc.CC, limit: fc.Limit, burst: fc.Burst,
+		packetSize: fc.PacketSize, done: make(chan struct{}),
+		recordRTT: fc.RecordRTT, class: fc.Class,
+	}
+	s.book.Init(fc.CC, s.onLost)
+	s.pacer.Cap = float64(2 * fc.Burst * fc.PacketSize)
+	return s
+}
+
+// pump advances the flow: the book's periodic work, pacer accrual, and
 // a burst of emissions while tokens, window, and limit allow. It
 // returns the next wake deadline, or 0 when the flow has nothing left
 // to do.
 func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 	if now-s.lastRTOCheck >= rtoCheckEvery {
 		s.lastRTOCheck = now
-		s.checkRTO(now)
-		// Stall watchdog: with data outstanding (prune leaves the head
-		// record live, so non-empty unacked means outstanding) and no
-		// ack for 2·RTO (floored), declare an outage.
-		if !s.outage.Load() && len(s.unacked) > 0 && now-s.lastAckAt >= s.watchdogTimeout() {
-			s.tripWatchdog(now)
+		if s.book.Watchdog(now) {
+			s.outage.Store(true)
+			s.wdTrips.Add(1)
 		}
-		s.unackedLen.Store(int64(len(s.unacked)))
+		if s.book.Expire(now) {
+			s.book.BackOff(now)
+		}
+		s.unackedLen.Store(int64(s.book.Len()))
 	}
-	if s.completed && len(s.unacked) == 0 {
+	if s.completed && s.book.Len() == 0 {
 		return 0 // fully acked finite transfer: nothing to schedule
 	}
-	if s.outage.Load() {
+	if s.book.InOutage() {
 		// Data sending is frozen; only keep-alive probes go out, hunting
 		// for the first ack that proves the path healed.
-		if now >= s.nextProbeAt {
-			s.nextProbeAt = now + probeEvery
+		if s.book.ProbeDue(now) {
 			s.sendProbe(sh, f, now)
 		}
 		return now + rtoCheckEvery
@@ -198,48 +149,33 @@ func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 	// the RTO cadence so loss aging (and a busy expiry) still run. The
 	// silence is explained, so the watchdog's clock does not run.
 	if s.paused || now < s.busyUntil || sh.eng.draining.Load() {
-		s.lastAckAt = now
+		s.book.Touch(now)
 		next := now + rtoCheckEvery
 		if !s.paused && now < s.busyUntil && s.busyUntil < next {
 			next = s.busyUntil
 		}
 		return next
 	}
-	rate := s.pacingRate()
+	rate := s.book.PacingRate()
 	s.pacer.Advance(now, rate)
 	gated := false
 	// Trains are all-or-nothing: wait until the bucket covers a full
-	// burst, then drain it. Each packet is stamped not with the clock
-	// but with its *scheduled* send time, kept on a leaky-bucket
-	// timeline that advances by exactly size/rate per packet, so the
-	// timebase the receiver and the impairment shim measure against is
-	// that of a perfectly paced sender no matter how wakes jitter —
-	// which is what the controllers' gradient regression needs.
+	// burst, then drain it, each packet stamped with its scheduled send
+	// time (Pacer.TakeStamped).
 	if s.pacer.Delay(s.trainBytes(), rate) == 0 {
-		finite := rate > 0 && rate <= wire.MaxFiniteRate
-		if !finite || !s.schedAnchor || now-s.sched > s.pacer.Cap/rate+schedSlack {
-			// Re-anchor after idle: no back-credit, so a post-idle
-			// catch-up burst never carries stamps from the dead time.
-			s.sched = now
-			s.schedAnchor = true
-		}
 		for {
 			if s.limitReached() {
 				gated = true
 				break
 			}
 			size := s.nextSize()
-			if float64(s.inflight+size) > s.cc.CWnd() {
+			if float64(s.book.Inflight()+size) > s.cc.CWnd() {
 				gated = true
 				break
 			}
-			if !s.pacer.Take(size) {
+			virt, ok := s.pacer.TakeStamped(now, rate, size)
+			if !ok {
 				break
-			}
-			virt := now
-			if finite {
-				virt = s.sched
-				s.sched += float64(size) / rate
 			}
 			s.emit(sh, f, now, virt, size)
 		}
@@ -257,83 +193,30 @@ func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 	return now + d
 }
 
-// emit encodes and queues one version-2 data packet stamped with its
-// scheduled send time.
+// emit books, encodes and queues one version-2 data packet stamped
+// with its scheduled send time. Stamps are committed a train ahead, so
+// the schedule can lead the clock (DESIGN §7): the record ages from
+// whichever of emission and stamp is later.
 func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
-	s.capUnacked(now)
-	s.sp = transport.SentPacket{Seq: s.seq, Size: size, SentAt: virt}
-	s.cc.OnSend(now, &s.sp)
-	r := s.newRec()
-	r.seq, r.size, r.sentAt, r.agedFrom, r.mi = s.seq, size, virt, max(now, virt), s.sp.MI
-	r.acked, r.lost, r.probe = false, false, false
-	s.seq++
-	s.unacked = append(s.unacked, r)
-	s.inflight += size
+	r := s.book.Add(now, size, virt, max(now, virt))
+	s.cc.OnSend(now, &r.SentPacket)
 	s.launched += int64(size)
 	s.sentPkts.Add(1)
 	s.sentBytes.Add(int64(size))
-	buf := sh.txBuf()
-	pkt := wire.EncodeDataV2(buf, wire.DataHeader{
-		Seq: r.seq, SentAt: sh.clock.NanosAt(virt), Flow: f.key.id,
+	pkt := wire.EncodeDataV2(sh.txBuf(), wire.DataHeader{
+		Seq: r.Seq, SentAt: sh.clock.NanosAt(virt), Flow: f.key.id,
 	}, size)
 	sh.queueTx(pkt, f.key.addr)
 }
 
 // sendProbe emits one header-only keep-alive packet during an outage.
-// Probes carry real sequence numbers (so the receiver acks them like
-// any data) but are invisible to the controller: no OnSend, no
-// inflight, no byte accounting.
 func (s *senderFlow) sendProbe(sh *shard, f *flow, now float64) {
-	s.capUnacked(now)
-	r := s.newRec()
-	r.seq, r.size, r.sentAt, r.agedFrom, r.mi = s.seq, wire.DataHeaderLenV2, now, now, 0
-	r.acked, r.lost, r.probe = false, false, true
-	s.seq++
-	s.unacked = append(s.unacked, r)
+	r := s.book.AddProbe(now, wire.DataHeaderLenV2)
 	s.probes.Add(1)
 	pkt := wire.EncodeDataV2(sh.txBuf(), wire.DataHeader{
-		Seq: r.seq, SentAt: sh.clock.NanosAt(now), Flow: f.key.id,
+		Seq: r.Seq, SentAt: sh.clock.NanosAt(now), Flow: f.key.id,
 	}, wire.DataHeaderLenV2)
 	sh.queueTx(pkt, f.key.addr)
-}
-
-func (s *senderFlow) watchdogTimeout() float64 {
-	return math.Max(2*s.rtt.RTO(), watchdogFloor)
-}
-
-// tripWatchdog enters outage mode: data sending freezes, the
-// controller's measurement state is parked (OutageAware when the
-// controller supports it, the app-pause path otherwise), and probing
-// begins on the next wake.
-func (s *senderFlow) tripWatchdog(now float64) {
-	s.outage.Store(true)
-	s.wdTrips.Add(1)
-	s.resumeRate = s.lastGoodRate
-	s.nextProbeAt = now
-	switch cc := s.cc.(type) {
-	case transport.OutageAware:
-		cc.OnOutage(now)
-	case transport.PauseAware:
-		cc.OnAppPause(now)
-	}
-}
-
-// recoverFromOutage leaves outage mode at the first delivered ack and
-// restores the pre-outage rate, so the controller re-enters probing
-// from there rather than crawling up from a loss-collapsed rate.
-func (s *senderFlow) recoverFromOutage(now float64) {
-	s.outage.Store(false)
-	s.wdRecovs.Add(1)
-	switch cc := s.cc.(type) {
-	case transport.OutageAware:
-		cc.OnRecovery(now, s.resumeRate)
-	case transport.PauseAware:
-		cc.OnAppResume(now)
-	}
-	// Re-anchor pacing: the dead time must not turn into a catch-up
-	// burst or stale schedule stamps.
-	s.schedAnchor = false
-	s.pacer.Reset(now)
 }
 
 // Busy-backoff bounds: the exponent stops doubling after
@@ -363,32 +246,28 @@ func (s *senderFlow) onBusy(sh *shard, bp wire.BusyPacket, now float64) {
 	if until > s.busyUntil {
 		s.busyUntil = until
 	}
-	// No back-credit for the pause: re-anchor the pacing timeline when
-	// emission resumes.
-	s.schedAnchor = false
+	// No back-credit for the pause: pacing re-anchors when emission
+	// resumes.
+	s.pacer.Reset(now)
 }
 
 // onAck applies one decoded ack: retire covered packets with
-// controller callbacks, run RACK-style loss detection, prune.
+// controller callbacks, then let the book run loss detection.
 func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 	// Any decoded ack is liveness: it resets the backoffs, and during an
 	// outage it is proof the path healed.
-	s.lastAckAt = now
-	s.rtoBackoff = 0
 	s.busyStreak = 0
-	if s.outage.Load() {
-		s.recoverFromOutage(now)
+	if s.book.Alive(now) {
+		s.outage.Store(false)
+		s.wdRecovs.Add(1)
+		// The dead time must not turn into a catch-up burst or stale
+		// schedule stamps.
+		s.pacer.Reset(now)
 	}
-	if a.Seq > s.maxSack {
-		s.maxSack = a.Seq
-	}
-	if a.CumAck-1 > s.maxSack {
-		s.maxSack = a.CumAck - 1
-	}
+	// The highest sequence this ack covers bounds the walk below.
+	top := max(a.Seq, a.CumAck-1)
 	for _, bl := range a.Blocks {
-		if bl.End-1 > s.maxSack {
-			s.maxSack = bl.End - 1
-		}
+		top = max(top, bl.End-1)
 	}
 	recvAt := sh.clock.SecondsSince(a.RecvAt)
 	// Timestamp-based RTT, in the style of TCP timestamps: the forward
@@ -409,198 +288,56 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 	// noise a latency-gradient controller reads as queue growth. Take
 	// the one accurate sample from the echoed packet's own record and
 	// attribute it to everything this ack retires; when the echo has no
-	// live record (dup data, already retired), skip the estimator
-	// entirely, Karn-style.
-	ackRTT := s.rtt.SRTT()
-	lo, hi := 0, len(s.unacked)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.unacked[mid].seq < a.Seq {
-			lo = mid + 1
-		} else {
-			hi = mid
+	// live record (dup data, already retired) or is a probe, skip the
+	// estimator entirely, Karn-style.
+	ackRTT := s.book.RTT.SRTT()
+	if r := s.book.Find(a.Seq); r != nil && !r.Probe {
+		ackRTT = max((recvAt-r.SentAt)+s.revBase, 0)
+		s.book.RTT.Update(ackRTT)
+		s.srttNanos.Store(int64(s.book.RTT.SRTT() * 1e9))
+		if s.recordRTT {
+			s.rttMu.Lock()
+			s.rttSamples = append(s.rttSamples, ackRTT)
+			s.rttMu.Unlock()
 		}
 	}
-	if lo < len(s.unacked) {
-		if r := s.unacked[lo]; r.seq == a.Seq && !r.acked && !r.lost && !r.probe {
-			ackRTT = (recvAt - r.sentAt) + s.revBase
-			if ackRTT < 0 {
-				ackRTT = 0
-			}
-			s.rtt.Update(ackRTT)
-			s.srttNanos.Store(int64(s.rtt.SRTT() * 1e9))
-			if s.recordRTT {
-				s.rttMu.Lock()
-				s.rttSamples = append(s.rttSamples, ackRTT)
-				s.rttMu.Unlock()
-			}
+	for _, r := range s.book.Records() {
+		if r.Seq > top {
+			break // sorted by seq: nothing further is covered
+		}
+		if r.Live() && (r.Seq < a.CumAck || a.Covers(r.Seq)) {
+			s.ackRec(r, now, recvAt, ackRTT)
 		}
 	}
-	for _, r := range s.unacked {
-		if r.acked || r.lost {
-			continue
-		}
-		if r.seq >= a.CumAck && !a.Covers(r.seq) {
-			if r.seq > s.maxSack {
-				break // sorted by seq: nothing further is covered
-			}
-			continue
-		}
-		s.ackRec(r, now, recvAt, ackRTT)
-	}
-	s.detectLosses(now)
-	s.prune()
-	// The last ack-time rate is what recovery restores: acks stop the
-	// moment an outage starts, so this is the pre-outage rate, not the
-	// loss-collapsed one the controller decays to while blacked out.
-	if r := s.cc.PacingRate(); r > 0 {
-		s.lastGoodRate = r
-	}
+	s.book.Detect(now)
 	if s.limit > 0 && !s.completed && s.ackedBytes.Load() >= s.limit {
 		s.completed = true
 		close(s.done)
 	}
 }
 
-func (s *senderFlow) ackRec(r *rec, now, recvAt, rtt float64) {
-	r.acked = true
-	if r.probe {
+func (s *senderFlow) ackRec(r *transport.Record, now, recvAt, rtt float64) {
+	s.book.Ack(r)
+	if r.Probe {
 		return // liveness only: no bytes the controller should hear about
 	}
-	s.inflight -= r.size
 	s.ackedPkts.Add(1)
-	s.ackedBytes.Add(int64(r.size))
+	s.ackedBytes.Add(int64(r.Size))
 	s.cc.OnAck(transport.Ack{
-		Seq: r.seq, Bytes: r.size, SentAt: r.sentAt, RecvAt: recvAt,
-		Now: now, RTT: rtt, OWD: rtt - s.revBase, MI: r.mi,
-		Inflight: s.inflight,
+		Seq: r.Seq, Bytes: r.Size, SentAt: r.SentAt, RecvAt: recvAt,
+		Now: now, RTT: rtt, OWD: rtt - s.revBase, MI: r.MI,
+		Inflight: s.book.Inflight(),
 	})
 }
 
-// detectLosses is the RACK-style rule shared with the simulated
-// transport: a packet dupAckThreshold behind the highest SACKed
-// sequence is lost only once it is also older than srtt + reorder
-// window, so path reordering does not manufacture losses.
-func (s *senderFlow) detectLosses(now float64) {
-	window := s.rtt.SRTT() + s.reorderWindow()
-	for _, r := range s.unacked {
-		if r.seq > s.maxSack-dupAckThreshold {
-			break
-		}
-		if !r.acked && !r.lost && now-r.agedFrom > window {
-			s.markLost(r, now)
-		}
-	}
-}
-
-func (s *senderFlow) reorderWindow() float64 {
-	w := 4 * s.rtt.RTTVar()
-	if w < 0.004 {
-		w = 0.004
-	}
-	return w
-}
-
-// checkRTO declares every outstanding packet older than the
-// backed-off RTO lost — the backstop when acks stop entirely.
-func (s *senderFlow) checkRTO(now float64) {
-	rto := s.effRTO()
-	declared := false
-	for _, r := range s.unacked {
-		if r.acked || r.lost {
-			continue
-		}
-		if now-r.agedFrom < rto {
-			break // sorted by send time: the rest are younger
-		}
-		s.markLost(r, now)
-		declared = true
-	}
-	// Back off only when the expiry happened in true ack silence:
-	// straggler declarations while acks still flow are ordinary
-	// congestion, not a dead path.
-	if declared && now-s.lastAckAt >= rto && s.rtoBackoff < maxRTOBackoff {
-		s.rtoBackoff++
-	}
-	s.prune()
-}
-
-func (s *senderFlow) effRTO() float64 {
-	base := s.rtt.RTO()
-	rto := base
-	for i := 0; i < s.rtoBackoff; i++ {
-		rto *= 2
-	}
-	if rto > maxRTOCap {
-		rto = math.Max(maxRTOCap, base)
-	}
-	return rto
-}
-
-func (s *senderFlow) markLost(r *rec, now float64) {
-	r.lost = true
-	if r.probe {
-		return // never in inflight, never reported to the controller
-	}
-	s.inflight -= r.size
+// onLost is the flow's per-loss accounting, run by the book before the
+// controller hears OnLoss.
+func (s *senderFlow) onLost(r *transport.Record, now float64) {
 	s.lostPkts.Add(1)
-	s.lostBytes.Add(int64(r.size))
+	s.lostBytes.Add(int64(r.Size))
 	if s.limit > 0 {
-		s.launched -= int64(r.size) // re-credit so a replacement goes out
+		s.launched -= int64(r.Size) // re-credit so a replacement goes out
 	}
-	s.cc.OnLoss(transport.Loss{
-		Seq: r.seq, Bytes: r.size, SentAt: r.sentAt, Now: now,
-		MI: r.mi, Inflight: s.inflight,
-	})
-}
-
-func (s *senderFlow) capUnacked(now float64) {
-	if len(s.unacked) < maxUnackedRecs {
-		return
-	}
-	if r := s.unacked[0]; !r.acked && !r.lost {
-		s.markLost(r, now)
-	}
-	s.prune()
-}
-
-func (s *senderFlow) prune() {
-	i := 0
-	for i < len(s.unacked) && (s.unacked[i].acked || s.unacked[i].lost) {
-		s.freelist = append(s.freelist, s.unacked[i])
-		i++
-	}
-	if i > 0 {
-		n := copy(s.unacked, s.unacked[i:])
-		for j := n; j < len(s.unacked); j++ {
-			s.unacked[j] = nil
-		}
-		s.unacked = s.unacked[:n]
-	}
-}
-
-func (s *senderFlow) newRec() *rec {
-	if n := len(s.freelist); n > 0 {
-		r := s.freelist[n-1]
-		s.freelist[n-1] = nil
-		s.freelist = s.freelist[:n-1]
-		return r
-	}
-	return &rec{}
-}
-
-func (s *senderFlow) pacingRate() float64 {
-	if r := s.cc.PacingRate(); r > 0 {
-		return r
-	}
-	if !s.rtt.Valid() {
-		return math.Inf(1)
-	}
-	cwnd := s.cc.CWnd()
-	if math.IsInf(cwnd, 1) {
-		return math.Inf(1)
-	}
-	return 1.25 * cwnd / s.rtt.SRTT()
 }
 
 func (s *senderFlow) trainBytes() int {

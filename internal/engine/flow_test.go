@@ -23,8 +23,11 @@ func (c *countingCC) PacingRate() float64                         { return c.rat
 func (c *countingCC) CWnd() float64                               { return c.cwnd }
 
 // unitFlow is one sender flow on a socketless shard, driven directly
-// through emit/onAck/checkRTO/pump in virtual time: the test owns the
-// clock, so aging, RTO ladders and watchdog timeouts cost no wall time.
+// through emit/onAck/pump in virtual time: the test owns the clock, so
+// aging and watchdog timeouts cost no wall time. The recovery rules
+// themselves are tested once, in internal/transport/recovery_test.go;
+// what is checked here is the engine's driving of them — the SACK walk,
+// the pump cadence, the atomics, the pacer re-anchor.
 type unitFlow struct {
 	sh *shard
 	f  *flow
@@ -33,11 +36,7 @@ type unitFlow struct {
 
 func newUnitFlow(t *testing.T, cc transport.Controller, limit int64) unitFlow {
 	sh := newTestShard(t, Config{})
-	s := &senderFlow{
-		cc: cc, limit: limit, burst: transport.DefaultBurst,
-		packetSize: 1200, done: make(chan struct{}),
-	}
-	s.pacer.Cap = float64(2 * s.burst * s.packetSize)
+	s := newSenderFlow(FlowConfig{CC: cc, Limit: limit, Burst: transport.DefaultBurst, PacketSize: 1200})
 	f := &flow{key: flowKey{addr: src(9000), id: 1}, snd: s}
 	sh.flows[f.key] = f
 	return unitFlow{sh, f, s}
@@ -71,8 +70,8 @@ func TestSenderReorderedAcksNoSpuriousLoss(t *testing.T) {
 	}
 	// Late-arriving acks for the "missing" packets must land normally.
 	u.ack(0.003, 3, 6)
-	if cc.acks != 6 || cc.losses != 0 || u.s.inflight != 0 {
-		t.Fatalf("after fill: acks=%d losses=%d inflight=%d", cc.acks, cc.losses, u.s.inflight)
+	if cc.acks != 6 || cc.losses != 0 || u.s.book.Inflight() != 0 {
+		t.Fatalf("after fill: acks=%d losses=%d inflight=%d", cc.acks, cc.losses, u.s.book.Inflight())
 	}
 }
 
@@ -94,76 +93,8 @@ func TestSenderRACKDeclaresOldGaps(t *testing.T) {
 	if p, b := u.s.lostPkts.Load(), u.s.lostBytes.Load(); p != 3 || b != 3600 {
 		t.Fatalf("lost %d pkts / %d bytes", p, b)
 	}
-	if u.s.inflight != 0 {
-		t.Fatalf("inflight %d want 0 after all packets resolved", u.s.inflight)
-	}
-}
-
-func TestSenderFreelistRecyclesRecords(t *testing.T) {
-	cc := &countingCC{rate: 1e6, cwnd: 1e9}
-	u := newUnitFlow(t, cc, 0)
-	u.emit(0)
-	first := u.s.unacked[0]
-	u.ack(0.01, 0, 1)
-	if len(u.s.freelist) != 1 {
-		t.Fatalf("freelist len %d want 1", len(u.s.freelist))
-	}
-	u.emit(0.02)
-	if u.s.unacked[0] != first {
-		t.Fatal("record not recycled from the freelist")
-	}
-}
-
-// TestSenderRTOExponentialBackoff exercises the backoff ladder
-// directly: consecutive ack-less expiries double the effective RTO up
-// to the cap, and one delivered ack resets it.
-func TestSenderRTOExponentialBackoff(t *testing.T) {
-	cc := &countingCC{rate: 1e6, cwnd: 1e9}
-	u := newUnitFlow(t, cc, 0)
-	s := u.s
-	// No RTT samples yet: base RTO is the estimator's 1.0 s default.
-	if got := s.effRTO(); got != 1.0 {
-		t.Fatalf("base effRTO %v want 1.0", got)
-	}
-	u.emit(0)
-	s.checkRTO(1.1) // expiry in full ack silence: declare + back off
-	if cc.losses != 1 || s.rtoBackoff != 1 {
-		t.Fatalf("after first expiry: losses=%d backoff=%d", cc.losses, s.rtoBackoff)
-	}
-	if got := s.effRTO(); got != 2.0 {
-		t.Fatalf("backed-off effRTO %v want 2.0", got)
-	}
-	// A packet younger than the backed-off RTO is not declared.
-	u.emit(1.2)
-	s.checkRTO(2.0)
-	if cc.losses != 1 {
-		t.Fatalf("declared a loss before the backed-off RTO: losses=%d", cc.losses)
-	}
-	s.checkRTO(3.3) // age 2.1 >= 2.0: declare, backoff -> 2
-	if cc.losses != 2 || s.rtoBackoff != 2 {
-		t.Fatalf("after second expiry: losses=%d backoff=%d", cc.losses, s.rtoBackoff)
-	}
-	// 1.0 * 2^2 = 4.0 exceeds the 3 s ceiling.
-	if got := s.effRTO(); got != maxRTOCap {
-		t.Fatalf("effRTO %v want capped at %v", got, maxRTOCap)
-	}
-	// The cap also bounds the exponent: expiries cannot push backoff
-	// past maxRTOBackoff.
-	for i := 0.0; i < 10; i++ {
-		u.emit(10 + i)
-		s.checkRTO(20 + 10*i)
-	}
-	if s.rtoBackoff != maxRTOBackoff {
-		t.Fatalf("backoff %d want clamped at %d", s.rtoBackoff, maxRTOBackoff)
-	}
-	// Any delivered ack resets the ladder.
-	u.emit(200)
-	u.ack(200.01, s.seq-1, s.seq)
-	if s.rtoBackoff != 0 {
-		t.Fatalf("backoff %d after an ack, want 0", s.rtoBackoff)
-	}
-	if got := s.effRTO(); got == maxRTOCap {
-		t.Fatalf("effRTO still at the cap after reset: %v", got)
+	if n := u.s.book.Inflight(); n != 0 {
+		t.Fatalf("inflight %d want 0 after all packets resolved", n)
 	}
 }
 
@@ -190,40 +121,38 @@ func TestSenderWatchdogProbeLifecycle(t *testing.T) {
 	u := newUnitFlow(t, cc, 0)
 	s := u.s
 	u.emit(0)
-	u.ack(0.01, 0, 1) // establishes lastGoodRate = 2e6
-	if s.lastGoodRate != 2e6 {
-		t.Fatalf("lastGoodRate %v want 2e6", s.lastGoodRate)
-	}
+	u.ack(0.01, 0, 1) // the rate at this ack, 2e6, is what recovery must restore
 	// Keep pumping; acks never come back. The loss flood would drive a
 	// real controller's rate down, which is what recovery must undo.
 	now := 0.02
 	for ; !s.outage.Load() && now < 5; now += 0.01 {
 		s.pump(u.sh, u.f, now)
 	}
-	wd := s.watchdogTimeout()
+	const wd = 0.5 // max(2·RTO, 0.5 s): one 10 ms RTT sample leaves the RTO at its 0.2 s floor
 	if !s.outage.Load() || cc.outages != 1 || s.wdTrips.Load() != 1 {
 		t.Fatalf("no trip by t=%.2f: outage=%v outages=%d", now, s.outage.Load(), cc.outages)
 	}
 	if silence := now - 0.01; silence < wd || silence > wd+0.05 {
-		t.Fatalf("tripped after %.3f s of ack silence, want max(2·RTO, %.1f) = %.3f", silence, watchdogFloor, wd)
+		t.Fatalf("tripped after %.3f s of ack silence, want max(2·RTO, 0.5) = %.3f", silence, wd)
 	}
 	cc.rate = 1e5
-	sends, inflight, seq, tripProbes := cc.sends, s.inflight, s.seq, s.probes.Load()
+	sends, inflight, tripProbes := cc.sends, s.book.Inflight(), s.probes.Load()
 	for end := now + 1.0; now < end; now += 0.01 {
 		s.pump(u.sh, u.f, now)
 	}
-	if cc.sends != sends || s.inflight > inflight {
-		t.Fatalf("outage leaked into the controller: sends %d->%d inflight %d->%d", sends, cc.sends, inflight, s.inflight)
+	if cc.sends != sends || s.book.Inflight() > inflight {
+		t.Fatalf("outage leaked into the controller: sends %d->%d inflight %d->%d", sends, cc.sends, inflight, s.book.Inflight())
 	}
-	// One probe on the trip itself, then one per probeEvery; each takes
-	// a real sequence number.
-	if n := s.probes.Load(); tripProbes != 1 || n < 4 || n > 6 || s.seq-seq != n-tripProbes {
-		t.Fatalf("%d probes (%d at the trip) over 1 s, seq %d->%d, want one per %.2f s", n, tripProbes, seq, s.seq, probeEvery)
+	// One probe on the trip itself, then one per quarter second.
+	n := s.probes.Load()
+	if tripProbes != 1 || n < 4 || n > 6 {
+		t.Fatalf("%d probes (%d at the trip) over 1 s, want one per 0.25 s", n, tripProbes)
 	}
 	// The newest probe's ack ends the outage and restores the
 	// pre-outage rate; the probe itself never reaches OnAck.
 	acks := cc.acks
-	probe := s.seq - 1
+	recs := s.book.Records()
+	probe := recs[len(recs)-1].Seq
 	u.ack(now, probe, 0, wire.SackBlock{Start: probe, End: probe + 1})
 	if s.outage.Load() || cc.recoveries != 1 || s.wdRecovs.Load() != 1 {
 		t.Fatalf("recovery: outage=%v recoveries=%d/%d", s.outage.Load(), cc.recoveries, s.wdRecovs.Load())

@@ -296,39 +296,3 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	res.Primary = prim.Stats()
 	return res, nil
 }
-
-// MeasureOverloadPPS is the degraded-mode counterpart of MeasurePPS:
-// delivered packets/sec through a receiver held in brownout for the
-// whole window. The offered population is 4× the receiver's table
-// capacity and half of it is scavenger-class, so the admission gate,
-// class-aware eviction, BUSY emission, and pressure bookkeeping all
-// run on the hot path while the primaries keep flowing.
-func MeasureOverloadPPS(flows int, d time.Duration) (float64, int64, error) {
-	snd, recv, err := startPair(
-		Config{Shards: 2, BatchSize: 1024, MaxFlowsPerShard: flows},
-		Config{Shards: 2, BatchSize: 1024, MaxFlowsPerShard: (flows + 7) / 8})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer recv.Stop()
-	defer snd.Stop()
-	addrs := recv.Addrs()
-	for i := 0; i < flows; i++ {
-		fc := FlowConfig{
-			Dst:        addrs[i%len(addrs)],
-			CC:         &FixedRateCC{Rate: 4e6, Win: 8 * 400},
-			PacketSize: 400,
-		}
-		if i%2 == 1 {
-			fc.Class = overload.ClassScavenger
-		}
-		if _, err := snd.AddFlow(fc); err != nil {
-			return 0, 0, err
-		}
-	}
-	time.Sleep(300 * time.Millisecond) // admission, first shed wave, warmup
-	p0 := recv.Stats().Delivered
-	time.Sleep(d)
-	p1 := recv.Stats().Delivered
-	return float64(p1-p0) / d.Seconds(), p1 - p0, nil
-}

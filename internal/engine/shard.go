@@ -525,7 +525,7 @@ func (sh *shard) admit() {
 		sh.flows[f.key] = f
 		f.lastSeen = now
 		if f.snd != nil {
-			f.snd.lastAckAt = now // ack silence is measured from admission
+			f.snd.book.Touch(now) // ack silence is measured from admission
 		}
 		// A scavenger admitted while the shard is shedding raced the
 		// AddFlow gate; it starts paused and resumes with the rest.

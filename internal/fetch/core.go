@@ -5,31 +5,17 @@ import (
 	"crypto/sha256"
 	"errors"
 	"hash"
-	"math"
 
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
 
-// Tuning constants, mirroring the wire sender's datapath so a fetch
-// behaves like an upload running in the opposite direction.
-const (
-	// DefaultWindow is the reassembly window in segments: how far past
-	// the in-order delivery point the fetcher will request. ~5.7 MB at
-	// the default segment size — comfortably above the BDP of every
-	// emulated path in this repo, so the congestion window, not the
-	// reassembly bound, is what gates steady state.
-	DefaultWindow = 4096
-	// maxPendRecs bounds request bookkeeping when responses never come;
-	// at the cap the oldest record is force-retired.
-	maxPendRecs = 1 << 16
-
-	dupRespThreshold = 3 // RACK reference gap, as dupAckThreshold
-	maxRTOBackoff    = 4
-	maxRTOCap        = 3.0
-	watchdogFloor    = 0.5
-	probeEvery       = 0.25
-)
+// DefaultWindow is the reassembly window in segments: how far past
+// the in-order delivery point the fetcher will request. ~5.7 MB at
+// the default segment size — comfortably above the BDP of every
+// emulated path in this repo, so the congestion window, not the
+// reassembly bound, is what gates steady state.
+const DefaultWindow = 4096
 
 // Config parameterizes a transfer's scheduler core.
 type Config struct {
@@ -75,22 +61,9 @@ type Response struct {
 	Payload   []byte
 }
 
-// reqRec is the fetcher-side record of one outstanding request. sentAt
-// is the request's scheduled (token-bucket) send time — the measurement
-// timebase; wallAt is the actual emission time, used for loss-detection
-// and RTO aging.
-type reqRec struct {
-	nonce  int64
-	seg    int64
-	size   int // expected response wire size
-	sentAt float64
-	wallAt float64
-	mi     int64
-	meta   bool
-	probe  bool
-	acked  bool
-	lost   bool
-}
+// metaTag is the transport.Record.Tag of a metadata request; data
+// requests carry their segment index.
+const metaTag = -1
 
 // CoreStats is a snapshot of the scheduler's counters.
 type CoreStats struct {
@@ -112,20 +85,16 @@ type CoreStats struct {
 }
 
 // Core is the transport-agnostic half of a fetcher: request selection
-// under the controller's window, per-request retransmit state, RACK +
-// RTO loss detection with outage survival, and in-order reassembly with
-// integrity verification. It is single-threaded by contract — the wire
-// driver serializes calls under its mutex, the sim driver runs on the
-// simulator's event loop.
+// under the controller's window, the retransmit queue, and in-order
+// reassembly with integrity verification. Outstanding requests live in
+// a transport.Recovery — the same record book, RACK + RTO rules and
+// outage survival every sender runs, keyed by request nonce — so a
+// fetch behaves like an upload running in the opposite direction. It
+// is single-threaded by contract — the wire driver serializes calls
+// under its mutex, the sim driver runs on the simulator's event loop.
 type Core struct {
-	cfg Config
-	rtt transport.RTTEstimator
-
-	nonce int64
-	pend  map[int64]*reqRec
-	order []*reqRec // send order (nonce order); pruned from the front
-	free  []*reqRec
-	sp    transport.SentPacket // reused OnSend scratch
+	cfg  Config
+	book transport.Recovery
 
 	retx    []int64 // segment indices awaiting re-request, ascending
 	retxSet map[int64]bool
@@ -134,7 +103,7 @@ type Core struct {
 	totalSegs int64
 	objSize   int64
 	metaDone  bool
-	metaOut   int // outstanding (not acked/lost) metadata requests
+	metaOut   int // outstanding (not acked/lost) metadata requests, probes aside
 	digest    [wire.DigestLen]byte
 
 	done      []bool
@@ -143,28 +112,14 @@ type Core struct {
 	next      int64 // next never-requested segment
 	hash      hash.Hash
 	delivered int64
-	inflight  int
-	maxRx     int64 // highest responded nonce (RACK reference)
 
 	finished bool
 	verified bool
-
-	// Liveness and survival, as in the wire sender: RTO backoff during
-	// response silence, a stall watchdog that freezes the controller
-	// across an outage, keep-alive probes that detect healing.
-	lastRespAt   float64
-	rtoBackoff   int
-	lastGoodRate float64
-	outage       bool
-	outageAt     float64
-	resumeRate   float64
-	nextProbeAt  float64
 
 	revBase float64 // reverse-path constant calibrated at the first response
 	revCal  bool
 
 	reqsSent, segsRx, dups, lostReqs, probes, refetched int64
-	wdTrips, wdRecoveries                               int64
 }
 
 // NewCore validates cfg and builds a scheduler core.
@@ -183,11 +138,10 @@ func NewCore(cfg Config) (*Core, error) {
 	}
 	c := &Core{
 		cfg:     cfg,
-		pend:    make(map[int64]*reqRec),
 		retxSet: make(map[int64]bool),
 		buffer:  make(map[int64][]byte),
-		maxRx:   -1,
 	}
+	c.book.Init(cfg.CC, c.onLost)
 	if cfg.Hash {
 		c.hash = sha256.New()
 	}
@@ -222,7 +176,7 @@ const (
 // window gate compares expected response bytes against the
 // controller's cwnd — the exact analog of the sender's inflight gate.
 func (c *Core) pick() (kind int, seg int64, size int) {
-	if c.outage || c.Done() {
+	if c.book.InOutage() || c.Done() {
 		return pickNone, 0, 0
 	}
 	if !c.metaDone && c.metaOut == 0 {
@@ -245,7 +199,7 @@ func (c *Core) pick() (kind int, seg int64, size int) {
 	if kind == pickNone {
 		return pickNone, 0, 0
 	}
-	if float64(c.inflight+size) > c.cfg.CC.CWnd() {
+	if float64(c.book.Inflight()+size) > c.cfg.CC.CWnd() {
 		return pickNone, 0, 0
 	}
 	return kind, seg, size
@@ -260,10 +214,11 @@ func (c *Core) PeekSize() (int, bool) {
 	return size, kind != pickNone
 }
 
-// Issue commits the next request: the controller's OnSend fires, the
-// request enters the retransmit bookkeeping, and the descriptor to
-// encode is returned. virt is the scheduled (token-bucket) send time,
-// now the wall time.
+// Issue commits the next request: it is booked, the controller's
+// OnSend fires, and the descriptor to encode is returned. virt is the
+// scheduled (token-bucket) send time — the measurement timebase — and
+// now the emission time; the schedule can lead the clock, so the
+// request ages from whichever is later (see transport.Record).
 func (c *Core) Issue(now, virt float64) (Request, bool) {
 	kind, seg, size := c.pick()
 	if kind == pickNone {
@@ -278,57 +233,40 @@ func (c *Core) Issue(now, virt float64) (Request, bool) {
 	case pickFresh:
 		c.next++
 	}
-	c.capPend(now)
-	c.sp = transport.SentPacket{Seq: c.nonce, Size: size, SentAt: virt}
-	c.cfg.CC.OnSend(now, &c.sp)
-	rec := c.newRec()
-	rec.nonce, rec.seg, rec.size, rec.sentAt, rec.wallAt, rec.mi = c.nonce, seg, size, virt, now, c.sp.MI
-	rec.meta, rec.probe, rec.acked, rec.lost = kind == pickMeta, false, false, false
-	c.nonce++
-	c.pend[rec.nonce] = rec
-	c.order = append(c.order, rec)
-	c.inflight += size
+	rec := c.book.Add(now, size, virt, max(now, virt))
+	rec.Tag = seg
+	if kind == pickMeta {
+		rec.Tag = metaTag
+	}
+	c.cfg.CC.OnSend(now, &rec.SentPacket)
 	c.reqsSent++
 	if kind != pickMeta && c.segDone(seg) {
 		c.refetched++ // structurally unreachable; counted to prove it
 	}
-	return Request{Nonce: rec.nonce, Seg: seg, Meta: rec.meta, Size: size}, true
+	return Request{Nonce: rec.Seq, Seg: seg, Meta: kind == pickMeta, Size: size}, true
 }
 
-// Tick runs the periodic work — RTO scan, stall watchdog, probe
-// scheduling — and returns a keep-alive probe request when one is due.
-// Probes re-request a needed segment (or the metadata) but are
-// invisible to the controller: no OnSend, no inflight accounting.
+// Tick runs the book's periodic work — stall watchdog, RTO sweep — and
+// returns a keep-alive probe request when one is due. Probes
+// re-request a needed segment (or the metadata) but are invisible to
+// the controller: no OnSend, no inflight accounting.
 func (c *Core) Tick(now float64) (Request, bool) {
-	c.checkRTO(now)
-	// Silence on an unfinished transfer is the outage signal — not
-	// "silence with outstanding requests": an RTO sweep can retire every
-	// record mid-blackout, and gating on outstanding() would then leave
-	// nobody to probe the path back to life.
-	if !c.outage && c.reqsSent > 0 && !c.Done() &&
-		now-c.lastRespAt >= c.watchdogTimeout() {
-		c.tripWatchdog(now)
-	}
-	if !c.outage || c.Done() || now < c.nextProbeAt {
+	if c.Done() {
 		return Request{}, false
 	}
-	c.nextProbeAt = now + probeEvery
-	c.capPend(now)
-	rec := c.newRec()
-	rec.nonce, rec.sentAt, rec.wallAt = c.nonce, now, now
-	rec.size, rec.mi = 0, 0
-	rec.meta, rec.probe, rec.acked, rec.lost = !c.metaDone, true, false, false
-	if !rec.meta {
-		rec.seg = c.cum // by definition the first undelivered segment
+	c.book.Watchdog(now)
+	if c.book.Expire(now) {
+		c.book.BackOff(now)
 	}
-	c.nonce++
-	if rec.meta {
-		c.metaOut++
+	if !c.book.ProbeDue(now) {
+		return Request{}, false
 	}
-	c.pend[rec.nonce] = rec
-	c.order = append(c.order, rec)
+	req := Request{Nonce: c.book.AddProbe(now, 0).Seq, Meta: !c.metaDone, Probe: true}
+	if !req.Meta {
+		req.Seg = c.cum // by definition the first undelivered segment
+	}
 	c.probes++
-	return Request{Nonce: rec.nonce, Seg: rec.seg, Meta: rec.meta, Probe: true}, true
+	return req, true
 }
 
 // OnResponse applies one response: request-record retirement with an
@@ -337,7 +275,9 @@ func (c *Core) Tick(now float64) (Request, bool) {
 // recvAt is the response's arrival stamp on the emulated path; now is
 // the fetcher-clock time of processing.
 func (c *Core) OnResponse(r Response, recvAt, now float64) {
-	c.noteResp(now)
+	// Any response is liveness; during an outage it proves the path
+	// healed.
+	c.book.Alive(now)
 	if !c.geomKnown && r.TotalSegs > 0 {
 		// Every response carries the geometry, so the fetcher starts
 		// filling the window off whichever response lands first.
@@ -346,30 +286,22 @@ func (c *Core) OnResponse(r Response, recvAt, now float64) {
 		c.objSize = r.ObjSize
 		c.done = make([]bool, r.TotalSegs)
 	}
-	if r.Nonce > c.maxRx {
-		c.maxRx = r.Nonce
-	}
-	if rec, ok := c.pend[r.Nonce]; ok && !rec.acked && !rec.lost {
+	if rec := c.book.Find(r.Nonce); rec != nil {
 		c.ackRec(rec, now, recvAt)
 	}
 	c.deliver(r)
-	c.detectLosses(now)
-	c.prune()
-	if rate := c.cfg.CC.PacingRate(); rate > 0 {
-		c.lastGoodRate = rate
-	}
+	c.book.Detect(now)
 }
 
 // ackRec retires one outstanding request against its response.
-func (c *Core) ackRec(rec *reqRec, now, recvAt float64) {
-	rec.acked = true
-	if rec.meta {
-		c.metaOut--
-	}
-	if rec.probe {
+func (c *Core) ackRec(rec *transport.Record, now, recvAt float64) {
+	c.book.Ack(rec)
+	if rec.Probe {
 		return // liveness only: no controller callbacks, no RTT sample
 	}
-	c.inflight -= rec.size
+	if rec.Tag == metaTag {
+		c.metaOut--
+	}
 	// Timestamp-based RTT exactly as the wire sender measures it: the
 	// forward half against the echoed scheduled-send stamp and the
 	// response's emulated arrival, the reverse half a constant
@@ -379,18 +311,15 @@ func (c *Core) ackRec(rec *reqRec, now, recvAt float64) {
 		c.revBase = now - recvAt
 		c.revCal = true
 	}
-	rtt := (recvAt - rec.sentAt) + c.revBase
-	if rtt < 0 {
-		rtt = 0
-	}
-	c.rtt.Update(rtt)
+	rtt := max((recvAt-rec.SentAt)+c.revBase, 0)
+	c.book.RTT.Update(rtt)
 	if c.cfg.OnRTT != nil {
 		c.cfg.OnRTT(rtt)
 	}
 	c.cfg.CC.OnAck(transport.Ack{
-		Seq: rec.nonce, Bytes: rec.size, SentAt: rec.sentAt, RecvAt: recvAt,
-		Now: now, RTT: rtt, OWD: recvAt - rec.sentAt, MI: rec.mi,
-		Inflight: c.inflight,
+		Seq: rec.Seq, Bytes: rec.Size, SentAt: rec.SentAt, RecvAt: recvAt,
+		Now: now, RTT: rtt, OWD: recvAt - rec.SentAt, MI: rec.MI,
+		Inflight: c.book.Inflight(),
 	})
 }
 
@@ -500,165 +429,34 @@ func (c *Core) DeliveredBytes() int64 { return c.delivered }
 func (c *Core) TotalSegsKnown() (segs, size int64) { return c.totalSegs, c.objSize }
 
 // SRTT exposes the smoothed RTT estimate.
-func (c *Core) SRTT() float64 { return c.rtt.SRTT() }
+func (c *Core) SRTT() float64 { return c.book.RTT.SRTT() }
 
-// PacingRate mirrors the datapath convention: an explicit controller
-// rate wins; window-based controllers get 1.25·cwnd/srtt once an RTT
-// estimate exists, unpaced before.
-func (c *Core) PacingRate() float64 {
-	if r := c.cfg.CC.PacingRate(); r > 0 {
-		return r
-	}
-	if !c.rtt.Valid() {
-		return math.Inf(1)
-	}
-	cwnd := c.cfg.CC.CWnd()
-	if math.IsInf(cwnd, 1) {
-		return math.Inf(1)
-	}
-	return 1.25 * cwnd / c.rtt.SRTT()
-}
+// PacingRate is the datapath's pacing convention (explicit controller
+// rate, else 1.25·cwnd/srtt, unpaced before the first RTT sample).
+func (c *Core) PacingRate() float64 { return c.book.PacingRate() }
 
 // Stats returns a snapshot of the core's counters.
 func (c *Core) Stats() CoreStats {
 	return CoreStats{
 		ReqsSent: c.reqsSent, SegsRx: c.segsRx, Dups: c.dups,
 		LostReqs: c.lostReqs, Probes: c.probes, Refetched: c.refetched,
-		Delivered: c.delivered, Inflight: c.inflight, Pend: len(c.order),
-		SRTT: c.rtt.SRTT(), WdTrips: c.wdTrips, WdRecov: c.wdRecoveries,
-		InOutage: c.outage, Done: c.finished, Verified: c.verified,
+		Delivered: c.delivered, Inflight: c.book.Inflight(), Pend: c.book.Len(),
+		SRTT: c.book.RTT.SRTT(), WdTrips: c.book.Trips(), WdRecov: c.book.Recoveries(),
+		InOutage: c.book.InOutage(), Done: c.finished, Verified: c.verified,
 	}
 }
 
-// --- loss detection and survival -------------------------------------
-
-// noteResp records response liveness: backoff resets, and any response
-// during an outage proves the path healed.
-func (c *Core) noteResp(now float64) {
-	c.lastRespAt = now
-	c.rtoBackoff = 0
-	if c.outage {
-		c.recover(now)
-	}
-}
-
-func (c *Core) watchdogTimeout() float64 {
-	w := 2 * c.rtt.RTO()
-	if w < watchdogFloor {
-		w = watchdogFloor
-	}
-	return w
-}
-
-func (c *Core) effRTO() float64 {
-	base := c.rtt.RTO()
-	rto := base
-	for i := 0; i < c.rtoBackoff; i++ {
-		rto *= 2
-	}
-	if rto > maxRTOCap {
-		rto = math.Max(maxRTOCap, base)
-	}
-	return rto
-}
-
-// tripWatchdog freezes the transfer for an outage: request issuance
-// stops (pick returns nothing), the controller's measurement state is
-// parked, and probing begins.
-func (c *Core) tripWatchdog(now float64) {
-	c.outage = true
-	c.outageAt = now
-	c.wdTrips++
-	c.resumeRate = c.lastGoodRate
-	c.nextProbeAt = now
-	switch cc := c.cfg.CC.(type) {
-	case transport.OutageAware:
-		cc.OnOutage(now)
-	case transport.PauseAware:
-		cc.OnAppPause(now)
-	}
-}
-
-// recover ends an outage at the first delivered response, restoring the
-// controller at the pre-outage operating rate.
-func (c *Core) recover(now float64) {
-	c.outage = false
-	c.wdRecoveries++
-	switch cc := c.cfg.CC.(type) {
-	case transport.OutageAware:
-		cc.OnRecovery(now, c.resumeRate)
-	case transport.PauseAware:
-		cc.OnAppResume(now)
-	}
-}
-
-// detectLosses is the RACK-style rule shared with both datapaths: a
-// request dupRespThreshold nonces behind the highest responded nonce is
-// declared lost only once it is also older than srtt plus a reordering
-// window, so path reordering does not manufacture losses.
-func (c *Core) detectLosses(now float64) {
-	window := c.rtt.SRTT() + c.reorderWindow()
-	for _, rec := range c.order {
-		if rec.nonce > c.maxRx-dupRespThreshold {
-			break
-		}
-		if !rec.acked && !rec.lost && now-rec.wallAt > window {
-			c.markLost(rec, now)
-		}
-	}
-}
-
-func (c *Core) reorderWindow() float64 {
-	w := 4 * c.rtt.RTTVar()
-	if w < 0.004 {
-		w = 0.004
-	}
-	return w
-}
-
-// checkRTO declares every outstanding request older than the RTO lost —
-// the backstop when responses stop entirely.
-func (c *Core) checkRTO(now float64) {
-	rto := c.effRTO()
-	declared := false
-	for _, rec := range c.order {
-		if rec.acked || rec.lost {
-			continue
-		}
-		if now-rec.wallAt < rto {
-			break // send order: the rest are younger
-		}
-		c.markLost(rec, now)
-		declared = true
-	}
-	// Back off only in true response silence; straggler declarations
-	// while responses still flow are ordinary congestion.
-	if declared && now-c.lastRespAt >= rto && c.rtoBackoff < maxRTOBackoff {
-		c.rtoBackoff++
-	}
-	c.prune()
-}
-
-// markLost retires a request as lost: the controller hears OnLoss, and
-// the named segment re-enters the retransmit queue unless it has been
-// delivered through another copy in the meantime — the rule that makes
-// resumption after a blackout re-request only what is actually missing.
-func (c *Core) markLost(rec *reqRec, now float64) {
-	rec.lost = true
-	if rec.meta {
-		c.metaOut--
-	}
-	if rec.probe {
-		return // never in inflight, never reported to the controller
-	}
-	c.inflight -= rec.size
+// onLost is the core's per-loss bookkeeping, run by the book before
+// the controller hears OnLoss: the named segment re-enters the
+// retransmit queue unless it has been delivered through another copy in
+// the meantime — the rule that makes resumption after a blackout
+// re-request only what is actually missing.
+func (c *Core) onLost(rec *transport.Record, now float64) {
 	c.lostReqs++
-	c.cfg.CC.OnLoss(transport.Loss{
-		Seq: rec.nonce, Bytes: rec.size, SentAt: rec.sentAt, Now: now,
-		MI: rec.mi, Inflight: c.inflight,
-	})
-	if !rec.meta && !c.segDone(rec.seg) {
-		c.pushRetx(rec.seg)
+	if rec.Tag == metaTag {
+		c.metaOut--
+	} else if !c.segDone(rec.Tag) {
+		c.pushRetx(rec.Tag)
 	}
 }
 
@@ -677,42 +475,4 @@ func (c *Core) pushRetx(seg int64) {
 		i--
 	}
 	c.retx[i] = seg
-}
-
-// capPend force-retires the oldest record at the bookkeeping cap.
-func (c *Core) capPend(now float64) {
-	if len(c.order) < maxPendRecs {
-		return
-	}
-	if rec := c.order[0]; !rec.acked && !rec.lost {
-		c.markLost(rec, now)
-	}
-	c.prune()
-}
-
-func (c *Core) prune() {
-	i := 0
-	for i < len(c.order) && (c.order[i].acked || c.order[i].lost) {
-		rec := c.order[i]
-		delete(c.pend, rec.nonce)
-		c.free = append(c.free, rec)
-		i++
-	}
-	if i > 0 {
-		n := copy(c.order, c.order[i:])
-		for j := n; j < len(c.order); j++ {
-			c.order[j] = nil
-		}
-		c.order = c.order[:n]
-	}
-}
-
-func (c *Core) newRec() *reqRec {
-	if n := len(c.free); n > 0 {
-		rec := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		return rec
-	}
-	return &reqRec{}
 }

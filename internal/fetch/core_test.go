@@ -277,17 +277,18 @@ func TestCoreOutageAndRecovery(t *testing.T) {
 	}
 	c.OnResponse(Response{Nonce: 999, Meta: true, TotalSegs: 50, ObjSize: 50_000,
 		Payload: make([]byte, 32)}, 0, 0)
-	req, ok := c.Issue(0.01, 0.01)
-	if !ok {
+	if _, ok := c.Issue(0.01, 0.01); !ok {
 		t.Fatal("no request issued")
 	}
-	_ = req
-	// Silence for far past the watchdog threshold.
+	// Silence for far past the watchdog threshold. Like a driver, keep
+	// re-issuing what the RTO sweep retires: the watchdog reads silence
+	// with requests outstanding, and a live fetch always has some.
 	var probes int
 	for now := 0.1; now < 3.0; now += 0.01 {
 		if _, ok := c.Tick(now); ok {
 			probes++
 		}
+		c.Issue(now, now)
 	}
 	st := c.Stats()
 	if !st.InOutage || st.WdTrips != 1 {
@@ -307,6 +308,52 @@ func TestCoreOutageAndRecovery(t *testing.T) {
 	}
 	if _, ok := c.PeekSize(); !ok {
 		t.Fatalf("issuance still frozen after recovery")
+	}
+}
+
+// Requests are stamped on the pacer's scheduled timeline, which can
+// lead the clock by a train time at the start-up rate, and RTT — hence
+// the RTO — is measured from the stamp. Aging a request from its
+// emission instead would, once the RTT comes within the lead of the
+// 200 ms RTO floor, declare every request of a standing queue lost just
+// before its response arrives.
+func TestCoreStampLeadNoSpuriousLoss(t *testing.T) {
+	const (
+		lead = 0.045 // stamp ahead of emission
+		rtt  = 0.190 // stamp → response
+		segs = 300
+	)
+	cc := &fixedCC{rate: 1e6, cwnd: math.Inf(1)}
+	c, err := NewCore(Config{CC: cc, SegSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queue []timedResp
+	for i := 0; i < 4000 && !c.Done(); i++ {
+		now := float64(i) * 0.001
+		if i%10 == 0 {
+			c.Tick(now)
+		}
+		if i%5 == 0 {
+			if req, ok := c.Issue(now, now+lead); ok {
+				queue = append(queue, timedResp{at: now + lead + rtt, r: Response{
+					Nonce: req.Nonce, Seg: req.Seg, Meta: req.Meta,
+					TotalSegs: segs, ObjSize: segs * 1000,
+				}})
+			}
+		}
+		for len(queue) > 0 && queue[0].at <= now {
+			c.OnResponse(queue[0].r, queue[0].at, now)
+			queue = queue[1:]
+		}
+	}
+	st := c.Stats()
+	if !st.Done || st.LostReqs != 0 || cc.loss != 0 || st.Dups != 0 {
+		t.Fatalf("done=%v lostReqs=%d OnLoss=%d dups=%d: stamp-leading requests were aged from their emission",
+			st.Done, st.LostReqs, cc.loss, st.Dups)
+	}
+	if math.Abs(st.SRTT-rtt) > 0.002 {
+		t.Fatalf("srtt %.3f want %.3f (measured from the stamp)", st.SRTT, rtt)
 	}
 }
 

@@ -12,9 +12,10 @@
 // control therefore runs at the *downloading* endpoint: the controller
 // is fed acknowledgment callbacks whose byte currency is the expected
 // response size, so its rate and window govern the response stream that
-// actually crosses the bottleneck. Per-segment request state lives in a
-// retransmit queue driven by response arrivals (RACK-style reordering
-// tolerance plus an RTO backstop); delivery is in-order through a
+// actually crosses the bottleneck. Outstanding requests live in the
+// shared transport.Recovery book (RACK-style reordering tolerance, an
+// RTO backstop, outage survival); lost ones re-enter a retransmit
+// queue by segment; delivery is in-order through a
 // bounded reassembly window; integrity is checked per segment (CRC-32C)
 // and end-to-end (whole-object SHA-256 from the metadata exchange).
 //

@@ -17,9 +17,7 @@ const (
 	minSleep      = 50 * time.Microsecond
 	maxSleep      = time.Millisecond
 	rtoCheckEvery = 0.010
-	schedSlack    = 0.25
 	readTimeout   = 50 * time.Millisecond
-	maxFiniteRate = 125e9 // bytes/sec above which pacing is disabled
 
 	// rttHistLo/Hi/Bins parameterize the per-fetch RTT histogram:
 	// geometric bins from 100 µs to 10 s, ~7% relative resolution.
@@ -60,18 +58,14 @@ type Fetcher struct {
 
 	clock wire.Clock
 
-	mu    sync.Mutex
-	core  *Core
-	pacer tokenBucket
-	sched float64
-	// schedAnchor tracks whether the scheduled-send timeline has been
-	// anchored since the last idle, exactly as in the wire sender.
-	schedAnchor bool
-	lastTick    float64
-	rttHist     *stats.LogHist
-	badResps    int64
-	crcErrs     int64
-	sentBytes   int64
+	mu        sync.Mutex
+	core      *Core
+	pacer     wire.Pacer
+	lastTick  float64
+	rttHist   *stats.LogHist
+	badResps  int64
+	crcErrs   int64
+	sentBytes int64
 
 	reqBuf []byte
 
@@ -104,8 +98,8 @@ func (f *Fetcher) Start() error {
 	f.core = core
 	f.rttHist = stats.NewLogHist(rttHistLo, rttHistHi, rttHistBins)
 	f.clock = wire.NewClock()
-	f.pacer.cap = float64(2 * f.Burst * f.respSize())
-	f.pacer.reset(0)
+	f.pacer.Cap = float64(2 * f.Burst * f.respSize())
+	f.pacer.Reset(0)
 	f.reqBuf = make([]byte, wire.FetchLen)
 	f.done = make(chan struct{})
 	f.complete = make(chan struct{})
@@ -186,41 +180,33 @@ func (f *Fetcher) sendLoop() {
 			continue
 		}
 		rate := f.core.PacingRate()
-		f.pacer.advance(now, rate)
+		f.pacer.Advance(now, rate)
 		// Requests are paced so the *responses* they elicit arrive at
 		// the controller's target rate: the token bucket is charged the
 		// expected response size per request, and each request's
-		// scheduled-send stamp advances the virtual timeline by that
-		// response's serialization time. The echoed stamp is what the
-		// shim's virtual bottleneck measures against, so response
-		// arrivals are a deterministic function of the request schedule
-		// — the wire sender's determinism property, mirrored.
+		// scheduled-send stamp (Pacer.TakeStamped) advances the virtual
+		// timeline by that response's serialization time. The echoed
+		// stamp is what the shim's virtual bottleneck measures against,
+		// so response arrivals are a deterministic function of the
+		// request schedule — the engine sender's determinism property,
+		// mirrored.
 		gated := false
-		if f.pacer.delay(f.trainBytes(), rate) == 0 {
-			finite := rate > 0 && rate <= maxFiniteRate
-			if !finite || !f.schedAnchor || now-f.sched > f.pacer.cap/rate+schedSlack {
-				f.sched = now
-				f.schedAnchor = true
-			}
+		if f.pacer.Delay(f.trainBytes(), rate) == 0 {
 			for {
 				size, ok := f.core.PeekSize()
 				if !ok {
 					gated = true
 					break
 				}
-				if !f.pacer.take(size) {
+				virt, ok := f.pacer.TakeStamped(now, rate, size)
+				if !ok {
 					break
-				}
-				virt := now
-				if finite {
-					virt = f.sched
-					f.sched += float64(size) / rate
 				}
 				req, issued := f.core.Issue(now, virt)
 				if !issued {
 					break // cannot happen: pick is deterministic between Peek and Issue
 				}
-				if !f.writeReqVirt(req, virt) {
+				if !f.writeReq(req, virt) {
 					f.mu.Unlock()
 					return
 				}
@@ -230,7 +216,7 @@ func (f *Fetcher) sendLoop() {
 		if gated {
 			sleep = maxSleep
 		} else {
-			d := f.pacer.delay(f.trainBytes(), rate)
+			d := f.pacer.Delay(f.trainBytes(), rate)
 			sleep = time.Duration(d * float64(time.Second))
 			if sleep > maxSleep {
 				sleep = maxSleep
@@ -250,15 +236,10 @@ func (f *Fetcher) sendLoop() {
 
 func (f *Fetcher) trainBytes() int { return f.Burst * f.respSize() }
 
-// writeReq encodes and transmits one request stamped at now.
-func (f *Fetcher) writeReq(req Request, now float64) bool {
-	return f.writeReqVirt(req, now)
-}
-
-// writeReqVirt encodes and transmits one request with its scheduled
-// send stamp. Called with the mutex held; reports false only on a
-// closed socket.
-func (f *Fetcher) writeReqVirt(req Request, virt float64) bool {
+// writeReq encodes and transmits one request with its scheduled send
+// stamp. Called with the mutex held; reports false only on a closed
+// socket.
+func (f *Fetcher) writeReq(req Request, virt float64) bool {
 	pkt := wire.EncodeFetch(f.reqBuf, wire.FetchHeader{
 		ObjID: f.ObjID, Seg: req.Seg, Nonce: req.Nonce,
 		SentAt: f.clock.NanosAt(virt), Meta: req.Meta,
@@ -320,60 +301,6 @@ func (f *Fetcher) recvLoop() {
 			f.compOnce.Do(func() { close(f.complete) })
 		}
 	}
-}
-
-// tokenBucket is the fetcher's pacer, byte-for-byte the wire sender's:
-// tokens accrue at the controller's rate and are spent per request in
-// expected-response bytes.
-type tokenBucket struct {
-	tokens float64
-	last   float64
-	cap    float64
-	inited bool
-}
-
-func (p *tokenBucket) reset(now float64) {
-	p.tokens = 0
-	p.last = now
-	p.inited = true
-}
-
-func (p *tokenBucket) advance(now, rate float64) {
-	if !p.inited {
-		p.reset(now)
-	}
-	dt := now - p.last
-	if dt < 0 {
-		dt = 0
-	}
-	p.last = now
-	if rate <= 0 || rate > maxFiniteRate {
-		p.tokens = p.cap
-		return
-	}
-	p.tokens += dt * rate
-	if p.tokens > p.cap {
-		p.tokens = p.cap
-	}
-}
-
-func (p *tokenBucket) take(n int) bool {
-	if p.tokens < float64(n) {
-		return false
-	}
-	p.tokens -= float64(n)
-	return true
-}
-
-func (p *tokenBucket) delay(n int, rate float64) float64 {
-	deficit := float64(n) - p.tokens
-	if deficit <= 0 {
-		return 0
-	}
-	if rate <= 0 || rate > maxFiniteRate {
-		return 0
-	}
-	return deficit / rate
 }
 
 func isTimeout(err error) bool {

@@ -63,7 +63,7 @@ func (t *SimTransfer) Start() error {
 	t.core = core
 	t.totalSegs = TotalSegs(t.ObjectBytes, core.cfg.SegSize)
 	t.started = true
-	t.core.lastRespAt = t.S.Now()
+	t.core.book.Touch(t.S.Now())
 	t.tick()
 	t.trySend()
 	return nil

@@ -92,8 +92,8 @@ func TestInjectedClockSetsTimebase(t *testing.T) {
 	if snd.startTime != 50 {
 		t.Fatalf("startTime %v want 50 (injected clock)", snd.startTime)
 	}
-	if len(snd.unacked) == 0 || snd.unacked[0].SentAt != 50 {
-		t.Fatalf("first packet SentAt %v want 50", snd.unacked[0].SentAt)
+	if recs := snd.book.Records(); len(recs) == 0 || recs[0].SentAt != 50 {
+		t.Fatalf("first packet SentAt %v want 50", recs)
 	}
 	// The RTO backstop must be armed on the injected clock too:
 	// initial RTO is 1 s after the oldest outstanding packet.
@@ -108,8 +108,8 @@ func emitEight(t *testing.T, snd *Sender, fc *fakeClock) {
 	t.Helper()
 	snd.Start()
 	fc.runUntil(100.0075) // past the 8th emit despite float accumulation
-	if len(snd.unacked) != 8 {
-		t.Fatalf("emitted %d packets want 8", len(snd.unacked))
+	if n := snd.OutstandingPackets(); n != 8 {
+		t.Fatalf("emitted %d packets want 8", n)
 	}
 }
 
@@ -171,9 +171,9 @@ func TestAgedGapDeclaredLost(t *testing.T) {
 	// Age the gap past srtt + reorder window (a late ack's own huge RTT
 	// sample would inflate rttvar and mask it, so age the packets, not
 	// the clock sample).
-	for _, sp := range snd.unacked {
-		if !sp.acked && sp.Seq <= 4 {
-			sp.SentAt -= 1.0
+	for _, sp := range snd.book.Records() {
+		if sp.Live() && sp.Seq <= 4 {
+			sp.AgedFrom -= 1.0
 		}
 	}
 	fc.now = 100.040

@@ -9,6 +9,10 @@
 // primary protocols, scavengers, and hybrids are all Controller
 // implementations behind one interface, and PCC-style controllers can
 // even swap utility functions on a live connection.
+//
+// Loss recovery and outage survival live once, in Recovery: Sender
+// (here, on the simulator), the engine's sender flow and the fetch core
+// are drivers of that one book.
 package transport
 
 import (
@@ -19,17 +23,14 @@ import (
 	"pccproteus/internal/trace"
 )
 
-// SentPacket is the sender-side record of one transmitted packet. The
-// controller's OnSend hook may set MI to tag the packet with a monitor
-// interval (PCC-style controllers do; others leave it zero).
+// SentPacket is the sender-side description of one transmitted packet.
+// The controller's OnSend hook may set MI to tag the packet with a
+// monitor interval (PCC-style controllers do; others leave it zero).
 type SentPacket struct {
 	Seq    int64
 	Size   int
 	SentAt float64
 	MI     int64
-	acked  bool
-	lost   bool
-	probe  bool // outage keep-alive: invisible to the controller
 }
 
 // Ack describes one acknowledgment delivered to the controller.
@@ -189,30 +190,14 @@ func (e *RTTEstimator) RTO() float64 {
 func (e *RTTEstimator) Valid() bool { return e.init }
 
 const (
-	dupAckThreshold = 3
-	initialWindow   = 10 * netem.MTU
-
 	// DefaultBurst is the per-pacing-event packet train length used when
 	// Sender.Burst is zero. Four packets approximates Linux's default
 	// GSO/pacing behavior at these rates.
 	DefaultBurst = 4
 
-	// maxRTOBackoff caps the exponential RTO backoff exponent: the
-	// effective RTO is base·2^backoff, clamped to maxRTO. Without
-	// backoff, every expiry re-fires at the base RTO and floods the
-	// controller with duplicate loss signals for packets sent into an
-	// outage.
-	maxRTOBackoff = 4
-	// maxRTO is the ceiling of the backed-off retransmission timeout.
-	maxRTO = 3.0
-	// watchdogFloor is the minimum ack silence (with data outstanding)
-	// before the stall watchdog declares an outage; the actual
-	// threshold is max(2·RTO, watchdogFloor).
-	watchdogFloor = 0.5
-	// probeInterval is the keep-alive send period during a declared
-	// outage: cheap enough to be negligible, frequent enough to detect
-	// path healing within a fraction of a second.
-	probeInterval = 0.25
+	// probeBytes is the size of a simulated keep-alive probe: header
+	// only, as on the wire (wire.DataHeaderLenV2).
+	probeBytes = 30
 )
 
 // Sender drives one flow. Create with NewSender, then Start.
@@ -248,22 +233,18 @@ type Sender struct {
 	// classic non-paced TCP behavior whose window-sized bursts are a
 	// major source of transient queueing.
 	NoPacing bool
-	// Survival enables the outage machinery — exponential RTO backoff
-	// and the stall watchdog with keep-alive probing — mirroring the
-	// wire datapath's always-on behavior. It is opt-in here so
-	// fault-free experiments replay bit-identically to earlier
-	// versions; chaos scenarios and the adversary harness switch it on.
+	// Survival enables the book's outage machinery — exponential RTO
+	// backoff and the stall watchdog with keep-alive probing — which the
+	// real datapaths always run. It is opt-in here so fault-free
+	// experiments replay bit-identically to earlier versions; chaos
+	// scenarios and the adversary harness switch it on.
 	Survival bool
 
-	rtt      RTTEstimator
-	unacked  []*SentPacket // ordered by Seq; pruned from the front
-	seq      int64
-	inflight int
-	launched int64 // bytes released minus re-credited losses
+	book     Recovery // records, RTT, loss declaration, survival
+	launched int64    // bytes released minus re-credited losses
 	acked    int64
 	lostB    int64
 	recvd    int64
-	maxAcked int64
 
 	tr         trace.Tracer
 	nextSend   float64
@@ -273,19 +254,9 @@ type Sender struct {
 	done       bool
 	started    bool
 	rtoTimer   Timer
+	probeTimer Timer
 	rttSamples []float64
 	startTime  float64
-
-	// Survival machinery (exponential RTO backoff + stall watchdog).
-	rtoBackoff   int
-	lastAckAt    float64
-	lastGoodRate float64 // pacing rate at the last ack, bytes/sec
-	outage       bool
-	outageAt     float64
-	resumeRate   float64
-	probeTimer   Timer
-	wdTrips      int64
-	wdRecoveries int64
 }
 
 // clk returns the sender's clock, defaulting to the path's simulator.
@@ -298,7 +269,7 @@ func (s *Sender) clk() Clock {
 
 // NewSender wires a flow onto a path with the given controller.
 func NewSender(id int, path *netem.Path, cc Controller) *Sender {
-	return &Sender{ID: id, Path: path, CC: cc, maxAcked: -1}
+	return &Sender{ID: id, Path: path, CC: cc}
 }
 
 // Start begins transmission at the current simulation time.
@@ -308,7 +279,8 @@ func (s *Sender) Start() {
 	}
 	s.started = true
 	s.startTime = s.clk().Now()
-	s.lastAckAt = s.startTime
+	s.book.Init(s.CC, s.onLost)
+	s.book.Touch(s.startTime)
 	s.tr = s.Path.Link.Sim.FlowTracer(s.ID)
 	if ta, ok := s.CC.(TraceAware); ok {
 		ta.SetTracer(s.tr)
@@ -385,59 +357,46 @@ func (s *Sender) ReceivedBytes() int64 { return s.recvd }
 func (s *Sender) LostBytes() int64 { return s.lostB }
 
 // InflightBytes returns bytes currently in flight.
-func (s *Sender) InflightBytes() int { return s.inflight }
+func (s *Sender) InflightBytes() int { return s.book.Inflight() }
 
 // RTTSamples returns the retained RTT samples (RecordRTT must be set).
 func (s *Sender) RTTSamples() []float64 { return s.rttSamples }
 
 // SRTT exposes the smoothed RTT for diagnostics.
-func (s *Sender) SRTT() float64 { return s.rtt.SRTT() }
+func (s *Sender) SRTT() float64 { return s.book.RTT.SRTT() }
 
 // MinRTT exposes the observed minimum RTT.
-func (s *Sender) MinRTT() float64 { return s.rtt.MinRTT() }
+func (s *Sender) MinRTT() float64 { return s.book.RTT.MinRTT() }
 
 // Done reports whether a finite transfer has completed.
 func (s *Sender) Done() bool { return s.done }
 
 // WatchdogTrips returns how many times the stall watchdog declared an
 // outage.
-func (s *Sender) WatchdogTrips() int64 { return s.wdTrips }
+func (s *Sender) WatchdogTrips() int64 { return s.book.Trips() }
 
 // WatchdogRecoveries returns how many declared outages ended with a
 // recovery ack.
-func (s *Sender) WatchdogRecoveries() int64 { return s.wdRecoveries }
+func (s *Sender) WatchdogRecoveries() int64 { return s.book.Recoveries() }
 
 // InOutage reports whether the stall watchdog currently has the flow
 // in outage mode.
-func (s *Sender) InOutage() bool { return s.outage }
+func (s *Sender) InOutage() bool { return s.book.InOutage() }
 
 // OutstandingPackets returns the number of sender-side packet records
 // currently retained — the state that must stay bounded during an
 // outage.
-func (s *Sender) OutstandingPackets() int { return len(s.unacked) }
+func (s *Sender) OutstandingPackets() int { return s.book.Len() }
 
 func (s *Sender) pacingRate() float64 {
-	if r := s.CC.PacingRate(); r > 0 {
-		return r
-	}
-	if s.NoPacing {
+	if s.NoPacing && s.CC.PacingRate() <= 0 {
 		return math.Inf(1)
 	}
-	// Default pacing for window-based controllers: 1.25·cwnd/srtt once an
-	// RTT estimate exists; before that, release the initial window as a
-	// burst (ack clocking takes over within one RTT).
-	if !s.rtt.Valid() {
-		return math.Inf(1)
-	}
-	cwnd := s.CC.CWnd()
-	if math.IsInf(cwnd, 1) {
-		return math.Inf(1)
-	}
-	return 1.25 * cwnd / s.rtt.SRTT()
+	return s.book.PacingRate()
 }
 
 func (s *Sender) sendAllowed() bool {
-	if s.done || s.paused || !s.started || s.outage {
+	if s.done || s.paused || !s.started || s.book.InOutage() {
 		return false
 	}
 	if s.Limit > 0 && s.launched >= s.Limit {
@@ -450,7 +409,7 @@ func (s *Sender) trySend() {
 	if s.timerSet || !s.sendAllowed() {
 		return
 	}
-	if float64(s.inflight+netem.MTU) > s.CC.CWnd() {
+	if float64(s.book.Inflight()+netem.MTU) > s.CC.CWnd() {
 		s.blocked = true
 		return
 	}
@@ -489,7 +448,7 @@ func (s *Sender) emit() {
 		if !s.sendAllowed() {
 			break
 		}
-		if float64(s.inflight+netem.MTU) > s.CC.CWnd() {
+		if float64(s.book.Inflight()+netem.MTU) > s.CC.CWnd() {
 			s.blocked = true
 			break
 		}
@@ -499,21 +458,14 @@ func (s *Sender) emit() {
 				size = int(rem)
 			}
 		}
-		pkt := &SentPacket{Seq: s.seq, Size: size, SentAt: now}
-		s.seq++
-		s.CC.OnSend(now, pkt)
-		s.unacked = append(s.unacked, pkt)
-		s.inflight += size
+		pkt := s.book.Add(now, size, now, now)
+		s.CC.OnSend(now, &pkt.SentPacket)
 		s.launched += int64(size)
 		sent += size
 
-		wire := &netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: size, SentAt: now, MI: pkt.MI}
-		if !s.Path.Send(wire, s.deliver) {
-			// Tail drop at the queue: the packet is gone; the sender
-			// will discover this through dup-ACKs or RTO like any other
-			// loss.
-			_ = wire
-		}
+		// A tail drop at the queue is discovered through dup-ACKs or
+		// RTO like any other loss.
+		s.Path.Send(&netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: size, SentAt: now, MI: pkt.MI}, s.deliver)
 	}
 	if sent == 0 {
 		return
@@ -559,47 +511,40 @@ func (s *Sender) handleAck(p *netem.Packet, recvAt float64) {
 		return
 	}
 	now := s.clk().Now()
-	// Any delivered ack proves the path is alive: reset the RTO
-	// backoff and, if the watchdog had declared an outage, recover.
-	s.noteAck(now)
-	idx := s.findUnacked(p.Seq)
-	if idx < 0 {
+	// Any delivered ack proves the path is alive.
+	if s.book.Alive(now) {
+		s.tr.Fault(now, "watchdog-recover", 0, now-s.book.OutageAt())
+		if s.probeTimer != nil {
+			s.probeTimer.Stop()
+			s.probeTimer = nil
+		}
+		s.kick(now)
+	}
+	sp := s.book.Find(p.Seq)
+	if sp == nil {
 		return // already declared lost, or stale after completion
 	}
-	sp := s.unacked[idx]
-	if sp.acked || sp.lost {
-		return
-	}
-	sp.acked = true
-	s.inflight -= sp.Size
-	if p.Seq > s.maxAcked {
-		s.maxAcked = p.Seq
-	}
-	rtt := now - sp.SentAt
-	s.rtt.Update(rtt)
-	if sp.probe {
-		// Keep-alive probes update liveness and the RTT estimate but
-		// are invisible to the controller and to transfer accounting.
-		s.prune()
+	s.book.Ack(sp)
+	if sp.Probe {
+		// Keep-alive probes prove liveness and nothing else: no RTT
+		// sample, no controller callback, no transfer accounting.
+		s.book.Detect(now)
 		s.armRTO()
 		return
 	}
+	rtt := now - sp.SentAt
+	s.book.RTT.Update(rtt)
 	s.acked += int64(sp.Size)
-	s.tr.RTTSample(now, p.Seq, rtt, s.rtt.srtt, s.acked, s.inflight)
+	s.tr.RTTSample(now, p.Seq, rtt, s.book.RTT.SRTT(), s.acked, s.book.Inflight())
 	if s.RecordRTT {
 		s.rttSamples = append(s.rttSamples, rtt)
 	}
-	ack := Ack{
+	s.CC.OnAck(Ack{
 		Seq: p.Seq, Bytes: sp.Size, SentAt: sp.SentAt, RecvAt: recvAt,
 		Now: now, RTT: rtt, OWD: recvAt - sp.SentAt, MI: sp.MI,
-		Inflight: s.inflight,
-	}
-	s.CC.OnAck(ack)
-	if r := s.CC.PacingRate(); r > 0 {
-		s.lastGoodRate = r
-	}
-	s.detectDupAckLosses(now)
-	s.prune()
+		Inflight: s.book.Inflight(),
+	})
+	s.book.Detect(now)
 	s.armRTO()
 	if s.Limit > 0 && s.acked >= s.Limit && !s.done {
 		s.done = true
@@ -612,86 +557,28 @@ func (s *Sender) handleAck(p *netem.Packet, recvAt float64) {
 		return
 	}
 	if s.blocked || !s.timerSet {
-		s.blocked = false
-		if s.nextSend < now {
-			s.nextSend = now
-		}
-		s.trySend()
+		s.kick(now)
 	}
 }
 
-// detectDupAckLosses declares packets lost that are dupAckThreshold
-// sequence numbers behind the highest ack — the fast-retransmit analog
-// for per-packet ACKs — but only once they are also older than an
-// RTT-plus-reordering-window, in the style of RACK (RFC 8985). Pure
-// sequence counting misfires badly on jittery paths, where packets of
-// one burst routinely reorder by more than the threshold.
-func (s *Sender) detectDupAckLosses(now float64) {
-	window := s.rtt.SRTT() + s.reorderWindow()
-	for _, sp := range s.unacked {
-		if sp.Seq > s.maxAcked-dupAckThreshold {
-			break
-		}
-		if !sp.acked && !sp.lost && now-sp.SentAt > window {
-			s.markLost(sp, now)
-		}
+// kick restarts emission after an ack, an expiry or a recovery may have
+// opened the window.
+func (s *Sender) kick(now float64) {
+	s.blocked = false
+	if s.nextSend < now {
+		s.nextSend = now
 	}
+	s.trySend()
 }
 
-// reorderWindow returns the extra delay tolerated for out-of-order
-// delivery before a sequence gap is treated as loss.
-func (s *Sender) reorderWindow() float64 {
-	w := 4 * s.rtt.rttvar
-	if w < 0.004 {
-		w = 0.004
-	}
-	return w
-}
-
-func (s *Sender) markLost(sp *SentPacket, now float64) {
-	sp.lost = true
-	s.inflight -= sp.Size
-	if sp.probe {
-		// Probes lost into an outage are expected; they never reach
-		// the controller or the transfer's byte accounting.
-		return
-	}
+// onLost is the sender's per-loss accounting, run by the book before
+// the controller hears OnLoss.
+func (s *Sender) onLost(sp *Record, now float64) {
 	s.lostB += int64(sp.Size)
 	s.tr.PacketDrop(now, sp.Seq, sp.Size, s.Path.Link.QueueBytes(), "declared")
 	if s.Limit > 0 {
 		// Re-credit the bytes so replacements are transmitted.
 		s.launched -= int64(sp.Size)
-	}
-	s.CC.OnLoss(Loss{
-		Seq: sp.Seq, Bytes: sp.Size, SentAt: sp.SentAt, Now: now,
-		MI: sp.MI, Inflight: s.inflight,
-	})
-}
-
-func (s *Sender) findUnacked(seq int64) int {
-	// unacked is sorted by Seq; binary search.
-	lo, hi := 0, len(s.unacked)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.unacked[mid].Seq < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.unacked) && s.unacked[lo].Seq == seq {
-		return lo
-	}
-	return -1
-}
-
-func (s *Sender) prune() {
-	i := 0
-	for i < len(s.unacked) && (s.unacked[i].acked || s.unacked[i].lost) {
-		i++
-	}
-	if i > 0 {
-		s.unacked = s.unacked[i:]
 	}
 }
 
@@ -703,129 +590,33 @@ func (s *Sender) armRTO() {
 	if s.done {
 		return
 	}
-	oldest := s.oldestOutstanding()
-	if oldest == nil {
+	deadline, ok := s.book.Deadline()
+	if !ok {
 		return
 	}
 	clk := s.clk()
-	deadline := oldest.SentAt + s.effRTO()
 	if deadline < clk.Now() {
 		deadline = clk.Now()
 	}
 	s.rtoTimer = clk.At(deadline, s.onRTO)
 }
 
-// effRTO is the retransmission timeout with exponential backoff: the
-// base RFC 6298 value doubled per consecutive loss-declaring expiry,
-// capped at maxRTO. The backoff resets on any ack.
-func (s *Sender) effRTO() float64 {
-	rto := s.rtt.RTO() * float64(int64(1)<<uint(s.rtoBackoff))
-	if rto > maxRTO {
-		if base := s.rtt.RTO(); base > maxRTO {
-			return base
-		}
-		return maxRTO
-	}
-	return rto
-}
-
-// watchdogTimeout is the ack silence (with data outstanding) that
-// declares an outage.
-func (s *Sender) watchdogTimeout() float64 {
-	wd := 2 * s.rtt.RTO()
-	if wd < watchdogFloor {
-		wd = watchdogFloor
-	}
-	return wd
-}
-
-// noteAck records proof of path liveness from a delivered ack.
-func (s *Sender) noteAck(now float64) {
-	s.lastAckAt = now
-	s.rtoBackoff = 0
-	if s.outage {
-		s.recoverFromOutage(now)
-	}
-}
-
-// tripWatchdog declares an outage: freeze the controller (so its
-// gradient machinery does not rate-collapse on a flood of timeout
-// losses), remember the pre-outage operating rate, and switch to cheap
-// keep-alive probing until the path heals.
-func (s *Sender) tripWatchdog(now float64) {
-	s.outage = true
-	s.outageAt = now
-	s.wdTrips++
-	s.resumeRate = s.lastGoodRate
-	s.tr.Fault(now, "watchdog-trip", 1, now-s.lastAckAt)
-	switch cc := s.CC.(type) {
-	case OutageAware:
-		cc.OnOutage(now)
-	case PauseAware:
-		cc.OnAppPause(now)
-	}
-	s.scheduleProbe(now + probeInterval)
-}
-
-// recoverFromOutage ends a declared outage at the first delivered ack:
-// restore the controller at the pre-outage rate and resume sending.
-func (s *Sender) recoverFromOutage(now float64) {
-	s.outage = false
-	s.wdRecoveries++
-	if s.probeTimer != nil {
-		s.probeTimer.Stop()
-		s.probeTimer = nil
-	}
-	rate := s.resumeRate
-	if rate <= 0 {
-		rate = s.CC.PacingRate()
-	}
-	s.tr.Fault(now, "watchdog-recover", 0, now-s.outageAt)
-	switch cc := s.CC.(type) {
-	case OutageAware:
-		cc.OnRecovery(now, rate)
-	case PauseAware:
-		cc.OnAppResume(now)
-	}
-	s.blocked = false
-	if s.nextSend < now {
-		s.nextSend = now
-	}
-	s.trySend()
-}
-
-func (s *Sender) scheduleProbe(at float64) {
-	s.probeTimer = s.clk().At(at, s.sendProbe)
-}
-
 // sendProbe emits one keep-alive packet during an outage, bypassing
-// the (frozen) controller entirely, and reschedules itself. The first
-// probe the healed path delivers produces the recovery ack.
+// the (frozen) controller entirely, and reschedules itself on the
+// book's cadence. The first probe the healed path delivers produces
+// the recovery ack.
 func (s *Sender) sendProbe() {
 	s.probeTimer = nil
-	if s.done || !s.outage {
+	now := s.clk().Now()
+	if s.done || !s.book.ProbeDue(now) {
 		return
 	}
-	now := s.clk().Now()
-	pkt := &SentPacket{Seq: s.seq, Size: netem.MTU, SentAt: now, probe: true}
-	s.seq++
-	s.unacked = append(s.unacked, pkt)
-	s.inflight += pkt.Size
-	wire := &netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: pkt.Size, SentAt: now}
-	s.Path.Send(wire, s.deliver)
+	pkt := s.book.AddProbe(now, probeBytes)
+	s.Path.Send(&netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: pkt.Size, SentAt: now}, s.deliver)
 	if s.rtoTimer == nil {
 		s.armRTO()
 	}
-	s.scheduleProbe(now + probeInterval)
-}
-
-func (s *Sender) oldestOutstanding() *SentPacket {
-	for _, sp := range s.unacked {
-		if !sp.acked && !sp.lost {
-			return sp
-		}
-	}
-	return nil
+	s.probeTimer = s.clk().At(now+probeInterval, s.sendProbe)
 }
 
 func (s *Sender) onRTO() {
@@ -834,35 +625,20 @@ func (s *Sender) onRTO() {
 		return
 	}
 	now := s.clk().Now()
-	// Stall watchdog: prolonged ack silence with data outstanding is
-	// an outage, not a loss rate — handle it before declaring more
-	// losses. Paused flows are excluded (silence is self-inflicted).
-	if s.Survival && !s.outage && !s.paused && s.oldestOutstanding() != nil &&
-		now-s.lastAckAt >= s.watchdogTimeout() {
-		s.tripWatchdog(now)
+	if s.paused {
+		s.book.Touch(now) // silence is self-inflicted
 	}
-	rto := s.effRTO()
-	declared := false
-	for _, sp := range s.unacked {
-		if !sp.acked && !sp.lost && now-sp.SentAt >= rto-1e-12 {
-			s.markLost(sp, now)
-			declared = true
-		}
+	// Survival decides whether the watchdog and the backoff run at all;
+	// without it the sweep fires at the base RTO, as it always has.
+	if s.Survival && s.book.Watchdog(now) {
+		s.tr.Fault(now, "watchdog-trip", 1, s.book.Silence(now))
+		s.sendProbe()
 	}
-	// Back off only when the expiry happened in true ack silence (no
-	// ack for a full RTO). Straggler declarations while acks still flow
-	// are ordinary congestion — backing off there would delay the loss
-	// signal the controllers depend on.
-	if s.Survival && declared && now-s.lastAckAt >= rto && s.rtoBackoff < maxRTOBackoff {
-		s.rtoBackoff++
+	if s.book.Expire(now) && s.Survival {
+		s.book.BackOff(now)
 	}
-	s.prune()
 	s.armRTO()
 	if s.blocked || !s.timerSet {
-		s.blocked = false
-		if s.nextSend < now {
-			s.nextSend = now
-		}
-		s.trySend()
+		s.kick(now)
 	}
 }

@@ -14,13 +14,20 @@ type Pacer struct {
 	last   float64 // clock seconds of the previous advance
 	Cap    float64 // max accumulated bytes
 	inited bool
+
+	// The scheduled-send timeline (TakeStamped).
+	sched    float64
+	anchored bool
 }
 
-// Reset empties the bucket and re-anchors its clock.
+// Reset empties the bucket, re-anchors its clock and drops the
+// scheduled-send timeline's anchor: whatever idled the flow (an outage,
+// a push-back) earns no back-credit and no stale stamps.
 func (p *Pacer) Reset(now float64) {
 	p.tokens = 0
 	p.last = now
 	p.inited = true
+	p.anchored = false
 }
 
 // Advance accrues tokens for the elapsed time at rate bytes/sec. An
@@ -52,6 +59,36 @@ func (p *Pacer) Take(n int) bool {
 	}
 	p.tokens -= float64(n)
 	return true
+}
+
+// schedSlack is how far past one bucket depth the scheduled-send
+// timeline may trail the clock before it is re-anchored. Steady sending
+// keeps the timeline within a bucket depth, so only a genuine stall
+// re-anchors; rate changes never do.
+const schedSlack = 0.25
+
+// TakeStamped consumes n bytes if available and returns the packet's
+// *scheduled* send time: a leaky-bucket timeline that advances by
+// exactly n/rate per packet, so the timebase the peer and the
+// impairment shim measure against is that of a perfectly paced sender
+// no matter how wakes jitter — which is what the controllers' gradient
+// regression needs. After an idle the timeline re-anchors at now (no
+// back-credit: a catch-up burst never carries stamps from the dead
+// time); with pacing disabled the stamp is simply now.
+func (p *Pacer) TakeStamped(now, rate float64, n int) (virt float64, ok bool) {
+	if !p.Take(n) {
+		return 0, false
+	}
+	finite := rate > 0 && rate <= MaxFiniteRate
+	if !finite || !p.anchored || now-p.sched > p.Cap/rate+schedSlack {
+		p.sched, p.anchored = now, true
+	}
+	if !finite {
+		return now, true
+	}
+	virt = p.sched
+	p.sched += float64(n) / rate
+	return virt, true
 }
 
 // Delay returns the seconds until n bytes of tokens will have accrued
