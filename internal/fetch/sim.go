@@ -165,19 +165,7 @@ func (t *SimTransfer) emit() {
 // (the core's RTO re-issues it); a restart flush discards it in flight
 // — the exact semantics acks have.
 func (t *SimTransfer) sendRequest(req Request, now float64) {
-	if t.Path.DropAck() {
-		return
-	}
-	ep := t.Path.Epoch()
-	at := t.Path.AckArrival(now)
-	virt := now
-	t.S.At(at, func() {
-		if ep != t.Path.Epoch() {
-			t.Path.NoteAckFlushed()
-			return
-		}
-		t.serve(req, virt)
-	})
+	t.Path.SendAck(now, func(_ *netem.Packet, sent float64) { t.serve(req, sent) }, nil, now)
 }
 
 // serve is the stateless sim server: geometry from the configured

@@ -30,6 +30,11 @@ type Packet struct {
 	Size   int     // bytes on the wire
 	SentAt float64 // time the sender released it
 	MI     int64   // monitor-interval tag for PCC-style senders, else 0
+
+	// Position on a multi-hop Path and the receiver behind its last hop
+	// (set by Path.Send).
+	hop     int
+	deliver func(p *Packet, arrival float64)
 }
 
 // Noise models additive, non-congestion latency (seconds). Implementations
@@ -124,6 +129,14 @@ type Link struct {
 	lastArrival float64
 	epoch       uint64
 	stats       LinkStats
+
+	// Serialisation ends follow busyUntil and arrivals follow
+	// lastArrival, both monotone, so each stream is a sim.Lane. Created
+	// on first Send so zero-value Link literals keep working.
+	txEnds, arrivals  *sim.Lane
+	txEndFn, arriveFn func(any) // l.txEnd and l.arrive, bound once
+	free              []*flight
+	pktFree           []*Packet
 }
 
 // NewLink builds a bottleneck with rate in bits/sec converted from Mbps,
@@ -261,10 +274,11 @@ func (l *Link) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool 
 		}
 		l.lastArrival = arrival
 	}
-	l.Sim.At(txEnd, func() {
-		l.queueBytes -= pkt.Size
-		l.stats.SentBytes += int64(pkt.Size)
-	})
+	if l.txEnds == nil {
+		l.txEnds, l.arrivals = l.Sim.NewLane(), l.Sim.NewLane()
+		l.txEndFn, l.arriveFn = l.txEnd, l.arrive
+	}
+	l.txEnds.AtArg(txEnd, l.txEndFn, pkt)
 	if lost {
 		l.stats.LostRandom++
 		if rec.Enabled(trace.KindPacketDrop) {
@@ -272,45 +286,106 @@ func (l *Link) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool 
 		}
 		return true
 	}
-	ep := l.epoch
-	l.Sim.At(arrival, func() {
-		if ep != l.epoch {
-			l.stats.Flushed++
-			if rec.Enabled(trace.KindPacketDrop) {
-				rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.queueBytes, "restart")
-			}
-			return
-		}
-		if corrupt {
-			// The bytes traversed the link but arrive damaged; the
-			// receiver's codec rejects them, so delivery never happens.
-			l.stats.Corrupted++
-			if rec.Enabled(trace.KindPacketDrop) {
-				rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.queueBytes, "corrupt")
-			}
-			return
-		}
-		l.stats.Delivered++
-		deliver(pkt, arrival)
-	})
+	l.arrivals.AtArg(arrival, l.arriveFn, l.newFlight(flight{pkt: pkt, fn: deliver, at: arrival, ep: l.epoch, corrupt: corrupt}))
 	if dup {
 		// A duplicate copy materializes in the network and arrives
 		// alongside the original (dup of a corrupted packet arrives
 		// clean — only the first copy was damaged). Counted at
 		// creation so the conservation law Delivered + LostRandom +
 		// Corrupted + Flushed = Enqueued + Duplicated holds even when
-		// a restart flushes the copy.
+		// a restart flushes the copy. It is a packet of its own, so a
+		// receiver is handed each *Packet exactly once.
 		l.stats.Duplicated++
-		l.Sim.At(arrival, func() {
-			if ep != l.epoch {
-				l.stats.Flushed++
-				return
-			}
-			l.stats.Delivered++
-			deliver(pkt, arrival)
-		})
+		cp := *pkt
+		l.arrivals.AtArg(arrival, l.arriveFn, l.newFlight(flight{pkt: &cp, fn: deliver, at: arrival, ep: l.epoch, dup: true}))
 	}
 	return true
+}
+
+// flight is a packet between the queue and its arrival event, or a
+// message on the reverse path of a Path that starts at this link.
+// Flights and packets are recycled through the link and the lane
+// callbacks are bound once, so a packet crosses the link and its ack
+// returns without allocating.
+type flight struct {
+	pkt     *Packet
+	fn      func(p *Packet, at float64) // deliver(pkt, arrival), or the ack's fn(pkt, stamp)
+	at      float64
+	ep      uint64
+	corrupt bool
+	dup     bool
+}
+
+func (l *Link) newFlight(v flight) *flight {
+	var f *flight
+	if n := len(l.free); n > 0 {
+		f = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		f = new(flight)
+	}
+	*f = v
+	return f
+}
+
+// land returns a flight to the pool and hands back what it carried.
+func (l *Link) land(f *flight) flight {
+	v := *f
+	*f = flight{}
+	l.free = append(l.free, f)
+	return v
+}
+
+// NewPacket returns a zero Packet, reusing one given back through
+// Release. Flows that start on the same link share the pool, so a short
+// flow sends on the packets of the flows before it.
+func (l *Link) NewPacket() *Packet {
+	if n := len(l.pktFree); n > 0 {
+		p := l.pktFree[n-1]
+		l.pktFree = l.pktFree[:n-1]
+		return p
+	}
+	return new(Packet)
+}
+
+// Release gives back a packet from NewPacket that nothing refers to any
+// more: its ack has landed. (The link hands a receiver each packet
+// exactly once, and a packet the network loses is simply never
+// released.)
+func (l *Link) Release(p *Packet) {
+	*p = Packet{}
+	l.pktFree = append(l.pktFree, p)
+}
+
+// txEnd runs when a packet's last byte leaves the queue.
+func (l *Link) txEnd(pkt any) {
+	size := pkt.(*Packet).Size
+	l.queueBytes -= size
+	l.stats.SentBytes += int64(size)
+}
+
+// arrive runs at a flight's arrival time.
+func (l *Link) arrive(arg any) {
+	v := l.land(arg.(*flight))
+	pkt := v.pkt
+	if v.ep != l.epoch {
+		l.stats.Flushed++
+		if rec := l.Sim.Trace(); !v.dup && rec.Enabled(trace.KindPacketDrop) {
+			rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.queueBytes, "restart")
+		}
+		return
+	}
+	if v.corrupt {
+		// The bytes traversed the link but arrive damaged; the
+		// receiver's codec rejects them, so delivery never happens.
+		l.stats.Corrupted++
+		if rec := l.Sim.Trace(); rec.Enabled(trace.KindPacketDrop) {
+			rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.queueBytes, "corrupt")
+		}
+		return
+	}
+	l.stats.Delivered++
+	v.fn(pkt, v.at)
 }
 
 // AckBatcher models bursty ACK delivery caused by irregular MAC
@@ -370,6 +445,9 @@ type Path struct {
 	lastAckArrival float64
 	epoch          uint64
 	stats          PathStats
+	acks           *sim.Lane // returning acks, ordered by lastAckArrival
+	ackLandFn      func(any) // p.ackLand, bound once
+	forwardFn      func(q *Packet, arrival float64)
 }
 
 // PathStats counts reverse-path fault attribution.
@@ -391,21 +469,27 @@ func (p *Path) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool 
 	if len(p.Hops) == 0 {
 		return p.Link.Send(pkt, deliver)
 	}
-	return p.Link.Send(pkt, p.hopDeliver(0, deliver))
+	if p.forwardFn == nil {
+		p.forwardFn = p.forward
+	}
+	pkt.hop, pkt.deliver = 0, deliver
+	return p.Link.Send(pkt, p.forwardFn)
 }
 
-// hopDeliver builds the delivery chain that forwards a packet from hop
-// i-1 into hop i (hop index len(Hops) is the receiver).
-func (p *Path) hopDeliver(i int, deliver func(p *Packet, arrival float64)) func(*Packet, float64) {
+// forward runs when a packet arrives from the stage before Hops[q.hop]
+// and offers it to that hop — or, past the last one, to the receiver.
+// Now() == the arrival time at this stage; the hop's own queue,
+// serialization, and prop delay take over from here. A downstream drop
+// simply ends the chain. The packet carries its own position, so the
+// chain is one bound callback however many packets are on the path.
+func (p *Path) forward(q *Packet, arrival float64) {
+	i := q.hop
 	if i == len(p.Hops) {
-		return deliver
+		q.deliver(q, arrival)
+		return
 	}
-	return func(q *Packet, _ float64) {
-		// Now() == the arrival time at this stage; the hop's own queue,
-		// serialization, and prop delay take over from here. A downstream
-		// drop simply ends the chain.
-		p.Hops[i].Send(q, p.hopDeliver(i+1, deliver))
-	}
+	q.hop = i + 1
+	p.Hops[i].Send(q, p.forwardFn)
 }
 
 // BottleneckRate returns the lowest link rate on the forward direction,
@@ -424,28 +508,18 @@ func (p *Path) BottleneckRate() float64 {
 // flight toward the sender are discarded at their would-be arrival.
 func (p *Path) Flush() { p.epoch++ }
 
-// Epoch returns the current restart epoch; an ack scheduled for
-// delivery must capture it and discard itself (via NoteAckFlushed) if
-// the epoch has moved by its arrival time.
-func (p *Path) Epoch() uint64 { return p.epoch }
-
-// NoteAckFlushed records one in-flight ack discarded by a restart.
-func (p *Path) NoteAckFlushed() { p.stats.AckFlushed++ }
-
-// DropAck reports whether an ack emitted now is destroyed by an
-// ack-path blackout, counting the drop.
-func (p *Path) DropAck() bool {
-	if !p.AckDown {
-		return false
+// SendAck carries the ACK of pkt — or any receiver-to-sender message,
+// such as a fetch request — emitted at sentAt across the reverse path
+// and runs fn(pkt, stamp) when it lands; pkt and stamp are the
+// message's payload and mean what the caller wants them to. An ack-path
+// blackout destroys it at once; a restart (Flush) while it is in flight
+// discards it at its would-be arrival. Like the forward direction, ACK
+// jitter is head-of-line blocking and preserves order.
+func (p *Path) SendAck(sentAt float64, fn func(pkt *Packet, stamp float64), pkt *Packet, stamp float64) {
+	if p.AckDown {
+		p.stats.AckDropped++
+		return
 	}
-	p.stats.AckDropped++
-	return true
-}
-
-// AckArrival computes when an ACK emitted by the receiver at recvTime
-// lands back at the sender. Like the forward direction, ACK jitter is
-// head-of-line blocking and preserves order.
-func (p *Path) AckArrival(recvTime float64) float64 {
 	d := p.AckDelay
 	if p.AckJitter != nil {
 		d += p.AckJitter.Sample(p.Link.Sim.Rand())
@@ -453,12 +527,25 @@ func (p *Path) AckArrival(recvTime float64) float64 {
 	if p.Batcher != nil {
 		d += p.Batcher.Delay()
 	}
-	at := recvTime + d
+	at := sentAt + d
 	if at < p.lastAckArrival {
 		at = p.lastAckArrival
 	}
 	p.lastAckArrival = at
-	return at
+	if p.acks == nil {
+		p.acks = p.Link.Sim.NewLane()
+		p.ackLandFn = p.ackLand
+	}
+	p.acks.AtArg(at, p.ackLandFn, p.Link.newFlight(flight{pkt: pkt, fn: fn, at: stamp, ep: p.epoch}))
+}
+
+func (p *Path) ackLand(arg any) {
+	v := p.Link.land(arg.(*flight))
+	if v.ep != p.epoch {
+		p.stats.AckFlushed++
+		return
+	}
+	v.fn(v.pkt, v.at)
 }
 
 // BaseRTT returns the no-queue round-trip time of the path including one

@@ -75,10 +75,25 @@ func TestStopHaltsLoop(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("Stop did not halt loop, n=%d", n)
 	}
-	// Run can resume afterwards.
+	// The clock stays at the stopping event: jumping to the horizon with
+	// t=2 still queued would make the resume run it in the past.
+	if s.Now() != 1 {
+		t.Fatalf("clock at %v after a stopped run, want 1", s.Now())
+	}
+	s.At(1.5, func() {}) // still schedulable between the two events
+	// Run can resume afterwards, and the clock never moves backwards.
+	last := s.Now()
+	s.At(2, func() {
+		if s.Now() < last {
+			t.Errorf("clock went backwards across the resume: %v after %v", s.Now(), last)
+		}
+	})
 	s.Run(10)
 	if n != 2 {
 		t.Fatalf("resume after Stop failed, n=%d", n)
+	}
+	if s.Now() != 10 {
+		t.Fatalf("clock at %v after the resumed run drained, want 10", s.Now())
 	}
 }
 

@@ -257,6 +257,12 @@ type Sender struct {
 	probeTimer Timer
 	rttSamples []float64
 	startTime  float64
+
+	// Method values, bound once at Start so the per-packet path does
+	// not allocate one per use.
+	emitFn, onRTOFn func()
+	deliverFn       func(p *netem.Packet, arrival float64)
+	handleAckFn     func(p *netem.Packet, recvAt float64)
 }
 
 // clk returns the sender's clock, defaulting to the path's simulator.
@@ -279,6 +285,7 @@ func (s *Sender) Start() {
 	}
 	s.started = true
 	s.startTime = s.clk().Now()
+	s.emitFn, s.onRTOFn, s.deliverFn, s.handleAckFn = s.emit, s.onRTO, s.deliver, s.handleAck
 	s.book.Init(s.CC, s.onLost)
 	s.book.Touch(s.startTime)
 	s.tr = s.Path.Link.Sim.FlowTracer(s.ID)
@@ -420,7 +427,7 @@ func (s *Sender) trySend() {
 		at = now
 	}
 	s.timerSet = true
-	clk.At(at, s.emit)
+	clk.At(at, s.emitFn)
 }
 
 func (s *Sender) emit() {
@@ -465,7 +472,7 @@ func (s *Sender) emit() {
 
 		// A tail drop at the queue is discovered through dup-ACKs or
 		// RTO like any other loss.
-		s.Path.Send(&netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: size, SentAt: now, MI: pkt.MI}, s.deliver)
+		s.Path.Send(s.newPacket(netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: size, SentAt: now, MI: pkt.MI}), s.deliverFn)
 	}
 	if sent == 0 {
 		return
@@ -488,25 +495,25 @@ func (s *Sender) deliver(p *netem.Packet, arrival float64) {
 	if s.OnDeliver != nil {
 		s.OnDeliver(arrival, p.Size)
 	}
-	if s.Path.DropAck() {
-		return
-	}
 	// A receiver clock jump shifts the arrival stamps the sender's
 	// controller sees (OWD, ack-interval clocking) without touching
 	// sender-side RTT measurement — exactly the wire behavior.
 	recvStamp := arrival + s.Path.StampOffset
-	ackAt := s.Path.AckArrival(arrival)
-	ep := s.Path.Epoch()
-	s.clk().At(ackAt, func() {
-		if ep != s.Path.Epoch() {
-			s.Path.NoteAckFlushed()
-			return
-		}
-		s.handleAck(p, recvStamp)
-	})
+	s.Path.SendAck(arrival, s.handleAckFn, p, recvStamp)
+}
+
+// newPacket takes a packet from the pool of the path's first link.
+func (s *Sender) newPacket(v netem.Packet) *netem.Packet {
+	p := s.Path.Link.NewPacket()
+	*p = v
+	return p
 }
 
 func (s *Sender) handleAck(p *netem.Packet, recvAt float64) {
+	// The ack is the last reference to p: the link hands a receiver each
+	// packet once and the reverse path carries it here or drops it.
+	seq := p.Seq
+	s.Path.Link.Release(p)
 	if s.done && s.Limit > 0 {
 		return
 	}
@@ -520,7 +527,7 @@ func (s *Sender) handleAck(p *netem.Packet, recvAt float64) {
 		}
 		s.kick(now)
 	}
-	sp := s.book.Find(p.Seq)
+	sp := s.book.Find(seq)
 	if sp == nil {
 		return // already declared lost, or stale after completion
 	}
@@ -535,12 +542,12 @@ func (s *Sender) handleAck(p *netem.Packet, recvAt float64) {
 	rtt := now - sp.SentAt
 	s.book.RTT.Update(rtt)
 	s.acked += int64(sp.Size)
-	s.tr.RTTSample(now, p.Seq, rtt, s.book.RTT.SRTT(), s.acked, s.book.Inflight())
+	s.tr.RTTSample(now, seq, rtt, s.book.RTT.SRTT(), s.acked, s.book.Inflight())
 	if s.RecordRTT {
 		s.rttSamples = append(s.rttSamples, rtt)
 	}
 	s.CC.OnAck(Ack{
-		Seq: p.Seq, Bytes: sp.Size, SentAt: sp.SentAt, RecvAt: recvAt,
+		Seq: seq, Bytes: sp.Size, SentAt: sp.SentAt, RecvAt: recvAt,
 		Now: now, RTT: rtt, OWD: recvAt - sp.SentAt, MI: sp.MI,
 		Inflight: s.book.Inflight(),
 	})
@@ -583,23 +590,32 @@ func (s *Sender) onLost(sp *Record, now float64) {
 }
 
 func (s *Sender) armRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Stop()
-		s.rtoTimer = nil
-	}
-	if s.done {
-		return
-	}
 	deadline, ok := s.book.Deadline()
-	if !ok {
+	if s.done || !ok {
+		if s.rtoTimer != nil {
+			s.rtoTimer.Stop()
+			s.rtoTimer = nil
+		}
 		return
 	}
 	clk := s.clk()
 	if deadline < clk.Now() {
 		deadline = clk.Now()
 	}
-	s.rtoTimer = clk.At(deadline, s.onRTO)
+	// Every ack moves the deadline. A timer that can be moved in place
+	// (the simulator's) keeps its handle; any other is replaced.
+	if s.rtoTimer != nil {
+		if r, ok := s.rtoTimer.(resettable); ok && r.Reset(deadline) {
+			return
+		}
+		s.rtoTimer.Stop()
+	}
+	s.rtoTimer = clk.At(deadline, s.onRTOFn)
 }
+
+// resettable is the optional part of a Timer: Reset(t) on a pending
+// timer is Stop followed by Clock.At(t, the same callback).
+type resettable interface{ Reset(t float64) bool }
 
 // sendProbe emits one keep-alive packet during an outage, bypassing
 // the (frozen) controller entirely, and reschedules itself on the
@@ -612,7 +628,7 @@ func (s *Sender) sendProbe() {
 		return
 	}
 	pkt := s.book.AddProbe(now, probeBytes)
-	s.Path.Send(&netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: pkt.Size, SentAt: now}, s.deliver)
+	s.Path.Send(s.newPacket(netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: pkt.Size, SentAt: now}), s.deliverFn)
 	if s.rtoTimer == nil {
 		s.armRTO()
 	}

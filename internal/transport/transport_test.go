@@ -420,3 +420,27 @@ func TestNoPacingBurstsWindow(t *testing.T) {
 		t.Fatalf("unpaced sender should burst the window: inflight %d", snd.InflightBytes())
 	}
 }
+
+// The per-packet path — emit, two hops, delivery, the ack's return, the
+// RTO re-arm — recycles its packets and flights and re-arms its timer
+// in place; what is left is the pacing timer's handle, one per burst.
+// Garbage per packet is what makes a long simulation's wall time depend
+// on the collector, so it is pinned here.
+func TestSteadyStateAllocsPerPacket(t *testing.T) {
+	s := sim.New(1)
+	first := netem.NewLink(s, 100, 1<<20, 0.005)
+	p := &netem.Path{Link: first, Hops: []*netem.Link{netem.NewLink(s, 50, 1<<20, 0.010)}, AckDelay: 0.015}
+	cc := &windowCC{cwnd: 200 * netem.MTU}
+	snd := NewSender(1, p, cc)
+	snd.Start()
+	s.Run(2) // fill the window, size the rings and the pools
+	acks := cc.acks
+	perRun := testing.AllocsPerRun(20, func() { s.Run(s.Now() + 0.1) })
+	pkts := float64(cc.acks-acks) / 21 // AllocsPerRun makes one warm-up call
+	if pkts < 100 {
+		t.Fatalf("only %.0f packets per slice: the flow is not running", pkts)
+	}
+	if got := perRun / pkts; got > 1.1 {
+		t.Fatalf("%.2f allocations per delivered packet, want at most the pacing timer's handle", got)
+	}
+}
