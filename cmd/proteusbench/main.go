@@ -34,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 
@@ -371,7 +372,13 @@ func emitCDF(w io.Writer, name, title string, series []exp.CDFSeries) {
 
 func printTimelines(w io.Writer, title string, m map[string][]exp.TimelineSeries) {
 	fmt.Fprintln(w, "# "+title)
-	for name, series := range m {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		series := m[name]
 		fmt.Fprintf(w, "## %s\n", name)
 		for _, s := range series {
 			fmt.Fprintf(w, "%-12s", s.Name)

@@ -23,6 +23,7 @@ import (
 	"syscall"
 	"time"
 
+	"pccproteus/internal/engine"
 	"pccproteus/internal/exp"
 	"pccproteus/internal/fetch"
 	"pccproteus/internal/wire"
@@ -96,17 +97,23 @@ func run(args []string) error {
 		defer sink.Close()
 	}
 
-	conn, err := net.DialUDP("udp", nil, dst)
+	// The fetch runs as a flow on a one-shard engine sized for a full
+	// segment response; stopping the engine ends it.
+	eng, err := engine.New(engine.Config{
+		ListenIP: wildcardFor(dst), MaxPacket: wire.SegmentHeaderLen + max(*segSize, fetch.DefaultSegSize),
+	})
 	if err != nil {
 		return err
 	}
-	conn.SetReadBuffer(1 << 21)
-	conn.SetWriteBuffer(1 << 21)
+	defer eng.Stop()
+	if err := eng.Start(); err != nil {
+		return err
+	}
 
 	var writeErr error
 	rng := rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55)))
 	f := &fetch.Fetcher{
-		Conn: conn, CC: exp.NewControllerRNG(rng, *proto),
+		Dst: dst.AddrPort(), CC: exp.NewControllerRNG(rng, *proto),
 		ObjID: fetch.ObjectID(*object), SegSize: *segSize, Window: *window,
 		OnData: func(seg int64, payload []byte) {
 			if sink != nil && writeErr == nil {
@@ -114,11 +121,9 @@ func run(args []string) error {
 			}
 		},
 	}
-	if err := f.Start(); err != nil {
-		conn.Close()
+	if err := f.Start(eng); err != nil {
 		return err
 	}
-	defer f.Stop()
 	fmt.Printf("proteusfetch: %s <- %q at %s (%s)\n", dest, *object, *to, *proto)
 
 	sig := make(chan os.Signal, 1)
@@ -150,6 +155,15 @@ func run(args []string) error {
 			last = st
 		}
 	}
+}
+
+// wildcardFor returns the wildcard bind address of dst's family: the
+// kernel then picks the source address per route, as for a dialed socket.
+func wildcardFor(dst *net.UDPAddr) string {
+	if dst.IP.To4() != nil {
+		return "0.0.0.0"
+	}
+	return "::"
 }
 
 func outageNote(st fetch.FetcherStats) string {

@@ -5,6 +5,8 @@ package engine
 import (
 	"net/netip"
 	"time"
+
+	"pccproteus/internal/wire"
 )
 
 // mmsgState is empty on the portable fallback: no batch syscalls, so
@@ -27,10 +29,10 @@ func (sh *shard) readBatch(wait time.Duration) int {
 	sh.conn.SetReadDeadline(time.Now().Add(max(wait, minReadWait)))
 	n, src, err := sh.conn.ReadFromUDPAddrPort(sh.rxBufs[0])
 	if err != nil {
-		if isTimeout(err) {
+		if wire.IsTimeout(err) {
 			return 0
 		}
-		if isClosed(err) {
+		if wire.IsClosed(err) {
 			return -1
 		}
 		// Transient errors (ICMP unreachable bursts) must not kill the
@@ -50,7 +52,7 @@ func (sh *shard) readBatch(wait time.Duration) int {
 func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 	errs := 0
 	for i, p := range pkts {
-		if _, err := sh.conn.WriteToUDPAddrPort(p, addrs[i]); err != nil && !isClosed(err) {
+		if _, err := sh.conn.WriteToUDPAddrPort(p, addrs[i]); err != nil && !wire.IsClosed(err) {
 			errs++
 		}
 	}

@@ -22,6 +22,8 @@ import (
 	"syscall"
 	"time"
 	"unsafe"
+
+	"pccproteus/internal/wire"
 )
 
 // mmsghdr mirrors struct mmsghdr on 64-bit Linux.
@@ -254,7 +256,7 @@ func (sh *shard) readBatch(wait time.Duration) int {
 		err = m.rc.Read(m.readFn)
 	}
 	if err != nil {
-		if isTimeout(err) {
+		if wire.IsTimeout(err) {
 			return 0
 		}
 		return -1

@@ -107,9 +107,8 @@ type FlowConfig struct {
 
 // Flow is the cross-goroutine handle for one sender flow.
 type Flow struct {
-	id  uint32
-	dst netip.AddrPort
-	s   *senderFlow
+	id uint32
+	s  *senderFlow
 }
 
 // ID returns the engine-assigned wire flow ID (nonzero).
@@ -168,6 +167,7 @@ type Stats struct {
 	TxBatches      int64
 	BadPkts        int64
 	BadAcks        int64
+	StraySegs      int64 // segment responses matching no fetch flow
 	Evicted        int64
 	Rebinds        int64 // (addr,flowID) collisions reset as new flows
 	Delivered      int64 // distinct data packets received
@@ -203,7 +203,7 @@ type Engine struct {
 	shards  []*shard
 	nextID  atomic.Uint32
 	rr      atomic.Uint32
-	senders atomic.Int64 // admitted sender flows, for the AddFlow cap
+	senders atomic.Int64 // admitted local flows (senders, fetches), for the admission cap
 	done    chan struct{}
 	// draining stops every sender flow from emitting new data (Drain).
 	draining atomic.Bool
@@ -331,25 +331,9 @@ func (e *Engine) AddFlow(fc FlowConfig) (*Flow, error) {
 	if fc.Burst <= 0 {
 		fc.Burst = transport.DefaultBurst
 	}
-	// Admission control happens here, before the flow touches a shard:
-	// a rejected flow must cost nothing. The shard is picked first so
-	// scavenger admission can be gated on that shard's brownout state.
-	sh := e.shards[int(e.rr.Add(1)-1)%len(e.shards)]
-	if fc.Class == overload.ClassScavenger {
-		if st := sh.overloadState(); !st.AdmitScavenger() {
-			e.rejectScav.Add(1)
-			return nil, fmt.Errorf("engine: shard %d %s: scavenger admission refused", sh.idx, st)
-		}
-	}
-	flowCap := int64(e.cfg.Shards) * int64(e.cfg.MaxFlowsPerShard)
-	if e.senders.Add(1) > flowCap {
-		e.senders.Add(-1)
-		if fc.Class == overload.ClassScavenger {
-			e.rejectScav.Add(1)
-		} else {
-			e.rejectPrim.Add(1)
-		}
-		return nil, fmt.Errorf("engine: flow cap %d reached", flowCap)
+	sh := e.shards[int(e.rr.Add(1)-1)%len(e.shards)] // round-robin
+	if err := e.admitLocal(sh, fc.Class); err != nil {
+		return nil, err
 	}
 	id := e.nextID.Add(1)
 	if fc.Class == overload.ClassScavenger {
@@ -362,13 +346,37 @@ func (e *Engine) AddFlow(fc FlowConfig) (*Flow, error) {
 		key: flowKey{addr: netip.AddrPortFrom(fc.Dst.Addr().Unmap(), fc.Dst.Port()), id: id},
 		snd: s,
 	}
-	if fc.Class == overload.ClassScavenger {
+	sh.enqueue(f)
+	return &Flow{id: id, s: s}, nil
+}
+
+// admitLocal is admission control for AddFlow and AddFetch, run before
+// the flow touches its shard: a rejected flow must cost nothing.
+// Scavenger admission is gated on that shard's brownout state; the slot
+// taken under the cap is dropFlow's to free.
+func (e *Engine) admitLocal(sh *shard, class overload.Class) error {
+	if class == overload.ClassScavenger {
+		if st := sh.overloadState(); !st.AdmitScavenger() {
+			e.rejectScav.Add(1)
+			return fmt.Errorf("engine: shard %d %s: scavenger admission refused", sh.idx, st)
+		}
+	}
+	flowCap := int64(e.cfg.Shards) * int64(e.cfg.MaxFlowsPerShard)
+	if e.senders.Add(1) > flowCap {
+		e.senders.Add(-1)
+		if class == overload.ClassScavenger {
+			e.rejectScav.Add(1)
+		} else {
+			e.rejectPrim.Add(1)
+		}
+		return fmt.Errorf("engine: flow cap %d reached", flowCap)
+	}
+	if class == overload.ClassScavenger {
 		e.admitScav.Add(1)
 	} else {
 		e.admitPrim.Add(1)
 	}
-	sh.enqueue(f)
-	return &Flow{id: id, dst: fc.Dst, s: s}, nil
+	return nil
 }
 
 // severityState maps a stored worst-severity rank back to the state
@@ -401,6 +409,7 @@ func (e *Engine) Stats() Stats {
 		st.TxBatches += sh.ctr.txBatches.Load()
 		st.BadPkts += sh.ctr.bad.Load()
 		st.BadAcks += sh.ctr.badAcks.Load()
+		st.StraySegs += sh.ctr.straySegs.Load()
 		st.Evicted += sh.ctr.evicted.Load()
 		st.Rebinds += sh.ctr.rebinds.Load()
 		st.Delivered += sh.ctr.delivered.Load()

@@ -13,16 +13,24 @@ import (
 // flowKey identifies one flow on a shard: peer address plus the wire
 // flow ID. Engine-originated flows always carry nonzero IDs (the
 // engine allocator starts at 1), so ID 0 marks version-1 traffic,
-// which is keyed by source address alone.
+// which is keyed by source address alone. A fetch flow's ID never goes
+// on the wire — its responses select it through shard.fetches — and only
+// keeps its key unique.
 type flowKey struct {
 	addr netip.AddrPort
 	id   uint32
 }
 
+// fetchKey is what a SEGMENT names: the serving peer and the object.
+type fetchKey struct {
+	addr netip.AddrPort
+	obj  uint64
+}
+
 // flow is one event-loop citizen: the wheel bookkeeping shared by
-// both roles plus exactly one of the two role states. Owned by a
+// every role plus exactly one of the three role states. Owned by a
 // single shard goroutine; the only cross-goroutine reads are the
-// atomic counters inside senderFlow/recvFlow.
+// atomic counters inside the role states.
 type flow struct {
 	key flowKey
 
@@ -34,12 +42,25 @@ type flow struct {
 
 	lastSeen float64 // shard-clock seconds of the last packet either way
 
-	snd *senderFlow // exactly one of snd/rcv is non-nil
+	snd *senderFlow // exactly one of snd/rcv/fch is non-nil
 	rcv *recvFlow
+	fch *FetchFlow
 }
 
-// Sender datapath constants. Loss declaration, RTO backoff, the stall
-// watchdog and the probe cadence live in transport.Recovery.
+// origin returns a sender's or fetch's shared state, nil for a receiver.
+func (f *flow) origin() *origin {
+	switch {
+	case f.snd != nil:
+		return &f.snd.origin
+	case f.fch != nil:
+		return &f.fch.origin
+	}
+	return nil
+}
+
+// Pump constants of the two locally originated roles. Loss declaration,
+// RTO backoff, the stall watchdog and the probe cadence live in
+// transport.Recovery.
 const (
 	// rtoCheckEvery is the cadence of the book's periodic work (watchdog,
 	// RTO sweep) on the pump path.
@@ -50,6 +71,50 @@ const (
 	minWake = 50e-6
 )
 
+// origin is what the two locally originated roles, sender and fetch,
+// share: the token bucket their trains are paced from, the class that
+// fixes who yields under host pressure, and the pause the owning
+// shard's Shed action sets (emission stops, RTO aging continues).
+type origin struct {
+	pacer    wire.Pacer
+	burst    int
+	class    overload.Class
+	paused   bool
+	lastTick float64 // last run of the rtoCheckEvery work
+}
+
+// trainer is the role-specific half of a paced train: the bucket level
+// a full train waits for, what the next packet charges the bucket (false
+// while window, limit or lack of work gates the role), and the emission
+// of one packet stamped with its scheduled send time.
+type trainer interface {
+	trainBytes() int
+	peek() (size int, ok bool)
+	emit(sh *shard, f *flow, now, virt float64, size int)
+}
+
+// train accrues tokens at rate, emits what they cover and returns the
+// next wake deadline. Trains are all-or-nothing: wait until the bucket
+// covers a full burst, then drain it, each packet stamped with its
+// scheduled send time (Pacer.TakeStamped).
+func (o *origin) train(t trainer, sh *shard, f *flow, now, rate float64) float64 {
+	o.pacer.Advance(now, rate)
+	if o.pacer.Delay(t.trainBytes(), rate) == 0 {
+		for {
+			size, ok := t.peek()
+			if !ok {
+				return now + ackPoll // gated: wake on the ack cadence
+			}
+			virt, ok := o.pacer.TakeStamped(now, rate, size)
+			if !ok {
+				break
+			}
+			t.emit(sh, f, now, virt, size)
+		}
+	}
+	return now + max(min(o.pacer.Delay(t.trainBytes(), rate), ackPoll), minWake)
+}
+
 // senderFlow drives one congestion-controlled flow from shard events:
 // pump() on timer fires, onAck() on ack arrival. It is a driver of
 // transport.Recovery — the same record book, loss rules and survival
@@ -58,24 +123,18 @@ const (
 // methods run on the owning shard goroutine, so controllers — which
 // are not thread-safe — only ever see single-threaded calls.
 type senderFlow struct {
+	origin
 	cc         transport.Controller
 	book       transport.Recovery
-	pacer      wire.Pacer
 	launched   int64
 	limit      int64
-	burst      int
 	packetSize int
 
-	lastRTOCheck float64
-	revBase      float64
-	revCal       bool
+	revBase float64
+	revCal  bool
 
-	// Overload state. class fixes who yields under host pressure;
-	// paused is set by the owning shard's Shed action (emission stops,
-	// RTO aging continues); busyUntil/busyStreak implement the jittered
-	// exponential backoff a peer's BUSY frames demand.
-	class      overload.Class
-	paused     bool
+	// busyUntil/busyStreak implement the jittered exponential backoff a
+	// peer's BUSY frames demand.
 	busyUntil  float64
 	busyStreak int
 
@@ -109,22 +168,22 @@ type senderFlow struct {
 // flow configuration.
 func newSenderFlow(fc FlowConfig) *senderFlow {
 	s := &senderFlow{
-		cc: fc.CC, limit: fc.Limit, burst: fc.Burst,
+		origin: origin{burst: fc.Burst, class: fc.Class},
+		cc:     fc.CC, limit: fc.Limit,
 		packetSize: fc.PacketSize, done: make(chan struct{}),
-		recordRTT: fc.RecordRTT, class: fc.Class,
+		recordRTT: fc.RecordRTT,
 	}
 	s.book.Init(fc.CC, s.onLost)
 	s.pacer.Cap = float64(2 * fc.Burst * fc.PacketSize)
 	return s
 }
 
-// pump advances the flow: the book's periodic work, pacer accrual, and
-// a burst of emissions while tokens, window, and limit allow. It
-// returns the next wake deadline, or 0 when the flow has nothing left
-// to do.
+// pump advances the flow: the book's periodic work, then a paced train
+// while tokens, window, and limit allow. It returns the next wake
+// deadline, or 0 when the flow has nothing left to do.
 func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
-	if now-s.lastRTOCheck >= rtoCheckEvery {
-		s.lastRTOCheck = now
+	if now-s.lastTick >= rtoCheckEvery {
+		s.lastTick = now
 		if s.book.Watchdog(now) {
 			s.outage.Store(true)
 			s.wdTrips.Add(1)
@@ -156,41 +215,7 @@ func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 		}
 		return next
 	}
-	rate := s.book.PacingRate()
-	s.pacer.Advance(now, rate)
-	gated := false
-	// Trains are all-or-nothing: wait until the bucket covers a full
-	// burst, then drain it, each packet stamped with its scheduled send
-	// time (Pacer.TakeStamped).
-	if s.pacer.Delay(s.trainBytes(), rate) == 0 {
-		for {
-			if s.limitReached() {
-				gated = true
-				break
-			}
-			size := s.nextSize()
-			if float64(s.book.Inflight()+size) > s.cc.CWnd() {
-				gated = true
-				break
-			}
-			virt, ok := s.pacer.TakeStamped(now, rate, size)
-			if !ok {
-				break
-			}
-			s.emit(sh, f, now, virt, size)
-		}
-	}
-	if gated || s.limitReached() {
-		return now + ackPoll // window/limit-blocked: wake on ack cadence
-	}
-	d := s.pacer.Delay(s.trainBytes(), rate)
-	if d > ackPoll {
-		d = ackPoll
-	}
-	if d < minWake {
-		d = minWake
-	}
-	return now + d
+	return s.train(s, sh, f, now, s.book.PacingRate())
 }
 
 // emit books, encodes and queues one version-2 data packet stamped
@@ -340,34 +365,27 @@ func (s *senderFlow) onLost(r *transport.Record, now float64) {
 	}
 }
 
-func (s *senderFlow) trainBytes() int {
-	n := s.burst * s.packetSize
-	if s.limit > 0 {
-		if rem := s.limit - s.launched; rem < int64(n) {
-			n = int(rem)
-			if n < wire.DataHeaderLenV2 {
-				n = wire.DataHeaderLenV2
-			}
-		}
-	}
-	return n
+func (s *senderFlow) trainBytes() int { return s.capped(s.burst * s.packetSize) }
+
+func (s *senderFlow) nextSize() int { return s.capped(s.packetSize) }
+
+// peek gates the next packet on the transfer limit and the window.
+func (s *senderFlow) peek() (int, bool) {
+	size := s.nextSize()
+	return size, size > 0 && float64(s.book.Inflight()+size) <= s.cc.CWnd()
 }
 
-func (s *senderFlow) nextSize() int {
-	size := s.packetSize
-	if s.limit > 0 {
-		if rem := s.limit - s.launched; rem < int64(size) {
-			size = int(rem)
-			if size < wire.DataHeaderLenV2 {
-				size = wire.DataHeaderLenV2
-			}
-		}
+// capped clamps n to what a finite transfer has left to launch: zero at
+// the limit (peek then reports the gate), else never below a bare header.
+func (s *senderFlow) capped(n int) int {
+	rem := s.limit - s.launched
+	switch {
+	case s.limit <= 0 || rem >= int64(n):
+		return n
+	case rem <= 0:
+		return 0
 	}
-	return size
-}
-
-func (s *senderFlow) limitReached() bool {
-	return s.limit > 0 && s.launched >= s.limit
+	return max(int(rem), wire.DataHeaderLenV2)
 }
 
 // restartCumFloor guards collision detection on reused (addr, flowID)

@@ -39,9 +39,9 @@ type LoopbackResult struct {
 	Flows     []*Flow
 }
 
-// startPair builds and starts a sender and a receiver engine; on error
+// StartPair builds and starts a sender and a receiver engine; on error
 // nothing is left running.
-func startPair(sndCfg, recvCfg Config) (snd, recv *Engine, err error) {
+func StartPair(sndCfg, recvCfg Config) (snd, recv *Engine, err error) {
 	if recv, err = New(recvCfg); err != nil {
 		return nil, nil, err
 	}
@@ -70,7 +70,7 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 30 * time.Second
 	}
-	snd, recv, err := startPair(
+	snd, recv, err := StartPair(
 		Config{Shards: cfg.SenderShards, BatchSize: cfg.BatchSize},
 		Config{Shards: cfg.RecvShards, BatchSize: cfg.BatchSize, MaxFlowsPerShard: cfg.MaxFlowsPerShard})
 	if err != nil {
@@ -215,7 +215,7 @@ func RunShimLoopback(cfg ShimLoopbackConfig) (*ShimLoopbackResult, error) {
 	if cfg.MeasureFrom <= 0 || cfg.MeasureFrom >= cfg.Duration {
 		cfg.MeasureFrom = cfg.Duration * 0.4
 	}
-	snd, recv, err := startPair(Config{}, Config{})
+	snd, recv, err := StartPair(Config{}, Config{})
 	if err != nil {
 		return nil, err
 	}

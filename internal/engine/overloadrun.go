@@ -120,7 +120,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	}
 	plan := cfg.Plan.Canonical()
 
-	prim, recv, err := startPair(
+	prim, recv, err := StartPair(
 		Config{BatchSize: cfg.BatchSize, Seed: cfg.Seed + 1},
 		Config{
 			Shards: cfg.RecvShards, BatchSize: cfg.BatchSize,

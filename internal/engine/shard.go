@@ -28,6 +28,7 @@ type shardCounters struct {
 	txBatches      atomic.Int64 // socket write flushes
 	bad            atomic.Int64 // datagrams the codecs rejected
 	badAcks        atomic.Int64 // acks with no matching sender flow
+	straySegs      atomic.Int64 // segment responses with no matching fetch flow
 	evicted        atomic.Int64
 	rebinds        atomic.Int64 // reused (addr,flowID) collisions reset
 	delivered      atomic.Int64 // distinct data packets received
@@ -87,6 +88,9 @@ type shard struct {
 	admitMu  sync.Mutex
 	admitQ   []*flow
 	resetReq bool // Engine.Reset: drop every receiver flow on the next pass
+	// fetches (fetchKey → *flow) holds every fetch flow queued or in the
+	// table: SEGMENTs select through it, AddFetch refuses duplicates by it.
+	fetches sync.Map
 
 	// fireFn is the wheel-fire callback, bound once so advance() runs
 	// without a per-wake closure allocation; fireNow carries the wake
@@ -290,22 +294,53 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 		} else {
 			sh.txFree = append(sh.txFree, buf)
 		}
+	case 'S':
+		// A payload that fails its CRC still carries a well-formed header:
+		// the damage is charged to the flow it names; silence is loss.
+		h, payload, err := wire.DecodeSegment(b)
+		if err != nil && err != wire.ErrChecksum {
+			sh.ctr.bad.Add(1)
+			return
+		}
+		v, _ := sh.fetches.Load(fetchKey{src, h.ObjID})
+		f, _ := v.(*flow)
+		if f == nil || sh.flows[f.key] != f { // none, or still queued
+			sh.ctr.straySegs.Add(1) // typically a late duplicate of a completed fetch
+			return
+		}
+		if err != nil {
+			f.fch.crcErrs.Add(1)
+			return
+		}
+		sh.ctr.rxPkts.Add(1)
+		f.lastSeen = now
+		if f.fch.onSegment(sh, h, payload, now) {
+			sh.dropFlow(f.key, f) // complete: leave the table at once
+		} else {
+			sh.service(f, now) // the response may have freed window
+		}
 	default:
 		sh.ctr.bad.Add(1)
 	}
 }
 
-// service pumps a sender flow and re-arms its next deadline. For a
-// receiver flow it is the delayed-ack timer: flush whatever ack state
-// coalescing has deferred.
+// service pumps a sender or fetch flow and re-arms its next deadline.
+// For a receiver flow it is the delayed-ack timer: flush whatever ack
+// state coalescing has deferred.
 func (sh *shard) service(f *flow, now float64) {
-	if f.snd == nil {
-		if f.rcv != nil && f.rcv.unacked > 0 {
+	var next float64
+	switch {
+	case f.snd != nil:
+		next = f.snd.pump(sh, f, now)
+	case f.fch != nil:
+		next = f.fch.pump(sh, f, now)
+	default:
+		if f.rcv.unacked > 0 {
 			f.rcv.emitAck(sh, f)
 		}
 		return
 	}
-	if next := f.snd.pump(sh, f, now); next > 0 {
+	if next > 0 {
 		sh.wh.arm(f, next)
 	} else if f.armed {
 		f.armed = false
@@ -365,7 +400,7 @@ func (sh *shard) newRecvFlow(key flowKey, now float64) *flow {
 
 // sweep evicts idle flows, at most once per second. Sender flows are
 // reclaimed only once completed (or abandoned) and idle; receiver
-// flows on the idle deadline alone, with a final ack.
+// flows on the idle deadline alone, with a final ack; fetch flows never.
 func (sh *shard) sweep(now float64) {
 	if now-sh.lastSweep < 1 {
 		return
@@ -375,8 +410,8 @@ func (sh *shard) sweep(now float64) {
 		if now-f.lastSeen <= sh.idleTO {
 			continue
 		}
-		if f.snd != nil && !f.snd.completed && f.snd.limit > 0 {
-			continue // a stalled finite sender keeps retrying by RTO
+		if f.fch != nil || f.snd != nil && !f.snd.completed && f.snd.limit > 0 {
+			continue // a stalled fetch or finite sender keeps retrying by RTO
 		}
 		if f.rcv != nil {
 			f.rcv.emitFinalAck(sh, f)
@@ -395,9 +430,9 @@ const busyRetryMillis = 250
 
 // updateOverload samples this shard's pressure signals, advances the
 // brownout machine, and applies transitions: entering Shed pauses
-// local scavenger senders and evicts scavenger receiver flows (BUSY
-// shed=true); leaving Shed resumes the paused senders. Runs once per
-// loop pass — four float compares in the steady state.
+// local scavenger senders and fetches and evicts scavenger receiver
+// flows (BUSY shed=true); leaving Shed resumes what it paused. Runs
+// once per loop pass — four float compares in the steady state.
 func (sh *shard) updateOverload(now float64) {
 	sh.busyBudget = sh.batchSize
 	prev := sh.det.State()
@@ -423,14 +458,14 @@ func (sh *shard) updateOverload(now float64) {
 }
 
 // shedScavengers applies the Shed action: every local scavenger sender
-// is paused (state kept, emission stopped) and every scavenger
+// or fetch is paused (state kept, emission stopped) and every scavenger
 // receiver flow is evicted with a shed BUSY. Primary flows are not
 // touched — that is the entire point of the class ordering.
 func (sh *shard) shedScavengers() {
 	for k, f := range sh.flows {
-		if f.snd != nil {
-			if f.snd.class == overload.ClassScavenger && !f.snd.paused {
-				f.snd.paused = true
+		if o := f.origin(); o != nil {
+			if o.class == overload.ClassScavenger && !o.paused {
+				o.paused = true
 				sh.ctr.paused.Add(1)
 				sh.ctr.shedScav.Add(1)
 			}
@@ -444,14 +479,14 @@ func (sh *shard) shedScavengers() {
 	}
 }
 
-// resumeScavengers unpauses local scavenger senders on leaving Shed
-// and services them so their pacing deadlines re-arm. Evicted receiver
+// resumeScavengers unpauses local scavenger flows on leaving Shed and
+// services them so their pacing deadlines re-arm. Evicted receiver
 // flows need nothing: their senders retry after backoff and re-admit
 // once the shard returns to Normal.
 func (sh *shard) resumeScavengers(now float64) {
 	for _, f := range sh.flows {
-		if f.snd != nil && f.snd.paused {
-			f.snd.paused = false
+		if o := f.origin(); o != nil && o.paused {
+			o.paused = false
 			sh.ctr.paused.Add(-1)
 			sh.service(f, now)
 		}
@@ -491,15 +526,19 @@ func (sh *shard) dropFlow(key flowKey, f *flow) {
 		f.armed = false
 		sh.wh.armed--
 	}
-	if f.snd != nil && f.snd.paused {
-		f.snd.paused = false
-		sh.ctr.paused.Add(-1)
-	}
 	f.gen++ // lazily cancels any queued wheel entry
 	delete(sh.flows, key)
 	sh.flowGauge.Store(int64(len(sh.flows)))
-	if f.snd != nil {
-		sh.eng.senders.Add(-1) // release the AddFlow admission slot
+	if o := f.origin(); o != nil {
+		if o.paused {
+			o.paused = false
+			sh.ctr.paused.Add(-1)
+		}
+		sh.eng.senders.Add(-1) // release the admission slot
+	}
+	if f.fch != nil {
+		sh.fetches.Delete(f.fch.key)
+		close(f.fch.done) // after the last touch of the core
 	}
 }
 
@@ -524,14 +563,17 @@ func (sh *shard) admit() {
 	for _, f := range q {
 		sh.flows[f.key] = f
 		f.lastSeen = now
+		// Ack silence is measured from admission.
 		if f.snd != nil {
-			f.snd.book.Touch(now) // ack silence is measured from admission
+			f.snd.book.Touch(now)
+		} else {
+			f.fch.core.Touch(now)
 		}
 		// A scavenger admitted while the shard is shedding raced the
-		// AddFlow gate; it starts paused and resumes with the rest.
-		if f.snd != nil && f.snd.class == overload.ClassScavenger &&
-			!f.snd.paused && sh.det.State().Shedding() {
-			f.snd.paused = true
+		// admission gate; it starts paused and resumes with the rest.
+		if o := f.origin(); o.class == overload.ClassScavenger &&
+			!o.paused && sh.det.State().Shedding() {
+			o.paused = true
 			sh.ctr.paused.Add(1)
 			sh.ctr.shedScav.Add(1)
 		}

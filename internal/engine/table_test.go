@@ -11,8 +11,10 @@ import (
 // and the wheel all work; flushTx just recycles.
 func newTestShard(t *testing.T, cfg Config) *shard {
 	t.Helper()
-	eng := &Engine{cfg: cfg.withDefaults(), clock: wire.NewClock(), done: make(chan struct{})}
-	return newShard(eng, 0, nil)
+	eng := &Engine{cfg: cfg.withDefaults(), clock: wire.NewClock(), done: make(chan struct{}), started: true}
+	sh := newShard(eng, 0, nil)
+	eng.shards = []*shard{sh} // AddFlow / AddFetch land here; sh.admit() takes them in
+	return sh
 }
 
 func dataPkt(t *testing.T, flowID uint32, seq int64, size int) []byte {

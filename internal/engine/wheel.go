@@ -1,9 +1,9 @@
 // Package engine is the real-UDP datapath — the only code that puts a
 // congestion-controlled flow on a socket: many wire flows (senders,
-// receivers, fetch serving) multiplexed onto a small fixed set of
-// shards, each shard one goroutine owning one UDP socket, a flow
-// table, and a pacing wheel (cf. the rx-loop/worker-lcore split in
-// DPDK forwarders). It speaks the formats of internal/wire and drives
+// receivers, fetches, fetch serving) multiplexed onto a small fixed
+// set of shards, each shard one goroutine owning one UDP socket, a
+// flow table, and a pacing wheel (cf. the rx-loop/worker-lcore split
+// in DPDK forwarders). It speaks the formats of internal/wire and drives
 // any transport.Controller with the same OnSend/OnAck/OnLoss
 // callbacks the simulated transport uses, which is what routes wire
 // measurements into internal/core's monitor and noise-filter machinery

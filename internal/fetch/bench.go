@@ -4,21 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"pccproteus/internal/transport"
+	"pccproteus/internal/engine"
 	"pccproteus/internal/wire"
 )
-
-// benchCC is an uncontended controller for the datapath benchmark: the
-// rate and window never gate, so the measured cost is the fetch machinery
-// itself.
-type benchCC struct{}
-
-func (benchCC) Name() string                                { return "bench-fixed" }
-func (benchCC) OnSend(now float64, p *transport.SentPacket) {}
-func (benchCC) OnAck(transport.Ack)                         {}
-func (benchCC) OnLoss(transport.Loss)                       {}
-func (benchCC) PacingRate() float64                         { return 125e6 }
-func (benchCC) CWnd() float64                               { return 1e12 }
 
 // RunFetchBench measures the steady-state per-segment fetch path: request
 // selection and record bookkeeping in the core, FETCH encode, the store's
@@ -27,8 +15,7 @@ func (benchCC) CWnd() float64                               { return 1e12 }
 // segment payload, so the report's MB/s column is the single-core goodput
 // ceiling of the protocol machinery (no sockets, no pacing).
 //
-// Exported (rather than a regular Benchmark) so proteusbench -perf can
-// fold it into BENCH_proteus.json.
+// Exported (rather than a regular Benchmark) for the benchmark harness.
 func RunFetchBench(b *testing.B) {
 	const objSegs = 512
 	store := NewStore(0)
@@ -38,7 +25,9 @@ func RunFetchBench(b *testing.B) {
 
 	newCore := func() *Core {
 		c, err := NewCore(Config{
-			ObjID: objID, CC: benchCC{}, SegSize: store.SegSize,
+			// An uncontended controller: rate and window never gate, so the
+			// measured cost is the fetch machinery itself.
+			ObjID: objID, CC: &engine.FixedRateCC{Rate: 125e6}, SegSize: store.SegSize,
 			Hash: true, OnData: func(seg int64, payload []byte) {},
 		})
 		if err != nil {
@@ -60,11 +49,8 @@ func RunFetchBench(b *testing.B) {
 		if !ok {
 			b.Fatal("core refused to issue with an uncontended controller")
 		}
-		pkt := wire.EncodeFetch(reqBuf, wire.FetchHeader{
-			ObjID: objID, Seg: req.Seg, Nonce: req.Nonce,
-			SentAt: int64(now * 1e9), Meta: req.Meta,
-		})
-		h, err := wire.DecodeFetch(pkt)
+		req.SentAt = int64(now * 1e9)
+		h, err := wire.DecodeFetch(wire.EncodeFetch(reqBuf, req))
 		if err != nil {
 			b.Fatal(err)
 		}

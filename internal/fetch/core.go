@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash"
 
+	"pccproteus/internal/engine"
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
@@ -28,8 +29,8 @@ type Config struct {
 	// DefaultWindow).
 	Window int
 	// Hash verifies delivered bytes against the whole-object SHA-256
-	// from the metadata exchange. The wire driver sets it; the sim
-	// driver moves no real bytes and leaves it off.
+	// from the metadata exchange. Fetcher sets it; the sim driver moves
+	// no real bytes and leaves it off.
 	Hash bool
 	// OnData, when set, observes each segment at in-order delivery.
 	// The payload slice is only valid during the call.
@@ -38,28 +39,14 @@ type Config struct {
 	OnRTT func(rtt float64)
 }
 
-// Request is one FETCH the core has decided to send. Size is the
-// *expected response* wire size — the currency of pacing and window
-// accounting, since the response stream is what crosses the bottleneck.
-type Request struct {
-	Nonce int64
-	Seg   int64
-	Meta  bool
-	Probe bool
-	Size  int
-}
-
-// Response is one SEGMENT response handed back to the core. Payload is
-// nil in the simulator (no real bytes move); Meta responses carry the
-// whole-object digest as their payload.
-type Response struct {
-	Nonce     int64
-	Seg       int64
-	Meta      bool
-	TotalSegs int64
-	ObjSize   int64
-	Payload   []byte
-}
+// Request is one FETCH the core has decided to send: the wire header,
+// less the send stamp its driver adds. Response is one SEGMENT handed
+// back, declared where the wire driver builds it (engine.FetchCore)
+// because the engine cannot import this package.
+type (
+	Request  = wire.FetchHeader
+	Response = engine.FetchResponse
+)
 
 // metaTag is the transport.Record.Tag of a metadata request; data
 // requests carry their segment index.
@@ -90,8 +77,9 @@ type CoreStats struct {
 // a transport.Recovery — the same record book, RACK + RTO rules and
 // outage survival every sender runs, keyed by request nonce — so a
 // fetch behaves like an upload running in the opposite direction. It
-// is single-threaded by contract — the wire driver serializes calls
-// under its mutex, the sim driver runs on the simulator's event loop.
+// is single-threaded by contract — an engine shard drives it from its
+// one goroutine (engine.FetchCore), the sim driver from the simulator's
+// event loop.
 type Core struct {
 	cfg  Config
 	book transport.Recovery
@@ -243,8 +231,12 @@ func (c *Core) Issue(now, virt float64) (Request, bool) {
 	if kind != pickMeta && c.segDone(seg) {
 		c.refetched++ // structurally unreachable; counted to prove it
 	}
-	return Request{Nonce: rec.Seq, Seg: seg, Meta: kind == pickMeta, Size: size}, true
+	return Request{ObjID: c.cfg.ObjID, Nonce: rec.Seq, Seg: seg, Meta: kind == pickMeta}, true
 }
+
+// Touch restarts the liveness clock while silence is explained (just
+// admitted, paused); see transport.Recovery.Touch.
+func (c *Core) Touch(now float64) { c.book.Touch(now) }
 
 // Tick runs the book's periodic work — stall watchdog, RTO sweep — and
 // returns a keep-alive probe request when one is due. Probes
@@ -261,7 +253,7 @@ func (c *Core) Tick(now float64) (Request, bool) {
 	if !c.book.ProbeDue(now) {
 		return Request{}, false
 	}
-	req := Request{Nonce: c.book.AddProbe(now, 0).Seq, Meta: !c.metaDone, Probe: true}
+	req := Request{ObjID: c.cfg.ObjID, Nonce: c.book.AddProbe(now, 0).Seq, Meta: !c.metaDone}
 	if !req.Meta {
 		req.Seg = c.cum // by definition the first undelivered segment
 	}
@@ -273,11 +265,12 @@ func (c *Core) Tick(now float64) (Request, bool) {
 // RTT sample and controller OnAck, then payload delivery (late and
 // probe responses still deliver — data is data), then loss detection.
 // recvAt is the response's arrival stamp on the emulated path; now is
-// the fetcher-clock time of processing.
-func (c *Core) OnResponse(r Response, recvAt, now float64) {
+// the fetcher-clock time of processing. It reports whether the response
+// ended an outage, so a pacing driver can re-anchor its schedule.
+func (c *Core) OnResponse(r Response, recvAt, now float64) (healed bool) {
 	// Any response is liveness; during an outage it proves the path
 	// healed.
-	c.book.Alive(now)
+	healed = c.book.Alive(now)
 	if !c.geomKnown && r.TotalSegs > 0 {
 		// Every response carries the geometry, so the fetcher starts
 		// filling the window off whichever response lands first.
@@ -291,6 +284,7 @@ func (c *Core) OnResponse(r Response, recvAt, now float64) {
 	}
 	c.deliver(r)
 	c.book.Detect(now)
+	return healed
 }
 
 // ackRec retires one outstanding request against its response.
@@ -424,12 +418,6 @@ func (c *Core) Verified() bool { return c.verified }
 
 // DeliveredBytes returns bytes delivered in order so far.
 func (c *Core) DeliveredBytes() int64 { return c.delivered }
-
-// TotalSegsKnown returns the object geometry (0,0 before it is known).
-func (c *Core) TotalSegsKnown() (segs, size int64) { return c.totalSegs, c.objSize }
-
-// SRTT exposes the smoothed RTT estimate.
-func (c *Core) SRTT() float64 { return c.book.RTT.SRTT() }
 
 // PacingRate is the datapath's pacing convention (explicit controller
 // rate, else 1.25·cwnd/srtt, unpaced before the first RTT sample).

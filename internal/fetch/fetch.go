@@ -19,9 +19,10 @@
 // bounded reassembly window; integrity is checked per segment (CRC-32C)
 // and end-to-end (whole-object SHA-256 from the metadata exchange).
 //
-// The same scheduler core runs on both worlds: Fetcher drives it over
-// UDP sockets against an engine serving a Store, and SimTransfer
-// drives it over a netem.Path inside the simulator, which is what lets
+// The same scheduler core runs on both worlds: an engine shard drives
+// it as a fetch flow (Fetcher is the handle) against an engine serving
+// a Store, and SimTransfer drives it over a netem.Path inside the
+// simulator, which is what lets
 // experiments put a bulk fetch behind Proteus-S underneath simulated
 // dash/web foreground and gate the two worlds against each other.
 package fetch
@@ -115,9 +116,6 @@ func (st *Store) ServeDir(dir string) ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-// Objects returns the number of loaded objects.
-func (st *Store) Objects() int { return len(st.objs) }
 
 // TotalSegs returns the segment count for an object of size bytes at
 // the given segment size: at least 1, so even an empty object has a

@@ -2,312 +2,126 @@ package fetch
 
 import (
 	"errors"
-	"net"
-	"os"
-	"sync"
-	"time"
+	"net/netip"
+	"sync/atomic"
 
+	"pccproteus/internal/engine"
+	"pccproteus/internal/overload"
 	"pccproteus/internal/stats"
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
 
-// Datapath loop tuning, matching the wire sender's real-time loops.
-const (
-	minSleep      = 50 * time.Microsecond
-	maxSleep      = time.Millisecond
-	rtoCheckEvery = 0.010
-	readTimeout   = 50 * time.Millisecond
-
-	// rttHistLo/Hi/Bins parameterize the per-fetch RTT histogram:
-	// geometric bins from 100 µs to 10 s, ~7% relative resolution.
-	rttHistLo   = 1e-4
-	rttHistHi   = 10.0
-	rttHistBins = 160
-)
-
-// FetcherStats is a snapshot of a running (or finished) fetch.
+// FetcherStats is a snapshot of a running (or finished) fetch, at most
+// one 10 ms tick old.
 type FetcherStats struct {
 	CoreStats
-	BadResps  int64 // datagrams the segment codec rejected
+	// BadResps counts datagrams the segment codec rejected: CrcErrs plus
+	// every datagram the shard refused outright (those name no fetch).
+	BadResps  int64
 	CrcErrs   int64 // segments whose payload failed its CRC
-	SentBytes int64 // request bytes written to the socket
+	SentBytes int64 // request bytes handed to the socket
 }
 
-// Fetcher drives one segmented fetch over a datagram socket: a pacing
-// loop issues FETCH requests under the controller's rate and window, a
-// receive loop feeds SEGMENT responses back into the scheduler core.
-// Configure the exported fields, then Start.
+// Fetcher is one segmented fetch running as a fetch flow on an engine
+// shard, and the cross-goroutine handle for it, as engine.Flow is for a
+// sender: the shard paces FETCH requests under the controller's rate
+// and window and feeds SEGMENT responses to the scheduler core.
+// Configure the exported fields, then Start. Done (closed once the
+// object is delivered — check Stats().Verified — or the fetch stopped)
+// and Stop (OnData is not called again after it) are the embedded flow's.
 type Fetcher struct {
-	// Conn is a connected datagram socket to the server (possibly via
-	// the impairment shim). The fetcher owns it after Start.
-	Conn wire.Conn
-	CC   transport.Controller
+	*engine.FetchFlow
+
+	// Dst is the server (possibly via the impairment shim).
+	Dst netip.AddrPort
+	CC  transport.Controller
 	// ObjID names the object (fetch.ObjectID of its name).
 	ObjID uint64
 	// SegSize must match the server's store (default DefaultSegSize).
 	SegSize int
 	// Window bounds the reassembly window in segments.
 	Window int
-	// Burst is the request-train length per pacing wake (default
-	// transport.DefaultBurst).
-	Burst int
 	// OnData observes each segment at in-order delivery (e.g. to write
-	// the object to disk). Called from the receive goroutine.
+	// the object to disk). Called from the shard's goroutine.
 	OnData func(seg int64, payload []byte)
 
-	clock wire.Clock
-
-	mu        sync.Mutex
-	core      *Core
-	pacer     wire.Pacer
-	lastTick  float64
-	rttHist   *stats.LogHist
-	badResps  int64
-	crcErrs   int64
-	sentBytes int64
-
-	reqBuf []byte
-
-	started  bool
-	done     chan struct{}
-	complete chan struct{}
-	compOnce sync.Once
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	rttHist *stats.LogHist // shard-goroutine-owned, as the core is
+	snap    atomic.Pointer[snapshot]
 }
 
-// Start validates configuration and launches the datapath goroutines.
-func (f *Fetcher) Start() error {
-	if f.started {
+// snapshot is what the shard goroutine publishes for callers to read.
+type snapshot struct {
+	CoreStats
+	p50, p95, p99 float64
+}
+
+// shardCore is the Core as a shard drives it (engine.FetchCore): the
+// 10 ms Tick and the response that completes the object publish a snapshot.
+type shardCore struct {
+	*Core
+	f *Fetcher
+}
+
+func (c shardCore) Tick(now float64) (Request, bool) {
+	req, ok := c.Core.Tick(now)
+	c.f.publish(c.Core)
+	return req, ok
+}
+
+func (c shardCore) OnResponse(r Response, recvAt, now float64) bool {
+	healed := c.Core.OnResponse(r, recvAt, now)
+	if c.Core.Done() {
+		c.f.publish(c.Core)
+	}
+	return healed
+}
+
+func (f *Fetcher) publish(c *Core) {
+	f.snap.Store(&snapshot{
+		CoreStats: c.Stats(),
+		p50:       f.rttHist.Quantile(0.50), p95: f.rttHist.Quantile(0.95), p99: f.rttHist.Quantile(0.99),
+	})
+}
+
+// Start validates configuration and admits the fetch to eng, whose
+// MaxPacket must cover a full segment response. The overload class
+// follows the controller: a scavenger's fetch is a scavenger flow.
+func (f *Fetcher) Start(eng *engine.Engine) error {
+	if f.FetchFlow != nil {
 		return errors.New("fetch: fetcher already started")
 	}
-	if f.Conn == nil || f.CC == nil {
-		return errors.New("fetch: fetcher needs Conn and CC")
+	if f.CC == nil || !f.Dst.IsValid() {
+		return errors.New("fetch: fetcher needs Dst and CC")
 	}
+	// Geometric bins from 100 µs to 10 s, ~7% relative resolution.
+	f.rttHist = stats.NewLogHist(1e-4, 10, 160)
 	core, err := NewCore(Config{
 		ObjID: f.ObjID, CC: f.CC, SegSize: f.SegSize, Window: f.Window,
-		Hash: true, OnData: f.OnData, OnRTT: func(rtt float64) { f.rttHist.Add(rtt) },
+		Hash: true, OnData: f.OnData, OnRTT: f.rttHist.Add,
 	})
 	if err != nil {
 		return err
 	}
-	if f.Burst <= 0 {
-		f.Burst = transport.DefaultBurst
-	}
-	f.core = core
-	f.rttHist = stats.NewLogHist(rttHistLo, rttHistHi, rttHistBins)
-	f.clock = wire.NewClock()
-	f.pacer.Cap = float64(2 * f.Burst * f.respSize())
-	f.pacer.Reset(0)
-	f.reqBuf = make([]byte, wire.FetchLen)
-	f.done = make(chan struct{})
-	f.complete = make(chan struct{})
-	f.started = true
-	f.wg.Add(2)
-	go f.sendLoop()
-	go f.recvLoop()
-	return nil
-}
-
-// respSize is the full-segment response size, the pacing currency.
-func (f *Fetcher) respSize() int {
-	seg := f.SegSize
-	if seg <= 0 {
-		seg = DefaultSegSize
-	}
-	return wire.SegmentHeaderLen + seg
-}
-
-// Done is closed once the object is fully delivered and verified (or
-// verification failed — check Stats().Verified).
-func (f *Fetcher) Done() <-chan struct{} { return f.complete }
-
-// Stop terminates both loops and closes the socket.
-func (f *Fetcher) Stop() {
-	f.stopOnce.Do(func() {
-		close(f.done)
-		f.Conn.Close()
-	})
-	f.wg.Wait()
+	f.publish(core)
+	f.FetchFlow, err = eng.AddFetch(f.Dst, f.ObjID, shardCore{core, f},
+		wire.SegmentHeaderLen+core.cfg.SegSize, overload.ClassOf(f.CC.Name()))
+	return err
 }
 
 // Stats returns a snapshot of the fetch's counters.
 func (f *Fetcher) Stats() FetcherStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	cs := f.snap.Load().CoreStats
+	crc, shardBad := f.Counters()
 	return FetcherStats{
-		CoreStats: f.core.Stats(),
-		BadResps:  f.badResps, CrcErrs: f.crcErrs, SentBytes: f.sentBytes,
+		CoreStats: cs, BadResps: crc + shardBad, CrcErrs: crc,
+		SentBytes: (cs.ReqsSent + cs.Probes) * wire.FetchLen, // every request is one fixed-size frame
 	}
 }
 
 // RTTQuantiles returns the p50/p95/p99 of the fetch's per-request RTT
 // samples, in seconds.
 func (f *Fetcher) RTTQuantiles() (p50, p95, p99 float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.rttHist.Quantile(0.50), f.rttHist.Quantile(0.95), f.rttHist.Quantile(0.99)
-}
-
-func (f *Fetcher) sendLoop() {
-	defer f.wg.Done()
-	for {
-		select {
-		case <-f.done:
-			return
-		default:
-		}
-		f.mu.Lock()
-		now := f.clock.Now()
-		if now-f.lastTick >= rtoCheckEvery {
-			f.lastTick = now
-			if req, ok := f.core.Tick(now); ok {
-				if !f.writeReq(req, now) {
-					f.mu.Unlock()
-					return
-				}
-			}
-		}
-		if f.core.Done() {
-			f.mu.Unlock()
-			f.compOnce.Do(func() { close(f.complete) })
-			select {
-			case <-f.done:
-				return
-			case <-time.After(maxSleep):
-			}
-			continue
-		}
-		rate := f.core.PacingRate()
-		f.pacer.Advance(now, rate)
-		// Requests are paced so the *responses* they elicit arrive at
-		// the controller's target rate: the token bucket is charged the
-		// expected response size per request, and each request's
-		// scheduled-send stamp (Pacer.TakeStamped) advances the virtual
-		// timeline by that response's serialization time. The echoed
-		// stamp is what the shim's virtual bottleneck measures against,
-		// so response arrivals are a deterministic function of the
-		// request schedule — the engine sender's determinism property,
-		// mirrored.
-		gated := false
-		if f.pacer.Delay(f.trainBytes(), rate) == 0 {
-			for {
-				size, ok := f.core.PeekSize()
-				if !ok {
-					gated = true
-					break
-				}
-				virt, ok := f.pacer.TakeStamped(now, rate, size)
-				if !ok {
-					break
-				}
-				req, issued := f.core.Issue(now, virt)
-				if !issued {
-					break // cannot happen: pick is deterministic between Peek and Issue
-				}
-				if !f.writeReq(req, virt) {
-					f.mu.Unlock()
-					return
-				}
-			}
-		}
-		var sleep time.Duration
-		if gated {
-			sleep = maxSleep
-		} else {
-			d := f.pacer.Delay(f.trainBytes(), rate)
-			sleep = time.Duration(d * float64(time.Second))
-			if sleep > maxSleep {
-				sleep = maxSleep
-			}
-		}
-		f.mu.Unlock()
-		if sleep < minSleep {
-			sleep = minSleep
-		}
-		select {
-		case <-f.done:
-			return
-		case <-time.After(sleep):
-		}
-	}
-}
-
-func (f *Fetcher) trainBytes() int { return f.Burst * f.respSize() }
-
-// writeReq encodes and transmits one request with its scheduled send
-// stamp. Called with the mutex held; reports false only on a closed
-// socket.
-func (f *Fetcher) writeReq(req Request, virt float64) bool {
-	pkt := wire.EncodeFetch(f.reqBuf, wire.FetchHeader{
-		ObjID: f.ObjID, Seg: req.Seg, Nonce: req.Nonce,
-		SentAt: f.clock.NanosAt(virt), Meta: req.Meta,
-	})
-	f.sentBytes += int64(len(pkt))
-	if _, err := f.Conn.Write(pkt); err != nil {
-		// A full socket buffer is a loss the datapath will detect; only
-		// a closed socket ends the loop.
-		return !isClosed(err)
-	}
-	return true
-}
-
-func (f *Fetcher) recvLoop() {
-	defer f.wg.Done()
-	buf := make([]byte, 65536)
-	for {
-		select {
-		case <-f.done:
-			return
-		default:
-		}
-		f.Conn.SetReadDeadline(time.Now().Add(readTimeout))
-		n, err := f.Conn.Read(buf)
-		if err != nil {
-			if isTimeout(err) {
-				continue
-			}
-			if isClosed(err) {
-				return
-			}
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		h, payload, derr := wire.DecodeSegment(buf[:n])
-		f.mu.Lock()
-		if derr != nil {
-			if errors.Is(derr, wire.ErrChecksum) {
-				f.crcErrs++
-			}
-			f.badResps++
-			f.mu.Unlock()
-			continue
-		}
-		now := f.clock.Now()
-		// Prefer the shim's emulated arrival stamp; on a bare path the
-		// fetcher's own clock at read is the truth.
-		recvAt := now
-		if h.Arrival != 0 {
-			recvAt = f.clock.SecondsSince(h.Arrival)
-		}
-		f.core.OnResponse(Response{
-			Nonce: h.Nonce, Seg: h.Seg, Meta: h.Meta,
-			TotalSegs: h.TotalSegs, ObjSize: h.ObjSize, Payload: payload,
-		}, recvAt, now)
-		fin := f.core.Done()
-		f.mu.Unlock()
-		if fin {
-			f.compOnce.Do(func() { close(f.complete) })
-		}
-	}
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-func isClosed(err error) bool {
-	return errors.Is(err, net.ErrClosed) || errors.Is(err, os.ErrClosed)
+	s := f.snap.Load()
+	return s.p50, s.p95, s.p99
 }

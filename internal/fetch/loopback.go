@@ -14,13 +14,13 @@ import (
 )
 
 // LoopbackConfig describes one single-process multi-flow fetch run:
-// one server (an engine serving a segment store) and Flows concurrent fetchers,
-// each behind its own impairment shim, all over 127.0.0.1 sockets.
+// one server (an engine serving a segment store) and Flows concurrent
+// fetchers on one single-shard client engine, each behind its own
+// impairment shim, all over 127.0.0.1 sockets.
 //
-// Per-fetcher shims are a topology choice, not a limitation: the shim
-// learns one dialing endpoint per instance, so giving each fetcher its
-// own shim models independent access links converging on one server —
-// the shape of a fleet download. (Flows contending on one bottleneck is
+// Per-fetcher shims are a topology choice, not a limitation: giving
+// each fetcher its own shim models independent access links converging
+// on one server — the shape of a fleet download. (Flows contending on one bottleneck is
 // the simulator's department, where the shared-queue coupling is
 // deterministic.)
 type LoopbackConfig struct {
@@ -107,65 +107,44 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 		rng.Read(data)
 		objIDs[i] = store.Add(fmt.Sprintf("obj-%d", i), data)
 	}
-	srv, err := engine.New(engine.Config{
-		OnFetch: store.HandleFetch, MaxPacket: store.SegSize + wire.SegmentHeaderLen,
-	})
+	// Every fetch is a flow on the client engine's one shard. Stopping
+	// that engine (deferred last, so it runs first) ends them all.
+	maxPkt := store.SegSize + wire.SegmentHeaderLen
+	cli, srv, err := engine.StartPair(engine.Config{MaxPacket: maxPkt},
+		engine.Config{OnFetch: store.HandleFetch, MaxPacket: maxPkt})
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Stop()
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
 	srvAddr := net.UDPAddrFromAddrPort(srv.Addrs()[0])
 
-	shims := make([]*wire.Shim, cfg.Flows)
-	fetchers := make([]*Fetcher, cfg.Flows)
-	cleanup := func() {
-		for _, f := range fetchers {
-			if f != nil {
-				f.Stop()
-			}
-		}
+	shims := make([]*wire.Shim, 0, cfg.Flows)
+	defer func() {
 		for _, sh := range shims {
-			if sh != nil {
-				sh.Stop()
-			}
+			sh.Stop()
 		}
-	}
-	for i := 0; i < cfg.Flows; i++ {
+	}()
+	defer cli.Stop()
+	fetchers := make([]*Fetcher, cfg.Flows)
+	for i := range fetchers {
 		shimCfg := cfg.Shim
 		shimCfg.Seed = wire.MixSeed(seed, 0x5ea1+int64(i))
 		sh, err := wire.NewShim(shimCfg, srvAddr)
 		if err != nil {
-			cleanup()
 			return nil, err
 		}
+		shims = append(shims, sh)
 		if err := sh.Start(); err != nil {
-			sh.Stop()
-			cleanup()
 			return nil, err
 		}
-		shims[i] = sh
-		conn, err := net.DialUDP("udp", nil, sh.Addr())
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
-		conn.SetReadBuffer(1 << 21)
-		conn.SetWriteBuffer(1 << 21)
-		f := &Fetcher{
-			Conn: conn, CC: cfg.NewController(), ObjID: objIDs[i],
+		fetchers[i] = &Fetcher{
+			Dst: sh.Addr().AddrPort(), CC: cfg.NewController(), ObjID: objIDs[i],
 			SegSize: store.SegSize, Window: cfg.Window,
 		}
-		if err := f.Start(); err != nil {
-			conn.Close()
-			cleanup()
+		if err := fetchers[i].Start(cli); err != nil {
 			return nil, err
 		}
-		fetchers[i] = f
 	}
-	defer cleanup()
 
 	if cfg.Chaos != nil {
 		stop := make(chan struct{})
@@ -182,20 +161,17 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 	t0 := time.Now()
 	deadline := t0.Add(time.Duration(cfg.Timeout * float64(time.Second)))
 	endAt := make([]time.Time, cfg.Flows)
-	pending := make(map[int]struct{}, cfg.Flows)
-	for i := range fetchers {
-		pending[i] = struct{}{}
-	}
-	for len(pending) > 0 && time.Now().Before(deadline) {
-		for i := range pending {
+	for pending := cfg.Flows; pending > 0 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for i, f := range fetchers {
 			select {
-			case <-fetchers[i].Done():
-				endAt[i] = time.Now()
-				delete(pending, i)
+			case <-f.Done():
+				if endAt[i].IsZero() {
+					endAt[i] = time.Now()
+					pending--
+				}
 			default:
 			}
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	wall := time.Since(t0).Seconds()
 

@@ -1,8 +1,11 @@
 package fetch
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"pccproteus/internal/cc/fixedrate"
 	"pccproteus/internal/chaos"
@@ -173,5 +176,66 @@ func TestLoopbackSimParity(t *testing.T) {
 	if ratio := wireMbps / simMbps; math.Abs(ratio-1) > 0.25 {
 		t.Fatalf("goodput parity broken: wire %.2f Mbps vs sim %.2f Mbps (ratio %.2f)",
 			wireMbps, simMbps, ratio)
+	}
+}
+
+// datapathGoroutines counts the goroutines running or started by engine
+// or fetch code — shims and the runtime's own are not among them.
+func datapathGoroutines() (n int) {
+	buf := make([]byte, 4<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("internal/engine.")) || bytes.Contains(g, []byte("internal/fetch.")) {
+			n++
+		}
+	}
+	return n
+}
+
+// Every fetch is a flow on the one client shard: 64 concurrent
+// transfers complete and verify with no goroutine per fetch.
+func TestLoopbackManyFetchesOneShard(t *testing.T) {
+	const flows = 64
+	var res *LoopbackResult
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, err = RunLoopback(LoopbackConfig{
+			NewController: func() transport.Controller { return fixedrate.New(2) },
+			Shim:          wire.ShimConfig{RateMbps: 10, QueueBytes: 1 << 16, Delay: 0.005, AckDelay: 0.005, LossProb: 0.002},
+			Flows:         flows,
+			BytesPerFlow:  128 << 10,
+			Timeout:       60,
+			Seed:          13,
+		})
+	}()
+	peak := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		case <-time.After(20 * time.Millisecond):
+			peak = max(peak, datapathGoroutines())
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.AllDone || !res.AllVerified || len(res.Flows) != flows {
+		t.Fatalf("done=%v verified=%v flows=%d", res.AllDone, res.AllVerified, len(res.Flows))
+	}
+	for i, f := range res.Flows {
+		if f.Bytes != 128<<10 || f.Fetcher.Refetched != 0 || f.Fetcher.CrcErrs != 0 || f.Shim.Overflow != 0 {
+			t.Fatalf("flow %d: bytes=%d stats=%+v shim=%+v", i, f.Bytes, f.Fetcher, f.Shim)
+		}
+	}
+	// This test, the RunLoopback call, and one shard loop each for the
+	// server and the client engine — however many fetches run.
+	if peak > 4 {
+		t.Fatalf("%d engine/fetch goroutines at peak for %d fetches, want 4", peak, flows)
+	}
+	if n := int64(flows); res.Receiver.FetchReqs < n*(128<<10)/int64(DefaultSegSize) {
+		t.Fatalf("server answered %d requests", res.Receiver.FetchReqs)
 	}
 }

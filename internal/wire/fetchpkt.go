@@ -179,9 +179,10 @@ func EncodeSegment(buf []byte, h SegmentHeader, payload []byte) []byte {
 // It returns a nil error only for a well-formed segment: correct type
 // and version bytes, no undefined flags, a declared payload length
 // matching the datagram, internally consistent geometry, and a payload
-// CRC that verifies (ErrChecksum otherwise — counted separately from
+// CRC that verifies. ErrChecksum otherwise — counted separately from
 // structural corruption because it means the path, not the peer, broke
-// the bytes).
+// the bytes; the header, which passed every structural check, is
+// returned with it so the damage can be charged to the fetch it names.
 func DecodeSegment(b []byte) (SegmentHeader, []byte, error) {
 	if len(b) < SegmentHeaderLen {
 		return SegmentHeader{}, nil, ErrTruncated
@@ -225,7 +226,7 @@ func DecodeSegment(b []byte) (SegmentHeader, []byte, error) {
 	}
 	payload := b[SegmentHeaderLen:]
 	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(b[63:]) {
-		return SegmentHeader{}, nil, ErrChecksum
+		return h, nil, ErrChecksum
 	}
 	return h, payload, nil
 }

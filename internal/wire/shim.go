@@ -16,12 +16,15 @@ import (
 // readTimeout is the proxy loop's poll interval for shutdown.
 const readTimeout = 50 * time.Millisecond
 
-func isTimeout(err error) bool {
+// IsTimeout reports whether a socket read ended on its deadline.
+func IsTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-func isClosed(err error) bool {
+// IsClosed reports whether a socket call failed because the socket is
+// closed.
+func IsClosed(err error) bool {
 	return errors.Is(err, net.ErrClosed) || errors.Is(err, os.ErrClosed)
 }
 
@@ -295,10 +298,10 @@ func (sh *Shim) readLoop() {
 		sh.conn.SetReadDeadline(time.Now().Add(readTimeout))
 		n, src, err := sh.conn.ReadFromUDP(buf)
 		if err != nil {
-			if isTimeout(err) {
+			if IsTimeout(err) {
 				continue
 			}
-			if isClosed(err) {
+			if IsClosed(err) {
 				return
 			}
 			// Transient socket errors (e.g. ICMP unreachable surfaced

@@ -37,16 +37,6 @@ package wire
 
 import "time"
 
-// Conn is the connected datagram socket surface fetch.Fetcher drives.
-// *net.UDPConn (from net.DialUDP) satisfies it; tests substitute
-// in-process fakes.
-type Conn interface {
-	Write(b []byte) (int, error)
-	Read(b []byte) (int, error)
-	SetReadDeadline(t time.Time) error
-	Close() error
-}
-
 // Clock converts the host's monotonic clock into the float64 seconds
 // timeline controllers expect. The zero value is not usable; create
 // with NewClock. All times produced by one Clock share its epoch, so
