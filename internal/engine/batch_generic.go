@@ -26,7 +26,7 @@ const minReadWait = 20 * time.Microsecond
 // matrix. Returns the number of datagrams staged (0 on timeout, so
 // the event loop runs its timers), or -1 when the socket is closed.
 func (sh *shard) readBatch(wait time.Duration) int {
-	sh.conn.SetReadDeadline(time.Now().Add(max(wait, minReadWait)))
+	sh.parkRead(max(wait, minReadWait))
 	n, src, err := sh.conn.ReadFromUDPAddrPort(sh.rxBufs[0])
 	if err != nil {
 		if wire.IsTimeout(err) {

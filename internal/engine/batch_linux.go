@@ -252,7 +252,7 @@ func (sh *shard) readBatch(wait time.Duration) int {
 	if wait <= 0 {
 		err = m.rc.Control(m.pollFn)
 	} else {
-		sh.conn.SetReadDeadline(time.Now().Add(wait))
+		sh.parkRead(wait)
 		err = m.rc.Read(m.readFn)
 	}
 	if err != nil {

@@ -306,8 +306,9 @@ func (e *Engine) Addrs() []netip.AddrPort {
 }
 
 // AddFlow admits one sender flow, assigning it a unique nonzero flow
-// ID and a shard (round-robin). The flow starts sending within one
-// shard wake (≤1ms).
+// ID and a shard (round-robin). The shard is woken if it is parked in
+// its read, and the flow's first train leaves in the pass that admits
+// it.
 func (e *Engine) AddFlow(fc FlowConfig) (*Flow, error) {
 	if !e.started {
 		return nil, errors.New("engine: AddFlow before Start")

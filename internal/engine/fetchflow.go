@@ -58,10 +58,9 @@ type FetchFlow struct {
 
 // pump advances the fetch: the core's periodic work, then a paced train
 // of requests. A fetch flow in the table is never finished — completion
-// drops it — so there is always a next wake.
+// drops it — so there is always a next wake, unless it was stopped.
 func (ff *FetchFlow) pump(sh *shard, f *flow, now float64) float64 {
 	if ff.stop.Load() {
-		sh.dropFlow(f.key, f)
 		return 0
 	}
 	if now-ff.lastTick >= rtoCheckEvery {
@@ -149,11 +148,10 @@ func (e *Engine) AddFetch(dst netip.AddrPort, objID uint64, core FetchCore, resp
 	}
 	sh := e.shards[int(e.rr.Add(1)-1)%len(e.shards)] // round-robin
 	ff := &FetchFlow{
-		origin: origin{burst: transport.DefaultBurst, class: class},
+		origin: newOrigin(transport.DefaultBurst, transport.DefaultBurst*respSize, class),
 		core:   core, respSize: respSize, sh: sh, done: make(chan struct{}),
 		key: fetchKey{netip.AddrPortFrom(dst.Addr().Unmap(), dst.Port()), objID},
 	}
-	ff.pacer.Cap = float64(2 * ff.trainBytes())
 	f := &flow{key: flowKey{addr: ff.key.addr, id: e.nextID.Add(1)}, fch: ff}
 	if _, dup := sh.fetches.LoadOrStore(ff.key, f); dup {
 		return nil, fmt.Errorf("engine: shard %d already fetches object %#x from %s", sh.idx, objID, dst)

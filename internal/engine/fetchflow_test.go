@@ -176,16 +176,22 @@ func (r *fetchRig) runUntil(from, limit float64, stop func() bool) float64 {
 	return 0
 }
 
-// Trains are all-or-nothing: nothing is queued until the bucket covers
-// Burst responses, then the whole train goes at once, each request
-// stamped one response-serialization time after the last.
+// Trains are all-or-nothing: a new flow's bucket holds its first train,
+// which leaves at the first service; after that nothing is queued until
+// the bucket covers Burst responses again, then the whole train goes at
+// once, each request stamped one response-serialization time after the
+// last.
 func TestFetchTrainWaitsForFullBucket(t *testing.T) {
 	r := newFetchRig(t, Config{}, 64)
-	at := r.runUntil(0, 1, func() bool { return len(r.sh.txq) > 0 })
-	// 4 × 1000 B at 1 MB/s: the bucket, empty at the first service, covers
-	// the train 4 ms later.
+	r.sh.service(r.f, 0)
+	if first := r.requests(); len(first) != 4 {
+		t.Fatalf("first service queued %d requests, want the primed train of Burst=4", len(first))
+	}
+	at := r.runUntil(0.001, 1, func() bool { return len(r.sh.txq) > 0 })
+	// 4 × 1000 B at 1 MB/s: the bucket, drained at the first service,
+	// covers the next train 4 ms later.
 	if at < 0.004-1e-9 || at > 0.005+1e-9 {
-		t.Fatalf("first train at t=%.4f, want 4 ms after the first service", at)
+		t.Fatalf("second train at t=%.4f, want 4 ms after the first", at)
 	}
 	reqs := r.requests()
 	if len(reqs) != 4 {
@@ -196,7 +202,7 @@ func TestFetchTrainWaitsForFullBucket(t *testing.T) {
 		if got := r.sh.clock.SecondsSince(h.SentAt); math.Abs(got-want) > 1e-6 {
 			t.Fatalf("request %d stamped %.6f, want %.6f on the TakeStamped timeline", i, got, want)
 		}
-		if h.Nonce != int64(i) || h.Seg != int64(i) {
+		if h.Nonce != int64(4+i) || h.Seg != int64(4+i) {
 			t.Fatalf("request %d: %+v", i, h)
 		}
 	}

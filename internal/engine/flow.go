@@ -83,6 +83,17 @@ type origin struct {
 	lastTick float64 // last run of the rtoCheckEvery work
 }
 
+// newOrigin builds the shared state for trains of train bytes. The
+// bucket holds two trains or pacerDepth of the pacing rate, whichever is
+// more, and starts with one train in it: a new flow's first packets
+// leave in the pass that admits it.
+func newOrigin(burst, train int, class overload.Class) origin {
+	o := origin{burst: burst, class: class}
+	o.pacer.Cap, o.pacer.Depth = float64(2*train), pacerDepth
+	o.pacer.Prime(train)
+	return o
+}
+
 // trainer is the role-specific half of a paced train: the bucket level
 // a full train waits for, what the next packet charges the bucket (false
 // while window, limit or lack of work gates the role), and the emission
@@ -95,8 +106,10 @@ type trainer interface {
 
 // train accrues tokens at rate, emits what they cover and returns the
 // next wake deadline. Trains are all-or-nothing: wait until the bucket
-// covers a full burst, then drain it, each packet stamped with its
-// scheduled send time (Pacer.TakeStamped).
+// covers a full burst, then drain it — everything a late wake let
+// accrue, not one burst — each packet stamped with its scheduled send
+// time (Pacer.TakeStamped), so the stamps stay on the ideal n/rate grid
+// however the wakes fall.
 func (o *origin) train(t trainer, sh *shard, f *flow, now, rate float64) float64 {
 	o.pacer.Advance(now, rate)
 	if o.pacer.Delay(t.trainBytes(), rate) == 0 {
@@ -168,13 +181,12 @@ type senderFlow struct {
 // flow configuration.
 func newSenderFlow(fc FlowConfig) *senderFlow {
 	s := &senderFlow{
-		origin: origin{burst: fc.Burst, class: fc.Class},
+		origin: newOrigin(fc.Burst, fc.Burst*fc.PacketSize, fc.Class),
 		cc:     fc.CC, limit: fc.Limit,
 		packetSize: fc.PacketSize, done: make(chan struct{}),
 		recordRTT: fc.RecordRTT,
 	}
 	s.book.Init(fc.CC, s.onLost)
-	s.pacer.Cap = float64(2 * fc.Burst * fc.PacketSize)
 	return s
 }
 
@@ -221,7 +233,10 @@ func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 // emit books, encodes and queues one version-2 data packet stamped
 // with its scheduled send time. Stamps are committed a train ahead, so
 // the schedule can lead the clock (DESIGN §7): the record ages from
-// whichever of emission and stamp is later.
+// whichever of emission and stamp is later. The packet that takes
+// launched to the limit carries the push bit (wire/packet.go), so a
+// replacement sent after a loss re-credit carries it again; reaching the
+// limit is the only trigger.
 func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 	r := s.book.Add(now, size, virt, max(now, virt))
 	s.cc.OnSend(now, &r.SentPacket)
@@ -230,6 +245,7 @@ func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 	s.sentBytes.Add(int64(size))
 	pkt := wire.EncodeDataV2(sh.txBuf(), wire.DataHeader{
 		Seq: r.Seq, SentAt: sh.clock.NanosAt(virt), Flow: f.key.id,
+		Push: s.limit > 0 && s.launched >= s.limit,
 	}, size)
 	sh.queueTx(pkt, f.key.addr)
 }
@@ -402,9 +418,10 @@ const restartCumFloor = 4
 // work — the dominant datapath cost at high aggregate rates. Any
 // anomaly (duplicate, outstanding SACK gap) and every packet of a
 // young flow acks immediately, so loss detection, fast retransmit,
-// and the sender's first-ack RTT calibration see no added latency.
-// A wheel-armed delayed ack bounds how long an odd tail packet
-// (e.g. the last packet of a finite transfer) waits.
+// and the sender's first-ack RTT calibration see no added latency; so
+// does a packet carrying the push bit, which ends a finite transfer.
+// A wheel-armed delayed ack bounds how long any other odd tail packet
+// (an unlimited flow that pauses mid-count) waits.
 const (
 	ackEvery     = 4
 	delayedAckTO = 0.005
@@ -453,14 +470,16 @@ func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now flo
 	}
 	// Prefer a shim's emulated arrival stamp: RTTs then measure the
 	// emulated path with host delivery jitter excluded. On a bare path
-	// the local wall clock is the truth.
+	// the truth is the shard's clock at the read that delivered the
+	// packet: one reading serves the whole batch, which one dispatch loop
+	// stamps within microseconds anyway.
 	recvAt := h.Arrival
 	if recvAt == 0 {
-		recvAt = sh.clock.WallNanos()
+		recvAt = sh.clock.NanosAt(now)
 	}
 	rf.pendSeq, rf.pendSentAt, rf.pendRecvAt = h.Seq, h.SentAt, recvAt
 	rf.unacked++
-	if dup || len(rf.Ranges) > 0 || rf.Cum <= restartCumFloor || rf.unacked >= ackEvery {
+	if dup || len(rf.Ranges) > 0 || rf.Cum <= restartCumFloor || rf.unacked >= ackEvery || h.Push {
 		rf.emitAck(sh, f)
 		return
 	}

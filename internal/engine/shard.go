@@ -18,6 +18,19 @@ import (
 // observed promptly.
 const maxLoopSleep = time.Millisecond
 
+// pacerDepth is how much pacing time a flow's token bucket holds. It
+// must cover how late the loop can be for a train, or what accrued
+// meanwhile spills and the flow runs below the rate its controller
+// chose. The loop's wake quantum is not what it asks for: on an idle
+// process the runtime turns any read deadline up to maxLoopSleep away
+// into a wake ≈ 1.1 ms later (1.5–1.7 ms at the 90th percentile) —
+// parkExcess is what that adds to maxLoopSleep — and the wheel fires an
+// entry up to two slots past its deadline.
+const (
+	parkExcess = 0.5e-3
+	pacerDepth = float64(maxLoopSleep)/float64(time.Second) + parkExcess + 2*wheelGran
+)
+
 // shardCounters is the shard's atomic stats surface; everything else
 // in shard is owned by the loop goroutine.
 type shardCounters struct {
@@ -88,6 +101,9 @@ type shard struct {
 	admitMu  sync.Mutex
 	admitQ   []*flow
 	resetReq bool // Engine.Reset: drop every receiver flow on the next pass
+	// admitWake mirrors "admitQ is non-empty" (written under admitMu) for
+	// parkRead, which must not park over a flow enqueue has just queued.
+	admitWake atomic.Bool
 	// fetches (fetchKey → *flow) holds every fetch flow queued or in the
 	// table: SEGMENTs select through it, AddFetch refuses duplicates by it.
 	fetches sync.Map
@@ -324,9 +340,13 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 	}
 }
 
-// service pumps a sender or fetch flow and re-arms its next deadline.
-// For a receiver flow it is the delayed-ack timer: flush whatever ack
-// state coalescing has deferred.
+// service pumps a sender or fetch flow and re-arms its next deadline; a
+// flow with nothing left to schedule — a finite sender fully acked with
+// an empty book, a stopped fetch — leaves the table at once, its handle
+// keeping the counters. The pushed last packet makes the completing ack
+// the last one a healthy path sends, so nothing arrives for the dropped
+// key. For a receiver flow service is the delayed-ack timer: flush
+// whatever ack state coalescing has deferred.
 func (sh *shard) service(f *flow, now float64) {
 	var next float64
 	switch {
@@ -342,9 +362,8 @@ func (sh *shard) service(f *flow, now float64) {
 	}
 	if next > 0 {
 		sh.wh.arm(f, next)
-	} else if f.armed {
-		f.armed = false
-		sh.wh.armed--
+	} else {
+		sh.dropFlow(f.key, f)
 	}
 }
 
@@ -398,9 +417,10 @@ func (sh *shard) newRecvFlow(key flowKey, now float64) *flow {
 	return f
 }
 
-// sweep evicts idle flows, at most once per second. Sender flows are
-// reclaimed only once completed (or abandoned) and idle; receiver
-// flows on the idle deadline alone, with a final ack; fetch flows never.
+// sweep evicts idle flows, at most once per second. A finite sender
+// leaves when it completes (service), so the senders reclaimed here are
+// idle unlimited ones; receiver flows go on the idle deadline alone,
+// with a final ack; fetch flows never.
 func (sh *shard) sweep(now float64) {
 	if now-sh.lastSweep < 1 {
 		return
@@ -548,6 +568,7 @@ func (sh *shard) admit() {
 	sh.admitMu.Lock()
 	q, reset := sh.admitQ, sh.resetReq
 	sh.admitQ, sh.resetReq = nil, false
+	sh.admitWake.Store(false)
 	sh.admitMu.Unlock()
 	if reset {
 		for k, f := range sh.flows {
@@ -582,12 +603,33 @@ func (sh *shard) admit() {
 	sh.flowGauge.Store(int64(len(sh.flows)))
 }
 
-// enqueue hands a flow to the shard; the loop admits it within one
-// wake (bounded by maxLoopSleep).
+// longAgo is a read deadline that has always expired.
+var longAgo = time.Unix(1, 0)
+
+// enqueue hands a flow to the shard and wakes it if it is parked in its
+// read, so the loop admits the flow now, not up to maxLoopSleep later.
+// The wake is the read deadline pulled into the past, from the caller's
+// goroutine.
 func (sh *shard) enqueue(f *flow) {
 	sh.admitMu.Lock()
 	sh.admitQ = append(sh.admitQ, f)
+	sh.admitWake.Store(true)
 	sh.admitMu.Unlock()
+	if sh.conn != nil {
+		sh.conn.SetReadDeadline(longAgo)
+	}
+}
+
+// parkRead sets the deadline of the read the loop is about to block in.
+// enqueue raises admitWake before it pulls the deadline back, and
+// parkRead looks at admitWake after it pushed the deadline out: whichever
+// order the two run in, the later deadline write is an expired one and
+// the read returns at once, so a wake is never lost.
+func (sh *shard) parkRead(wait time.Duration) {
+	sh.conn.SetReadDeadline(time.Now().Add(wait))
+	if sh.admitWake.Load() {
+		sh.conn.SetReadDeadline(longAgo)
+	}
 }
 
 // txBuf returns a maxPacket-sized scratch buffer for one outgoing

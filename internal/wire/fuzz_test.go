@@ -11,6 +11,7 @@ func FuzzDecodeData(f *testing.F) {
 	var buf [1500]byte
 	f.Add(append([]byte(nil), EncodeData(buf[:], DataHeader{Seq: 7, SentAt: 1e18, Arrival: 2e18}, 1200)...))
 	f.Add(append([]byte(nil), EncodeData(buf[:], DataHeader{}, DataHeaderLen)...))
+	f.Add(append([]byte(nil), EncodeDataV2(buf[:], DataHeader{Seq: 29, SentAt: 1e18, Flow: 7, Push: true}, 1200)...))
 	f.Add([]byte{})
 	f.Add([]byte{typeData})
 	f.Add([]byte{typeData, wireVersion})
@@ -23,13 +24,22 @@ func FuzzDecodeData(f *testing.F) {
 		if h.Seq < 0 || h.SentAt < 0 || h.Arrival < 0 {
 			t.Fatalf("accepted negative stamps: %+v", h)
 		}
-		// Round-trip: re-encoding the decoded header must reproduce
-		// the input's header bytes exactly.
+		// Round-trip: re-encoding the decoded header in the input's
+		// version must reproduce its header bytes exactly, flag included.
 		out := make([]byte, len(b))
 		copy(out, b)
-		EncodeData(out, h, len(b))
-		if !bytes.Equal(out[:DataHeaderLen], b[:DataHeaderLen]) {
-			t.Fatalf("header round-trip mismatch:\n in %x\nout %x", b[:DataHeaderLen], out[:DataHeaderLen])
+		hdr := DataHeaderLen
+		if b[1] == wireVersion {
+			if h.Push || h.Flow != 0 {
+				t.Fatalf("version 1 decoded with v2 fields: %+v", h)
+			}
+			EncodeData(out, h, len(b))
+		} else {
+			hdr = DataHeaderLenV2
+			EncodeDataV2(out, h, len(b))
+		}
+		if !bytes.Equal(out[:hdr], b[:hdr]) {
+			t.Fatalf("header round-trip mismatch:\n in %x\nout %x", b[:hdr], out[:hdr])
 		}
 	})
 }

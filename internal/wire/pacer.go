@@ -2,22 +2,45 @@ package wire
 
 // Pacer is a token bucket measured in bytes. A send loop advances it
 // with the controller's current pacing rate, takes tokens per packet,
-// and asks how long to sleep when the bucket runs dry. The burst
-// capacity absorbs OS sleep granularity: a loop that oversleeps by a
+// and asks how long to sleep when the bucket runs dry. The bucket's
+// depth absorbs OS sleep granularity: a loop that oversleeps by a
 // millisecond finds the accumulated tokens waiting and emits a train,
 // keeping the average rate exact — the same mechanism as Linux's
-// fq/pacing with GSO trains, and the real-time analog of the
-// simulator's multi-packet pacing events. Cap must be set before first
-// use.
+// fq/pacing with GSO trains (TSO autosizing gives a train about a
+// millisecond of the pacing rate), and the real-time analog of the
+// simulator's multi-packet pacing events. That only holds while the
+// bucket is deeper than the oversleep, and an oversleep is a time, not a
+// byte count: the bucket holds Cap bytes or Depth seconds of the pacing
+// rate, whichever is more. Cap must be set before first use.
 type Pacer struct {
 	tokens float64 // bytes available
 	last   float64 // clock seconds of the previous advance
-	Cap    float64 // max accumulated bytes
+	Cap    float64 // least bucket depth, bytes; the whole depth when unpaced
+	Depth  float64 // bucket depth in seconds of a finite pacing rate
 	inited bool
 
 	// The scheduled-send timeline (TakeStamped).
 	sched    float64
 	anchored bool
+}
+
+// depth is the bytes the bucket holds at a finite rate. Compared by
+// hand here and in Advance: the float min/max builtins, which must
+// order NaN and −0, more than double Advance's cost.
+func (p *Pacer) depth(rate float64) float64 {
+	if d := rate * p.Depth; d > p.Cap {
+		return d
+	}
+	return p.Cap
+}
+
+// Prime credits a bucket that has never advanced with n bytes, so a new
+// flow's first train need not wait for tokens to accrue. Reset grants
+// nothing: only a flow that has not sent yet is owed its first train.
+func (p *Pacer) Prime(n int) {
+	if !p.inited {
+		p.tokens = float64(n)
+	}
 }
 
 // Reset empties the bucket, re-anchors its clock and drops the
@@ -35,7 +58,7 @@ func (p *Pacer) Reset(now float64) {
 // and the window (or the app limit) is the only brake.
 func (p *Pacer) Advance(now, rate float64) {
 	if !p.inited {
-		p.Reset(now)
+		p.last, p.inited = now, true // keeps what Prime credited
 	}
 	dt := now - p.last
 	if dt < 0 {
@@ -47,8 +70,8 @@ func (p *Pacer) Advance(now, rate float64) {
 		return
 	}
 	p.tokens += dt * rate
-	if p.tokens > p.Cap {
-		p.tokens = p.Cap
+	if d := p.depth(rate); p.tokens > d {
+		p.tokens = d
 	}
 }
 
@@ -80,7 +103,7 @@ func (p *Pacer) TakeStamped(now, rate float64, n int) (virt float64, ok bool) {
 		return 0, false
 	}
 	finite := rate > 0 && rate <= MaxFiniteRate
-	if !finite || !p.anchored || now-p.sched > p.Cap/rate+schedSlack {
+	if !finite || !p.anchored || now-p.sched > p.depth(rate)/rate+schedSlack {
 		p.sched, p.anchored = now, true
 	}
 	if !finite {

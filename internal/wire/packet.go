@@ -49,11 +49,21 @@ var (
 //
 //	off len field
 //	0   1   type   (0x50 'P')
-//	1   1   version (2)
+//	1   1   version (2), high bit = push
 //	2   4   flow
 //	6   8   seq
 //	14  8   sentAt
 //	22  8   arrival
+//
+// The push bit marks the packet that completes a finite transfer: the
+// receiver cannot otherwise tell it from one more mid-flow packet, and
+// would hold its ack for the coalescing count or the delayed-ack timer.
+// Only the sender of a finite flow sets it, on the packet that launches
+// the transfer's last byte (a replacement for a lost packet launches it
+// again); the receiver acks a pushed packet at once. It must not mark a
+// train that merely ends window-gated — a one-packet window would then
+// force an ack per packet and undo coalescing. Every other bit of the
+// version byte is reserved and rejected; version 1 has no flags.
 //
 // Ack packet, version 1 (AckFixedLen + 16 bytes per SACK block):
 //
@@ -102,6 +112,8 @@ const (
 
 	wireVersion   = 1
 	wireVersionV2 = 2
+	// dataFlagPush is the one flag bit of the version-2 data header.
+	dataFlagPush = 0x80
 
 	// DataHeaderLen is the version-1 data-packet header size in bytes.
 	DataHeaderLen = 10 + 8 + 8
@@ -145,6 +157,7 @@ type DataHeader struct {
 	SentAt  int64  // wall nanos
 	Arrival int64  // emulated arrival wall nanos; 0 when no shim stamped it
 	Flow    uint32 // engine flow ID; 0 on version-1 packets
+	Push    bool   // version 2 only: last packet of a finite transfer, ack now
 }
 
 // EncodeData writes a data packet of exactly size bytes into buf
@@ -167,6 +180,9 @@ func EncodeData(buf []byte, h DataHeader, size int) []byte {
 func EncodeDataV2(buf []byte, h DataHeader, size int) []byte {
 	buf[0] = typeData
 	buf[1] = wireVersionV2
+	if h.Push {
+		buf[1] |= dataFlagPush
+	}
 	binary.BigEndian.PutUint32(buf[2:], h.Flow)
 	binary.BigEndian.PutUint64(buf[6:], uint64(h.Seq))
 	binary.BigEndian.PutUint64(buf[14:], uint64(h.SentAt))
@@ -183,7 +199,7 @@ func StampArrival(b []byte, nanos int64) bool {
 		return false
 	}
 	switch {
-	case b[0] == typeData && b[1] == wireVersionV2:
+	case b[0] == typeData && b[1]&^dataFlagPush == wireVersionV2:
 		if len(b) < DataHeaderLenV2 {
 			return false
 		}
@@ -199,36 +215,35 @@ func StampArrival(b []byte, nanos int64) bool {
 // DecodeData parses a data packet of either version. It returns a nil
 // error only for a well-formed data packet: correct type and version
 // bytes, a length within [header, MaxDataLen], and non-negative stamps.
-func DecodeData(b []byte) (DataHeader, error) {
+func DecodeData(b []byte) (h DataHeader, err error) {
 	if len(b) < DataHeaderLen {
-		return DataHeader{}, ErrTruncated
+		return h, ErrTruncated
 	}
 	if b[0] != typeData {
-		return DataHeader{}, ErrBadType
+		return h, ErrBadType
 	}
 	if len(b) > MaxDataLen {
-		return DataHeader{}, ErrOversized
+		return h, ErrOversized
 	}
-	var h DataHeader
+	// Decoded field by field into the result: DataHeader has more fields
+	// than the compiler keeps in registers, and building it as a value
+	// to copy out costs the per-packet path three times as much.
 	switch b[1] {
 	case wireVersion:
-		h = DataHeader{
-			Seq:     int64(binary.BigEndian.Uint64(b[2:])),
-			SentAt:  int64(binary.BigEndian.Uint64(b[10:])),
-			Arrival: int64(binary.BigEndian.Uint64(b[18:])),
-		}
-	case wireVersionV2:
+		h.Seq = int64(binary.BigEndian.Uint64(b[2:]))
+		h.SentAt = int64(binary.BigEndian.Uint64(b[10:]))
+		h.Arrival = int64(binary.BigEndian.Uint64(b[18:]))
+	case wireVersionV2, wireVersionV2 | dataFlagPush:
 		if len(b) < DataHeaderLenV2 {
-			return DataHeader{}, ErrTruncated
+			return h, ErrTruncated
 		}
-		h = DataHeader{
-			Flow:    binary.BigEndian.Uint32(b[2:]),
-			Seq:     int64(binary.BigEndian.Uint64(b[6:])),
-			SentAt:  int64(binary.BigEndian.Uint64(b[14:])),
-			Arrival: int64(binary.BigEndian.Uint64(b[22:])),
-		}
+		h.Push = b[1]&dataFlagPush != 0
+		h.Flow = binary.BigEndian.Uint32(b[2:])
+		h.Seq = int64(binary.BigEndian.Uint64(b[6:]))
+		h.SentAt = int64(binary.BigEndian.Uint64(b[14:]))
+		h.Arrival = int64(binary.BigEndian.Uint64(b[22:]))
 	default:
-		return DataHeader{}, ErrBadVersion
+		return h, ErrBadVersion
 	}
 	if h.Seq < 0 || h.SentAt < 0 || h.Arrival < 0 {
 		return DataHeader{}, ErrInconsistent

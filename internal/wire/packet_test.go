@@ -185,6 +185,49 @@ func TestDataPacketV2Roundtrip(t *testing.T) {
 	}
 }
 
+// The push bit rides the version byte of a version-2 header: it
+// round-trips, survives a shim's arrival stamp, and is the only bit
+// beside the version number a decoder accepts.
+func TestDataPacketPushBit(t *testing.T) {
+	buf := make([]byte, 1500)
+	for _, push := range []bool{false, true} {
+		h := DataHeader{Seq: 29, SentAt: 1710000000123456789, Flow: 7, Push: push}
+		pkt := EncodeDataV2(buf, h, 1200)
+		got, err := DecodeData(pkt)
+		if err != nil || got != h {
+			t.Fatalf("push=%v roundtrip: got %+v err=%v want %+v", push, got, err, h)
+		}
+		if PacketType(pkt) != typeData {
+			t.Fatalf("push=%v: PacketType %q", push, PacketType(pkt))
+		}
+		// A finite flow through a shim must not lose its last arrival stamp.
+		if !StampArrival(pkt, 42) {
+			t.Fatalf("push=%v: StampArrival refused the packet", push)
+		}
+		h.Arrival = 42
+		if got, err = DecodeData(pkt); err != nil || got != h {
+			t.Fatalf("push=%v after stamp: got %+v err=%v want %+v", push, got, err, h)
+		}
+	}
+	flagged := EncodeDataV2(buf, DataHeader{Flow: 7, Push: true}, 1200)
+	if _, err := DecodeData(flagged[:DataHeaderLenV2-1]); err != ErrTruncated {
+		t.Fatalf("short flagged v2: err=%v want ErrTruncated", err)
+	}
+	// Every other bit of the version byte is reserved, with or without
+	// the push bit, and version 1 has no flags at all.
+	for _, v := range []byte{0x42, 0x22, 0x12, 0x0a, 0x06, 0x03, 0xc2, 0x83, 0x81, 0x80, 0x00} {
+		pkt := EncodeDataV2(buf, DataHeader{Flow: 7}, 1200)
+		pkt[1] = v
+		if _, err := DecodeData(pkt); err != ErrBadVersion {
+			t.Errorf("version byte %#02x: err=%v want ErrBadVersion", v, err)
+		}
+	}
+	v1 := EncodeData(buf, DataHeader{Seq: 1, Push: true}, 1200)
+	if got, err := DecodeData(v1); err != nil || got.Push || v1[1] != wireVersion {
+		t.Fatalf("version 1 must ignore Push: byte %#02x got %+v err=%v", v1[1], got, err)
+	}
+}
+
 func TestAckPacketV2Roundtrip(t *testing.T) {
 	var buf [MaxAckLen]byte
 	a := AckPacket{Seq: 7, SentAtEcho: 11, RecvAt: 13, CumAck: 5, Flow: 31337,
@@ -253,6 +296,65 @@ func TestPacerAccrualAndDelay(t *testing.T) {
 	p3.Advance(0.5, 1e6)
 	if p3.tokens != 0 {
 		t.Fatalf("backwards advance accrued %v tokens", p3.tokens)
+	}
+}
+
+// The bucket is as deep as Depth seconds of the pacing rate when that
+// is more than Cap: a wake 1.1 ms late at 12 MB/s finds all 13200 bytes,
+// not the 9600 two trains would hold. Unpaced, Cap is the whole depth.
+func TestPacerDepthInTime(t *testing.T) {
+	p := Pacer{Cap: 9600, Depth: 2.5e-3}
+	p.Reset(0)
+	p.Advance(0.0011, 12e6)
+	if math.Abs(p.tokens-13200) > 1e-6 {
+		t.Fatalf("tokens %.1f after a 1.1 ms sleep, want all 13200 accrued", p.tokens)
+	}
+	p.Advance(1, 12e6)
+	if p.tokens != 30000 {
+		t.Fatalf("tokens %.0f after a long sleep, want 2.5 ms of the rate = 30000", p.tokens)
+	}
+	p.Advance(2, 1e6) // 2.5 ms of a slow rate is less than Cap: Cap is the floor
+	if p.tokens != 9600 {
+		t.Fatalf("tokens %.0f at 1 MB/s, want Cap 9600", p.tokens)
+	}
+	p.Advance(3, math.Inf(1))
+	if p.tokens != 9600 {
+		t.Fatalf("tokens %.0f unpaced, want Cap 9600", p.tokens)
+	}
+	// The timeline's re-anchor threshold follows the same depth: a pause
+	// the bucket can absorb keeps the stamps on the grid, a longer one
+	// re-anchors them at now.
+	for _, c := range []struct{ depth, pause, want float64 }{
+		{1.0, 1.0, 0.12}, // 1 s < 1.0 + schedSlack: next stamp one packet after the first
+		{0, 1.0, 1.0},    // Cap/rate = 0.12 s: re-anchored
+	} {
+		q := Pacer{Cap: 1200, Depth: c.depth}
+		q.Prime(1200)
+		q.Advance(0, 1e4)
+		q.TakeStamped(0, 1e4, 1200)
+		q.Advance(c.pause, 1e4)
+		got, ok := q.TakeStamped(c.pause, 1e4, 1200)
+		if !ok || math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("depth %v: stamp %.3f ok=%v after a %v s pause, want %.3f", c.depth, got, ok, c.pause, c.want)
+		}
+	}
+}
+
+// A bucket that has never advanced keeps what Prime put in it; Reset —
+// an outage, a push-back — earns nothing, and neither does priming a
+// bucket already in use.
+func TestPacerPrime(t *testing.T) {
+	p := Pacer{Cap: 9600}
+	p.Prime(4800)
+	p.Advance(5, 12e6) // the first advance anchors the clock, accrues nothing
+	if p.tokens != 4800 {
+		t.Fatalf("tokens %.0f at the first advance, want the primed 4800", p.tokens)
+	}
+	p.Reset(6)
+	p.Prime(4800)
+	p.Advance(6, 12e6)
+	if p.tokens != 0 {
+		t.Fatalf("tokens %.0f after Reset, want 0", p.tokens)
 	}
 }
 
