@@ -58,10 +58,54 @@ func (m mode) String() string {
 	}
 }
 
-type sendSnapshot struct {
-	delivered   int64
-	deliveredAt float64 // when that delivered count was reached
-	sentAt      float64
+// Snapshot is the delivery state a packet carries from send to ack.
+type Snapshot struct {
+	Delivered   int64
+	DeliveredAt float64 // when that delivered count was reached
+	SentAt      float64
+}
+
+// Snapshots holds the Snapshot of every packet sent and neither acked
+// nor declared lost, in a power-of-two ring indexed by sequence number:
+// no hashing and, once it spans the window, no allocation. bbr2 shares it.
+type Snapshots struct{ slots []snapSlot }
+
+type snapSlot struct {
+	seq  int64
+	live bool
+	snap Snapshot
+}
+
+// Put records v for seq, replacing what seq held. Live sequence numbers
+// span at most a window, so a live slot of another seq in the way means
+// the ring is too small: it doubles, which keeps live entries apart.
+func (r *Snapshots) Put(seq int64, v Snapshot) {
+	for {
+		if n := len(r.slots); n > 0 {
+			if s := &r.slots[seq&int64(n-1)]; !s.live || s.seq == seq {
+				*s = snapSlot{seq, true, v}
+				return
+			}
+		}
+		old := r.slots
+		r.slots = make([]snapSlot, max(64, 2*len(old)))
+		for _, s := range old {
+			if s.live {
+				r.slots[s.seq&int64(len(r.slots)-1)] = s
+			}
+		}
+	}
+}
+
+// Take removes and returns seq's snapshot; ok iff put and not taken since.
+func (r *Snapshots) Take(seq int64) (v Snapshot, ok bool) {
+	if n := len(r.slots); n > 0 {
+		if s := &r.slots[seq&int64(n-1)]; s.live && s.seq == seq {
+			s.live = false
+			return s.snap, true
+		}
+	}
+	return v, false
 }
 
 // Controller is one BBR connection.
@@ -84,7 +128,7 @@ type Controller struct {
 
 	delivered     int64
 	deliveredAt   float64
-	snapshots     map[int64]sendSnapshot
+	snapshots     Snapshots
 	round         int64
 	nextRoundSeq  int64
 	maxSeqSent    int64
@@ -123,7 +167,6 @@ func New() *Controller {
 		pacingGain: startupGain,
 		btlbw:      stats.WindowedMax{Window: btlbwWindowRounds},
 		rtprop:     stats.WindowedMin{Window: rtpropWindow},
-		snapshots:  make(map[int64]sendSnapshot),
 	}
 }
 
@@ -174,7 +217,7 @@ func (c *Controller) OnSend(now float64, pkt *transport.SentPacket) {
 	if c.deliveredAt == 0 {
 		c.deliveredAt = now
 	}
-	c.snapshots[pkt.Seq] = sendSnapshot{delivered: c.delivered, deliveredAt: c.deliveredAt, sentAt: now}
+	c.snapshots.Put(pkt.Seq, Snapshot{Delivered: c.delivered, DeliveredAt: c.deliveredAt, SentAt: now})
 	if pkt.Seq > c.maxSeqSent {
 		c.maxSeqSent = pkt.Seq
 	}
@@ -189,7 +232,7 @@ func (c *Controller) OnSend(now float64, pkt *transport.SentPacket) {
 // OnLoss implements transport.Controller. BBR v1 does not react to
 // individual losses; only the in-flight accounting is maintained.
 func (c *Controller) OnLoss(loss transport.Loss) {
-	delete(c.snapshots, loss.Seq)
+	c.snapshots.Take(loss.Seq)
 	c.inflight -= loss.Bytes
 	if c.inflight < 0 {
 		c.inflight = 0
@@ -228,16 +271,15 @@ func (c *Controller) OnAck(ack transport.Ack) {
 	// interval is the larger of the send interval and the ack (delivery)
 	// interval, so queue growth between send and ack does not deflate
 	// the sample and pipe-filling probes can ratchet the estimate up.
-	if snap, ok := c.snapshots[ack.Seq]; ok {
-		delete(c.snapshots, ack.Seq)
-		sendElapsed := snap.sentAt - snap.deliveredAt
-		ackElapsed := ack.Now - snap.deliveredAt
+	if snap, ok := c.snapshots.Take(ack.Seq); ok {
+		sendElapsed := snap.SentAt - snap.DeliveredAt
+		ackElapsed := ack.Now - snap.DeliveredAt
 		elapsed := ackElapsed
 		if sendElapsed > elapsed {
 			elapsed = sendElapsed
 		}
 		if elapsed > 0 {
-			rate := float64(c.delivered-snap.delivered) / elapsed
+			rate := float64(c.delivered-snap.Delivered) / elapsed
 			if c.debugSample != nil {
 				c.debugSample(rate)
 			}

@@ -21,6 +21,7 @@ package bbr2
 import (
 	"math"
 
+	"pccproteus/internal/cc/bbr"
 	"pccproteus/internal/netem"
 	"pccproteus/internal/stats"
 	"pccproteus/internal/trace"
@@ -108,12 +109,6 @@ func (p phase) String() string {
 	}
 }
 
-type sendSnapshot struct {
-	delivered   int64
-	deliveredAt float64
-	sentAt      float64
-}
-
 // Controller is one bbr2 connection.
 type Controller struct {
 	mode       mode
@@ -127,7 +122,7 @@ type Controller struct {
 
 	delivered    int64
 	deliveredAt  float64
-	snapshots    map[int64]sendSnapshot
+	snapshots    bbr.Snapshots
 	round        int64
 	nextRoundSeq int64
 	maxSeqSent   int64
@@ -161,7 +156,6 @@ func New() *Controller {
 		pacingGain: startupGain,
 		btlbw:      stats.WindowedMax{Window: btlbwWindowRounds},
 		rtprop:     stats.WindowedMin{Window: rtpropWindow},
-		snapshots:  make(map[int64]sendSnapshot),
 		inflightHi: math.Inf(1),
 		inflightLo: math.Inf(1),
 		upGrowth:   1,
@@ -214,7 +208,7 @@ func (c *Controller) OnSend(now float64, pkt *transport.SentPacket) {
 	if c.deliveredAt == 0 {
 		c.deliveredAt = now
 	}
-	c.snapshots[pkt.Seq] = sendSnapshot{delivered: c.delivered, deliveredAt: c.deliveredAt, sentAt: now}
+	c.snapshots.Put(pkt.Seq, bbr.Snapshot{Delivered: c.delivered, DeliveredAt: c.deliveredAt, SentAt: now})
 	if pkt.Seq > c.maxSeqSent {
 		c.maxSeqSent = pkt.Seq
 	}
@@ -229,7 +223,7 @@ func (c *Controller) OnSend(now float64, pkt *transport.SentPacket) {
 // OnLoss implements transport.Controller: losses feed the per-round
 // loss rate that drives the inflight_hi response.
 func (c *Controller) OnLoss(loss transport.Loss) {
-	delete(c.snapshots, loss.Seq)
+	c.snapshots.Take(loss.Seq)
 	c.inflight -= loss.Bytes
 	if c.inflight < 0 {
 		c.inflight = 0
@@ -255,16 +249,15 @@ func (c *Controller) OnAck(ack transport.Ack) {
 	}
 
 	// Delivery-rate sample, exactly as v1 (see bbr.Controller.OnAck).
-	if snap, ok := c.snapshots[ack.Seq]; ok {
-		delete(c.snapshots, ack.Seq)
-		sendElapsed := snap.sentAt - snap.deliveredAt
-		ackElapsed := ack.Now - snap.deliveredAt
+	if snap, ok := c.snapshots.Take(ack.Seq); ok {
+		sendElapsed := snap.SentAt - snap.DeliveredAt
+		ackElapsed := ack.Now - snap.DeliveredAt
 		elapsed := ackElapsed
 		if sendElapsed > elapsed {
 			elapsed = sendElapsed
 		}
 		if elapsed > 0 {
-			c.btlbw.Add(float64(c.round), float64(c.delivered-snap.delivered)/elapsed)
+			c.btlbw.Add(float64(c.round), float64(c.delivered-snap.Delivered)/elapsed)
 		}
 	}
 

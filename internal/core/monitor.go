@@ -39,6 +39,7 @@ type monitor struct {
 	cfg     *Config
 	current *mi
 	pending map[int64]*mi
+	free    []*mi // finalized MIs, reused with their sample slices
 	nextID  int64
 
 	// Per-ACK RTT sample filtering state (§5): consecutive ACK-interval
@@ -76,12 +77,12 @@ func (mo *monitor) beginMI(now, targetMbps, srtt float64) *mi {
 		}
 	}
 	mo.nextID++
-	m := &mi{
-		id:         mo.nextID,
-		targetMbps: targetMbps,
-		start:      now,
-		end:        now + dur,
+	if len(mo.free) == 0 {
+		mo.free = append(mo.free, new(mi))
 	}
+	m := mo.free[len(mo.free)-1]
+	mo.free = mo.free[:len(mo.free)-1]
+	*m = mi{id: mo.nextID, targetMbps: targetMbps, start: now, end: now + dur, sendTimes: m.sendTimes[:0], rtts: m.rtts[:0]}
 	mo.current = m
 	mo.pending[m.id] = m
 	return m
@@ -213,6 +214,8 @@ func (mo *monitor) maybeFinalize(m *mi, u UtilityFunc) (miResult, bool) {
 		return miResult{}, false
 	}
 	delete(mo.pending, m.id)
+	// Wiped on reuse, not here: m is read below and may still be current.
+	mo.free = append(mo.free, m)
 	if m.discarded || m.sentPkts == 0 {
 		return miResult{}, false
 	}

@@ -107,7 +107,8 @@ type LinkStats struct {
 // Link is a shared bottleneck: a FIFO byte queue drained at Rate, followed
 // by a fixed propagation delay and optional per-packet jitter and random
 // loss. Multiple senders share one Link; queue occupancy (and therefore
-// latency) is global, which is what couples competing flows.
+// latency) is global, which is what couples competing flows. Occupancy
+// drops when it is read (Send, QueueBytes, Stats), not by a queued event.
 type Link struct {
 	Sim       *sim.Sim
 	Rate      float64 // bytes per second
@@ -130,13 +131,14 @@ type Link struct {
 	epoch       uint64
 	stats       LinkStats
 
-	// Serialisation ends follow busyUntil and arrivals follow
-	// lastArrival, both monotone, so each stream is a sim.Lane. Created
-	// on first Send so zero-value Link literals keep working.
-	txEnds, arrivals  *sim.Lane
-	txEndFn, arriveFn func(any) // l.txEnd and l.arrive, bound once
-	free              []*flight
-	pktFree           []*Packet
+	// A serialisation end only moves queueBytes and SentBytes: txEnds
+	// books it for settle and no event runs. Arrivals follow lastArrival,
+	// monotone: a sim.Lane, created on first Send so zero-value Links work.
+	txEnds   sim.Ledger
+	arrivals *sim.Lane
+	arriveFn func(any) // l.arrive, bound once
+	free     []*flight
+	pktFree  []*Packet
 }
 
 // NewLink builds a bottleneck with rate in bits/sec converted from Mbps,
@@ -183,7 +185,19 @@ func (l *Link) SetPropDelay(d float64) error {
 }
 
 // Stats returns a copy of the link counters.
-func (l *Link) Stats() LinkStats { return l.stats }
+func (l *Link) Stats() LinkStats {
+	l.settle()
+	return l.stats
+}
+
+// settle applies the serialisation ends that have come due. It runs
+// wherever queueBytes or SentBytes is read, so both read exactly what an
+// event at each packet's last byte would have left in them.
+func (l *Link) settle() {
+	sent := l.txEnds.Settle(l.Sim)
+	l.queueBytes -= sent
+	l.stats.SentBytes += int64(sent)
+}
 
 // Flush models a peer restart: every packet currently in flight (sent
 // but not yet delivered) is discarded at its would-be delivery time and
@@ -192,7 +206,10 @@ func (l *Link) Stats() LinkStats { return l.stats }
 func (l *Link) Flush() { l.epoch++ }
 
 // QueueBytes returns the current queue occupancy in bytes.
-func (l *Link) QueueBytes() int { return l.queueBytes }
+func (l *Link) QueueBytes() int {
+	l.settle()
+	return l.queueBytes
+}
 
 // QueueDelay returns the delay a packet enqueued now would wait before
 // its own serialization begins.
@@ -216,6 +233,7 @@ func (l *Link) QueueDelay() float64 {
 func (l *Link) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool {
 	rec := l.Sim.Trace()
 	now := l.Sim.Now()
+	l.settle()
 	if l.Down {
 		// Blackout: the packet is offered to a dead path and vanishes
 		// before it reaches the queue, exactly as the wire shim drops
@@ -274,11 +292,10 @@ func (l *Link) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool 
 		}
 		l.lastArrival = arrival
 	}
-	if l.txEnds == nil {
-		l.txEnds, l.arrivals = l.Sim.NewLane(), l.Sim.NewLane()
-		l.txEndFn, l.arriveFn = l.txEnd, l.arrive
+	if l.arrivals == nil {
+		l.arrivals, l.arriveFn = l.Sim.NewLane(), l.arrive
 	}
-	l.txEnds.AtArg(txEnd, l.txEndFn, pkt)
+	l.txEnds.Post(l.Sim, txEnd, pkt.Size)
 	if lost {
 		l.stats.LostRandom++
 		if rec.Enabled(trace.KindPacketDrop) {
@@ -357,13 +374,6 @@ func (l *Link) Release(p *Packet) {
 	l.pktFree = append(l.pktFree, p)
 }
 
-// txEnd runs when a packet's last byte leaves the queue.
-func (l *Link) txEnd(pkt any) {
-	size := pkt.(*Packet).Size
-	l.queueBytes -= size
-	l.stats.SentBytes += int64(size)
-}
-
 // arrive runs at a flight's arrival time.
 func (l *Link) arrive(arg any) {
 	v := l.land(arg.(*flight))
@@ -371,7 +381,7 @@ func (l *Link) arrive(arg any) {
 	if v.ep != l.epoch {
 		l.stats.Flushed++
 		if rec := l.Sim.Trace(); !v.dup && rec.Enabled(trace.KindPacketDrop) {
-			rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.queueBytes, "restart")
+			rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.QueueBytes(), "restart")
 		}
 		return
 	}
@@ -380,7 +390,7 @@ func (l *Link) arrive(arg any) {
 		// receiver's codec rejects them, so delivery never happens.
 		l.stats.Corrupted++
 		if rec := l.Sim.Trace(); rec.Enabled(trace.KindPacketDrop) {
-			rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.queueBytes, "corrupt")
+			rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.QueueBytes(), "corrupt")
 		}
 		return
 	}

@@ -13,7 +13,11 @@ import (
 // keeps each live item in a flat list and always expects its minimum.
 // Callbacks read their own follow-up ops from the same stream, so a
 // lane is emptied and refilled from inside its own callbacks and
-// timers are stopped at the instant they were due.
+// timers are stopped at the instant they were due. A Ledger rides along:
+// its entries take sequence numbers from the same counter, and at every
+// look the entries it hands back must be exactly those that lie before
+// the model's position — the callback now executing, or where the last
+// Run left off.
 
 type refItem struct {
 	at  float64
@@ -41,6 +45,11 @@ type scheduleHarness struct {
 	running bool
 	stopped bool
 	lastAt  float64
+
+	ledger Ledger
+	posted []refItem // ledger entries not yet handed back, oldest first
+	posAt  float64   // the model's position: entries before
+	posSeq int       // (posAt, posSeq) have come due
 }
 
 func (h *scheduleHarness) next() byte {
@@ -110,6 +119,7 @@ func (h *scheduleHarness) fired(id int) {
 		h.t.Fatalf("callback %d ran at t=%v, scheduled for %v", id, h.s.Now(), want.at)
 	}
 	h.lastAt = want.at
+	h.posAt, h.posSeq = want.at, want.seq
 	h.drop(id)
 	for k := int(h.next() % 3); k > 0; k-- {
 		h.op()
@@ -123,10 +133,14 @@ func (h *scheduleHarness) op() {
 	}
 	now := h.s.Now()
 	switch h.next() % 8 {
-	case 0, 1: // a timer
+	case 0: // a timer
 		at := now + h.delta()
 		id, fn := h.add(at)
 		h.timers = append(h.timers, timerRef{h.s.At(at, fn), id})
+	case 1: // a timer nobody holds a handle to
+		at := now + h.delta()
+		_, fn := h.add(at)
+		h.s.Schedule(at, fn)
 	case 2, 3: // a lane push that keeps the lane's order
 		kb := h.next()
 		k := int(kb % 3)
@@ -139,12 +153,26 @@ func (h *scheduleHarness) op() {
 		at := now + h.delta()
 		h.laneTail[k] = math.Max(h.laneTail[k], at)
 		h.lanePush(k, at, kb&4 != 0)
-	case 5: // stop or move a timer: pending, fired, stopped or recycled
+	case 5: // the ledger; or stop or move a timer: pending, fired, stopped or recycled
+		kind := h.next() % 3
+		if kind == 2 {
+			// Look, then post: an entry takes a sequence number like any
+			// callback, at or after the ledger's newest, possibly now.
+			h.settle()
+			at := now + h.delta()
+			if n := len(h.posted); n > 0 && h.posted[n-1].at > at {
+				at = h.posted[n-1].at
+			}
+			h.posted = append(h.posted, refItem{at: at, seq: h.seq, id: h.seq})
+			h.ledger.Post(h.s, at, h.seq)
+			h.seq++
+			return
+		}
 		if len(h.timers) == 0 {
 			return
 		}
 		ref := h.timers[int(h.next())%len(h.timers)]
-		if h.next()&1 == 1 {
+		if kind == 1 {
 			// Reset is Stop + At under the same id: a fresh sequence
 			// number, and nothing at all on a timer no longer pending.
 			at := now + h.delta()
@@ -176,10 +204,35 @@ func (h *scheduleHarness) op() {
 	}
 }
 
+// settle checks that the ledger collects exactly the entries before
+// the model's position: the sum of their amounts, and how many stay.
+func (h *scheduleHarness) settle() {
+	want := 0
+	for len(h.posted) > 0 {
+		e := h.posted[0]
+		if !(e.at < h.posAt || (e.at == h.posAt && e.seq < h.posSeq)) {
+			break
+		}
+		want += e.id
+		h.posted = h.posted[1:]
+	}
+	if got := h.ledger.Settle(h.s); got != want || h.ledger.n != len(h.posted) {
+		h.t.Fatalf("at t=%v ledger settled %d leaving %d entries, reference settles %d leaving %d (position %v, %d)",
+			h.s.Now(), got, h.ledger.n, want, len(h.posted), h.posAt, h.posSeq)
+	}
+}
+
 func (h *scheduleHarness) run(until float64) {
 	h.running, h.stopped = true, false
 	h.s.Run(until)
 	h.running = false
+	// A Run that returns by itself has executed everything scheduled so
+	// far up to the clock; a stopped one only moves the clock.
+	h.posAt = h.s.Now()
+	if !h.stopped {
+		h.posSeq = h.seq
+	}
+	h.settle()
 	want := until
 	if m := h.min(); m >= 0 && h.live[m].at <= until {
 		if !h.stopped {
@@ -208,6 +261,9 @@ func checkSchedule(t *testing.T, data []byte) {
 	}
 	if got := len(h.s.events); got != 0 {
 		t.Fatalf("%d heap entries left after the drain", got)
+	}
+	if h.run(h.s.Now() + 1e6); len(h.posted) != 0 {
+		t.Fatalf("%d ledger entries not due after the drain", len(h.posted))
 	}
 }
 
@@ -330,6 +386,10 @@ func TestNonFiniteTimes(t *testing.T) {
 		{"After NaN", func(s *Sim) { s.After(math.NaN(), nop) }, true},
 		{"Lane.At NaN", func(s *Sim) { s.NewLane().At(math.NaN(), nop) }, true},
 		{"At -Inf", func(s *Sim) { s.At(math.Inf(-1), nop) }, true},
+		{"Ledger.Post NaN", func(s *Sim) { new(Ledger).Post(s, math.NaN(), 1) }, true},
+		{"Ledger.Post in the past", func(s *Sim) { new(Ledger).Post(s, 0.5, 1) }, true},
+		{"Ledger.Post before its newest", func(s *Sim) { g := new(Ledger); g.Post(s, 3, 1); g.Post(s, 2, 1) }, true},
+		{"Ledger.Post now", func(s *Sim) { new(Ledger).Post(s, 1, 1) }, false},
 		{"After -Inf clamps to now", func(s *Sim) { s.After(math.Inf(-1), nop) }, false},
 		{"At +Inf", func(s *Sim) { s.At(math.Inf(1), nop) }, false},
 		{"After +Inf", func(s *Sim) { s.After(math.Inf(1), nop) }, false},

@@ -8,10 +8,11 @@
 //
 // The queue holds sources, not callbacks: a 4-ary heap whose entries
 // are individual timers (Sim.At, removable through Timer.Stop) and the
-// heads of Lanes — FIFO streams such as a link's serialisation and
-// arrival events, of which only the earliest item needs to compete. A
-// long-flow run therefore keeps a heap of a few entries per flow and
-// link however many packets are in flight.
+// heads of Lanes — FIFO streams such as a link's arrivals, of which
+// only the earliest item needs to compete — while what only has to be
+// right when somebody looks (the bytes a link has serialised) is booked
+// in a Ledger and never queued. A long-flow run therefore keeps a heap of
+// a few entries per flow and link however many packets are in flight.
 package sim
 
 import (
@@ -223,7 +224,7 @@ func (l *Lane) push(t float64, fn func(arg any), arg any) {
 	s := l.ev.s
 	s.checkTime(t)
 	if l.n == len(l.ring) {
-		l.grow()
+		l.ring, l.head = growRing(l.ring, l.head), 0
 	}
 	l.ring[(l.head+l.n)&(len(l.ring)-1)] = laneItem{at: t, seq: s.seq, fn: fn, arg: arg}
 	l.n++
@@ -235,12 +236,12 @@ func (l *Lane) push(t float64, fn func(arg any), arg any) {
 	s.pending++
 }
 
-// grow doubles the ring, unwrapping it so head is index 0.
-func (l *Lane) grow() {
-	ring := make([]laneItem, max(8, 2*len(l.ring)))
-	k := copy(ring, l.ring[l.head:])
-	copy(ring[k:], l.ring[:l.head])
-	l.ring, l.head = ring, 0
+// growRing doubles a power-of-two ring, unwrapping it so head is index 0.
+func growRing[T any](ring []T, head int) []T {
+	out := make([]T, max(8, 2*len(ring)))
+	k := copy(out, ring[head:])
+	copy(out[k:], ring[:head])
+	return out
 }
 
 // pop removes and returns the head callback; the lane must be non-empty.
@@ -253,11 +254,64 @@ func (l *Lane) pop() (fn func(arg any), arg any) {
 	return fn, arg
 }
 
+// Ledger is a FIFO of amounts that each come due at a virtual time, for
+// bookkeeping nobody observes until they read it — a link's queue
+// occupancy once a packet's last byte has left. Nothing is queued and
+// nothing runs: Post takes a sequence number exactly as Sim.At would, so
+// every other event keeps its own, and Settle collects the entries whose
+// (time, sequence) precedes the event now executing — those whose
+// callback would already have run had each been a Sim.At. Between Runs
+// that means: before the first Run nothing; after Run returns, what was
+// posted before it returned for a time up to Now; after Stop, what
+// precedes the last executed event. The zero value is empty.
+type Ledger struct {
+	ring []ledgerItem // power-of-two circular buffer
+	head int
+	n    int
+	tail float64 // time of the newest entry
+}
+
+type ledgerItem struct {
+	at  float64
+	seq uint64
+	v   int
+}
+
+// Post books v as due at time t on s: like Sim.At not in the past, and
+// not before the previous Post's t, or FIFO is not (time, sequence) order.
+func (g *Ledger) Post(s *Sim, t float64, v int) {
+	if !(t >= max(s.now, g.tail)) {
+		panic(fmt.Sprintf("sim: ledger entry at %.9f before now %.9f or the entry before it at %.9f", t, s.now, g.tail))
+	}
+	if g.n == len(g.ring) {
+		g.ring, g.head = growRing(g.ring, g.head), 0
+	}
+	g.ring[(g.head+g.n)&(len(g.ring)-1)] = ledgerItem{at: t, seq: s.seq, v: v}
+	g.n++
+	g.tail = t
+	s.seq++
+}
+
+// Settle removes every entry that has come due on s and returns their sum.
+func (g *Ledger) Settle(s *Sim) (sum int) {
+	for g.n > 0 {
+		it := &g.ring[g.head]
+		if it.at > s.now || (it.at == s.now && it.seq >= s.cur) {
+			break
+		}
+		sum += it.v
+		g.head = (g.head + 1) & (len(g.ring) - 1)
+		g.n--
+	}
+	return sum
+}
+
 // Sim is a discrete-event simulator. The zero value is not usable; create
 // one with New.
 type Sim struct {
 	now     float64
 	seq     uint64
+	cur     uint64  // seq of the executing event; between Runs see Ledger
 	events  []entry // 4-ary min-heap on (at, seq)
 	pending int     // callbacks queued: timers plus every lane's items
 	free    []*event
@@ -314,6 +368,9 @@ func (s *Sim) checkTime(t float64) {
 	}
 }
 
+// Schedule is At for a callback nobody will cancel: no handle, no allocation.
+func (s *Sim) Schedule(t float64, fn func()) { s.schedule(t, fn) }
+
 // schedule queues fn as a timer event of its own.
 func (s *Sim) schedule(t float64, fn func()) *event {
 	s.checkTime(t)
@@ -343,7 +400,8 @@ func (s *Sim) After(d float64, fn func()) *Timer {
 // Stop halts the event loop after the currently executing event returns.
 func (s *Sim) Stop() { s.stopped = true }
 
-// Pending reports the number of callbacks still queued.
+// Pending reports the number of callbacks still queued: timers and lane
+// items, not Ledger entries — bytes a link is still serialising add none.
 func (s *Sim) Pending() int { return s.pending }
 
 // Run executes events in order until the queue is empty, Stop is called,
@@ -363,7 +421,7 @@ func (s *Sim) Run(until float64) {
 		if top.at > until {
 			break
 		}
-		s.now = top.at
+		s.now, s.cur = top.at, top.seq
 		ev := top.ev
 		if l := ev.lane; l != nil {
 			fn, arg := l.pop()
@@ -388,6 +446,9 @@ func (s *Sim) Run(until float64) {
 	}
 	if s.now < until && (len(s.events) == 0 || s.events[0].at > until) {
 		s.now = until
+	}
+	if !s.stopped {
+		s.cur = s.seq // everything scheduled so far up to now has run
 	}
 }
 

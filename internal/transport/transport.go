@@ -132,6 +132,11 @@ type simClock struct{ s *sim.Sim }
 
 func (c simClock) Now() float64                  { return c.s.Now() }
 func (c simClock) At(t float64, fn func()) Timer { return c.s.At(t, fn) }
+func (c simClock) Schedule(t float64, fn func()) { c.s.Schedule(t, fn) }
+
+// scheduler is the optional part of a Clock: Schedule(t, fn) is At(t,
+// fn) for a caller that will never cancel, so no handle is allocated.
+type scheduler interface{ Schedule(t float64, fn func()) }
 
 // SimClock returns the Clock backed by a discrete-event simulator —
 // the default time base for senders on an emulated path.
@@ -255,6 +260,7 @@ type Sender struct {
 	started    bool
 	rtoTimer   Timer
 	probeTimer Timer
+	pace       scheduler // the clock's handle-free At, or nil
 	rttSamples []float64
 	startTime  float64
 
@@ -285,6 +291,7 @@ func (s *Sender) Start() {
 	}
 	s.started = true
 	s.startTime = s.clk().Now()
+	s.pace, _ = s.Clock.(scheduler)
 	s.emitFn, s.onRTOFn, s.deliverFn, s.handleAckFn = s.emit, s.onRTO, s.deliver, s.handleAck
 	s.book.Init(s.CC, s.onLost)
 	s.book.Touch(s.startTime)
@@ -427,7 +434,11 @@ func (s *Sender) trySend() {
 		at = now
 	}
 	s.timerSet = true
-	clk.At(at, s.emitFn)
+	if s.pace != nil {
+		s.pace.Schedule(at, s.emitFn) // the pacing timer is never stopped
+	} else {
+		clk.At(at, s.emitFn)
+	}
 }
 
 func (s *Sender) emit() {

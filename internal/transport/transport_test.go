@@ -421,26 +421,53 @@ func TestNoPacingBurstsWindow(t *testing.T) {
 	}
 }
 
-// The per-packet path — emit, two hops, delivery, the ack's return, the
-// RTO re-arm — recycles its packets and flights and re-arms its timer
-// in place; what is left is the pacing timer's handle, one per burst.
-// Garbage per packet is what makes a long simulation's wall time depend
-// on the collector, so it is pinned here.
+// pacedCC is a rate-based controller that keeps nothing per ack.
+type pacedCC struct {
+	rate float64
+	acks int
+}
+
+func (c *pacedCC) Name() string                { return "test-paced" }
+func (c *pacedCC) OnSend(float64, *SentPacket) {}
+func (c *pacedCC) OnAck(Ack)                   { c.acks++ }
+func (c *pacedCC) OnLoss(Loss)                 {}
+func (c *pacedCC) PacingRate() float64         { return c.rate }
+func (c *pacedCC) CWnd() float64               { return math.Inf(1) }
+
+// The per-packet path — the pacing tick, emit, two hops, delivery, the
+// ack's return, the RTO deadline moving — allocates nothing: packets
+// and flights are recycled, the pacing tick takes no handle and the RTO
+// timer stands still. Garbage per packet is what makes a long
+// simulation's wall time depend on the collector, so it is pinned here,
+// for a window-limited flow (ack-clocked ticks) and a rate-paced one (a
+// tick per train).
 func TestSteadyStateAllocsPerPacket(t *testing.T) {
-	s := sim.New(1)
-	first := netem.NewLink(s, 100, 1<<20, 0.005)
-	p := &netem.Path{Link: first, Hops: []*netem.Link{netem.NewLink(s, 50, 1<<20, 0.010)}, AckDelay: 0.015}
-	cc := &windowCC{cwnd: 200 * netem.MTU}
-	snd := NewSender(1, p, cc)
-	snd.Start()
-	s.Run(2) // fill the window, size the rings and the pools
-	acks := cc.acks
-	perRun := testing.AllocsPerRun(20, func() { s.Run(s.Now() + 0.1) })
-	pkts := float64(cc.acks-acks) / 21 // AllocsPerRun makes one warm-up call
-	if pkts < 100 {
-		t.Fatalf("only %.0f packets per slice: the flow is not running", pkts)
-	}
-	if got := perRun / pkts; got > 1.1 {
-		t.Fatalf("%.2f allocations per delivered packet, want at most the pacing timer's handle", got)
+	window := &windowCC{cwnd: 200 * netem.MTU}
+	paced := &pacedCC{rate: 40e6 / 8}
+	for _, tc := range []struct {
+		name string
+		cc   Controller
+		acks *int
+	}{
+		{"window", window, &window.acks},
+		{"paced", paced, &paced.acks},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			first := netem.NewLink(s, 100, 1<<20, 0.005)
+			p := &netem.Path{Link: first, Hops: []*netem.Link{netem.NewLink(s, 50, 1<<20, 0.010)}, AckDelay: 0.015}
+			snd := NewSender(1, p, tc.cc)
+			snd.Start()
+			s.Run(2) // fill the window, size the rings and the pools
+			acks := *tc.acks
+			perRun := testing.AllocsPerRun(20, func() { s.Run(s.Now() + 0.1) })
+			pkts := float64(*tc.acks-acks) / 21 // AllocsPerRun makes one warm-up call
+			if pkts < 100 {
+				t.Fatalf("only %.0f packets per slice: the flow is not running", pkts)
+			}
+			if perRun != 0 {
+				t.Fatalf("%.0f allocations per %.0f delivered packets, want 0", perRun, pkts)
+			}
+		})
 	}
 }
