@@ -16,6 +16,11 @@ package engine
 // All staging memory (headers, iovecs, sockaddrs) is preallocated at
 // shard init, and the RawConn callbacks are bound once, so the
 // per-batch syscall path allocates nothing.
+//
+// What a send costs inside the kernel follows the iovec count, not
+// only the entry count: the shard encodes its packets back to back in
+// one tx arena (shard.txBuf/queueTx), so buildGSO can describe a whole
+// same-destination run with one iovec instead of one per datagram.
 
 import (
 	"net/netip"
@@ -119,6 +124,25 @@ type mmsgState struct {
 	wSoft bool  // last flush attempt hit ENOBUFS/ENOMEM (retryable)
 }
 
+// initTx allocates the write staging for flushes of up to n datagrams;
+// it needs no socket, so the staging tests run buildGSO without one.
+func (m *mmsgState) initTx(n int) {
+	m.whdrs = make([]mmsghdr, n)
+	m.wiovs = make([]syscall.Iovec, n)
+	m.wnames = make([]syscall.RawSockaddrInet6, n)
+	m.wctrl = make([]cmsgGSO, n)
+	m.wsegs = make([]int, n)
+	for i := range m.gidx {
+		m.gidx[i] = make([]int, 0, n)
+	}
+	m.gflat = make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		m.whdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.wnames[i]))
+		m.whdrs[i].hdr.Iov = &m.wiovs[i]
+		m.whdrs[i].hdr.Iovlen = 1
+	}
+}
+
 func (sh *shard) initBatch() {
 	rc, err := sh.conn.SyscallConn()
 	if err != nil {
@@ -130,15 +154,7 @@ func (sh *shard) initBatch() {
 	m := &sh.mmsg
 	m.rc = rc
 	n := sh.batchSize
-	m.whdrs = make([]mmsghdr, n)
-	m.wiovs = make([]syscall.Iovec, n)
-	m.wnames = make([]syscall.RawSockaddrInet6, n)
-	m.wctrl = make([]cmsgGSO, n)
-	m.wsegs = make([]int, n)
-	for i := range m.gidx {
-		m.gidx[i] = make([]int, 0, n)
-	}
-	m.gflat = make([]int, 0, n)
+	m.initTx(n)
 	rc.Control(func(fd uintptr) {
 		// Setting UDP_SEGMENT to 0 is a no-op that succeeds exactly
 		// when the kernel implements UDP GSO. UDP_GRO=1 asks the
@@ -179,11 +195,6 @@ func (sh *shard) initBatch() {
 			m.rhdrs[i].hdr.Control = (*byte)(unsafe.Pointer(&m.rctrl[i]))
 			m.rhdrs[i].hdr.SetControllen(24)
 		}
-	}
-	for i := 0; i < n; i++ {
-		m.whdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.wnames[i]))
-		m.whdrs[i].hdr.Iov = &m.wiovs[i]
-		m.whdrs[i].hdr.Iovlen = 1
 	}
 	m.readFn = func(fd uintptr) bool {
 		r1, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
@@ -238,9 +249,10 @@ func (sh *shard) readBatch(wait time.Duration) int {
 	if m.rc == nil {
 		return -1
 	}
-	// Namelen and Controllen are value-result: restore before every
-	// syscall, and clear the stale control payload.
-	for i := range m.rhdrs {
+	// Namelen and Controllen are value-result and the control payload
+	// goes stale, but the kernel writes them only in the messages it
+	// returned: restore the previous call's rGot, not every slot.
+	for i := range m.rhdrs[:m.rGot] {
 		m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
 		if m.gro {
 			m.rhdrs[i].hdr.SetControllen(24)
@@ -357,7 +369,10 @@ func (sh *shard) noteTxFlush(pkts [][]byte, soft bool) {
 // equal-size segments sharing one msghdr, the kernel splitting them
 // back into datagrams. A run closes at gsoMaxSegs, at the UDP length
 // ceiling, or on a size change — a single smaller packet may close a
-// run as its final short segment. Returns the entry count.
+// run as its final short segment. A packet that begins where the
+// previous one of its entry ended extends that iovec instead of opening
+// a new one (addresses compared as integers; no pointer past the arena
+// is formed). Returns the entry count.
 func (sh *shard) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
 	m := &sh.mmsg
 	nd := 0
@@ -382,14 +397,22 @@ func (sh *shard) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
 	put := func(idxs []int, dst netip.AddrPort) {
 		for len(idxs) > 0 {
 			segSize := len(pkts[idxs[0]])
-			segs, bytes := 0, 0
+			segs, bytes, first := 0, 0, iov
+			var end uintptr // one past the entry's last packet; 0 = no packet yet
 			for _, i := range idxs {
 				sz := len(pkts[i])
 				if segs == gsoMaxSegs || bytes+sz > gsoMaxBytes || sz > segSize {
 					break
 				}
-				m.wiovs[iov+segs].Base = &pkts[i][0]
-				m.wiovs[iov+segs].SetLen(sz)
+				p := uintptr(unsafe.Pointer(&pkts[i][0]))
+				if p == end {
+					m.wiovs[iov-1].Len += uint64(sz) // begins where the last one ended
+				} else {
+					m.wiovs[iov].Base = &pkts[i][0]
+					m.wiovs[iov].SetLen(sz)
+					iov++
+				}
+				end = p + uintptr(sz)
 				segs++
 				bytes += sz
 				if sz < segSize {
@@ -397,8 +420,8 @@ func (sh *shard) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
 				}
 			}
 			h := &m.whdrs[e].hdr
-			h.Iov = &m.wiovs[iov]
-			h.Iovlen = uint64(segs)
+			h.Iov = &m.wiovs[first]
+			h.Iovlen = uint64(iov - first)
 			h.Namelen = putSockaddr(&m.wnames[e], dst, sh.v6)
 			if segs > 1 {
 				m.wctrl[e] = cmsgGSO{clen: 18, level: solUDP, typ: udpSegment, size: uint16(segSize)}
@@ -410,7 +433,6 @@ func (sh *shard) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
 			}
 			m.wsegs[e] = segs
 			e++
-			iov += segs
 			idxs = idxs[segs:]
 		}
 	}

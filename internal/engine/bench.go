@@ -50,7 +50,7 @@ type hotpathHarness struct {
 
 func newHotpathHarness(packetSize int) *hotpathHarness {
 	// BatchSize must exceed any one step's packet output: on a
-	// socketless shard, queueTx's batch-full auto-flush would recycle
+	// socketless shard, queueTx's batch-full auto-flush would rewind
 	// (= drop) the staged packets before step() can hand them over.
 	eng := &Engine{cfg: Config{BatchSize: 4096}.withDefaults(), clock: wire.NewClock(), done: make(chan struct{})}
 	h := &hotpathHarness{
@@ -105,23 +105,19 @@ func (h *hotpathHarness) step() int {
 	h.rcvShard.fireNow = h.now
 	h.rcvShard.wh.advance(h.now, h.rcvShard.fireFn)
 	n := len(h.sndShard.txq)
-	// Move data packets to the receiver shard: dispatch reads the
-	// buffer synchronously, so handing the same backing bytes over is
-	// safe — but recycle only after dispatch.
+	// Move data packets to the receiver shard: dispatch reads the bytes
+	// synchronously and writes only the receiver's arena, so the sender's
+	// can be rewound before they are read.
 	h.carry = append(h.carry[:0], h.sndShard.txq...)
-	h.sndShard.txq = h.sndShard.txq[:0]
-	h.sndShard.txAddrs = h.sndShard.txAddrs[:0]
+	h.sndShard.resetTx()
 	for _, p := range h.carry {
 		h.rcvShard.dispatch(h.sndAddr, p, h.now)
-		h.sndShard.txFree = append(h.sndShard.txFree, p[0:h.sndShard.maxPacket:h.sndShard.maxPacket])
 	}
 	// Acks flow back into the sender shard.
 	h.carry = append(h.carry[:0], h.rcvShard.txq...)
-	h.rcvShard.txq = h.rcvShard.txq[:0]
-	h.rcvShard.txAddrs = h.rcvShard.txAddrs[:0]
+	h.rcvShard.resetTx()
 	for _, p := range h.carry {
 		h.sndShard.dispatch(h.rcvAddr, p, h.now)
-		h.rcvShard.txFree = append(h.rcvShard.txFree, p[0:h.rcvShard.maxPacket:h.rcvShard.maxPacket])
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -96,4 +97,59 @@ func TestAddFlowValidation(t *testing.T) {
 	if fl.ID() == 0 {
 		t.Fatal("flow ID must be nonzero (zero is the version-1 marker)")
 	}
+}
+
+// The per-packet counters are counted in loop-owned fields and stored
+// into the atomics once per pump/onAck; onAck stores before it closes
+// Done, so a reader woken by Done sees the finished transfer exactly.
+func TestStatsExactAfterDone(t *testing.T) {
+	rx, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Stop()
+	tx, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Stop()
+	if err := rx.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		workers, perWorker = 40, 25 // 1000 flows
+		pktSize, limit     = 400, 3 * 400
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				fl, err := tx.AddFlow(FlowConfig{
+					Dst: rx.Addrs()[0], CC: &FixedRateCC{Rate: 10e6},
+					Limit: limit, PacketSize: pktSize,
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				select {
+				case <-fl.Done():
+				case <-time.After(20 * time.Second):
+					t.Errorf("flow %d never completed: %+v", fl.ID(), fl.Stats())
+					return
+				}
+				if st := fl.Stats(); st.AckedBytes != limit || st.AckedPkts != limit/pktSize ||
+					st.SentBytes < limit || st.SentPkts < st.AckedPkts {
+					t.Errorf("flow %d after Done: %+v, want exactly %d bytes acked", fl.ID(), st, limit)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -145,7 +145,7 @@ func (r *fetchRig) requests() []wire.FetchHeader {
 		}
 		out = append(out, h)
 	}
-	r.sh.recycleTx()
+	r.sh.resetTx()
 	return out
 }
 
@@ -159,6 +159,7 @@ func (r *fetchRig) segment(h wire.FetchHeader) []byte {
 
 func (r *fetchRig) answer(h wire.FetchHeader, now float64) {
 	r.sh.dispatch(r.f.key.addr, r.segment(h), now)
+	r.sh.publish() // as pass does after its dispatch loop
 }
 
 // runUntil services the flow every millisecond from `from` until stop

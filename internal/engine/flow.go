@@ -151,6 +151,11 @@ type senderFlow struct {
 	busyUntil  float64
 	busyStreak int
 
+	// Loop-owned running totals of the four per-packet counters below:
+	// the packet path counts here, pump and onAck store the totals once
+	// per call — onAck before it closes done, so Stats after Done is exact.
+	nSentPkts, nSentBytes, nAckedPkts, nAckedBytes int64
+
 	// Cross-goroutine stats surface (Flow.Stats reads these).
 	sentPkts   atomic.Int64
 	sentBytes  atomic.Int64
@@ -227,7 +232,10 @@ func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 		}
 		return next
 	}
-	return s.train(s, sh, f, now, s.book.PacingRate())
+	next := s.train(s, sh, f, now, s.book.PacingRate())
+	s.sentPkts.Store(s.nSentPkts)
+	s.sentBytes.Store(s.nSentBytes)
+	return next
 }
 
 // emit books, encodes and queues one version-2 data packet stamped
@@ -241,8 +249,8 @@ func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 	r := s.book.Add(now, size, virt, max(now, virt))
 	s.cc.OnSend(now, &r.SentPacket)
 	s.launched += int64(size)
-	s.sentPkts.Add(1)
-	s.sentBytes.Add(int64(size))
+	s.nSentPkts++
+	s.nSentBytes += int64(size)
 	pkt := wire.EncodeDataV2(sh.txBuf(), wire.DataHeader{
 		Seq: r.Seq, SentAt: sh.clock.NanosAt(virt), Flow: f.key.id,
 		Push: s.limit > 0 && s.launched >= s.limit,
@@ -351,7 +359,9 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 		}
 	}
 	s.book.Detect(now)
-	if s.limit > 0 && !s.completed && s.ackedBytes.Load() >= s.limit {
+	s.ackedPkts.Store(s.nAckedPkts)
+	s.ackedBytes.Store(s.nAckedBytes)
+	if s.limit > 0 && !s.completed && s.nAckedBytes >= s.limit {
 		s.completed = true
 		close(s.done)
 	}
@@ -362,8 +372,8 @@ func (s *senderFlow) ackRec(r *transport.Record, now, recvAt, rtt float64) {
 	if r.Probe {
 		return // liveness only: no bytes the controller should hear about
 	}
-	s.ackedPkts.Add(1)
-	s.ackedBytes.Add(int64(r.Size))
+	s.nAckedPkts++
+	s.nAckedBytes += int64(r.Size)
 	s.cc.OnAck(transport.Ack{
 		Seq: r.Seq, Bytes: r.Size, SentAt: r.SentAt, RecvAt: recvAt,
 		Now: now, RTT: rtt, OWD: rtt - s.revBase, MI: r.MI,
@@ -462,8 +472,8 @@ func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now flo
 		sh.ctr.rxDups.Add(1)
 	} else {
 		rf.pkts++
-		sh.ctr.delivered.Add(1)
-		sh.ctr.deliveredBytes.Add(int64(n))
+		sh.nDelivered++
+		sh.nDeliveredBytes += int64(n)
 	}
 	if h.Seq > rf.highest {
 		rf.highest = h.Seq

@@ -245,7 +245,7 @@ func (u unitFlow) sent(t *testing.T) []wire.DataHeader {
 		}
 		out = append(out, h)
 	}
-	u.sh.recycleTx()
+	u.sh.resetTx()
 	return out
 }
 
@@ -414,7 +414,7 @@ func TestCompletedSenderReclaimed(t *testing.T) {
 	if len(sh.txq) != 2 || !f.armed {
 		t.Fatalf("first service: %d packets queued, armed=%v; want both packets and a wheel entry", len(sh.txq), f.armed)
 	}
-	sh.recycleTx()
+	sh.resetTx()
 
 	sh.dispatch(src(9000), ackPkt(fl.ID(), 1, 2, sh.clock.NanosAt(0.001)), 0.002)
 	select {

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"net"
 	"net/netip"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,12 +91,15 @@ type shard struct {
 	rxSegs []int
 	mmsg   mmsgState // per-arch batch-syscall state (empty struct on fallback)
 
-	// tx staging: packets queued by flows, flushed in one batched
-	// write; buffers recycle through txFree, so the steady-state path
-	// allocates nothing.
+	// tx staging: flows encode their packets back to back into txArena
+	// (batchSize × maxPacket bytes, txOff the write offset) and queue them
+	// for one batched write. A flush rewinds the arena, so nothing is
+	// recycled or allocated, and consecutive packets to one destination
+	// are one contiguous run of memory — one iovec of a GSO send.
 	txq     [][]byte
 	txAddrs []netip.AddrPort
-	txFree  [][]byte
+	txArena []byte
+	txOff   int
 
 	ackScratch wire.AckPacket // encode scratch for receiver flows
 	ackDecode  wire.AckPacket // decode scratch for sender dispatch
@@ -133,6 +139,9 @@ type shard struct {
 	busyBudget  int // per-pass BUSY frame allowance (anti-amplification)
 
 	ctr shardCounters
+	// Loop-owned running totals of ctr's three per-packet counters
+	// (rxPkts, delivered, deliveredBytes), stored once per pass by publish.
+	nRxPkts, nDelivered, nDeliveredBytes int64
 }
 
 func newShard(eng *Engine, idx int, conn *net.UDPConn) *shard {
@@ -150,6 +159,7 @@ func newShard(eng *Engine, idx int, conn *net.UDPConn) *shard {
 		rxSegs:    make([]int, cfg.BatchSize),
 		txq:       make([][]byte, 0, cfg.BatchSize),
 		txAddrs:   make([]netip.AddrPort, 0, cfg.BatchSize),
+		txArena:   make([]byte, cfg.BatchSize*cfg.MaxPacket),
 		det:       overload.NewDetector(cfg.Overload),
 		rng:       rand.New(rand.NewSource(wire.MixSeed(cfg.Seed, int64(idx)+0x0B5E))),
 	}
@@ -169,6 +179,10 @@ func newShard(eng *Engine, idx int, conn *net.UDPConn) *shard {
 // loop is the shard event loop: pass until the engine stops.
 func (sh *shard) loop() {
 	defer sh.eng.wg.Done()
+	// Any CPU profile splits by shard: go tool pprof -tagfocus shard:0
+	// (shard=0 would be read as a numeric-label filter and match nothing).
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("engine", sh.local.String(), "shard", strconv.Itoa(sh.idx))))
 	sh.wh.init(sh.clock.Now())
 	for sh.pass() {
 	}
@@ -228,8 +242,16 @@ func (sh *shard) pass() bool {
 			sh.dispatch(sh.rxSrcs[i], b, now)
 		}
 	}
+	sh.publish()
 	sh.flushTx()
 	return true
+}
+
+// publish stores the loop-owned per-packet totals where Stats reads them.
+func (sh *shard) publish() {
+	sh.ctr.rxPkts.Store(sh.nRxPkts)
+	sh.ctr.delivered.Store(sh.nDelivered)
+	sh.ctr.deliveredBytes.Store(sh.nDeliveredBytes)
 }
 
 // dispatch routes one datagram through the flow table.
@@ -253,7 +275,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 			sh.ctr.bad.Add(1) // data aimed at one of our sender keys
 			return
 		}
-		sh.ctr.rxPkts.Add(1)
+		sh.nRxPkts++
 		f.lastSeen = now
 		f.rcv.onData(sh, f, h, len(b), now)
 	case 'A':
@@ -267,7 +289,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 			sh.ctr.badAcks.Add(1)
 			return
 		}
-		sh.ctr.rxPkts.Add(1)
+		sh.nRxPkts++
 		f.lastSeen = now
 		f.snd.onAck(sh, f, a, now)
 		// The ack may have freed window or completed a loss episode:
@@ -299,16 +321,13 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 			sh.ctr.bad.Add(1)
 			return
 		}
-		sh.ctr.rxPkts.Add(1)
+		sh.nRxPkts++
 		sh.ctr.fetchReqs.Add(1)
 		// Fetch serving is stateless: no flow-table entry, the response
 		// is encoded straight into a tx buffer and rides the next batch.
-		buf := sh.txBuf()
-		if pkt := onFetch(fh, buf); pkt != nil {
+		if pkt := onFetch(fh, sh.txBuf()); pkt != nil {
 			sh.queueTx(pkt, src)
 			sh.ctr.segsTx.Add(1)
-		} else {
-			sh.txFree = append(sh.txFree, buf)
 		}
 	case 'S':
 		// A payload that fails its CRC still carries a well-formed header:
@@ -328,7 +347,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 			f.fch.crcErrs.Add(1)
 			return
 		}
-		sh.ctr.rxPkts.Add(1)
+		sh.nRxPkts++
 		f.lastSeen = now
 		if f.fch.onSegment(sh, h, payload, now) {
 			sh.dropFlow(f.key, f) // complete: leave the table at once
@@ -632,21 +651,21 @@ func (sh *shard) parkRead(wait time.Duration) {
 	}
 }
 
-// txBuf returns a maxPacket-sized scratch buffer for one outgoing
-// packet; recycled by flushTx, so steady state never allocates.
+// txBuf returns the maxPacket bytes at the arena's write offset, for
+// one outgoing packet to be encoded into and handed to queueTx; a buffer
+// that is not queued is simply handed out again.
 func (sh *shard) txBuf() []byte {
-	if n := len(sh.txFree); n > 0 {
-		b := sh.txFree[n-1]
-		sh.txFree[n-1] = nil
-		sh.txFree = sh.txFree[:n-1]
-		return b
-	}
-	return make([]byte, sh.maxPacket)
+	return sh.txArena[sh.txOff : sh.txOff+sh.maxPacket : sh.txOff+sh.maxPacket]
 }
 
-// queueTx stages one encoded packet (a prefix of a txBuf buffer) for
-// the next batched write, flushing when a full batch is staged.
+// queueTx stages one encoded packet — a prefix of the buffer txBuf last
+// returned, anything else is a bug — for the next batched write, flushing
+// when a full batch is staged. The next packet starts where this one ends.
 func (sh *shard) queueTx(pkt []byte, dst netip.AddrPort) {
+	if &pkt[0] != &sh.txArena[sh.txOff] {
+		panic("engine: queueTx of a packet that was not encoded into txBuf()")
+	}
+	sh.txOff += len(pkt)
 	sh.txq = append(sh.txq, pkt)
 	sh.txAddrs = append(sh.txAddrs, dst)
 	if len(sh.txq) >= sh.batchSize {
@@ -655,7 +674,7 @@ func (sh *shard) queueTx(pkt []byte, dst netip.AddrPort) {
 }
 
 // flushTx writes every staged packet (one sendmmsg on Linux, a write
-// loop on the fallback) and recycles the buffers.
+// loop on the fallback) and rewinds the arena.
 func (sh *shard) flushTx() {
 	if len(sh.txq) == 0 {
 		return
@@ -665,16 +684,13 @@ func (sh *shard) flushTx() {
 		sh.ctr.txPkts.Add(int64(len(sh.txq)))
 		sh.ctr.txBatches.Add(1)
 	}
-	sh.recycleTx()
+	sh.resetTx()
 }
 
-// recycleTx returns every staged buffer to the freelist without
-// writing; the socketless bench harness uses it directly.
-func (sh *shard) recycleTx() {
-	for i, p := range sh.txq {
-		sh.txFree = append(sh.txFree, p[0:sh.maxPacket:sh.maxPacket])
-		sh.txq[i] = nil
-	}
+// resetTx forgets every staged packet without writing; the socketless
+// harnesses use it directly once they have read txq.
+func (sh *shard) resetTx() {
 	sh.txq = sh.txq[:0]
 	sh.txAddrs = sh.txAddrs[:0]
+	sh.txOff = 0
 }
