@@ -33,8 +33,8 @@ func runCampaign(w io.Writer, specPath string, workers int, outPath string) erro
 		fmt.Fprintf(w, "\nwrote %s\n", outPath)
 	}
 	if csvDir != "" {
-		emit(w, "campaign_"+agg.Name+"_classes", exp.CampaignTable(agg))
-		emit(w, "campaign_"+agg.Name+"_summary", exp.CampaignSummaryTable(agg))
+		emit(w, exp.Block{Name: "campaign_" + agg.Name + "_classes", Table: exp.CampaignTable(agg)})
+		emit(w, exp.Block{Name: "campaign_" + agg.Name + "_summary", Table: exp.CampaignSummaryTable(agg)})
 	}
 	return nil
 }

@@ -9,64 +9,46 @@ import (
 	"pccproteus/internal/exp"
 )
 
-// runWireParity cross-validates the controllers between the simulator
-// and the real UDP loopback datapath (an engine flow through the
-// impairment shim). Runs in real time: expect about one -wire-dur per
-// protocol.
-func runWireParity(w io.Writer, protos string, dur, mbps, rtt float64, seed int64, fast bool) error {
-	if dur <= 0 {
-		dur = 12
-		if fast {
-			dur = 8
-		}
-	}
+// protoList splits -wire-protos.
+func protoList(protos string) []string {
 	var list []string
 	for _, p := range strings.Split(protos, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			list = append(list, p)
 		}
 	}
-	res, err := exp.WireParity(exp.WireParityOptions{
-		Protos:   list,
-		Mbps:     mbps,
-		RTT:      rtt,
-		Duration: dur,
-		Seed:     seed,
-	})
+	return list
+}
+
+// runWireParity cross-validates the controllers between the simulator
+// and the real UDP loopback datapath (an engine flow through the
+// impairment shim). Runs in real time: 12 s per protocol, 8 with -fast.
+func runWireParity(w io.Writer, protos string, seed int64, fast bool) error {
+	o := exp.CrossWorldOptions{Protos: protoList(protos), Seed: seed}
+	if fast {
+		o.Duration = 8
+	}
+	res, err := exp.WireParity(o)
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(w, res.Render())
 	if !res.AllPass() {
-		return fmt.Errorf("wire parity outside %.0f%% tolerance", res.Opts.TolerancePct)
+		return fmt.Errorf("wire parity outside %d%% tolerance", exp.ParityTolerancePct)
 	}
 	return nil
 }
 
-// runChaosSoak replays the default (or a scaled) chaos fault plan
-// through both worlds — the simulator link and the real UDP shim — and
-// prints the survival/attribution comparison. Runs in real time:
-// expect about one -wire-dur per protocol.
-func runChaosSoak(w io.Writer, protos string, dur, mbps, rtt float64, seed int64, fast bool) error {
-	if dur <= 0 {
-		dur = 16
-		if fast {
-			dur = 10
-		}
+// runChaosSoak replays the default chaos fault plan through both
+// worlds — the simulator link and the real UDP shim — and prints the
+// survival/attribution comparison. Runs in real time: 16 s per
+// protocol, 10 with -fast.
+func runChaosSoak(w io.Writer, protos string, seed int64, fast bool) error {
+	o := exp.CrossWorldOptions{Protos: protoList(protos), Seed: seed}
+	if fast {
+		o.Duration = 10
 	}
-	var list []string
-	for _, p := range strings.Split(protos, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			list = append(list, p)
-		}
-	}
-	res, err := exp.ChaosSoak(exp.ChaosSoakOptions{
-		Protos:   list,
-		Mbps:     mbps,
-		RTT:      rtt,
-		Duration: dur,
-		Seed:     seed,
-	})
+	res, err := exp.ChaosSoak(o)
 	if err != nil {
 		return err
 	}

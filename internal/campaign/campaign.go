@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"os"
 
-	"pccproteus/internal/chaos"
 	"pccproteus/internal/netem"
 	"pccproteus/internal/pathmodel"
 	"pccproteus/internal/sim"
@@ -192,20 +191,16 @@ func runScenario(spec Spec, idx int, factory Factory) *Aggregate {
 		}
 		m, err := ps.Build(spec.Duration)
 		if err == nil {
-			err = pathmodel.ApplySim(s, topo.bottleneck, m, spec.Duration)
+			// Outage windows ride the chaos executor. Blackout faults act
+			// through the shared link, so the path Install hands it (which
+			// chaos writes ack-fault fields into) can be a throwaway.
+			survival, err = pathmodel.Install(s, &netem.Path{Link: topo.bottleneck}, m, nil, spec.Duration)
 		}
 		if err != nil {
 			// validate() already built this spec once; failing here means
 			// the environment changed mid-campaign (e.g. the trace file
 			// vanished), which no aggregate can honestly absorb.
 			panic(err)
-		}
-		if plan, ok := pathmodel.FaultPlan(m, spec.Duration); ok {
-			// Outage windows ride the chaos executor. Blackout faults act
-			// through the shared link, so the path argument (which chaos
-			// writes ack-fault fields into) can be a throwaway.
-			chaos.ApplySim(s, topo.bottleneck, &netem.Path{Link: topo.bottleneck}, plan, spec.Duration)
-			survival = true
 		}
 		// The bottleneck's capacity is now time-varying: the utilization
 		// and yield denominator is the model's time-weighted mean.

@@ -33,6 +33,15 @@ func AblationVariants() []AblationVariant {
 	}
 }
 
+// flow is a Proteus flow of one mode with the variant's mechanisms off.
+func (v AblationVariant) flow(mode string, util core.UtilityFunc, startAt float64) FlowSpec {
+	return FlowSpec{Proto: mode + ":" + v.Name, StartAt: startAt, New: func(s *sim.Sim) transport.Controller {
+		cfg := core.ProteusConfig(s.Rand())
+		v.Mutate(&cfg)
+		return core.New(mode+":"+v.Name, cfg, util)
+	}}
+}
+
 // AblationResult quantifies one variant across the three §5 scenarios.
 type AblationResult struct {
 	Variant       string
@@ -45,66 +54,31 @@ type AblationResult struct {
 func Ablation(o Options) []AblationResult {
 	o = o.withDefaults()
 	dur := o.Duration
+	clean := emulabLink(375000)
+	noisy := emulabLink(375000)
+	noisy.Jitter = netem.SpikeNoise{
+		Base:      netem.LognormalNoise{Median: 0.001, Sigma: 0.8},
+		SpikeProb: 0.001, SpikeMin: 0.01, SpikeMax: 0.03,
+	}
 	var out []AblationResult
 	for _, v := range AblationVariants() {
-		res := AblationResult{Variant: v.Name}
-
-		res.CleanSoloMbps = meanOver(o, func(seed int64) float64 {
-			return ablationSolo(seed, v, emulabLink(375000), dur)
+		m := meanOver(o, func(_ int, seed int64) []float64 {
+			alone := []FlowSpec{v.flow(ProtoProteusP, core.NewPrimary(), 0)}
+			cleanT := Run(Scenario{Seed: seed, Link: clean, Flows: alone, MeasureFrom: dur * 0.2, Duration: dur}).Flows[0].Mbps
+			noisyT := Run(Scenario{Seed: seed, Link: noisy, Flows: alone, MeasureFrom: dur * 0.2, Duration: dur}).Flows[0].Mbps
+			// The primary's share of the bytes both move once a
+			// scavenger has joined it.
+			pair := Run(Scenario{Seed: seed, Link: clean, MeasureFrom: (dur + 80) * 0.4, Duration: dur + 80,
+				Flows: []FlowSpec{v.flow(ProtoProteusP, core.NewPrimary(), 0), v.flow(ProtoProteusS, core.NewScavenger(), 20)}}).Flows
+			share := 0.0
+			if pT, sT := float64(pair[0].WindowBytes), float64(pair[1].WindowBytes); pT+sT != 0 {
+				share = pT / (pT + sT)
+			}
+			return []float64{cleanT, noisyT, share}
 		})
-
-		noisy := emulabLink(375000)
-		noisy.Jitter = netem.SpikeNoise{
-			Base:      netem.LognormalNoise{Median: 0.001, Sigma: 0.8},
-			SpikeProb: 0.001, SpikeMin: 0.01, SpikeMax: 0.03,
-		}
-		res.NoisySoloMbps = meanOver(o, func(seed int64) float64 {
-			return ablationSolo(seed, v, noisy, dur)
-		})
-
-		res.YieldRatio = meanOver(o, func(seed int64) float64 {
-			return ablationYield(seed, v, emulabLink(375000), dur+80)
-		})
-		out = append(out, res)
+		out = append(out, AblationResult{Variant: v.Name, CleanSoloMbps: m[0], NoisySoloMbps: m[1], YieldRatio: m[2]})
 	}
 	return out
-}
-
-func ablationSolo(seed int64, v AblationVariant, link LinkSpec, dur float64) float64 {
-	s := sim.New(seed)
-	path := link.Build(s)
-	cfg := core.ProteusConfig(s.Rand())
-	v.Mutate(&cfg)
-	cc := core.New("proteus-p:"+v.Name, cfg, core.NewPrimary())
-	snd := transport.NewSender(1, path, cc)
-	snd.Start()
-	var mark int64
-	s.At(dur*0.2, func() { mark = snd.AckedBytes() })
-	s.Run(dur)
-	return float64(snd.AckedBytes()-mark) * 8 / (dur * 0.8) / 1e6
-}
-
-func ablationYield(seed int64, v AblationVariant, link LinkSpec, dur float64) float64 {
-	s := sim.New(seed)
-	path := link.Build(s)
-	pCfg := core.ProteusConfig(s.Rand())
-	v.Mutate(&pCfg)
-	sCfg := core.ProteusConfig(s.Rand())
-	v.Mutate(&sCfg)
-	p := transport.NewSender(1, path, core.New("proteus-p:"+v.Name, pCfg, core.NewPrimary()))
-	scv := transport.NewSender(2, path, core.New("proteus-s:"+v.Name, sCfg, core.NewScavenger()))
-	p.Start()
-	s.At(20, func() { scv.Start() })
-	var mp, ms int64
-	from := dur * 0.4
-	s.At(from, func() { mp, ms = p.AckedBytes(), scv.AckedBytes() })
-	s.Run(dur)
-	pT := float64(p.AckedBytes() - mp)
-	sT := float64(scv.AckedBytes() - ms)
-	if pT+sT == 0 {
-		return 0
-	}
-	return pT / (pT + sT)
 }
 
 // AblationTable renders ablation results.

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"pccproteus/internal/campaign"
 	"pccproteus/internal/core"
 	"pccproteus/internal/dash"
 	"pccproteus/internal/sim"
@@ -43,40 +44,66 @@ func Fig11Video(o Options) *Table {
 	for _, n := range counts {
 		row := TableRow{X: float64(n)}
 		for _, bg := range Fig11Background {
-			bg := bg
-			n := n
-			avg := meanOver(o, func(seed int64) float64 {
-				return fig11VideoTrial(seed, n, bg, dur)
-			})
-			row.Cells = append(row.Cells, avg)
+			row.Cells = append(row.Cells, meanOver(o, func(_ int, seed int64) []float64 {
+				return []float64{fig11VideoTrial(seed, n, bg, dur)}
+			})[0])
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
 
-func fig11VideoTrial(seed int64, nVideos int, background string, dur float64) float64 {
-	s := sim.New(seed)
-	link := accessLink()
-	path := link.Build(s)
+// background is the long-running flow list of a Fig 11 variant.
+func background(proto string) []FlowSpec {
+	if proto == "none" {
+		return nil
+	}
+	return solo(proto)
+}
+
+// dashPlayers starts n DASH players (CUBIC transport, as dash.js over
+// TCP) on the Fig 11 ladder.
+func dashPlayers(e *Env, n int) []*dash.Player {
 	video := dash.Video{Name: "vod", Ladder: fig11Ladder, ChunkDur: 3, Chunks: 1 << 20}
-	players := make([]*dash.Player, nVideos)
-	for i := 0; i < nVideos; i++ {
-		snd := transport.NewSender(i+1, path, NewController(s, ProtoCubic))
-		p := dash.NewPlayer(s, snd, video, dash.NewBOLA(24), 24)
-		players[i] = p
-		p.Start()
+	players := make([]*dash.Player, n)
+	for i := range players {
+		players[i] = dash.NewPlayer(e.S, e.Add(FlowSpec{Proto: ProtoCubic}), video, dash.NewBOLA(24), 24)
+		players[i].Start()
 	}
-	if background != "none" {
-		bg := transport.NewSender(100, path, NewController(s, background))
-		bg.Start()
-	}
-	s.Run(dur)
+	return players
+}
+
+// meanBitrate averages the players' mean chunk bitrates.
+func meanBitrate(players []*dash.Player) float64 {
 	sum := 0.0
 	for _, p := range players {
 		sum += p.Metrics().AvgBitrate()
 	}
-	return sum / float64(nVideos)
+	return sum / float64(len(players))
+}
+
+// pageLoads requests random pages at Poisson rate 1 per 10 s for the
+// life of the simulation, appending each page-load time to plts.
+func pageLoads(e *Env, plts *[]float64) {
+	s, connBase := e.S, 1000
+	var spawn func()
+	spawn = func() {
+		page := web.RandomPage(s.Rand())
+		pl := web.NewPageLoad(s, e.Path, page, connBase, func(plt float64) {
+			*plts = append(*plts, plt)
+		})
+		connBase += 100
+		pl.Start()
+		s.After(s.Rand().ExpFloat64()*10, spawn)
+	}
+	s.After(s.Rand().ExpFloat64()*10, spawn)
+}
+
+func fig11VideoTrial(seed int64, nVideos int, bg string, dur float64) float64 {
+	var players []*dash.Player
+	Run(Scenario{Seed: seed, Link: accessLink(), Flows: background(bg), Duration: dur,
+		Setup: func(e *Env) { players = dashPlayers(e, nVideos) }})
+	return meanBitrate(players)
 }
 
 // Fig11Web reproduces Fig. 11(b): pages requested at Poisson rate 1 per
@@ -91,36 +118,17 @@ func Fig11Web(o Options) []CDFSeries {
 	var out []CDFSeries
 	for _, bg := range Fig11Background {
 		se := CDFSeries{Name: "bg=" + bg}
-		for tr := 0; tr < o.Trials; tr++ {
-			se.Values = append(se.Values, fig11WebTrial(o.seedFor(int64(tr+1)), bg, dur)...)
-		}
+		campaign.OrderedReduce(o.Trials, o.Workers, func(t int) []float64 {
+			return fig11WebTrial(o.seedFor(int64(t+1)), bg, dur)
+		}, func(_ int, plts []float64) { se.Values = append(se.Values, plts...) })
 		out = append(out, se)
 	}
 	return out
 }
 
-func fig11WebTrial(seed int64, background string, dur float64) []float64 {
-	s := sim.New(seed)
-	link := accessLink()
-	path := link.Build(s)
-	if background != "none" {
-		bg := transport.NewSender(1, path, NewController(s, background))
-		bg.Start()
-	}
-	var plts []float64
-	connBase := 1000
-	var spawn func()
-	spawn = func() {
-		page := web.RandomPage(s.Rand())
-		pl := web.NewPageLoad(s, path, page, connBase, func(plt float64) {
-			plts = append(plts, plt)
-		})
-		connBase += 100
-		pl.Start()
-		s.After(s.Rand().ExpFloat64()*10, spawn)
-	}
-	s.After(s.Rand().ExpFloat64()*10, spawn)
-	s.Run(dur)
+func fig11WebTrial(seed int64, bg string, dur float64) (plts []float64) {
+	Run(Scenario{Seed: seed, Link: accessLink(), Flows: background(bg), Duration: dur,
+		Setup: func(e *Env) { pageLoads(e, &plts) }})
 	return plts
 }
 
@@ -155,58 +163,47 @@ func Fig12(o Options, forceMax bool) []Fig12Result {
 	dur := 180.0
 	var out []Fig12Result
 	for _, bw := range bws {
-		for _, mode := range []string{"proteus-h", "proteus-p"} {
-			mode := mode
-			var b4, b1080, r4, r1080 float64
-			for tr := 0; tr < o.Trials; tr++ {
-				m4, m1080 := fig12Trial(o.seedFor(int64(tr+1)), bw, mode, forceMax, dur)
-				b4 += m4.AvgBitrate()
-				r4 += m4.RebufferRatio()
-				b1080 += m1080.AvgBitrate()
-				r1080 += m1080.RebufferRatio()
-			}
-			n := float64(o.Trials)
-			out = append(out, Fig12Result{
-				BandwidthMbps: bw, Mode: mode,
-				Bitrate4K: b4 / n, Bitrate1080: b1080 / n,
-				Rebuf4K: r4 / n, Rebuf1080: r1080 / n,
+		for _, mode := range []string{ProtoProteusH, ProtoProteusP} {
+			m := meanOver(o, func(_ int, seed int64) []float64 {
+				m4, m1080 := fig12Trial(seed, bw, mode, forceMax, dur)
+				return []float64{m4.AvgBitrate(), m1080.AvgBitrate(), m4.RebufferRatio(), m1080.RebufferRatio()}
 			})
+			out = append(out, Fig12Result{BandwidthMbps: bw, Mode: mode,
+				Bitrate4K: m[0], Bitrate1080: m[1], Rebuf4K: m[2], Rebuf1080: m[3]})
 		}
 	}
 	return out
 }
 
 func fig12Trial(seed int64, bw float64, mode string, forceMax bool, dur float64) (m4k, m1080 dash.Metrics) {
-	s := sim.New(seed)
-	link := LinkSpec{Mbps: bw, RTT: 0.030, BufBytes: 900000}
-	path := link.Build(s)
-	corpus := dash.Corpus(10, 10, s.Rand())
-	// Randomly select one 4K and three 1080P titles, as in §6.3.
-	videos := []dash.Video{corpus[s.Rand().Intn(10)]}
-	for i := 0; i < 3; i++ {
-		videos = append(videos, corpus[10+s.Rand().Intn(10)])
-	}
-	var abr dash.ABR = dash.NewBOLA(24)
-	if forceMax {
-		abr = dash.ForceMax{}
-	}
-	players := make([]*dash.Player, len(videos))
-	for i, v := range videos {
-		var cc transport.Controller
-		var hybrid *core.Hybrid
-		if mode == "proteus-h" {
-			c, h := core.NewProteusH(s.Rand())
-			cc, hybrid = c, h
-		} else {
-			cc = core.NewProteusP(s.Rand())
+	var players []*dash.Player
+	Run(Scenario{Seed: seed, Link: LinkSpec{Mbps: bw, RTT: 0.030, BufBytes: 900000}, Duration: dur, Setup: func(e *Env) {
+		corpus := dash.Corpus(10, 10, e.S.Rand())
+		// Randomly select one 4K and three 1080P titles, as in §6.3.
+		videos := []dash.Video{corpus[e.S.Rand().Intn(10)]}
+		for i := 0; i < 3; i++ {
+			videos = append(videos, corpus[10+e.S.Rand().Intn(10)])
 		}
-		snd := transport.NewSender(i+1, path, cc)
-		p := dash.NewPlayer(s, snd, v, abr, 24)
-		p.Hybrid = hybrid
-		players[i] = p
-		p.Start()
-	}
-	s.Run(dur)
+		var abr dash.ABR = dash.NewBOLA(24)
+		if forceMax {
+			abr = dash.ForceMax{}
+		}
+		for _, v := range videos {
+			var hybrid *core.Hybrid
+			flow := FlowSpec{Proto: mode}
+			if mode == ProtoProteusH {
+				flow.New = func(s *sim.Sim) transport.Controller {
+					c, h := core.NewProteusH(s.Rand())
+					hybrid = h
+					return c
+				}
+			}
+			p := dash.NewPlayer(e.S, e.Add(flow), v, abr, 24)
+			p.Hybrid = hybrid
+			players = append(players, p)
+			p.Start()
+		}
+	}})
 	m4k = players[0].Metrics()
 	var sum dash.Metrics
 	for _, p := range players[1:] {

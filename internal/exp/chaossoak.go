@@ -7,49 +7,8 @@ import (
 
 	"pccproteus/internal/chaos"
 	"pccproteus/internal/engine"
-	"pccproteus/internal/sim"
-	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
-
-// ChaosSoakOptions configures one cross-world fault-replay run: the
-// same canonical chaos plan is applied to the simulator link and to the
-// real-UDP shim, and the survival machinery plus per-category fault
-// attribution are compared between worlds.
-type ChaosSoakOptions struct {
-	Protos     []string    // default: proteus-p, proteus-s, proteus-h
-	Mbps       float64     // bottleneck capacity (default 20)
-	RTT        float64     // base round-trip, seconds (default 0.040)
-	QueueBytes int         // default 1.5 × BDP
-	Duration   float64     // seconds, both domains (default 16; wire runs real time)
-	Seed       int64       // master seed (0 = 1)
-	Plan       *chaos.Plan // nil = DefaultSoakPlan(Duration)
-}
-
-func (o *ChaosSoakOptions) defaults() {
-	if len(o.Protos) == 0 {
-		o.Protos = []string{ProtoProteusP, ProtoProteusS, ProtoProteusH}
-	}
-	if o.Mbps <= 0 {
-		o.Mbps = 20
-	}
-	if o.RTT <= 0 {
-		o.RTT = 0.040
-	}
-	if o.QueueBytes <= 0 {
-		o.QueueBytes = int(1.5 * o.Mbps * 1e6 / 8 * o.RTT)
-	}
-	if o.Duration <= 0 {
-		o.Duration = 16
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Plan == nil {
-		p := DefaultSoakPlan(o.Duration)
-		o.Plan = &p
-	}
-}
 
 // DefaultSoakPlan builds the canonical soak schedule for a run of the
 // given length: a 2 s full blackout once the ramp has settled, then
@@ -111,7 +70,7 @@ type ChaosSoakRow struct {
 
 // ChaosSoakResult is the full cross-world soak outcome.
 type ChaosSoakResult struct {
-	Opts ChaosSoakOptions
+	Opts CrossWorldOptions
 	Plan chaos.Plan // the canonical plan both worlds replayed
 	Rows []ChaosSoakRow
 }
@@ -127,12 +86,14 @@ func (r *ChaosSoakResult) AllPass() bool {
 	return true
 }
 
-// ChaosSoak replays the plan through both worlds for each protocol.
-// The wire half runs in real time: expect ~len(Protos)×Duration wall
-// seconds.
-func ChaosSoak(o ChaosSoakOptions) (*ChaosSoakResult, error) {
-	o.defaults()
-	plan := o.Plan.Canonical()
+// ChaosSoak is the cross-world fault replay: DefaultSoakPlan is applied
+// to the simulator link and to the real-UDP shim for each protocol, and
+// the survival machinery plus per-category fault attribution are
+// compared between worlds. The wire half runs in real time: expect
+// ~len(Protos)×Duration (default 16) wall seconds.
+func ChaosSoak(o CrossWorldOptions) (*ChaosSoakResult, error) {
+	o.defaults(16)
+	plan := DefaultSoakPlan(o.Duration)
 	res := &ChaosSoakResult{Opts: o, Plan: plan}
 	planHasBlackout := false
 	for _, f := range plan.Faults {
@@ -143,17 +104,23 @@ func ChaosSoak(o ChaosSoakOptions) (*ChaosSoakResult, error) {
 	for i, proto := range o.Protos {
 		seed := o.Seed + int64(i)
 		row := ChaosSoakRow{Proto: proto}
-		row.SimMbps, row.SimTrips, row.SimRecov, row.SimAttr = chaosSoakSim(seed, o, plan, proto)
+		// The simulator half: a solo flow on the matched link under the
+		// same plan, throughput over the full run.
+		out := Run(Scenario{Seed: seed, Link: crossWorldLink, Flows: solo(proto), Faults: &plan, Duration: o.Duration})
+		row.SimMbps = out.Flows[0].Mbps
+		row.SimTrips, row.SimRecov = out.Flows[0].WatchdogTrips, out.Flows[0].WatchdogRecoveries
+		row.SimAttr = ChaosAttribution{
+			FaultDrop:  out.Link.FaultDrop,
+			AckDropped: out.Path.AckDropped,
+			Corrupted:  out.Link.Corrupted,
+			Duplicated: out.Link.Duplicated,
+			Reordered:  out.Link.Reordered,
+			Flushed:    out.Link.Flushed,
+		}
 
 		lb, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
-			CC: NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(seed, 0x55))), proto),
-			Shim: wire.ShimConfig{
-				RateMbps:   o.Mbps,
-				QueueBytes: o.QueueBytes,
-				Delay:      o.RTT / 2,
-				AckDelay:   o.RTT / 2,
-				Seed:       wire.MixSeed(seed, 0x77),
-			},
+			CC:       NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(seed, 0x55))), proto),
+			Shim:     crossWorldShim(seed),
 			Duration: o.Duration,
 			Chaos:    &plan,
 		})
@@ -192,38 +159,12 @@ func ChaosSoak(o ChaosSoakOptions) (*ChaosSoakResult, error) {
 	return res, nil
 }
 
-// chaosSoakSim is the simulator half: a solo survival-enabled flow on
-// the matched link with the plan applied via chaos.ApplySim.
-func chaosSoakSim(seed int64, o ChaosSoakOptions, plan chaos.Plan, proto string) (mbps float64, trips, recov int64, attr ChaosAttribution) {
-	s := sim.New(seed)
-	spec := LinkSpec{Mbps: o.Mbps, RTT: o.RTT, BufBytes: o.QueueBytes}
-	path := spec.Build(s)
-	snd := transport.NewSender(1, path, NewController(s, proto))
-	snd.Survival = true
-	chaos.ApplySim(s, path.Link, path, plan, o.Duration)
-	snd.Start()
-	s.Run(o.Duration)
-
-	mbps = float64(snd.AckedBytes()) * 8 / o.Duration / 1e6
-	trips, recov = snd.WatchdogTrips(), snd.WatchdogRecoveries()
-	ls, ps := path.Link.Stats(), path.Stats()
-	attr = ChaosAttribution{
-		FaultDrop:  ls.FaultDrop,
-		AckDropped: ps.AckDropped,
-		Corrupted:  ls.Corrupted,
-		Duplicated: ls.Duplicated,
-		Reordered:  ls.Reordered,
-		Flushed:    ls.Flushed,
-	}
-	return mbps, trips, recov, attr
-}
-
 // Render formats the soak table: throughput, survival counters, and
 // the per-category attribution comparison.
 func (r *ChaosSoakResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Chaos soak: %.0f Mbps, %.0f ms RTT, %.1f s, %d faults replayed in both worlds\n",
-		r.Opts.Mbps, r.Opts.RTT*1e3, r.Opts.Duration, len(r.Plan.Faults))
+		crossWorldLink.Mbps, crossWorldLink.RTT*1e3, r.Opts.Duration, len(r.Plan.Faults))
 	for _, f := range r.Plan.Faults {
 		fmt.Fprintf(&b, "#   %-13s t=[%.2f,%.2f)", f.Kind, f.At, f.At+f.Dur)
 		if f.Value != 0 {

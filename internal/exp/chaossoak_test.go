@@ -37,7 +37,7 @@ func TestChaosSoakCrossWorld(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	res, err := ChaosSoak(ChaosSoakOptions{
+	res, err := ChaosSoak(CrossWorldOptions{
 		Protos:   []string{ProtoProteusP},
 		Duration: 12,
 		Seed:     2,

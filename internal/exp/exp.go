@@ -1,8 +1,11 @@
 // Package exp is the experiment harness: it reconstructs every figure of
 // the paper's evaluation (§6, §7.1, Appendix B) on the emulated network
-// substrate. Each Fig* function builds the paper's workload, runs it in
-// virtual time, and returns the same rows/series the paper plots, which
-// the cmd/proteusbench CLI renders as text tables.
+// substrate. A Scenario describes one run — flows of named protocols on
+// one bottleneck, measured over a window — and Run executes it; each
+// Fig* function is the paper's sweep of such scenarios plus arithmetic
+// on their Outcomes; Figures is the table of figure ids the
+// cmd/proteusbench CLI loops over, rendering each figure's Blocks as
+// text tables and CSV.
 package exp
 
 import (
@@ -124,22 +127,6 @@ func (l LinkSpec) Build(s *sim.Sim) *netem.Path {
 // BDPBytes returns the link's bandwidth-delay product in bytes.
 func (l LinkSpec) BDPBytes() float64 { return l.Mbps * 1e6 / 8 * l.RTT }
 
-// FlowResult summarizes one flow in one run.
-type FlowResult struct {
-	Proto      string
-	Mbps       float64 // mean throughput over the measurement window
-	RTTSamples []float64
-}
-
-// P95RTT returns the 95th-percentile RTT of the flow's samples.
-func (f FlowResult) P95RTT() float64 { return stats.Percentile(f.RTTSamples, 95) }
-
-// FlowSpec is one flow in a scenario.
-type FlowSpec struct {
-	Proto   string
-	StartAt float64
-}
-
 // BurstFor returns the pacing-train length for a protocol. Kernel
 // stacks emit GSO-style multi-packet trains, and user-space UDP senders
 // burst comparably under OS timer granularity, so every congestion
@@ -152,72 +139,26 @@ func BurstFor(proto string) int {
 	return 0 // transport default (GSO-style train)
 }
 
-// Run executes a multi-flow scenario on one link and measures each
-// flow's throughput over [measureFrom, duration], returning results in
-// flow order. RTT samples are retained for every flow.
-func Run(seed int64, link LinkSpec, flows []FlowSpec, measureFrom, duration float64) []FlowResult {
-	return runTraced(nil, "", seed, link, flows, measureFrom, duration)
-}
-
-// runTraced is Run with an optional flight recorder: with tc enabled,
-// the run's per-flow event streams are written under scenario's name.
-func runTraced(tc *Tracing, scenario string, seed int64, link LinkSpec, flows []FlowSpec, measureFrom, duration float64) []FlowResult {
-	s := sim.New(seed)
-	flush := tc.attach(s, scenario, flows)
-	path := link.Build(s)
-	senders := make([]*transport.Sender, len(flows))
-	for i, f := range flows {
-		cc := NewController(s, f.Proto)
-		snd := transport.NewSender(i+1, path, cc)
-		snd.Burst = BurstFor(f.Proto)
-		snd.RecordRTT = true
-		senders[i] = snd
-		if f.StartAt <= 0 {
-			snd.Start()
-		} else {
-			at := f.StartAt
-			s.At(at, func() { snd.Start() })
+// meanOver runs fn once per trial — numbered from 1, with the seed the
+// options derive for it — on the campaign worker pool and returns the
+// component-wise mean of the vectors it returns. OrderedReduce folds in
+// trial order, so the sums are bit-identical for any Workers.
+func meanOver(o Options, fn func(trial int, seed int64) []float64) []float64 {
+	var mean []float64
+	campaign.OrderedReduce(o.Trials, o.Workers, func(t int) []float64 {
+		return fn(t+1, o.seedFor(int64(t+1)))
+	}, func(_ int, v []float64) {
+		if mean == nil {
+			mean = make([]float64, len(v))
 		}
-	}
-	marks := make([]int64, len(flows))
-	s.At(measureFrom, func() {
-		for i, snd := range senders {
-			marks[i] = snd.AckedBytes()
+		for i, x := range v {
+			mean[i] += x
 		}
 	})
-	s.Run(duration)
-	flush()
-	out := make([]FlowResult, len(flows))
-	for i, snd := range senders {
-		out[i] = FlowResult{
-			Proto:      flows[i].Proto,
-			Mbps:       float64(snd.AckedBytes()-marks[i]) * 8 / (duration - measureFrom) / 1e6,
-			RTTSamples: snd.RTTSamples(),
-		}
+	for i := range mean {
+		mean[i] /= float64(o.Trials)
 	}
-	return out
-}
-
-// RunSolo measures a single flow's throughput and RTT distribution.
-func RunSolo(seed int64, link LinkSpec, proto string, measureFrom, duration float64) FlowResult {
-	return Run(seed, link, []FlowSpec{{Proto: proto}}, measureFrom, duration)[0]
-}
-
-// soloTraced is RunSolo with an optional flight recorder.
-func soloTraced(tc *Tracing, scenario string, seed int64, link LinkSpec, proto string, measureFrom, duration float64) FlowResult {
-	return runTraced(tc, scenario, seed, link, []FlowSpec{{Proto: proto}}, measureFrom, duration)[0]
-}
-
-// meanOver runs fn once per trial on the campaign worker pool, deriving
-// each trial's seed from the options, and averages the results.
-// OrderedReduce folds in trial order, so the mean is bit-identical to
-// the historical sequential loop regardless of Workers.
-func meanOver(o Options, fn func(seed int64) float64) float64 {
-	sum := 0.0
-	campaign.OrderedReduce(o.Trials, o.Workers, func(t int) float64 {
-		return fn(o.seedFor(int64(t + 1)))
-	}, func(_ int, v float64) { sum += v })
-	return sum / float64(o.Trials)
+	return mean
 }
 
 // Table is a generic labeled result grid: one row per X value, one

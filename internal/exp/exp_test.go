@@ -42,7 +42,7 @@ func TestLinkSpecBuild(t *testing.T) {
 
 func TestRunMeasuresWindowedThroughput(t *testing.T) {
 	link := LinkSpec{Mbps: 50, RTT: 0.030, BufBytes: 375000}
-	res := Run(1, link, []FlowSpec{{Proto: "fixed:20"}}, 5, 15)
+	res := Run(Scenario{Seed: 1, Link: link, Flows: solo("fixed:20"), MeasureFrom: 5, Duration: 15}).Flows
 	if math.Abs(res[0].Mbps-20) > 1 {
 		t.Fatalf("fixed-rate measured at %.1f", res[0].Mbps)
 	}
@@ -97,7 +97,7 @@ func TestFig3Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	tput, infl := Fig3(fast(), []string{ProtoProteusP, ProtoProteusS, ProtoLEDBAT, ProtoCubic})
+	tput, infl := Fig3(fast(), 3, []string{ProtoProteusP, ProtoProteusS, ProtoLEDBAT, ProtoCubic})
 	get := func(tab *Table, bufKB float64, col int) float64 {
 		for _, r := range tab.Rows {
 			if r.X == bufKB {
@@ -140,7 +140,7 @@ func TestFig4LossShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	tab := Fig4(fast(), []string{ProtoProteusP, ProtoLEDBAT, ProtoBBR})
+	tab := Fig4(fast(), 4, []string{ProtoProteusP, ProtoLEDBAT, ProtoBBR})
 	get := func(loss float64, col int) float64 {
 		for _, r := range tab.Rows {
 			if r.X == loss {
@@ -171,7 +171,7 @@ func TestFig5FairnessShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	tab := Fig5(fast(), []string{ProtoProteusP, ProtoLEDBAT})
+	tab := Fig5(fast(), 5, []string{ProtoProteusP, ProtoLEDBAT})
 	for _, r := range tab.Rows {
 		if r.Cells[0] < 0.85 {
 			t.Errorf("Proteus-P Jain at n=%v: %.3f, want ≥0.85", r.X, r.Cells[0])
@@ -219,7 +219,7 @@ func TestFig6YieldShapes(t *testing.T) {
 		}
 	}
 	// (4) Rendering works for each scavenger.
-	if s := Fig6Table(cells, ProtoProteusS).Render(); !strings.Contains(s, "cubic") {
+	if s := Fig6Table(cells, "6", ProtoProteusS).Render(); !strings.Contains(s, "cubic") {
 		t.Error("table render incomplete")
 	}
 }

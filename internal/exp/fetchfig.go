@@ -3,10 +3,7 @@ package exp
 import (
 	"pccproteus/internal/dash"
 	"pccproteus/internal/fetch"
-	"pccproteus/internal/sim"
 	"pccproteus/internal/stats"
-	"pccproteus/internal/transport"
-	"pccproteus/internal/web"
 )
 
 // FetchBackgrounds lists the bulk-fetch variants of the scavenger-yield
@@ -42,24 +39,25 @@ func FetchYield(o Options) []FetchYieldResult {
 	dur := o.Duration
 	var out []FetchYieldResult
 	for _, bg := range FetchBackgrounds {
-		var dashSum, fetchSum float64
+		plts := make([][]float64, o.Trials) // one slot per trial: trials run concurrently
+		m := meanOver(o, func(trial int, seed int64) []float64 {
+			dashMbps, p, fetchBytes := fetchYieldTrial(seed, bg, dur)
+			plts[trial-1] = p
+			return []float64{dashMbps, float64(fetchBytes) * 8 / dur / 1e6}
+		})
 		hist := pltHist()
-		for tr := 0; tr < o.Trials; tr++ {
-			dashMbps, plts, fetchBytes := fetchYieldTrial(o.seedFor(int64(tr+1)), bg, dur)
-			dashSum += dashMbps
-			fetchSum += float64(fetchBytes) * 8 / dur / 1e6
-			for _, p := range plts {
+		for _, trial := range plts {
+			for _, p := range trial {
 				hist.Add(p)
 			}
 		}
-		n := float64(o.Trials)
 		out = append(out, FetchYieldResult{
 			Background: bg,
-			DashMbps:   dashSum / n,
+			DashMbps:   m[0],
 			WebP50:     hist.Quantile(0.50),
 			WebP95:     hist.Quantile(0.95),
 			WebP99:     hist.Quantile(0.99),
-			FetchMbps:  fetchSum / n,
+			FetchMbps:  m[1],
 		})
 	}
 	return out
@@ -73,52 +71,28 @@ func fetchYieldLink() LinkSpec {
 }
 
 func fetchYieldTrial(seed int64, background string, dur float64) (dashMbps float64, plts []float64, fetchBytes int64) {
-	const nVideos = 3
-	s := sim.New(seed)
-	path := fetchYieldLink().Build(s)
-	video := dash.Video{Name: "vod", Ladder: fig11Ladder, ChunkDur: 3, Chunks: 1 << 20}
-	players := make([]*dash.Player, nVideos)
-	for i := 0; i < nVideos; i++ {
-		snd := transport.NewSender(i+1, path, NewController(s, ProtoCubic))
-		p := dash.NewPlayer(s, snd, video, dash.NewBOLA(24), 24)
-		players[i] = p
-		p.Start()
-	}
-	connBase := 1000
-	var spawn func()
-	spawn = func() {
-		page := web.RandomPage(s.Rand())
-		pl := web.NewPageLoad(s, path, page, connBase, func(plt float64) {
-			plts = append(plts, plt)
-		})
-		connBase += 100
-		pl.Start()
-		s.After(s.Rand().ExpFloat64()*10, spawn)
-	}
-	s.After(s.Rand().ExpFloat64()*10, spawn)
-
+	var players []*dash.Player
 	var tr *fetch.SimTransfer
-	if background != "none" {
+	Run(Scenario{Seed: seed, Link: fetchYieldLink(), Duration: dur, Setup: func(e *Env) {
+		players = dashPlayers(e, 3)
+		pageLoads(e, &plts)
+		if background == "none" {
+			return
+		}
 		// An object far larger than the link can move in dur: the fetch
 		// never completes, so its goodput is pure steady-state yield.
 		tr = &fetch.SimTransfer{
-			S: s, Path: path, CC: NewController(s, background), ID: 100,
+			S: e.S, Path: e.Path, CC: NewController(e.S, background), ID: 100,
 			ObjectBytes: 1 << 40,
 		}
 		if err := tr.Start(); err != nil {
 			panic(err) // static configuration; a typo should fail loudly
 		}
-	}
-	s.Run(dur)
-	sum := 0.0
-	for _, p := range players {
-		sum += p.Metrics().AvgBitrate()
-	}
-	dashMbps = sum / nVideos
+	}})
 	if tr != nil {
 		fetchBytes = tr.DeliveredBytes()
 	}
-	return dashMbps, plts, fetchBytes
+	return meanBitrate(players), plts, fetchBytes
 }
 
 // FetchYieldTable renders the scavenger-yield results.

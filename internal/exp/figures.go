@@ -65,6 +65,9 @@ func emulabLink(bufBytes int) LinkSpec {
 	return LinkSpec{Mbps: 50, RTT: 0.030, BufBytes: bufBytes}
 }
 
+// solo is the one-flow list most sweeps run.
+func solo(proto string) []FlowSpec { return []FlowSpec{{Proto: proto}} }
+
 // ---------------------------------------------------------------------
 // Figure 2: RTT deviation vs RTT gradient as competition indicators.
 // ---------------------------------------------------------------------
@@ -125,40 +128,42 @@ func Fig2(o Options) Fig2Result {
 }
 
 func fig2Trial(tc *Tracing, scenario string, seed int64, flowsPerSec, dur float64) (devs, grads []float64) {
-	s := sim.New(seed)
-	flush := tc.attach(s, scenario, []FlowSpec{{Proto: "fixed:20"}})
-	defer flush()
 	// Mild ambient jitter mirrors the measurement noise visible in the
 	// paper's clean-case PDFs (their 0-flows curves are spread, not a
 	// spike at zero); without it both metrics trivially read zero on an
 	// idle link and the comparison degenerates.
 	link := LinkSpec{Mbps: 100, RTT: 0.060, BufBytes: 1500 * 1000,
 		Jitter: netem.LognormalNoise{Median: 0.00005, Sigma: 0.7}}
-	path := link.Build(s)
-	probe := &recordingCC{Controller: NewController(s, "fixed:20")}
-	snd := transport.NewSender(1, path, probe)
-	snd.Burst = 1 // the paper's probe is a smooth constant-rate UDP flow
-	snd.Start()
-	// Poisson CUBIC cross traffic.
-	if flowsPerSec > 0 {
-		nextID := 2
-		var spawn func()
-		spawn = func() {
-			size := 20000 + s.Rand().Int63n(80001)
-			// IW=3 as in the era's kernels (the flow then lives several
-			// RTTs), and no pacing: classic TCP emits each window as a
-			// line-rate burst — the transient queueing the paper's
-			// deviation signal keys on.
-			f := transport.NewSender(nextID, path, cubic.NewWithIW(3))
-			f.NoPacing = true
-			nextID++
-			f.Limit = size
-			f.Start()
+	probe := &recordingCC{}
+	Run(Scenario{Trace: tc, Label: scenario, Seed: seed, Link: link, Duration: dur,
+		// The paper's probe is a smooth constant-rate UDP flow.
+		Flows: []FlowSpec{{Proto: "fixed:20", New: func(s *sim.Sim) transport.Controller {
+			probe.Controller = NewController(s, "fixed:20")
+			return probe
+		}}},
+		Setup: func(e *Env) {
+			if flowsPerSec <= 0 {
+				return
+			}
+			// Poisson CUBIC cross traffic.
+			s, nextID := e.S, 2
+			var spawn func()
+			spawn = func() {
+				size := 20000 + s.Rand().Int63n(80001)
+				// IW=3 as in the era's kernels (the flow then lives several
+				// RTTs), and no pacing: classic TCP emits each window as a
+				// line-rate burst — the transient queueing the paper's
+				// deviation signal keys on.
+				f := transport.NewSender(nextID, e.Path, cubic.NewWithIW(3))
+				f.NoPacing = true
+				nextID++
+				f.Limit = size
+				f.Start()
+				s.After(s.Rand().ExpFloat64()/flowsPerSec, spawn)
+			}
 			s.After(s.Rand().ExpFloat64()/flowsPerSec, spawn)
-		}
-		s.After(s.Rand().ExpFloat64()/flowsPerSec, spawn)
-	}
-	s.Run(dur)
+		},
+	})
 	// Windowed analysis: consecutive 1.5·RTT windows by send time.
 	win := 1.5 * link.RTT
 	i := 0
@@ -183,36 +188,31 @@ func fig2Trial(tc *Tracing, scenario string, seed int64, flowsPerSec, dur float6
 
 // Fig3 sweeps the buffer from 4.5 KB to 900 KB on the 50 Mbps / 30 ms
 // link and reports each protocol's throughput and 95th-percentile
-// inflation ratio. Pass the Appendix-B protocol set to reproduce
-// Figure 15.
-func Fig3(o Options, protocols []string) (throughput, inflation *Table) {
+// inflation ratio. fig is the number in the titles: 3 with the §6
+// protocol set, 15 with Appendix B's.
+func Fig3(o Options, fig int, protocols []string) (throughput, inflation *Table) {
 	o = o.withDefaults()
-	if protocols == nil {
-		protocols = AllSingle
-	}
 	buffers := []int{4500, 9000, 18750, 37500, 75000, 150000, 300000, 375000, 625000, 900000}
 	if o.Fast {
 		buffers = []int{4500, 37500, 150000, 375000, 900000}
 	}
-	throughput = &Table{Title: "Fig 3(a): throughput (Mbps) vs buffer size", XLabel: "buffer(KB)", Columns: protocols}
-	inflation = &Table{Title: "Fig 3(b): 95th-percentile inflation ratio vs buffer size", XLabel: "buffer(KB)", Columns: protocols}
+	throughput = &Table{Title: fmt.Sprintf("Fig %d(a): throughput (Mbps) vs buffer size", fig), XLabel: "buffer(KB)", Columns: protocols}
+	inflation = &Table{Title: fmt.Sprintf("Fig %d(b): 95th-percentile inflation ratio vs buffer size", fig), XLabel: "buffer(KB)", Columns: protocols}
 	for _, buf := range buffers {
 		link := emulabLink(buf)
 		tRow := TableRow{X: float64(buf) / 1000}
 		iRow := TableRow{X: float64(buf) / 1000}
 		for _, proto := range protocols {
-			proto := proto
-			tput := meanOver(o, func(seed int64) float64 {
-				return soloTraced(o.Trace, fmt.Sprintf("fig3_buf%d_%s_s%d", buf, proto, seed),
-					seed, link, proto, o.Duration*0.2, o.Duration).Mbps
-			})
-			infl := meanOver(o, func(seed int64) float64 {
-				r := RunSolo(seed+100, link, proto, o.Duration*0.2, o.Duration)
+			m := meanOver(o, func(_ int, seed int64) []float64 {
+				tput := Run(Scenario{Trace: o.Trace, Label: fmt.Sprintf("fig3_buf%d_%s_s%d", buf, proto, seed),
+					Seed: seed, Link: link, Flows: solo(proto), MeasureFrom: o.Duration * 0.2, Duration: o.Duration}).Flows[0].Mbps
+				r := Run(Scenario{Seed: seed + 100, Link: link, Flows: solo(proto),
+					MeasureFrom: o.Duration * 0.2, Duration: o.Duration}).Flows[0]
 				base := link.RTT + float64(netem.MTU)/(link.Mbps*1e6/8)
-				return (r.P95RTT() - base) / (float64(buf) / (link.Mbps * 1e6 / 8))
+				return []float64{tput, (r.P95RTT() - base) / (float64(buf) / (link.Mbps * 1e6 / 8))}
 			})
-			tRow.Cells = append(tRow.Cells, tput)
-			iRow.Cells = append(iRow.Cells, infl)
+			tRow.Cells = append(tRow.Cells, m[0])
+			iRow.Cells = append(iRow.Cells, m[1])
 		}
 		throughput.Rows = append(throughput.Rows, tRow)
 		inflation.Rows = append(inflation.Rows, iRow)
@@ -225,26 +225,22 @@ func Fig3(o Options, protocols []string) (throughput, inflation *Table) {
 // ---------------------------------------------------------------------
 
 // Fig4 sweeps non-congestion loss from 0 to 6% with a 2·BDP buffer.
-func Fig4(o Options, protocols []string) *Table {
+func Fig4(o Options, fig int, protocols []string) *Table {
 	o = o.withDefaults()
-	if protocols == nil {
-		protocols = AllSingle
-	}
 	losses := []float64{0, 0.001, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06}
 	if o.Fast {
 		losses = []float64{0, 0.01, 0.03, 0.05}
 	}
-	t := &Table{Title: "Fig 4: throughput (Mbps) vs random loss rate", XLabel: "loss", Columns: protocols}
+	t := &Table{Title: fmt.Sprintf("Fig %d: throughput (Mbps) vs random loss rate", fig), XLabel: "loss", Columns: protocols}
 	for _, loss := range losses {
 		link := emulabLink(375000)
 		link.LossProb = loss
 		row := TableRow{X: loss}
 		for _, proto := range protocols {
-			proto := proto
-			row.Cells = append(row.Cells, meanOver(o, func(seed int64) float64 {
-				return soloTraced(o.Trace, fmt.Sprintf("fig4_loss%g_%s_s%d", loss, proto, seed),
-					seed, link, proto, o.Duration*0.2, o.Duration).Mbps
-			}))
+			row.Cells = append(row.Cells, meanOver(o, func(_ int, seed int64) []float64 {
+				return []float64{Run(Scenario{Trace: o.Trace, Label: fmt.Sprintf("fig4_loss%g_%s_s%d", loss, proto, seed),
+					Seed: seed, Link: link, Flows: solo(proto), MeasureFrom: o.Duration * 0.2, Duration: o.Duration}).Flows[0].Mbps}
+			})[0])
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -258,38 +254,33 @@ func Fig4(o Options, protocols []string) *Table {
 // Fig5 runs n = 2..10 same-protocol flows on a 20n Mbps / 300n KB link,
 // each flow starting 20 s after the previous one, and measures Jain's
 // index over the 200 s after the last start.
-func Fig5(o Options, protocols []string) *Table {
+func Fig5(o Options, fig int, protocols []string) *Table {
 	o = o.withDefaults()
-	if protocols == nil {
-		protocols = AllSingle
-	}
 	ns := []int{2, 3, 4, 5, 6, 7, 8, 9, 10}
 	measure := 200.0
 	if o.Fast {
 		ns = []int{2, 4, 6}
 		measure = 60
 	}
-	t := &Table{Title: "Fig 5: Jain's fairness index vs number of flows", XLabel: "flows", Columns: protocols}
+	t := &Table{Title: fmt.Sprintf("Fig %d: Jain's fairness index vs number of flows", fig), XLabel: "flows", Columns: protocols}
 	for _, n := range ns {
 		link := LinkSpec{Mbps: 20 * float64(n), RTT: 0.030, BufBytes: 300000 * n}
 		row := TableRow{X: float64(n)}
 		for _, proto := range protocols {
-			proto := proto
-			j := meanOver(o, func(seed int64) float64 {
+			row.Cells = append(row.Cells, meanOver(o, func(_ int, seed int64) []float64 {
 				flows := make([]FlowSpec, n)
 				for i := range flows {
 					flows[i] = FlowSpec{Proto: proto, StartAt: float64(i) * 20}
 				}
 				lastStart := float64(n-1) * 20
-				res := runTraced(o.Trace, fmt.Sprintf("fig5_n%d_%s_s%d", n, proto, seed),
-					seed, link, flows, lastStart, lastStart+measure)
+				res := Run(Scenario{Trace: o.Trace, Label: fmt.Sprintf("fig5_n%d_%s_s%d", n, proto, seed),
+					Seed: seed, Link: link, Flows: flows, MeasureFrom: lastStart, Duration: lastStart + measure}).Flows
 				tputs := make([]float64, n)
 				for i, r := range res {
 					tputs[i] = r.Mbps
 				}
-				return stats.JainIndex(tputs)
-			})
-			row.Cells = append(row.Cells, j)
+				return []float64{stats.JainIndex(tputs)}
+			})[0])
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -314,9 +305,6 @@ type Fig6Cell struct {
 // buffers. It also yields the Figure 7 RTT ratios (375 KB case).
 func Fig6(o Options, scavengers []string) []Fig6Cell {
 	o = o.withDefaults()
-	if scavengers == nil {
-		scavengers = []string{ProtoLEDBAT, ProtoProteusS, ProtoProteusP, ProtoCopa}
-	}
 	buffers := []int{75000, 375000}
 	var cells []Fig6Cell
 	dur := 180.0
@@ -327,37 +315,25 @@ func Fig6(o Options, scavengers []string) []Fig6Cell {
 	for _, buf := range buffers {
 		link := emulabLink(buf)
 		for _, primary := range Primaries {
-			// Baseline: the primary alone.
-			soloT := 0.0
-			soloRTT := 0.0
-			for tr := 0; tr < o.Trials; tr++ {
-				r := soloTraced(o.Trace, fmt.Sprintf("fig6_buf%d_%s_solo_s%d", buf, primary, tr+1),
-					o.seedFor(int64(tr+1)), link, primary, measureFrom, dur)
-				soloT += r.Mbps
-				soloRTT += r.P95RTT()
-			}
-			soloT /= float64(o.Trials)
-			soloRTT /= float64(o.Trials)
+			// Baseline: the primary alone (throughput, 95th RTT).
+			alone := meanOver(o, func(trial int, seed int64) []float64 {
+				r := Run(Scenario{Trace: o.Trace, Label: fmt.Sprintf("fig6_buf%d_%s_solo_s%d", buf, primary, trial),
+					Seed: seed, Link: link, Flows: solo(primary), MeasureFrom: measureFrom, Duration: dur}).Flows[0]
+				return []float64{r.Mbps, r.P95RTT()}
+			})
 			for _, scv := range scavengers {
-				var pT, sT, pRTT float64
-				for tr := 0; tr < o.Trials; tr++ {
-					res := runTraced(o.Trace,
-						fmt.Sprintf("fig6_buf%d_%s_vs_%s_s%d", buf, primary, scv, tr+1),
-						o.seedFor(int64(tr+1)), link,
-						[]FlowSpec{{Proto: primary}, {Proto: scv, StartAt: 20}},
-						measureFrom, dur)
-					pT += res[0].Mbps
-					sT += res[1].Mbps
-					pRTT += res[0].P95RTT()
-				}
-				pT /= float64(o.Trials)
-				sT /= float64(o.Trials)
-				pRTT /= float64(o.Trials)
+				// Primary and scavenger throughput, primary 95th RTT.
+				m := meanOver(o, func(trial int, seed int64) []float64 {
+					res := Run(Scenario{Trace: o.Trace, Label: fmt.Sprintf("fig6_buf%d_%s_vs_%s_s%d", buf, primary, scv, trial),
+						Seed: seed, Link: link, Flows: []FlowSpec{{Proto: primary}, {Proto: scv, StartAt: 20}},
+						MeasureFrom: measureFrom, Duration: dur}).Flows
+					return []float64{res[0].Mbps, res[1].Mbps, res[0].P95RTT()}
+				})
 				cells = append(cells, Fig6Cell{
 					Scavenger: scv, Primary: primary, BufBytes: buf,
-					PrimaryRatio: pT / soloT,
-					Utilization:  (pT + sT) / link.Mbps,
-					RTTRatio:     pRTT / soloRTT,
+					PrimaryRatio: m[0] / alone[0],
+					Utilization:  (m[0] + m[1]) / link.Mbps,
+					RTTRatio:     m[2] / alone[1],
 				})
 			}
 		}
@@ -365,10 +341,11 @@ func Fig6(o Options, scavengers []string) []Fig6Cell {
 	return cells
 }
 
-// Fig6Table renders the yield matrix for one scavenger.
-func Fig6Table(cells []Fig6Cell, scavenger string) *Table {
+// Fig6Table renders the yield matrix for one scavenger; fig is the
+// label in its title ("6", or "19/20" for the Appendix-B set).
+func Fig6Table(cells []Fig6Cell, fig, scavenger string) *Table {
 	t := &Table{
-		Title:   fmt.Sprintf("Fig 6: %s as scavenger — primary throughput ratio / joint utilization", scavenger),
+		Title:   fmt.Sprintf("Fig %s: %s as scavenger — primary throughput ratio / joint utilization", fig, scavenger),
 		XLabel:  "primary",
 		Columns: []string{"ratio@75KB", "util@75KB", "ratio@375KB", "util@375KB", "rttRatio@375KB"},
 	}
@@ -398,14 +375,10 @@ func nan() float64 { return math.NaN() }
 // Fig8 sweeps bottleneck configurations (the paper's 180 = 6 bandwidths
 // × 6 RTTs × 5 buffer depths) and returns the CDF of primary throughput
 // ratios for each (primary, scavenger) pairing.
-func Fig8(o Options, primaries, scavengers []string) []CDFSeries {
+func Fig8(o Options) []CDFSeries {
 	o = o.withDefaults()
-	if primaries == nil {
-		primaries = []string{ProtoBBR, ProtoCubic, ProtoProteusP}
-	}
-	if scavengers == nil {
-		scavengers = []string{ProtoProteusS, ProtoLEDBAT}
-	}
+	primaries := []string{ProtoBBR, ProtoCubic, ProtoProteusP}
+	scavengers := []string{ProtoProteusS, ProtoLEDBAT}
 	bws := []float64{20, 50, 100, 200, 300, 500}
 	rtts := []float64{0.005, 0.010, 0.030, 0.060, 0.100, 0.200}
 	bufs := []float64{0.2, 0.5, 1.0, 2.0, 5.0}
@@ -434,22 +407,21 @@ func Fig8(o Options, primaries, scavengers []string) []CDFSeries {
 					link.BufBytes = 3 * netem.MTU
 				}
 				for _, primary := range primaries {
-					solo := soloTraced(o.Trace,
-						fmt.Sprintf("fig8_bw%g_rtt%g_buf%g_%s_solo", bw, rtt*1000, bufBDP, primary),
-						o.seedFor(seed), link, primary, measureFrom, dur).Mbps
-					if solo < 0.1 {
+					alone := Run(Scenario{Trace: o.Trace,
+						Label: fmt.Sprintf("fig8_bw%g_rtt%g_buf%g_%s_solo", bw, rtt*1000, bufBDP, primary),
+						Seed:  o.seedFor(seed), Link: link, Flows: solo(primary), MeasureFrom: measureFrom, Duration: dur}).Flows[0].Mbps
+					if alone < 0.1 {
 						// A configuration the primary cannot use at all
 						// (e.g. a buffer below one packet train) says
 						// nothing about yielding.
 						continue
 					}
 					for _, scv := range scavengers {
-						res := runTraced(o.Trace,
-							fmt.Sprintf("fig8_bw%g_rtt%g_buf%g_%s_vs_%s", bw, rtt*1000, bufBDP, primary, scv),
-							o.seedFor(seed), link,
-							[]FlowSpec{{Proto: primary}, {Proto: scv, StartAt: 20}},
-							measureFrom, dur)
-						ratio := res[0].Mbps / solo
+						res := Run(Scenario{Trace: o.Trace,
+							Label: fmt.Sprintf("fig8_bw%g_rtt%g_buf%g_%s_vs_%s", bw, rtt*1000, bufBDP, primary, scv),
+							Seed:  o.seedFor(seed), Link: link, Flows: []FlowSpec{{Proto: primary}, {Proto: scv, StartAt: 20}},
+							MeasureFrom: measureFrom, Duration: dur}).Flows
+						ratio := res[0].Mbps / alone
 						if ratio > 1 {
 							ratio = 1
 						}
@@ -480,39 +452,14 @@ type TimelineSeries struct {
 	Mbps []float64 // sample i covers second [i, i+1)
 }
 
-// timeline measures per-second throughput of every flow in a scenario.
+// timeline runs a scenario for its per-second throughput series.
 func timeline(tc *Tracing, scenario string, seed int64, link LinkSpec, flows []FlowSpec, duration float64) []TimelineSeries {
-	s := sim.New(seed)
-	flush := tc.attach(s, scenario, flows)
-	path := link.Build(s)
-	senders := make([]*transport.Sender, len(flows))
-	out := make([]TimelineSeries, len(flows))
-	last := make([]int64, len(flows))
-	for i, f := range flows {
-		cc := NewController(s, f.Proto)
-		snd := transport.NewSender(i+1, path, cc)
-		snd.Burst = BurstFor(f.Proto)
-		senders[i] = snd
-		out[i].Name = f.Proto
-		if f.StartAt <= 0 {
-			snd.Start()
-		} else {
-			at := f.StartAt
-			s.At(at, func() { snd.Start() })
-		}
+	out := Run(Scenario{Trace: tc, Label: scenario, Seed: seed, Link: link, Flows: flows, Duration: duration})
+	series := make([]TimelineSeries, len(out.Flows))
+	for i, f := range out.Flows {
+		series[i] = TimelineSeries{Name: f.Proto, Mbps: f.PerSec}
 	}
-	for sec := 1.0; sec <= duration; sec++ {
-		sec := sec
-		s.At(sec, func() {
-			for i, snd := range senders {
-				out[i].Mbps = append(out[i].Mbps, float64(snd.AckedBytes()-last[i])*8/1e6)
-				last[i] = snd.AckedBytes()
-			}
-		})
-	}
-	s.Run(duration)
-	flush()
-	return out
+	return series
 }
 
 // Fig14 reproduces §7.1: BBR-S competing in turn with BBR, with BBR-S,
@@ -538,11 +485,9 @@ func Fig14(o Options) map[string][]TimelineSeries {
 // Fig18 reproduces the Appendix-B 4-flow timelines: flows join every
 // 100 s and the latecomer dynamics of each protocol are visible in the
 // per-second series.
-func Fig18(o Options, protocols []string) map[string][]TimelineSeries {
+func Fig18(o Options) map[string][]TimelineSeries {
 	o = o.withDefaults()
-	if protocols == nil {
-		protocols = []string{ProtoLEDBAT25, ProtoLEDBAT, ProtoProteusP, ProtoProteusS}
-	}
+	protocols := []string{ProtoLEDBAT25, ProtoLEDBAT, ProtoProteusP, ProtoProteusS}
 	dur := 500.0
 	gap := 100.0
 	if o.Fast {
@@ -571,49 +516,28 @@ func Fig18(o Options, protocols []string) map[string][]TimelineSeries {
 // work for the noise-tolerance design.
 func LTESolo(o Options, protocols []string) *Table {
 	o = o.withDefaults()
-	if protocols == nil {
-		protocols = AllSingle
-	}
 	t := &Table{
 		Title:   "Extension: LTE-like varying-capacity channel (solo flows)",
 		XLabel:  "protocol",
 		Columns: []string{"Mbps", "p95RTT(ms)"},
 	}
 	dur := o.Duration
-	for _, proto := range protocols {
-		proto := proto
-		var tput, rtt float64
-		for tr := 0; tr < o.Trials; tr++ {
-			tp, p95 := lteTrial(o.Trace, fmt.Sprintf("lte_%s_s%d", proto, tr+1), o.seedFor(int64(tr+1)), proto, dur)
-			tput += tp
-			rtt += p95
-		}
-		n := float64(o.Trials)
-		t.Rows = append(t.Rows, TableRow{XName: proto, Cells: []float64{tput / n, rtt * 1000 / n}})
-	}
-	return t
-}
-
-func lteTrial(tc *Tracing, scenario string, seed int64, proto string, dur float64) (mbps, p95 float64) {
-	s := sim.New(seed)
-	flush := tc.attach(s, scenario, []FlowSpec{{Proto: proto}})
-	defer flush()
 	link := LinkSpec{
 		Mbps: 50, RTT: 0.050, BufBytes: 600000,
 		Jitter: netem.LognormalNoise{Median: 0.002, Sigma: 0.8},
 	}
-	path := link.Build(s)
-	walk := &netem.RateWalk{Sim: s, Link: path.Link, Interval: 0.1, Sigma: 0.35, MinFac: 0.2, MaxFac: 1.0}
-	walk.Start()
-	cc := NewController(s, proto)
-	snd := transport.NewSender(1, path, cc)
-	snd.Burst = BurstFor(proto)
-	snd.RecordRTT = true
-	snd.Start()
-	var mark int64
-	s.At(dur*0.2, func() { mark = snd.AckedBytes() })
-	s.Run(dur)
-	n := len(snd.RTTSamples())
-	return float64(snd.AckedBytes()-mark) * 8 / (dur * 0.8) / 1e6,
-		stats.Percentile(snd.RTTSamples()[n/5:], 95)
+	for _, proto := range protocols {
+		m := meanOver(o, func(trial int, seed int64) []float64 {
+			r := Run(Scenario{Trace: o.Trace, Label: fmt.Sprintf("lte_%s_s%d", proto, trial), Seed: seed, Link: link,
+				Flows: solo(proto), MeasureFrom: dur * 0.2, Duration: dur,
+				Setup: func(e *Env) {
+					walk := &netem.RateWalk{Sim: e.S, Link: e.Path.Link, Interval: 0.1, Sigma: 0.35, MinFac: 0.2, MaxFac: 1.0}
+					walk.Start()
+				}}).Flows[0]
+			// RTT over the last four fifths of the samples, not of the time.
+			return []float64{r.Mbps, stats.Percentile(r.RTTSamples[len(r.RTTSamples)/5:], 95)}
+		})
+		t.Rows = append(t.Rows, TableRow{XName: proto, Cells: []float64{m[0], m[1] * 1000}})
+	}
+	return t
 }

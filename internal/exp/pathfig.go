@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"sort"
 
-	"pccproteus/internal/chaos"
-	"pccproteus/internal/engine"
+	"pccproteus/internal/netem"
 	"pccproteus/internal/pathmodel"
-	"pccproteus/internal/sim"
 	"pccproteus/internal/stats"
-	"pccproteus/internal/transport"
 )
 
 // ---------------------------------------------------------------------
@@ -32,54 +29,18 @@ func cellularLink(model string) LinkSpec {
 	return LinkSpec{Mbps: 25, RTT: 0.050, BufBytes: 600_000}
 }
 
-// pathRun is runTraced on a model-driven bottleneck: the model's
-// rate/delay schedule is applied through the hardened netem setters,
-// its outage windows (if any) through a chaos blackout plan, and every
-// sender runs with the survival machinery armed whenever the model can
-// black out the path.
-func pathRun(tc *Tracing, scenario string, seed int64, m pathmodel.Model, link LinkSpec, flows []FlowSpec, measureFrom, duration float64) ([]FlowResult, error) {
-	s := sim.New(seed)
-	flush := tc.attach(s, scenario, flows)
-	path := link.Build(s)
-	if err := pathmodel.ApplySim(s, path.Link, m, duration); err != nil {
-		return nil, err
-	}
-	plan, hasFaults := pathmodel.FaultPlan(m, duration)
-	if hasFaults {
-		chaos.ApplySim(s, path.Link, path, plan, duration)
-	}
-	senders := make([]*transport.Sender, len(flows))
-	for i, f := range flows {
-		cc := NewController(s, f.Proto)
-		snd := transport.NewSender(i+1, path, cc)
-		snd.Burst = BurstFor(f.Proto)
-		snd.RecordRTT = true
-		snd.Survival = hasFaults
-		senders[i] = snd
-		if f.StartAt <= 0 {
-			snd.Start()
-		} else {
-			at := f.StartAt
-			s.At(at, func() { snd.Start() })
+// cellularModels builds one trace per trial, regenerated from the
+// trial's seed; every protocol of a figure meets the same channels.
+func cellularModels(o Options, model string) ([]pathmodel.Model, error) {
+	ms := make([]pathmodel.Model, o.Trials)
+	for t := range ms {
+		m, err := pathmodel.ByName(model, o.seedFor(int64(t+1)), o.Duration)
+		if err != nil {
+			return nil, err
 		}
+		ms[t] = m
 	}
-	marks := make([]int64, len(flows))
-	s.At(measureFrom, func() {
-		for i, snd := range senders {
-			marks[i] = snd.AckedBytes()
-		}
-	})
-	s.Run(duration)
-	flush()
-	out := make([]FlowResult, len(flows))
-	for i, snd := range senders {
-		out[i] = FlowResult{
-			Proto:      flows[i].Proto,
-			Mbps:       float64(snd.AckedBytes()-marks[i]) * 8 / (duration - measureFrom) / 1e6,
-			RTTSamples: snd.RTTSamples(),
-		}
-	}
-	return out, nil
+	return ms, nil
 }
 
 // CellularSolo runs each protocol alone on a trace-driven cellular
@@ -87,8 +48,9 @@ func pathRun(tc *Tracing, scenario string, seed int64, m pathmodel.Model, link L
 // reports throughput and 95th-percentile RTT.
 func CellularSolo(o Options, protocols []string, model string) (*Table, error) {
 	o = o.withDefaults()
-	if protocols == nil {
-		protocols = append(append([]string{}, AllSingle...), ProtoBBR2)
+	models, err := cellularModels(o, model)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Title:   fmt.Sprintf("Cellular (%s trace model): solo flows", model),
@@ -96,25 +58,13 @@ func CellularSolo(o Options, protocols []string, model string) (*Table, error) {
 		Columns: []string{"Mbps", "p95RTT(ms)"},
 	}
 	dur := o.Duration
-	link := cellularLink(model)
 	for _, proto := range protocols {
-		var tput, rtt float64
-		for tr := 0; tr < o.Trials; tr++ {
-			seed := o.seedFor(int64(tr + 1))
-			m, err := pathmodel.ByName(model, seed, dur)
-			if err != nil {
-				return nil, err
-			}
-			rs, err := pathRun(o.Trace, fmt.Sprintf("cell_%s_%s_s%d", model, proto, tr+1),
-				seed, m, link, []FlowSpec{{Proto: proto}}, dur*0.2, dur)
-			if err != nil {
-				return nil, err
-			}
-			tput += rs[0].Mbps
-			rtt += rs[0].P95RTT()
-		}
-		n := float64(o.Trials)
-		t.Rows = append(t.Rows, TableRow{XName: proto, Cells: []float64{tput / n, rtt * 1000 / n}})
+		m := meanOver(o, func(trial int, seed int64) []float64 {
+			r := Run(Scenario{Trace: o.Trace, Label: fmt.Sprintf("cell_%s_%s_s%d", model, proto, trial), Seed: seed,
+				Link: cellularLink(model), Model: models[trial-1], Flows: solo(proto), MeasureFrom: dur * 0.2, Duration: dur}).Flows[0]
+			return []float64{r.Mbps, r.P95RTT()}
+		})
+		t.Rows = append(t.Rows, TableRow{XName: proto, Cells: []float64{m[0], m[1] * 1000}})
 	}
 	return t, nil
 }
@@ -125,6 +75,10 @@ func CellularSolo(o Options, protocols []string, model string) (*Table, error) {
 // scavenger's take.
 func CellularYield(o Options, model string) (*Table, error) {
 	o = o.withDefaults()
+	models, err := cellularModels(o, model)
+	if err != nil {
+		return nil, err
+	}
 	primaries := []string{ProtoCubic, ProtoBBR, ProtoBBR2, ProtoCopa, ProtoProteusP}
 	t := &Table{
 		Title:   fmt.Sprintf("Cellular (%s trace model): primary + Proteus-S scavenger", model),
@@ -132,47 +86,31 @@ func CellularYield(o Options, model string) (*Table, error) {
 		Columns: []string{"solo Mbps", "shared Mbps", "yield%", "scav Mbps"},
 	}
 	dur := o.Duration
-	link := cellularLink(model)
 	for _, primary := range primaries {
-		var solo, shared, scav float64
-		for tr := 0; tr < o.Trials; tr++ {
-			seed := o.seedFor(int64(tr + 1))
-			m, err := pathmodel.ByName(model, seed, dur)
-			if err != nil {
-				return nil, err
-			}
-			rs, err := pathRun(o.Trace, fmt.Sprintf("cellyield_%s_%s_solo_s%d", model, primary, tr+1),
-				seed, m, link, []FlowSpec{{Proto: primary}}, dur*0.2, dur)
-			if err != nil {
-				return nil, err
-			}
-			solo += rs[0].Mbps
-			rs, err = pathRun(o.Trace, fmt.Sprintf("cellyield_%s_%s_scav_s%d", model, primary, tr+1),
-				seed, m, link,
-				[]FlowSpec{{Proto: primary}, {Proto: ProtoProteusS, StartAt: dur * 0.1}},
-				dur*0.2, dur)
-			if err != nil {
-				return nil, err
-			}
-			shared += rs[0].Mbps
-			scav += rs[1].Mbps
-		}
-		n := float64(o.Trials)
+		// Primary alone, primary sharing, scavenger.
+		m := meanOver(o, func(trial int, seed int64) []float64 {
+			sc := Scenario{Trace: o.Trace, Label: fmt.Sprintf("cellyield_%s_%s_solo_s%d", model, primary, trial), Seed: seed,
+				Link: cellularLink(model), Model: models[trial-1], Flows: solo(primary), MeasureFrom: dur * 0.2, Duration: dur}
+			alone := Run(sc).Flows[0].Mbps
+			sc.Label = fmt.Sprintf("cellyield_%s_%s_scav_s%d", model, primary, trial)
+			sc.Flows = []FlowSpec{{Proto: primary}, {Proto: ProtoProteusS, StartAt: dur * 0.1}}
+			shared := Run(sc).Flows
+			return []float64{alone, shared[0].Mbps, shared[1].Mbps}
+		})
 		yield := nan()
-		if solo > 0 {
-			yield = shared / solo * 100
+		if m[0] > 0 {
+			yield = m[1] / m[0] * 100
 		}
-		t.Rows = append(t.Rows, TableRow{XName: primary,
-			Cells: []float64{solo / n, shared / n, yield, scav / n}})
+		t.Rows = append(t.Rows, TableRow{XName: primary, Cells: []float64{m[0], m[1], yield, m[2]}})
 	}
 	return t, nil
 }
 
-// satellitePre/Post describe the survival gate around one LEO
-// handover at second h (outage tail of the pass, healing at h+0.15):
-// pre is the best of the two full seconds before the outage, post the
-// best of the three seconds after healing — the same ≥80%-within-3s
-// gate the chaos blackout tests apply.
+// satelliteRecoverFrac is the survival gate around one LEO handover at
+// second h (outage tail of the pass, healing at h+0.15): pre is the
+// best of the two full seconds before the outage, post the best of the
+// three seconds after healing — the same ≥80%-within-3s gate the chaos
+// blackout tests apply.
 const satelliteRecoverFrac = 0.8
 
 // SatelliteSurvival runs each protocol through the LEO constellation
@@ -181,11 +119,8 @@ const satelliteRecoverFrac = 0.8
 // handover-survival gate: worst-case post/pre recovery across the
 // run's handovers, and the fraction of trials where every handover
 // recovered to ≥80% within 3 s.
-func SatelliteSurvival(o Options, protocols []string) (*Table, error) {
+func SatelliteSurvival(o Options, protocols []string) *Table {
 	o = o.withDefaults()
-	if protocols == nil {
-		protocols = []string{ProtoProteusS, ProtoProteusP, ProtoBBR2, ProtoBBR, ProtoCubic}
-	}
 	t := &Table{
 		Title:   "LEO satellite: throughput across handover micro-blackouts",
 		XLabel:  "protocol",
@@ -195,76 +130,26 @@ func SatelliteSurvival(o Options, protocols []string) (*Table, error) {
 	// period) plus recovery room.
 	const dur = 45.0
 	for _, proto := range protocols {
-		var mbps, pre, post, recov, surv float64
-		for tr := 0; tr < o.Trials; tr++ {
-			seed := o.seedFor(int64(tr + 1))
-			r, err := satelliteTrial(o.Trace, fmt.Sprintf("sat_%s_s%d", proto, tr+1), seed, proto, dur)
-			if err != nil {
-				return nil, err
-			}
-			mbps += r.mbps
-			pre += r.pre
-			post += r.post
-			recov += r.recov
-			if r.survived {
-				surv++
-			}
-		}
-		n := float64(o.Trials)
-		t.Rows = append(t.Rows, TableRow{XName: proto,
-			Cells: []float64{mbps / n, pre / n, post / n, recov * 100 / n, surv * 100 / n}})
-	}
-	return t, nil
-}
-
-type satelliteResult struct {
-	mbps, pre, post, recov float64
-	survived               bool
-}
-
-// satelliteTrial runs one protocol once on the LEO model with
-// per-second throughput sampling and evaluates the handover gate.
-func satelliteTrial(tc *Tracing, scenario string, seed int64, proto string, dur float64) (satelliteResult, error) {
-	m := pathmodel.DefaultLEO(seed)
-	s := sim.New(seed)
-	flows := []FlowSpec{{Proto: proto}}
-	flush := tc.attach(s, scenario, flows)
-	link := LinkSpec{Mbps: m.Mbps, RTT: 0.050, BufBytes: 1_125_000}
-	path := link.Build(s)
-	if err := pathmodel.ApplySim(s, path.Link, m, dur); err != nil {
-		return satelliteResult{}, err
-	}
-	plan, _ := pathmodel.FaultPlan(m, dur)
-	chaos.ApplySim(s, path.Link, path, plan, dur)
-
-	cc := NewController(s, proto)
-	snd := transport.NewSender(1, path, cc)
-	snd.Burst = BurstFor(proto)
-	snd.Survival = true
-
-	secs := int(dur)
-	perSec := make([]float64, secs)
-	var prev int64
-	for sec := 1; sec <= secs; sec++ {
-		sec := sec
-		s.At(float64(sec), func() {
-			acked := snd.AckedBytes()
-			perSec[sec-1] = float64(acked-prev) * 8 / 1e6
-			prev = acked
+		m := meanOver(o, func(trial int, seed int64) []float64 {
+			return satelliteTrial(o.Trace, fmt.Sprintf("sat_%s_s%d", proto, trial), seed, proto, dur)
 		})
+		t.Rows = append(t.Rows, TableRow{XName: proto, Cells: []float64{m[0], m[1], m[2], m[3] * 100, m[4] * 100}})
 	}
-	var mark int64
-	measureFrom := dur * 0.1
-	s.At(measureFrom, func() { mark = snd.AckedBytes() })
-	snd.Start()
-	s.Run(dur)
-	flush()
+	return t
+}
 
-	res := satelliteResult{
-		mbps:     float64(snd.AckedBytes()-mark) * 8 / (dur - measureFrom) / 1e6,
-		recov:    1,
-		survived: true,
-	}
+// satelliteTrial runs one protocol once on the LEO model and evaluates
+// the handover gate on its per-second throughput: overall Mbps, mean
+// pre- and post-handover Mbps, worst recovery ratio, and 1 if every
+// handover passed.
+func satelliteTrial(tc *Tracing, scenario string, seed int64, proto string, dur float64) []float64 {
+	m := pathmodel.DefaultLEO(seed)
+	f := Run(Scenario{Trace: tc, Label: scenario, Seed: seed, Model: m,
+		Link:  LinkSpec{Mbps: m.Mbps, RTT: 0.050, BufBytes: 1_125_000},
+		Flows: solo(proto), MeasureFrom: dur * 0.1, Duration: dur}).Flows[0]
+	perSec, secs := f.PerSec, int(dur)
+	plan, _ := pathmodel.FaultPlan(m, dur)
+	pre, post, recov, survived := 0.0, 0.0, 1.0, 1.0
 	// Gate every handover whose 3 s recovery window fits in the run.
 	// The recovery target is min(pre-handover rate, post-handover
 	// capacity): successive passes draw different capacities (±35%
@@ -297,24 +182,24 @@ func satelliteTrial(tc *Tracing, scenario string, seed int64, proto string, dur 
 		if postCap < target {
 			target = postCap
 		}
-		res.pre += p
-		res.post += q
+		pre += p
+		post += q
 		ratio := 1.0
 		if target > 0 {
 			ratio = q / target
 		}
-		if ratio < res.recov {
-			res.recov = ratio
+		if ratio < recov {
+			recov = ratio
 		}
 		if q < satelliteRecoverFrac*target {
-			res.survived = false
+			survived = 0
 		}
 	}
 	if n := float64(len(plan.Faults)); n > 0 {
-		res.pre /= n
-		res.post /= n
+		pre /= n
+		post /= n
 	}
-	return res, nil
+	return []float64{f.Mbps, pre, post, recov, survived}
 }
 
 // IncastFairness runs the synchronized incast wave: FanIn senders of
@@ -324,9 +209,6 @@ func satelliteTrial(tc *Tracing, scenario string, seed int64, proto string, dur 
 // completion times.
 func IncastFairness(o Options, protocols []string) *Table {
 	o = o.withDefaults()
-	if protocols == nil {
-		protocols = []string{ProtoCubic, ProtoBBR, ProtoBBR2, ProtoCopa, ProtoProteusP, ProtoProteusS}
-	}
 	ic := pathmodel.Incast{}.WithDefaults()
 	t := &Table{
 		Title: fmt.Sprintf("Incast: %d synchronized senders, %d KiB responses, %d-packet buffer",
@@ -335,17 +217,8 @@ func IncastFairness(o Options, protocols []string) *Table {
 		Columns: []string{"goodput Mbps", "Jain", "p50 FCT(ms)", "p99 FCT(ms)"},
 	}
 	for _, proto := range protocols {
-		var goodput, jain, p50, p99 float64
-		for tr := 0; tr < o.Trials; tr++ {
-			g, j, f50, f99 := incastTrial(o.seedFor(int64(tr+1)), proto, ic)
-			goodput += g
-			jain += j
-			p50 += f50
-			p99 += f99
-		}
-		n := float64(o.Trials)
-		t.Rows = append(t.Rows, TableRow{XName: proto,
-			Cells: []float64{goodput / n, jain / n, p50 * 1000 / n, p99 * 1000 / n}})
+		m := meanOver(o, func(_ int, seed int64) []float64 { return incastTrial(seed, proto, ic) })
+		t.Rows = append(t.Rows, TableRow{XName: proto, Cells: []float64{m[0], m[1], m[2] * 1000, m[3] * 1000}})
 	}
 	return t
 }
@@ -353,72 +226,50 @@ func IncastFairness(o Options, protocols []string) *Table {
 // incastTrial runs one synchronized wave and returns aggregate goodput
 // (total bytes over the wave's completion time), Jain's index over
 // per-flow completion rates, and the p50/p99 FCTs.
-func incastTrial(seed int64, proto string, ic pathmodel.Incast) (goodput, jain, p50, p99 float64) {
+func incastTrial(seed int64, proto string, ic pathmodel.Incast) []float64 {
 	const timeout = 30.0
-	s := sim.New(seed)
-	path := ic.Build(s)
-	fcts := make([]float64, ic.FanIn)
-	for i := 0; i < ic.FanIn; i++ {
-		i := i
-		cc := NewController(s, proto)
-		snd := transport.NewSender(i+1, path, cc)
-		snd.Burst = BurstFor(proto)
-		snd.Limit = ic.Bytes
-		fcts[i] = timeout // overwritten on completion
-		snd.OnComplete = func(now float64) { fcts[i] = now }
-		snd.Start()
+	flows := make([]FlowSpec, ic.FanIn)
+	for i := range flows {
+		flows[i] = FlowSpec{Proto: proto, Limit: ic.Bytes}
 	}
-	s.Run(timeout)
+	out := Run(Scenario{Seed: seed, Flows: flows, Duration: timeout,
+		Link: LinkSpec{Mbps: ic.Mbps, RTT: ic.RTT, BufBytes: ic.BufPkts * netem.MTU}})
+	fcts := make([]float64, ic.FanIn)
 	rates := make([]float64, ic.FanIn)
 	last := 0.0
-	for i, f := range fcts {
-		rates[i] = float64(ic.Bytes) / f
-		if f > last {
-			last = f
+	for i, f := range out.Flows {
+		fcts[i] = f.DoneAt
+		if f.DoneAt == 0 {
+			fcts[i] = timeout
+		}
+		rates[i] = float64(ic.Bytes) / fcts[i]
+		if fcts[i] > last {
+			last = fcts[i]
 		}
 	}
-	sorted := append([]float64(nil), fcts...)
-	sort.Float64s(sorted)
-	goodput = float64(int64(ic.FanIn)*ic.Bytes) * 8 / last / 1e6
-	jain = stats.JainIndex(rates)
-	p50 = stats.PercentileSorted(sorted, 50)
-	p99 = stats.PercentileSorted(sorted, 99)
-	return goodput, jain, p50, p99
+	sort.Float64s(fcts)
+	return []float64{float64(int64(ic.FanIn)*ic.Bytes) * 8 / last / 1e6, stats.JainIndex(rates),
+		stats.PercentileSorted(fcts, 50), stats.PercentileSorted(fcts, 99)}
 }
 
 // PathModelWireParity cross-validates a trace-driven model between
 // the two worlds: the same schedule drives the simulator link through
-// pathmodel.ApplySim and the UDP loopback shim through the compiled
+// pathmodel.Install and the UDP loopback shim through the compiled
 // ShimUpdates, and each protocol's throughput must agree within the
 // standard parity tolerance. A nil model selects the default parity
 // staircase — capacity and delay steps every few seconds, slow enough
 // that both domains' controllers converge between steps, so the gate
 // measures schedule-application parity rather than how a controller
 // chases 100 ms fades in real time versus virtual time.
-func PathModelWireParity(o WireParityOptions, m pathmodel.Model) (*WireParityResult, error) {
-	o.defaults()
+func PathModelWireParity(o CrossWorldOptions, m pathmodel.Model) (*WireParityResult, error) {
+	o.defaults(12)
 	if m == nil {
-		m = ParityStaircase(o.Mbps)
+		m = ParityStaircase(crossWorldLink.Mbps)
 	}
-	res := &WireParityResult{Opts: o}
-	for i, proto := range o.Protos {
-		seed := o.Seed + int64(i)
-		simMbps, simMean, simP95, simLoss, err := pathParitySim(seed, o, proto, m)
-		if err != nil {
-			return nil, fmt.Errorf("sim run %s: %w", proto, err)
-		}
-		cfg := engine.ShimLoopbackConfig{Schedule: pathmodel.ShimUpdates(m, o.Duration)}
-		if plan, hasFaults := pathmodel.FaultPlan(m, o.Duration); hasFaults {
-			cfg.Chaos = &plan
-		}
-		row, err := parityWireRow(seed, o, proto, cfg)
-		if err != nil {
-			return nil, err
-		}
-		row.fillSim(o, simMbps, simMean, simP95, simLoss)
-		res.Rows = append(res.Rows, row)
+	if err := pathmodel.Validate(m, o.Duration); err != nil {
+		return nil, err
 	}
-	return res, nil
+	return wireParity(o, m)
 }
 
 // ParityStaircase is the default trace for the sim-vs-wire model gate:
@@ -436,38 +287,4 @@ func ParityStaircase(baseMbps float64) *pathmodel.Trace {
 		})
 	}
 	return tr
-}
-
-// pathParitySim is wireParitySim with the model applied to the link:
-// the simulator half of the trace-model parity gate.
-func pathParitySim(seed int64, o WireParityOptions, proto string, m pathmodel.Model) (mbps, meanRTT, p95RTT, loss float64, err error) {
-	s := sim.New(seed)
-	link := LinkSpec{Mbps: o.Mbps, RTT: o.RTT, BufBytes: o.QueueBytes}
-	path := link.Build(s)
-	if err = pathmodel.ApplySim(s, path.Link, m, o.Duration); err != nil {
-		return
-	}
-	if plan, hasFaults := pathmodel.FaultPlan(m, o.Duration); hasFaults {
-		chaos.ApplySim(s, path.Link, path, plan, o.Duration)
-	}
-	cc := NewController(s, proto)
-	snd := transport.NewSender(1, path, cc)
-	snd.RecordRTT = true
-	snd.Start()
-	var markAcked int64
-	markSamples := 0
-	s.At(o.MeasureFrom, func() {
-		markAcked = snd.AckedBytes()
-		markSamples = len(snd.RTTSamples())
-	})
-	s.Run(o.Duration)
-	window := o.Duration - o.MeasureFrom
-	mbps = float64(snd.AckedBytes()-markAcked) * 8 / window / 1e6
-	rtts := snd.RTTSamples()[markSamples:]
-	meanRTT = stats.Mean(rtts)
-	p95RTT = stats.Percentile(rtts, 95)
-	if tot := snd.AckedBytes() + snd.LostBytes(); tot > 0 {
-		loss = float64(snd.LostBytes()) / float64(tot)
-	}
-	return
 }

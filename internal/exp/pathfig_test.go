@@ -27,10 +27,7 @@ func TestSatelliteHandoverSurvival(t *testing.T) {
 	if testing.Short() {
 		t.Skip("satellite survival gate skipped in -short")
 	}
-	tb, err := SatelliteSurvival(Options{Fast: true, Trials: 2}, []string{ProtoProteusS})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := SatelliteSurvival(Options{Fast: true, Trials: 2}, []string{ProtoProteusS})
 	if len(tb.Rows) != 1 || tb.Rows[0].XName != ProtoProteusS {
 		t.Fatalf("rows = %+v", tb.Rows)
 	}
@@ -135,7 +132,7 @@ func TestPathModelWireParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time wire run skipped in -short")
 	}
-	res, err := PathModelWireParity(WireParityOptions{
+	res, err := PathModelWireParity(CrossWorldOptions{
 		Protos:   []string{ProtoProteusP},
 		Duration: 10,
 	}, nil)

@@ -36,7 +36,7 @@ func TestMeanOverRegression(t *testing.T) {
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
 			o := Options{Fast: true, Trials: 2, Duration: 30, Seed: c.seed, Workers: workers}
-			tab := Fig4(o, []string{ProtoProteusP, ProtoCubic})
+			tab := Fig4(o, 4, []string{ProtoProteusP, ProtoCubic})
 			if len(tab.Rows) != len(c.pins) {
 				t.Fatalf("seed=%d: %d rows, want %d", c.seed, len(tab.Rows), len(c.pins))
 			}

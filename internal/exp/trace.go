@@ -37,12 +37,11 @@ type Tracing struct {
 
 func (tc *Tracing) enabled() bool { return tc != nil && tc.Dir != "" }
 
-// attach hooks a fresh recorder onto s and returns a flush function
-// that writes the captured per-flow files once the run completes. With
-// tracing disabled both the hook and the flush are no-ops.
-func (tc *Tracing) attach(s *sim.Sim, scenario string, flows []FlowSpec) func() {
+// attach hooks a fresh recorder onto s; with tracing disabled it
+// returns nil and the simulation never sees one.
+func (tc *Tracing) attach(s *sim.Sim) *trace.Recorder {
 	if !tc.enabled() {
-		return func() {}
+		return nil
 	}
 	mask := tc.Mask
 	if mask == 0 {
@@ -50,10 +49,14 @@ func (tc *Tracing) attach(s *sim.Sim, scenario string, flows []FlowSpec) func() 
 	}
 	rec := trace.NewRecorder(trace.Options{Mask: mask, FlowCap: tc.FlowCap, SampleEvery: tc.SampleEvery})
 	s.SetTrace(rec)
-	return func() { tc.flush(rec, scenario, flows) }
+	return rec
 }
 
-func (tc *Tracing) flush(rec *trace.Recorder, scenario string, flows []FlowSpec) {
+// flush writes the per-flow files of a finished run; flows name them.
+func (tc *Tracing) flush(rec *trace.Recorder, scenario string, flows []FlowResult) {
+	if rec == nil {
+		return
+	}
 	base := tc.unique(sanitizeName(scenario))
 	if err := os.MkdirAll(tc.Dir, 0o755); err != nil {
 		tc.fail(err)

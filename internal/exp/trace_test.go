@@ -61,8 +61,10 @@ func TestTracingRunWritesPerFlowFiles(t *testing.T) {
 	tc := &Tracing{Dir: dir, Mask: trace.MaskOf(trace.KindRTTSample)}
 	link := emulabLink(75000)
 	flows := []FlowSpec{{Proto: ProtoCubic}, {Proto: ProtoProteusS, StartAt: 2}}
-	runTraced(tc, "fig6_buf75000_cubic_vs_proteus-s_s1", 1, link, flows, 5, 10)
-	runTraced(tc, "fig6_buf75000_cubic_vs_proteus-s_s1", 2, link, flows, 5, 10)
+	sc := Scenario{Trace: tc, Label: "fig6_buf75000_cubic_vs_proteus-s_s1", Seed: 1, Link: link, Flows: flows, MeasureFrom: 5, Duration: 10}
+	Run(sc)
+	sc.Seed = 2
+	Run(sc)
 	if err := tc.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,6 @@ func WiFiProfiles(n int, seed int64) []WiFiProfile {
 // profile, and the per-protocol CDFs are returned.
 func Fig9(o Options, protocols []string) []CDFSeries {
 	o = o.withDefaults()
-	if protocols == nil {
-		protocols = AllSingle
-	}
 	nProfiles := 64
 	dur := 120.0
 	if o.Fast {
@@ -68,11 +65,10 @@ func Fig9(o Options, protocols []string) []CDFSeries {
 		tputs := make([]float64, len(protocols))
 		best := 0.0
 		for i, proto := range protocols {
-			r := soloTraced(o.Trace, fmt.Sprintf("fig9_p%d_%s", pi, proto),
-				o.seedFor(int64(pi+1)), prof.Link, proto, dur*0.25, dur)
-			tputs[i] = r.Mbps
-			if r.Mbps > best {
-				best = r.Mbps
+			tputs[i] = Run(Scenario{Trace: o.Trace, Label: fmt.Sprintf("fig9_p%d_%s", pi, proto), Seed: o.seedFor(int64(pi + 1)),
+				Link: prof.Link, Flows: solo(proto), MeasureFrom: dur * 0.25, Duration: dur}).Flows[0].Mbps
+			if tputs[i] > best {
+				best = tputs[i]
 			}
 		}
 		if best == 0 {
@@ -88,14 +84,8 @@ func Fig9(o Options, protocols []string) []CDFSeries {
 // Fig10 reproduces the WiFi yielding test: for each primary protocol,
 // the CDF over profiles of the primary's throughput ratio when competing
 // with each scavenger. Returns series named "<primary> vs <scavenger>".
-func Fig10(o Options, primaries, scavengers []string) []CDFSeries {
+func Fig10(o Options, scavengers []string) []CDFSeries {
 	o = o.withDefaults()
-	if primaries == nil {
-		primaries = Primaries
-	}
-	if scavengers == nil {
-		scavengers = []string{ProtoProteusS, ProtoLEDBAT}
-	}
 	nProfiles := 64
 	dur, measureFrom := 120.0, 40.0
 	if o.Fast {
@@ -104,20 +94,19 @@ func Fig10(o Options, primaries, scavengers []string) []CDFSeries {
 	}
 	profiles := WiFiProfiles(nProfiles, o.seedFor(7))
 	var out []CDFSeries
-	for _, primary := range primaries {
+	for _, primary := range Primaries {
 		for _, scv := range scavengers {
 			s := CDFSeries{Name: primary + " vs " + scv}
 			for pi, prof := range profiles {
-				solo := soloTraced(o.Trace, fmt.Sprintf("fig10_p%d_%s_solo", pi, primary),
-					o.seedFor(int64(pi+1)), prof.Link, primary, measureFrom, dur).Mbps
-				if solo == 0 {
+				sc := Scenario{Trace: o.Trace, Label: fmt.Sprintf("fig10_p%d_%s_solo", pi, primary), Seed: o.seedFor(int64(pi + 1)),
+					Link: prof.Link, Flows: solo(primary), MeasureFrom: measureFrom, Duration: dur}
+				alone := Run(sc).Flows[0].Mbps
+				if alone == 0 {
 					continue
 				}
-				res := runTraced(o.Trace, fmt.Sprintf("fig10_p%d_%s_vs_%s", pi, primary, scv),
-					o.seedFor(int64(pi+1)), prof.Link,
-					[]FlowSpec{{Proto: primary}, {Proto: scv, StartAt: 10}},
-					measureFrom, dur)
-				ratio := res[0].Mbps / solo
+				sc.Label = fmt.Sprintf("fig10_p%d_%s_vs_%s", pi, primary, scv)
+				sc.Flows = []FlowSpec{{Proto: primary}, {Proto: scv, StartAt: 10}}
+				ratio := Run(sc).Flows[0].Mbps / alone
 				if ratio > 1 {
 					ratio = 1
 				}

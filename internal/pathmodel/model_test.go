@@ -232,3 +232,62 @@ func TestSpecBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestInstallDecidesSurvival checks the one place "can this path black
+// out?" is decided: nothing to install arms nothing and schedules
+// nothing; a model without outages still arms nothing; a model with
+// outages, an injected plan, or both arm survival, and with both the
+// link goes down in the model's windows and in the plan's.
+func TestInstallDecidesSurvival(t *testing.T) {
+	build := func() (*sim.Sim, *netem.Path) {
+		s := sim.New(1)
+		return s, &netem.Path{Link: netem.NewLink(s, 10, 1<<20, 0.01)}
+	}
+	s, path := build()
+	if armed, err := Install(s, path, nil, nil, 20); armed || err != nil || s.Pending() != 0 {
+		t.Fatalf("empty install: armed=%v err=%v pending=%d", armed, err, s.Pending())
+	}
+	steady := &Trace{Points: []TracePoint{{T: 0, Mbps: 5}}}
+	s, path = build()
+	if armed, err := Install(s, path, steady, nil, 20); armed || err != nil {
+		t.Fatalf("outage-free model: armed=%v err=%v", armed, err)
+	}
+	s, path = build()
+	if _, err := Install(s, path, &Trace{Points: []TracePoint{{T: 0, Mbps: 10, ExtraDelay: math.NaN()}}}, nil, 1); err == nil {
+		t.Fatal("Install accepted a NaN delay")
+	}
+
+	extra := &chaos.Plan{Faults: []chaos.Fault{{Kind: chaos.KindBlackout, At: 5, Dur: 1}}}
+	for _, c := range []struct {
+		name    string
+		m       Model
+		faults  *chaos.Plan
+		downAt  []float64
+		aliveAt []float64
+	}{
+		{"model outages", DefaultLEO(1), nil, []float64{14.9}, []float64{5.5, 16}},
+		{"injected plan", nil, extra, []float64{5.5}, []float64{14.9, 16}},
+		{"both", DefaultLEO(1), extra, []float64{5.5, 14.9}, []float64{4, 16}},
+		{"empty injected plan", steady, &chaos.Plan{}, nil, []float64{5.5}},
+	} {
+		s, path := build()
+		armed, err := Install(s, path, c.m, c.faults, 20)
+		if !armed || err != nil {
+			t.Fatalf("%s: armed=%v err=%v", c.name, armed, err)
+		}
+		check := func(at float64, want bool) {
+			s.At(at, func() {
+				if path.Link.Down != want {
+					t.Errorf("%s: link down=%v at t=%v, want %v", c.name, path.Link.Down, at, want)
+				}
+			})
+		}
+		for _, at := range c.downAt {
+			check(at, true)
+		}
+		for _, at := range c.aliveAt {
+			check(at, false)
+		}
+		s.Run(20)
+	}
+}

@@ -137,6 +137,35 @@ func ApplySim(s *sim.Sim, link *netem.Link, m Model, horizon float64) error {
 	return nil
 }
 
+// Install puts a time-varying path on a live simulation, and is the one
+// place that decides when senders need their survival machinery: the
+// model's rate/delay schedule goes on through ApplySim, its outage
+// windows — merged with an injected fault plan, if any — through
+// chaos.ApplySim, and survival reports whether anything rode the chaos
+// executor, which is when every sender on the path must run with
+// transport.Sender.Survival set. Either of m and faults may be nil.
+func Install(s *sim.Sim, path *netem.Path, m Model, faults *chaos.Plan, horizon float64) (survival bool, err error) {
+	var plan chaos.Plan
+	if faults != nil {
+		plan, survival = *faults, true
+	}
+	if m != nil {
+		if err := ApplySim(s, path.Link, m, horizon); err != nil {
+			return false, err
+		}
+		if outages, ok := FaultPlan(m, horizon); ok {
+			if survival {
+				outages = MergePlans(plan, outages)
+			}
+			plan, survival = outages, true
+		}
+	}
+	if survival {
+		chaos.ApplySim(s, path.Link, path, plan, horizon)
+	}
+	return survival, nil
+}
+
 // FaultPlan extracts the model's outage windows over the horizon as a
 // canonical chaos blackout plan, and reports whether there are any.
 // Compose with a user fault plan by concatenating fault lists — the

@@ -2,23 +2,23 @@ package wire
 
 import "sync"
 
-// MaxDatagram is the buffer size every pooled packet buffer carries:
-// large enough for any UDP datagram, so one pool serves data packets,
-// acks, and fetch traffic alike.
-const MaxDatagram = 64 * 1024
+// maxDatagram is the buffer size every pooled packet buffer carries:
+// large enough for any UDP datagram, so one pool serves the data
+// packets, acks and fetch traffic a shim forwards alike.
+const maxDatagram = 64 * 1024
 
-// BufPool is a bounded free list of fixed-size packet buffers. Unlike
-// sync.Pool it never boxes the slice header through an interface, so
-// Get/Put are zero-allocation in steady state — the property the
-// engine's per-packet hot path is gated on — and its contents survive
-// GC cycles, keeping warm-up deterministic in benchmarks. The zero
-// value is unusable; use NewBufPool.
-type BufPool struct {
+// bufPool is a bounded free list of fixed-size packet buffers, the
+// shim's per-packet storage. Unlike sync.Pool it never boxes the slice
+// header through an interface, so Get/Put are zero-allocation in steady
+// state (TestBufPoolZeroAllocSteadyState), and its contents survive GC
+// cycles, keeping warm-up deterministic in benchmarks. The zero value
+// is unusable; use newBufPool.
+type bufPool struct {
 	size int
 	mu   sync.Mutex
 	free [][]byte
-	// misses counts Gets served by make instead of the free list;
-	// benchmarks read it to prove steady-state reuse.
+	// misses counts Gets served by make instead of the free list; the
+	// tests read it to prove steady-state reuse.
 	misses int64
 }
 
@@ -26,19 +26,20 @@ type BufPool struct {
 // for the GC, so a burst's worth of buffers cannot pin memory forever.
 const maxPooledBufs = 4096
 
-// NewBufPool returns a pool of size-byte buffers.
-func NewBufPool(size int) *BufPool {
-	return &BufPool{size: size}
+// newBufPool returns a pool of size-byte buffers.
+func newBufPool(size int) *bufPool {
+	return &bufPool{size: size}
 }
 
-// PacketBufs is the shared pool for full-size datagram buffers; the
-// shim, receiver, and engine shards all draw from it so idle
-// components donate their buffers to busy ones.
-var PacketBufs = NewBufPool(MaxDatagram)
+// packetBufs is the pool of full-size datagram buffers every Shim in
+// the process draws from, so an idle shim donates its buffers to a
+// busy one. The shim is its only user: the engine's shards own their
+// rx buffers and tx arena outright.
+var packetBufs = newBufPool(maxDatagram)
 
 // Get returns a buffer of the pool's size, reusing a freed one when
 // available.
-func (p *BufPool) Get() []byte {
+func (p *bufPool) Get() []byte {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]
@@ -56,7 +57,7 @@ func (p *BufPool) Get() []byte {
 // this pool (wrong capacity) and overflow beyond the bound are
 // dropped; passing a buffer after Put is a use-after-free bug on the
 // caller's side, exactly as with sync.Pool.
-func (p *BufPool) Put(b []byte) {
+func (p *bufPool) Put(b []byte) {
 	if cap(b) < p.size {
 		return
 	}
@@ -69,7 +70,7 @@ func (p *BufPool) Put(b []byte) {
 }
 
 // Misses reports how many Gets allocated fresh memory.
-func (p *BufPool) Misses() int64 {
+func (p *bufPool) Misses() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.misses

@@ -3,7 +3,7 @@ package wire
 import "testing"
 
 func TestBufPoolReuse(t *testing.T) {
-	p := NewBufPool(1024)
+	p := newBufPool(1024)
 	a := p.Get()
 	if len(a) != 1024 {
 		t.Fatalf("len=%d want 1024", len(a))
@@ -31,7 +31,7 @@ func TestBufPoolReuse(t *testing.T) {
 }
 
 func TestBufPoolZeroAllocSteadyState(t *testing.T) {
-	p := NewBufPool(2048)
+	p := newBufPool(2048)
 	warm := p.Get()
 	p.Put(warm)
 	allocs := testing.AllocsPerRun(1000, func() {

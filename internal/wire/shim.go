@@ -146,7 +146,7 @@ type Shim struct {
 	ackCh     chan forwardItem
 	reorderCh chan forwardItem
 
-	bufPool *BufPool
+	bufPool *bufPool
 
 	started  bool
 	done     chan struct{}
@@ -185,7 +185,7 @@ func NewShim(cfg ShimConfig, dst *net.UDPAddr) (*Shim, error) {
 		dataCh:      make(chan forwardItem, 1<<14),
 		ackCh:       make(chan forwardItem, 1<<14),
 		reorderCh:   make(chan forwardItem, 1<<12),
-		bufPool:     PacketBufs,
+		bufPool:     packetBufs,
 	}
 	return sh, nil
 }
