@@ -95,12 +95,6 @@ func ChaosSoak(o CrossWorldOptions) (*ChaosSoakResult, error) {
 	o.defaults(16)
 	plan := DefaultSoakPlan(o.Duration)
 	res := &ChaosSoakResult{Opts: o, Plan: plan}
-	planHasBlackout := false
-	for _, f := range plan.Faults {
-		if f.Kind == chaos.KindBlackout {
-			planHasBlackout = true
-		}
-	}
 	for i, proto := range o.Protos {
 		seed := o.Seed + int64(i)
 		row := ChaosSoakRow{Proto: proto}
@@ -148,12 +142,10 @@ func ChaosSoak(o CrossWorldOptions) (*ChaosSoakResult, error) {
 				break
 			}
 		}
-		row.Pass = row.Mismatch == ""
-		if planHasBlackout {
-			row.Pass = row.Pass &&
-				row.SimTrips >= 1 && row.SimRecov >= 1 &&
-				row.WireTrips >= 1 && row.WireRecov >= 1
-		}
+		// The plan's blackout must trip and release the watchdog in both.
+		row.Pass = row.Mismatch == "" &&
+			row.SimTrips >= 1 && row.SimRecov >= 1 &&
+			row.WireTrips >= 1 && row.WireRecov >= 1
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

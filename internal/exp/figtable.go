@@ -47,8 +47,8 @@ var Figures = []Figure{
 	{ID: "3", All: true, Run: fig3Blocks(3, AllSingle)},
 	{ID: "4", All: true, Run: tableFig("fig4", func(o Options) *Table { return Fig4(o, 4, AllSingle) })},
 	{ID: "5", All: true, Run: tableFig("fig5", func(o Options) *Table { return Fig5(o, 5, AllSingle) })},
-	{ID: "6", All: true, Run: fig6Blocks("6", "fig6", ProtoLEDBAT, ProtoProteusS, ProtoProteusP, ProtoCopa)},
-	{ID: "7", All: true, Run: fig6Blocks("6", "fig6", ProtoLEDBAT, ProtoProteusS, ProtoProteusP, ProtoCopa)},
+	{ID: "6", All: true, Run: fig6},
+	{ID: "7", All: true, Run: fig6},
 	{ID: "8", All: true, Run: cdfFig("fig8", "Fig 8: primary throughput ratio over configuration sweep", Fig8)},
 	{ID: "9", All: true, Run: cdfFig("fig9", "Fig 9: normalized single-flow throughput on WiFi-like paths",
 		func(o Options) []CDFSeries { return Fig9(o, AllSingle) })},
@@ -143,6 +143,8 @@ func fig3Blocks(fig int, protocols []string) func(Options) ([]Block, error) {
 		return []Block{{Name: fmt.Sprintf("fig%da", fig), Table: tput}, {Name: fmt.Sprintf("fig%db", fig), Table: infl}}, nil
 	}
 }
+
+var fig6 = fig6Blocks("6", "fig6", ProtoLEDBAT, ProtoProteusS, ProtoProteusP, ProtoCopa)
 
 // fig6Blocks is one yield matrix per scavenger; fig labels the titles
 // and stem the CSV files.

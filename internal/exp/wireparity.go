@@ -155,8 +155,8 @@ func parityWireRow(seed int64, o CrossWorldOptions, proto string, cfg engine.Shi
 // Render formats the parity table with a PASS/FAIL verdict per row.
 func (r *WireParityResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Sim vs wire parity: %.0f Mbps, %.0f ms RTT, %.1f s window, tolerance %.0f%%\n",
-		crossWorldLink.Mbps, crossWorldLink.RTT*1e3, r.Opts.Duration-parityMeasureFrac*r.Opts.Duration, float64(ParityTolerancePct))
+	fmt.Fprintf(&b, "# Sim vs wire parity: %.0f Mbps, %.0f ms RTT, %.1f s window, tolerance %d%%\n",
+		crossWorldLink.Mbps, crossWorldLink.RTT*1e3, r.Opts.Duration-parityMeasureFrac*r.Opts.Duration, ParityTolerancePct)
 	fmt.Fprintf(&b, "%-12s %9s %9s %7s %9s %9s %9s %9s %8s %8s  %s\n",
 		"proto", "sim Mbps", "wire Mbps", "err%",
 		"sim RTT", "wire RTT", "sim p95", "wire p95", "sim loss", "wire loss", "verdict")
