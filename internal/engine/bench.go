@@ -58,17 +58,20 @@ func newHotpathHarness(packetSize int) *hotpathHarness {
 		rcvShard: newShard(eng, 1, nil),
 		sndAddr:  netip.MustParseAddrPort("127.0.0.1:40001"),
 		rcvAddr:  netip.MustParseAddrPort("127.0.0.1:40002"),
+		// Mid-slot: on a boundary, rounding would decide which slot a
+		// step's timers land in, and which slot slices grow would drift.
+		now: wheelGran / 2,
 	}
 	// Unbounded pacing (rate above MaxFiniteRate refills the bucket on
 	// every Advance) with a window bound: the flow is ack-clocked, so
-	// inflight — and with it the unacked list the ack path scans —
-	// stays pinned at 64 packets instead of growing without limit.
-	h.f = &flow{key: flowKey{addr: h.rcvAddr, id: 1}, snd: newSenderFlow(FlowConfig{
+	// inflight — and with it the book the ack path walks — stays pinned
+	// at 64 packets instead of growing without limit.
+	h.f = &flow{addr: h.rcvAddr, id: 1, snd: newSenderFlow(FlowConfig{
 		CC:         &FixedRateCC{Rate: 1e12, Win: float64(64 * packetSize)},
 		Burst:      transport.DefaultBurst,
 		PacketSize: packetSize,
 	})}
-	h.sndShard.flows[h.f.key] = h.f
+	h.sndShard.insert(h.f)
 	h.sndShard.service(h.f, 0) // first service arms the wheel
 	return h
 }

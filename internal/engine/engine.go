@@ -117,7 +117,9 @@ func (fl *Flow) ID() uint32 { return fl.id }
 // Done is closed once a finite transfer is fully acked.
 func (fl *Flow) Done() <-chan struct{} { return fl.s.done }
 
-// FlowStats is a point-in-time snapshot of one flow's counters.
+// FlowStats is a snapshot of one flow's counters. Packet and byte totals,
+// SRTT and UnackedRecs are as last published: at most 10 ms old while the
+// flow runs, exact once Done is closed or the flow has left its shard.
 type FlowStats struct {
 	SentPkts   int64
 	SentBytes  int64
@@ -131,8 +133,8 @@ type FlowStats struct {
 	WatchdogTrips int64 // stall-watchdog activations
 	Recoveries    int64 // outages ended by a delivered ack
 	InOutage      bool  // watchdog currently tripped
-	// UnackedRecs is the live in-flight bookkeeping (probes included),
-	// refreshed every 10 ms; zero means nothing is outstanding.
+	// UnackedRecs is the size of the flow's record book (probes
+	// included); zero means nothing is outstanding.
 	UnackedRecs int
 }
 
@@ -343,10 +345,7 @@ func (e *Engine) AddFlow(fc FlowConfig) (*Flow, error) {
 		id |= wire.FlowClassScavenger
 	}
 	s := newSenderFlow(fc)
-	f := &flow{
-		key: flowKey{addr: netip.AddrPortFrom(fc.Dst.Addr().Unmap(), fc.Dst.Port()), id: id},
-		snd: s,
-	}
+	f := &flow{addr: netip.AddrPortFrom(fc.Dst.Addr().Unmap(), fc.Dst.Port()), id: id, snd: s}
 	sh.enqueue(f)
 	return &Flow{id: id, s: s}, nil
 }
@@ -417,7 +416,7 @@ func (e *Engine) Stats() Stats {
 		st.DeliveredBytes += sh.ctr.deliveredBytes.Load()
 		st.FetchReqs += sh.ctr.fetchReqs.Load()
 		st.SegsTx += sh.ctr.segsTx.Load()
-		st.Flows += int(sh.flowGauge.Load())
+		st.Flows += int(sh.nFlows.Load())
 		st.RejectedScavenger += sh.ctr.rejectScav.Load()
 		st.ShedPrimary += sh.ctr.shedPrim.Load()
 		st.ShedScavenger += sh.ctr.shedScav.Load()

@@ -92,7 +92,7 @@ func (ff *FetchFlow) emit(sh *shard, f *flow, now, virt float64, _ int) {
 // server echoes and the RTT is measured from.
 func (ff *FetchFlow) request(sh *shard, f *flow, req wire.FetchHeader, virt float64) {
 	req.SentAt = sh.clock.NanosAt(virt)
-	sh.queueTx(wire.EncodeFetch(sh.txBuf(), req), f.key.addr)
+	sh.queueTx(wire.EncodeFetch(sh.txBuf(), req), f.addr)
 }
 
 // onSegment applies one decoded SEGMENT and reports whether it
@@ -152,7 +152,7 @@ func (e *Engine) AddFetch(dst netip.AddrPort, objID uint64, core FetchCore, resp
 		core:   core, respSize: respSize, sh: sh, done: make(chan struct{}),
 		key: fetchKey{netip.AddrPortFrom(dst.Addr().Unmap(), dst.Port()), objID},
 	}
-	f := &flow{key: flowKey{addr: ff.key.addr, id: e.nextID.Add(1)}, fch: ff}
+	f := &flow{addr: ff.key.addr, id: e.nextID.Add(1), fch: ff}
 	if _, dup := sh.fetches.LoadOrStore(ff.key, f); dup {
 		return nil, fmt.Errorf("engine: shard %d already fetches object %#x from %s", sh.idx, objID, dst)
 	}

@@ -129,7 +129,7 @@ func newFetchRig(t *testing.T, cfg Config, segs int64) *fetchRig {
 	// the wall clock, and the tests own the time.
 	f := sh.admitQ[0]
 	sh.admitQ = nil
-	sh.flows[f.key] = f
+	sh.insert(f)
 	return &fetchRig{t: t, sh: sh, f: f, core: core}
 }
 
@@ -140,7 +140,7 @@ func (r *fetchRig) requests() []wire.FetchHeader {
 	var out []wire.FetchHeader
 	for i, p := range r.sh.txq {
 		h, err := wire.DecodeFetch(p)
-		if err != nil || h.ObjID != rigObj || r.sh.txAddrs[i] != r.f.key.addr {
+		if err != nil || h.ObjID != rigObj || r.sh.txAddrs[i] != r.f.addr {
 			r.t.Fatalf("txq[%d]: %+v err=%v to %s", i, h, err, r.sh.txAddrs[i])
 		}
 		out = append(out, h)
@@ -158,7 +158,7 @@ func (r *fetchRig) segment(h wire.FetchHeader) []byte {
 }
 
 func (r *fetchRig) answer(h wire.FetchHeader, now float64) {
-	r.sh.dispatch(r.f.key.addr, r.segment(h), now)
+	r.sh.dispatch(r.f.addr, r.segment(h), now)
 	r.sh.publish() // as pass does after its dispatch loop
 }
 
@@ -281,14 +281,14 @@ func TestFetchCompletionStraysAndDamage(t *testing.T) {
 
 	bad := r.segment(reqs[0])
 	bad[len(bad)-1] ^= 1
-	r.sh.dispatch(r.f.key.addr, bad, at+0.001)
+	r.sh.dispatch(r.f.addr, bad, at+0.001)
 	if r.f.fch.crcErrs.Load() != 1 || len(r.core.order) != 0 || r.sh.ctr.bad.Load() != 0 {
 		t.Fatalf("damaged payload: crcErrs=%d order=%v bad=%d", r.f.fch.crcErrs.Load(), r.core.order, r.sh.ctr.bad.Load())
 	}
 	r.sh.dispatch(src(9001), r.segment(reqs[0]), at+0.001) // right object, wrong peer
 	other := reqs[0]
 	other.ObjID++
-	r.sh.dispatch(r.f.key.addr, r.segment(other), at+0.001) // right peer, wrong object
+	r.sh.dispatch(r.f.addr, r.segment(other), at+0.001) // right peer, wrong object
 	if got := r.sh.ctr.straySegs.Load(); got != 2 || len(r.core.order) != 0 {
 		t.Fatalf("straySegs=%d order=%v", got, r.core.order)
 	}
@@ -305,8 +305,8 @@ func TestFetchCompletionStraysAndDamage(t *testing.T) {
 	default:
 		t.Fatal("done not closed on completion")
 	}
-	if len(r.sh.flows) != 0 || r.f.armed || r.sh.eng.senders.Load() != 0 {
-		t.Fatalf("completed fetch still held: flows=%d armed=%v senders=%d", len(r.sh.flows), r.f.armed, r.sh.eng.senders.Load())
+	if r.sh.nFlows.Load() != 0 || r.f.armed || r.sh.eng.senders.Load() != 0 {
+		t.Fatalf("completed fetch still held: flows=%d armed=%v senders=%d", r.sh.nFlows.Load(), r.f.armed, r.sh.eng.senders.Load())
 	}
 	r.answer(reqs[1], at+0.003) // a late duplicate
 	if stray, bad := r.sh.ctr.straySegs.Load(), r.sh.ctr.bad.Load(); stray != 3 || bad != 0 {
@@ -336,8 +336,8 @@ func TestSweepSparesStalledFetch(t *testing.T) {
 			probes = append(probes, reqs...)
 		}
 	}
-	if r.sh.flows[r.f.key] != r.f || r.sh.ctr.evicted.Load() != 0 {
-		t.Fatalf("stalled fetch swept: flows=%d evicted=%d", len(r.sh.flows), r.sh.ctr.evicted.Load())
+	if r.sh.lookup(r.f.addr, r.f.id) != r.f || r.sh.ctr.evicted.Load() != 0 {
+		t.Fatalf("stalled fetch swept: flows=%d evicted=%d", r.sh.nFlows.Load(), r.sh.ctr.evicted.Load())
 	}
 	if !r.core.book.InOutage() {
 		t.Fatal("3 s of silence with requests outstanding did not trip the watchdog")
@@ -358,7 +358,7 @@ func TestSweepSparesStalledFetch(t *testing.T) {
 		if now > end+2 {
 			t.Fatalf("did not finish after the blackout: order=%d/%d", len(r.core.order), r.core.segs)
 		}
-		if r.sh.flows[r.f.key] == r.f {
+		if r.sh.lookup(r.f.addr, r.f.id) == r.f {
 			r.sh.service(r.f, now)
 		}
 		for _, h := range r.requests() {
@@ -433,8 +433,8 @@ func TestAddFetchDuplicateRefused(t *testing.T) {
 		t.Fatal("segment for a queued fetch reached its core")
 	}
 	sh.admit()
-	if len(sh.flows) != 2 || eng.senders.Load() != 2 || eng.Stats().AdmittedPrimary != 2 {
-		t.Fatalf("flows=%d senders=%d admitted=%d", len(sh.flows), eng.senders.Load(), eng.Stats().AdmittedPrimary)
+	if sh.nFlows.Load() != 2 || eng.senders.Load() != 2 || eng.Stats().AdmittedPrimary != 2 {
+		t.Fatalf("flows=%d senders=%d admitted=%d", sh.nFlows.Load(), eng.senders.Load(), eng.Stats().AdmittedPrimary)
 	}
 	if _, err := add(1); err == nil {
 		t.Fatal("duplicate of an admitted fetch accepted")
@@ -448,8 +448,8 @@ func TestAddFetchDuplicateRefused(t *testing.T) {
 	default:
 		t.Fatal("stopped fetch still on its shard")
 	}
-	if len(sh.flows) != 1 || eng.senders.Load() != 1 {
-		t.Fatalf("after stop: flows=%d senders=%d", len(sh.flows), eng.senders.Load())
+	if sh.nFlows.Load() != 1 || eng.senders.Load() != 1 {
+		t.Fatalf("after stop: flows=%d senders=%d", sh.nFlows.Load(), eng.senders.Load())
 	}
 	if _, err := add(1); err != nil {
 		t.Fatalf("key not released by the stopped fetch: %v", err)

@@ -10,29 +10,26 @@ import (
 	"pccproteus/internal/wire"
 )
 
-// flowKey identifies one flow on a shard: peer address plus the wire
-// flow ID. Engine-originated flows always carry nonzero IDs (the
-// engine allocator starts at 1), so ID 0 marks version-1 traffic,
-// which is keyed by source address alone. A fetch flow's ID never goes
-// on the wire — its responses select it through shard.fetches — and only
-// keeps its key unique.
-type flowKey struct {
-	addr netip.AddrPort
-	id   uint32
-}
-
 // fetchKey is what a SEGMENT names: the serving peer and the object.
 type fetchKey struct {
 	addr netip.AddrPort
 	obj  uint64
 }
 
-// flow is one event-loop citizen: the wheel bookkeeping shared by
-// every role plus exactly one of the three role states. Owned by a
-// single shard goroutine; the only cross-goroutine reads are the
+// flow is one event-loop citizen: its identity, the wheel bookkeeping
+// shared by every role, and exactly one of the three role states. Owned
+// by a single shard goroutine; the only cross-goroutine reads are the
 // atomic counters inside the role states.
 type flow struct {
-	key flowKey
+	// A flow is identified on its shard by peer address plus wire flow ID.
+	// Engine-originated flows always carry nonzero IDs (the allocator
+	// starts at 1), so ID 0 marks version-1 traffic, which the source
+	// address alone tells apart. A fetch flow's ID never goes on the wire
+	// — its responses select it through shard.fetches — and only keeps its
+	// identity unique. next chains the flows of one table bucket.
+	addr netip.AddrPort
+	id   uint32
+	next *flow
 
 	// Pacing-wheel intrusive state (see wheel.go): gen lazily cancels
 	// superseded entries, armed marks a live one.
@@ -151,24 +148,25 @@ type senderFlow struct {
 	busyUntil  float64
 	busyStreak int
 
-	// Loop-owned running totals of the four per-packet counters below:
-	// the packet path counts here, pump and onAck store the totals once
-	// per call — onAck before it closes done, so Stats after Done is exact.
+	// Loop-owned running totals of the four per-packet counters below;
+	// the packet path counts here and touches no atomic.
 	nSentPkts, nSentBytes, nAckedPkts, nAckedBytes int64
 
-	// Cross-goroutine stats surface (Flow.Stats reads these).
+	// Cross-goroutine stats surface (Flow.Stats reads these). publish
+	// stores the first six — on the rtoCheckEvery tick, before done closes
+	// and when the flow leaves its shard; the rest where they change.
 	sentPkts   atomic.Int64
 	sentBytes  atomic.Int64
 	ackedPkts  atomic.Int64
 	ackedBytes atomic.Int64
+	srttNanos  atomic.Int64
+	unackedLen atomic.Int64 // book.Len()
 	lostPkts   atomic.Int64
 	lostBytes  atomic.Int64
-	srttNanos  atomic.Int64
 	probes     atomic.Int64
 	wdTrips    atomic.Int64
 	wdRecovs   atomic.Int64
-	outage     atomic.Bool  // mirrors book.InOutage
-	unackedLen atomic.Int64 // book.Len(), refreshed on the RTO cadence
+	outage     atomic.Bool // mirrors book.InOutage
 
 	// Per-ack RTT sample log for measurement harnesses (parity runs);
 	// off unless FlowConfig.RecordRTT, so the hot path never touches
@@ -195,6 +193,16 @@ func newSenderFlow(fc FlowConfig) *senderFlow {
 	return s
 }
 
+// publish stores the loop-owned totals where Flow.Stats reads them.
+func (s *senderFlow) publish() {
+	s.sentPkts.Store(s.nSentPkts)
+	s.sentBytes.Store(s.nSentBytes)
+	s.ackedPkts.Store(s.nAckedPkts)
+	s.ackedBytes.Store(s.nAckedBytes)
+	s.srttNanos.Store(int64(s.book.RTT.SRTT() * 1e9))
+	s.unackedLen.Store(int64(s.book.Len()))
+}
+
 // pump advances the flow: the book's periodic work, then a paced train
 // while tokens, window, and limit allow. It returns the next wake
 // deadline, or 0 when the flow has nothing left to do.
@@ -208,7 +216,7 @@ func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 		if s.book.Expire(now) {
 			s.book.BackOff(now)
 		}
-		s.unackedLen.Store(int64(s.book.Len()))
+		s.publish()
 	}
 	if s.completed && s.book.Len() == 0 {
 		return 0 // fully acked finite transfer: nothing to schedule
@@ -232,10 +240,7 @@ func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 		}
 		return next
 	}
-	next := s.train(s, sh, f, now, s.book.PacingRate())
-	s.sentPkts.Store(s.nSentPkts)
-	s.sentBytes.Store(s.nSentBytes)
-	return next
+	return s.train(s, sh, f, now, s.book.PacingRate())
 }
 
 // emit books, encodes and queues one version-2 data packet stamped
@@ -252,10 +257,10 @@ func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 	s.nSentPkts++
 	s.nSentBytes += int64(size)
 	pkt := wire.EncodeDataV2(sh.txBuf(), wire.DataHeader{
-		Seq: r.Seq, SentAt: sh.clock.NanosAt(virt), Flow: f.key.id,
+		Seq: r.Seq, SentAt: sh.clock.NanosAt(virt), Flow: f.id,
 		Push: s.limit > 0 && s.launched >= s.limit,
 	}, size)
-	sh.queueTx(pkt, f.key.addr)
+	sh.queueTx(pkt, f.addr)
 }
 
 // sendProbe emits one header-only keep-alive packet during an outage.
@@ -263,9 +268,9 @@ func (s *senderFlow) sendProbe(sh *shard, f *flow, now float64) {
 	r := s.book.AddProbe(now, wire.DataHeaderLenV2)
 	s.probes.Add(1)
 	pkt := wire.EncodeDataV2(sh.txBuf(), wire.DataHeader{
-		Seq: r.Seq, SentAt: sh.clock.NanosAt(now), Flow: f.key.id,
+		Seq: r.Seq, SentAt: sh.clock.NanosAt(now), Flow: f.id,
 	}, wire.DataHeaderLenV2)
-	sh.queueTx(pkt, f.key.addr)
+	sh.queueTx(pkt, f.addr)
 }
 
 // Busy-backoff bounds: the exponent stops doubling after
@@ -343,26 +348,21 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 	if r := s.book.Find(a.Seq); r != nil && !r.Probe {
 		ackRTT = max((recvAt-r.SentAt)+s.revBase, 0)
 		s.book.RTT.Update(ackRTT)
-		s.srttNanos.Store(int64(s.book.RTT.SRTT() * 1e9))
 		if s.recordRTT {
 			s.rttMu.Lock()
 			s.rttSamples = append(s.rttSamples, ackRTT)
 			s.rttMu.Unlock()
 		}
 	}
-	for _, r := range s.book.Records() {
-		if r.Seq > top {
-			break // sorted by seq: nothing further is covered
-		}
-		if r.Live() && (r.Seq < a.CumAck || a.Covers(r.Seq)) {
+	for q, last := s.book.Lo(), min(top, s.book.Next()-1); q <= last; q++ {
+		if r := s.book.Find(q); r != nil && (q < a.CumAck || a.Covers(q)) {
 			s.ackRec(r, now, recvAt, ackRTT)
 		}
 	}
 	s.book.Detect(now)
-	s.ackedPkts.Store(s.nAckedPkts)
-	s.ackedBytes.Store(s.nAckedBytes)
 	if s.limit > 0 && !s.completed && s.nAckedBytes >= s.limit {
 		s.completed = true
+		s.publish()
 		close(s.done)
 	}
 }
@@ -521,12 +521,12 @@ func (rf *recvFlow) emitAck(sh *shard, f *flow) {
 	ack.Blocks = append(ack.Blocks[:0], rf.Ranges...)
 	buf := sh.txBuf()
 	var pkt []byte
-	if f.key.id != 0 {
-		ack.Flow = f.key.id
+	if f.id != 0 {
+		ack.Flow = f.id
 		pkt = ack.EncodeV2(buf)
 	} else {
 		ack.Flow = 0
 		pkt = ack.Encode(buf)
 	}
-	sh.queueTx(pkt, f.key.addr)
+	sh.queueTx(pkt, f.addr)
 }

@@ -38,8 +38,8 @@ type unitFlow struct {
 func newUnitFlow(t *testing.T, cc transport.Controller, limit int64) unitFlow {
 	sh := newTestShard(t, Config{})
 	s := newSenderFlow(FlowConfig{CC: cc, Limit: limit, Burst: transport.DefaultBurst, PacketSize: 1200})
-	f := &flow{key: flowKey{addr: src(9000), id: 1}, snd: s}
-	sh.flows[f.key] = f
+	f := &flow{addr: src(9000), id: 1, snd: s}
+	sh.insert(f)
 	return unitFlow{sh, f, s}
 }
 
@@ -152,8 +152,7 @@ func TestSenderWatchdogProbeLifecycle(t *testing.T) {
 	// The newest probe's ack ends the outage and restores the
 	// pre-outage rate; the probe itself never reaches OnAck.
 	acks := cc.acks
-	recs := s.book.Records()
-	probe := recs[len(recs)-1].Seq
+	probe := s.book.Next() - 1
 	u.ack(now, probe, 0, wire.SackBlock{Start: probe, End: probe + 1})
 	if s.outage.Load() || cc.recoveries != 1 || s.wdRecovs.Load() != 1 {
 		t.Fatalf("recovery: outage=%v recoveries=%d/%d", s.outage.Load(), cc.recoveries, s.wdRecovs.Load())
@@ -218,7 +217,7 @@ func TestDueTimerStillReadsSocket(t *testing.T) {
 	// A wheel whose current slot lies in the future fires nothing, so
 	// the armed deadline below stays due on every pass.
 	sh.wh.init(sh.clock.Now() + 60)
-	due := &flow{key: flowKey{addr: src(1), id: 99}, rcv: &recvFlow{highest: -1}}
+	due := &flow{addr: src(1), id: 99, rcv: &recvFlow{highest: -1}}
 	sh.wh.arm(due, sh.clock.Now()-1)
 	for pass := 0; pass < 10*n && sh.ctr.rxPkts.Load() < n; pass++ {
 		if !sh.pass() {
@@ -240,7 +239,7 @@ func (u unitFlow) sent(t *testing.T) []wire.DataHeader {
 	var out []wire.DataHeader
 	for _, p := range u.sh.txq {
 		h, err := wire.DecodeData(p)
-		if err != nil || h.Flow != u.f.key.id {
+		if err != nil || h.Flow != u.f.id {
 			t.Fatalf("queued packet: %+v err=%v", h, err)
 		}
 		out = append(out, h)
@@ -409,7 +408,7 @@ func TestCompletedSenderReclaimed(t *testing.T) {
 	// Taken in by hand: admit() would read the wall clock.
 	f := sh.admitQ[0]
 	sh.admitQ = nil
-	sh.flows[f.key] = f
+	sh.insert(f)
 	sh.service(f, 0)
 	if len(sh.txq) != 2 || !f.armed {
 		t.Fatalf("first service: %d packets queued, armed=%v; want both packets and a wheel entry", len(sh.txq), f.armed)
@@ -422,9 +421,9 @@ func TestCompletedSenderReclaimed(t *testing.T) {
 	default:
 		t.Fatal("Done not closed by the completing ack")
 	}
-	if len(sh.flows) != 0 || sh.eng.senders.Load() != 0 || sh.wh.armed != 0 {
+	if sh.nFlows.Load() != 0 || sh.eng.senders.Load() != 0 || sh.wh.armed != 0 {
 		t.Fatalf("after completion: %d flows, %d admission slots, %d armed timers; want all 0",
-			len(sh.flows), sh.eng.senders.Load(), sh.wh.armed)
+			sh.nFlows.Load(), sh.eng.senders.Load(), sh.wh.armed)
 	}
 	if st := fl.Stats(); st.AckedBytes != 2400 || st.SentPkts != 2 {
 		t.Fatalf("handle stats after reclaim: %+v", st)
@@ -432,8 +431,8 @@ func TestCompletedSenderReclaimed(t *testing.T) {
 	// The wheel still holds the entry armed by the first service.
 	sh.fireNow = 1
 	sh.wh.advance(1, sh.fireFn)
-	if len(sh.txq) != 0 || len(sh.flows) != 0 || f.armed {
-		t.Fatalf("stale wheel entry was live: %d packets, %d flows, armed=%v", len(sh.txq), len(sh.flows), f.armed)
+	if len(sh.txq) != 0 || sh.nFlows.Load() != 0 || f.armed {
+		t.Fatalf("stale wheel entry was live: %d packets, %d flows, armed=%v", len(sh.txq), sh.nFlows.Load(), f.armed)
 	}
 	// A straggling duplicate of the last ack names no flow any more.
 	sh.dispatch(src(9000), ackPkt(fl.ID(), 1, 2, sh.clock.NanosAt(0.001)), 1)
@@ -442,6 +441,34 @@ func TestCompletedSenderReclaimed(t *testing.T) {
 	}
 	if _, err := add(); err != nil {
 		t.Fatalf("the freed admission slot was not reused: %v", err)
+	}
+}
+
+// The per-packet counters reach Flow.Stats on the 10 ms tick — not per
+// packet — and once more when the flow leaves its shard.
+func TestStatsPublishedOnTickAndDrop(t *testing.T) {
+	h := newHotpathHarness(400)
+	s, fl := h.f.snd, &Flow{s: h.f.snd}
+	stores, last := 0, int64(0)
+	for i := 0; i < 100; i++ { // 100 steps of 1 ms
+		h.step()
+		if v := fl.Stats().AckedPkts; v != last {
+			stores++
+			last = v
+		}
+	}
+	if stores < 9 || stores > 11 || last == 0 {
+		t.Fatalf("AckedPkts changed %d times in 100 ms (last %d), want once per 10 ms tick", stores, last)
+	}
+	if s.nAckedPkts == last || s.nSentPkts == fl.Stats().SentPkts {
+		t.Fatalf("nothing sent or acked since the last tick: the flow is not cycling")
+	}
+	h.sndShard.dropFlow(h.f)
+	if st := fl.Stats(); st.AckedPkts != s.nAckedPkts || st.AckedBytes != s.nAckedBytes ||
+		st.SentPkts != s.nSentPkts || st.SentBytes != s.nSentBytes ||
+		st.UnackedRecs != s.book.Len() || st.SRTT == 0 {
+		t.Fatalf("stats after the drop %+v, loop totals sent %d/%d acked %d/%d book %d",
+			st, s.nSentPkts, s.nSentBytes, s.nAckedPkts, s.nAckedBytes, s.book.Len())
 	}
 }
 
@@ -460,7 +487,7 @@ func TestEnqueueWakesParkedShard(t *testing.T) {
 	newFlow := func(id uint32) *flow {
 		s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1e6}, Burst: transport.DefaultBurst, PacketSize: 1200})
 		s.paused = true // admitted, never sending: the socket stays quiet
-		return &flow{key: flowKey{addr: src(9000), id: id}, snd: s}
+		return &flow{addr: src(9000), id: id, snd: s}
 	}
 	// A read far longer than the test's own timeout: it returns only if
 	// woken.
@@ -490,8 +517,8 @@ func TestEnqueueWakesParkedShard(t *testing.T) {
 	}
 	await("enqueue before the park", read())
 	sh.admit()
-	if sh.admitWake.Load() || len(sh.flows) != 1 {
-		t.Fatalf("admit: admitWake=%v flows=%d, want the flag cleared and the flow taken in", sh.admitWake.Load(), len(sh.flows))
+	if sh.admitWake.Load() || sh.nFlows.Load() != 1 {
+		t.Fatalf("admit: admitWake=%v flows=%d, want the flag cleared and the flow taken in", sh.admitWake.Load(), sh.nFlows.Load())
 	}
 
 	// enqueue racing the park, either order.
@@ -501,7 +528,7 @@ func TestEnqueueWakesParkedShard(t *testing.T) {
 		await("enqueue racing the park", got)
 		sh.admit()
 	}
-	if len(sh.flows) != 9 {
-		t.Fatalf("%d flows admitted, want 9", len(sh.flows))
+	if sh.nFlows.Load() != 9 {
+		t.Fatalf("%d flows admitted, want 9", sh.nFlows.Load())
 	}
 }

@@ -17,9 +17,8 @@ const scavBit = wire.FlowClassScavenger
 // sockets.
 func addLocalSender(sh *shard, id uint32, class overload.Class) *flow {
 	s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1, Win: 400}, Burst: 1, PacketSize: 400, Class: class})
-	f := &flow{key: flowKey{addr: src(uint16(30000 + id)), id: id}, snd: s}
-	sh.flows[f.key] = f
-	sh.flowGauge.Store(int64(len(sh.flows)))
+	f := &flow{addr: src(uint16(30000 + id)), id: id, snd: s}
+	sh.insert(f)
 	return f
 }
 
@@ -31,8 +30,8 @@ func TestScavengerAdmissionRefusedUnderBrownout(t *testing.T) {
 
 	// A new scavenger flow is refused: no state, a BUSY goes back.
 	sh.dispatch(src(1000), dataPkt(t, 1|scavBit, 0, 100), 0)
-	if len(sh.flows) != 0 {
-		t.Fatalf("scavenger admitted under brownout: %d flows", len(sh.flows))
+	if sh.nFlows.Load() != 0 {
+		t.Fatalf("scavenger admitted under brownout: %d flows", sh.nFlows.Load())
 	}
 	if r := sh.ctr.rejectScav.Load(); r != 1 {
 		t.Fatalf("rejectScav=%d want 1", r)
@@ -50,7 +49,7 @@ func TestScavengerAdmissionRefusedUnderBrownout(t *testing.T) {
 
 	// A primary flow is untouched by brownout.
 	sh.dispatch(src(1001), dataPkt(t, 2, 0, 100), 0)
-	if len(sh.flows) != 1 {
+	if sh.nFlows.Load() != 1 {
 		t.Fatal("primary admission must not be gated on brownout")
 	}
 
@@ -58,7 +57,7 @@ func TestScavengerAdmissionRefusedUnderBrownout(t *testing.T) {
 	sh.det.Update(1, overload.Signals{})
 	sh.det.Update(3, overload.Signals{}) // recover hold elapses
 	sh.dispatch(src(1000), dataPkt(t, 1|scavBit, 0, 100), 3)
-	if len(sh.flows) != 2 {
+	if sh.nFlows.Load() != 2 {
 		t.Fatal("scavenger not admitted after recovery")
 	}
 }
@@ -72,13 +71,13 @@ func TestCapEvictionPrefersScavenger(t *testing.T) {
 	sh.dispatch(src(1001), dataPkt(t, 2|scavBit, 0, 100), 5) // scavenger, fresh
 	sh.dispatch(src(1002), dataPkt(t, 3, 0, 100), 6)         // primary
 	sh.dispatch(src(1003), dataPkt(t, 4, 0, 100), 7)         // over cap
-	if len(sh.flows) != 3 {
-		t.Fatalf("flows=%d want 3", len(sh.flows))
+	if sh.nFlows.Load() != 3 {
+		t.Fatalf("flows=%d want 3", sh.nFlows.Load())
 	}
-	if _, ok := sh.flows[flowKey{addr: src(1001), id: 2 | scavBit}]; ok {
+	if sh.lookup(src(1001), 2|scavBit) != nil {
 		t.Fatal("scavenger survived eviction while a primary was dropped")
 	}
-	if _, ok := sh.flows[flowKey{addr: src(1000), id: 1}]; !ok {
+	if sh.lookup(src(1000), 1) == nil {
 		t.Fatal("stalest primary was evicted despite a scavenger victim")
 	}
 	if s, p := sh.ctr.shedScav.Load(), sh.ctr.shedPrim.Load(); s != 1 || p != 0 {
@@ -98,7 +97,7 @@ func TestCapEvictionPrefersScavenger(t *testing.T) {
 	if sh2.ctr.shedPrim.Load() != 1 {
 		t.Fatal("all-primary cap eviction must count as a primary shed")
 	}
-	if _, ok := sh2.flows[flowKey{addr: src(1000), id: 1}]; ok {
+	if sh2.lookup(src(1000), 1) != nil {
 		t.Fatal("stalest primary should have been the victim")
 	}
 }
@@ -121,7 +120,7 @@ func TestShedPausesLocalScavengersOnly(t *testing.T) {
 	if sh.ctr.paused.Load() != 1 {
 		t.Fatalf("paused gauge %d want 1", sh.ctr.paused.Load())
 	}
-	if _, ok := sh.flows[flowKey{addr: src(2000), id: 9 | scavBit}]; ok {
+	if sh.lookup(src(2000), 9|scavBit) != nil {
 		t.Fatal("scavenger receiver flow not shed")
 	}
 	if sh.ctr.shedScav.Load() != 2 || sh.ctr.shedPrim.Load() != 0 {
@@ -151,7 +150,7 @@ func TestBusyBackoffJitteredExponential(t *testing.T) {
 	sh := newTestShard(t, Config{})
 	f := addLocalSender(sh, 1|scavBit, overload.ClassScavenger)
 	s := f.snd
-	bp := wire.BusyPacket{Flow: f.key.id, RetryAfterMillis: 200}
+	bp := wire.BusyPacket{Flow: f.id, RetryAfterMillis: 200}
 	prev := 0.0
 	for i := 1; i <= 4; i++ {
 		s.busyUntil = 0 // isolate each step's backoff
@@ -281,8 +280,8 @@ func TestFloodBurstReachesShed(t *testing.T) {
 		t.Fatalf("21/24 flows: state %v want brownout", st)
 	}
 	burst(200, 10, scavBit, 0.2) // the rest of the flood is refused
-	if r, b := sh.ctr.rejectScav.Load(), sh.ctr.busyTx.Load(); r != 10 || b != 10 || len(sh.flows) != 21 {
-		t.Fatalf("brownout admission: rejectScav=%d busyTx=%d flows=%d want 10,10,21", r, b, len(sh.flows))
+	if r, b := sh.ctr.rejectScav.Load(), sh.ctr.busyTx.Load(); r != 10 || b != 10 || sh.nFlows.Load() != 21 {
+		t.Fatalf("brownout admission: rejectScav=%d busyTx=%d flows=%d want 10,10,21", r, b, sh.nFlows.Load())
 	}
 	burst(7, 2, 0, 0.3) // two more primaries: 23/24 = 0.958
 	sh.updateOverload(0.3)
@@ -295,14 +294,14 @@ func TestFloodBurstReachesShed(t *testing.T) {
 	if b := sh.ctr.busyTx.Load(); b != 25 {
 		t.Fatalf("busyTx=%d want 25 (10 refusals + 15 shed notices)", b)
 	}
-	if len(sh.flows) != 8 {
-		t.Fatalf("flows=%d want the 8 primaries", len(sh.flows))
+	if sh.nFlows.Load() != 8 {
+		t.Fatalf("flows=%d want the 8 primaries", sh.nFlows.Load())
 	}
-	for k := range sh.flows {
-		if wire.ScavengerID(k.id) {
-			t.Fatalf("scavenger %v survived the shed", k)
+	sh.eachFlow(func(f *flow) {
+		if wire.ScavengerID(f.id) {
+			t.Errorf("scavenger %#x from %v survived the shed", f.id, f.addr)
 		}
-	}
+	})
 	if w := severityState(sh.ovWorst.Load()); w != overload.StateShed {
 		t.Fatalf("sticky worst state %v want shed", w)
 	}
@@ -315,8 +314,8 @@ func TestFloodBurstReachesShed(t *testing.T) {
 	burst(300, 1, scavBit, 0.5)
 	sh.updateOverload(2)
 	burst(301, 1, scavBit, 2)
-	if st, r := sh.det.State(), sh.ctr.rejectScav.Load(); st != overload.StateNormal || r != 11 || len(sh.flows) != 9 {
-		t.Fatalf("after the hold: state %v rejectScav=%d flows=%d want normal,11,9", st, r, len(sh.flows))
+	if st, r := sh.det.State(), sh.ctr.rejectScav.Load(); st != overload.StateNormal || r != 11 || sh.nFlows.Load() != 9 {
+		t.Fatalf("after the hold: state %v rejectScav=%d flows=%d want normal,11,9", st, r, sh.nFlows.Load())
 	}
 }
 

@@ -74,8 +74,12 @@ type shard struct {
 	local netip.AddrPort
 	v6    bool
 
-	flows map[flowKey]*flow
-	wh    wheel
+	// The flow table (see tableKey): flows that share a key chain through
+	// flow.next, and nFlows counts flows, not keys (loop-written; Stats
+	// reads it).
+	flows  map[uint64]*flow
+	nFlows atomic.Int64
+	wh     wheel
 
 	maxPacket int
 	batchSize int
@@ -121,7 +125,6 @@ type shard struct {
 	fireFn  func(*flow)
 
 	lastSweep float64
-	flowGauge atomic.Int64
 
 	// Overload machinery: the brownout detector (loop-goroutine-owned)
 	// plus atomic mirrors of its state/pressure for AddFlow and Stats.
@@ -148,7 +151,7 @@ func newShard(eng *Engine, idx int, conn *net.UDPConn) *shard {
 	cfg := eng.cfg
 	sh := &shard{
 		eng: eng, idx: idx, conn: conn, clock: eng.clock,
-		flows:     make(map[flowKey]*flow),
+		flows:     make(map[uint64]*flow),
 		maxPacket: cfg.MaxPacket,
 		batchSize: cfg.BatchSize,
 		maxFlows:  cfg.MaxFlowsPerShard,
@@ -254,6 +257,42 @@ func (sh *shard) publish() {
 	sh.ctr.deliveredBytes.Store(sh.nDeliveredBytes)
 }
 
+// tableKey is the wire flow ID over the peer's port: eight bytes every
+// packet carries and the map hashes on its fast path. Peers that differ
+// only in IP address collide; lookup tells them apart along the chain.
+func tableKey(addr netip.AddrPort, id uint32) uint64 {
+	return uint64(id)<<16 | uint64(addr.Port())
+}
+
+// lookup returns the flow (src, id) names, or nil.
+func (sh *shard) lookup(src netip.AddrPort, id uint32) *flow {
+	f := sh.flows[tableKey(src, id)]
+	for f != nil && f.addr != src {
+		f = f.next
+	}
+	return f
+}
+
+// insert puts a flow that is not in the table into it.
+func (sh *shard) insert(f *flow) {
+	k := tableKey(f.addr, f.id)
+	f.next = sh.flows[k]
+	sh.flows[k] = f
+	sh.nFlows.Add(1)
+}
+
+// eachFlow visits every flow in the table; fn may drop the flow it is
+// handed, and no other.
+func (sh *shard) eachFlow(fn func(f *flow)) {
+	for _, f := range sh.flows {
+		for f != nil {
+			next := f.next
+			fn(f)
+			f = next
+		}
+	}
+}
+
 // dispatch routes one datagram through the flow table.
 func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 	switch wire.PacketType(b) {
@@ -263,10 +302,9 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 			sh.ctr.bad.Add(1)
 			return
 		}
-		key := flowKey{addr: src, id: h.Flow}
-		f := sh.flows[key]
+		f := sh.lookup(src, h.Flow)
 		if f == nil {
-			f = sh.newRecvFlow(key, now)
+			f = sh.newRecvFlow(src, h.Flow)
 			if f == nil {
 				return // scavenger admission refused (BUSY already sent)
 			}
@@ -284,7 +322,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 			sh.ctr.bad.Add(1)
 			return
 		}
-		f := sh.flows[flowKey{addr: src, id: a.Flow}]
+		f := sh.lookup(src, a.Flow)
 		if f == nil || f.snd == nil {
 			sh.ctr.badAcks.Add(1)
 			return
@@ -301,7 +339,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 			sh.ctr.bad.Add(1)
 			return
 		}
-		f := sh.flows[flowKey{addr: src, id: bp.Flow}]
+		f := sh.lookup(src, bp.Flow)
 		if f == nil || f.snd == nil {
 			sh.ctr.badAcks.Add(1)
 			return
@@ -339,7 +377,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 		}
 		v, _ := sh.fetches.Load(fetchKey{src, h.ObjID})
 		f, _ := v.(*flow)
-		if f == nil || sh.flows[f.key] != f { // none, or still queued
+		if f == nil || sh.lookup(f.addr, f.id) != f { // none, or still queued
 			sh.ctr.straySegs.Add(1) // typically a late duplicate of a completed fetch
 			return
 		}
@@ -350,7 +388,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 		sh.nRxPkts++
 		f.lastSeen = now
 		if f.fch.onSegment(sh, h, payload, now) {
-			sh.dropFlow(f.key, f) // complete: leave the table at once
+			sh.dropFlow(f) // complete: leave the table at once
 		} else {
 			sh.service(f, now) // the response may have freed window
 		}
@@ -382,7 +420,7 @@ func (sh *shard) service(f *flow, now float64) {
 	if next > 0 {
 		sh.wh.arm(f, next)
 	} else {
-		sh.dropFlow(f.key, f)
+		sh.dropFlow(f)
 	}
 }
 
@@ -393,46 +431,41 @@ func (sh *shard) service(f *flow, now float64) {
 // a BUSY frame (and nil is returned — no state is kept for them), and
 // at the cap the stalest *scavenger* receiver is evicted before any
 // primary is considered.
-func (sh *shard) newRecvFlow(key flowKey, now float64) *flow {
-	scav := wire.ScavengerID(key.id)
-	if scav && !sh.det.State().AdmitScavenger() {
+func (sh *shard) newRecvFlow(src netip.AddrPort, id uint32) *flow {
+	if wire.ScavengerID(id) && !sh.det.State().AdmitScavenger() {
 		sh.ctr.rejectScav.Add(1)
-		sh.sendBusy(key, false)
+		sh.sendBusy(src, id, false)
 		return nil
 	}
-	if len(sh.flows) >= sh.maxFlows {
-		var oldKey flowKey
+	if int(sh.nFlows.Load()) >= sh.maxFlows {
 		var old *flow
 		oldScav := false
-		oldest := now + 1
-		for k, f := range sh.flows {
+		sh.eachFlow(func(f *flow) {
 			if f.rcv == nil {
-				continue
+				return
 			}
-			fs := wire.ScavengerID(k.id)
+			fs := wire.ScavengerID(f.id)
 			// A scavenger victim always beats a primary one; within a
 			// class, stalest wins.
-			if old != nil && (oldScav && !fs || oldScav == fs && f.lastSeen >= oldest) {
-				continue
+			if old != nil && (oldScav && !fs || oldScav == fs && f.lastSeen >= old.lastSeen) {
+				return
 			}
-			oldest = f.lastSeen
-			oldKey, old, oldScav = k, f, fs
-		}
+			old, oldScav = f, fs
+		})
 		if old != nil {
 			old.rcv.emitFinalAck(sh, old)
-			sh.dropFlow(oldKey, old)
+			sh.dropFlow(old)
 			sh.ctr.evicted.Add(1)
 			if oldScav {
 				sh.ctr.shedScav.Add(1)
-				sh.sendBusy(oldKey, true)
+				sh.sendBusy(old.addr, old.id, true)
 			} else {
 				sh.ctr.shedPrim.Add(1)
 			}
 		}
 	}
-	f := &flow{key: key, rcv: &recvFlow{highest: -1}}
-	sh.flows[key] = f
-	sh.flowGauge.Store(int64(len(sh.flows)))
+	f := &flow{addr: src, id: id, rcv: &recvFlow{highest: -1}}
+	sh.insert(f)
 	return f
 }
 
@@ -445,19 +478,19 @@ func (sh *shard) sweep(now float64) {
 		return
 	}
 	sh.lastSweep = now
-	for k, f := range sh.flows {
+	sh.eachFlow(func(f *flow) {
 		if now-f.lastSeen <= sh.idleTO {
-			continue
+			return
 		}
 		if f.fch != nil || f.snd != nil && !f.snd.completed && f.snd.limit > 0 {
-			continue // a stalled fetch or finite sender keeps retrying by RTO
+			return // a stalled fetch or finite sender keeps retrying by RTO
 		}
 		if f.rcv != nil {
 			f.rcv.emitFinalAck(sh, f)
 		}
-		sh.dropFlow(k, f)
+		sh.dropFlow(f)
 		sh.ctr.evicted.Add(1)
-	}
+	})
 }
 
 // busyRetryMillis is the retry-after hint on refusal/shed BUSY frames:
@@ -476,7 +509,7 @@ func (sh *shard) updateOverload(now float64) {
 	sh.busyBudget = sh.batchSize
 	prev := sh.det.State()
 	st := sh.det.Update(now, overload.Signals{
-		FlowOccupancy: float64(len(sh.flows)) / float64(sh.maxFlows),
+		FlowOccupancy: float64(sh.nFlows.Load()) / float64(sh.maxFlows),
 		TxBacklog:     sh.txBacklog,
 		RxSaturation:  sh.rxFullEWMA,
 		SendErrStreak: sh.txErrStreak,
@@ -501,21 +534,19 @@ func (sh *shard) updateOverload(now float64) {
 // receiver flow is evicted with a shed BUSY. Primary flows are not
 // touched — that is the entire point of the class ordering.
 func (sh *shard) shedScavengers() {
-	for k, f := range sh.flows {
+	sh.eachFlow(func(f *flow) {
 		if o := f.origin(); o != nil {
 			if o.class == overload.ClassScavenger && !o.paused {
 				o.paused = true
 				sh.ctr.paused.Add(1)
 				sh.ctr.shedScav.Add(1)
 			}
-			continue
-		}
-		if wire.ScavengerID(k.id) {
-			sh.dropFlow(k, f)
+		} else if wire.ScavengerID(f.id) {
+			sh.dropFlow(f)
 			sh.ctr.shedScav.Add(1)
-			sh.sendBusy(k, true)
+			sh.sendBusy(f.addr, f.id, true)
 		}
-	}
+	})
 }
 
 // resumeScavengers unpauses local scavenger flows on leaving Shed and
@@ -523,29 +554,29 @@ func (sh *shard) shedScavengers() {
 // flows need nothing: their senders retry after backoff and re-admit
 // once the shard returns to Normal.
 func (sh *shard) resumeScavengers(now float64) {
-	for _, f := range sh.flows {
+	sh.eachFlow(func(f *flow) {
 		if o := f.origin(); o != nil && o.paused {
 			o.paused = false
 			sh.ctr.paused.Add(-1)
 			sh.service(f, now)
 		}
-	}
+	})
 }
 
-// sendBusy queues one BUSY push-back frame for key's peer, bounded by
+// sendBusy queues one BUSY push-back frame for flow id's peer, bounded by
 // the per-pass budget so a flood of refused admissions cannot amplify
 // into a flood of BUSY traffic (the refusal is still counted; the
 // sender's own RTO covers a lost frame).
-func (sh *shard) sendBusy(key flowKey, shed bool) {
+func (sh *shard) sendBusy(dst netip.AddrPort, id uint32, shed bool) {
 	if sh.busyBudget <= 0 {
 		return
 	}
 	sh.busyBudget--
 	buf := sh.txBuf()
 	pkt := wire.EncodeBusy(buf, wire.BusyPacket{
-		Flow: key.id, RetryAfterMillis: busyRetryMillis, Shed: shed,
+		Flow: id, RetryAfterMillis: busyRetryMillis, Shed: shed,
 	})
-	sh.queueTx(pkt, key.addr)
+	sh.queueTx(pkt, dst)
 	sh.ctr.busyTx.Add(1)
 }
 
@@ -560,20 +591,35 @@ func (sh *shard) pressureMirror() float64 {
 	return math.Float64frombits(sh.ovPressure.Load())
 }
 
-func (sh *shard) dropFlow(key flowKey, f *flow) {
+// dropFlow takes a flow out of the table and off the wheel.
+func (sh *shard) dropFlow(f *flow) {
 	if f.armed {
 		f.armed = false
 		sh.wh.armed--
 	}
 	f.gen++ // lazily cancels any queued wheel entry
-	delete(sh.flows, key)
-	sh.flowGauge.Store(int64(len(sh.flows)))
+	k := tableKey(f.addr, f.id)
+	if p := sh.flows[k]; p != f {
+		for p.next != f { // a flow that is not in the table faults here
+			p = p.next
+		}
+		p.next = f.next
+	} else if f.next != nil {
+		sh.flows[k] = f.next
+	} else {
+		delete(sh.flows, k)
+	}
+	f.next = nil
+	sh.nFlows.Add(-1)
 	if o := f.origin(); o != nil {
 		if o.paused {
 			o.paused = false
 			sh.ctr.paused.Add(-1)
 		}
 		sh.eng.senders.Add(-1) // release the admission slot
+	}
+	if f.snd != nil {
+		f.snd.publish() // its handle keeps the final counters
 	}
 	if f.fch != nil {
 		sh.fetches.Delete(f.fch.key)
@@ -590,18 +636,18 @@ func (sh *shard) admit() {
 	sh.admitWake.Store(false)
 	sh.admitMu.Unlock()
 	if reset {
-		for k, f := range sh.flows {
+		sh.eachFlow(func(f *flow) {
 			if f.rcv != nil {
-				sh.dropFlow(k, f)
+				sh.dropFlow(f)
 			}
-		}
+		})
 	}
 	if len(q) == 0 {
 		return
 	}
 	now := sh.clock.Now()
 	for _, f := range q {
-		sh.flows[f.key] = f
+		sh.insert(f)
 		f.lastSeen = now
 		// Ack silence is measured from admission.
 		if f.snd != nil {
@@ -619,7 +665,6 @@ func (sh *shard) admit() {
 		}
 		sh.service(f, now)
 	}
-	sh.flowGauge.Store(int64(len(sh.flows)))
 }
 
 // longAgo is a read deadline that has always expired.

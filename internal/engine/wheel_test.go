@@ -9,12 +9,12 @@ func TestWheelFiresInDeadlineOrder(t *testing.T) {
 	var w wheel
 	w.init(0)
 	var fired []uint32
-	mk := func(id uint32) *flow { return &flow{key: flowKey{id: id}} }
+	mk := func(id uint32) *flow { return &flow{id: id} }
 	f1, f2, f3 := mk(1), mk(2), mk(3)
 	w.arm(f1, 0.010)
 	w.arm(f2, 0.003)
 	w.arm(f3, 0.007)
-	w.advance(0.012, func(f *flow) { fired = append(fired, f.key.id) })
+	w.advance(0.012, func(f *flow) { fired = append(fired, f.id) })
 	if len(fired) != 3 || fired[0] != 2 || fired[1] != 3 || fired[2] != 1 {
 		t.Fatalf("fired %v want [2 3 1]", fired)
 	}
@@ -26,7 +26,7 @@ func TestWheelFiresInDeadlineOrder(t *testing.T) {
 func TestWheelRearmSupersedes(t *testing.T) {
 	var w wheel
 	w.init(0)
-	f := &flow{key: flowKey{id: 1}}
+	f := &flow{id: 1}
 	w.arm(f, 0.050)
 	w.arm(f, 0.002) // earlier deadline replaces the later one
 	n := 0
@@ -46,7 +46,7 @@ func TestWheelRearmSupersedes(t *testing.T) {
 
 func TestWheelHorizonClampRearms(t *testing.T) {
 	var w wheel
-	f := &flow{key: flowKey{id: 1}}
+	f := &flow{id: 1}
 	far := 3 * wheelSlots * wheelGran // well past one rotation
 	w.arm(f, far)
 	n := 0
@@ -68,7 +68,7 @@ func TestWheelNext(t *testing.T) {
 	if !math.IsInf(w.next(), 1) {
 		t.Fatal("empty wheel should report +Inf")
 	}
-	f := &flow{key: flowKey{id: 1}}
+	f := &flow{id: 1}
 	w.arm(f, 0.004)
 	if got := w.next(); got != 0.004 {
 		t.Fatalf("next=%v want 0.004", got)
@@ -79,7 +79,7 @@ func TestWheelArmDuringFire(t *testing.T) {
 	// A fire callback re-arming the same flow (the pump pattern) must
 	// land the new deadline, not be dropped or double-fired.
 	var w wheel
-	f := &flow{key: flowKey{id: 1}}
+	f := &flow{id: 1}
 	w.arm(f, 0.001)
 	fires := 0
 	w.advance(0.002, func(fl *flow) {
@@ -99,7 +99,7 @@ func TestWheelArmDuringFire(t *testing.T) {
 
 func TestWheelZeroAllocSteadyState(t *testing.T) {
 	var w wheel
-	f := &flow{key: flowKey{id: 1}}
+	f := &flow{id: 1}
 	now := 0.0
 	w.arm(f, now+0.001)
 	// Warm the slot slices through one full rotation.

@@ -92,8 +92,8 @@ func TestInjectedClockSetsTimebase(t *testing.T) {
 	if snd.startTime != 50 {
 		t.Fatalf("startTime %v want 50 (injected clock)", snd.startTime)
 	}
-	if recs := snd.book.Records(); len(recs) == 0 || recs[0].SentAt != 50 {
-		t.Fatalf("first packet SentAt %v want 50", recs)
+	if first := snd.book.Find(0); first == nil || first.SentAt != 50 {
+		t.Fatalf("first packet %+v, want SentAt 50", first)
 	}
 	// The RTO backstop must be armed on the injected clock too:
 	// initial RTO is 1 s after the oldest outstanding packet.
@@ -171,8 +171,8 @@ func TestAgedGapDeclaredLost(t *testing.T) {
 	// Age the gap past srtt + reorder window (a late ack's own huge RTT
 	// sample would inflate rttvar and mask it, so age the packets, not
 	// the clock sample).
-	for _, sp := range snd.book.Records() {
-		if sp.Live() && sp.Seq <= 4 {
+	for seq := int64(0); seq <= 4; seq++ {
+		if sp := snd.book.Find(seq); sp != nil {
 			sp.AgedFrom -= 1.0
 		}
 	}

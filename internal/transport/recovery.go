@@ -8,8 +8,10 @@ const (
 	dupAckThreshold = 3
 
 	// maxRecords bounds the book when acks never come: at the cap the
-	// oldest live record is force-retired as lost.
+	// oldest live record is force-retired as lost. The ring starts at
+	// minRing and doubles up to it.
 	maxRecords = 1 << 16
+	minRing    = 16
 
 	// maxRTOBackoff caps the exponential RTO backoff exponent: the
 	// effective RTO is base·2^backoff, clamped to maxRTO. Without
@@ -56,23 +58,28 @@ type Record struct {
 func (r *Record) Live() bool { return !r.acked && !r.lost }
 
 // Recovery is the sans-IO loss-recovery and survival book every sender
-// in this repository drives: a sequence-ordered list of outstanding
-// records, the RTT estimator, the RACK loss rule, the RTO sweep with
-// silence-gated exponential backoff, and the stall watchdog that
-// freezes the controller across a path outage and restores it at the
-// first ack. It owns no clock, timer or socket and never asks who is
-// calling: what differs between drivers reaches it as data (AgedFrom,
-// Tag, the probe size) or as the calls the driver chooses to make.
-// Single-threaded by contract. Call Init before use.
+// in this repository drives: the outstanding records, the RTT
+// estimator, the RACK loss rule, the RTO sweep with silence-gated
+// exponential backoff, and the stall watchdog that freezes the
+// controller across a path outage and restores it at the first ack. It
+// owns no clock, timer or socket and never asks who is calling: what
+// differs between drivers reaches it as data (AgedFrom, Tag, the probe
+// size) or as the calls the driver chooses to make. Single-threaded by
+// contract. Call Init before use.
+//
+// Sequence numbers are consecutive, so records are values in a
+// power-of-two ring indexed by sequence. A *Record the book hands out
+// (Add, AddProbe, Find, the loss hook's argument) is valid until the
+// next Add or AddProbe, which may grow the ring or, at the cap, reuse
+// the slot; the loss hook and the controller's OnLoss must not book.
 type Recovery struct {
 	RTT RTTEstimator
 
 	cc     Controller
 	onLost func(r *Record, now float64)
 
-	recs     []*Record // seq order; recs[head:] is the book, its first entry live
-	head     int
-	free     []*Record
+	ring     []Record // power-of-two length; sequence q lives at ring[q&(len-1)]
+	lo       int64    // [lo, nextSeq) is the book; its first record is live
 	nextSeq  int64
 	maxAcked int64 // highest acked seq: the RACK reference
 	inflight int
@@ -116,47 +123,50 @@ func (r *Recovery) AddProbe(now float64, size int) *Record {
 
 func (r *Recovery) add(now float64, size int, sentAt, agedFrom float64) *Record {
 	if r.Len() >= maxRecords {
-		r.markLost(r.recs[r.head], now)
+		r.markLost(r.at(r.lo), now)
 		r.prune()
 	}
-	var rec *Record
-	if n := len(r.free); n > 0 {
-		rec = r.free[n-1]
-		r.free = r.free[:n-1]
-	} else {
-		rec = new(Record)
+	if r.Len() == len(r.ring) {
+		r.grow()
 	}
+	rec := r.at(r.nextSeq)
 	*rec = Record{SentPacket: SentPacket{Seq: r.nextSeq, Size: size, SentAt: sentAt}, AgedFrom: agedFrom}
 	r.nextSeq++
-	r.recs = append(r.recs, rec)
 	return rec
+}
+
+// at returns the slot of seq, which must be within [lo, nextSeq].
+func (r *Recovery) at(seq int64) *Record { return &r.ring[seq&int64(len(r.ring)-1)] }
+
+// grow doubles a full ring. A record's slot depends on the ring's size,
+// so the book is re-placed by sequence, not copied.
+func (r *Recovery) grow() {
+	old := r.ring
+	r.ring = make([]Record, max(2*len(old), minRing))
+	for q := r.lo; q < r.nextSeq; q++ {
+		*r.at(q) = old[q&int64(len(old)-1)]
+	}
 }
 
 // Find returns the live record for seq, or nil when it was never
 // booked, is already retired, or was declared lost.
 func (r *Recovery) Find(seq int64) *Record {
-	lo, hi := r.head, len(r.recs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.recs[mid].Seq < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if seq < r.lo || seq >= r.nextSeq {
+		return nil
 	}
-	if lo < len(r.recs) && r.recs[lo].Seq == seq && r.recs[lo].Live() {
-		return r.recs[lo]
+	if rec := r.at(seq); rec.Live() {
+		return rec
 	}
 	return nil
 }
 
-// Records returns the book in sequence order, oldest first, for ack
-// shapes that cover ranges. Entries may already be retired (check
-// Live); the slice is valid until the next Add, Detect or Expire.
-func (r *Recovery) Records() []*Record { return r.recs[r.head:] }
+// Lo and Next bound the book: every sequence in [Lo, Next) has a
+// record, possibly retired (Find says). Acks that cover ranges walk it.
+func (r *Recovery) Lo() int64   { return r.lo }
+func (r *Recovery) Next() int64 { return r.nextSeq }
 
 // Len returns the number of records held (probes included).
-func (r *Recovery) Len() int { return len(r.recs) - r.head }
+func (r *Recovery) Len() int { return int(r.nextSeq - r.lo) }
 
 // Inflight returns the bytes booked and not yet acked or lost.
 func (r *Recovery) Inflight() int { return r.inflight }
@@ -218,11 +228,8 @@ func (r *Recovery) Detect(now float64) {
 		r.lastGoodRate = rate
 	}
 	window := r.RTT.SRTT() + r.reorderWindow()
-	for _, rec := range r.Records() {
-		if rec.Seq > r.maxAcked-dupAckThreshold {
-			break
-		}
-		if rec.Live() && now-rec.AgedFrom > window {
+	for q := r.lo; q <= r.maxAcked-dupAckThreshold; q++ {
+		if rec := r.at(q); rec.Live() && now-rec.AgedFrom > window {
 			r.markLost(rec, now)
 		}
 	}
@@ -243,7 +250,8 @@ func (r *Recovery) Expire(now float64) (declared bool) {
 	// The slack absorbs the rounding of a timer armed at exactly
 	// AgedFrom + RTO.
 	rto := r.effRTO() - 1e-12
-	for _, rec := range r.Records() {
+	for q := r.lo; q < r.nextSeq; q++ {
+		rec := r.at(q)
 		if !rec.Live() {
 			continue
 		}
@@ -263,7 +271,7 @@ func (r *Recovery) Deadline() (at float64, ok bool) {
 	if r.Len() == 0 {
 		return 0, false
 	}
-	return r.recs[r.head].AgedFrom + r.effRTO(), true
+	return r.at(r.lo).AgedFrom + r.effRTO(), true
 }
 
 // BackOff doubles the RTO after an Expire that declared losses — but
@@ -374,19 +382,10 @@ func (r *Recovery) markLost(rec *Record, now float64) {
 	})
 }
 
-// prune recycles retired records off the front, so the first entry of
-// the book is always live. The slice is compacted only once the dead
-// prefix outweighs the book, keeping a per-ack prune O(1) amortized.
-// Vacated slots are not cleared: records are pooled for the life of
-// the book, so a stale pointer retains nothing.
+// prune steps past retired records at the front, so the first record
+// of the book is always live.
 func (r *Recovery) prune() {
-	for r.head < len(r.recs) && !r.recs[r.head].Live() {
-		r.free = append(r.free, r.recs[r.head])
-		r.head++
-	}
-	if r.head > len(r.recs)-r.head {
-		n := copy(r.recs, r.recs[r.head:])
-		r.recs = r.recs[:n]
-		r.head = 0
+	for r.lo < r.nextSeq && !r.at(r.lo).Live() {
+		r.lo++
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -156,7 +157,7 @@ func TestRecoveryRTOLadder(t *testing.T) {
 				t.Fatalf("%d losses want one per rung (%d)", len(h.cc.losses), len(tc.ladder))
 			}
 			// Any ack resets the ladder.
-			h.ack(now+0.01, h.Records()[0].Seq, math.Max(tc.rtt, 0.010))
+			h.ack(now+0.01, h.Lo(), math.Max(tc.rtt, 0.010))
 			h.emit(now+0.01, 1)
 			if at, _ := h.Deadline(); at-(now+0.01) > h.RTT.RTO()+1e-9 {
 				t.Fatalf("RTO %v after an ack, want the base %v", at-(now+0.01), h.RTT.RTO())
@@ -314,9 +315,9 @@ func TestRecoveryCapRetiresOldest(t *testing.T) {
 	}
 }
 
-// The steady-state emit/ack cycle recycles records through the
-// freelist and compacts in place: nothing allocates once warm, whatever
-// the window.
+// The steady-state emit/ack cycle writes records into ring slots that
+// retired ones vacated: nothing allocates once the ring has grown to the
+// window.
 func TestRecoveryZeroAllocSteadyState(t *testing.T) {
 	h := newBook()
 	now := 0.0
@@ -355,4 +356,384 @@ func equalSeqs(a, b []int64) bool {
 		}
 	}
 	return true
+}
+
+// refBook is the book as it stood before the ring: pooled *Records in a
+// sequence-ordered slice with a free list, found by binary search,
+// compacted when the dead prefix outweighs the rest. It is the reference
+// model for where records live; the loss rules are copied with it so the
+// two can be driven side by side. The outage machinery, which never
+// touches a record, is left out.
+type refBook struct {
+	RTT RTTEstimator
+
+	cc     Controller
+	onLost func(r *Record, now float64)
+
+	recs     []*Record
+	head     int
+	free     []*Record
+	nextSeq  int64
+	maxAcked int64
+	inflight int
+
+	backoff   int
+	lastAlive float64
+}
+
+func (r *refBook) Add(now float64, size int, sentAt, agedFrom float64) *Record {
+	rec := r.add(now, size, sentAt, agedFrom)
+	r.inflight += size
+	return rec
+}
+
+func (r *refBook) AddProbe(now float64, size int) *Record {
+	rec := r.add(now, size, now, now)
+	rec.Probe = true
+	return rec
+}
+
+func (r *refBook) add(now float64, size int, sentAt, agedFrom float64) *Record {
+	if r.Len() >= maxRecords {
+		r.markLost(r.recs[r.head], now)
+		r.prune()
+	}
+	var rec *Record
+	if n := len(r.free); n > 0 {
+		rec = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		rec = new(Record)
+	}
+	*rec = Record{SentPacket: SentPacket{Seq: r.nextSeq, Size: size, SentAt: sentAt}, AgedFrom: agedFrom}
+	r.nextSeq++
+	r.recs = append(r.recs, rec)
+	return rec
+}
+
+func (r *refBook) Find(seq int64) *Record {
+	lo, hi := r.head, len(r.recs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.recs[mid].Seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(r.recs) && r.recs[lo].Seq == seq && r.recs[lo].Live() {
+		return r.recs[lo]
+	}
+	return nil
+}
+
+func (r *refBook) Records() []*Record { return r.recs[r.head:] }
+func (r *refBook) Len() int           { return len(r.recs) - r.head }
+
+func (r *refBook) Alive(now float64) { r.lastAlive, r.backoff = now, 0 }
+
+func (r *refBook) Ack(rec *Record) {
+	rec.acked = true
+	if rec.Seq > r.maxAcked {
+		r.maxAcked = rec.Seq
+	}
+	if !rec.Probe {
+		r.inflight -= rec.Size
+	}
+}
+
+func (r *refBook) Detect(now float64) {
+	window := r.RTT.SRTT() + math.Max(4*r.RTT.RTTVar(), 0.004)
+	for _, rec := range r.Records() {
+		if rec.Seq > r.maxAcked-dupAckThreshold {
+			break
+		}
+		if rec.Live() && now-rec.AgedFrom > window {
+			r.markLost(rec, now)
+		}
+	}
+	r.prune()
+}
+
+func (r *refBook) Expire(now float64) (declared bool) {
+	rto := r.effRTO() - 1e-12
+	for _, rec := range r.Records() {
+		if !rec.Live() {
+			continue
+		}
+		if now-rec.AgedFrom < rto {
+			break
+		}
+		r.markLost(rec, now)
+		declared = true
+	}
+	r.prune()
+	return declared
+}
+
+func (r *refBook) Deadline() (at float64, ok bool) {
+	if r.Len() == 0 {
+		return 0, false
+	}
+	return r.recs[r.head].AgedFrom + r.effRTO(), true
+}
+
+func (r *refBook) BackOff(now float64) {
+	if now-r.lastAlive >= r.effRTO() && r.backoff < maxRTOBackoff {
+		r.backoff++
+	}
+}
+
+func (r *refBook) effRTO() float64 {
+	base := r.RTT.RTO()
+	rto := base * float64(int64(1)<<uint(r.backoff))
+	if rto > maxRTO {
+		return math.Max(maxRTO, base)
+	}
+	return rto
+}
+
+func (r *refBook) markLost(rec *Record, now float64) {
+	rec.lost = true
+	if rec.Probe {
+		return
+	}
+	r.inflight -= rec.Size
+	r.onLost(rec, now)
+	r.cc.OnLoss(Loss{
+		Seq: rec.Seq, Bytes: rec.Size, SentAt: rec.SentAt, Now: now,
+		MI: rec.MI, Inflight: r.inflight,
+	})
+}
+
+func (r *refBook) prune() {
+	for r.head < len(r.recs) && !r.recs[r.head].Live() {
+		r.free = append(r.free, r.recs[r.head])
+		r.head++
+	}
+	if r.head > len(r.recs)-r.head {
+		n := copy(r.recs, r.recs[r.head:])
+		r.recs = r.recs[:n]
+		r.head = 0
+	}
+}
+
+// lossLog is what one book told its driver and its controller, in order.
+type lossLog struct {
+	bookCC
+	hook []Record // the loss hook's record, by value, at the call
+	loss []Loss
+}
+
+func (l *lossLog) OnLoss(v Loss)                 { l.loss = append(l.loss, v) }
+func (l *lossLog) onLost(r *Record, now float64) { l.hook = append(l.hook, *r) }
+
+// bookModel drives the ring book and the reference with one schedule
+// decoded from a byte string, comparing everything a driver can see
+// after every operation.
+type bookModel struct {
+	t        *testing.T
+	data     []byte
+	pos      int
+	floodExp int // every operation on a large book is O(book): few schedules afford 16
+	now      float64
+	ring     Recovery
+	ref      refBook
+	ringLog  lossLog
+	refLog   lossLog
+	compared int // loss-log entries already checked
+}
+
+func (m *bookModel) next() int {
+	if m.pos >= len(m.data) {
+		return 0
+	}
+	m.pos++
+	return int(m.data[m.pos-1])
+}
+
+func (m *bookModel) add(n int) {
+	for i := 0; i < n; i++ {
+		// Sizes vary, and the schedule stamp can lead the clock as on the
+		// real datapaths; both follow from the sequence number so that a
+		// schedule is only its operations.
+		size, sentAt := 100+int(m.ring.Next()%97), m.now+float64(m.ring.Next()%4)*0.001
+		a, b := m.ring.Add(m.now, size, sentAt, max(m.now, sentAt)), m.ref.Add(m.now, size, sentAt, max(m.now, sentAt))
+		a.MI, a.Tag, b.MI, b.Tag = a.Seq%7, a.Seq*3, b.Seq%7, b.Seq*3
+	}
+}
+
+// ack retires seq in both books if it is live in both, and fails if they
+// disagree on that.
+func (m *bookModel) ack(seq int64) {
+	a, b := m.ring.Find(seq), m.ref.Find(seq)
+	if (a == nil) != (b == nil) {
+		m.t.Fatalf("t=%v Find(%d): ring %v, reference %v", m.now, seq, a, b)
+	}
+	if a != nil {
+		m.ring.Ack(a)
+		m.ref.Ack(b)
+	}
+}
+
+func (m *bookModel) op() {
+	switch op := m.next() % 8; op {
+	case 0:
+		m.now += float64(m.next()) * 0.0005
+	case 1:
+		m.add(1)
+	case 2:
+		m.add(1 + m.next()%64)
+	case 3:
+		m.ring.AddProbe(m.now, 30)
+		m.ref.AddProbe(m.now, 30)
+	case 4: // one per-packet ack, the simulator's and the fetch core's shape
+		seq := m.ring.Lo() - 2 + int64(m.next())*(int64(m.ring.Len())+4)/256
+		m.ring.Alive(m.now)
+		m.ref.Alive(m.now)
+		m.ack(seq)
+		rtt := 0.005 + float64(m.next())*0.0002
+		m.ring.RTT.Update(rtt)
+		m.ref.RTT.Update(rtt)
+		m.ring.Detect(m.now)
+		m.ref.Detect(m.now)
+	case 5: // one range ack, the engine's shape: a cumulative point plus a sparse tail
+		m.ring.Alive(m.now)
+		m.ref.Alive(m.now)
+		cum := m.ring.Lo() + int64(m.next()%32)
+		keep := m.next() | 1
+		for q, last := m.ring.Lo(), min(cum+64, m.ring.Next()-1); q <= last; q++ {
+			if q < cum || int(q)%keep == 0 {
+				m.ack(q)
+			}
+		}
+		m.ring.Detect(m.now)
+		m.ref.Detect(m.now)
+	case 6:
+		a, b := m.ring.Expire(m.now), m.ref.Expire(m.now)
+		if a != b {
+			m.t.Fatalf("t=%v Expire: ring %v, reference %v", m.now, a, b)
+		}
+		if a {
+			m.ring.BackOff(m.now)
+			m.ref.BackOff(m.now)
+		}
+	case 7: // a flood with no acks: 2^floodExp can reach the cap and go past it
+		m.add(min(1<<min(m.next()%17, m.floodExp), 5*maxRecords/2-int(m.ring.Next())))
+	}
+	m.compare(false)
+}
+
+// compare checks every observable: size, inflight, deadline, the loss
+// calls so far, and Find — over every sequence ever issued while that is
+// cheap or when full is set, else over both ends of the book and a
+// stride through its middle.
+func (m *bookModel) compare(full bool) {
+	m.t.Helper()
+	if a, b := m.ring.Len(), m.ref.Len(); a != b {
+		m.t.Fatalf("t=%v Len: ring %d, reference %d", m.now, a, b)
+	}
+	if a, b := m.ring.Inflight(), m.ref.inflight; a != b {
+		m.t.Fatalf("t=%v Inflight: ring %d, reference %d", m.now, a, b)
+	}
+	aAt, aOK := m.ring.Deadline()
+	bAt, bOK := m.ref.Deadline()
+	if aAt != bAt || aOK != bOK {
+		m.t.Fatalf("t=%v Deadline: ring %v %v, reference %v %v", m.now, aAt, aOK, bAt, bOK)
+	}
+	if m.ring.Len() > 0 && m.ring.Lo() != m.ref.Records()[0].Seq {
+		m.t.Fatalf("t=%v Lo: ring %d, reference %d", m.now, m.ring.Lo(), m.ref.Records()[0].Seq)
+	}
+	if len(m.ringLog.loss) != len(m.refLog.loss) || len(m.ringLog.hook) != len(m.refLog.hook) {
+		m.t.Fatalf("t=%v loss calls: ring %d/%d, reference %d/%d", m.now,
+			len(m.ringLog.hook), len(m.ringLog.loss), len(m.refLog.hook), len(m.refLog.loss))
+	}
+	for ; m.compared < len(m.refLog.loss); m.compared++ {
+		i := m.compared
+		if m.ringLog.loss[i] != m.refLog.loss[i] || m.ringLog.hook[i] != m.refLog.hook[i] {
+			m.t.Fatalf("t=%v loss call %d: ring %+v (hook %+v), reference %+v (hook %+v)", m.now, i,
+				m.ringLog.loss[i], m.ringLog.hook[i], m.refLog.loss[i], m.refLog.hook[i])
+		}
+	}
+	end := m.ring.Next() + 2
+	if m.ring.Next() != m.ref.nextSeq {
+		m.t.Fatalf("t=%v Next: ring %d, reference %d", m.now, m.ring.Next(), m.ref.nextSeq)
+	}
+	stride := int64(1)
+	if !full && end > 2048 {
+		stride = 997
+	}
+	for q := int64(-2); q < end; q++ {
+		if stride > 1 && q > 64 && q < m.ring.Lo()-64 {
+			q = m.ring.Lo() - 64 // retired long ago: only full compares look
+		} else if stride > 1 && q > m.ring.Lo()+64 && q < end-64 {
+			q = min(q+stride, end-64)
+		}
+		a, b := m.ring.Find(q), m.ref.Find(q)
+		if (a == nil) != (b == nil) || a != nil && *a != *b {
+			m.t.Fatalf("t=%v Find(%d): ring %+v, reference %+v", m.now, q, a, b)
+		}
+	}
+}
+
+func checkBook(t *testing.T, data []byte, floodExp int) {
+	m := &bookModel{t: t, data: data, floodExp: floodExp}
+	m.ringLog.rate, m.refLog.rate = 2e6, 2e6
+	m.ring.Init(&m.ringLog, m.ringLog.onLost)
+	m.ref.cc, m.ref.onLost, m.ref.maxAcked = &m.refLog, m.refLog.onLost, -1
+	for m.pos < len(m.data) {
+		m.op()
+	}
+	// Drain by RTO so every record's retirement is compared too.
+	for i := 0; m.ring.Len() > 0 && i < 8; i++ {
+		m.now += maxRTO + 1
+		m.ring.Expire(m.now)
+		m.ref.Expire(m.now)
+		m.compare(false)
+	}
+	m.compare(true)
+	if m.ring.Len() != 0 {
+		t.Fatalf("%d records survived the drain", m.ring.Len())
+	}
+}
+
+func TestRecoveryBookMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261003))
+	for i := 0; i < 200; i++ {
+		data := make([]byte, 50+rng.Intn(1000))
+		rng.Read(data)
+		checkBook(t, data, 8+8*(i/199)) // the last one with floods to the cap
+	}
+}
+
+// The two places where a record's slot is recomputed or reused: the ring
+// doubling while the book straddles its end, and the cap force-retiring
+// the oldest record into the slot the newest then takes.
+func TestRecoveryBookGrowthAndCap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"growth while wrapped", []byte{
+			2, 19, // 20 records: the ring is 32
+			5, 12, 1, // all 20 acked: the book is empty and lo sits mid-ring
+			2, 39, 3, 2, 39, // 81 more with a probe between: wraps, then doubles twice
+			0, 40, 5, 3, 2, 0, 200, 6, // sparse acks, then the rest ages out
+		}},
+		{"across the cap with probes interleaved", []byte{
+			7, 15, 3, 7, 15, 3, // 65 536 records and two probes: two past the cap
+			0, 10, 4, 128, 20, // one ack mid-book: RACK declares the older half
+			7, 16, 3, 1, // a second cap's worth: every add past it retires one
+			0, 255, 5, 31, 7, 6,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkBook(t, tc.data, 16) })
+	}
+}
+
+func FuzzRecoveryBook(f *testing.F) {
+	f.Add([]byte{2, 19, 5, 12, 1, 2, 39, 3, 2, 39, 0, 40, 5, 3, 2, 0, 200, 6})
+	f.Add([]byte{1, 1, 1, 3, 0, 100, 4, 255, 9, 6, 1, 4, 0, 0})
+	f.Add([]byte{7, 1, 0, 0, 30, 4, 200, 50, 2, 63, 5, 31, 3, 0, 255, 6, 6})
+	f.Fuzz(func(t *testing.T, data []byte) { checkBook(t, data, 9) })
 }

@@ -123,6 +123,10 @@ func TestSenderDuplicateAckCountedOnce(t *testing.T) {
 	if got := p.cc.acks.Load(); got != 1 {
 		t.Fatalf("OnAck called %d times for a duplicated ack, want 1", got)
 	}
+	// Flow stats are published on the sender's 10 ms tick: wait for the
+	// ack to show, then for the ticks a second count would have shown in.
+	p.eventually("the ack in the flow's stats", func() bool { return p.fl.Stats().AckedPkts > 0 })
+	time.Sleep(30 * time.Millisecond)
 	if st := p.fl.Stats(); st.AckedPkts != 1 || st.AckedBytes != 1200 || st.LostPkts != 0 {
 		t.Fatalf("flow stats %+v, want 1 packet / 1200 bytes acked", st)
 	}
