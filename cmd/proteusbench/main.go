@@ -8,7 +8,8 @@
 //	proteusbench -fig 8 -trials 1       # heavy sweep, single trial
 //	proteusbench -fig all -fast -jobs 4 # four figures in parallel
 //	proteusbench -fig 14 -fast -trace /tmp/t -trace-events mi,rate,drop
-//	proteusbench -chaos -fast           # cross-world fault replay (real time)
+//	proteusbench -wire -fast            # sim-vs-engine parity table (virtual time)
+//	proteusbench -chaos -fast           # cross-world fault replay (virtual time)
 //	proteusbench -campaign specs/campaign-smoke.json -campaign-out agg.json
 //
 // Figure ids are the rows of exp.Figures: the paper's 2–22, plus
@@ -67,9 +68,9 @@ func realMain() error {
 	huntModel := flag.String("hunt-model", "", "hunt over this path model (lte, 5g, leo) instead of a static bottleneck")
 	huntOut := flag.String("hunt-out", "", "write the minimized counterexample JSON here (with -hunt)")
 	replay := flag.String("replay", "", "re-verify a counterexample replay file instead of running figures")
-	wireMode := flag.Bool("wire", false, "run the sim-vs-wire parity table (real UDP loopback, real time) instead of figures; with -replay, replay the counterexample through the wire shim")
-	chaosMode := flag.Bool("chaos", false, "replay the chaos fault plan through the simulator and the real UDP shim and compare survival + fault attribution (real time)")
-	wireProtos := flag.String("wire-protos", "proteus-p,proteus-s,proteus-h", "comma-separated protocols for -wire")
+	wireMode := flag.Bool("wire", false, "run the sim-vs-wire parity table (simulated transport vs an engine flow on the same emulated link, virtual time) instead of figures; with -replay, replay the counterexample against an engine flow")
+	chaosMode := flag.Bool("chaos", false, "replay the chaos fault plan under the simulated transport and under an engine flow and compare survival + fault attribution (virtual time)")
+	wireProtos := flag.String("wire-protos", "proteus-p,proteus-s,proteus-h", "comma-separated protocols for -wire and -chaos")
 	campaignSpec := flag.String("campaign", "", "run a simulation campaign from this JSON spec instead of figures")
 	campaignOut := flag.String("campaign-out", "", "write the campaign aggregate JSON here (with -campaign)")
 	flag.Parse()

@@ -20,9 +20,10 @@ func protoList(protos string) []string {
 	return list
 }
 
-// runWireParity cross-validates the controllers between the simulator
-// and the real UDP loopback datapath (an engine flow through the
-// impairment shim). Runs in real time: 12 s per protocol, 8 with -fast.
+// runWireParity cross-validates the controllers between the simulated
+// transport and the real datapath (an engine flow on an engine.SimNet)
+// across the same emulated link: 12 virtual seconds per protocol, 8
+// with -fast.
 func runWireParity(w io.Writer, protos string, seed int64, fast bool) error {
 	o := exp.CrossWorldOptions{Protos: protoList(protos), Seed: seed}
 	if fast {
@@ -34,14 +35,13 @@ func runWireParity(w io.Writer, protos string, seed int64, fast bool) error {
 	}
 	fmt.Fprint(w, res.Render())
 	if !res.AllPass() {
-		return fmt.Errorf("wire parity outside %d%% tolerance", exp.ParityTolerancePct)
+		return fmt.Errorf("wire parity outside tolerance")
 	}
 	return nil
 }
 
-// runChaosSoak replays the default chaos fault plan through both
-// worlds — the simulator link and the real UDP shim — and prints the
-// survival/attribution comparison. Runs in real time: 16 s per
+// runChaosSoak replays the default chaos fault plan under both senders
+// and prints the survival/attribution comparison: 16 virtual seconds per
 // protocol, 10 with -fast.
 func runChaosSoak(w io.Writer, protos string, seed int64, fast bool) error {
 	o := exp.CrossWorldOptions{Protos: protoList(protos), Seed: seed}
@@ -59,8 +59,8 @@ func runChaosSoak(w io.Writer, protos string, seed int64, fast bool) error {
 	return nil
 }
 
-// runWireReplay re-executes a counterexample's impairment schedule on
-// the wire shim and checks the wire invariants.
+// runWireReplay re-executes a counterexample's schedule against an
+// engine flow and checks the wire invariants.
 func runWireReplay(w io.Writer, path string) error {
 	ce, err := adversary.ReadCounterexample(path)
 	if err != nil {

@@ -1,7 +1,7 @@
-// Command proteusd is the standalone wire-datapath daemon: the same
-// engine/shim stack the parity harness drives in-process, exposed as a
-// command so the Proteus controllers can be run between two real
-// processes (typically both on localhost).
+// Command proteusd is the standalone wire-datapath daemon: the engine
+// the parity gates drive in virtual time, here on real sockets, so the
+// Proteus controllers can be run between two real processes (typically
+// both on localhost).
 //
 // A two-process session looks like:
 //

@@ -78,3 +78,50 @@ func TestReadCounterexampleRejectsWrongVersion(t *testing.T) {
 		t.Fatal("wrong-version replay file accepted")
 	}
 }
+
+// TestReplayWireRepeats runs a schedule with a capacity step, a competing
+// flow and a blackout against an engine flow, twice: the replay is 1:1 in
+// virtual time, so both runs print the same bytes, and the capacity the
+// verdict is judged against is the schedule's own.
+func TestReplayWireRepeats(t *testing.T) {
+	sc := testScenario("proteus-p")
+	sc.LinkMbps, sc.BufBytes = 10, 75000 // a quarter of the packets: this runs under -race -count=3
+	ce := &Counterexample{
+		Version:  CounterexampleVersion,
+		Scenario: sc,
+		Seed:     3,
+		Schedule: Schedule{Segments: []Segment{
+			{Kind: KindBWStep, At: 12, Dur: 6, Factor: 0.5},
+			{Kind: KindFlow, At: 14, Dur: 5, Proto: "cubic"},
+			{Kind: KindBlackout, At: 22, Dur: 1},
+		}},
+	}
+	a, err := ReplayWire(ce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReplayWire(ce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Render() != b.Render() {
+		t.Fatalf("two replays differ:\n%s\n%s", a.Render(), b.Render())
+	}
+	var step Segment // as canonicalised: the scenario leaves little room
+	for _, g := range a.Schedule.Segments {
+		if g.Kind == KindBWStep {
+			step = g
+		}
+	}
+	if want := sc.LinkMbps * (1 - (1-step.Factor)*step.Dur/sc.Duration); step.Dur == 0 || math.Abs(a.CapacityMbps-want) > 1e-9 {
+		t.Fatalf("capacity integral %.6f Mbps, the schedule's is %.6f", a.CapacityMbps, want)
+	}
+	if !a.OK() || len(a.Verdicts) != 3 || a.Verdicts[0].Invariant != "wire-capacity" ||
+		a.Verdicts[1].Invariant != "wire-progress" || a.Verdicts[2].Invariant != "wire-finite" {
+		t.Fatalf("verdicts:\n%s", a.Render())
+	}
+	r := a.Result
+	if r.Link.FaultDrop == 0 || r.Flow.WatchdogTrips != 1 || r.Flow.Recoveries != 1 || r.Link.Enqueued <= r.Recv.Delivered {
+		t.Fatalf("the blackout or the competitor left no mark:\n%s%+v", a.Render(), r.Flow)
+	}
+}

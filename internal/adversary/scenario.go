@@ -229,6 +229,63 @@ func hybridThresholdFor(sc Scenario) float64 { return sc.LinkMbps / 4 }
 var adversaryMask = trace.MaskOf(trace.KindMIDecision, trace.KindRateChange,
 	trace.KindUtilitySample, trace.KindModeSwitch)
 
+// newPath builds the scenario's bottleneck on s, at the operating point
+// the schedule prescribes for t=0.
+func (sc Scenario) newPath(s *sim.Sim, schedule Schedule) *netem.Path {
+	link := netem.NewLink(s, sc.LinkMbps, sc.BufBytes, sc.RTT/2)
+	if sc.model != nil {
+		// The model prescribes the path from t=0; the schedule's apply
+		// boundaries (which include every model step) keep it current.
+		link.SetRateMbps(schedule.RateAt(sc, 0))
+		if err := link.SetPropDelay(schedule.DelayAt(sc, 0)); err != nil {
+			panic(err)
+		}
+	}
+	return &netem.Path{Link: link, AckDelay: sc.RTT / 2}
+}
+
+// newController builds the target's controller; tau is the Proteus-H
+// switching threshold it was given (0 for every other controller).
+func (sc Scenario) newController(s *sim.Sim) (cc transport.Controller, tau float64) {
+	if sc.Proto != exp.ProtoProteusH {
+		return exp.NewController(s, sc.Proto), 0
+	}
+	c, h := core.NewProteusH(s.Rand())
+	tau = hybridThresholdFor(sc)
+	h.SetThreshold(tau)
+	return c, tau
+}
+
+// faultPlan is what replays through the chaos model: the schedule's
+// fault segments and the path model's outage windows — a handover
+// micro-blackout arms survival exactly like an adversarial blackout
+// segment. Only when it reports faults do the senders run with the
+// survival machinery armed: fault-free schedules stay bit-identical to
+// runs from before the chaos subsystem existed, which keeps the golden
+// counterexamples valid.
+func (sc Scenario) faultPlan(schedule Schedule) (chaos.Plan, bool) {
+	plan, hasFaults := schedule.FaultPlan()
+	if sc.model != nil {
+		if mp, ok := pathmodel.FaultPlan(sc.model, sc.Duration); ok {
+			return pathmodel.MergePlans(plan, mp), true
+		}
+	}
+	return plan, hasFaults
+}
+
+// competitor is schedule.apply's flow spawner: a simulated sender of the
+// segment's protocol on path, recorded in *all.
+func competitor(s *sim.Sim, path *netem.Path, survival bool, all *[]*transport.Sender) func(i int, g Segment) func() {
+	return func(i int, g Segment) func() {
+		snd := transport.NewSender(2+i, path, exp.NewController(s, g.Proto))
+		snd.Burst = exp.BurstFor(g.Proto)
+		snd.Survival = survival
+		snd.Start()
+		*all = append(*all, snd)
+		return snd.Stop
+	}
+}
+
 // Run executes one scenario under one schedule. It is a pure function
 // of (sc, schedule, seed): every call reproduces the identical
 // RunContext, which is what makes hunts parallelizable and
@@ -240,41 +297,9 @@ func Run(sc Scenario, schedule Schedule, seed int64) *RunContext {
 	rec := trace.NewRecorder(trace.Options{Mask: adversaryMask, FlowCap: 1 << 16})
 	s.SetTrace(rec)
 
-	link := netem.NewLink(s, sc.LinkMbps, sc.BufBytes, sc.RTT/2)
-	path := &netem.Path{Link: link, AckDelay: sc.RTT / 2}
-	if sc.model != nil {
-		// The model prescribes the path from t=0; the schedule's apply
-		// boundaries (which include every model step) keep it current.
-		link.SetRateMbps(schedule.RateAt(sc, 0))
-		if err := link.SetPropDelay(schedule.DelayAt(sc, 0)); err != nil {
-			panic(err)
-		}
-	}
-
-	var hybridTau float64
-	var cc transport.Controller
-	if sc.Proto == exp.ProtoProteusH {
-		c, h := core.NewProteusH(s.Rand())
-		hybridTau = hybridThresholdFor(sc)
-		h.SetThreshold(hybridTau)
-		cc = c
-	} else {
-		cc = exp.NewController(s, sc.Proto)
-	}
-	// Fault segments replay through the chaos model, and only then do
-	// the senders run with the survival machinery armed: fault-free
-	// schedules stay bit-identical to runs from before the chaos
-	// subsystem existed, which keeps the golden counterexamples valid.
-	// A path model's outage windows join the plan the same way, so a
-	// handover micro-blackout arms survival exactly like an adversarial
-	// blackout segment.
-	faultPlan, hasFaults := schedule.FaultPlan()
-	if sc.model != nil {
-		if mp, ok := pathmodel.FaultPlan(sc.model, sc.Duration); ok {
-			faultPlan = pathmodel.MergePlans(faultPlan, mp)
-			hasFaults = true
-		}
-	}
+	path := sc.newPath(s, schedule)
+	cc, hybridTau := sc.newController(s)
+	faultPlan, hasFaults := sc.faultPlan(schedule)
 
 	target := transport.NewSender(1, path, cc)
 	target.Burst = exp.BurstFor(sc.Proto)
@@ -282,16 +307,9 @@ func Run(sc Scenario, schedule Schedule, seed int64) *RunContext {
 	target.Start()
 
 	var competitors []*transport.Sender
-	schedule.apply(s, sc, link, func(i int, g Segment) func() {
-		snd := transport.NewSender(2+i, path, exp.NewController(s, g.Proto))
-		snd.Burst = exp.BurstFor(g.Proto)
-		snd.Survival = hasFaults
-		snd.Start()
-		competitors = append(competitors, snd)
-		return snd.Stop
-	})
+	schedule.apply(s, sc, path.Link, competitor(s, path, hasFaults, &competitors))
 	if hasFaults {
-		chaos.ApplySim(s, link, path, faultPlan, sc.Duration)
+		chaos.ApplySim(s, path.Link, path, faultPlan, sc.Duration)
 	}
 
 	n := int(math.Ceil(sc.Duration))
@@ -322,7 +340,7 @@ func Run(sc Scenario, schedule Schedule, seed int64) *RunContext {
 
 	rc.Events = rec.Events(1)
 	rc.Acked = target.AckedBytes()
-	rc.LinkStats = link.Stats()
+	rc.LinkStats = path.Link.Stats()
 	return rc
 }
 

@@ -57,7 +57,7 @@ const (
 
 	// Fault segments: these name chaos-model faults (internal/chaos)
 	// rather than link-parameter perturbations, and are applied through
-	// chaos.ApplySim so the identical plan can replay on the wire shim.
+	// chaos.ApplySim, under the simulated target and the engine one alike.
 	// Their kind strings equal the chaos.Kind strings so a schedule's
 	// fault subset converts to a chaos.Plan by name.
 
@@ -366,10 +366,9 @@ func (s Schedule) QueueCapAt(sc Scenario, t float64) int {
 }
 
 // FaultPlan extracts the schedule's fault segments as a canonical
-// chaos plan, and reports whether there were any. The plan replays
-// identically through chaos.ApplySim (simulator) and the wire shim's
-// chaos executor, which is what lets a fault counterexample be
-// re-verified in both worlds.
+// chaos plan, and reports whether there were any. chaos.ApplySim puts
+// the plan on the path whichever sender is the target, which is what
+// lets a fault counterexample be re-verified against the engine.
 func (s Schedule) FaultPlan() (chaos.Plan, bool) {
 	var p chaos.Plan
 	for _, g := range s.Segments {
@@ -433,39 +432,24 @@ func (s Schedule) envOverlaps(a, b float64) bool {
 	return false
 }
 
-// apply schedules the perturbations on a live simulation: one event per
-// environment change boundary (each event re-derives the full link
-// state from the pure functions above), plus start/stop events for
-// competing flows. spawnFlow is called at a flow segment's start with
-// the segment's index among flow segments; it returns a stop function
-// invoked at the segment's end.
-func (s Schedule) apply(sm *sim.Sim, sc Scenario, link *netem.Link, spawnFlow func(i int, g Segment) func()) {
+// boundaries returns, in order, the times in (0, Duration] at which the
+// path's operating point may change: segment edges, oscillation
+// half-periods, and — a path model makes the base itself time-varying —
+// every model step, whether or not a segment is active there.
+func (s Schedule) boundaries(sc Scenario) []float64 {
 	boundaries := map[float64]struct{}{}
 	addB := func(t float64) {
 		if t > 0 && t <= sc.Duration {
 			boundaries[t] = struct{}{}
 		}
 	}
-	// A path model makes the base itself time-varying: every model step
-	// is a change boundary, whether or not a segment is active there.
 	if sc.model != nil {
 		for _, st := range pathmodel.Steps(sc.model, sc.Duration) {
 			addB(st.At)
 		}
 	}
-	flowIdx := 0
 	for _, g := range s.Segments {
-		if isFaultKind(g.Kind) {
-			continue // applied separately via chaos.ApplySim
-		}
-		if g.Kind == KindFlow {
-			i := flowIdx
-			seg := g
-			flowIdx++
-			sm.At(g.At, func() {
-				stop := spawnFlow(i, seg)
-				sm.At(seg.end(), stop)
-			})
+		if isFaultKind(g.Kind) || g.Kind == KindFlow {
 			continue
 		}
 		addB(g.At)
@@ -481,7 +465,31 @@ func (s Schedule) apply(sm *sim.Sim, sc Scenario, link *netem.Link, spawnFlow fu
 		times = append(times, t)
 	}
 	sort.Float64s(times)
-	for _, t := range times {
+	return times
+}
+
+// apply schedules the perturbations on a live simulation: start/stop
+// events for competing flows, then one event per environment change
+// boundary (each event re-derives the full link state from the pure
+// functions above; fault segments go separately, via chaos.ApplySim).
+// spawnFlow is called at a flow segment's start with the segment's index
+// among flow segments; it returns a stop function invoked at the
+// segment's end.
+func (s Schedule) apply(sm *sim.Sim, sc Scenario, link *netem.Link, spawnFlow func(i int, g Segment) func()) {
+	flowIdx := 0
+	for _, g := range s.Segments {
+		if g.Kind != KindFlow {
+			continue
+		}
+		i := flowIdx
+		seg := g
+		flowIdx++
+		sm.At(g.At, func() {
+			stop := spawnFlow(i, seg)
+			sm.At(seg.end(), stop)
+		})
+	}
+	for _, t := range s.boundaries(sc) {
 		t := t
 		sm.At(t, func() {
 			link.Rate = s.RateAt(sc, t) * 1e6 / 8

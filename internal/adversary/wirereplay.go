@@ -3,55 +3,42 @@ package adversary
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"strings"
 
-	"pccproteus/internal/chaos"
-	"pccproteus/internal/core"
 	"pccproteus/internal/engine"
-	"pccproteus/internal/exp"
-	"pccproteus/internal/pathmodel"
+	"pccproteus/internal/sim"
 	"pccproteus/internal/transport"
-	"pccproteus/internal/wire"
 )
 
-// Wire replay: a counterexample's impairment schedule, re-executed on
-// the real UDP loopback datapath through the wire shim. The sim
-// invariants cannot be re-judged there (wire runs are single-flow and
-// real-time-compressed), so the wire pass checks its own, weaker
-// properties — ones that must hold in any datapath claiming to emulate
-// the schedule:
+// Wire replay: a counterexample's run with the target moved from the
+// simulated transport onto the real datapath — an engine flow between
+// two engines on an engine.SimNet, across the path Run builds, under the
+// schedule Run applies, second for second. Competitor flows stay
+// simulated senders on the same bottleneck. The sim invariants are
+// calibrated on the simulated sender's timelines and are not re-judged;
+// the wire pass checks properties that must hold for any sender on that
+// path:
 //
 //   - wire-capacity: acked throughput cannot exceed the time-integral
-//     of the emulated capacity (with slack for the queue draining).
+//     of the schedule's capacity (with slack for the queue draining).
 //   - wire-progress: the flow must not stall outright.
+//   - wire-finite: the datapath's own statistics stay sane.
 //
 // A counterexample that violates a sim invariant AND breaks these on
-// the wire points at a controller bug; one that replays cleanly on the
-// wire localizes the issue to sim-only dynamics.
-const (
-	// wireReplayDur is the real-time length of a wire replay. Hunt
-	// schedules span 60–90 virtual seconds; replaying them 1:1 would
-	// make `-replay -wire` painfully slow, so the schedule's timeline is
-	// compressed onto this many wall seconds (rates, delays and loss
-	// probabilities are preserved; only event times shrink).
-	wireReplayDur = 12.0
+// the engine points at a controller bug; one that replays cleanly
+// localizes the issue to the simulated sender's dynamics.
 
-	// wireCapTol is the slack factor on the capacity integral: the
-	// receiver can momentarily ack faster than the long-run capacity
-	// while the bottleneck queue drains.
-	wireCapTol = 1.1
-)
+// wireCapTol is the slack factor on the capacity integral: the
+// receiver can momentarily ack faster than the long-run capacity
+// while the bottleneck queue drains.
+const wireCapTol = 1.1
 
-// WireReplay is the outcome of one counterexample replay on the wire.
+// WireReplay is the outcome of one counterexample replay on the engine.
 type WireReplay struct {
 	Scenario     Scenario
-	TimeScale    float64 // virtual seconds per wire second
-	Updates      []wire.ShimUpdate
-	FaultPlan    *chaos.Plan // fault segments on the compressed clock, nil if none
-	SkippedFlows int         // flow segments the single-flow wire path cannot run
-	Result       *engine.ShimLoopbackResult
+	Schedule     Schedule // canonical, as applied
+	CapacityMbps float64  // the schedule's RateAt, averaged over the run
+	Result       *engine.SimLoopbackResult
 	Verdicts     []Verdict
 	Violations   []Verdict
 }
@@ -59,124 +46,46 @@ type WireReplay struct {
 // OK reports whether every wire invariant held.
 func (w *WireReplay) OK() bool { return len(w.Violations) == 0 }
 
-// WireSchedule compiles a counterexample's environment segments into
-// timed shim updates on a compressed clock. Each update carries the
-// full path state sampled from the same pure functions the simulator
-// applied (RateAt/LossAt/DelayAt/QueueCapAt), so the wire shim walks
-// through exactly the sequence of operating points the sim run did.
-// Flow segments have no wire equivalent and are counted, not applied.
-func WireSchedule(ce *Counterexample) (updates []wire.ShimUpdate, timeScale float64, skippedFlows int) {
-	sc := ce.Scenario.withModel()
-	sch := ce.Schedule.Canonical(sc)
-	timeScale = sc.Duration / wireReplayDur
-	if timeScale < 1 {
-		timeScale = 1
+// capacityMbps integrates the schedule's capacity over [0, Duration]
+// along its own change boundaries and returns the time average.
+func (s Schedule) capacityMbps(sc Scenario) float64 {
+	sum, from := 0.0, 0.0
+	for _, t := range append(s.boundaries(sc), sc.Duration) {
+		sum += s.RateAt(sc, from) * (t - from)
+		from = t
 	}
-	boundaries := map[float64]struct{}{}
-	add := func(t float64) {
-		if t > 0 && t <= sc.Duration {
-			boundaries[t] = struct{}{}
-		}
-	}
-	// Path-model steps are change boundaries exactly as in the sim
-	// applier, so the compressed wire schedule walks the same operating
-	// points.
-	if sc.model != nil {
-		for _, st := range pathmodel.Steps(sc.model, sc.Duration) {
-			add(st.At)
-		}
-	}
-	for _, g := range sch.Segments {
-		if g.Kind == KindFlow {
-			skippedFlows++
-			continue
-		}
-		if isFaultKind(g.Kind) {
-			continue // replayed via the shim's chaos executor, not shim updates
-		}
-		add(g.At)
-		add(g.end())
-		if g.Kind == KindBWOsc {
-			for t := g.At + g.Value; t < g.end(); t += g.Value {
-				add(t)
-			}
-		}
-	}
-	times := make([]float64, 0, len(boundaries))
-	for t := range boundaries {
-		times = append(times, t)
-	}
-	sort.Float64s(times)
-	for _, t := range times {
-		updates = append(updates, wire.ShimUpdate{
-			At:         t / timeScale,
-			RateMbps:   sch.RateAt(sc, t),
-			LossProb:   sch.LossAt(t),
-			ExtraDelay: sch.DelayAt(sc, t) - sc.RTT/2,
-			QueueBytes: sch.QueueCapAt(sc, t),
-		})
-	}
-	return updates, timeScale, skippedFlows
+	return sum / sc.Duration
 }
 
-// ReplayWire runs the counterexample's schedule through the wire shim
-// and judges the wire invariants. It runs for wireReplayDur real
-// seconds.
+// ReplayWire runs the counterexample's schedule against an engine flow
+// in virtual time and judges the wire invariants. Like Run it is a pure
+// function of the counterexample.
 func ReplayWire(ce *Counterexample) (*WireReplay, error) {
 	sc := ce.Scenario
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	sc = sc.withModel()
-	updates, timeScale, skipped := WireSchedule(ce)
-	w := &WireReplay{
-		Scenario: sc, TimeScale: timeScale,
-		Updates: updates, SkippedFlows: skipped,
-	}
-	// Fault segments ride the same compressed clock as the shim updates:
-	// the schedule's chaos plan, scaled onto wire time, replays through
-	// the loopback harness's chaos executor.
-	var chaosPlan *chaos.Plan
-	plan, ok := ce.Schedule.Canonical(sc).FaultPlan()
-	if sc.model != nil {
-		if mp, mok := pathmodel.FaultPlan(sc.model, sc.Duration); mok {
-			plan = pathmodel.MergePlans(plan, mp)
-			ok = true
-		}
-	}
-	if ok {
-		scaled := plan.Scale(timeScale)
-		chaosPlan = &scaled
-		w.FaultPlan = &scaled
-	}
-	rng := rand.New(rand.NewSource(wire.MixSeed(ce.Seed, 0x9a)))
-	var cc transport.Controller
-	if sc.Proto == exp.ProtoProteusH {
-		c, h := core.NewProteusH(rng)
-		h.SetThreshold(hybridThresholdFor(sc))
-		cc = c
-	} else {
-		cc = exp.NewControllerRNG(rng, sc.Proto)
-	}
-	res, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
-		CC: cc,
-		Shim: wire.ShimConfig{
-			RateMbps:   sc.LinkMbps,
-			QueueBytes: sc.BufBytes,
-			Delay:      sc.RTT / 2,
-			AckDelay:   sc.RTT / 2,
-			Seed:       wire.MixSeed(ce.Seed, 0x3c),
-		},
-		Duration:    wireReplayDur,
-		MeasureFrom: sc.Warmup / timeScale,
-		Schedule:    updates,
-		Chaos:       chaosPlan,
-	})
+	schedule := ce.Schedule.Canonical(sc)
+	w := &WireReplay{Scenario: sc, Schedule: schedule, CapacityMbps: schedule.capacityMbps(sc)}
+
+	s := sim.New(ce.Seed)
+	path := sc.newPath(s, schedule)
+	cc, _ := sc.newController(s)
+	lb, err := engine.NewSimLoopback(s, path, cc)
 	if err != nil {
 		return nil, err
 	}
-	w.Result = res
-	w.Verdicts = checkWire(res)
+	plan, hasFaults := sc.faultPlan(schedule)
+	var competitors []*transport.Sender
+	schedule.apply(s, sc, path.Link, competitor(s, path, hasFaults, &competitors))
+	if hasFaults {
+		if err := lb.Install(nil, &plan, sc.Duration); err != nil {
+			return nil, err
+		}
+	}
+	w.Result = lb.Run(sc.Duration, sc.Warmup)
+	w.Verdicts = w.check()
 	for _, v := range w.Verdicts {
 		if v.Violated() {
 			w.Violations = append(w.Violations, v)
@@ -185,30 +94,24 @@ func ReplayWire(ce *Counterexample) (*WireReplay, error) {
 	return w, nil
 }
 
-// checkWire evaluates the wire invariants on a finished loopback run.
-func checkWire(res *engine.ShimLoopbackResult) []Verdict {
-	// wire-capacity: acked bytes vs the capacity integral the shim
-	// actually emulated (rate changes included), with queue-drain slack.
+// check evaluates the wire invariants on the finished run.
+func (w *WireReplay) check() []Verdict {
+	res := w.Result
+	// wire-capacity: acked bytes vs the capacity integral of the
+	// schedule (rate changes included), with queue-drain slack.
 	capV := Verdict{Invariant: "wire-capacity", Margin: 1}
-	if allowed := wireCapTol * res.CapacityMbps; allowed > 0 {
-		acked := float64(res.Flow.AckedBytes) * 8 / 1e6 / wireReplayDur
+	if allowed := wireCapTol * w.CapacityMbps; allowed > 0 {
+		acked := float64(res.Flow.AckedBytes) * 8 / 1e6 / w.Scenario.Duration
 		capV.Margin = clamp((allowed-acked)/allowed, -1, 1)
 		capV.Detail = fmt.Sprintf("acked %.2f Mbps vs %.2f allowed (cap %.2f × %.1f)",
-			acked, allowed, res.CapacityMbps, wireCapTol)
+			acked, allowed, w.CapacityMbps, wireCapTol)
 	}
-	// wire-progress: the compressed schedule must not stall the flow.
+	// wire-progress: the schedule must not stall the flow.
 	progV := Verdict{Invariant: "wire-progress"}
-	meas := 0.0
-	n := 0
-	for _, m := range res.PerSecMbps[len(res.PerSecMbps)/2:] {
-		meas += m
-		n++
-	}
-	if n > 0 {
-		meas /= float64(n)
-	}
+	tail := res.PerSecMbps[len(res.PerSecMbps)/2:]
+	meas := meanOver(tail, 0, len(tail))
 	progV.Margin = clamp(meas/progressFloor-1, -1, 1)
-	progV.Detail = fmt.Sprintf("%.3f Mbps over the last %d s (floor %.2g)", meas, n, progressFloor)
+	progV.Detail = fmt.Sprintf("%.3f Mbps over the last %d s (floor %.2g)", meas, len(tail), progressFloor)
 	// wire-finite: the datapath's own numbers stay sane.
 	finV := Verdict{Invariant: "wire-finite", Margin: 1}
 	for _, x := range []float64{res.Mbps, res.MeanRTT, res.P95RTT, res.LossRate} {
@@ -224,21 +127,13 @@ func checkWire(res *engine.ShimLoopbackResult) []Verdict {
 // Render formats the replay for the CLI.
 func (w *WireReplay) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Wire replay: %s, compressed ×%.1f onto %.0f s\n",
-		w.Scenario, w.TimeScale, wireReplayDur)
-	fmt.Fprintf(&b, "shim updates: %d", len(w.Updates))
-	if w.FaultPlan != nil {
-		fmt.Fprintf(&b, "  chaos faults: %d", len(w.FaultPlan.Faults))
-	}
-	if w.SkippedFlows > 0 {
-		fmt.Fprintf(&b, "  (skipped %d flow segment(s): wire path is single-flow)", w.SkippedFlows)
-	}
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "# Wire replay (engine flow, virtual time): %s\n", w.Scenario)
+	fmt.Fprintf(&b, "schedule: %s\n", w.Schedule)
 	r := w.Result
 	fmt.Fprintf(&b, "throughput %.2f Mbps  meanRTT %.1f ms  p95RTT %.1f ms  loss %.2f%%  capacity(avg) %.2f Mbps\n",
-		r.Mbps, r.MeanRTT*1e3, r.P95RTT*1e3, r.LossRate*100, r.CapacityMbps)
-	fmt.Fprintf(&b, "shim: enq=%d drop=%d rand-loss=%d delivered=%d acks=%d overflow=%d\n",
-		r.Shim.Enqueued, r.Shim.Dropped, r.Shim.LostRandom, r.Shim.Delivered, r.Shim.AcksRelay, r.Shim.Overflow)
+		r.Mbps, r.MeanRTT*1e3, r.P95RTT*1e3, r.LossRate*100, w.CapacityMbps)
+	fmt.Fprintf(&b, "link: enq=%d drop=%d rand-loss=%d fault-drop=%d delivered=%d\n",
+		r.Link.Enqueued, r.Link.Dropped, r.Link.LostRandom, r.Link.FaultDrop, r.Link.Delivered)
 	for _, v := range w.Verdicts {
 		fmt.Fprintf(&b, "%s\n", v)
 	}

@@ -1,16 +1,15 @@
-// Package chaos is the cross-world fault-injection model: a seeded,
-// deterministic plan of path faults — link blackout, ack-path
-// blackout, corruption, duplication, severe reordering, peer
-// restart/rebind, clock jump — that applies identically to the
-// discrete-event world (internal/sim + internal/netem) and, compiled
-// to the same schedule, to the real-UDP world (the internal/wire
-// impairment shim). Any fault plan can therefore be replayed
-// sim-vs-wire like the parity table, with matching loss and outage
-// attribution.
+// Package chaos is the fault-injection model: a seeded, deterministic
+// plan of path faults — link blackout, ack-path blackout, corruption,
+// duplication, severe reordering, peer restart/rebind, clock jump —
+// with one applier, ApplySim, that sets them on a netem link and path.
+// The path carries the simulated transport's packets or, under
+// engine.SimNet, the real datapath's datagrams, so any fault plan
+// replays against both senders like the parity table, with the same
+// loss and outage attribution counters.
 //
 // The model is pure: PathState(t) is a function of the plan alone, so
-// both appliers derive the path's fault state from the same arithmetic
-// rather than from accumulated mutations.
+// the path's fault state at a step is derived from the plan's
+// arithmetic rather than from accumulated mutations.
 package chaos
 
 import (
@@ -348,21 +347,4 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// Scale returns the plan with every time (activation and duration,
-// but not probabilities or offsets) divided by factor — used by the
-// wire replayer, which compresses long simulated scenarios into
-// shorter real-time runs.
-func (p Plan) Scale(factor float64) Plan {
-	if factor == 1 || factor <= 0 {
-		return p
-	}
-	out := Plan{Seed: p.Seed, Faults: make([]Fault, len(p.Faults))}
-	for i, f := range p.Faults {
-		f.At /= factor
-		f.Dur /= factor
-		out.Faults[i] = f
-	}
-	return out
 }

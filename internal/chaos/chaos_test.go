@@ -116,20 +116,6 @@ func TestStepsDeterministic(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	p := Plan{Seed: 1, Faults: []Fault{{Kind: KindBlackout, At: 8, Dur: 4}, {Kind: KindCorrupt, At: 2, Dur: 2, Value: 0.25}}}
-	sc := p.Scale(4)
-	if sc.Faults[0].At != 2 || sc.Faults[0].Dur != 1 {
-		t.Fatalf("times not scaled: %+v", sc.Faults[0])
-	}
-	if sc.Faults[1].Value != 0.25 {
-		t.Fatal("probabilities must not scale")
-	}
-	if !reflect.DeepEqual(p, p.Scale(1)) || !reflect.DeepEqual(p, p.Scale(0)) {
-		t.Fatal("factor 1 or non-positive must be identity")
-	}
-}
-
 func TestTransitions(t *testing.T) {
 	evs := Transitions(PathState{}, PathState{LinkDown: true, AckDown: true})
 	if len(evs) != 1 || evs[0].Name != string(KindBlackout) || evs[0].Active != 1 {

@@ -13,7 +13,7 @@ import (
 // no mmsghdr/iovec staging to keep.
 type mmsgState struct{}
 
-func (sh *shard) initBatch() {}
+func (p *udpPort) initBatch() {}
 
 // minReadWait is the shortest read deadline the fallback sets: a
 // deadline that has already expired makes the read return i/o timeout
@@ -25,9 +25,10 @@ const minReadWait = 20 * time.Microsecond
 // the ordinary blocking read — the portable half of the batch-I/O
 // matrix. Returns the number of datagrams staged (0 on timeout, so
 // the event loop runs its timers), or -1 when the socket is closed.
-func (sh *shard) readBatch(wait time.Duration) int {
-	sh.parkRead(max(wait, minReadWait))
-	n, src, err := sh.conn.ReadFromUDPAddrPort(sh.rxBufs[0])
+func (p *udpPort) readBatch(wait time.Duration) int {
+	sh := p.sh
+	p.parkRead(max(wait, minReadWait))
+	n, src, err := p.conn.ReadFromUDPAddrPort(sh.rxBufs[0])
 	if err != nil {
 		if wire.IsTimeout(err) {
 			return 0
@@ -49,10 +50,11 @@ func (sh *shard) readBatch(wait time.Duration) int {
 // fail to send are dropped, exactly as a full socket buffer drops
 // them on the batched path. Send errors still feed the overload
 // detector's streak signal so buffer exhaustion is visible here too.
-func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
+func (p *udpPort) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
+	sh := p.sh
 	errs := 0
-	for i, p := range pkts {
-		if _, err := sh.conn.WriteToUDPAddrPort(p, addrs[i]); err != nil && !wire.IsClosed(err) {
+	for i, b := range pkts {
+		if _, err := p.conn.WriteToUDPAddrPort(b, addrs[i]); err != nil && !wire.IsClosed(err) {
 			errs++
 		}
 	}

@@ -143,15 +143,16 @@ func (m *mmsgState) initTx(n int) {
 	}
 }
 
-func (sh *shard) initBatch() {
-	rc, err := sh.conn.SyscallConn()
+func (p *udpPort) initBatch() {
+	sh := p.sh
+	rc, err := p.conn.SyscallConn()
 	if err != nil {
 		// Leave m.rc nil: readBatch degrades to the closed path and the
 		// engine reports nothing sendable — in practice SyscallConn on a
 		// healthy *net.UDPConn does not fail.
 		return
 	}
-	m := &sh.mmsg
+	m := &p.mmsg
 	m.rc = rc
 	n := sh.batchSize
 	m.initTx(n)
@@ -244,8 +245,8 @@ func (sh *shard) initBatch() {
 // run), or -1 on a closed socket. With wait ≤ 0 it still issues one
 // non-blocking recvmmsg: RawConn.Read would return i/o timeout on an
 // already-expired deadline without making the syscall at all.
-func (sh *shard) readBatch(wait time.Duration) int {
-	m := &sh.mmsg
+func (p *udpPort) readBatch(wait time.Duration) int {
+	sh, m := p.sh, &p.mmsg
 	if m.rc == nil {
 		return -1
 	}
@@ -264,7 +265,7 @@ func (sh *shard) readBatch(wait time.Duration) int {
 	if wait <= 0 {
 		err = m.rc.Control(m.pollFn)
 	} else {
-		sh.parkRead(wait)
+		p.parkRead(wait)
 		err = m.rc.Read(m.readFn)
 	}
 	if err != nil {
@@ -296,26 +297,26 @@ func (sh *shard) readBatch(wait time.Duration) int {
 // partial sends allow, coalescing same-destination runs into UDP GSO
 // segmented sends when the kernel supports them. Undeliverable
 // datagrams are dropped — UDP semantics, same as the fallback path.
-func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
-	m := &sh.mmsg
+func (p *udpPort) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
+	sh, m := p.sh, &p.mmsg
 	if m.rc == nil {
 		return
 	}
 	if m.gso {
-		m.wTot = sh.buildGSO(pkts, addrs)
+		m.wTot = p.buildGSO(pkts, addrs)
 	} else {
 		for i := range pkts {
 			m.wiovs[i].Base = &pkts[i][0]
 			m.wiovs[i].SetLen(len(pkts[i]))
 			m.whdrs[i].hdr.Iov = &m.wiovs[i]
 			m.whdrs[i].hdr.Iovlen = 1
-			m.whdrs[i].hdr.Namelen = putSockaddr(&m.wnames[i], addrs[i], sh.v6)
+			m.whdrs[i].hdr.Namelen = putSockaddr(&m.wnames[i], addrs[i], p.v6)
 			m.wsegs[i] = 1
 		}
 		m.wTot = len(pkts)
 	}
 	m.wOff = 0
-	sh.conn.SetWriteDeadline(time.Now().Add(10 * time.Millisecond))
+	p.conn.SetWriteDeadline(time.Now().Add(10 * time.Millisecond))
 	// ENOBUFS/ENOMEM adaptive backoff: the socket stays "writable" (no
 	// netpoller park), so spinning would burn the core while starving
 	// the kernel of the grace it needs to drain. Micro-sleep with
@@ -327,7 +328,7 @@ func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 	for m.wOff < m.wTot {
 		m.wSoft = false
 		if err := m.rc.Write(m.writeFn); err != nil {
-			sh.noteTxFlush(pkts, true)
+			p.noteTxFlush(pkts, true)
 			return // closed or write-deadline: drop the remainder
 		}
 		if m.wSoft {
@@ -344,13 +345,13 @@ func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 			}
 		}
 	}
-	sh.noteTxFlush(pkts, sawSoft)
+	p.noteTxFlush(pkts, sawSoft)
 }
 
 // noteTxFlush feeds the overload detector's tx signals after a flush:
 // the soft-error streak and the unsent fraction of this batch.
-func (sh *shard) noteTxFlush(pkts [][]byte, soft bool) {
-	m := &sh.mmsg
+func (p *udpPort) noteTxFlush(pkts [][]byte, soft bool) {
+	sh, m := p.sh, &p.mmsg
 	if soft {
 		sh.txErrStreak++
 	} else {
@@ -373,8 +374,8 @@ func (sh *shard) noteTxFlush(pkts [][]byte, soft bool) {
 // previous one of its entry ended extends that iovec instead of opening
 // a new one (addresses compared as integers; no pointer past the arena
 // is formed). Returns the entry count.
-func (sh *shard) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
-	m := &sh.mmsg
+func (p *udpPort) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
+	m := &p.mmsg
 	nd := 0
 	m.gflat = m.gflat[:0]
 	for i := range addrs {
@@ -422,7 +423,7 @@ func (sh *shard) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
 			h := &m.whdrs[e].hdr
 			h.Iov = &m.wiovs[first]
 			h.Iovlen = uint64(iov - first)
-			h.Namelen = putSockaddr(&m.wnames[e], dst, sh.v6)
+			h.Namelen = putSockaddr(&m.wnames[e], dst, p.v6)
 			if segs > 1 {
 				m.wctrl[e] = cmsgGSO{clen: 18, level: solUDP, typ: udpSegment, size: uint16(segSize)}
 				h.Control = (*byte)(unsafe.Pointer(&m.wctrl[e]))
@@ -447,7 +448,7 @@ func (sh *shard) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
 		h := &m.whdrs[e].hdr
 		h.Iov = &m.wiovs[iov]
 		h.Iovlen = 1
-		h.Namelen = putSockaddr(&m.wnames[e], addrs[i], sh.v6)
+		h.Namelen = putSockaddr(&m.wnames[e], addrs[i], p.v6)
 		h.Control = nil
 		h.SetControllen(0)
 		m.wsegs[e] = 1

@@ -93,10 +93,11 @@ func TestBuildGSOStaging(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sh := newTestShard(t, Config{BatchSize: 256})
-			sh.mmsg.initTx(sh.batchSize)
+			p := &udpPort{sh: sh} // staging needs no socket
+			p.mmsg.initTx(sh.batchSize)
 			stage(sh, tc.steps, testDst)
-			m := &sh.mmsg
-			n := sh.buildGSO(sh.txq, sh.txAddrs)
+			m := &p.mmsg
+			n := p.buildGSO(sh.txq, sh.txAddrs)
 			if n != len(tc.want) {
 				t.Fatalf("%d entries, want %d", n, len(tc.want))
 			}
@@ -194,14 +195,14 @@ func TestWriteBatchLoopbackRoundTrip(t *testing.T) {
 		want[st.dst] = append(want[st.dst], append([]byte(nil), sh.txq[i]...))
 	}
 	sh.flushTx()
-	if got := sh.ctr.txPkts.Load(); got != int64(len(steps)) || sh.mmsg.wSkip != 0 {
-		t.Fatalf("flush sent %d of %d datagrams, %d skipped", got, len(steps), sh.mmsg.wSkip)
+	if got, skipped := sh.ctr.txPkts.Load(), sh.port.(*udpPort).mmsg.wSkip; got != int64(len(steps)) || skipped != 0 {
+		t.Fatalf("flush sent %d of %d datagrams, %d skipped", got, len(steps), skipped)
 	}
 	for d, rsh := range rx.shards {
 		var got [][]byte
 		deadline := time.Now().Add(5 * time.Second)
 		for len(got) < len(want[d]) && time.Now().Before(deadline) {
-			n := rsh.readBatch(100 * time.Millisecond)
+			n := rsh.port.readBatch(100 * time.Millisecond)
 			for i := 0; i < n; i++ {
 				b := rsh.rxBufs[i][:rsh.rxLens[i]]
 				g := rsh.rxSegs[i]

@@ -33,35 +33,36 @@ func (c *FixedRateCC) CWnd() float64 {
 }
 
 // hotpathHarness wires one sender flow and one receiver flow through
-// two socketless shards, shuttling packets in memory. It exercises
-// the full per-packet path — pump/emit, codec encode, flow-table
-// dispatch, AckTracker, ack encode, ack dispatch, RACK bookkeeping,
-// wheel re-arm — with no syscalls, which is exactly the surface the
-// zero-allocation gate covers.
+// two shards on in-memory ports that write into each other's inbox,
+// stepping the clock by hand. It exercises the full per-packet path —
+// pump/emit, codec encode, flow-table dispatch, AckTracker, ack encode,
+// ack dispatch, RACK bookkeeping, wheel re-arm — with no syscalls, which
+// is exactly the surface the zero-allocation gate covers.
 type hotpathHarness struct {
-	sndShard *shard
-	rcvShard *shard
-	f        *flow
-	now      float64
-	sndAddr  netip.AddrPort
-	rcvAddr  netip.AddrPort
-	carry    [][]byte // reused staging for in-memory packet transfer
+	sndShard, rcvShard *shard
+	snd, rcv           *memPort
+	f                  *flow
+	now                float64
+	rcvAddr            netip.AddrPort
 }
 
 func newHotpathHarness(packetSize int) *hotpathHarness {
-	// BatchSize must exceed any one step's packet output: on a
-	// socketless shard, queueTx's batch-full auto-flush would rewind
-	// (= drop) the staged packets before step() can hand them over.
-	eng := &Engine{cfg: Config{BatchSize: 4096}.withDefaults(), clock: wire.NewClock(), done: make(chan struct{})}
+	eng := &Engine{cfg: Config{}.withDefaults(), done: make(chan struct{})}
 	h := &hotpathHarness{
-		sndShard: newShard(eng, 0, nil),
-		rcvShard: newShard(eng, 1, nil),
-		sndAddr:  netip.MustParseAddrPort("127.0.0.1:40001"),
+		sndShard: newShard(eng, 0),
+		rcvShard: newShard(eng, 1),
 		rcvAddr:  netip.MustParseAddrPort("127.0.0.1:40002"),
 		// Mid-slot: on a boundary, rounding would decide which slot a
 		// step's timers land in, and which slot slices grow would drift.
 		now: wheelGran / 2,
 	}
+	clk := wire.VirtualClock(func() float64 { return h.now })
+	sndAddr := netip.MustParseAddrPort("127.0.0.1:40001")
+	h.snd, h.rcv = newMemPort(h.sndShard, clk), newMemPort(h.rcvShard, clk)
+	h.snd.send = func(_ netip.AddrPort, b []byte) { h.rcv.push(sndAddr, b) }
+	h.rcv.send = func(_ netip.AddrPort, b []byte) { h.snd.push(h.rcvAddr, b) }
+	h.sndShard.attach(h.snd, sndAddr)
+	h.rcvShard.attach(h.rcv, h.rcvAddr)
 	// Unbounded pacing (rate above MaxFiniteRate refills the bucket on
 	// every Advance) with a window bound: the flow is ack-clocked, so
 	// inflight — and with it the book the ack path walks — stays pinned
@@ -95,32 +96,15 @@ func RunHotpathBench(b *testing.B) {
 	}
 }
 
-// step emits up to burst packets, delivers them to the receiver
-// shard, and feeds the acks back — one full round of the per-packet
-// hot path. Returns the number of data packets cycled.
+// step advances the clock a millisecond and runs each shard's loop until
+// it would sleep: the sender's timers fire and its window goes out, the
+// receiver acks it, the acks reopen the window — one full round of the
+// per-packet hot path. Returns the number of data packets sent.
 func (h *hotpathHarness) step() int {
 	h.now += 0.001
-	// Drive the wheels exactly like the shard loop does: fires re-arm
-	// and their entries drain, so slot slices stay bounded. (Calling
-	// service directly would leave every re-arm's entry behind.)
-	h.sndShard.fireNow = h.now
-	h.sndShard.wh.advance(h.now, h.sndShard.fireFn)
-	h.rcvShard.fireNow = h.now
-	h.rcvShard.wh.advance(h.now, h.rcvShard.fireFn)
-	n := len(h.sndShard.txq)
-	// Move data packets to the receiver shard: dispatch reads the bytes
-	// synchronously and writes only the receiver's arena, so the sender's
-	// can be rewound before they are read.
-	h.carry = append(h.carry[:0], h.sndShard.txq...)
-	h.sndShard.resetTx()
-	for _, p := range h.carry {
-		h.rcvShard.dispatch(h.sndAddr, p, h.now)
-	}
-	// Acks flow back into the sender shard.
-	h.carry = append(h.carry[:0], h.rcvShard.txq...)
-	h.rcvShard.resetTx()
-	for _, p := range h.carry {
-		h.sndShard.dispatch(h.rcvAddr, p, h.now)
-	}
-	return n
+	sent := h.sndShard.ctr.txPkts.Load()
+	h.snd.turn()
+	h.rcv.turn()
+	h.snd.turn()
+	return int(h.sndShard.ctr.txPkts.Load() - sent)
 }

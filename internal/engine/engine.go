@@ -198,10 +198,10 @@ type Stats struct {
 }
 
 // Engine runs wire flows on a fixed set of shard event loops. Create
-// with New, Start it, add flows, Stop when done.
+// with New (UDP sockets, real time) or SimNet.NewEngine (an in-memory
+// network in virtual time), Start it, add flows, Stop when done.
 type Engine struct {
 	cfg     Config
-	clock   wire.Clock
 	shards  []*shard
 	nextID  atomic.Uint32
 	rr      atomic.Uint32
@@ -229,7 +229,8 @@ func New(cfg Config) (*Engine, error) {
 	if ip == nil {
 		return nil, fmt.Errorf("engine: bad listen IP %q", cfg.ListenIP)
 	}
-	e := &Engine{cfg: cfg, clock: wire.NewClock(), done: make(chan struct{})}
+	e := &Engine{cfg: cfg, done: make(chan struct{})}
+	clk := wire.NewClock()
 	for i := 0; i < cfg.Shards; i++ {
 		port := 0
 		if cfg.ListenPort != 0 {
@@ -237,18 +238,12 @@ func New(cfg Config) (*Engine, error) {
 		}
 		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: ip, Port: port})
 		if err != nil {
-			for _, sh := range e.shards {
-				sh.conn.Close()
-			}
+			e.Stop()
 			return nil, err
 		}
-		// As large as default net.core.{r,w}mem_max allow: at engine
-		// rates a shard can be heads-down in timer work for a full
-		// batch's duration, and skb overhead (~2× truesize for small
-		// datagrams) halves the effective packet capacity.
-		conn.SetReadBuffer(1 << 22)
-		conn.SetWriteBuffer(1 << 22)
-		e.shards = append(e.shards, newShard(e, i, conn))
+		sh := newShard(e, i)
+		sh.attach(newUDPPort(sh, conn, clk), conn.LocalAddr().(*net.UDPAddr).AddrPort())
+		e.shards = append(e.shards, sh)
 	}
 	return e, nil
 }
@@ -260,19 +255,18 @@ func (e *Engine) Start() error {
 	}
 	e.started = true
 	for _, sh := range e.shards {
-		e.wg.Add(1)
-		go sh.loop()
+		sh.port.run()
 	}
 	return nil
 }
 
-// Stop terminates every shard loop and closes the sockets. Safe to
-// call more than once.
+// Stop terminates every shard loop and closes the ports. Safe to call
+// more than once.
 func (e *Engine) Stop() {
 	e.stopOnce.Do(func() {
 		close(e.done)
 		for _, sh := range e.shards {
-			sh.conn.Close()
+			sh.port.close()
 		}
 	})
 	e.wg.Wait()

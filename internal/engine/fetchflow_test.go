@@ -145,7 +145,7 @@ func (r *fetchRig) requests() []wire.FetchHeader {
 		}
 		out = append(out, h)
 	}
-	r.sh.resetTx()
+	r.sh.flushTx()
 	return out
 }
 

@@ -244,7 +244,7 @@ func (u unitFlow) sent(t *testing.T) []wire.DataHeader {
 		}
 		out = append(out, h)
 	}
-	u.sh.resetTx()
+	u.sh.flushTx()
 	return out
 }
 
@@ -413,7 +413,7 @@ func TestCompletedSenderReclaimed(t *testing.T) {
 	if len(sh.txq) != 2 || !f.armed {
 		t.Fatalf("first service: %d packets queued, armed=%v; want both packets and a wheel entry", len(sh.txq), f.armed)
 	}
-	sh.resetTx()
+	sh.flushTx()
 
 	sh.dispatch(src(9000), ackPkt(fl.ID(), 1, 2, sh.clock.NanosAt(0.001)), 0.002)
 	select {
@@ -494,7 +494,7 @@ func TestEnqueueWakesParkedShard(t *testing.T) {
 	const park = time.Hour
 	read := func() chan int {
 		got := make(chan int, 1)
-		go func() { got <- sh.readBatch(park) }()
+		go func() { got <- sh.port.readBatch(park) }()
 		return got
 	}
 	await := func(what string, got chan int) {

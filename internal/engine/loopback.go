@@ -3,11 +3,12 @@ package engine
 import (
 	"errors"
 	"net"
-	"sort"
-	"sync"
 	"time"
 
 	"pccproteus/internal/chaos"
+	"pccproteus/internal/netem"
+	"pccproteus/internal/pathmodel"
+	"pccproteus/internal/sim"
 	"pccproteus/internal/stats"
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
@@ -98,25 +99,19 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 	res := &LoopbackResult{Flows: flows}
 	deadline := time.After(cfg.Duration)
 	if cfg.LimitBytes > 0 {
-		// Wait for completions, bounded by the deadline.
 	wait:
 		for _, fl := range flows {
 			select {
 			case <-fl.Done():
-				res.Completed++
 			case <-deadline:
 				break wait
 			}
 		}
-		// Count any that finished while we were blocked elsewhere.
-		if res.Completed < len(flows) {
-			res.Completed = 0
-			for _, fl := range flows {
-				select {
-				case <-fl.Done():
-					res.Completed++
-				default:
-				}
+		for _, fl := range flows {
+			select {
+			case <-fl.Done():
+				res.Completed++
+			default:
 			}
 		}
 	} else {
@@ -128,11 +123,65 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 	return res, nil
 }
 
-// ShimLoopbackConfig describes one single-process run through an
-// emulated bottleneck: one sender flow → impairment shim → receiver
-// engine over 127.0.0.1 sockets, for Duration real seconds. It is the
-// wire half of every sim-vs-wire gate (parity, path-model parity, chaos
-// soak, adversary replay).
+// LoopbackRun is what one sender flow measured over one run through an
+// emulated bottleneck, on either network.
+type LoopbackRun struct {
+	Mbps       float64 // acked throughput over the measurement window
+	MeanRTT    float64 // seconds, samples within the window
+	P95RTT     float64
+	LossRate   float64 // sender-declared lost packets / sent packets
+	PerSecMbps []float64
+	Flow       FlowStats
+	Recv       Stats
+}
+
+// measure takes the run's statistics off its flow: wait(sec) returns once
+// the run has reached second sec — by sleeping, or by running the
+// simulator that far — and the window is [from, duration].
+func measure(fl *Flow, recv *Engine, duration, from float64, wait func(sec float64)) LoopbackRun {
+	if from <= 0 || from >= duration {
+		from = duration * 0.4
+	}
+	var markAcked int64
+	markRTT := -1
+	mark := func() {
+		wait(from)
+		markAcked, markRTT = fl.Stats().AckedBytes, len(fl.RTTSamples())
+	}
+	run := LoopbackRun{PerSecMbps: make([]float64, 0, int(duration))}
+	var last int64
+	for sec := 1.0; sec <= duration; sec++ {
+		if markRTT < 0 && from <= sec {
+			mark()
+		}
+		wait(sec)
+		acked := fl.Stats().AckedBytes
+		run.PerSecMbps = append(run.PerSecMbps, float64(acked-last)*8/1e6)
+		last = acked
+	}
+	if markRTT < 0 {
+		mark()
+	}
+	wait(duration)
+
+	run.Flow, run.Recv = fl.Stats(), recv.Stats()
+	rtts := fl.RTTSamples()[markRTT:]
+	run.Mbps = float64(run.Flow.AckedBytes-markAcked) * 8 / (duration - from) / 1e6
+	run.MeanRTT, run.P95RTT = stats.Mean(rtts), stats.Percentile(rtts, 95)
+	if run.Flow.SentPkts > 0 {
+		run.LossRate = float64(run.Flow.LostPkts) / float64(run.Flow.SentPkts)
+	}
+	return run
+}
+
+// sleepUntil sleeps until t0+sec.
+func sleepUntil(t0 time.Time, sec float64) {
+	time.Sleep(time.Until(t0.Add(time.Duration(sec * float64(time.Second)))))
+}
+
+// ShimLoopbackConfig describes one single-process run on real sockets:
+// one sender flow → wire.Shim → receiver engine over 127.0.0.1, for
+// Duration real seconds — what `proteusd demo` executes.
 type ShimLoopbackConfig struct {
 	CC   transport.Controller
 	Shim wire.ShimConfig
@@ -141,65 +190,12 @@ type ShimLoopbackConfig struct {
 	// Duration], excluding startup (default 0.4 × Duration).
 	Duration    float64
 	MeasureFrom float64
-	// Schedule, when non-empty, applies timed impairment updates — the
-	// wire-side replay of a path model or an adversary schedule.
-	Schedule []wire.ShimUpdate
-	// Chaos, when non-nil, replays a fault plan against the shim in
-	// real time: the same plan a simulated run applies via
-	// chaos.ApplySim, so fault schedules cross-validate sim vs wire.
-	Chaos *chaos.Plan
 }
 
 // ShimLoopbackResult summarizes one shim loopback run.
 type ShimLoopbackResult struct {
-	Mbps         float64 // acked throughput over the measurement window
-	MeanRTT      float64 // seconds, samples within the window
-	P95RTT       float64
-	LossRate     float64 // sender-declared lost packets / sent packets
-	PerSecMbps   []float64
-	CapacityMbps float64 // time-averaged emulated capacity, whole run
-	Flow         FlowStats
-	Recv         Stats
-	Shim         wire.ShimStats
-}
-
-// sleepUntil sleeps until t0+sec, reporting false if stop closed first.
-func sleepUntil(stop <-chan struct{}, t0 time.Time, sec float64) bool {
-	d := time.Until(t0.Add(time.Duration(sec * float64(time.Second))))
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-stop:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// ReplayChaos replays a fault plan in real time — the wire-side twin
-// of chaos.ApplySim: every state step lands on all shims; a restart
-// flushes their in-flight queues and resets recv's flow state. It
-// returns after the last step inside horizon, or when stop closes.
-func ReplayChaos(stop <-chan struct{}, plan chaos.Plan, horizon float64, recv *Engine, shims ...*wire.Shim) {
-	t0 := time.Now()
-	for _, step := range plan.Canonical().Steps(horizon) {
-		if !sleepUntil(stop, t0, step.At) {
-			return
-		}
-		for _, sh := range shims {
-			if step.Restart {
-				sh.Flush()
-			} else {
-				sh.SetFault(step.State)
-			}
-		}
-		if step.Restart {
-			recv.Reset()
-		}
-	}
+	LoopbackRun
+	Shim wire.ShimStats
 }
 
 // RunShimLoopback executes one scenario end to end and blocks for
@@ -211,9 +207,6 @@ func RunShimLoopback(cfg ShimLoopbackConfig) (*ShimLoopbackResult, error) {
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 10
-	}
-	if cfg.MeasureFrom <= 0 || cfg.MeasureFrom >= cfg.Duration {
-		cfg.MeasureFrom = cfg.Duration * 0.4
 	}
 	snd, recv, err := StartPair(Config{}, Config{})
 	if err != nil {
@@ -233,73 +226,65 @@ func RunShimLoopback(cfg ShimLoopbackConfig) (*ShimLoopbackResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Timed impairment updates and the fault plan each replay from their
-	// own goroutine, stopped and joined before the result is read.
 	t0 := time.Now()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer close(stop)
-	if len(cfg.Schedule) > 0 {
-		upd := append([]wire.ShimUpdate(nil), cfg.Schedule...)
-		sort.Slice(upd, func(i, j int) bool { return upd[i].At < upd[j].At })
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, u := range upd {
-				if !sleepUntil(stop, t0, u.At) {
-					return
-				}
-				shim.Update(u)
-			}
-		}()
-	}
-	if cfg.Chaos != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ReplayChaos(stop, *cfg.Chaos, cfg.Duration, recv, shim)
-		}()
-	}
+	run := measure(fl, recv, cfg.Duration, cfg.MeasureFrom, func(sec float64) { sleepUntil(t0, sec) })
+	return &ShimLoopbackResult{LoopbackRun: run, Shim: shim.Stats()}, nil
+}
 
-	// Per-second goodput, with the measurement window marked on the way.
-	var markAcked int64
-	markRTT := -1
-	mark := func() {
-		sleepUntil(nil, t0, cfg.MeasureFrom)
-		markAcked, markRTT = fl.Stats().AckedBytes, len(fl.RTTSamples())
+// SimLoopback is the same topology in virtual time: one sender flow →
+// path → receiver engine on a SimNet. It is the engine half of every
+// sim-vs-wire gate (parity, path-model parity, chaos soak, adversary
+// replay): the caller builds the path the way the simulator half does,
+// and anything that can be applied to a simulated path applies.
+type SimLoopback struct {
+	S         *sim.Sim
+	Path      *netem.Path
+	Snd, Recv *Engine
+	Flow      *Flow
+}
+
+// NewSimLoopback puts two one-shard engines on path and starts cc's
+// flow across it; nothing moves until Run.
+func NewSimLoopback(s *sim.Sim, path *netem.Path, cc transport.Controller) (*SimLoopback, error) {
+	n := NewSimNet(s)
+	lb := &SimLoopback{S: s, Path: path, Snd: n.NewEngine(Config{}), Recv: n.NewEngine(Config{})}
+	dst := lb.Recv.Addrs()[0]
+	n.Connect(lb.Snd.Addrs()[0], dst, path)
+	lb.Snd.Start()
+	lb.Recv.Start()
+	var err error
+	lb.Flow, err = lb.Snd.AddFlow(FlowConfig{Dst: dst, CC: cc, RecordRTT: true})
+	return lb, err
+}
+
+// Install puts a path model and a fault plan (either may be nil) on the
+// path with pathmodel.Install — the simulator half's one call — and adds
+// what only an engine has behind the path: a peer restart also discards
+// the receiver's flow state.
+func (lb *SimLoopback) Install(m pathmodel.Model, faults *chaos.Plan, horizon float64) error {
+	if _, err := pathmodel.Install(lb.S, lb.Path, m, faults, horizon); err != nil || faults == nil {
+		return err
 	}
-	perSec := make([]float64, 0, int(cfg.Duration))
-	var last int64
-	for sec := 1.0; sec <= cfg.Duration; sec++ {
-		if markRTT < 0 && cfg.MeasureFrom <= sec {
-			mark()
+	for _, step := range faults.Canonical().Steps(horizon) {
+		if step.Restart {
+			lb.S.At(step.At, lb.Recv.Reset)
 		}
-		sleepUntil(nil, t0, sec)
-		acked := fl.Stats().AckedBytes
-		perSec = append(perSec, float64(acked-last)*8/1e6)
-		last = acked
 	}
-	if markRTT < 0 {
-		mark()
-	}
-	sleepUntil(nil, t0, cfg.Duration)
+	return nil
+}
 
-	final := fl.Stats()
-	rtts := fl.RTTSamples()[markRTT:]
-	res := &ShimLoopbackResult{
-		Mbps:         float64(final.AckedBytes-markAcked) * 8 / (cfg.Duration - cfg.MeasureFrom) / 1e6,
-		MeanRTT:      stats.Mean(rtts),
-		P95RTT:       stats.Percentile(rtts, 95),
-		PerSecMbps:   perSec,
-		CapacityMbps: shim.CapacityBytes() * 8 / 1e6 / cfg.Duration,
-		Flow:         final,
-		Recv:         recv.Stats(),
-		Shim:         shim.Stats(),
-	}
-	if final.SentPkts > 0 {
-		res.LossRate = float64(final.LostPkts) / float64(final.SentPkts)
-	}
-	return res, nil
+// SimLoopbackResult summarizes one virtual-time loopback run.
+type SimLoopbackResult struct {
+	LoopbackRun
+	Link netem.LinkStats
+	Path netem.PathStats
+}
+
+// Run runs the simulator to duration seconds and stops the engines; the
+// measurement window is as ShimLoopbackConfig's.
+func (lb *SimLoopback) Run(duration, measureFrom float64) *SimLoopbackResult {
+	run := measure(lb.Flow, lb.Recv, duration, measureFrom, lb.S.Run)
+	lb.Snd.Stop()
+	lb.Recv.Stop()
+	return &SimLoopbackResult{LoopbackRun: run, Link: lb.Path.Link.Stats(), Path: lb.Path.Stats()}
 }

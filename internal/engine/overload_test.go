@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -143,6 +144,64 @@ func TestShedPausesLocalScavengersOnly(t *testing.T) {
 	}
 	if scav.snd.paused || sh.ctr.paused.Load() != 0 {
 		t.Fatal("recover did not resume the paused scavenger")
+	}
+}
+
+// What a shard puts on the wire must not follow map order: of equally
+// stale flows the cap evicts the first in (flow ID, peer) order, Shed
+// spends its BUSY budget on the first so many, and resumed senders'
+// first trains leave in that order — whatever order the flows arrived in.
+func TestOverloadActionsFollowFlowOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		sh := newTestShard(t, Config{MaxFlowsPerShard: 12})
+		// Eight scavenger receivers and four paused local scavenger
+		// senders, admitted in a random order, all last seen at once.
+		for _, k := range rng.Perm(12) {
+			if id := uint32(100+k) | scavBit; k < 8 {
+				sh.dispatch(peer(byte(k%3), 7000), dataPkt(t, id, 0, 100), 1)
+			} else {
+				addLocalSender(sh, id, overload.ClassScavenger).snd.paused = true
+				sh.ctr.paused.Add(1)
+			}
+		}
+		sh.flushTx()
+
+		// One more receiver at the cap: the victim is flow 100.
+		sh.busyBudget = 1
+		sh.dispatch(peer(9, 7000), dataPkt(t, 99, 0, 100), 1)
+		if sh.lookup(peer(0, 7000), 100|scavBit) != nil || sh.nFlows.Load() != 12 {
+			t.Fatalf("round %d: the cap did not evict flow 100, the first of the equally stale", round)
+		}
+		// Its final ack, its BUSY, then the newcomer's first ack.
+		if bp, err := wire.DecodeBusy(sh.txq[1]); len(sh.txq) != 3 || err != nil || bp.Flow != 100|scavBit {
+			t.Fatalf("round %d: eviction BUSY %+v err=%v", round, bp, err)
+		}
+		sh.flushTx()
+
+		// Shed with a budget of three: BUSY to flows 101, 102, 103.
+		sh.busyBudget = 3
+		sh.shedScavengers()
+		if len(sh.txq) != 3 {
+			t.Fatalf("round %d: %d BUSY frames for a budget of 3", round, len(sh.txq))
+		}
+		for i, p := range sh.txq {
+			if bp, err := wire.DecodeBusy(p); err != nil || bp.Flow != uint32(101+i)|scavBit {
+				t.Fatalf("round %d: BUSY %d went to flow %d", round, i, bp.Flow&^scavBit)
+			}
+		}
+		sh.flushTx()
+
+		// Resume: each sender's first packet, in flow order 108..111.
+		sh.resumeScavengers(2)
+		if len(sh.txq) != 4 {
+			t.Fatalf("round %d: %d packets from 4 resumed senders", round, len(sh.txq))
+		}
+		for i, p := range sh.txq {
+			if h, err := wire.DecodeData(p); err != nil || h.Flow != uint32(108+i)|scavBit {
+				t.Fatalf("round %d: resumed train %d is flow %d's", round, i, h.Flow&^scavBit)
+			}
+		}
 	}
 }
 

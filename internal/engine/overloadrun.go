@@ -202,7 +202,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		wg.Add(1)
 		go func(ph overload.Phase) {
 			defer wg.Done()
-			sleepUntil(nil, base, ph.At)
+			sleepUntil(base, ph.At)
 			ecfg := Config{BatchSize: cfg.BatchSize, Seed: cfg.Seed + 100 + int64(ph.Flows)}
 			dst := addrs
 			if ph.Kind == overload.KindAckStarve {
@@ -242,7 +242,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 					addErrs++ // expected once the phase engine browns out
 				}
 			}
-			sleepUntil(nil, base, ph.At+ph.Dur)
+			sleepUntil(base, ph.At+ph.Dur)
 			st := eng.Stats()
 			eng.Stop()
 			mu.Lock()
@@ -257,9 +257,9 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	// are torn down: their Stop is part of what recovery waits out.
 	removed := time.Now()
 	if len(plan.Phases) > 0 {
-		sleepUntil(nil, base, plan.Phases[0].At)
+		sleepUntil(base, plan.Phases[0].At)
 		la, lt := ackedPrim(), time.Now()
-		sleepUntil(nil, base, loadEnd)
+		sleepUntil(base, loadEnd)
 		removed = time.Now()
 		wg.Wait() // phase engines fully stopped: load is removed
 		res.LoadGoodput = float64(ackedPrim()-la) / time.Since(lt).Seconds()

@@ -1,12 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
-	"net"
 	"net/netip"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -62,17 +63,39 @@ type shardCounters struct {
 	paused     atomic.Int64 // local scavenger senders currently paused
 }
 
-// shard is one event loop: one socket, one flow table, one pacing
-// wheel, one goroutine. Flows never move between shards, so no flow
+// port is a shard's one seam to the world outside it: the clock it
+// reads and the datagrams it moves. udpPort (udp.go, batch_*.go) is a
+// UDP socket under a goroutine that loops on pass(); memPort (memport.go)
+// is an in-memory endpoint whose owner — a SimNet's simulator, a harness
+// stepping by hand — calls pass() itself. The seam is crossed once per
+// pass, never per packet.
+type port interface {
+	clock() wire.Clock
+	// run starts whatever calls the shard's pass(); close ends it and
+	// makes readBatch report the port closed.
+	run()
+	close()
+	// readBatch stages up to len(rxBufs) datagrams in the shard's rx
+	// staging, blocking until one is there, wait has passed, or wake is
+	// called. It returns the count, 0 with nothing to read, -1 once closed.
+	readBatch(wait time.Duration) int
+	// writeBatch sends every packet; the bytes are the shard's tx arena
+	// and are the port's only until it returns.
+	writeBatch(pkts [][]byte, addrs []netip.AddrPort)
+	// wake, the one method other goroutines call, ends a blocked readBatch.
+	wake()
+}
+
+// shard is one event loop: one port, one flow table, one pacing wheel,
+// one caller of pass(). Flows never move between shards, so no flow
 // state is ever locked — only the admission queue and the atomic
 // counters cross goroutines.
 type shard struct {
 	eng   *Engine
 	idx   int
-	conn  *net.UDPConn
-	clock wire.Clock
+	port  port
+	clock wire.Clock // port.clock()
 	local netip.AddrPort
-	v6    bool
 
 	// The flow table (see tableKey): flows that share a key chain through
 	// flow.next, and nFlows counts flows, not keys (loop-written; Stats
@@ -86,14 +109,13 @@ type shard struct {
 	maxFlows  int
 	idleTO    float64
 
-	// rx staging, filled by the arch-specific readBatch. rxSegs[i], when
-	// nonzero, is the GRO segment size of a kernel-coalesced buffer that
-	// dispatch slices back into datagrams; always zero on the fallback.
+	// rx staging, filled by the port's readBatch. rxSegs[i], when nonzero,
+	// is the GRO segment size of a kernel-coalesced buffer that dispatch
+	// slices back into datagrams; only the batched socket path sets it.
 	rxBufs [][]byte
 	rxLens []int
 	rxSrcs []netip.AddrPort
 	rxSegs []int
-	mmsg   mmsgState // per-arch batch-syscall state (empty struct on fallback)
 
 	// tx staging: flows encode their packets back to back into txArena
 	// (batchSize × maxPacket bytes, txOff the write offset) and queue them
@@ -112,7 +134,8 @@ type shard struct {
 	admitQ   []*flow
 	resetReq bool // Engine.Reset: drop every receiver flow on the next pass
 	// admitWake mirrors "admitQ is non-empty" (written under admitMu) for
-	// parkRead, which must not park over a flow enqueue has just queued.
+	// udpPort.parkRead, which must not park over a flow enqueue has just
+	// queued.
 	admitWake atomic.Bool
 	// fetches (fetchKey → *flow) holds every fetch flow queued or in the
 	// table: SEGMENTs select through it, AddFetch refuses duplicates by it.
@@ -125,6 +148,7 @@ type shard struct {
 	fireFn  func(*flow)
 
 	lastSweep float64
+	ordered   []*flow // eachOrdered's scratch
 
 	// Overload machinery: the brownout detector (loop-goroutine-owned)
 	// plus atomic mirrors of its state/pressure for AddFlow and Stats.
@@ -147,10 +171,11 @@ type shard struct {
 	nRxPkts, nDelivered, nDeliveredBytes int64
 }
 
-func newShard(eng *Engine, idx int, conn *net.UDPConn) *shard {
+// newShard builds shard idx of eng, not yet on a port (attach).
+func newShard(eng *Engine, idx int) *shard {
 	cfg := eng.cfg
 	sh := &shard{
-		eng: eng, idx: idx, conn: conn, clock: eng.clock,
+		eng: eng, idx: idx,
 		flows:     make(map[uint64]*flow),
 		maxPacket: cfg.MaxPacket,
 		batchSize: cfg.BatchSize,
@@ -170,16 +195,16 @@ func newShard(eng *Engine, idx int, conn *net.UDPConn) *shard {
 		sh.rxBufs[i] = make([]byte, cfg.MaxPacket)
 	}
 	sh.fireFn = func(f *flow) { sh.service(f, sh.fireNow) }
-	if conn != nil {
-		ua := conn.LocalAddr().(*net.UDPAddr)
-		sh.local = ua.AddrPort()
-		sh.v6 = ua.IP.To4() == nil
-		sh.initBatch()
-	}
 	return sh
 }
 
-// loop is the shard event loop: pass until the engine stops.
+// attach puts the shard on its port, reachable there as local.
+func (sh *shard) attach(p port, local netip.AddrPort) {
+	sh.port, sh.clock, sh.local = p, p.clock(), local
+}
+
+// loop is the event loop of a shard on a socket: pass until the engine
+// stops.
 func (sh *shard) loop() {
 	defer sh.eng.wg.Done()
 	// Any CPU profile splits by shard: go tool pprof -tagfocus shard:0
@@ -193,7 +218,7 @@ func (sh *shard) loop() {
 
 // pass is one turn of the event loop: admit → fire due timers → flush
 // tx → one batched read, blocking until the next deadline → dispatch →
-// flush. It reports false once the engine is stopped or the socket is
+// flush. It reports false once the engine is stopped or the port is
 // closed.
 func (sh *shard) pass() bool {
 	select {
@@ -216,9 +241,9 @@ func (sh *shard) pass() bool {
 	if next := sh.wh.next(); !math.IsInf(next, 1) {
 		wait = min(wait, time.Duration((next-sh.clock.Now())*float64(time.Second)))
 	}
-	n := sh.readBatch(wait)
+	n := sh.port.readBatch(wait)
 	if n < 0 {
-		return false // socket closed
+		return false // port closed
 	}
 	// Rx saturation EWMA: a read that fills every slot means the
 	// shard is not keeping up with arrival; an idle or partial read
@@ -291,6 +316,30 @@ func (sh *shard) eachFlow(fn func(f *flow)) {
 			f = next
 		}
 	}
+}
+
+// eachOrdered visits the flows keep selects in (flow ID, peer address)
+// order, for the visits whose order reaches the wire — map order would
+// make two runs of one schedule differ. fn may drop any flow.
+func (sh *shard) eachOrdered(keep func(f *flow) bool, fn func(f *flow)) {
+	sh.ordered = sh.ordered[:0]
+	sh.eachFlow(func(f *flow) {
+		if keep(f) {
+			sh.ordered = append(sh.ordered, f)
+		}
+	})
+	slices.SortFunc(sh.ordered, flowOrder)
+	for i, f := range sh.ordered {
+		sh.ordered[i] = nil
+		fn(f)
+	}
+}
+
+func flowOrder(a, b *flow) int {
+	if c := cmp.Compare(a.id, b.id); c != 0 {
+		return c
+	}
+	return a.addr.Compare(b.addr)
 }
 
 // dispatch routes one datagram through the flow table.
@@ -446,8 +495,10 @@ func (sh *shard) newRecvFlow(src netip.AddrPort, id uint32) *flow {
 			}
 			fs := wire.ScavengerID(f.id)
 			// A scavenger victim always beats a primary one; within a
-			// class, stalest wins.
-			if old != nil && (oldScav && !fs || oldScav == fs && f.lastSeen >= old.lastSeen) {
+			// class, stalest wins, and of equally stale ones — the common
+			// case once time is discrete — the first in flowOrder.
+			if old != nil && (oldScav && !fs || oldScav == fs &&
+				(f.lastSeen > old.lastSeen || f.lastSeen == old.lastSeen && flowOrder(f, old) > 0)) {
 				return
 			}
 			old, oldScav = f, fs
@@ -478,13 +529,11 @@ func (sh *shard) sweep(now float64) {
 		return
 	}
 	sh.lastSweep = now
-	sh.eachFlow(func(f *flow) {
-		if now-f.lastSeen <= sh.idleTO {
-			return
-		}
-		if f.fch != nil || f.snd != nil && !f.snd.completed && f.snd.limit > 0 {
-			return // a stalled fetch or finite sender keeps retrying by RTO
-		}
+	sh.eachOrdered(func(f *flow) bool {
+		// A stalled fetch or finite sender keeps retrying by RTO.
+		return now-f.lastSeen > sh.idleTO &&
+			f.fch == nil && (f.snd == nil || f.snd.completed || f.snd.limit <= 0)
+	}, func(f *flow) {
 		if f.rcv != nil {
 			f.rcv.emitFinalAck(sh, f)
 		}
@@ -535,17 +584,17 @@ func (sh *shard) updateOverload(now float64) {
 // touched — that is the entire point of the class ordering.
 func (sh *shard) shedScavengers() {
 	sh.eachFlow(func(f *flow) {
-		if o := f.origin(); o != nil {
-			if o.class == overload.ClassScavenger && !o.paused {
-				o.paused = true
-				sh.ctr.paused.Add(1)
-				sh.ctr.shedScav.Add(1)
-			}
-		} else if wire.ScavengerID(f.id) {
-			sh.dropFlow(f)
+		if o := f.origin(); o != nil && o.class == overload.ClassScavenger && !o.paused {
+			o.paused = true
+			sh.ctr.paused.Add(1)
 			sh.ctr.shedScav.Add(1)
-			sh.sendBusy(f.addr, f.id, true)
 		}
+	})
+	// In order: busyBudget covers the first so many of them.
+	sh.eachOrdered(func(f *flow) bool { return f.rcv != nil && wire.ScavengerID(f.id) }, func(f *flow) {
+		sh.dropFlow(f)
+		sh.ctr.shedScav.Add(1)
+		sh.sendBusy(f.addr, f.id, true)
 	})
 }
 
@@ -554,12 +603,10 @@ func (sh *shard) shedScavengers() {
 // flows need nothing: their senders retry after backoff and re-admit
 // once the shard returns to Normal.
 func (sh *shard) resumeScavengers(now float64) {
-	sh.eachFlow(func(f *flow) {
-		if o := f.origin(); o != nil && o.paused {
-			o.paused = false
-			sh.ctr.paused.Add(-1)
-			sh.service(f, now)
-		}
+	sh.eachOrdered(func(f *flow) bool { o := f.origin(); return o != nil && o.paused }, func(f *flow) {
+		f.origin().paused = false
+		sh.ctr.paused.Add(-1)
+		sh.service(f, now) // in order: their first trains leave in it
 	})
 }
 
@@ -667,33 +714,14 @@ func (sh *shard) admit() {
 	}
 }
 
-// longAgo is a read deadline that has always expired.
-var longAgo = time.Unix(1, 0)
-
 // enqueue hands a flow to the shard and wakes it if it is parked in its
 // read, so the loop admits the flow now, not up to maxLoopSleep later.
-// The wake is the read deadline pulled into the past, from the caller's
-// goroutine.
 func (sh *shard) enqueue(f *flow) {
 	sh.admitMu.Lock()
 	sh.admitQ = append(sh.admitQ, f)
 	sh.admitWake.Store(true)
 	sh.admitMu.Unlock()
-	if sh.conn != nil {
-		sh.conn.SetReadDeadline(longAgo)
-	}
-}
-
-// parkRead sets the deadline of the read the loop is about to block in.
-// enqueue raises admitWake before it pulls the deadline back, and
-// parkRead looks at admitWake after it pushed the deadline out: whichever
-// order the two run in, the later deadline write is an expired one and
-// the read returns at once, so a wake is never lost.
-func (sh *shard) parkRead(wait time.Duration) {
-	sh.conn.SetReadDeadline(time.Now().Add(wait))
-	if sh.admitWake.Load() {
-		sh.conn.SetReadDeadline(longAgo)
-	}
+	sh.port.wake()
 }
 
 // txBuf returns the maxPacket bytes at the arena's write offset, for
@@ -718,23 +746,15 @@ func (sh *shard) queueTx(pkt []byte, dst netip.AddrPort) {
 	}
 }
 
-// flushTx writes every staged packet (one sendmmsg on Linux, a write
-// loop on the fallback) and rewinds the arena.
+// flushTx hands every staged packet to the port (one sendmmsg on Linux)
+// and rewinds the arena.
 func (sh *shard) flushTx() {
 	if len(sh.txq) == 0 {
 		return
 	}
-	if sh.conn != nil {
-		sh.writeBatch(sh.txq, sh.txAddrs)
-		sh.ctr.txPkts.Add(int64(len(sh.txq)))
-		sh.ctr.txBatches.Add(1)
-	}
-	sh.resetTx()
-}
-
-// resetTx forgets every staged packet without writing; the socketless
-// harnesses use it directly once they have read txq.
-func (sh *shard) resetTx() {
+	sh.port.writeBatch(sh.txq, sh.txAddrs)
+	sh.ctr.txPkts.Add(int64(len(sh.txq)))
+	sh.ctr.txBatches.Add(1)
 	sh.txq = sh.txq[:0]
 	sh.txAddrs = sh.txAddrs[:0]
 	sh.txOff = 0

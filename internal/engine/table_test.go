@@ -10,12 +10,14 @@ import (
 	"pccproteus/internal/wire"
 )
 
-// newTestShard builds a socketless shard: dispatch, the flow table,
-// and the wheel all work; flushTx just recycles.
+// newTestShard builds a shard on an in-memory port the test steps by
+// hand: dispatch, the flow table, and the wheel all work; what the shard
+// stages sits in txq until a flush writes it to nowhere.
 func newTestShard(t *testing.T, cfg Config) *shard {
 	t.Helper()
-	eng := &Engine{cfg: cfg.withDefaults(), clock: wire.NewClock(), done: make(chan struct{}), started: true}
-	sh := newShard(eng, 0, nil)
+	eng := &Engine{cfg: cfg.withDefaults(), done: make(chan struct{}), started: true}
+	sh := newShard(eng, 0)
+	sh.attach(newMemPort(sh, wire.NewClock()), netip.AddrPort{})
 	eng.shards = []*shard{sh} // AddFlow / AddFetch land here; sh.admit() takes them in
 	return sh
 }
@@ -421,7 +423,6 @@ func TestHotpathZeroAllocs(t *testing.T) {
 func TestHotpathZeroAllocsManyFlows(t *testing.T) {
 	h := newHotpathHarness(400)
 	for id := uint32(2); id <= 1000; id++ {
-		// Windows of 4: 64 + 999·4 packets a step stay under the harness's BatchSize.
 		f := &flow{addr: h.rcvAddr, id: id, snd: newSenderFlow(FlowConfig{
 			CC: &FixedRateCC{Rate: 1e12, Win: ackEvery * 400}, Burst: transport.DefaultBurst, PacketSize: 400,
 		})}

@@ -7,7 +7,9 @@
 // any transport.Controller with the same OnSend/OnAck/OnLoss
 // callbacks the simulated transport uses, which is what routes wire
 // measurements into internal/core's monitor and noise-filter machinery
-// unchanged.
+// unchanged. A shard touches clock and network only through its port
+// (shard.go), so the same code also runs on an in-memory network in
+// virtual time (SimNet), which is where the sim-vs-wire gates run it.
 package engine
 
 import "math"

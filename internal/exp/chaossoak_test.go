@@ -28,15 +28,12 @@ func TestDefaultSoakPlanIsCanonical(t *testing.T) {
 }
 
 // TestChaosSoakCrossWorld is the attribution-parity acceptance gate:
-// the same canonical fault plan replays through the simulator and the
-// real-UDP shim, and every injected fault category must leave matching
-// attribution in both worlds, with the watchdog tripping and
-// recovering in both. One protocol keeps real-time cost bounded; the
-// per-mode survival gates live in the wire and chaos packages.
+// the same canonical fault plan goes on the path under the simulated
+// transport and on the path under the engine, and every injected fault
+// category must leave attribution on both, with the watchdog tripping
+// and recovering as often under either sender. The per-mode survival
+// gates live in the wire and chaos packages.
 func TestChaosSoakCrossWorld(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time test")
-	}
 	res, err := ChaosSoak(CrossWorldOptions{
 		Protos:   []string{ProtoProteusP},
 		Duration: 12,

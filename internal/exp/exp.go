@@ -62,7 +62,7 @@ func NewController(s *sim.Sim, name string) transport.Controller {
 }
 
 // NewControllerRNG is NewController with an explicit randomness source,
-// for datapaths that run outside a simulator (the wire harness seeds a
+// for datapaths that run outside a simulator (the daemons seed a
 // private RNG per flow so real-time runs stay reproducible).
 func NewControllerRNG(rng *rand.Rand, name string) transport.Controller {
 	switch name {

@@ -252,15 +252,14 @@ func incastTrial(seed int64, proto string, ic pathmodel.Incast) []float64 {
 		stats.PercentileSorted(fcts, 50), stats.PercentileSorted(fcts, 99)}
 }
 
-// PathModelWireParity cross-validates a trace-driven model between
-// the two worlds: the same schedule drives the simulator link through
-// pathmodel.Install and the UDP loopback shim through the compiled
-// ShimUpdates, and each protocol's throughput must agree within the
-// standard parity tolerance. A nil model selects the default parity
-// staircase — capacity and delay steps every few seconds, slow enough
-// that both domains' controllers converge between steps, so the gate
-// measures schedule-application parity rather than how a controller
-// chases 100 ms fades in real time versus virtual time.
+// PathModelWireParity cross-validates the two senders under a
+// trace-driven model: pathmodel.Install puts the same schedule on the
+// path under the simulated transport and on the path under the engine,
+// and each protocol's throughput must agree within the standard parity
+// tolerance. A nil model selects the default parity staircase — capacity
+// and delay steps every few seconds, slow enough that both controllers
+// converge between steps, so the gate measures how the two senders hold
+// a rate, not how each chases 100 ms fades.
 func PathModelWireParity(o CrossWorldOptions, m pathmodel.Model) (*WireParityResult, error) {
 	o.defaults(12)
 	if m == nil {

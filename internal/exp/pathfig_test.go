@@ -124,14 +124,10 @@ func TestCellularFigures(t *testing.T) {
 	}
 }
 
-// TestPathModelWireParity is the sim-vs-wire gate for the trace-driven
-// model: the same generated LTE schedule drives both domains and the
-// throughput must agree within the standard tolerance. The wire half
-// runs in real time.
+// TestPathModelWireParity is the sim-vs-wire gate under a trace-driven
+// model: the parity staircase drives the path under both senders and
+// their throughput must agree within the model tolerance.
 func TestPathModelWireParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time wire run skipped in -short")
-	}
 	res, err := PathModelWireParity(CrossWorldOptions{
 		Protos:   []string{ProtoProteusP},
 		Duration: 10,

@@ -3,23 +3,24 @@ package exp
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 
+	"pccproteus/internal/chaos"
 	"pccproteus/internal/engine"
 	"pccproteus/internal/pathmodel"
+	"pccproteus/internal/sim"
 	"pccproteus/internal/stats"
-	"pccproteus/internal/wire"
 )
 
 // CrossWorldOptions sizes a sim-vs-wire harness (WireParity, ChaosSoak,
-// PathModelWireParity): the same controller code drives the
-// discrete-event simulator and the real UDP datapath (an internal/engine
-// flow through the impairment shim) on crossWorldLink, and the two
-// worlds' outcomes are compared.
+// PathModelWireParity): the same controller code drives the simulated
+// transport and the real datapath (an internal/engine flow between two
+// engines on an engine.SimNet) across the same crossWorldLink, built and
+// impaired by the same calls, in the same virtual time, and the two
+// senders' outcomes are compared.
 type CrossWorldOptions struct {
 	Protos   []string // default: proteus-p, proteus-s, proteus-h
-	Duration float64  // seconds, both domains; the wire half runs in real time
+	Duration float64  // virtual seconds, both halves
 	Seed     int64    // master seed (0 = 1)
 }
 
@@ -39,23 +40,41 @@ func (o *CrossWorldOptions) defaults(duration float64) {
 // 40 ms base RTT, 1.5 × BDP of queue.
 var crossWorldLink = LinkSpec{Mbps: 20, RTT: 0.040, BufBytes: 150000}
 
-// crossWorldShim is crossWorldLink as the loopback shim runs it.
-func crossWorldShim(seed int64) wire.ShimConfig {
-	return wire.ShimConfig{
-		RateMbps:   crossWorldLink.Mbps,
-		QueueBytes: crossWorldLink.BufBytes,
-		Delay:      crossWorldLink.RTT / 2,
-		AckDelay:   crossWorldLink.RTT / 2,
-		Seed:       wire.MixSeed(seed, 0x77),
+// engineRun is the engine half of a cross-world row: proto's controller
+// on an engine flow across crossWorldLink, the path built and impaired by
+// the calls Run makes for the simulator half (LinkSpec.Build, then
+// pathmodel.Install of m and faults, either of which may be nil).
+func engineRun(seed int64, proto string, m pathmodel.Model, faults *chaos.Plan, duration, measureFrom float64) (*engine.SimLoopbackResult, error) {
+	s := sim.New(seed)
+	lb, err := engine.NewSimLoopback(s, crossWorldLink.Build(s), NewController(s, proto))
+	if err == nil {
+		err = lb.Install(m, faults, duration)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("engine run %s: %w", proto, err)
+	}
+	return lb.Run(duration, measureFrom), nil
 }
 
-const (
-	// ParityTolerancePct is the throughput tolerance of the parity gates.
-	ParityTolerancePct = 15
-	// parityMeasureFrac: both worlds measure the last 60 % of a run.
-	parityMeasureFrac = 0.4
-)
+// parityMeasureFrac: both halves measure the last 60 % of a run.
+const parityMeasureFrac = 0.4
+
+// ParityTolerancePct is the throughput tolerance of the parity gates for
+// proto, on the static link or under a path model. The two halves share
+// a clock, a link model and a schedule, so what is left is how
+// transport.Sender and engine.senderFlow differ, and each bound is no
+// more than twice the worst error seen over seeds 1–10 at either run
+// length (CHANGES.md has the numbers; DESIGN §11 names the causes). A
+// protocol nobody has measured gets the loosest static bound.
+func ParityTolerancePct(proto string, model bool) float64 {
+	switch {
+	case model:
+		return 15
+	case proto == ProtoProteusP, proto == ProtoProteusH:
+		return 0.5
+	}
+	return 10
+}
 
 // WireParityRow is one protocol's matched measurements. Loss is the
 // fraction lost/(acked+lost) in bytes, computed identically in both
@@ -67,6 +86,7 @@ type WireParityRow struct {
 	SimP95RTT, WireP95RTT   float64
 	SimLoss, WireLoss       float64
 	TputErrPct              float64 // |wire−sim|/sim × 100
+	TolerancePct            float64
 	Pass                    bool
 }
 
@@ -86,30 +106,26 @@ func (r *WireParityResult) AllPass() bool {
 	return true
 }
 
-// WireParity runs each protocol once per domain and builds the parity
-// table. The wire half runs in real time: expect ~len(Protos)×Duration
-// wall seconds.
+// WireParity runs each protocol once per sender and builds the parity
+// table.
 func WireParity(o CrossWorldOptions) (*WireParityResult, error) {
 	o.defaults(12)
 	return wireParity(o, nil)
 }
 
 // wireParity is the parity table on a static bottleneck (m nil) or
-// under a path model whose schedule both worlds replay.
+// under a path model.
 func wireParity(o CrossWorldOptions, m pathmodel.Model) (*WireParityResult, error) {
 	res := &WireParityResult{Opts: o}
 	for i, proto := range o.Protos {
 		seed := o.Seed + int64(i)
-		var cfg engine.ShimLoopbackConfig
-		if m != nil {
-			cfg.Schedule = pathmodel.ShimUpdates(m, o.Duration)
-			if plan, hasFaults := pathmodel.FaultPlan(m, o.Duration); hasFaults {
-				cfg.Chaos = &plan
-			}
-		}
-		row, err := parityWireRow(seed, o, proto, cfg)
+		lb, err := engineRun(seed, proto, m, nil, o.Duration, parityMeasureFrac*o.Duration)
 		if err != nil {
 			return nil, err
+		}
+		row := WireParityRow{Proto: proto, WireMbps: lb.Mbps, WireMeanRTT: lb.MeanRTT, WireP95RTT: lb.P95RTT}
+		if tot := lb.Flow.AckedBytes + lb.Flow.LostBytes; tot > 0 {
+			row.WireLoss = float64(lb.Flow.LostBytes) / float64(tot)
 		}
 		row.fillSim(o, seed, m)
 		res.Rows = append(res.Rows, row)
@@ -131,42 +147,25 @@ func (row *WireParityRow) fillSim(o CrossWorldOptions, seed int64, m pathmodel.M
 	if f.Mbps > 0 {
 		row.TputErrPct = math.Abs(row.WireMbps-f.Mbps) / f.Mbps * 100
 	}
-	row.Pass = row.TputErrPct <= ParityTolerancePct
-}
-
-// parityWireRow runs the wire half of one parity row: proto's
-// controller on an engine flow through the matched shim bottleneck,
-// with whatever schedule or fault plan cfg carries.
-func parityWireRow(seed int64, o CrossWorldOptions, proto string, cfg engine.ShimLoopbackConfig) (WireParityRow, error) {
-	cfg.CC = NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(seed, 0x55))), proto)
-	cfg.Shim = crossWorldShim(seed)
-	cfg.Duration, cfg.MeasureFrom = o.Duration, parityMeasureFrac*o.Duration
-	lb, err := engine.RunShimLoopback(cfg)
-	if err != nil {
-		return WireParityRow{}, fmt.Errorf("wire run %s: %w", proto, err)
-	}
-	row := WireParityRow{Proto: proto, WireMbps: lb.Mbps, WireMeanRTT: lb.MeanRTT, WireP95RTT: lb.P95RTT}
-	if tot := lb.Flow.AckedBytes + lb.Flow.LostBytes; tot > 0 {
-		row.WireLoss = float64(lb.Flow.LostBytes) / float64(tot)
-	}
-	return row, nil
+	row.TolerancePct = ParityTolerancePct(row.Proto, m != nil)
+	row.Pass = row.TputErrPct <= row.TolerancePct
 }
 
 // Render formats the parity table with a PASS/FAIL verdict per row.
 func (r *WireParityResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Sim vs wire parity: %.0f Mbps, %.0f ms RTT, %.1f s window, tolerance %d%%\n",
-		crossWorldLink.Mbps, crossWorldLink.RTT*1e3, r.Opts.Duration-parityMeasureFrac*r.Opts.Duration, ParityTolerancePct)
-	fmt.Fprintf(&b, "%-12s %9s %9s %7s %9s %9s %9s %9s %8s %8s  %s\n",
-		"proto", "sim Mbps", "wire Mbps", "err%",
+	fmt.Fprintf(&b, "# Sim vs wire parity: %.0f Mbps, %.0f ms RTT, %.1f s window, virtual time\n",
+		crossWorldLink.Mbps, crossWorldLink.RTT*1e3, r.Opts.Duration-parityMeasureFrac*r.Opts.Duration)
+	fmt.Fprintf(&b, "%-12s %9s %9s %7s %6s %9s %9s %9s %9s %8s %8s  %s\n",
+		"proto", "sim Mbps", "wire Mbps", "err%", "tol%",
 		"sim RTT", "wire RTT", "sim p95", "wire p95", "sim loss", "wire loss", "verdict")
 	for _, row := range r.Rows {
 		verdict := "PASS"
 		if !row.Pass {
 			verdict = "FAIL"
 		}
-		fmt.Fprintf(&b, "%-12s %9.2f %9.2f %7.1f %8.1fms %8.1fms %8.1fms %8.1fms %7.2f%% %7.2f%%  %s\n",
-			row.Proto, row.SimMbps, row.WireMbps, row.TputErrPct,
+		fmt.Fprintf(&b, "%-12s %9.2f %9.2f %7.2f %6.1f %8.1fms %8.1fms %8.1fms %8.1fms %7.2f%% %7.2f%%  %s\n",
+			row.Proto, row.SimMbps, row.WireMbps, row.TputErrPct, row.TolerancePct,
 			row.SimMeanRTT*1e3, row.WireMeanRTT*1e3,
 			row.SimP95RTT*1e3, row.WireP95RTT*1e3,
 			row.SimLoss*100, row.WireLoss*100, verdict)

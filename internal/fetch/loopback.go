@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
-	"pccproteus/internal/chaos"
 	"pccproteus/internal/engine"
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
@@ -36,10 +34,6 @@ type LoopbackConfig struct {
 	Window       int
 	// Timeout bounds the run in real seconds (default 60).
 	Timeout float64
-	// Chaos, when non-nil, replays a fault plan in real time against
-	// every shim, with restarts flushing in-flight queues and resetting
-	// the server — the same semantics as engine.RunShimLoopback.
-	Chaos *chaos.Plan
 	// Seed drives object contents and per-shim impairment RNGs.
 	Seed int64
 }
@@ -144,18 +138,6 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 		if err := fetchers[i].Start(cli); err != nil {
 			return nil, err
 		}
-	}
-
-	if cfg.Chaos != nil {
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			engine.ReplayChaos(stop, *cfg.Chaos, cfg.Timeout, srv, shims...)
-		}()
-		defer wg.Wait()
-		defer close(stop)
 	}
 
 	t0 := time.Now()

@@ -30,6 +30,11 @@ type Packet struct {
 	Size   int     // bytes on the wire
 	SentAt float64 // time the sender released it
 	MI     int64   // monitor-interval tag for PCC-style senders, else 0
+	// Payload is the datagram a packet carries when real bytes cross the
+	// path (engine.SimNet); the simulated senders leave it nil. A
+	// duplicated packet shares it with its copy. (A pointer, so that a
+	// Packet stays one 64-byte cache line for the simulated senders.)
+	Payload *[]byte
 
 	// Position on a multi-hop Path and the receiver behind its last hop
 	// (set by Path.Send).

@@ -175,34 +175,6 @@ func TestApplySimDrivesLink(t *testing.T) {
 	}
 }
 
-// TestShimUpdatesMatchSteps checks the wire compilation mirrors the
-// sim schedule: same times, floor-clamped rates, and no pure-outage
-// rows (those belong to the fault plan).
-func TestShimUpdatesMatchSteps(t *testing.T) {
-	m := DefaultLEO(5)
-	horizon := 31.0
-	ups := ShimUpdates(m, horizon)
-	if len(ups) == 0 {
-		t.Fatal("no updates")
-	}
-	prev := -1.0
-	for i, u := range ups {
-		if u.At <= prev {
-			t.Fatalf("update %d out of order: %+v", i, u)
-		}
-		prev = u.At
-		if u.RateMbps < FloorMbps {
-			t.Fatalf("update %d rate %v below floor (would alias to keep)", i, u.RateMbps)
-		}
-		if u.ExtraDelay < 0 {
-			t.Fatalf("update %d negative extra delay %v (would alias to keep)", i, u.ExtraDelay)
-		}
-		if u.LossProb >= 0 {
-			t.Fatalf("update %d touches loss: %+v", i, u)
-		}
-	}
-}
-
 // TestSpecBuild round-trips the spec forms.
 func TestSpecBuild(t *testing.T) {
 	if _, err := (Spec{Kind: "nope"}).Build(10); err == nil {

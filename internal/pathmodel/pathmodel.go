@@ -2,22 +2,21 @@
 // time-varying path models — trace-driven cellular channels (with
 // bundled synthetic LTE and 5G generators), a LEO-satellite handover
 // model, and a datacenter incast descriptor — that drive netem link
-// stages identically in the discrete-event simulator and on the real
-// UDP wire shim.
+// stages, under the simulated transport and, on an engine.SimNet, under
+// the real datapath alike.
 //
 // A Model is a pure function of time: StateAt(t) returns the
 // prescribed capacity, extra one-way delay, and outage flag at t, with
-// no internal mutation, so both appliers derive the path's condition
-// from the same arithmetic. Steps samples that function at the model's
-// native interval and collapses consecutive identical states into a
-// deduplicated step schedule; ApplySim replays the schedule as sim
-// events through the hardened netem boundary (Link.SetRateMbps's
-// documented capacity floor, Link.SetPropDelay's delay validation),
-// and ShimUpdates compiles the identical schedule into wire.ShimUpdate
-// records for the loopback shim. Outage (Down) windows are not applied
-// directly: FaultPlan extracts them as chaos blackout faults so they
-// ride the existing cross-world chaos executors and compose with any
-// user-supplied fault plan by fault-list concatenation.
+// no internal mutation, so appliers, validators and invariant checkers
+// derive the path's condition from the same arithmetic. Steps samples
+// that function at the model's native interval and collapses
+// consecutive identical states into a deduplicated step schedule;
+// ApplySim replays the schedule as sim events through the hardened
+// netem boundary (Link.SetRateMbps's documented capacity floor,
+// Link.SetPropDelay's delay validation). Outage (Down) windows are not
+// applied directly: FaultPlan extracts them as chaos blackout faults so
+// they ride chaos.ApplySim and compose with any user-supplied fault
+// plan by fault-list concatenation.
 package pathmodel
 
 import (
@@ -55,7 +54,7 @@ type Step struct {
 
 // FloorMbps is netem's documented capacity floor expressed in Mbps;
 // capacity samples below it (deep fades, degenerate traces) clamp here
-// in both worlds so sim and wire apply the identical schedule.
+// before they reach a link.
 const FloorMbps = netem.MinRate * 8 / 1e6
 
 // ClampMbps applies the capacity floor to one sample: NaN and anything
@@ -111,8 +110,8 @@ func Validate(m Model, horizon float64) error {
 // through the hardened netem setters. The link's propagation delay at
 // call time is taken as the base the model's extra delay adds to.
 // Outage windows are not applied here — extract them with FaultPlan
-// and apply through chaos.ApplySim so ack paths, survival accounting,
-// and wire replay all behave exactly as chaos blackouts do.
+// and apply through chaos.ApplySim so ack paths and survival accounting
+// behave exactly as chaos blackouts do.
 func ApplySim(s *sim.Sim, link *netem.Link, m Model, horizon float64) error {
 	if err := Validate(m, horizon); err != nil {
 		return err

@@ -2,9 +2,9 @@ package wire
 
 import "testing"
 
-// This file exports the per-packet micro-benchmarks so proteusbench
-// -perf and the repo benchmark can run them via testing.Benchmark from
-// a regular binary. They cover what package wire contributes to the
+// This file exports the per-packet micro-benchmarks so the repo
+// benchmark (benchmark/) can run them via testing.Benchmark from a
+// regular binary. They cover what package wire contributes to the
 // engine's send and ack paths; the full per-packet path (flow state,
 // controller callbacks, wheel) is engine.RunHotpathBench.
 

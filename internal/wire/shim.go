@@ -9,8 +9,6 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"pccproteus/internal/chaos"
 )
 
 // readTimeout is the proxy loop's poll interval for shutdown.
@@ -51,9 +49,7 @@ type ShimConfig struct {
 	Seed int64
 }
 
-// ShimStats aggregates the shim's counters, mirroring netem.LinkStats
-// (including the fault-attribution counters, so a chaos plan replayed
-// through both worlds can be compared category by category).
+// ShimStats aggregates the shim's counters, mirroring netem.LinkStats.
 type ShimStats struct {
 	Enqueued   int64 // bottleneck packets (data/segments) accepted into the queue
 	Dropped    int64 // bottleneck packets tail-dropped
@@ -63,35 +59,12 @@ type ShimStats struct {
 	FetchRelay int64 // fetch requests forwarded to the server
 	Overflow   int64 // packets lost to shim internal backlog (should be 0)
 	SentBytes  int64 // bytes serialized through the emulated bottleneck
-
-	FaultDrop    int64 // data packets destroyed by an injected blackout
-	AckFaultDrop int64 // acks destroyed by a blackout or ack-path blackout
-	Corrupted    int64 // data packets damaged in flight by injected corruption
-	Duplicated   int64 // extra copies created by injected duplication
-	Reordered    int64 // data packets released out of order
-	Flushed      int64 // in-flight data packets discarded by a peer restart
-	AckFlushed   int64 // in-flight acks discarded by a peer restart
-}
-
-// ShimUpdate is one timed impairment change, used to replay adversary
-// schedules on the wire: at At seconds after Start, the shim adopts
-// the given capacity, loss, extra forward delay, and queue size.
-type ShimUpdate struct {
-	At         float64
-	RateMbps   float64
-	LossProb   float64
-	ExtraDelay float64 // added to the configured base Delay
-	QueueBytes int
 }
 
 // forwardItem is one datagram scheduled for release at a deadline.
 // Deadlines within one channel are nondecreasing by construction, so
 // a single goroutine draining the channel in FIFO order preserves
-// both timing and ordering without a timer heap. (Reorder-selected
-// packets go to a separate channel precisely because their deadlines
-// break this invariant for the main stream.) epoch stamps the restart
-// epoch at enqueue: items from a flushed epoch are discarded at
-// release.
+// both timing and ordering without a timer heap.
 // toSender selects the release destination: the learned dialing
 // endpoint (a sender flow's acks, a fetcher's segments) instead of the
 // configured dst.
@@ -99,17 +72,18 @@ type forwardItem struct {
 	at       float64
 	buf      []byte
 	n        int
-	epoch    uint64
 	toSender bool
 }
 
-// Shim is a userspace netem: a UDP proxy that receives the sender's
-// data stream, passes it through an emulated bottleneck (serialization
-// at RateMbps into a tail-drop queue, then propagation delay, jitter
-// and random loss), and forwards the survivors to the receiver. Acks
-// travel back through the shim with a fixed reverse delay. Both
-// endpoints talk to real sockets; only the impairments are emulated,
-// which is what makes wire runs reproducible without root.
+// Shim is a userspace netem for real sockets: a UDP proxy that receives
+// the sender's data stream, passes it through an emulated static
+// bottleneck (serialization at RateMbps into a tail-drop queue, then
+// propagation delay, jitter and random loss), and forwards the survivors
+// to the receiver. Acks travel back through the shim with a fixed
+// reverse delay. Both endpoints talk to real sockets; only the
+// impairments are emulated, which is what lets `proteusd demo`, the
+// -shim flags and the fetch benchmark run without root. Time-varying
+// paths and injected faults are netem's, under engine.SimNet.
 type Shim struct {
 	conn *net.UDPConn
 	dst  *net.UDPAddr // receiver
@@ -120,7 +94,6 @@ type Shim struct {
 	rate        float64 // bytes/sec
 	queueCap    int
 	delay       float64
-	baseDelay   float64 // configured Delay, before Update extras
 	ackDelay    float64
 	lossProb    float64
 	jitterMed   float64
@@ -134,17 +107,9 @@ type Shim struct {
 	lastAckOut  float64
 	senderAddr  *net.UDPAddr
 	stats       ShimStats
-	fault       chaos.PathState // current injected fault state
-	epoch       uint64          // restart epoch; bumped by Flush
 
-	// Capacity integral for the wire-capacity invariant: capBytes
-	// accumulates rate·dt across rate changes.
-	capBytes  float64
-	capSinceT float64
-
-	dataCh    chan forwardItem
-	ackCh     chan forwardItem
-	reorderCh chan forwardItem
+	dataCh chan forwardItem
+	ackCh  chan forwardItem
 
 	bufPool *bufPool
 
@@ -176,7 +141,6 @@ func NewShim(cfg ShimConfig, dst *net.UDPAddr) (*Shim, error) {
 		rate:        cfg.RateMbps * 1e6 / 8,
 		queueCap:    cfg.QueueBytes,
 		delay:       cfg.Delay,
-		baseDelay:   cfg.Delay,
 		ackDelay:    cfg.AckDelay,
 		lossProb:    cfg.LossProb,
 		jitterMed:   cfg.JitterMedian,
@@ -184,7 +148,6 @@ func NewShim(cfg ShimConfig, dst *net.UDPAddr) (*Shim, error) {
 		rng:         rand.New(rand.NewSource(MixSeed(seed, 0x5153))),
 		dataCh:      make(chan forwardItem, 1<<14),
 		ackCh:       make(chan forwardItem, 1<<14),
-		reorderCh:   make(chan forwardItem, 1<<12),
 		bufPool:     packetBufs,
 	}
 	return sh, nil
@@ -199,15 +162,13 @@ func (sh *Shim) Start() error {
 		return errors.New("wire: shim already started")
 	}
 	sh.clock = NewClock()
-	sh.capSinceT = 0
 	sh.inBase, sh.inCal = 0, false
 	sh.done = make(chan struct{})
 	sh.started = true
-	sh.wg.Add(4)
+	sh.wg.Add(3)
 	go sh.readLoop()
-	go sh.forwardData()
-	go sh.forwardAcks()
-	go sh.forwardReorder()
+	go sh.forward(sh.dataCh, true)
+	go sh.forward(sh.ackCh, false)
 	return nil
 }
 
@@ -225,64 +186,6 @@ func (sh *Shim) Stats() ShimStats {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.stats
-}
-
-// Update applies one impairment change immediately. Zero RateMbps or
-// QueueBytes keep the current value; negative LossProb/ExtraDelay
-// keep the current value (so partial updates compose).
-func (sh *Shim) Update(u ShimUpdate) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	now := sh.clock.Now()
-	sh.accrueCapacity(now)
-	if u.RateMbps > 0 {
-		sh.rate = u.RateMbps * 1e6 / 8
-	}
-	if u.QueueBytes > 0 {
-		sh.queueCap = u.QueueBytes
-	}
-	if u.LossProb >= 0 {
-		sh.lossProb = u.LossProb
-	}
-	if u.ExtraDelay >= 0 {
-		sh.delay = sh.baseDelay + u.ExtraDelay
-	}
-}
-
-// SetFault replaces the shim's injected fault state — the wire-world
-// applier of a chaos plan (the sim-world twin is chaos.ApplySim
-// setting the same fields on netem.Link/Path).
-func (sh *Shim) SetFault(st chaos.PathState) {
-	sh.mu.Lock()
-	sh.fault = st
-	sh.mu.Unlock()
-}
-
-// Flush models a peer restart: every datagram currently inside the
-// emulated path (queued for release) is discarded at its release time
-// and counted as Flushed/AckFlushed, mirroring netem's Link.Flush and
-// Path.Flush.
-func (sh *Shim) Flush() {
-	sh.mu.Lock()
-	sh.epoch++
-	sh.mu.Unlock()
-}
-
-// CapacityBytes returns the integral of the (possibly time-varying)
-// emulated capacity from Start until now, in bytes — the denominator
-// of the wire-capacity invariant.
-func (sh *Shim) CapacityBytes() float64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.accrueCapacity(sh.clock.Now())
-	return sh.capBytes
-}
-
-func (sh *Shim) accrueCapacity(now float64) {
-	if now > sh.capSinceT {
-		sh.capBytes += sh.rate * (now - sh.capSinceT)
-		sh.capSinceT = now
-	}
 }
 
 func (sh *Shim) readLoop() {
@@ -365,15 +268,7 @@ func (sh *Shim) handleBottleneck(buf []byte, n int, src *net.UDPAddr, seg bool) 
 	if !seg && (sh.senderAddr == nil || !sh.senderAddr.IP.Equal(src.IP) || sh.senderAddr.Port != src.Port) {
 		sh.senderAddr = src // learn/refresh the sender's return address
 	}
-	if sh.fault.LinkDown {
-		// Blackout destroys the packet before any queue or capacity
-		// accounting — the same attribution point as netem.Link.Send.
-		sh.stats.FaultDrop++
-		sh.mu.Unlock()
-		return
-	}
 	now := sh.clock.Now()
-	sh.accrueCapacity(now)
 	sentAt := sh.clock.SecondsSince(sentNanos)
 	if !sh.inCal {
 		sh.inBase = now - sentAt
@@ -405,65 +300,25 @@ func (sh *Shim) handleBottleneck(buf []byte, n int, src *net.UDPAddr, seg bool) 
 	if sh.jitterMed > 0 {
 		jitter = sh.jitterMed * math.Exp(sh.jitterSigma*sh.rng.NormFloat64())
 	}
-	// Fault draws follow the legacy draws, each gated on its
-	// probability, matching the draw order in netem.Link.Send.
-	corrupt := sh.fault.CorruptProb > 0 && sh.rng.Float64() < sh.fault.CorruptProb
-	dup := sh.fault.DupProb > 0 && sh.rng.Float64() < sh.fault.DupProb
-	reorder := sh.fault.ReorderProb > 0 && sh.rng.Float64() < sh.fault.ReorderProb
 	arrival := txEnd + sh.delay + jitter
-	ch := sh.dataCh
 	// Jitter is head-of-line blocking, exactly as in netem.Link:
 	// delivery order is preserved, which also keeps the forwarder's
-	// single-goroutine FIFO release correct. A reorder-selected packet
-	// is the deliberate exception: it is held ReorderDelay extra,
-	// bypasses the clamp, and releases on its own channel so it can
-	// overtake — or be overtaken by — the main stream.
-	if reorder {
-		sh.stats.Reordered++
-		arrival += sh.fault.ReorderDelay
-		ch = sh.reorderCh
-	} else {
-		if arrival < sh.lastArrival {
-			arrival = sh.lastArrival
-		}
-		sh.lastArrival = arrival
+	// single-goroutine FIFO release correct.
+	if arrival < sh.lastArrival {
+		arrival = sh.lastArrival
 	}
+	sh.lastArrival = arrival
 	sh.stats.SentBytes += int64(n)
 	if lost {
 		sh.stats.LostRandom++
 		sh.mu.Unlock()
 		return
 	}
-	// A receiver clock jump shifts the stamped arrival the endpoints
-	// measure with, not the physical forwarding time.
-	stamp := sh.clock.NanosAt(arrival + sh.fault.ClockOffset)
 	b := sh.bufPool.Get()
 	copy(b, buf[:n])
-	if corrupt {
-		// Deterministic mangle: version byte plus the tail byte. The
-		// packet still traverses and is forwarded — the receiver's
-		// hardened codec is what rejects it, exercising the survival
-		// path end-to-end (netem, with no codec in the loop, destroys
-		// the packet at delivery instead; attribution matches).
-		sh.stats.Corrupted++
-		b[1] ^= 0xa5
-		b[n-1] ^= 0xff
-	} else {
-		StampArrival(b[:n], stamp)
-	}
-	if !sh.enqueue(ch, forwardItem{at: arrival, buf: b, n: n, epoch: sh.epoch, toSender: seg}) {
+	StampArrival(b[:n], sh.clock.NanosAt(arrival))
+	if !sh.enqueue(sh.dataCh, forwardItem{at: arrival, buf: b, n: n, toSender: seg}) {
 		sh.bufPool.Put(b)
-	}
-	if dup {
-		// The duplicate copy arrives clean alongside the original
-		// (only the first copy was damaged), as in netem.
-		sh.stats.Duplicated++
-		b2 := sh.bufPool.Get()
-		copy(b2, buf[:n])
-		StampArrival(b2[:n], stamp)
-		if !sh.enqueue(ch, forwardItem{at: arrival, buf: b2, n: n, epoch: sh.epoch, toSender: seg}) {
-			sh.bufPool.Put(b2)
-		}
 	}
 	sh.mu.Unlock()
 }
@@ -480,11 +335,6 @@ func (sh *Shim) handleFetch(buf []byte, n int, src *net.UDPAddr) {
 	if sh.senderAddr == nil || !sh.senderAddr.IP.Equal(src.IP) || sh.senderAddr.Port != src.Port {
 		sh.senderAddr = src
 	}
-	if sh.fault.LinkDown || sh.fault.AckDown {
-		sh.stats.AckFaultDrop++
-		sh.mu.Unlock()
-		return
-	}
 	now := sh.clock.Now()
 	out := now + sh.ackDelay
 	if out < sh.lastAckOut {
@@ -493,7 +343,7 @@ func (sh *Shim) handleFetch(buf []byte, n int, src *net.UDPAddr) {
 	sh.lastAckOut = out
 	b := sh.bufPool.Get()
 	copy(b, buf[:n])
-	if !sh.enqueue(sh.ackCh, forwardItem{at: out, buf: b, n: n, epoch: sh.epoch}) {
+	if !sh.enqueue(sh.ackCh, forwardItem{at: out, buf: b, n: n}) {
 		sh.bufPool.Put(b)
 	}
 	sh.mu.Unlock()
@@ -506,11 +356,6 @@ func (sh *Shim) handleAck(buf []byte, n int) {
 		sh.mu.Unlock()
 		return
 	}
-	if sh.fault.LinkDown || sh.fault.AckDown {
-		sh.stats.AckFaultDrop++
-		sh.mu.Unlock()
-		return
-	}
 	now := sh.clock.Now()
 	out := now + sh.ackDelay
 	if out < sh.lastAckOut {
@@ -519,7 +364,7 @@ func (sh *Shim) handleAck(buf []byte, n int) {
 	sh.lastAckOut = out
 	b := sh.bufPool.Get()
 	copy(b, buf[:n])
-	if !sh.enqueue(sh.ackCh, forwardItem{at: out, buf: b, n: n, epoch: sh.epoch, toSender: true}) {
+	if !sh.enqueue(sh.ackCh, forwardItem{at: out, buf: b, n: n, toSender: true}) {
 		sh.bufPool.Put(b)
 	}
 	sh.mu.Unlock()
@@ -551,20 +396,11 @@ func (sh *Shim) sleepUntil(at float64) bool {
 	}
 }
 
-func (sh *Shim) forwardData() {
+// forward releases ch's items at their deadlines, to the learned dialing
+// endpoint or the configured destination; data says which counter an
+// item is relayed under.
+func (sh *Shim) forward(ch chan forwardItem, data bool) {
 	defer sh.wg.Done()
-	sh.drainForward(sh.dataCh)
-}
-
-// forwardReorder releases reorder-selected packets on their own
-// timeline, letting them land out of order relative to the main
-// stream.
-func (sh *Shim) forwardReorder() {
-	defer sh.wg.Done()
-	sh.drainForward(sh.reorderCh)
-}
-
-func (sh *Shim) drainForward(ch chan forwardItem) {
 	for {
 		select {
 		case <-sh.done:
@@ -574,51 +410,20 @@ func (sh *Shim) drainForward(ch chan forwardItem) {
 				return
 			}
 			sh.mu.Lock()
-			var to *net.UDPAddr
-			if it.epoch != sh.epoch {
-				sh.stats.Flushed++
-			} else {
+			switch {
+			case data:
 				sh.stats.Delivered++
-				if it.toSender {
-					to = sh.senderAddr
-				} else {
-					to = sh.dst
-				}
-			}
-			sh.mu.Unlock()
-			if to != nil {
-				sh.conn.WriteToUDP(it.buf[:it.n], to)
-			}
-			sh.bufPool.Put(it.buf)
-		}
-	}
-}
-
-func (sh *Shim) forwardAcks() {
-	defer sh.wg.Done()
-	for {
-		select {
-		case <-sh.done:
-			return
-		case it := <-sh.ackCh:
-			if !sh.sleepUntil(it.at) {
-				return
-			}
-			sh.mu.Lock()
-			var dst *net.UDPAddr
-			if it.epoch != sh.epoch {
-				sh.stats.AckFlushed++
-			} else if it.toSender {
+			case it.toSender:
 				sh.stats.AcksRelay++
-				dst = sh.senderAddr
-			} else {
+			default:
 				sh.stats.FetchRelay++
-				dst = sh.dst
+			}
+			to := sh.dst
+			if it.toSender {
+				to = sh.senderAddr
 			}
 			sh.mu.Unlock()
-			if dst != nil {
-				sh.conn.WriteToUDP(it.buf[:it.n], dst)
-			}
+			sh.conn.WriteToUDP(it.buf[:it.n], to)
 			sh.bufPool.Put(it.buf)
 		}
 	}

@@ -1,10 +1,12 @@
 // Package wire is the vocabulary of the real-network datapath: the
-// packet formats, pacing arithmetic, receive-side sequence tracking and
-// path emulation that internal/engine (the one code path that puts a
-// congestion-controlled flow on a UDP socket) and internal/fetch are
-// built from. The controller code is byte-for-byte identical between
-// the discrete-event simulator and the wire, so matched scenarios can
-// be cross-validated (see exp.WireParity and `proteusbench -wire`).
+// packet formats, pacing arithmetic, receive-side sequence tracking,
+// clock and loopback shim that internal/engine (the one code path that
+// puts a congestion-controlled flow on a UDP socket) and internal/fetch
+// are built from. The controller code is byte-for-byte identical between
+// the simulated transport and the engine, and an engine runs as well on
+// an in-memory network in virtual time (engine.SimNet) as on sockets, so
+// matched scenarios are cross-validated on one link model (see
+// exp.WireParity and `proteusbench -wire`).
 //
 // The pieces:
 //
@@ -24,39 +26,58 @@
 //     bounded SACK ranges — the receive-side state of one flow.
 //
 //   - an impairment shim (shim.go): an in-process UDP proxy that
-//     emulates a bottleneck (serialization at a configurable rate, a
-//     tail-drop byte queue, propagation delay, seeded jitter and random
-//     loss, injected chaos faults) on the loopback path, so wire
-//     experiments are reproducible on any machine without root or
+//     emulates a static bottleneck (serialization at a configurable
+//     rate, a tail-drop byte queue, propagation delay, seeded jitter and
+//     random loss) on the loopback path, so `proteusd demo`, the -shim
+//     flags and the fetch benchmark run on any machine without root or
 //     tc/netem privileges.
 //
-//   - a clock (this file) mapping the host's monotonic clock onto the
-//     float64-seconds timeline controllers expect, and a pooled packet
-//     buffer (bufpool.go).
+//   - a clock (this file) mapping the host's monotonic clock — or a
+//     simulator's — onto the float64-seconds timeline controllers
+//     expect, and a pooled packet buffer (bufpool.go).
 package wire
 
 import "time"
 
-// Clock converts the host's monotonic clock into the float64 seconds
-// timeline controllers expect. The zero value is not usable; create
-// with NewClock. All times produced by one Clock share its epoch, so
-// they are small numbers (seconds since the flow started), matching
-// the magnitude the simulator feeds controllers.
+// Clock is the float64-seconds timeline controllers expect, read off
+// the host's monotonic clock (NewClock) or off a virtual time source
+// (VirtualClock) — the engine's in-memory network hands its shards the
+// simulator's. The zero value is not usable. All times produced by one
+// Clock share its epoch, so they are small numbers (seconds since the
+// flow started), matching the magnitude the simulator feeds controllers.
 type Clock struct {
 	epoch time.Time
+	virt  func() float64 // nil: the host's clocks
 }
 
-// NewClock returns a clock whose epoch is now.
+// NewClock returns a host clock whose epoch is now.
 func NewClock() Clock { return Clock{epoch: time.Now()} }
 
-// Now returns monotonic seconds since the epoch.
-func (c Clock) Now() float64 { return time.Since(c.epoch).Seconds() }
+// VirtualClock returns a clock that reads now for its seconds; packet
+// timestamps count nanoseconds from a fixed, comfortably positive epoch,
+// so a stamp offset backwards (a clock-jump fault) stays a valid one.
+func VirtualClock(now func() float64) Clock {
+	return Clock{epoch: time.Unix(1<<30, 0), virt: now}
+}
+
+// Now returns seconds since the epoch.
+func (c Clock) Now() float64 {
+	if c.virt != nil {
+		return c.virt()
+	}
+	return time.Since(c.epoch).Seconds()
+}
 
 // WallNanos returns the wall-clock timestamp placed into packets. Wall
 // time is used on the wire (rather than the monotonic reading) so that
 // two proteusd processes on one host share a timebase for one-way
 // delay; RTT never crosses clock domains.
-func (c Clock) WallNanos() int64 { return time.Now().UnixNano() }
+func (c Clock) WallNanos() int64 {
+	if c.virt != nil {
+		return c.NanosAt(c.virt())
+	}
+	return time.Now().UnixNano()
+}
 
 // SecondsSince converts a wall-clock packet timestamp into this
 // clock's epoch-relative seconds.
