@@ -14,9 +14,9 @@
 //
 // Figure ids are the rows of exp.Figures: the paper's 2–22, plus
 // "ablation", "equilibrium", the Appendix-F bulk-fetch table "fetch", the
-// path-model extensions "cellular", "satellite" and "incast", and — not
-// part of "all" — the §7.2 extension "lte" and the real-socket
-// "overload" table. An unknown id is rejected before anything runs.
+// path-model extensions "cellular", "satellite" and "incast", the
+// engine's "overload" degradation table, and — not part of "all" — the
+// §7.2 extension "lte". An unknown id is rejected before anything runs.
 //
 // Independent figures run on a -jobs worker pool (default: NumCPU capped
 // at the figure count); output is printed in figure order regardless of

@@ -1,11 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"pccproteus/internal/overload"
 	"pccproteus/internal/wire"
@@ -289,37 +290,15 @@ func TestShedCycleZeroAlloc(t *testing.T) {
 	}
 }
 
-// overloadGateConfig is the scaled acceptance scenario: 6 primaries on
-// a 24-slot receiver hit by a 4× scavenger flood.
-func overloadGateConfig() OverloadConfig {
-	flood := 2.0
-	if raceEnabled {
-		flood = 1.5
-	}
-	return OverloadConfig{
-		PrimaryFlows: 6,
-		PrimaryRate:  2e5,
-		ScavRate:     1e5,
-		RecvFlowCap:  24,
-		BatchSize:    256,
-		PacketSize:   400,
-		Warmup:       time.Second,
-		Cooldown:     5 * time.Second,
-		Overload:     overload.Config{RecoverHold: 0.4},
-		Plan: overload.Plan{Phases: []overload.Phase{
-			{Kind: overload.KindFlood, At: 0, Dur: flood, Flows: 24},
-		}},
-	}
-}
-
 // TestFloodBurstReachesShed walks the flood's admission path on a
 // socketless shard, where the test decides what one rx batch holds:
 // part of a scavenger burst tips the table into Brownout, which closes
 // the scavenger gate; table pressure that keeps rising — only primaries
 // can still get in — reaches Shed, which evicts every scavenger and no
-// primary. On real sockets the same flood stops at Brownout unless a
-// single batch happens to admit 17 flows between two detector updates,
-// so this, not TestOverloadFloodGate, is where the transition is
+// primary. In RunOverload's flood the scavengers' first packets cross a
+// link one at a time and the detector is updated after each, so the
+// fifteenth admission closes the gate and the table stops at Brownout;
+// this, not TestOverloadFloodGate, is where the transition to Shed is
 // asserted.
 func TestFloodBurstReachesShed(t *testing.T) {
 	sh := newTestShard(t, Config{MaxFlowsPerShard: 24})
@@ -378,81 +357,109 @@ func TestFloodBurstReachesShed(t *testing.T) {
 	}
 }
 
-// TestOverloadFloodGate is the ISSUE acceptance gate: through a 4×
-// scavenger flood, the receiver degrades (at least Brownout — whether
-// it goes on to Shed depends on how the kernel batches the flood's
-// first packets; TestFloodBurstReachesShed covers that transition),
-// only S-class flows are refused or shed, primary goodput holds within
-// 10%, recovery lands within 3 s of load removal, and goroutine count
-// returns to baseline.
-func TestOverloadFloodGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second loopback scenario")
+// overloadGateConfig is the scaled acceptance scenario: 6 primaries on
+// a 24-slot receiver hit by a 4× scavenger flood.
+func overloadGateConfig() OverloadConfig {
+	return OverloadConfig{
+		PrimaryFlows: 6,
+		RecvFlowCap:  24,
+		Overload:     overload.Config{RecoverHold: 0.4},
+		Plan: overload.Plan{Phases: []overload.Phase{
+			{Kind: overload.KindFlood, At: 0, Dur: 2, Flows: 24},
+		}},
 	}
-	before := runtime.NumGoroutine()
-	var duringMax atomic.Int64
-	stop := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				if n := int64(runtime.NumGoroutine()); n > duringMax.Load() {
-					duringMax.Store(n)
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-		}
-	}()
+}
 
-	res, err := RunOverload(overloadGateConfig())
-	close(stop)
+// floodGateFailures is the flood gate: what a run through a 4× scavenger
+// flood must show. The receiver degrades (at least Brownout;
+// TestFloodBurstReachesShed covers the transition to Shed), only S-class
+// flows are refused or shed, primary goodput holds within 10 %, and the
+// receiver is Normal again no sooner than the detector's hold and within
+// 3 s of load removal. It returns one line per violated property.
+func floodGateFailures(res *OverloadResult, cfg OverloadConfig) (fails []string) {
+	failf := func(format string, args ...any) { fails = append(fails, fmt.Sprintf(format, args...)) }
+	if res.WorstState.Severity() < overload.StateBrownout.Severity() {
+		failf("worst state %v, want at least brownout under a 4× flood", res.WorstState)
+	}
+	if res.Recv.ShedPrimary != 0 {
+		failf("shed %d primary flows — class ordering violated", res.Recv.ShedPrimary)
+	}
+	if res.Recv.RejectedPrimary != 0 {
+		failf("rejected %d primary admissions", res.Recv.RejectedPrimary)
+	}
+	if res.Recv.RejectedScavenger == 0 {
+		failf("no remote scavenger refusals — admission gate never closed")
+	}
+	if res.Load.BusyRx == 0 {
+		failf("flood senders never saw a BUSY push-back")
+	}
+	if res.LoadGoodput < 0.9*res.PreGoodput {
+		failf("primary goodput under flood %.0f < 90%% of pre-flood %.0f", res.LoadGoodput, res.PreGoodput)
+	}
+	if res.RecoverySecs < cfg.Overload.RecoverHold || res.RecoverySecs > 3 {
+		failf("recovery %.3fs outside [%.1f, 3]", res.RecoverySecs, cfg.Overload.RecoverHold)
+	}
+	if res.PostGoodput < 0.9*res.PreGoodput {
+		failf("post-recovery goodput %.0f < 90%% of pre-flood %.0f", res.PostGoodput, res.PreGoodput)
+	}
+	return fails
+}
+
+func runOverload(t *testing.T, cfg OverloadConfig) *OverloadResult {
+	t.Helper()
+	res, err := RunOverload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("pre=%.0f load=%.0f post=%.0f B/s recovery=%.2fs worst=%v recv=%+v",
+	return res
+}
+
+// TestOverloadFloodGate is the acceptance gate for class-aware
+// degradation, in virtual time: every bound is exact.
+func TestOverloadFloodGate(t *testing.T) {
+	cfg := overloadGateConfig()
+	res := runOverload(t, cfg)
+	t.Logf("pre=%.0f load=%.0f post=%.0f B/s recovery=%.3fs worst=%v recv=%+v",
 		res.PreGoodput, res.LoadGoodput, res.PostGoodput,
 		res.RecoverySecs, res.WorstState, res.Recv)
+	for _, f := range floodGateFailures(res, cfg) {
+		t.Error(f)
+	}
+}
 
-	if res.WorstState.Severity() < overload.StateBrownout.Severity() {
-		t.Errorf("worst state %v, want at least brownout under a 4× flood", res.WorstState)
+// TestOverloadFloodGateCanFail is the gate's negative control: the same
+// flood against a detector that cannot leave Normal (pressure never
+// exceeds 1) refuses no admission — the scavengers churn through the
+// table cap's evictions for the whole flood — and has nothing to recover
+// from, and the gate has to say so.
+func TestOverloadFloodGateCanFail(t *testing.T) {
+	cfg := overloadGateConfig()
+	cfg.Overload.Brownout = 2
+	res := runOverload(t, cfg)
+	fails := floodGateFailures(res, cfg)
+	t.Logf("worst=%v recv=%+v\n%s", res.WorstState, res.Recv, strings.Join(fails, "\n"))
+	for _, w := range []string{"worst state", "admission gate never closed", "recovery 0.000s outside"} {
+		if !slices.ContainsFunc(fails, func(f string) bool { return strings.Contains(f, w) }) {
+			t.Errorf("gate did not report %q with the detector disabled", w)
+		}
 	}
-	if res.Recv.ShedPrimary != 0 {
-		t.Errorf("shed %d primary flows — class ordering violated", res.Recv.ShedPrimary)
-	}
-	if res.Recv.RejectedPrimary != 0 {
-		t.Errorf("rejected %d primary admissions", res.Recv.RejectedPrimary)
-	}
-	if res.Recv.RejectedScavenger == 0 {
-		t.Error("no remote scavenger refusals — admission gate never closed")
-	}
-	if res.Load.BusyRx == 0 {
-		t.Error("flood senders never saw a BUSY push-back")
-	}
-	if res.LoadGoodput < 0.9*res.PreGoodput {
-		t.Errorf("primary goodput under flood %.0f < 90%% of pre-flood %.0f",
-			res.LoadGoodput, res.PreGoodput)
-	}
-	if res.RecoverySecs < 0 || res.RecoverySecs > 3 {
-		t.Errorf("recovery %.2fs outside (0, 3]", res.RecoverySecs)
-	}
-	if res.PostGoodput < 0.9*res.PreGoodput {
-		t.Errorf("post-recovery goodput %.0f < 90%% of pre-flood %.0f",
-			res.PostGoodput, res.PreGoodput)
-	}
+}
 
-	// Goroutines: bounded while shedding (phase engine + monitors),
-	// and back to baseline once the harness tears down.
-	if max := duringMax.Load(); max > int64(before)+16 {
-		t.Errorf("goroutines grew to %d during the flood (baseline %d)", max, before)
+// TestOverloadRunsRepeat: the scenario is one goroutine's work in virtual
+// time, so one config gives one result — every counter, goodput and the
+// recovery time — however many CPUs the runtime has.
+func TestOverloadRunsRepeat(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := overloadGateConfig()
+	cfg.Plan.Phases = append(cfg.Plan.Phases, overload.Phase{Kind: overload.KindAckStarve, At: 0.5, Dur: 1, Flows: 40})
+	r1 := runOverload(t, cfg)
+	runtime.GOMAXPROCS(2)
+	r2 := runOverload(t, cfg)
+	if *r1 != *r2 {
+		t.Fatalf("two runs differ:\n%+v\n%+v", *r1, *r2)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Errorf("goroutines %d after teardown, baseline %d", after, before)
+	if r1.Recv.RejectedScavenger == 0 || r1.Load.Paused == 0 {
+		t.Fatalf("both phases should have left a mark: %+v", *r1)
 	}
 }
 
@@ -460,18 +467,12 @@ func TestOverloadFloodGate(t *testing.T) {
 // population aimed at a mute endpoint sheds (pauses) its scavengers
 // first and never touches a primary.
 func TestOverloadAckStarve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second loopback scenario")
-	}
 	cfg := overloadGateConfig()
 	cfg.RecvFlowCap = 16
 	cfg.Plan = overload.Plan{Phases: []overload.Phase{
 		{Kind: overload.KindAckStarve, At: 0, Dur: 1.2, Flows: 40},
 	}}
-	res, err := RunOverload(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOverload(t, cfg)
 	t.Logf("load=%+v addErrs=%d", res.Load, res.LoadAddErrs)
 	if res.Load.Overload != overload.StateShed {
 		t.Errorf("starved engine state %v, want shed", res.Load.Overload)
@@ -487,8 +488,8 @@ func TestOverloadAckStarve(t *testing.T) {
 	}
 	// The starved population is off on its own engine: the main
 	// receiver must be completely unaffected.
-	if res.Recv.ShedScavenger != 0 || res.Recv.Overload != overload.StateNormal {
-		t.Errorf("receiver disturbed by ack-starve phase: %+v", res.Recv)
+	if res.Recv.ShedScavenger != 0 || res.Recv.Overload != overload.StateNormal || res.RecoverySecs != 0 {
+		t.Errorf("receiver disturbed by ack-starve phase: recovery %.3fs, %+v", res.RecoverySecs, res.Recv)
 	}
 }
 

@@ -2,12 +2,11 @@ package engine
 
 import (
 	"errors"
-	"net"
 	"net/netip"
-	"sync"
-	"time"
 
+	"pccproteus/internal/netem"
 	"pccproteus/internal/overload"
+	"pccproteus/internal/sim"
 )
 
 // OverloadConfig drives RunOverload: a steady primary population on a
@@ -18,53 +17,29 @@ import (
 // brownout thresholds.
 type OverloadConfig struct {
 	PrimaryFlows int
-	PrimaryRate  float64 // bytes/sec per primary flow
-	ScavRate     float64 // bytes/sec per flood scavenger flow
-	RecvShards   int
-	BatchSize    int
-	PacketSize   int
-	// RecvFlowCap is the receiver's MaxFlowsPerShard; also used as the
-	// per-shard cap on ack-starve phase engines, where the starved
-	// flows themselves are the table pressure.
+	// RecvFlowCap is the receiver's MaxFlowsPerShard (default 64); also
+	// the cap on ack-starve phase engines, where the starved flows
+	// themselves are the table pressure.
 	RecvFlowCap int
 	Plan        overload.Plan
-	// Warmup is the primary-only baseline period before the plan's
-	// t=0; its second half is the pre-flood goodput window.
-	Warmup time.Duration
-	// Cooldown bounds the post-plan recovery wait and hosts the
-	// post-recovery goodput window.
-	Cooldown time.Duration
-	Overload overload.Config
-	Seed     int64
+	Overload    overload.Config
+	Seed        int64
 }
 
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.PrimaryRate <= 0 {
-		c.PrimaryRate = 2e5
-	}
-	if c.ScavRate <= 0 {
-		c.ScavRate = 1e5
-	}
-	if c.RecvShards <= 0 {
-		c.RecvShards = 1
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 256
-	}
-	if c.PacketSize <= 0 {
-		c.PacketSize = 400
-	}
-	if c.RecvFlowCap <= 0 {
-		c.RecvFlowCap = 64
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = time.Second
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * time.Second
-	}
-	return c
-}
+// The scenario's fixed parts. Every flow sends 400-byte packets at a
+// fixed rate; the plan's t=0 follows a primary-only warm-up whose second
+// half is the pre-load goodput window; the receiver is given
+// overloadCooldown after the load ends to report Normal again, and the
+// post-recovery goodput window follows that.
+const (
+	overloadPrimaryRate = 2e5 // bytes/sec per primary flow
+	overloadScavRate    = 1e5 // bytes/sec per phase flow
+	overloadPacketSize  = 400
+	overloadBatchSize   = 256
+	overloadWarmup      = 1.0 // seconds
+	overloadCooldown    = 5.0
+	overloadPostWindow  = 1.0
+)
 
 // OverloadResult summarizes one overload scenario run.
 type OverloadResult struct {
@@ -110,187 +85,152 @@ func mergeStats(dst *Stats, s Stats) {
 	}
 }
 
-// RunOverload stands up the receiver and primary engines, replays the
-// plan's phases against them, and measures primary goodput before /
-// during / after the load plus the receiver's recovery time.
+// RunOverload puts the receiver and the primary engine on a SimNet,
+// schedules the plan's phases against them, and measures primary goodput
+// before / during / after the load plus the receiver's recovery time.
+// The whole run is virtual time on the caller's goroutine: the same
+// config gives the same result, field for field.
 func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
-	cfg = cfg.withDefaults()
 	if cfg.PrimaryFlows <= 0 {
 		return nil, errors.New("engine: overload needs PrimaryFlows")
 	}
+	if cfg.RecvFlowCap <= 0 {
+		cfg.RecvFlowCap = 64
+	}
 	plan := cfg.Plan.Canonical()
 
-	prim, recv, err := StartPair(
-		Config{BatchSize: cfg.BatchSize, Seed: cfg.Seed + 1},
-		Config{
-			Shards: cfg.RecvShards, BatchSize: cfg.BatchSize,
-			MaxFlowsPerShard: cfg.RecvFlowCap, Overload: cfg.Overload,
-			Seed: cfg.Seed,
-			// Short idle timeout: scavenger receiver flows admitted between
-			// shed waves go quiet once their senders back off; they must
-			// drain quickly or lingering occupancy holds the shard in
-			// Brownout long after the load is gone.
-			IdleTimeout: 1,
-		})
-	if err != nil {
-		return nil, err
+	s := sim.New(cfg.Seed)
+	n := NewSimNet(s)
+	// Every sender engine reaches the receiver over its own fast, short
+	// path: the host, not the network, is what this scenario loads.
+	connect := func(from, to *Engine) {
+		n.Connect(from.Addrs()[0], to.Addrs()[0],
+			&netem.Path{Link: netem.NewLink(s, 1000, 1<<20, 0.0005), AckDelay: 0.0005})
 	}
+	fixedRate := func(rate float64) *FixedRateCC {
+		return &FixedRateCC{Rate: rate, Win: 64 * overloadPacketSize}
+	}
+
+	recv := n.NewEngine(Config{
+		BatchSize: overloadBatchSize, MaxFlowsPerShard: cfg.RecvFlowCap,
+		Overload: cfg.Overload, Seed: cfg.Seed,
+		// Short idle timeout: scavenger receiver flows admitted before
+		// the gate closed go quiet when their senders stop; they must
+		// drain quickly or lingering occupancy holds the shard in
+		// Brownout long after the load is gone.
+		IdleTimeout: 1,
+	})
+	prim := n.NewEngine(Config{BatchSize: overloadBatchSize, Seed: cfg.Seed + 1})
+	connect(prim, recv)
+	recv.Start()
+	prim.Start()
 	defer recv.Stop()
 	defer prim.Stop()
 
-	addrs := recv.Addrs()
+	dst := recv.Addrs()[0]
 	primFlows := make([]*Flow, 0, cfg.PrimaryFlows)
 	for i := 0; i < cfg.PrimaryFlows; i++ {
-		fl, err := prim.AddFlow(FlowConfig{
-			Dst:        addrs[i%len(addrs)],
-			CC:         &FixedRateCC{Rate: cfg.PrimaryRate, Win: float64(64 * cfg.PacketSize)},
-			PacketSize: cfg.PacketSize,
-		})
+		fl, err := prim.AddFlow(FlowConfig{Dst: dst, CC: fixedRate(overloadPrimaryRate), PacketSize: overloadPacketSize})
 		if err != nil {
 			return nil, err
 		}
 		primFlows = append(primFlows, fl)
 	}
-	ackedPrim := func() int64 {
-		var n int64
+	// ackedAt runs the simulator to time t and returns what the primaries
+	// have had acked by then; goodput is their bytes per second over
+	// [from, until].
+	ackedAt := func(t float64) (n int64) {
+		s.Run(t)
 		for _, fl := range primFlows {
 			n += fl.Stats().AckedBytes
 		}
 		return n
 	}
+	goodput := func(from, until float64) float64 {
+		a := ackedAt(from)
+		return float64(ackedAt(until)-a) / (until - from)
+	}
 
-	// A mute endpoint for ack-starve phases: a bound, never-read UDP
-	// socket. Its receive buffer fills and the kernel silently drops —
-	// exactly the slow receiver the scenario wants.
-	var muteAddr netip.AddrPort
-	needMute := false
-	for _, ph := range plan.Phases {
-		if ph.Kind == overload.KindAckStarve {
-			needMute = true
-		}
-	}
-	if needMute {
-		mc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			return nil, err
-		}
-		defer mc.Close()
-		muteAddr = mc.LocalAddr().(*net.UDPAddr).AddrPort()
-	}
+	// The mute endpoint of an ack-starve phase is an address nothing
+	// routes to: every datagram sent there is lost, none is answered —
+	// the slow receiver the scenario wants.
+	mute := netip.AddrPortFrom(netip.AddrFrom4([4]byte{192, 0, 2, 1}), 9)
 
 	res := &OverloadResult{RecoverySecs: -1}
 
-	// Warmup, then the pre-load goodput window over its second half.
-	time.Sleep(cfg.Warmup / 2)
-	a0, t0 := ackedPrim(), time.Now()
-	time.Sleep(cfg.Warmup / 2)
-	res.PreGoodput = float64(ackedPrim()-a0) / time.Since(t0).Seconds()
-
-	base := time.Now() // the plan's t=0
-
-	// Launch each phase on its own ephemeral engine so "load removal"
-	// is a clean teardown, not a lingering population.
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		loadEnd float64
-	)
-	for _, ph := range plan.Phases {
-		if end := ph.At + ph.Dur; end > loadEnd {
-			loadEnd = end
+	// Each phase runs on its own engine, built when the phase starts and
+	// stopped when it ends, so "load removal" is a clean teardown, not a
+	// lingering population.
+	const base = overloadWarmup // the plan's t=0
+	loadStart, loadEnd := base, base
+	for i, ph := range plan.Phases {
+		if i == 0 {
+			loadStart = base + ph.At // the plan is in time order
 		}
-		wg.Add(1)
-		go func(ph overload.Phase) {
-			defer wg.Done()
-			sleepUntil(base, ph.At)
-			ecfg := Config{BatchSize: cfg.BatchSize, Seed: cfg.Seed + 100 + int64(ph.Flows)}
-			dst := addrs
+		loadEnd = max(loadEnd, base+ph.At+ph.Dur)
+		s.At(base+ph.At, func() {
+			ecfg := Config{BatchSize: overloadBatchSize, Seed: cfg.Seed + 100 + int64(i)}
 			if ph.Kind == overload.KindAckStarve {
 				// The starved flows themselves are the pressure: a tight
-				// table and a short idle timeout so the phase engine both
-				// browns out and then drains.
+				// table, so the phase engine browns out.
 				ecfg.MaxFlowsPerShard = cfg.RecvFlowCap
 				ecfg.Overload = cfg.Overload
-				ecfg.IdleTimeout = 2
-				dst = []netip.AddrPort{muteAddr}
 			}
-			eng, err := New(ecfg)
-			if err != nil {
-				return
+			eng := n.NewEngine(ecfg)
+			to := mute
+			if ph.Kind == overload.KindFlood {
+				connect(eng, recv)
+				to = dst
 			}
-			if err := eng.Start(); err != nil {
-				eng.Stop()
-				return
-			}
-			addErrs := 0
-			for i := 0; i < ph.Flows; i++ {
+			eng.Start()
+			for j := 0; j < ph.Flows; j++ {
 				class := overload.ClassScavenger
-				if ph.Kind == overload.KindAckStarve && i >= ph.Flows/2 {
+				if ph.Kind == overload.KindAckStarve && j >= ph.Flows/2 {
 					// A slow receiver starves everyone: the back half of
 					// the starved population is primary, which both mirrors
-					// reality and guarantees the table reaches Shed even
-					// after the scavenger admission gate closes.
+					// reality and shows the cap refusing either class.
 					class = overload.ClassPrimary
 				}
 				_, err := eng.AddFlow(FlowConfig{
-					Dst:        dst[i%len(dst)],
-					CC:         &FixedRateCC{Rate: cfg.ScavRate, Win: float64(64 * cfg.PacketSize)},
-					PacketSize: cfg.PacketSize,
-					Class:      class,
+					Dst: to, CC: fixedRate(overloadScavRate), PacketSize: overloadPacketSize, Class: class,
 				})
 				if err != nil {
-					addErrs++ // expected once the phase engine browns out
+					res.LoadAddErrs++ // expected once the phase engine is at its cap
 				}
 			}
-			sleepUntil(base, ph.At+ph.Dur)
-			st := eng.Stats()
-			eng.Stop()
-			mu.Lock()
-			mergeStats(&res.Load, st)
-			res.LoadAddErrs += addErrs
-			mu.Unlock()
-		}(ph)
+			s.At(base+ph.At+ph.Dur, func() {
+				mergeStats(&res.Load, eng.Stats())
+				eng.Stop()
+			})
+		})
 	}
 
-	// Primary goodput over the whole load window. The recovery clock
-	// starts when the plan says the load ends, before the phase engines
-	// are torn down: their Stop is part of what recovery waits out.
-	removed := time.Now()
-	if len(plan.Phases) > 0 {
-		sleepUntil(base, plan.Phases[0].At)
-		la, lt := ackedPrim(), time.Now()
-		sleepUntil(base, loadEnd)
-		removed = time.Now()
-		wg.Wait() // phase engines fully stopped: load is removed
-		res.LoadGoodput = float64(ackedPrim()-la) / time.Since(lt).Seconds()
+	res.PreGoodput = goodput(base/2, base)
+	// Primary goodput over the whole load window; the recovery clock
+	// starts when the plan says the load ends.
+	if loadEnd > loadStart {
+		res.LoadGoodput = goodput(loadStart, loadEnd)
 	}
-	// Shed dwells can be a single loop pass (~1ms): shedding collapses
-	// the very pressure that caused it. Polling would miss that, so the
-	// shards record the worst state they ever entered and Stats()
-	// surfaces it sticky.
+	// A Shed dwell can be a single loop pass: shedding collapses the very
+	// pressure that caused it. The shards record the worst state they
+	// ever entered and Stats surfaces it sticky.
 	res.WorstState = recv.Stats().WorstOverload
 
 	// Recovery clock: load removal → receiver (and primary sender)
-	// report Normal with nothing paused.
-	deadline := removed.Add(cfg.Cooldown)
-	for time.Now().Before(deadline) {
+	// report Normal with nothing paused, read every millisecond.
+	for ms := 0; ms <= overloadCooldown*1000; ms++ {
+		t := float64(ms) / 1000
+		s.Run(loadEnd + t)
 		rs, ps := recv.Stats(), prim.Stats()
 		if rs.Overload == overload.StateNormal && ps.Overload == overload.StateNormal &&
 			rs.Paused == 0 && ps.Paused == 0 {
-			res.RecoverySecs = time.Since(removed).Seconds()
+			res.RecoverySecs = t
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Post-recovery goodput window.
-	postWin := cfg.Cooldown / 4
-	if postWin > time.Second {
-		postWin = time.Second
-	}
-	p0, pt := ackedPrim(), time.Now()
-	time.Sleep(postWin)
-	res.PostGoodput = float64(ackedPrim()-p0) / time.Since(pt).Seconds()
+	now := s.Now()
+	res.PostGoodput = goodput(now, now+overloadPostWindow)
 
 	res.Recv = recv.Stats()
 	res.Primary = prim.Stats()

@@ -83,7 +83,7 @@ var Figures = []Figure{
 	{ID: "lte", Run: tableFig("lte", func(o Options) *Table {
 		return LTESolo(o, append(append([]string{}, AllSingle...), ProtoAllegro))
 	})},
-	{ID: "overload", Run: func(o Options) ([]Block, error) {
+	{ID: "overload", All: true, Run: func(o Options) ([]Block, error) {
 		t, err := OverloadFig(o)
 		if err != nil {
 			return nil, err

@@ -73,3 +73,29 @@ func TestPrintTimelinesSectionOrder(t *testing.T) {
 		}
 	}
 }
+
+// results/figoverload.txt is its first line's command and then exactly
+// what that command prints: the overload scenario runs in virtual time,
+// so the capture cannot go stale without this failing.
+func TestOverloadFigureMatchesResults(t *testing.T) {
+	want, err := os.ReadFile("../../results/figoverload.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd, body, _ := strings.Cut(string(want), "\n")
+	if cmd != "# go run ./cmd/proteusbench -fig overload -seed 1" {
+		t.Fatalf("first line %q is not the command", cmd)
+	}
+	f, _ := FigureByName("overload")
+	blocks, err := f.Run(Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, b := range blocks {
+		got.WriteString(b.Render())
+	}
+	if got.String() != body {
+		t.Fatalf("-fig overload -seed 1 prints\n%s\nresults/figoverload.txt has\n%s", got.String(), body)
+	}
+}

@@ -6,55 +6,46 @@ import (
 )
 
 // OverloadFig runs the engine-datapath degradation scenarios — a 4×
-// scavenger flow flood and an ack-starved slow-receiver phase — on
-// real loopback sockets and tabulates graceful-degradation metrics:
-// primary goodput before / during / after the load, the retention
-// ratio under load, time to recover once the load is removed, and the
-// class-aware shed/reject/BUSY counters that show the brownout
+// scavenger flow flood and an ack-starved slow-receiver phase — on an
+// engine.SimNet, in virtual time, and tabulates graceful-degradation
+// metrics: primary goodput before / during / after the load, the
+// retention ratio under load, time to recover once the load is removed,
+// and the class-aware shed/reject/BUSY counters that show the brownout
 // machinery spent the pressure on scavengers, not primaries.
 func OverloadFig(o Options) (*Table, error) {
-	o = o.withDefaults()
-	dur := 2.0
-	if o.Fast {
-		dur = 1.0
-	}
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
-	}
-
-	type scenario struct {
+	scenarios := []struct {
 		name string
 		cfg  engine.OverloadConfig
-	}
-	scenarios := []scenario{
+	}{
 		{
-			// 6 primaries on a 24-slot receiver, hit by 24 scavengers:
-			// a 4× flood that drives occupancy through Shed.
+			// 6 primaries on a 24-slot receiver, hit by 24 scavengers: a
+			// 4× flood. The fifteenth scavenger admitted takes the table
+			// to Brownout; the rest are refused until the flood has gone
+			// and its flows have idled out.
 			name: "flood-4x",
 			cfg: engine.OverloadConfig{
 				PrimaryFlows: 6,
 				RecvFlowCap:  24,
 				Plan: overload.Plan{Phases: []overload.Phase{
-					{Kind: overload.KindFlood, At: 0, Flows: 24, Dur: dur},
+					{Kind: overload.KindFlood, At: 0, Flows: 24, Dur: 2},
 				}},
 				Overload: overload.Config{RecoverHold: 0.4},
-				Seed:     seed,
+				Seed:     o.seedFor(1),
 			},
 		},
 		{
 			// A mute endpoint starves a mixed population: the starved
-			// flows fill their own engine's table until it sheds the
-			// scavenger half and refuses further admissions.
+			// flows fill their own engine's table until it sheds its
+			// scavengers and refuses further admissions.
 			name: "ack-starve",
 			cfg: engine.OverloadConfig{
 				PrimaryFlows: 6,
 				RecvFlowCap:  16,
 				Plan: overload.Plan{Phases: []overload.Phase{
-					{Kind: overload.KindAckStarve, At: 0, Flows: 32, Dur: dur},
+					{Kind: overload.KindAckStarve, At: 0, Flows: 32, Dur: 2},
 				}},
 				Overload: overload.Config{RecoverHold: 0.4},
-				Seed:     seed + 1,
+				Seed:     o.seedFor(2),
 			},
 		},
 	}

@@ -141,14 +141,13 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 	}
 
 	t0 := time.Now()
-	deadline := t0.Add(time.Duration(cfg.Timeout * float64(time.Second)))
-	endAt := make([]time.Time, cfg.Flows)
-	for pending := cfg.Flows; pending > 0 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+	endAt := make([]float64, cfg.Flows)
+	for pending := cfg.Flows; pending > 0 && time.Since(t0).Seconds() < cfg.Timeout; time.Sleep(5 * time.Millisecond) {
 		for i, f := range fetchers {
 			select {
 			case <-f.Done():
-				if endAt[i].IsZero() {
-					endAt[i] = time.Now()
+				if endAt[i] == 0 {
+					endAt[i] = time.Since(t0).Seconds()
 					pending--
 				}
 			default:
@@ -156,19 +155,30 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 		}
 	}
 	wall := time.Since(t0).Seconds()
+	shimStats := make([]wire.ShimStats, len(shims))
+	for i, sh := range shims {
+		shimStats[i] = sh.Stats()
+	}
+	return loopbackResult(fetchers, endAt, shimStats, srv.Stats(), wall), nil
+}
 
+// loopbackResult assembles a run's result, on either network: fetcher i
+// sat behind the bottleneck that counted shims[i] and was done endAt[i]
+// seconds into the run — zero if it never was, and then it is measured
+// over the run's wall seconds.
+func loopbackResult(fetchers []*Fetcher, endAt []float64, shims []wire.ShimStats, srv engine.Stats, wall float64) *LoopbackResult {
 	res := &LoopbackResult{AllDone: true, AllVerified: true}
 	for i, f := range fetchers {
 		st := f.Stats()
 		secs := wall
-		if !endAt[i].IsZero() {
-			secs = endAt[i].Sub(t0).Seconds()
+		if endAt[i] > 0 {
+			secs = endAt[i]
 		}
 		p50, p95, p99 := f.RTTQuantiles()
 		fr := FlowResult{
 			Done: st.Done, Verified: st.Verified, Bytes: st.Delivered,
 			Secs: secs, P50RTT: p50, P95RTT: p95, P99RTT: p99,
-			Fetcher: st, Shim: shims[i].Stats(),
+			Fetcher: st, Shim: shims[i],
 		}
 		if secs > 0 {
 			fr.GoodputMbps = float64(st.Delivered) * 8 / secs / 1e6
@@ -178,10 +188,9 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 		res.AllDone = res.AllDone && st.Done
 		res.AllVerified = res.AllVerified && st.Verified
 	}
-	st := srv.Stats()
-	res.Receiver = ServerStats{FetchReqs: st.FetchReqs, SegsTx: st.SegsTx, Pkts: st.Delivered, BadPkts: st.BadPkts}
+	res.Receiver = ServerStats{FetchReqs: srv.FetchReqs, SegsTx: srv.SegsTx, Pkts: srv.Delivered, BadPkts: srv.BadPkts}
 	if wall > 0 {
 		res.AggMbps = float64(res.TotalBytes) * 8 / wall / 1e6
 	}
-	return res, nil
+	return res
 }

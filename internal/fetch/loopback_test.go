@@ -63,67 +63,47 @@ func simLoopback(t *testing.T, cfg LoopbackConfig, plan *chaos.Plan) *LoopbackRe
 	srv.Start()
 	defer srv.Stop()
 
-	type client struct {
-		f      *Fetcher
-		path   *netem.Path
-		doneAt float64
-	}
-	clients := make([]*client, max(cfg.Flows, 1))
-	for i := range clients {
+	fetchers := make([]*Fetcher, max(cfg.Flows, 1))
+	paths := make([]*netem.Path, len(fetchers))
+	for i := range fetchers {
 		data := make([]byte, cfg.BytesPerFlow)
 		rand.New(rand.NewSource(wire.MixSeed(cfg.Seed, int64(i)))).Read(data)
 		link := netem.NewLink(s, cfg.Shim.RateMbps, cfg.Shim.QueueBytes, cfg.Shim.Delay)
 		link.LossProb = cfg.Shim.LossProb
-		c := &client{path: &netem.Path{Link: link, AckDelay: cfg.Shim.AckDelay}}
-		if _, err := pathmodel.Install(s, c.path, nil, plan, cfg.Timeout); err != nil {
+		paths[i] = &netem.Path{Link: link, AckDelay: cfg.Shim.AckDelay}
+		if _, err := pathmodel.Install(s, paths[i], nil, plan, cfg.Timeout); err != nil {
 			t.Fatal(err)
 		}
 		eng := n.NewEngine(engine.Config{MaxPacket: maxPkt})
-		n.Connect(srv.Addrs()[0], eng.Addrs()[0], c.path)
+		n.Connect(srv.Addrs()[0], eng.Addrs()[0], paths[i])
 		eng.Start()
 		defer eng.Stop()
-		c.f = &Fetcher{Dst: srv.Addrs()[0], CC: cfg.NewController(), ObjID: store.Add(fmt.Sprintf("obj-%d", i), data),
+		fetchers[i] = &Fetcher{Dst: srv.Addrs()[0], CC: cfg.NewController(), ObjID: store.Add(fmt.Sprintf("obj-%d", i), data),
 			SegSize: store.SegSize, Window: cfg.Window}
-		if err := c.f.Start(eng); err != nil {
+		if err := fetchers[i].Start(eng); err != nil {
 			t.Fatal(err)
 		}
-		clients[i] = c
 	}
-	for pending := len(clients); pending > 0 && s.Now() < cfg.Timeout; {
+	endAt := make([]float64, len(fetchers))
+	for pending := len(fetchers); pending > 0 && s.Now() < cfg.Timeout; {
 		s.Run(s.Now() + 0.005)
-		for _, c := range clients {
+		for i, f := range fetchers {
 			select {
-			case <-c.f.Done():
-				if c.doneAt == 0 {
-					c.doneAt = s.Now()
+			case <-f.Done():
+				if endAt[i] == 0 {
+					endAt[i] = s.Now()
 					pending--
 				}
 			default:
 			}
 		}
 	}
-
-	res := &LoopbackResult{AllDone: true, AllVerified: true}
-	for _, c := range clients {
-		st := c.f.Stats()
-		p50, p95, p99 := c.f.RTTQuantiles()
-		ls := c.path.Link.Stats()
-		fr := FlowResult{
-			Done: st.Done, Verified: st.Verified, Bytes: st.Delivered, Secs: c.doneAt,
-			P50RTT: p50, P95RTT: p95, P99RTT: p99, Fetcher: st,
-			Shim: wire.ShimStats{Enqueued: ls.Enqueued, Dropped: ls.Dropped, LostRandom: ls.LostRandom, Delivered: ls.Delivered},
-		}
-		if fr.Secs > 0 {
-			fr.GoodputMbps = float64(st.Delivered) * 8 / fr.Secs / 1e6
-		}
-		res.Flows = append(res.Flows, fr)
-		res.TotalBytes += st.Delivered
-		res.AllDone = res.AllDone && st.Done
-		res.AllVerified = res.AllVerified && st.Verified
+	links := make([]wire.ShimStats, len(paths))
+	for i, p := range paths {
+		ls := p.Link.Stats()
+		links[i] = wire.ShimStats{Enqueued: ls.Enqueued, Dropped: ls.Dropped, LostRandom: ls.LostRandom, Delivered: ls.Delivered}
 	}
-	es := srv.Stats()
-	res.Receiver = ServerStats{FetchReqs: es.FetchReqs, SegsTx: es.SegsTx, Pkts: es.Delivered, BadPkts: es.BadPkts}
-	return res
+	return loopbackResult(fetchers, endAt, links, srv.Stats(), s.Now())
 }
 
 // The acceptance scenario: three concurrent fetchers, ≥64 MiB total,
