@@ -3,7 +3,6 @@ package main
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"pccproteus/internal/engine"
 )
@@ -62,8 +61,7 @@ func TestFlowCapChurnLeaksNoGoroutines(t *testing.T) {
 			t.Fatal("over-cap round accepted")
 		}
 	}
-	runtime.GC()
-	time.Sleep(50 * time.Millisecond)
+	// AddFlow spawns nothing, so there is nothing to wait for.
 	if n := runtime.NumGoroutine(); n > base+2 {
 		t.Fatalf("goroutines grew under churn: %d -> %d", base, n)
 	}

@@ -1,19 +1,24 @@
 package campaign
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestOrderedReduceOrdering checks the fold visits indices in order for
 // every worker count, even when early items finish last.
 func TestOrderedReduceOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16, 64} {
+		// Every seventh item finishes only after its successor has. With
+		// one worker the pool runs items in turn, and waiting would
+		// deadlock.
+		finished := make([]chan struct{}, 50)
+		for i := range finished {
+			finished[i] = make(chan struct{})
+		}
 		var got []int
 		OrderedReduce(50, workers, func(i int) int {
-			if i%7 == 0 { // stagger completion order
-				time.Sleep(time.Millisecond)
+			if i%7 == 0 && workers > 1 && i+1 < len(finished) {
+				<-finished[i+1]
 			}
+			close(finished[i])
 			return i * i
 		}, func(i, v int) {
 			if v != i*i {

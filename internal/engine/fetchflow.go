@@ -11,9 +11,9 @@ import (
 	"pccproteus/internal/wire"
 )
 
-// FetchResponse is one SEGMENT response handed back to the core.
-// Payload is nil in the simulator (no real bytes move); Meta responses
-// carry the whole-object digest as their payload.
+// FetchResponse is one SEGMENT response handed back to the core. Its
+// payload aliases the shard's receive buffer and is valid only during
+// the call; Meta responses carry the whole-object digest as theirs.
 type FetchResponse struct {
 	Nonce     int64
 	Seg       int64

@@ -214,8 +214,10 @@ func TestDueTimerStillReadsSocket(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A wheel whose current slot lies in the future fires nothing, so
-	// the armed deadline below stays due on every pass.
+	// Loopback delivery is synchronous: all n datagrams sit in the socket
+	// before the first pass. A wheel whose current slot lies in the
+	// future fires nothing, so the armed deadline below stays due on
+	// every pass.
 	sh.wh.init(sh.clock.Now() + 60)
 	due := &flow{addr: src(1), id: 99, rcv: &recvFlow{highest: -1}}
 	sh.wh.arm(due, sh.clock.Now()-1)
@@ -226,7 +228,6 @@ func TestDueTimerStillReadsSocket(t *testing.T) {
 		if !due.armed {
 			t.Fatal("the due timer fired: the scenario is not the one under test")
 		}
-		time.Sleep(50 * time.Microsecond) // loopback delivery is normally synchronous; be lenient
 	}
 	if got := sh.ctr.rxPkts.Load(); got != n {
 		t.Fatalf("read %d of %d queued datagrams with a timer always due", got, n)

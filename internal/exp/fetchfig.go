@@ -2,8 +2,10 @@ package exp
 
 import (
 	"pccproteus/internal/dash"
+	"pccproteus/internal/engine"
 	"pccproteus/internal/fetch"
 	"pccproteus/internal/stats"
+	"pccproteus/internal/wire"
 )
 
 // FetchBackgrounds lists the bulk-fetch variants of the scavenger-yield
@@ -29,11 +31,11 @@ func pltHist() *stats.LogHist { return stats.NewLogHist(0.01, 100, 160) }
 // FetchYield runs the scavenger-yield benchmark for the segmented
 // bulk-fetch protocol (EXPERIMENTS Appendix F): a residential downlink
 // carries three DASH players (CUBIC transport) and Poisson web page
-// loads; an effectively infinite fetch.SimTransfer runs underneath in
-// each background variant. A well-behaved scavenger fetch leaves the
-// foreground within a few percent of the fetch-free baseline while
-// soaking up the leftover capacity; the same fetch under Proteus-P
-// claims a primary's share and degrades the foreground.
+// loads; an endless fetch runs underneath in each background variant, as
+// an engine fetch flow on a SimNet over the same bottleneck. A
+// well-behaved scavenger fetch leaves the foreground within a few
+// percent of the fetch-free baseline while soaking up the leftover
+// capacity; the same fetch under Proteus-P claims a primary's share.
 func FetchYield(o Options) []FetchYieldResult {
 	o = o.withDefaults()
 	dur := o.Duration
@@ -72,27 +74,50 @@ func fetchYieldLink() LinkSpec {
 
 func fetchYieldTrial(seed int64, background string, dur float64) (dashMbps float64, plts []float64, fetchBytes int64) {
 	var players []*dash.Player
-	var tr *fetch.SimTransfer
+	var f *fetch.Fetcher
 	Run(Scenario{Seed: seed, Link: fetchYieldLink(), Duration: dur, Setup: func(e *Env) {
 		players = dashPlayers(e, 3)
 		pageLoads(e, &plts)
 		if background == "none" {
 			return
 		}
-		// An object far larger than the link can move in dur: the fetch
-		// never completes, so its goodput is pure steady-state yield.
-		tr = &fetch.SimTransfer{
-			S: e.S, Path: e.Path, CC: NewController(e.S, background), ID: 100,
-			ObjectBytes: 1 << 40,
-		}
-		if err := tr.Start(); err != nil {
+		// Segments cross the bottleneck beside the foreground; requests
+		// take its return path.
+		n := engine.NewSimNet(e.S)
+		maxPkt := wire.SegmentHeaderLen + fetch.DefaultSegSize
+		srv := n.NewEngine(engine.Config{OnFetch: serveEndless, MaxPacket: maxPkt})
+		cli := n.NewEngine(engine.Config{MaxPacket: maxPkt})
+		n.Connect(srv.Addrs()[0], cli.Addrs()[0], e.Path)
+		srv.Start()
+		cli.Start()
+		f = &fetch.Fetcher{Dst: srv.Addrs()[0], CC: NewController(e.S, background)}
+		if err := f.Start(cli); err != nil {
 			panic(err) // static configuration; a typo should fail loudly
 		}
 	}})
-	if tr != nil {
-		fetchBytes = tr.DeliveredBytes()
+	if f != nil {
+		fetchBytes = f.Stats().Delivered
 	}
 	return meanBitrate(players), plts, fetchBytes
+}
+
+// endlessSize is far more than the link moves in a run: the fetch never
+// completes, so its goodput is pure steady-state yield.
+const endlessSize = 1 << 40
+
+var zeroSeg [fetch.DefaultSegSize]byte
+
+// serveEndless is a stateless fetch server for one endlessSize object of
+// zero bytes under a zero digest, whatever object a request names.
+func serveEndless(h wire.FetchHeader, buf []byte) []byte {
+	payload := zeroSeg[:]
+	if h.Meta {
+		payload = zeroSeg[:wire.DigestLen]
+	}
+	return wire.EncodeSegment(buf, wire.SegmentHeader{
+		Nonce: h.Nonce, SentAtEcho: h.SentAt, Meta: h.Meta, ObjID: h.ObjID, Seg: h.Seg,
+		TotalSegs: fetch.TotalSegs(endlessSize, fetch.DefaultSegSize), ObjSize: endlessSize,
+	}, payload)
 }
 
 // FetchYieldTable renders the scavenger-yield results.

@@ -1,13 +1,33 @@
 package exp
 
-import "testing"
+import (
+	"os"
+	"strings"
+	"testing"
+)
 
 // The Appendix F acceptance property: a Proteus-S bulk fetch yields —
 // the DASH/web foreground stays within 10% of its fetch-free baseline —
 // while the identical fetch under Proteus-P claims a primary's share of
-// the leftover capacity (several times the scavenger's take).
+// the leftover capacity (several times the scavenger's take). It holds
+// over three trials: a single one reads P/S as low as 2.
+//
+// The same run is results/figfetch.txt: its first line is the command,
+// the rest exactly what that command prints.
 func TestFetchYieldScavengerProperty(t *testing.T) {
-	res := FetchYield(Options{Fast: true})
+	res := FetchYield(Options{Fast: true, Trials: 3, Seed: 1})
+	want, err := os.ReadFile("../../results/figfetch.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd, body, _ := strings.Cut(string(want), "\n")
+	if cmd != "# go run ./cmd/proteusbench -fig fetch -fast -trials 3 -seed 1" {
+		t.Fatalf("first line %q is not the command", cmd)
+	}
+	if got := (Block{Table: FetchYieldTable(res)}).Render(); got != body {
+		t.Errorf("-fig fetch -fast -trials 3 -seed 1 prints\n%s\nresults/figfetch.txt has\n%s", got, body)
+	}
+
 	byBg := map[string]FetchYieldResult{}
 	for _, r := range res {
 		byBg[r.Background] = r
@@ -38,7 +58,11 @@ func TestFetchYieldScavengerProperty(t *testing.T) {
 		t.Errorf("proteus-p fetch claimed %.2f Mbps, not a primary share vs scavenger %.2f",
 			prim.FetchMbps, scav.FetchMbps)
 	}
-	if prim.FetchMbps < 2 {
+	// The floor is ≈ 40 % of the full-size figure's Proteus-P goodput:
+	// 2 Mbps of 4.8 when a simulator-only driver ran the fetch, 0.8 of
+	// 2.05 now that the fetch is an engine fetch flow whose trains leave
+	// on their pacing stamps.
+	if prim.FetchMbps < 0.8 {
 		t.Errorf("proteus-p fetch goodput %.2f Mbps below any plausible claimed share", prim.FetchMbps)
 	}
 	if base.FetchMbps != 0 {

@@ -28,7 +28,7 @@ func RunFetchBench(b *testing.B) {
 			// An uncontended controller: rate and window never gate, so the
 			// measured cost is the fetch machinery itself.
 			ObjID: objID, CC: &engine.FixedRateCC{Rate: 125e6}, SegSize: store.SegSize,
-			Hash: true, OnData: func(seg int64, payload []byte) {},
+			OnData: func(seg int64, payload []byte) {},
 		})
 		if err != nil {
 			b.Fatal(err)

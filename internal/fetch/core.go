@@ -28,10 +28,6 @@ type Config struct {
 	// Window bounds the reassembly window in segments (default
 	// DefaultWindow).
 	Window int
-	// Hash verifies delivered bytes against the whole-object SHA-256
-	// from the metadata exchange. Fetcher sets it; the sim driver moves
-	// no real bytes and leaves it off.
-	Hash bool
 	// OnData, when set, observes each segment at in-order delivery.
 	// The payload slice is only valid during the call.
 	OnData func(seg int64, payload []byte)
@@ -77,9 +73,10 @@ type CoreStats struct {
 // a transport.Recovery — the same record book, RACK + RTO rules and
 // outage survival every sender runs, keyed by request nonce — so a
 // fetch behaves like an upload running in the opposite direction. It
-// is single-threaded by contract — an engine shard drives it from its
-// one goroutine (engine.FetchCore), the sim driver from the simulator's
-// event loop.
+// is single-threaded by contract: an engine shard drives it from its
+// one goroutine (engine.FetchCore), in real or virtual time. Its memory
+// is O(Window) whatever geometry the server declares: a segment is
+// delivered exactly when it is below cum or sits in the buffer.
 type Core struct {
 	cfg  Config
 	book transport.Recovery
@@ -94,10 +91,9 @@ type Core struct {
 	metaOut   int // outstanding (not acked/lost) metadata requests, probes aside
 	digest    [wire.DigestLen]byte
 
-	done      []bool
-	buffer    map[int64][]byte
-	cum       int64 // segments [0,cum) delivered in order
-	next      int64 // next never-requested segment
+	buffer    map[int64][]byte // received segments in (cum, cum+Window)
+	cum       int64            // segments [0,cum) delivered in order
+	next      int64            // next never-requested segment
 	hash      hash.Hash
 	delivered int64
 
@@ -128,11 +124,9 @@ func NewCore(cfg Config) (*Core, error) {
 		cfg:     cfg,
 		retxSet: make(map[int64]bool),
 		buffer:  make(map[int64][]byte),
+		hash:    sha256.New(),
 	}
 	c.book.Init(cfg.CC, c.onLost)
-	if cfg.Hash {
-		c.hash = sha256.New()
-	}
 	return c, nil
 }
 
@@ -277,7 +271,6 @@ func (c *Core) OnResponse(r Response, recvAt, now float64) (healed bool) {
 		c.geomKnown = true
 		c.totalSegs = r.TotalSegs
 		c.objSize = r.ObjSize
-		c.done = make([]bool, r.TotalSegs)
 	}
 	if rec := c.book.Find(r.Nonce); rec != nil {
 		c.ackRec(rec, now, recvAt)
@@ -320,7 +313,9 @@ func (c *Core) ackRec(rec *transport.Record, now, recvAt float64) {
 // deliver routes a response's content into the reassembly state. The
 // request record's fate is irrelevant here: a segment that arrives
 // after its request was declared lost is new data all the same, and
-// counting it delivered is what makes retransmissions converge.
+// counting it delivered is what makes retransmissions converge. Only
+// segments in [cum, cum+Window) were ever requested; anything else is
+// stale or forged and is dropped, which bounds the buffer.
 func (c *Core) deliver(r Response) {
 	if r.Meta {
 		if c.metaDone {
@@ -331,66 +326,38 @@ func (c *Core) deliver(r Response) {
 		c.metaDone = true
 		return
 	}
-	if !c.geomKnown || r.Seg < 0 || r.Seg >= c.totalSegs || c.done[r.Seg] {
+	_, buffered := c.buffer[r.Seg]
+	if !c.geomKnown || r.Seg < c.cum || r.Seg >= c.totalSegs || r.Seg-c.cum >= int64(c.cfg.Window) || buffered {
 		c.dups++
 		return
 	}
-	c.done[r.Seg] = true
 	c.segsRx++
-	if r.Seg == c.cum {
-		c.deliverSeg(r.Seg, r.Payload)
-		c.cum++
-	} else if c.hash != nil || c.cfg.OnData != nil {
+	if r.Seg > c.cum {
 		c.buffer[r.Seg] = append([]byte(nil), r.Payload...)
+		return
 	}
-	for c.cum < c.totalSegs && c.done[c.cum] {
-		if !c.drainOne() {
-			break
-		}
-	}
-}
-
-// deliverSeg hands one in-order segment to the hash and the data hook.
-func (c *Core) deliverSeg(seg int64, payload []byte) {
-	if c.hash != nil {
-		c.hash.Write(payload)
-	}
-	if c.cfg.OnData != nil {
-		c.cfg.OnData(seg, payload)
-	}
-	if c.geomKnown {
-		// Byte accounting comes from the geometry, not len(payload), so
-		// the payload-free simulator counts identically to the wire.
-		n := c.objSize - seg*int64(c.cfg.SegSize)
-		if n > int64(c.cfg.SegSize) {
-			n = int64(c.cfg.SegSize)
-		}
-		if n > 0 {
-			c.delivered += n
-		}
-	}
-}
-
-// drainOne advances cum across one buffered segment.
-func (c *Core) drainOne() bool {
-	if !c.done[c.cum] {
-		return false
-	}
-	payload, ok := c.buffer[c.cum]
-	if c.hash != nil || c.cfg.OnData != nil {
-		if !ok {
-			return false // cannot happen: done segments were buffered
-		}
+	c.deliverCum(r.Payload)
+	for payload, ok := c.buffer[c.cum]; ok; payload, ok = c.buffer[c.cum] {
 		delete(c.buffer, c.cum)
+		c.deliverCum(payload)
 	}
-	c.deliverSeg(c.cum, payload)
+}
+
+// deliverCum hands segment cum to the hash and the data hook and
+// advances cum past it.
+func (c *Core) deliverCum(payload []byte) {
+	c.hash.Write(payload)
+	if c.cfg.OnData != nil {
+		c.cfg.OnData(c.cum, payload)
+	}
+	c.delivered += int64(len(payload))
 	c.cum++
-	return true
 }
 
 // segDone reports whether seg has already been received.
 func (c *Core) segDone(seg int64) bool {
-	return c.geomKnown && seg >= 0 && seg < c.totalSegs && c.done[seg]
+	_, buffered := c.buffer[seg]
+	return seg >= 0 && seg < c.cum || buffered
 }
 
 // Done reports whether the transfer is complete: geometry and digest
@@ -404,20 +371,9 @@ func (c *Core) Done() bool {
 		return false
 	}
 	c.finished = true
-	if c.hash != nil {
-		c.verified = bytes.Equal(c.hash.Sum(nil), c.digest[:])
-	} else {
-		c.verified = true // no bytes moved; nothing to verify
-	}
+	c.verified = bytes.Equal(c.hash.Sum(nil), c.digest[:])
 	return true
 }
-
-// Verified reports the end-to-end integrity verdict (meaningful once
-// Done; always true for payload-free sim transfers).
-func (c *Core) Verified() bool { return c.verified }
-
-// DeliveredBytes returns bytes delivered in order so far.
-func (c *Core) DeliveredBytes() int64 { return c.delivered }
 
 // PacingRate is the datapath's pacing convention (explicit controller
 // rate, else 1.25·cwnd/srtt, unpaced before the first RTT sample).

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pccproteus/internal/transport"
@@ -114,14 +115,14 @@ func (sv *handServer) run(t *testing.T, c *Core, horizon float64) float64 {
 
 func TestCoreCleanTransfer(t *testing.T) {
 	cc := &fixedCC{rate: 2e6, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 1000, Hash: true})
+	c, err := NewCore(Config{CC: cc, SegSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sv := newHandServer(10500, 1000, 0.050)
 	end := sv.run(t, c, 30)
-	if !c.Done() || !c.Verified() {
-		t.Fatalf("done=%v verified=%v", c.Done(), c.Verified())
+	if !c.Done() || !c.Stats().Verified {
+		t.Fatalf("done=%v verified=%v", c.Done(), c.Stats().Verified)
 	}
 	if end >= 30 {
 		t.Fatalf("did not complete before horizon")
@@ -141,15 +142,15 @@ func TestCoreCleanTransfer(t *testing.T) {
 
 func TestCoreRecoversFromLoss(t *testing.T) {
 	cc := &fixedCC{rate: 4e6, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 1000, Hash: true})
+	c, err := NewCore(Config{CC: cc, SegSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sv := newHandServer(200_000, 1000, 0.040)
 	sv.drop = func(n int64) bool { return n%7 == 3 } // lose every 7th response
 	sv.run(t, c, 60)
-	if !c.Done() || !c.Verified() {
-		t.Fatalf("done=%v verified=%v stats=%+v", c.Done(), c.Verified(), c.Stats())
+	if !c.Done() || !c.Stats().Verified {
+		t.Fatalf("done=%v stats=%+v", c.Done(), c.Stats())
 	}
 	st := c.Stats()
 	if st.LostReqs == 0 {
@@ -171,7 +172,7 @@ func TestCoreRecoversFromLoss(t *testing.T) {
 // retransmit for that segment must be skipped, not re-sent.
 func TestCoreLateResponseDelivers(t *testing.T) {
 	cc := &fixedCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 100, Hash: false})
+	c, err := NewCore(Config{CC: cc, SegSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestCoreLateResponseDelivers(t *testing.T) {
 // at exactly Window outstanding segments.
 func TestCoreReassemblyWindowBound(t *testing.T) {
 	cc := &fixedCC{rate: 1e9, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 100, Window: 8, Hash: false})
+	c, err := NewCore(Config{CC: cc, SegSize: 100, Window: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestCoreReassemblyWindowBound(t *testing.T) {
 func TestCoreCwndGate(t *testing.T) {
 	respSize := wireRespSize(1000)
 	cc := &fixedCC{rate: 1e9, cwnd: float64(3 * respSize)}
-	c, err := NewCore(Config{CC: cc, SegSize: 1000, Hash: false})
+	c, err := NewCore(Config{CC: cc, SegSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestCoreCwndGate(t *testing.T) {
 // response recovers the transfer at the pre-outage rate.
 func TestCoreOutageAndRecovery(t *testing.T) {
 	cc := &fixedCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 1000, Hash: false})
+	c, err := NewCore(Config{CC: cc, SegSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +355,39 @@ func TestCoreStampLeadNoSpuriousLoss(t *testing.T) {
 	}
 	if math.Abs(st.SRTT-rtt) > 0.002 {
 		t.Fatalf("srtt %.3f want %.3f (measured from the stamp)", st.SRTT, rtt)
+	}
+}
+
+// The geometry a SEGMENT declares is the server's word, and a forged
+// one may stall its own fetch but never the shard: one response claiming
+// 2^63−1 segments neither panics the core nor allocates in proportion to
+// the claim, and the fetch still requests exactly a window ahead.
+func TestCoreHostileGeometry(t *testing.T) {
+	for _, total := range []int64{math.MaxInt64, 1 << 24} {
+		c, err := NewCore(Config{CC: &fixedCC{rate: 1e9, cwnd: math.Inf(1)}, SegSize: 1000, Window: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.OnResponse(Response{Nonce: 1, Seg: 7, TotalSegs: total, ObjSize: math.MaxInt64, Payload: make([]byte, 1000)}, 0, 0)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Fatalf("TotalSegs=%d: one response allocated %d bytes", total, grew)
+		}
+		fresh := 0
+		for i := 0; i < 1000; i++ {
+			req, ok := c.Issue(0.001, 0.001)
+			if !ok {
+				break
+			}
+			if !req.Meta {
+				fresh++
+			}
+		}
+		if fresh != 64 {
+			t.Fatalf("TotalSegs=%d: %d requests under a 64-segment window", total, fresh)
+		}
 	}
 }
 

@@ -19,12 +19,11 @@
 // bounded reassembly window; integrity is checked per segment (CRC-32C)
 // and end-to-end (whole-object SHA-256 from the metadata exchange).
 //
-// The same scheduler core runs on both worlds: an engine shard drives
-// it as a fetch flow (Fetcher is the handle) against an engine serving
-// a Store, and SimTransfer drives it over a netem.Path inside the
-// simulator, which is what lets
-// experiments put a bulk fetch behind Proteus-S underneath simulated
-// dash/web foreground and gate the two worlds against each other.
+// The scheduler core has one driver: an engine shard runs it as a fetch
+// flow (Fetcher is the handle) against an engine serving a Store. On
+// real sockets that is proteusfetch; on an engine.SimNet in virtual time
+// it is the fault tests and the Appendix F experiment, whose fetch
+// shares a simulated bottleneck with DASH and web foreground traffic.
 package fetch
 
 import (

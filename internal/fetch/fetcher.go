@@ -98,7 +98,7 @@ func (f *Fetcher) Start(eng *engine.Engine) error {
 	f.rttHist = stats.NewLogHist(1e-4, 10, 160)
 	core, err := NewCore(Config{
 		ObjID: f.ObjID, CC: f.CC, SegSize: f.SegSize, Window: f.Window,
-		Hash: true, OnData: f.OnData, OnRTT: f.rttHist.Add,
+		OnData: f.OnData, OnRTT: f.rttHist.Add,
 	})
 	if err != nil {
 		return err
