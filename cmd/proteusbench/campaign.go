@@ -12,12 +12,12 @@ import (
 // runCampaign loads a campaign spec, executes it on the worker pool,
 // prints the yield/fairness report, and optionally writes the aggregate
 // JSON. The aggregate is bit-identical for any worker count.
-func runCampaign(w io.Writer, specPath string, workers int, outPath string) error {
+func runCampaign(w io.Writer, specPath, outPath string) error {
 	spec, err := campaign.LoadSpec(specPath)
 	if err != nil {
 		return err
 	}
-	agg, err := exp.RunCampaign(spec, workers)
+	agg, err := exp.RunCampaign(spec, 0)
 	if err != nil {
 		return err
 	}
@@ -32,7 +32,7 @@ func runCampaign(w io.Writer, specPath string, workers int, outPath string) erro
 		}
 		fmt.Fprintf(w, "\nwrote %s\n", outPath)
 	}
-	if csvDir != "" {
+	if *csvDir != "" {
 		emit(w, exp.Block{Name: "campaign_" + agg.Name + "_classes", Table: exp.CampaignTable(agg)})
 		emit(w, exp.Block{Name: "campaign_" + agg.Name + "_summary", Table: exp.CampaignSummaryTable(agg)})
 	}

@@ -13,7 +13,7 @@ import (
 // and final verdicts, and (optionally) writes the minimized
 // counterexample as a JSON replay file. The exit error is non-nil only
 // on operational failures — finding a violation is a successful hunt.
-func runHunt(w io.Writer, proto, model string, budget int, seed int64, jobs int, fast bool, out string) error {
+func runHunt(w io.Writer, proto, model string, budget int, seed int64, fast bool, out string) error {
 	sc := adversary.DefaultScenario(proto, fast)
 	if model != "" {
 		sc.PathModel = &pathmodel.Spec{Kind: model}
@@ -22,7 +22,6 @@ func runHunt(w io.Writer, proto, model string, budget int, seed int64, jobs int,
 		Scenario: sc,
 		Budget:   budget,
 		Seed:     seed,
-		Jobs:     jobs,
 	}
 	fmt.Fprintf(w, "# hunt: %s, budget %d, seed %d\n", cfg.Scenario, cfg.Budget, seed)
 	res, err := adversary.Hunt(cfg)
@@ -56,7 +55,9 @@ func runHunt(w io.Writer, proto, model string, budget int, seed int64, jobs int,
 	return nil
 }
 
-// runReplay re-verifies a counterexample file and prints the verdicts.
+// runReplay re-verifies a counterexample file: it prints the simulator's
+// verdicts, then re-executes the schedule against an engine flow and
+// checks the wire invariants.
 func runReplay(w io.Writer, path string) error {
 	ce, vs, err := adversary.ReplayFile(path)
 	if ce != nil {
@@ -70,5 +71,13 @@ func runReplay(w io.Writer, path string) error {
 		return err
 	}
 	fmt.Fprintf(w, "recorded verdict reproduces: %s\n", ce.Verdict)
+	rep, err := adversary.ReplayWire(ce)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, rep.Render())
+	if !rep.OK() {
+		return fmt.Errorf("wire replay reproduced %d violation(s)", len(rep.Violations))
+	}
 	return nil
 }

@@ -6,11 +6,11 @@
 //	proteusbench -fig 6                 # one figure at paper scale
 //	proteusbench -fig all -fast         # every figure, reduced grids
 //	proteusbench -fig 8 -trials 1       # heavy sweep, single trial
-//	proteusbench -fig all -fast -jobs 4 # four figures in parallel
 //	proteusbench -fig 14 -fast -trace /tmp/t -trace-events mi,rate,drop
 //	proteusbench -wire -fast            # sim-vs-engine parity table (virtual time)
 //	proteusbench -chaos -fast           # cross-world fault replay (virtual time)
-//	proteusbench -campaign specs/campaign-smoke.json -campaign-out agg.json
+//	proteusbench -replay internal/adversary/testdata/bbr.json
+//	proteusbench -campaign specs/campaign-smoke.json -out agg.json
 //
 // Figure ids are the rows of exp.Figures: the paper's 2–22, plus
 // "ablation", "equilibrium", the Appendix-F bulk-fetch table "fetch", the
@@ -18,15 +18,16 @@
 // engine's "overload" degradation table, and — not part of "all" — the
 // §7.2 extension "lte". An unknown id is rejected before anything runs.
 //
-// Independent figures run on a -jobs worker pool (default: NumCPU capped
-// at the figure count); output is printed in figure order regardless of
-// completion order. A failing figure does not abort the batch: every
-// failure is collected and reported at exit.
+// Independent figures, hunt evaluations and campaign scenarios run on a
+// worker pool of GOMAXPROCS workers; output is identical for any pool
+// size, and figures print in figure order regardless of completion
+// order. A failing figure does not abort the batch: every failure is
+// collected and reported at exit.
 //
 // With -trace, every simulation a figure runs records flight-recorder
 // events and writes one JSONL file per flow under <dir>/<figure>/;
 // -trace-events selects event kinds (mi,rate,util,drop,queue,rtt,mode or
-// "all") and -trace-csv writes a CSV beside each JSONL.
+// "all").
 package main
 
 import (
@@ -44,7 +45,26 @@ import (
 	"pccproteus/internal/trace"
 )
 
-var csvDir string
+// The command line: every flag proteusbench has (TestFlagSurface pins
+// the set).
+var (
+	fig          = flag.String("fig", "all", "comma-separated figures to regenerate ("+strings.Join(exp.FigureNames(), ", ")+", or all)")
+	fast         = flag.Bool("fast", false, "reduced grids and durations")
+	trials       = flag.Int("trials", 0, "trials per data point (0 = default)")
+	traceDir     = flag.String("trace", "", "write per-flow flight-recorder JSONL traces under this directory")
+	traceEvents  = flag.String("trace-events", "all", "comma-separated event kinds to trace (mi,rate,util,drop,queue,rtt,mode)")
+	csvDir       = flag.String("csv", "", "also write plot-ready CSV files into this directory")
+	seed         = flag.Int64("seed", 0, "master seed for all per-trial RNGs (0 = historical defaults)")
+	hunt         = flag.String("hunt", "", "hunt for invariant violations of this controller instead of running figures")
+	huntBudget   = flag.Int("hunt-budget", 200, "schedule evaluations to spend in a -hunt search")
+	huntModel    = flag.String("hunt-model", "", "hunt over this path model (lte, 5g, leo) instead of a static bottleneck")
+	replay       = flag.String("replay", "", "re-verify a counterexample replay file, in the simulator and then against an engine flow, instead of running figures")
+	wireMode     = flag.Bool("wire", false, "run the sim-vs-wire parity table (simulated transport vs an engine flow on the same emulated link, virtual time) instead of figures")
+	chaosMode    = flag.Bool("chaos", false, "replay the chaos fault plan under the simulated transport and under an engine flow and compare survival + fault attribution (virtual time)")
+	wireProtos   = flag.String("wire-protos", "proteus-p,proteus-s,proteus-h", "comma-separated protocols for -wire and -chaos")
+	campaignSpec = flag.String("campaign", "", "run a simulation campaign from this JSON spec instead of figures")
+	out          = flag.String("out", "", "write the minimized counterexample (with -hunt) or the campaign aggregate (with -campaign) JSON here")
+)
 
 func main() {
 	if err := realMain(); err != nil {
@@ -54,53 +74,28 @@ func main() {
 }
 
 func realMain() error {
-	fig := flag.String("fig", "all", "comma-separated figures to regenerate ("+strings.Join(exp.FigureNames(), ", ")+", or all)")
-	fast := flag.Bool("fast", false, "reduced grids and durations")
-	trials := flag.Int("trials", 0, "trials per data point (0 = default)")
-	jobs := flag.Int("jobs", 0, "worker pool size for figures, -hunt and -campaign (0 = NumCPU); output is identical for any value")
-	traceDir := flag.String("trace", "", "write per-flow flight-recorder JSONL traces under this directory")
-	traceEvents := flag.String("trace-events", "all", "comma-separated event kinds to trace (mi,rate,util,drop,queue,rtt,mode)")
-	traceCSV := flag.Bool("trace-csv", false, "also write traces as CSV beside each JSONL")
-	flag.StringVar(&csvDir, "csv", "", "also write plot-ready CSV files into this directory")
-	seed := flag.Int64("seed", 0, "master seed for all per-trial RNGs (0 = historical defaults)")
-	hunt := flag.String("hunt", "", "hunt for invariant violations of this controller instead of running figures")
-	huntBudget := flag.Int("hunt-budget", 200, "schedule evaluations to spend in a -hunt search")
-	huntModel := flag.String("hunt-model", "", "hunt over this path model (lte, 5g, leo) instead of a static bottleneck")
-	huntOut := flag.String("hunt-out", "", "write the minimized counterexample JSON here (with -hunt)")
-	replay := flag.String("replay", "", "re-verify a counterexample replay file instead of running figures")
-	wireMode := flag.Bool("wire", false, "run the sim-vs-wire parity table (simulated transport vs an engine flow on the same emulated link, virtual time) instead of figures; with -replay, replay the counterexample against an engine flow")
-	chaosMode := flag.Bool("chaos", false, "replay the chaos fault plan under the simulated transport and under an engine flow and compare survival + fault attribution (virtual time)")
-	wireProtos := flag.String("wire-protos", "proteus-p,proteus-s,proteus-h", "comma-separated protocols for -wire and -chaos")
-	campaignSpec := flag.String("campaign", "", "run a simulation campaign from this JSON spec instead of figures")
-	campaignOut := flag.String("campaign-out", "", "write the campaign aggregate JSON here (with -campaign)")
 	flag.Parse()
 
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
 		}
 	}
 	switch {
 	case *campaignSpec != "":
-		return runCampaign(os.Stdout, *campaignSpec, *jobs, *campaignOut)
+		return runCampaign(os.Stdout, *campaignSpec, *out)
 	case *chaosMode:
 		return runChaosSoak(os.Stdout, *wireProtos, *seed, *fast)
-	case *wireMode && *replay != "":
-		return runWireReplay(os.Stdout, *replay)
-	case *wireMode:
-		return runWireParity(os.Stdout, *wireProtos, *seed, *fast)
 	case *replay != "":
 		return runReplay(os.Stdout, *replay)
+	case *wireMode:
+		return runWireParity(os.Stdout, *wireProtos, *seed, *fast)
 	case *hunt != "":
 		huntSeed := *seed
 		if huntSeed == 0 {
 			huntSeed = 1
 		}
-		huntJobs := *jobs
-		if huntJobs <= 0 {
-			huntJobs = runtime.NumCPU()
-		}
-		return runHunt(os.Stdout, *hunt, *huntModel, *huntBudget, huntSeed, huntJobs, *fast, *huntOut)
+		return runHunt(os.Stdout, *hunt, *huntModel, *huntBudget, huntSeed, *fast, *out)
 	}
 
 	mask, err := trace.ParseKinds(*traceEvents)
@@ -112,13 +107,7 @@ func realMain() error {
 		return err
 	}
 
-	workers := *jobs
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(ids))
 
 	type result struct {
 		out  bytes.Buffer
@@ -142,7 +131,7 @@ func realMain() error {
 			o := exp.Options{Fast: *fast, Trials: *trials, Seed: *seed}
 			var tc *exp.Tracing
 			if *traceDir != "" {
-				tc = &exp.Tracing{Dir: filepath.Join(*traceDir, figDirName(id)), Mask: mask, CSV: *traceCSV}
+				tc = &exp.Tracing{Dir: filepath.Join(*traceDir, figDirName(id)), Mask: mask}
 				o.Trace = tc
 			}
 			if err := run(&r.out, id, o); err != nil {
@@ -221,10 +210,10 @@ func run(w io.Writer, id string, o exp.Options) error {
 // writes it alongside.
 func emit(w io.Writer, b exp.Block) {
 	io.WriteString(w, b.Render())
-	if csvDir == "" || b.Name == "" {
+	if *csvDir == "" || b.Name == "" {
 		return
 	}
-	f, err := os.Create(filepath.Join(csvDir, b.Name+".csv"))
+	f, err := os.Create(filepath.Join(*csvDir, b.Name+".csv"))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "proteusbench: %v\n", err)
 		return

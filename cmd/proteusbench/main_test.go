@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"slices"
 	"strings"
 	"testing"
@@ -41,5 +42,23 @@ func TestFigureIDs(t *testing.T) {
 	// it runs on a SimNet, is in.
 	if slices.Contains(all, "lte") || !slices.Contains(all, "overload") {
 		t.Errorf("all = %v: want overload and not lte", all)
+	}
+}
+
+// The command line is a surface users script against: adding, renaming
+// or dropping a flag must show up here as a diff.
+func TestFlagSurface(t *testing.T) {
+	var got []string
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got = append(got, f.Name)
+		}
+	})
+	want := []string{
+		"campaign", "chaos", "csv", "fast", "fig", "hunt", "hunt-budget", "hunt-model",
+		"out", "replay", "seed", "trace", "trace-events", "trials", "wire", "wire-protos",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("proteusbench flags = %v\nwant %v", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"pccproteus/internal/adversary"
 	"pccproteus/internal/exp"
 )
 
@@ -55,24 +54,6 @@ func runChaosSoak(w io.Writer, protos string, seed int64, fast bool) error {
 	fmt.Fprint(w, res.Render())
 	if !res.AllPass() {
 		return fmt.Errorf("chaos soak failed: survival or attribution mismatch between worlds")
-	}
-	return nil
-}
-
-// runWireReplay re-executes a counterexample's schedule against an
-// engine flow and checks the wire invariants.
-func runWireReplay(w io.Writer, path string) error {
-	ce, err := adversary.ReadCounterexample(path)
-	if err != nil {
-		return err
-	}
-	rep, err := adversary.ReplayWire(ce)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, rep.Render())
-	if !rep.OK() {
-		return fmt.Errorf("wire replay reproduced %d violation(s)", len(rep.Violations))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package adversary
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -12,7 +13,7 @@ type Config struct {
 	Scenario Scenario
 	Budget   int   // schedule evaluations to spend searching
 	Seed     int64 // master seed: schedules, runs, everything derives from it
-	Jobs     int   // parallel evaluation workers (≤1 = serial)
+	Jobs     int   // parallel evaluation workers (1 = serial, ≤0 = GOMAXPROCS)
 }
 
 // Result is the outcome of a hunt. When the search found a violation,
@@ -70,8 +71,8 @@ func (e *evaluator) evalOne(s Schedule) evaluated {
 func (e *evaluator) evalBatch(cands []Schedule) []evaluated {
 	out := make([]evaluated, len(cands))
 	jobs := e.jobs
-	if jobs < 1 {
-		jobs = 1
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
 	}
 	if jobs > len(cands) {
 		jobs = len(cands)

@@ -69,7 +69,6 @@ func newHotpathHarness(packetSize int) *hotpathHarness {
 	// at 64 packets instead of growing without limit.
 	h.f = &flow{addr: h.rcvAddr, id: 1, snd: newSenderFlow(FlowConfig{
 		CC:         &FixedRateCC{Rate: 1e12, Win: float64(64 * packetSize)},
-		Burst:      transport.DefaultBurst,
 		PacketSize: packetSize,
 	})}
 	h.sndShard.insert(h.f)

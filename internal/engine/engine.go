@@ -91,8 +91,6 @@ type FlowConfig struct {
 	// PacketSize is the on-wire datagram size (default netem.MTU,
 	// clamped to the engine's MaxPacket).
 	PacketSize int
-	// Burst is the pacing-train length (default transport.DefaultBurst).
-	Burst int
 	// RecordRTT keeps every per-ack RTT sample for Flow.RTTSamples —
 	// measurement harnesses only; leave off on production flows.
 	RecordRTT bool
@@ -318,15 +316,12 @@ func (e *Engine) AddFlow(fc FlowConfig) (*Flow, error) {
 	if fc.PacketSize <= 0 {
 		fc.PacketSize = netem.MTU
 	}
-	if fc.PacketSize < wire.DataHeaderLenV2 {
+	if fc.PacketSize < wire.DataHeaderLen {
 		return nil, errors.New("engine: packet size below header size")
 	}
 	if fc.PacketSize > e.cfg.MaxPacket {
 		return nil, fmt.Errorf("engine: packet size %d exceeds MaxPacket %d",
 			fc.PacketSize, e.cfg.MaxPacket)
-	}
-	if fc.Burst <= 0 {
-		fc.Burst = transport.DefaultBurst
 	}
 	sh := e.shards[int(e.rr.Add(1)-1)%len(e.shards)] // round-robin
 	if err := e.admitLocal(sh, fc.Class); err != nil {

@@ -95,7 +95,7 @@ func TestAddFlowValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fl.ID() == 0 {
-		t.Fatal("flow ID must be nonzero (zero is the version-1 marker)")
+		t.Fatal("flow ID must be nonzero (the allocator starts at 1)")
 	}
 }
 

@@ -22,11 +22,9 @@ type fetchKey struct {
 // atomic counters inside the role states.
 type flow struct {
 	// A flow is identified on its shard by peer address plus wire flow ID.
-	// Engine-originated flows always carry nonzero IDs (the allocator
-	// starts at 1), so ID 0 marks version-1 traffic, which the source
-	// address alone tells apart. A fetch flow's ID never goes on the wire
-	// — its responses select it through shard.fetches — and only keeps its
-	// identity unique. next chains the flows of one table bucket.
+	// A fetch flow's ID never goes on the wire — its responses select it
+	// through shard.fetches — and only keeps its identity unique. next
+	// chains the flows of one table bucket.
 	addr netip.AddrPort
 	id   uint32
 	next *flow
@@ -185,7 +183,7 @@ type senderFlow struct {
 // flow configuration.
 func newSenderFlow(fc FlowConfig) *senderFlow {
 	s := &senderFlow{
-		origin: newOrigin(fc.Burst, fc.Burst*fc.PacketSize, fc.Class),
+		origin: newOrigin(transport.DefaultBurst, transport.DefaultBurst*fc.PacketSize, fc.Class),
 		cc:     fc.CC, limit: fc.Limit,
 		packetSize: fc.PacketSize, done: make(chan struct{}),
 		recordRTT: fc.RecordRTT,
@@ -244,7 +242,7 @@ func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 	return s.train(s, sh, f, now, s.book.PacingRate())
 }
 
-// emit books, encodes and queues one version-2 data packet stamped
+// emit books, encodes and queues one data packet stamped
 // with its scheduled send time. Stamps are committed a train ahead, so
 // the schedule can lead the clock (DESIGN §7): the record ages from
 // whichever of emission and stamp is later. The packet that takes
@@ -257,7 +255,7 @@ func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 	s.launched += int64(size)
 	s.nSentPkts++
 	s.nSentBytes += int64(size)
-	pkt := wire.EncodeDataV2(sh.txBuf(), wire.DataHeader{
+	pkt := wire.EncodeData(sh.txBuf(), wire.DataHeader{
 		Seq: r.Seq, SentAt: sh.clock.NanosAt(virt), Flow: f.id,
 		Push: s.limit > 0 && s.launched >= s.limit,
 	}, size)
@@ -266,11 +264,11 @@ func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 
 // sendProbe emits one header-only keep-alive packet during an outage.
 func (s *senderFlow) sendProbe(sh *shard, f *flow, now float64) {
-	r := s.book.AddProbe(now, wire.DataHeaderLenV2)
+	r := s.book.AddProbe(now, wire.DataHeaderLen)
 	s.probes.Add(1)
-	pkt := wire.EncodeDataV2(sh.txBuf(), wire.DataHeader{
+	pkt := wire.EncodeData(sh.txBuf(), wire.DataHeader{
 		Seq: r.Seq, SentAt: sh.clock.NanosAt(now), Flow: f.id,
-	}, wire.DataHeaderLenV2)
+	}, wire.DataHeaderLen)
 	sh.queueTx(pkt, f.addr)
 }
 
@@ -412,7 +410,7 @@ func (s *senderFlow) capped(n int) int {
 	case rem <= 0:
 		return 0
 	}
-	return max(int(rem), wire.DataHeaderLenV2)
+	return max(int(rem), wire.DataHeaderLen)
 }
 
 // restartCumFloor guards collision detection on reused (addr, flowID)
@@ -454,8 +452,7 @@ type recvFlow struct {
 	pendRecvAt int64
 }
 
-// onData records one data packet and queues the ack, echoing the
-// packet's wire version.
+// onData records one data packet and queues the ack.
 func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now float64) {
 	if h.Seq == 0 && rf.Cum > restartCumFloor {
 		// Collision: the (addr, flowID) pair was reused by a restarted
@@ -520,14 +517,6 @@ func (rf *recvFlow) emitAck(sh *shard, f *flow) {
 	ack.RecvAt = rf.pendRecvAt
 	ack.CumAck = rf.Cum
 	ack.Blocks = append(ack.Blocks[:0], rf.Ranges...)
-	buf := sh.txBuf()
-	var pkt []byte
-	if f.id != 0 {
-		ack.Flow = f.id
-		pkt = ack.EncodeV2(buf)
-	} else {
-		ack.Flow = 0
-		pkt = ack.Encode(buf)
-	}
-	sh.queueTx(pkt, f.addr)
+	ack.Flow = f.id
+	sh.queueTx(ack.Encode(sh.txBuf()), f.addr)
 }

@@ -37,7 +37,7 @@ type unitFlow struct {
 
 func newUnitFlow(t *testing.T, cc transport.Controller, limit int64) unitFlow {
 	sh := newTestShard(t, Config{})
-	s := newSenderFlow(FlowConfig{CC: cc, Limit: limit, Burst: transport.DefaultBurst, PacketSize: 1200})
+	s := newSenderFlow(FlowConfig{CC: cc, Limit: limit, PacketSize: 1200})
 	f := &flow{addr: src(9000), id: 1, snd: s}
 	sh.insert(f)
 	return unitFlow{sh, f, s}
@@ -306,7 +306,7 @@ func feedInOrder(t *testing.T, n int64, push bool) (*shard, int, float64) {
 	buf := make([]byte, 2048)
 	for seq := int64(0); seq < n; seq++ {
 		now = float64(seq) * 100e-6
-		sh.dispatch(src(1000), wire.EncodeDataV2(buf, wire.DataHeader{
+		sh.dispatch(src(1000), wire.EncodeData(buf, wire.DataHeader{
 			Seq: seq, SentAt: 1, Flow: 7, Push: push && seq == n-1,
 		}, 1200), now)
 	}
@@ -383,10 +383,10 @@ func TestFirstTrainCredit(t *testing.T) {
 	}
 }
 
-// ackPkt encodes the version-2 ack a receiver would send for flow id.
+// ackPkt encodes the ack a receiver would send for flow id.
 func ackPkt(id uint32, seq, cum, recvAt int64) []byte {
 	a := wire.AckPacket{Seq: seq, CumAck: cum, RecvAt: recvAt, Flow: id}
-	return a.EncodeV2(make([]byte, wire.MaxAckLen))
+	return a.Encode(make([]byte, wire.MaxAckLen))
 }
 
 // A finite sender leaves its shard with the ack that completes it: the
@@ -486,7 +486,7 @@ func TestEnqueueWakesParkedShard(t *testing.T) {
 	defer eng.Stop() // never started: the test turns the loop by hand
 	sh := eng.shards[0]
 	newFlow := func(id uint32) *flow {
-		s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1e6}, Burst: transport.DefaultBurst, PacketSize: 1200})
+		s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1e6}, PacketSize: 1200})
 		s.paused = true // admitted, never sending: the socket stays quiet
 		return &flow{addr: src(9000), id: id, snd: s}
 	}

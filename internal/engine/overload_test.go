@@ -18,7 +18,8 @@ const scavBit = wire.FlowClassScavenger
 // way hotpathHarness does, so shed/pause behavior is testable without
 // sockets.
 func addLocalSender(sh *shard, id uint32, class overload.Class) *flow {
-	s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1, Win: 400}, Burst: 1, PacketSize: 400, Class: class})
+	s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1, Win: 400}, PacketSize: 400, Class: class})
+	s.origin = newOrigin(1, 400, class) // one-packet trains
 	f := &flow{addr: src(uint16(30000 + id)), id: id, snd: s}
 	sh.insert(f)
 	return f
@@ -428,19 +429,18 @@ func TestOverloadFloodGate(t *testing.T) {
 }
 
 // TestOverloadFloodGateCanFail is the gate's negative control: the same
-// flood against a detector that cannot leave Normal (pressure never
-// exceeds 1) refuses no admission — the scavengers churn through the
-// table cap's evictions for the whole flood — and has nothing to recover
-// from, and the gate has to say so.
+// flood against a receiver whose flow table is too large for it to fill
+// keeps the detector in Normal, refuses no admission and has nothing to
+// recover from, and the gate has to say so.
 func TestOverloadFloodGateCanFail(t *testing.T) {
 	cfg := overloadGateConfig()
-	cfg.Overload.Brownout = 2
+	cfg.RecvFlowCap = 1024
 	res := runOverload(t, cfg)
 	fails := floodGateFailures(res, cfg)
 	t.Logf("worst=%v recv=%+v\n%s", res.WorstState, res.Recv, strings.Join(fails, "\n"))
 	for _, w := range []string{"worst state", "admission gate never closed", "recovery 0.000s outside"} {
 		if !slices.ContainsFunc(fails, func(f string) bool { return strings.Contains(f, w) }) {
-			t.Errorf("gate did not report %q with the detector disabled", w)
+			t.Errorf("gate did not report %q with a flow table the flood cannot fill", w)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pccproteus/internal/overload"
-	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
 
@@ -25,7 +24,7 @@ func newTestShard(t *testing.T, cfg Config) *shard {
 func dataPkt(t *testing.T, flowID uint32, seq int64, size int) []byte {
 	t.Helper()
 	buf := make([]byte, 2048)
-	return wire.EncodeDataV2(buf, wire.DataHeader{Seq: seq, SentAt: 1, Flow: flowID}, size)
+	return wire.EncodeData(buf, wire.DataHeader{Seq: seq, SentAt: 1, Flow: flowID}, size)
 }
 
 func src(port uint16) netip.AddrPort {
@@ -36,11 +35,6 @@ func src(port uint16) netip.AddrPort {
 // share a table key.
 func peer(host byte, port uint16) netip.AddrPort {
 	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 0, host}), port)
-}
-
-// v1Pkt is a version-1 data packet: no flow ID on the wire, ID 0 in the table.
-func v1Pkt(seq int64) []byte {
-	return wire.EncodeData(make([]byte, 2048), wire.DataHeader{Seq: seq, SentAt: 1}, 100)
 }
 
 func TestFlowTableCreatesPerKey(t *testing.T) {
@@ -206,7 +200,7 @@ func TestFlowTableAckWithNoFlowIsCounted(t *testing.T) {
 	var ack wire.AckPacket
 	ack.Flow = 42
 	var buf [wire.MaxAckLen]byte
-	sh.dispatch(src(1000), ack.EncodeV2(buf[:]), 0)
+	sh.dispatch(src(1000), ack.Encode(buf[:]), 0)
 	if got := sh.ctr.badAcks.Load(); got != 1 {
 		t.Fatalf("badAcks=%d want 1", got)
 	}
@@ -256,29 +250,20 @@ func TestFlowTableSameKeyOtherHost(t *testing.T) {
 	}
 }
 
-// Version-1 data carries no flow ID: the source address alone tells
-// flows apart, across ports and across hosts, and each is acked in kind.
-func TestFlowTableVersion1KeyedBySource(t *testing.T) {
+// A version-1 data frame (no flow ID) and a type-0x41 ack are not frames
+// of this protocol: each is a bad packet, and neither creates a flow.
+func TestFlowTableVersion1FramesAreBad(t *testing.T) {
 	sh := newTestShard(t, Config{})
-	srcs := []netip.AddrPort{peer(1, 1000), peer(1, 1001), peer(2, 1000)}
-	for i, a := range srcs {
-		for seq := int64(0); seq <= int64(i); seq++ {
-			sh.dispatch(a, v1Pkt(seq), 0)
+	v1Data := append([]byte{0x50, 0x01}, make([]byte, 98)...)
+	v1Ack := append([]byte{0x41, 0x00}, make([]byte, 32)...)
+	for i, p := range [][]byte{v1Data, v1Ack} {
+		sh.dispatch(src(1000), p, 0)
+		if got := sh.eng.Stats().BadPkts; got != int64(i+1) {
+			t.Fatalf("frame %d: BadPkts=%d want %d", i, got, i+1)
 		}
 	}
-	if sh.nFlows.Load() != 3 {
-		t.Fatalf("flows=%d want one per source address", sh.nFlows.Load())
-	}
-	for i, a := range srcs {
-		if f := sh.lookup(a, 0); f == nil || f.rcv.Cum != int64(i+1) {
-			t.Fatalf("source %v: %+v", a, f)
-		}
-	}
-	var ack wire.AckPacket
-	for i, p := range sh.txq {
-		if err := wire.DecodeAck(p, &ack); err != nil || ack.Flow != 0 || len(p) > wire.MaxAckLen-4 {
-			t.Fatalf("ack %d to %v: flow=%d len=%d err=%v, want a version-1 ack", i, sh.txAddrs[i], ack.Flow, len(p), err)
-		}
+	if sh.nFlows.Load() != 0 || len(sh.txq) != 0 {
+		t.Fatalf("flows=%d staged=%d, want no flow and no reply", sh.nFlows.Load(), len(sh.txq))
 	}
 }
 
@@ -363,11 +348,10 @@ func TestFlowTableCountMatchesReachable(t *testing.T) {
 		if f := in[k]; f != nil {
 			sh.dropFlow(f)
 			delete(in, k)
-		} else if k.id == 0 {
-			sh.dispatch(k.addr, v1Pkt(0), 0)
-			in[k] = sh.lookup(k.addr, 0)
 		} else if rng.Intn(4) == 0 { // a local sender towards that peer
-			in[k] = &flow{addr: k.addr, id: k.id, snd: newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1}, Burst: 1, PacketSize: 400})}
+			s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1}, PacketSize: 400})
+			s.origin = newOrigin(1, 400, overload.ClassPrimary) // one-packet trains
+			in[k] = &flow{addr: k.addr, id: k.id, snd: s}
 			sh.eng.senders.Add(1)
 			sh.insert(in[k])
 		} else {
@@ -424,7 +408,7 @@ func TestHotpathZeroAllocsManyFlows(t *testing.T) {
 	h := newHotpathHarness(400)
 	for id := uint32(2); id <= 1000; id++ {
 		f := &flow{addr: h.rcvAddr, id: id, snd: newSenderFlow(FlowConfig{
-			CC: &FixedRateCC{Rate: 1e12, Win: ackEvery * 400}, Burst: transport.DefaultBurst, PacketSize: 400,
+			CC: &FixedRateCC{Rate: 1e12, Win: ackEvery * 400}, PacketSize: 400,
 		})}
 		h.sndShard.insert(f)
 		h.sndShard.service(f, 0)

@@ -3,7 +3,6 @@ package exp
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,11 +23,8 @@ import (
 // write errors are collected rather than aborting the runs and are
 // reported by Err.
 type Tracing struct {
-	Dir         string     // output directory (created on demand)
-	Mask        trace.Mask // event kinds to record; 0 = all
-	FlowCap     int        // per-flow ring capacity; 0 = trace.DefaultFlowCap
-	SampleEvery int        // stride for high-rate kinds; 0/1 = every event
-	CSV         bool       // also write a .csv beside each .jsonl
+	Dir  string     // output directory (created on demand)
+	Mask trace.Mask // event kinds to record; 0 = all
 
 	mu   sync.Mutex
 	seen map[string]int
@@ -47,7 +43,7 @@ func (tc *Tracing) attach(s *sim.Sim) *trace.Recorder {
 	if mask == 0 {
 		mask = trace.AllEvents
 	}
-	rec := trace.NewRecorder(trace.Options{Mask: mask, FlowCap: tc.FlowCap, SampleEvery: tc.SampleEvery})
+	rec := trace.NewRecorder(trace.Options{Mask: mask})
 	s.SetTrace(rec)
 	return rec
 }
@@ -74,25 +70,18 @@ func (tc *Tracing) flush(rec *trace.Recorder, scenario string, flows []FlowResul
 			}
 		}
 		stem := fmt.Sprintf("%s_flow%d_%s", base, flow, name)
-		evs := rec.Events(flow)
-		if err := tc.writeFile(stem+".jsonl", evs, trace.WriteJSONL); err != nil {
+		if err := tc.writeFile(stem+".jsonl", rec.Events(flow)); err != nil {
 			tc.fail(fmt.Errorf("trace %s: %w", stem, err))
-			continue
-		}
-		if tc.CSV {
-			if err := tc.writeFile(stem+".csv", evs, trace.WriteCSV); err != nil {
-				tc.fail(fmt.Errorf("trace %s: %w", stem, err))
-			}
 		}
 	}
 }
 
-func (tc *Tracing) writeFile(name string, evs []trace.Event, write func(w io.Writer, evs []trace.Event) error) error {
+func (tc *Tracing) writeFile(name string, evs []trace.Event) error {
 	f, err := os.Create(filepath.Join(tc.Dir, name))
 	if err != nil {
 		return err
 	}
-	if err := write(f, evs); err != nil {
+	if err := trace.WriteJSONL(f, evs); err != nil {
 		f.Close()
 		return err
 	}

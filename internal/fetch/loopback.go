@@ -1,8 +1,9 @@
 package fetch
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"pccproteus/internal/engine"
@@ -29,8 +30,6 @@ type LoopbackConfig struct {
 	// filled with seeded pseudorandom data.
 	Flows        int
 	BytesPerFlow int64
-	SegSize      int
-	Window       int
 	// Timeout bounds the run in real seconds (default 60).
 	Timeout float64
 	// Seed drives object contents and per-shim impairment RNGs.
@@ -92,13 +91,17 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 	// Server: one single-shard engine answering fetches from an
 	// in-memory store of per-flow objects with deterministic
 	// pseudorandom contents.
-	store := NewStore(cfg.SegSize)
+	store := NewStore(0)
 	objIDs := make([]uint64, cfg.Flows)
 	for i := 0; i < cfg.Flows; i++ {
-		data := make([]byte, cfg.BytesPerFlow)
-		rng := rand.New(rand.NewSource(wire.MixSeed(seed, int64(i))))
-		rng.Read(data)
-		objIDs[i] = store.Add(fmt.Sprintf("obj-%d", i), data)
+		// Eight bytes per PCG draw: several times faster than
+		// math/rand's Read, and this fill is most of the run's set-up.
+		rng := rand.NewPCG(uint64(wire.MixSeed(seed, int64(i))), 0)
+		data := make([]byte, (cfg.BytesPerFlow+7)&^7)
+		for j := 0; j < len(data); j += 8 {
+			binary.LittleEndian.PutUint64(data[j:], rng.Uint64())
+		}
+		objIDs[i] = store.Add(fmt.Sprintf("obj-%d", i), data[:cfg.BytesPerFlow])
 	}
 	// Every fetch is a flow on the client engine's one shard. Stopping
 	// that engine (deferred last, so it runs first) ends them all.
@@ -131,7 +134,7 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 		}
 		fetchers[i] = &Fetcher{
 			Dst: sh.Addr(), CC: cfg.NewController(), ObjID: objIDs[i],
-			SegSize: store.SegSize, Window: cfg.Window,
+			SegSize: store.SegSize,
 		}
 		if err := fetchers[i].Start(cli); err != nil {
 			return nil, err

@@ -94,7 +94,7 @@ func simLoopback(t *testing.T, cfg LoopbackConfig, plan *chaos.Plan) *LoopbackRe
 	t.Helper()
 	s := sim.New(cfg.Seed)
 	n := engine.NewSimNet(s)
-	store := NewStore(cfg.SegSize)
+	store := NewStore(0)
 	maxPkt := store.SegSize + wire.SegmentHeaderLen
 	srv := n.NewEngine(engine.Config{OnFetch: store.HandleFetch, MaxPacket: maxPkt})
 	srv.Start()
@@ -116,7 +116,7 @@ func simLoopback(t *testing.T, cfg LoopbackConfig, plan *chaos.Plan) *LoopbackRe
 		eng.Start()
 		defer eng.Stop()
 		fetchers[i] = &Fetcher{Dst: srv.Addrs()[0], CC: cfg.NewController(), ObjID: store.Add(fmt.Sprintf("obj-%d", i), data),
-			SegSize: store.SegSize, Window: cfg.Window}
+			SegSize: store.SegSize}
 		if err := fetchers[i].Start(eng); err != nil {
 			t.Fatal(err)
 		}

@@ -121,7 +121,7 @@ func (s State) Severity() int {
 
 // Signals is one shard's pressure snapshot, sampled once per event-
 // loop pass. Each field is the engine's cheapest honest proxy for one
-// exhaustion mode; Pressure folds them into a single scalar.
+// exhaustion mode; the detector folds them into a single scalar.
 type Signals struct {
 	// FlowOccupancy is live flows over the shard's table cap, 0..1.
 	FlowOccupancy float64
@@ -136,60 +136,35 @@ type Signals struct {
 	SendErrStreak int
 }
 
-// Config tunes the detector. The zero value takes the defaults below.
+// Detector thresholds: pressure at which Normal degrades to Brownout
+// and at which shedding starts, and below which an elevated state
+// begins recovery — the gap to brownoutAt is the hysteresis band that
+// stops the machine flapping at a threshold. errStreak is the send-error
+// streak treated as pressure 1.0; shorter streaks contribute
+// proportionally. The machine depends on recoverAt < brownoutAt ≤ shedAt.
+const (
+	brownoutAt = 0.85
+	shedAt     = 0.95
+	recoverAt  = 0.70
+	errStreak  = 16
+)
+
+// Config tunes the detector. The zero value takes the default below.
 type Config struct {
-	// Brownout is the pressure at which Normal degrades. Default 0.85.
-	Brownout float64
-	// Shed is the pressure at which shedding starts. Default 0.95.
-	Shed float64
-	// Recover is the pressure below which an elevated state begins
-	// recovery. Default 0.70 — the gap to Brownout is the hysteresis
-	// band that stops the machine flapping at a threshold.
-	Recover float64
-	// RecoverHold is how long pressure must stay below Recover before
-	// Recover matures to Normal (seconds). Default 1.0.
+	// RecoverHold is how long pressure must stay below the recover
+	// threshold before Recover matures to Normal (seconds). Default 1.0.
 	RecoverHold float64
-	// ErrStreak is the send-error streak treated as pressure 1.0;
-	// shorter streaks contribute proportionally. Default 16.
-	ErrStreak int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Brownout <= 0 {
-		c.Brownout = 0.85
-	}
-	if c.Shed <= 0 {
-		c.Shed = 0.95
-	}
-	if c.Recover <= 0 {
-		c.Recover = 0.70
-	}
-	if c.RecoverHold <= 0 {
-		c.RecoverHold = 1.0
-	}
-	if c.ErrStreak <= 0 {
-		c.ErrStreak = 16
-	}
-	// Orderings the state machine depends on: Recover < Brownout ≤ Shed.
-	if c.Shed < c.Brownout {
-		c.Shed = c.Brownout
-	}
-	if c.Recover >= c.Brownout {
-		c.Recover = c.Brownout * 0.8
-	}
-	return c
-}
-
-// Pressure folds one signal snapshot into a scalar in [0, 1]: the max
+// pressure folds one signal snapshot into a scalar in [0, 1]: the max
 // over the normalized exhaustion modes. Max, not a weighted sum — any
 // single exhausted resource is sufficient to take the host down, so
 // averaging a full flow table against an idle socket would understate
 // exactly the case that matters.
-func (c Config) Pressure(sig Signals) float64 {
-	c = c.withDefaults()
+func pressure(sig Signals) float64 {
 	p := math.Max(sig.FlowOccupancy, sig.TxBacklog)
 	p = math.Max(p, sig.RxSaturation)
-	p = math.Max(p, float64(sig.SendErrStreak)/float64(c.ErrStreak))
+	p = math.Max(p, float64(sig.SendErrStreak)/errStreak)
 	return clamp01(p)
 }
 
@@ -207,15 +182,18 @@ func clamp01(v float64) float64 {
 // concurrent use: it is owned by the shard goroutine, and anything
 // cross-goroutine reads the engine's atomic mirror of State instead.
 type Detector struct {
-	cfg        Config
+	hold       float64 // Config.RecoverHold
 	state      State
 	pressure   float64
-	belowSince float64 // when pressure last fell below Recover
+	belowSince float64 // when pressure last fell below recoverAt
 }
 
 // NewDetector builds a detector with cfg (zero value = defaults).
 func NewDetector(cfg Config) *Detector {
-	return &Detector{cfg: cfg.withDefaults()}
+	if cfg.RecoverHold <= 0 {
+		cfg.RecoverHold = 1.0
+	}
+	return &Detector{hold: cfg.RecoverHold}
 }
 
 // State returns the current state without updating.
@@ -227,38 +205,38 @@ func (d *Detector) Pressure() float64 { return d.pressure }
 // Update advances the machine with one signal snapshot at time now
 // (seconds, any monotone clock) and returns the resulting state.
 func (d *Detector) Update(now float64, sig Signals) State {
-	p := d.cfg.Pressure(sig)
+	p := pressure(sig)
 	d.pressure = p
 	switch d.state {
 	case StateNormal:
-		if p >= d.cfg.Shed {
+		if p >= shedAt {
 			d.state = StateShed
-		} else if p >= d.cfg.Brownout {
+		} else if p >= brownoutAt {
 			d.state = StateBrownout
 		}
 	case StateBrownout:
-		if p >= d.cfg.Shed {
+		if p >= shedAt {
 			d.state = StateShed
-		} else if p < d.cfg.Recover {
+		} else if p < recoverAt {
 			d.state = StateRecover
 			d.belowSince = now
 		}
 	case StateShed:
-		if p < d.cfg.Recover {
+		if p < recoverAt {
 			d.state = StateRecover
 			d.belowSince = now
 		}
 	case StateRecover:
 		switch {
-		case p >= d.cfg.Shed:
+		case p >= shedAt:
 			d.state = StateShed
-		case p >= d.cfg.Brownout:
+		case p >= brownoutAt:
 			d.state = StateBrownout
-		case p >= d.cfg.Recover:
+		case p >= recoverAt:
 			// Pressure climbed back into the hysteresis band: restart
 			// the hold. Recovery requires *sustained* calm.
 			d.belowSince = now
-		case now-d.belowSince >= d.cfg.RecoverHold:
+		case now-d.belowSince >= d.hold:
 			d.state = StateNormal
 		}
 	}

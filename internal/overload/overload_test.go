@@ -31,7 +31,6 @@ func TestClassOf(t *testing.T) {
 }
 
 func TestPressureIsMaxOfSignals(t *testing.T) {
-	cfg := Config{}.withDefaults()
 	cases := []struct {
 		sig  Signals
 		want float64
@@ -47,8 +46,8 @@ func TestPressureIsMaxOfSignals(t *testing.T) {
 		{Signals{FlowOccupancy: -1}, 0},
 	}
 	for _, c := range cases {
-		if got := cfg.Pressure(c.sig); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Pressure(%+v) = %v, want %v", c.sig, got, c.want)
+		if got := pressure(c.sig); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("pressure(%+v) = %v, want %v", c.sig, got, c.want)
 		}
 	}
 }
@@ -131,8 +130,8 @@ func TestDetectorRecoverReEscalates(t *testing.T) {
 func TestDetectorErrStreakAloneSheds(t *testing.T) {
 	// Buffer exhaustion with an empty flow table must still trip the
 	// machine: ENOBUFS streaks are full-strength pressure.
-	d := NewDetector(Config{ErrStreak: 8})
-	if st := d.Update(0, Signals{FlowOccupancy: 0.1, SendErrStreak: 8}); st != StateShed {
+	d := NewDetector(Config{})
+	if st := d.Update(0, Signals{FlowOccupancy: 0.1, SendErrStreak: errStreak}); st != StateShed {
 		t.Fatalf("errstreak → %v, want shed", st)
 	}
 	if st := d.Update(1, Signals{FlowOccupancy: 0.1, SendErrStreak: 0}); st != StateRecover {
@@ -141,13 +140,9 @@ func TestDetectorErrStreakAloneSheds(t *testing.T) {
 }
 
 func TestConfigDefaultOrderings(t *testing.T) {
-	// Degenerate configs are repaired so Recover < Brownout ≤ Shed.
-	c := Config{Brownout: 0.9, Shed: 0.5, Recover: 0.95}.withDefaults()
-	if c.Shed < c.Brownout {
-		t.Fatalf("shed %v < brownout %v", c.Shed, c.Brownout)
-	}
-	if c.Recover >= c.Brownout {
-		t.Fatalf("recover %v >= brownout %v", c.Recover, c.Brownout)
+	// The state machine depends on recoverAt < brownoutAt ≤ shedAt.
+	if !(recoverAt < brownoutAt && brownoutAt <= shedAt) {
+		t.Fatalf("thresholds out of order: recover %v brownout %v shed %v", recoverAt, brownoutAt, shedAt)
 	}
 }
 

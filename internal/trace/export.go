@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -165,32 +164,4 @@ func kindFromString(s string) (Kind, bool) {
 		}
 	}
 	return 0, false
-}
-
-// WriteCSV writes events in a plot-ready wide format with generic
-// payload columns (t,flow,kind,seq,a,b,c,d,note); the per-kind column
-// meanings are the same as the JSONL schema.
-func WriteCSV(w io.Writer, evs []Event) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"t", "flow", "kind", "seq", "a", "b", "c", "d", "note"}); err != nil {
-		return err
-	}
-	for _, ev := range evs {
-		rec := []string{
-			strconv.FormatFloat(ev.T, 'g', -1, 64),
-			strconv.FormatInt(int64(ev.Flow), 10),
-			ev.Kind.String(),
-			strconv.FormatInt(ev.Seq, 10),
-			strconv.FormatFloat(ev.A, 'g', -1, 64),
-			strconv.FormatFloat(ev.B, 'g', -1, 64),
-			strconv.FormatFloat(ev.C, 'g', -1, 64),
-			strconv.FormatFloat(ev.D, 'g', -1, 64),
-			ev.Note,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

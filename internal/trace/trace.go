@@ -13,8 +13,7 @@
 // verified by an allocation-guard test (testing.AllocsPerRun == 0).
 //
 // A Recorder is bound to exactly one simulation and is not safe for
-// concurrent use; concurrent experiments (proteusbench -jobs) each
-// attach their own.
+// concurrent use; figures running in parallel each attach their own.
 package trace
 
 import (

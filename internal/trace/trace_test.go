@@ -189,25 +189,6 @@ func TestJSONLNaNBecomesNull(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	rec := NewRecorder(Options{})
-	emitAll(rec.Tracer(2))
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, rec.Events(2)); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != int(numKinds)+1 {
-		t.Fatalf("CSV has %d lines, want %d", len(lines), int(numKinds)+1)
-	}
-	if lines[0] != "t,flow,kind,seq,a,b,c,d,note" {
-		t.Errorf("CSV header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "1,2,mi,7,") {
-		t.Errorf("first CSV row = %q", lines[1])
-	}
-}
-
 func TestReduce(t *testing.T) {
 	evs := []Event{
 		{T: 0.5, Flow: 1, Kind: KindRTTSample, A: 0.030, C: 125000},

@@ -201,7 +201,7 @@ const (
 	DefaultBurst = 4
 
 	// probeBytes is the size of a simulated keep-alive probe: header
-	// only, as on the wire (wire.DataHeaderLenV2).
+	// only, as on the wire (wire.DataHeaderLen).
 	probeBytes = 30
 )
 

@@ -12,7 +12,7 @@ import "testing"
 var benchSink int
 
 // RunPacerBench is wire's share of the per-packet send path:
-// token-bucket Advance + Take, then a version-2 data header encode.
+// token-bucket Advance + Take, then a data header encode.
 func RunPacerBench(b *testing.B) {
 	const rate, size = 125e6, 1200
 	p := Pacer{Cap: 8 * size}
@@ -25,7 +25,7 @@ func RunPacerBench(b *testing.B) {
 		now += 1e-4
 		p.Advance(now, rate)
 		p.Take(size)
-		pkt := EncodeDataV2(buf, DataHeader{Seq: int64(i), SentAt: int64(now * 1e9), Flow: 1}, size)
+		pkt := EncodeData(buf, DataHeader{Seq: int64(i), SentAt: int64(now * 1e9), Flow: 1}, size)
 		benchSink += int(pkt[9]) // low byte of the encoded seq
 	}
 }

@@ -31,10 +31,8 @@ import (
 //	            *scheduled* send time under the token-bucket pacer)
 //
 // Segment packet (SegmentHeaderLen bytes of header + payload). The
-// first 26 bytes deliberately mirror the data-packet layout — nonce in
-// the seq slot, the echoed request stamp in the sentAt slot, and the
-// arrival stamp at the same offset — so the impairment shim's virtual
-// bottleneck and StampArrival hook work on segments unchanged:
+// arrival stamp sits at a fixed offset, so the impairment shim's
+// StampArrival hook works on segments as on data packets:
 //
 //	off len field
 //	0   1   type     (0x53 'S')

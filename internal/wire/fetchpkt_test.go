@@ -78,8 +78,8 @@ func TestSegmentPacketRoundtrip(t *testing.T) {
 	if !bytes.Equal(p, payload) {
 		t.Fatalf("payload mismatch")
 	}
-	// The 26-byte prefix is data-packet compatible: StampArrival must
-	// rewrite the arrival slot of a segment exactly as it does for data.
+	// StampArrival must rewrite the arrival slot of a segment as it does
+	// for data.
 	StampArrival(pkt, 42424242)
 	got2, _, err := DecodeSegment(pkt)
 	if err != nil {

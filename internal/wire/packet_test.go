@@ -7,7 +7,7 @@ import (
 
 func TestDataPacketRoundtrip(t *testing.T) {
 	buf := make([]byte, 1500)
-	h := DataHeader{Seq: 123456789, SentAt: 1710000000123456789}
+	h := DataHeader{Seq: 123456789, SentAt: 1710000000123456789, Flow: 0xdeadbeef}
 	pkt := EncodeData(buf, h, 1200)
 	if len(pkt) != 1200 {
 		t.Fatalf("packet length %d want 1200", len(pkt))
@@ -20,52 +20,48 @@ func TestDataPacketRoundtrip(t *testing.T) {
 		t.Fatal("PacketType should classify as data")
 	}
 	// Malformed inputs must be rejected with the matching error.
-	if _, err := DecodeData(pkt[:DataHeaderLen-1]); err != ErrTruncated {
-		t.Fatalf("short packet: err=%v want ErrTruncated", err)
-	}
-	bad := append([]byte(nil), pkt...)
-	bad[1] = wireVersionV2 + 1
-	if _, err := DecodeData(bad); err != ErrBadVersion {
-		t.Fatalf("wrong version: err=%v want ErrBadVersion", err)
-	}
-	if _, err := DecodeData(append([]byte{typeAck, 1, 2, 3}, make([]byte, DataHeaderLen)...)); err != ErrBadType {
-		t.Fatalf("ack as data: err=%v want ErrBadType", err)
-	}
-	if _, err := DecodeData(make([]byte, MaxDataLen+1)); err != ErrTruncated && err != ErrBadType {
-		// A giant junk buffer fails on type first; a giant valid header
-		// must fail on size.
-		t.Fatalf("junk: err=%v", err)
-	}
+	v1 := append([]byte{typeData, 0x01}, make([]byte, 98)...) // a version-1 frame
 	huge := make([]byte, MaxDataLen+1)
 	copy(huge, pkt[:DataHeaderLen])
-	if _, err := DecodeData(huge); err != ErrOversized {
-		t.Fatalf("oversized: err=%v want ErrOversized", err)
-	}
-	neg := append([]byte(nil), pkt...)
-	neg[2] |= 0x80 // negative seq
-	if _, err := DecodeData(neg); err != ErrInconsistent {
-		t.Fatalf("negative seq: err=%v want ErrInconsistent", err)
+	for _, c := range []struct {
+		name string
+		pkt  []byte
+		want error
+	}{
+		{"short packet", pkt[:DataHeaderLen-1], ErrTruncated},
+		{"version 1", v1, ErrBadVersion},
+		{"next version", withByte(pkt, 1, dataVersion+1), ErrBadVersion},
+		{"ack as data", append([]byte{typeAck, 1, 2, 3}, make([]byte, DataHeaderLen)...), ErrBadType},
+		{"giant junk", make([]byte, MaxDataLen+1), ErrBadType},
+		{"oversized", huge, ErrOversized},
+		{"negative seq", withByte(pkt, 6, 0x80), ErrInconsistent},
+		{"negative sentAt", withByte(pkt, 14, 0x80), ErrInconsistent},
+		{"negative arrival", withByte(pkt, 22, 0x80), ErrInconsistent},
+	} {
+		if _, err := DecodeData(c.pkt); err != c.want {
+			t.Errorf("%s: err=%v want %v", c.name, err, c.want)
+		}
 	}
 }
 
 func TestAckPacketRoundtrip(t *testing.T) {
 	var buf [MaxAckLen]byte
 	a := AckPacket{
-		Seq: 42, SentAtEcho: 111, RecvAt: 222, CumAck: 40,
+		Seq: 42, SentAtEcho: 111, RecvAt: 222, CumAck: 40, Flow: 31337,
 		Blocks: []SackBlock{{41, 43}, {45, 50}},
 	}
 	pkt := a.Encode(buf[:])
 	if len(pkt) != AckFixedLen+2*16 {
-		t.Fatalf("ack length %d", len(pkt))
+		t.Fatalf("ack length %d want %d", len(pkt), AckFixedLen+2*16)
 	}
-	if PacketType(pkt) != typeAck {
+	if PacketType(pkt) != 'A' {
 		t.Fatal("PacketType should classify as ack")
 	}
 	var got AckPacket
 	if err := DecodeAck(pkt, &got); err != nil {
 		t.Fatalf("decode failed: %v", err)
 	}
-	if got.Seq != 42 || got.SentAtEcho != 111 || got.RecvAt != 222 || got.CumAck != 40 {
+	if got.Seq != 42 || got.SentAtEcho != 111 || got.RecvAt != 222 || got.CumAck != 40 || got.Flow != 31337 {
 		t.Fatalf("fixed fields: %+v", got)
 	}
 	if len(got.Blocks) != 2 || got.Blocks[0] != (SackBlock{41, 43}) || got.Blocks[1] != (SackBlock{45, 50}) {
@@ -101,18 +97,21 @@ func TestDecodeAckRejectsMalformed(t *testing.T) {
 	mk := func(a AckPacket) []byte {
 		return append([]byte(nil), a.Encode(buf[:])...)
 	}
-	base := AckPacket{Seq: 9, CumAck: 5, Blocks: []SackBlock{{7, 9}}}
+	base := AckPacket{Seq: 9, CumAck: 5, Flow: 3, Blocks: []SackBlock{{7, 9}}}
 	cases := []struct {
 		name string
 		pkt  []byte
 		want error
 	}{
 		{"truncated header", []byte{typeAck, 0}, ErrTruncated},
+		{"header without blocks", mk(base)[:AckFixedLen], ErrTruncated},
 		{"wrong type", mkData(), ErrBadType},
+		{"version-1 ack type", withByte(mk(base), 0, 0x41), ErrBadType},
 		{"block count over max", withByte(mk(base), 1, MaxSackBlocks+1), ErrInconsistent},
 		{"declares more blocks than present", withByte(mk(base), 1, 2), ErrTruncated},
 		{"trailing junk", append(mk(base), 0xff), ErrOversized},
-		{"negative cum ack", withByte(mk(base), 26, 0x80), ErrInconsistent},
+		{"negative seq", withByte(mk(base), 6, 0x80), ErrInconsistent},
+		{"negative cum ack", withByte(mk(base), 30, 0x80), ErrInconsistent},
 		{"empty sack block", mk(AckPacket{CumAck: 5, Blocks: []SackBlock{{7, 7}}}), ErrInconsistent},
 		{"inverted sack block", mk(AckPacket{CumAck: 5, Blocks: []SackBlock{{9, 7}}}), ErrInconsistent},
 		{"sack below cum ack", mk(AckPacket{CumAck: 5, Blocks: []SackBlock{{3, 4}}}), ErrInconsistent},
@@ -120,12 +119,11 @@ func TestDecodeAckRejectsMalformed(t *testing.T) {
 		{"descending sack blocks", mk(AckPacket{CumAck: 0, Blocks: []SackBlock{{8, 10}, {2, 4}}}), ErrInconsistent},
 	}
 	for _, tc := range cases {
-		var got AckPacket
-		got.Blocks = append(got.Blocks, SackBlock{1, 2}) // stale state to clear
+		got := AckPacket{Flow: 9, Blocks: []SackBlock{{1, 2}}} // stale state to clear
 		if err := DecodeAck(tc.pkt, &got); err != tc.want {
 			t.Errorf("%s: err=%v want %v", tc.name, err, tc.want)
-		} else if len(got.Blocks) != 0 {
-			t.Errorf("%s: rejected decode left %d stale blocks", tc.name, len(got.Blocks))
+		} else if len(got.Blocks) != 0 || got.Flow != 0 {
+			t.Errorf("%s: rejected decode left %d stale blocks, flow %d", tc.name, len(got.Blocks), got.Flow)
 		}
 	}
 	// A valid ack still decodes after all that.
@@ -160,39 +158,71 @@ func TestMixSeed(t *testing.T) {
 	}
 }
 
+// Version 2 is the data layout: the flow ID sits behind the version
+// byte and pushes the arrival stamp to offset 22.
 func TestDataPacketV2Roundtrip(t *testing.T) {
 	buf := make([]byte, 1500)
 	h := DataHeader{Seq: 987654321, SentAt: 1710000000123456789, Flow: 0xdeadbeef}
-	pkt := EncodeDataV2(buf, h, 1200)
+	pkt := EncodeData(buf, h, 1200)
+	if pkt[1] != dataVersion || dataVersion != 2 {
+		t.Fatalf("version byte %#02x want 2", pkt[1])
+	}
 	got, err := DecodeData(pkt)
 	if err != nil || got != h {
 		t.Fatalf("v2 roundtrip: got %+v err=%v want %+v", got, err, h)
 	}
-	if PacketType(pkt) != typeData {
-		t.Fatal("PacketType should classify v2 as data")
-	}
-	// The v2 arrival stamp lands at its shifted offset.
 	if !StampArrival(pkt, 42) {
 		t.Fatal("StampArrival should accept a v2 data packet")
 	}
 	got, err = DecodeData(pkt)
-	if err != nil || got.Arrival != 42 || got.Flow != h.Flow {
+	if err != nil || got.Arrival != 42 || got.Flow != h.Flow || got.Seq != h.Seq {
 		t.Fatalf("v2 stamp: got %+v err=%v", got, err)
 	}
-	// A v2 header shorter than DataHeaderLenV2 is truncated, not junk.
-	if _, err := DecodeData(pkt[:DataHeaderLenV2-1]); err != ErrTruncated {
+	// A v2 header shorter than DataHeaderLen is truncated, not junk.
+	if StampArrival(pkt[:DataHeaderLen-1], 42) {
+		t.Fatal("StampArrival accepted a truncated header")
+	}
+	if _, err := DecodeData(pkt[:DataHeaderLen-1]); err != ErrTruncated {
 		t.Fatalf("short v2: err=%v want ErrTruncated", err)
 	}
 }
 
-// The push bit rides the version byte of a version-2 header: it
+// The type-0x42 ack carries the flow ID; a decode of a flowless ack
+// into the same struct clears the stale one.
+func TestAckPacketV2Roundtrip(t *testing.T) {
+	var buf [MaxAckLen]byte
+	a := AckPacket{Seq: 7, SentAtEcho: 11, RecvAt: 13, CumAck: 5, Flow: 31337,
+		Blocks: []SackBlock{{Start: 8, End: 10}, {Start: 12, End: 15}}}
+	pkt := append([]byte(nil), a.Encode(buf[:])...)
+	if pkt[0] != typeAck || typeAck != 0x42 {
+		t.Fatalf("ack type %#02x want 0x42", pkt[0])
+	}
+	var out AckPacket
+	if err := DecodeAck(pkt, &out); err != nil {
+		t.Fatalf("v2 ack decode: %v", err)
+	}
+	if out.Seq != a.Seq || out.SentAtEcho != a.SentAtEcho || out.RecvAt != a.RecvAt ||
+		out.CumAck != a.CumAck || out.Flow != a.Flow || len(out.Blocks) != 2 ||
+		out.Blocks[0] != a.Blocks[0] || out.Blocks[1] != a.Blocks[1] {
+		t.Fatalf("v2 ack roundtrip: got %+v want %+v", out, a)
+	}
+	flowless := AckPacket{Seq: 1, CumAck: 1}
+	if err := DecodeAck(flowless.Encode(buf[:]), &out); err != nil || out.Flow != 0 {
+		t.Fatalf("flowless after flow 31337: err=%v flow=%d want 0", err, out.Flow)
+	}
+	if err := DecodeAck(pkt[:AckFixedLen-1], &out); err != ErrTruncated {
+		t.Fatalf("short v2 ack: err=%v want ErrTruncated", err)
+	}
+}
+
+// The push bit rides the version byte of the data header: it
 // round-trips, survives a shim's arrival stamp, and is the only bit
 // beside the version number a decoder accepts.
 func TestDataPacketPushBit(t *testing.T) {
 	buf := make([]byte, 1500)
 	for _, push := range []bool{false, true} {
 		h := DataHeader{Seq: 29, SentAt: 1710000000123456789, Flow: 7, Push: push}
-		pkt := EncodeDataV2(buf, h, 1200)
+		pkt := EncodeData(buf, h, 1200)
 		got, err := DecodeData(pkt)
 		if err != nil || got != h {
 			t.Fatalf("push=%v roundtrip: got %+v err=%v want %+v", push, got, err, h)
@@ -209,58 +239,18 @@ func TestDataPacketPushBit(t *testing.T) {
 			t.Fatalf("push=%v after stamp: got %+v err=%v want %+v", push, got, err, h)
 		}
 	}
-	flagged := EncodeDataV2(buf, DataHeader{Flow: 7, Push: true}, 1200)
-	if _, err := DecodeData(flagged[:DataHeaderLenV2-1]); err != ErrTruncated {
-		t.Fatalf("short flagged v2: err=%v want ErrTruncated", err)
+	flagged := EncodeData(buf, DataHeader{Flow: 7, Push: true}, 1200)
+	if _, err := DecodeData(flagged[:DataHeaderLen-1]); err != ErrTruncated {
+		t.Fatalf("short flagged header: err=%v want ErrTruncated", err)
 	}
 	// Every other bit of the version byte is reserved, with or without
-	// the push bit, and version 1 has no flags at all.
-	for _, v := range []byte{0x42, 0x22, 0x12, 0x0a, 0x06, 0x03, 0xc2, 0x83, 0x81, 0x80, 0x00} {
-		pkt := EncodeDataV2(buf, DataHeader{Flow: 7}, 1200)
+	// the push bit, and 1 is not a data version.
+	for _, v := range []byte{0x42, 0x22, 0x12, 0x0a, 0x06, 0x03, 0xc2, 0x83, 0x81, 0x80, 0x01, 0x00} {
+		pkt := EncodeData(buf, DataHeader{Flow: 7}, 1200)
 		pkt[1] = v
 		if _, err := DecodeData(pkt); err != ErrBadVersion {
 			t.Errorf("version byte %#02x: err=%v want ErrBadVersion", v, err)
 		}
-	}
-	v1 := EncodeData(buf, DataHeader{Seq: 1, Push: true}, 1200)
-	if got, err := DecodeData(v1); err != nil || got.Push || v1[1] != wireVersion {
-		t.Fatalf("version 1 must ignore Push: byte %#02x got %+v err=%v", v1[1], got, err)
-	}
-}
-
-func TestAckPacketV2Roundtrip(t *testing.T) {
-	var buf [MaxAckLen]byte
-	a := AckPacket{Seq: 7, SentAtEcho: 11, RecvAt: 13, CumAck: 5, Flow: 31337,
-		Blocks: []SackBlock{{Start: 8, End: 10}, {Start: 12, End: 15}}}
-	pkt := a.EncodeV2(buf[:])
-	if len(pkt) != AckFixedLenV2+2*16 {
-		t.Fatalf("v2 ack length %d want %d", len(pkt), AckFixedLenV2+2*16)
-	}
-	if PacketType(pkt) != typeAck {
-		t.Fatal("PacketType should classify a v2 ack as ack")
-	}
-	var out AckPacket
-	if err := DecodeAck(pkt, &out); err != nil {
-		t.Fatalf("v2 ack decode: %v", err)
-	}
-	if out.Seq != a.Seq || out.SentAtEcho != a.SentAtEcho || out.RecvAt != a.RecvAt ||
-		out.CumAck != a.CumAck || out.Flow != a.Flow || len(out.Blocks) != 2 ||
-		out.Blocks[0] != a.Blocks[0] || out.Blocks[1] != a.Blocks[1] {
-		t.Fatalf("v2 ack roundtrip: got %+v want %+v", out, a)
-	}
-	// A v1 decode into the same struct must clear the stale Flow.
-	var buf1 [MaxAckLen]byte
-	v1 := AckPacket{Seq: 1, CumAck: 1}
-	pkt1 := v1.Encode(buf1[:])
-	if err := DecodeAck(pkt1, &out); err != nil || out.Flow != 0 {
-		t.Fatalf("v1 after v2: err=%v flow=%d want 0", err, out.Flow)
-	}
-	// Truncated and inconsistent v2 acks are rejected.
-	if err := DecodeAck(pkt[:AckFixedLenV2-1], &out); err != ErrTruncated {
-		t.Fatalf("short v2 ack: err=%v want ErrTruncated", err)
-	}
-	if err := DecodeAck(pkt[:AckFixedLenV2], &out); err != ErrTruncated {
-		t.Fatalf("v2 ack missing blocks: err=%v want ErrTruncated", err)
 	}
 }
 

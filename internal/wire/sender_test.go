@@ -94,7 +94,7 @@ func (p *handPeer) ack(h wire.DataHeader, cum int64, blocks ...wire.SackBlock) {
 		CumAck: cum, Blocks: blocks, Flow: h.Flow,
 	}
 	var buf [wire.MaxAckLen]byte
-	if _, err := p.conn.WriteToUDPAddrPort(a.EncodeV2(buf[:]), p.snd.Addrs()[0]); err != nil {
+	if _, err := p.conn.WriteToUDPAddrPort(a.Encode(buf[:]), p.snd.Addrs()[0]); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -198,7 +198,7 @@ func TestSenderWatchdogProbeLifecycle(t *testing.T) {
 	}
 	sends := p.cc.sends.Load()
 	var probe wire.DataHeader
-	for n := 0; n != wire.DataHeaderLenV2; { // skip the data sent before the trip
+	for n := 0; n != wire.DataHeaderLen; { // skip the data sent before the trip
 		probe, n = p.next(time.Second)
 	}
 	p.ack(probe, 0, wire.SackBlock{Start: probe.Seq, End: probe.Seq + 1})
