@@ -63,9 +63,6 @@ func (c *Controller) CWnd() float64 { return c.cwnd }
 // default cwnd/srtt pacing, as Linux does for TCP.
 func (c *Controller) PacingRate() float64 { return 0 }
 
-// CwndBytes exposes the current window for tests and instrumentation.
-func (c *Controller) CwndBytes() float64 { return c.cwnd }
-
 // OnAck implements transport.Controller.
 func (c *Controller) OnAck(ack transport.Ack) {
 	if c.srtt == 0 {

@@ -102,11 +102,9 @@ func (f Fault) String() string {
 	}
 }
 
-// Plan is a deterministic fault schedule. Seed, when non-zero, names
-// the random stream the *appliers* use for per-packet draws; the plan
-// itself contains no randomness.
+// Plan is a deterministic fault schedule. The plan itself contains no
+// randomness; per-packet draws come from the path's simulator.
 type Plan struct {
-	Seed   int64   `json:"seed,omitempty"`
 	Faults []Fault `json:"faults"`
 }
 
@@ -216,7 +214,7 @@ func (p Plan) Steps(horizon float64) []Step {
 // form used for replay files and deduplication. Unknown kinds are
 // dropped.
 func (p Plan) Canonical() Plan {
-	out := Plan{Seed: p.Seed}
+	var out Plan
 	for _, f := range p.Faults {
 		f.At = round3(math.Max(0, f.At))
 		switch f.Kind {
@@ -300,36 +298,36 @@ func ApplySim(s *sim.Sim, link *netem.Link, path *netem.Path, p Plan, horizon fl
 	}
 }
 
-// FaultEvent is one field-level fault transition — what gets stamped
+// faultEvent is one field-level fault transition — what gets stamped
 // onto a trace timeline when a step applies.
-type FaultEvent struct {
+type faultEvent struct {
 	Name   string
 	Active float64 // 1 on activation, 0 on clearance
 	Value  float64 // probability / offset after the transition
 }
 
-// Transitions lists the field-level changes between two path states.
-// Both worlds emit exactly this list per step, so sim and wire traces
-// carry identical fault timelines for the same plan.
-func Transitions(from, to PathState) []FaultEvent {
-	var evs []FaultEvent
+// transitions lists the field-level changes between two path states. A
+// blackout implies the ack blackout, so the latter is listed only when
+// the link is up on both sides.
+func transitions(from, to PathState) []faultEvent {
+	var evs []faultEvent
 	if from.LinkDown != to.LinkDown {
-		evs = append(evs, FaultEvent{string(KindBlackout), b2f(to.LinkDown), 0})
+		evs = append(evs, faultEvent{string(KindBlackout), b2f(to.LinkDown), 0})
 	}
 	if from.AckDown != to.AckDown && !(from.LinkDown || to.LinkDown) {
-		evs = append(evs, FaultEvent{string(KindAckBlackout), b2f(to.AckDown), 0})
+		evs = append(evs, faultEvent{string(KindAckBlackout), b2f(to.AckDown), 0})
 	}
 	if from.CorruptProb != to.CorruptProb {
-		evs = append(evs, FaultEvent{string(KindCorrupt), b2f(to.CorruptProb > 0), to.CorruptProb})
+		evs = append(evs, faultEvent{string(KindCorrupt), b2f(to.CorruptProb > 0), to.CorruptProb})
 	}
 	if from.DupProb != to.DupProb {
-		evs = append(evs, FaultEvent{string(KindDuplicate), b2f(to.DupProb > 0), to.DupProb})
+		evs = append(evs, faultEvent{string(KindDuplicate), b2f(to.DupProb > 0), to.DupProb})
 	}
 	if from.ReorderProb != to.ReorderProb {
-		evs = append(evs, FaultEvent{string(KindReorder), b2f(to.ReorderProb > 0), to.ReorderProb})
+		evs = append(evs, faultEvent{string(KindReorder), b2f(to.ReorderProb > 0), to.ReorderProb})
 	}
 	if from.ClockOffset != to.ClockOffset {
-		evs = append(evs, FaultEvent{string(KindClockJump), b2f(to.ClockOffset != 0), to.ClockOffset})
+		evs = append(evs, faultEvent{string(KindClockJump), b2f(to.ClockOffset != 0), to.ClockOffset})
 	}
 	return evs
 }
@@ -337,7 +335,7 @@ func Transitions(from, to PathState) []FaultEvent {
 // traceTransition emits one Fault event per field that changed between
 // two path states.
 func traceTransition(tr trace.Tracer, now float64, from, to PathState) {
-	for _, ev := range Transitions(from, to) {
+	for _, ev := range transitions(from, to) {
 		tr.Fault(now, ev.Name, ev.Active, ev.Value)
 	}
 }

@@ -9,92 +9,47 @@ import (
 	"pccproteus/internal/transport"
 )
 
-// Config parameterizes the framework. Zero values are filled in by
-// (*Config).withDefaults; construct presets with VivaceConfig or
-// ProteusConfig.
-type Config struct {
-	Rng *rand.Rand // required: the simulation's deterministic source
-
+// The rate-control and noise-tolerance parameters, at the paper's values
+// (§5; Vivace's for the monitor interval and the step controller). Every
+// PCC family member shares them. The floats are typed: an untyped
+// minRateMbps*epsilon would fold to exactly 0.005 rather than the
+// float64 product 0.005000000000000001, and move the figures.
+const (
 	// Monitor intervals.
-	MIMin        float64 // minimum MI duration, seconds
-	MIRTTMult    float64 // MI duration as a multiple of smoothed RTT
-	MinPktsPerMI int     // an MI does not seal until it carries this many packets
+	miMin        float64 = 0.010 // minimum MI duration, seconds
+	miRTTMult    float64 = 1.5   // MI duration as a multiple of smoothed RTT
+	minPktsPerMI         = 8     // an MI does not seal until it carries this many packets
 
 	// Rate control.
-	InitialRateMbps float64
-	MinRateMbps     float64
-	MaxRateMbps     float64
-	Epsilon         float64 // probing rate perturbation (±ε)
-	ProbePairs      int     // 2 = Vivace consistency, 3 = Proteus majority rule
-	Theta0          float64 // gradient→rate conversion factor, Mbps per utility-slope unit
-	OmegaInit       float64 // initial rate-change boundary, fraction of rate
-	OmegaStep       float64 // boundary growth per consecutive boundary hit
-	AmpMax          int     // cap on the confidence amplifier
+	initialRateMbps float64 = 1
+	minRateMbps     float64 = 0.1
+	maxRateMbps     float64 = 10000
+	epsilon         float64 = 0.05 // probing rate perturbation (±ε)
+	theta0          float64 = 0.5  // gradient→rate conversion factor, Mbps per utility-slope unit
+	omegaInit       float64 = 0.05 // initial rate-change boundary, fraction of rate
+	omegaStep       float64 = 0.10 // boundary growth per consecutive boundary hit
+	ampMax                  = 50   // cap on the confidence amplifier
+
+	// Noise tolerance (§5).
+	ackIntervalRatio float64 = 50 // consecutive ACK-interval ratio threshold
+	trendK                   = 6  // MIs of trending history
+	g1               float64 = 2  // trending-gradient anomaly threshold, in deviations
+	g2               float64 = 4  // deviation anomaly threshold, in deviations
+	noiseWarmupMIs           = 24 // MIs of full-gain noise-model learning
+)
+
+// Config selects the PCC family member: the probing rule and which §5
+// noise-tolerance mechanisms run. Every field is read as given; build
+// one with ProteusConfig or VivaceConfig.
+type Config struct {
+	Rng        *rand.Rand // required: the simulation's deterministic source
+	ProbePairs int        // 2 = Vivace consistency, 3 = Proteus majority rule
 
 	// Noise tolerance (§5).
 	UseAckFilter           bool    // per-ACK RTT sample filtering
-	AckIntervalRatio       float64 // consecutive ACK-interval ratio threshold (50)
 	UseRegressionTolerance bool    // per-MI regression-error tolerance
 	FixedGradTolerance     float64 // Vivace-style flat tolerance (used when regression tolerance is off)
 	UseTrending            bool    // MI-history trending tolerance
-	TrendK                 int     // MIs of history (6)
-	G1, G2                 float64 // anomaly thresholds (2, 4)
-	NoiseWarmupMIs         int     // MIs of full-gain noise-model learning
-}
-
-func (c Config) withDefaults() Config {
-	if c.MIMin == 0 {
-		c.MIMin = 0.010
-	}
-	if c.MIRTTMult == 0 {
-		c.MIRTTMult = 1.5
-	}
-	if c.MinPktsPerMI == 0 {
-		c.MinPktsPerMI = 8
-	}
-	if c.InitialRateMbps == 0 {
-		c.InitialRateMbps = 1.0
-	}
-	if c.MinRateMbps == 0 {
-		c.MinRateMbps = 0.1
-	}
-	if c.MaxRateMbps == 0 {
-		c.MaxRateMbps = 10000
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.05
-	}
-	if c.ProbePairs == 0 {
-		c.ProbePairs = 3
-	}
-	if c.Theta0 == 0 {
-		c.Theta0 = 0.5
-	}
-	if c.OmegaInit == 0 {
-		c.OmegaInit = 0.05
-	}
-	if c.OmegaStep == 0 {
-		c.OmegaStep = 0.10
-	}
-	if c.AmpMax == 0 {
-		c.AmpMax = 50
-	}
-	if c.AckIntervalRatio == 0 {
-		c.AckIntervalRatio = 50
-	}
-	if c.TrendK == 0 {
-		c.TrendK = 6
-	}
-	if c.G1 == 0 {
-		c.G1 = 2
-	}
-	if c.G2 == 0 {
-		c.G2 = 4
-	}
-	if c.NoiseWarmupMIs == 0 {
-		c.NoiseWarmupMIs = 24
-	}
-	return c
 }
 
 // ProteusConfig returns the full Proteus configuration: majority-of-three
@@ -106,7 +61,7 @@ func ProteusConfig(rng *rand.Rand) Config {
 		UseAckFilter:           true,
 		UseRegressionTolerance: true,
 		UseTrending:            true,
-	}.withDefaults()
+	}
 }
 
 // VivaceConfig returns the PCC Vivace baseline configuration: two-pair
@@ -116,7 +71,7 @@ func VivaceConfig(rng *rand.Rand) Config {
 		Rng:                rng,
 		ProbePairs:         2,
 		FixedGradTolerance: 0.005,
-	}.withDefaults()
+	}
 }
 
 type ctrlState int
@@ -183,11 +138,6 @@ type Controller struct {
 	nextUtil UtilityFunc // swap applied at the next MI boundary
 	paused   bool
 
-	// Trace, when set, receives every finalized MI result plus the
-	// controller's post-decision state — the hook the timeline figures
-	// and the diagnostics use.
-	Trace func(ev TraceEvent)
-
 	// tr is the flight-recorder handle, bound by the transport sender
 	// at Start (via transport.TraceAware); disabled by default.
 	tr trace.Tracer
@@ -195,29 +145,17 @@ type Controller struct {
 	stats Stats
 }
 
-// TraceEvent reports one finalized monitor interval.
-type TraceEvent struct {
-	MIID     int64
-	Target   float64 // the rate the MI was asked to run at, Mbps
-	Measured float64 // the rate it actually achieved, Mbps
-	Utility  float64
-	Metrics  Metrics
-	BaseRate float64 // controller base rate after processing this result
-	State    string
-}
-
 // New creates a controller with the given configuration and utility
 // function. Use the preset constructors below for the paper's variants.
 func New(label string, cfg Config, util UtilityFunc) *Controller {
-	cfg = cfg.withDefaults()
 	c := &Controller{
 		cfg:           cfg,
 		util:          util,
 		label:         label,
 		state:         stateStarting,
-		rate:          cfg.InitialRateMbps,
-		startEvalRate: cfg.InitialRateMbps,
-		omega:         cfg.OmegaInit,
+		rate:          initialRateMbps,
+		startEvalRate: initialRateMbps,
+		omega:         omegaInit,
 	}
 	c.mon = newMonitor(&c.cfg)
 	return c
@@ -321,7 +259,7 @@ func (c *Controller) OnRecovery(now float64, resumeRate float64) {
 	}
 	c.dir = 0
 	c.amp = 0
-	c.omega = c.cfg.OmegaInit
+	c.omega = omegaInit
 	c.startPrevSet = false
 	c.mon.current = nil // force a fresh MI on the next send
 	c.tr.ModeSwitch(now, "recover", c.rate)
@@ -340,7 +278,7 @@ func (c *Controller) abortDecisionState(now float64) {
 func (c *Controller) OnSend(now float64, pkt *transport.SentPacket) {
 	cur := c.mon.current
 	if cur == nil || cur.sealed ||
-		(now >= cur.end && cur.sentPkts >= c.cfg.MinPktsPerMI) {
+		(now >= cur.end && cur.sentPkts >= minPktsPerMI) {
 		c.rollMI(now)
 	}
 	c.mon.onSend(now, pkt.Size)
@@ -442,13 +380,6 @@ func (c *Controller) handleResult(now float64, res miResult) {
 			res.metrics.RTTGradient, res.metrics.RTTDeviation, res.metrics.LossRate,
 			c.util.Name())
 	}
-	if c.Trace != nil {
-		c.Trace(TraceEvent{
-			MIID: res.id, Target: res.target, Measured: res.rate,
-			Utility: res.utility, Metrics: res.metrics,
-			BaseRate: c.rate, State: c.state.String(),
-		})
-	}
 }
 
 // handleStarting doubles the rate each round while utility keeps growing
@@ -499,9 +430,8 @@ func (c *Controller) clearProbes() {
 // in random order (§5 majority rule: Proteus uses three pairs and takes
 // the majority direction; Vivace uses two and requires consistency).
 func (c *Controller) setupProbes() {
-	eps := c.cfg.Epsilon
-	hi := c.clampRate(c.rate * (1 + eps))
-	lo := c.clampRate(c.rate * (1 - eps))
+	hi := c.clampRate(c.rate * (1 + epsilon))
+	lo := c.clampRate(c.rate * (1 - epsilon))
 	for p := 0; p < c.cfg.ProbePairs; p++ {
 		if c.cfg.Rng.Intn(2) == 0 {
 			c.probeQueue = append(c.probeQueue, hi, lo)
@@ -594,7 +524,7 @@ func (c *Controller) decideFromProbes(now float64) {
 	c.stats.ProbesRepeated++
 	c.dir = 0
 	c.amp = 1
-	c.omega = c.cfg.OmegaInit
+	c.omega = omegaInit
 	c.clearProbes()
 	c.setupProbes()
 }
@@ -608,12 +538,12 @@ func (c *Controller) decideFromProbes(now float64) {
 // probes again around the new rate.
 func (c *Controller) applyDecision(now, dir, grad float64) {
 	if dir == c.dir {
-		if c.amp < c.cfg.AmpMax {
+		if c.amp < ampMax {
 			c.amp++
 		}
 	} else {
 		c.amp = 1
-		c.omega = c.cfg.OmegaInit
+		c.omega = omegaInit
 	}
 	c.dir = dir
 	if dir > 0 {
@@ -621,16 +551,16 @@ func (c *Controller) applyDecision(now, dir, grad float64) {
 	} else {
 		c.stats.DecisionsDown++
 	}
-	raw := c.cfg.Theta0 * float64(c.amp) * math.Abs(grad)
+	raw := theta0 * float64(c.amp) * math.Abs(grad)
 	bound := c.omega * c.rate
 	step := raw
 	if step >= bound {
 		step = bound
-		c.omega += c.cfg.OmegaStep
+		c.omega += omegaStep
 	} else {
-		c.omega = c.cfg.OmegaInit
+		c.omega = omegaInit
 	}
-	if min := c.cfg.MinRateMbps * c.cfg.Epsilon; step < min {
+	if min := minRateMbps * epsilon; step < min {
 		step = min
 	}
 	prev := c.rate
@@ -645,11 +575,11 @@ func (c *Controller) applyDecision(now, dir, grad float64) {
 }
 
 func (c *Controller) clampRate(r float64) float64 {
-	if r < c.cfg.MinRateMbps {
-		return c.cfg.MinRateMbps
+	if r < minRateMbps {
+		return minRateMbps
 	}
-	if r > c.cfg.MaxRateMbps {
-		return c.cfg.MaxRateMbps
+	if r > maxRateMbps {
+		return maxRateMbps
 	}
 	return r
 }

@@ -324,8 +324,7 @@ func TestAckFilterDropsBurstSamples(t *testing.T) {
 }
 
 func TestTrendingWarmupIsAnomalous(t *testing.T) {
-	cfg := ProteusConfig(rand.New(rand.NewSource(1)))
-	ns := newNoiseState(&cfg)
+	ns := newNoiseState()
 	g, d := ns.observe(Metrics{AvgRTT: 0.03, RTTDeviation: 0.0001})
 	if !g || !d {
 		t.Fatal("warmup must be conservative (anomalous)")
@@ -333,8 +332,7 @@ func TestTrendingWarmupIsAnomalous(t *testing.T) {
 }
 
 func TestTrendingDetectsPersistentInflation(t *testing.T) {
-	cfg := ProteusConfig(rand.New(rand.NewSource(1)))
-	ns := newNoiseState(&cfg)
+	ns := newNoiseState()
 	// Long stable period.
 	for i := 0; i < 60; i++ {
 		ns.observe(Metrics{AvgRTT: 0.030, RTTDeviation: 0.0001})
@@ -357,10 +355,7 @@ func TestTrendingDetectsPersistentInflation(t *testing.T) {
 }
 
 func TestMonitorMetricsComputation(t *testing.T) {
-	cfg := Config{Rng: rand.New(rand.NewSource(1))}.withDefaults()
-	cfg.UseRegressionTolerance = false
-	cfg.UseTrending = false
-	cfg.UseAckFilter = false
+	cfg := Config{Rng: rand.New(rand.NewSource(1))} // every tolerance off
 	mo := newMonitor(&cfg)
 	m := mo.beginMI(0, 10, 0.030)
 	// 10 packets over 30 ms, RTTs rising linearly 30→39 ms.
@@ -402,7 +397,7 @@ func TestMonitorMetricsComputation(t *testing.T) {
 }
 
 func TestMonitorLossAccounting(t *testing.T) {
-	cfg := Config{Rng: rand.New(rand.NewSource(1))}.withDefaults()
+	cfg := Config{Rng: rand.New(rand.NewSource(1))}
 	mo := newMonitor(&cfg)
 	m := mo.beginMI(0, 10, 0.030)
 	for i := 0; i < 4; i++ {
@@ -454,15 +449,23 @@ func TestRegressionToleranceZeroesNoise(t *testing.T) {
 	}
 }
 
+// The presets select the family member; the parameters they share are
+// the paper's constants.
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{Rng: rand.New(rand.NewSource(1))}.withDefaults()
-	if cfg.ProbePairs != 3 || cfg.Epsilon != 0.05 || cfg.TrendK != 6 ||
-		cfg.G1 != 2 || cfg.G2 != 4 || cfg.AckIntervalRatio != 50 {
-		t.Fatalf("defaults wrong: %+v", cfg)
+	rng := rand.New(rand.NewSource(1))
+	p := ProteusConfig(rng)
+	if p != (Config{Rng: rng, ProbePairs: 3, UseAckFilter: true, UseRegressionTolerance: true, UseTrending: true}) {
+		t.Fatalf("Proteus preset: %+v", p)
 	}
-	v := VivaceConfig(rand.New(rand.NewSource(1)))
-	if v.ProbePairs != 2 || v.UseTrending || v.UseAckFilter || v.UseRegressionTolerance {
-		t.Fatal("Vivace preset must disable Proteus noise mechanisms")
+	v := VivaceConfig(rng)
+	if v != (Config{Rng: rng, ProbePairs: 2, FixedGradTolerance: 0.005}) {
+		t.Fatalf("Vivace preset must disable Proteus noise mechanisms: %+v", v)
+	}
+	if epsilon != 0.05 || trendK != 6 || g1 != 2 || g2 != 4 || ackIntervalRatio != 50 {
+		t.Fatal("§5 constants differ from the paper")
+	}
+	if utilT != 0.9 || utilB != 900 || utilC != 11.35 {
+		t.Fatal("utility constants differ from §6's t, b, c")
 	}
 }
 

@@ -7,8 +7,38 @@ import (
 
 	"pccproteus/internal/netem"
 	"pccproteus/internal/sim"
+	"pccproteus/internal/trace"
 	"pccproteus/internal/transport"
 )
+
+// recordMIs attaches a flight recorder that keeps every finalized MI
+// (the mi and util events) of every flow on s.
+func recordMIs(s *sim.Sim) *trace.Recorder {
+	rec := trace.NewRecorder(trace.Options{Mask: trace.MaskOf(trace.KindMIDecision, trace.KindUtilitySample)})
+	s.SetTrace(rec)
+	return rec
+}
+
+// printMIs prints every nth of one flow's finalized MIs whose time lies
+// in (from, to), joining each mi event with the util event that follows
+// it for the same MI.
+func printMIs(rec *trace.Recorder, flow int32, prefix string, from, to float64, every int) {
+	var mi trace.Event
+	n := 0
+	for _, ev := range rec.Events(flow) {
+		switch {
+		case ev.Kind == trace.KindMIDecision:
+			mi = ev
+		case ev.Kind == trace.KindUtilitySample && ev.Seq == mi.Seq:
+			n++
+			if n%every != 0 || ev.T <= from || ev.T >= to {
+				continue
+			}
+			fmt.Printf("%st=%6.2f mi=%4d tgt=%6.2f meas=%6.2f u=%8.2f grad=%+.5f dev=%.5f loss=%.3f base=%6.2f %s\n",
+				prefix, mi.T, mi.Seq, mi.A, mi.B, mi.C, ev.B, ev.C, ev.D, mi.D, mi.Note)
+		}
+	}
+}
 
 // TestDiagYield dumps per-MI traces for the P-vs-S scenario. Run with
 // PROTEUS_DIAG=1 to see the output; it is a development aid, not an
@@ -18,25 +48,12 @@ func TestDiagYield(t *testing.T) {
 		t.Skip("set PROTEUS_DIAG=1 for diagnostics")
 	}
 	s := sim.New(2)
+	rec := recordMIs(s)
 	path := newTestLink(s, 50, 375000, 0.030)
 	ccP := NewProteusP(s.Rand())
 	ccS := NewProteusS(s.Rand())
 	p := transport.NewSender(1, path, ccP)
 	scv := transport.NewSender(2, path, ccS)
-	ccS.Trace = func(ev TraceEvent) {
-		if s.Now() > 100 && s.Now() < 102 {
-			fmt.Printf("S t=%6.2f mi=%4d tgt=%6.2f meas=%6.2f u=%8.2f grad=%+.5f dev=%.5f loss=%.3f base=%6.2f %s\n",
-				s.Now(), ev.MIID, ev.Target, ev.Measured, ev.Utility,
-				ev.Metrics.RTTGradient, ev.Metrics.RTTDeviation, ev.Metrics.LossRate, ev.BaseRate, ev.State)
-		}
-	}
-	ccP.Trace = func(ev TraceEvent) {
-		if s.Now() > 100 && s.Now() < 102 {
-			fmt.Printf("P t=%6.2f mi=%4d tgt=%6.2f meas=%6.2f u=%8.2f grad=%+.5f dev=%.5f loss=%.3f base=%6.2f %s\n",
-				s.Now(), ev.MIID, ev.Target, ev.Measured, ev.Utility,
-				ev.Metrics.RTTGradient, ev.Metrics.RTTDeviation, ev.Metrics.LossRate, ev.BaseRate, ev.State)
-		}
-	}
 	p.Start()
 	scv.Start()
 	lastP, lastS := int64(0), int64(0)
@@ -50,6 +67,8 @@ func TestDiagYield(t *testing.T) {
 		})
 	}
 	s.Run(120)
+	printMIs(rec, 2, "S ", 100, 102, 1)
+	printMIs(rec, 1, "P ", 100, 102, 1)
 }
 
 func ccSstats(c *Controller) Stats { return c.Stats() }
@@ -60,17 +79,11 @@ func TestDiagLoss(t *testing.T) {
 		t.Skip("set PROTEUS_DIAG=1 for diagnostics")
 	}
 	s := sim.New(8)
+	rec := recordMIs(s)
 	path := newTestLink(s, 50, 375000, 0.030)
 	path.Link.LossProb = 0.02
 	cc := NewProteusP(s.Rand())
 	snd := transport.NewSender(1, path, cc)
-	cc.Trace = func(ev TraceEvent) {
-		if s.Now() > 30 && s.Now() < 36 {
-			fmt.Printf("t=%6.2f mi=%4d tgt=%6.2f u=%8.2f grad=%+.5f loss=%.3f base=%6.2f\n",
-				s.Now(), ev.MIID, ev.Target, ev.Utility,
-				ev.Metrics.RTTGradient, ev.Metrics.LossRate, ev.BaseRate)
-		}
-	}
 	snd.Start()
 	last := int64(0)
 	for ts := 5.0; ts <= 100; ts += 5 {
@@ -82,6 +95,7 @@ func TestDiagLoss(t *testing.T) {
 		})
 	}
 	s.Run(100)
+	printMIs(rec, 1, "", 30, 36, 1)
 }
 
 // TestDiagNoisy traces Proteus-P on a jittery link.
@@ -90,19 +104,11 @@ func TestDiagNoisy(t *testing.T) {
 		t.Skip("diag")
 	}
 	s := sim.New(9)
+	rec := recordMIs(s)
 	path := newTestLink(s, 50, 375000, 0.030)
 	path.Link.Jitter = noisyJitter()
 	cc := NewProteusP(s.Rand())
 	snd := transport.NewSender(1, path, cc)
-	n := 0
-	cc.Trace = func(ev TraceEvent) {
-		n++
-		if n%20 == 0 && s.Now() < 30 {
-			fmt.Printf("t=%6.2f mi=%4d tgt=%6.2f u=%9.2f grad=%+.5f dev=%.5f loss=%.3f base=%6.2f samples-avgRTT=%.4f\n",
-				s.Now(), ev.MIID, ev.Target, ev.Utility,
-				ev.Metrics.RTTGradient, ev.Metrics.RTTDeviation, ev.Metrics.LossRate, ev.BaseRate, ev.Metrics.AvgRTT)
-		}
-	}
 	snd.Start()
 	last := int64(0)
 	for ts := 5.0; ts <= 60; ts += 5 {
@@ -114,6 +120,7 @@ func TestDiagNoisy(t *testing.T) {
 		})
 	}
 	s.Run(60)
+	printMIs(rec, 1, "", 0, 30, 20)
 }
 
 func noisyJitter() netem.SpikeNoise {

@@ -59,16 +59,16 @@ func newMonitor(cfg *Config) *monitor {
 		cfg:     cfg,
 		pending: make(map[int64]*mi),
 		ewmaRTT: stats.NewEWMA(),
-		noise:   newNoiseState(cfg),
+		noise:   newNoiseState(),
 		devEWMA: stats.EWMA{Alpha: 0.25, Beta: 0.25},
 	}
 }
 
 // beginMI opens a fresh MI at the given target rate.
 func (mo *monitor) beginMI(now, targetMbps, srtt float64) *mi {
-	dur := mo.cfg.MIMin
+	dur := miMin
 	if srtt > 0 {
-		d := srtt * mo.cfg.MIRTTMult
+		d := srtt * miRTTMult
 		// Jitter the MI length slightly (±10%) so competing senders do
 		// not phase-lock their probing.
 		d *= 1 + 0.2*(mo.cfg.Rng.Float64()-0.5)
@@ -148,7 +148,7 @@ func (mo *monitor) ackFilter(recvAt, rtt float64) bool {
 	if mo.cfg.UseAckFilter {
 		if mo.lastAckAt > 0 {
 			interval := recvAt - mo.lastAckAt
-			if mo.lastInterval > 0 && interval > mo.cfg.AckIntervalRatio*mo.lastInterval {
+			if mo.lastInterval > 0 && interval > ackIntervalRatio*mo.lastInterval {
 				mo.filtering = true
 			}
 			mo.lastInterval = interval
@@ -222,7 +222,7 @@ func (mo *monitor) maybeFinalize(m *mi, u UtilityFunc) (miResult, bool) {
 	met := mo.computeMetrics(m)
 	dur := m.end - m.start
 	if dur <= 0 {
-		dur = mo.cfg.MIMin
+		dur = miMin
 	}
 	return miResult{
 		id:      m.id,
@@ -239,7 +239,7 @@ func (mo *monitor) maybeFinalize(m *mi, u UtilityFunc) (miResult, bool) {
 func (mo *monitor) computeMetrics(m *mi) Metrics {
 	dur := m.end - m.start
 	if dur <= 0 {
-		dur = mo.cfg.MIMin
+		dur = miMin
 	}
 	met := Metrics{
 		Duration: dur,

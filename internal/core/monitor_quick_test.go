@@ -14,8 +14,7 @@ import (
 func TestQuickMIFinalizesExactlyOnce(t *testing.T) {
 	f := func(seed int64, nMIs uint8, lossPct uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := Config{Rng: rng}.withDefaults()
-		cfg.UseAckFilter = false
+		cfg := Config{Rng: rng}
 		mo := newMonitor(&cfg)
 		u := NewPrimary()
 
@@ -98,7 +97,7 @@ func TestQuickRateStaysClamped(t *testing.T) {
 			}
 			c.mon.nextID++
 			c.handleResult(0, res)
-			if c.rate < c.cfg.MinRateMbps-1e-9 || c.rate > c.cfg.MaxRateMbps+1e-9 {
+			if c.rate < minRateMbps-1e-9 || c.rate > maxRateMbps+1e-9 {
 				return false
 			}
 		}

@@ -29,7 +29,6 @@ import "pccproteus/internal/stats"
 // model learns at full gain regardless, to capture the channel's
 // ambient noise (e.g. WiFi jitter) before discrimination begins.
 type noiseState struct {
-	cfg     *Config
 	avgRTTs []float64 // ring of the last k MIs' average RTTs
 	devs    []float64 // ring of the last k MIs' RTT deviations
 	idx     []float64 // 1..k regression abscissa (reused)
@@ -40,9 +39,8 @@ type noiseState struct {
 	devLevel  *stats.EWMA // noise model of the per-MI deviation level
 }
 
-func newNoiseState(cfg *Config) *noiseState {
+func newNoiseState() *noiseState {
 	return &noiseState{
-		cfg:       cfg,
 		trendGrad: stats.NewEWMA(),
 		trendDev:  stats.NewEWMA(),
 		devLevel:  stats.NewEWMA(),
@@ -53,23 +51,22 @@ func newNoiseState(cfg *Config) *noiseState {
 // trending state and reports whether the gradient and deviation are
 // anomalous — i.e. must not be zeroed by the per-MI tolerance.
 func (ns *noiseState) observe(met Metrics) (gradAnomalous, devAnomalous bool) {
-	k := ns.cfg.TrendK
 	ns.seen++
 	ns.avgRTTs = append(ns.avgRTTs, met.AvgRTT)
 	ns.devs = append(ns.devs, met.RTTDeviation)
-	if len(ns.avgRTTs) > k {
+	if len(ns.avgRTTs) > trendK {
 		ns.avgRTTs = ns.avgRTTs[1:]
 		ns.devs = ns.devs[1:]
 	}
-	warmup := ns.seen <= ns.cfg.NoiseWarmupMIs
-	if len(ns.avgRTTs) < k {
+	warmup := ns.seen <= noiseWarmupMIs
+	if len(ns.avgRTTs) < trendK {
 		// Not enough history for the trending statistics: learn the
 		// deviation level and stay conservative (treat as anomalous).
 		ns.devLevel.Add(met.RTTDeviation)
 		return true, true
 	}
-	if len(ns.idx) != k {
-		ns.idx = make([]float64, k)
+	if len(ns.idx) != trendK {
+		ns.idx = make([]float64, trendK)
 		for i := range ns.idx {
 			ns.idx[i] = float64(i + 1)
 		}
@@ -77,7 +74,6 @@ func (ns *noiseState) observe(met Metrics) (gradAnomalous, devAnomalous bool) {
 	trendingGradient := stats.LinearRegression(ns.idx, ns.avgRTTs).Slope
 	trendingDeviation := stats.StdDev(ns.devs)
 
-	g1, g2 := ns.cfg.G1, ns.cfg.G2
 	if ns.trendGrad.Initialized() {
 		gradAnomalous = abs(trendingGradient-ns.trendGrad.Avg()) > g1*ns.trendGrad.Dev()
 	} else {

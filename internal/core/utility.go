@@ -34,16 +34,13 @@ type UtilityFunc interface {
 	Utility(m Metrics) float64
 }
 
-// PrimaryParams are the constants of the Proteus-P utility function
-// (eq. 1), defaulted to the PCC Vivace values the paper adopts.
-type PrimaryParams struct {
-	T float64 // throughput exponent t ∈ (0,1); concavity
-	B float64 // latency-gradient coefficient b > 0
-	C float64 // loss coefficient c (11.35 tolerates 5% random loss)
-}
-
-// DefaultPrimaryParams returns t=0.9, b=900, c=11.35 as used in §6.
-func DefaultPrimaryParams() PrimaryParams { return PrimaryParams{T: 0.9, B: 900, C: 11.35} }
+// The constants of the Proteus-P utility function (eq. 1), the PCC
+// Vivace values the paper adopts in §6.
+const (
+	utilT float64 = 0.9   // throughput exponent t ∈ (0,1); concavity
+	utilB float64 = 900   // latency-gradient coefficient b > 0
+	utilC float64 = 11.35 // loss coefficient c (11.35 tolerates 5% random loss)
+)
 
 // Primary is the Proteus-P utility (eq. 1):
 //
@@ -51,12 +48,10 @@ func DefaultPrimaryParams() PrimaryParams { return PrimaryParams{T: 0.9, B: 900,
 //
 // Negative RTT gradient is ignored — the paper's modification to Vivace
 // that avoids slow convergence from over-rewarding queue drain.
-type Primary struct {
-	PrimaryParams
-}
+type Primary struct{}
 
-// NewPrimary returns Proteus-P with the paper's default parameters.
-func NewPrimary() *Primary { return &Primary{DefaultPrimaryParams()} }
+// NewPrimary returns Proteus-P.
+func NewPrimary() *Primary { return &Primary{} }
 
 // Name implements UtilityFunc.
 func (u *Primary) Name() string { return "proteus-p" }
@@ -71,7 +66,7 @@ func (u *Primary) Utility(m Metrics) float64 {
 	if grad < 0 {
 		grad = 0
 	}
-	return math.Pow(x, u.T) - u.B*x*grad - u.C*x*m.LossRate
+	return math.Pow(x, utilT) - utilB*x*grad - utilC*x*m.LossRate
 }
 
 // Scavenger is the Proteus-S utility (eq. 2):
@@ -83,16 +78,11 @@ func (u *Primary) Utility(m Metrics) float64 {
 // oscillation that competing senders' probing produces, earlier than
 // loss or sustained gradient, and it is a metric primary protocols do
 // not themselves penalize.
-type Scavenger struct {
-	PrimaryParams
-	D float64 // RTT-deviation coefficient d (σ in seconds)
-}
+type Scavenger struct{}
 
-// NewScavenger returns Proteus-S with this implementation's default
-// deviation coefficient (see DefaultScavengerD).
-func NewScavenger() *Scavenger {
-	return &Scavenger{PrimaryParams: DefaultPrimaryParams(), D: DefaultScavengerD}
-}
+// NewScavenger returns Proteus-S with this implementation's deviation
+// coefficient, DefaultScavengerD.
+func NewScavenger() *Scavenger { return &Scavenger{} }
 
 // DefaultScavengerD is the RTT-deviation coefficient d of eq. 2. The
 // paper uses 1500 (σ in seconds) on its Emulab/kernel substrate; this
@@ -102,7 +92,7 @@ func NewScavenger() *Scavenger {
 // accordingly. See DESIGN.md §5 on substitution calibration; the
 // scavenger equilibrium x_S ≈ (t/(d·σ̄))^(1/(1-t)) is what is being
 // calibrated.
-const DefaultScavengerD = 5000
+const DefaultScavengerD float64 = 5000
 
 // Name implements UtilityFunc.
 func (u *Scavenger) Name() string { return "proteus-s" }
@@ -113,11 +103,7 @@ func (u *Scavenger) Utility(m Metrics) float64 {
 	if x < 0 {
 		x = 0
 	}
-	grad := m.RTTGradient
-	if grad < 0 {
-		grad = 0
-	}
-	return math.Pow(x, u.T) - u.B*x*grad - u.C*x*m.LossRate - u.D*x*m.RTTDeviation
+	return (&Primary{}).Utility(m) - DefaultScavengerD*x*m.RTTDeviation
 }
 
 // Hybrid is the Proteus-H piecewise utility (eq. 3): primary below the
@@ -173,12 +159,10 @@ func (u *Custom) Utility(m Metrics) float64 { return u.Fn(m) }
 // VivaceUtility is the unmodified PCC Vivace utility: like Proteus-P but
 // rewarding negative RTT gradient as well (no max(0,·) clamp). Used by
 // the Vivace baseline.
-type VivaceUtility struct {
-	PrimaryParams
-}
+type VivaceUtility struct{}
 
-// NewVivaceUtility returns the Vivace utility with default parameters.
-func NewVivaceUtility() *VivaceUtility { return &VivaceUtility{DefaultPrimaryParams()} }
+// NewVivaceUtility returns the Vivace utility.
+func NewVivaceUtility() *VivaceUtility { return &VivaceUtility{} }
 
 // Name implements UtilityFunc.
 func (u *VivaceUtility) Name() string { return "vivace" }
@@ -189,7 +173,7 @@ func (u *VivaceUtility) Utility(m Metrics) float64 {
 	if x < 0 {
 		x = 0
 	}
-	return math.Pow(x, u.T) - u.B*x*m.RTTGradient - u.C*x*m.LossRate
+	return math.Pow(x, utilT) - utilB*x*m.RTTGradient - utilC*x*m.LossRate
 }
 
 // Proportional is the §2.2 "same metrics, greater penalty" strawman: the
@@ -207,15 +191,12 @@ func (u *VivaceUtility) Utility(m Metrics) float64 {
 // backs off long before the loss signal this utility listens to ever
 // fires.
 type Proportional struct {
-	PrimaryParams
 	W float64 // throughput weight; < 1 deprioritizes, > 1 prioritizes
 }
 
 // NewProportional returns the proportional-allocation utility with the
-// given weight and default constants.
-func NewProportional(w float64) *Proportional {
-	return &Proportional{PrimaryParams: DefaultPrimaryParams(), W: w}
-}
+// given weight and Proteus-P's constants.
+func NewProportional(w float64) *Proportional { return &Proportional{W: w} }
 
 // Name implements UtilityFunc.
 func (u *Proportional) Name() string { return "proportional" }
@@ -230,5 +211,5 @@ func (u *Proportional) Utility(m Metrics) float64 {
 	if grad < 0 {
 		grad = 0
 	}
-	return u.W*math.Pow(x, u.T) - u.B*x*grad - u.C*x*m.LossRate
+	return u.W*math.Pow(x, utilT) - utilB*x*grad - utilC*x*m.LossRate
 }

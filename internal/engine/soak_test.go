@@ -10,19 +10,12 @@ import (
 	"pccproteus/internal/wire"
 )
 
-// soakController builds a down-tuned Proteus-S controller: the paper's
-// scavenger machinery intact, but rates scaled so thousands of
-// concurrent flows fit a single-host loopback. Each flow gets its own
-// rand.Rand — controllers run on shard goroutines and the shared
+// soakController builds stock Proteus-S controllers. Each flow gets its
+// own rand.Rand — controllers run on shard goroutines and the shared
 // global source would race.
 func soakController(seed int64) func(i int) transport.Controller {
 	return func(i int) transport.Controller {
-		rng := rand.New(rand.NewSource(wire.MixSeed(seed, int64(i))))
-		cfg := core.ProteusConfig(rng)
-		cfg.InitialRateMbps = 0.05
-		cfg.MinRateMbps = 0.01
-		cfg.MaxRateMbps = 0.5
-		return core.New("proteus-s", cfg, core.NewScavenger())
+		return core.NewProteusS(rand.New(rand.NewSource(wire.MixSeed(seed, int64(i)))))
 	}
 }
 

@@ -149,7 +149,7 @@ func TestLoopbackMultiFlowLossReorder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-flow bulk transfer in -short mode")
 	}
-	plan := chaos.Plan{Seed: 3, Faults: []chaos.Fault{
+	plan := chaos.Plan{Faults: []chaos.Fault{
 		{Kind: chaos.KindReorder, At: 0.5, Dur: 3.0, Value: 0.02, Delay: 0.003},
 	}}
 	res := simLoopback(t, LoopbackConfig{
@@ -186,7 +186,7 @@ func TestLoopbackMultiFlowLossReorder(t *testing.T) {
 // A mid-transfer blackout: the fetcher freezes, probes through the
 // outage, resumes on heal, and never re-fetches a delivered segment.
 func TestLoopbackBlackoutResume(t *testing.T) {
-	plan := chaos.Plan{Seed: 5, Faults: []chaos.Fault{
+	plan := chaos.Plan{Faults: []chaos.Fault{
 		{Kind: chaos.KindBlackout, At: 0.6, Dur: 1.2},
 	}}
 	res := simLoopback(t, LoopbackConfig{

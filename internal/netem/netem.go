@@ -48,12 +48,6 @@ type Noise interface {
 	Sample(rng *rand.Rand) float64
 }
 
-// NoNoise is the zero-latency noise model.
-type NoNoise struct{}
-
-// Sample returns 0.
-func (NoNoise) Sample(*rand.Rand) float64 { return 0 }
-
 // LognormalNoise draws lognormal extra latency: exp(N(Mu, Sigma²)) scaled
 // so the median is Median seconds. A heavy right tail matches measured
 // WiFi jitter (the paper: "typical RTT deviation is up to 5 ms but RTT
@@ -447,11 +441,10 @@ func (b *AckBatcher) Delay() float64 {
 // the building block for dumbbell, parking-lot, and shared-uplink
 // topologies (internal/campaign).
 type Path struct {
-	Link      *Link
-	Hops      []*Link // downstream bottlenecks traversed after Link, in order
-	AckDelay  float64 // reverse one-way delay, seconds
-	AckJitter Noise
-	Batcher   *AckBatcher
+	Link     *Link
+	Hops     []*Link // downstream bottlenecks traversed after Link, in order
+	AckDelay float64 // reverse one-way delay, seconds
+	Batcher  *AckBatcher
 
 	// Injected faults (driven by internal/chaos).
 	AckDown     bool    // reverse-path blackout: acks emitted now vanish
@@ -528,17 +521,14 @@ func (p *Path) Flush() { p.epoch++ }
 // and runs fn(pkt, stamp) when it lands; pkt and stamp are the
 // message's payload and mean what the caller wants them to. An ack-path
 // blackout destroys it at once; a restart (Flush) while it is in flight
-// discards it at its would-be arrival. Like the forward direction, ACK
-// jitter is head-of-line blocking and preserves order.
+// discards it at its would-be arrival. Like the forward direction, the
+// batcher's ACK holds are head-of-line blocking and preserve order.
 func (p *Path) SendAck(sentAt float64, fn func(pkt *Packet, stamp float64), pkt *Packet, stamp float64) {
 	if p.AckDown {
 		p.stats.AckDropped++
 		return
 	}
 	d := p.AckDelay
-	if p.AckJitter != nil {
-		d += p.AckJitter.Sample(p.Link.Sim.Rand())
-	}
 	if p.Batcher != nil {
 		d += p.Batcher.Delay()
 	}
@@ -582,11 +572,11 @@ func (p *Path) BDP() float64 { return p.BottleneckRate() * p.BaseRTT() }
 // capacity swings on sub-second timescales (§7.2 names LTE as the
 // high-fluctuation environment left to future work). Every Interval the
 // rate is multiplied by a lognormal step and clamped to
-// [MinFactor, MaxFactor]·Base.
+// [MinFac, MaxFac]·Base. Every field but Base must be set.
 type RateWalk struct {
 	Sim      *sim.Sim
 	Link     *Link
-	Base     float64 // bytes/sec around which the walk moves
+	Base     float64 // bytes/sec around which the walk moves; 0 = the link's rate at Start
 	Interval float64 // seconds between steps
 	Sigma    float64 // per-step lognormal volatility
 	MinFac   float64
@@ -598,18 +588,6 @@ type RateWalk struct {
 func (w *RateWalk) Start() {
 	if w.Base == 0 {
 		w.Base = w.Link.Rate
-	}
-	if w.Interval <= 0 {
-		w.Interval = 0.1
-	}
-	if w.MinFac == 0 {
-		w.MinFac = 0.25
-	}
-	if w.MaxFac == 0 {
-		w.MaxFac = 1.0
-	}
-	if w.Sigma == 0 {
-		w.Sigma = 0.25
 	}
 	w.step()
 }

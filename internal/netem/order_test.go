@@ -88,16 +88,15 @@ func TestDeliveryOrderPinned(t *testing.T) {
 	}
 }
 
-// SendAck is the whole reverse path: jittered acks land in emission
-// order, a blackout destroys acks emitted during it, and a restart
+// SendAck is the whole reverse path: acks the batcher holds land in
+// emission order, a blackout destroys acks emitted during it, and a restart
 // discards — and counts — exactly the acks in flight at that moment.
 func TestSendAckOrderBlackoutAndFlush(t *testing.T) {
 	s := sim.New(3)
 	p := &Path{
-		Link:      NewLink(s, 10, 1<<20, 0.010),
-		AckDelay:  0.020,
-		AckJitter: LognormalNoise{Median: 0.002, Sigma: 1},
-		Batcher:   &AckBatcher{Sim: s, HoldRate: 20, HoldTime: 0.010},
+		Link:     NewLink(s, 10, 1<<20, 0.010),
+		AckDelay: 0.020,
+		Batcher:  &AckBatcher{Sim: s, HoldRate: 20, HoldTime: 0.010},
 	}
 	var got []int
 	land := func(pkt *Packet, sent float64) { // one callback, the payload tells the acks apart

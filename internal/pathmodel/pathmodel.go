@@ -213,15 +213,9 @@ func MeanMbps(m Model, horizon float64) float64 {
 	return sum / horizon
 }
 
-// MergePlans concatenates two fault plans into one canonical plan,
-// keeping the seed of the first non-zero-seeded input.
+// MergePlans concatenates two fault plans into one canonical plan.
 func MergePlans(a, b chaos.Plan) chaos.Plan {
-	out := chaos.Plan{Seed: a.Seed}
-	if out.Seed == 0 {
-		out.Seed = b.Seed
-	}
-	out.Faults = append(append([]chaos.Fault(nil), a.Faults...), b.Faults...)
-	return out.Canonical()
+	return chaos.Plan{Faults: append(append([]chaos.Fault(nil), a.Faults...), b.Faults...)}.Canonical()
 }
 
 // splitmix64 is the per-index parameter hash the stochastic models use

@@ -63,19 +63,12 @@ func TestDegenerateMoments(t *testing.T) {
 	}
 }
 
-func TestDegenerateJainAndCDF(t *testing.T) {
+func TestDegenerateJain(t *testing.T) {
 	if got := JainIndex([]float64{nan, nan}); got != 0 {
 		t.Fatalf("JainIndex(all NaN) = %v, want 0", got)
 	}
 	if got := JainIndex([]float64{5, nan, 5}); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("JainIndex(5, NaN, 5) = %v, want 1", got)
-	}
-	vals, fracs := CDF([]float64{nan, 2, nan, 1})
-	if len(vals) != 2 || vals[0] != 1 || vals[1] != 2 || fracs[1] != 1 {
-		t.Fatalf("CDF dropped NaNs wrong: %v %v", vals, fracs)
-	}
-	if vals, _ := CDF([]float64{nan}); vals != nil {
-		t.Fatalf("CDF(all NaN) = %v, want nil", vals)
 	}
 }
 

@@ -414,37 +414,8 @@ func (h *Histogram) Add(x float64) {
 	h.N++
 }
 
-// PDF returns per-bin probability mass (fractions summing to 1).
-func (h *Histogram) PDF() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.N == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.N)
-	}
-	return out
-}
-
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + (float64(i)+0.5)*w
-}
-
-// CDF returns the empirical CDF of xs evaluated at each sorted sample,
-// as (values, cumulative fractions). Useful for plotting Figures 8–10.
-// NaN samples are ignored.
-func CDF(xs []float64) (values, fracs []float64) {
-	xs = dropNaN(xs)
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	values = append([]float64(nil), xs...)
-	sort.Float64s(values)
-	fracs = make([]float64, len(values))
-	for i := range values {
-		fracs[i] = float64(i+1) / float64(len(values))
-	}
-	return values, fracs
 }

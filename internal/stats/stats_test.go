@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -238,32 +237,11 @@ func TestHistogram(t *testing.T) {
 	}
 	h.Add(-5) // clamps into bin 0
 	h.Add(50) // clamps into bin 9
-	pdf := h.PDF()
-	if len(pdf) != 10 || !almost(pdf[0], 2.0/12, 1e-12) || !almost(pdf[9], 2.0/12, 1e-12) {
-		t.Fatalf("pdf=%v", pdf)
-	}
-	sum := 0.0
-	for _, p := range pdf {
-		sum += p
-	}
-	if !almost(sum, 1, 1e-12) {
-		t.Fatalf("pdf sums to %v", sum)
+	if h.N != 12 || h.Counts[0] != 2 || h.Counts[9] != 2 || h.Counts[5] != 1 {
+		t.Fatalf("counts=%v n=%d", h.Counts, h.N)
 	}
 	if !almost(h.BinCenter(0), 0.5, 1e-12) || !almost(h.BinCenter(9), 9.5, 1e-12) {
 		t.Fatal("bin centers")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	v, f := CDF([]float64{3, 1, 2})
-	if !sort.Float64sAreSorted(v) {
-		t.Fatal("values not sorted")
-	}
-	if f[len(f)-1] != 1 {
-		t.Fatal("last frac must be 1")
-	}
-	if v2, f2 := CDF(nil); v2 != nil || f2 != nil {
-		t.Fatal("empty CDF")
 	}
 }
 

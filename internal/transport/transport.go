@@ -221,9 +221,6 @@ type Sender struct {
 	Limit int64
 	// OnComplete fires once when a finite transfer finishes.
 	OnComplete func(now float64)
-	// OnDeliver fires at the receiver for every arriving packet, at the
-	// packet's arrival time — the hook applications (video, web) consume.
-	OnDeliver func(now float64, bytes int)
 	// RecordRTT enables retention of every RTT sample for percentile
 	// analysis.
 	RecordRTT bool
@@ -249,7 +246,6 @@ type Sender struct {
 	launched int64    // bytes released minus re-credited losses
 	acked    int64
 	lostB    int64
-	recvd    int64
 
 	tr         trace.Tracer
 	nextSend   float64
@@ -363,9 +359,6 @@ func (s *Sender) Extend(bytes int64) {
 
 // AckedBytes returns cumulative acknowledged bytes.
 func (s *Sender) AckedBytes() int64 { return s.acked }
-
-// ReceivedBytes returns cumulative bytes that arrived at the receiver.
-func (s *Sender) ReceivedBytes() int64 { return s.recvd }
 
 // LostBytes returns cumulative bytes declared lost.
 func (s *Sender) LostBytes() int64 { return s.lostB }
@@ -502,10 +495,6 @@ func (s *Sender) emit() {
 
 // deliver runs at the receiver when a data packet arrives.
 func (s *Sender) deliver(p *netem.Packet, arrival float64) {
-	s.recvd += int64(p.Size)
-	if s.OnDeliver != nil {
-		s.OnDeliver(arrival, p.Size)
-	}
 	// A receiver clock jump shifts the arrival stamps the sender's
 	// controller sees (OWD, ack-interval clocking) without touching
 	// sender-side RTT measurement — exactly the wire behavior.

@@ -282,23 +282,6 @@ func TestRTTEstimator(t *testing.T) {
 	}
 }
 
-func TestReceiverDeliveryHook(t *testing.T) {
-	s := sim.New(1)
-	p := testPath(s, 50, 1<<20, 0.030)
-	cc := &rateCC{rate: 10e6 / 8}
-	snd := NewSender(1, p, cc)
-	var delivered int64
-	snd.OnDeliver = func(_ float64, b int) { delivered += int64(b) }
-	snd.Start()
-	s.Run(2)
-	if delivered != snd.ReceivedBytes() {
-		t.Fatalf("hook total %d vs counter %d", delivered, snd.ReceivedBytes())
-	}
-	if delivered == 0 {
-		t.Fatal("nothing delivered")
-	}
-}
-
 // Property: byte conservation under arbitrary loss and buffer settings —
 // acked + lost + inflight == launched bytes, and inflight is never
 // negative.
@@ -381,29 +364,6 @@ func TestStopSilencesFlow(t *testing.T) {
 	// Only in-flight packets may still ack after Stop.
 	if extra := snd.AckedBytes() - acked; extra > 1<<17 {
 		t.Fatalf("stopped flow delivered %d extra bytes", extra)
-	}
-}
-
-func TestAckJitterOnReturnPath(t *testing.T) {
-	s := sim.New(3)
-	p := testPath(s, 50, 1<<20, 0.030)
-	p.AckJitter = netem.LognormalNoise{Median: 0.002, Sigma: 0.5}
-	cc := &rateCC{rate: 10e6 / 8}
-	snd := NewSender(1, p, cc)
-	snd.RecordRTT = true
-	snd.Start()
-	s.Run(5)
-	// RTTs must reflect return-path jitter: strictly above base for most
-	// samples, with visible spread.
-	base := p.BaseRTT()
-	above := 0
-	for _, r := range snd.RTTSamples() {
-		if r > base+0.0005 {
-			above++
-		}
-	}
-	if above < len(snd.RTTSamples())/2 {
-		t.Fatalf("ack jitter not reflected: %d/%d above base", above, len(snd.RTTSamples()))
 	}
 }
 
