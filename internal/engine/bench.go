@@ -53,7 +53,7 @@ func newHotpathHarness(packetSize int) *hotpathHarness {
 		rcvShard: newShard(eng, 1),
 		rcvAddr:  netip.MustParseAddrPort("127.0.0.1:40002"),
 		// Mid-slot: on a boundary, rounding would decide which slot a
-		// step's timers land in, and which slot slices grow would drift.
+		// step's timers land in, and the steps would drift between them.
 		now: wheelGran / 2,
 	}
 	clk := wire.VirtualClock(func() float64 { return h.now })
@@ -82,8 +82,8 @@ func newHotpathHarness(packetSize int) *hotpathHarness {
 // Exported for the benchmark harness.
 func RunHotpathBench(b *testing.B) {
 	h := newHotpathHarness(400)
-	// Warm past a full wheel revolution so every slot's entry slice has
-	// reached steady capacity (2 slots per 1ms step, 512 slots).
+	// Warm until the record ring and the SACK scratch have grown to the
+	// flow's window; the measured steps then allocate nothing.
 	for i := 0; i < 600; i++ {
 		h.step()
 	}

@@ -29,11 +29,12 @@ type flow struct {
 	id   uint32
 	next *flow
 
-	// Pacing-wheel intrusive state (see wheel.go): gen lazily cancels
-	// superseded entries, armed marks a live one.
-	gen      uint64
-	deadline float64
-	armed    bool
+	// Pacing-wheel intrusive state (see wheel.go): while armed, the flow
+	// sits on slot wslot's list between wprev and wnext.
+	wnext, wprev *flow
+	wslot        int
+	deadline     float64
+	armed        bool
 
 	lastSeen float64 // shard-clock seconds of the last packet either way
 

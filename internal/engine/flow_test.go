@@ -390,8 +390,8 @@ func ackPkt(id uint32, seq, cum, recvAt int64) []byte {
 }
 
 // A finite sender leaves its shard with the ack that completes it: the
-// table entry and the admission slot are free at once, the handle keeps
-// working, and what the wheel still holds for it is inert.
+// table entry, the admission slot and its wheel timer are free at once,
+// and the handle keeps working.
 func TestCompletedSenderReclaimed(t *testing.T) {
 	sh := newTestShard(t, Config{MaxFlowsPerShard: 1})
 	add := func() (*Flow, error) {
@@ -429,11 +429,11 @@ func TestCompletedSenderReclaimed(t *testing.T) {
 	if st := fl.Stats(); st.AckedBytes != 2400 || st.SentPkts != 2 {
 		t.Fatalf("handle stats after reclaim: %+v", st)
 	}
-	// The wheel still holds the entry armed by the first service.
-	sh.fireNow = 1
-	sh.wh.advance(1, sh.fireFn)
-	if len(sh.txq) != 0 || sh.nFlows.Load() != 0 || f.armed {
-		t.Fatalf("stale wheel entry was live: %d packets, %d flows, armed=%v", len(sh.txq), sh.nFlows.Load(), f.armed)
+	// dropFlow took the timer the first service armed off the wheel.
+	for s, h := range sh.wh.head {
+		if h != nil {
+			t.Fatalf("slot %d still holds flow %d after reclaim", s, h.id)
+		}
 	}
 	// A straggling duplicate of the last ack names no flow any more.
 	sh.dispatch(src(9000), ackPkt(fl.ID(), 1, 2, sh.clock.NanosAt(0.001)), 1)

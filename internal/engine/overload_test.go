@@ -279,13 +279,10 @@ func TestShedCycleZeroAlloc(t *testing.T) {
 		sh.wh.advance(now, sh.fireFn)
 		sh.flushTx()
 	}
-	// Warm thoroughly: each cycle advances time by 3.1s, so armed
-	// deadlines walk the wheel's 512 slots with a 64-cycle period —
-	// every slot the measurement can touch must have grown its slice
-	// capacity first.
-	for i := 0; i < 200; i++ {
-		cycle()
-	}
+	// No warm-up beyond AllocsPerRun's own first call: each cycle
+	// advances time by 3.1s, so armed deadlines walk the wheel's 512
+	// slots with a 64-cycle period and the measured cycles arm into slots
+	// no flow has been in.
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("shed/recover cycle allocates %.2f/op, want 0", allocs)
 	}

@@ -640,11 +640,7 @@ func (sh *shard) pressureMirror() float64 {
 
 // dropFlow takes a flow out of the table and off the wheel.
 func (sh *shard) dropFlow(f *flow) {
-	if f.armed {
-		f.armed = false
-		sh.wh.armed--
-	}
-	f.gen++ // lazily cancels any queued wheel entry
+	sh.wh.disarm(f)
 	k := tableKey(f.addr, f.id)
 	if p := sh.flows[k]; p != f {
 		for p.next != f { // a flow that is not in the table faults here

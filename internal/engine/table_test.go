@@ -383,9 +383,7 @@ func TestFlowTableCountMatchesReachable(t *testing.T) {
 
 func TestHotpathZeroAllocs(t *testing.T) {
 	h := newHotpathHarness(400)
-	// Warm: the record ring, SACK capacity, tx staging, and every wheel
-	// slot's entry slice — each 1ms step advances the 500µs wheel two
-	// slots, so a full 512-slot revolution needs 256+ steps.
+	// Warm: the record ring, SACK capacity and tx staging.
 	for i := 0; i < 600; i++ {
 		h.step()
 	}
@@ -398,12 +396,10 @@ func TestHotpathZeroAllocs(t *testing.T) {
 	}
 }
 
-// One flow never shows what arming costs a shard with many: every one of
-// the wheel's 512 slot slices grows by append until it has held the
-// busiest pass it will see. A thousand flows in step reach that within
-// three rotations (≈ 11 MiB in the first, 1.4 MiB in each of the next
-// two, over both shards), and from there arming — like the rest of the
-// path — allocates nothing.
+// One flow never shows what arming costs a shard with many: a thousand
+// flows re-armed into slots none of them has been in before. Sixteen
+// steps warm the record rings and the SACK scratch; the wheel needs no
+// warm-up, and the measured steps reach fresh slots.
 func TestHotpathZeroAllocsManyFlows(t *testing.T) {
 	h := newHotpathHarness(400)
 	for id := uint32(2); id <= 1000; id++ {
@@ -413,7 +409,7 @@ func TestHotpathZeroAllocsManyFlows(t *testing.T) {
 		h.sndShard.insert(f)
 		h.sndShard.service(f, 0)
 	}
-	for i := 0; i < 4*wheelSlots/2; i++ { // four rotations at two slots a step
+	for i := 0; i < 16; i++ {
 		h.step()
 	}
 	if h.f.snd.ackedPkts.Load() == 0 {

@@ -23,25 +23,18 @@ const (
 	wheelGran  = 500e-6
 )
 
-// wheelEntry is one armed timer. Entries are one-shot and lazily
-// cancelled: re-arming a flow bumps its generation, so a stale entry
-// left in an old slot no longer matches and is dropped when its slot
-// fires. This keeps arm() append-only — no list surgery, and slot
-// slices keep their capacity, so steady-state arming never allocates.
-type wheelEntry struct {
-	f   *flow
-	gen uint64
-}
-
 // wheel merges every flow's next-service deadline into one timer per
 // shard: the event loop asks next() how long it may block in the
-// batched socket read, then advance() fires everything due. Owned by
-// exactly one shard goroutine; no locking.
+// batched socket read, then advance() fires everything due. Each slot
+// is a circular doubly-linked list threaded through its flows
+// (flow.wnext/wprev), so arming, re-arming and disarming are O(1) list
+// surgery that never allocates and never leaves a superseded entry
+// behind. Owned by exactly one shard goroutine; no locking.
 type wheel struct {
-	slots   [wheelSlots][]wheelEntry
+	head    [wheelSlots]*flow
 	cur     int     // slot whose window starts at curTime
-	curTime float64 // slot-aligned time of slots[cur]
-	armed   int     // live (non-stale) entries, for next()'s fast path
+	curTime float64 // slot-aligned time of head[cur]
+	armed   int     // flows on the wheel, for next()'s fast path
 	inited  bool
 }
 
@@ -57,17 +50,13 @@ func (w *wheel) arm(f *flow, at float64) {
 	if !w.inited {
 		w.init(at)
 	}
-	if f.armed {
-		w.armed-- // superseding a live entry: it just went stale
-	}
-	f.gen++
+	w.disarm(f)
 	f.deadline = at
 	f.armed = true
-	// Everything lands at least one slot ahead: arm() is called from
-	// fire callbacks while advance() drains the current slot, and an
-	// append into the slot being drained would clobber the snapshot.
-	// The cost is slot-granularity deferral for already-due deadlines,
-	// which the advance loop picks up on its very next slot step.
+	// Everything lands at least one slot ahead, so a fire callback never
+	// arms into the slot advance() is draining. The cost is
+	// slot-granularity deferral for already-due deadlines, which the
+	// advance loop picks up on its very next slot step.
 	idx := 1
 	if at > w.curTime {
 		idx = int((at-w.curTime)/wheelGran) + 1
@@ -75,13 +64,37 @@ func (w *wheel) arm(f *flow, at float64) {
 			idx = wheelSlots - 1 // clamp: re-armed on fire
 		}
 	}
-	slot := (w.cur + idx) % wheelSlots
-	w.slots[slot] = append(w.slots[slot], wheelEntry{f: f, gen: f.gen})
+	// Tail insert: a slot fires in arm order.
+	f.wslot = (w.cur + idx) % wheelSlots
+	if h := w.head[f.wslot]; h == nil {
+		f.wnext, f.wprev = f, f
+		w.head[f.wslot] = f
+	} else {
+		f.wnext, f.wprev = h, h.wprev
+		h.wprev.wnext, h.wprev = f, f
+	}
 	w.armed++
 }
 
+// disarm takes f off the wheel; a no-op for a flow that is not on it.
+func (w *wheel) disarm(f *flow) {
+	if !f.armed {
+		return
+	}
+	if f.wnext == f {
+		w.head[f.wslot] = nil
+	} else {
+		f.wprev.wnext, f.wnext.wprev = f.wnext, f.wprev
+		if w.head[f.wslot] == f {
+			w.head[f.wslot] = f.wnext
+		}
+	}
+	f.wnext, f.wprev, f.armed = nil, nil, false
+	w.armed--
+}
+
 // advance walks the wheel up to now, invoking fire for every flow
-// whose deadline has arrived. Entries whose deadline is still in the
+// whose deadline has arrived. Flows whose deadline is still in the
 // future (horizon clamps) are silently re-armed.
 func (w *wheel) advance(now float64, fire func(*flow)) {
 	if !w.inited {
@@ -93,25 +106,18 @@ func (w *wheel) advance(now float64, fire func(*flow)) {
 		w.curTime = math.Floor(now/wheelGran) * wheelGran
 	}
 	for w.curTime <= now {
-		slot := w.cur
-		entries := w.slots[slot]
-		w.slots[slot] = w.slots[slot][:0]
-		for i, e := range entries {
-			entries[i] = wheelEntry{} // drop the *flow reference
-			if e.gen != e.f.gen || !e.f.armed {
-				continue // stale: superseded or disarmed
-			}
-			if e.f.deadline > now+wheelGran {
+		// A fire that re-arms or drops a flow still queued here unlinks
+		// it, so popping the head until the slot is empty sees each live
+		// flow once.
+		for f := w.head[w.cur]; f != nil; f = w.head[w.cur] {
+			w.disarm(f)
+			if f.deadline > now+wheelGran {
 				// Horizon-clamped (or slot-rounded) early fire: push it
 				// back out without servicing.
-				e.f.armed = false
-				w.armed--
-				w.arm(e.f, e.f.deadline)
+				w.arm(f, f.deadline)
 				continue
 			}
-			e.f.armed = false
-			w.armed--
-			fire(e.f)
+			fire(f)
 		}
 		w.cur = (w.cur + 1) % wheelSlots
 		w.curTime += wheelGran
@@ -119,23 +125,23 @@ func (w *wheel) advance(now float64, fire func(*flow)) {
 }
 
 // next returns the earliest armed deadline, or +Inf when nothing is
-// armed. It scans forward from the current slot — at most wheelSlots
-// iterations, and in the common case the first busy slot is close.
+// armed: the minimum over the first non-empty slot from the current
+// one — at most wheelSlots steps, and in the common case the first busy
+// slot is close.
 func (w *wheel) next() float64 {
 	if w.armed == 0 {
 		return math.Inf(1)
 	}
 	for i := 0; i < wheelSlots; i++ {
-		slot := (w.cur + i) % wheelSlots
-		best := math.Inf(1)
-		for _, e := range w.slots[slot] {
-			if e.gen == e.f.gen && e.f.armed && e.f.deadline < best {
-				best = e.f.deadline
-			}
+		h := w.head[(w.cur+i)%wheelSlots]
+		if h == nil {
+			continue
 		}
-		if !math.IsInf(best, 1) {
-			return best
+		best := h.deadline
+		for f := h.wnext; f != h; f = f.wnext {
+			best = min(best, f.deadline)
 		}
+		return best
 	}
 	return math.Inf(1)
 }
