@@ -40,6 +40,7 @@ type Shim struct {
 	lag    float64 // how far s runs behind clk
 	path   *netem.Path
 	stats  wire.ShimStats
+	free   payloads // datagram buffers, shared by the four routes
 
 	data, acks, segs, reqs func(b []byte)
 
@@ -84,10 +85,10 @@ func NewShim(cfg wire.ShimConfig, dst netip.AddrPort) (*Shim, error) {
 		clk: wire.NewClock(), lag: lag, path: &netem.Path{Link: link, AckDelay: cfg.AckDelay - lag}}
 	// A sender flow's data crosses the bottleneck and its acks return; a
 	// fetch's segments cross it the other way and its requests return.
-	sh.data, sh.acks = pathRoutes(s, sh.clk, sh.path, lag,
+	sh.data, sh.acks = pathRoutes(s, sh.clk, sh.path, lag, &sh.free,
 		func(b []byte) { sh.write(b, sh.dst) },
 		func(b []byte) { sh.stats.AcksRelay++; sh.write(b, sh.sender) })
-	sh.segs, sh.reqs = pathRoutes(s, sh.clk, sh.path, lag,
+	sh.segs, sh.reqs = pathRoutes(s, sh.clk, sh.path, lag, &sh.free,
 		func(b []byte) { sh.write(b, sh.sender) },
 		func(b []byte) { sh.stats.FetchRelay++; sh.write(b, sh.dst) })
 	return sh, nil

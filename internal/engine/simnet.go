@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"net/netip"
 
 	"pccproteus/internal/netem"
@@ -23,19 +24,15 @@ import (
 // rule), so a train commits the pacer's schedule to the path, while one
 // emitted after its stamp, by a late wheel slot, enters late.
 type SimNet struct {
-	s      *sim.Sim
-	clk    wire.Clock
-	ports  map[netip.AddrPort]*memPort
-	routes map[[2]netip.AddrPort]func(b []byte)
+	s     *sim.Sim
+	clk   wire.Clock
+	ports map[netip.AddrPort]*memPort
+	free  payloads // datagram buffers, shared by every route
 }
 
 // NewSimNet returns an empty network on s.
 func NewSimNet(s *sim.Sim) *SimNet {
-	return &SimNet{
-		s: s, clk: wire.VirtualClock(s.Now),
-		ports:  make(map[netip.AddrPort]*memPort),
-		routes: make(map[[2]netip.AddrPort]func(b []byte)),
-	}
+	return &SimNet{s: s, clk: wire.VirtualClock(s.Now), ports: make(map[netip.AddrPort]*memPort)}
 }
 
 // NewEngine builds an engine whose shards are endpoints on the network,
@@ -49,23 +46,16 @@ func (n *SimNet) NewEngine(cfg Config) *Engine {
 		local := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(k >> 8), byte(k)}), 9000)
 		sh := newShard(e, i)
 		p := newMemPort(sh, n.clk)
-		p.send = func(dst netip.AddrPort, b []byte) {
-			if route := n.routes[[2]netip.AddrPort{local, dst}]; route != nil {
-				route(b) // no route: the datagram is lost, as on any network
+		p.send = func(netip.AddrPort, []byte) {} // no route: the datagram is lost, as on any network
+		var due sim.Timer                        // the next turn, if dueAt is finite
+		dueAt := math.Inf(1)
+		turn := func() { dueAt = math.Inf(1); p.turn() }
+		p.wakeAt = func(at float64) { // Reset takes a fresh sequence number, as At does
+			if at < dueAt {
+				if dueAt = at; !due.Reset(at) {
+					due = *n.s.At(at, turn) // At inlines: the handle is copied, not allocated
+				}
 			}
-		}
-		var due *sim.Timer // the next turn
-		var dueAt float64
-		p.wakeAt = func(at float64) {
-			switch {
-			case due == nil:
-				due = n.s.At(at, func() { due = nil; p.turn() })
-			case at < dueAt:
-				due.Reset(at)
-			default:
-				return
-			}
-			dueAt = at
 		}
 		sh.attach(p, local)
 		n.ports[local] = p
@@ -82,8 +72,21 @@ func (n *SimNet) NewEngine(cfg Config) *Engine {
 // apply to the datagrams.
 func (n *SimNet) Connect(from, to netip.AddrPort, path *netem.Path) {
 	src, dst := n.ports[from], n.ports[to]
-	n.routes[[2]netip.AddrPort{from, to}], n.routes[[2]netip.AddrPort{to, from}] = pathRoutes(n.s, n.clk, path, 0,
+	fwd, rev := pathRoutes(n.s, n.clk, path, 0, &n.free,
 		func(b []byte) { dst.push(from, b) }, func(b []byte) { src.push(to, b) })
+	src.send, dst.send = via(src.send, to, fwd), via(dst.send, from, rev)
+}
+
+// via binds route to a port: it returns send with the datagrams for peer
+// handed to route instead, an address compare where a map would hash.
+func via(send func(netip.AddrPort, []byte), peer netip.AddrPort, route func(b []byte)) func(netip.AddrPort, []byte) {
+	return func(dst netip.AddrPort, b []byte) {
+		if dst != peer {
+			send(dst, b)
+			return
+		}
+		route(b)
+	}
 }
 
 // pathRoutes wraps the two directions of path, on s, as routes: a
@@ -93,28 +96,40 @@ func (n *SimNet) Connect(from, to netip.AddrPort, path *netem.Path) {
 // runs lag seconds behind clk (zero on a SimNet), so the path's delays
 // must be lag shorter than the ones it models. SimNet.Connect and Shim
 // build their routes here.
-func pathRoutes(s *sim.Sim, clk wire.Clock, path *netem.Path, lag float64, deliver, back func(b []byte)) (fwd, rev func(b []byte)) {
+// A datagram rides a buffer from free on a packet from path.Link's pool,
+// both handed back when deliver or back returns (neither keeps the bytes)
+// or the first queue tail-drops it.
+func pathRoutes(s *sim.Sim, clk wire.Clock, path *netem.Path, lag float64, free *payloads, deliver, back func(b []byte)) (fwd, rev func(b []byte)) {
+	done := func(p *netem.Packet) { *free = append(*free, p.Payload); path.Link.Release(p) }
 	arrive := func(p *netem.Packet, at float64) {
 		wire.StampArrival(*p.Payload, clk.NanosAt(at+lag+path.StampOffset))
 		deliver(*p.Payload)
+		done(p)
 	}
-	land := func(p *netem.Packet, _ float64) { back(*p.Payload) }
+	land := func(p *netem.Packet, _ float64) { back(*p.Payload); done(p) }
 	ret := path.AckDelay + lag
-	return depart(s, clk, ret, func(p *netem.Packet) { path.Send(p, arrive) }),
-		depart(s, clk, ret, func(p *netem.Packet) { path.SendAck(s.Now(), land, p, 0) })
+	return depart(s, clk, ret, path.Link, free, func(p *netem.Packet) {
+			if !path.Send(p, arrive) {
+				done(p)
+			}
+		}),
+		depart(s, clk, ret, path.Link, free, func(p *netem.Packet) { path.SendAck(s.Now(), land, p, 0) })
 }
 
-// depart wraps one direction of a path as a route: a copy of the datagram
-// enters it at its departure time, or at once if s has passed that. A
-// datagram departs when it is handed over — clk's now — unless it says
-// otherwise: a data packet or fetch request at its send stamp, a segment
-// when its request reached the server, ret after the request's stamp.
-// On a SimNet a segment is never handed over before that; a simulator
-// running behind the clock books the server's turnaround out of it.
-func depart(s *sim.Sim, clk wire.Clock, ret float64, enter func(p *netem.Packet)) func(b []byte) {
+// depart wraps one direction of a path as a route: the datagram, copied
+// into a buffer from free, enters it at its departure time (queued on the
+// route's lane, or an event of its own if stamped before the lane's last)
+// or at once if s has passed that. A datagram departs when it is handed
+// over — clk's now — unless it says otherwise: a data packet or fetch
+// request at its send stamp, a segment when its request reached the
+// server, ret after the request's stamp. On a SimNet a segment is never
+// handed over before that; a simulator running behind the clock books
+// the server's turnaround out of it.
+func depart(s *sim.Sim, clk wire.Clock, ret float64, link *netem.Link, free *payloads, enter func(p *netem.Packet)) func(b []byte) {
+	lane, enterFn := s.NewLane(), func(arg any) { enter(arg.(*netem.Packet)) }
 	return func(b []byte) {
-		payload := append([]byte(nil), b...)
-		p := &netem.Packet{Size: len(b), Payload: &payload}
+		p := link.NewPacket()
+		p.Size, p.Payload = len(b), free.fill(b)
 		at := clk.Now()
 		switch wire.PacketType(b) {
 		case 'P':
@@ -131,9 +146,22 @@ func depart(s *sim.Sim, clk wire.Clock, ret float64, enter func(p *netem.Packet)
 			}
 		}
 		if at > s.Now() {
-			s.Schedule(at, func() { enter(p) })
+			lane.AtArg(at, enterFn, p)
 			return
 		}
 		enter(p)
 	}
+}
+
+// payloads is a free list of datagram buffers; fill copies b into one.
+type payloads []*[]byte
+
+func (f *payloads) fill(b []byte) (buf *[]byte) {
+	if n := len(*f); n == 0 {
+		buf = new([]byte)
+	} else {
+		buf, *f = (*f)[n-1], (*f)[:n-1]
+	}
+	*buf = append((*buf)[:0], b...)
+	return buf
 }

@@ -11,6 +11,7 @@ import (
 	"pccproteus/internal/overload"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/transport"
+	"pccproteus/internal/wire"
 )
 
 // The virtual network as a contract: what an engine on a SimNet measures
@@ -226,5 +227,144 @@ func TestSimNetNoRoute(t *testing.T) {
 	e.Stop()
 	if st, es := fl.Stats(), e.Stats(); st.SentPkts == 0 || st.AckedPkts != 0 || es.TxPkts == 0 || es.RxPkts != 0 {
 		t.Fatalf("flow to nowhere: %+v, engine %+v: want packets written, nothing back", st, es)
+	}
+}
+
+// The relay path recycles: a pathRoutes pair carrying stamped data and
+// segments forward and stamped fetch requests back, each waiting on its
+// route's lane, allocates nothing per datagram once warm. SimNet and Shim
+// both run these routes.
+func TestPathRoutesZeroAlloc(t *testing.T) {
+	const ret = 0.010
+	s := sim.New(1)
+	clk := wire.VirtualClock(s.Now)
+	path := &netem.Path{Link: netem.NewLink(s, 100, 1<<20, 0.010), AckDelay: ret}
+	var free payloads
+	var fwdN, revN int
+	fwd, rev := pathRoutes(s, clk, path, 0, &free, func([]byte) { fwdN++ }, func([]byte) { revN++ })
+	data, req, seg := make([]byte, 1200), make([]byte, wire.FetchLen), make([]byte, wire.SegmentHeaderLen+1000)
+	var seq int64
+	step := func() { // 1 ms: three datagrams, each departing half a millisecond ahead
+		seq++
+		stamp := clk.NanosAt(s.Now() + 0.0005)
+		fwd(wire.EncodeData(data, wire.DataHeader{Seq: seq, SentAt: stamp, Flow: 1}, len(data)))
+		fwd(wire.EncodeSegment(seg, wire.SegmentHeader{Nonce: seq, SentAtEcho: clk.NanosAt(s.Now() + 0.0005 - ret),
+			ObjID: 1, TotalSegs: 1 << 20, ObjSize: 1 << 30, Seg: seq}, seg[wire.SegmentHeaderLen:]))
+		rev(wire.EncodeFetch(req, wire.FetchHeader{ObjID: 1, Seg: seq, Nonce: seq, SentAt: stamp}))
+		s.Run(s.Now() + 0.001)
+	}
+	for i := 0; i < 200; i++ {
+		step()
+	}
+	if fwdN < 2*180 || revN < 180 {
+		t.Fatalf("%d datagrams forward and %d back after 200 steps", fwdN, revN)
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("three datagrams across the routes allocate %.2f, want 0", allocs)
+	}
+}
+
+// A warmed one-flow SimNet pair on a clean path, stepped 100 ms of
+// virtual time per run, allocates at most once per ten datagrams: the
+// relay recycles, each port re-arms one wake timer, and what is left is
+// the engine's own, which is nothing per packet.
+func TestSimNetZeroAllocs(t *testing.T) {
+	s := sim.New(1)
+	n := NewSimNet(s)
+	se, re := n.NewEngine(Config{}), n.NewEngine(Config{})
+	n.Connect(se.Addrs()[0], re.Addrs()[0], &netem.Path{Link: netem.NewLink(s, 20, 150000, 0.020), AckDelay: 0.020})
+	se.Start()
+	re.Start()
+	if _, err := se.AddFlow(FlowConfig{Dst: re.Addrs()[0], CC: &FixedRateCC{Rate: 10e6 / 8}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2)
+	const runs = 20
+	before := se.Stats().TxPkts + re.Stats().TxPkts
+	allocs := testing.AllocsPerRun(runs, func() { s.Run(s.Now() + 0.1) })
+	dgrams := float64(se.Stats().TxPkts+re.Stats().TxPkts-before) / (runs + 1)
+	if dgrams < 80 || allocs/dgrams > 0.1 {
+		t.Fatalf("%.0f datagrams per 100 ms allocate %.1f: %.3f per datagram, want at most 0.1", dgrams, allocs, allocs/dgrams)
+	}
+}
+
+// A recycled buffer has one owner at a time, under faults too. A
+// duplicate crosses the path in a buffer of its own and a tail-dropped
+// datagram's buffer comes back, so no buffer is on the free list twice,
+// none is on it while a datagram in it is handed over, and every data
+// packet reaches the receiver as the packet it was sent as — once, or
+// twice with its duplicate.
+func TestSimNetRecyclingUnderFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		dup   float64
+		queue int
+	}{{"dup", 1, 150000}, {"taildrop", 0, 4500}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			n := NewSimNet(s)
+			se, re := n.NewEngine(Config{}), n.NewEngine(Config{})
+			from, to := se.Addrs()[0], re.Addrs()[0]
+			link := netem.NewLink(s, 10, tc.queue, 0.010) // 15 Mbps offered below
+			link.DupProb = tc.dup
+			path := &netem.Path{Link: link, AckDelay: 0.010}
+
+			// Connect's wiring, with the checks in front of each handover.
+			sent, got := map[int64]int{}, map[int64]int{}
+			owned := func(b []byte) { // the list's top is what the last handover gave back
+				top := len(n.free) - 1
+				for i, f := range n.free {
+					if &(*f)[0] == &b[0] {
+						t.Fatalf("t=%.6f: a datagram is handed over from a buffer on the free list", s.Now())
+					}
+					if i < top && f == n.free[top] {
+						t.Fatalf("t=%.6f: a buffer is on the free list twice", s.Now())
+					}
+				}
+			}
+			src, dst := n.ports[from], n.ports[to]
+			fwd, rev := pathRoutes(s, n.clk, path, 0, &n.free,
+				func(b []byte) {
+					owned(b)
+					if h, err := wire.DecodeData(b); err != nil || h.Flow != 1 || sent[h.Seq] == 0 {
+						t.Fatalf("t=%.6f: delivered %+v (%v), which the flow never sent", s.Now(), h, err)
+					} else if got[h.Seq]++; got[h.Seq] > 1+int(tc.dup) {
+						t.Fatalf("t=%.6f: packet %d delivered %d times", s.Now(), h.Seq, got[h.Seq])
+					}
+					dst.push(from, b)
+				},
+				func(b []byte) { owned(b); src.push(to, b) })
+			src.send, dst.send = via(src.send, to, func(b []byte) {
+				if h, err := wire.DecodeData(b); err == nil {
+					sent[h.Seq]++
+				}
+				fwd(b)
+			}), via(dst.send, from, rev)
+
+			se.Start()
+			re.Start()
+			if _, err := se.AddFlow(FlowConfig{Dst: to, CC: &FixedRateCC{Rate: 15e6 / 8}}); err != nil {
+				t.Fatal(err)
+			}
+			s.Run(1)
+			if tc.dup == 0 {
+				// Every tail-dropped datagram hands its buffer and packet
+				// back, so the drops cost no allocation either.
+				if allocs := testing.AllocsPerRun(10, func() { s.Run(s.Now() + 0.1) }); allocs > 10 {
+					t.Errorf("100 ms of tail drops allocate %.1f", allocs)
+				}
+			}
+			s.Run(s.Now() + 1)
+			se.Drain()
+			s.Run(s.Now() + 1)
+
+			ls, rx := link.Stats(), re.Stats()
+			if ls.Duplicated != int64(tc.dup)*ls.Enqueued || rx.BadPkts != 0 || rx.RxDups != ls.Duplicated {
+				t.Fatalf("link %+v, receiver %+v: want every packet duplicated or none, the receiver's dups the link's, none bad", ls, rx)
+			}
+			if offered := ls.Enqueued + ls.Dropped; 4*ls.Dropped < offered {
+				t.Fatalf("link %+v: a third of what is offered exceeds the link's rate; under a quarter was tail-dropped", ls)
+			}
+		})
 	}
 }

@@ -81,7 +81,7 @@ type Core struct {
 	cfg  Config
 	book transport.Recovery
 
-	retx    []int64 // segment indices awaiting re-request, ascending
+	retx    []int64 // segment indices awaiting re-request, descending
 	retxSet map[int64]bool
 
 	geomKnown bool
@@ -92,6 +92,7 @@ type Core struct {
 	digest    [wire.DigestLen]byte
 
 	buffer    map[int64][]byte // received segments in (cum, cum+Window)
+	spare     [][]byte         // emptied buffers, for the next out-of-order segment
 	cum       int64            // segments [0,cum) delivered in order
 	next      int64            // next never-requested segment
 	hash      hash.Hash
@@ -165,9 +166,9 @@ func (c *Core) pick() (kind int, seg int64, size int) {
 		kind, size = pickMeta, wire.SegmentHeaderLen+wire.DigestLen
 	} else {
 		for len(c.retx) > 0 {
-			s := c.retx[0]
+			s := c.retx[len(c.retx)-1]
 			if c.segDone(s) {
-				c.retx = c.retx[1:]
+				c.retx = c.retx[:len(c.retx)-1]
 				delete(c.retxSet, s)
 				continue
 			}
@@ -210,7 +211,7 @@ func (c *Core) Issue(now, virt float64) (Request, bool) {
 	case pickMeta:
 		c.metaOut++
 	case pickRetx:
-		c.retx = c.retx[1:]
+		c.retx = c.retx[:len(c.retx)-1]
 		delete(c.retxSet, seg)
 	case pickFresh:
 		c.next++
@@ -333,13 +334,18 @@ func (c *Core) deliver(r Response) {
 	}
 	c.segsRx++
 	if r.Seg > c.cum {
-		c.buffer[r.Seg] = append([]byte(nil), r.Payload...)
+		var buf []byte
+		if n := len(c.spare); n > 0 {
+			buf, c.spare = c.spare[n-1], c.spare[:n-1]
+		}
+		c.buffer[r.Seg] = append(buf[:0], r.Payload...)
 		return
 	}
 	c.deliverCum(r.Payload)
 	for payload, ok := c.buffer[c.cum]; ok; payload, ok = c.buffer[c.cum] {
 		delete(c.buffer, c.cum)
 		c.deliverCum(payload)
+		c.spare = append(c.spare, payload)
 	}
 }
 
@@ -405,8 +411,8 @@ func (c *Core) onLost(rec *transport.Record, now float64) {
 }
 
 // pushRetx queues seg for re-request, keeping the queue sorted (lowest
-// first — the segment closest to the delivery point unblocks the most
-// window) and deduplicated.
+// last — the segment closest to the delivery point unblocks the most
+// window, and a pop off the end keeps the capacity) and deduplicated.
 func (c *Core) pushRetx(seg int64) {
 	if c.retxSet[seg] {
 		return
@@ -414,7 +420,7 @@ func (c *Core) pushRetx(seg int64) {
 	c.retxSet[seg] = true
 	i := len(c.retx)
 	c.retx = append(c.retx, 0)
-	for i > 0 && c.retx[i-1] > seg {
+	for i > 0 && c.retx[i-1] < seg {
 		c.retx[i] = c.retx[i-1]
 		i--
 	}

@@ -395,3 +395,55 @@ func wireRespSize(segSize int) int {
 	c, _ := NewCore(Config{CC: &fixedCC{rate: 1, cwnd: 1}, SegSize: segSize})
 	return c.segWire(0)
 }
+
+// Reassembly recycles its buffers: under a schedule that loses every
+// eleventh response and holds every fifth back behind the ones after it,
+// window after window, a warm core allocates nothing — a segment that
+// arrives out of order waits in a buffer an earlier one gave back.
+func TestCoreReorderZeroAllocSteadyState(t *testing.T) {
+	const segSize, window = 200, 64
+	c, err := NewCore(Config{CC: &fixedCC{rate: 1e6, cwnd: math.Inf(1)}, SegSize: segSize, Window: window,
+		OnData: func(int64, []byte) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := newHandServer(20000*segSize, segSize, 0.020)
+	sv.drop = func(n int64) bool { return n%11 == 7 }
+	now := 0.0
+	step := func() { // 10 ms
+		for i := 0; i < 10; i++ {
+			now += 0.001
+			if req, ok := c.Tick(now); ok {
+				sv.respond(req, now)
+			}
+			for req, ok := c.Issue(now, now); ok; req, ok = c.Issue(now, now) {
+				n := len(sv.queue)
+				if sv.respond(req, now); len(sv.queue) > n && sv.reqs%5 == 0 {
+					sv.queue[n].at += 0.004 // overtaken by the responses behind it
+				}
+			}
+			rest := sv.queue[:0]
+			for _, tr := range sv.queue {
+				if tr.at <= now {
+					c.OnResponse(tr.r, tr.at, now)
+				} else {
+					rest = append(rest, tr)
+				}
+			}
+			sv.queue = rest
+		}
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	before := c.Stats()
+	allocs := testing.AllocsPerRun(100, step)
+	st := c.Stats()
+	if st.Done || st.SegsRx-before.SegsRx < 10*window || st.LostReqs == before.LostReqs || len(c.spare) == 0 {
+		t.Fatalf("after %+v, %+v with %d spare buffers: want many windows, losses and reordering, not completion",
+			before, st, len(c.spare))
+	}
+	if allocs != 0 {
+		t.Fatalf("a reordering, lossy fetch allocates %.2f per 10 ms, want 0", allocs)
+	}
+}

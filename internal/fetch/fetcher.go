@@ -42,8 +42,8 @@ type Fetcher struct {
 	SegSize int
 	// Window bounds the reassembly window in segments.
 	Window int
-	// OnData observes each segment at in-order delivery (e.g. to write
-	// the object to disk). Called from the shard's goroutine.
+	// OnData observes each segment at in-order delivery, on the shard's
+	// goroutine; payload is valid only during the call (copy what you keep).
 	OnData func(seg int64, payload []byte)
 
 	rttHist *stats.LogHist // shard-goroutine-owned, as the core is

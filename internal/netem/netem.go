@@ -32,8 +32,8 @@ type Packet struct {
 	MI     int64   // monitor-interval tag for PCC-style senders, else 0
 	// Payload is the datagram a packet carries when real bytes cross the
 	// path (engine.SimNet); the simulated senders leave it nil. A
-	// duplicated packet shares it with its copy. (A pointer, so that a
-	// Packet stays one 64-byte cache line for the simulated senders.)
+	// duplicate gets a copy of its own. (A pointer, so that a Packet stays
+	// one 64-byte cache line for the simulated senders.)
 	Payload *[]byte
 
 	// Position on a multi-hop Path and the receiver behind its last hop
@@ -309,10 +309,14 @@ func (l *Link) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool 
 		// clean — only the first copy was damaged). Counted at
 		// creation so the conservation law Delivered + LostRandom +
 		// Corrupted + Flushed = Enqueued + Duplicated holds even when
-		// a restart flushes the copy. It is a packet of its own, so a
-		// receiver is handed each *Packet exactly once.
+		// a restart flushes the copy. It is a packet of its own, bytes and
+		// all, so a receiver is handed each *Packet and payload once.
 		l.stats.Duplicated++
 		cp := *pkt
+		if pkt.Payload != nil {
+			b := append([]byte(nil), *pkt.Payload...)
+			cp.Payload = &b
+		}
 		l.arrivals.AtArg(arrival, l.arriveFn, l.newFlight(flight{pkt: &cp, fn: deliver, at: arrival, ep: l.epoch, dup: true}))
 	}
 	return true
