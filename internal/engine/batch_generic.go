@@ -11,7 +11,7 @@ import (
 // no mmsghdr/iovec staging to keep.
 type mmsgState struct{}
 
-func (p *udpPort) initBatch() {}
+func (p *udpPort) initBatch() { p.sh.stageRx(p.sh.batchSize, p.sh.maxPacket) }
 
 // minReadWait is the shortest read deadline the fallback sets: a
 // deadline that has already expired makes the read return i/o timeout

@@ -23,7 +23,9 @@ package engine
 // same-destination run with one iovec instead of one per datagram.
 
 import (
+	"net"
 	"net/netip"
+	"sync"
 	"syscall"
 	"time"
 	"unsafe"
@@ -48,9 +50,8 @@ const (
 	solUDP     = 17
 	udpSegment = 103
 	udpGRO     = 104
-	// gsoMaxSegs is the kernel's UDP_MAX_SEGMENTS floor; gsoMaxBytes
-	// keeps the concatenated payload under the 16-bit UDP length.
-	gsoMaxSegs  = 64
+	// gsoMaxBytes keeps the concatenated payload under the 16-bit UDP
+	// length; the segment ceiling is the kernel's (gsoMaxSegs).
 	gsoMaxBytes = 65000
 	// gsoMaxDsts bounds the per-flush destination-grouping table; a
 	// flush seeing more distinct destinations sends the overflow as
@@ -85,6 +86,34 @@ type cmsgGRO struct {
 	_     [4]byte
 }
 
+// gsoMaxSegs is the kernel's UDP_MAX_SEGMENTS, the most segments one
+// UDP_SEGMENT send may carry: 64 on older kernels, 128 on newer ones.
+// The kernel does not export it, so it is probed once per process with
+// one send of 128 one-byte segments from a throwaway loopback socket to
+// its own address — success means 128, an error (EINVAL) the floor of
+// 64. The probe never touches a shard's socket.
+var gsoMaxSegs = sync.OnceValue(func() int {
+	c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err == nil {
+		defer c.Close()
+		err = sendSegs(c, 128)
+	}
+	if err != nil {
+		return 64
+	}
+	return 128
+})
+
+// sendSegs sends n one-byte UDP_SEGMENT segments from c to its own
+// address in one sendmsg.
+func sendSegs(c *net.UDPConn, n int) error {
+	ctrl := cmsgGSO{clen: 18, level: solUDP, typ: udpSegment, size: 1}
+	_, _, err := c.WriteMsgUDPAddrPort(make([]byte, n),
+		unsafe.Slice((*byte)(unsafe.Pointer(&ctrl)), unsafe.Sizeof(ctrl)),
+		c.LocalAddr().(*net.UDPAddr).AddrPort())
+	return err
+}
+
 // mmsgState is the preallocated staging area for one shard's batched
 // reads and writes, plus the bound RawConn callbacks.
 type mmsgState struct {
@@ -100,9 +129,11 @@ type mmsgState struct {
 	wiovs  []syscall.Iovec
 	wnames []syscall.RawSockaddrInet6
 
-	// GSO staging: per-entry control messages and segment counts, and
-	// the per-flush destination-grouping table.
+	// GSO staging: the segment ceiling a run closes at, per-entry control
+	// messages and segment counts, and the per-flush destination-grouping
+	// table.
 	gso   bool
+	segs  int
 	wctrl []cmsgGSO
 	wsegs []int
 	gdst  [gsoMaxDsts]netip.AddrPort
@@ -122,9 +153,11 @@ type mmsgState struct {
 	wSoft bool  // last flush attempt hit ENOBUFS/ENOMEM (retryable)
 }
 
-// initTx allocates the write staging for flushes of up to n datagrams;
-// it needs no socket, so the staging tests run buildGSO without one.
-func (m *mmsgState) initTx(n int) {
+// initTx allocates the write staging for flushes of up to n datagrams,
+// GSO runs closing at segs; it needs no socket, so the staging tests run
+// buildGSO without one.
+func (m *mmsgState) initTx(n, segs int) {
+	m.segs = segs
 	m.whdrs = make([]mmsghdr, n)
 	m.wiovs = make([]syscall.Iovec, n)
 	m.wnames = make([]syscall.RawSockaddrInet6, n)
@@ -152,8 +185,6 @@ func (p *udpPort) initBatch() {
 	}
 	m := &p.mmsg
 	m.rc = rc
-	n := sh.batchSize
-	m.initTx(n)
 	rc.Control(func(fd uintptr) {
 		// Setting UDP_SEGMENT to 0 is a no-op that succeeds exactly
 		// when the kernel implements UDP GSO. UDP_GRO=1 asks the
@@ -162,23 +193,15 @@ func (p *udpPort) initBatch() {
 		m.gso = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) == nil
 		m.gro = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
 	})
-	rn, bufSize := n, sh.maxPacket
+	m.initTx(sh.batchSize, gsoMaxSegs())
+	rn, bufSize := sh.batchSize, sh.maxPacket
 	if m.gro {
 		// A GRO slot holds a whole coalesced train, so fewer, bigger
 		// buffers: anything smaller than the 64KiB super-skb ceiling
 		// would truncate coalesced tails.
-		if rn > groMaxSlots {
-			rn = groMaxSlots
-		}
-		bufSize = groBufSize
-		sh.rxBufs = make([][]byte, rn)
-		for i := range sh.rxBufs {
-			sh.rxBufs[i] = make([]byte, bufSize)
-		}
-		sh.rxLens = make([]int, rn)
-		sh.rxSrcs = make([]netip.AddrPort, rn)
-		sh.rxSegs = make([]int, rn)
+		rn, bufSize = min(rn, groMaxSlots), groBufSize
 	}
+	sh.stageRx(rn, bufSize)
 	m.rhdrs = make([]mmsghdr, rn)
 	m.riovs = make([]syscall.Iovec, rn)
 	m.rnames = make([]syscall.RawSockaddrInet6, rn)
@@ -366,12 +389,12 @@ func (p *udpPort) noteTxFlush(pkts [][]byte, soft bool) {
 // are bucketed by destination (order within a destination — and so
 // within a flow — is preserved), and each bucket becomes runs of
 // equal-size segments sharing one msghdr, the kernel splitting them
-// back into datagrams. A run closes at gsoMaxSegs, at the UDP length
-// ceiling, or on a size change — a single smaller packet may close a
-// run as its final short segment. A packet that begins where the
-// previous one of its entry ended extends that iovec instead of opening
-// a new one (addresses compared as integers; no pointer past the arena
-// is formed). Returns the entry count.
+// back into datagrams. A run closes at the kernel's segment ceiling
+// (m.segs), at the UDP length ceiling, or on a size change — a single
+// smaller packet may close a run as its final short segment. A packet
+// that begins where the previous one of its entry ended extends that
+// iovec instead of opening a new one (addresses compared as integers;
+// no pointer past the arena is formed). Returns the entry count.
 func (p *udpPort) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
 	m := &p.mmsg
 	nd := 0
@@ -400,7 +423,7 @@ func (p *udpPort) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
 			var end uintptr // one past the entry's last packet; 0 = no packet yet
 			for _, i := range idxs {
 				sz := len(pkts[i])
-				if segs == gsoMaxSegs || bytes+sz > gsoMaxBytes || sz > segSize {
+				if segs == m.segs || bytes+sz > gsoMaxBytes || sz > segSize {
 					break
 				}
 				p := uintptr(unsafe.Pointer(&pkts[i][0]))

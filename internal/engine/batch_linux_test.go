@@ -4,7 +4,11 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"net"
 	"net/netip"
+	"syscall"
 	"testing"
 	"time"
 	"unsafe"
@@ -51,6 +55,39 @@ func testDst(dst int) netip.AddrPort { return src(uint16(5000 + dst)) }
 // datagrams, iovecs, and the UDP_SEGMENT size (0 = plain send).
 type entry struct{ dst, segs, iovs, seg int }
 
+// TestGSOCeiling: the probed ceiling is what the kernel allows — a send
+// of exactly that many segments goes out and one more is refused.
+func TestGSOCeiling(t *testing.T) {
+	c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skip(err)
+	}
+	defer c.Close()
+	rc, err := c.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serr error
+	rc.Control(func(fd uintptr) { serr = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) })
+	if serr != nil {
+		t.Skipf("no UDP GSO: %v", serr)
+	}
+	segs := gsoMaxSegs()
+	t.Logf("UDP_MAX_SEGMENTS = %d", segs)
+	if segs != 64 && segs != 128 {
+		t.Fatalf("probe returned %d, want 64 or 128", segs)
+	}
+	if err := sendSegs(c, segs); err != nil {
+		t.Fatalf("%d segments: %v", segs, err)
+	}
+	if err := sendSegs(c, segs+1); !errors.Is(err, syscall.EINVAL) {
+		t.Fatalf("%d segments: %v, want EINVAL", segs+1, err)
+	}
+}
+
+// TestBuildGSOStaging checks the entries a flush stages at both segment
+// ceilings (cases that name theirs run at that one only); at 64 they are
+// the ones a kernel allowing no more has always had.
 func TestBuildGSOStaging(t *testing.T) {
 	a400 := func(n int) []stagedPkt { return run(0, 400, n) }
 	manyDsts := func() (steps []stagedPkt, want []entry) {
@@ -66,79 +103,90 @@ func TestBuildGSOStaging(t *testing.T) {
 		return steps, want
 	}
 	overflowSteps, overflowWant := manyDsts()
+	perEntry := func(segs int) []entry { return []entry{{0, segs, 1, 400}, {0, segs, 1, 400}, {0, 2, 1, 400}} }
 	cases := []struct {
-		name  string
-		steps []stagedPkt
-		want  []entry
+		name     string
+		steps    []stagedPkt
+		want     []entry
+		ceilings []int // nil: both
 	}{
-		{"one run is one iovec", a400(64), []entry{{0, 64, 1, 400}}},
-		{"64 segments per entry", a400(130), []entry{{0, 64, 1, 400}, {0, 64, 1, 400}, {0, 2, 1, 400}}},
+		{"one run is one iovec", a400(64), []entry{{0, 64, 1, 400}}, nil},
+		{"64 segments per entry", a400(130), perEntry(64), []int{64}},
+		{"128 segments per entry", a400(258), perEntry(128), []int{128}},
 		{"short tail stays in its iovec and closes the run",
-			script(a400(5), run(0, 100, 1), a400(2)), []entry{{0, 6, 1, 400}, {0, 2, 1, 400}}},
+			script(a400(5), run(0, 100, 1), a400(2)), []entry{{0, 6, 1, 400}, {0, 2, 1, 400}}, nil},
 		{"larger packet opens an entry",
-			script(a400(3), run(0, 800, 2)), []entry{{0, 3, 1, 400}, {0, 2, 1, 800}}},
+			script(a400(3), run(0, 800, 2)), []entry{{0, 3, 1, 400}, {0, 2, 1, 800}}, nil},
 		{"size change opens an entry",
-			script(a400(2), run(0, 100, 2)), []entry{{0, 3, 1, 400}, {0, 1, 1, 0}}},
+			script(a400(2), run(0, 100, 2)), []entry{{0, 3, 1, 400}, {0, 1, 1, 0}}, nil},
 		{"byte ceiling opens an entry", // 46 × 1400 = 64 400 ≤ gsoMaxBytes < 47 × 1400
-			run(0, 1400, 50), []entry{{0, 46, 1, 1400}, {0, 4, 1, 1400}}},
+			run(0, 1400, 50), []entry{{0, 46, 1, 1400}, {0, 4, 1, 1400}}, nil},
 		{"interleaved trains merge per destination",
-			script(a400(8), run(1, 400, 8), a400(8)), []entry{{0, 16, 2, 400}, {1, 8, 1, 400}}},
+			script(a400(8), run(1, 400, 8), a400(8)), []entry{{0, 16, 2, 400}, {1, 8, 1, 400}}, nil},
 		{"interleaved packets merge only what is adjacent",
 			script(a400(1), run(1, 400, 1), a400(1), run(1, 400, 1), a400(2)),
-			[]entry{{0, 4, 3, 400}, {1, 2, 2, 400}}},
+			[]entry{{0, 4, 3, 400}, {1, 2, 2, 400}}, nil},
 		{"a gap in the arena is never merged across",
-			script(a400(2), []stagedPkt{{gap: 400}}, a400(1)), []entry{{0, 3, 2, 400}}},
-		{"destinations beyond the table go out plain", overflowSteps, overflowWant},
+			script(a400(2), []stagedPkt{{gap: 400}}, a400(1)), []entry{{0, 3, 2, 400}}, nil},
+		{"destinations beyond the table go out plain", overflowSteps, overflowWant, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sh := newTestShard(t, Config{BatchSize: 256})
-			p := &udpPort{sh: sh} // staging needs no socket
-			p.mmsg.initTx(sh.batchSize)
-			stage(sh, tc.steps, testDst)
-			m := &p.mmsg
-			n := p.buildGSO(sh.txq, sh.txAddrs)
-			if n != len(tc.want) {
-				t.Fatalf("%d entries, want %d", n, len(tc.want))
+			ceilings := tc.ceilings
+			if ceilings == nil {
+				ceilings = []int{64, 128}
 			}
-			// Entries of one destination must carry its packets in queue
-			// order: entry e's are the wsegs[e] after the taken[dst] that
-			// earlier entries carried.
-			taken := map[netip.AddrPort]int{}
-			total := 0
-			for e := 0; e < n; e++ {
-				h := &m.whdrs[e].hdr
-				dst := sockaddrToAddrPort(&m.wnames[e])
-				got := entry{int(dst.Port()) - 5000, m.wsegs[e], int(h.Iovlen), 0}
-				if h.Controllen > 0 {
-					got.seg = int((*cmsgGSO)(unsafe.Pointer(h.Control)).size)
-				}
-				if got != tc.want[e] {
-					t.Errorf("entry %d = %+v, want %+v", e, got, tc.want[e])
-				}
-				var sent, want []byte
-				for _, v := range unsafe.Slice(h.Iov, h.Iovlen) {
-					sent = append(sent, unsafe.Slice(v.Base, v.Len)...)
-				}
-				seen := 0
-				for i := range sh.txq {
-					if sh.txAddrs[i] != dst {
-						continue
+			for _, segs := range ceilings {
+				t.Run(fmt.Sprint(segs), func(t *testing.T) {
+					sh := newTestShard(t, Config{BatchSize: 512})
+					p := &udpPort{sh: sh} // staging needs no socket
+					p.mmsg.initTx(sh.batchSize, segs)
+					stage(sh, tc.steps, testDst)
+					m := &p.mmsg
+					n := p.buildGSO(sh.txq, sh.txAddrs)
+					if n != len(tc.want) {
+						t.Fatalf("%d entries, want %d", n, len(tc.want))
 					}
-					if seen >= taken[dst] && seen < taken[dst]+m.wsegs[e] {
-						want = append(want, sh.txq[i]...)
+					// Entries of one destination must carry its packets in queue
+					// order: entry e's are the wsegs[e] after the taken[dst] that
+					// earlier entries carried.
+					taken := map[netip.AddrPort]int{}
+					total := 0
+					for e := 0; e < n; e++ {
+						h := &m.whdrs[e].hdr
+						dst := sockaddrToAddrPort(&m.wnames[e])
+						got := entry{int(dst.Port()) - 5000, m.wsegs[e], int(h.Iovlen), 0}
+						if h.Controllen > 0 {
+							got.seg = int((*cmsgGSO)(unsafe.Pointer(h.Control)).size)
+						}
+						if got != tc.want[e] {
+							t.Errorf("entry %d = %+v, want %+v", e, got, tc.want[e])
+						}
+						var sent, want []byte
+						for _, v := range unsafe.Slice(h.Iov, h.Iovlen) {
+							sent = append(sent, unsafe.Slice(v.Base, v.Len)...)
+						}
+						seen := 0
+						for i := range sh.txq {
+							if sh.txAddrs[i] != dst {
+								continue
+							}
+							if seen >= taken[dst] && seen < taken[dst]+m.wsegs[e] {
+								want = append(want, sh.txq[i]...)
+							}
+							seen++
+						}
+						taken[dst] += m.wsegs[e]
+						total += m.wsegs[e]
+						if !bytes.Equal(sent, want) {
+							t.Errorf("entry %d: iovecs carry %d bytes that are not its %d packets' %d bytes",
+								e, len(sent), m.wsegs[e], len(want))
+						}
 					}
-					seen++
-				}
-				taken[dst] += m.wsegs[e]
-				total += m.wsegs[e]
-				if !bytes.Equal(sent, want) {
-					t.Errorf("entry %d: iovecs carry %d bytes that are not its %d packets' %d bytes",
-						e, len(sent), m.wsegs[e], len(want))
-				}
-			}
-			if total != len(sh.txq) {
-				t.Errorf("entries carry %d datagrams, %d were queued", total, len(sh.txq))
+					if total != len(sh.txq) {
+						t.Errorf("entries carry %d datagrams, %d were queued", total, len(sh.txq))
+					}
+				})
 			}
 		})
 	}
@@ -171,7 +219,7 @@ func TestTxArenaBounds(t *testing.T) {
 }
 
 // TestWriteBatchLoopbackRoundTrip sends one real flush — a run longer
-// than 64 segments, mixed sizes, a short tail, two destinations
+// than the segment ceiling, mixed sizes, a short tail, two destinations
 // interleaved — and requires every datagram to arrive byte-identical and
 // in per-destination order at UDP_GRO sockets (two unstarted shards read
 // by hand through readBatch).
@@ -187,7 +235,7 @@ func TestWriteBatchLoopbackRoundTrip(t *testing.T) {
 	}
 	defer rx.Stop()
 	sh := tx.shards[0]
-	steps := script(run(0, 400, 70), run(1, 200, 10), run(0, 400, 5), run(0, 1200, 3),
+	steps := script(run(0, 400, gsoMaxSegs()+6), run(1, 200, 10), run(0, 400, 5), run(0, 1200, 3),
 		run(0, 300, 1), run(1, 200, 4), run(1, 90, 1), run(0, 1200, 2))
 	stage(sh, steps, func(dst int) netip.AddrPort { return rx.shards[dst].local })
 	want := make([][][]byte, 2)
@@ -195,8 +243,12 @@ func TestWriteBatchLoopbackRoundTrip(t *testing.T) {
 		want[st.dst] = append(want[st.dst], append([]byte(nil), sh.txq[i]...))
 	}
 	sh.flushTx()
-	if got, skipped := sh.ctr.txPkts.Load(), sh.port.(*udpPort).mmsg.wSkip; got != int64(len(steps)) || skipped != 0 {
-		t.Fatalf("flush sent %d of %d datagrams, %d skipped", got, len(steps), skipped)
+	m := &sh.port.(*udpPort).mmsg
+	if got := sh.ctr.txPkts.Load(); got != int64(len(steps)) || m.wSkip != 0 {
+		t.Fatalf("flush sent %d of %d datagrams, %d skipped", got, len(steps), m.wSkip)
+	}
+	if m.gso && m.wsegs[0] != gsoMaxSegs() {
+		t.Fatalf("the first run went out as %d segments, want the probed ceiling %d", m.wsegs[0], gsoMaxSegs())
 	}
 	for d, rsh := range rx.shards {
 		var got [][]byte

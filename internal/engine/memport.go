@@ -33,7 +33,11 @@ type memDatagram struct {
 	b   []byte
 }
 
-func newMemPort(sh *shard, clk wire.Clock) *memPort { return &memPort{sh: sh, clk: clk} }
+// newMemPort stages rx slots without buffers: readBatch swaps them in.
+func newMemPort(sh *shard, clk wire.Clock) *memPort {
+	sh.stageRx(sh.batchSize, 0)
+	return &memPort{sh: sh, clk: clk}
+}
 
 func (p *memPort) clock() wire.Clock { return p.clk }
 
@@ -91,9 +95,11 @@ func (p *memPort) readBatch(wait time.Duration) int {
 		return 0
 	}
 	for i, d := range p.inbox[:n] {
-		// The inbox's buffer becomes the staging slot, the slot's the next
-		// push's: both are maxPacket bytes.
-		p.free = append(p.free, sh.rxBufs[i][:sh.maxPacket])
+		// The inbox's buffer becomes the staging slot, the slot's (if any)
+		// the next push's: both are maxPacket bytes.
+		if b := sh.rxBufs[i]; b != nil {
+			p.free = append(p.free, b[:sh.maxPacket])
+		}
 		sh.rxBufs[i], sh.rxLens[i], sh.rxSrcs[i], sh.rxSegs[i] = d.b[:sh.maxPacket], len(d.b), d.src, 0
 	}
 	p.inbox = p.inbox[:copy(p.inbox, p.inbox[n:])]

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -381,6 +382,120 @@ func TestFlowTableCountMatchesReachable(t *testing.T) {
 	}
 }
 
+// The bucket array against a map: random inserts, lookups and drops over
+// identities that collide on purpose — one ID from several hosts and
+// ports, one port and ID from another IP — while the table doubles many
+// times over, and drops from inside eachFlow.
+func TestFlowTableMatchesReference(t *testing.T) {
+	type ident struct {
+		addr netip.AddrPort
+		id   uint32
+	}
+	sh := newTestShard(t, Config{})
+	ref := map[ident]*flow{}
+	rng := rand.New(rand.NewSource(32))
+	pick := func() ident {
+		return ident{peer(byte(1+rng.Intn(3)), uint16(1000+rng.Intn(2))), uint32(rng.Intn(800))}
+	}
+	check := func(step string) {
+		t.Helper()
+		for k, f := range ref {
+			if got := sh.lookup(k.addr, k.id); got != f {
+				t.Fatalf("%s: %v/%d resolves to %p, want %p", step, k.addr, k.id, got, f)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			if k := pick(); sh.lookup(k.addr, k.id) != ref[k] {
+				t.Fatalf("%s: %v/%d resolves to %p, want %p", step, k.addr, k.id, sh.lookup(k.addr, k.id), ref[k])
+			}
+		}
+		seen := map[*flow]bool{}
+		sh.eachFlow(func(f *flow) {
+			if seen[f] || ref[ident{f.addr, f.id}] != f {
+				t.Fatalf("%s: eachFlow visits %v/%d (again: %v)", step, f.addr, f.id, seen[f])
+			}
+			seen[f] = true
+		})
+		if len(seen) != len(ref) || int(sh.nFlows.Load()) != len(ref) {
+			t.Fatalf("%s: eachFlow visits %d, count %d, want %d", step, len(seen), sh.nFlows.Load(), len(ref))
+		}
+	}
+	// Grow (inserts twice as likely as drops) to ≈ 2 000 flows: eight
+	// doublings from the initial 8 buckets; then churn and shrink.
+	buckets := len(sh.table)
+	for phase, pInsert := range []float64{0.67, 0.5, 0.3} {
+		for op := 0; op < 6000; op++ {
+			k := pick()
+			switch f := ref[k]; {
+			case f == nil && rng.Float64() < pInsert:
+				f = &flow{addr: k.addr, id: k.id, rcv: &recvFlow{highest: -1}}
+				sh.insert(f)
+				ref[k] = f
+			case f != nil && rng.Float64() >= pInsert:
+				sh.dropFlow(f)
+				delete(ref, k)
+			}
+			if op%500 == 499 {
+				check(fmt.Sprintf("phase %d op %d", phase, op))
+			}
+		}
+		if phase == 0 && len(sh.table) < buckets<<3 {
+			t.Fatalf("%d flows in %d buckets: fewer than three doublings from %d", len(ref), len(sh.table), buckets)
+		}
+		// Drop about half the table from inside the walk.
+		sh.eachFlow(func(f *flow) {
+			if rng.Intn(2) == 0 {
+				sh.dropFlow(f)
+				delete(ref, ident{f.addr, f.id})
+			}
+		})
+		check(fmt.Sprintf("phase %d walk", phase))
+	}
+}
+
+// A peer that knows fixed multipliers can pick flow IDs that all land in
+// one bucket — one chain of every flow, walked per packet. The shard's
+// multipliers are its own, so the same IDs spread.
+func TestFlowTableSpreadsAdversarialIDs(t *testing.T) {
+	// n is the default cap; the table doubles to 32 768 buckets at it.
+	// fixed is two well-known constants.
+	const n = 1 << 14
+	fixed := [2]uint64{0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9}
+	// IDs whose hash under fixed has its top 15 bits zero: bucket 0 of
+	// any table up to 32 768 buckets. One ID in 32 768 qualifies.
+	var ids []uint32
+	from := src(9000)
+	for id := uint32(0); len(ids) < n; id++ {
+		if tableHash(tableKey(from, id), fixed)>>49 == 0 {
+			ids = append(ids, id)
+		}
+	}
+	longest := func(mul *[2]uint64) (int, int) {
+		sh := newTestShard(t, Config{})
+		if mul != nil {
+			sh.tabMul = *mul
+		}
+		for _, id := range ids {
+			sh.insert(&flow{addr: from, id: id, rcv: &recvFlow{highest: -1}})
+		}
+		most := 0
+		for _, f := range sh.table {
+			l := 0
+			for ; f != nil; f = f.next {
+				l++
+			}
+			most = max(most, l)
+		}
+		return most, len(sh.table)
+	}
+	if l, _ := longest(&fixed); l != n {
+		t.Fatalf("under the fixed multipliers the longest chain is %d, want all %d flows", l, n)
+	}
+	if l, buckets := longest(nil); l > 8 {
+		t.Fatalf("under the shard's multipliers the longest chain is %d of %d flows in %d buckets, want ≤ 8", l, n, buckets)
+	}
+}
+
 func TestHotpathZeroAllocs(t *testing.T) {
 	h := newHotpathHarness(400)
 	// Warm: the record ring, SACK capacity and tx staging.
@@ -417,6 +532,27 @@ func TestHotpathZeroAllocsManyFlows(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { h.step() }); allocs != 0 {
 		t.Fatalf("per-packet hot path allocates %.2f per 1000-flow step, want 0", allocs)
+	}
+}
+
+// BenchmarkFlowTableLookup is one warm lookup among 1 000 flows of one
+// peer, in random order.
+func BenchmarkFlowTableLookup(b *testing.B) {
+	sh := newShard(&Engine{cfg: Config{}.withDefaults()}, 0)
+	from := src(9000)
+	for id := uint32(1); id <= 1000; id++ {
+		sh.insert(&flow{addr: from, id: id, rcv: &recvFlow{highest: -1}})
+	}
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]uint32, 4096)
+	for i := range ids {
+		ids[i] = uint32(1 + rng.Intn(1000))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sh.lookup(from, ids[i%len(ids)]) == nil {
+			b.Fatal("flow missing")
+		}
 	}
 }
 
