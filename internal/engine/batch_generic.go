@@ -3,6 +3,7 @@
 package engine
 
 import (
+	"math"
 	"net/netip"
 	"time"
 )
@@ -11,7 +12,13 @@ import (
 // no mmsghdr/iovec staging to keep.
 type mmsgState struct{}
 
-func (p *udpPort) initBatch() { p.sh.stageRx(p.sh.batchSize, p.sh.maxPacket) }
+// initBatch stages the one slot a read fills. A one-datagram read says
+// nothing about keeping up with arrival, so it never counts as rx
+// saturation: the ceiling is out of its reach.
+func (p *udpPort) initBatch() {
+	p.sh.stageRx(1, p.sh.maxPacket)
+	p.sh.rxCeil = math.MaxInt
+}
 
 // minReadWait is the shortest read deadline the fallback sets: a
 // deadline that has already expired makes the read return i/o timeout

@@ -58,11 +58,14 @@ const (
 	// plain one-datagram entries.
 	gsoMaxDsts = 16
 	// groBufSize must hold the largest GRO super-skb the kernel can
-	// coalesce (64KiB), else the tail would truncate; groMaxSlots caps
-	// how many such buffers a shard stages, since one slot now carries
-	// a whole train of datagrams.
+	// coalesce (64KiB), else the tail would truncate. A shard stages one
+	// such slot and doubles the staging after every read that fills it,
+	// up to groMaxSlots (2 MiB): one slot carries a whole train, and with
+	// a 128-slot ceiling 99.5 % of engine-bulk's reads filled ≤ 32 slots
+	// and 99.2 % of engine-churn's ≤ 8. A deeper backlog waits in the
+	// socket buffer; the next read finds it without blocking.
 	groBufSize  = 1 << 16
-	groMaxSlots = 128
+	groMaxSlots = 32
 )
 
 // cmsgGSO is CMSG_SPACE(2) worth of control data: a cmsghdr (16
@@ -123,6 +126,7 @@ type mmsgState struct {
 	riovs  []syscall.Iovec
 	rnames []syscall.RawSockaddrInet6
 	rctrl  []cmsgGRO
+	rsize  int // bytes per rx slot
 	gro    bool
 
 	whdrs  []mmsghdr
@@ -194,21 +198,22 @@ func (p *udpPort) initBatch() {
 		m.gro = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
 	})
 	m.initTx(sh.batchSize, gsoMaxSegs())
-	rn, bufSize := sh.batchSize, sh.maxPacket
+	rn, staged := sh.batchSize, sh.batchSize
+	m.rsize = sh.maxPacket
 	if m.gro {
 		// A GRO slot holds a whole coalesced train, so fewer, bigger
-		// buffers: anything smaller than the 64KiB super-skb ceiling
-		// would truncate coalesced tails.
-		rn, bufSize = min(rn, groMaxSlots), groBufSize
+		// buffers, staged as the bursts need them: anything smaller than
+		// the 64KiB super-skb ceiling would truncate coalesced tails.
+		rn, staged, m.rsize = min(rn, groMaxSlots), 1, groBufSize
 	}
-	sh.stageRx(rn, bufSize)
+	// Headers for every slot up to the ceiling; buffers for the staged ones.
+	sh.rxCeil = rn
 	m.rhdrs = make([]mmsghdr, rn)
 	m.riovs = make([]syscall.Iovec, rn)
 	m.rnames = make([]syscall.RawSockaddrInet6, rn)
 	m.rctrl = make([]cmsgGRO, rn)
+	p.stageRx(staged)
 	for i := 0; i < rn; i++ {
-		m.riovs[i].Base = &sh.rxBufs[i][0]
-		m.riovs[i].SetLen(bufSize)
 		m.rhdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.rnames[i]))
 		m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
 		m.rhdrs[i].hdr.Iov = &m.riovs[i]
@@ -220,7 +225,7 @@ func (p *udpPort) initBatch() {
 	}
 	m.readFn = func(fd uintptr) bool {
 		r1, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
+			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(sh.rxBufs)),
 			syscall.MSG_DONTWAIT, 0, 0)
 		if errno == syscall.EAGAIN {
 			return false // park on the netpoller until readable
@@ -261,11 +266,23 @@ func (p *udpPort) initBatch() {
 	}
 }
 
-// readBatch stages up to batchSize datagrams in one recvmmsg, blocking
+// stageRx grows the rx staging to n slots and points their iovecs at the
+// buffers; the slots already staged keep theirs.
+func (p *udpPort) stageRx(n int) {
+	sh, m := p.sh, &p.mmsg
+	sh.stageRx(n, m.rsize)
+	for i, b := range sh.rxBufs {
+		m.riovs[i].Base = &b[0]
+		m.riovs[i].SetLen(len(b))
+	}
+}
+
+// readBatch stages up to len(rxBufs) datagrams in one recvmmsg, blocking
 // up to wait for the first. Returns the count (0 on timeout, so timers
 // run), or -1 on a closed socket. With wait ≤ 0 it still issues one
 // non-blocking recvmmsg: RawConn.Read would return i/o timeout on an
-// already-expired deadline without making the syscall at all.
+// already-expired deadline without making the syscall at all. A read
+// that filled every staged slot doubles the staging, up to rxCeil.
 func (p *udpPort) readBatch(wait time.Duration) int {
 	sh, m := p.sh, &p.mmsg
 	if m.rc == nil {
@@ -280,6 +297,9 @@ func (p *udpPort) readBatch(wait time.Duration) int {
 			m.rhdrs[i].hdr.SetControllen(24)
 			m.rctrl[i] = cmsgGRO{}
 		}
+	}
+	if m.rGot == len(sh.rxBufs) && m.rGot < sh.rxCeil {
+		p.stageRx(min(2*m.rGot, sh.rxCeil))
 	}
 	m.rGot, m.rErr = 0, 0
 	var err error

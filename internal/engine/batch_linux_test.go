@@ -4,6 +4,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -275,5 +276,199 @@ func TestWriteBatchLoopbackRoundTrip(t *testing.T) {
 					d, i, len(got[i]), len(want[d][i]))
 			}
 		}
+	}
+}
+
+// rxStaging is shard 0 of an unstarted engine on a UDP_GRO socket, read
+// by hand, and a plain socket sending it numbered datagrams — one per rx
+// slot, since loopback coalesces nothing a plain socket sends.
+type rxStaging struct {
+	t    *testing.T
+	sh   *shard
+	tx   *net.UDPConn
+	sent int
+	got  []int // arrivals per sequence number
+}
+
+func newRxStaging(t *testing.T, batch int) *rxStaging {
+	t.Helper()
+	eng, err := New(Config{BatchSize: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Stop() })
+	sh := eng.shards[0]
+	if !sh.port.(*udpPort).mmsg.gro {
+		t.Skip("no UDP_GRO: the staging is BatchSize slots from the start")
+	}
+	tx, err := net.DialUDP("udp4", nil, net.UDPAddrFromAddrPort(sh.local))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tx.Close() })
+	return &rxStaging{t: t, sh: sh, tx: tx}
+}
+
+// send sends n datagrams: a byte that is no packet type, then the
+// sequence number.
+func (r *rxStaging) send(n int) {
+	var b [64]byte
+	b[0] = 'x'
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(b[8:], uint64(r.sent))
+		if _, err := r.tx.Write(b[:]); err != nil {
+			r.t.Fatal(err)
+		}
+		r.sent++
+		r.got = append(r.got, 0)
+	}
+}
+
+// note counts the n datagrams the last read staged.
+func (r *rxStaging) note(n int) {
+	for i := 0; i < n; i++ {
+		b := r.sh.rxBufs[i][:r.sh.rxLens[i]]
+		g := r.sh.rxSegs[i]
+		if g <= 0 {
+			g = len(b)
+		}
+		for off := 0; off < len(b); off += g {
+			r.got[binary.LittleEndian.Uint64(b[off+8:])]++
+		}
+	}
+}
+
+// received is the number of datagrams that have arrived, duplicates
+// included.
+func (r *rxStaging) received() (n int) {
+	for _, c := range r.got {
+		n += c
+	}
+	return n
+}
+
+// TestRxStagingGrows: a GRO socket stages one slot, doubles the staging
+// only after a read that filled it, never beyond min(BatchSize, 32), and
+// keeps the buffers it had — every datagram of the bursts that make it
+// grow arrives exactly once.
+func TestRxStagingGrows(t *testing.T) {
+	for _, batch := range []int{24, 1024} { // a ceiling that is no power of two, and 32
+		t.Run(fmt.Sprint(batch), func(t *testing.T) {
+			r := newRxStaging(t, batch)
+			sh := r.sh
+			ceil := min(batch, 32)
+			if len(sh.rxBufs) != 1 || sh.rxCeil != ceil {
+				t.Fatalf("staged %d slots with ceiling %d, want 1 and %d", len(sh.rxBufs), sh.rxCeil, ceil)
+			}
+			want := 1 // the staging the next read must use
+			var kept []*byte
+			read := func() {
+				n := sh.port.readBatch(100 * time.Millisecond)
+				staged := len(sh.rxBufs)
+				if staged != want {
+					t.Fatalf("a read staged %d slots, want %d", staged, want)
+				}
+				for i, p := range kept {
+					if &sh.rxBufs[i][0] != p {
+						t.Fatalf("growth to %d slots replaced slot %d's buffer", staged, i)
+					}
+				}
+				for i := len(kept); i < staged; i++ {
+					kept = append(kept, &sh.rxBufs[i][0])
+				}
+				if n == staged {
+					want = min(2*staged, ceil)
+				}
+				r.note(n)
+			}
+			drain := func() {
+				deadline := time.Now().Add(5 * time.Second)
+				for r.received() < r.sent && time.Now().Before(deadline) {
+					read()
+				}
+			}
+			read() // nothing to read: no growth
+			// Each burst is twice the staging: one full read, which doubles
+			// it, then a partial one, which must not.
+			for len(sh.rxBufs) < ceil {
+				r.send(2 * len(sh.rxBufs))
+				drain()
+			}
+			r.send(3 * ceil) // full reads at the ceiling: no growth
+			drain()
+			if len(sh.rxBufs) != ceil {
+				t.Fatalf("staging ended at %d slots, want %d", len(sh.rxBufs), ceil)
+			}
+			for seq, c := range r.got {
+				if c != 1 {
+					t.Fatalf("datagram %d of %d arrived %d times", seq, r.sent, c)
+				}
+			}
+		})
+	}
+}
+
+// TestRxStagingZeroAllocsAtCeiling: once the staging is at its ceiling,
+// full reads allocate nothing.
+func TestRxStagingZeroAllocsAtCeiling(t *testing.T) {
+	r := newRxStaging(t, 1024)
+	sh := r.sh
+	for deadline := time.Now().Add(5 * time.Second); len(sh.rxBufs) < sh.rxCeil && time.Now().Before(deadline); {
+		r.send(len(sh.rxBufs))
+		for r.received() < r.sent && time.Now().Before(deadline) {
+			r.note(sh.port.readBatch(100 * time.Millisecond))
+		}
+	}
+	if len(sh.rxBufs) != sh.rxCeil {
+		t.Fatalf("staging stuck at %d of %d slots", len(sh.rxBufs), sh.rxCeil)
+	}
+	const runs = 4
+	r.send((runs + 1) * sh.rxCeil) // AllocsPerRun reads once more to warm up
+	full := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if sh.port.readBatch(0) == sh.rxCeil {
+			full++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a read at the ceiling allocates %.1f times, want 0", allocs)
+	}
+	if full != runs+1 || len(sh.rxBufs) != sh.rxCeil {
+		t.Fatalf("%d of %d reads were full, staging %d slots", full, runs+1, len(sh.rxBufs))
+	}
+}
+
+// TestRxSaturationOnlyAtCeiling: a full read the port answers by growing
+// the staging is not overload — the EWMA stays 0 while the staging grows
+// — and full reads at the ceiling still raise it.
+func TestRxSaturationOnlyAtCeiling(t *testing.T) {
+	r := newRxStaging(t, 1024)
+	sh := r.sh
+	sh.wh.init(sh.clock.Now())
+	deadline := time.Now().Add(5 * time.Second)
+	for len(sh.rxBufs) < sh.rxCeil && time.Now().Before(deadline) {
+		r.send(len(sh.rxBufs))
+		for sh.ctr.bad.Load() < int64(r.sent) && time.Now().Before(deadline) {
+			sh.pass()
+			if sh.rxFullEWMA != 0 && len(sh.rxBufs) < sh.rxCeil {
+				t.Fatalf("a read into %d of %d slots counted as rx saturation (EWMA %.3f)",
+					len(sh.rxBufs), sh.rxCeil, sh.rxFullEWMA)
+			}
+		}
+	}
+	if len(sh.rxBufs) != sh.rxCeil {
+		t.Fatalf("staging stuck at %d of %d slots", len(sh.rxBufs), sh.rxCeil)
+	}
+	for sh.rxFullEWMA == 0 && time.Now().Before(deadline) {
+		r.send(sh.rxCeil)
+		for sh.ctr.bad.Load() < int64(r.sent) && time.Now().Before(deadline) {
+			sh.pass()
+		}
+	}
+	if sh.rxFullEWMA == 0 {
+		t.Fatal("full reads at the ceiling never raised the rx saturation EWMA")
+	}
+	if got := sh.ctr.bad.Load(); got != int64(r.sent) {
+		t.Fatalf("%d datagrams dispatched, %d sent", got, r.sent)
 	}
 }

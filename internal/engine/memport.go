@@ -36,6 +36,7 @@ type memDatagram struct {
 // newMemPort stages rx slots without buffers: readBatch swaps them in.
 func newMemPort(sh *shard, clk wire.Clock) *memPort {
 	sh.stageRx(sh.batchSize, 0)
+	sh.rxCeil = sh.batchSize
 	return &memPort{sh: sh, clk: clk}
 }
 

@@ -120,6 +120,9 @@ type shard struct {
 	rxLens []int
 	rxSrcs []netip.AddrPort
 	rxSegs []int
+	// rxCeil is the slot count the staging may grow to: a read that fills
+	// it is rx saturation. The port sets it with the first staging.
+	rxCeil int
 
 	// tx staging: flows encode their packets back to back into txArena
 	// (batchSize × maxPacket bytes, txOff the write offset) and queue them
@@ -197,13 +200,16 @@ func newShard(eng *Engine, idx int) *shard {
 	return sh
 }
 
-// stageRx allocates n rx slots of size bytes each; size 0 leaves the
-// buffers to the port.
+// stageRx grows the rx staging to n slots, keeping the ones staged; a new
+// slot gets a buffer of size bytes (size 0 leaves it to the port).
 func (sh *shard) stageRx(n, size int) {
-	sh.rxBufs, sh.rxLens = make([][]byte, n), make([]int, n)
-	sh.rxSrcs, sh.rxSegs = make([]netip.AddrPort, n), make([]int, n)
-	for i := 0; size > 0 && i < n; i++ {
-		sh.rxBufs[i] = make([]byte, size)
+	for len(sh.rxBufs) < n {
+		var b []byte
+		if size > 0 {
+			b = make([]byte, size)
+		}
+		sh.rxBufs, sh.rxLens = append(sh.rxBufs, b), append(sh.rxLens, 0)
+		sh.rxSrcs, sh.rxSegs = append(sh.rxSrcs, netip.AddrPort{}), append(sh.rxSegs, 0)
 	}
 }
 
@@ -254,11 +260,12 @@ func (sh *shard) pass() bool {
 	if n < 0 {
 		return false // port closed
 	}
-	// Rx saturation EWMA: a read that fills every slot means the
-	// shard is not keeping up with arrival; an idle or partial read
-	// decays the signal, so pressure falls once load is removed.
+	// Rx saturation EWMA: a read that fills a staging which cannot grow
+	// any further means the shard is not keeping up with arrival; an
+	// idle or partial read, or a full one the port answers by staging
+	// more, decays the signal, so pressure falls once load is removed.
 	full := 0.0
-	if n >= len(sh.rxBufs) {
+	if n >= sh.rxCeil {
 		full = 1.0
 	}
 	sh.rxFullEWMA += (full - sh.rxFullEWMA) / 32
