@@ -161,6 +161,7 @@ func runRecv(args []string) error {
 	}
 	if *serve != "" {
 		store := fetch.NewStore(0)
+		defer store.Close()
 		names, err := store.ServeDir(*serve)
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package fetch
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -21,7 +22,10 @@ func RunFetchBench(b *testing.B) {
 	store := NewStore(0)
 	data := make([]byte, objSegs*DefaultSegSize)
 	rand.New(rand.NewSource(9)).Read(data)
-	objID := store.Add("bench", data)
+	objID, err := store.Add("bench", bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	newCore := func() *Core {
 		c, err := NewCore(Config{

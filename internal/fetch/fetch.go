@@ -28,7 +28,10 @@ package fetch
 
 import (
 	"crypto/sha256"
+	"errors"
+	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,21 +52,26 @@ func ObjectID(name string) uint64 {
 	return h.Sum64()
 }
 
-// object is one served blob with its precomputed whole-object digest.
+// object is one served blob: where its bytes are read from, how many
+// there are, and the whole-object digest computed when it was added.
 type object struct {
 	name   string
-	data   []byte
+	src    io.ReaderAt
+	size   int64
 	digest [wire.DigestLen]byte
 }
 
 // Store is the server side: a read-only set of named objects answering
 // fetch requests. Load objects with Add/AddFile/ServeDir before wiring
 // HandleFetch into an engine; after that the store is never mutated,
-// so the shard goroutines read it without locking.
+// so the shard goroutines read it without locking. The store holds no
+// object bytes of its own: each segment is read from its object's
+// source when it is requested, so memory is O(objects), not O(bytes).
 type Store struct {
 	SegSize int // payload bytes per segment (default DefaultSegSize)
 
-	objs map[uint64]*object
+	objs  map[uint64]*object
+	files []*os.File // opened by AddFile; Close closes them
 }
 
 // NewStore returns an empty store with the given segment size (0 means
@@ -78,25 +86,57 @@ func NewStore(segSize int) *Store {
 	return &Store{SegSize: segSize, objs: make(map[uint64]*object)}
 }
 
-// Add registers data under name. The store aliases data; callers must
-// not mutate it afterwards.
-func (st *Store) Add(name string, data []byte) uint64 {
+// Add registers the size bytes src holds from offset 0 under name,
+// reading them once to compute the digest. The store keeps src and
+// reads it again for every segment it serves, possibly from several
+// goroutines at once; callers holding bytes pass a bytes.Reader and
+// must not mutate the bytes afterwards. It returns the read error, or
+// io.ErrUnexpectedEOF if src holds fewer than size bytes.
+func (st *Store) Add(name string, src io.ReaderAt, size int64) (uint64, error) {
+	if size < 0 {
+		return 0, fmt.Errorf("fetch: %s: negative size %d", name, size)
+	}
+	h := sha256.New()
+	n, err := io.Copy(h, io.NewSectionReader(src, 0, size))
+	if err == nil && n < size {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return 0, fmt.Errorf("fetch: reading %s: %w", name, err)
+	}
+	obj := &object{name: name, src: src, size: size}
+	h.Sum(obj.digest[:0])
 	id := ObjectID(name)
-	st.objs[id] = &object{name: name, data: data, digest: sha256.Sum256(data)}
-	return id
+	st.objs[id] = obj
+	return id, nil
 }
 
-// AddFile loads one file from disk under its base name.
+// AddFile serves one file under its base name, at the size it has
+// now. The file stays open until Close, and each segment is read from
+// it with pread when it is requested. A file rewritten while it is
+// served fails its fetch's SHA-256; one truncated answers nothing for
+// the segments it lost.
 func (st *Store) AddFile(path string) (uint64, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
-	return st.Add(filepath.Base(path), data), nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return 0, err
+	}
+	id, err := st.Add(filepath.Base(path), f, fi.Size())
+	if err != nil {
+		f.Close()
+		return 0, err
+	}
+	st.files = append(st.files, f)
+	return id, nil
 }
 
-// ServeDir loads every regular file directly inside dir (sorted, no
-// recursion) and returns the loaded names.
+// ServeDir serves every regular file directly inside dir (no recursion)
+// and returns their names, sorted.
 func (st *Store) ServeDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -116,6 +156,17 @@ func (st *Store) ServeDir(dir string) ([]string, error) {
 	return names, nil
 }
 
+// Close closes the files AddFile opened. The store must not serve
+// after it.
+func (st *Store) Close() error {
+	var errs []error
+	for _, f := range st.files {
+		errs = append(errs, f.Close())
+	}
+	st.files = nil
+	return errors.Join(errs...)
+}
+
 // TotalSegs returns the segment count for an object of size bytes at
 // the given segment size: at least 1, so even an empty object has a
 // well-formed geometry (one zero-byte segment).
@@ -128,15 +179,17 @@ func TotalSegs(size int64, segSize int) int64 {
 }
 
 // HandleFetch answers one fetch request, encoding the SEGMENT response
-// into buf and returning the packet slice, or nil for an unknown object
-// or out-of-range segment (the fetcher treats silence as loss). It has
-// the exact signature of engine.Config.OnFetch.
+// into buf and returning the packet slice, or nil for an unknown object,
+// an out-of-range segment or a segment its source could not read in
+// full (the fetcher treats silence as loss). The payload is read
+// straight into buf. It has the exact signature of
+// engine.Config.OnFetch.
 func (st *Store) HandleFetch(h wire.FetchHeader, buf []byte) []byte {
 	obj, ok := st.objs[h.ObjID]
 	if !ok {
 		return nil
 	}
-	size := int64(len(obj.data))
+	size := obj.size
 	total := TotalSegs(size, st.SegSize)
 	sh := wire.SegmentHeader{
 		Nonce:      h.Nonce,
@@ -154,9 +207,10 @@ func (st *Store) HandleFetch(h wire.FetchHeader, buf []byte) []byte {
 	}
 	sh.Seg = h.Seg
 	lo := h.Seg * int64(st.SegSize)
-	hi := lo + int64(st.SegSize)
-	if hi > size {
-		hi = size
+	payload := buf[wire.SegmentHeaderLen : wire.SegmentHeaderLen+min(int64(st.SegSize), size-lo)]
+	// A short read's error says only why; the answer is silence.
+	if n, _ := obj.src.ReadAt(payload, lo); n < len(payload) {
+		return nil
 	}
-	return wire.EncodeSegment(buf, sh, obj.data[lo:hi])
+	return wire.EncodeSegment(buf, sh, payload)
 }

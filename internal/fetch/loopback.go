@@ -2,8 +2,9 @@ package fetch
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math/rand/v2"
+	"io"
 	"time"
 
 	"pccproteus/internal/engine"
@@ -26,8 +27,8 @@ type LoopbackConfig struct {
 
 	Shim wire.ShimConfig
 	// Flows is the number of concurrent fetchers (default 1); each
-	// fetches its own object of BytesPerFlow bytes (default 1 MiB)
-	// filled with seeded pseudorandom data.
+	// fetches its own object of BytesPerFlow bytes (default 1 MiB) of
+	// seeded pseudorandom data.
 	Flows        int
 	BytesPerFlow int64
 	// Timeout bounds the run in real seconds (default 60).
@@ -88,20 +89,17 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 		seed = 1
 	}
 
-	// Server: one single-shard engine answering fetches from an
-	// in-memory store of per-flow objects with deterministic
-	// pseudorandom contents.
+	// Server: one single-shard engine answering fetches from a store of
+	// per-flow seeded objects, generated as they are read.
 	store := NewStore(0)
 	objIDs := make([]uint64, cfg.Flows)
 	for i := 0; i < cfg.Flows; i++ {
-		// Eight bytes per PCG draw: several times faster than
-		// math/rand's Read, and this fill is most of the run's set-up.
-		rng := rand.NewPCG(uint64(wire.MixSeed(seed, int64(i))), 0)
-		data := make([]byte, (cfg.BytesPerFlow+7)&^7)
-		for j := 0; j < len(data); j += 8 {
-			binary.LittleEndian.PutUint64(data[j:], rng.Uint64())
+		obj := seededObject{seed: uint64(wire.MixSeed(seed, int64(i))), size: cfg.BytesPerFlow}
+		id, err := store.Add(fmt.Sprintf("obj-%d", i), obj, obj.size)
+		if err != nil {
+			return nil, err
 		}
-		objIDs[i] = store.Add(fmt.Sprintf("obj-%d", i), data[:cfg.BytesPerFlow])
+		objIDs[i] = id
 	}
 	// Every fetch is a flow on the client engine's one shard. Stopping
 	// that engine (deferred last, so it runs first) ends them all.
@@ -195,4 +193,41 @@ func loopbackResult(fetchers []*Fetcher, endAt []float64, shims []wire.ShimStats
 		res.AggMbps = float64(res.TotalBytes) * 8 / wall / 1e6
 	}
 	return res
+}
+
+// seededObject is an object of size bytes of seeded pseudorandom data
+// that exists only as a function: word w (bytes 8w to 8w+7, little
+// endian) is the w-th output of splitmix64 seeded with seed. Any range
+// is computed from its offset alone, so reads need no state, may run
+// on any goroutine, and the object holds no memory.
+type seededObject struct {
+	seed uint64
+	size int64
+}
+
+// ReadAt implements io.ReaderAt.
+func (o seededObject) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, errors.New("fetch: negative offset")
+	}
+	n := int(min(int64(len(p)), max(o.size-off, 0)))
+	var w [8]byte
+	for i := 0; i < n; {
+		pos := off + int64(i)
+		binary.LittleEndian.PutUint64(w[:], splitmix64(o.seed+uint64(pos/8)*0x9e3779b97f4a7c15))
+		i += copy(p[i:n], w[pos%8:])
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// splitmix64 is the splitmix64 step: x advanced by the golden gamma,
+// then its finaliser.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

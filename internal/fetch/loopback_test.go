@@ -54,34 +54,52 @@ func TestLoopbackSingleFlowClean(t *testing.T) {
 // reads any delay its samples carry beyond the path's as competition, so
 // the relay must keep host timing out of them: requests that reach it
 // late, its own late wakes, the server's turnaround. When it does not,
-// the fetch holds about 1 Mbps and misses the deadline.
+// the scavenger holds about 1 Mbps while a primary on the same path
+// barely notices.
+//
+// The scavenger is judged against a Proteus-P fetch run just before it
+// in the same process: a host busy enough to slow the scavenger's ramp
+// slows the primary's alike, so their goodput ratio is a property of the
+// datapath, not of the box.
 func TestLoopbackScavengerFetch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	res, err := RunLoopback(LoopbackConfig{
-		NewController: func() transport.Controller { return core.NewProteusS(rand.New(rand.NewSource(1))) },
-		Shim:          wire.ShimConfig{RateMbps: 40, Delay: 0.010, AckDelay: 0.010, LossProb: 0.01},
-		BytesPerFlow:  3 << 20,
-		Timeout:       8,
-		Seed:          1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The primary runs first, then the scavenger, each through its own
+	// relay with the same config and seed: the same path, and the same
+	// loss pattern.
+	var runs []FlowResult
+	for _, newCC := range []func() transport.Controller{
+		func() transport.Controller { return core.NewProteusP(rand.New(rand.NewSource(1))) },
+		func() transport.Controller { return core.NewProteusS(rand.New(rand.NewSource(1))) },
+	} {
+		res, err := RunLoopback(LoopbackConfig{
+			NewController: newCC,
+			Shim:          wire.ShimConfig{RateMbps: 40, Delay: 0.010, AckDelay: 0.010, LossProb: 0.01},
+			BytesPerFlow:  3 << 20,
+			Timeout:       20,
+			Seed:          1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, res.Flows[0])
 	}
-	f := res.Flows[0]
-	t.Logf("%.2f s, %.2f Mbps, RTT p50 %.1f ms p95 %.1f ms; fetcher %+v; relay %+v",
-		f.Secs, f.GoodputMbps, f.P50RTT*1e3, f.P95RTT*1e3, f.Fetcher, f.Shim)
-	if !f.Done || !f.Verified {
-		t.Fatalf("fetch incomplete after %.1f s: %d of %d bytes", f.Secs, f.Bytes, 3<<20)
-	}
-	// Alone on the path the scavenger takes a primary's share: the
-	// transfer starts from one train, so 5 Mbps is a floor, not a target.
-	if f.GoodputMbps < 5 {
-		t.Errorf("goodput %.2f Mbps: the scavenger yielded to nothing but the host", f.GoodputMbps)
+	ref, f := runs[0], runs[1]
+	t.Logf("primary %.2f s, %.2f Mbps, RTT p50 %.1f ms; scavenger %.2f s, %.2f Mbps (share %.2f), RTT p50 %.1f ms p95 %.1f ms; fetcher %+v; relay %+v",
+		ref.Secs, ref.GoodputMbps, ref.P50RTT*1e3, f.Secs, f.GoodputMbps, f.GoodputMbps/ref.GoodputMbps, f.P50RTT*1e3, f.P95RTT*1e3, f.Fetcher, f.Shim)
+	// Alone on its path the scavenger ramps as a primary does. On a
+	// 2-vCPU box its share read 0.81–1.03 idle and 0.68–1.16 beside two
+	// CPU hogs; a 1 Mbps fixed-rate fetch in its place reads 0.14.
+	if share := f.GoodputMbps / ref.GoodputMbps; share < 0.5 {
+		t.Errorf("scavenger %.2f Mbps is %.2f of the primary's %.2f: it yielded to nothing but the host",
+			f.GoodputMbps, share, ref.GoodputMbps)
 	}
 	if f.P50RTT > 0.025 {
 		t.Errorf("median RTT %.1f ms on a 20 ms path with a short queue", f.P50RTT*1e3)
+	}
+	if !ref.Done || !ref.Verified || !f.Done || !f.Verified {
+		t.Errorf("fetches incomplete after %.1f s: %d and %d of %d bytes", max(ref.Secs, f.Secs), ref.Bytes, f.Bytes, 3<<20)
 	}
 }
 
@@ -103,8 +121,6 @@ func simLoopback(t *testing.T, cfg LoopbackConfig, plan *chaos.Plan) *LoopbackRe
 	fetchers := make([]*Fetcher, max(cfg.Flows, 1))
 	paths := make([]*netem.Path, len(fetchers))
 	for i := range fetchers {
-		data := make([]byte, cfg.BytesPerFlow)
-		rand.New(rand.NewSource(wire.MixSeed(cfg.Seed, int64(i)))).Read(data)
 		link := netem.NewLink(s, cfg.Shim.RateMbps, cfg.Shim.QueueBytes, cfg.Shim.Delay)
 		link.LossProb = cfg.Shim.LossProb
 		paths[i] = &netem.Path{Link: link, AckDelay: cfg.Shim.AckDelay}
@@ -115,8 +131,12 @@ func simLoopback(t *testing.T, cfg LoopbackConfig, plan *chaos.Plan) *LoopbackRe
 		n.Connect(srv.Addrs()[0], eng.Addrs()[0], paths[i])
 		eng.Start()
 		defer eng.Stop()
-		fetchers[i] = &Fetcher{Dst: srv.Addrs()[0], CC: cfg.NewController(), ObjID: store.Add(fmt.Sprintf("obj-%d", i), data),
-			SegSize: store.SegSize}
+		obj := seededObject{seed: uint64(wire.MixSeed(cfg.Seed, int64(i))), size: cfg.BytesPerFlow}
+		id, err := store.Add(fmt.Sprintf("obj-%d", i), obj, obj.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fetchers[i] = &Fetcher{Dst: srv.Addrs()[0], CC: cfg.NewController(), ObjID: id, SegSize: store.SegSize}
 		if err := fetchers[i].Start(eng); err != nil {
 			t.Fatal(err)
 		}
