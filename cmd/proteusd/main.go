@@ -162,13 +162,15 @@ func runRecv(args []string) error {
 	if *serve != "" {
 		store := fetch.NewStore(0)
 		defer store.Close()
+		t0 := time.Now()
 		names, err := store.ServeDir(*serve)
 		if err != nil {
 			return err
 		}
 		cfg.OnFetch = store.HandleFetch
 		cfg.MaxPacket = max(2048, store.SegSize+wire.SegmentHeaderLen)
-		fmt.Printf("proteusd recv: serving %d objects from %s: %v\n", len(names), *serve, names)
+		fmt.Printf("proteusd recv: serving %d objects from %s (%d bytes hashed in %.3f s on %d workers): %v\n",
+			len(names), *serve, store.Bytes(), time.Since(t0).Seconds(), fetch.HashWorkers(len(names)), names)
 	}
 	eng, err := newEngineRetry(cfg)
 	if err != nil {

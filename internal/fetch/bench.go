@@ -22,10 +22,11 @@ func RunFetchBench(b *testing.B) {
 	store := NewStore(0)
 	data := make([]byte, objSegs*DefaultSegSize)
 	rand.New(rand.NewSource(9)).Read(data)
-	objID, err := store.Add("bench", bytes.NewReader(data), int64(len(data)))
+	ids, err := store.Add(Source{Name: "bench", R: bytes.NewReader(data), Size: int64(len(data))})
 	if err != nil {
 		b.Fatal(err)
 	}
+	objID := ids[0]
 
 	newCore := func() *Core {
 		c, err := NewCore(Config{

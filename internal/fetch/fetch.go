@@ -30,11 +30,15 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"pccproteus/internal/wire"
 )
@@ -62,16 +66,17 @@ type object struct {
 }
 
 // Store is the server side: a read-only set of named objects answering
-// fetch requests. Load objects with Add/AddFile/ServeDir before wiring
-// HandleFetch into an engine; after that the store is never mutated,
-// so the shard goroutines read it without locking. The store holds no
-// object bytes of its own: each segment is read from its object's
-// source when it is requested, so memory is O(objects), not O(bytes).
+// fetch requests. Load objects with Add (or AddFile/ServeDir, which
+// call it) before wiring HandleFetch into an engine; after that the
+// store is never mutated, so the shard goroutines read it without
+// locking. The store holds no object bytes of its own: each segment is
+// read from its object's source when it is requested, so memory is
+// O(objects), not O(bytes).
 type Store struct {
 	SegSize int // payload bytes per segment (default DefaultSegSize)
 
 	objs  map[uint64]*object
-	files []*os.File // opened by AddFile; Close closes them
+	files []*os.File // opened by AddFile/ServeDir; Close closes them
 }
 
 // NewStore returns an empty store with the given segment size (0 means
@@ -86,29 +91,97 @@ func NewStore(segSize int) *Store {
 	return &Store{SegSize: segSize, objs: make(map[uint64]*object)}
 }
 
-// Add registers the size bytes src holds from offset 0 under name,
-// reading them once to compute the digest. The store keeps src and
+// Source is one object to add: its name, the reader its Size bytes are
+// read from (at offsets 0 to Size), and their count.
+type Source struct {
+	Name string
+	R    io.ReaderAt
+	Size int64
+}
+
+// HashWorkers is the number of goroutines Add hashes a batch of n
+// objects on: one per object, up to GOMAXPROCS.
+func HashWorkers(n int) int {
+	return min(n, runtime.GOMAXPROCS(0))
+}
+
+// Add registers a batch of objects and returns their IDs in input
+// order. Each source is read once, in one streaming pass, for the
+// digest the metadata response carries; the batch is hashed on
+// HashWorkers(len(objs)) goroutines. The store keeps each source and
 // reads it again for every segment it serves, possibly from several
 // goroutines at once; callers holding bytes pass a bytes.Reader and
-// must not mutate the bytes afterwards. It returns the read error, or
-// io.ErrUnexpectedEOF if src holds fewer than size bytes.
-func (st *Store) Add(name string, src io.ReaderAt, size int64) (uint64, error) {
-	if size < 0 {
-		return 0, fmt.Errorf("fetch: %s: negative size %d", name, size)
+// must not mutate the bytes afterwards.
+//
+// Add is all or nothing: it registers no object unless every one read
+// in full. It fails on a negative size, on a read error, with
+// io.ErrUnexpectedEOF for a source holding fewer than Size bytes, and
+// on a duplicate: a name repeated in the batch or already served, or
+// a name whose ObjectID another object's already has.
+func (st *Store) Add(objs ...Source) ([]uint64, error) {
+	ids := make([]uint64, len(objs))
+	names := make(map[uint64]string, len(objs))
+	for i, o := range objs {
+		if o.Size < 0 {
+			return nil, fmt.Errorf("fetch: %s: negative size %d", o.Name, o.Size)
+		}
+		id := ObjectID(o.Name)
+		other, dup := names[id]
+		if held, ok := st.objs[id]; ok {
+			other, dup = held.name, true
+		}
+		switch {
+		case dup && other == o.Name:
+			return nil, fmt.Errorf("fetch: %s: object added twice", o.Name)
+		case dup:
+			return nil, fmt.Errorf("fetch: %s: object ID %016x is already %s's", o.Name, id, other)
+		}
+		names[id] = o.Name
+		ids[i] = id
 	}
-	h := sha256.New()
-	n, err := io.Copy(h, io.NewSectionReader(src, 0, size))
-	if err == nil && n < size {
+	digests := make([][wire.DigestLen]byte, len(objs))
+	errs := make([]error, len(objs))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range HashWorkers(len(objs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := sha256.New()
+			buf := make([]byte, hashBuf)
+			for i := int(next.Add(1) - 1); i < len(objs) && !failed.Load(); i = int(next.Add(1) - 1) {
+				if errs[i] = digest(h, buf, objs[i], &digests[i]); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	for i, o := range objs {
+		st.objs[ids[i]] = &object{name: o.Name, src: o.R, size: o.Size, digest: digests[i]}
+	}
+	return ids, nil
+}
+
+// hashBuf is the read size of Add's hashing pass.
+const hashBuf = 32 << 10
+
+// digest hashes o's content into sum, reading it through buf with h.
+func digest(h hash.Hash, buf []byte, o Source, sum *[wire.DigestLen]byte) error {
+	h.Reset()
+	n, err := io.CopyBuffer(h, io.NewSectionReader(o.R, 0, o.Size), buf)
+	if err == nil && n < o.Size {
 		err = io.ErrUnexpectedEOF
 	}
 	if err != nil {
-		return 0, fmt.Errorf("fetch: reading %s: %w", name, err)
+		return fmt.Errorf("fetch: reading %s: %w", o.Name, err)
 	}
-	obj := &object{name: name, src: src, size: size}
-	h.Sum(obj.digest[:0])
-	id := ObjectID(name)
-	st.objs[id] = obj
-	return id, nil
+	h.Sum(sum[:0])
+	return nil
 }
 
 // AddFile serves one file under its base name, at the size it has
@@ -117,47 +190,77 @@ func (st *Store) Add(name string, src io.ReaderAt, size int64) (uint64, error) {
 // served fails its fetch's SHA-256; one truncated answers nothing for
 // the segments it lost.
 func (st *Store) AddFile(path string) (uint64, error) {
-	f, err := os.Open(path)
+	ids, err := st.addFiles([]string{path})
 	if err != nil {
 		return 0, err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	id, err := st.Add(filepath.Base(path), f, fi.Size())
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	st.files = append(st.files, f)
-	return id, nil
+	return ids[0], nil
 }
 
-// ServeDir serves every regular file directly inside dir (no recursion)
-// and returns their names, sorted.
+// ServeDir serves every regular file directly inside dir (no recursion),
+// as AddFile does, in one Add, and returns their names, sorted.
 func (st *Store) ServeDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
+	var names, paths []string
 	for _, e := range entries {
-		if !e.Type().IsRegular() {
-			continue
+		if e.Type().IsRegular() {
+			names = append(names, e.Name())
+			paths = append(paths, filepath.Join(dir, e.Name()))
 		}
-		if _, err := st.AddFile(filepath.Join(dir, e.Name())); err != nil {
-			return nil, err
-		}
-		names = append(names, e.Name())
+	}
+	if _, err := st.addFiles(paths); err != nil {
+		return nil, err
 	}
 	sort.Strings(names)
 	return names, nil
 }
 
-// Close closes the files AddFile opened. The store must not serve
-// after it.
+// addFiles opens the files at paths and adds them in one batch under
+// their base names. The store keeps them open if Add succeeds; on any
+// failure it closes every one it opened.
+func (st *Store) addFiles(paths []string) (ids []uint64, err error) {
+	files := make([]*os.File, 0, len(paths))
+	defer func() {
+		if err != nil {
+			for _, f := range files {
+				f.Close()
+			}
+		}
+	}()
+	srcs := make([]Source, len(paths))
+	for i, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		fi, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		srcs[i] = Source{Name: filepath.Base(path), R: f, Size: fi.Size()}
+	}
+	if ids, err = st.Add(srcs...); err != nil {
+		return nil, err
+	}
+	st.files = append(st.files, files...)
+	return ids, nil
+}
+
+// Bytes returns the total size of the objects the store serves.
+func (st *Store) Bytes() int64 {
+	var n int64
+	for _, o := range st.objs {
+		n += o.size
+	}
+	return n
+}
+
+// Close closes the files AddFile and ServeDir opened. The store must
+// not serve after it.
 func (st *Store) Close() error {
 	var errs []error
 	for _, f := range st.files {

@@ -92,14 +92,9 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 	// Server: one single-shard engine answering fetches from a store of
 	// per-flow seeded objects, generated as they are read.
 	store := NewStore(0)
-	objIDs := make([]uint64, cfg.Flows)
-	for i := 0; i < cfg.Flows; i++ {
-		obj := seededObject{seed: uint64(wire.MixSeed(seed, int64(i))), size: cfg.BytesPerFlow}
-		id, err := store.Add(fmt.Sprintf("obj-%d", i), obj, obj.size)
-		if err != nil {
-			return nil, err
-		}
-		objIDs[i] = id
+	objIDs, err := store.Add(seededObjects(seed, cfg.Flows, cfg.BytesPerFlow)...)
+	if err != nil {
+		return nil, err
 	}
 	// Every fetch is a flow on the client engine's one shard. Stopping
 	// that engine (deferred last, so it runs first) ends them all.
@@ -195,6 +190,18 @@ func loopbackResult(fetchers []*Fetcher, endAt []float64, shims []wire.ShimStats
 	return res
 }
 
+// seededObjects returns the objects a run of flows fetches, one of size
+// bytes per flow: flow i's is named obj-i and generated under the i-th
+// seed mixed from seed.
+func seededObjects(seed int64, flows int, size int64) []Source {
+	srcs := make([]Source, flows)
+	for i := range srcs {
+		obj := seededObject{seed: uint64(wire.MixSeed(seed, int64(i))), size: size}
+		srcs[i] = Source{Name: fmt.Sprintf("obj-%d", i), R: obj, Size: size}
+	}
+	return srcs
+}
+
 // seededObject is an object of size bytes of seeded pseudorandom data
 // that exists only as a function: word w (bytes 8w to 8w+7, little
 // endian) is the w-th output of splitmix64 seeded with seed. Any range
@@ -205,22 +212,38 @@ type seededObject struct {
 	size int64
 }
 
-// ReadAt implements io.ReaderAt.
+// ReadAt implements io.ReaderAt. Whole words are written straight
+// into p; only an unaligned head and tail go through a word buffer.
 func (o seededObject) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("fetch: negative offset")
 	}
 	n := int(min(int64(len(p)), max(o.size-off, 0)))
-	var w [8]byte
-	for i := 0; i < n; {
-		pos := off + int64(i)
-		binary.LittleEndian.PutUint64(w[:], splitmix64(o.seed+uint64(pos/8)*0x9e3779b97f4a7c15))
-		i += copy(p[i:n], w[pos%8:])
+	q := p[:n]
+	w := uint64(off / 8)
+	var tmp [8]byte
+	if r := off % 8; r != 0 && len(q) > 0 {
+		binary.LittleEndian.PutUint64(tmp[:], o.word(w))
+		q = q[copy(q, tmp[r:]):]
+		w++
+	}
+	for ; len(q) >= 8; q = q[8:] {
+		binary.LittleEndian.PutUint64(q, o.word(w))
+		w++
+	}
+	if len(q) > 0 {
+		binary.LittleEndian.PutUint64(tmp[:], o.word(w))
+		copy(q, tmp[:])
 	}
 	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
+}
+
+// word returns word w of the object.
+func (o seededObject) word(w uint64) uint64 {
+	return splitmix64(o.seed + w*0x9e3779b97f4a7c15)
 }
 
 // splitmix64 is the splitmix64 step: x advanced by the golden gamma,

@@ -2,7 +2,6 @@ package fetch
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -119,6 +118,10 @@ func simLoopback(t *testing.T, cfg LoopbackConfig, plan *chaos.Plan) *LoopbackRe
 	defer srv.Stop()
 
 	fetchers := make([]*Fetcher, max(cfg.Flows, 1))
+	ids, err := store.Add(seededObjects(cfg.Seed, len(fetchers), cfg.BytesPerFlow)...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	paths := make([]*netem.Path, len(fetchers))
 	for i := range fetchers {
 		link := netem.NewLink(s, cfg.Shim.RateMbps, cfg.Shim.QueueBytes, cfg.Shim.Delay)
@@ -131,12 +134,7 @@ func simLoopback(t *testing.T, cfg LoopbackConfig, plan *chaos.Plan) *LoopbackRe
 		n.Connect(srv.Addrs()[0], eng.Addrs()[0], paths[i])
 		eng.Start()
 		defer eng.Stop()
-		obj := seededObject{seed: uint64(wire.MixSeed(cfg.Seed, int64(i))), size: cfg.BytesPerFlow}
-		id, err := store.Add(fmt.Sprintf("obj-%d", i), obj, obj.size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fetchers[i] = &Fetcher{Dst: srv.Addrs()[0], CC: cfg.NewController(), ObjID: id, SegSize: store.SegSize}
+		fetchers[i] = &Fetcher{Dst: srv.Addrs()[0], CC: cfg.NewController(), ObjID: ids[i], SegSize: store.SegSize}
 		if err := fetchers[i].Start(eng); err != nil {
 			t.Fatal(err)
 		}

@@ -3,15 +3,19 @@ package fetch
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pccproteus/internal/wire"
 )
@@ -27,35 +31,47 @@ type storeObject struct {
 // testSize is ten full segments and a short last one.
 const testSize = 10*DefaultSegSize + 517
 
-// addSources adds one object of each source kind to st: bytes held in
-// memory, a file, and the seeded generator RunLoopback serves.
+// addSources adds three objects of each source kind to st in one
+// batch: bytes held in memory, a file opened by the test, and the
+// seeded generator RunLoopback serves.
 func addSources(t *testing.T, st *Store) []storeObject {
 	t.Helper()
-	data := make([]byte, testSize)
-	rand.New(rand.NewSource(3)).Read(data)
-	path := filepath.Join(t.TempDir(), "file.bin")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	var srcs []Source
 	var objs []storeObject
-	id, err := st.Add("mem", bytes.NewReader(data), testSize)
+	for r := 0; r < 3; r++ {
+		data := make([]byte, testSize)
+		rand.New(rand.NewSource(int64(3 + r))).Read(data)
+		path := filepath.Join(t.TempDir(), "file.bin")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		gen := seededObject{seed: uint64(5 + r), size: testSize}
+		seq, err := io.ReadAll(io.NewSectionReader(gen, 0, gen.size))
+		if err != nil || len(seq) != testSize {
+			t.Fatalf("sequential read of the generator: %d bytes, %v", len(seq), err)
+		}
+		srcs = append(srcs,
+			Source{Name: fmt.Sprint("mem-", r), R: bytes.NewReader(data), Size: testSize},
+			Source{Name: fmt.Sprint("file-", r), R: f, Size: testSize},
+			Source{Name: fmt.Sprint("gen-", r), R: gen, Size: testSize})
+		objs = append(objs,
+			storeObject{kind: fmt.Sprint("memory ", r), want: data},
+			storeObject{kind: fmt.Sprint("file ", r), want: data},
+			storeObject{kind: fmt.Sprint("generator ", r), want: seq})
+	}
+	ids, err := st.Add(srcs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs = append(objs, storeObject{"memory", id, data})
-	if id, err = st.AddFile(path); err != nil {
-		t.Fatal(err)
+	for i := range objs {
+		objs[i].id = ids[i]
 	}
-	objs = append(objs, storeObject{"file", id, data})
-	gen := seededObject{seed: 5, size: testSize}
-	if id, err = st.Add("gen", gen, gen.size); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := io.ReadAll(io.NewSectionReader(gen, 0, gen.size))
-	if err != nil || len(seq) != testSize {
-		t.Fatalf("sequential read of the generator: %d bytes, %v", len(seq), err)
-	}
-	return append(objs, storeObject{"generator", id, seq})
+	return objs
 }
 
 // fetchSeg asks st for one segment (or the metadata) and decodes the
@@ -111,17 +127,17 @@ func TestStoreServesSegments(t *testing.T) {
 // size or a source that fails or runs short instead of serving it.
 func TestStoreAddReportsReadErrors(t *testing.T) {
 	st := NewStore(0)
-	if _, err := st.Add("short", bytes.NewReader(make([]byte, 100)), 101); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := st.Add(Source{"short", bytes.NewReader(make([]byte, 100)), 101}); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short source: %v, want io.ErrUnexpectedEOF", err)
 	}
-	if _, err := st.Add("negative", bytes.NewReader(nil), -1); err == nil {
+	if _, err := st.Add(Source{"negative", bytes.NewReader(nil), -1}); err == nil {
 		t.Fatal("accepted a negative size")
 	}
-	if _, err := st.Add("whole", seededObject{size: 100}, 100); err != nil {
+	if _, err := st.Add(Source{"whole", seededObject{size: 100}, 100}); err != nil {
 		t.Fatal(err)
 	}
 	broken := errors.New("device gone")
-	if _, err := st.Add("broken", failingReader{broken}, 10); !errors.Is(err, broken) {
+	if _, err := st.Add(Source{"broken", failingReader{broken}, 10}); !errors.Is(err, broken) {
 		t.Fatalf("failing source: %v, want %v", err, broken)
 	}
 	if _, err := st.AddFile(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, os.ErrNotExist) {
@@ -135,6 +151,170 @@ func TestStoreAddReportsReadErrors(t *testing.T) {
 type failingReader struct{ err error }
 
 func (r failingReader) ReadAt([]byte, int64) (int, error) { return 0, r.err }
+
+// A batch with one bad source registers none of its objects and
+// returns that source's error; a ServeDir whose Add fails closes every
+// file it opened for the call.
+func TestStoreAddAllOrNothing(t *testing.T) {
+	st := NewStore(0)
+	defer st.Close()
+	held := addSources(t, st)
+	broken := errors.New("device gone")
+	for _, tc := range []struct {
+		bad  Source
+		want error
+	}{
+		{Source{"short", bytes.NewReader(make([]byte, 100)), 101}, io.ErrUnexpectedEOF},
+		{Source{"broken", failingReader{broken}, 10}, broken},
+	} {
+		batch := []Source{
+			{"good-0", seededObject{seed: 1, size: 1 << 16}, 1 << 16},
+			tc.bad,
+			{"good-1", bytes.NewReader(make([]byte, 5000)), 5000},
+		}
+		if ids, err := st.Add(batch...); !errors.Is(err, tc.want) || ids != nil {
+			t.Fatalf("batch with %s: ids %v, err %v; want no IDs and %v", tc.bad.Name, ids, err, tc.want)
+		}
+		if len(st.objs) != len(held) {
+			t.Fatalf("batch with %s: %d objects held, want the %d held before it", tc.bad.Name, len(st.objs), len(held))
+		}
+	}
+
+	dir := t.TempDir()
+	for _, name := range []string{"a.bin", "b.bin", "c.bin"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Add(Source{"b.bin", bytes.NewReader(nil), 0}); err != nil {
+		t.Fatal(err)
+	}
+	files := len(st.files)
+	if names, err := st.ServeDir(dir); err == nil {
+		t.Fatalf("ServeDir served %q over an object already named b.bin", names)
+	}
+	if _, ok := st.objs[ObjectID("a.bin")]; ok || len(st.files) != files {
+		t.Fatalf("failed ServeDir registered a.bin=%v, holds %d files (want %d)", ok, len(st.files), files)
+	}
+	if open := openFilesUnder(t, dir); len(open) != 0 {
+		t.Fatalf("failed ServeDir left %q open", open)
+	}
+}
+
+// openFilesUnder lists the files under dir this process holds open.
+func openFilesUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	var open []string
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
+}
+
+// Add refuses a name repeated in its batch or already served, and a
+// name whose ID another object already has, naming the object; the
+// first object stays served and the batch registers nothing.
+func TestStoreAddRejectsDuplicates(t *testing.T) {
+	st := NewStore(0)
+	first := bytes.NewReader([]byte("first"))
+	if _, err := st.Add(Source{"a", first, 5}); err != nil {
+		t.Fatal(err)
+	}
+	// No two short names are known to collide under FNV-64a, so plant
+	// an object under the ID "c" will have.
+	st.objs[ObjectID("c")] = &object{name: "planted", src: first, size: 5}
+	for _, batch := range [][]Source{
+		{{"b", first, 5}, {"a", first, 5}},
+		{{"b", first, 5}, {"d", first, 5}, {"b", first, 5}},
+		{{"b", first, 5}, {"c", first, 5}},
+	} {
+		dup := batch[len(batch)-1].Name
+		ids, err := st.Add(batch...)
+		if err == nil || !strings.Contains(err.Error(), dup) || ids != nil {
+			t.Fatalf("batch ending in %q: ids %v, err %v; want an error naming %q", dup, ids, err, dup)
+		}
+		if _, ok := st.objs[ObjectID("b")]; ok || len(st.objs) != 2 {
+			t.Fatalf("batch ending in %q registered objects: %d held", dup, len(st.objs))
+		}
+	}
+	if _, digest, ok := fetchSeg(t, st, ObjectID("a"), 0, true, make([]byte, wire.MaxDataLen)); !ok || !bytes.Equal(digest, sha256sum([]byte("first"))) {
+		t.Fatal("the first object under a repeated name is no longer served")
+	}
+}
+
+func sha256sum(b []byte) []byte {
+	sum := sha256.Sum256(b)
+	return sum[:]
+}
+
+// Add returns each object's ID at its input position, whatever order
+// the workers finish in, and each ID serves its own object's digest.
+func TestStoreAddReturnsIDsInInputOrder(t *testing.T) {
+	st := NewStore(0)
+	n := 2*runtime.GOMAXPROCS(0) + 3
+	srcs := make([]Source, n)
+	for i := range srcs {
+		// Sizes fall with i, so later objects finish first.
+		srcs[i] = Source{fmt.Sprint("obj-", i), seededObject{seed: uint64(i), size: int64(n-i) << 16}, int64(n-i) << 16}
+	}
+	ids, err := st.Add(srcs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, wire.MaxDataLen)
+	for i, s := range srcs {
+		content, _ := io.ReadAll(io.NewSectionReader(s.R, 0, s.Size))
+		if ids[i] != ObjectID(s.Name) {
+			t.Fatalf("ID %d is %x, want %s's %x", i, ids[i], s.Name, ObjectID(s.Name))
+		}
+		if _, digest, ok := fetchSeg(t, st, ids[i], 0, true, buf); !ok || !bytes.Equal(digest, sha256sum(content)) {
+			t.Fatalf("%s: served digest %x, want its content's", s.Name, digest)
+		}
+	}
+}
+
+// meetReader is a source whose reads wait until every source sharing
+// its rendezvous has been read at least once, or fail after 5 s: a
+// batch of them hashes only if Add reads its sources at the same time.
+type meetReader struct {
+	once   sync.Once
+	arrive func()
+	met    <-chan struct{}
+}
+
+func (r *meetReader) ReadAt(p []byte, off int64) (int, error) {
+	r.once.Do(r.arrive)
+	select {
+	case <-r.met:
+	case <-time.After(5 * time.Second):
+		return 0, errors.New("no other source was read within 5 s: hashing is sequential")
+	}
+	clear(p)
+	return len(p), nil
+}
+
+// With two cores, Add hashes two objects at once.
+func TestStoreAddHashesInParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	met := make(chan struct{})
+	var waiting sync.WaitGroup
+	waiting.Add(2)
+	go func() { waiting.Wait(); close(met) }()
+	srcs := make([]Source, 2)
+	for i := range srcs {
+		srcs[i] = Source{fmt.Sprint("meet-", i), &meetReader{arrive: waiting.Done, met: met}, 1 << 16}
+	}
+	st := NewStore(0)
+	if _, err := st.Add(srcs...); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // ServeDir serves the regular files directly inside a directory, and
 // nothing else, and returns their names sorted.
@@ -193,7 +373,7 @@ func TestStoreTruncatedFile(t *testing.T) {
 	defer st.Close()
 	objs := addSources(t, st)
 	file := objs[1]
-	path := st.files[0].Name()
+	path := st.objs[file.id].src.(*os.File).Name()
 	cut := int64(4*DefaultSegSize + 100)
 	if err := os.Truncate(path, cut); err != nil {
 		t.Fatal(err)
@@ -242,6 +422,70 @@ func TestStoreSeededObjectUnalignedReads(t *testing.T) {
 	seededObject{seed: 12, size: size}.ReadAt(other, 0)
 	if !bytes.Equal(again, full) || bytes.Equal(other, full) {
 		t.Fatal("generator content is not a function of its seed alone")
+	}
+}
+
+// refSplitmix64 is splitmix64's output function, written out here as
+// the reference the generator is checked against.
+func refSplitmix64(x uint64) uint64 {
+	z := x + 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Byte b of a generated object is byte b mod 8 (little endian) of
+// splitmix64(seed + (b/8)·golden gamma), at any offset and length.
+func TestStoreSeededObjectMatchesReference(t *testing.T) {
+	const seed, size = 0xfeed, 1<<14 + 5
+	g := seededObject{seed: seed, size: size}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 3000; i++ {
+		off := rng.Int63n(size + 16)
+		p := make([]byte, rng.Intn(200))
+		n, _ := g.ReadAt(p, off)
+		if want := int(min(int64(len(p)), max(size-off, 0))); n != want {
+			t.Fatalf("ReadAt(len %d, off %d) = %d bytes, want %d", len(p), off, n, want)
+		}
+		for j := 0; j < n; j++ {
+			b := uint64(off) + uint64(j)
+			if want := byte(refSplitmix64(seed+b/8*0x9e3779b97f4a7c15) >> (8 * (b % 8))); p[j] != want {
+				t.Fatalf("ReadAt(len %d, off %d): byte %d is %#02x, want %#02x", len(p), off, b, p[j], want)
+			}
+		}
+	}
+}
+
+// The generator's content is pinned: this digest was computed before
+// ReadAt wrote whole words, from a byte-at-a-time generator.
+func TestStoreSeededObjectDigestPinned(t *testing.T) {
+	const want = "85b66b3a5816d686deb42f2d2473d9a7121ceb75c822b838f958c76ca86ed8ea"
+	g := seededObject{seed: 1, size: 1 << 20}
+	h := sha256.New()
+	if _, err := io.Copy(h, io.NewSectionReader(g, 0, g.size)); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("seededObject{seed: 1, size: 1 MiB} hashes to %s, want %s", got, want)
+	}
+}
+
+// Generating allocates nothing.
+func TestStoreSeededObjectZeroAllocs(t *testing.T) {
+	g := seededObject{seed: 3, size: 1 << 20}
+	p := make([]byte, 32<<10)
+	if allocs := testing.AllocsPerRun(100, func() { g.ReadAt(p[1:], 12345) }); allocs != 0 {
+		t.Fatalf("%.0f allocations per read", allocs)
+	}
+}
+
+func BenchmarkSeededObjectReadAt(b *testing.B) {
+	g := seededObject{seed: 3, size: 1 << 30}
+	p := make([]byte, 32<<10)
+	b.SetBytes(int64(len(p)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.ReadAt(p, int64(i%(1<<15))*int64(len(p)))
 	}
 }
 
