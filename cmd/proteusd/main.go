@@ -246,9 +246,6 @@ func runSend(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := shim.Start(); err != nil {
-			return err
-		}
 		defer func() {
 			shim.Stop()
 			st := shim.Stats()
@@ -367,8 +364,8 @@ func awaitDrain(unacked func() int, sig <-chan os.Signal, timeout time.Duration)
 	}
 }
 
-// runDemo is the single-process version: engine.RunShimLoopback with a
-// summary.
+// runDemo is the single-process version: one flow through an
+// engine.Shim to a receiver engine, on an engine.Loopback, with a summary.
 func runDemo(args []string) error {
 	fs := flag.NewFlagSet("demo", flag.ExitOnError)
 	proto := fs.String("proto", exp.ProtoProteusP, "controller to run")
@@ -378,14 +375,17 @@ func runDemo(args []string) error {
 	fs.Parse(args)
 
 	fmt.Printf("proteusd demo: %s over %s for %.0fs\n", *proto, shimFlags.describe(), *duration)
-	res, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
-		CC:       exp.NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55))), *proto),
-		Shim:     shimFlags.config(*seed),
-		Duration: *duration,
-	})
+	lb, err := engine.NewLoopback(nil, engine.Config{}, engine.Config{})
 	if err != nil {
 		return err
 	}
+	defer lb.Stop()
+	cc := exp.NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55))), *proto)
+	fl, _, err := lb.StartFlow(shimFlags.config(*seed), cc)
+	if err != nil {
+		return err
+	}
+	res := lb.Measure(fl, *duration, 0)
 	fmt.Printf("per-second Mbps:")
 	for _, m := range res.PerSecMbps {
 		fmt.Printf(" %.1f", m)

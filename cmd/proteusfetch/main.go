@@ -72,9 +72,6 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := shim.Start(); err != nil {
-			return err
-		}
 		defer shim.Stop()
 		dst = shim.Addr()
 		fmt.Printf("proteusfetch: shim %.0f Mbps / %.0f ms RTT at %s\n", *mbps, *rtt*1e3, dst)

@@ -121,7 +121,7 @@ func TestReplayWireRepeats(t *testing.T) {
 		t.Fatalf("verdicts:\n%s", a.Render())
 	}
 	r := a.Result
-	if r.Link.FaultDrop == 0 || r.Flow.WatchdogTrips != 1 || r.Flow.Recoveries != 1 || r.Link.Enqueued <= r.Recv.Delivered {
+	if a.Link.FaultDrop == 0 || r.Flow.WatchdogTrips != 1 || r.Flow.Recoveries != 1 || a.Link.Enqueued <= r.Recv.Delivered {
 		t.Fatalf("the blackout or the competitor left no mark:\n%s%+v", a.Render(), r.Flow)
 	}
 }

@@ -232,16 +232,21 @@ var adversaryMask = trace.MaskOf(trace.KindMIDecision, trace.KindRateChange,
 // newPath builds the scenario's bottleneck on s, at the operating point
 // the schedule prescribes for t=0.
 func (sc Scenario) newPath(s *sim.Sim, schedule Schedule) *netem.Path {
-	link := netem.NewLink(s, sc.LinkMbps, sc.BufBytes, sc.RTT/2)
+	path := &netem.Path{Link: netem.NewLink(s, sc.LinkMbps, sc.BufBytes, sc.RTT/2), AckDelay: sc.RTT / 2}
+	sc.startAt(path.Link, schedule)
+	return path
+}
+
+// startAt puts link at the operating point the schedule prescribes for
+// t=0: the model's, when there is one; the schedule's apply boundaries
+// (which include every model step) keep it current.
+func (sc Scenario) startAt(link *netem.Link, schedule Schedule) {
 	if sc.model != nil {
-		// The model prescribes the path from t=0; the schedule's apply
-		// boundaries (which include every model step) keep it current.
 		link.SetRateMbps(schedule.RateAt(sc, 0))
 		if err := link.SetPropDelay(schedule.DelayAt(sc, 0)); err != nil {
 			panic(err)
 		}
 	}
-	return &netem.Path{Link: link, AckDelay: sc.RTT / 2}
 }
 
 // newController builds the target's controller; tau is the Proteus-H

@@ -6,8 +6,10 @@ import (
 	"strings"
 
 	"pccproteus/internal/engine"
+	"pccproteus/internal/netem"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/transport"
+	"pccproteus/internal/wire"
 )
 
 // Wire replay: a counterexample's run with the target moved from the
@@ -38,7 +40,8 @@ type WireReplay struct {
 	Scenario     Scenario
 	Schedule     Schedule // canonical, as applied
 	CapacityMbps float64  // the schedule's RateAt, averaged over the run
-	Result       *engine.SimLoopbackResult
+	Result       engine.LoopbackRun
+	Link         netem.LinkStats // the bottleneck's, at the run's end
 	Verdicts     []Verdict
 	Violations   []Verdict
 }
@@ -70,12 +73,17 @@ func ReplayWire(ce *Counterexample) (*WireReplay, error) {
 	w := &WireReplay{Scenario: sc, Schedule: schedule, CapacityMbps: schedule.capacityMbps(sc)}
 
 	s := sim.New(ce.Seed)
-	path := sc.newPath(s, schedule)
-	cc, _ := sc.newController(s)
-	lb, err := engine.NewSimLoopback(s, path, cc)
+	lb, err := engine.NewLoopback(s, engine.Config{}, engine.Config{})
 	if err != nil {
 		return nil, err
 	}
+	defer lb.Stop()
+	cc, _ := sc.newController(s)
+	fl, path, err := lb.StartFlow(wire.ShimConfig{RateMbps: sc.LinkMbps, QueueBytes: sc.BufBytes, Delay: sc.RTT / 2, AckDelay: sc.RTT / 2}, cc)
+	if err != nil {
+		return nil, err
+	}
+	sc.startAt(path.Link, schedule)
 	plan, hasFaults := sc.faultPlan(schedule)
 	var competitors []*transport.Sender
 	schedule.apply(s, sc, path.Link, competitor(s, path, hasFaults, &competitors))
@@ -84,7 +92,8 @@ func ReplayWire(ce *Counterexample) (*WireReplay, error) {
 			return nil, err
 		}
 	}
-	w.Result = lb.Run(sc.Duration, sc.Warmup)
+	w.Result = lb.Measure(fl, sc.Duration, sc.Warmup)
+	w.Link = path.Link.Stats()
 	w.Verdicts = w.check()
 	for _, v := range w.Verdicts {
 		if v.Violated() {
@@ -133,7 +142,7 @@ func (w *WireReplay) Render() string {
 	fmt.Fprintf(&b, "throughput %.2f Mbps  meanRTT %.1f ms  p95RTT %.1f ms  loss %.2f%%  capacity(avg) %.2f Mbps\n",
 		r.Mbps, r.MeanRTT*1e3, r.P95RTT*1e3, r.LossRate*100, w.CapacityMbps)
 	fmt.Fprintf(&b, "link: enq=%d drop=%d rand-loss=%d fault-drop=%d delivered=%d\n",
-		r.Link.Enqueued, r.Link.Dropped, r.Link.LostRandom, r.Link.FaultDrop, r.Link.Delivered)
+		w.Link.Enqueued, w.Link.Dropped, w.Link.LostRandom, w.Link.FaultDrop, w.Link.Delivered)
 	for _, v := range w.Verdicts {
 		fmt.Fprintf(&b, "%s\n", v)
 	}

@@ -9,7 +9,7 @@
 // aggregate is bit-identical regardless of worker count.
 //
 // Seeding uses the same splitmix64 scheme as the experiment harness:
-// scenario i runs on SplitSeed(spec.Seed, i+1), making any scenario
+// scenario i runs on wire.MixSeed(spec.Seed, i+1), making any scenario
 // individually replayable (e.g. under the flight recorder) without
 // rerunning the campaign.
 package campaign
@@ -27,6 +27,7 @@ import (
 	"pccproteus/internal/sim"
 	"pccproteus/internal/stats"
 	"pccproteus/internal/transport"
+	"pccproteus/internal/wire"
 )
 
 // Factory builds a congestion controller by protocol name. The
@@ -177,7 +178,7 @@ type flowState struct {
 
 // runScenario builds and runs scenario idx and returns its aggregate.
 func runScenario(spec Spec, idx int, factory Factory) *Aggregate {
-	seed := SplitSeed(spec.Seed, int64(idx)+1)
+	seed := wire.MixSeed(spec.Seed, int64(idx)+1)
 	s := sim.New(seed)
 	rng := s.Rand()
 

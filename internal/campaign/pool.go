@@ -5,30 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// SplitSeed derives the n-th child seed from a master seed with a
-// splitmix64-style finalizer — the same mix the experiment harness has
-// always used for per-trial seeds (exp.Options now delegates here), so
-// wire runs, figure trials, and campaign scenarios all draw from one
-// seed-splitting scheme. The result is positive and never zero, so it
-// can feed rand.NewSource and still leave 0 available as a "use
-// defaults" sentinel in CLIs.
-func SplitSeed(master, n int64) int64 {
-	x := uint64(n) + uint64(master)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	s := int64(x)
-	if s < 0 {
-		s = -s
-	}
-	if s == 0 {
-		s = 1
-	}
-	return s
-}
-
 // OrderedReduce evaluates fn(0..n-1) on up to workers goroutines and
 // folds each result through merge in strictly increasing index order.
 // Because the fold order is fixed, the reduction is bit-identical for

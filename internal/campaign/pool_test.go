@@ -1,6 +1,10 @@
 package campaign
 
-import "testing"
+import (
+	"testing"
+
+	"pccproteus/internal/wire"
+)
 
 // TestOrderedReduceOrdering checks the fold visits indices in order for
 // every worker count, even when early items finish last.
@@ -63,22 +67,25 @@ func TestOrderedReduceEmpty(t *testing.T) {
 	}
 }
 
+// TestSplitSeed checks the seed split every campaign scenario runs on,
+// wire.MixSeed: positive, distinct across scenarios and masters, and
+// deterministic.
 func TestSplitSeed(t *testing.T) {
 	seen := map[int64]bool{}
 	for n := int64(1); n <= 1000; n++ {
-		s := SplitSeed(42, n)
+		s := wire.MixSeed(42, n)
 		if s <= 0 {
-			t.Fatalf("SplitSeed(42, %d) = %d, want positive", n, s)
+			t.Fatalf("MixSeed(42, %d) = %d, want positive", n, s)
 		}
 		if seen[s] {
-			t.Fatalf("SplitSeed(42, %d) = %d collides", n, s)
+			t.Fatalf("MixSeed(42, %d) = %d collides", n, s)
 		}
 		seen[s] = true
 	}
-	if SplitSeed(1, 5) == SplitSeed(2, 5) {
+	if wire.MixSeed(1, 5) == wire.MixSeed(2, 5) {
 		t.Fatal("different masters produced the same child seed")
 	}
-	if SplitSeed(7, 9) != SplitSeed(7, 9) {
-		t.Fatal("SplitSeed not deterministic")
+	if wire.MixSeed(7, 9) != wire.MixSeed(7, 9) {
+		t.Fatal("MixSeed not deterministic")
 	}
 }

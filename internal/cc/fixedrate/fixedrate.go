@@ -10,14 +10,18 @@ import (
 	"pccproteus/internal/transport"
 )
 
-// Controller sends at a fixed rate with no window limit.
+// Controller sends at a fixed rate. Win, when set, bounds the bytes in
+// flight, so an over-offered flow stays ack-clocked instead of piling up
+// unacked packets.
 type Controller struct {
-	RateBps float64 // bytes per second
+	Rate float64 // bytes per second
+	Win  float64 // bytes in flight; 0 = unbounded
 }
 
-// New returns a fixed-rate controller with the rate given in Mbps.
+// New returns a fixed-rate controller with the rate given in Mbps and no
+// window limit.
 func New(rateMbps float64) *Controller {
-	return &Controller{RateBps: rateMbps * 1e6 / 8}
+	return &Controller{Rate: rateMbps * 1e6 / 8}
 }
 
 // Name implements transport.Controller.
@@ -33,7 +37,12 @@ func (c *Controller) OnAck(transport.Ack) {}
 func (c *Controller) OnLoss(transport.Loss) {}
 
 // PacingRate implements transport.Controller.
-func (c *Controller) PacingRate() float64 { return c.RateBps }
+func (c *Controller) PacingRate() float64 { return c.Rate }
 
 // CWnd implements transport.Controller.
-func (c *Controller) CWnd() float64 { return math.Inf(1) }
+func (c *Controller) CWnd() float64 {
+	if c.Win > 0 {
+		return c.Win
+	}
+	return math.Inf(1)
+}

@@ -1,36 +1,16 @@
 package engine
 
 import (
-	"math"
 	"net/netip"
 	"testing"
 
-	"pccproteus/internal/transport"
+	"pccproteus/internal/cc/fixedrate"
 	"pccproteus/internal/wire"
 )
 
-// FixedRateCC is a minimal controller pinned at a constant pacing
-// rate — the measurement load for datapath benchmarks, where
-// controller adaptation would only add noise. Win, when set, bounds
-// the bytes in flight so an over-offered flow stays ack-clocked
-// instead of accumulating an unbounded unacked list.
-type FixedRateCC struct {
-	Rate float64 // bytes/sec
-	Win  float64 // bytes in flight; 0 = unbounded
-}
-
-func (c *FixedRateCC) Name() string                                  { return "fixed-rate" }
-func (c *FixedRateCC) OnSend(now float64, pkt *transport.SentPacket) {}
-func (c *FixedRateCC) OnAck(ack transport.Ack)                       {}
-func (c *FixedRateCC) OnLoss(loss transport.Loss)                    {}
-func (c *FixedRateCC) PacingRate() float64                           { return c.Rate }
-
-func (c *FixedRateCC) CWnd() float64 {
-	if c.Win > 0 {
-		return c.Win
-	}
-	return math.Inf(1)
-}
+// FixedRateCC is fixedrate.Controller, the measurement load for datapath
+// benchmarks, where controller adaptation would only add noise.
+type FixedRateCC = fixedrate.Controller
 
 // hotpathHarness wires one sender flow and one receiver flow through
 // two shards on in-memory ports that write into each other's inbox,

@@ -8,38 +8,77 @@ import (
 	"pccproteus/internal/transport"
 )
 
+// loopbackFlows starts one flow per controller from cc on a real-socket
+// Loopback's client engine, each dialling the server's shards in turn
+// with no path between, waits up to d for them all to complete, and
+// stops the engines: it returns the flows, how many completed, and the
+// client's and the server's counters.
+func loopbackFlows(t *testing.T, client, server Config, fc FlowConfig, cc []transport.Controller, d time.Duration) (flows []*Flow, completed int, snd, recv Stats) {
+	t.Helper()
+	lb, err := NewLoopback(nil, client, server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Stop()
+	cli, srv := lb.clients[0], lb.Server.Addrs()
+	for i := range cc {
+		fc.Dst, fc.CC = srv[i%len(srv)], cc[i]
+		fl, err := cli.AddFlow(fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows = append(flows, fl)
+	}
+	deadline := time.NewTimer(d)
+	defer deadline.Stop()
+wait:
+	for _, fl := range flows {
+		select {
+		case <-fl.Done():
+		case <-deadline.C:
+			break wait
+		}
+	}
+	lb.Stop()
+	for _, fl := range flows {
+		select {
+		case <-fl.Done():
+			completed++
+		default:
+		}
+	}
+	return flows, completed, cli.Stats(), lb.Server.Stats()
+}
+
+// fixedRates returns n fixed-rate controllers at rate bytes/s.
+func fixedRates(n int, rate float64) []transport.Controller {
+	cc := make([]transport.Controller, n)
+	for i := range cc {
+		cc[i] = &FixedRateCC{Rate: rate}
+	}
+	return cc
+}
+
 func TestLoopbackSmoke(t *testing.T) {
 	const (
 		flows = 32
 		limit = 8 << 10
 	)
-	res, err := RunLoopback(LoopbackConfig{
-		Flows:      flows,
-		RecvShards: 2,
-		PacketSize: 512,
-		LimitBytes: limit,
-		Duration:   20 * time.Second,
-		Controller: func(i int) transport.Controller {
-			return &FixedRateCC{Rate: 256 << 10}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != flows {
-		t.Fatalf("completed %d/%d flows in %v (sender=%+v recv=%+v)",
-			res.Completed, flows, res.Elapsed, res.Sender, res.Recv)
+	fls, completed, snd, recv := loopbackFlows(t, Config{}, Config{Shards: 2},
+		FlowConfig{PacketSize: 512, Limit: limit}, fixedRates(flows, 256<<10), 20*time.Second)
+	if completed != flows {
+		t.Fatalf("completed %d/%d flows (sender=%+v recv=%+v)", completed, flows, snd, recv)
 	}
 	// Every payload byte was delivered (retransmits may add more
 	// packets, but delivered distinct bytes ≥ payload per flow).
 	minPayload := int64(flows) * limit
-	if res.Recv.DeliveredBytes < minPayload {
-		t.Fatalf("delivered %d bytes want ≥ %d", res.Recv.DeliveredBytes, minPayload)
+	if recv.DeliveredBytes < minPayload {
+		t.Fatalf("delivered %d bytes want ≥ %d", recv.DeliveredBytes, minPayload)
 	}
-	if res.Recv.RxBatches == 0 || res.Sender.TxBatches == 0 {
-		t.Fatalf("batch counters stuck: recv=%+v sender=%+v", res.Recv, res.Sender)
+	if recv.RxBatches == 0 || snd.TxBatches == 0 {
+		t.Fatalf("batch counters stuck: recv=%+v sender=%+v", recv, snd)
 	}
-	for _, fl := range res.Flows {
+	for _, fl := range fls {
 		st := fl.Stats()
 		if st.AckedBytes < limit {
 			t.Fatalf("flow %d acked %d/%d bytes", fl.ID(), st.AckedBytes, limit)
@@ -49,22 +88,13 @@ func TestLoopbackSmoke(t *testing.T) {
 
 func TestLoopbackStreaming(t *testing.T) {
 	// Unbounded flows stream until the deadline and never "complete".
-	res, err := RunLoopback(LoopbackConfig{
-		Flows:      4,
-		PacketSize: 512,
-		Duration:   300 * time.Millisecond,
-		Controller: func(i int) transport.Controller {
-			return &FixedRateCC{Rate: 128 << 10}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	_, completed, _, recv := loopbackFlows(t, Config{}, Config{},
+		FlowConfig{PacketSize: 512}, fixedRates(4, 128<<10), 300*time.Millisecond)
+	if completed != 0 {
+		t.Fatalf("streaming flows reported complete: %d", completed)
 	}
-	if res.Completed != 0 {
-		t.Fatalf("streaming flows reported complete: %d", res.Completed)
-	}
-	if res.Recv.Delivered == 0 {
-		t.Fatalf("nothing delivered: %+v", res.Recv)
+	if recv.Delivered == 0 {
+		t.Fatalf("nothing delivered: %+v", recv)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"net/netip"
 	"time"
 
 	"pccproteus/internal/chaos"
@@ -13,117 +14,156 @@ import (
 	"pccproteus/internal/wire"
 )
 
-// LoopbackConfig drives RunLoopback: a sender engine and a receiver
-// engine on the host loopback, with Flows sender flows spread across
-// the receiver's shards.
-type LoopbackConfig struct {
-	Flows        int
-	SenderShards int
-	RecvShards   int
-	BatchSize    int
-	PacketSize   int
-	LimitBytes   int64 // per-flow transfer size; 0 streams for Duration
-	Duration     time.Duration
-	// Controller builds one controller per flow (index 0..Flows-1).
-	Controller func(i int) transport.Controller
-	// MaxFlowsPerShard overrides the receiver-side table cap when >0.
-	MaxFlowsPerShard int
+// Loopback is one topology on either network: a server engine, and
+// client flows that each cross a path of their own, described by a
+// wire.ShimConfig, to it. On real sockets every path is a Shim in front
+// of the server's first shard and every flow runs on one client engine;
+// on a SimNet every path is a netem.Path on the simulator, to a client
+// engine of its own. Either way a path means the same thing — Shim and
+// the SimNet build it with newPath and enter it by depart — so the
+// sim-vs-wire gates, `proteusd demo` and fetch.RunLoopback run one
+// harness. A Loopback belongs to the goroutine that built it.
+type Loopback struct {
+	Server *Engine
+
+	net     *SimNet // nil on real sockets
+	client  Config
+	clients []*Engine     // on real sockets, the one shared client engine
+	paths   []*netem.Path // one per Path call
+	shims   []*Shim       // on real sockets, one per Path call
+	t0      time.Time     // on real sockets, when the first Wait started the clock
 }
 
-// LoopbackResult summarizes a loopback run.
-type LoopbackResult struct {
-	Sender    Stats
-	Recv      Stats
-	Completed int // flows whose Done closed (finite transfers)
-	Elapsed   time.Duration
-	Flows     []*Flow
-}
-
-// StartPair builds and starts a sender and a receiver engine; on error
-// nothing is left running.
-func StartPair(sndCfg, recvCfg Config) (snd, recv *Engine, err error) {
-	if recv, err = New(recvCfg); err != nil {
-		return nil, nil, err
+// NewLoopback starts the server engine, on real sockets when s is nil
+// and otherwise on a SimNet on s; client configures every client engine.
+// On error nothing is left running.
+func NewLoopback(s *sim.Sim, client, server Config) (*Loopback, error) {
+	lb := &Loopback{client: client}
+	if s != nil {
+		lb.net = NewSimNet(s)
+		lb.Server = lb.net.NewEngine(server)
+		lb.Server.Start()
+		return lb, nil
 	}
-	if snd, err = New(sndCfg); err != nil {
-		recv.Stop()
-		return nil, nil, err
-	}
-	for _, e := range []*Engine{recv, snd} {
-		if err = e.Start(); err != nil {
-			recv.Stop()
-			snd.Stop()
-			return nil, nil, err
-		}
-	}
-	return snd, recv, nil
-}
-
-// RunLoopback stands up the two engines, runs the flows, and tears
-// everything down. With LimitBytes set it waits (up to Duration,
-// default 30s) for every flow to complete; otherwise it streams for
-// Duration.
-func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
-	if cfg.Flows <= 0 || cfg.Controller == nil {
-		return nil, errors.New("engine: loopback needs Flows and Controller")
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 30 * time.Second
-	}
-	snd, recv, err := StartPair(
-		Config{Shards: cfg.SenderShards, BatchSize: cfg.BatchSize},
-		Config{Shards: cfg.RecvShards, BatchSize: cfg.BatchSize, MaxFlowsPerShard: cfg.MaxFlowsPerShard})
-	if err != nil {
+	var err error
+	if lb.Server, err = New(server); err != nil {
 		return nil, err
 	}
-	defer snd.Stop()
-	defer recv.Stop()
-
-	addrs := recv.Addrs()
-	start := time.Now()
-	flows := make([]*Flow, 0, cfg.Flows)
-	for i := 0; i < cfg.Flows; i++ {
-		fl, err := snd.AddFlow(FlowConfig{
-			Dst:        addrs[i%len(addrs)],
-			CC:         cfg.Controller(i),
-			Limit:      cfg.LimitBytes,
-			PacketSize: cfg.PacketSize,
-		})
-		if err != nil {
-			return nil, err
-		}
-		flows = append(flows, fl)
+	cli, err := New(client)
+	if err != nil {
+		lb.Server.Stop()
+		return nil, err
 	}
-
-	res := &LoopbackResult{Flows: flows}
-	deadline := time.After(cfg.Duration)
-	if cfg.LimitBytes > 0 {
-	wait:
-		for _, fl := range flows {
-			select {
-			case <-fl.Done():
-			case <-deadline:
-				break wait
-			}
-		}
-		for _, fl := range flows {
-			select {
-			case <-fl.Done():
-				res.Completed++
-			default:
-			}
-		}
-	} else {
-		<-deadline
-	}
-	res.Elapsed = time.Since(start)
-	res.Sender = snd.Stats()
-	res.Recv = recv.Stats()
-	return res, nil
+	lb.clients = []*Engine{cli}
+	lb.Server.Start()
+	cli.Start()
+	return lb, nil
 }
 
-// LoopbackRun is what one sender flow measured over one run through an
-// emulated bottleneck, on either network.
+// Path builds a path to the server and returns the engine to start the
+// flow on, the address it dials, and the path. On real sockets the path
+// belongs to its relay's goroutine until Stop. On error the Loopback is
+// as it was, and Stop tears it down.
+func (lb *Loopback) Path(cfg wire.ShimConfig) (*Engine, netip.AddrPort, *netem.Path, error) {
+	srv := lb.Server.Addrs()
+	if lb.net != nil {
+		path, _, err := newPath(lb.net.s, cfg, 0)
+		if err != nil {
+			return nil, netip.AddrPort{}, nil, err
+		}
+		cli := lb.net.NewEngine(lb.client)
+		lb.net.Connect(cli.Addrs()[0], srv[0], path)
+		cli.Start()
+		lb.clients, lb.paths = append(lb.clients, cli), append(lb.paths, path)
+		return cli, srv[0], path, nil
+	}
+	sh, err := NewShim(cfg, srv[0])
+	if err != nil {
+		return nil, netip.AddrPort{}, nil, err
+	}
+	lb.paths, lb.shims = append(lb.paths, sh.path), append(lb.shims, sh)
+	return lb.clients[0], sh.Addr(), sh.path, nil
+}
+
+// StartFlow starts cc's flow, recording its RTT samples, across a new
+// path shaped by cfg.
+func (lb *Loopback) StartFlow(cfg wire.ShimConfig, cc transport.Controller) (*Flow, *netem.Path, error) {
+	cli, dst, path, err := lb.Path(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	fl, err := cli.AddFlow(FlowConfig{Dst: dst, CC: cc, RecordRTT: true})
+	return fl, path, err
+}
+
+// Install puts a path model and a fault plan (either may be nil) on every
+// path built so far with pathmodel.Install — the simulator half's one
+// call — and adds what only an engine has behind a path: a peer restart
+// also discards the server's flow state. It needs a SimNet.
+func (lb *Loopback) Install(m pathmodel.Model, faults *chaos.Plan, horizon float64) error {
+	if lb.net == nil {
+		return errors.New("engine: a path model or fault plan needs a SimNet")
+	}
+	for _, path := range lb.paths {
+		if _, err := pathmodel.Install(lb.net.s, path, m, faults, horizon); err != nil {
+			return err
+		}
+	}
+	if faults != nil {
+		for _, step := range faults.Canonical().Steps(horizon) {
+			if step.Restart {
+				lb.net.s.At(step.At, lb.Server.Reset)
+			}
+		}
+	}
+	return nil
+}
+
+// Wait returns once the run has reached second sec: by sleeping, on real
+// sockets, where the first Wait starts the clock, or by running the
+// simulator that far.
+func (lb *Loopback) Wait(sec float64) {
+	if lb.net != nil {
+		lb.net.s.Run(sec)
+		return
+	}
+	if lb.t0.IsZero() {
+		lb.t0 = time.Now()
+	}
+	time.Sleep(time.Until(lb.t0.Add(time.Duration(sec * float64(time.Second)))))
+}
+
+// Now returns the seconds the run has reached: the simulator's clock on
+// a SimNet, and on real sockets the time since the first Wait.
+func (lb *Loopback) Now() float64 {
+	if lb.net != nil {
+		return lb.net.s.Now()
+	}
+	return time.Since(lb.t0).Seconds()
+}
+
+// Stop stops the client engines, the relays and the server, and returns
+// each path's counters, in the order the paths were built: a relay's, or
+// on a SimNet its bottleneck's. It may be called again, and returns the
+// same counters.
+func (lb *Loopback) Stop() []wire.ShimStats {
+	for _, e := range lb.clients {
+		e.Stop()
+	}
+	stats := make([]wire.ShimStats, len(lb.paths))
+	for i, path := range lb.paths {
+		if lb.net == nil {
+			lb.shims[i].Stop()
+			stats[i] = lb.shims[i].stats
+		}
+		stats[i] = withLink(stats[i], path.Link)
+	}
+	lb.Server.Stop()
+	return stats
+}
+
+// LoopbackRun is what one client flow measured over one run across its
+// path, on either network.
 type LoopbackRun struct {
 	Mbps       float64 // acked throughput over the measurement window
 	MeanRTT    float64 // seconds, samples within the window
@@ -132,20 +172,20 @@ type LoopbackRun struct {
 	LossRate   float64 // sender-declared lost packets / sent packets
 	PerSecMbps []float64
 	Flow       FlowStats
-	Recv       Stats
+	Recv       Stats // the server's
 }
 
-// measure takes the run's statistics off its flow: wait(sec) returns once
-// the run has reached second sec — by sleeping, or by running the
-// simulator that far — and the window is [from, duration].
-func measure(fl *Flow, recv *Engine, duration, from float64, wait func(sec float64)) LoopbackRun {
+// Measure runs fl's flow to second duration and takes the run's
+// statistics off it over the window [from, duration]; a from outside
+// (0, duration) is 0.4 × duration. fl needs RecordRTT.
+func (lb *Loopback) Measure(fl *Flow, duration, from float64) LoopbackRun {
 	if from <= 0 || from >= duration {
 		from = duration * 0.4
 	}
 	var markAcked int64
 	markRTT := -1
 	mark := func() {
-		wait(from)
+		lb.Wait(from)
 		markAcked, markRTT = fl.Stats().AckedBytes, len(fl.RTTSamples())
 	}
 	run := LoopbackRun{PerSecMbps: make([]float64, 0, int(duration))}
@@ -154,7 +194,7 @@ func measure(fl *Flow, recv *Engine, duration, from float64, wait func(sec float
 		if markRTT < 0 && from <= sec {
 			mark()
 		}
-		wait(sec)
+		lb.Wait(sec)
 		acked := fl.Stats().AckedBytes
 		run.PerSecMbps = append(run.PerSecMbps, float64(acked-last)*8/1e6)
 		last = acked
@@ -162,9 +202,9 @@ func measure(fl *Flow, recv *Engine, duration, from float64, wait func(sec float
 	if markRTT < 0 {
 		mark()
 	}
-	wait(duration)
+	lb.Wait(duration)
 
-	run.Flow, run.Recv = fl.Stats(), recv.Stats()
+	run.Flow, run.Recv = fl.Stats(), lb.Server.Stats()
 	rtts := fl.RTTSamples()[markRTT:]
 	run.Mbps = float64(run.Flow.AckedBytes-markAcked) * 8 / (duration - from) / 1e6
 	run.MeanRTT, run.P50RTT, run.P95RTT = stats.Mean(rtts), stats.Percentile(rtts, 50), stats.Percentile(rtts, 95)
@@ -172,117 +212,4 @@ func measure(fl *Flow, recv *Engine, duration, from float64, wait func(sec float
 		run.LossRate = float64(run.Flow.LostPkts) / float64(run.Flow.SentPkts)
 	}
 	return run
-}
-
-// ShimLoopbackConfig describes one single-process run on real sockets:
-// one sender flow → Shim → receiver engine over 127.0.0.1, for Duration
-// real seconds — what `proteusd demo` executes.
-type ShimLoopbackConfig struct {
-	CC   transport.Controller
-	Shim wire.ShimConfig
-	// Duration is real seconds to run (default 10); the measurement
-	// window for throughput and RTT statistics is [MeasureFrom,
-	// Duration], excluding startup (default 0.4 × Duration).
-	Duration    float64
-	MeasureFrom float64
-}
-
-// ShimLoopbackResult summarizes one shim loopback run.
-type ShimLoopbackResult struct {
-	LoopbackRun
-	Shim wire.ShimStats
-}
-
-// RunShimLoopback executes one scenario end to end and blocks for
-// cfg.Duration of real time. Both engines run one shard: the shim
-// tracks a single return socket.
-func RunShimLoopback(cfg ShimLoopbackConfig) (*ShimLoopbackResult, error) {
-	if cfg.CC == nil {
-		return nil, errors.New("engine: shim loopback needs a controller")
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 10
-	}
-	snd, recv, err := StartPair(Config{}, Config{})
-	if err != nil {
-		return nil, err
-	}
-	defer snd.Stop()
-	defer recv.Stop()
-	shim, err := NewShim(cfg.Shim, recv.Addrs()[0])
-	if err != nil {
-		return nil, err
-	}
-	defer shim.Stop()
-	if err := shim.Start(); err != nil {
-		return nil, err
-	}
-	fl, err := snd.AddFlow(FlowConfig{Dst: shim.Addr(), CC: cfg.CC, RecordRTT: true})
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	run := measure(fl, recv, cfg.Duration, cfg.MeasureFrom, func(sec float64) {
-		time.Sleep(time.Until(t0.Add(time.Duration(sec * float64(time.Second)))))
-	})
-	shim.Stop()
-	return &ShimLoopbackResult{LoopbackRun: run, Shim: shim.Stats()}, nil
-}
-
-// SimLoopback is the same topology in virtual time: one sender flow →
-// path → receiver engine on a SimNet. It is the engine half of every
-// sim-vs-wire gate (parity, path-model parity, chaos soak, adversary
-// replay): the caller builds the path the way the simulator half does,
-// and anything that can be applied to a simulated path applies.
-type SimLoopback struct {
-	S         *sim.Sim
-	Path      *netem.Path
-	Snd, Recv *Engine
-	Flow      *Flow
-}
-
-// NewSimLoopback puts two one-shard engines on path and starts cc's
-// flow across it; nothing moves until Run.
-func NewSimLoopback(s *sim.Sim, path *netem.Path, cc transport.Controller) (*SimLoopback, error) {
-	n := NewSimNet(s)
-	lb := &SimLoopback{S: s, Path: path, Snd: n.NewEngine(Config{}), Recv: n.NewEngine(Config{})}
-	dst := lb.Recv.Addrs()[0]
-	n.Connect(lb.Snd.Addrs()[0], dst, path)
-	lb.Snd.Start()
-	lb.Recv.Start()
-	var err error
-	lb.Flow, err = lb.Snd.AddFlow(FlowConfig{Dst: dst, CC: cc, RecordRTT: true})
-	return lb, err
-}
-
-// Install puts a path model and a fault plan (either may be nil) on the
-// path with pathmodel.Install — the simulator half's one call — and adds
-// what only an engine has behind the path: a peer restart also discards
-// the receiver's flow state.
-func (lb *SimLoopback) Install(m pathmodel.Model, faults *chaos.Plan, horizon float64) error {
-	if _, err := pathmodel.Install(lb.S, lb.Path, m, faults, horizon); err != nil || faults == nil {
-		return err
-	}
-	for _, step := range faults.Canonical().Steps(horizon) {
-		if step.Restart {
-			lb.S.At(step.At, lb.Recv.Reset)
-		}
-	}
-	return nil
-}
-
-// SimLoopbackResult summarizes one virtual-time loopback run.
-type SimLoopbackResult struct {
-	LoopbackRun
-	Link netem.LinkStats
-	Path netem.PathStats
-}
-
-// Run runs the simulator to duration seconds and stops the engines; the
-// measurement window is as ShimLoopbackConfig's.
-func (lb *SimLoopback) Run(duration, measureFrom float64) *SimLoopbackResult {
-	run := measure(lb.Flow, lb.Recv, duration, measureFrom, lb.S.Run)
-	lb.Snd.Stop()
-	lb.Recv.Stop()
-	return &SimLoopbackResult{LoopbackRun: run, Link: lb.Path.Link.Stats(), Path: lb.Path.Stats()}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -28,9 +27,8 @@ import (
 // fixed lag behind the host's clock and the path's delays are that much
 // shorter, so a datagram the host delivered late — a sender's late wake,
 // the relay's own, a server's turnaround — still enters at its departure
-// time and no host timing reaches an RTT sample. Start, Stop and Stats
-// belong to the goroutine that built the shim, and Stats is read after
-// Stop.
+// time and no host timing reaches an RTT sample. Stop and Stats belong
+// to the goroutine that built the shim, and Stats is read after Stop.
 type Shim struct {
 	conn   *net.UDPConn
 	dst    netip.AddrPort // the receiver or fetch server
@@ -40,12 +38,11 @@ type Shim struct {
 	lag    float64 // how far s runs behind clk
 	path   *netem.Path
 	stats  wire.ShimStats
-	free   payloads // datagram buffers, shared by the four routes
+	free   payloads // datagram buffers, shared by the two routes
 
-	data, acks, segs, reqs func(b []byte)
+	toDst, toSender func(b []byte) // routes across the path
 
-	done    chan struct{} // closed when the relay has returned
-	stopped bool
+	done chan struct{} // closed when the relay has returned
 }
 
 // relayLag is how far a relay's simulator runs behind the host's clock,
@@ -56,20 +53,16 @@ type Shim struct {
 // a late train or answers a request.
 const relayLag = 0.005
 
-// NewShim opens the relay's socket on 127.0.0.1 in front of dst. A zero
-// QueueBytes is 1.5 × the path's bandwidth-delay product.
+// NewShim opens the relay's socket on 127.0.0.1 in front of dst, on the
+// path newPath builds from cfg, and starts the relay.
 func NewShim(cfg wire.ShimConfig, dst netip.AddrPort) (*Shim, error) {
-	nonNeg := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) } // finite; false for NaN
-	if !nonNeg(cfg.RateMbps) || cfg.RateMbps == 0 || !nonNeg(cfg.Delay) || !nonNeg(cfg.AckDelay) ||
-		!(cfg.LossProb >= 0 && cfg.LossProb <= 1) || cfg.QueueBytes < 0 {
-		return nil, fmt.Errorf("engine: shim needs a finite positive rate, finite non-negative delays, "+
-			"a loss probability in [0, 1] and a non-negative queue: %+v", cfg)
-	}
-	if cfg.QueueBytes == 0 {
-		cfg.QueueBytes = max(int(1.5*cfg.RateMbps*1e6/8*(cfg.Delay+cfg.AckDelay)), netem.MTU)
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
+	}
+	s := sim.New(wire.MixSeed(cfg.Seed, 0x5153))
+	path, lag, err := newPath(s, cfg, relayLag)
+	if err != nil {
+		return nil, err
 	}
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -77,51 +70,62 @@ func NewShim(cfg wire.ShimConfig, dst netip.AddrPort) (*Shim, error) {
 	}
 	conn.SetReadBuffer(1 << 21)
 	conn.SetWriteBuffer(1 << 21)
-	s := sim.New(wire.MixSeed(cfg.Seed, 0x5153))
-	lag := min(relayLag, cfg.Delay, cfg.AckDelay)
+	sh := &Shim{conn: conn, dst: netip.AddrPortFrom(dst.Addr().Unmap(), dst.Port()), s: s,
+		clk: wire.NewClock(), lag: lag, path: path, done: make(chan struct{})}
+	sh.toDst = pathRoute(s, sh.clk, path, lag, &sh.free, func(b []byte) {
+		if wire.PacketType(b) == 'F' {
+			sh.stats.FetchRelay++
+		}
+		sh.write(b, sh.dst)
+	})
+	sh.toSender = pathRoute(s, sh.clk, path, lag, &sh.free, func(b []byte) {
+		if wire.PacketType(b) != 'S' {
+			sh.stats.AcksRelay++
+		}
+		sh.write(b, sh.sender)
+	})
+	go sh.run()
+	return sh, nil
+}
+
+// newPath builds the path cfg describes on s, for a simulator that runs
+// up to lag seconds behind the clock its datagrams are stamped by. The
+// lag it takes is the least of lag and the two delays, and it returns
+// that lag and the path with both delays that much shorter. A zero
+// QueueBytes is 1.5 × the path's bandwidth-delay product. A Shim builds
+// its relay's path here and a Loopback its SimNet paths, with no lag.
+func newPath(s *sim.Sim, cfg wire.ShimConfig, lag float64) (*netem.Path, float64, error) {
+	nonNeg := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) } // finite; false for NaN
+	if !nonNeg(cfg.RateMbps) || cfg.RateMbps == 0 || !nonNeg(cfg.Delay) || !nonNeg(cfg.AckDelay) ||
+		!(cfg.LossProb >= 0 && cfg.LossProb <= 1) || cfg.QueueBytes < 0 {
+		return nil, 0, fmt.Errorf("engine: a path needs a finite positive rate, finite non-negative delays, "+
+			"a loss probability in [0, 1] and a non-negative queue: %+v", cfg)
+	}
+	if cfg.QueueBytes == 0 {
+		cfg.QueueBytes = max(int(1.5*cfg.RateMbps*1e6/8*(cfg.Delay+cfg.AckDelay)), netem.MTU)
+	}
+	lag = min(lag, cfg.Delay, cfg.AckDelay)
 	link := netem.NewLink(s, cfg.RateMbps, cfg.QueueBytes, cfg.Delay-lag)
 	link.LossProb = cfg.LossProb
-	sh := &Shim{conn: conn, dst: netip.AddrPortFrom(dst.Addr().Unmap(), dst.Port()), s: s,
-		clk: wire.NewClock(), lag: lag, path: &netem.Path{Link: link, AckDelay: cfg.AckDelay - lag}}
-	// A sender flow's data crosses the bottleneck and its acks return; a
-	// fetch's segments cross it the other way and its requests return.
-	sh.data, sh.acks = pathRoutes(s, sh.clk, sh.path, lag, &sh.free,
-		func(b []byte) { sh.write(b, sh.dst) },
-		func(b []byte) { sh.stats.AcksRelay++; sh.write(b, sh.sender) })
-	sh.segs, sh.reqs = pathRoutes(s, sh.clk, sh.path, lag, &sh.free,
-		func(b []byte) { sh.write(b, sh.sender) },
-		func(b []byte) { sh.stats.FetchRelay++; sh.write(b, sh.dst) })
-	return sh, nil
+	return &netem.Path{Link: link, AckDelay: cfg.AckDelay - lag}, lag, nil
 }
 
 // Addr returns the address senders should dial.
 func (sh *Shim) Addr() netip.AddrPort { return sh.conn.LocalAddr().(*net.UDPAddr).AddrPort() }
 
-// Start launches the relay.
-func (sh *Shim) Start() error {
-	if sh.done != nil {
-		return errors.New("engine: shim already started")
-	}
-	sh.done = make(chan struct{})
-	go sh.run()
-	return nil
-}
-
 // Stop closes the socket and waits for the relay to return; what is
 // still on the path is lost.
 func (sh *Shim) Stop() {
-	if !sh.stopped {
-		sh.stopped = true
-		sh.conn.Close()
-	}
-	if sh.done != nil {
-		<-sh.done
-	}
+	sh.conn.Close()
+	<-sh.done
 }
 
 // Stats returns the shim's counters. Read them after Stop.
-func (sh *Shim) Stats() wire.ShimStats {
-	st, ls := sh.stats, sh.path.Link.Stats()
+func (sh *Shim) Stats() wire.ShimStats { return withLink(sh.stats, sh.path.Link) }
+
+// withLink returns st with its bottleneck counters read off link.
+func withLink(st wire.ShimStats, link *netem.Link) wire.ShimStats {
+	ls := link.Stats()
 	st.Enqueued, st.Dropped, st.LostRandom, st.Delivered, st.SentBytes =
 		ls.Enqueued, ls.Dropped, ls.LostRandom, ls.Delivered, ls.SentBytes
 	return st
@@ -145,16 +149,11 @@ func (sh *Shim) run() {
 			continue // the deadline: the next event was due; or a transient error
 		}
 		switch b := buf[:n]; wire.PacketType(b) {
-		case 'P':
+		case 'P', 'F':
 			sh.sender = src
-			sh.data(b)
-		case 'F':
-			sh.sender = src
-			sh.reqs(b)
-		case 'S':
-			sh.segs(b)
-		case 'A', 'Y':
-			sh.acks(b)
+			sh.toDst(b)
+		case 'S', 'A', 'Y':
+			sh.toSender(b)
 		}
 	}
 }

@@ -64,17 +64,13 @@ func (n *SimNet) NewEngine(cfg Config) *Engine {
 	return e
 }
 
-// Connect joins two endpoints by path: datagrams from → to cross its
-// forward links, bottleneck and all; datagrams to → from take its return
-// path, a delay — the way a sender's data and its acks, or a fetch
-// server's segments and their requests, use a netem.Path. Faults and
-// schedules applied to the path (pathmodel.Install, chaos.ApplySim)
-// apply to the datagrams.
-func (n *SimNet) Connect(from, to netip.AddrPort, path *netem.Path) {
-	src, dst := n.ports[from], n.ports[to]
-	fwd, rev := pathRoutes(n.s, n.clk, path, 0, &n.free,
-		func(b []byte) { dst.push(from, b) }, func(b []byte) { src.push(to, b) })
-	src.send, dst.send = via(src.send, to, fwd), via(dst.send, from, rev)
+// Connect joins two endpoints by path. Whichever way a datagram goes,
+// its frame picks its route (pathRoute). Faults and schedules applied to
+// the path (pathmodel.Install, chaos.ApplySim) apply to the datagrams.
+func (n *SimNet) Connect(a, b netip.AddrPort, path *netem.Path) {
+	pa, pb := n.ports[a], n.ports[b]
+	pa.send = via(pa.send, b, pathRoute(n.s, n.clk, path, 0, &n.free, func(buf []byte) { pb.push(a, buf) }))
+	pb.send = via(pb.send, a, pathRoute(n.s, n.clk, path, 0, &n.free, func(buf []byte) { pa.push(b, buf) }))
 }
 
 // via binds route to a port: it returns send with the datagrams for peer
@@ -89,31 +85,39 @@ func via(send func(netip.AddrPort, []byte), peer netip.AddrPort, route func(b []
 	}
 }
 
-// pathRoutes wraps the two directions of path, on s, as routes: a
-// datagram handed to fwd crosses the bottleneck and reaches deliver with
-// its arrival field stamped — clk reading the arrival, offset by a
-// clock-jump fault; one handed to rev takes the return path to back. s
-// runs lag seconds behind clk (zero on a SimNet), so the path's delays
-// must be lag shorter than the ones it models. SimNet.Connect and Shim
-// build their routes here.
+// pathRoute wraps path, on s, as the route to deliver, which a datagram
+// crosses by its frame, the rule a Shim relays by: data and fetch
+// segments cross the bottleneck and reach deliver with their arrival
+// field stamped — clk reading the arrival, offset by a clock-jump fault;
+// acks, BUSY frames and fetch requests take the return path. s runs lag
+// seconds behind clk (zero on a SimNet), so the path's delays must be lag
+// shorter than the ones it models. SimNet.Connect and Shim build their
+// routes here.
 // A datagram rides a buffer from free on a packet from path.Link's pool,
-// both handed back when deliver or back returns (neither keeps the bytes)
-// or the first queue tail-drops it.
-func pathRoutes(s *sim.Sim, clk wire.Clock, path *netem.Path, lag float64, free *payloads, deliver, back func(b []byte)) (fwd, rev func(b []byte)) {
+// both handed back when deliver returns (it keeps no bytes) or the first
+// queue tail-drops it.
+func pathRoute(s *sim.Sim, clk wire.Clock, path *netem.Path, lag float64, free *payloads, deliver func(b []byte)) func(b []byte) {
 	done := func(p *netem.Packet) { *free = append(*free, p.Payload); path.Link.Release(p) }
 	arrive := func(p *netem.Packet, at float64) {
 		wire.StampArrival(*p.Payload, clk.NanosAt(at+lag+path.StampOffset))
 		deliver(*p.Payload)
 		done(p)
 	}
-	land := func(p *netem.Packet, _ float64) { back(*p.Payload); done(p) }
+	land := func(p *netem.Packet, _ float64) { deliver(*p.Payload); done(p) }
 	ret := path.AckDelay + lag
-	return depart(s, clk, ret, path.Link, free, func(p *netem.Packet) {
-			if !path.Send(p, arrive) {
-				done(p)
-			}
-		}),
-		depart(s, clk, ret, path.Link, free, func(p *netem.Packet) { path.SendAck(s.Now(), land, p, 0) })
+	fwd := depart(s, clk, ret, path.Link, free, func(p *netem.Packet) {
+		if !path.Send(p, arrive) {
+			done(p)
+		}
+	})
+	rev := depart(s, clk, ret, path.Link, free, func(p *netem.Packet) { path.SendAck(s.Now(), land, p, 0) })
+	return func(b []byte) {
+		if t := wire.PacketType(b); t == 'P' || t == 'S' {
+			fwd(b)
+			return
+		}
+		rev(b)
+	}
 }
 
 // depart wraps one direction of a path as a route: the datagram, copied

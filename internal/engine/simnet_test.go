@@ -47,6 +47,21 @@ func (c *stampSpy) flush() {
 	}
 }
 
+// simFlow starts cc's flow on a SimNet Loopback on s, across a path
+// shaped by cfg.
+func simFlow(t *testing.T, s *sim.Sim, cfg wire.ShimConfig, cc transport.Controller) (*Loopback, *Flow, *netem.Path) {
+	t.Helper()
+	lb, err := NewLoopback(s, Config{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, path, err := lb.StartFlow(cfg, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lb, fl, path
+}
+
 // Every RTT sample of a fixed-rate flow at half the link rate is the
 // path's 40 ms plus the packet's own serialisation — and, since the
 // engine measures from the stamp while the wheel fires a train a slot
@@ -58,11 +73,9 @@ func TestSimNetRTTSamplesReadThePath(t *testing.T) {
 	const mbps, oneWay = 20.0, 0.020
 	s := sim.New(1)
 	cc := &stampSpy{FixedRateCC: FixedRateCC{Rate: mbps / 2 * 1e6 / 8}}
-	lb, err := NewSimLoopback(s, &netem.Path{Link: netem.NewLink(s, mbps, 150000, oneWay), AckDelay: oneWay}, cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := lb.Run(3, 1)
+	lb, fl, path := simFlow(t, s, wire.ShimConfig{RateMbps: mbps, QueueBytes: 150000, Delay: oneWay, AckDelay: oneWay}, cc)
+	res := lb.Measure(fl, 3, 1)
+	lb.Stop()
 	cc.flush()
 
 	// The oracle: a packet enters the link at its stamp, or when it was
@@ -81,7 +94,7 @@ func TestSimNetRTTSamplesReadThePath(t *testing.T) {
 		}
 	}
 
-	got := lb.Flow.RTTSamples()
+	got := fl.RTTSamples()
 	if len(got) < 900 || len(got) != len(cc.sampled) {
 		t.Fatalf("%d RTT samples, the controller saw %d acks", len(got), len(cc.sampled))
 	}
@@ -100,8 +113,8 @@ func TestSimNetRTTSamplesReadThePath(t *testing.T) {
 	if late == 0 || late > len(cc.stamp)/3 || exact < len(got)*2/3 {
 		t.Fatalf("%d of %d packets left late, %d of %d samples read the bare path", late, len(cc.stamp), exact, len(got))
 	}
-	if res.Flow.LostPkts != 0 || res.Link.Dropped != 0 || math.Abs(res.Mbps-mbps/2) > 0.05 {
-		t.Fatalf("uncongested path: %.3f Mbps, %d lost, %d tail drops", res.Mbps, res.Flow.LostPkts, res.Link.Dropped)
+	if res.Flow.LostPkts != 0 || path.Link.Stats().Dropped != 0 || math.Abs(res.Mbps-mbps/2) > 0.05 {
+		t.Fatalf("uncongested path: %.3f Mbps, %d lost, %d tail drops", res.Mbps, res.Flow.LostPkts, path.Link.Stats().Dropped)
 	}
 }
 
@@ -164,14 +177,13 @@ func TestSimNetRunsRepeat(t *testing.T) {
 func TestSimNetAttributionEqualsSimulator(t *testing.T) {
 	const dur = 3.0005 // between two packets of the 1.2 ms grid
 	plan := chaos.Plan{Faults: []chaos.Fault{{Kind: chaos.KindBlackout, At: 1, Dur: 0.1}}}
-	build := func(s *sim.Sim) *netem.Path {
-		link := netem.NewLink(s, 8, 15000, 0.020) // 10 Mbps offered: a standing queue, tail drops
-		link.LossProb = 0.02
-		return &netem.Path{Link: link, AckDelay: 0.020}
-	}
+	shape := wire.ShimConfig{RateMbps: 8, QueueBytes: 15000, Delay: 0.020, AckDelay: 0.020, LossProb: 0.02} // 10 Mbps offered: a standing queue, tail drops
 
 	s := sim.New(7)
-	simPath := build(s)
+	simPath, _, err := newPath(s, shape, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	chaos.ApplySim(s, simPath.Link, simPath, plan, dur)
 	snd := transport.NewSender(1, simPath, fixedrate.New(10))
 	snd.Burst = 1
@@ -179,15 +191,13 @@ func TestSimNetAttributionEqualsSimulator(t *testing.T) {
 	s.Run(dur)
 
 	s = sim.New(7)
-	lb, err := NewSimLoopback(s, build(s), fixedrate.New(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	lb, _, engPath := simFlow(t, s, shape, fixedrate.New(10))
+	defer lb.Stop()
 	if err := lb.Install(nil, &plan, dur); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(dur)
-	link, path := lb.Path.Link.Stats(), lb.Path.Stats()
+	link, path := engPath.Link.Stats(), engPath.Stats()
 	if link != simPath.Link.Stats() || path != simPath.Stats() {
 		t.Fatalf("path counters differ:\nengine    %+v %+v\nsimulator %+v %+v", link, path, simPath.Link.Stats(), simPath.Stats())
 	}
@@ -198,10 +208,10 @@ func TestSimNetAttributionEqualsSimulator(t *testing.T) {
 	// Once the path has drained, the engines' own counters close the
 	// books: every datagram written was offered to the link, every one it
 	// delivered was read, every ack is accounted for.
-	lb.Snd.Drain()
+	lb.clients[0].Drain()
 	s.Run(dur + 1)
-	link, path = lb.Path.Link.Stats(), lb.Path.Stats()
-	tx, rx := lb.Snd.Stats(), lb.Recv.Stats()
+	link, path = engPath.Link.Stats(), engPath.Stats()
+	tx, rx := lb.clients[0].Stats(), lb.Server.Stats()
 	if offered := link.Enqueued + link.Dropped + link.FaultDrop; tx.TxPkts != offered {
 		t.Errorf("sender wrote %d datagrams, the link was offered %d", tx.TxPkts, offered)
 	}
@@ -230,10 +240,10 @@ func TestSimNetNoRoute(t *testing.T) {
 	}
 }
 
-// The relay path recycles: a pathRoutes pair carrying stamped data and
-// segments forward and stamped fetch requests back, each waiting on its
-// route's lane, allocates nothing per datagram once warm. SimNet and Shim
-// both run these routes.
+// The relay path recycles: a pathRoute carrying stamped data and
+// segments across the bottleneck and stamped fetch requests back, each
+// waiting on its direction's lane, allocates nothing per datagram once
+// warm. SimNet and Shim both run these routes.
 func TestPathRoutesZeroAlloc(t *testing.T) {
 	const ret = 0.010
 	s := sim.New(1)
@@ -241,16 +251,22 @@ func TestPathRoutesZeroAlloc(t *testing.T) {
 	path := &netem.Path{Link: netem.NewLink(s, 100, 1<<20, 0.010), AckDelay: ret}
 	var free payloads
 	var fwdN, revN int
-	fwd, rev := pathRoutes(s, clk, path, 0, &free, func([]byte) { fwdN++ }, func([]byte) { revN++ })
+	route := pathRoute(s, clk, path, 0, &free, func(b []byte) {
+		if wire.PacketType(b) == 'F' {
+			revN++
+		} else {
+			fwdN++
+		}
+	})
 	data, req, seg := make([]byte, 1200), make([]byte, wire.FetchLen), make([]byte, wire.SegmentHeaderLen+1000)
 	var seq int64
 	step := func() { // 1 ms: three datagrams, each departing half a millisecond ahead
 		seq++
 		stamp := clk.NanosAt(s.Now() + 0.0005)
-		fwd(wire.EncodeData(data, wire.DataHeader{Seq: seq, SentAt: stamp, Flow: 1}, len(data)))
-		fwd(wire.EncodeSegment(seg, wire.SegmentHeader{Nonce: seq, SentAtEcho: clk.NanosAt(s.Now() + 0.0005 - ret),
+		route(wire.EncodeData(data, wire.DataHeader{Seq: seq, SentAt: stamp, Flow: 1}, len(data)))
+		route(wire.EncodeSegment(seg, wire.SegmentHeader{Nonce: seq, SentAtEcho: clk.NanosAt(s.Now() + 0.0005 - ret),
 			ObjID: 1, TotalSegs: 1 << 20, ObjSize: 1 << 30, Seg: seq}, seg[wire.SegmentHeaderLen:]))
-		rev(wire.EncodeFetch(req, wire.FetchHeader{ObjID: 1, Seg: seq, Nonce: seq, SentAt: stamp}))
+		route(wire.EncodeFetch(req, wire.FetchHeader{ObjID: 1, Seg: seq, Nonce: seq, SentAt: stamp}))
 		s.Run(s.Now() + 0.001)
 	}
 	for i := 0; i < 200; i++ {
@@ -323,17 +339,16 @@ func TestSimNetRecyclingUnderFaults(t *testing.T) {
 				}
 			}
 			src, dst := n.ports[from], n.ports[to]
-			fwd, rev := pathRoutes(s, n.clk, path, 0, &n.free,
-				func(b []byte) {
-					owned(b)
-					if h, err := wire.DecodeData(b); err != nil || h.Flow != 1 || sent[h.Seq] == 0 {
-						t.Fatalf("t=%.6f: delivered %+v (%v), which the flow never sent", s.Now(), h, err)
-					} else if got[h.Seq]++; got[h.Seq] > 1+int(tc.dup) {
-						t.Fatalf("t=%.6f: packet %d delivered %d times", s.Now(), h.Seq, got[h.Seq])
-					}
-					dst.push(from, b)
-				},
-				func(b []byte) { owned(b); src.push(to, b) })
+			fwd := pathRoute(s, n.clk, path, 0, &n.free, func(b []byte) {
+				owned(b)
+				if h, err := wire.DecodeData(b); err != nil || h.Flow != 1 || sent[h.Seq] == 0 {
+					t.Fatalf("t=%.6f: delivered %+v (%v), which the flow never sent", s.Now(), h, err)
+				} else if got[h.Seq]++; got[h.Seq] > 1+int(tc.dup) {
+					t.Fatalf("t=%.6f: packet %d delivered %d times", s.Now(), h.Seq, got[h.Seq])
+				}
+				dst.push(from, b)
+			})
+			rev := pathRoute(s, n.clk, path, 0, &n.free, func(b []byte) { owned(b); src.push(to, b) })
 			src.send, dst.send = via(src.send, to, func(b []byte) {
 				if h, err := wire.DecodeData(b); err == nil {
 					sent[h.Seq]++

@@ -10,40 +10,32 @@ import (
 	"pccproteus/internal/wire"
 )
 
-// soakController builds stock Proteus-S controllers. Each flow gets its
+// soakControllers builds stock Proteus-S controllers. Each flow gets its
 // own rand.Rand — controllers run on shard goroutines and the shared
 // global source would race.
-func soakController(seed int64) func(i int) transport.Controller {
-	return func(i int) transport.Controller {
-		return core.NewProteusS(rand.New(rand.NewSource(wire.MixSeed(seed, int64(i)))))
+func soakControllers(seed int64, flows int) []transport.Controller {
+	cc := make([]transport.Controller, flows)
+	for i := range cc {
+		cc[i] = core.NewProteusS(rand.New(rand.NewSource(wire.MixSeed(seed, int64(i)))))
 	}
+	return cc
 }
 
 func runSoak(t *testing.T, flows int) {
 	t.Helper()
-	const limit = 4 << 10
-	res, err := RunLoopback(LoopbackConfig{
-		Flows:            flows,
-		SenderShards:     2,
-		RecvShards:       2,
-		PacketSize:       400,
-		LimitBytes:       limit,
-		Duration:         120 * time.Second,
-		Controller:       soakController(42),
-		MaxFlowsPerShard: flows, // all receiver flows fit without eviction
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("soak %d flows: completed=%d elapsed=%v recv=%+v", flows, res.Completed, res.Elapsed, res.Recv)
+	start := time.Now()
+	_, completed, _, recv := loopbackFlows(t, Config{Shards: 2},
+		Config{Shards: 2, MaxFlowsPerShard: flows}, // all receiver flows fit without eviction
+		FlowConfig{PacketSize: 400, Limit: 4 << 10}, soakControllers(42, flows), 120*time.Second)
+	t.Logf("soak %d flows: completed=%d elapsed=%v recv=%+v", flows, completed, time.Since(start), recv)
 	// Allow a sliver of stragglers: scavenger flows back off to the
 	// rate floor under self-induced congestion, and the last few can
 	// straddle the deadline.
-	if min := flows * 99 / 100; res.Completed < min {
-		t.Fatalf("completed %d/%d flows (need ≥%d)", res.Completed, flows, min)
+	if min := flows * 99 / 100; completed < min {
+		t.Fatalf("completed %d/%d flows (need ≥%d)", completed, flows, min)
 	}
-	if res.Recv.Evicted != 0 {
-		t.Fatalf("receiver evicted %d flows during soak", res.Recv.Evicted)
+	if recv.Evicted != 0 {
+		t.Fatalf("receiver evicted %d flows during soak", recv.Evicted)
 	}
 }
 

@@ -109,14 +109,14 @@ func ChaosSoak(o CrossWorldOptions) (*ChaosSoakResult, error) {
 		row.SimTrips, row.SimRecov = out.Flows[0].WatchdogTrips, out.Flows[0].WatchdogRecoveries
 		row.SimAttr = attributionOf(out.Link, out.Path)
 
-		lb, err := engineRun(seed, proto, nil, &plan, o.Duration, 0)
+		lb, path, err := engineRun(seed, proto, nil, &plan, o.Duration, 0)
 		if err != nil {
 			return nil, err
 		}
 		row.WireMbps = float64(lb.Flow.AckedBytes) * 8 / o.Duration / 1e6
 		row.WireTrips = lb.Flow.WatchdogTrips
 		row.WireRecov = lb.Flow.Recoveries
-		row.WireAttr = attributionOf(lb.Link, lb.Path)
+		row.WireAttr = attributionOf(path.Link.Stats(), path.Stats())
 
 		// Attribution must agree across worlds: every category a fault
 		// activated in one world must also have fired in the other.

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math"
 
-	"pccproteus/internal/campaign"
 	"pccproteus/internal/cc/cubic"
 	"pccproteus/internal/netem"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/stats"
 	"pccproteus/internal/transport"
+	"pccproteus/internal/wire"
 )
 
 // Options tunes experiment size. The zero value gives paper-scale runs;
@@ -24,7 +24,7 @@ type Options struct {
 
 	// Seed offsets every per-trial RNG seed. Zero keeps the historical
 	// fixed seeds (1, 2, 3, …) so default figure output is unchanged;
-	// any other value remaps each trial seed through campaign.SplitSeed,
+	// any other value remaps each trial seed through wire.MixSeed,
 	// giving an independent but still deterministic replication.
 	Seed int64
 
@@ -39,7 +39,7 @@ func (o Options) seedFor(n int64) int64 {
 	if o.Seed == 0 {
 		return n
 	}
-	return campaign.SplitSeed(o.Seed, n)
+	return wire.MixSeed(o.Seed, n)
 }
 
 func (o Options) withDefaults() Options {

@@ -3,9 +3,9 @@ package exp
 import "testing"
 
 // TestMeanOverRegression pins Fig4 values captured before meanOver moved
-// onto the campaign worker pool and seedFor onto campaign.SplitSeed. The
+// onto the campaign worker pool and seedFor onto wire.MixSeed. The
 // refactor promises bit-identical output — OrderedReduce folds trial
-// results in trial order and SplitSeed is the same mix seedFor inlined —
+// results in trial order and MixSeed is the same mix seedFor inlined —
 // so these compare with ==, for both the historical Seed==0 identity
 // seeds and a remapped replication.
 func TestMeanOverRegression(t *testing.T) {

@@ -7,9 +7,11 @@ import (
 
 	"pccproteus/internal/chaos"
 	"pccproteus/internal/engine"
+	"pccproteus/internal/netem"
 	"pccproteus/internal/pathmodel"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/stats"
+	"pccproteus/internal/wire"
 )
 
 // CrossWorldOptions sizes a sim-vs-wire harness (WireParity, ChaosSoak,
@@ -41,19 +43,26 @@ func (o *CrossWorldOptions) defaults(duration float64) {
 var crossWorldLink = LinkSpec{Mbps: 20, RTT: 0.040, BufBytes: 150000}
 
 // engineRun is the engine half of a cross-world row: proto's controller
-// on an engine flow across crossWorldLink, the path built and impaired by
-// the calls Run makes for the simulator half (LinkSpec.Build, then
-// pathmodel.Install of m and faults, either of which may be nil).
-func engineRun(seed int64, proto string, m pathmodel.Model, faults *chaos.Plan, duration, measureFrom float64) (*engine.SimLoopbackResult, error) {
+// on an engine flow across crossWorldLink, the path built and impaired as
+// Run builds and impairs the simulator half's (crossWorldLink's netem.Path,
+// then pathmodel.Install of m and faults, either of which may be nil).
+func engineRun(seed int64, proto string, m pathmodel.Model, faults *chaos.Plan, duration, measureFrom float64) (engine.LoopbackRun, *netem.Path, error) {
 	s := sim.New(seed)
-	lb, err := engine.NewSimLoopback(s, crossWorldLink.Build(s), NewController(s, proto))
+	l := crossWorldLink
+	lb, err := engine.NewLoopback(s, engine.Config{}, engine.Config{})
+	if err != nil {
+		return engine.LoopbackRun{}, nil, err
+	}
+	defer lb.Stop()
+	fl, path, err := lb.StartFlow(wire.ShimConfig{RateMbps: l.Mbps, QueueBytes: l.BufBytes, Delay: l.RTT / 2, AckDelay: l.RTT / 2},
+		NewController(s, proto))
 	if err == nil {
 		err = lb.Install(m, faults, duration)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("engine run %s: %w", proto, err)
+		return engine.LoopbackRun{}, nil, fmt.Errorf("engine run %s: %w", proto, err)
 	}
-	return lb.Run(duration, measureFrom), nil
+	return lb.Measure(fl, duration, measureFrom), path, nil
 }
 
 // parityMeasureFrac: both halves measure the last 60 % of a run.
@@ -119,7 +128,7 @@ func wireParity(o CrossWorldOptions, m pathmodel.Model) (*WireParityResult, erro
 	res := &WireParityResult{Opts: o}
 	for i, proto := range o.Protos {
 		seed := o.Seed + int64(i)
-		lb, err := engineRun(seed, proto, m, nil, o.Duration, parityMeasureFrac*o.Duration)
+		lb, _, err := engineRun(seed, proto, m, nil, o.Duration, parityMeasureFrac*o.Duration)
 		if err != nil {
 			return nil, err
 		}

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
+	"pccproteus/internal/chaos"
 	"pccproteus/internal/engine"
+	"pccproteus/internal/sim"
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
@@ -72,6 +73,15 @@ type LoopbackResult struct {
 // RunLoopback executes one multi-flow fetch scenario end to end,
 // blocking until every transfer completes or Timeout elapses.
 func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
+	return runLoopback(nil, cfg, nil)
+}
+
+// runLoopback is RunLoopback on an engine.Loopback: on real sockets when
+// s is nil, and otherwise on a SimNet on s, in virtual time and under
+// faults when they are given. The server is one single-shard engine
+// answering fetches from a store of per-flow seeded objects, generated
+// as they are read.
+func runLoopback(s *sim.Sim, cfg LoopbackConfig, faults *chaos.Plan) (*LoopbackResult, error) {
 	if cfg.NewController == nil {
 		return nil, fmt.Errorf("fetch: loopback needs a controller factory")
 	}
@@ -88,106 +98,73 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackResult, error) {
 	if seed == 0 {
 		seed = 1
 	}
-
-	// Server: one single-shard engine answering fetches from a store of
-	// per-flow seeded objects, generated as they are read.
 	store := NewStore(0)
 	objIDs, err := store.Add(seededObjects(seed, cfg.Flows, cfg.BytesPerFlow)...)
 	if err != nil {
 		return nil, err
 	}
-	// Every fetch is a flow on the client engine's one shard. Stopping
-	// that engine (deferred last, so it runs first) ends them all.
 	maxPkt := store.SegSize + wire.SegmentHeaderLen
-	cli, srv, err := engine.StartPair(engine.Config{MaxPacket: maxPkt},
+	lb, err := engine.NewLoopback(s, engine.Config{MaxPacket: maxPkt},
 		engine.Config{OnFetch: store.HandleFetch, MaxPacket: maxPkt})
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Stop()
-
-	shims := make([]*engine.Shim, 0, cfg.Flows)
-	defer func() {
-		for _, sh := range shims {
-			sh.Stop()
-		}
-	}()
-	defer cli.Stop()
+	defer lb.Stop()
 	fetchers := make([]*Fetcher, cfg.Flows)
 	for i := range fetchers {
 		shimCfg := cfg.Shim
 		shimCfg.Seed = wire.MixSeed(seed, 0x5ea1+int64(i))
-		sh, err := engine.NewShim(shimCfg, srv.Addrs()[0])
+		cli, dst, _, err := lb.Path(shimCfg)
 		if err != nil {
 			return nil, err
 		}
-		shims = append(shims, sh)
-		if err := sh.Start(); err != nil {
-			return nil, err
-		}
-		fetchers[i] = &Fetcher{
-			Dst: sh.Addr(), CC: cfg.NewController(), ObjID: objIDs[i],
-			SegSize: store.SegSize,
-		}
+		fetchers[i] = &Fetcher{Dst: dst, CC: cfg.NewController(), ObjID: objIDs[i], SegSize: store.SegSize}
 		if err := fetchers[i].Start(cli); err != nil {
 			return nil, err
 		}
 	}
+	if faults != nil {
+		if err := lb.Install(nil, faults, cfg.Timeout); err != nil {
+			return nil, err
+		}
+	}
 
-	t0 := time.Now()
-	endAt := make([]float64, cfg.Flows)
-	for pending := cfg.Flows; pending > 0 && time.Since(t0).Seconds() < cfg.Timeout; time.Sleep(5 * time.Millisecond) {
+	// Each flow is measured until it was done, or over the whole run.
+	lb.Wait(0)
+	res := &LoopbackResult{Flows: make([]FlowResult, cfg.Flows), AllDone: true, AllVerified: true}
+	for pending := cfg.Flows; pending > 0 && lb.Now() < cfg.Timeout; {
+		lb.Wait(lb.Now() + 0.005)
 		for i, f := range fetchers {
 			select {
 			case <-f.Done():
-				if endAt[i] == 0 {
-					endAt[i] = time.Since(t0).Seconds()
+				if res.Flows[i].Secs == 0 {
+					res.Flows[i].Secs = lb.Now()
 					pending--
 				}
 			default:
 			}
 		}
 	}
-	wall := time.Since(t0).Seconds()
-	shimStats := make([]wire.ShimStats, len(shims))
-	for i, sh := range shims {
-		sh.Stop()
-		shimStats[i] = sh.Stats()
-	}
-	return loopbackResult(fetchers, endAt, shimStats, srv.Stats(), wall), nil
-}
-
-// loopbackResult assembles a run's result, on either network: fetcher i
-// sat behind the bottleneck that counted shims[i] and was done endAt[i]
-// seconds into the run — zero if it never was, and then it is measured
-// over the run's wall seconds.
-func loopbackResult(fetchers []*Fetcher, endAt []float64, shims []wire.ShimStats, srv engine.Stats, wall float64) *LoopbackResult {
-	res := &LoopbackResult{AllDone: true, AllVerified: true}
+	wall := lb.Now()
+	shims, srv := lb.Stop(), lb.Server.Stats()
 	for i, f := range fetchers {
-		st := f.Stats()
-		secs := wall
-		if endAt[i] > 0 {
-			secs = endAt[i]
+		st, fr := f.Stats(), &res.Flows[i]
+		if fr.Secs == 0 {
+			fr.Secs = wall
 		}
-		p50, p95, p99 := f.RTTQuantiles()
-		fr := FlowResult{
-			Done: st.Done, Verified: st.Verified, Bytes: st.Delivered,
-			Secs: secs, P50RTT: p50, P95RTT: p95, P99RTT: p99,
-			Fetcher: st, Shim: shims[i],
+		fr.Done, fr.Verified, fr.Bytes, fr.Fetcher, fr.Shim = st.Done, st.Verified, st.Delivered, st, shims[i]
+		fr.P50RTT, fr.P95RTT, fr.P99RTT = f.RTTQuantiles()
+		if fr.Secs > 0 {
+			fr.GoodputMbps = float64(st.Delivered) * 8 / fr.Secs / 1e6
 		}
-		if secs > 0 {
-			fr.GoodputMbps = float64(st.Delivered) * 8 / secs / 1e6
-		}
-		res.Flows = append(res.Flows, fr)
 		res.TotalBytes += st.Delivered
-		res.AllDone = res.AllDone && st.Done
-		res.AllVerified = res.AllVerified && st.Verified
+		res.AllDone, res.AllVerified = res.AllDone && st.Done, res.AllVerified && st.Verified
 	}
 	res.Receiver = ServerStats{FetchReqs: srv.FetchReqs, SegsTx: srv.SegsTx, Pkts: srv.Delivered, BadPkts: srv.BadPkts}
 	if wall > 0 {
 		res.AggMbps = float64(res.TotalBytes) * 8 / wall / 1e6
 	}
-	return res
+	return res, nil
 }
 
 // seededObjects returns the objects a run of flows fetches, one of size

@@ -1,19 +1,15 @@
 package fetch
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
 	"pccproteus/internal/cc/fixedrate"
 	"pccproteus/internal/chaos"
 	"pccproteus/internal/core"
-	"pccproteus/internal/engine"
-	"pccproteus/internal/netem"
-	"pccproteus/internal/pathmodel"
+	"pccproteus/internal/engine/enginetest"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
@@ -102,65 +98,6 @@ func TestLoopbackScavengerFetch(t *testing.T) {
 	}
 }
 
-// simLoopback is RunLoopback's topology on an engine.SimNet in virtual
-// time: one serving engine, and per fetcher its own client engine behind
-// its own bottleneck (segments cross the link, requests take the return
-// path), each path under plan when one is given. It runs until every
-// fetch is done or timeout virtual seconds have passed.
-func simLoopback(t *testing.T, cfg LoopbackConfig, plan *chaos.Plan) *LoopbackResult {
-	t.Helper()
-	s := sim.New(cfg.Seed)
-	n := engine.NewSimNet(s)
-	store := NewStore(0)
-	maxPkt := store.SegSize + wire.SegmentHeaderLen
-	srv := n.NewEngine(engine.Config{OnFetch: store.HandleFetch, MaxPacket: maxPkt})
-	srv.Start()
-	defer srv.Stop()
-
-	fetchers := make([]*Fetcher, max(cfg.Flows, 1))
-	ids, err := store.Add(seededObjects(cfg.Seed, len(fetchers), cfg.BytesPerFlow)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := make([]*netem.Path, len(fetchers))
-	for i := range fetchers {
-		link := netem.NewLink(s, cfg.Shim.RateMbps, cfg.Shim.QueueBytes, cfg.Shim.Delay)
-		link.LossProb = cfg.Shim.LossProb
-		paths[i] = &netem.Path{Link: link, AckDelay: cfg.Shim.AckDelay}
-		if _, err := pathmodel.Install(s, paths[i], nil, plan, cfg.Timeout); err != nil {
-			t.Fatal(err)
-		}
-		eng := n.NewEngine(engine.Config{MaxPacket: maxPkt})
-		n.Connect(srv.Addrs()[0], eng.Addrs()[0], paths[i])
-		eng.Start()
-		defer eng.Stop()
-		fetchers[i] = &Fetcher{Dst: srv.Addrs()[0], CC: cfg.NewController(), ObjID: ids[i], SegSize: store.SegSize}
-		if err := fetchers[i].Start(eng); err != nil {
-			t.Fatal(err)
-		}
-	}
-	endAt := make([]float64, len(fetchers))
-	for pending := len(fetchers); pending > 0 && s.Now() < cfg.Timeout; {
-		s.Run(s.Now() + 0.005)
-		for i, f := range fetchers {
-			select {
-			case <-f.Done():
-				if endAt[i] == 0 {
-					endAt[i] = s.Now()
-					pending--
-				}
-			default:
-			}
-		}
-	}
-	links := make([]wire.ShimStats, len(paths))
-	for i, p := range paths {
-		ls := p.Link.Stats()
-		links[i] = wire.ShimStats{Enqueued: ls.Enqueued, Dropped: ls.Dropped, LostRandom: ls.LostRandom, Delivered: ls.Delivered}
-	}
-	return loopbackResult(fetchers, endAt, links, srv.Stats(), s.Now())
-}
-
 // The acceptance scenario: three concurrent fetchers, ≥64 MiB total,
 // under random loss and a reordering window, every object verifying.
 func TestLoopbackMultiFlowLossReorder(t *testing.T) {
@@ -170,7 +107,7 @@ func TestLoopbackMultiFlowLossReorder(t *testing.T) {
 	plan := chaos.Plan{Faults: []chaos.Fault{
 		{Kind: chaos.KindReorder, At: 0.5, Dur: 3.0, Value: 0.02, Delay: 0.003},
 	}}
-	res := simLoopback(t, LoopbackConfig{
+	res, err := runLoopback(sim.New(7), LoopbackConfig{
 		NewController: func() transport.Controller { return fixedrate.New(70) },
 		Shim: wire.ShimConfig{RateMbps: 100, QueueBytes: 1 << 18,
 			Delay: 0.005, AckDelay: 0.005, LossProb: 0.003},
@@ -179,6 +116,9 @@ func TestLoopbackMultiFlowLossReorder(t *testing.T) {
 		Timeout:      45,
 		Seed:         7,
 	}, &plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.AllDone || !res.AllVerified {
 		for i, f := range res.Flows {
 			t.Logf("flow %d: done=%v verified=%v bytes=%d stats=%+v link=%+v",
@@ -207,13 +147,16 @@ func TestLoopbackBlackoutResume(t *testing.T) {
 	plan := chaos.Plan{Faults: []chaos.Fault{
 		{Kind: chaos.KindBlackout, At: 0.6, Dur: 1.2},
 	}}
-	res := simLoopback(t, LoopbackConfig{
+	res, err := runLoopback(sim.New(9), LoopbackConfig{
 		NewController: func() transport.Controller { return fixedrate.New(40) },
 		Shim:          wire.ShimConfig{RateMbps: 60, QueueBytes: 1 << 17, Delay: 0.008, AckDelay: 0.008},
 		BytesPerFlow:  8 << 20,
 		Timeout:       30,
 		Seed:          9,
 	}, &plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := res.Flows[0]
 	if !f.Done || !f.Verified {
 		t.Fatalf("did not resume after blackout: %+v link=%+v", f.Fetcher, f.Shim)
@@ -241,13 +184,16 @@ func TestLoopbackSimParity(t *testing.T) {
 		delay    = 0.010 // each way
 		bytes    = int64(6 << 20)
 	)
-	res := simLoopback(t, LoopbackConfig{
+	res, err := runLoopback(sim.New(11), LoopbackConfig{
 		NewController: func() transport.Controller { return fixedrate.New(rateMbps) },
 		Shim:          wire.ShimConfig{RateMbps: 50, QueueBytes: 1 << 17, Delay: delay, AckDelay: delay},
 		BytesPerFlow:  bytes,
 		Timeout:       30,
 		Seed:          11,
 	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.AllDone || !res.AllVerified {
 		t.Fatalf("engine transfer incomplete: %+v", res.Flows[0].Fetcher)
 	}
@@ -258,24 +204,6 @@ func TestLoopbackSimParity(t *testing.T) {
 	if got := res.Flows[0].GoodputMbps; math.Abs(got/want-1) > 0.01 {
 		t.Fatalf("goodput %.3f Mbps, analytic %.3f Mbps (ratio %.4f)", got, want, got/want)
 	}
-}
-
-// datapathGoroutines counts the goroutines running or started by engine
-// or fetch code, and apart from them the shims' relays; the runtime's own
-// are in neither. A relay is told by its creator: the stack of one that
-// runs on another thread is not in the dump.
-func datapathGoroutines() (n, relays int) {
-	buf := make([]byte, 4<<20)
-	buf = buf[:runtime.Stack(buf, true)]
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		switch {
-		case bytes.Contains(g, []byte("created by pccproteus/internal/engine.(*Shim).Start")):
-			relays++
-		case bytes.Contains(g, []byte("internal/engine.")) || bytes.Contains(g, []byte("internal/fetch.")):
-			n++
-		}
-	}
-	return n, relays
 }
 
 // Every fetch is a flow on the one client shard: 64 concurrent
@@ -302,7 +230,7 @@ func TestLoopbackManyFetchesOneShard(t *testing.T) {
 		case <-done:
 			running = false
 		case <-time.After(20 * time.Millisecond):
-			n, relays := datapathGoroutines()
+			n, relays := enginetest.DatapathGoroutines()
 			peak, peakRelays = max(peak, n), max(peakRelays, relays)
 		}
 	}

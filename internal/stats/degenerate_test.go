@@ -100,12 +100,12 @@ func TestDegenerateConfusion(t *testing.T) {
 }
 
 func TestStreamingIgnoreNaN(t *testing.T) {
-	var w Welford
+	var m Moments
 	for _, x := range []float64{1, nan, 3} {
-		w.Add(x)
+		m.Add(x)
 	}
-	if w.N() != 2 || w.Mean() != 2 {
-		t.Fatalf("Welford with NaN: n=%d mean=%v", w.N(), w.Mean())
+	if m.Count != 2 || m.Mean != 2 {
+		t.Fatalf("Moments with NaN: n=%d mean=%v", m.Count, m.Mean)
 	}
 
 	e := NewEWMA()

@@ -216,42 +216,6 @@ func ConfusionProbability(sampleA, sampleB []float64) float64 {
 	return count / float64(len(a)*len(b))
 }
 
-// Welford is a streaming mean/variance accumulator.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates x. NaN samples are ignored: a single poisoned sample
-// would otherwise corrupt the running moments permanently.
-func (w *Welford) Add(x float64) {
-	if math.IsNaN(x) {
-		return
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the running population variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Var()) }
-
 // EWMA is an exponentially weighted moving average with a companion mean
 // absolute deviation, mirroring how the Linux kernel maintains smoothed
 // RTT (srtt) and RTT variance (rttvar). Proteus reuses this structure for

@@ -134,26 +134,6 @@ func TestConfusionAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var w Welford
-	var xs []float64
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 7
-		w.Add(x)
-		xs = append(xs, x)
-	}
-	if !almost(w.Mean(), Mean(xs), 1e-9) {
-		t.Fatalf("mean: %v vs %v", w.Mean(), Mean(xs))
-	}
-	if !almost(w.StdDev(), StdDev(xs), 1e-9) {
-		t.Fatalf("stddev: %v vs %v", w.StdDev(), StdDev(xs))
-	}
-	if w.N() != 1000 {
-		t.Fatalf("n=%d", w.N())
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	e := NewEWMA()
 	if e.Initialized() {

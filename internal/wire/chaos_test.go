@@ -7,10 +7,9 @@ import (
 	"pccproteus/internal/cc/fixedrate"
 	"pccproteus/internal/chaos"
 	"pccproteus/internal/core"
-	"pccproteus/internal/engine"
-	"pccproteus/internal/netem"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/transport"
+	"pccproteus/internal/wire"
 )
 
 // TestChaosBlackoutSurvivalWire is the acceptance-criterion gate for the
@@ -72,32 +71,27 @@ func TestChaosBlackoutSurvivalWire(t *testing.T) {
 // out, and progress resumes after it.
 func TestChaosOutageBoundedState(t *testing.T) {
 	s := sim.New(3)
-	lb, err := engine.NewSimLoopback(s,
-		&netem.Path{Link: netem.NewLink(s, 16, 96_000, 0.020), AckDelay: 0.020}, fixedrate.New(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	lb, fl, _ := loopbackFlow(t, s, wire.ShimConfig{RateMbps: 16, QueueBytes: 96_000, Delay: 0.020, AckDelay: 0.020}, fixedrate.New(8))
+	defer lb.Stop()
 	plan := chaos.Plan{Faults: []chaos.Fault{{Kind: chaos.KindBlackout, At: 1, Dur: 2.5}}}
 	if err := lb.Install(nil, &plan, 5); err != nil {
 		t.Fatal(err)
 	}
-	defer lb.Recv.Stop()
-	defer lb.Snd.Stop()
 
 	s.Run(2) // one second in
-	st1 := lb.Flow.Stats()
+	st1 := fl.Stats()
 	if !st1.InOutage || st1.WatchdogTrips != 1 {
 		t.Fatalf("watchdog should have tripped: %+v", st1)
 	}
 	s.Run(3.5) // the blackout's last instant
-	st2 := lb.Flow.Stats()
+	st2 := fl.Stats()
 	if st2.UnackedRecs > st1.UnackedRecs+16 {
 		t.Errorf("sender state grew during outage: %d -> %d records", st1.UnackedRecs, st2.UnackedRecs)
 	}
 	if st2.SentPkts != st1.SentPkts {
 		t.Errorf("data went out during the outage: %d -> %d packets", st1.SentPkts, st2.SentPkts)
 	}
-	if rs := lb.Recv.Stats(); rs.Flows != 1 {
+	if rs := lb.Server.Stats(); rs.Flows != 1 {
 		t.Errorf("receiver flows during outage: %+v", rs)
 	}
 	if st2.ProbesSent == 0 {
@@ -105,7 +99,7 @@ func TestChaosOutageBoundedState(t *testing.T) {
 	}
 
 	s.Run(4.7)
-	st3 := lb.Flow.Stats()
+	st3 := fl.Stats()
 	if st3.InOutage || st3.Recoveries != 1 {
 		t.Fatalf("no recovery after heal: %+v", st3)
 	}

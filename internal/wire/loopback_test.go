@@ -22,22 +22,50 @@ import (
 // engine.Shim; the rest run on an engine.SimNet in virtual time, where a
 // fault plan applies and a wall-clock tolerance does not.
 
-// simRun runs cc's flow for dur virtual seconds across a bottleneck of
-// the given shape under plan (nil for none), measuring from `from`.
-func simRun(t *testing.T, seed int64, cc transport.Controller, mbps float64, queue int, oneWay, loss float64,
-	plan *chaos.Plan, dur, from float64) *engine.SimLoopbackResult {
+// loopbackFlow starts cc's flow across a path shaped by cfg on a
+// Loopback: in virtual time on s, or on real sockets if s is nil.
+func loopbackFlow(t *testing.T, s *sim.Sim, cfg wire.ShimConfig, cc transport.Controller) (*engine.Loopback, *engine.Flow, *netem.Path) {
 	t.Helper()
-	s := sim.New(seed)
-	link := netem.NewLink(s, mbps, queue, oneWay)
-	link.LossProb = loss
-	lb, err := engine.NewSimLoopback(s, &netem.Path{Link: link, AckDelay: oneWay}, cc)
-	if err == nil {
-		err = lb.Install(nil, plan, dur)
-	}
+	lb, err := engine.NewLoopback(s, engine.Config{}, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lb.Run(dur, from)
+	fl, path, err := lb.StartFlow(cfg, cc)
+	if err != nil {
+		lb.Stop()
+		t.Fatal(err)
+	}
+	return lb, fl, path
+}
+
+// simResult is a simRun: the flow's measurements and its path's counters.
+type simResult struct {
+	engine.LoopbackRun
+	Link netem.LinkStats
+	Path netem.PathStats
+}
+
+// simRun runs cc's flow for dur virtual seconds across a bottleneck of
+// the given shape under plan (nil for none), measuring from `from`.
+func simRun(t *testing.T, seed int64, cc transport.Controller, mbps float64, queue int, oneWay, loss float64,
+	plan *chaos.Plan, dur, from float64) simResult {
+	t.Helper()
+	lb, fl, path := loopbackFlow(t, sim.New(seed), wire.ShimConfig{RateMbps: mbps, QueueBytes: queue, Delay: oneWay, AckDelay: oneWay, LossProb: loss}, cc)
+	defer lb.Stop()
+	if err := lb.Install(nil, plan, dur); err != nil {
+		t.Fatal(err)
+	}
+	return simResult{lb.Measure(fl, dur, from), path.Link.Stats(), path.Stats()}
+}
+
+// shimRun runs cc's flow for dur real seconds through a Shim shaped by
+// cfg, measuring from `from` — what `proteusd demo` executes.
+func shimRun(t *testing.T, cc transport.Controller, cfg wire.ShimConfig, dur, from float64) (engine.LoopbackRun, wire.ShimStats) {
+	t.Helper()
+	lb, fl, _ := loopbackFlow(t, nil, cfg, cc)
+	defer lb.Stop()
+	run := lb.Measure(fl, dur, from)
+	return run, lb.Stop()[0]
 }
 
 // TestLoopbackFixedRate is this layer's real-socket smoke, in the style
@@ -52,19 +80,10 @@ func TestLoopbackFixedRate(t *testing.T) {
 		t.Skip("real-time test")
 	}
 	const loss = 0.02
-	res, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
-		CC: fixedrate.New(8),
-		Shim: wire.ShimConfig{
-			RateMbps: 16, QueueBytes: 64 * 1500,
-			Delay: 0.020, AckDelay: 0.020, LossProb: loss, Seed: 1,
-		},
-		Duration:    2,
-		MeasureFrom: 0.8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := res.Shim
+	res, sh := shimRun(t, fixedrate.New(8), wire.ShimConfig{
+		RateMbps: 16, QueueBytes: 64 * 1500,
+		Delay: 0.020, AckDelay: 0.020, LossProb: loss, Seed: 1,
+	}, 2, 0.8)
 	t.Logf("%.2f Mbps, RTT p50 %.1f ms mean %.1f ms, sender declared %d lost; relay %+v",
 		res.Mbps, res.P50RTT*1e3, res.MeanRTT*1e3, res.Flow.LostPkts, sh)
 	if res.Recv.Delivered == 0 || res.Flow.AckedPkts == 0 || sh.Delivered == 0 || sh.AcksRelay == 0 {
@@ -101,17 +120,10 @@ func TestLoopbackScavengerHoldsRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
-	res, err := engine.RunShimLoopback(engine.ShimLoopbackConfig{
-		CC:          core.NewProteusS(rand.New(rand.NewSource(1))),
-		Shim:        wire.ShimConfig{RateMbps: 20, Delay: 0.020, AckDelay: 0.020, Seed: 1},
-		Duration:    3,
-		MeasureFrom: 1.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, sh := shimRun(t, core.NewProteusS(rand.New(rand.NewSource(1))),
+		wire.ShimConfig{RateMbps: 20, Delay: 0.020, AckDelay: 0.020, Seed: 1}, 3, 1.5)
 	t.Logf("%.2f Mbps %v, RTT p50 %.1f ms p95 %.1f ms; relay %+v",
-		res.Mbps, res.PerSecMbps, res.P50RTT*1e3, res.P95RTT*1e3, res.Shim)
+		res.Mbps, res.PerSecMbps, res.P50RTT*1e3, res.P95RTT*1e3, sh)
 	if res.Mbps < 12 {
 		t.Errorf("%.2f Mbps over [1.5 s, 3 s] on an empty 20 Mbps path", res.Mbps)
 	}
