@@ -134,15 +134,17 @@ type mmsgState struct {
 	wnames []syscall.RawSockaddrInet6
 
 	// GSO staging: the segment ceiling a run closes at, per-entry control
-	// messages and segment counts, and the per-flush destination-grouping
-	// table.
+	// messages and segment counts, and the per-flush destination grouping
+	// (group): the first gsoMaxDsts destinations, and the packet indices
+	// ordered by destination — the overflow last — with gend[d] the end
+	// of destination d's run in gord and gend[gsoMaxDsts] the overflow's.
 	gso   bool
 	segs  int
 	wctrl []cmsgGSO
 	wsegs []int
 	gdst  [gsoMaxDsts]netip.AddrPort
-	gidx  [gsoMaxDsts][]int
-	gflat []int // overflow: packets sent as plain entries
+	gend  [gsoMaxDsts + 1]int
+	gord  []int
 
 	readFn  func(fd uintptr) bool
 	pollFn  func(fd uintptr) // readFn once, never parking
@@ -167,10 +169,7 @@ func (m *mmsgState) initTx(n, segs int) {
 	m.wnames = make([]syscall.RawSockaddrInet6, n)
 	m.wctrl = make([]cmsgGSO, n)
 	m.wsegs = make([]int, n)
-	for i := range m.gidx {
-		m.gidx[i] = make([]int, 0, n)
-	}
-	m.gflat = make([]int, 0, n)
+	m.gord = make([]int, n)
 	for i := 0; i < n; i++ {
 		m.whdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.wnames[i]))
 		m.whdrs[i].hdr.Iov = &m.wiovs[i]
@@ -198,31 +197,7 @@ func (p *udpPort) initBatch() {
 		m.gro = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
 	})
 	m.initTx(sh.batchSize, gsoMaxSegs())
-	rn, staged := sh.batchSize, sh.batchSize
-	m.rsize = sh.maxPacket
-	if m.gro {
-		// A GRO slot holds a whole coalesced train, so fewer, bigger
-		// buffers, staged as the bursts need them: anything smaller than
-		// the 64KiB super-skb ceiling would truncate coalesced tails.
-		rn, staged, m.rsize = min(rn, groMaxSlots), 1, groBufSize
-	}
-	// Headers for every slot up to the ceiling; buffers for the staged ones.
-	sh.rxCeil = rn
-	m.rhdrs = make([]mmsghdr, rn)
-	m.riovs = make([]syscall.Iovec, rn)
-	m.rnames = make([]syscall.RawSockaddrInet6, rn)
-	m.rctrl = make([]cmsgGRO, rn)
-	p.stageRx(staged)
-	for i := 0; i < rn; i++ {
-		m.rhdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.rnames[i]))
-		m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
-		m.rhdrs[i].hdr.Iov = &m.riovs[i]
-		m.rhdrs[i].hdr.Iovlen = 1
-		if m.gro {
-			m.rhdrs[i].hdr.Control = (*byte)(unsafe.Pointer(&m.rctrl[i]))
-			m.rhdrs[i].hdr.SetControllen(24)
-		}
-	}
+	p.initRx()
 	m.readFn = func(fd uintptr) bool {
 		r1, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
 			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(sh.rxBufs)),
@@ -264,6 +239,37 @@ func (p *udpPort) initBatch() {
 		m.wOff += int(r1)
 		return true
 	}
+}
+
+// initRx allocates the read headers for every rx slot up to the ceiling
+// and stages one slot; readBatch doubles the staging after every read
+// that fills it. A slot is maxPacket bytes and the ceiling BatchSize
+// slots, or with GRO a slot holds a whole coalesced train — anything
+// smaller than the 64KiB super-skb ceiling would truncate coalesced
+// tails — and the ceiling is groMaxSlots.
+func (p *udpPort) initRx() {
+	sh, m := p.sh, &p.mmsg
+	rn := sh.batchSize
+	m.rsize = sh.maxPacket
+	if m.gro {
+		rn, m.rsize = min(rn, groMaxSlots), groBufSize
+	}
+	sh.rxCeil = rn
+	m.rhdrs = make([]mmsghdr, rn)
+	m.riovs = make([]syscall.Iovec, rn)
+	m.rnames = make([]syscall.RawSockaddrInet6, rn)
+	m.rctrl = make([]cmsgGRO, rn)
+	for i := 0; i < rn; i++ {
+		m.rhdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.rnames[i]))
+		m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
+		m.rhdrs[i].hdr.Iov = &m.riovs[i]
+		m.rhdrs[i].hdr.Iovlen = 1
+		if m.gro {
+			m.rhdrs[i].hdr.Control = (*byte)(unsafe.Pointer(&m.rctrl[i]))
+			m.rhdrs[i].hdr.SetControllen(24)
+		}
+	}
+	p.stageRx(1)
 }
 
 // stageRx grows the rx staging to n slots and points their iovecs at the
@@ -405,6 +411,40 @@ func (p *udpPort) noteTxFlush(pkts [][]byte, soft bool) {
 	sh.txBacklog = float64(unsent) / float64(len(pkts))
 }
 
+// group orders the flush's packet indices by destination into gord, a
+// stable counting sort: the first gsoMaxDsts distinct destinations in
+// order of first appearance, then the overflow, each run in queue order.
+// It returns the number of destinations grouped.
+func (m *mmsgState) group(addrs []netip.AddrPort) int {
+	nd := 0
+	slot := func(a netip.AddrPort) int {
+		d := 0
+		for d < nd && m.gdst[d] != a {
+			d++
+		}
+		return d // nd: not yet seen; gsoMaxDsts: the overflow
+	}
+	m.gend = [gsoMaxDsts + 1]int{}
+	for _, a := range addrs {
+		d := slot(a)
+		if d == nd && nd < gsoMaxDsts {
+			m.gdst[nd] = a
+			nd++
+		}
+		m.gend[d]++
+	}
+	start := 0
+	for d, c := range m.gend {
+		m.gend[d], start = start, start+c
+	}
+	for i, a := range addrs {
+		d := slot(a)
+		m.gord[m.gend[d]] = i
+		m.gend[d]++
+	}
+	return nd
+}
+
 // buildGSO stages the flush as segmented sendmmsg entries: packets
 // are bucketed by destination (order within a destination — and so
 // within a flow — is preserved), and each bucket becomes runs of
@@ -417,24 +457,7 @@ func (p *udpPort) noteTxFlush(pkts [][]byte, soft bool) {
 // no pointer past the arena is formed). Returns the entry count.
 func (p *udpPort) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
 	m := &p.mmsg
-	nd := 0
-	m.gflat = m.gflat[:0]
-	for i := range addrs {
-		d := 0
-		for d < nd && m.gdst[d] != addrs[i] {
-			d++
-		}
-		if d == nd {
-			if nd == gsoMaxDsts {
-				m.gflat = append(m.gflat, i)
-				continue
-			}
-			m.gdst[nd] = addrs[i]
-			m.gidx[nd] = m.gidx[nd][:0]
-			nd++
-		}
-		m.gidx[d] = append(m.gidx[d], i)
-	}
+	nd := m.group(addrs)
 	e, iov := 0, 0
 	put := func(idxs []int, dst netip.AddrPort) {
 		for len(idxs) > 0 {
@@ -478,12 +501,14 @@ func (p *udpPort) buildGSO(pkts [][]byte, addrs []netip.AddrPort) int {
 			idxs = idxs[segs:]
 		}
 	}
+	start := 0
 	for d := 0; d < nd; d++ {
-		put(m.gidx[d], m.gdst[d])
+		put(m.gord[start:m.gend[d]], m.gdst[d])
+		start = m.gend[d]
 	}
 	// Overflow destinations (beyond the grouping table): one plain
 	// entry per packet.
-	for _, i := range m.gflat {
+	for _, i := range m.gord[start:len(addrs)] {
 		m.wiovs[iov].Base = &pkts[i][0]
 		m.wiovs[iov].SetLen(len(pkts[i]))
 		h := &m.whdrs[e].hdr

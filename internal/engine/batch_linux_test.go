@@ -52,6 +52,12 @@ func stage(sh *shard, steps []stagedPkt, addr func(dst int) netip.AddrPort) {
 
 func testDst(dst int) netip.AddrPort { return src(uint16(5000 + dst)) }
 
+// fullArena gives sh its tx arena at the ceiling, batchSize × maxPacket,
+// so a script of up to batchSize packets stages as one flush.
+func fullArena(sh *shard) {
+	sh.txArena = make([]byte, sh.batchSize*sh.maxPacket)
+}
+
 // entry is what one staged sendmmsg entry carries: destination,
 // datagrams, iovecs, and the UDP_SEGMENT size (0 = plain send).
 type entry struct{ dst, segs, iovs, seg int }
@@ -142,6 +148,7 @@ func TestBuildGSOStaging(t *testing.T) {
 					sh := newTestShard(t, Config{BatchSize: 512})
 					p := &udpPort{sh: sh} // staging needs no socket
 					p.mmsg.initTx(sh.batchSize, segs)
+					fullArena(sh)
 					stage(sh, tc.steps, testDst)
 					m := &p.mmsg
 					n := p.buildGSO(sh.txq, sh.txAddrs)
@@ -195,9 +202,13 @@ func TestBuildGSOStaging(t *testing.T) {
 
 // TestTxArenaBounds pins the arena's contract: a full batch of
 // full-size packets fits, a flush rewinds to offset 0, and queueTx
-// refuses bytes that txBuf did not hand out.
+// refuses bytes that txBuf did not hand out. Its ceiling, 16 KiB, is
+// below txArenaStart, so the arena starts at the ceiling.
 func TestTxArenaBounds(t *testing.T) {
 	sh := newTestShard(t, Config{BatchSize: 8, MaxPacket: 2048})
+	if len(sh.txArena) != sh.batchSize*sh.maxPacket {
+		t.Fatalf("arena of %d bytes, want the %d-byte ceiling", len(sh.txArena), sh.batchSize*sh.maxPacket)
+	}
 	for i := 0; i < sh.batchSize; i++ {
 		if len(sh.txq) != i || sh.txOff != i*sh.maxPacket {
 			t.Fatalf("before packet %d: %d queued at offset %d", i, len(sh.txq), sh.txOff)
@@ -219,6 +230,148 @@ func TestTxArenaBounds(t *testing.T) {
 	sh.queueTx(make([]byte, 100), src(5000))
 }
 
+// arenaFor is the tx arena a shard ends at once it has staged full
+// batches of size-byte packets: the smallest doubling of its first size
+// that holds a batch, at most the ceiling.
+func arenaFor(sh *shard, size int) int {
+	ceil := sh.batchSize * sh.maxPacket
+	n := min(max(txArenaStart, sh.maxPacket), ceil)
+	for n < ceil && n < (sh.batchSize-1)*size+sh.maxPacket {
+		n *= 2
+	}
+	return min(n, ceil)
+}
+
+// stagedBytes is what stage puts in step i's packet of size bytes.
+func stagedBytes(i, size int) []byte {
+	b := make([]byte, size)
+	for j := range b {
+		b[j] = byte(i + j)
+	}
+	return b
+}
+
+// TestTxArenaGrows: the tx arena starts at txArenaStart and doubles only
+// when a packet might not fit. A receiver that only acks never grows it;
+// a shard flushing full batches of 400 B packets ends at the smallest
+// doubling that holds one; and a flush that makes room for the growth
+// sends what it holds — every packet arrives byte-identical and in
+// order, on a memPort and on real loopback.
+func TestTxArenaGrows(t *testing.T) {
+	t.Run("ack-only", func(t *testing.T) {
+		// Reads of BatchSize in-order data packets, ackEvery for each of
+		// 256 flows, as the receiver of a bulk transfer sees them.
+		sh := newTestShard(t, Config{BatchSize: 1024})
+		sh.wh.init(sh.clock.Now())
+		p := sh.port.(*memPort)
+		for round := int64(0); round < 8; round++ {
+			for id := uint32(1); id <= 256; id++ {
+				for k := int64(0); k < ackEvery; k++ {
+					p.push(src(9000), dataPkt(t, id, round*ackEvery+k, 400))
+				}
+			}
+			sh.pass()
+		}
+		if got := sh.ctr.txPkts.Load(); got < 8*256 || sh.ctr.txBatches.Load() != 8 {
+			t.Fatalf("%d acks in %d flushes, want at least 256 in each of 8", got, sh.ctr.txBatches.Load())
+		}
+		if len(sh.txArena) != txArenaStart {
+			t.Fatalf("an ack-only shard grew its arena to %d bytes", len(sh.txArena))
+		}
+	})
+	t.Run("memPort", func(t *testing.T) {
+		sh := newTestShard(t, Config{BatchSize: 1024})
+		if len(sh.txArena) != txArenaStart {
+			t.Fatalf("first arena %d bytes, want %d", len(sh.txArena), txArenaStart)
+		}
+		var got [][]byte
+		var dsts []netip.AddrPort
+		sh.port.(*memPort).send = func(dst netip.AddrPort, b []byte) {
+			got, dsts = append(got, append([]byte(nil), b...)), append(dsts, dst)
+		}
+		steps := script(run(0, 400, sh.batchSize), run(1, 400, sh.batchSize), run(0, 400, sh.batchSize))
+		stage(sh, steps, testDst)
+		sh.flushTx()
+		if want := arenaFor(sh, 400); len(sh.txArena) != want {
+			t.Fatalf("arena ended at %d bytes, want %d", len(sh.txArena), want)
+		}
+		if len(sh.txq) != 0 || len(got) != len(steps) {
+			t.Fatalf("%d of %d packets sent, %d still staged", len(got), len(steps), len(sh.txq))
+		}
+		if b := sh.ctr.txBatches.Load(); b <= 3 {
+			t.Fatalf("%d flushes: no growth flush", b)
+		}
+		for i, st := range steps {
+			if !bytes.Equal(got[i], stagedBytes(i, st.size)) || dsts[i] != testDst(st.dst) {
+				t.Fatalf("packet %d sent to %s differs from the one staged to %s", i, dsts[i], testDst(st.dst))
+			}
+		}
+	})
+	t.Run("loopback", func(t *testing.T) {
+		tx, err := New(Config{BatchSize: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tx.Stop()
+		rx, err := New(Config{BatchSize: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rx.Stop()
+		sh, rsh := tx.shards[0], rx.shards[0]
+		steps := run(0, 400, 200) // 80 000 bytes: one growth flush on the way
+		stage(sh, steps, func(int) netip.AddrPort { return rsh.local })
+		sh.flushTx()
+		if len(sh.txArena) != 2*txArenaStart || sh.ctr.txBatches.Load() != 2 {
+			t.Fatalf("%d flushes, arena %d bytes: want a growth flush and a %d-byte arena",
+				sh.ctr.txBatches.Load(), len(sh.txArena), 2*txArenaStart)
+		}
+		var got [][]byte
+		deadline := time.Now().Add(5 * time.Second)
+		for len(got) < len(steps) && time.Now().Before(deadline) {
+			n := rsh.port.readBatch(100 * time.Millisecond)
+			for i := 0; i < n; i++ {
+				b := rsh.rxBufs[i][:rsh.rxLens[i]]
+				g := rsh.rxSegs[i]
+				if g <= 0 {
+					g = len(b)
+				}
+				for off := 0; off < len(b); off += g {
+					got = append(got, append([]byte(nil), b[off:min(off+g, len(b))]...))
+				}
+			}
+		}
+		if len(got) != len(steps) {
+			t.Fatalf("%d datagrams arrived, want %d", len(got), len(steps))
+		}
+		for i, st := range steps {
+			if !bytes.Equal(got[i], stagedBytes(i, st.size)) {
+				t.Fatalf("datagram %d differs from the one staged", i)
+			}
+		}
+	})
+}
+
+// TestTxArenaZeroAllocsAtCeiling: once the arena is at its ceiling,
+// staging and flushing full batches allocates nothing and keeps it.
+func TestTxArenaZeroAllocsAtCeiling(t *testing.T) {
+	sh := newTestShard(t, Config{BatchSize: 1024})
+	ceil := sh.batchSize * sh.maxPacket
+	stage(sh, run(0, sh.maxPacket, 2*sh.batchSize), testDst)
+	sh.flushTx()
+	if len(sh.txArena) != ceil {
+		t.Fatalf("full-size batches grew the arena to %d bytes, want the %d-byte ceiling", len(sh.txArena), ceil)
+	}
+	arena := &sh.txArena[0]
+	steps := script(run(0, 400, sh.batchSize/2), run(1, 1200, sh.batchSize/2))
+	if allocs := testing.AllocsPerRun(10, func() { stage(sh, steps, testDst) }); allocs != 0 {
+		t.Fatalf("a full batch at the ceiling allocates %.1f times, want 0", allocs)
+	}
+	if &sh.txArena[0] != arena || len(sh.txq) != 0 {
+		t.Fatalf("the arena moved, or %d packets are left staged", len(sh.txq))
+	}
+}
+
 // TestWriteBatchLoopbackRoundTrip sends one real flush — a run longer
 // than the segment ceiling, mixed sizes, a short tail, two destinations
 // interleaved — and requires every datagram to arrive byte-identical and
@@ -236,6 +389,7 @@ func TestWriteBatchLoopbackRoundTrip(t *testing.T) {
 	}
 	defer rx.Stop()
 	sh := tx.shards[0]
+	fullArena(sh)
 	steps := script(run(0, 400, gsoMaxSegs()+6), run(1, 200, 10), run(0, 400, 5), run(0, 1200, 3),
 		run(0, 300, 1), run(1, 200, 4), run(1, 90, 1), run(0, 1200, 2))
 	stage(sh, steps, func(dst int) netip.AddrPort { return rx.shards[dst].local })
@@ -279,9 +433,10 @@ func TestWriteBatchLoopbackRoundTrip(t *testing.T) {
 	}
 }
 
-// rxStaging is shard 0 of an unstarted engine on a UDP_GRO socket, read
-// by hand, and a plain socket sending it numbered datagrams — one per rx
-// slot, since loopback coalesces nothing a plain socket sends.
+// rxStaging is shard 0 of an unstarted engine, read by hand, on a
+// UDP_GRO socket or one with GRO off, and a plain socket sending it
+// numbered datagrams — one per rx slot, since loopback coalesces nothing
+// a plain socket sends.
 type rxStaging struct {
 	t    *testing.T
 	sh   *shard
@@ -290,7 +445,7 @@ type rxStaging struct {
 	got  []int // arrivals per sequence number
 }
 
-func newRxStaging(t *testing.T, batch int) *rxStaging {
+func newRxStaging(t *testing.T, batch int, gro bool) *rxStaging {
 	t.Helper()
 	eng, err := New(Config{BatchSize: batch})
 	if err != nil {
@@ -298,8 +453,17 @@ func newRxStaging(t *testing.T, batch int) *rxStaging {
 	}
 	t.Cleanup(func() { eng.Stop() })
 	sh := eng.shards[0]
-	if !sh.port.(*udpPort).mmsg.gro {
-		t.Skip("no UDP_GRO: the staging is BatchSize slots from the start")
+	p := sh.port.(*udpPort)
+	if gro && !p.mmsg.gro {
+		t.Skip("no UDP_GRO")
+	}
+	if !gro {
+		// As on a kernel without UDP_GRO (where the option fails, and is
+		// off anyway): maxPacket slots, BatchSize of them at the ceiling.
+		p.mmsg.rc.Control(func(fd uintptr) { syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 0) })
+		p.mmsg.gro = false
+		sh.rxBufs, sh.rxLens, sh.rxSrcs, sh.rxSegs = nil, nil, nil, nil
+		p.initRx()
 	}
 	tx, err := net.DialUDP("udp4", nil, net.UDPAddrFromAddrPort(sh.local))
 	if err != nil {
@@ -354,64 +518,80 @@ func (r *rxStaging) received() (n int) {
 func TestRxStagingGrows(t *testing.T) {
 	for _, batch := range []int{24, 1024} { // a ceiling that is no power of two, and 32
 		t.Run(fmt.Sprint(batch), func(t *testing.T) {
-			r := newRxStaging(t, batch)
-			sh := r.sh
-			ceil := min(batch, 32)
-			if len(sh.rxBufs) != 1 || sh.rxCeil != ceil {
-				t.Fatalf("staged %d slots with ceiling %d, want 1 and %d", len(sh.rxBufs), sh.rxCeil, ceil)
-			}
-			want := 1 // the staging the next read must use
-			var kept []*byte
-			read := func() {
-				n := sh.port.readBatch(100 * time.Millisecond)
-				staged := len(sh.rxBufs)
-				if staged != want {
-					t.Fatalf("a read staged %d slots, want %d", staged, want)
-				}
-				for i, p := range kept {
-					if &sh.rxBufs[i][0] != p {
-						t.Fatalf("growth to %d slots replaced slot %d's buffer", staged, i)
-					}
-				}
-				for i := len(kept); i < staged; i++ {
-					kept = append(kept, &sh.rxBufs[i][0])
-				}
-				if n == staged {
-					want = min(2*staged, ceil)
-				}
-				r.note(n)
-			}
-			drain := func() {
-				deadline := time.Now().Add(5 * time.Second)
-				for r.received() < r.sent && time.Now().Before(deadline) {
-					read()
-				}
-			}
-			read() // nothing to read: no growth
-			// Each burst is twice the staging: one full read, which doubles
-			// it, then a partial one, which must not.
-			for len(sh.rxBufs) < ceil {
-				r.send(2 * len(sh.rxBufs))
-				drain()
-			}
-			r.send(3 * ceil) // full reads at the ceiling: no growth
-			drain()
-			if len(sh.rxBufs) != ceil {
-				t.Fatalf("staging ended at %d slots, want %d", len(sh.rxBufs), ceil)
-			}
-			for seq, c := range r.got {
-				if c != 1 {
-					t.Fatalf("datagram %d of %d arrived %d times", seq, r.sent, c)
-				}
-			}
+			checkRxStagingGrows(t, newRxStaging(t, batch, true), min(batch, 32), groBufSize)
 		})
+	}
+}
+
+// TestRxStagingGrowsWithoutGRO: with GRO off the staging follows the same
+// rule, in maxPacket slots up to BatchSize of them.
+func TestRxStagingGrowsWithoutGRO(t *testing.T) {
+	for _, batch := range []int{24, 64} {
+		t.Run(fmt.Sprint(batch), func(t *testing.T) {
+			r := newRxStaging(t, batch, false)
+			checkRxStagingGrows(t, r, batch, r.sh.maxPacket)
+		})
+	}
+}
+
+// checkRxStagingGrows drives r's staging from one slot of size bytes to
+// ceil slots and back through full reads at the ceiling.
+func checkRxStagingGrows(t *testing.T, r *rxStaging, ceil, size int) {
+	sh := r.sh
+	if len(sh.rxBufs) != 1 || sh.rxCeil != ceil || len(sh.rxBufs[0]) != size {
+		t.Fatalf("staged %d slots of %d bytes with ceiling %d, want 1 of %d and %d",
+			len(sh.rxBufs), len(sh.rxBufs[0]), sh.rxCeil, size, ceil)
+	}
+	want := 1 // the staging the next read must use
+	var kept []*byte
+	read := func() {
+		n := sh.port.readBatch(100 * time.Millisecond)
+		staged := len(sh.rxBufs)
+		if staged != want {
+			t.Fatalf("a read staged %d slots, want %d", staged, want)
+		}
+		for i, p := range kept {
+			if &sh.rxBufs[i][0] != p {
+				t.Fatalf("growth to %d slots replaced slot %d's buffer", staged, i)
+			}
+		}
+		for i := len(kept); i < staged; i++ {
+			kept = append(kept, &sh.rxBufs[i][0])
+		}
+		if n == staged {
+			want = min(2*staged, ceil)
+		}
+		r.note(n)
+	}
+	drain := func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for r.received() < r.sent && time.Now().Before(deadline) {
+			read()
+		}
+	}
+	read() // nothing to read: no growth
+	// Each burst is twice the staging: one full read, which doubles
+	// it, then a partial one, which must not.
+	for len(sh.rxBufs) < ceil {
+		r.send(2 * len(sh.rxBufs))
+		drain()
+	}
+	r.send(3 * ceil) // full reads at the ceiling: no growth
+	drain()
+	if len(sh.rxBufs) != ceil {
+		t.Fatalf("staging ended at %d slots, want %d", len(sh.rxBufs), ceil)
+	}
+	for seq, c := range r.got {
+		if c != 1 {
+			t.Fatalf("datagram %d of %d arrived %d times", seq, r.sent, c)
+		}
 	}
 }
 
 // TestRxStagingZeroAllocsAtCeiling: once the staging is at its ceiling,
 // full reads allocate nothing.
 func TestRxStagingZeroAllocsAtCeiling(t *testing.T) {
-	r := newRxStaging(t, 1024)
+	r := newRxStaging(t, 1024, true)
 	sh := r.sh
 	for deadline := time.Now().Add(5 * time.Second); len(sh.rxBufs) < sh.rxCeil && time.Now().Before(deadline); {
 		r.send(len(sh.rxBufs))
@@ -442,7 +622,7 @@ func TestRxStagingZeroAllocsAtCeiling(t *testing.T) {
 // the staging is not overload — the EWMA stays 0 while the staging grows
 // — and full reads at the ceiling still raise it.
 func TestRxSaturationOnlyAtCeiling(t *testing.T) {
-	r := newRxStaging(t, 1024)
+	r := newRxStaging(t, 1024, true)
 	sh := r.sh
 	sh.wh.init(sh.clock.Now())
 	deadline := time.Now().Add(5 * time.Second)

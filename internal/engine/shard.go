@@ -125,10 +125,12 @@ type shard struct {
 	rxCeil int
 
 	// tx staging: flows encode their packets back to back into txArena
-	// (batchSize × maxPacket bytes, txOff the write offset) and queue them
-	// for one batched write. A flush rewinds the arena, so nothing is
-	// recycled or allocated, and consecutive packets to one destination
-	// are one contiguous run of memory — one iovec of a GSO send.
+	// (txOff the write offset) and queue them for one batched write. A
+	// flush rewinds the arena, so nothing is recycled, and consecutive
+	// packets to one destination are one contiguous run of memory — one
+	// iovec of a GSO send. The arena starts at txArenaStart bytes and
+	// queueTx doubles it, up to batchSize × maxPacket, whenever the next
+	// packet might not fit: a shard holds what its largest flush needs.
 	txq     [][]byte
 	txAddrs []netip.AddrPort
 	txArena []byte
@@ -192,7 +194,7 @@ func newShard(eng *Engine, idx int) *shard {
 		idleTO:    cfg.IdleTimeout,
 		txq:       make([][]byte, 0, cfg.BatchSize),
 		txAddrs:   make([]netip.AddrPort, 0, cfg.BatchSize),
-		txArena:   make([]byte, cfg.BatchSize*cfg.MaxPacket),
+		txArena:   make([]byte, min(max(txArenaStart, cfg.MaxPacket), cfg.BatchSize*cfg.MaxPacket)),
 		det:       overload.NewDetector(cfg.Overload),
 		rng:       rand.New(rand.NewSource(wire.MixSeed(cfg.Seed, int64(idx)+0x0B5E))),
 	}
@@ -755,16 +757,26 @@ func (sh *shard) enqueue(f *flow) {
 	sh.port.wake()
 }
 
+// txArenaStart is the tx arena's first size (one maxPacket if that is
+// larger): a receiver's ack flushes fill a few KiB, so only a shard that
+// sends more ever grows it.
+const txArenaStart = 64 << 10
+
 // txBuf returns the maxPacket bytes at the arena's write offset, for
 // one outgoing packet to be encoded into and handed to queueTx; a buffer
-// that is not queued is simply handed out again.
+// that is not queued is simply handed out again. queueTx keeps that many
+// bytes free.
 func (sh *shard) txBuf() []byte {
 	return sh.txArena[sh.txOff : sh.txOff+sh.maxPacket : sh.txOff+sh.maxPacket]
 }
 
 // queueTx stages one encoded packet — a prefix of the buffer txBuf last
 // returned, anything else is a bug — for the next batched write, flushing
-// when a full batch is staged. The next packet starts where this one ends.
+// when a full batch is staged. The next packet starts where this one
+// ends; if it might not fit, queueTx flushes now and, below the
+// batchSize × maxPacket ceiling (which a full batch always fits), doubles
+// the arena, which never shrinks. The check is here, not in txBuf, so
+// that txBuf stays small enough to inline into every encoder.
 func (sh *shard) queueTx(pkt []byte, dst netip.AddrPort) {
 	if &pkt[0] != &sh.txArena[sh.txOff] {
 		panic("engine: queueTx of a packet that was not encoded into txBuf()")
@@ -774,6 +786,11 @@ func (sh *shard) queueTx(pkt []byte, dst netip.AddrPort) {
 	sh.txAddrs = append(sh.txAddrs, dst)
 	if len(sh.txq) >= sh.batchSize {
 		sh.flushTx()
+	} else if len(sh.txArena)-sh.txOff < sh.maxPacket {
+		sh.flushTx()
+		if ceil := sh.batchSize * sh.maxPacket; len(sh.txArena) < ceil {
+			sh.txArena = make([]byte, min(2*len(sh.txArena), ceil))
+		}
 	}
 }
 
