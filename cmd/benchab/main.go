@@ -3,19 +3,20 @@
 // end-to-end metric BENCHMARK.json names, the per-pair ratios, both
 // medians, the base's quartiles, the pairs won and a sign test.
 //
-//	go run ./cmd/benchab -base HEAD~1 -workloads engine-bulk -seeds 1-10,11-12 -seconds 15
+//	go run ./cmd/benchab -base HEAD~1 -workloads engine-bulk -seeds 1-10,11-12
 //
 // The base is checked out into a temporary git worktree, removed on exit.
-// Each pair runs `bash benchmark/run.sh --workload W --seed s --seconds S
-// --trace 0` in both trees, the base first on odd seeds. The head is the
-// checkout as it is on disk, uncommitted changes included. benchab exits
-// 1 if any run was not correct or failed an operation.
+// Each pair runs BENCHMARK.json's command (`bash benchmark/run.sh`) with
+// `--workload W --seed s --seconds S --trace 0`, S its run_seconds, in
+// both trees, the base first on odd seeds. The head is the checkout as it
+// is on disk, uncommitted changes included, so `-base HEAD` on a clean
+// checkout compares the code with itself and shows the host's noise.
+// benchab exits 1 if any run was not correct or failed an operation.
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -48,13 +49,12 @@ func run(args []string, w io.Writer) (bool, error) {
 	base := fs.String("base", "", "revision to compare against (required)")
 	workloads := fs.String("workloads", "", "comma-separated workloads (default: every one in BENCHMARK.json)")
 	seedList := fs.String("seeds", "1-10", "seeds, one pair each: ranges and single seeds, comma-separated")
-	seconds := fs.Float64("seconds", 15, "measured seconds per run")
 	if err := fs.Parse(args); err != nil {
 		return false, err
 	}
-	if *base == "" || fs.NArg() > 0 || *seconds <= 0 {
+	if *base == "" || fs.NArg() > 0 {
 		fs.Usage()
-		return false, errors.New("usage: benchab -base <rev> [-workloads a,b] [-seeds 1-10] [-seconds 15]")
+		return false, errors.New("usage: benchab -base <rev> [-workloads a,b] [-seeds 1-10]")
 	}
 	seeds, err := parseSeeds(*seedList)
 	if err != nil {
@@ -71,9 +71,9 @@ func run(args []string, w io.Writer) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	var c contract
-	if err := json.Unmarshal(raw, &c); err != nil {
-		return false, fmt.Errorf("BENCHMARK.json: %w", err)
+	c, err := parseContract(raw)
+	if err != nil {
+		return false, err
 	}
 	names, err := pickWorkloads(c, *workloads)
 	if err != nil {
@@ -111,7 +111,7 @@ func run(args []string, w io.Writer) (bool, error) {
 			}
 			var res [2]result
 			for i, tree := range trees {
-				r, err := runOnce(ctx, tree, name, seed, *seconds)
+				r, err := runOnce(ctx, tree, c, name, seed)
 				if err != nil {
 					return false, err
 				}
@@ -129,7 +129,7 @@ func run(args []string, w io.Writer) (bool, error) {
 		}
 	}
 
-	fmt.Fprintf(w, "# base %s vs head %s, seeds %s, %g s per run\n", rev, root, *seedList, *seconds)
+	fmt.Fprintf(w, "# base %s vs head %s, seeds %s, %g s per run\n", rev, root, *seedList, c.RunSeconds)
 	for _, name := range names {
 		for _, m := range c.EndToEnd {
 			var base, head []float64
@@ -167,12 +167,18 @@ func pickWorkloads(c contract, list string) ([]string, error) {
 
 // runOnce runs one workload at one seed in tree and parses its result.
 // A run that fails an operation exits 1 after printing its result, so
-// the exit status matters only when there is no result to read.
-func runOnce(ctx context.Context, tree, workload string, seed int64, seconds float64) (result, error) {
+// the exit status matters only when there is no result to read. The run
+// gets a process group of its own, and an interrupt kills the whole
+// group: the build run.sh starts before it execs the benchmark must not
+// outlive benchab and write into a worktree being removed.
+func runOnce(ctx context.Context, tree string, c contract, workload string, seed int64) (result, error) {
 	start := time.Now()
-	cmd := exec.CommandContext(ctx, "bash", "benchmark/run.sh", "--workload", workload,
-		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", "0")
+	args := append(slices.Clip(c.Command[1:]), "--workload", workload,
+		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(c.RunSeconds), "--trace", "0")
+	cmd := exec.CommandContext(ctx, c.Command[0], args...)
 	cmd.Dir = tree
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
 	var out bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, os.Stderr
 	runErr := cmd.Run()

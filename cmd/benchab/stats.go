@@ -4,17 +4,35 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
+
+	"pccproteus/internal/stats"
 )
 
-// contract is what benchab reads of BENCHMARK.json.
+// contract is what benchab reads of BENCHMARK.json: the command that
+// runs one workload, how long a run measures, the workloads and their
+// end-to-end metrics.
 type contract struct {
-	Workloads []struct {
+	Command    []string `json:"command"`
+	RunSeconds float64  `json:"run_seconds"`
+	Workloads  []struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []metricSpec `json:"end_to_end"`
+}
+
+// parseContract decodes BENCHMARK.json and checks that it names a
+// command and a run length.
+func parseContract(raw []byte) (contract, error) {
+	var c contract
+	if err := json.Unmarshal(raw, &c); err != nil {
+		return c, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	if len(c.Command) == 0 || c.RunSeconds <= 0 {
+		return c, fmt.Errorf("BENCHMARK.json: command %q, run_seconds %g: want a command and a positive run length", c.Command, c.RunSeconds)
+	}
+	return c, nil
 }
 
 // metricSpec is one end-to-end metric: its unit, the direction that is
@@ -78,39 +96,6 @@ func parseSeeds(s string) ([]int64, error) {
 	return seeds, nil
 }
 
-// median is the middle value of v, or the mean of the middle two.
-func median(v []float64) float64 {
-	s := sorted(v)
-	n := len(s)
-	if n == 0 {
-		return math.NaN()
-	}
-	return (s[(n-1)/2] + s[n/2]) / 2
-}
-
-func sorted(v []float64) []float64 {
-	s := append([]float64(nil), v...)
-	slices.Sort(s)
-	return s
-}
-
-// quartiles are Python's statistics.quantiles(v, n=4) (exclusive
-// method), as the benchmark's acceptance rule reads them.
-func quartiles(v []float64) (q1, q3 float64) {
-	n := len(v)
-	if n < 2 {
-		m := median(v)
-		return m, m
-	}
-	s := sorted(v)
-	at := func(i int) float64 {
-		pos := float64(i) * float64(n+1) / 4
-		j := min(max(int(math.Floor(pos)), 1), n-1)
-		return s[j-1] + (s[j]-s[j-1])*(pos-float64(j))
-	}
-	return at(1), at(3)
-}
-
 // wins counts the pairs where head is better than base in the direction
 // better names, and those where it is worse; ties count for neither.
 func wins(base, head []float64, better string) (won, lost int) {
@@ -162,11 +147,11 @@ type summary struct {
 
 // summarize compares head with base, pair by pair.
 func summarize(base, head []float64, better string) summary {
-	s := summary{baseMed: median(base), headMed: median(head)}
+	s := summary{baseMed: stats.Median(base), headMed: stats.Median(head)}
 	for i := range base {
 		s.ratios = append(s.ratios, head[i]/base[i])
 	}
-	s.baseQ1, s.baseQ3 = quartiles(base)
+	s.baseQ1, s.baseQ3 = stats.Quartiles(base)
 	s.won, s.lost = wins(base, head, better)
 	s.p = signTestP(s.won, s.lost)
 	return s

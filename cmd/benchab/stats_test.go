@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"os"
 	"slices"
@@ -48,9 +47,12 @@ func TestContractDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c contract
-	if err := json.Unmarshal(raw, &c); err != nil {
+	c, err := parseContract(raw)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if c.Command[0] != "bash" || c.RunSeconds <= 0 {
+		t.Errorf("command %q, run_seconds %g", c.Command, c.RunSeconds)
 	}
 	all, err := pickWorkloads(c, "")
 	if err != nil || len(all) == 0 || len(c.EndToEnd) == 0 {
@@ -67,28 +69,10 @@ func TestContractDecodes(t *testing.T) {
 	if _, err := pickWorkloads(c, all[0]+",no-such-workload"); err == nil {
 		t.Error("an unknown workload was accepted")
 	}
-}
-
-// Medians and quartiles match Python's statistics.median and
-// statistics.quantiles(v, n=4).
-func TestMedianQuartiles(t *testing.T) {
-	for _, tc := range []struct {
-		v           []float64
-		med, q1, q3 float64
-	}{
-		{[]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 5.5, 2.75, 8.25},
-		{[]float64{25.4, 25.4, 25.4, 26.6, 25.9, 25.9, 25.6}, 25.6, 25.4, 25.9},
-		{[]float64{3, 1, 2}, 2, 1, 3},
-		{[]float64{5, 1}, 3, 0, 6},
-		{[]float64{4}, 4, 4, 4},
-	} {
-		q1, q3 := quartiles(tc.v)
-		if m := median(tc.v); math.Abs(m-tc.med) > 1e-12 || math.Abs(q1-tc.q1) > 1e-12 || math.Abs(q3-tc.q3) > 1e-12 {
-			t.Errorf("%v: median %g quartiles %g/%g, want %g and %g/%g", tc.v, m, q1, q3, tc.med, tc.q1, tc.q3)
+	for _, bad := range []string{`{"run_seconds":15}`, `{"command":["bash"],"run_seconds":0}`, `{"command":[],"run_seconds":15}`, `{"command":`} {
+		if _, err := parseContract([]byte(bad)); err == nil {
+			t.Errorf("parseContract(%s) accepted", bad)
 		}
-	}
-	if v := []float64{3, 1, 2}; median(v) != 2 || !slices.Equal(v, []float64{3, 1, 2}) {
-		t.Error("median reordered its input")
 	}
 }
 

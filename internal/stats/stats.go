@@ -105,6 +105,29 @@ func percentileSorted(c []float64, p float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
+// Quartiles returns the first and third quartiles of xs as Python's
+// statistics.quantiles(xs, n=4) computes them (the exclusive method,
+// which the benchmark's acceptance rule reads): the i-th quartile sits at
+// rank i(n+1)/4, clamped to the second and second-to-last samples. With
+// fewer than two samples both are the median. It copies and sorts its
+// input; NaN samples are ignored.
+func Quartiles(xs []float64) (q1, q3 float64) {
+	xs = dropNaN(xs)
+	n := len(xs)
+	if n < 2 {
+		m := Median(xs)
+		return m, m
+	}
+	c := append([]float64(nil), xs...)
+	sort.Float64s(c)
+	at := func(i int) float64 {
+		pos := float64(i) * float64(n+1) / 4
+		j := min(max(int(math.Floor(pos)), 1), n-1)
+		return c[j-1] + (c[j]-c[j-1])*(pos-float64(j))
+	}
+	return at(1), at(3)
+}
+
 // JainIndex returns Jain's fairness index of the allocation xs:
 // (Σx)² / (n · Σx²). It is 1 for perfectly equal shares and 1/n when one
 // flow takes everything. Returns 0 for empty or all-zero input; NaN

@@ -43,6 +43,31 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// Quartiles match Python's statistics.quantiles(v, n=4).
+func TestQuartiles(t *testing.T) {
+	for _, tc := range []struct {
+		v      []float64
+		q1, q3 float64
+	}{
+		{[]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 2.75, 8.25},
+		{[]float64{25.4, 25.4, 25.4, 26.6, 25.9, 25.9, 25.6}, 25.4, 25.9},
+		{[]float64{24.72, 24.73, 24.63, 24.82, 25.61, 24.89, 25.37, 25.12, 24.79, 24.48, 26.92, 25.68}, 24.7225, 25.55},
+		{[]float64{3, 1, 2}, 1, 3},
+		{[]float64{5, 1}, 0, 6},
+		{[]float64{1, 3, math.NaN()}, 0.5, 3.5},
+		{[]float64{4}, 4, 4},
+	} {
+		if q1, q3 := Quartiles(tc.v); !almost(q1, tc.q1, 1e-12) || !almost(q3, tc.q3, 1e-12) {
+			t.Errorf("Quartiles(%v) = %g, %g; want %g, %g", tc.v, q1, q3, tc.q1, tc.q3)
+		}
+	}
+	in := []float64{3, 1, 2}
+	Quartiles(in)
+	if in[0] != 3 {
+		t.Fatal("Quartiles mutated input")
+	}
+}
+
 func TestJainIndex(t *testing.T) {
 	if j := JainIndex([]float64{10, 10, 10}); !almost(j, 1, 1e-12) {
 		t.Fatalf("equal shares: %v", j)
