@@ -125,5 +125,10 @@ func TestScenariosGolden(t *testing.T) {
 		fmt.Fprintf(&b, "%s mbps=%v mean=%v p95=%v loss=%v\n", c.name, row.SimMbps, row.SimMeanRTT, row.SimP95RTT, row.SimLoss)
 	}
 
+	// bbr2 through Startup, Drain and a Refill/Up probe, with both
+	// inflight cuts: a shallow buffer, random loss and a late CUBIC.
+	dump("bbr2-shallow-loss", true, Scenario{Seed: 3, Link: LinkSpec{Mbps: 50, RTT: 0.030, BufBytes: 47000, LossProb: 0.01},
+		Flows: []FlowSpec{{Proto: ProtoBBR2}, {Proto: ProtoCubic, StartAt: 8}}, Duration: 24})
+
 	compareGolden(t, "scenarios.golden", []byte(b.String()))
 }
