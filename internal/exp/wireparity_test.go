@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"pccproteus/internal/netem"
@@ -11,8 +13,17 @@ import (
 // are: every row passes, and no engine RTT mean exceeds what the path
 // can physically produce — base RTT, a full queue, one MTU of
 // serialisation. An engine flow that stamps its packets on a pacing
-// timeline the window held back reads RTTs the path cannot have.
+// timeline the window held back reads RTTs the path cannot have. The
+// table must also print the bytes of results/wireparity-gated.txt.
 func TestWireParityWindowGated(t *testing.T) {
+	want, err := os.ReadFile("../../results/wireparity-gated.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd, body, _ := strings.Cut(string(want), "\n")
+	if cmd != "# go run ./cmd/proteusbench -wire -fast -seed 1 -wire-protos copa,ledbat,ledbat-25,cubic,bbr,bbr2" {
+		t.Fatalf("first line %q is not the command", cmd)
+	}
 	res, err := WireParity(CrossWorldOptions{
 		Protos:   []string{ProtoCopa, ProtoLEDBAT, ProtoLEDBAT25, ProtoCubic, ProtoBBR, ProtoBBR2},
 		Duration: 8, // -fast
@@ -30,5 +41,8 @@ func TestWireParityWindowGated(t *testing.T) {
 	}
 	if !res.AllPass() || t.Failed() {
 		t.Fatalf("window-gated parity failed:\n%s", res.Render())
+	}
+	if got := res.Render(); got != body {
+		t.Fatalf("window-gated parity prints\n%s\nresults/wireparity-gated.txt has\n%s", got, body)
 	}
 }
