@@ -1,4 +1,63 @@
-// Package bbr2 implements a BBRv2-style controller (Cardwell et al.,
+package bbr
+
+import (
+	"math"
+
+	"pccproteus/internal/transport"
+)
+
+const (
+	probeUpGain   = 1.25
+	probeDownGain = 0.75
+
+	// Loss response: a round whose lost/(lost+delivered) byte fraction
+	// exceeds lossThresh is "lossy"; each lossy round cuts inflight_hi
+	// by beta. A round must also lose at least minLossPkts packets to
+	// count — on a tiny window a single stray (e.g. random-media) loss
+	// is a huge fraction, and cutting on it wedges the bound at the
+	// floor. headroom is the fraction of inflight_hi usable outside an
+	// active probe.
+	lossThresh  = 0.02
+	minLossPkts = 2
+	beta        = 0.7
+	headroom    = 0.85
+
+	v2ProbeRTTInterval = 5.0 // v2 probes min-RTT twice as often as v1...
+	probeRTTCwndGain   = 0.5 // ...but with half a BDP instead of 4 packets
+
+	// bwProbeWait is the cruise time before the next Refill/Up probe
+	// (v2 randomizes 2–3 s; a fixed midpoint keeps runs reproducible).
+	bwProbeWait = 2.5
+
+	// upMaxRounds bounds one Up probe; each clean Up round raises
+	// inflight_hi at a doubling growth step.
+	upMaxRounds = 3
+)
+
+// phase is the ProbeBW sub-state.
+type phase int
+
+const (
+	phaseDown phase = iota
+	phaseCruise
+	phaseRefill
+	phaseUp
+)
+
+func (p phase) String() string {
+	switch p {
+	case phaseDown:
+		return "probe_down"
+	case phaseCruise:
+		return "cruise"
+	case phaseRefill:
+		return "refill"
+	default:
+		return "probe_up"
+	}
+}
+
+// V2 is one connection of a BBRv2-style controller (Cardwell et al.,
 // IETF drafts 2019–2021): the v1 model — windowed-max bottleneck
 // bandwidth, windowed-min propagation delay, gain-cycled pacing — with
 // v2's two structural changes. First, the fixed eight-phase gain cycle
@@ -16,119 +75,12 @@
 // inflight_hi), where inflight_hi keeps 15% headroom while cruising —
 // so bbr2, unlike v1, responds to loss at a bounded rate instead of
 // ignoring it.
-package bbr2
-
-import (
-	"math"
-
-	"pccproteus/internal/cc/bbr"
-	"pccproteus/internal/netem"
-	"pccproteus/internal/stats"
-	"pccproteus/internal/trace"
-	"pccproteus/internal/transport"
-)
-
-const (
-	mss = float64(netem.MTU)
-
-	startupGain   = 2.885 // 2/ln2, as v1
-	drainGain     = 1 / 2.885
-	cwndGain      = 2.0
-	probeUpGain   = 1.25
-	probeDownGain = 0.75
-
-	// Loss response: a round whose lost/(lost+delivered) byte fraction
-	// exceeds lossThresh is "lossy"; each lossy round cuts inflight_hi
-	// by beta. A round must also lose at least minLossPkts packets to
-	// count — on a tiny window a single stray (e.g. random-media) loss
-	// is a huge fraction, and cutting on it wedges the bound at the
-	// floor. headroom is the fraction of inflight_hi usable outside an
-	// active probe.
-	lossThresh  = 0.02
-	minLossPkts = 2
-	beta        = 0.7
-	headroom    = 0.85
-
-	btlbwWindowRounds = 10   // bandwidth max-filter, in round trips
-	rtpropWindow      = 10.0 // seconds
-	probeRTTInterval  = 5.0  // v2 probes min-RTT twice as often as v1...
-	probeRTTDuration  = 0.2
-	probeRTTCwndGain  = 0.5 // ...but with half a BDP instead of 4 packets
-
-	// bwProbeWait is the cruise time before the next Refill/Up probe
-	// (v2 randomizes 2–3 s; a fixed midpoint keeps runs reproducible).
-	bwProbeWait = 2.5
-
-	// upMaxRounds bounds one Up probe; each clean Up round raises
-	// inflight_hi at a doubling growth step.
-	upMaxRounds = 3
-)
-
-type mode int
-
-const (
-	modeStartup mode = iota
-	modeDrain
-	modeProbeBW
-	modeProbeRTT
-)
-
-// phase is the ProbeBW sub-state.
-type phase int
-
-const (
-	phaseDown phase = iota
-	phaseCruise
-	phaseRefill
-	phaseUp
-)
-
-func (m mode) String() string {
-	switch m {
-	case modeStartup:
-		return "startup"
-	case modeDrain:
-		return "drain"
-	case modeProbeBW:
-		return "probe_bw"
-	default:
-		return "probe_rtt"
-	}
-}
-
-func (p phase) String() string {
-	switch p {
-	case phaseDown:
-		return "probe_down"
-	case phaseCruise:
-		return "cruise"
-	case phaseRefill:
-		return "refill"
-	default:
-		return "probe_up"
-	}
-}
-
-// Controller is one bbr2 connection.
-type Controller struct {
-	mode       mode
-	phase      phase
-	btlbw      stats.WindowedMax // bytes/sec, keyed by round count
-	rtprop     stats.WindowedMin // seconds, keyed by time
-	pacingGain float64
+type V2 struct {
+	model
+	phase phase
 
 	inflightHi float64 // probe-learned long-term inflight ceiling, bytes
 	inflightLo float64 // short-term loss bound, reset at each Refill
-
-	delivered    int64
-	deliveredAt  float64
-	snapshots    bbr.Snapshots
-	round        int64
-	nextRoundSeq int64
-	maxSeqSent   int64
-	fullBW       float64
-	fullBWRounds int
-	inflight     int
 
 	// Per-round loss accounting.
 	roundAcked   int64
@@ -136,42 +88,28 @@ type Controller struct {
 	lossyRound   bool // set at the round edge, consumed by step
 	startupLossy int  // consecutive lossy rounds during startup
 
-	cruiseStart   float64
-	refillRound   int64
-	upRounds      int
-	upGrowth      float64 // packets added to inflight_hi next clean Up round
-	rtpropStamp   float64
-	probeRTTUntil float64
-
-	started      bool
-	nowForRtprop float64
-
-	tr trace.Tracer
+	cruiseStart float64
+	refillRound int64
+	upRounds    int
+	upGrowth    float64 // packets added to inflight_hi next clean Up round
 }
 
-// New returns a bbr2 controller.
-func New() *Controller {
-	return &Controller{
-		mode:       modeStartup,
-		pacingGain: startupGain,
-		btlbw:      stats.WindowedMax{Window: btlbwWindowRounds},
-		rtprop:     stats.WindowedMin{Window: rtpropWindow},
+// NewV2 returns a bbr2 controller.
+func NewV2() *V2 {
+	return &V2{
+		model:      newModel(),
 		inflightHi: math.Inf(1),
 		inflightLo: math.Inf(1),
 		upGrowth:   1,
 	}
 }
 
-// SetTracer implements transport.TraceAware: mode and ProbeBW-phase
-// transitions are emitted as ModeSwitch events (value = pacing gain).
-func (c *Controller) SetTracer(t trace.Tracer) { c.tr = t }
-
 // Name implements transport.Controller.
-func (c *Controller) Name() string { return "bbr2" }
+func (c *V2) Name() string { return "bbr2" }
 
 // Mode returns the current mode, with the ProbeBW sub-state spelled
 // out (for tests and diagnostics).
-func (c *Controller) Mode() string {
+func (c *V2) Mode() string {
 	if c.mode == modeProbeBW {
 		return c.phase.String()
 	}
@@ -180,99 +118,42 @@ func (c *Controller) Mode() string {
 
 // InflightHi returns the probe-learned inflight ceiling in bytes
 // (+Inf until the first lossy probe).
-func (c *Controller) InflightHi() float64 { return c.inflightHi }
+func (c *V2) InflightHi() float64 { return c.inflightHi }
 
 // InflightLo returns the short-term loss bound in bytes (+Inf while
 // no loss has been seen since the last Refill).
-func (c *Controller) InflightLo() float64 { return c.inflightLo }
+func (c *V2) InflightLo() float64 { return c.inflightLo }
 
-// BtlBw returns the bottleneck bandwidth estimate in bytes/sec.
-func (c *Controller) BtlBw() float64 {
-	bw, _ := c.btlbw.Get(float64(c.round))
-	return bw
-}
-
-// RTProp returns the propagation-delay estimate in seconds.
-func (c *Controller) RTProp() float64 {
-	rt, ok := c.rtprop.Get(c.nowForRtprop)
-	if !ok {
-		return 0.1
-	}
-	return rt
-}
-
-var _ transport.Controller = (*Controller)(nil)
+var _ transport.Controller = (*V2)(nil)
 
 // OnSend implements transport.Controller.
-func (c *Controller) OnSend(now float64, pkt *transport.SentPacket) {
-	if c.deliveredAt == 0 {
-		c.deliveredAt = now
-	}
-	c.snapshots.Put(pkt.Seq, bbr.Snapshot{Delivered: c.delivered, DeliveredAt: c.deliveredAt, SentAt: now})
-	if pkt.Seq > c.maxSeqSent {
-		c.maxSeqSent = pkt.Seq
-	}
-	c.inflight += pkt.Size
-	if !c.started {
-		c.started = true
-		c.rtpropStamp = now
+func (c *V2) OnSend(now float64, pkt *transport.SentPacket) {
+	if c.send(now, pkt) {
 		c.cruiseStart = now
 	}
 }
 
 // OnLoss implements transport.Controller: losses feed the per-round
 // loss rate that drives the inflight_hi response.
-func (c *Controller) OnLoss(loss transport.Loss) {
-	c.snapshots.Take(loss.Seq)
-	c.inflight -= loss.Bytes
-	if c.inflight < 0 {
-		c.inflight = 0
-	}
+func (c *V2) OnLoss(loss transport.Loss) {
+	c.loss(loss)
 	c.roundLost += int64(loss.Bytes)
 }
 
 // OnAck implements transport.Controller.
-func (c *Controller) OnAck(ack transport.Ack) {
-	c.nowForRtprop = ack.Now
-	c.inflight -= ack.Bytes
-	if c.inflight < 0 {
-		c.inflight = 0
-	}
-	c.delivered += int64(ack.Bytes)
-	c.deliveredAt = ack.Now
+func (c *V2) OnAck(ack transport.Ack) {
 	c.roundAcked += int64(ack.Bytes)
-
-	if ack.Seq >= c.nextRoundSeq {
-		c.round++
-		c.nextRoundSeq = c.maxSeqSent + 1
+	if c.ack(ack) {
 		c.onRound(ack.Now)
 	}
-
-	// Delivery-rate sample, exactly as v1 (see bbr.Controller.OnAck).
-	if snap, ok := c.snapshots.Take(ack.Seq); ok {
-		sendElapsed := snap.SentAt - snap.DeliveredAt
-		ackElapsed := ack.Now - snap.DeliveredAt
-		elapsed := ackElapsed
-		if sendElapsed > elapsed {
-			elapsed = sendElapsed
-		}
-		if elapsed > 0 {
-			c.btlbw.Add(float64(c.round), float64(c.delivered-snap.Delivered)/elapsed)
-		}
-	}
-
-	if prev, ok := c.rtprop.Get(ack.Now); !ok || ack.RTT < prev {
-		c.rtpropStamp = ack.Now
-	}
-	c.rtprop.Add(ack.Now, ack.RTT)
-
+	c.sample(ack)
 	c.step(ack.Now)
 }
 
 // onRound closes the per-round loss ledger; in startup it runs the v1
 // full-pipe estimator, and in an Up probe it does the once-per-round
 // inflight_hi growth bookkeeping.
-func (c *Controller) onRound(now float64) {
+func (c *V2) onRound(now float64) {
 	tot := c.roundAcked + c.roundLost
 	c.lossyRound = float64(c.roundLost) >= minLossPkts*mss &&
 		float64(c.roundLost)/float64(tot) > lossThresh
@@ -280,13 +161,7 @@ func (c *Controller) onRound(now float64) {
 
 	switch c.mode {
 	case modeStartup:
-		bw := c.BtlBw()
-		if bw > c.fullBW*1.25 {
-			c.fullBW = bw
-			c.fullBWRounds = 0
-		} else {
-			c.fullBWRounds++
-		}
+		c.checkFullPipe()
 		if c.lossyRound {
 			c.startupLossy++
 		} else {
@@ -313,10 +188,10 @@ func (c *Controller) onRound(now float64) {
 	}
 }
 
-// cutInflightHi is the loss response: a multiplicative cut of the
-// inflight bound, floored so the window never collapses entirely.
-func (c *Controller) cutInflightHi(now float64) {
-	bound := c.inflightHi
+// cut is one multiplicative loss cut of an inflight bound. An unset
+// (+Inf) bound starts from what is in flight or one BDP, whichever is
+// more; the result is floored so the window never collapses entirely.
+func (c *V2) cut(bound float64) float64 {
 	if math.IsInf(bound, 1) {
 		bound = float64(c.inflight)
 		if b := c.bdp(); b > bound {
@@ -327,30 +202,24 @@ func (c *Controller) cutInflightHi(now float64) {
 	if bound < 4*mss {
 		bound = 4 * mss
 	}
-	c.inflightHi = bound
+	return bound
+}
+
+// cutInflightHi is the loss response to a probe that proved too much.
+func (c *V2) cutInflightHi(now float64) {
+	c.inflightHi = c.cut(c.inflightHi)
 	c.upGrowth = 1
 	c.tr.ModeSwitch(now, "inflight_hi_cut", c.inflightHi/mss)
 }
 
 // adaptInflightLo is the short-term loss response outside a probe:
 // cut the transient bound, to be released at the next Refill.
-func (c *Controller) adaptInflightLo(now float64) {
-	lo := c.inflightLo
-	if math.IsInf(lo, 1) {
-		lo = float64(c.inflight)
-		if b := c.bdp(); b > lo {
-			lo = b
-		}
-	}
-	lo *= beta
-	if lo < 4*mss {
-		lo = 4 * mss
-	}
-	c.inflightLo = lo
+func (c *V2) adaptInflightLo(now float64) {
+	c.inflightLo = c.cut(c.inflightLo)
 	c.tr.ModeSwitch(now, "inflight_lo_cut", c.inflightLo/mss)
 }
 
-func (c *Controller) step(now float64) {
+func (c *V2) step(now float64) {
 	switch c.mode {
 	case modeStartup:
 		// Exit on a full pipe (v1) or on sustained loss (v2: startup
@@ -360,9 +229,7 @@ func (c *Controller) step(now float64) {
 				c.cutInflightHi(now)
 				c.startupLossy = 0
 			}
-			c.mode = modeDrain
-			c.pacingGain = drainGain
-			c.tr.ModeSwitch(now, "drain", c.pacingGain)
+			c.enterDrain(now)
 		}
 	case modeDrain:
 		if float64(c.inflight) <= c.bdp() {
@@ -370,7 +237,7 @@ func (c *Controller) step(now float64) {
 		}
 	case modeProbeBW:
 		c.stepProbeBW(now)
-		if now-c.rtpropStamp > probeRTTInterval {
+		if now-c.rtpropStamp > v2ProbeRTTInterval {
 			c.enterProbeRTT(now)
 		}
 	case modeProbeRTT:
@@ -390,7 +257,7 @@ func (c *Controller) step(now float64) {
 }
 
 // stepProbeBW advances the Down → Cruise → Refill → Up sub-machine.
-func (c *Controller) stepProbeBW(now float64) {
+func (c *V2) stepProbeBW(now float64) {
 	switch c.phase {
 	case phaseDown:
 		if float64(c.inflight) <= c.inflightTarget() {
@@ -419,7 +286,7 @@ func (c *Controller) stepProbeBW(now float64) {
 
 // inflightTarget is the steady-state inflight bound: cruise keeps 15%
 // headroom under inflight_hi, and never below one BDP's worth of use.
-func (c *Controller) inflightTarget() float64 {
+func (c *V2) inflightTarget() float64 {
 	t := c.bdp()
 	if !math.IsInf(c.inflightHi, 1) {
 		if h := headroom * c.inflightHi; h < t {
@@ -432,12 +299,12 @@ func (c *Controller) inflightTarget() float64 {
 	return t
 }
 
-func (c *Controller) enterProbeBW(now float64, p phase) {
+func (c *V2) enterProbeBW(now float64, p phase) {
 	c.mode = modeProbeBW
 	c.enterPhase(now, p)
 }
 
-func (c *Controller) enterPhase(now float64, p phase) {
+func (c *V2) enterPhase(now float64, p phase) {
 	c.phase = p
 	switch p {
 	case phaseDown:
@@ -456,31 +323,17 @@ func (c *Controller) enterPhase(now float64, p phase) {
 	c.tr.ModeSwitch(now, p.String(), c.pacingGain)
 }
 
-func (c *Controller) enterProbeRTT(now float64) {
+func (c *V2) enterProbeRTT(now float64) {
 	c.mode = modeProbeRTT
 	c.probeRTTUntil = now + probeRTTDuration
 	c.pacingGain = 1.0
 	c.tr.ModeSwitch(now, "probe_rtt", c.pacingGain)
 }
 
-func (c *Controller) bdp() float64 { return c.BtlBw() * c.RTProp() }
-
-// PacingRate implements transport.Controller.
-func (c *Controller) PacingRate() float64 {
-	bw := c.BtlBw()
-	if bw == 0 {
-		return 10 * mss / 0.1 * c.pacingGain
-	}
-	if c.mode == modeProbeRTT {
-		return bw
-	}
-	return c.pacingGain * bw
-}
-
 // CWnd implements transport.Controller: the v1 gain-scaled BDP window
 // capped by the loss-learned inflight bound (with cruise headroom
 // outside an active Refill/Up probe).
-func (c *Controller) CWnd() float64 {
+func (c *V2) CWnd() float64 {
 	if c.mode == modeProbeRTT {
 		w := probeRTTCwndGain * c.bdp()
 		if w < 4*mss {

@@ -1,24 +1,18 @@
-package bbr2
+package bbr
 
 import (
 	"math"
 	"testing"
 
-	"pccproteus/internal/netem"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/stats"
 	"pccproteus/internal/transport"
 )
 
-func path(s *sim.Sim, mbps float64, buf int, rtt float64) *netem.Path {
-	l := netem.NewLink(s, mbps, buf, rtt/2)
-	return &netem.Path{Link: l, AckDelay: rtt / 2}
-}
-
 func TestBBR2SaturatesLink(t *testing.T) {
 	s := sim.New(1)
 	p := path(s, 50, 375000, 0.030) // 2 BDP of buffer
-	cc := New()
+	cc := NewV2()
 	snd := transport.NewSender(1, p, cc)
 	snd.Start()
 	var mark int64
@@ -39,7 +33,7 @@ func TestBBR2SaturatesLink(t *testing.T) {
 func TestBBR2ExitsStartup(t *testing.T) {
 	s := sim.New(2)
 	p := path(s, 50, 375000, 0.030)
-	cc := New()
+	cc := NewV2()
 	snd := transport.NewSender(1, p, cc)
 	snd.Start()
 	s.Run(3)
@@ -54,7 +48,7 @@ func TestBBR2ExitsStartup(t *testing.T) {
 func TestBBR2ProbeBWCycle(t *testing.T) {
 	s := sim.New(3)
 	p := path(s, 50, 375000, 0.030)
-	cc := New()
+	cc := NewV2()
 	snd := transport.NewSender(1, p, cc)
 	snd.Start()
 	seen := map[string]bool{}
@@ -77,7 +71,7 @@ func TestBBR2ProbeBWCycle(t *testing.T) {
 func TestBBR2ProbeRTTVisits(t *testing.T) {
 	s := sim.New(4)
 	p := path(s, 50, 375000, 0.030)
-	cc := New()
+	cc := NewV2()
 	snd := transport.NewSender(1, p, cc)
 	snd.Start()
 	visits := 0
@@ -104,7 +98,7 @@ func TestBBR2LearnsInflightHi(t *testing.T) {
 	s := sim.New(5)
 	bdp := 50.0 * 1e6 / 8 * 0.030
 	p := path(s, 50, int(bdp/4), 0.030) // quarter-BDP buffer: loss is inevitable
-	cc := New()
+	cc := NewV2()
 	snd := transport.NewSender(1, p, cc)
 	snd.Start()
 	s.Run(30)
@@ -126,7 +120,7 @@ func TestBBR2LearnsInflightHi(t *testing.T) {
 func TestBBR2BoundsQueue(t *testing.T) {
 	s := sim.New(6)
 	p := path(s, 50, 750000, 0.030)
-	snd := transport.NewSender(1, p, New())
+	snd := transport.NewSender(1, p, NewV2())
 	snd.RecordRTT = true
 	snd.Start()
 	s.Run(60)
@@ -144,7 +138,7 @@ func TestBBR2ToleratesRandomLoss(t *testing.T) {
 	s := sim.New(7)
 	p := path(s, 50, 375000, 0.030)
 	p.Link.LossProb = 0.005
-	snd := transport.NewSender(1, p, New())
+	snd := transport.NewSender(1, p, NewV2())
 	snd.Start()
 	var mark int64
 	s.At(10, func() { mark = snd.AckedBytes() })

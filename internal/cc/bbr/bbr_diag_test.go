@@ -59,8 +59,10 @@ func TestDiagBBRSvar(t *testing.T) {
 			dp := float64(primary.AckedBytes()-mp) * 8 / 4 / 1e6
 			ds := float64(scav.AckedBytes()-ms) * 8 / 4 / 1e6
 			mp, ms = primary.AckedBytes(), scav.AckedBytes()
-			fmt.Printf("t=%4.1f P=%5.1f S=%5.1f rttvarS=%.4f modeS=%s q=%.0fKB\n",
-				ts, dp, ds, ccS.rttvar, ccS.Mode(), float64(p.Link.QueueBytes())/1000)
+			hi, _ := ccS.swingMax.Get(ts)
+			lo, _ := ccS.swingMin.Get(ts)
+			fmt.Printf("t=%4.1f P=%5.1f S=%5.1f swingS=%.4f modeS=%s q=%.0fKB\n",
+				ts, dp, ds, hi-lo, ccS.Mode(), float64(p.Link.QueueBytes())/1000)
 		})
 	}
 	s.Run(60)

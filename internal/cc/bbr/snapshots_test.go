@@ -9,8 +9,8 @@ import (
 	"pccproteus/internal/transport"
 )
 
-func snapOf(seq int64) Snapshot {
-	return Snapshot{Delivered: seq * 1500, DeliveredAt: float64(seq), SentAt: float64(seq) + 0.5}
+func snapOf(seq int64) snapshot {
+	return snapshot{Delivered: seq * 1500, DeliveredAt: float64(seq), SentAt: float64(seq) + 0.5}
 }
 
 // Take answers what the map it replaced answered: ok exactly when seq
@@ -19,8 +19,8 @@ func snapOf(seq int64) Snapshot {
 // duplicates, stragglers from before the window and seqs never sent.
 func TestSnapshotsAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var r Snapshots
-	ref := map[int64]Snapshot{}
+	var r snapshots
+	ref := map[int64]snapshot{}
 	oldest, next := int64(0), int64(0)
 	for i := 0; i < 200000; i++ {
 		if rng.Intn(2) == 0 {
@@ -59,7 +59,7 @@ func TestSnapshotsAgainstMap(t *testing.T) {
 }
 
 func TestSnapshotsWrapGrowAndStale(t *testing.T) {
-	var r Snapshots
+	var r snapshots
 	if _, ok := r.Take(0); ok {
 		t.Fatal("Take on an empty ring found something")
 	}
@@ -98,7 +98,7 @@ func TestSnapshotsWrapGrowAndStale(t *testing.T) {
 		}
 	}
 	// Put on a live seq replaces it, as a map assignment did.
-	r.Put(970, Snapshot{Delivered: 1})
+	r.Put(970, snapshot{Delivered: 1})
 	if got, ok := r.Take(970); !ok || got.Delivered != 1 {
 		t.Fatalf("re-Put(970) then Take = %+v, %v", got, ok)
 	}

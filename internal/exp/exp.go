@@ -19,7 +19,6 @@ import (
 	"pccproteus/internal/campaign"
 	"pccproteus/internal/cc/allegro"
 	"pccproteus/internal/cc/bbr"
-	"pccproteus/internal/cc/bbr2"
 	"pccproteus/internal/cc/copa"
 	"pccproteus/internal/cc/cubic"
 	"pccproteus/internal/cc/fixedrate"
@@ -82,7 +81,7 @@ func NewControllerRNG(rng *rand.Rand, name string) transport.Controller {
 	case ProtoBBRS:
 		return bbr.NewScavenger()
 	case ProtoBBR2:
-		return bbr2.New()
+		return bbr.NewV2()
 	case ProtoCopa:
 		return copa.New()
 	case ProtoLEDBAT:
