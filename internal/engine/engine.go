@@ -391,37 +391,77 @@ func (e *Engine) Stats() Stats {
 		RejectedScavenger: e.rejectScav.Load(),
 	}
 	for _, sh := range e.shards {
-		st.RxPkts += sh.ctr.rxPkts.Load()
-		st.RxBatches += sh.ctr.rxBatches.Load()
-		st.RxDups += sh.ctr.rxDups.Load()
-		st.TxPkts += sh.ctr.txPkts.Load()
-		st.TxBatches += sh.ctr.txBatches.Load()
-		st.BadPkts += sh.ctr.bad.Load()
-		st.BadAcks += sh.ctr.badAcks.Load()
-		st.StraySegs += sh.ctr.straySegs.Load()
-		st.Evicted += sh.ctr.evicted.Load()
-		st.Rebinds += sh.ctr.rebinds.Load()
-		st.Delivered += sh.ctr.delivered.Load()
-		st.DeliveredBytes += sh.ctr.deliveredBytes.Load()
-		st.FetchReqs += sh.ctr.fetchReqs.Load()
-		st.SegsTx += sh.ctr.segsTx.Load()
-		st.Flows += int(sh.nFlows.Load())
-		st.RejectedScavenger += sh.ctr.rejectScav.Load()
-		st.ShedPrimary += sh.ctr.shedPrim.Load()
-		st.ShedScavenger += sh.ctr.shedScav.Load()
-		st.BusyTx += sh.ctr.busyTx.Load()
-		st.BusyRx += sh.ctr.busyRx.Load()
-		st.TxSoftErrs += sh.ctr.txSoftErrs.Load()
-		st.Paused += sh.ctr.paused.Load()
-		if s := sh.overloadState(); s.Severity() > st.Overload.Severity() {
-			st.Overload = s
-		}
-		if w := severityState(sh.ovWorst.Load()); w.Severity() > st.WorstOverload.Severity() {
-			st.WorstOverload = w
-		}
-		if p := sh.pressureMirror(); p > st.Pressure {
-			st.Pressure = p
-		}
+		st.add(sh.stats())
 	}
 	return st
+}
+
+// stats snapshots one shard's counters and overload state.
+func (sh *shard) stats() Stats {
+	return Stats{
+		RxPkts:            sh.ctr.rxPkts.Load(),
+		RxBatches:         sh.ctr.rxBatches.Load(),
+		RxDups:            sh.ctr.rxDups.Load(),
+		TxPkts:            sh.ctr.txPkts.Load(),
+		TxBatches:         sh.ctr.txBatches.Load(),
+		BadPkts:           sh.ctr.bad.Load(),
+		BadAcks:           sh.ctr.badAcks.Load(),
+		StraySegs:         sh.ctr.straySegs.Load(),
+		Evicted:           sh.ctr.evicted.Load(),
+		Rebinds:           sh.ctr.rebinds.Load(),
+		Delivered:         sh.ctr.delivered.Load(),
+		DeliveredBytes:    sh.ctr.deliveredBytes.Load(),
+		FetchReqs:         sh.ctr.fetchReqs.Load(),
+		SegsTx:            sh.ctr.segsTx.Load(),
+		Flows:             int(sh.nFlows.Load()),
+		RejectedScavenger: sh.ctr.rejectScav.Load(),
+		ShedPrimary:       sh.ctr.shedPrim.Load(),
+		ShedScavenger:     sh.ctr.shedScav.Load(),
+		BusyTx:            sh.ctr.busyTx.Load(),
+		BusyRx:            sh.ctr.busyRx.Load(),
+		TxSoftErrs:        sh.ctr.txSoftErrs.Load(),
+		Paused:            sh.ctr.paused.Load(),
+		Overload:          sh.overloadState(),
+		WorstOverload:     severityState(sh.ovWorst.Load()),
+		Pressure:          sh.pressureMirror(),
+	}
+}
+
+// add folds s into st: counters and gauges add (each snapshot is one
+// shard's or one engine's), states and pressure take the worst.
+func (st *Stats) add(s Stats) {
+	st.RxPkts += s.RxPkts
+	st.RxBatches += s.RxBatches
+	st.RxDups += s.RxDups
+	st.TxPkts += s.TxPkts
+	st.TxBatches += s.TxBatches
+	st.BadPkts += s.BadPkts
+	st.BadAcks += s.BadAcks
+	st.StraySegs += s.StraySegs
+	st.Evicted += s.Evicted
+	st.Rebinds += s.Rebinds
+	st.Delivered += s.Delivered
+	st.DeliveredBytes += s.DeliveredBytes
+	st.FetchReqs += s.FetchReqs
+	st.SegsTx += s.SegsTx
+	st.Flows += s.Flows
+	st.AdmittedPrimary += s.AdmittedPrimary
+	st.AdmittedScavenger += s.AdmittedScavenger
+	st.RejectedPrimary += s.RejectedPrimary
+	st.RejectedScavenger += s.RejectedScavenger
+	st.ShedPrimary += s.ShedPrimary
+	st.ShedScavenger += s.ShedScavenger
+	st.BusyTx += s.BusyTx
+	st.BusyRx += s.BusyRx
+	st.TxSoftErrs += s.TxSoftErrs
+	st.Paused += s.Paused
+	if s.Overload.Severity() > st.Overload.Severity() {
+		st.Overload = s.Overload
+	}
+	if s.WorstOverload.Severity() > st.WorstOverload.Severity() {
+		st.WorstOverload = s.WorstOverload
+	}
+	if s.Pressure > st.Pressure {
+		st.Pressure = s.Pressure
+	}
 }

@@ -423,6 +423,10 @@ func TestOverloadFloodGate(t *testing.T) {
 	for _, f := range floodGateFailures(res, cfg) {
 		t.Error(f)
 	}
+	// The phase engines' stats fold in whole, batch counters included.
+	if res.Load.TxBatches == 0 || res.Load.RxBatches == 0 {
+		t.Errorf("load stats lost the phase engines' batches: %+v", res.Load)
+	}
 }
 
 // TestOverloadFloodGateCanFail is the gate's negative control: the same

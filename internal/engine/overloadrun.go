@@ -56,35 +56,6 @@ type OverloadResult struct {
 	LoadAddErrs int // AddFlow refusals inside phases (expected under pressure)
 }
 
-// mergeStats folds one engine snapshot into an accumulator — counters
-// add, gauges add (they are per-engine), states take the worst.
-func mergeStats(dst *Stats, s Stats) {
-	dst.RxPkts += s.RxPkts
-	dst.TxPkts += s.TxPkts
-	dst.Evicted += s.Evicted
-	dst.Delivered += s.Delivered
-	dst.DeliveredBytes += s.DeliveredBytes
-	dst.AdmittedPrimary += s.AdmittedPrimary
-	dst.AdmittedScavenger += s.AdmittedScavenger
-	dst.RejectedPrimary += s.RejectedPrimary
-	dst.RejectedScavenger += s.RejectedScavenger
-	dst.ShedPrimary += s.ShedPrimary
-	dst.ShedScavenger += s.ShedScavenger
-	dst.BusyTx += s.BusyTx
-	dst.BusyRx += s.BusyRx
-	dst.TxSoftErrs += s.TxSoftErrs
-	dst.Paused += s.Paused
-	if s.Overload.Severity() > dst.Overload.Severity() {
-		dst.Overload = s.Overload
-	}
-	if s.WorstOverload.Severity() > dst.WorstOverload.Severity() {
-		dst.WorstOverload = s.WorstOverload
-	}
-	if s.Pressure > dst.Pressure {
-		dst.Pressure = s.Pressure
-	}
-}
-
 // RunOverload puts the receiver and the primary engine on a SimNet,
 // schedules the plan's phases against them, and measures primary goodput
 // before / during / after the load plus the receiver's recovery time.
@@ -199,7 +170,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 				}
 			}
 			s.At(base+ph.At+ph.Dur, func() {
-				mergeStats(&res.Load, eng.Stats())
+				res.Load.add(eng.Stats())
 				eng.Stop()
 			})
 		})
