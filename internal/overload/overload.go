@@ -247,7 +247,6 @@ func (d *Detector) Update(now float64, sig Signals) State {
 // pressure the harness applies to a running engine, the overload
 // analog of a chaos.Plan. Pure data; the engine harness interprets it.
 type Plan struct {
-	Seed   int64   `json:"seed,omitempty"`
 	Phases []Phase `json:"phases"`
 }
 
@@ -292,7 +291,7 @@ func (p Plan) String() string {
 // embed cleanly in replay files. Unknown kinds and zero-flow phases
 // are dropped; durations get a 1 ms floor.
 func (p Plan) Canonical() Plan {
-	out := Plan{Seed: p.Seed}
+	var out Plan
 	for _, ph := range p.Phases {
 		switch ph.Kind {
 		case KindFlood, KindAckStarve:
