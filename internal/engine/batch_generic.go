@@ -64,7 +64,7 @@ func (p *udpPort) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 		}
 	}
 	if errs > 0 {
-		sh.ctr.txSoftErrs.Add(int64(errs))
+		sh.st.TxSoftErrs += int64(errs)
 		sh.txErrStreak++
 	} else {
 		sh.txErrStreak = 0

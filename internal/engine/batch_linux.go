@@ -380,7 +380,7 @@ func (p *udpPort) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 		}
 		if m.wSoft {
 			sawSoft = true
-			sh.ctr.txSoftErrs.Add(1)
+			sh.st.TxSoftErrs++
 			if softTries++; softTries > 6 {
 				m.wSkip += int64(m.wsegs[m.wOff])
 				m.wOff++

@@ -272,8 +272,8 @@ func TestTxArenaGrows(t *testing.T) {
 			}
 			sh.pass()
 		}
-		if got := sh.ctr.txPkts.Load(); got < 8*256 || sh.ctr.txBatches.Load() != 8 {
-			t.Fatalf("%d acks in %d flushes, want at least 256 in each of 8", got, sh.ctr.txBatches.Load())
+		if got := sh.st.TxPkts; got < 8*256 || sh.st.TxBatches != 8 {
+			t.Fatalf("%d acks in %d flushes, want at least 256 in each of 8", got, sh.st.TxBatches)
 		}
 		if len(sh.txArena) != txArenaStart {
 			t.Fatalf("an ack-only shard grew its arena to %d bytes", len(sh.txArena))
@@ -298,7 +298,7 @@ func TestTxArenaGrows(t *testing.T) {
 		if len(sh.txq) != 0 || len(got) != len(steps) {
 			t.Fatalf("%d of %d packets sent, %d still staged", len(got), len(steps), len(sh.txq))
 		}
-		if b := sh.ctr.txBatches.Load(); b <= 3 {
+		if b := sh.st.TxBatches; b <= 3 {
 			t.Fatalf("%d flushes: no growth flush", b)
 		}
 		for i, st := range steps {
@@ -322,9 +322,9 @@ func TestTxArenaGrows(t *testing.T) {
 		steps := run(0, 400, 200) // 80 000 bytes: one growth flush on the way
 		stage(sh, steps, func(int) netip.AddrPort { return rsh.local })
 		sh.flushTx()
-		if len(sh.txArena) != 2*txArenaStart || sh.ctr.txBatches.Load() != 2 {
+		if len(sh.txArena) != 2*txArenaStart || sh.st.TxBatches != 2 {
 			t.Fatalf("%d flushes, arena %d bytes: want a growth flush and a %d-byte arena",
-				sh.ctr.txBatches.Load(), len(sh.txArena), 2*txArenaStart)
+				sh.st.TxBatches, len(sh.txArena), 2*txArenaStart)
 		}
 		var got [][]byte
 		deadline := time.Now().Add(5 * time.Second)
@@ -399,7 +399,7 @@ func TestWriteBatchLoopbackRoundTrip(t *testing.T) {
 	}
 	sh.flushTx()
 	m := &sh.port.(*udpPort).mmsg
-	if got := sh.ctr.txPkts.Load(); got != int64(len(steps)) || m.wSkip != 0 {
+	if got := sh.st.TxPkts; got != int64(len(steps)) || m.wSkip != 0 {
 		t.Fatalf("flush sent %d of %d datagrams, %d skipped", got, len(steps), m.wSkip)
 	}
 	if m.gso && m.wsegs[0] != gsoMaxSegs() {
@@ -628,7 +628,7 @@ func TestRxSaturationOnlyAtCeiling(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for len(sh.rxBufs) < sh.rxCeil && time.Now().Before(deadline) {
 		r.send(len(sh.rxBufs))
-		for sh.ctr.bad.Load() < int64(r.sent) && time.Now().Before(deadline) {
+		for sh.st.BadPkts < int64(r.sent) && time.Now().Before(deadline) {
 			sh.pass()
 			if sh.rxFullEWMA != 0 && len(sh.rxBufs) < sh.rxCeil {
 				t.Fatalf("a read into %d of %d slots counted as rx saturation (EWMA %.3f)",
@@ -641,14 +641,14 @@ func TestRxSaturationOnlyAtCeiling(t *testing.T) {
 	}
 	for sh.rxFullEWMA == 0 && time.Now().Before(deadline) {
 		r.send(sh.rxCeil)
-		for sh.ctr.bad.Load() < int64(r.sent) && time.Now().Before(deadline) {
+		for sh.st.BadPkts < int64(r.sent) && time.Now().Before(deadline) {
 			sh.pass()
 		}
 	}
 	if sh.rxFullEWMA == 0 {
 		t.Fatal("full reads at the ceiling never raised the rx saturation EWMA")
 	}
-	if got := sh.ctr.bad.Load(); got != int64(r.sent) {
+	if got := sh.st.BadPkts; got != int64(r.sent) {
 		t.Fatalf("%d datagrams dispatched, %d sent", got, r.sent)
 	}
 }

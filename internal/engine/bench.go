@@ -81,9 +81,9 @@ func RunHotpathBench(b *testing.B) {
 // per-packet hot path. Returns the number of data packets sent.
 func (h *hotpathHarness) step() int {
 	h.now += 0.001
-	sent := h.sndShard.ctr.txPkts.Load()
+	sent := h.sndShard.st.TxPkts
 	h.snd.turn()
 	h.rcv.turn()
 	h.snd.turn()
-	return int(h.sndShard.ctr.txPkts.Load() - sent)
+	return int(h.sndShard.st.TxPkts - sent)
 }

@@ -158,7 +158,8 @@ func (fl *Flow) Stats() FlowStats {
 	}
 }
 
-// Stats aggregates every shard's counters.
+// Stats aggregates every shard's counters, each as of that shard's last
+// loop pass.
 type Stats struct {
 	RxPkts         int64 // valid datagrams dispatched to flows
 	RxBatches      int64
@@ -368,20 +369,6 @@ func (e *Engine) admitLocal(sh *shard, class overload.Class) error {
 	return nil
 }
 
-// severityState maps a stored worst-severity rank back to the state
-// that rank represents (the inverse of overload.State.Severity).
-func severityState(sev uint32) overload.State {
-	switch sev {
-	case 1:
-		return overload.StateRecover
-	case 2:
-		return overload.StateBrownout
-	case 3:
-		return overload.StateShed
-	}
-	return overload.StateNormal
-}
-
 // Stats aggregates all shards.
 func (e *Engine) Stats() Stats {
 	st := Stats{
@@ -394,37 +381,6 @@ func (e *Engine) Stats() Stats {
 		st.add(sh.stats())
 	}
 	return st
-}
-
-// stats snapshots one shard's counters and overload state.
-func (sh *shard) stats() Stats {
-	return Stats{
-		RxPkts:            sh.ctr.rxPkts.Load(),
-		RxBatches:         sh.ctr.rxBatches.Load(),
-		RxDups:            sh.ctr.rxDups.Load(),
-		TxPkts:            sh.ctr.txPkts.Load(),
-		TxBatches:         sh.ctr.txBatches.Load(),
-		BadPkts:           sh.ctr.bad.Load(),
-		BadAcks:           sh.ctr.badAcks.Load(),
-		StraySegs:         sh.ctr.straySegs.Load(),
-		Evicted:           sh.ctr.evicted.Load(),
-		Rebinds:           sh.ctr.rebinds.Load(),
-		Delivered:         sh.ctr.delivered.Load(),
-		DeliveredBytes:    sh.ctr.deliveredBytes.Load(),
-		FetchReqs:         sh.ctr.fetchReqs.Load(),
-		SegsTx:            sh.ctr.segsTx.Load(),
-		Flows:             int(sh.nFlows.Load()),
-		RejectedScavenger: sh.ctr.rejectScav.Load(),
-		ShedPrimary:       sh.ctr.shedPrim.Load(),
-		ShedScavenger:     sh.ctr.shedScav.Load(),
-		BusyTx:            sh.ctr.busyTx.Load(),
-		BusyRx:            sh.ctr.busyRx.Load(),
-		TxSoftErrs:        sh.ctr.txSoftErrs.Load(),
-		Paused:            sh.ctr.paused.Load(),
-		Overload:          sh.overloadState(),
-		WorstOverload:     severityState(sh.ovWorst.Load()),
-		Pressure:          sh.pressureMirror(),
-	}
 }
 
 // add folds s into st: counters and gauges add (each snapshot is one

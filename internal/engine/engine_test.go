@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"pccproteus/internal/overload"
 	"pccproteus/internal/transport"
 )
 
@@ -182,4 +184,46 @@ func TestStatsExactAfterDone(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// Stats.add folds every field: each field of one snapshot gets its own
+// nonzero value, and after folding it into another, counters and gauges
+// hold the sum and the overload states and pressure the worse of the two.
+// A field added to Stats but not to add fails here.
+func TestStatsAddFoldsEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	worst := map[string]bool{"Overload": true, "WorstOverload": true, "Pressure": true}
+	for i := 0; i < va.NumField(); i++ {
+		name, fa, fb := va.Type().Field(i).Name, va.Field(i), vb.Field(i)
+		switch k := fa.Kind(); {
+		case name == "Pressure":
+			fa.SetFloat(0.25)
+			fb.SetFloat(0.75)
+		case worst[name]:
+			fa.SetUint(uint64(overload.StateRecover))
+			fb.SetUint(uint64(overload.StateShed))
+		case k == reflect.Int || k == reflect.Int64:
+			fa.SetInt(int64(100 + i))
+			fb.SetInt(int64(1000 * (i + 1)))
+		default:
+			t.Fatalf("Stats.%s (%s) is neither a counter nor an overload state", name, k)
+		}
+	}
+	for _, pair := range [][2]Stats{{a, b}, {b, a}} {
+		got := pair[0]
+		got.add(pair[1])
+		vg := reflect.ValueOf(got)
+		for i := 0; i < vg.NumField(); i++ {
+			name := vg.Type().Field(i).Name
+			f, fa, fb := vg.Field(i), va.Field(i), vb.Field(i)
+			if worst[name] {
+				if !f.Equal(fb) {
+					t.Errorf("Stats.%s folds to %v, want the worse %v", name, f, fb)
+				}
+			} else if f.Int() != fa.Int()+fb.Int() {
+				t.Errorf("Stats.%s folds to %d, want %d + %d", name, f.Int(), fa.Int(), fb.Int())
+			}
+		}
+	}
 }

@@ -129,7 +129,7 @@ func (ff *FetchFlow) Stop() {
 // Counters returns this flow's segments whose payload failed its CRC and
 // the datagrams its shard's codecs rejected outright (these name no flow).
 func (ff *FetchFlow) Counters() (crcErrs, shardBad int64) {
-	return ff.crcErrs.Load(), ff.sh.ctr.bad.Load()
+	return ff.crcErrs.Load(), ff.sh.stats().BadPkts
 }
 
 // AddFetch admits one fetch of object objID from dst (a serving engine

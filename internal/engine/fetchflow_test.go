@@ -159,7 +159,6 @@ func (r *fetchRig) segment(h wire.FetchHeader) []byte {
 
 func (r *fetchRig) answer(h wire.FetchHeader, now float64) {
 	r.sh.dispatch(r.f.addr, r.segment(h), now)
-	r.sh.publish() // as pass does after its dispatch loop
 }
 
 // runUntil services the flow every millisecond from `from` until stop
@@ -228,7 +227,7 @@ func TestFetchSegmentRetiresNonceInOrder(t *testing.T) {
 	if r.core.book.Find(reqs[0].Nonce) != nil || len(r.core.order) != 2 || r.core.order[0] != 0 || r.core.order[1] != 1 {
 		t.Fatalf("after seg 0: order=%v", r.core.order)
 	}
-	if got := r.sh.ctr.rxPkts.Load(); got != 2 {
+	if got := r.sh.st.RxPkts; got != 2 {
 		t.Fatalf("rxPkts=%d", got)
 	}
 	if r.f.lastSeen != at+0.006 {
@@ -282,14 +281,14 @@ func TestFetchCompletionStraysAndDamage(t *testing.T) {
 	bad := r.segment(reqs[0])
 	bad[len(bad)-1] ^= 1
 	r.sh.dispatch(r.f.addr, bad, at+0.001)
-	if r.f.fch.crcErrs.Load() != 1 || len(r.core.order) != 0 || r.sh.ctr.bad.Load() != 0 {
-		t.Fatalf("damaged payload: crcErrs=%d order=%v bad=%d", r.f.fch.crcErrs.Load(), r.core.order, r.sh.ctr.bad.Load())
+	if r.f.fch.crcErrs.Load() != 1 || len(r.core.order) != 0 || r.sh.st.BadPkts != 0 {
+		t.Fatalf("damaged payload: crcErrs=%d order=%v bad=%d", r.f.fch.crcErrs.Load(), r.core.order, r.sh.st.BadPkts)
 	}
 	r.sh.dispatch(src(9001), r.segment(reqs[0]), at+0.001) // right object, wrong peer
 	other := reqs[0]
 	other.ObjID++
 	r.sh.dispatch(r.f.addr, r.segment(other), at+0.001) // right peer, wrong object
-	if got := r.sh.ctr.straySegs.Load(); got != 2 || len(r.core.order) != 0 {
+	if got := r.sh.st.StraySegs; got != 2 || len(r.core.order) != 0 {
 		t.Fatalf("straySegs=%d order=%v", got, r.core.order)
 	}
 
@@ -305,11 +304,11 @@ func TestFetchCompletionStraysAndDamage(t *testing.T) {
 	default:
 		t.Fatal("done not closed on completion")
 	}
-	if r.sh.nFlows.Load() != 0 || r.f.armed || r.sh.eng.senders.Load() != 0 {
-		t.Fatalf("completed fetch still held: flows=%d armed=%v senders=%d", r.sh.nFlows.Load(), r.f.armed, r.sh.eng.senders.Load())
+	if r.sh.st.Flows != 0 || r.f.armed || r.sh.eng.senders.Load() != 0 {
+		t.Fatalf("completed fetch still held: flows=%d armed=%v senders=%d", r.sh.st.Flows, r.f.armed, r.sh.eng.senders.Load())
 	}
 	r.answer(reqs[1], at+0.003) // a late duplicate
-	if stray, bad := r.sh.ctr.straySegs.Load(), r.sh.ctr.bad.Load(); stray != 3 || bad != 0 {
+	if stray, bad := r.sh.st.StraySegs, r.sh.st.BadPkts; stray != 3 || bad != 0 {
 		t.Fatalf("late duplicate: straySegs=%d bad=%d", stray, bad)
 	}
 }
@@ -336,8 +335,8 @@ func TestSweepSparesStalledFetch(t *testing.T) {
 			probes = append(probes, reqs...)
 		}
 	}
-	if r.sh.lookup(r.f.addr, r.f.id) != r.f || r.sh.ctr.evicted.Load() != 0 {
-		t.Fatalf("stalled fetch swept: flows=%d evicted=%d", r.sh.nFlows.Load(), r.sh.ctr.evicted.Load())
+	if r.sh.lookup(r.f.addr, r.f.id) != r.f || r.sh.st.Evicted != 0 {
+		t.Fatalf("stalled fetch swept: flows=%d evicted=%d", r.sh.st.Flows, r.sh.st.Evicted)
 	}
 	if !r.core.book.InOutage() {
 		t.Fatal("3 s of silence with requests outstanding did not trip the watchdog")
@@ -381,7 +380,7 @@ func TestFetchPausedAndDrainingGate(t *testing.T) {
 		if mode == "paused" {
 			r.f.fch.class = overload.ClassScavenger
 			r.sh.shedScavengers()
-			if !r.f.fch.paused || r.sh.ctr.paused.Load() != 1 {
+			if !r.f.fch.paused || r.sh.st.Paused != 1 {
 				t.Fatal("Shed did not pause a scavenger fetch")
 			}
 		} else {
@@ -402,7 +401,7 @@ func TestFetchPausedAndDrainingGate(t *testing.T) {
 		}
 		if mode == "paused" {
 			r.sh.resumeScavengers(at + 2)
-			if r.f.fch.paused || r.sh.ctr.paused.Load() != 0 || !r.f.armed {
+			if r.f.fch.paused || r.sh.st.Paused != 0 || !r.f.armed {
 				t.Fatal("leaving Shed did not resume the fetch")
 			}
 		}
@@ -429,12 +428,12 @@ func TestAddFetchDuplicateRefused(t *testing.T) {
 	}
 	// A SEGMENT naming a fetch the loop has not taken in yet is a stray.
 	sh.dispatch(src(9000), wire.EncodeSegment(make([]byte, 256), wire.SegmentHeader{ObjID: 1, TotalSegs: 4, ObjSize: 400}, make([]byte, 100)), 0)
-	if sh.ctr.straySegs.Load() != 1 {
+	if sh.st.StraySegs != 1 {
 		t.Fatal("segment for a queued fetch reached its core")
 	}
 	sh.admit()
-	if sh.nFlows.Load() != 2 || eng.senders.Load() != 2 || eng.Stats().AdmittedPrimary != 2 {
-		t.Fatalf("flows=%d senders=%d admitted=%d", sh.nFlows.Load(), eng.senders.Load(), eng.Stats().AdmittedPrimary)
+	if sh.st.Flows != 2 || eng.senders.Load() != 2 || eng.Stats().AdmittedPrimary != 2 {
+		t.Fatalf("flows=%d senders=%d admitted=%d", sh.st.Flows, eng.senders.Load(), eng.Stats().AdmittedPrimary)
 	}
 	if _, err := add(1); err == nil {
 		t.Fatal("duplicate of an admitted fetch accepted")
@@ -448,8 +447,8 @@ func TestAddFetchDuplicateRefused(t *testing.T) {
 	default:
 		t.Fatal("stopped fetch still on its shard")
 	}
-	if sh.nFlows.Load() != 1 || eng.senders.Load() != 1 {
-		t.Fatalf("after stop: flows=%d senders=%d", sh.nFlows.Load(), eng.senders.Load())
+	if sh.st.Flows != 1 || eng.senders.Load() != 1 {
+		t.Fatalf("after stop: flows=%d senders=%d", sh.st.Flows, eng.senders.Load())
 	}
 	if _, err := add(1); err != nil {
 		t.Fatalf("key not released by the stopped fetch: %v", err)

@@ -463,16 +463,16 @@ func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now flo
 		rf.highest = -1
 		rf.pkts, rf.dups = 0, 0
 		rf.unacked = 0
-		sh.ctr.rebinds.Add(1)
+		sh.st.Rebinds++
 	}
 	dup := !rf.Record(h.Seq)
 	if dup {
 		rf.dups++
-		sh.ctr.rxDups.Add(1)
+		sh.st.RxDups++
 	} else {
 		rf.pkts++
-		sh.nDelivered++
-		sh.nDeliveredBytes += int64(n)
+		sh.st.Delivered++
+		sh.st.DeliveredBytes += int64(n)
 	}
 	if h.Seq > rf.highest {
 		rf.highest = h.Seq

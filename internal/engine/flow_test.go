@@ -221,7 +221,7 @@ func TestDueTimerStillReadsSocket(t *testing.T) {
 	sh.wh.init(sh.clock.Now() + 60)
 	due := &flow{addr: src(1), id: 99, rcv: &recvFlow{highest: -1}}
 	sh.wh.arm(due, sh.clock.Now()-1)
-	for pass := 0; pass < 10*n && sh.ctr.rxPkts.Load() < n; pass++ {
+	for pass := 0; pass < 10*n && sh.st.RxPkts < n; pass++ {
 		if !sh.pass() {
 			t.Fatal("shard stopped")
 		}
@@ -229,7 +229,7 @@ func TestDueTimerStillReadsSocket(t *testing.T) {
 			t.Fatal("the due timer fired: the scenario is not the one under test")
 		}
 	}
-	if got := sh.ctr.rxPkts.Load(); got != n {
+	if got := sh.st.RxPkts; got != n {
 		t.Fatalf("read %d of %d queued datagrams with a timer always due", got, n)
 	}
 }
@@ -422,9 +422,9 @@ func TestCompletedSenderReclaimed(t *testing.T) {
 	default:
 		t.Fatal("Done not closed by the completing ack")
 	}
-	if sh.nFlows.Load() != 0 || sh.eng.senders.Load() != 0 || sh.wh.armed != 0 {
+	if sh.st.Flows != 0 || sh.eng.senders.Load() != 0 || sh.wh.armed != 0 {
 		t.Fatalf("after completion: %d flows, %d admission slots, %d armed timers; want all 0",
-			sh.nFlows.Load(), sh.eng.senders.Load(), sh.wh.armed)
+			sh.st.Flows, sh.eng.senders.Load(), sh.wh.armed)
 	}
 	if st := fl.Stats(); st.AckedBytes != 2400 || st.SentPkts != 2 {
 		t.Fatalf("handle stats after reclaim: %+v", st)
@@ -437,7 +437,7 @@ func TestCompletedSenderReclaimed(t *testing.T) {
 	}
 	// A straggling duplicate of the last ack names no flow any more.
 	sh.dispatch(src(9000), ackPkt(fl.ID(), 1, 2, sh.clock.NanosAt(0.001)), 1)
-	if got := sh.ctr.badAcks.Load(); got != 1 {
+	if got := sh.st.BadAcks; got != 1 {
 		t.Fatalf("badAcks=%d for an ack after reclaim, want 1", got)
 	}
 	if _, err := add(); err != nil {
@@ -518,8 +518,8 @@ func TestEnqueueWakesParkedShard(t *testing.T) {
 	}
 	await("enqueue before the park", read())
 	sh.admit()
-	if sh.admitWake.Load() || sh.nFlows.Load() != 1 {
-		t.Fatalf("admit: admitWake=%v flows=%d, want the flag cleared and the flow taken in", sh.admitWake.Load(), sh.nFlows.Load())
+	if sh.admitWake.Load() || sh.st.Flows != 1 {
+		t.Fatalf("admit: admitWake=%v flows=%d, want the flag cleared and the flow taken in", sh.admitWake.Load(), sh.st.Flows)
 	}
 
 	// enqueue racing the park, either order.
@@ -529,7 +529,7 @@ func TestEnqueueWakesParkedShard(t *testing.T) {
 		await("enqueue racing the park", got)
 		sh.admit()
 	}
-	if sh.nFlows.Load() != 9 {
-		t.Fatalf("%d flows admitted, want 9", sh.nFlows.Load())
+	if sh.st.Flows != 9 {
+		t.Fatalf("%d flows admitted, want 9", sh.st.Flows)
 	}
 }

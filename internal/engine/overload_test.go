@@ -33,13 +33,13 @@ func TestScavengerAdmissionRefusedUnderBrownout(t *testing.T) {
 
 	// A new scavenger flow is refused: no state, a BUSY goes back.
 	sh.dispatch(src(1000), dataPkt(t, 1|scavBit, 0, 100), 0)
-	if sh.nFlows.Load() != 0 {
-		t.Fatalf("scavenger admitted under brownout: %d flows", sh.nFlows.Load())
+	if sh.st.Flows != 0 {
+		t.Fatalf("scavenger admitted under brownout: %d flows", sh.st.Flows)
 	}
-	if r := sh.ctr.rejectScav.Load(); r != 1 {
+	if r := sh.st.RejectedScavenger; r != 1 {
 		t.Fatalf("rejectScav=%d want 1", r)
 	}
-	if b := sh.ctr.busyTx.Load(); b != 1 {
+	if b := sh.st.BusyTx; b != 1 {
 		t.Fatalf("busyTx=%d want 1", b)
 	}
 	if len(sh.txq) != 1 || wire.PacketType(sh.txq[0]) != 'Y' {
@@ -52,7 +52,7 @@ func TestScavengerAdmissionRefusedUnderBrownout(t *testing.T) {
 
 	// A primary flow is untouched by brownout.
 	sh.dispatch(src(1001), dataPkt(t, 2, 0, 100), 0)
-	if sh.nFlows.Load() != 1 {
+	if sh.st.Flows != 1 {
 		t.Fatal("primary admission must not be gated on brownout")
 	}
 
@@ -60,7 +60,7 @@ func TestScavengerAdmissionRefusedUnderBrownout(t *testing.T) {
 	sh.det.Update(1, overload.Signals{})
 	sh.det.Update(3, overload.Signals{}) // recover hold elapses
 	sh.dispatch(src(1000), dataPkt(t, 1|scavBit, 0, 100), 3)
-	if sh.nFlows.Load() != 2 {
+	if sh.st.Flows != 2 {
 		t.Fatal("scavenger not admitted after recovery")
 	}
 }
@@ -74,8 +74,8 @@ func TestCapEvictionPrefersScavenger(t *testing.T) {
 	sh.dispatch(src(1001), dataPkt(t, 2|scavBit, 0, 100), 5) // scavenger, fresh
 	sh.dispatch(src(1002), dataPkt(t, 3, 0, 100), 6)         // primary
 	sh.dispatch(src(1003), dataPkt(t, 4, 0, 100), 7)         // over cap
-	if sh.nFlows.Load() != 3 {
-		t.Fatalf("flows=%d want 3", sh.nFlows.Load())
+	if sh.st.Flows != 3 {
+		t.Fatalf("flows=%d want 3", sh.st.Flows)
 	}
 	if sh.lookup(src(1001), 2|scavBit) != nil {
 		t.Fatal("scavenger survived eviction while a primary was dropped")
@@ -83,10 +83,10 @@ func TestCapEvictionPrefersScavenger(t *testing.T) {
 	if sh.lookup(src(1000), 1) == nil {
 		t.Fatal("stalest primary was evicted despite a scavenger victim")
 	}
-	if s, p := sh.ctr.shedScav.Load(), sh.ctr.shedPrim.Load(); s != 1 || p != 0 {
+	if s, p := sh.st.ShedScavenger, sh.st.ShedPrimary; s != 1 || p != 0 {
 		t.Fatalf("shedScav=%d shedPrim=%d want 1,0", s, p)
 	}
-	if b := sh.ctr.busyTx.Load(); b != 1 {
+	if b := sh.st.BusyTx; b != 1 {
 		t.Fatalf("busyTx=%d want 1 (evicted scavenger gets a shed BUSY)", b)
 	}
 
@@ -97,7 +97,7 @@ func TestCapEvictionPrefersScavenger(t *testing.T) {
 	sh2.dispatch(src(1000), dataPkt(t, 1, 0, 100), 0)
 	sh2.dispatch(src(1001), dataPkt(t, 2, 0, 100), 1)
 	sh2.dispatch(src(1002), dataPkt(t, 3, 0, 100), 2)
-	if sh2.ctr.shedPrim.Load() != 1 {
+	if sh2.st.ShedPrimary != 1 {
 		t.Fatal("all-primary cap eviction must count as a primary shed")
 	}
 	if sh2.lookup(src(1000), 1) != nil {
@@ -120,15 +120,15 @@ func TestShedPausesLocalScavengersOnly(t *testing.T) {
 	if !scav.snd.paused || prim.snd.paused {
 		t.Fatalf("paused: scav=%v prim=%v want true,false", scav.snd.paused, prim.snd.paused)
 	}
-	if sh.ctr.paused.Load() != 1 {
-		t.Fatalf("paused gauge %d want 1", sh.ctr.paused.Load())
+	if sh.st.Paused != 1 {
+		t.Fatalf("paused gauge %d want 1", sh.st.Paused)
 	}
 	if sh.lookup(src(2000), 9|scavBit) != nil {
 		t.Fatal("scavenger receiver flow not shed")
 	}
-	if sh.ctr.shedScav.Load() != 2 || sh.ctr.shedPrim.Load() != 0 {
+	if sh.st.ShedScavenger != 2 || sh.st.ShedPrimary != 0 {
 		t.Fatalf("shedScav=%d shedPrim=%d want 2,0",
-			sh.ctr.shedScav.Load(), sh.ctr.shedPrim.Load())
+			sh.st.ShedScavenger, sh.st.ShedPrimary)
 	}
 	// A paused sender still wakes (RTO aging) but emits nothing.
 	if next := scav.snd.pump(sh, scav, 1); next <= 1 {
@@ -144,7 +144,7 @@ func TestShedPausesLocalScavengersOnly(t *testing.T) {
 	if got := sh.det.State(); got != overload.StateRecover {
 		t.Fatalf("state %v want recover", got)
 	}
-	if scav.snd.paused || sh.ctr.paused.Load() != 0 {
+	if scav.snd.paused || sh.st.Paused != 0 {
 		t.Fatal("recover did not resume the paused scavenger")
 	}
 }
@@ -164,7 +164,7 @@ func TestOverloadActionsFollowFlowOrder(t *testing.T) {
 				sh.dispatch(peer(byte(k%3), 7000), dataPkt(t, id, 0, 100), 1)
 			} else {
 				addLocalSender(sh, id, overload.ClassScavenger).snd.paused = true
-				sh.ctr.paused.Add(1)
+				sh.st.Paused++
 			}
 		}
 		sh.flushTx()
@@ -172,7 +172,7 @@ func TestOverloadActionsFollowFlowOrder(t *testing.T) {
 		// One more receiver at the cap: the victim is flow 100.
 		sh.busyBudget = 1
 		sh.dispatch(peer(9, 7000), dataPkt(t, 99, 0, 100), 1)
-		if sh.lookup(peer(0, 7000), 100|scavBit) != nil || sh.nFlows.Load() != 12 {
+		if sh.lookup(peer(0, 7000), 100|scavBit) != nil || sh.st.Flows != 12 {
 			t.Fatalf("round %d: the cap did not evict flow 100, the first of the equally stale", round)
 		}
 		// Its final ack, its BUSY, then the newcomer's first ack.
@@ -316,29 +316,29 @@ func TestFloodBurstReachesShed(t *testing.T) {
 		t.Fatalf("21/24 flows: state %v want brownout", st)
 	}
 	burst(200, 10, scavBit, 0.2) // the rest of the flood is refused
-	if r, b := sh.ctr.rejectScav.Load(), sh.ctr.busyTx.Load(); r != 10 || b != 10 || sh.nFlows.Load() != 21 {
-		t.Fatalf("brownout admission: rejectScav=%d busyTx=%d flows=%d want 10,10,21", r, b, sh.nFlows.Load())
+	if r, b := sh.st.RejectedScavenger, sh.st.BusyTx; r != 10 || b != 10 || sh.st.Flows != 21 {
+		t.Fatalf("brownout admission: rejectScav=%d busyTx=%d flows=%d want 10,10,21", r, b, sh.st.Flows)
 	}
 	burst(7, 2, 0, 0.3) // two more primaries: 23/24 = 0.958
 	sh.updateOverload(0.3)
 	if st := sh.det.State(); st != overload.StateShed {
 		t.Fatalf("23/24 flows: state %v want shed", st)
 	}
-	if s, p := sh.ctr.shedScav.Load(), sh.ctr.shedPrim.Load(); s != 15 || p != 0 {
+	if s, p := sh.st.ShedScavenger, sh.st.ShedPrimary; s != 15 || p != 0 {
 		t.Fatalf("shedScav=%d shedPrim=%d want 15,0", s, p)
 	}
-	if b := sh.ctr.busyTx.Load(); b != 25 {
+	if b := sh.st.BusyTx; b != 25 {
 		t.Fatalf("busyTx=%d want 25 (10 refusals + 15 shed notices)", b)
 	}
-	if sh.nFlows.Load() != 8 {
-		t.Fatalf("flows=%d want the 8 primaries", sh.nFlows.Load())
+	if sh.st.Flows != 8 {
+		t.Fatalf("flows=%d want the 8 primaries", sh.st.Flows)
 	}
 	sh.eachFlow(func(f *flow) {
 		if wire.ScavengerID(f.id) {
 			t.Errorf("scavenger %#x from %v survived the shed", f.id, f.addr)
 		}
 	})
-	if w := severityState(sh.ovWorst.Load()); w != overload.StateShed {
+	if w := sh.st.WorstOverload; w != overload.StateShed {
 		t.Fatalf("sticky worst state %v want shed", w)
 	}
 	// With the scavengers gone the table is at 8/24: the machine leaves
@@ -350,8 +350,8 @@ func TestFloodBurstReachesShed(t *testing.T) {
 	burst(300, 1, scavBit, 0.5)
 	sh.updateOverload(2)
 	burst(301, 1, scavBit, 2)
-	if st, r := sh.det.State(), sh.ctr.rejectScav.Load(); st != overload.StateNormal || r != 11 || sh.nFlows.Load() != 9 {
-		t.Fatalf("after the hold: state %v rejectScav=%d flows=%d want normal,11,9", st, r, sh.nFlows.Load())
+	if st, r := sh.det.State(), sh.st.RejectedScavenger; st != overload.StateNormal || r != 11 || sh.st.Flows != 9 {
+		t.Fatalf("after the hold: state %v rejectScav=%d flows=%d want normal,11,9", st, r, sh.st.Flows)
 	}
 }
 

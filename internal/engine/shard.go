@@ -36,34 +36,6 @@ const (
 	pacerDepth = float64(maxLoopSleep)/float64(time.Second) + parkExcess + 2*wheelGran
 )
 
-// shardCounters is the shard's atomic stats surface; everything else
-// in shard is owned by the loop goroutine.
-type shardCounters struct {
-	rxPkts         atomic.Int64 // valid datagrams dispatched
-	rxBatches      atomic.Int64 // socket read syscalls that returned data
-	rxDups         atomic.Int64
-	txPkts         atomic.Int64
-	txBatches      atomic.Int64 // socket write flushes
-	bad            atomic.Int64 // datagrams the codecs rejected
-	badAcks        atomic.Int64 // acks with no matching sender flow
-	straySegs      atomic.Int64 // segment responses with no matching fetch flow
-	evicted        atomic.Int64
-	rebinds        atomic.Int64 // reused (addr,flowID) collisions reset
-	delivered      atomic.Int64 // distinct data packets received
-	deliveredBytes atomic.Int64
-	fetchReqs      atomic.Int64 // fetch requests handed to Config.OnFetch
-	segsTx         atomic.Int64 // segment responses queued
-
-	// Overload surface (see engine.Stats for field meanings).
-	rejectScav atomic.Int64 // remote scavenger admissions refused (BUSY)
-	shedPrim   atomic.Int64 // primary recv flows evicted at the cap
-	shedScav   atomic.Int64 // scavenger flows paused/evicted/shed
-	busyTx     atomic.Int64
-	busyRx     atomic.Int64
-	txSoftErrs atomic.Int64 // ENOBUFS/ENOMEM-class tx flush errors
-	paused     atomic.Int64 // local scavenger senders currently paused
-}
-
 // port is a shard's one seam to the world outside it: the clock it
 // reads and the datagrams it moves. udpPort (udp.go, batch_*.go) is a
 // UDP socket under a goroutine that loops on pass(); memPort (memport.go)
@@ -89,8 +61,8 @@ type port interface {
 
 // shard is one event loop: one port, one flow table, one pacing wheel,
 // one caller of pass(). Flows never move between shards, so no flow
-// state is ever locked — only the admission queue and the atomic
-// counters cross goroutines.
+// state is ever locked — only the admission queue, the overload state
+// and the published stats cross goroutines.
 type shard struct {
 	eng   *Engine
 	idx   int
@@ -99,12 +71,11 @@ type shard struct {
 	local netip.AddrPort
 
 	// The flow table: power-of-two buckets chained through flow.next,
-	// indexed by tableHash>>tabShift, doubled when nFlows (loop-written;
-	// Stats reads it) reaches its length.
+	// indexed by tableHash>>tabShift, doubled when st.Flows reaches its
+	// length.
 	table    []*flow
 	tabShift uint
 	tabMul   [2]uint64
-	nFlows   atomic.Int64
 	wh       wheel
 
 	maxPacket int
@@ -160,12 +131,10 @@ type shard struct {
 	ordered   []*flow // eachOrdered's scratch
 
 	// Overload machinery: the brownout detector (loop-goroutine-owned)
-	// plus atomic mirrors of its state/pressure for AddFlow and Stats.
-	det        *overload.Detector
-	ovState    atomic.Uint32
-	ovWorst    atomic.Uint32 // worst severity ever entered (Shed dwells are brief)
-	ovPressure atomic.Uint64 // math.Float64bits
-	rng        *rand.Rand    // loop-owned jitter source
+	// plus an atomic mirror of its state, AddFlow's admission gate.
+	det     *overload.Detector
+	ovState atomic.Uint32
+	rng     *rand.Rand // loop-owned jitter source
 	// Pressure-signal inputs maintained by the I/O paths: consecutive
 	// soft-error tx flushes, the unsent fraction of the last flush, and
 	// an EWMA of reads that filled every rx slot.
@@ -174,10 +143,11 @@ type shard struct {
 	rxFullEWMA  float64
 	busyBudget  int // per-pass BUSY frame allowance (anti-amplification)
 
-	ctr shardCounters
-	// Loop-owned running totals of ctr's three per-packet counters
-	// (rxPkts, delivered, deliveredBytes), stored once per pass by publish.
-	nRxPkts, nDelivered, nDeliveredBytes int64
+	// st is the shard's counters and overload gauges, owned by the loop;
+	// publish copies it into pub, which stats reads under pubMu.
+	st    Stats
+	pubMu sync.Mutex
+	pub   Stats
 }
 
 // newShard builds shard idx of eng, not yet on a port (attach).
@@ -235,14 +205,18 @@ func (sh *shard) loop() {
 
 // pass is one turn of the event loop: admit → fire due timers → flush
 // tx → one batched read, blocking until the next deadline → dispatch →
-// flush. It reports false once the engine is stopped or the port is
-// closed.
+// flush → publish the shard's stats. It reports false once the engine is
+// stopped or the port is closed.
 func (sh *shard) pass() bool {
 	select {
 	case <-sh.eng.done:
 		return false
 	default:
 	}
+	// Every return from here on publishes: admission, the sweep, the
+	// overload machine and the first flush count on passes that read
+	// nothing too.
+	defer sh.publish()
 	sh.admit()
 	now := sh.clock.Now()
 	sh.fireNow = now
@@ -274,7 +248,7 @@ func (sh *shard) pass() bool {
 	if n == 0 {
 		return true
 	}
-	sh.ctr.rxBatches.Add(1)
+	sh.st.RxBatches++
 	now = sh.clock.Now()
 	for i := 0; i < n; i++ {
 		b := sh.rxBufs[i][:sh.rxLens[i]]
@@ -288,16 +262,22 @@ func (sh *shard) pass() bool {
 			sh.dispatch(sh.rxSrcs[i], b, now)
 		}
 	}
-	sh.publish()
 	sh.flushTx()
 	return true
 }
 
-// publish stores the loop-owned per-packet totals where Stats reads them.
+// publish makes the pass's counters what stats reads.
 func (sh *shard) publish() {
-	sh.ctr.rxPkts.Store(sh.nRxPkts)
-	sh.ctr.delivered.Store(sh.nDelivered)
-	sh.ctr.deliveredBytes.Store(sh.nDeliveredBytes)
+	sh.pubMu.Lock()
+	sh.pub = sh.st
+	sh.pubMu.Unlock()
+}
+
+// stats is the shard's Stats as of its last pass.
+func (sh *shard) stats() Stats {
+	sh.pubMu.Lock()
+	defer sh.pubMu.Unlock()
+	return sh.pub
 }
 
 // tableKey is the wire flow ID over the peer's port: eight bytes every
@@ -335,7 +315,7 @@ func (sh *shard) lookup(src netip.AddrPort, id uint32) *flow {
 func (sh *shard) insert(f *flow) {
 	b := sh.bucket(f.addr, f.id)
 	f.next, *b = *b, f
-	if int(sh.nFlows.Add(1)) < len(sh.table) {
+	if sh.st.Flows++; sh.st.Flows < len(sh.table) {
 		return
 	}
 	old := sh.table
@@ -392,7 +372,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 	case 'P':
 		h, err := wire.DecodeData(b)
 		if err != nil {
-			sh.ctr.bad.Add(1)
+			sh.st.BadPkts++
 			return
 		}
 		f := sh.lookup(src, h.Flow)
@@ -403,24 +383,24 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 			}
 		}
 		if f.rcv == nil {
-			sh.ctr.bad.Add(1) // data aimed at one of our sender keys
+			sh.st.BadPkts++ // data aimed at one of our sender keys
 			return
 		}
-		sh.nRxPkts++
+		sh.st.RxPkts++
 		f.lastSeen = now
 		f.rcv.onData(sh, f, h, len(b), now)
 	case 'A':
 		a := &sh.ackDecode
 		if err := wire.DecodeAck(b, a); err != nil {
-			sh.ctr.bad.Add(1)
+			sh.st.BadPkts++
 			return
 		}
 		f := sh.lookup(src, a.Flow)
 		if f == nil || f.snd == nil {
-			sh.ctr.badAcks.Add(1)
+			sh.st.BadAcks++
 			return
 		}
-		sh.nRxPkts++
+		sh.st.RxPkts++
 		f.lastSeen = now
 		f.snd.onAck(sh, f, a, now)
 		// The ack may have freed window or completed a loss episode:
@@ -429,56 +409,56 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 	case 'Y':
 		bp, err := wire.DecodeBusy(b)
 		if err != nil {
-			sh.ctr.bad.Add(1)
+			sh.st.BadPkts++
 			return
 		}
 		f := sh.lookup(src, bp.Flow)
 		if f == nil || f.snd == nil {
-			sh.ctr.badAcks.Add(1)
+			sh.st.BadAcks++
 			return
 		}
-		sh.ctr.busyRx.Add(1)
+		sh.st.BusyRx++
 		f.lastSeen = now
 		f.snd.onBusy(sh, bp, now)
 		sh.service(f, now) // re-arm against the new busy deadline
 	case 'F':
 		onFetch := sh.eng.cfg.OnFetch
 		if onFetch == nil {
-			sh.ctr.bad.Add(1)
+			sh.st.BadPkts++
 			return
 		}
 		fh, err := wire.DecodeFetch(b)
 		if err != nil {
-			sh.ctr.bad.Add(1)
+			sh.st.BadPkts++
 			return
 		}
-		sh.nRxPkts++
-		sh.ctr.fetchReqs.Add(1)
+		sh.st.RxPkts++
+		sh.st.FetchReqs++
 		// Fetch serving is stateless: no flow-table entry, the response
 		// is encoded straight into a tx buffer and rides the next batch.
 		if pkt := onFetch(fh, sh.txBuf()); pkt != nil {
 			sh.queueTx(pkt, src)
-			sh.ctr.segsTx.Add(1)
+			sh.st.SegsTx++
 		}
 	case 'S':
 		// A payload that fails its CRC still carries a well-formed header:
 		// the damage is charged to the flow it names; silence is loss.
 		h, payload, err := wire.DecodeSegment(b)
 		if err != nil && err != wire.ErrChecksum {
-			sh.ctr.bad.Add(1)
+			sh.st.BadPkts++
 			return
 		}
 		v, _ := sh.fetches.Load(fetchKey{src, h.ObjID})
 		f, _ := v.(*flow)
 		if f == nil || sh.lookup(f.addr, f.id) != f { // none, or still queued
-			sh.ctr.straySegs.Add(1) // typically a late duplicate of a completed fetch
+			sh.st.StraySegs++ // typically a late duplicate of a completed fetch
 			return
 		}
 		if err != nil {
 			f.fch.crcErrs.Add(1)
 			return
 		}
-		sh.nRxPkts++
+		sh.st.RxPkts++
 		f.lastSeen = now
 		if f.fch.onSegment(sh, h, payload, now) {
 			sh.dropFlow(f) // complete: leave the table at once
@@ -486,7 +466,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 			sh.service(f, now) // the response may have freed window
 		}
 	default:
-		sh.ctr.bad.Add(1)
+		sh.st.BadPkts++
 	}
 }
 
@@ -526,11 +506,11 @@ func (sh *shard) service(f *flow, now float64) {
 // primary is considered.
 func (sh *shard) newRecvFlow(src netip.AddrPort, id uint32) *flow {
 	if wire.ScavengerID(id) && !sh.det.State().AdmitScavenger() {
-		sh.ctr.rejectScav.Add(1)
+		sh.st.RejectedScavenger++
 		sh.sendBusy(src, id, false)
 		return nil
 	}
-	if int(sh.nFlows.Load()) >= sh.maxFlows {
+	if sh.st.Flows >= sh.maxFlows {
 		var old *flow
 		oldScav := false
 		sh.eachFlow(func(f *flow) {
@@ -550,12 +530,12 @@ func (sh *shard) newRecvFlow(src netip.AddrPort, id uint32) *flow {
 		if old != nil {
 			old.rcv.emitFinalAck(sh, old)
 			sh.dropFlow(old)
-			sh.ctr.evicted.Add(1)
+			sh.st.Evicted++
 			if oldScav {
-				sh.ctr.shedScav.Add(1)
+				sh.st.ShedScavenger++
 				sh.sendBusy(old.addr, old.id, true)
 			} else {
-				sh.ctr.shedPrim.Add(1)
+				sh.st.ShedPrimary++
 			}
 		}
 	}
@@ -582,7 +562,7 @@ func (sh *shard) sweep(now float64) {
 			f.rcv.emitFinalAck(sh, f)
 		}
 		sh.dropFlow(f)
-		sh.ctr.evicted.Add(1)
+		sh.st.Evicted++
 	})
 }
 
@@ -602,18 +582,18 @@ func (sh *shard) updateOverload(now float64) {
 	sh.busyBudget = sh.batchSize
 	prev := sh.det.State()
 	st := sh.det.Update(now, overload.Signals{
-		FlowOccupancy: float64(sh.nFlows.Load()) / float64(sh.maxFlows),
+		FlowOccupancy: float64(sh.st.Flows) / float64(sh.maxFlows),
 		TxBacklog:     sh.txBacklog,
 		RxSaturation:  sh.rxFullEWMA,
 		SendErrStreak: sh.txErrStreak,
 	})
 	sh.ovState.Store(uint32(st))
-	sh.ovPressure.Store(math.Float64bits(sh.det.Pressure()))
+	sh.st.Overload, sh.st.Pressure = st, sh.det.Pressure()
 	if st == prev {
 		return
 	}
-	if w := uint32(st.Severity()); w > sh.ovWorst.Load() {
-		sh.ovWorst.Store(w)
+	if st.Severity() > sh.st.WorstOverload.Severity() {
+		sh.st.WorstOverload = st
 	}
 	if st == overload.StateShed {
 		sh.shedScavengers()
@@ -630,14 +610,14 @@ func (sh *shard) shedScavengers() {
 	sh.eachFlow(func(f *flow) {
 		if o := f.origin(); o != nil && o.class == overload.ClassScavenger && !o.paused {
 			o.paused = true
-			sh.ctr.paused.Add(1)
-			sh.ctr.shedScav.Add(1)
+			sh.st.Paused++
+			sh.st.ShedScavenger++
 		}
 	})
 	// In order: busyBudget covers the first so many of them.
 	sh.eachOrdered(func(f *flow) bool { return f.rcv != nil && wire.ScavengerID(f.id) }, func(f *flow) {
 		sh.dropFlow(f)
-		sh.ctr.shedScav.Add(1)
+		sh.st.ShedScavenger++
 		sh.sendBusy(f.addr, f.id, true)
 	})
 }
@@ -649,7 +629,7 @@ func (sh *shard) shedScavengers() {
 func (sh *shard) resumeScavengers(now float64) {
 	sh.eachOrdered(func(f *flow) bool { o := f.origin(); return o != nil && o.paused }, func(f *flow) {
 		f.origin().paused = false
-		sh.ctr.paused.Add(-1)
+		sh.st.Paused--
 		sh.service(f, now) // in order: their first trains leave in it
 	})
 }
@@ -668,18 +648,13 @@ func (sh *shard) sendBusy(dst netip.AddrPort, id uint32, shed bool) {
 		Flow: id, RetryAfterMillis: busyRetryMillis, Shed: shed,
 	})
 	sh.queueTx(pkt, dst)
-	sh.ctr.busyTx.Add(1)
+	sh.st.BusyTx++
 }
 
 // overloadState is the cross-goroutine mirror of the detector state
-// (AddFlow admission gate, Stats).
+// (AddFlow admission gate).
 func (sh *shard) overloadState() overload.State {
 	return overload.State(sh.ovState.Load())
-}
-
-// pressureMirror is the cross-goroutine mirror of the last pressure.
-func (sh *shard) pressureMirror() float64 {
-	return math.Float64frombits(sh.ovPressure.Load())
 }
 
 // dropFlow takes a flow out of the table and off the wheel.
@@ -690,11 +665,11 @@ func (sh *shard) dropFlow(f *flow) {
 		p = &(*p).next
 	}
 	*p, f.next = f.next, nil
-	sh.nFlows.Add(-1)
+	sh.st.Flows--
 	if o := f.origin(); o != nil {
 		if o.paused {
 			o.paused = false
-			sh.ctr.paused.Add(-1)
+			sh.st.Paused--
 		}
 		sh.eng.senders.Add(-1) // release the admission slot
 	}
@@ -740,8 +715,8 @@ func (sh *shard) admit() {
 		if o := f.origin(); o.class == overload.ClassScavenger &&
 			!o.paused && sh.det.State().Shedding() {
 			o.paused = true
-			sh.ctr.paused.Add(1)
-			sh.ctr.shedScav.Add(1)
+			sh.st.Paused++
+			sh.st.ShedScavenger++
 		}
 		sh.service(f, now)
 	}
@@ -801,8 +776,8 @@ func (sh *shard) flushTx() {
 		return
 	}
 	sh.port.writeBatch(sh.txq, sh.txAddrs)
-	sh.ctr.txPkts.Add(int64(len(sh.txq)))
-	sh.ctr.txBatches.Add(1)
+	sh.st.TxPkts += int64(len(sh.txq))
+	sh.st.TxBatches++
 	sh.txq = sh.txq[:0]
 	sh.txAddrs = sh.txAddrs[:0]
 	sh.txOff = 0

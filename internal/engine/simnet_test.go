@@ -383,3 +383,35 @@ func TestSimNetRecyclingUnderFaults(t *testing.T) {
 		})
 	}
 }
+
+// A receiver flow whose sender has finished is evicted by the idle sweep
+// on a pass that reads nothing, and Stats shows the eviction once the
+// simulator stops: a pass publishes its counters whatever it read.
+func TestSimNetIdleEvictionPublished(t *testing.T) {
+	s := sim.New(1)
+	lb, err := NewLoopback(s, Config{}, Config{IdleTimeout: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, dst, _, err := lb.Path(wire.ShimConfig{RateMbps: 20, Delay: 0.010, AckDelay: 0.010})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := cli.AddFlow(FlowConfig{Dst: dst, CC: &FixedRateCC{Rate: 1e6}, Limit: 10 * 400, PacketSize: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(0.5)
+	select {
+	case <-fl.Done():
+	default:
+		t.Fatalf("flow not done by t=0.5: %+v", fl.Stats())
+	}
+	if st := lb.Server.Stats(); st.Flows != 1 || st.Evicted != 0 || st.Delivered != 10 {
+		t.Fatalf("before the sweep: flows=%d evicted=%d delivered=%d, want 1, 0, 10", st.Flows, st.Evicted, st.Delivered)
+	}
+	s.Run(3)
+	if st := lb.Server.Stats(); st.Flows != 0 || st.Evicted != 1 {
+		t.Fatalf("after the sweep: flows=%d evicted=%d, want 0 and 1", st.Flows, st.Evicted)
+	}
+}

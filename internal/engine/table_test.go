@@ -43,15 +43,15 @@ func TestFlowTableCreatesPerKey(t *testing.T) {
 	sh.dispatch(src(1000), dataPkt(t, 7, 0, 100), 0)
 	sh.dispatch(src(1000), dataPkt(t, 8, 0, 100), 0)
 	sh.dispatch(src(1001), dataPkt(t, 7, 0, 100), 0)
-	if sh.nFlows.Load() != 3 {
-		t.Fatalf("flows=%d want 3 (keying must be (addr, flowID))", sh.nFlows.Load())
+	if sh.st.Flows != 3 {
+		t.Fatalf("flows=%d want 3 (keying must be (addr, flowID))", sh.st.Flows)
 	}
 	// Same key again: no new flow, the packet is a duplicate.
 	sh.dispatch(src(1000), dataPkt(t, 7, 0, 100), 0)
-	if sh.nFlows.Load() != 3 {
-		t.Fatalf("flows=%d want 3", sh.nFlows.Load())
+	if sh.st.Flows != 3 {
+		t.Fatalf("flows=%d want 3", sh.st.Flows)
 	}
-	if d := sh.ctr.rxDups.Load(); d != 1 {
+	if d := sh.st.RxDups; d != 1 {
 		t.Fatalf("dups=%d want 1", d)
 	}
 }
@@ -61,13 +61,13 @@ func TestFlowTableIdleEviction(t *testing.T) {
 	sh.dispatch(src(1000), dataPkt(t, 1, 0, 100), 0)
 	sh.dispatch(src(1001), dataPkt(t, 2, 0, 100), 3)
 	sh.sweep(7) // flow 1 idle 7s > 5, flow 2 idle 4s
-	if sh.nFlows.Load() != 1 {
-		t.Fatalf("flows=%d want 1 after idle sweep", sh.nFlows.Load())
+	if sh.st.Flows != 1 {
+		t.Fatalf("flows=%d want 1 after idle sweep", sh.st.Flows)
 	}
 	if sh.lookup(src(1001), 2) == nil {
 		t.Fatal("wrong flow evicted")
 	}
-	if e := sh.ctr.evicted.Load(); e != 1 {
+	if e := sh.st.Evicted; e != 1 {
 		t.Fatalf("evicted=%d want 1", e)
 	}
 }
@@ -107,7 +107,7 @@ func TestFlowTableReusedKeyCollisionResets(t *testing.T) {
 		t.Fatalf("cum=%d want 20", f.rcv.Cum)
 	}
 	sh.dispatch(src(1000), dataPkt(t, 5, 0, 100), 0) // restarted sender
-	if got := sh.ctr.rebinds.Load(); got != 1 {
+	if got := sh.st.Rebinds; got != 1 {
 		t.Fatalf("rebinds=%d want 1", got)
 	}
 	if f.rcv.Cum != 1 {
@@ -115,7 +115,7 @@ func TestFlowTableReusedKeyCollisionResets(t *testing.T) {
 	}
 	// The dup counter must not have exploded: the restart's packets
 	// are new data, not duplicates.
-	if d := sh.ctr.rxDups.Load(); d != 0 {
+	if d := sh.st.RxDups; d != 0 {
 		t.Fatalf("restart counted as dups: %d", d)
 	}
 	// But a genuinely duplicated early packet of a young flow (cum
@@ -125,9 +125,9 @@ func TestFlowTableReusedKeyCollisionResets(t *testing.T) {
 	sh2.dispatch(src(1000), dataPkt(t, 6, 1, 100), 0)
 	sh2.dispatch(src(1000), dataPkt(t, 6, 0, 100), 0) // network dup
 	f2 := sh2.lookup(src(1000), 6)
-	if f2.rcv.Cum != 2 || sh2.ctr.rebinds.Load() != 0 {
+	if f2.rcv.Cum != 2 || sh2.st.Rebinds != 0 {
 		t.Fatalf("young-flow dup treated as restart: cum=%d rebinds=%d",
-			f2.rcv.Cum, sh2.ctr.rebinds.Load())
+			f2.rcv.Cum, sh2.st.Rebinds)
 	}
 }
 
@@ -136,10 +136,10 @@ func TestFlowTableCapEvictsStalestReceiver(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		sh.dispatch(src(uint16(1000+i)), dataPkt(t, uint32(i+1), 0, 100), float64(i))
 	}
-	if sh.nFlows.Load() != 4 {
-		t.Fatalf("flows=%d want 4 (cap not enforced)", sh.nFlows.Load())
+	if sh.st.Flows != 4 {
+		t.Fatalf("flows=%d want 4 (cap not enforced)", sh.st.Flows)
 	}
-	if e := sh.ctr.evicted.Load(); e != 4 {
+	if e := sh.st.Evicted; e != 4 {
 		t.Fatalf("evicted=%d want 4", e)
 	}
 	// Survivors are the most recently active keys.
@@ -162,20 +162,20 @@ func TestFlowTableRebindAtCapDoesNotEvict(t *testing.T) {
 			sh.dispatch(src(uint16(1000+i)), dataPkt(t, uint32(i+1), seq, 100), float64(i))
 		}
 	}
-	if sh.nFlows.Load() != 4 || sh.ctr.evicted.Load() != 0 {
-		t.Fatalf("setup: flows=%d evicted=%d", sh.nFlows.Load(), sh.ctr.evicted.Load())
+	if sh.st.Flows != 4 || sh.st.Evicted != 0 {
+		t.Fatalf("setup: flows=%d evicted=%d", sh.st.Flows, sh.st.Evicted)
 	}
 
 	// Restart collision on the stalest key, at the cap, at a late time.
 	sh.dispatch(src(1000), dataPkt(t, 1, 0, 100), 10)
-	if got := sh.ctr.rebinds.Load(); got != 1 {
+	if got := sh.st.Rebinds; got != 1 {
 		t.Fatalf("rebinds=%d want 1", got)
 	}
-	if e := sh.ctr.evicted.Load(); e != 0 {
+	if e := sh.st.Evicted; e != 0 {
 		t.Fatalf("rebind at cap evicted %d flows, want 0", e)
 	}
-	if sh.nFlows.Load() != 4 {
-		t.Fatalf("flows=%d want 4 (rebind must reuse the entry)", sh.nFlows.Load())
+	if sh.st.Flows != 4 {
+		t.Fatalf("flows=%d want 4 (rebind must reuse the entry)", sh.st.Flows)
 	}
 	f := sh.lookup(src(1000), 1)
 	if f == nil || f.rcv.Cum != 1 {
@@ -185,7 +185,7 @@ func TestFlowTableRebindAtCapDoesNotEvict(t *testing.T) {
 	// A genuinely new 5th key now evicts the stalest flow — which is no
 	// longer the rebound one (its lastSeen moved to the rebind time).
 	sh.dispatch(src(2000), dataPkt(t, 50, 0, 100), 11)
-	if e := sh.ctr.evicted.Load(); e != 1 {
+	if e := sh.st.Evicted; e != 1 {
 		t.Fatalf("evicted=%d want 1", e)
 	}
 	if sh.lookup(src(1000), 1) == nil {
@@ -202,10 +202,10 @@ func TestFlowTableAckWithNoFlowIsCounted(t *testing.T) {
 	ack.Flow = 42
 	var buf [wire.MaxAckLen]byte
 	sh.dispatch(src(1000), ack.Encode(buf[:]), 0)
-	if got := sh.ctr.badAcks.Load(); got != 1 {
+	if got := sh.st.BadAcks; got != 1 {
 		t.Fatalf("badAcks=%d want 1", got)
 	}
-	if sh.nFlows.Load() != 0 {
+	if sh.st.Flows != 0 {
 		t.Fatal("stray ack must not create a flow")
 	}
 }
@@ -224,8 +224,9 @@ func TestFlowTableSameKeyOtherHost(t *testing.T) {
 				sh.dispatch(peer(host, 1000), dataPkt(t, 7, seq, 100), 0)
 			}
 		}
-		if sh.nFlows.Load() != 3 || sh.eng.Stats().Flows != 3 {
-			t.Fatalf("flows=%d gauge=%d want 3", sh.nFlows.Load(), sh.eng.Stats().Flows)
+		sh.publish() // as pass does
+		if sh.st.Flows != 3 || sh.eng.Stats().Flows != 3 {
+			t.Fatalf("flows=%d gauge=%d want 3", sh.st.Flows, sh.eng.Stats().Flows)
 		}
 		sh.dropFlow(sh.lookup(peer(victim, 1000), 7))
 		for host := byte(1); host <= 3; host++ {
@@ -240,13 +241,14 @@ func TestFlowTableSameKeyOtherHost(t *testing.T) {
 				t.Fatalf("dropping host %d: host %d resolves to %+v", victim, host, f)
 			}
 		}
-		if sh.nFlows.Load() != 2 || sh.eng.Stats().Flows != 2 {
-			t.Fatalf("flows=%d gauge=%d want 2", sh.nFlows.Load(), sh.eng.Stats().Flows)
+		sh.publish()
+		if sh.st.Flows != 2 || sh.eng.Stats().Flows != 2 {
+			t.Fatalf("flows=%d gauge=%d want 2", sh.st.Flows, sh.eng.Stats().Flows)
 		}
 		// The dropped peer comes back as a new flow, not as a neighbour.
 		sh.dispatch(peer(victim, 1000), dataPkt(t, 7, 0, 100), 1)
-		if f := sh.lookup(peer(victim, 1000), 7); f == nil || f.rcv.Cum != 1 || sh.nFlows.Load() != 3 || sh.ctr.rxDups.Load() != 0 {
-			t.Fatalf("re-admission: %+v flows=%d dups=%d", f, sh.nFlows.Load(), sh.ctr.rxDups.Load())
+		if f := sh.lookup(peer(victim, 1000), 7); f == nil || f.rcv.Cum != 1 || sh.st.Flows != 3 || sh.st.RxDups != 0 {
+			t.Fatalf("re-admission: %+v flows=%d dups=%d", f, sh.st.Flows, sh.st.RxDups)
 		}
 	}
 }
@@ -259,12 +261,12 @@ func TestFlowTableVersion1FramesAreBad(t *testing.T) {
 	v1Ack := append([]byte{0x41, 0x00}, make([]byte, 32)...)
 	for i, p := range [][]byte{v1Data, v1Ack} {
 		sh.dispatch(src(1000), p, 0)
-		if got := sh.eng.Stats().BadPkts; got != int64(i+1) {
+		if got := sh.st.BadPkts; got != int64(i+1) {
 			t.Fatalf("frame %d: BadPkts=%d want %d", i, got, i+1)
 		}
 	}
-	if sh.nFlows.Load() != 0 || len(sh.txq) != 0 {
-		t.Fatalf("flows=%d staged=%d, want no flow and no reply", sh.nFlows.Load(), len(sh.txq))
+	if sh.st.Flows != 0 || len(sh.txq) != 0 {
+		t.Fatalf("flows=%d staged=%d, want no flow and no reply", sh.st.Flows, len(sh.txq))
 	}
 }
 
@@ -291,8 +293,8 @@ func TestFlowTableDroppedFlowIsNeverServed(t *testing.T) {
 		}
 		sh.dispatch(a, dataPkt(t, 1, 10, 100), 101)
 		f := sh.lookup(a, 1)
-		if f == nil || f == old || f.rcv.Cum != 0 || f.rcv.pkts != 1 || old.rcv.pkts != 10 || sh.nFlows.Load() != 1 {
-			t.Fatalf("%s: packet after the drop served by %+v (old %+v), flows=%d", name, f, old, sh.nFlows.Load())
+		if f == nil || f == old || f.rcv.Cum != 0 || f.rcv.pkts != 1 || old.rcv.pkts != 10 || sh.st.Flows != 1 {
+			t.Fatalf("%s: packet after the drop served by %+v (old %+v), flows=%d", name, f, old, sh.st.Flows)
 		}
 	}
 
@@ -309,18 +311,18 @@ func TestFlowTableQueuedFetchSegmentIsStray(t *testing.T) {
 	}
 	queued := sh.admitQ[0]
 	sh.dispatch(peer(2, 9000), dataPkt(t, queued.id, 0, 100), 0) // same key, in the table
-	if tableKey(queued.addr, queued.id) != tableKey(peer(2, 9000), queued.id) || sh.nFlows.Load() != 1 {
-		t.Fatalf("setup: flows=%d", sh.nFlows.Load())
+	if tableKey(queued.addr, queued.id) != tableKey(peer(2, 9000), queued.id) || sh.st.Flows != 1 {
+		t.Fatalf("setup: flows=%d", sh.st.Flows)
 	}
 	seg := wire.EncodeSegment(make([]byte, 256), wire.SegmentHeader{ObjID: rigObj, TotalSegs: 4, ObjSize: 400}, make([]byte, 100))
 	sh.dispatch(peer(1, 9000), seg, 0)
-	if sh.ctr.straySegs.Load() != 1 || len(core.order) != 0 {
-		t.Fatalf("segment for a queued fetch: straySegs=%d delivered=%v", sh.ctr.straySegs.Load(), core.order)
+	if sh.st.StraySegs != 1 || len(core.order) != 0 {
+		t.Fatalf("segment for a queued fetch: straySegs=%d delivered=%v", sh.st.StraySegs, core.order)
 	}
 	sh.admit()
 	sh.dispatch(peer(1, 9000), seg, 0)
-	if sh.ctr.straySegs.Load() != 1 || len(core.order) != 1 || sh.nFlows.Load() != 2 {
-		t.Fatalf("segment after admission: straySegs=%d delivered=%v flows=%d", sh.ctr.straySegs.Load(), core.order, sh.nFlows.Load())
+	if sh.st.StraySegs != 1 || len(core.order) != 1 || sh.st.Flows != 2 {
+		t.Fatalf("segment after admission: straySegs=%d delivered=%v flows=%d", sh.st.StraySegs, core.order, sh.st.Flows)
 	}
 }
 
@@ -374,10 +376,11 @@ func TestFlowTableCountMatchesReachable(t *testing.T) {
 		}
 		sh.eachFlow(func(*flow) { visited++ })
 		sh.updateOverload(float64(op))
-		if int(sh.nFlows.Load()) != reachable || visited != reachable || sh.eng.Stats().Flows != reachable ||
-			sh.pressureMirror() != float64(reachable)/maxFlows {
+		sh.publish()
+		if sh.st.Flows != reachable || visited != reachable || sh.eng.Stats().Flows != reachable ||
+			sh.st.Pressure != float64(reachable)/maxFlows {
 			t.Fatalf("op %d: %d reachable, count %d, visited %d, Stats().Flows %d, occupancy %v",
-				op, reachable, sh.nFlows.Load(), visited, sh.eng.Stats().Flows, sh.pressureMirror()*maxFlows)
+				op, reachable, sh.st.Flows, visited, sh.eng.Stats().Flows, sh.st.Pressure*maxFlows)
 		}
 	}
 }
@@ -416,8 +419,8 @@ func TestFlowTableMatchesReference(t *testing.T) {
 			}
 			seen[f] = true
 		})
-		if len(seen) != len(ref) || int(sh.nFlows.Load()) != len(ref) {
-			t.Fatalf("%s: eachFlow visits %d, count %d, want %d", step, len(seen), sh.nFlows.Load(), len(ref))
+		if len(seen) != len(ref) || sh.st.Flows != len(ref) {
+			t.Fatalf("%s: eachFlow visits %d, count %d, want %d", step, len(seen), sh.st.Flows, len(ref))
 		}
 	}
 	// Grow (inserts twice as likely as drops) to ≈ 2 000 flows: eight
