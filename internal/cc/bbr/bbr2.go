@@ -120,10 +120,6 @@ func (c *V2) Mode() string {
 // (+Inf until the first lossy probe).
 func (c *V2) InflightHi() float64 { return c.inflightHi }
 
-// InflightLo returns the short-term loss bound in bytes (+Inf while
-// no loss has been seen since the last Refill).
-func (c *V2) InflightLo() float64 { return c.inflightLo }
-
 var _ transport.Controller = (*V2)(nil)
 
 // OnSend implements transport.Controller.

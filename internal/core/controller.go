@@ -178,7 +178,10 @@ func NewProteusH(rng *rand.Rand) (*Controller, *Hybrid) {
 	return New("proteus-h", ProteusConfig(rng), h), h
 }
 
-// NewVivace returns the PCC Vivace baseline.
+// NewVivace returns the PCC Vivace baseline: the same machinery with
+// Vivace's utility, its two-pair consistency rule and a fixed
+// gradient-tolerance threshold in place of Proteus's noise mechanisms —
+// exactly the delta the paper's §5 introduces.
 func NewVivace(rng *rand.Rand) *Controller {
 	return New("vivace", VivaceConfig(rng), NewVivaceUtility())
 }

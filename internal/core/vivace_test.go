@@ -1,9 +1,8 @@
-package vivace
+package core
 
 import (
 	"testing"
 
-	"pccproteus/internal/core"
 	"pccproteus/internal/netem"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/transport"
@@ -13,7 +12,7 @@ func TestVivaceSaturatesCleanLink(t *testing.T) {
 	s := sim.New(1)
 	l := netem.NewLink(s, 50, 375000, 0.015)
 	p := &netem.Path{Link: l, AckDelay: 0.015}
-	cc := New(s.Rand())
+	cc := NewVivace(s.Rand())
 	if cc.Name() != "vivace" {
 		t.Fatalf("name %s", cc.Name())
 	}
@@ -43,7 +42,7 @@ func TestVivaceSlowerThanProteusOnNoisyLink(t *testing.T) {
 		if proteus {
 			cc = newProteusP(s)
 		} else {
-			cc = New(s.Rand())
+			cc = NewVivace(s.Rand())
 		}
 		snd := transport.NewSender(1, p, cc)
 		snd.Start()
@@ -58,4 +57,4 @@ func TestVivaceSlowerThanProteusOnNoisyLink(t *testing.T) {
 	}
 }
 
-func newProteusP(s *sim.Sim) transport.Controller { return core.NewProteusP(s.Rand()) }
+func newProteusP(s *sim.Sim) transport.Controller { return NewProteusP(s.Rand()) }
