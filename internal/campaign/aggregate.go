@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"pccproteus/internal/overload"
 	"pccproteus/internal/stats"
 )
 
@@ -169,7 +170,7 @@ func (a *Aggregate) Render() string {
 	for _, name := range a.ClassNames() {
 		c := a.Classes[name]
 		kind := "pri"
-		if IsScavenger(name) {
+		if overload.ClassOf(name) == overload.ClassScavenger {
 			kind = "scav"
 		}
 		fmt.Fprintf(&b, "%-12s %5s %8d %8d %10.1f %10.3f %10.3f %9.3f %9.4f %9.4f %9.4f %9.5f\n",

@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"pccproteus/internal/netem"
+	"pccproteus/internal/overload"
 	"pccproteus/internal/pathmodel"
 	"pccproteus/internal/sim"
 	"pccproteus/internal/stats"
@@ -248,7 +249,7 @@ func runScenario(spec Spec, idx int, factory Factory) *Aggregate {
 		pop := spec.Pop
 		proto := pickProto(pop.Mix, rng)
 		size := boundedPareto(rng, pop.ParetoAlpha, pop.FlowKB.Lo*1024, pop.FlowKB.Hi*1024)
-		fs := &flowState{proto: proto, scav: IsScavenger(proto), size: int64(size), start: now}
+		fs := &flowState{proto: proto, scav: overload.ClassOf(proto) == overload.ClassScavenger, size: int64(size), start: now}
 		snd := transport.NewSender(len(flows)+1, topo.assign(rng), factory(rng, proto))
 		snd.Limit = fs.size
 		snd.Survival = survival // outage machinery only when the model has outages
@@ -301,7 +302,7 @@ func runScenario(spec Spec, idx int, factory Factory) *Aggregate {
 	var scavBytes, totalBytes int64
 	for proto, b := range classBytes {
 		totalBytes += b
-		if IsScavenger(proto) {
+		if overload.ClassOf(proto) == overload.ClassScavenger {
 			scavBytes += b
 		}
 	}

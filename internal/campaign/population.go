@@ -92,16 +92,3 @@ func boundedPareto(rng *rand.Rand, alpha, lo, hi float64) float64 {
 
 // sin2pi returns sin(2πx).
 func sin2pi(x float64) float64 { return math.Sin(2 * math.Pi * x) }
-
-// scavengers names the controller classes that, by design, yield to
-// primary traffic; everything else counts as primary for yield and
-// fairness rollups.
-var scavengers = map[string]bool{
-	"proteus-s": true,
-	"ledbat":    true,
-	"ledbat-25": true,
-	"bbr-s":     true,
-}
-
-// IsScavenger reports whether a protocol name is a scavenger class.
-func IsScavenger(proto string) bool { return scavengers[proto] }
