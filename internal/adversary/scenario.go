@@ -229,26 +229,6 @@ func hybridThresholdFor(sc Scenario) float64 { return sc.LinkMbps / 4 }
 var adversaryMask = trace.MaskOf(trace.KindMIDecision, trace.KindRateChange,
 	trace.KindUtilitySample, trace.KindModeSwitch)
 
-// newPath builds the scenario's bottleneck on s, at the operating point
-// the schedule prescribes for t=0.
-func (sc Scenario) newPath(s *sim.Sim, schedule Schedule) *netem.Path {
-	path := &netem.Path{Link: netem.NewLink(s, sc.LinkMbps, sc.BufBytes, sc.RTT/2), AckDelay: sc.RTT / 2}
-	sc.startAt(path.Link, schedule)
-	return path
-}
-
-// startAt puts link at the operating point the schedule prescribes for
-// t=0: the model's, when there is one; the schedule's apply boundaries
-// (which include every model step) keep it current.
-func (sc Scenario) startAt(link *netem.Link, schedule Schedule) {
-	if sc.model != nil {
-		link.SetRateMbps(schedule.RateAt(sc, 0))
-		if err := link.SetPropDelay(schedule.DelayAt(sc, 0)); err != nil {
-			panic(err)
-		}
-	}
-}
-
 // newController builds the target's controller; tau is the Proteus-H
 // switching threshold it was given (0 for every other controller).
 func (sc Scenario) newController(s *sim.Sim) (cc transport.Controller, tau float64) {
@@ -278,6 +258,31 @@ func (sc Scenario) faultPlan(schedule Schedule) (chaos.Plan, bool) {
 	return plan, hasFaults
 }
 
+// stage puts schedule on path, in the order every run takes: the link
+// at the schedule's t=0 operating point (the model's, when there is one;
+// apply's boundaries, which include every model step, keep it current),
+// the target through start, the environment changes and competing flows
+// (appended to *competitors), then the fault plan, if there is one,
+// through install — the one step the simulator and an engine on a
+// SimNet take differently. The target and the competitors arm the
+// survival machinery only in a run with faults.
+func (sc Scenario) stage(s *sim.Sim, path *netem.Path, schedule Schedule, competitors *[]*transport.Sender,
+	start func(survival bool), install func(chaos.Plan) error) error {
+	if sc.model != nil {
+		path.Link.SetRateMbps(schedule.RateAt(sc, 0))
+		if err := path.Link.SetPropDelay(schedule.DelayAt(sc, 0)); err != nil {
+			panic(err)
+		}
+	}
+	plan, hasFaults := sc.faultPlan(schedule)
+	start(hasFaults)
+	schedule.apply(s, sc, path.Link, competitor(s, path, hasFaults, competitors))
+	if !hasFaults {
+		return nil
+	}
+	return install(plan)
+}
+
 // competitor is schedule.apply's flow spawner: a simulated sender of the
 // segment's protocol on path, recorded in *all.
 func competitor(s *sim.Sim, path *netem.Path, survival bool, all *[]*transport.Sender) func(i int, g Segment) func() {
@@ -302,20 +307,19 @@ func Run(sc Scenario, schedule Schedule, seed int64) *RunContext {
 	rec := trace.NewRecorder(trace.Options{Mask: adversaryMask, FlowCap: 1 << 16})
 	s.SetTrace(rec)
 
-	path := sc.newPath(s, schedule)
+	path := &netem.Path{Link: netem.NewLink(s, sc.LinkMbps, sc.BufBytes, sc.RTT/2), AckDelay: sc.RTT / 2}
 	cc, hybridTau := sc.newController(s)
-	faultPlan, hasFaults := sc.faultPlan(schedule)
-
-	target := transport.NewSender(1, path, cc)
-	target.Burst = exp.BurstFor(sc.Proto)
-	target.Survival = hasFaults
-	target.Start()
-
+	var target *transport.Sender
 	var competitors []*transport.Sender
-	schedule.apply(s, sc, path.Link, competitor(s, path, hasFaults, &competitors))
-	if hasFaults {
-		chaos.ApplySim(s, path.Link, path, faultPlan, sc.Duration)
-	}
+	sc.stage(s, path, schedule, &competitors, func(survival bool) {
+		target = transport.NewSender(1, path, cc)
+		target.Burst = exp.BurstFor(sc.Proto)
+		target.Survival = survival
+		target.Start()
+	}, func(plan chaos.Plan) error {
+		chaos.ApplySim(s, path.Link, path, plan, sc.Duration)
+		return nil
+	})
 
 	n := int(math.Ceil(sc.Duration))
 	rc := &RunContext{

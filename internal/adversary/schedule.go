@@ -492,9 +492,11 @@ func (s Schedule) apply(sm *sim.Sim, sc Scenario, link *netem.Link, spawnFlow fu
 	for _, t := range s.boundaries(sc) {
 		t := t
 		sm.At(t, func() {
-			link.Rate = s.RateAt(sc, t) * 1e6 / 8
+			link.SetRateMbps(s.RateAt(sc, t))
 			link.LossProb = s.LossAt(t)
-			link.PropDelay = s.DelayAt(sc, t)
+			if err := link.SetPropDelay(s.DelayAt(sc, t)); err != nil {
+				panic(err)
+			}
 			link.QueueCap = s.QueueCapAt(sc, t)
 		})
 	}

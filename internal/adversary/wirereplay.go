@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"pccproteus/internal/chaos"
 	"pccproteus/internal/engine"
 	"pccproteus/internal/netem"
 	"pccproteus/internal/sim"
@@ -83,14 +84,12 @@ func ReplayWire(ce *Counterexample) (*WireReplay, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc.startAt(path.Link, schedule)
-	plan, hasFaults := sc.faultPlan(schedule)
 	var competitors []*transport.Sender
-	schedule.apply(s, sc, path.Link, competitor(s, path, hasFaults, &competitors))
-	if hasFaults {
-		if err := lb.Install(nil, &plan, sc.Duration); err != nil {
-			return nil, err
-		}
+	// The engine flow is already running: StartFlow built the path for it.
+	if err := sc.stage(s, path, schedule, &competitors, func(bool) {}, func(plan chaos.Plan) error {
+		return lb.Install(nil, &plan, sc.Duration)
+	}); err != nil {
+		return nil, err
 	}
 	w.Result = lb.Measure(fl, sc.Duration, sc.Warmup)
 	w.Link = path.Link.Stats()
