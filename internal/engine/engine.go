@@ -169,7 +169,7 @@ type Stats struct {
 	BadPkts        int64
 	BadAcks        int64
 	StraySegs      int64 // segment responses matching no fetch flow
-	Evicted        int64
+	Evicted        int64 // live flows dropped idle or at the receiver cap
 	Rebinds        int64 // (addr,flowID) collisions reset as new flows
 	Delivered      int64 // distinct data packets received
 	DeliveredBytes int64

@@ -429,7 +429,8 @@ const restartCumFloor = 4
 // anomaly (duplicate, outstanding SACK gap) and every packet of a
 // young flow acks immediately, so loss detection, fast retransmit,
 // and the sender's first-ack RTT calibration see no added latency; so
-// does a packet carrying the push bit, which ends a finite transfer.
+// does a packet carrying the push bit, which ends a finite transfer, and
+// one that fills the last hole below it.
 // A wheel-armed delayed ack bounds how long any other odd tail packet
 // (an unlimited flow that pauses mid-count) waits.
 const (
@@ -444,6 +445,9 @@ type recvFlow struct {
 	highest int64
 	pkts    int64
 	dups    int64
+	// pushSeq is the newest push-marked sequence number seen, -1 before
+	// any: from then on the sender has launched its transfer's last byte.
+	pushSeq int64
 
 	// Coalesced-ack state: echo stamps of the newest unacked packet,
 	// flushed by the next immediate ack or the delayed-ack timer.
@@ -453,14 +457,24 @@ type recvFlow struct {
 	pendRecvAt int64
 }
 
-// onData records one data packet and queues the ack.
-func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now float64) {
+// finished reports whether the flow has seen its transfer's push-marked
+// last packet. A replacement after a loss takes a new sequence number, so
+// a finished flow with holes never fills them.
+func (rf *recvFlow) finished() bool { return rf.pushSeq >= 0 }
+
+// onData records one data packet and queues the ack. It reports whether
+// the transfer is complete — everything up to the push-marked packet in,
+// no SACK range open — in which case the ack it queued is the final one.
+func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now float64) bool {
 	if h.Seq == 0 && rf.Cum > restartCumFloor {
 		// Collision: the (addr, flowID) pair was reused by a restarted
 		// sender. Rebind as a new flow.
 		rf.Cum = 0
 		rf.Ranges = rf.Ranges[:0]
-		rf.highest = -1
+		if rf.finished() {
+			sh.finished--
+		}
+		rf.highest, rf.pushSeq = -1, -1
 		rf.pkts, rf.dups = 0, 0
 		rf.unacked = 0
 		sh.st.Rebinds++
@@ -477,6 +491,12 @@ func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now flo
 	if h.Seq > rf.highest {
 		rf.highest = h.Seq
 	}
+	if h.Push && h.Seq > rf.pushSeq {
+		if !rf.finished() {
+			sh.finished++
+		}
+		rf.pushSeq = h.Seq
+	}
 	// Prefer a shim's emulated arrival stamp: RTTs then measure the
 	// emulated path with host delivery jitter excluded. On a bare path
 	// the truth is the shard's clock at the read that delivered the
@@ -488,15 +508,17 @@ func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now flo
 	}
 	rf.pendSeq, rf.pendSentAt, rf.pendRecvAt = h.Seq, h.SentAt, recvAt
 	rf.unacked++
-	if dup || len(rf.Ranges) > 0 || rf.Cum <= restartCumFloor || rf.unacked >= ackEvery || h.Push {
+	done := rf.finished() && rf.Cum > rf.pushSeq && len(rf.Ranges) == 0
+	if done || dup || len(rf.Ranges) > 0 || rf.Cum <= restartCumFloor || rf.unacked >= ackEvery || h.Push {
 		rf.emitAck(sh, f)
-		return
+		return done
 	}
 	// Defer: the next in-order packet (or the timer) flushes the ack.
 	// A live timer is left alone — one entry per flow, not per packet.
 	if !f.armed {
 		sh.wh.arm(f, now+delayedAckTO)
 	}
+	return false
 }
 
 // emitFinalAck sends one last cumulative ack for a flow about to be

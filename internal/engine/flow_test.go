@@ -347,6 +347,93 @@ func TestPushedPacketAckedAtOnce(t *testing.T) {
 	}
 }
 
+// pushPkt encodes data packet seq of flow id, push-marked or not.
+func pushPkt(id uint32, seq int64, push bool) []byte {
+	return wire.EncodeData(make([]byte, 2048), wire.DataHeader{Seq: seq, SentAt: 1, Flow: id, Push: push}, 1200)
+}
+
+// lastAck decodes the newest ack the shard has queued.
+func lastAck(t *testing.T, sh *shard) wire.AckPacket {
+	t.Helper()
+	var a wire.AckPacket
+	if err := wire.DecodeAck(sh.txq[len(sh.txq)-1], &a); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// A receiver flow leaves the table in the pass that completes its
+// transfer — every packet up to the pushed one in, no SACK range open —
+// right after the ack that says so, and that is no eviction. Completed
+// out of order, the packet that fills the last hole is the one.
+func TestFinishedReceiverReclaimed(t *testing.T) {
+	sh, acks, _ := feedInOrder(t, 30, true)
+	if a := lastAck(t, sh); acks != 11 || a.Seq != 29 || a.CumAck != 30 || len(a.Blocks) != 0 {
+		t.Fatalf("%d acks, the last %+v; want 11, the final one seq 29 cum 30", acks, a)
+	}
+	if sh.st.Flows != 0 || sh.finished != 0 || sh.wh.armed != 0 || sh.st.Evicted != 0 {
+		t.Fatalf("after the pushed packet: flows=%d finished=%d armed=%d evicted=%d, want all 0",
+			sh.st.Flows, sh.finished, sh.wh.armed, sh.st.Evicted)
+	}
+
+	sh = newTestShard(t, Config{})
+	sh.wh.init(0)
+	for seq := int64(0); seq < 30; seq++ {
+		if seq != 28 {
+			sh.dispatch(src(1000), pushPkt(7, seq, seq == 29), 0)
+		}
+	}
+	if sh.st.Flows != 1 || sh.finished != 1 {
+		t.Fatalf("pushed packet in with seq 28 missing: flows=%d finished=%d, want the flow kept, finished", sh.st.Flows, sh.finished)
+	}
+	acks = len(sh.txq)
+	sh.dispatch(src(1000), pushPkt(7, 28, false), 0)
+	if a := lastAck(t, sh); len(sh.txq) != acks+1 || a.Seq != 28 || a.CumAck != 30 || len(a.Blocks) != 0 {
+		t.Fatalf("the hole filled: %d more acks, the last %+v; want one, seq 28 cum 30", len(sh.txq)-acks, a)
+	}
+	if sh.st.Flows != 0 || sh.finished != 0 || sh.st.Evicted != 0 {
+		t.Fatalf("after the hole filled: flows=%d finished=%d evicted=%d, want all 0", sh.st.Flows, sh.finished, sh.st.Evicted)
+	}
+}
+
+// A finished flow with a hole — the lost packet's replacement took a new
+// sequence number — leaves at the first sweep that finds no arrival
+// since the sweep before, with no final ack and no eviction counted; a
+// late arrival buys it one more sweep. An unfinished flow keeps the idle
+// deadline.
+func TestFinishedReceiverWithHolesSwept(t *testing.T) {
+	sh := newTestShard(t, Config{IdleTimeout: 60})
+	for seq := int64(0); seq < 10; seq++ {
+		if seq != 5 {
+			sh.dispatch(src(1000), pushPkt(7, seq, seq == 9), 0.5)
+			sh.dispatch(src(1001), pushPkt(8, seq, false), 0.5)
+		}
+	}
+	sh.flushTx()
+	sh.sweep(1) // flow 7's last packet came after the previous sweep (none: t=0)
+	if sh.st.Flows != 2 || sh.finished != 1 {
+		t.Fatalf("first sweep: flows=%d finished=%d, want 2 and 1", sh.st.Flows, sh.finished)
+	}
+	sh.dispatch(src(1000), pushPkt(7, 9, true), 1.5) // a late duplicate
+	sh.flushTx()
+	sh.sweep(2)
+	if sh.st.Flows != 2 {
+		t.Fatalf("sweep after a late arrival: flows=%d, want both kept", sh.st.Flows)
+	}
+	sh.sweep(3)
+	if sh.lookup(src(1000), 7) != nil || sh.lookup(src(1001), 8) == nil || sh.finished != 0 {
+		t.Fatalf("quiet sweep: finished flow kept or unfinished one dropped (finished=%d)", sh.finished)
+	}
+	if len(sh.txq) != 0 || sh.st.Evicted != 0 {
+		t.Fatalf("quiet sweep queued %d packets, evicted=%d; want no final ack and no eviction", len(sh.txq), sh.st.Evicted)
+	}
+	sh.sweep(61)
+	if sh.st.Flows != 0 || sh.st.Evicted != 1 || len(sh.txq) != 1 {
+		t.Fatalf("idle deadline: flows=%d evicted=%d queued=%d, want the unfinished flow evicted with a final ack",
+			sh.st.Flows, sh.st.Evicted, len(sh.txq))
+	}
+}
+
 // A loop that wakes every 1.1 ms — what a sub-millisecond read deadline
 // costs on an idle Go process — must still deliver the controller's
 // rate: the bucket holds everything a late wake let accrue, and the

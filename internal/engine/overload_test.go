@@ -105,6 +105,39 @@ func TestCapEvictionPrefersScavenger(t *testing.T) {
 	}
 }
 
+// At the cap a finished transfer is the first victim, ahead of a staler
+// scavenger and a staler primary: it goes silently — no final ack, no
+// BUSY — and counts as neither an eviction nor a shed. Nor is it load:
+// flow occupancy counts live flows only.
+func TestCapEvictsFinishedReceiverFirst(t *testing.T) {
+	sh := newTestShard(t, Config{MaxFlowsPerShard: 3})
+	sh.busyBudget = sh.batchSize
+	sh.dispatch(src(1000), dataPkt(t, 1, 0, 100), 0)         // primary, stalest
+	sh.dispatch(src(1001), dataPkt(t, 2|scavBit, 0, 100), 1) // scavenger
+	sh.dispatch(src(1002), pushPkt(3, 0, false), 5)          // primary, finished with
+	sh.dispatch(src(1002), pushPkt(3, 2, true), 5)           // seq 1 missing, freshest
+	sh.updateOverload(5)
+	if sh.st.Flows != 3 || sh.finished != 1 || sh.st.Pressure != 2.0/3 {
+		t.Fatalf("setup: flows=%d finished=%d pressure=%.3f, want 3, 1 and 2/3", sh.st.Flows, sh.finished, sh.st.Pressure)
+	}
+	sh.flushTx()
+	sh.dispatch(src(1003), dataPkt(t, 4, 0, 100), 6) // over the cap
+	if sh.lookup(src(1002), 3) != nil || sh.lookup(src(1001), 2|scavBit) == nil || sh.lookup(src(1000), 1) == nil {
+		t.Fatal("the finished flow was not the victim")
+	}
+	if a := lastAck(t, sh); len(sh.txq) != 1 || a.Flow != 4 {
+		t.Fatalf("%d packets queued, the last for flow %d; want only the new flow's ack", len(sh.txq), a.Flow)
+	}
+	if st := sh.st; st.Evicted != 0 || st.ShedPrimary != 0 || st.ShedScavenger != 0 || st.BusyTx != 0 || sh.finished != 0 {
+		t.Fatalf("finished victim counted: %+v finished=%d", st, sh.finished)
+	}
+	// With no finished flow left, the scavenger goes next, as before.
+	sh.dispatch(src(1004), dataPkt(t, 5, 0, 100), 7)
+	if sh.lookup(src(1001), 2|scavBit) != nil || sh.st.ShedScavenger != 1 || sh.st.Evicted != 1 || sh.st.ShedPrimary != 0 {
+		t.Fatalf("second admission at the cap: %+v, want the scavenger shed", sh.st)
+	}
+}
+
 func TestShedPausesLocalScavengersOnly(t *testing.T) {
 	sh := newTestShard(t, Config{})
 	prim := addLocalSender(sh, 1, overload.ClassPrimary)

@@ -77,6 +77,10 @@ type shard struct {
 	tabShift uint
 	tabMul   [2]uint64
 	wh       wheel
+	// finished counts the receiver flows in the table that have seen
+	// their transfer's push-marked packet: they only wait for a quiet
+	// sweep, so the overload machine does not read them as load.
+	finished int
 
 	maxPacket int
 	batchSize int
@@ -388,7 +392,9 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 		}
 		sh.st.RxPkts++
 		f.lastSeen = now
-		f.rcv.onData(sh, f, h, len(b), now)
+		if f.rcv.onData(sh, f, h, len(b), now) {
+			sh.dropFlow(f) // complete: its final ack is queued
+		}
 	case 'A':
 		a := &sh.ackDecode
 		if err := wire.DecodeAck(b, a); err != nil {
@@ -497,13 +503,33 @@ func (sh *shard) service(f *flow, now float64) {
 	}
 }
 
+// Cap victims of newRecvFlow, in the order they are taken.
+const (
+	victimFinished = iota // a transfer whose push-marked packet is in
+	victimScavenger
+	victimPrimary
+)
+
+// victimClass is a receiver flow's place in the cap's eviction order.
+func victimClass(f *flow) int {
+	switch {
+	case f.rcv.finished():
+		return victimFinished
+	case wire.ScavengerID(f.id):
+		return victimScavenger
+	}
+	return victimPrimary
+}
+
 // newRecvFlow admits an unknown (addr, flowID) as a receiver flow,
-// evicting the stalest receiver flow at the cap — sender flows are
-// never evicted for table pressure. Admission and eviction are both
-// class-aware: from Brownout on, new scavenger flows are refused with
-// a BUSY frame (and nil is returned — no state is kept for them), and
-// at the cap the stalest *scavenger* receiver is evicted before any
-// primary is considered.
+// evicting a receiver flow at the cap — sender flows are never evicted
+// for table pressure. Admission and eviction are both class-aware: from
+// Brownout on, new scavenger flows are refused with a BUSY frame (and
+// nil is returned — no state is kept for them), and at the cap a
+// finished transfer goes first, silently and uncounted — its sender has
+// its acks or is recovering with new sequence numbers — then the
+// stalest scavenger with a final ack and a shed BUSY, and only then the
+// stalest primary, with a final ack.
 func (sh *shard) newRecvFlow(src netip.AddrPort, id uint32) *flow {
 	if wire.ScavengerID(id) && !sh.det.State().AdmitScavenger() {
 		sh.st.RejectedScavenger++
@@ -512,26 +538,30 @@ func (sh *shard) newRecvFlow(src netip.AddrPort, id uint32) *flow {
 	}
 	if sh.st.Flows >= sh.maxFlows {
 		var old *flow
-		oldScav := false
+		oldClass := victimFinished
 		sh.eachFlow(func(f *flow) {
 			if f.rcv == nil {
 				return
 			}
-			fs := wire.ScavengerID(f.id)
-			// A scavenger victim always beats a primary one; within a
-			// class, stalest wins, and of equally stale ones — the common
-			// case once time is discrete — the first in flowOrder.
-			if old != nil && (oldScav && !fs || oldScav == fs &&
+			// An earlier class always wins; within a class, stalest wins,
+			// and of equally stale ones — the common case once time is
+			// discrete — the first in flowOrder.
+			c := victimClass(f)
+			if old != nil && (c > oldClass || c == oldClass &&
 				(f.lastSeen > old.lastSeen || f.lastSeen == old.lastSeen && flowOrder(f, old) > 0)) {
 				return
 			}
-			old, oldScav = f, fs
+			old, oldClass = f, c
 		})
-		if old != nil {
+		switch {
+		case old == nil:
+		case oldClass == victimFinished:
+			sh.dropFlow(old)
+		default:
 			old.rcv.emitFinalAck(sh, old)
 			sh.dropFlow(old)
 			sh.st.Evicted++
-			if oldScav {
+			if oldClass == victimScavenger {
 				sh.st.ShedScavenger++
 				sh.sendBusy(old.addr, old.id, true)
 			} else {
@@ -539,26 +569,37 @@ func (sh *shard) newRecvFlow(src netip.AddrPort, id uint32) *flow {
 			}
 		}
 	}
-	f := &flow{addr: src, id: id, rcv: &recvFlow{highest: -1}}
+	f := &flow{addr: src, id: id, rcv: &recvFlow{highest: -1, pushSeq: -1}}
 	sh.insert(f)
 	return f
 }
 
 // sweep evicts idle flows, at most once per second. A finite sender
 // leaves when it completes (service), so the senders reclaimed here are
-// idle unlimited ones; receiver flows go on the idle deadline alone,
-// with a final ack; fetch flows never.
+// idle unlimited ones; a finished receiver — push-marked packet in, holes
+// that its sender's new sequence numbers will never fill — leaves, with
+// no ack, at the first sweep that finds it quiet since the one before;
+// other receiver flows go on the idle deadline alone, with a final ack;
+// fetch flows never.
 func (sh *shard) sweep(now float64) {
 	if now-sh.lastSweep < 1 {
 		return
 	}
+	prev := sh.lastSweep
 	sh.lastSweep = now
 	sh.eachOrdered(func(f *flow) bool {
+		if f.rcv != nil && f.rcv.finished() {
+			return f.lastSeen < prev
+		}
 		// A stalled fetch or finite sender keeps retrying by RTO.
 		return now-f.lastSeen > sh.idleTO &&
 			f.fch == nil && (f.snd == nil || f.snd.completed || f.snd.limit <= 0)
 	}, func(f *flow) {
 		if f.rcv != nil {
+			if f.rcv.finished() {
+				sh.dropFlow(f)
+				return
+			}
 			f.rcv.emitFinalAck(sh, f)
 		}
 		sh.dropFlow(f)
@@ -582,7 +623,7 @@ func (sh *shard) updateOverload(now float64) {
 	sh.busyBudget = sh.batchSize
 	prev := sh.det.State()
 	st := sh.det.Update(now, overload.Signals{
-		FlowOccupancy: float64(sh.st.Flows) / float64(sh.maxFlows),
+		FlowOccupancy: float64(sh.st.Flows-sh.finished) / float64(sh.maxFlows),
 		TxBacklog:     sh.txBacklog,
 		RxSaturation:  sh.rxFullEWMA,
 		SendErrStreak: sh.txErrStreak,
@@ -666,6 +707,9 @@ func (sh *shard) dropFlow(f *flow) {
 	}
 	*p, f.next = f.next, nil
 	sh.st.Flows--
+	if f.rcv != nil && f.rcv.finished() {
+		sh.finished--
+	}
 	if o := f.origin(); o != nil {
 		if o.paused {
 			o.paused = false

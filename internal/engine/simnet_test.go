@@ -384,8 +384,9 @@ func TestSimNetRecyclingUnderFaults(t *testing.T) {
 	}
 }
 
-// A receiver flow whose sender has finished is evicted by the idle sweep
-// on a pass that reads nothing, and Stats shows the eviction once the
+// A receiver flow whose sender goes quiet without finishing — an
+// unlimited flow whose engine stops — is evicted by the idle sweep on a
+// pass that reads nothing, and Stats shows the eviction once the
 // simulator stops: a pass publishes its counters whatever it read.
 func TestSimNetIdleEvictionPublished(t *testing.T) {
 	s := sim.New(1)
@@ -397,21 +398,188 @@ func TestSimNetIdleEvictionPublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := cli.AddFlow(FlowConfig{Dst: dst, CC: &FixedRateCC{Rate: 1e6}, Limit: 10 * 400, PacketSize: 400})
-	if err != nil {
+	if _, err := cli.AddFlow(FlowConfig{Dst: dst, CC: &FixedRateCC{Rate: 1e6}, PacketSize: 400}); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(0.5)
-	select {
-	case <-fl.Done():
-	default:
-		t.Fatalf("flow not done by t=0.5: %+v", fl.Stats())
-	}
-	if st := lb.Server.Stats(); st.Flows != 1 || st.Evicted != 0 || st.Delivered != 10 {
-		t.Fatalf("before the sweep: flows=%d evicted=%d delivered=%d, want 1, 0, 10", st.Flows, st.Evicted, st.Delivered)
+	cli.Stop()
+	s.Run(0.6) // what was in flight has landed
+	if st := lb.Server.Stats(); st.Flows != 1 || st.Evicted != 0 || st.Delivered == 0 {
+		t.Fatalf("before the sweep: flows=%d evicted=%d delivered=%d, want 1, 0 and some", st.Flows, st.Evicted, st.Delivered)
 	}
 	s.Run(3)
 	if st := lb.Server.Stats(); st.Flows != 0 || st.Evicted != 1 {
 		t.Fatalf("after the sweep: flows=%d evicted=%d, want 0 and 1", st.Flows, st.Evicted)
+	}
+}
+
+// simChurnRun is what simChurn saw: both engines' counters and the
+// bottleneck's at the end, and the receiver's when the last flow
+// completed.
+type simChurnRun struct {
+	snd, recv, atLast Stats
+	link              netem.LinkStats
+	done              int // flows whose Done closed with every byte acked
+}
+
+// simChurn runs 8 closed-loop clients on a SimNet, each starting its
+// next 30 × 1200 B fixed-rate flow the moment its last one is done, 50
+// flows apiece, to a receiver shard capped at 64 flows, across one
+// bottleneck of mbps with a queue of queue bytes, until every flow is
+// done or 20 s of virtual time have passed, and then for settle seconds
+// more.
+func simChurn(t *testing.T, mbps float64, queue int, settle float64) simChurnRun {
+	t.Helper()
+	const clients, perClient, pkts, size = 8, 50, 30, 1200
+	s := sim.New(1)
+	n := NewSimNet(s)
+	se, re := n.NewEngine(Config{Seed: 1}), n.NewEngine(Config{MaxFlowsPerShard: 64, Seed: 2})
+	link := netem.NewLink(s, mbps, queue, 0.005)
+	n.Connect(se.Addrs()[0], re.Addrs()[0], &netem.Path{Link: link, AckDelay: 0.005})
+	se.Start()
+	re.Start()
+	var (
+		run     simChurnRun
+		flows   [clients]*Flow
+		started [clients]int
+	)
+	start := func(c int) {
+		fl, err := se.AddFlow(FlowConfig{Dst: re.Addrs()[0], CC: &FixedRateCC{Rate: 1e6}, Limit: pkts * size, PacketSize: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows[c] = fl
+		started[c]++
+	}
+	for c := range flows {
+		start(c)
+	}
+	for run.done < clients*perClient && s.Now() < 20 {
+		s.Run(s.Now() + 0.001)
+		for c, fl := range flows {
+			if fl == nil {
+				continue
+			}
+			select {
+			case <-fl.Done():
+			default:
+				continue
+			}
+			if st := fl.Stats(); st.AckedBytes != pkts*size {
+				t.Fatalf("client %d, flow %d: done with %d bytes acked, want %d", c, started[c], st.AckedBytes, pkts*size)
+			}
+			run.done++
+			flows[c] = nil
+			if started[c] < perClient {
+				start(c)
+			}
+		}
+	}
+	run.atLast = re.Stats()
+	s.Run(s.Now() + settle)
+	se.Stop()
+	re.Stop()
+	run.snd, run.recv, run.link = se.Stats(), re.Stats(), link.Stats()
+	return run
+}
+
+// A receiver gives a finished transfer's flow back at once. 400 lossless
+// flows, 8 at a time, through a 64-flow cap leave the table empty, the
+// overload machine in Normal, nothing evicted or shed and no ack the
+// sender cannot place; if finished flows waited for the idle sweep,
+// they would fill the cap, the receiver would shed, and each eviction's
+// final ack would reach a sender that has left.
+func TestSimNetChurnReclaimsReceivers(t *testing.T) {
+	run := simChurn(t, 100, 150000, 0.1)
+	if run.done != 400 {
+		t.Fatalf("%d of 400 flows done by t=20", run.done)
+	}
+	r := run.recv
+	if r.Flows != 0 || r.WorstOverload != overload.StateNormal || r.Evicted != 0 || r.ShedPrimary != 0 {
+		t.Fatalf("receiver: flows=%d worst=%v evicted=%d shedPrimary=%d, want 0, normal, 0, 0",
+			r.Flows, r.WorstOverload, r.Evicted, r.ShedPrimary)
+	}
+	if run.snd.BadAcks != 0 || r.Delivered != 400*30 || r.RxDups != 0 {
+		t.Fatalf("sender badAcks=%d, receiver delivered=%d dups=%d: want 0, 12000, 0", run.snd.BadAcks, r.Delivered, r.RxDups)
+	}
+}
+
+// Under tail drops every replacement takes a new sequence number, so a
+// finished flow keeps its holes: it leaves at the first sweep that finds
+// it quiet since the one before, within two sweeps of its last packet,
+// and nothing live is evicted for it.
+func TestSimNetChurnReclaimsReceiversUnderLoss(t *testing.T) {
+	const settle = 2.01 // two sweeps, and the passes they may fall late by
+	run := simChurn(t, 40, 6000, settle)
+	if run.done != 400 {
+		t.Fatalf("%d of 400 flows done by t=20", run.done)
+	}
+	r := run.recv
+	if run.link.Dropped == 0 || run.atLast.Flows == 0 {
+		t.Fatalf("%d tail drops, %d receiver flows at the last completion: the path was meant to leave holes",
+			run.link.Dropped, run.atLast.Flows)
+	}
+	// A finished flow is not load: live flows never passed 8 of 64.
+	if r.Flows != 0 || r.Evicted != 0 || r.ShedPrimary != 0 || r.WorstOverload != overload.StateNormal {
+		t.Fatalf("receiver %.2f s after the last completion: flows=%d evicted=%d shedPrimary=%d worst=%v, want 0, 0, 0, normal",
+			settle, r.Flows, r.Evicted, r.ShedPrimary, r.WorstOverload)
+	}
+}
+
+// A final ack lost on the path strands nobody. The receiver let the flow
+// go when it sent that ack; the sender's replacements of what it never
+// heard acked take new sequence numbers, re-admit a fresh receiver flow,
+// and its SACKs complete the transfer. That flow, all holes, leaves at
+// its next quiet sweep.
+func TestSimNetLostFinalAckReadmits(t *testing.T) {
+	s := sim.New(1)
+	n := NewSimNet(s)
+	se, re := n.NewEngine(Config{Seed: 1}), n.NewEngine(Config{Seed: 2})
+	path := &netem.Path{Link: netem.NewLink(s, 20, 150000, 0.010), AckDelay: 0.010}
+	n.Connect(se.Addrs()[0], re.Addrs()[0], path)
+	se.Start()
+	re.Start()
+	fl, err := se.AddFlow(FlowConfig{Dst: re.Addrs()[0], CC: &FixedRateCC{Rate: 1e6}, Limit: 10 * 1200, PacketSize: 1200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for !cond() {
+			if s.Now() > 10 {
+				t.Fatalf("t=%.4f: still waiting for %s", s.Now(), what)
+			}
+			s.Run(s.Now() + 100e-6)
+		}
+	}
+	done := func() bool {
+		select {
+		case <-fl.Done():
+			return true
+		default:
+			return false
+		}
+	}
+	// The ack path goes dark once 9 of the 10 packets are in and stays
+	// dark until the pushed 10th has been answered.
+	until("9 packets delivered", func() bool { return re.Stats().Delivered == 9 })
+	path.AckDown = true
+	until("the pushed packet", func() bool { return re.Stats().Delivered == 10 })
+	s.Run(s.Now() + 0.001)
+	path.AckDown = false
+	if st := re.Stats(); st.Flows != 0 || st.Evicted != 0 || path.Stats().AckDropped == 0 || done() {
+		t.Fatalf("after the blackout: receiver flows=%d evicted=%d, %d acks dropped, sender done=%v; want 0, 0, some, false",
+			st.Flows, st.Evicted, path.Stats().AckDropped, done())
+	}
+	until("the sender to complete", done)
+	if st, fs := re.Stats(), fl.Stats(); st.Flows != 1 || st.Delivered <= 10 || fs.AckedBytes != 10*1200 || fs.LostPkts == 0 {
+		t.Fatalf("at completion: receiver flows=%d delivered=%d, sender %+v; want a re-admitted flow, replacements in, every byte acked",
+			st.Flows, st.Delivered, fs)
+	}
+	s.Run(s.Now() + 2.01) // two sweeps: the first sees the replacement, the second a quiet flow
+	se.Stop()
+	re.Stop()
+	if st, ss := re.Stats(), se.Stats(); st.Flows != 0 || st.Evicted != 0 || ss.BadAcks != 0 {
+		t.Fatalf("after two sweeps: receiver flows=%d evicted=%d, sender badAcks=%d; want 0, 0, 0", st.Flows, st.Evicted, ss.BadAcks)
 	}
 }
