@@ -173,14 +173,13 @@ func outageNote(st fetch.FetcherStats) string {
 func report(f *fetch.Fetcher, t0 time.Time, writeErr error) error {
 	st := f.Stats()
 	secs := time.Since(t0).Seconds()
-	p50, p95, p99 := f.RTTQuantiles()
 	mbps := 0.0
 	if secs > 0 {
 		mbps = float64(st.Delivered) * 8 / secs / 1e6
 	}
 	fmt.Printf("total: %d bytes in %.2fs (%.2f Mbps)  reqs=%d lost=%d dups=%d refetched=%d\n",
 		st.Delivered, secs, mbps, st.ReqsSent, st.LostReqs, st.Dups, st.Refetched)
-	fmt.Printf("rtt: p50=%.1fms p95=%.1fms p99=%.1fms\n", p50*1e3, p95*1e3, p99*1e3)
+	fmt.Printf("rtt: p50=%.1fms p95=%.1fms p99=%.1fms\n", st.P50RTT*1e3, st.P95RTT*1e3, st.P99RTT*1e3)
 	if writeErr != nil {
 		return fmt.Errorf("writing output: %w", writeErr)
 	}

@@ -3,8 +3,10 @@ package adversary
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pccproteus/internal/exp"
+	"pccproteus/internal/overload"
 	"pccproteus/internal/trace"
 )
 
@@ -83,29 +85,11 @@ const (
 	hybridFraction = 0.5
 )
 
-// scavengerProtos are the controllers expected to yield to primaries.
-var scavengerProtos = map[string]bool{
-	exp.ProtoProteusS: true,
-	exp.ProtoLEDBAT:   true,
-	exp.ProtoLEDBAT25: true,
-	exp.ProtoBBRS:     true,
-}
-
-// primaryProtos is the set a flow segment must belong to for the
-// yielding invariants to judge it.
-var primaryProtos = map[string]bool{}
-
-func init() {
-	for _, p := range exp.Primaries {
-		primaryProtos[p] = true
-	}
-}
-
 // Checkers returns the invariant library for a target protocol: the
 // universal checkers plus the role-specific ones.
 func Checkers(proto string) []Checker {
 	cs := []Checker{finiteChecker{}, rateBoundChecker{}, progressChecker{}, recoveryChecker{}}
-	if scavengerProtos[proto] {
+	if overload.ClassOf(proto) == overload.ClassScavenger {
 		cs = append(cs, scavengerYieldChecker{})
 	}
 	if proto == exp.ProtoProteusH {
@@ -279,7 +263,7 @@ func (scavengerYieldChecker) Name() string { return "scavenger-yield" }
 func (scavengerYieldChecker) Check(rc *RunContext) Verdict {
 	v := Verdict{Margin: 1, Detail: "no qualifying primary window"}
 	for _, g := range rc.Schedule.Segments {
-		if g.Kind != KindFlow || !primaryProtos[g.Proto] || g.Dur < yieldMinDur {
+		if g.Kind != KindFlow || !slices.Contains(exp.Primaries, g.Proto) || g.Dur < yieldMinDur {
 			continue
 		}
 		// Only judge clean competition: an overlapping loss burst or
@@ -316,7 +300,7 @@ func (hybridFloorChecker) Check(rc *RunContext) Verdict {
 	}
 	v := Verdict{Margin: 1, Detail: "no qualifying primary window"}
 	for _, g := range rc.Schedule.Segments {
-		if g.Kind != KindFlow || !primaryProtos[g.Proto] || g.Dur < yieldMinDur {
+		if g.Kind != KindFlow || !slices.Contains(exp.Primaries, g.Proto) || g.Dur < yieldMinDur {
 			continue
 		}
 		if rc.Schedule.envOverlaps(g.At-recoveryWindow, g.end()) {

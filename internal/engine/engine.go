@@ -115,9 +115,9 @@ func (fl *Flow) ID() uint32 { return fl.id }
 // Done is closed once a finite transfer is fully acked.
 func (fl *Flow) Done() <-chan struct{} { return fl.s.done }
 
-// FlowStats is a snapshot of one flow's counters. Packet and byte totals,
-// SRTT and UnackedRecs are as last published: at most 10 ms old while the
-// flow runs, exact once Done is closed or the flow has left its shard.
+// FlowStats is a snapshot of one flow's counters, taken at one instant
+// on its shard's loop: at most 10 ms old while the flow runs, exact once
+// Done is closed or the flow has left its shard.
 type FlowStats struct {
 	SentPkts   int64
 	SentBytes  int64
@@ -140,22 +140,17 @@ type FlowStats struct {
 // far (seconds); always empty unless the flow was added with
 // RecordRTT. Safe to call while the flow runs.
 func (fl *Flow) RTTSamples() []float64 {
-	fl.s.rttMu.Lock()
-	defer fl.s.rttMu.Unlock()
+	fl.s.pubMu.Lock()
+	defer fl.s.pubMu.Unlock()
 	return append([]float64(nil), fl.s.rttSamples...)
 }
 
-// Stats snapshots the flow's counters (safe while the flow runs).
+// Stats returns the flow's last published counters (safe while the
+// flow runs).
 func (fl *Flow) Stats() FlowStats {
-	return FlowStats{
-		SentPkts: fl.s.sentPkts.Load(), SentBytes: fl.s.sentBytes.Load(),
-		AckedPkts: fl.s.ackedPkts.Load(), AckedBytes: fl.s.ackedBytes.Load(),
-		LostPkts: fl.s.lostPkts.Load(), LostBytes: fl.s.lostBytes.Load(),
-		SRTT:       float64(fl.s.srttNanos.Load()) / 1e9,
-		ProbesSent: fl.s.probes.Load(), WatchdogTrips: fl.s.wdTrips.Load(),
-		Recoveries: fl.s.wdRecovs.Load(), InOutage: fl.s.outage.Load(),
-		UnackedRecs: int(fl.s.unackedLen.Load()),
-	}
+	fl.s.pubMu.Lock()
+	defer fl.s.pubMu.Unlock()
+	return fl.s.pub
 }
 
 // Stats aggregates every shard's counters, each as of that shard's last

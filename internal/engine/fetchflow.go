@@ -36,6 +36,12 @@ type FetchCore interface {
 	OnResponse(r FetchResponse, recvAt, now float64) (healed bool)
 	PacingRate() float64
 	Done() bool
+	// Publish makes the core's counters, with the flow's segments whose
+	// payload failed its CRC and the datagrams its shard's codecs
+	// rejected outright (these name no flow), what the fetch's handle
+	// reads: on the rtoCheckEvery tick and when the flow leaves its
+	// shard, before Done closes.
+	Publish(crcErrs, shardBad int64)
 }
 
 // FetchFlow is one receiver-driven fetch, the third flow role, and its
@@ -49,11 +55,11 @@ type FetchFlow struct {
 	respSize int
 	sh       *shard
 	key      fetchKey // its entry in sh.fetches
+	crcErrs  int64    // segments whose payload failed its CRC
 
-	// Cross-goroutine surface.
-	stop    atomic.Bool
-	crcErrs atomic.Int64
-	done    chan struct{}
+	// Cross-goroutine surface: Stop runs on the caller's goroutine.
+	stop atomic.Bool
+	done chan struct{}
 }
 
 // pump advances the fetch: the core's periodic work, then a paced train
@@ -68,6 +74,7 @@ func (ff *FetchFlow) pump(sh *shard, f *flow, now float64) float64 {
 		if probe, due := ff.core.Tick(now); due {
 			ff.request(sh, f, probe, now)
 		}
+		ff.publish()
 	}
 	// Shed or draining: no requests, loss aging keeps running, and the
 	// silence is explained, so the watchdog's clock does not.
@@ -126,11 +133,8 @@ func (ff *FetchFlow) Stop() {
 	}
 }
 
-// Counters returns this flow's segments whose payload failed its CRC and
-// the datagrams its shard's codecs rejected outright (these name no flow).
-func (ff *FetchFlow) Counters() (crcErrs, shardBad int64) {
-	return ff.crcErrs.Load(), ff.sh.stats().BadPkts
-}
+// publish has the core publish its counters with the flow's and shard's.
+func (ff *FetchFlow) publish() { ff.core.Publish(ff.crcErrs, ff.sh.st.BadPkts) }
 
 // AddFetch admits one fetch of object objID from dst (a serving engine
 // shard, possibly behind a Shim), scheduled by core, under AddFlow's

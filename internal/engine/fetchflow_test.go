@@ -101,8 +101,9 @@ func (c *scriptCore) OnResponse(r FetchResponse, recvAt, now float64) bool {
 	return healed
 }
 
-func (c *scriptCore) PacingRate() float64 { return c.cc.rate }
-func (c *scriptCore) Done() bool          { return int64(len(c.order)) == c.segs }
+func (c *scriptCore) PacingRate() float64  { return c.cc.rate }
+func (c *scriptCore) Done() bool           { return int64(len(c.order)) == c.segs }
+func (c *scriptCore) Publish(int64, int64) {}
 
 // fetchRig is one fetch flow on a socketless shard with the test as
 // its server: the test owns the clock, reads requests out of sh.txq and
@@ -281,8 +282,8 @@ func TestFetchCompletionStraysAndDamage(t *testing.T) {
 	bad := r.segment(reqs[0])
 	bad[len(bad)-1] ^= 1
 	r.sh.dispatch(r.f.addr, bad, at+0.001)
-	if r.f.fch.crcErrs.Load() != 1 || len(r.core.order) != 0 || r.sh.st.BadPkts != 0 {
-		t.Fatalf("damaged payload: crcErrs=%d order=%v bad=%d", r.f.fch.crcErrs.Load(), r.core.order, r.sh.st.BadPkts)
+	if r.f.fch.crcErrs != 1 || len(r.core.order) != 0 || r.sh.st.BadPkts != 0 {
+		t.Fatalf("damaged payload: crcErrs=%d order=%v bad=%d", r.f.fch.crcErrs, r.core.order, r.sh.st.BadPkts)
 	}
 	r.sh.dispatch(src(9001), r.segment(reqs[0]), at+0.001) // right object, wrong peer
 	other := reqs[0]

@@ -3,7 +3,6 @@ package engine
 import (
 	"net/netip"
 	"sync"
-	"sync/atomic"
 
 	"pccproteus/internal/overload"
 	"pccproteus/internal/transport"
@@ -19,7 +18,7 @@ type fetchKey struct {
 // flow is one event-loop citizen: its identity, the wheel bookkeeping
 // shared by every role, and exactly one of the three role states. Owned
 // by a single shard goroutine; the only cross-goroutine reads are the
-// atomic counters inside the role states.
+// stats the role states publish and a fetch's stop flag.
 type flow struct {
 	// A flow is identified on its shard by peer address plus wire flow ID.
 	// A fetch flow's ID never goes on the wire — its responses select it
@@ -140,44 +139,31 @@ type senderFlow struct {
 	limit      int64
 	packetSize int
 
-	revBase float64
-	revCal  bool
+	revBase   float64
+	revCal    bool
+	completed bool // a finite transfer is fully acked: done is closed
 
 	// busyUntil/busyStreak implement the jittered exponential backoff a
 	// peer's BUSY frames demand.
 	busyUntil  float64
 	busyStreak int
 
-	// Loop-owned running totals of the four per-packet counters below;
-	// the packet path counts here and touches no atomic.
-	nSentPkts, nSentBytes, nAckedPkts, nAckedBytes int64
-
-	// Cross-goroutine stats surface (Flow.Stats reads these). publish
-	// stores the first six — on the rtoCheckEvery tick, before done closes
-	// and when the flow leaves its shard; the rest where they change.
-	sentPkts   atomic.Int64
-	sentBytes  atomic.Int64
-	ackedPkts  atomic.Int64
-	ackedBytes atomic.Int64
-	srttNanos  atomic.Int64
-	unackedLen atomic.Int64 // book.Len()
-	lostPkts   atomic.Int64
-	lostBytes  atomic.Int64
-	probes     atomic.Int64
-	wdTrips    atomic.Int64
-	wdRecovs   atomic.Int64
-	outage     atomic.Bool // mirrors book.InOutage
+	// st is the flow's counters, owned by the loop; publish completes it
+	// from the book and copies it into pub, which Flow.Stats reads under
+	// pubMu — on the rtoCheckEvery tick, before done closes and when the
+	// flow leaves its shard.
+	st    FlowStats
+	pubMu sync.Mutex
+	pub   FlowStats
 
 	// Per-ack RTT sample log for measurement harnesses (parity runs);
 	// off unless FlowConfig.RecordRTT, so the hot path never touches
-	// the mutex. Appends happen on the shard goroutine while a harness
-	// reads concurrently through Flow.RTTSamples.
+	// the mutex. Appends happen on the shard goroutine under pubMu while
+	// a harness reads concurrently through Flow.RTTSamples.
 	recordRTT  bool
-	rttMu      sync.Mutex
 	rttSamples []float64
 
-	completed bool
-	done      chan struct{}
+	done chan struct{}
 }
 
 // newSenderFlow builds the sender state for an (already defaulted)
@@ -193,14 +179,17 @@ func newSenderFlow(fc FlowConfig) *senderFlow {
 	return s
 }
 
-// publish stores the loop-owned totals where Flow.Stats reads them.
+// publish makes the flow's counters, and what the book knows of its
+// RTT, outstanding records and outages, what Flow.Stats reads.
 func (s *senderFlow) publish() {
-	s.sentPkts.Store(s.nSentPkts)
-	s.sentBytes.Store(s.nSentBytes)
-	s.ackedPkts.Store(s.nAckedPkts)
-	s.ackedBytes.Store(s.nAckedBytes)
-	s.srttNanos.Store(int64(s.book.RTT.SRTT() * 1e9))
-	s.unackedLen.Store(int64(s.book.Len()))
+	s.st.SRTT = s.book.RTT.SRTT()
+	s.st.UnackedRecs = s.book.Len()
+	s.st.WatchdogTrips = s.book.Trips()
+	s.st.Recoveries = s.book.Recoveries()
+	s.st.InOutage = s.book.InOutage()
+	s.pubMu.Lock()
+	s.pub = s.st
+	s.pubMu.Unlock()
 }
 
 // pump advances the flow: the book's periodic work, then a paced train
@@ -209,10 +198,7 @@ func (s *senderFlow) publish() {
 func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
 	if now-s.lastTick >= rtoCheckEvery {
 		s.lastTick = now
-		if s.book.Watchdog(now) {
-			s.outage.Store(true)
-			s.wdTrips.Add(1)
-		}
+		s.book.Watchdog(now)
 		if s.book.Expire(now) {
 			s.book.BackOff(now)
 		}
@@ -254,8 +240,8 @@ func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 	r := s.book.Add(now, size, virt, max(now, virt))
 	s.cc.OnSend(now, &r.SentPacket)
 	s.launched += int64(size)
-	s.nSentPkts++
-	s.nSentBytes += int64(size)
+	s.st.SentPkts++
+	s.st.SentBytes += int64(size)
 	pkt := wire.EncodeData(sh.txBuf(), wire.DataHeader{
 		Seq: r.Seq, SentAt: sh.clock.NanosAt(virt), Flow: f.id,
 		Push: s.limit > 0 && s.launched >= s.limit,
@@ -266,7 +252,7 @@ func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 // sendProbe emits one header-only keep-alive packet during an outage.
 func (s *senderFlow) sendProbe(sh *shard, f *flow, now float64) {
 	r := s.book.AddProbe(now, wire.DataHeaderLen)
-	s.probes.Add(1)
+	s.st.ProbesSent++
 	pkt := wire.EncodeData(sh.txBuf(), wire.DataHeader{
 		Seq: r.Seq, SentAt: sh.clock.NanosAt(now), Flow: f.id,
 	}, wire.DataHeaderLen)
@@ -312,8 +298,6 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 	// outage it is proof the path healed.
 	s.busyStreak = 0
 	if s.book.Alive(now) {
-		s.outage.Store(false)
-		s.wdRecovs.Add(1)
 		// The dead time must not turn into a catch-up burst or stale
 		// schedule stamps.
 		s.pacer.Reset(now)
@@ -349,9 +333,9 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 		ackRTT = max((recvAt-r.SentAt)+s.revBase, 0)
 		s.book.RTT.Update(ackRTT)
 		if s.recordRTT {
-			s.rttMu.Lock()
+			s.pubMu.Lock()
 			s.rttSamples = append(s.rttSamples, ackRTT)
-			s.rttMu.Unlock()
+			s.pubMu.Unlock()
 		}
 	}
 	for q, last := s.book.Lo(), min(top, s.book.Next()-1); q <= last; q++ {
@@ -360,7 +344,7 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 		}
 	}
 	s.book.Detect(now)
-	if s.limit > 0 && !s.completed && s.nAckedBytes >= s.limit {
+	if s.limit > 0 && !s.completed && s.st.AckedBytes >= s.limit {
 		s.completed = true
 		s.publish()
 		close(s.done)
@@ -372,8 +356,8 @@ func (s *senderFlow) ackRec(r *transport.Record, now, recvAt, rtt float64) {
 	if r.Probe {
 		return // liveness only: no bytes the controller should hear about
 	}
-	s.nAckedPkts++
-	s.nAckedBytes += int64(r.Size)
+	s.st.AckedPkts++
+	s.st.AckedBytes += int64(r.Size)
 	s.cc.OnAck(transport.Ack{
 		Seq: r.Seq, Bytes: r.Size, SentAt: r.SentAt, RecvAt: recvAt,
 		Now: now, RTT: rtt, OWD: rtt - s.revBase, MI: r.MI,
@@ -384,8 +368,8 @@ func (s *senderFlow) ackRec(r *transport.Record, now, recvAt, rtt float64) {
 // onLost is the flow's per-loss accounting, run by the book before the
 // controller hears OnLoss.
 func (s *senderFlow) onLost(r *transport.Record, now float64) {
-	s.lostPkts.Add(1)
-	s.lostBytes.Add(int64(r.Size))
+	s.st.LostPkts++
+	s.st.LostBytes += int64(r.Size)
 	if s.limit > 0 {
 		s.launched -= int64(r.Size) // re-credit so a replacement goes out
 	}

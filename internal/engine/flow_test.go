@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func (c *countingCC) CWnd() float64                               { return c.cwn
 // aging and watchdog timeouts cost no wall time. The recovery rules
 // themselves are tested once, in internal/transport/recovery_test.go;
 // what is checked here is the engine's driving of them — the SACK walk,
-// the pump cadence, the atomics, the pacer re-anchor.
+// the pump cadence, the counters, the pacer re-anchor.
 type unitFlow struct {
 	sh *shard
 	f  *flow
@@ -91,7 +92,7 @@ func TestSenderRACKDeclaresOldGaps(t *testing.T) {
 	if cc.losses != 3 {
 		t.Fatalf("aged gap: %d losses want 3 (seqs 0,1,2)", cc.losses)
 	}
-	if p, b := u.s.lostPkts.Load(), u.s.lostBytes.Load(); p != 3 || b != 3600 {
+	if p, b := u.s.st.LostPkts, u.s.st.LostBytes; p != 3 || b != 3600 {
 		t.Fatalf("lost %d pkts / %d bytes", p, b)
 	}
 	if n := u.s.book.Inflight(); n != 0 {
@@ -126,18 +127,18 @@ func TestSenderWatchdogProbeLifecycle(t *testing.T) {
 	// Keep pumping; acks never come back. The loss flood would drive a
 	// real controller's rate down, which is what recovery must undo.
 	now := 0.02
-	for ; !s.outage.Load() && now < 5; now += 0.01 {
+	for ; !s.book.InOutage() && now < 5; now += 0.01 {
 		s.pump(u.sh, u.f, now)
 	}
 	const wd = 0.5 // max(2·RTO, 0.5 s): one 10 ms RTT sample leaves the RTO at its 0.2 s floor
-	if !s.outage.Load() || cc.outages != 1 || s.wdTrips.Load() != 1 {
-		t.Fatalf("no trip by t=%.2f: outage=%v outages=%d", now, s.outage.Load(), cc.outages)
+	if !s.book.InOutage() || cc.outages != 1 || s.book.Trips() != 1 {
+		t.Fatalf("no trip by t=%.2f: outage=%v outages=%d", now, s.book.InOutage(), cc.outages)
 	}
 	if silence := now - 0.01; silence < wd || silence > wd+0.05 {
 		t.Fatalf("tripped after %.3f s of ack silence, want max(2·RTO, 0.5) = %.3f", silence, wd)
 	}
 	cc.rate = 1e5
-	sends, inflight, tripProbes := cc.sends, s.book.Inflight(), s.probes.Load()
+	sends, inflight, tripProbes := cc.sends, s.book.Inflight(), s.st.ProbesSent
 	for end := now + 1.0; now < end; now += 0.01 {
 		s.pump(u.sh, u.f, now)
 	}
@@ -145,7 +146,7 @@ func TestSenderWatchdogProbeLifecycle(t *testing.T) {
 		t.Fatalf("outage leaked into the controller: sends %d->%d inflight %d->%d", sends, cc.sends, inflight, s.book.Inflight())
 	}
 	// One probe on the trip itself, then one per quarter second.
-	n := s.probes.Load()
+	n := s.st.ProbesSent
 	if tripProbes != 1 || n < 4 || n > 6 {
 		t.Fatalf("%d probes (%d at the trip) over 1 s, want one per 0.25 s", n, tripProbes)
 	}
@@ -154,8 +155,8 @@ func TestSenderWatchdogProbeLifecycle(t *testing.T) {
 	acks := cc.acks
 	probe := s.book.Next() - 1
 	u.ack(now, probe, 0, wire.SackBlock{Start: probe, End: probe + 1})
-	if s.outage.Load() || cc.recoveries != 1 || s.wdRecovs.Load() != 1 {
-		t.Fatalf("recovery: outage=%v recoveries=%d/%d", s.outage.Load(), cc.recoveries, s.wdRecovs.Load())
+	if s.book.InOutage() || cc.recoveries != 1 || s.book.Recoveries() != 1 {
+		t.Fatalf("recovery: outage=%v recoveries=%d/%d", s.book.InOutage(), cc.recoveries, s.book.Recoveries())
 	}
 	if cc.resumeRate != 2e6 {
 		t.Fatalf("resume rate %v want the pre-outage 2e6", cc.resumeRate)
@@ -187,7 +188,7 @@ func TestWatchdogIgnoresExplainedSilence(t *testing.T) {
 	u.s.paused = false
 	u.s.pump(u.sh, u.f, 3)
 	u.s.pump(u.sh, u.f, 3.02)
-	if cc.outages != 0 || u.s.outage.Load() {
+	if cc.outages != 0 || u.s.book.InOutage() {
 		t.Fatalf("shed pause tripped the watchdog: outages=%d", cc.outages)
 	}
 }
@@ -279,8 +280,8 @@ func TestPushBitMarksTransferEnd(t *testing.T) {
 	// aged the book declares it and re-credits its bytes.
 	u.ack(0.02, 29, 10, wire.SackBlock{Start: 11, End: 30})
 	u.ack(1.0, 29, 10, wire.SackBlock{Start: 11, End: 30})
-	if u.s.lostPkts.Load() != 1 {
-		t.Fatalf("lost %d packets, want seq 10 alone", u.s.lostPkts.Load())
+	if u.s.st.LostPkts != 1 {
+		t.Fatalf("lost %d packets, want seq 10 alone", u.s.st.LostPkts)
 	}
 	hs = u.run(t, 1.0, 1.01, 0.001)
 	if len(hs) != 1 || hs[0].Seq != 30 || !hs[0].Push {
@@ -532,31 +533,63 @@ func TestCompletedSenderReclaimed(t *testing.T) {
 	}
 }
 
-// The per-packet counters reach Flow.Stats on the 10 ms tick — not per
-// packet — and once more when the flow leaves its shard.
+// A flow's counters reach Flow.Stats on the 10 ms tick — not per
+// packet, loss, probe or recovery — and once more, exact, when the flow
+// leaves its shard. The path drops every 50th datagram and goes dark for
+// a second, so losses, a watchdog trip, probes and the recovery all
+// happen between ticks too.
 func TestStatsPublishedOnTickAndDrop(t *testing.T) {
 	h := newHotpathHarness(400)
 	s, fl := h.f.snd, &Flow{s: h.f.snd}
-	stores, last := 0, int64(0)
-	for i := 0; i < 100; i++ { // 100 steps of 1 ms
-		h.step()
-		if v := fl.Stats().AckedPkts; v != last {
-			stores++
-			last = v
+	fwd, sent, dark := h.snd.send, 0, false
+	h.snd.send = func(dst netip.AddrPort, b []byte) {
+		if sent++; !dark && sent%50 != 0 {
+			fwd(dst, b)
 		}
 	}
-	if stores < 9 || stores > 11 || last == 0 {
-		t.Fatalf("AckedPkts changed %d times in 100 ms (last %d), want once per 10 ms tick", stores, last)
+	last := fl.Stats()
+	var ticks, lostAhead, probesAhead, recovsAhead int
+	for i := 0; i < 1500; i++ { // 1.5 s in 1 ms steps
+		dark = i >= 100 && i < 1100
+		tick := s.lastTick
+		h.step()
+		got := fl.Stats()
+		if s.lastTick != tick {
+			ticks++
+		} else if got != last {
+			t.Fatalf("step %d: stats changed off the tick:\n%+v\n%+v", i, last, got)
+		}
+		last = got
+		// The loop runs ahead of what it last published.
+		if s.st.LostPkts > got.LostPkts {
+			lostAhead++
+		}
+		if s.st.ProbesSent > got.ProbesSent {
+			probesAhead++
+		}
+		if s.book.Recoveries() > got.Recoveries {
+			recovsAhead++
+		}
 	}
-	if s.nAckedPkts == last || s.nSentPkts == fl.Stats().SentPkts {
-		t.Fatalf("nothing sent or acked since the last tick: the flow is not cycling")
+	if ticks < 140 || ticks > 160 {
+		t.Fatalf("%d ticks in 1.5 s, want one per 10 ms", ticks)
+	}
+	if lostAhead == 0 || probesAhead == 0 || recovsAhead == 0 {
+		t.Fatalf("loop never ahead of the published stats: lost %d, probes %d, recoveries %d steps",
+			lostAhead, probesAhead, recovsAhead)
 	}
 	h.sndShard.dropFlow(h.f)
-	if st := fl.Stats(); st.AckedPkts != s.nAckedPkts || st.AckedBytes != s.nAckedBytes ||
-		st.SentPkts != s.nSentPkts || st.SentBytes != s.nSentBytes ||
-		st.UnackedRecs != s.book.Len() || st.SRTT == 0 {
-		t.Fatalf("stats after the drop %+v, loop totals sent %d/%d acked %d/%d book %d",
-			st, s.nSentPkts, s.nSentBytes, s.nAckedPkts, s.nAckedBytes, s.book.Len())
+	st := fl.Stats()
+	if st.LostPkts == 0 || st.ProbesSent == 0 || st.WatchdogTrips != 1 || st.Recoveries != 1 || st.InOutage {
+		t.Fatalf("the path's losses and blackout left no trace: %+v", st)
+	}
+	if st.SentPkts+st.ProbesSent != h.sndShard.st.TxPkts || st.SentPkts != s.st.SentPkts ||
+		st.SentBytes != s.st.SentBytes || st.AckedPkts != s.st.AckedPkts || st.AckedBytes != s.st.AckedBytes ||
+		st.LostPkts != s.st.LostPkts || st.LostBytes != s.st.LostBytes || st.ProbesSent != s.st.ProbesSent ||
+		st.WatchdogTrips != s.book.Trips() || st.Recoveries != s.book.Recoveries() ||
+		st.UnackedRecs != s.book.Len() || st.SRTT != s.book.RTT.SRTT() || st.SRTT == 0 {
+		t.Fatalf("stats after the drop %+v, loop %+v, book %d records, %d datagrams sent",
+			st, s.st, s.book.Len(), h.sndShard.st.TxPkts)
 	}
 }
 

@@ -167,7 +167,7 @@ func TestShedPausesLocalScavengersOnly(t *testing.T) {
 	if next := scav.snd.pump(sh, scav, 1); next <= 1 {
 		t.Fatalf("paused pump returned %v, want a future wake", next)
 	}
-	if scav.snd.sentPkts.Load() != 0 {
+	if scav.snd.st.SentPkts != 0 {
 		t.Fatal("paused scavenger emitted")
 	}
 
@@ -275,7 +275,7 @@ func TestBusyBackoffJitteredExponential(t *testing.T) {
 	if next := s.pump(sh, f, 1); next > 5 {
 		t.Fatalf("busy pump wake %v after busyUntil", next)
 	}
-	if s.sentPkts.Load() != 0 {
+	if s.st.SentPkts != 0 {
 		t.Fatal("busy flow emitted")
 	}
 	// An ack resets the streak (the peer is serving us again).

@@ -461,7 +461,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 			return
 		}
 		if err != nil {
-			f.fch.crcErrs.Add(1)
+			f.fch.crcErrs++
 			return
 		}
 		sh.st.RxPkts++
@@ -722,6 +722,7 @@ func (sh *shard) dropFlow(f *flow) {
 	}
 	if f.fch != nil {
 		sh.fetches.Delete(f.fch.key)
+		f.fch.publish()   // its handle keeps the final counters
 		close(f.fch.done) // after the last touch of the core
 	}
 }

@@ -413,6 +413,34 @@ func TestSimNetIdleEvictionPublished(t *testing.T) {
 	}
 }
 
+// Flow.Stats is one snapshot taken at one instant of the flow's loop,
+// so every read is consistent: nothing is acked or lost that was not
+// sent, and no outage ends that did not begin. Read every virtual
+// millisecond of a 2 ms path with random loss and tail drops that also
+// blacks out for long enough to trip the watchdog.
+func TestSimNetFlowStatsConsistent(t *testing.T) {
+	s := sim.New(1)
+	shape := wire.ShimConfig{RateMbps: 20, QueueBytes: 15000, Delay: 0.001, AckDelay: 0.001, LossProb: 0.02}
+	lb, fl, _ := simFlow(t, s, shape, &FixedRateCC{Rate: 3e6}) // 24 Mbps offered
+	defer lb.Stop()
+	plan := chaos.Plan{Faults: []chaos.Fault{{Kind: chaos.KindBlackout, At: 1, Dur: 1}}}
+	const dur = 3.0
+	if err := lb.Install(nil, &plan, dur); err != nil {
+		t.Fatal(err)
+	}
+	var st FlowStats
+	for ms := 1; ms <= int(dur*1000); ms++ {
+		lb.Wait(float64(ms) / 1000)
+		st = fl.Stats()
+		if st.AckedPkts+st.LostPkts > st.SentPkts || st.AckedBytes > st.SentBytes || st.WatchdogTrips < st.Recoveries {
+			t.Fatalf("t=%d ms: inconsistent snapshot %+v", ms, st)
+		}
+	}
+	if st.LostPkts == 0 || st.WatchdogTrips == 0 || st.Recoveries == 0 {
+		t.Fatalf("the path's losses and blackout left no trace: %+v", st)
+	}
+}
+
 // simChurnRun is what simChurn saw: both engines' counters and the
 // bottleneck's at the end, and the receiver's when the last flow
 // completed.

@@ -505,7 +505,7 @@ func TestHotpathZeroAllocs(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		h.step()
 	}
-	if h.f.snd.ackedPkts.Load() == 0 {
+	if h.f.snd.st.AckedPkts == 0 {
 		t.Fatal("harness not cycling packets")
 	}
 	allocs := testing.AllocsPerRun(500, func() { h.step() })
@@ -530,7 +530,7 @@ func TestHotpathZeroAllocsManyFlows(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		h.step()
 	}
-	if h.f.snd.ackedPkts.Load() == 0 {
+	if h.f.snd.st.AckedPkts == 0 {
 		t.Fatal("harness not cycling packets")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { h.step() }); allocs != 0 {

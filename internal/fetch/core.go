@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"errors"
 	"hash"
+	"sync"
 
 	"pccproteus/internal/engine"
+	"pccproteus/internal/stats"
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
@@ -31,8 +33,6 @@ type Config struct {
 	// OnData, when set, observes each segment at in-order delivery.
 	// The payload slice is only valid during the call.
 	OnData func(seg int64, payload []byte)
-	// OnRTT, when set, observes every per-request RTT sample (seconds).
-	OnRTT func(rtt float64)
 }
 
 // Request is one FETCH the core has decided to send: the wire header,
@@ -65,6 +65,10 @@ type CoreStats struct {
 	InOutage  bool
 	Done      bool
 	Verified  bool
+
+	// P50RTT, P95RTT and P99RTT are quantiles of the per-request RTT
+	// samples (seconds), read off a histogram of ~7% resolution.
+	P50RTT, P95RTT, P99RTT float64
 }
 
 // Core is the transport-agnostic half of a fetcher: request selection
@@ -74,7 +78,8 @@ type CoreStats struct {
 // outage survival every sender runs, keyed by request nonce — so a
 // fetch behaves like an upload running in the opposite direction. It
 // is single-threaded by contract: an engine shard drives it from its
-// one goroutine (engine.FetchCore), in real or virtual time. Its memory
+// one goroutine (engine.FetchCore), in real or virtual time, and only
+// what Publish copies out is read from others (Fetcher.Stats). Its memory
 // is O(Window) whatever geometry the server declares: a segment is
 // delivered exactly when it is below cum or sits in the buffer.
 type Core struct {
@@ -104,7 +109,14 @@ type Core struct {
 	revBase float64 // reverse-path constant calibrated at the first response
 	revCal  bool
 
+	rtt *stats.LogHist // per-request RTT samples
+
 	reqsSent, segsRx, dups, lostReqs, probes, refetched int64
+
+	// pub is what Publish last made of the counters, read by
+	// Fetcher.Stats under pubMu.
+	pubMu sync.Mutex
+	pub   FetcherStats
 }
 
 // NewCore validates cfg and builds a scheduler core.
@@ -126,6 +138,8 @@ func NewCore(cfg Config) (*Core, error) {
 		retxSet: make(map[int64]bool),
 		buffer:  make(map[int64][]byte),
 		hash:    sha256.New(),
+		// Geometric bins from 100 µs to 10 s, ~7% relative resolution.
+		rtt: stats.NewLogHist(1e-4, 10, 160),
 	}
 	c.book.Init(cfg.CC, c.onLost)
 	return c, nil
@@ -301,9 +315,7 @@ func (c *Core) ackRec(rec *transport.Record, now, recvAt float64) {
 	}
 	rtt := max((recvAt-rec.SentAt)+c.revBase, 0)
 	c.book.RTT.Update(rtt)
-	if c.cfg.OnRTT != nil {
-		c.cfg.OnRTT(rtt)
-	}
+	c.rtt.Add(rtt)
 	c.cfg.CC.OnAck(transport.Ack{
 		Seq: rec.Seq, Bytes: rec.Size, SentAt: rec.SentAt, RecvAt: recvAt,
 		Now: now, RTT: rtt, OWD: recvAt - rec.SentAt, MI: rec.MI,
@@ -391,9 +403,29 @@ func (c *Core) Stats() CoreStats {
 		ReqsSent: c.reqsSent, SegsRx: c.segsRx, Dups: c.dups,
 		LostReqs: c.lostReqs, Probes: c.probes, Refetched: c.refetched,
 		Delivered: c.delivered, Inflight: c.book.Inflight(), Pend: c.book.Len(),
-		SRTT: c.book.RTT.SRTT(), WdTrips: c.book.Trips(), WdRecov: c.book.Recoveries(),
+		SRTT:   c.book.RTT.SRTT(),
+		P50RTT: c.rtt.Quantile(0.50), P95RTT: c.rtt.Quantile(0.95), P99RTT: c.rtt.Quantile(0.99),
+		WdTrips: c.book.Trips(), WdRecov: c.book.Recoveries(),
 		InOutage: c.book.InOutage(), Done: c.finished, Verified: c.verified,
 	}
+}
+
+// Publish makes the core's counters, with the fetch's CRC failures and
+// its shard's rejected datagrams, what Fetcher.Stats reads. The engine
+// calls it on the core's goroutine (engine.FetchCore).
+func (c *Core) Publish(crcErrs, shardBad int64) {
+	st := FetcherStats{CoreStats: c.Stats(), BadResps: crcErrs + shardBad, CrcErrs: crcErrs}
+	st.SentBytes = (st.ReqsSent + st.Probes) * wire.FetchLen // every request is one fixed-size frame
+	c.pubMu.Lock()
+	c.pub = st
+	c.pubMu.Unlock()
+}
+
+// published is what Publish last made of the counters.
+func (c *Core) published() FetcherStats {
+	c.pubMu.Lock()
+	defer c.pubMu.Unlock()
+	return c.pub
 }
 
 // onLost is the core's per-loss bookkeeping, run by the book before

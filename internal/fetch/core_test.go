@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pccproteus/internal/transport"
+	"pccproteus/internal/wire"
 )
 
 // fixedCC is a minimal controller for datapath tests: a constant pacing
@@ -111,6 +112,24 @@ func (sv *handServer) run(t *testing.T, c *Core, horizon float64) float64 {
 		}
 	}
 	return horizon
+}
+
+// The tick publish copies the counters by value under a mutex: it
+// allocates nothing, and Fetcher.Stats reads what the core counted.
+func TestCorePublishZeroAllocs(t *testing.T) {
+	c, err := NewCore(Config{CC: &fixedCC{rate: 2e6, cwnd: math.Inf(1)}, SegSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newHandServer(10500, 1000, 0.050).run(t, c, 30)
+	if allocs := testing.AllocsPerRun(100, func() { c.Publish(1, 2) }); allocs != 0 {
+		t.Fatalf("tick publish allocates %.1f/op, want 0", allocs)
+	}
+	st := (&Fetcher{core: c}).Stats()
+	if st.CoreStats != c.Stats() || !st.Verified || st.CrcErrs != 1 || st.BadResps != 3 ||
+		st.SentBytes != (st.ReqsSent+st.Probes)*wire.FetchLen || math.Abs(st.P50RTT-0.050) > 0.004 {
+		t.Fatalf("published %+v, core %+v", st, c.Stats())
+	}
 }
 
 func TestCoreCleanTransfer(t *testing.T) {

@@ -153,7 +153,7 @@ func runLoopback(s *sim.Sim, cfg LoopbackConfig, faults *chaos.Plan) (*LoopbackR
 			fr.Secs = wall
 		}
 		fr.Done, fr.Verified, fr.Bytes, fr.Fetcher, fr.Shim = st.Done, st.Verified, st.Delivered, st, shims[i]
-		fr.P50RTT, fr.P95RTT, fr.P99RTT = f.RTTQuantiles()
+		fr.P50RTT, fr.P95RTT, fr.P99RTT = st.P50RTT, st.P95RTT, st.P99RTT
 		if fr.Secs > 0 {
 			fr.GoodputMbps = float64(st.Delivered) * 8 / fr.Secs / 1e6
 		}
