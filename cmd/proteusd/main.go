@@ -16,6 +16,14 @@
 //
 // `proteusd demo` runs sender, shim and receiver in one process — the
 // quickest way to watch a controller work over real sockets.
+//
+// `proteusd fetch` is the client of a receiver that serves files: a
+// receiver-driven bulk download, paced by a controller at the
+// downloading end (Proteus-S by default, so it scavenges) and verified
+// against the server's digest:
+//
+//	proteusd recv -listen 127.0.0.1:9741 -serve /srv/objects
+//	proteusd fetch -to 127.0.0.1:9741 -object kernel.tar -out /tmp/kernel.tar
 package main
 
 import (
@@ -48,6 +56,8 @@ func main() {
 		err = runSend(os.Args[2:])
 	case "demo":
 		err = runDemo(os.Args[2:])
+	case "fetch":
+		err = runFetch(flag.NewFlagSet("fetch", flag.ExitOnError), os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -61,11 +71,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: proteusd <recv|send|demo> [flags]
+	fmt.Fprintln(os.Stderr, `usage: proteusd <recv|send|demo|fetch> [flags]
 
   recv  -listen ADDR [-serve DIR] [-shards N]         ack-generating receiver / fetch server
   send  -to ADDR -proto NAME [-flows N] [-shim ...]    congestion-controlled sender
   demo  [-proto NAME ...]                              single-process loopback run
+  fetch -to ADDR -object NAME [-out FILE] [-shim ...]  receiver-driven download from recv -serve
 
 run "proteusd <mode> -h" for the mode's flags`)
 }
@@ -143,7 +154,7 @@ func runRecv(args []string) error {
 	quiet := fs.Bool("quiet", false, "suppress per-second stats")
 	idle := fs.Float64("idle", 60, "evict a flow after this many seconds without packets (0 = default)")
 	maxFlows := fs.Int("max-flows", 0, "per-shard flow-state cap; stalest flow is evicted at the cap (0 = default)")
-	serve := fs.String("serve", "", "also answer segmented fetch requests for every file in this directory (proteusfetch is the client)")
+	serve := fs.String("serve", "", "also answer segmented fetch requests for every file in this directory (proteusd fetch is the client)")
 	shards := fs.Int("shards", 2, "engine shards")
 	statsInterval := fs.Float64("stats-interval", 0, "print a per-class overload stats line every this many seconds (0 = off)")
 	fs.Parse(args)
@@ -395,7 +406,8 @@ func runDemo(args []string) error {
 	return nil
 }
 
-// shimFlags groups the emulated-bottleneck flags shared by send/demo.
+// shimFlags groups the emulated-bottleneck flags shared by send, demo
+// and fetch.
 type shimFlags struct {
 	use   *bool
 	mbps  *float64

@@ -1,4 +1,4 @@
-package allegro
+package core_test
 
 import (
 	"testing"
@@ -16,7 +16,7 @@ func path(s *sim.Sim, mbps float64, buf int, rtt float64) *netem.Path {
 }
 
 func TestUtilityShape(t *testing.T) {
-	u := utility{}
+	u := core.AllegroUtility{}
 	// Below the 5% threshold, more rate is better.
 	lo := u.Utility(core.Metrics{RateMbps: 10, LossRate: 0.01})
 	hi := u.Utility(core.Metrics{RateMbps: 20, LossRate: 0.01})
@@ -39,7 +39,7 @@ func TestUtilityShape(t *testing.T) {
 func TestAllegroSaturates(t *testing.T) {
 	s := sim.New(1)
 	p := path(s, 50, 375000, 0.030)
-	snd := transport.NewSender(1, p, New(s.Rand()))
+	snd := transport.NewSender(1, p, core.NewAllegro(s.Rand()))
 	snd.Start()
 	var mark int64
 	s.At(20, func() { mark = snd.AckedBytes() })
@@ -63,7 +63,7 @@ func TestAllegroBloatsBuffersUnlikeProteus(t *testing.T) {
 		n := len(snd.RTTSamples())
 		return stats.Percentile(snd.RTTSamples()[n/4:], 95)
 	}
-	allegro := run(func(s *sim.Sim) transport.Controller { return New(s.Rand()) })
+	allegro := run(func(s *sim.Sim) transport.Controller { return core.NewAllegro(s.Rand()) })
 	proteus := run(func(s *sim.Sim) transport.Controller { return core.NewProteusP(s.Rand()) })
 	if allegro < 2*proteus {
 		t.Fatalf("Allegro p95 RTT %.1fms should dwarf Proteus-P %.1fms", allegro*1000, proteus*1000)
@@ -74,7 +74,7 @@ func TestAllegroToleratesRandomLossUpToThreshold(t *testing.T) {
 	s := sim.New(3)
 	p := path(s, 50, 375000, 0.030)
 	p.Link.LossProb = 0.02
-	snd := transport.NewSender(1, p, New(s.Rand()))
+	snd := transport.NewSender(1, p, core.NewAllegro(s.Rand()))
 	snd.Start()
 	var mark int64
 	s.At(20, func() { mark = snd.AckedBytes() })

@@ -186,6 +186,16 @@ func NewVivace(rng *rand.Rand) *Controller {
 	return New("vivace", VivaceConfig(rng), NewVivaceUtility())
 }
 
+// NewAllegro returns the PCC Allegro baseline: the same machinery with
+// Allegro's loss-only utility and the original consistency probing with
+// multiplicative step escalation (two pairs), and no latency-noise
+// mechanisms — it has no latency terms to protect. The utility ignores
+// latency, so no gradient tolerance is needed, but a nonzero one selects
+// the fixed-threshold path over regression tolerance.
+func NewAllegro(rng *rand.Rand) *Controller {
+	return New("allegro", Config{Rng: rng, ProbePairs: 2, FixedGradTolerance: 1e9}, AllegroUtility{})
+}
+
 // Name implements transport.Controller.
 func (c *Controller) Name() string { return c.label }
 

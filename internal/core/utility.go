@@ -176,6 +176,37 @@ func (u *VivaceUtility) Utility(m Metrics) float64 {
 	return math.Pow(x, utilT) - utilB*x*m.RTTGradient - utilC*x*m.LossRate
 }
 
+// AllegroUtility is the utility of PCC Allegro (Dong et al., NSDI '15),
+// the first protocol of the PCC family and the direct ancestor of Vivace
+// and Proteus (§8): a loss-based sigmoid,
+//
+//	u(x) = T·sigmoid(c·(L−0.05)) − x·L,
+//
+// where T is the achieved throughput and L the loss rate. It reacts only
+// to loss, not latency, and therefore bloats buffers (the paper: "PCC
+// Allegro … uses a loss-based utility function, and also suffers from
+// bufferbloat") — the shortcoming that motivated Vivace's and Proteus's
+// latency-aware designs, which the Allegro baseline exists to exhibit.
+// Rates are in Mbps; the sigmoid steepness and the 5% loss threshold
+// follow the NSDI '15 design.
+type AllegroUtility struct{}
+
+// Name implements UtilityFunc.
+func (AllegroUtility) Name() string { return "allegro" }
+
+// Utility implements UtilityFunc.
+func (AllegroUtility) Utility(m Metrics) float64 {
+	x := m.RateMbps
+	if x < 0 {
+		x = 0
+	}
+	goodput := x * (1 - m.LossRate)
+	// Sigmoid cutting in sharply above 5% loss (α=100 as in the paper's
+	// TCP-friendly variant).
+	sig := 1 / (1 + math.Exp(100*(m.LossRate-0.05)))
+	return goodput*sig - x*m.LossRate
+}
+
 // Proportional is the §2.2 "same metrics, greater penalty" strawman: the
 // proportional-bandwidth-allocation utility of the Vivace paper, in
 // which a sender's aggressiveness is scaled by a weight w —

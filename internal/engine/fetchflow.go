@@ -26,15 +26,16 @@ type FetchResponse struct {
 // FetchCore is the scheduler a fetch flow drives: request selection,
 // loss recovery and reassembly, sans IO. fetch.Core implements it and
 // documents the methods (the engine cannot import fetch, which serves
-// through it); every call runs on the owning shard's goroutine. A
-// request comes back as the FETCH header to send, less its send stamp.
+// through it); every call runs on the owning shard's goroutine. The
+// shard drives the core's record book — tick, outage, pause and drain —
+// as it drives a sender's. A request comes back as the FETCH header to
+// send, less its send stamp.
 type FetchCore interface {
-	Touch(now float64)
-	Tick(now float64) (probe wire.FetchHeader, due bool)
+	Book() *transport.Recovery
+	Probe(now float64) wire.FetchHeader
 	PeekSize() (size int, ok bool)
 	Issue(now, virt float64) (wire.FetchHeader, bool)
 	OnResponse(r FetchResponse, recvAt, now float64) (healed bool)
-	PacingRate() float64
 	Done() bool
 	// Publish makes the core's counters, with the flow's segments whose
 	// payload failed its CRC and the datagrams its shard's codecs
@@ -45,7 +46,7 @@ type FetchCore interface {
 }
 
 // FetchFlow is one receiver-driven fetch, the third flow role, and its
-// cross-goroutine handle. pump() on timer fires issues paced FETCH
+// cross-goroutine handle. origin.pump on timer fires issues paced FETCH
 // requests, onSegment() feeds SEGMENT responses to the core. Requests
 // are paced so the *responses* arrive at the controller's target rate:
 // the bucket is charged the expected response size per request.
@@ -62,29 +63,6 @@ type FetchFlow struct {
 	done chan struct{}
 }
 
-// pump advances the fetch: the core's periodic work, then a paced train
-// of requests. A fetch flow in the table is never finished — completion
-// drops it — so there is always a next wake, unless it was stopped.
-func (ff *FetchFlow) pump(sh *shard, f *flow, now float64) float64 {
-	if ff.stop.Load() {
-		return 0
-	}
-	if now-ff.lastTick >= rtoCheckEvery {
-		ff.lastTick = now
-		if probe, due := ff.core.Tick(now); due {
-			ff.request(sh, f, probe, now)
-		}
-		ff.publish()
-	}
-	// Shed or draining: no requests, loss aging keeps running, and the
-	// silence is explained, so the watchdog's clock does not.
-	if ff.paused || sh.eng.draining.Load() {
-		ff.core.Touch(now)
-		return now + rtoCheckEvery
-	}
-	return ff.train(ff, sh, f, now, ff.core.PacingRate())
-}
-
 func (ff *FetchFlow) trainBytes() int { return ff.burst * ff.respSize }
 
 func (ff *FetchFlow) peek() (int, bool) { return ff.core.PeekSize() }
@@ -94,6 +72,21 @@ func (ff *FetchFlow) emit(sh *shard, f *flow, now, virt float64, _ int) {
 		ff.request(sh, f, req, virt)
 	}
 }
+
+func (ff *FetchFlow) recovery() *transport.Recovery { return ff.core.Book() }
+
+// probe queues one keep-alive request during an outage.
+func (ff *FetchFlow) probe(sh *shard, f *flow, now float64) {
+	ff.request(sh, f, ff.core.Probe(now), now)
+}
+
+// finished reports a stopped fetch. One in the table is never complete:
+// completion drops it.
+func (ff *FetchFlow) finished() bool { return ff.stop.Load() }
+
+// heldUntil is zero: a fetch's peer serves statelessly and pushes back
+// on nothing.
+func (*FetchFlow) heldUntil() float64 { return 0 }
 
 // request queues one FETCH carrying its scheduled send stamp, which the
 // server echoes and the RTT is measured from.

@@ -26,8 +26,6 @@ type scriptCore struct {
 	got       []bool
 	order     []int64 // segments in delivery order
 	refetched int
-	touched   []float64
-	ticks     []float64
 }
 
 func newScriptCore(segs int64, size int, rate float64) *scriptCore {
@@ -40,21 +38,10 @@ func newScriptCore(segs int64, size int, rate float64) *scriptCore {
 	return c
 }
 
-func (c *scriptCore) Touch(now float64) {
-	c.book.Touch(now)
-	c.touched = append(c.touched, now)
-}
+func (c *scriptCore) Book() *transport.Recovery { return &c.book }
 
-func (c *scriptCore) Tick(now float64) (wire.FetchHeader, bool) {
-	c.ticks = append(c.ticks, now)
-	c.book.Watchdog(now)
-	if c.book.Expire(now) {
-		c.book.BackOff(now)
-	}
-	if !c.book.ProbeDue(now) {
-		return wire.FetchHeader{}, false
-	}
-	return wire.FetchHeader{ObjID: rigObj, Nonce: c.book.AddProbe(now, 0).Seq, Seg: int64(len(c.order))}, true
+func (c *scriptCore) Probe(now float64) wire.FetchHeader {
+	return wire.FetchHeader{ObjID: rigObj, Nonce: c.book.AddProbe(now, 0).Seq, Seg: int64(len(c.order))}
 }
 
 func (c *scriptCore) PeekSize() (int, bool) {
@@ -101,7 +88,6 @@ func (c *scriptCore) OnResponse(r FetchResponse, recvAt, now float64) bool {
 	return healed
 }
 
-func (c *scriptCore) PacingRate() float64  { return c.cc.rate }
 func (c *scriptCore) Done() bool           { return int64(len(c.order)) == c.segs }
 func (c *scriptCore) Publish(int64, int64) {}
 
@@ -370,9 +356,46 @@ func TestSweepSparesStalledFetch(t *testing.T) {
 	}
 }
 
+// A fetch in an outage waits on the book as a sender does: each wake
+// is the next rtoCheckEvery tick, not the ack-poll cadence, and a
+// keep-alive leaves on the first tick the book has one due. The test
+// steps the shard from wake to wake, as its wheel would.
+func TestFetchOutageWakesOnTickCadence(t *testing.T) {
+	r := newFetchRig(t, Config{}, 32)
+	now := r.runUntil(0, 1, func() bool { return len(r.sh.txq) > 0 })
+	r.requests() // never answered
+	for wakes := 0; !r.core.book.InOutage(); wakes++ {
+		if wakes > 10000 {
+			t.Fatal("the watchdog never tripped")
+		}
+		now = r.f.deadline
+		r.sh.service(r.f, now)
+		r.requests()
+	}
+	var probes []float64
+	for end := now + 2; now < end; {
+		if next := r.f.deadline; !r.f.armed || math.Abs(next-(now+rtoCheckEvery)) > 1e-9 {
+			t.Fatalf("in an outage at t=%.4f the next wake is %.4f, want %v later", now, next, rtoCheckEvery)
+		}
+		now = r.f.deadline
+		r.sh.service(r.f, now)
+		for range r.requests() {
+			probes = append(probes, now)
+		}
+	}
+	if len(probes) < 7 || len(probes) > 9 {
+		t.Fatalf("%d probes in 2 s of outage, want one per 0.25 s", len(probes))
+	}
+	for i := 1; i < len(probes); i++ {
+		if gap := probes[i] - probes[i-1]; gap < 0.25-1e-9 || gap > 0.25+rtoCheckEvery+1e-9 {
+			t.Fatalf("probes %d and %d %.4f s apart, want 0.25 s and at most a tick more", i-1, i, gap)
+		}
+	}
+}
+
 // Shed and drain gate a fetch exactly as they gate a sender: no
-// requests, the RTO tick keeps running, and the explained silence does
-// not read as an outage.
+// requests, the RTO tick keeps running, and the explained silence keeps
+// the liveness clock at zero, so it does not read as an outage.
 func TestFetchPausedAndDrainingGate(t *testing.T) {
 	for _, mode := range []string{"paused", "draining"} {
 		r := newFetchRig(t, Config{}, 64)
@@ -387,15 +410,21 @@ func TestFetchPausedAndDrainingGate(t *testing.T) {
 		} else {
 			r.sh.eng.Drain()
 		}
-		ticks := len(r.core.ticks)
+		ticks, last := 0, r.f.fch.lastTick
 		for now := at + 0.001; now < at+2; now += 0.001 {
 			r.sh.service(r.f, now)
+			if r.f.fch.lastTick != last {
+				ticks, last = ticks+1, r.f.fch.lastTick
+			}
+			if silence := r.core.book.Silence(now); silence != 0 {
+				t.Fatalf("%s: liveness clock running %.3f s at t=%.3f", mode, silence, now)
+			}
 		}
 		if n := len(r.sh.txq); n != 0 {
 			t.Fatalf("%s: %d requests queued", mode, n)
 		}
-		if len(r.core.ticks)-ticks < 150 || len(r.core.touched) == 0 {
-			t.Fatalf("%s: %d ticks, %d touches over 2 s", mode, len(r.core.ticks)-ticks, len(r.core.touched))
+		if ticks < 150 {
+			t.Fatalf("%s: %d ticks over 2 s", mode, ticks)
 		}
 		if r.core.book.InOutage() || r.core.book.Trips() != 0 {
 			t.Fatalf("%s: explained silence tripped the watchdog", mode)

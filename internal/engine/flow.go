@@ -42,13 +42,21 @@ type flow struct {
 	fch *FetchFlow
 }
 
-// origin returns a sender's or fetch's shared state, nil for a receiver.
-func (f *flow) origin() *origin {
+// role returns a sender's or fetch's role, nil for a receiver.
+func (f *flow) role() role {
 	switch {
 	case f.snd != nil:
-		return &f.snd.origin
+		return f.snd
 	case f.fch != nil:
-		return &f.fch.origin
+		return f.fch
+	}
+	return nil
+}
+
+// origin returns a sender's or fetch's shared state, nil for a receiver.
+func (f *flow) origin() *origin {
+	if r := f.role(); r != nil {
+		return r.base()
 	}
 	return nil
 }
@@ -89,14 +97,65 @@ func newOrigin(burst, train int, class overload.Class) origin {
 	return o
 }
 
-// trainer is the role-specific half of a paced train: the bucket level
-// a full train waits for, what the next packet charges the bucket (false
-// while window, limit or lack of work gates the role), and the emission
-// of one packet stamped with its scheduled send time.
-type trainer interface {
+// role is what a locally originated flow, sender or fetch, gives the
+// one pump that serves both. For a paced train: the bucket level a full
+// train waits for, what the next packet charges the bucket (false while
+// window, limit or lack of work gates the role), and the emission of one
+// packet stamped with its scheduled send time. For the rest of a wake:
+// its origin, the record book the shard drives, one outage keep-alive,
+// making the counters what the handle reads, whether the flow has
+// nothing left to do, and until when a peer's push-back holds emission.
+type role interface {
+	base() *origin
 	trainBytes() int
 	peek() (size int, ok bool)
 	emit(sh *shard, f *flow, now, virt float64, size int)
+	recovery() *transport.Recovery
+	probe(sh *shard, f *flow, now float64)
+	publish()
+	finished() bool
+	heldUntil() float64
+}
+
+func (o *origin) base() *origin { return o }
+
+// pump advances a sender or fetch: the book's periodic work, then a
+// paced train while tokens, window, limit and work allow. It returns the
+// next wake deadline, or 0 when the flow has nothing left to do.
+func (o *origin) pump(r role, sh *shard, f *flow, now float64) float64 {
+	book := r.recovery()
+	if now-o.lastTick >= rtoCheckEvery {
+		o.lastTick = now
+		book.Watchdog(now)
+		if book.Expire(now) {
+			book.BackOff(now)
+		}
+		r.publish()
+	}
+	if r.finished() {
+		return 0
+	}
+	if book.InOutage() {
+		// Emission is frozen; only keep-alive probes go out, hunting for
+		// the first answer that proves the path healed.
+		if book.ProbeDue(now) {
+			r.probe(sh, f, now)
+		}
+		return now + rtoCheckEvery
+	}
+	// Pushed back, shed, or draining: no emission, but keep waking on
+	// the RTO cadence so loss aging (and a push-back's expiry) still run.
+	// The silence is explained, so the watchdog's clock does not run.
+	held := r.heldUntil()
+	if o.paused || now < held || sh.eng.draining.Load() {
+		book.Touch(now)
+		next := now + rtoCheckEvery
+		if !o.paused && now < held && held < next {
+			next = held
+		}
+		return next
+	}
+	return o.train(r, sh, f, now, book.PacingRate())
 }
 
 // train accrues tokens at rate, emits what they cover and returns the
@@ -105,11 +164,11 @@ type trainer interface {
 // accrue, not one burst — each packet stamped with its scheduled send
 // time (Pacer.TakeStamped), so the stamps stay on the ideal n/rate grid
 // however the wakes fall.
-func (o *origin) train(t trainer, sh *shard, f *flow, now, rate float64) float64 {
+func (o *origin) train(r role, sh *shard, f *flow, now, rate float64) float64 {
 	o.pacer.Advance(now, rate)
-	if o.pacer.Delay(t.trainBytes(), rate) == 0 {
+	if o.pacer.Delay(r.trainBytes(), rate) == 0 {
 		for {
-			size, ok := t.peek()
+			size, ok := r.peek()
 			if !ok {
 				o.pacer.Unanchor()   // the gate, not the bucket, held the train
 				return now + ackPoll // gated: wake on the ack cadence
@@ -118,14 +177,14 @@ func (o *origin) train(t trainer, sh *shard, f *flow, now, rate float64) float64
 			if !ok {
 				break
 			}
-			t.emit(sh, f, now, virt, size)
+			r.emit(sh, f, now, virt, size)
 		}
 	}
-	return now + max(min(o.pacer.Delay(t.trainBytes(), rate), ackPoll), minWake)
+	return now + max(min(o.pacer.Delay(r.trainBytes(), rate), ackPoll), minWake)
 }
 
 // senderFlow drives one congestion-controlled flow from shard events:
-// pump() on timer fires, onAck() on ack arrival. It is a driver of
+// origin.pump on timer fires, onAck() on ack arrival. It is a driver of
 // transport.Recovery — the same record book, loss rules and survival
 // machinery the simulated transport runs — adding what is the engine's
 // own: pacing, the wire codecs, overload class and push-back. All
@@ -192,42 +251,13 @@ func (s *senderFlow) publish() {
 	s.pubMu.Unlock()
 }
 
-// pump advances the flow: the book's periodic work, then a paced train
-// while tokens, window, and limit allow. It returns the next wake
-// deadline, or 0 when the flow has nothing left to do.
-func (s *senderFlow) pump(sh *shard, f *flow, now float64) float64 {
-	if now-s.lastTick >= rtoCheckEvery {
-		s.lastTick = now
-		s.book.Watchdog(now)
-		if s.book.Expire(now) {
-			s.book.BackOff(now)
-		}
-		s.publish()
-	}
-	if s.completed && s.book.Len() == 0 {
-		return 0 // fully acked finite transfer: nothing to schedule
-	}
-	if s.book.InOutage() {
-		// Data sending is frozen; only keep-alive probes go out, hunting
-		// for the first ack that proves the path healed.
-		if s.book.ProbeDue(now) {
-			s.sendProbe(sh, f, now)
-		}
-		return now + rtoCheckEvery
-	}
-	// Pushed back, shed, or draining: no emission, but keep waking on
-	// the RTO cadence so loss aging (and a busy expiry) still run. The
-	// silence is explained, so the watchdog's clock does not run.
-	if s.paused || now < s.busyUntil || sh.eng.draining.Load() {
-		s.book.Touch(now)
-		next := now + rtoCheckEvery
-		if !s.paused && now < s.busyUntil && s.busyUntil < next {
-			next = s.busyUntil
-		}
-		return next
-	}
-	return s.train(s, sh, f, now, s.book.PacingRate())
-}
+func (s *senderFlow) recovery() *transport.Recovery { return &s.book }
+
+// finished reports a fully acked finite transfer: nothing to schedule.
+func (s *senderFlow) finished() bool { return s.completed && s.book.Len() == 0 }
+
+// heldUntil is the end of the backoff a peer's BUSY frames demand.
+func (s *senderFlow) heldUntil() float64 { return s.busyUntil }
 
 // emit books, encodes and queues one data packet stamped
 // with its scheduled send time. Stamps are committed a train ahead, so
@@ -249,8 +279,8 @@ func (s *senderFlow) emit(sh *shard, f *flow, now, virt float64, size int) {
 	sh.queueTx(pkt, f.addr)
 }
 
-// sendProbe emits one header-only keep-alive packet during an outage.
-func (s *senderFlow) sendProbe(sh *shard, f *flow, now float64) {
+// probe emits one header-only keep-alive packet during an outage.
+func (s *senderFlow) probe(sh *shard, f *flow, now float64) {
 	r := s.book.AddProbe(now, wire.DataHeaderLen)
 	s.st.ProbesSent++
 	pkt := wire.EncodeData(sh.txBuf(), wire.DataHeader{

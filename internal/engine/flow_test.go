@@ -128,7 +128,7 @@ func TestSenderWatchdogProbeLifecycle(t *testing.T) {
 	// real controller's rate down, which is what recovery must undo.
 	now := 0.02
 	for ; !s.book.InOutage() && now < 5; now += 0.01 {
-		s.pump(u.sh, u.f, now)
+		s.pump(s, u.sh, u.f, now)
 	}
 	const wd = 0.5 // max(2·RTO, 0.5 s): one 10 ms RTT sample leaves the RTO at its 0.2 s floor
 	if !s.book.InOutage() || cc.outages != 1 || s.book.Trips() != 1 {
@@ -140,7 +140,7 @@ func TestSenderWatchdogProbeLifecycle(t *testing.T) {
 	cc.rate = 1e5
 	sends, inflight, tripProbes := cc.sends, s.book.Inflight(), s.st.ProbesSent
 	for end := now + 1.0; now < end; now += 0.01 {
-		s.pump(u.sh, u.f, now)
+		s.pump(s, u.sh, u.f, now)
 	}
 	if cc.sends != sends || s.book.Inflight() > inflight {
 		t.Fatalf("outage leaked into the controller: sends %d->%d inflight %d->%d", sends, cc.sends, inflight, s.book.Inflight())
@@ -167,10 +167,10 @@ func TestSenderWatchdogProbeLifecycle(t *testing.T) {
 	// Pacing re-anchors at the recovery instant (no catch-up burst for
 	// the dead time), then data flows again.
 	cc.rate = cc.resumeRate
-	if s.pump(u.sh, u.f, now); cc.sends != sends {
+	if s.pump(s, u.sh, u.f, now); cc.sends != sends {
 		t.Fatal("recovery released a catch-up burst")
 	}
-	if s.pump(u.sh, u.f, now+0.05); cc.sends == sends {
+	if s.pump(s, u.sh, u.f, now+0.05); cc.sends == sends {
 		t.Fatal("data sending did not resume after recovery")
 	}
 }
@@ -183,11 +183,11 @@ func TestWatchdogIgnoresExplainedSilence(t *testing.T) {
 	u.emit(0)
 	u.s.paused = true
 	for now := 0.01; now < 3; now += 0.01 {
-		u.s.pump(u.sh, u.f, now)
+		u.s.pump(u.s, u.sh, u.f, now)
 	}
 	u.s.paused = false
-	u.s.pump(u.sh, u.f, 3)
-	u.s.pump(u.sh, u.f, 3.02)
+	u.s.pump(u.s, u.sh, u.f, 3)
+	u.s.pump(u.s, u.sh, u.f, 3.02)
 	if cc.outages != 0 || u.s.book.InOutage() {
 		t.Fatalf("shed pause tripped the watchdog: outages=%d", cc.outages)
 	}

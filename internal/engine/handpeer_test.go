@@ -13,7 +13,8 @@ import (
 // hand — so what is pinned is the bytes on the wire, not two halves of
 // one implementation agreeing with each other. The shard runs on a
 // virtual clock the test advances, so the RTO and the watchdog cost no
-// wall time and fire exactly when they are due.
+// wall time and fire exactly when they are due. A receiver shard's
+// final ack is pinned the same way, with the test as its senders.
 
 // handPeerAddr is the hand-written receiver's address.
 var handPeerAddr = src(9000)
@@ -31,18 +32,28 @@ type handPeer struct {
 	out  [][]byte // datagrams the shard sent that the test has not read
 }
 
+// newHandShard builds a one-shard engine of cfg whose port is the test,
+// on the virtual clock *now: what the shard writes goes to send, what
+// the test pushes the shard reads on its next turn.
+func newHandShard(cfg Config, now *float64, send func(dst netip.AddrPort, b []byte)) (*Engine, *memPort) {
+	eng := &Engine{cfg: cfg.withDefaults(), done: make(chan struct{}), started: true}
+	sh := newShard(eng, 0)
+	port := newMemPort(sh, wire.VirtualClock(func() float64 { return *now }))
+	port.send = send
+	sh.attach(port, src(40001))
+	sh.wh.init(*now)
+	eng.shards = []*shard{sh}
+	return eng, port
+}
+
 // newHandPeer adds a flow of limit bytes (0: unlimited) of 1200 B
 // packets and turns the shard once at time 0: its first train is out.
 func newHandPeer(t *testing.T, limit int64) *handPeer {
 	t.Helper()
 	p := &handPeer{t: t, cc: &outageCC{countingCC: countingCC{rate: 2e6, cwnd: 1e9}}}
-	p.eng = &Engine{cfg: Config{}.withDefaults(), done: make(chan struct{}), started: true}
-	sh := newShard(p.eng, 0)
-	p.port = newMemPort(sh, wire.VirtualClock(func() float64 { return p.now }))
-	p.port.send = func(_ netip.AddrPort, b []byte) { p.out = append(p.out, append([]byte(nil), b...)) }
-	sh.attach(p.port, src(40001))
-	sh.wh.init(p.now)
-	p.eng.shards = []*shard{sh}
+	p.eng, p.port = newHandShard(Config{}, &p.now, func(_ netip.AddrPort, b []byte) {
+		p.out = append(p.out, append([]byte(nil), b...))
+	})
 	var err error
 	p.fl, err = p.eng.AddFlow(FlowConfig{Dst: handPeerAddr, CC: p.cc, Limit: limit, PacketSize: 1200})
 	if err != nil {
@@ -205,5 +216,63 @@ func TestSenderWatchdogProbesOnTheWire(t *testing.T) {
 	}
 	if p.cc.sends <= sends {
 		t.Fatal("controller saw no OnSend after recovery")
+	}
+}
+
+// A receiver flow evicted under cap pressure gets one final cumulative
+// ack, so a sender whose last packets raced the eviction learns what
+// landed before it rebinds — instead of discovering the gap by RTO
+// afterward. The senders are the test, one source port each.
+func TestReceiverEvictionFlushesFinalAck(t *testing.T) {
+	now := 0.0
+	acks := map[netip.AddrPort][]wire.AckPacket{}
+	eng, port := newHandShard(Config{MaxFlowsPerShard: 1}, &now, func(dst netip.AddrPort, b []byte) {
+		var a wire.AckPacket
+		if err := wire.DecodeAck(b, &a); err != nil {
+			t.Fatalf("the receiver sent %d bytes that are not an ack: %v", len(b), err)
+		}
+		acks[dst] = append(acks[dst], a)
+	})
+	var buf [256]byte
+	send := func(from netip.AddrPort, seq, sentAt int64) {
+		now += 0.001
+		port.push(from, wire.EncodeData(buf[:], wire.DataHeader{Seq: seq, SentAt: sentAt}, wire.DataHeaderLen))
+		port.turn()
+	}
+	a, b, a2 := src(5001), src(5002), src(5003)
+
+	// Flow A receives 0,1,2 then 4 — a gap at 3, so its state is cum=3
+	// with SACK {4,5}. Nonzero SentAt: regular acks echo it, the eviction
+	// flush sends zero — that is how the test tells them apart.
+	for _, seq := range []int64{0, 1, 2, 4} {
+		send(a, seq, 12345)
+	}
+	if n := len(acks[a]); n == 0 || acks[a][n-1].Seq != 4 || acks[a][n-1].SentAtEcho != 12345 {
+		t.Fatalf("regular acks to A: %+v, want the last for seq 4", acks[a])
+	}
+	regular := len(acks[a])
+
+	// B's first packet exceeds MaxFlowsPerShard=1 and evicts A, which
+	// gets the final ack: SentAtEcho 0, cum 3, SACK {4,5}.
+	send(b, 0, 12345)
+	if len(acks[a]) != regular+1 {
+		t.Fatalf("%d acks to A after the eviction, want the one final ack", len(acks[a])-regular)
+	}
+	fin := acks[a][regular]
+	if fin.SentAtEcho != 0 || fin.CumAck != 3 || fin.Seq != 4 {
+		t.Fatalf("final ack echo=%d cum=%d seq=%d want echo=0 cum=3 seq=4", fin.SentAtEcho, fin.CumAck, fin.Seq)
+	}
+	if len(fin.Blocks) != 1 || fin.Blocks[0] != (wire.SackBlock{Start: 4, End: 5}) {
+		t.Fatalf("final ack blocks=%+v want [{4 5}]", fin.Blocks)
+	}
+	if st := eng.Stats(); st.Evicted != 1 || st.Flows != 1 {
+		t.Fatalf("evicted=%d flows=%d", st.Evicted, st.Flows)
+	}
+
+	// A rebinding (same behavior as a restarted sender) gets fresh flow
+	// state: its next packet is acked from cum zero, not stale state.
+	send(a2, 0, 777)
+	if n := len(acks[a2]); n != 1 || acks[a2][0].CumAck != 1 || acks[a2][0].SentAtEcho != 777 {
+		t.Fatalf("rebind acks %+v want one with cum=1 echo=777", acks[a2])
 	}
 }

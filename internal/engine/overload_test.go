@@ -164,7 +164,7 @@ func TestShedPausesLocalScavengersOnly(t *testing.T) {
 			sh.st.ShedScavenger, sh.st.ShedPrimary)
 	}
 	// A paused sender still wakes (RTO aging) but emits nothing.
-	if next := scav.snd.pump(sh, scav, 1); next <= 1 {
+	if next := scav.snd.pump(scav.snd, sh, scav, 1); next <= 1 {
 		t.Fatalf("paused pump returned %v, want a future wake", next)
 	}
 	if scav.snd.st.SentPkts != 0 {
@@ -272,7 +272,7 @@ func TestBusyBackoffJitteredExponential(t *testing.T) {
 	}
 	// While busy, pump emits nothing and wakes no later than busyUntil.
 	s.busyUntil = 5
-	if next := s.pump(sh, f, 1); next > 5 {
+	if next := s.pump(s, sh, f, 1); next > 5 {
 		t.Fatalf("busy pump wake %v after busyUntil", next)
 	}
 	if s.st.SentPkts != 0 {

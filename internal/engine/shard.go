@@ -484,19 +484,14 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 // key. For a receiver flow service is the delayed-ack timer: flush
 // whatever ack state coalescing has deferred.
 func (sh *shard) service(f *flow, now float64) {
-	var next float64
-	switch {
-	case f.snd != nil:
-		next = f.snd.pump(sh, f, now)
-	case f.fch != nil:
-		next = f.fch.pump(sh, f, now)
-	default:
+	r := f.role()
+	if r == nil {
 		if f.rcv.unacked > 0 {
 			f.rcv.emitAck(sh, f)
 		}
 		return
 	}
-	if next > 0 {
+	if next := r.base().pump(r, sh, f, now); next > 0 {
 		sh.wh.arm(f, next)
 	} else {
 		sh.dropFlow(f)
@@ -710,19 +705,16 @@ func (sh *shard) dropFlow(f *flow) {
 	if f.rcv != nil && f.rcv.finished() {
 		sh.finished--
 	}
-	if o := f.origin(); o != nil {
-		if o.paused {
+	if r := f.role(); r != nil {
+		if o := r.base(); o.paused {
 			o.paused = false
 			sh.st.Paused--
 		}
 		sh.eng.senders.Add(-1) // release the admission slot
-	}
-	if f.snd != nil {
-		f.snd.publish() // its handle keeps the final counters
+		r.publish()            // its handle keeps the final counters
 	}
 	if f.fch != nil {
 		sh.fetches.Delete(f.fch.key)
-		f.fch.publish()   // its handle keeps the final counters
 		close(f.fch.done) // after the last touch of the core
 	}
 }
@@ -750,11 +742,7 @@ func (sh *shard) admit() {
 		sh.insert(f)
 		f.lastSeen = now
 		// Ack silence is measured from admission.
-		if f.snd != nil {
-			f.snd.book.Touch(now)
-		} else {
-			f.fch.core.Touch(now)
-		}
+		f.role().recovery().Touch(now)
 		// A scavenger admitted while the shard is shedding raced the
 		// admission gate; it starts paused and resumes with the rest.
 		if o := f.origin(); o.class == overload.ClassScavenger &&

@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"pccproteus/internal/campaign"
-	"pccproteus/internal/cc/allegro"
 	"pccproteus/internal/cc/bbr"
 	"pccproteus/internal/cc/copa"
 	"pccproteus/internal/cc/cubic"
@@ -89,7 +88,7 @@ func NewControllerRNG(rng *rand.Rand, name string) transport.Controller {
 	case ProtoLEDBAT25:
 		return ledbat.New(0.025)
 	case ProtoAllegro:
-		return allegro.New(rng)
+		return core.NewAllegro(rng)
 	}
 	if strings.HasPrefix(name, ProtoFixedPfx) {
 		mbps, err := strconv.ParseFloat(strings.TrimPrefix(name, ProtoFixedPfx), 64)

@@ -243,31 +243,24 @@ func (c *Core) Issue(now, virt float64) (Request, bool) {
 	return Request{ObjID: c.cfg.ObjID, Nonce: rec.Seq, Seg: seg, Meta: kind == pickMeta}, true
 }
 
-// Touch restarts the liveness clock while silence is explained (just
-// admitted, paused); see transport.Recovery.Touch.
-func (c *Core) Touch(now float64) { c.book.Touch(now) }
+// Book returns the core's record book of outstanding requests. The
+// engine drives it as it drives a sender's: the stall watchdog and RTO
+// sweep on its tick, the liveness clock while silence is explained
+// (just admitted, paused, draining), the probe cadence during an outage
+// and the pacing rate.
+func (c *Core) Book() *transport.Recovery { return &c.book }
 
-// Tick runs the book's periodic work — stall watchdog, RTO sweep — and
-// returns a keep-alive probe request when one is due. Probes
-// re-request a needed segment (or the metadata) but are invisible to
-// the controller: no OnSend, no inflight accounting.
-func (c *Core) Tick(now float64) (Request, bool) {
-	if c.Done() {
-		return Request{}, false
-	}
-	c.book.Watchdog(now)
-	if c.book.Expire(now) {
-		c.book.BackOff(now)
-	}
-	if !c.book.ProbeDue(now) {
-		return Request{}, false
-	}
+// Probe books one keep-alive, for a driver whose book has one due
+// (Recovery.ProbeDue), and returns the request: it re-requests a needed
+// segment (or the metadata) but is invisible to the controller — no
+// OnSend, no inflight accounting.
+func (c *Core) Probe(now float64) Request {
 	req := Request{ObjID: c.cfg.ObjID, Nonce: c.book.AddProbe(now, 0).Seq, Meta: !c.metaDone}
 	if !req.Meta {
 		req.Seg = c.cum // by definition the first undelivered segment
 	}
 	c.probes++
-	return req, true
+	return req
 }
 
 // OnResponse applies one response: request-record retirement with an
@@ -392,10 +385,6 @@ func (c *Core) Done() bool {
 	c.verified = bytes.Equal(c.hash.Sum(nil), c.digest[:])
 	return true
 }
-
-// PacingRate is the datapath's pacing convention (explicit controller
-// rate, else 1.25·cwnd/srtt, unpaced before the first RTT sample).
-func (c *Core) PacingRate() float64 { return c.book.PacingRate() }
 
 // Stats returns a snapshot of the core's counters.
 func (c *Core) Stats() CoreStats {

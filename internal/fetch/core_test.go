@@ -79,13 +79,28 @@ func (sv *handServer) respond(req Request, now float64) {
 	sv.queue = append(sv.queue, timedResp{at: now + sv.rtt, r: r})
 }
 
+// tick drives the core's book as an engine shard's pump does on its
+// tick: stall watchdog, RTO sweep, and a keep-alive probe when one is
+// due.
+func tick(c *Core, now float64) (Request, bool) {
+	b := c.Book()
+	b.Watchdog(now)
+	if b.Expire(now) {
+		b.BackOff(now)
+	}
+	if !b.ProbeDue(now) {
+		return Request{}, false
+	}
+	return c.Probe(now), true
+}
+
 // run steps the core against the server until completion or the time
 // horizon, returning the completion time.
 func (sv *handServer) run(t *testing.T, c *Core, horizon float64) float64 {
 	t.Helper()
 	const dt = 0.001
 	for now := 0.0; now < horizon; now += dt {
-		if req, ok := c.Tick(now); ok {
+		if req, ok := tick(c, now); ok {
 			sv.respond(req, now)
 		}
 		for {
@@ -204,7 +219,7 @@ func TestCoreLateResponseDelivers(t *testing.T) {
 		t.Fatalf("expected fresh segment request, got %+v ok=%v", req0, ok)
 	}
 	// Force the request lost via the RTO backstop (no responses for >RTO).
-	c.Tick(5.0)
+	tick(c, 5.0)
 	if got := c.Stats().LostReqs; got != 1 {
 		t.Fatalf("lostReqs=%d want 1", got)
 	}
@@ -305,7 +320,7 @@ func TestCoreOutageAndRecovery(t *testing.T) {
 	// with requests outstanding, and a live fetch always has some.
 	var probes int
 	for now := 0.1; now < 3.0; now += 0.01 {
-		if _, ok := c.Tick(now); ok {
+		if _, ok := tick(c, now); ok {
 			probes++
 		}
 		c.Issue(now, now)
@@ -352,7 +367,7 @@ func TestCoreStampLeadNoSpuriousLoss(t *testing.T) {
 	for i := 0; i < 4000 && !c.Done(); i++ {
 		now := float64(i) * 0.001
 		if i%10 == 0 {
-			c.Tick(now)
+			tick(c, now)
 		}
 		if i%5 == 0 {
 			if req, ok := c.Issue(now, now+lead); ok {
@@ -432,7 +447,7 @@ func TestCoreReorderZeroAllocSteadyState(t *testing.T) {
 	step := func() { // 10 ms
 		for i := 0; i < 10; i++ {
 			now += 0.001
-			if req, ok := c.Tick(now); ok {
+			if req, ok := tick(c, now); ok {
 				sv.respond(req, now)
 			}
 			for req, ok := c.Issue(now, now); ok; req, ok = c.Issue(now, now) {

@@ -21,7 +21,7 @@
 //
 // The scheduler core has one driver: an engine shard runs it as a fetch
 // flow (Fetcher is the handle) against an engine serving a Store. On
-// real sockets that is proteusfetch; on an engine.SimNet in virtual time
+// real sockets that is proteusd fetch; on an engine.SimNet in virtual time
 // it is the fault tests and the Appendix F experiment, whose fetch
 // shares a simulated bottleneck with DASH and web foreground traffic.
 package fetch

@@ -45,7 +45,7 @@ func TestLoopbackSingleFlowClean(t *testing.T) {
 }
 
 // TestLoopbackScavengerFetch is a Proteus-S fetch on real sockets through
-// a lossy 40 Mbps, 20 ms relay — `proteusfetch -shim`'s path. A scavenger
+// a lossy 40 Mbps, 20 ms relay — `proteusd fetch -shim`'s path. A scavenger
 // reads any delay its samples carry beyond the path's as competition, so
 // the relay must keep host timing out of them: requests that reach it
 // late, its own late wakes, the server's turnaround. When it does not,
