@@ -206,9 +206,10 @@ func runRecv(args []string) error {
 			// The engine stops only after the final summary is captured,
 			// so the counters reflect everything the datapath did.
 			st := eng.Stats()
-			fmt.Printf("total: pkts=%d bytes=%d dups=%d acks=%d flows=%d evicted=%d rebinds=%d bad=%d batches=%d fetch=%d segs=%d\n",
+			fmt.Printf("total: pkts=%d bytes=%d dups=%d acks=%d flows=%d evicted=%d rebinds=%d bad=%d batches=%d fetch=%d segs=%d passes=%d empty=%d slots_peak=%d\n",
 				st.Delivered, st.DeliveredBytes, st.RxDups, st.TxPkts-st.SegsTx, st.Flows,
-				st.Evicted, st.Rebinds, st.BadPkts, st.RxBatches, st.FetchReqs, st.SegsTx)
+				st.Evicted, st.Rebinds, st.BadPkts, st.RxBatches, st.FetchReqs, st.SegsTx,
+				st.Passes, st.EmptyPasses, st.RxSlotsPeak)
 			fmt.Println(classStatsLine(st))
 			return nil
 		case <-ovTick:
@@ -339,8 +340,9 @@ func runSend(args []string) error {
 		awaitDrain(func() int { _, _, _, n := total(); return n }, sig, *drain)
 		acked, lost, srtt, _ := total()
 		est := eng.Stats()
-		fmt.Printf("total: acked=%d bytes lost=%d srtt=%.1fms txpkts=%d txbatches=%d rxbatches=%d\n",
-			acked, lost, srtt*1e3, est.TxPkts, est.TxBatches, est.RxBatches)
+		fmt.Printf("total: acked=%d bytes lost=%d srtt=%.1fms txpkts=%d txbatches=%d rxbatches=%d passes=%d empty=%d slots_peak=%d\n",
+			acked, lost, srtt*1e3, est.TxPkts, est.TxBatches, est.RxBatches,
+			est.Passes, est.EmptyPasses, est.RxSlotsPeak)
 		fmt.Println(classStatsLine(est))
 		return nil
 	}

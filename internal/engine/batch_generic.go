@@ -12,13 +12,17 @@ import (
 // no mmsghdr/iovec staging to keep.
 type mmsgState struct{}
 
-// initBatch stages the one slot a read fills. A one-datagram read says
-// nothing about keeping up with arrival, so it never counts as rx
-// saturation: the ceiling is out of its reach.
-func (p *udpPort) initBatch() {
-	p.sh.stageRx(1, p.sh.maxPacket)
-	p.sh.rxCeil = math.MaxInt
+// initBatch stages the one slot a read fills and the tx arena, on the
+// heap. A one-datagram read says nothing about keeping up with arrival,
+// so it never counts as rx saturation: the ceiling is out of its reach.
+func (p *udpPort) initBatch() error {
+	sh := p.sh
+	sh.stage(make([]byte, sh.bufSize(1, sh.maxPacket)), 1, sh.maxPacket)
+	sh.rxCeil = math.MaxInt
+	return nil
 }
+
+func (p *udpPort) release() {}
 
 // minReadWait is the shortest read deadline the fallback sets: a
 // deadline that has already expired makes the read return i/o timeout

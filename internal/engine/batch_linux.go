@@ -15,7 +15,9 @@ package engine
 //
 // All staging memory (headers, iovecs, sockaddrs) is preallocated at
 // shard init, and the RawConn callbacks are bound once, so the
-// per-batch syscall path allocates nothing.
+// per-batch syscall path allocates nothing. The datagram bytes — rx
+// slots and tx arena — are one anonymous mapping per socket, off the Go
+// heap (initRx).
 //
 // What a send costs inside the kernel follows the iovec count, not
 // only the entry count: the shard encodes its packets back to back in
@@ -23,6 +25,7 @@ package engine
 // same-destination run with one iovec instead of one per datagram.
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
 	"sync"
@@ -58,10 +61,10 @@ const (
 	// plain one-datagram entries.
 	gsoMaxDsts = 16
 	// groBufSize must hold the largest GRO super-skb the kernel can
-	// coalesce (64KiB), else the tail would truncate. A shard stages one
-	// such slot and doubles the staging after every read that fills it,
-	// up to groMaxSlots (2 MiB): one slot carries a whole train, and with
-	// a 128-slot ceiling 99.5 % of engine-bulk's reads filled ≤ 32 slots
+	// coalesce (64KiB), else the tail would truncate. A shard stages
+	// groMaxSlots of them (2 MiB of address space, backed page by page
+	// as datagrams land): one slot carries a whole train, and with a
+	// 128-slot ceiling 99.5 % of engine-bulk's reads filled ≤ 32 slots
 	// and 99.2 % of engine-churn's ≤ 8. A deeper backlog waits in the
 	// socket buffer; the next read finds it without blocking.
 	groBufSize  = 1 << 16
@@ -122,11 +125,11 @@ func sendSegs(c *net.UDPConn, n int) error {
 type mmsgState struct {
 	rc syscall.RawConn
 
+	mem    []byte // the mapping the rx slots and tx arena are cut from
 	rhdrs  []mmsghdr
 	riovs  []syscall.Iovec
 	rnames []syscall.RawSockaddrInet6
 	rctrl  []cmsgGRO
-	rsize  int // bytes per rx slot
 	gro    bool
 
 	whdrs  []mmsghdr
@@ -177,14 +180,11 @@ func (m *mmsgState) initTx(n, segs int) {
 	}
 }
 
-func (p *udpPort) initBatch() {
+func (p *udpPort) initBatch() error {
 	sh := p.sh
 	rc, err := p.conn.SyscallConn()
 	if err != nil {
-		// Leave m.rc nil: readBatch degrades to the closed path and the
-		// engine reports nothing sendable — in practice SyscallConn on a
-		// healthy *net.UDPConn does not fail.
-		return
+		return err
 	}
 	m := &p.mmsg
 	m.rc = rc
@@ -197,10 +197,9 @@ func (p *udpPort) initBatch() {
 		m.gro = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
 	})
 	m.initTx(sh.batchSize, gsoMaxSegs())
-	p.initRx()
 	m.readFn = func(fd uintptr) bool {
 		r1, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(sh.rxBufs)),
+			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
 			syscall.MSG_DONTWAIT, 0, 0)
 		if errno == syscall.EAGAIN {
 			return false // park on the netpoller until readable
@@ -239,27 +238,39 @@ func (p *udpPort) initBatch() {
 		m.wOff += int(r1)
 		return true
 	}
+	return p.initRx()
 }
 
-// initRx allocates the read headers for every rx slot up to the ceiling
-// and stages one slot; readBatch doubles the staging after every read
-// that fills it. A slot is maxPacket bytes and the ceiling BatchSize
-// slots, or with GRO a slot holds a whole coalesced train — anything
-// smaller than the 64KiB super-skb ceiling would truncate coalesced
-// tails — and the ceiling is groMaxSlots.
-func (p *udpPort) initRx() {
+// initRx maps the socket's buffers — the rx slots, then the tx arena —
+// as one anonymous region and points every slot's iovec into it once. The
+// kernel backs a page only when a datagram is written into it, so what a
+// socket holds follows its traffic page by page, and the collector never
+// counts it toward its heap goal. A slot is maxPacket bytes and there are
+// BatchSize of them, or with GRO a slot holds a whole coalesced train —
+// anything smaller than the 64KiB super-skb ceiling would truncate
+// coalesced tails — and there are groMaxSlots. Huge pages are refused: one
+// would back 2 MiB at the first write.
+func (p *udpPort) initRx() error {
 	sh, m := p.sh, &p.mmsg
-	rn := sh.batchSize
-	m.rsize = sh.maxPacket
+	rn, size := sh.batchSize, sh.maxPacket
 	if m.gro {
-		rn, m.rsize = min(rn, groMaxSlots), groBufSize
+		rn, size = min(rn, groMaxSlots), groBufSize
 	}
-	sh.rxCeil = rn
+	mem, err := syscall.Mmap(-1, 0, sh.bufSize(rn, size),
+		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS)
+	if err != nil {
+		return fmt.Errorf("engine: mapping socket buffers: %w", err)
+	}
+	_ = syscall.Madvise(mem, syscall.MADV_NOHUGEPAGE) // fails only where there are no huge pages
+	m.mem = mem
+	sh.stage(mem, rn, size)
 	m.rhdrs = make([]mmsghdr, rn)
 	m.riovs = make([]syscall.Iovec, rn)
 	m.rnames = make([]syscall.RawSockaddrInet6, rn)
 	m.rctrl = make([]cmsgGRO, rn)
-	for i := 0; i < rn; i++ {
+	for i, b := range sh.rxBufs {
+		m.riovs[i].Base = &b[0]
+		m.riovs[i].SetLen(len(b))
 		m.rhdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&m.rnames[i]))
 		m.rhdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
 		m.rhdrs[i].hdr.Iov = &m.riovs[i]
@@ -269,31 +280,26 @@ func (p *udpPort) initRx() {
 			m.rhdrs[i].hdr.SetControllen(24)
 		}
 	}
-	p.stageRx(1)
+	return nil
 }
 
-// stageRx grows the rx staging to n slots and points their iovecs at the
-// buffers; the slots already staged keep theirs.
-func (p *udpPort) stageRx(n int) {
-	sh, m := p.sh, &p.mmsg
-	sh.stageRx(n, m.rsize)
-	for i, b := range sh.rxBufs {
-		m.riovs[i].Base = &b[0]
-		m.riovs[i].SetLen(len(b))
+// release unmaps the socket's buffers and leaves the shard none, so a
+// late touch panics on an empty slice instead of faulting on a page.
+func (p *udpPort) release() {
+	if m := &p.mmsg; m.mem != nil {
+		_ = syscall.Munmap(m.mem) // fails only for a slice Mmap did not return
+		m.mem = nil
+		p.sh.stage(nil, 0, 0)
 	}
 }
 
-// readBatch stages up to len(rxBufs) datagrams in one recvmmsg, blocking
-// up to wait for the first. Returns the count (0 on timeout, so timers
+// readBatch stages up to rxCeil datagrams in one recvmmsg, blocking up
+// to wait for the first. Returns the count (0 on timeout, so timers
 // run), or -1 on a closed socket. With wait ≤ 0 it still issues one
 // non-blocking recvmmsg: RawConn.Read would return i/o timeout on an
-// already-expired deadline without making the syscall at all. A read
-// that filled every staged slot doubles the staging, up to rxCeil.
+// already-expired deadline without making the syscall at all.
 func (p *udpPort) readBatch(wait time.Duration) int {
 	sh, m := p.sh, &p.mmsg
-	if m.rc == nil {
-		return -1
-	}
 	// Namelen and Controllen are value-result and the control payload
 	// goes stale, but the kernel writes them only in the messages it
 	// returned: restore the previous call's rGot, not every slot.
@@ -303,9 +309,6 @@ func (p *udpPort) readBatch(wait time.Duration) int {
 			m.rhdrs[i].hdr.SetControllen(24)
 			m.rctrl[i] = cmsgGRO{}
 		}
-	}
-	if m.rGot == len(sh.rxBufs) && m.rGot < sh.rxCeil {
-		p.stageRx(min(2*m.rGot, sh.rxCeil))
 	}
 	m.rGot, m.rErr = 0, 0
 	var err error
@@ -346,9 +349,6 @@ func (p *udpPort) readBatch(wait time.Duration) int {
 // datagrams are dropped — UDP semantics, same as the fallback path.
 func (p *udpPort) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 	sh, m := p.sh, &p.mmsg
-	if m.rc == nil {
-		return
-	}
 	if m.gso {
 		m.wTot = p.buildGSO(pkts, addrs)
 	} else {

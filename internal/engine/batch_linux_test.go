@@ -52,12 +52,6 @@ func stage(sh *shard, steps []stagedPkt, addr func(dst int) netip.AddrPort) {
 
 func testDst(dst int) netip.AddrPort { return src(uint16(5000 + dst)) }
 
-// fullArena gives sh its tx arena at the ceiling, batchSize × maxPacket,
-// so a script of up to batchSize packets stages as one flush.
-func fullArena(sh *shard) {
-	sh.txArena = make([]byte, sh.batchSize*sh.maxPacket)
-}
-
 // entry is what one staged sendmmsg entry carries: destination,
 // datagrams, iovecs, and the UDP_SEGMENT size (0 = plain send).
 type entry struct{ dst, segs, iovs, seg int }
@@ -148,7 +142,6 @@ func TestBuildGSOStaging(t *testing.T) {
 					sh := newTestShard(t, Config{BatchSize: 512})
 					p := &udpPort{sh: sh} // staging needs no socket
 					p.mmsg.initTx(sh.batchSize, segs)
-					fullArena(sh)
 					stage(sh, tc.steps, testDst)
 					m := &p.mmsg
 					n := p.buildGSO(sh.txq, sh.txAddrs)
@@ -200,14 +193,14 @@ func TestBuildGSOStaging(t *testing.T) {
 	}
 }
 
-// TestTxArenaBounds pins the arena's contract: a full batch of
-// full-size packets fits, a flush rewinds to offset 0, and queueTx
-// refuses bytes that txBuf did not hand out. Its ceiling, 16 KiB, is
-// below txArenaStart, so the arena starts at the ceiling.
+// TestTxArenaBounds pins the arena's contract: it is batchSize ×
+// maxPacket bytes, a full batch of full-size packets fits, a flush
+// rewinds to offset 0, and queueTx refuses bytes that txBuf did not hand
+// out.
 func TestTxArenaBounds(t *testing.T) {
 	sh := newTestShard(t, Config{BatchSize: 8, MaxPacket: 2048})
 	if len(sh.txArena) != sh.batchSize*sh.maxPacket {
-		t.Fatalf("arena of %d bytes, want the %d-byte ceiling", len(sh.txArena), sh.batchSize*sh.maxPacket)
+		t.Fatalf("arena of %d bytes, want %d", len(sh.txArena), sh.batchSize*sh.maxPacket)
 	}
 	for i := 0; i < sh.batchSize; i++ {
 		if len(sh.txq) != i || sh.txOff != i*sh.maxPacket {
@@ -230,145 +223,18 @@ func TestTxArenaBounds(t *testing.T) {
 	sh.queueTx(make([]byte, 100), src(5000))
 }
 
-// arenaFor is the tx arena a shard ends at once it has staged full
-// batches of size-byte packets: the smallest doubling of its first size
-// that holds a batch, at most the ceiling.
-func arenaFor(sh *shard, size int) int {
-	ceil := sh.batchSize * sh.maxPacket
-	n := min(max(txArenaStart, sh.maxPacket), ceil)
-	for n < ceil && n < (sh.batchSize-1)*size+sh.maxPacket {
-		n *= 2
-	}
-	return min(n, ceil)
-}
-
-// stagedBytes is what stage puts in step i's packet of size bytes.
-func stagedBytes(i, size int) []byte {
-	b := make([]byte, size)
-	for j := range b {
-		b[j] = byte(i + j)
-	}
-	return b
-}
-
-// TestTxArenaGrows: the tx arena starts at txArenaStart and doubles only
-// when a packet might not fit. A receiver that only acks never grows it;
-// a shard flushing full batches of 400 B packets ends at the smallest
-// doubling that holds one; and a flush that makes room for the growth
-// sends what it holds — every packet arrives byte-identical and in
-// order, on a memPort and on real loopback.
-func TestTxArenaGrows(t *testing.T) {
-	t.Run("ack-only", func(t *testing.T) {
-		// Reads of BatchSize in-order data packets, ackEvery for each of
-		// 256 flows, as the receiver of a bulk transfer sees them.
-		sh := newTestShard(t, Config{BatchSize: 1024})
-		sh.wh.init(sh.clock.Now())
-		p := sh.port.(*memPort)
-		for round := int64(0); round < 8; round++ {
-			for id := uint32(1); id <= 256; id++ {
-				for k := int64(0); k < ackEvery; k++ {
-					p.push(src(9000), dataPkt(t, id, round*ackEvery+k, 400))
-				}
-			}
-			sh.pass()
-		}
-		if got := sh.st.TxPkts; got < 8*256 || sh.st.TxBatches != 8 {
-			t.Fatalf("%d acks in %d flushes, want at least 256 in each of 8", got, sh.st.TxBatches)
-		}
-		if len(sh.txArena) != txArenaStart {
-			t.Fatalf("an ack-only shard grew its arena to %d bytes", len(sh.txArena))
-		}
-	})
-	t.Run("memPort", func(t *testing.T) {
-		sh := newTestShard(t, Config{BatchSize: 1024})
-		if len(sh.txArena) != txArenaStart {
-			t.Fatalf("first arena %d bytes, want %d", len(sh.txArena), txArenaStart)
-		}
-		var got [][]byte
-		var dsts []netip.AddrPort
-		sh.port.(*memPort).send = func(dst netip.AddrPort, b []byte) {
-			got, dsts = append(got, append([]byte(nil), b...)), append(dsts, dst)
-		}
-		steps := script(run(0, 400, sh.batchSize), run(1, 400, sh.batchSize), run(0, 400, sh.batchSize))
-		stage(sh, steps, testDst)
-		sh.flushTx()
-		if want := arenaFor(sh, 400); len(sh.txArena) != want {
-			t.Fatalf("arena ended at %d bytes, want %d", len(sh.txArena), want)
-		}
-		if len(sh.txq) != 0 || len(got) != len(steps) {
-			t.Fatalf("%d of %d packets sent, %d still staged", len(got), len(steps), len(sh.txq))
-		}
-		if b := sh.st.TxBatches; b <= 3 {
-			t.Fatalf("%d flushes: no growth flush", b)
-		}
-		for i, st := range steps {
-			if !bytes.Equal(got[i], stagedBytes(i, st.size)) || dsts[i] != testDst(st.dst) {
-				t.Fatalf("packet %d sent to %s differs from the one staged to %s", i, dsts[i], testDst(st.dst))
-			}
-		}
-	})
-	t.Run("loopback", func(t *testing.T) {
-		tx, err := New(Config{BatchSize: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tx.Stop()
-		rx, err := New(Config{BatchSize: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rx.Stop()
-		sh, rsh := tx.shards[0], rx.shards[0]
-		steps := run(0, 400, 200) // 80 000 bytes: one growth flush on the way
-		stage(sh, steps, func(int) netip.AddrPort { return rsh.local })
-		sh.flushTx()
-		if len(sh.txArena) != 2*txArenaStart || sh.st.TxBatches != 2 {
-			t.Fatalf("%d flushes, arena %d bytes: want a growth flush and a %d-byte arena",
-				sh.st.TxBatches, len(sh.txArena), 2*txArenaStart)
-		}
-		var got [][]byte
-		deadline := time.Now().Add(5 * time.Second)
-		for len(got) < len(steps) && time.Now().Before(deadline) {
-			n := rsh.port.readBatch(100 * time.Millisecond)
-			for i := 0; i < n; i++ {
-				b := rsh.rxBufs[i][:rsh.rxLens[i]]
-				g := rsh.rxSegs[i]
-				if g <= 0 {
-					g = len(b)
-				}
-				for off := 0; off < len(b); off += g {
-					got = append(got, append([]byte(nil), b[off:min(off+g, len(b))]...))
-				}
-			}
-		}
-		if len(got) != len(steps) {
-			t.Fatalf("%d datagrams arrived, want %d", len(got), len(steps))
-		}
-		for i, st := range steps {
-			if !bytes.Equal(got[i], stagedBytes(i, st.size)) {
-				t.Fatalf("datagram %d differs from the one staged", i)
-			}
-		}
-	})
-}
-
-// TestTxArenaZeroAllocsAtCeiling: once the arena is at its ceiling,
-// staging and flushing full batches allocates nothing and keeps it.
+// TestTxArenaZeroAllocsAtCeiling: staging and flushing full batches
+// allocates nothing and keeps the arena where it is.
 func TestTxArenaZeroAllocsAtCeiling(t *testing.T) {
 	sh := newTestShard(t, Config{BatchSize: 1024})
-	ceil := sh.batchSize * sh.maxPacket
-	stage(sh, run(0, sh.maxPacket, 2*sh.batchSize), testDst)
-	sh.flushTx()
-	if len(sh.txArena) != ceil {
-		t.Fatalf("full-size batches grew the arena to %d bytes, want the %d-byte ceiling", len(sh.txArena), ceil)
-	}
 	arena := &sh.txArena[0]
 	steps := script(run(0, 400, sh.batchSize/2), run(1, 1200, sh.batchSize/2))
+	stage(sh, steps, testDst) // AllocsPerRun runs once more to warm up
 	if allocs := testing.AllocsPerRun(10, func() { stage(sh, steps, testDst) }); allocs != 0 {
-		t.Fatalf("a full batch at the ceiling allocates %.1f times, want 0", allocs)
+		t.Fatalf("a full batch allocates %.1f times, want 0", allocs)
 	}
-	if &sh.txArena[0] != arena || len(sh.txq) != 0 {
-		t.Fatalf("the arena moved, or %d packets are left staged", len(sh.txq))
+	if &sh.txArena[0] != arena || len(sh.txq) != 0 || sh.st.TxBatches != 12 {
+		t.Fatalf("the arena moved, or %d packets are left staged after %d flushes", len(sh.txq), sh.st.TxBatches)
 	}
 }
 
@@ -389,7 +255,6 @@ func TestWriteBatchLoopbackRoundTrip(t *testing.T) {
 	}
 	defer rx.Stop()
 	sh := tx.shards[0]
-	fullArena(sh)
 	steps := script(run(0, 400, gsoMaxSegs()+6), run(1, 200, 10), run(0, 400, 5), run(0, 1200, 3),
 		run(0, 300, 1), run(1, 200, 4), run(1, 90, 1), run(0, 1200, 2))
 	stage(sh, steps, func(dst int) netip.AddrPort { return rx.shards[dst].local })
@@ -433,10 +298,9 @@ func TestWriteBatchLoopbackRoundTrip(t *testing.T) {
 	}
 }
 
-// rxStaging is shard 0 of an unstarted engine, read by hand, on a
-// UDP_GRO socket or one with GRO off, and a plain socket sending it
-// numbered datagrams — one per rx slot, since loopback coalesces nothing
-// a plain socket sends.
+// rxStaging is shard 0 of an unstarted engine on a UDP_GRO socket, read
+// by hand, and a plain socket sending it numbered datagrams — one per rx
+// slot, since loopback coalesces nothing a plain socket sends.
 type rxStaging struct {
 	t    *testing.T
 	sh   *shard
@@ -445,7 +309,7 @@ type rxStaging struct {
 	got  []int // arrivals per sequence number
 }
 
-func newRxStaging(t *testing.T, batch int, gro bool) *rxStaging {
+func newRxStaging(t *testing.T, batch int) *rxStaging {
 	t.Helper()
 	eng, err := New(Config{BatchSize: batch})
 	if err != nil {
@@ -453,17 +317,8 @@ func newRxStaging(t *testing.T, batch int, gro bool) *rxStaging {
 	}
 	t.Cleanup(func() { eng.Stop() })
 	sh := eng.shards[0]
-	p := sh.port.(*udpPort)
-	if gro && !p.mmsg.gro {
+	if !sh.port.(*udpPort).mmsg.gro {
 		t.Skip("no UDP_GRO")
-	}
-	if !gro {
-		// As on a kernel without UDP_GRO (where the option fails, and is
-		// off anyway): maxPacket slots, BatchSize of them at the ceiling.
-		p.mmsg.rc.Control(func(fd uintptr) { syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 0) })
-		p.mmsg.gro = false
-		sh.rxBufs, sh.rxLens, sh.rxSrcs, sh.rxSegs = nil, nil, nil, nil
-		p.initRx()
 	}
 	tx, err := net.DialUDP("udp4", nil, net.UDPAddrFromAddrPort(sh.local))
 	if err != nil {
@@ -511,75 +366,30 @@ func (r *rxStaging) received() (n int) {
 	return n
 }
 
-// TestRxStagingGrows: a GRO socket stages one slot, doubles the staging
-// only after a read that filled it, never beyond min(BatchSize, 32), and
-// keeps the buffers it had — every datagram of the bursts that make it
-// grow arrives exactly once.
-func TestRxStagingGrows(t *testing.T) {
-	for _, batch := range []int{24, 1024} { // a ceiling that is no power of two, and 32
-		t.Run(fmt.Sprint(batch), func(t *testing.T) {
-			checkRxStagingGrows(t, newRxStaging(t, batch, true), min(batch, 32), groBufSize)
-		})
-	}
-}
-
-// TestRxStagingGrowsWithoutGRO: with GRO off the staging follows the same
-// rule, in maxPacket slots up to BatchSize of them.
-func TestRxStagingGrowsWithoutGRO(t *testing.T) {
-	for _, batch := range []int{24, 64} {
-		t.Run(fmt.Sprint(batch), func(t *testing.T) {
-			r := newRxStaging(t, batch, false)
-			checkRxStagingGrows(t, r, batch, r.sh.maxPacket)
-		})
-	}
-}
-
-// checkRxStagingGrows drives r's staging from one slot of size bytes to
-// ceil slots and back through full reads at the ceiling.
-func checkRxStagingGrows(t *testing.T, r *rxStaging, ceil, size int) {
+// TestRxStagingZeroAllocsAtCeiling: reads that fill every rx slot
+// allocate nothing.
+func TestRxStagingZeroAllocsAtCeiling(t *testing.T) {
+	r := newRxStaging(t, 1024)
 	sh := r.sh
-	if len(sh.rxBufs) != 1 || sh.rxCeil != ceil || len(sh.rxBufs[0]) != size {
-		t.Fatalf("staged %d slots of %d bytes with ceiling %d, want 1 of %d and %d",
-			len(sh.rxBufs), len(sh.rxBufs[0]), sh.rxCeil, size, ceil)
+	if sh.rxCeil != groMaxSlots || len(sh.rxBufs) != groMaxSlots || len(sh.rxBufs[0]) != groBufSize {
+		t.Fatalf("%d slots of %d bytes, ceiling %d: want %d of %d", len(sh.rxBufs), len(sh.rxBufs[0]),
+			sh.rxCeil, groMaxSlots, groBufSize)
 	}
-	want := 1 // the staging the next read must use
-	var kept []*byte
-	read := func() {
+	const runs = 4
+	r.send((runs + 1) * sh.rxCeil) // AllocsPerRun reads once more to warm up
+	full := 0
+	allocs := testing.AllocsPerRun(runs, func() {
 		n := sh.port.readBatch(100 * time.Millisecond)
-		staged := len(sh.rxBufs)
-		if staged != want {
-			t.Fatalf("a read staged %d slots, want %d", staged, want)
-		}
-		for i, p := range kept {
-			if &sh.rxBufs[i][0] != p {
-				t.Fatalf("growth to %d slots replaced slot %d's buffer", staged, i)
-			}
-		}
-		for i := len(kept); i < staged; i++ {
-			kept = append(kept, &sh.rxBufs[i][0])
-		}
-		if n == staged {
-			want = min(2*staged, ceil)
-		}
 		r.note(n)
-	}
-	drain := func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for r.received() < r.sent && time.Now().Before(deadline) {
-			read()
+		if n == sh.rxCeil {
+			full++
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a read at the ceiling allocates %.1f times, want 0", allocs)
 	}
-	read() // nothing to read: no growth
-	// Each burst is twice the staging: one full read, which doubles
-	// it, then a partial one, which must not.
-	for len(sh.rxBufs) < ceil {
-		r.send(2 * len(sh.rxBufs))
-		drain()
-	}
-	r.send(3 * ceil) // full reads at the ceiling: no growth
-	drain()
-	if len(sh.rxBufs) != ceil {
-		t.Fatalf("staging ended at %d slots, want %d", len(sh.rxBufs), ceil)
+	if full != runs+1 {
+		t.Fatalf("%d of %d reads were full", full, runs+1)
 	}
 	for seq, c := range r.got {
 		if c != 1 {
@@ -588,56 +398,22 @@ func checkRxStagingGrows(t *testing.T, r *rxStaging, ceil, size int) {
 	}
 }
 
-// TestRxStagingZeroAllocsAtCeiling: once the staging is at its ceiling,
-// full reads allocate nothing.
-func TestRxStagingZeroAllocsAtCeiling(t *testing.T) {
-	r := newRxStaging(t, 1024, true)
-	sh := r.sh
-	for deadline := time.Now().Add(5 * time.Second); len(sh.rxBufs) < sh.rxCeil && time.Now().Before(deadline); {
-		r.send(len(sh.rxBufs))
-		for r.received() < r.sent && time.Now().Before(deadline) {
-			r.note(sh.port.readBatch(100 * time.Millisecond))
-		}
-	}
-	if len(sh.rxBufs) != sh.rxCeil {
-		t.Fatalf("staging stuck at %d of %d slots", len(sh.rxBufs), sh.rxCeil)
-	}
-	const runs = 4
-	r.send((runs + 1) * sh.rxCeil) // AllocsPerRun reads once more to warm up
-	full := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		if sh.port.readBatch(0) == sh.rxCeil {
-			full++
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("a read at the ceiling allocates %.1f times, want 0", allocs)
-	}
-	if full != runs+1 || len(sh.rxBufs) != sh.rxCeil {
-		t.Fatalf("%d of %d reads were full, staging %d slots", full, runs+1, len(sh.rxBufs))
-	}
-}
-
-// TestRxSaturationOnlyAtCeiling: a full read the port answers by growing
-// the staging is not overload — the EWMA stays 0 while the staging grows
-// — and full reads at the ceiling still raise it.
+// TestRxSaturationOnlyAtCeiling: reads that leave a slot free are not
+// overload — the EWMA stays 0 — and reads that fill every slot raise it.
 func TestRxSaturationOnlyAtCeiling(t *testing.T) {
-	r := newRxStaging(t, 1024, true)
+	r := newRxStaging(t, 1024)
 	sh := r.sh
 	sh.wh.init(sh.clock.Now())
 	deadline := time.Now().Add(5 * time.Second)
-	for len(sh.rxBufs) < sh.rxCeil && time.Now().Before(deadline) {
-		r.send(len(sh.rxBufs))
+	for round := 0; round < 8; round++ {
+		r.send(sh.rxCeil - 1)
 		for sh.st.BadPkts < int64(r.sent) && time.Now().Before(deadline) {
 			sh.pass()
-			if sh.rxFullEWMA != 0 && len(sh.rxBufs) < sh.rxCeil {
-				t.Fatalf("a read into %d of %d slots counted as rx saturation (EWMA %.3f)",
-					len(sh.rxBufs), sh.rxCeil, sh.rxFullEWMA)
+			if sh.rxFullEWMA != 0 {
+				t.Fatalf("a read into at most %d of %d slots counted as rx saturation (EWMA %.3f)",
+					sh.rxCeil-1, sh.rxCeil, sh.rxFullEWMA)
 			}
 		}
-	}
-	if len(sh.rxBufs) != sh.rxCeil {
-		t.Fatalf("staging stuck at %d of %d slots", len(sh.rxBufs), sh.rxCeil)
 	}
 	for sh.rxFullEWMA == 0 && time.Now().Before(deadline) {
 		r.send(sh.rxCeil)
@@ -650,5 +426,8 @@ func TestRxSaturationOnlyAtCeiling(t *testing.T) {
 	}
 	if got := sh.st.BadPkts; got != int64(r.sent) {
 		t.Fatalf("%d datagrams dispatched, %d sent", got, r.sent)
+	}
+	if sh.st.RxSlotsPeak != sh.rxCeil {
+		t.Fatalf("RxSlotsPeak %d, want the ceiling %d", sh.st.RxSlotsPeak, sh.rxCeil)
 	}
 }

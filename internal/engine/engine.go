@@ -172,6 +172,12 @@ type Stats struct {
 	SegsTx         int64 // segment responses sent back
 	Flows          int
 
+	// Work counts: loop passes that read the port, those whose read
+	// staged nothing, and the most rx slots one read filled.
+	Passes      int64
+	EmptyPasses int64
+	RxSlotsPeak int
+
 	// Overload surface: per-class admission/degradation counters plus
 	// the worst shard's brownout state and pressure. The invariant the
 	// shed ordering promises — and the overload gate asserts — is that
@@ -236,7 +242,13 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		sh := newShard(e, i)
-		sh.attach(newUDPPort(sh, conn, clk), conn.LocalAddr().(*net.UDPAddr).AddrPort())
+		p, err := newUDPPort(sh, conn, clk)
+		if err != nil {
+			conn.Close()
+			e.Stop()
+			return nil, err
+		}
+		sh.attach(p, conn.LocalAddr().(*net.UDPAddr).AddrPort())
 		e.shards = append(e.shards, sh)
 	}
 	return e, nil
@@ -254,16 +266,19 @@ func (e *Engine) Start() error {
 	return nil
 }
 
-// Stop terminates every shard loop and closes the ports. Safe to call
-// more than once.
+// Stop terminates every shard loop, closes the ports and, once no loop
+// runs, releases their buffers. Safe to call more than once.
 func (e *Engine) Stop() {
 	e.stopOnce.Do(func() {
 		close(e.done)
 		for _, sh := range e.shards {
 			sh.port.close()
 		}
+		e.wg.Wait()
+		for _, sh := range e.shards {
+			sh.port.release()
+		}
 	})
-	e.wg.Wait()
 }
 
 // Drain stops every sender flow from offering new data; packets
@@ -379,7 +394,8 @@ func (e *Engine) Stats() Stats {
 }
 
 // add folds s into st: counters and gauges add (each snapshot is one
-// shard's or one engine's), states and pressure take the worst.
+// shard's or one engine's), states, pressure and RxSlotsPeak take the
+// worst.
 func (st *Stats) add(s Stats) {
 	st.RxPkts += s.RxPkts
 	st.RxBatches += s.RxBatches
@@ -396,6 +412,9 @@ func (st *Stats) add(s Stats) {
 	st.FetchReqs += s.FetchReqs
 	st.SegsTx += s.SegsTx
 	st.Flows += s.Flows
+	st.Passes += s.Passes
+	st.EmptyPasses += s.EmptyPasses
+	st.RxSlotsPeak = max(st.RxSlotsPeak, s.RxSlotsPeak)
 	st.AdmittedPrimary += s.AdmittedPrimary
 	st.AdmittedScavenger += s.AdmittedScavenger
 	st.RejectedPrimary += s.RejectedPrimary

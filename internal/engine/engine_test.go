@@ -188,24 +188,24 @@ func TestStatsExactAfterDone(t *testing.T) {
 
 // Stats.add folds every field: each field of one snapshot gets its own
 // nonzero value, and after folding it into another, counters and gauges
-// hold the sum and the overload states and pressure the worse of the two.
-// A field added to Stats but not to add fails here.
+// hold the sum and the overload states, pressure and RxSlotsPeak the
+// worse of the two. A field added to Stats but not to add fails here.
 func TestStatsAddFoldsEveryField(t *testing.T) {
 	var a, b Stats
 	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
-	worst := map[string]bool{"Overload": true, "WorstOverload": true, "Pressure": true}
+	worst := map[string]bool{"Overload": true, "WorstOverload": true, "Pressure": true, "RxSlotsPeak": true}
 	for i := 0; i < va.NumField(); i++ {
 		name, fa, fb := va.Type().Field(i).Name, va.Field(i), vb.Field(i)
 		switch k := fa.Kind(); {
 		case name == "Pressure":
 			fa.SetFloat(0.25)
 			fb.SetFloat(0.75)
+		case k == reflect.Int || k == reflect.Int64: // b's is the larger
+			fa.SetInt(int64(100 + i))
+			fb.SetInt(int64(1000 * (i + 1)))
 		case worst[name]:
 			fa.SetUint(uint64(overload.StateRecover))
 			fb.SetUint(uint64(overload.StateShed))
-		case k == reflect.Int || k == reflect.Int64:
-			fa.SetInt(int64(100 + i))
-			fb.SetInt(int64(1000 * (i + 1)))
 		default:
 			t.Fatalf("Stats.%s (%s) is neither a counter nor an overload state", name, k)
 		}
@@ -225,5 +225,32 @@ func TestStatsAddFoldsEveryField(t *testing.T) {
 				t.Errorf("Stats.%s folds to %d, want %d + %d", name, f.Int(), fa.Int(), fb.Int())
 			}
 		}
+	}
+}
+
+// TestStatsWorkCounts: a scripted run on a memPort shard of BatchSize 8
+// counts every pass that reads, the ones that read nothing, and the most
+// slots one read filled.
+func TestStatsWorkCounts(t *testing.T) {
+	sh := newTestShard(t, Config{BatchSize: 8})
+	sh.wh.init(sh.clock.Now())
+	p := sh.port.(*memPort)
+	junk := func(n int) {
+		for i := 0; i < n; i++ {
+			p.push(src(9000), []byte{'x'}) // no packet type: dispatch counts it bad
+		}
+	}
+	sh.pass() // reads nothing
+	junk(3)
+	sh.pass() // reads 3
+	junk(20)
+	for i := 0; i < 4; i++ {
+		sh.pass() // reads 8, 8, 4, then nothing
+	}
+	want := Stats{Passes: 6, EmptyPasses: 2, RxSlotsPeak: 8, RxBatches: 4, BadPkts: 23}
+	got := Stats{Passes: sh.st.Passes, EmptyPasses: sh.st.EmptyPasses, RxSlotsPeak: sh.st.RxSlotsPeak,
+		RxBatches: sh.st.RxBatches, BadPkts: sh.st.BadPkts}
+	if got != want {
+		t.Fatalf("work counts %+v, want %+v", got, want)
 	}
 }

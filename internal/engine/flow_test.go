@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
@@ -651,5 +652,28 @@ func TestEnqueueWakesParkedShard(t *testing.T) {
 	}
 	if sh.st.Flows != 9 {
 		t.Fatalf("%d flows admitted, want 9", sh.st.Flows)
+	}
+}
+
+// TestRoleSizesInClass pins each flow role inside the allocation size
+// class it fills on a 64-bit target: a field that pushes a role over its
+// class costs every flow the gap to the next one (senderFlow at 584 B
+// would take 640).
+func TestRoleSizesInClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size classes pinned for 64-bit targets")
+	}
+	for _, c := range []struct {
+		name        string
+		size, class uintptr
+	}{
+		{"flow", unsafe.Sizeof(flow{}), 128},
+		{"senderFlow", unsafe.Sizeof(senderFlow{}), 576},
+		{"recvFlow", unsafe.Sizeof(recvFlow{}), 96},
+		{"FetchFlow", unsafe.Sizeof(FetchFlow{}), 176},
+	} {
+		if c.size > c.class {
+			t.Errorf("%s is %d B, over its %d B size class", c.name, c.size, c.class)
+		}
 	}
 }

@@ -33,10 +33,10 @@ type memDatagram struct {
 	b   []byte
 }
 
-// newMemPort stages rx slots without buffers: readBatch swaps them in.
+// newMemPort stages rx slots without buffers — readBatch swaps them in —
+// and a tx arena on the heap.
 func newMemPort(sh *shard, clk wire.Clock) *memPort {
-	sh.stageRx(sh.batchSize, 0)
-	sh.rxCeil = sh.batchSize
+	sh.stage(make([]byte, sh.bufSize(sh.batchSize, 0)), sh.batchSize, 0)
 	return &memPort{sh: sh, clk: clk}
 }
 
@@ -45,6 +45,8 @@ func (p *memPort) clock() wire.Clock { return p.clk }
 func (p *memPort) run() { p.wake() }
 
 func (p *memPort) close() { p.closed = true }
+
+func (p *memPort) release() {}
 
 // wake runs on the owner's goroutine like everything else here: an
 // in-memory engine is driven from one goroutine, AddFlow included.

@@ -45,9 +45,11 @@ const (
 type port interface {
 	clock() wire.Clock
 	// run starts whatever calls the shard's pass(); close ends it and
-	// makes readBatch report the port closed.
+	// makes readBatch report the port closed; release frees the shard's
+	// rx and tx buffers, once no pass can run.
 	run()
 	close()
+	release()
 	// readBatch stages up to len(rxBufs) datagrams in the shard's rx
 	// staging, blocking until one is there, wait has passed, or wake is
 	// called. It returns the count, 0 with nothing to read, -1 once closed.
@@ -87,7 +89,7 @@ type shard struct {
 	maxFlows  int
 	idleTO    float64
 
-	// rx staging, allocated by the port (stageRx) and filled by its
+	// rx staging, laid out by the port (stage) and filled by its
 	// readBatch. rxSegs[i], when nonzero, is the GRO segment size of a
 	// kernel-coalesced buffer that dispatch slices back into datagrams;
 	// only the batched socket path sets it.
@@ -95,17 +97,16 @@ type shard struct {
 	rxLens []int
 	rxSrcs []netip.AddrPort
 	rxSegs []int
-	// rxCeil is the slot count the staging may grow to: a read that fills
-	// it is rx saturation. The port sets it with the first staging.
+	// rxCeil is the slots one read may fill: a read that fills them all
+	// is rx saturation.
 	rxCeil int
 
 	// tx staging: flows encode their packets back to back into txArena
 	// (txOff the write offset) and queue them for one batched write. A
 	// flush rewinds the arena, so nothing is recycled, and consecutive
 	// packets to one destination are one contiguous run of memory — one
-	// iovec of a GSO send. The arena starts at txArenaStart bytes and
-	// queueTx doubles it, up to batchSize × maxPacket, whenever the next
-	// packet might not fit: a shard holds what its largest flush needs.
+	// iovec of a GSO send. The arena is batchSize × maxPacket bytes, so a
+	// full batch always fits.
 	txq     [][]byte
 	txAddrs []netip.AddrPort
 	txArena []byte
@@ -168,7 +169,6 @@ func newShard(eng *Engine, idx int) *shard {
 		idleTO:    cfg.IdleTimeout,
 		txq:       make([][]byte, 0, cfg.BatchSize),
 		txAddrs:   make([]netip.AddrPort, 0, cfg.BatchSize),
-		txArena:   make([]byte, min(max(txArenaStart, cfg.MaxPacket), cfg.BatchSize*cfg.MaxPacket)),
 		det:       overload.NewDetector(cfg.Overload),
 		rng:       rand.New(rand.NewSource(wire.MixSeed(cfg.Seed, int64(idx)+0x0B5E))),
 	}
@@ -176,17 +176,20 @@ func newShard(eng *Engine, idx int) *shard {
 	return sh
 }
 
-// stageRx grows the rx staging to n slots, keeping the ones staged; a new
-// slot gets a buffer of size bytes (size 0 leaves it to the port).
-func (sh *shard) stageRx(n, size int) {
-	for len(sh.rxBufs) < n {
-		var b []byte
-		if size > 0 {
-			b = make([]byte, size)
-		}
-		sh.rxBufs, sh.rxLens = append(sh.rxBufs, b), append(sh.rxLens, 0)
-		sh.rxSrcs, sh.rxSegs = append(sh.rxSrcs, netip.AddrPort{}), append(sh.rxSegs, 0)
+// bufSize is the bytes stage lays out for n rx slots of size bytes.
+func (sh *shard) bufSize(n, size int) int { return n*size + sh.batchSize*sh.maxPacket }
+
+// stage lays the shard's buffers out in buf, bufSize(n, size) bytes: n
+// rx slots of size bytes, then the tx arena. Size 0 leaves the slots
+// empty, for a port that swaps its own buffers in.
+func (sh *shard) stage(buf []byte, n, size int) {
+	sh.rxBufs, sh.rxLens = make([][]byte, n), make([]int, n)
+	sh.rxSrcs, sh.rxSegs = make([]netip.AddrPort, n), make([]int, n)
+	for i := 0; i < n && size > 0; i++ {
+		sh.rxBufs[i] = buf[i*size : (i+1)*size : (i+1)*size]
 	}
+	sh.rxCeil = n
+	sh.txArena = buf[n*size:]
 }
 
 // attach puts the shard on its port, reachable there as local.
@@ -240,16 +243,18 @@ func (sh *shard) pass() bool {
 	if n < 0 {
 		return false // port closed
 	}
-	// Rx saturation EWMA: a read that fills a staging which cannot grow
-	// any further means the shard is not keeping up with arrival; an
-	// idle or partial read, or a full one the port answers by staging
-	// more, decays the signal, so pressure falls once load is removed.
+	sh.st.Passes++
+	sh.st.RxSlotsPeak = max(sh.st.RxSlotsPeak, n)
+	// Rx saturation EWMA: a read that fills every slot means the shard is
+	// not keeping up with arrival; an idle or partial read decays the
+	// signal, so pressure falls once load is removed.
 	full := 0.0
 	if n >= sh.rxCeil {
 		full = 1.0
 	}
 	sh.rxFullEWMA += (full - sh.rxFullEWMA) / 32
 	if n == 0 {
+		sh.st.EmptyPasses++
 		return true
 	}
 	sh.st.RxBatches++
@@ -765,15 +770,10 @@ func (sh *shard) enqueue(f *flow) {
 	sh.port.wake()
 }
 
-// txArenaStart is the tx arena's first size (one maxPacket if that is
-// larger): a receiver's ack flushes fill a few KiB, so only a shard that
-// sends more ever grows it.
-const txArenaStart = 64 << 10
-
 // txBuf returns the maxPacket bytes at the arena's write offset, for
 // one outgoing packet to be encoded into and handed to queueTx; a buffer
-// that is not queued is simply handed out again. queueTx keeps that many
-// bytes free.
+// that is not queued is simply handed out again. Fewer than batchSize
+// packets are queued, so that many bytes are always free.
 func (sh *shard) txBuf() []byte {
 	return sh.txArena[sh.txOff : sh.txOff+sh.maxPacket : sh.txOff+sh.maxPacket]
 }
@@ -781,10 +781,7 @@ func (sh *shard) txBuf() []byte {
 // queueTx stages one encoded packet — a prefix of the buffer txBuf last
 // returned, anything else is a bug — for the next batched write, flushing
 // when a full batch is staged. The next packet starts where this one
-// ends; if it might not fit, queueTx flushes now and, below the
-// batchSize × maxPacket ceiling (which a full batch always fits), doubles
-// the arena, which never shrinks. The check is here, not in txBuf, so
-// that txBuf stays small enough to inline into every encoder.
+// ends.
 func (sh *shard) queueTx(pkt []byte, dst netip.AddrPort) {
 	if &pkt[0] != &sh.txArena[sh.txOff] {
 		panic("engine: queueTx of a packet that was not encoded into txBuf()")
@@ -794,11 +791,6 @@ func (sh *shard) queueTx(pkt []byte, dst netip.AddrPort) {
 	sh.txAddrs = append(sh.txAddrs, dst)
 	if len(sh.txq) >= sh.batchSize {
 		sh.flushTx()
-	} else if len(sh.txArena)-sh.txOff < sh.maxPacket {
-		sh.flushTx()
-		if ceil := sh.batchSize * sh.maxPacket; len(sh.txArena) < ceil {
-			sh.txArena = make([]byte, min(2*len(sh.txArena), ceil))
-		}
 	}
 }
 

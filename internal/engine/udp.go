@@ -20,7 +20,7 @@ type udpPort struct {
 	mmsg mmsgState // per-arch batch-syscall state (empty struct on fallback)
 }
 
-func newUDPPort(sh *shard, conn *net.UDPConn, clk wire.Clock) *udpPort {
+func newUDPPort(sh *shard, conn *net.UDPConn, clk wire.Clock) (*udpPort, error) {
 	// As large as default net.core.{r,w}mem_max allow: at engine rates a
 	// shard can be heads-down in timer work for a full batch's duration,
 	// and skb overhead (~2× truesize for small datagrams) halves the
@@ -28,8 +28,7 @@ func newUDPPort(sh *shard, conn *net.UDPConn, clk wire.Clock) *udpPort {
 	conn.SetReadBuffer(1 << 22)
 	conn.SetWriteBuffer(1 << 22)
 	p := &udpPort{sh: sh, clk: clk, conn: conn, v6: conn.LocalAddr().(*net.UDPAddr).IP.To4() == nil}
-	p.initBatch()
-	return p
+	return p, p.initBatch()
 }
 
 func (p *udpPort) clock() wire.Clock { return p.clk }

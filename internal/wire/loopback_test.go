@@ -17,10 +17,11 @@ import (
 
 // The tests in this package's external half drive the wire formats end
 // to end through the code that speaks them in production — an engine
-// flow → bottleneck → engine receiver. One of them, TestLoopbackFixedRate,
-// does it the way `proteusd demo` does, on real sockets through an
-// engine.Shim; the rest run on an engine.SimNet in virtual time, where a
-// fault plan applies and a wall-clock tolerance does not.
+// flow → bottleneck → engine receiver. Two of them, TestLoopbackFixedRate
+// and TestLoopbackScavengerHoldsRate, do it the way `proteusd demo` does,
+// on real sockets through an engine.Shim; the rest run on an
+// engine.SimNet in virtual time, where a fault plan applies and a
+// wall-clock tolerance does not.
 
 // loopbackFlow starts cc's flow across a path shaped by cfg on a
 // Loopback: in virtual time on s, or on real sockets if s is nil.
