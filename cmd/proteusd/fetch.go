@@ -31,7 +31,6 @@ func runFetch(fs *flag.FlagSet, args []string) error {
 	out := fs.String("out", "", "output file (default: object's base name; \"-\" discards)")
 	proto := fs.String("proto", exp.ProtoProteusS, "controller (proteus-s, proteus-p, proteus-h, ...)")
 	seed := fs.Int64("seed", 1, "controller and shim RNG seed")
-	window := fs.Int("window", 0, "reassembly window in segments (0 = default)")
 	segSize := fs.Int("segsize", 0, "segment payload bytes; must match the server (0 = default)")
 	timeout := fs.Float64("timeout", 0, "abort after this many seconds (0 = no limit)")
 	quiet := fs.Bool("quiet", false, "suppress per-second progress")
@@ -81,7 +80,7 @@ func runFetch(fs *flag.FlagSet, args []string) error {
 		listen = "0.0.0.0"
 	}
 	eng, err := engine.New(engine.Config{
-		ListenIP: listen, MaxPacket: wire.SegmentHeaderLen + max(*segSize, fetch.DefaultSegSize),
+		ListenIP: listen, MaxPacket: wire.SegmentHeaderLen + max(*segSize, wire.DefaultSegSize),
 	})
 	if err != nil {
 		return err
@@ -91,16 +90,16 @@ func runFetch(fs *flag.FlagSet, args []string) error {
 		return err
 	}
 	var writeErr error
-	f := &fetch.Fetcher{
-		Dst: dst, CC: exp.NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55))), *proto),
-		ObjID: fetch.ObjectID(*object), SegSize: *segSize, Window: *window,
+	f, err := eng.AddFetch(dst, engine.FetchConfig{
+		ObjID: fetch.ObjectID(*object), SegSize: *segSize,
+		CC: exp.NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55))), *proto),
 		OnData: func(seg int64, payload []byte) {
 			if sink != nil && writeErr == nil {
 				_, writeErr = sink.Write(payload)
 			}
 		},
-	}
-	if err := f.Start(eng); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Printf("proteusd fetch: %s <- %q at %s (%s)\n", dest, *object, *to, *proto)
@@ -115,7 +114,7 @@ func runFetch(fs *flag.FlagSet, args []string) error {
 		deadline = time.After(time.Duration(*timeout * float64(time.Second)))
 	}
 	t0 := time.Now()
-	var last fetch.FetcherStats
+	var last engine.FetchStats
 	for {
 		select {
 		case <-f.Done():
@@ -143,7 +142,7 @@ func runFetch(fs *flag.FlagSet, args []string) error {
 
 // fetchReport prints the transfer summary and returns non-nil if the
 // object did not arrive intact.
-func fetchReport(f *fetch.Fetcher, t0 time.Time, writeErr error) error {
+func fetchReport(f *engine.FetchFlow, t0 time.Time, writeErr error) error {
 	st := f.Stats()
 	secs := time.Since(t0).Seconds()
 	mbps := 0.0

@@ -105,7 +105,7 @@ func TestFetchFlagSurface(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
 	want := map[string]string{
 		"to": "127.0.0.1:9741", "object": "", "out": "", "proto": "proteus-s",
-		"seed": "1", "window": "0", "segsize": "0", "timeout": "0", "quiet": "false",
+		"seed": "1", "segsize": "0", "timeout": "0", "quiet": "false",
 		"shim": "false", "mbps": "20", "rtt": "0.04", "queue": "0", "loss": "0",
 	}
 	if len(got) != len(want) {

@@ -12,7 +12,7 @@ import (
 // The rate-control and noise-tolerance parameters, at the paper's values
 // (§5; Vivace's for the monitor interval and the step controller). Every
 // PCC family member shares them. The floats are typed: an untyped
-// minRateMbps*epsilon would fold to exactly 0.005 rather than the
+// minRateMbps*Epsilon would fold to exactly 0.005 rather than the
 // float64 product 0.005000000000000001, and move the figures.
 const (
 	// Monitor intervals.
@@ -24,7 +24,7 @@ const (
 	initialRateMbps float64 = 1
 	minRateMbps     float64 = 0.1
 	maxRateMbps     float64 = 10000
-	epsilon         float64 = 0.05 // probing rate perturbation (±ε)
+	Epsilon         float64 = 0.05 // probing rate perturbation (±ε); internal/equi's too
 	theta0          float64 = 0.5  // gradient→rate conversion factor, Mbps per utility-slope unit
 	omegaInit       float64 = 0.05 // initial rate-change boundary, fraction of rate
 	omegaStep       float64 = 0.10 // boundary growth per consecutive boundary hit
@@ -443,8 +443,8 @@ func (c *Controller) clearProbes() {
 // in random order (§5 majority rule: Proteus uses three pairs and takes
 // the majority direction; Vivace uses two and requires consistency).
 func (c *Controller) setupProbes() {
-	hi := c.clampRate(c.rate * (1 + epsilon))
-	lo := c.clampRate(c.rate * (1 - epsilon))
+	hi := c.clampRate(c.rate * (1 + Epsilon))
+	lo := c.clampRate(c.rate * (1 - Epsilon))
 	for p := 0; p < c.cfg.ProbePairs; p++ {
 		if c.cfg.Rng.Intn(2) == 0 {
 			c.probeQueue = append(c.probeQueue, hi, lo)
@@ -573,7 +573,7 @@ func (c *Controller) applyDecision(now, dir, grad float64) {
 	} else {
 		c.omega = omegaInit
 	}
-	if min := minRateMbps * epsilon; step < min {
+	if min := minRateMbps * Epsilon; step < min {
 		step = min
 	}
 	prev := c.rate

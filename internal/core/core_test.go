@@ -461,10 +461,10 @@ func TestConfigDefaults(t *testing.T) {
 	if v != (Config{Rng: rng, ProbePairs: 2, FixedGradTolerance: 0.005}) {
 		t.Fatalf("Vivace preset must disable Proteus noise mechanisms: %+v", v)
 	}
-	if epsilon != 0.05 || trendK != 6 || g1 != 2 || g2 != 4 || ackIntervalRatio != 50 {
+	if Epsilon != 0.05 || trendK != 6 || g1 != 2 || g2 != 4 || ackIntervalRatio != 50 {
 		t.Fatal("§5 constants differ from the paper")
 	}
-	if utilT != 0.9 || utilB != 900 || utilC != 11.35 {
+	if UtilT != 0.9 || UtilB != 900 || utilC != 11.35 {
 		t.Fatal("utility constants differ from §6's t, b, c")
 	}
 }

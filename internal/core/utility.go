@@ -35,10 +35,11 @@ type UtilityFunc interface {
 }
 
 // The constants of the Proteus-P utility function (eq. 1), the PCC
-// Vivace values the paper adopts in §6.
+// Vivace values the paper adopts in §6. t and b are exported for the
+// equilibrium model (internal/equi), which solves the same utility.
 const (
-	utilT float64 = 0.9   // throughput exponent t ∈ (0,1); concavity
-	utilB float64 = 900   // latency-gradient coefficient b > 0
+	UtilT float64 = 0.9   // throughput exponent t ∈ (0,1); concavity
+	UtilB float64 = 900   // latency-gradient coefficient b > 0
 	utilC float64 = 11.35 // loss coefficient c (11.35 tolerates 5% random loss)
 )
 
@@ -66,7 +67,7 @@ func (u *Primary) Utility(m Metrics) float64 {
 	if grad < 0 {
 		grad = 0
 	}
-	return math.Pow(x, utilT) - utilB*x*grad - utilC*x*m.LossRate
+	return math.Pow(x, UtilT) - UtilB*x*grad - utilC*x*m.LossRate
 }
 
 // Scavenger is the Proteus-S utility (eq. 2):
@@ -173,7 +174,7 @@ func (u *VivaceUtility) Utility(m Metrics) float64 {
 	if x < 0 {
 		x = 0
 	}
-	return math.Pow(x, utilT) - utilB*x*m.RTTGradient - utilC*x*m.LossRate
+	return math.Pow(x, UtilT) - UtilB*x*m.RTTGradient - utilC*x*m.LossRate
 }
 
 // AllegroUtility is the utility of PCC Allegro (Dong et al., NSDI '15),
@@ -242,5 +243,5 @@ func (u *Proportional) Utility(m Metrics) float64 {
 	if grad < 0 {
 		grad = 0
 	}
-	return u.W*math.Pow(x, utilT) - utilB*x*grad - utilC*x*m.LossRate
+	return u.W*math.Pow(x, UtilT) - UtilB*x*grad - utilC*x*m.LossRate
 }

@@ -87,3 +87,61 @@ func (h *hotpathHarness) step() int {
 	h.snd.turn()
 	return int(h.sndShard.st.TxPkts - sent)
 }
+
+// RunFetchCoreBench measures the steady-state per-segment fetch path
+// against serve, a stateless server (Config.OnFetch) of object objID in
+// segments of segSize bytes: request selection and record bookkeeping in
+// the fetch core, FETCH encode and decode, serve's SEGMENT encode, SEGMENT
+// decode with CRC verify, and in-order delivery with the running
+// SHA-256. SetBytes is the segment payload, so the report's MB/s column
+// is the single-core goodput ceiling of the protocol machinery (no
+// sockets, no pacing). Exported for the benchmark harness.
+func RunFetchCoreBench(b *testing.B, serve func(wire.FetchHeader, []byte) []byte, objID uint64, segSize int) {
+	newCore := func() *fetchCore {
+		c, err := newFetchCore(FetchConfig{
+			// An uncontended controller: rate and window never gate, so the
+			// measured cost is the fetch machinery itself.
+			ObjID: objID, CC: &FixedRateCC{Rate: 125e6}, SegSize: segSize,
+			OnData: func(seg int64, payload []byte) {},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	core := newCore()
+	reqBuf := make([]byte, wire.FetchLen)
+	segBuf := make([]byte, wire.MaxDataLen)
+	now := 0.0
+
+	b.ReportAllocs()
+	b.SetBytes(int64(segSize))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += 1e-5
+		req, ok := core.issue(now, now)
+		if !ok {
+			b.Fatal("core refused to issue with an uncontended controller")
+		}
+		req.SentAt = int64(now * 1e9)
+		h, err := wire.DecodeFetch(wire.EncodeFetch(reqBuf, req))
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp := serve(h, segBuf)
+		if resp == nil {
+			b.Fatal("server refused a valid request")
+		}
+		sh, payload, err := wire.DecodeSegment(resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		core.onResponse(sh, payload, now, now)
+		if core.done() {
+			if !core.verified {
+				b.Fatal("object failed verification")
+			}
+			core = newCore()
+		}
+	}
+}

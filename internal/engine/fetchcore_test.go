@@ -1,4 +1,4 @@
-package fetch
+package engine
 
 import (
 	"crypto/sha256"
@@ -7,27 +7,8 @@ import (
 	"runtime"
 	"testing"
 
-	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
-
-// fixedCC is a minimal controller for datapath tests: a constant pacing
-// rate and congestion window, with counters proving the core delivers
-// the standard callback sequence.
-type fixedCC struct {
-	rate  float64
-	cwnd  float64
-	sends int
-	acks  int
-	loss  int
-}
-
-func (c *fixedCC) Name() string                                  { return "test-fixed" }
-func (c *fixedCC) OnSend(now float64, pkt *transport.SentPacket) { c.sends++ }
-func (c *fixedCC) OnAck(transport.Ack)                           { c.acks++ }
-func (c *fixedCC) OnLoss(transport.Loss)                         { c.loss++ }
-func (c *fixedCC) PacingRate() float64                           { return c.rate }
-func (c *fixedCC) CWnd() float64                                 { return c.cwnd }
 
 // handServer drives a Core against a synthetic in-memory server with a
 // fixed RTT and a per-response drop hook, stepping virtual time by hand.
@@ -44,8 +25,9 @@ type handServer struct {
 }
 
 type timedResp struct {
-	at float64
-	r  Response
+	at      float64
+	h       wire.SegmentHeader
+	payload []byte
 }
 
 func newHandServer(size int, segSize int, rtt float64) *handServer {
@@ -53,50 +35,50 @@ func newHandServer(size int, segSize int, rtt float64) *handServer {
 	rand.New(rand.NewSource(7)).Read(data)
 	return &handServer{
 		data: data, segSize: segSize, rtt: rtt,
-		total:  TotalSegs(int64(size), segSize),
+		total:  int64((size + segSize - 1) / segSize),
 		digest: sha256.Sum256(data),
 	}
 }
 
-func (sv *handServer) respond(req Request, now float64) {
+func (sv *handServer) respond(req wire.FetchHeader, now float64) {
 	n := sv.reqs
 	sv.reqs++
 	if sv.drop != nil && sv.drop(n) {
 		return
 	}
-	r := Response{Nonce: req.Nonce, Seg: req.Seg, Meta: req.Meta,
-		TotalSegs: sv.total, ObjSize: int64(len(sv.data))}
+	r := timedResp{at: now + sv.rtt, h: wire.SegmentHeader{Nonce: req.Nonce, Seg: req.Seg, Meta: req.Meta,
+		TotalSegs: sv.total, ObjSize: int64(len(sv.data))}}
 	if req.Meta {
-		r.Payload = sv.digest[:]
+		r.payload = sv.digest[:]
 	} else {
 		lo := req.Seg * int64(sv.segSize)
 		hi := lo + int64(sv.segSize)
 		if hi > int64(len(sv.data)) {
 			hi = int64(len(sv.data))
 		}
-		r.Payload = sv.data[lo:hi]
+		r.payload = sv.data[lo:hi]
 	}
-	sv.queue = append(sv.queue, timedResp{at: now + sv.rtt, r: r})
+	sv.queue = append(sv.queue, r)
 }
 
 // tick drives the core's book as an engine shard's pump does on its
 // tick: stall watchdog, RTO sweep, and a keep-alive probe when one is
 // due.
-func tick(c *Core, now float64) (Request, bool) {
-	b := c.Book()
+func tick(c *fetchCore, now float64) (wire.FetchHeader, bool) {
+	b := &c.book
 	b.Watchdog(now)
 	if b.Expire(now) {
 		b.BackOff(now)
 	}
 	if !b.ProbeDue(now) {
-		return Request{}, false
+		return wire.FetchHeader{}, false
 	}
-	return c.Probe(now), true
+	return c.probe(now), true
 }
 
 // run steps the core against the server until completion or the time
 // horizon, returning the completion time.
-func (sv *handServer) run(t *testing.T, c *Core, horizon float64) float64 {
+func (sv *handServer) run(t *testing.T, c *fetchCore, horizon float64) float64 {
 	t.Helper()
 	const dt = 0.001
 	for now := 0.0; now < horizon; now += dt {
@@ -104,25 +86,25 @@ func (sv *handServer) run(t *testing.T, c *Core, horizon float64) float64 {
 			sv.respond(req, now)
 		}
 		for {
-			if _, ok := c.PeekSize(); !ok {
+			if _, ok := c.peekSize(); !ok {
 				break
 			}
-			req, ok := c.Issue(now, now)
+			req, ok := c.issue(now, now)
 			if !ok {
-				t.Fatalf("PeekSize ok but Issue refused at t=%.3f", now)
+				t.Fatalf("peekSize ok but issue refused at t=%.3f", now)
 			}
 			sv.respond(req, now)
 		}
 		rest := sv.queue[:0]
 		for _, tr := range sv.queue {
 			if tr.at <= now {
-				c.OnResponse(tr.r, tr.at, now)
+				c.onResponse(tr.h, tr.payload, tr.at, now)
 			} else {
 				rest = append(rest, tr)
 			}
 		}
 		sv.queue = rest
-		if c.Done() {
+		if c.done() {
 			return now
 		}
 	}
@@ -130,38 +112,39 @@ func (sv *handServer) run(t *testing.T, c *Core, horizon float64) float64 {
 }
 
 // The tick publish copies the counters by value under a mutex: it
-// allocates nothing, and Fetcher.Stats reads what the core counted.
+// allocates nothing, and FetchFlow.Stats reads what the core counted.
 func TestCorePublishZeroAllocs(t *testing.T) {
-	c, err := NewCore(Config{CC: &fixedCC{rate: 2e6, cwnd: math.Inf(1)}, SegSize: 1000})
+	c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 2e6, cwnd: math.Inf(1)}, SegSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	newHandServer(10500, 1000, 0.050).run(t, c, 30)
-	if allocs := testing.AllocsPerRun(100, func() { c.Publish(1, 2) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { c.publish(1, 2) }); allocs != 0 {
 		t.Fatalf("tick publish allocates %.1f/op, want 0", allocs)
 	}
-	st := (&Fetcher{core: c}).Stats()
-	if st.CoreStats != c.Stats() || !st.Verified || st.CrcErrs != 1 || st.BadResps != 3 ||
+	st, core := (&FetchFlow{core: c}).Stats(), c.stats()
+	core.BadResps, core.CrcErrs = st.BadResps, st.CrcErrs
+	if st != core || !st.Verified || st.CrcErrs != 1 || st.BadResps != 3 ||
 		st.SentBytes != (st.ReqsSent+st.Probes)*wire.FetchLen || math.Abs(st.P50RTT-0.050) > 0.004 {
-		t.Fatalf("published %+v, core %+v", st, c.Stats())
+		t.Fatalf("published %+v, core %+v", st, c.stats())
 	}
 }
 
 func TestCoreCleanTransfer(t *testing.T) {
-	cc := &fixedCC{rate: 2e6, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 1000})
+	cc := &countingCC{rate: 2e6, cwnd: math.Inf(1)}
+	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sv := newHandServer(10500, 1000, 0.050)
 	end := sv.run(t, c, 30)
-	if !c.Done() || !c.Stats().Verified {
-		t.Fatalf("done=%v verified=%v", c.Done(), c.Stats().Verified)
+	if !c.done() || !c.stats().Verified {
+		t.Fatalf("done=%v verified=%v", c.done(), c.stats().Verified)
 	}
 	if end >= 30 {
 		t.Fatalf("did not complete before horizon")
 	}
-	st := c.Stats()
+	st := c.stats()
 	if st.Delivered != 10500 {
 		t.Fatalf("delivered=%d want 10500", st.Delivered)
 	}
@@ -175,22 +158,22 @@ func TestCoreCleanTransfer(t *testing.T) {
 }
 
 func TestCoreRecoversFromLoss(t *testing.T) {
-	cc := &fixedCC{rate: 4e6, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 1000})
+	cc := &countingCC{rate: 4e6, cwnd: math.Inf(1)}
+	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sv := newHandServer(200_000, 1000, 0.040)
 	sv.drop = func(n int64) bool { return n%7 == 3 } // lose every 7th response
 	sv.run(t, c, 60)
-	if !c.Done() || !c.Stats().Verified {
-		t.Fatalf("done=%v stats=%+v", c.Done(), c.Stats())
+	if !c.done() || !c.stats().Verified {
+		t.Fatalf("done=%v stats=%+v", c.done(), c.stats())
 	}
-	st := c.Stats()
+	st := c.stats()
 	if st.LostReqs == 0 {
 		t.Fatalf("expected declared losses, got none")
 	}
-	if cc.loss == 0 {
+	if cc.losses == 0 {
 		t.Fatalf("controller never heard OnLoss")
 	}
 	if st.Refetched != 0 {
@@ -205,54 +188,53 @@ func TestCoreRecoversFromLoss(t *testing.T) {
 // still deliver its segment — data is data — and the pending
 // retransmit for that segment must be skipped, not re-sent.
 func TestCoreLateResponseDelivers(t *testing.T) {
-	cc := &fixedCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 100})
+	cc := &countingCC{rate: 1e6, cwnd: math.Inf(1)}
+	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Geometry via a synthetic meta response so the core can issue.
-	c.OnResponse(Response{Nonce: 999, Meta: true, TotalSegs: 3, ObjSize: 300,
-		Payload: make([]byte, 32)}, 0, 0)
+	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 3, ObjSize: 300}, make([]byte, 32), 0, 0)
 
-	req0, ok := c.Issue(0, 0)
+	req0, ok := c.issue(0, 0)
 	if !ok || req0.Meta {
 		t.Fatalf("expected fresh segment request, got %+v ok=%v", req0, ok)
 	}
 	// Force the request lost via the RTO backstop (no responses for >RTO).
 	tick(c, 5.0)
-	if got := c.Stats().LostReqs; got != 1 {
+	if got := c.stats().LostReqs; got != 1 {
 		t.Fatalf("lostReqs=%d want 1", got)
 	}
 	// The late response arrives anyway.
-	c.OnResponse(Response{Nonce: req0.Nonce, Seg: req0.Seg, TotalSegs: 3, ObjSize: 300}, 5.1, 5.1)
-	if c.Stats().SegsRx != 1 {
-		t.Fatalf("late response did not deliver: %+v", c.Stats())
+	c.onResponse(wire.SegmentHeader{Nonce: req0.Nonce, Seg: req0.Seg, TotalSegs: 3, ObjSize: 300}, nil, 5.1, 5.1)
+	if c.stats().SegsRx != 1 {
+		t.Fatalf("late response did not deliver: %+v", c.stats())
 	}
 	// The retransmit queue entry for that segment must now be skipped:
 	// the next issued request is for segment 1, not 0 again.
-	req1, ok := c.Issue(5.2, 5.2)
+	req1, ok := c.issue(5.2, 5.2)
 	if !ok || req1.Seg != 1 {
 		t.Fatalf("next request seg=%d ok=%v want seg=1 (done seg skipped)", req1.Seg, ok)
 	}
-	if c.Stats().Refetched != 0 {
-		t.Fatalf("refetched=%d want 0", c.Stats().Refetched)
+	if c.stats().Refetched != 0 {
+		t.Fatalf("refetched=%d want 0", c.stats().Refetched)
 	}
 }
 
 // The reassembly window bounds how far ahead of the in-order point the
 // fetcher requests: with segment 0's responses withheld, issuance stops
-// at exactly Window outstanding segments.
+// at exactly window outstanding segments.
 func TestCoreReassemblyWindowBound(t *testing.T) {
-	cc := &fixedCC{rate: 1e9, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 100, Window: 8})
+	cc := &countingCC{rate: 1e9, cwnd: math.Inf(1)}
+	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.OnResponse(Response{Nonce: 999, Meta: true, TotalSegs: 100, ObjSize: 10000,
-		Payload: make([]byte, 32)}, 0, 0)
+	c.window = 8
+	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 100, ObjSize: 10000}, make([]byte, 32), 0, 0)
 	issued := 0
 	for {
-		req, ok := c.Issue(0.001, 0.001)
+		req, ok := c.issue(0.001, 0.001)
 		if !ok {
 			break
 		}
@@ -262,8 +244,8 @@ func TestCoreReassemblyWindowBound(t *testing.T) {
 		issued++
 		if req.Seg != 0 {
 			// Respond to everything except segment 0.
-			c.OnResponse(Response{Nonce: req.Nonce, Seg: req.Seg,
-				TotalSegs: 100, ObjSize: 10000}, 0.002, 0.002)
+			c.onResponse(wire.SegmentHeader{Nonce: req.Nonce, Seg: req.Seg,
+				TotalSegs: 100, ObjSize: 10000}, nil, 0.002, 0.002)
 		}
 		if issued > 50 {
 			break
@@ -277,16 +259,15 @@ func TestCoreReassemblyWindowBound(t *testing.T) {
 // The congestion window gates issuance in expected-response bytes.
 func TestCoreCwndGate(t *testing.T) {
 	respSize := wireRespSize(1000)
-	cc := &fixedCC{rate: 1e9, cwnd: float64(3 * respSize)}
-	c, err := NewCore(Config{CC: cc, SegSize: 1000})
+	cc := &countingCC{rate: 1e9, cwnd: float64(3 * respSize)}
+	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.OnResponse(Response{Nonce: 999, Meta: true, TotalSegs: 100, ObjSize: 100_000,
-		Payload: make([]byte, 32)}, 0, 0)
+	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 100, ObjSize: 100_000}, make([]byte, 32), 0, 0)
 	n := 0
 	for {
-		if _, ok := c.Issue(0.001, 0.001); !ok {
+		if _, ok := c.issue(0.001, 0.001); !ok {
 			break
 		}
 		n++
@@ -297,22 +278,21 @@ func TestCoreCwndGate(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("issued %d requests under a 3-response cwnd", n)
 	}
-	if c.Stats().Inflight != 3*respSize {
-		t.Fatalf("inflight=%d want %d", c.Stats().Inflight, 3*respSize)
+	if c.stats().Inflight != 3*respSize {
+		t.Fatalf("inflight=%d want %d", c.stats().Inflight, 3*respSize)
 	}
 }
 
 // An outage freezes issuance, probes keep flowing, and the first
 // response recovers the transfer at the pre-outage rate.
 func TestCoreOutageAndRecovery(t *testing.T) {
-	cc := &fixedCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 1000})
+	cc := &countingCC{rate: 1e6, cwnd: math.Inf(1)}
+	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.OnResponse(Response{Nonce: 999, Meta: true, TotalSegs: 50, ObjSize: 50_000,
-		Payload: make([]byte, 32)}, 0, 0)
-	if _, ok := c.Issue(0.01, 0.01); !ok {
+	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 50, ObjSize: 50_000}, make([]byte, 32), 0, 0)
+	if _, ok := c.issue(0.01, 0.01); !ok {
 		t.Fatal("no request issued")
 	}
 	// Silence for far past the watchdog threshold. Like a driver, keep
@@ -323,25 +303,25 @@ func TestCoreOutageAndRecovery(t *testing.T) {
 		if _, ok := tick(c, now); ok {
 			probes++
 		}
-		c.Issue(now, now)
+		c.issue(now, now)
 	}
-	st := c.Stats()
+	st := c.stats()
 	if !st.InOutage || st.WdTrips != 1 {
 		t.Fatalf("watchdog did not trip: %+v", st)
 	}
 	if probes == 0 {
 		t.Fatalf("no probes during outage")
 	}
-	if _, ok := c.PeekSize(); ok {
+	if _, ok := c.peekSize(); ok {
 		t.Fatalf("issuance not frozen during outage")
 	}
 	// Any response heals the path.
-	c.OnResponse(Response{Nonce: 12345, Seg: 3, TotalSegs: 50, ObjSize: 50_000}, 3.0, 3.0)
-	st = c.Stats()
+	c.onResponse(wire.SegmentHeader{Nonce: 12345, Seg: 3, TotalSegs: 50, ObjSize: 50_000}, nil, 3.0, 3.0)
+	st = c.stats()
 	if st.InOutage || st.WdRecov != 1 {
 		t.Fatalf("no recovery: %+v", st)
 	}
-	if _, ok := c.PeekSize(); !ok {
+	if _, ok := c.peekSize(); !ok {
 		t.Fatalf("issuance still frozen after recovery")
 	}
 }
@@ -358,34 +338,34 @@ func TestCoreStampLeadNoSpuriousLoss(t *testing.T) {
 		rtt  = 0.190 // stamp → response
 		segs = 300
 	)
-	cc := &fixedCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := NewCore(Config{CC: cc, SegSize: 1000})
+	cc := &countingCC{rate: 1e6, cwnd: math.Inf(1)}
+	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var queue []timedResp
-	for i := 0; i < 4000 && !c.Done(); i++ {
+	for i := 0; i < 4000 && !c.done(); i++ {
 		now := float64(i) * 0.001
 		if i%10 == 0 {
 			tick(c, now)
 		}
 		if i%5 == 0 {
-			if req, ok := c.Issue(now, now+lead); ok {
-				queue = append(queue, timedResp{at: now + lead + rtt, r: Response{
+			if req, ok := c.issue(now, now+lead); ok {
+				queue = append(queue, timedResp{at: now + lead + rtt, h: wire.SegmentHeader{
 					Nonce: req.Nonce, Seg: req.Seg, Meta: req.Meta,
 					TotalSegs: segs, ObjSize: segs * 1000,
 				}})
 			}
 		}
 		for len(queue) > 0 && queue[0].at <= now {
-			c.OnResponse(queue[0].r, queue[0].at, now)
+			c.onResponse(queue[0].h, queue[0].payload, queue[0].at, now)
 			queue = queue[1:]
 		}
 	}
-	st := c.Stats()
-	if !st.Done || st.LostReqs != 0 || cc.loss != 0 || st.Dups != 0 {
+	st := c.stats()
+	if !st.Done || st.LostReqs != 0 || cc.losses != 0 || st.Dups != 0 {
 		t.Fatalf("done=%v lostReqs=%d OnLoss=%d dups=%d: stamp-leading requests were aged from their emission",
-			st.Done, st.LostReqs, cc.loss, st.Dups)
+			st.Done, st.LostReqs, cc.losses, st.Dups)
 	}
 	if math.Abs(st.SRTT-rtt) > 0.002 {
 		t.Fatalf("srtt %.3f want %.3f (measured from the stamp)", st.SRTT, rtt)
@@ -398,20 +378,21 @@ func TestCoreStampLeadNoSpuriousLoss(t *testing.T) {
 // the claim, and the fetch still requests exactly a window ahead.
 func TestCoreHostileGeometry(t *testing.T) {
 	for _, total := range []int64{math.MaxInt64, 1 << 24} {
-		c, err := NewCore(Config{CC: &fixedCC{rate: 1e9, cwnd: math.Inf(1)}, SegSize: 1000, Window: 64})
+		c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 1e9, cwnd: math.Inf(1)}, SegSize: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.window = 64
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		c.OnResponse(Response{Nonce: 1, Seg: 7, TotalSegs: total, ObjSize: math.MaxInt64, Payload: make([]byte, 1000)}, 0, 0)
+		c.onResponse(wire.SegmentHeader{Nonce: 1, Seg: 7, TotalSegs: total, ObjSize: math.MaxInt64}, make([]byte, 1000), 0, 0)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
 			t.Fatalf("TotalSegs=%d: one response allocated %d bytes", total, grew)
 		}
 		fresh := 0
 		for i := 0; i < 1000; i++ {
-			req, ok := c.Issue(0.001, 0.001)
+			req, ok := c.issue(0.001, 0.001)
 			if !ok {
 				break
 			}
@@ -426,7 +407,7 @@ func TestCoreHostileGeometry(t *testing.T) {
 }
 
 func wireRespSize(segSize int) int {
-	c, _ := NewCore(Config{CC: &fixedCC{rate: 1, cwnd: 1}, SegSize: segSize})
+	c, _ := newFetchCore(FetchConfig{CC: &countingCC{rate: 1, cwnd: 1}, SegSize: segSize})
 	return c.segWire(0)
 }
 
@@ -436,11 +417,12 @@ func wireRespSize(segSize int) int {
 // arrives out of order waits in a buffer an earlier one gave back.
 func TestCoreReorderZeroAllocSteadyState(t *testing.T) {
 	const segSize, window = 200, 64
-	c, err := NewCore(Config{CC: &fixedCC{rate: 1e6, cwnd: math.Inf(1)}, SegSize: segSize, Window: window,
+	c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 1e6, cwnd: math.Inf(1)}, SegSize: segSize,
 		OnData: func(int64, []byte) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.window = window
 	sv := newHandServer(20000*segSize, segSize, 0.020)
 	sv.drop = func(n int64) bool { return n%11 == 7 }
 	now := 0.0
@@ -450,7 +432,7 @@ func TestCoreReorderZeroAllocSteadyState(t *testing.T) {
 			if req, ok := tick(c, now); ok {
 				sv.respond(req, now)
 			}
-			for req, ok := c.Issue(now, now); ok; req, ok = c.Issue(now, now) {
+			for req, ok := c.issue(now, now); ok; req, ok = c.issue(now, now) {
 				n := len(sv.queue)
 				if sv.respond(req, now); len(sv.queue) > n && sv.reqs%5 == 0 {
 					sv.queue[n].at += 0.004 // overtaken by the responses behind it
@@ -459,7 +441,7 @@ func TestCoreReorderZeroAllocSteadyState(t *testing.T) {
 			rest := sv.queue[:0]
 			for _, tr := range sv.queue {
 				if tr.at <= now {
-					c.OnResponse(tr.r, tr.at, now)
+					c.onResponse(tr.h, tr.payload, tr.at, now)
 				} else {
 					rest = append(rest, tr)
 				}
@@ -470,9 +452,9 @@ func TestCoreReorderZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		step()
 	}
-	before := c.Stats()
+	before := c.stats()
 	allocs := testing.AllocsPerRun(100, step)
-	st := c.Stats()
+	st := c.stats()
 	if st.Done || st.SegsRx-before.SegsRx < 10*window || st.LostReqs == before.LostReqs || len(c.spare) == 0 {
 		t.Fatalf("after %+v, %+v with %d spare buffers: want many windows, losses and reordering, not completion",
 			before, st, len(c.spare))

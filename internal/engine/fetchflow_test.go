@@ -1,123 +1,72 @@
 package engine
 
 import (
+	"crypto/sha256"
 	"math"
+	"math/rand"
 	"testing"
 
 	"pccproteus/internal/overload"
-	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
 
-// scriptCore is a FetchCore small enough to read in a test: segs equal
-// segments requested in order, lost ones re-requested first, delivery in
-// order. Outstanding requests live in a real transport.Recovery, so the
-// RTO, the watchdog and the probe cadence the tests wait for are the
-// book's, not the script's. fetch.Core's own rules are tested in
-// internal/fetch; what is checked here is the shard's driving of a core.
-type scriptCore struct {
-	cc   *countingCC
-	book transport.Recovery
-	segs int64
-	size int // expected response size of every segment
-
-	next      int64
-	retx      []int64
-	got       []bool
-	order     []int64 // segments in delivery order
-	refetched int
-}
-
-func newScriptCore(segs int64, size int, rate float64) *scriptCore {
-	c := &scriptCore{cc: &countingCC{rate: rate, cwnd: 1e9}, segs: segs, size: size, got: make([]bool, segs)}
-	c.book.Init(c.cc, func(r *transport.Record, now float64) {
-		if !c.got[r.Tag] {
-			c.retx = append(c.retx, r.Tag)
-		}
-	})
-	return c
-}
-
-func (c *scriptCore) Book() *transport.Recovery { return &c.book }
-
-func (c *scriptCore) Probe(now float64) wire.FetchHeader {
-	return wire.FetchHeader{ObjID: rigObj, Nonce: c.book.AddProbe(now, 0).Seq, Seg: int64(len(c.order))}
-}
-
-func (c *scriptCore) PeekSize() (int, bool) {
-	if c.book.InOutage() || len(c.retx) == 0 && c.next >= c.segs {
-		return 0, false
-	}
-	return c.size, float64(c.book.Inflight()+c.size) <= c.cc.cwnd
-}
-
-func (c *scriptCore) Issue(now, virt float64) (wire.FetchHeader, bool) {
-	if _, ok := c.PeekSize(); !ok {
-		return wire.FetchHeader{}, false
-	}
-	var seg int64
-	if len(c.retx) > 0 {
-		seg, c.retx = c.retx[0], c.retx[1:]
-	} else {
-		seg = c.next
-		c.next++
-	}
-	if c.got[seg] {
-		c.refetched++
-	}
-	r := c.book.Add(now, c.size, virt, max(now, virt))
-	r.Tag = seg
-	return wire.FetchHeader{ObjID: rigObj, Nonce: r.Seq, Seg: seg}, true
-}
-
-func (c *scriptCore) OnResponse(r FetchResponse, recvAt, now float64) bool {
-	healed := c.book.Alive(now)
-	if rec := c.book.Find(r.Nonce); rec != nil {
-		c.book.Ack(rec)
-		if !rec.Probe {
-			c.book.RTT.Update(max(recvAt-rec.SentAt, 0))
-		}
-	}
-	if !c.got[r.Seg] {
-		c.got[r.Seg] = true
-		for n := int64(len(c.order)); n < c.segs && c.got[n]; n++ {
-			c.order = append(c.order, n)
-		}
-	}
-	c.book.Detect(now)
-	return healed
-}
-
-func (c *scriptCore) Done() bool           { return int64(len(c.order)) == c.segs }
-func (c *scriptCore) Publish(int64, int64) {}
-
 // fetchRig is one fetch flow on a socketless shard with the test as
 // its server: the test owns the clock, reads requests out of sh.txq and
-// hands SEGMENTs to dispatch.
+// hands SEGMENTs to dispatch. The flow is taken in by admit() at the
+// clock's 0 and its metadata request answered, with the object's digest,
+// rigRTT later; the tests start from there, at t0, with the geometry
+// known and the first data train in sh.txq.
 type fetchRig struct {
-	t    *testing.T
-	sh   *shard
-	f    *flow
-	core *scriptCore
+	t      *testing.T
+	sh     *shard
+	f      *flow
+	core   *fetchCore
+	cc     *countingCC
+	obj    []byte
+	digest [wire.DigestLen]byte
+	meta   wire.FetchHeader // the request admission sent
+	order  []int64          // segments in delivery order (OnData)
+	t0     float64
+	buf    []byte // what segment encodes into
 }
 
 const (
 	rigObj  = 0xfeed
 	rigResp = 1000 // response bytes per segment: 1 ms at the rig's 1 MB/s
+	rigSeg  = rigResp - wire.SegmentHeaderLen
+	rigRTT  = 0.005 // the metadata's turn-around
 )
 
 func newFetchRig(t *testing.T, cfg Config, segs int64) *fetchRig {
-	sh := newTestShard(t, cfg)
-	core := newScriptCore(segs, rigResp, 1e6)
-	if _, err := sh.eng.AddFetch(src(9000), rigObj, core, rigResp, overload.ClassPrimary); err != nil {
+	t.Helper()
+	r := &fetchRig{t: t, sh: newTestShard(t, cfg), cc: &countingCC{rate: 1e6, cwnd: 1e9},
+		obj: make([]byte, segs*rigSeg), order: make([]int64, 0, segs), buf: make([]byte, rigResp)}
+	rand.New(rand.NewSource(segs)).Read(r.obj)
+	r.digest = sha256.Sum256(r.obj)
+	ff, err := r.sh.eng.AddFetch(src(9000), FetchConfig{ObjID: rigObj, CC: r.cc, SegSize: rigSeg,
+		OnData: func(seg int64, _ []byte) { r.order = append(r.order, seg) }})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Taken in by hand, without admit()'s first service: that would read
-	// the wall clock, and the tests own the time.
-	f := sh.admitQ[0]
-	sh.admitQ = nil
-	sh.insert(f)
-	return &fetchRig{t: t, sh: sh, f: f, core: core}
+	r.sh.admit()
+	v, _ := r.sh.fetches.Load(ff.key)
+	r.f, r.core = v.(*flow), ff.core
+	reqs := r.requests()
+	if len(reqs) != 1 || !reqs[0].Meta {
+		t.Fatalf("admission queued %+v, want the metadata request alone", reqs)
+	}
+	r.meta = reqs[0]
+	// Until the digest and the geometry are in, nothing else may go out.
+	for ms := 1; ms < int(rigRTT*1000); ms++ {
+		now := float64(ms) / 1000
+		r.sh.service(r.f, now)
+		if len(r.sh.txq) != 0 {
+			t.Fatalf("t=%.3f: %d requests before the geometry is known", now, len(r.sh.txq))
+		}
+	}
+	r.t0 = rigRTT
+	r.answer(r.meta, r.t0)
+	return r
 }
 
 // requests drains sh.txq, which must hold only FETCHes for the rig's
@@ -136,12 +85,18 @@ func (r *fetchRig) requests() []wire.FetchHeader {
 	return out
 }
 
-// segment builds the SEGMENT answering h.
+// segment builds the SEGMENT answering h — the digest for the metadata,
+// else the object's bytes of segment h.Seg — in the rig's one buffer,
+// which the next call reuses.
 func (r *fetchRig) segment(h wire.FetchHeader) []byte {
-	return wire.EncodeSegment(make([]byte, 2048), wire.SegmentHeader{
-		Nonce: h.Nonce, SentAtEcho: h.SentAt, ObjID: h.ObjID,
-		TotalSegs: r.core.segs, ObjSize: r.core.segs * 100, Seg: h.Seg,
-	}, make([]byte, 100))
+	payload := r.digest[:]
+	if !h.Meta {
+		payload = r.obj[h.Seg*rigSeg : (h.Seg+1)*rigSeg]
+	}
+	return wire.EncodeSegment(r.buf, wire.SegmentHeader{
+		Nonce: h.Nonce, SentAtEcho: h.SentAt, ObjID: h.ObjID, Meta: h.Meta, Seg: h.Seg,
+		TotalSegs: int64(len(r.obj) / rigSeg), ObjSize: int64(len(r.obj)),
+	}, payload)
 }
 
 func (r *fetchRig) answer(h wire.FetchHeader, now float64) {
@@ -164,32 +119,40 @@ func (r *fetchRig) runUntil(from, limit float64, stop func() bool) float64 {
 }
 
 // Trains are all-or-nothing: a new flow's bucket holds its first train,
-// which leaves at the first service; after that nothing is queued until
-// the bucket covers Burst responses again, then the whole train goes at
-// once, each request stamped one response-serialization time after the
-// last.
+// of which the metadata request leaves at admission; what the bucket
+// holds when the answer brings the geometry leaves at once. After that
+// nothing is queued until the bucket covers Burst responses again, then
+// the whole train goes at once, each request stamped one
+// response-serialization time after the last, the last train's
+// included.
 func TestFetchTrainWaitsForFullBucket(t *testing.T) {
 	r := newFetchRig(t, Config{}, 64)
-	r.sh.service(r.f, 0)
-	if first := r.requests(); len(first) != 4 {
-		t.Fatalf("first service queued %d requests, want the primed train of Burst=4", len(first))
+	if r.meta.Nonce != 0 || r.sh.clock.SecondsSince(r.meta.SentAt) != 0 {
+		t.Fatalf("admission sent %+v stamped %.6f, want nonce 0 at t=0", r.meta, r.sh.clock.SecondsSince(r.meta.SentAt))
 	}
-	at := r.runUntil(0.001, 1, func() bool { return len(r.sh.txq) > 0 })
-	// 4 × 1000 B at 1 MB/s: the bucket, drained at the first service,
-	// covers the next train 4 ms later.
-	if at < 0.004-1e-9 || at > 0.005+1e-9 {
-		t.Fatalf("second train at t=%.4f, want 4 ms after the first", at)
+	first := r.requests()
+	// The bucket filled to its two-train cap while the metadata was out.
+	if len(first) != 8 {
+		t.Fatalf("the metadata's answer released %d requests, want the bucket's 2×Burst", len(first))
+	}
+	at := r.runUntil(r.t0+0.001, 1, func() bool { return len(r.sh.txq) > 0 })
+	// 4 × 1000 B at 1 MB/s: the bucket, drained at t0, covers the next
+	// train 4 ms later.
+	if at < r.t0+0.004-1e-9 || at > r.t0+0.005+1e-9 {
+		t.Fatalf("second train at t=%.4f, want 4 ms after t0=%.4f", at, r.t0)
 	}
 	reqs := r.requests()
 	if len(reqs) != 4 {
 		t.Fatalf("train of %d requests, want Burst=4", len(reqs))
 	}
-	for i, h := range reqs {
-		want := at + float64(i)*0.001
+	// One grid from t0 on: the second train's stamps follow the first's,
+	// however the wakes fell.
+	for i, h := range append(first, reqs...) {
+		want := r.t0 + float64(i)*0.001
 		if got := r.sh.clock.SecondsSince(h.SentAt); math.Abs(got-want) > 1e-6 {
 			t.Fatalf("request %d stamped %.6f, want %.6f on the TakeStamped timeline", i, got, want)
 		}
-		if h.Nonce != int64(4+i) || h.Seg != int64(4+i) {
+		if h.Nonce != int64(1+i) || h.Seg != int64(i) || h.Meta {
 			t.Fatalf("request %d: %+v", i, h)
 		}
 	}
@@ -204,17 +167,17 @@ func TestFetchTrainWaitsForFullBucket(t *testing.T) {
 // the core and delivers in order whatever order it arrived in.
 func TestFetchSegmentRetiresNonceInOrder(t *testing.T) {
 	r := newFetchRig(t, Config{}, 64)
-	at := r.runUntil(0, 1, func() bool { return len(r.sh.txq) > 0 })
+	at, rx := r.t0, r.sh.st.RxPkts
 	reqs := r.requests()
 	r.answer(reqs[1], at+0.005)
-	if r.core.book.Find(reqs[1].Nonce) != nil || len(r.core.order) != 0 {
-		t.Fatalf("after seg 1: order=%v", r.core.order)
+	if r.core.book.Find(reqs[1].Nonce) != nil || len(r.order) != 0 {
+		t.Fatalf("after seg 1: order=%v", r.order)
 	}
 	r.answer(reqs[0], at+0.006)
-	if r.core.book.Find(reqs[0].Nonce) != nil || len(r.core.order) != 2 || r.core.order[0] != 0 || r.core.order[1] != 1 {
-		t.Fatalf("after seg 0: order=%v", r.core.order)
+	if r.core.book.Find(reqs[0].Nonce) != nil || len(r.order) != 2 || r.order[0] != 0 || r.order[1] != 1 {
+		t.Fatalf("after seg 0: order=%v", r.order)
 	}
-	if got := r.sh.st.RxPkts; got != 2 {
+	if got := r.sh.st.RxPkts - rx; got != 2 {
 		t.Fatalf("rxPkts=%d", got)
 	}
 	if r.f.lastSeen != at+0.006 {
@@ -223,7 +186,7 @@ func TestFetchSegmentRetiresNonceInOrder(t *testing.T) {
 	// The scheduled-send stamp came back as the echo: the RTT is measured
 	// from it to the shard's clock at the read.
 	if srtt := r.core.book.RTT.SRTT(); srtt < 0.004 || srtt > 0.007 {
-		t.Fatalf("srtt=%.4f from a 5 ms turn-around", srtt)
+		t.Fatalf("srtt=%.4f from 5 ms turn-arounds", srtt)
 	}
 }
 
@@ -231,8 +194,11 @@ func TestFetchSegmentRetiresNonceInOrder(t *testing.T) {
 // book's RTO expires, and nothing already delivered is asked for again.
 func TestFetchSilentNonceReRequested(t *testing.T) {
 	r := newFetchRig(t, Config{}, 4)
-	at := r.runUntil(0, 1, func() bool { return len(r.sh.txq) > 0 })
+	at := r.t0
 	reqs := r.requests()
+	if len(reqs) != 4 {
+		t.Fatalf("%d requests for a 4-segment object", len(reqs))
+	}
 	for _, h := range reqs[:3] {
 		r.answer(h, at+0.005)
 	}
@@ -243,16 +209,16 @@ func TestFetchSilentNonceReRequested(t *testing.T) {
 	if len(re) != 1 || re[0].Seg != 3 || re[0].Nonce == reqs[3].Nonce {
 		t.Fatalf("re-request %+v for silent %+v", re, reqs[3])
 	}
-	// One 5 ms sample leaves the RTO at its 0.2 s floor.
+	// 5 ms samples leave the RTO at its 0.2 s floor.
 	if waited := again - at; waited < 0.2 || waited > 0.2+2*rtoCheckEvery {
 		t.Fatalf("re-requested after %.3f s, want the 0.2 s RTO plus at most a tick", waited)
 	}
-	if r.core.cc.losses != 1 {
-		t.Fatalf("losses=%d", r.core.cc.losses)
+	if r.cc.losses != 1 {
+		t.Fatalf("losses=%d", r.cc.losses)
 	}
 	r.answer(re[0], again+0.005)
-	if !r.core.Done() || r.core.refetched != 0 {
-		t.Fatalf("done=%v refetched=%d", r.core.Done(), r.core.refetched)
+	if !r.core.done() || !r.core.verified || r.core.refetched != 0 {
+		t.Fatalf("done=%v verified=%v refetched=%d", r.core.done(), r.core.verified, r.core.refetched)
 	}
 }
 
@@ -262,21 +228,21 @@ func TestFetchSilentNonceReRequested(t *testing.T) {
 // to the fetch its intact header names.
 func TestFetchCompletionStraysAndDamage(t *testing.T) {
 	r := newFetchRig(t, Config{}, 2)
-	at := r.runUntil(0, 1, func() bool { return len(r.sh.txq) > 0 })
+	at := r.t0
 	reqs := r.requests()
 
 	bad := r.segment(reqs[0])
 	bad[len(bad)-1] ^= 1
 	r.sh.dispatch(r.f.addr, bad, at+0.001)
-	if r.f.fch.crcErrs != 1 || len(r.core.order) != 0 || r.sh.st.BadPkts != 0 {
-		t.Fatalf("damaged payload: crcErrs=%d order=%v bad=%d", r.f.fch.crcErrs, r.core.order, r.sh.st.BadPkts)
+	if r.f.fch.crcErrs != 1 || len(r.order) != 0 || r.sh.st.BadPkts != 0 {
+		t.Fatalf("damaged payload: crcErrs=%d order=%v bad=%d", r.f.fch.crcErrs, r.order, r.sh.st.BadPkts)
 	}
 	r.sh.dispatch(src(9001), r.segment(reqs[0]), at+0.001) // right object, wrong peer
 	other := reqs[0]
 	other.ObjID++
 	r.sh.dispatch(r.f.addr, r.segment(other), at+0.001) // right peer, wrong object
-	if got := r.sh.st.StraySegs; got != 2 || len(r.core.order) != 0 {
-		t.Fatalf("straySegs=%d order=%v", got, r.core.order)
+	if got := r.sh.st.StraySegs; got != 2 || len(r.order) != 0 {
+		t.Fatalf("straySegs=%d order=%v", got, r.order)
 	}
 
 	r.answer(reqs[0], at+0.002)
@@ -291,6 +257,9 @@ func TestFetchCompletionStraysAndDamage(t *testing.T) {
 	default:
 		t.Fatal("done not closed on completion")
 	}
+	if st := r.f.fch.Stats(); !st.Done || !st.Verified || st.CrcErrs != 1 {
+		t.Fatalf("published at completion: %+v", st)
+	}
 	if r.sh.st.Flows != 0 || r.f.armed || r.sh.eng.senders.Load() != 0 {
 		t.Fatalf("completed fetch still held: flows=%d armed=%v senders=%d", r.sh.st.Flows, r.f.armed, r.sh.eng.senders.Load())
 	}
@@ -300,13 +269,55 @@ func TestFetchCompletionStraysAndDamage(t *testing.T) {
 	}
 }
 
+// The fetch role on a shard allocates nothing in steady state: FETCH
+// encode, the SEGMENT's dispatch, onSegment, in-order delivery with the
+// running SHA-256, the pump and the wheel, millisecond after
+// millisecond, each request answered one step after it went out.
+func TestFetchRoleZeroAllocSteadyState(t *testing.T) {
+	r := newFetchRig(t, Config{}, 1024)
+	pend := make([]wire.FetchHeader, 0, 64)
+	take := func() {
+		for _, p := range r.sh.txq {
+			h, err := wire.DecodeFetch(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pend = append(pend, h)
+		}
+		r.sh.flushTx()
+	}
+	take()
+	now := r.t0
+	step := func() {
+		now += 0.001
+		for _, h := range pend {
+			r.answer(h, now)
+		}
+		pend = pend[:0]
+		r.sh.service(r.f, now)
+		take()
+	}
+	for range 200 {
+		step()
+	}
+	before := r.core.segsRx
+	allocs := testing.AllocsPerRun(200, step)
+	if got := r.core.segsRx - before; got < 150 || r.core.done() || r.core.lostReqs != 0 || int64(len(r.order)) != r.core.segsRx {
+		t.Fatalf("%d segments in 201 ms, lost %d, done=%v, %d delivered in order: want a steady, lossless, in-order fetch",
+			got, r.core.lostReqs, r.core.done(), len(r.order))
+	}
+	if allocs != 0 {
+		t.Fatalf("the fetch role allocates %.2f per ms of steady state, want 0", allocs)
+	}
+}
+
 // The idle sweep must not evict an unfinished fetch however long its
 // peer is silent: through a blackout the core freezes and probes, and
 // the first response resumes it — re-anchored, with no catch-up burst —
 // without re-requesting anything it already has.
 func TestSweepSparesStalledFetch(t *testing.T) {
 	r := newFetchRig(t, Config{IdleTimeout: 1}, 32)
-	at := r.runUntil(0, 1, func() bool { return len(r.sh.txq) > 0 })
+	at := r.t0
 	reqs := r.requests()
 	r.answer(reqs[0], at+0.002)
 	r.requests() // whatever the response released goes unanswered too
@@ -340,9 +351,9 @@ func TestSweepSparesStalledFetch(t *testing.T) {
 		t.Fatalf("recovery released a catch-up burst of %d requests", len(r.sh.txq))
 	}
 	// Back to work: serve every request until the object completes.
-	for now := end + 0.001; !r.core.Done(); now += 0.001 {
+	for now := end + 0.001; !r.core.done(); now += 0.001 {
 		if now > end+2 {
-			t.Fatalf("did not finish after the blackout: order=%d/%d", len(r.core.order), r.core.segs)
+			t.Fatalf("did not finish after the blackout: order=%d/%d", len(r.order), r.core.totalSegs)
 		}
 		if r.sh.lookup(r.f.addr, r.f.id) == r.f {
 			r.sh.service(r.f, now)
@@ -351,8 +362,8 @@ func TestSweepSparesStalledFetch(t *testing.T) {
 			r.answer(h, now)
 		}
 	}
-	if r.core.refetched != 0 {
-		t.Fatalf("resume re-requested %d delivered segments", r.core.refetched)
+	if !r.core.verified || r.core.refetched != 0 {
+		t.Fatalf("verified=%v, resume re-requested %d delivered segments", r.core.verified, r.core.refetched)
 	}
 }
 
@@ -362,7 +373,7 @@ func TestSweepSparesStalledFetch(t *testing.T) {
 // steps the shard from wake to wake, as its wheel would.
 func TestFetchOutageWakesOnTickCadence(t *testing.T) {
 	r := newFetchRig(t, Config{}, 32)
-	now := r.runUntil(0, 1, func() bool { return len(r.sh.txq) > 0 })
+	now := r.t0
 	r.requests() // never answered
 	for wakes := 0; !r.core.book.InOutage(); wakes++ {
 		if wakes > 10000 {
@@ -399,7 +410,7 @@ func TestFetchOutageWakesOnTickCadence(t *testing.T) {
 func TestFetchPausedAndDrainingGate(t *testing.T) {
 	for _, mode := range []string{"paused", "draining"} {
 		r := newFetchRig(t, Config{}, 64)
-		at := r.runUntil(0, 1, func() bool { return len(r.sh.txq) > 0 })
+		at := r.t0
 		r.requests()
 		if mode == "paused" {
 			r.f.fch.class = overload.ClassScavenger
@@ -444,7 +455,7 @@ func TestAddFetchDuplicateRefused(t *testing.T) {
 	sh := newTestShard(t, Config{})
 	eng := sh.eng
 	add := func(obj uint64) (*FetchFlow, error) {
-		return eng.AddFetch(src(9000), obj, newScriptCore(4, rigResp, 1e6), rigResp, overload.ClassPrimary)
+		return eng.AddFetch(src(9000), FetchConfig{ObjID: obj, CC: &countingCC{rate: 1e6, cwnd: 1e9}, SegSize: rigSeg})
 	}
 	fl, err := add(1)
 	if err != nil {

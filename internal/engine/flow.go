@@ -198,9 +198,7 @@ type senderFlow struct {
 	limit      int64
 	packetSize int
 
-	revBase   float64
-	revCal    bool
-	completed bool // a finite transfer is fully acked: done is closed
+	rev revPath
 
 	// busyUntil/busyStreak implement the jittered exponential backoff a
 	// peer's BUSY frames demand.
@@ -219,8 +217,10 @@ type senderFlow struct {
 	// off unless FlowConfig.RecordRTT, so the hot path never touches
 	// the mutex. Appends happen on the shard goroutine under pubMu while
 	// a harness reads concurrently through Flow.RTTSamples.
-	recordRTT  bool
 	rttSamples []float64
+	recordRTT  bool
+
+	completed bool // a finite transfer is fully acked: done is closed
 
 	done chan struct{}
 }
@@ -338,18 +338,8 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 		top = max(top, bl.End-1)
 	}
 	recvAt := sh.clock.SecondsSince(a.RecvAt)
-	// Timestamp-based RTT, in the style of TCP timestamps: the forward
-	// half is measured against the receiver's echoed arrival stamp, the
-	// reverse half is a constant calibrated once at the first ack. The
-	// congestion signal — the bottleneck queue — lives in the forward
-	// path, so this loses no queueing while keeping ack-path timer noise
-	// out of the controller's gradient regression. The calibration is
-	// locked, not a running minimum: a drifting offset reads as an RTT
-	// trend, a fixed one that is a millisecond off is invisible.
-	if !s.revCal {
-		s.revBase = now - recvAt
-		s.revCal = true
-	}
+	// The reverse half is calibrated at the first decoded ack.
+	s.rev.lock(now, recvAt)
 	// A coalesced ack echoes only its newest packet's stamps. Computing
 	// every retired packet's RTT against that one arrival would inflate
 	// the older samples by up to ackEvery−1 packet intervals — sawtooth
@@ -360,7 +350,7 @@ func (s *senderFlow) onAck(sh *shard, f *flow, a *wire.AckPacket, now float64) {
 	// estimator entirely, Karn-style.
 	ackRTT := s.book.RTT.SRTT()
 	if r := s.book.Find(a.Seq); r != nil && !r.Probe {
-		ackRTT = max((recvAt-r.SentAt)+s.revBase, 0)
+		ackRTT = s.rev.rtt(r.SentAt, recvAt)
 		s.book.RTT.Update(ackRTT)
 		if s.recordRTT {
 			s.pubMu.Lock()
@@ -388,11 +378,43 @@ func (s *senderFlow) ackRec(r *transport.Record, now, recvAt, rtt float64) {
 	}
 	s.st.AckedPkts++
 	s.st.AckedBytes += int64(r.Size)
-	s.cc.OnAck(transport.Ack{
+	s.cc.OnAck(ackOf(r, now, recvAt, rtt, rtt-s.rev.base, s.book.Inflight()))
+}
+
+// revPath is the reverse half of a timestamp-based RTT, in the style of
+// TCP timestamps: the forward half is measured against the peer's
+// echoed stamps, the reverse half is this constant, calibrated once. The
+// congestion signal — the bottleneck queue — lives in the forward path,
+// so this loses no queueing while keeping return-path timer noise out of
+// the controller's gradient regression. The calibration is locked, not a
+// running minimum: a drifting offset reads as an RTT trend, a fixed one
+// that is a millisecond off is invisible. Each role picks its moment:
+// a sender calibrates at its first decoded ack, a fetch at its first
+// live, non-probe response.
+type revPath struct {
+	base float64
+	cal  bool
+}
+
+// lock calibrates the constant from one arrival stamped recvAt and
+// processed at now, the first time it is called.
+func (p *revPath) lock(now, recvAt float64) {
+	if !p.cal {
+		p.base, p.cal = now-recvAt, true
+	}
+}
+
+// rtt is one sample: the forward half from sentAt to recvAt plus the
+// reverse constant.
+func (p *revPath) rtt(sentAt, recvAt float64) float64 { return max((recvAt-sentAt)+p.base, 0) }
+
+// ackOf is the controller's report of one retired record, after
+// book.Ack: inflight is the book's once the record has left it.
+func ackOf(r *transport.Record, now, recvAt, rtt, owd float64, inflight int) transport.Ack {
+	return transport.Ack{
 		Seq: r.Seq, Bytes: r.Size, SentAt: r.SentAt, RecvAt: recvAt,
-		Now: now, RTT: rtt, OWD: rtt - s.revBase, MI: r.MI,
-		Inflight: s.book.Inflight(),
-	})
+		Now: now, RTT: rtt, OWD: owd, MI: r.MI, Inflight: inflight,
+	}
 }
 
 // onLost is the flow's per-loss accounting, run by the book before the

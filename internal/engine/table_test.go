@@ -12,14 +12,13 @@ import (
 
 // newTestShard builds a shard on an in-memory port the test steps by
 // hand: dispatch, the flow table, and the wheel all work; what the shard
-// stages sits in txq until a flush writes it to nowhere.
+// stages sits in txq until a flush writes it to nowhere. Its clock is
+// newHandShard's virtual one, standing at 0: the tests pass the time to
+// each call, and nothing reads the host's clock.
 func newTestShard(t *testing.T, cfg Config) *shard {
 	t.Helper()
-	eng := &Engine{cfg: cfg.withDefaults(), done: make(chan struct{}), started: true}
-	sh := newShard(eng, 0)
-	sh.attach(newMemPort(sh, wire.NewClock()), netip.AddrPort{})
-	eng.shards = []*shard{sh} // AddFlow / AddFetch land here; sh.admit() takes them in
-	return sh
+	eng, _ := newHandShard(cfg, new(float64), nil) // AddFlow / AddFetch land here; sh.admit() takes them in
+	return eng.shards[0]
 }
 
 func dataPkt(t *testing.T, flowID uint32, seq int64, size int) []byte {
@@ -305,10 +304,11 @@ func TestFlowTableDroppedFlowIsNeverServed(t *testing.T) {
 // ID and port, another host) is in the table.
 func TestFlowTableQueuedFetchSegmentIsStray(t *testing.T) {
 	sh := newTestShard(t, Config{})
-	core := newScriptCore(4, rigResp, 1e6)
-	if _, err := sh.eng.AddFetch(peer(1, 9000), rigObj, core, rigResp, overload.ClassPrimary); err != nil {
+	ff, err := sh.eng.AddFetch(peer(1, 9000), FetchConfig{ObjID: rigObj, CC: &countingCC{rate: 1e6, cwnd: 1e9}, SegSize: rigSeg})
+	if err != nil {
 		t.Fatal(err)
 	}
+	core := ff.core
 	queued := sh.admitQ[0]
 	sh.dispatch(peer(2, 9000), dataPkt(t, queued.id, 0, 100), 0) // same key, in the table
 	if tableKey(queued.addr, queued.id) != tableKey(peer(2, 9000), queued.id) || sh.st.Flows != 1 {
@@ -316,13 +316,13 @@ func TestFlowTableQueuedFetchSegmentIsStray(t *testing.T) {
 	}
 	seg := wire.EncodeSegment(make([]byte, 256), wire.SegmentHeader{ObjID: rigObj, TotalSegs: 4, ObjSize: 400}, make([]byte, 100))
 	sh.dispatch(peer(1, 9000), seg, 0)
-	if sh.st.StraySegs != 1 || len(core.order) != 0 {
-		t.Fatalf("segment for a queued fetch: straySegs=%d delivered=%v", sh.st.StraySegs, core.order)
+	if sh.st.StraySegs != 1 || core.segsRx != 0 {
+		t.Fatalf("segment for a queued fetch: straySegs=%d delivered=%d", sh.st.StraySegs, core.segsRx)
 	}
 	sh.admit()
 	sh.dispatch(peer(1, 9000), seg, 0)
-	if sh.st.StraySegs != 1 || len(core.order) != 1 || sh.st.Flows != 2 {
-		t.Fatalf("segment after admission: straySegs=%d delivered=%v flows=%d", sh.st.StraySegs, core.order, sh.st.Flows)
+	if sh.st.StraySegs != 1 || core.segsRx != 1 || sh.st.Flows != 2 {
+		t.Fatalf("segment after admission: straySegs=%d delivered=%d flows=%d", sh.st.StraySegs, core.segsRx, sh.st.Flows)
 	}
 }
 

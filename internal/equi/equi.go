@@ -26,6 +26,8 @@ package equi
 
 import (
 	"math"
+
+	"pccproteus/internal/core"
 )
 
 // Params are the utility constants of the model.
@@ -38,11 +40,15 @@ type Params struct {
 	Eps float64 // probing perturbation ±ε of the rate controller
 }
 
-// Default returns the paper's constants on a capacity-C link. A is set
-// to MI/√12 with a 30 ms monitor interval (the σ(RTT) expression of
-// Appendix A evaluated for an RTT-long MI).
+// Default returns the paper's constants on a capacity-C link. t, b and
+// ε are the controller's own (core.UtilT, core.UtilB, core.Epsilon). d
+// is the paper's 1500, while the controller runs core.DefaultScavengerD
+// = 5000 (DESIGN §5); which of the two the model should take is open
+// (ROADMAP, "The theory as a third oracle"). A is set to MI/√12 with a
+// 30 ms monitor interval (the σ(RTT) expression of Appendix A evaluated
+// for an RTT-long MI).
 func Default(capacityMbps float64) Params {
-	return Params{T: 0.9, B: 900, D: 1500, A: 0.030 / math.Sqrt(12), C: capacityMbps, Eps: 0.05}
+	return Params{T: core.UtilT, B: core.UtilB, D: 1500, A: 0.030 / math.Sqrt(12), C: capacityMbps, Eps: core.Epsilon}
 }
 
 // SenderKind selects which utility a sender maximizes.

@@ -5,7 +5,23 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"pccproteus/internal/core"
 )
+
+// The model solves the controller's utility: its t, b and ε are the
+// ones the controller runs, whatever either side is changed to.
+func TestDefaultIsTheControllersUtility(t *testing.T) {
+	p := Default(100)
+	if p.T != core.UtilT || p.B != core.UtilB || p.Eps != core.Epsilon {
+		t.Fatalf("equi runs t=%v b=%v ε=%v, the controller t=%v b=%v ε=%v",
+			p.T, p.B, p.Eps, core.UtilT, core.UtilB, core.Epsilon)
+	}
+	// d is the paper's, not the controller's DefaultScavengerD.
+	if p.D != 1500 {
+		t.Fatalf("d=%v, want the paper's 1500", p.D)
+	}
+}
 
 func allKind(k SenderKind, n int) []SenderKind {
 	out := make([]SenderKind, n)

@@ -74,7 +74,7 @@ func fetchYieldLink() LinkSpec {
 
 func fetchYieldTrial(seed int64, background string, dur float64) (dashMbps float64, plts []float64, fetchBytes int64) {
 	var players []*dash.Player
-	var f *fetch.Fetcher
+	var f *engine.FetchFlow
 	Run(Scenario{Seed: seed, Link: fetchYieldLink(), Duration: dur, Setup: func(e *Env) {
 		players = dashPlayers(e, 3)
 		pageLoads(e, &plts)
@@ -84,14 +84,14 @@ func fetchYieldTrial(seed int64, background string, dur float64) (dashMbps float
 		// Segments cross the bottleneck beside the foreground; requests
 		// take its return path.
 		n := engine.NewSimNet(e.S)
-		maxPkt := wire.SegmentHeaderLen + fetch.DefaultSegSize
+		maxPkt := wire.SegmentHeaderLen + wire.DefaultSegSize
 		srv := n.NewEngine(engine.Config{OnFetch: serveEndless, MaxPacket: maxPkt})
 		cli := n.NewEngine(engine.Config{MaxPacket: maxPkt})
 		n.Connect(srv.Addrs()[0], cli.Addrs()[0], e.Path)
 		srv.Start()
 		cli.Start()
-		f = &fetch.Fetcher{Dst: srv.Addrs()[0], CC: NewController(e.S, background)}
-		if err := f.Start(cli); err != nil {
+		var err error
+		if f, err = cli.AddFetch(srv.Addrs()[0], engine.FetchConfig{CC: NewController(e.S, background)}); err != nil {
 			panic(err) // static configuration; a typo should fail loudly
 		}
 	}})
@@ -105,7 +105,7 @@ func fetchYieldTrial(seed int64, background string, dur float64) (dashMbps float
 // completes, so its goodput is pure steady-state yield.
 const endlessSize = 1 << 40
 
-var zeroSeg [fetch.DefaultSegSize]byte
+var zeroSeg [wire.DefaultSegSize]byte
 
 // serveEndless is a stateless fetch server for one endlessSize object of
 // zero bytes under a zero digest, whatever object a request names.
@@ -116,7 +116,7 @@ func serveEndless(h wire.FetchHeader, buf []byte) []byte {
 	}
 	return wire.EncodeSegment(buf, wire.SegmentHeader{
 		Nonce: h.Nonce, SentAtEcho: h.SentAt, Meta: h.Meta, ObjID: h.ObjID, Seg: h.Seg,
-		TotalSegs: fetch.TotalSegs(endlessSize, fetch.DefaultSegSize), ObjSize: endlessSize,
+		TotalSegs: fetch.TotalSegs(endlessSize, wire.DefaultSegSize), ObjSize: endlessSize,
 	}, payload)
 }
 

@@ -1,5 +1,5 @@
 // Package fetch is the segmented bulk-transfer protocol layered on the
-// wire datapath: the application layer the paper's headline Proteus-S
+// engine's datapath: the application layer the paper's headline Proteus-S
 // use-case — software updates and backups that move bulk data without
 // hurting foreground traffic — actually needs in order to be measured
 // as *delivered application goodput* rather than opaque paced packets.
@@ -19,11 +19,13 @@
 // bounded reassembly window; integrity is checked per segment (CRC-32C)
 // and end-to-end (whole-object SHA-256 from the metadata exchange).
 //
-// The scheduler core has one driver: an engine shard runs it as a fetch
-// flow (Fetcher is the handle) against an engine serving a Store. On
-// real sockets that is proteusd fetch; on an engine.SimNet in virtual time
-// it is the fault tests and the Appendix F experiment, whose fetch
-// shares a simulated bottleneck with DASH and web foreground traffic.
+// This package is the server half — a Store whose HandleFetch an
+// engine calls for every FETCH — and a loopback harness. The client is
+// the engine's third flow role (engine.AddFetch): a shard paces the
+// requests and reassembles the responses. On real sockets that is
+// proteusd fetch; on an engine.SimNet in virtual time it is the fault
+// tests and the Appendix F experiment, whose fetch shares a simulated
+// bottleneck with DASH and web foreground traffic.
 package fetch
 
 import (
@@ -42,11 +44,6 @@ import (
 
 	"pccproteus/internal/wire"
 )
-
-// DefaultSegSize is the default segment payload size: chosen so a full
-// segment response is exactly one netem.MTU (1500) on the wire, which
-// keeps sim and wire byte accounting aligned.
-const DefaultSegSize = 1500 - wire.SegmentHeaderLen
 
 // ObjectID names an object: FNV-1a 64 of its name. Both ends derive it
 // independently, so the wire protocol never carries strings.
@@ -73,17 +70,17 @@ type object struct {
 // read from its object's source when it is requested, so memory is
 // O(objects), not O(bytes).
 type Store struct {
-	SegSize int // payload bytes per segment (default DefaultSegSize)
+	SegSize int // payload bytes per segment (default wire.DefaultSegSize)
 
 	objs  map[uint64]*object
 	files []*os.File // opened by AddFile/ServeDir; Close closes them
 }
 
 // NewStore returns an empty store with the given segment size (0 means
-// DefaultSegSize).
+// wire.DefaultSegSize).
 func NewStore(segSize int) *Store {
 	if segSize <= 0 {
-		segSize = DefaultSegSize
+		segSize = wire.DefaultSegSize
 	}
 	if segSize > wire.MaxSegPayload {
 		segSize = wire.MaxSegPayload

@@ -48,7 +48,7 @@ type FlowResult struct {
 	P50RTT      float64 // seconds
 	P95RTT      float64
 	P99RTT      float64
-	Fetcher     FetcherStats
+	Fetcher     engine.FetchStats
 	Shim        wire.ShimStats
 }
 
@@ -110,7 +110,7 @@ func runLoopback(s *sim.Sim, cfg LoopbackConfig, faults *chaos.Plan) (*LoopbackR
 		return nil, err
 	}
 	defer lb.Stop()
-	fetchers := make([]*Fetcher, cfg.Flows)
+	fetchers := make([]*engine.FetchFlow, cfg.Flows)
 	for i := range fetchers {
 		shimCfg := cfg.Shim
 		shimCfg.Seed = wire.MixSeed(seed, 0x5ea1+int64(i))
@@ -118,8 +118,8 @@ func runLoopback(s *sim.Sim, cfg LoopbackConfig, faults *chaos.Plan) (*LoopbackR
 		if err != nil {
 			return nil, err
 		}
-		fetchers[i] = &Fetcher{Dst: dst, CC: cfg.NewController(), ObjID: objIDs[i], SegSize: store.SegSize}
-		if err := fetchers[i].Start(cli); err != nil {
+		fetchers[i], err = cli.AddFetch(dst, engine.FetchConfig{ObjID: objIDs[i], CC: cfg.NewController(), SegSize: store.SegSize})
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -29,7 +29,7 @@ type storeObject struct {
 }
 
 // testSize is ten full segments and a short last one.
-const testSize = 10*DefaultSegSize + 517
+const testSize = 10*wire.DefaultSegSize + 517
 
 // addSources adds three objects of each source kind to st in one
 // batch: bytes held in memory, a file opened by the test, and the
@@ -96,7 +96,7 @@ func TestStoreServesSegments(t *testing.T) {
 	st := NewStore(0)
 	defer st.Close()
 	buf := make([]byte, wire.MaxDataLen)
-	total := TotalSegs(testSize, DefaultSegSize)
+	total := TotalSegs(testSize, wire.DefaultSegSize)
 	for _, o := range addSources(t, st) {
 		sh, digest, ok := fetchSeg(t, st, o.id, 0, true, buf)
 		if sum := sha256.Sum256(o.want); !ok || !bytes.Equal(digest, sum[:]) {
@@ -107,8 +107,8 @@ func TestStoreServesSegments(t *testing.T) {
 		}
 		for seg := int64(0); seg < total; seg++ {
 			sh, payload, ok := fetchSeg(t, st, o.id, seg, false, buf)
-			lo := seg * DefaultSegSize
-			want := o.want[lo:min(lo+DefaultSegSize, testSize)]
+			lo := seg * wire.DefaultSegSize
+			want := o.want[lo:min(lo+wire.DefaultSegSize, testSize)]
 			if !ok || sh.Seg != seg || sh.Nonce != seg+1 || sh.SentAtEcho != 7 || !bytes.Equal(payload, want) {
 				t.Fatalf("%s seg %d: ok=%v header %+v, %d payload bytes, want %d matching the sequential read",
 					o.kind, seg, ok, sh, len(payload), len(want))
@@ -374,16 +374,16 @@ func TestStoreTruncatedFile(t *testing.T) {
 	objs := addSources(t, st)
 	file := objs[1]
 	path := st.objs[file.id].src.(*os.File).Name()
-	cut := int64(4*DefaultSegSize + 100)
+	cut := int64(4*wire.DefaultSegSize + 100)
 	if err := os.Truncate(path, cut); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, wire.MaxDataLen)
-	total := TotalSegs(testSize, DefaultSegSize)
+	total := TotalSegs(testSize, wire.DefaultSegSize)
 	for seg := int64(0); seg < total; seg++ {
 		_, payload, ok := fetchSeg(t, st, file.id, seg, false, buf)
-		lo := seg * DefaultSegSize
-		if intact := lo+DefaultSegSize <= cut; ok != intact || ok && !bytes.Equal(payload, file.want[lo:lo+DefaultSegSize]) {
+		lo := seg * wire.DefaultSegSize
+		if intact := lo+wire.DefaultSegSize <= cut; ok != intact || ok && !bytes.Equal(payload, file.want[lo:lo+wire.DefaultSegSize]) {
 			t.Fatalf("seg %d after truncation to %d bytes: answered=%v (%d bytes), want answered=%v with the original bytes",
 				seg, cut, ok, len(payload), intact)
 		}
@@ -514,7 +514,7 @@ func TestStoreDoesNotCopyFiles(t *testing.T) {
 		t.Fatalf("AddFile of a 64 MiB file allocated %d bytes", grew)
 	}
 	buf := make([]byte, wire.MaxDataLen)
-	if _, payload, ok := fetchSeg(t, st, id, TotalSegs(64<<20, DefaultSegSize)-1, false, buf); !ok || len(payload) != (64<<20)%DefaultSegSize {
+	if _, payload, ok := fetchSeg(t, st, id, TotalSegs(64<<20, wire.DefaultSegSize)-1, false, buf); !ok || len(payload) != (64<<20)%wire.DefaultSegSize {
 		t.Fatalf("last segment: ok=%v, %d bytes", ok, len(payload))
 	}
 }
@@ -526,7 +526,7 @@ func TestHandleFetchZeroAllocs(t *testing.T) {
 	st := NewStore(0)
 	defer st.Close()
 	buf := make([]byte, wire.MaxDataLen)
-	total := TotalSegs(testSize, DefaultSegSize)
+	total := TotalSegs(testSize, wire.DefaultSegSize)
 	for _, o := range addSources(t, st) {
 		allocs := testing.AllocsPerRun(50, func() {
 			for seg := int64(-1); seg < total; seg++ {
@@ -548,7 +548,7 @@ func TestHandleFetchConcurrent(t *testing.T) {
 	st := NewStore(0)
 	defer st.Close()
 	objs := addSources(t, st)
-	total := TotalSegs(testSize, DefaultSegSize)
+	total := TotalSegs(testSize, wire.DefaultSegSize)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -560,8 +560,8 @@ func TestHandleFetchConcurrent(t *testing.T) {
 				seg := int64(g*7+i) % total
 				resp := st.HandleFetch(wire.FetchHeader{ObjID: o.id, Seg: seg, Nonce: int64(i)}, buf)
 				_, payload, err := wire.DecodeSegment(resp)
-				lo := seg * DefaultSegSize
-				if err != nil || !bytes.Equal(payload, o.want[lo:min(lo+DefaultSegSize, testSize)]) {
+				lo := seg * wire.DefaultSegSize
+				if err != nil || !bytes.Equal(payload, o.want[lo:min(lo+wire.DefaultSegSize, testSize)]) {
 					t.Errorf("goroutine %d: %s seg %d served wrong: %v", g, o.kind, seg, err)
 					return
 				}

@@ -117,9 +117,9 @@ type Timer interface{ Stop() bool }
 // Clock is the time base and timer service a Sender runs on. It exists
 // so the sender's clock is an injected dependency rather than an
 // implication of the simulator: the discrete-event engine provides the
-// default (SimClock), tests substitute hand-driven fakes, and the wire
-// datapath reuses the same controller-facing conventions (seconds as
-// float64, absolute-time scheduling) against the host's real clock.
+// default (SimClock), tests substitute hand-driven fakes, and the engine
+// (internal/engine) keeps the same controller-facing conventions
+// (seconds as float64, absolute-time scheduling) on its wire.Clock.
 type Clock interface {
 	// Now returns the current time in seconds.
 	Now() float64
@@ -175,8 +175,7 @@ func (e *RTTEstimator) SRTT() float64 { return e.srtt }
 func (e *RTTEstimator) MinRTT() float64 { return e.minRTT }
 
 // RTTVar returns the smoothed mean deviation of the RTT — the basis of
-// the RTO and of the RACK reordering window. Exported so other
-// datapaths (the wire sender) reuse this estimator verbatim.
+// the RTO and of the RACK reordering window (Recovery).
 func (e *RTTEstimator) RTTVar() float64 { return e.rttvar }
 
 // RTO returns the retransmission timeout, floored at 200 ms.
