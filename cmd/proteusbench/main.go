@@ -37,10 +37,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
 
+	"pccproteus/internal/campaign"
 	"pccproteus/internal/exp"
 	"pccproteus/internal/trace"
 )
@@ -107,50 +106,32 @@ func realMain() error {
 		return err
 	}
 
-	workers := min(runtime.GOMAXPROCS(0), len(ids))
-
 	type result struct {
 		out  bytes.Buffer
 		errs []error
-		done chan struct{}
 	}
-	results := make([]*result, len(ids))
-	for i := range results {
-		results[i] = &result{done: make(chan struct{})}
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r := results[i]
-			defer close(r.done)
-			o := exp.Options{Fast: *fast, Trials: *trials, Seed: *seed}
-			var tc *exp.Tracing
-			if *traceDir != "" {
-				tc = &exp.Tracing{Dir: filepath.Join(*traceDir, figDirName(id)), Mask: mask}
-				o.Trace = tc
-			}
-			if err := run(&r.out, id, o); err != nil {
-				r.errs = append(r.errs, fmt.Errorf("fig %s: %w", id, err))
-			}
-			if err := tc.Err(); err != nil {
-				r.errs = append(r.errs, fmt.Errorf("fig %s: %w", id, err))
-			}
-		}()
-	}
-
-	// Print in figure order as each finishes; collect every failure.
+	// Figures run on GOMAXPROCS workers and print in figure order as each
+	// finishes; every failure is collected.
 	var failures []error
-	for _, r := range results {
-		<-r.done
+	campaign.OrderedReduce(len(ids), 0, func(i int) *result {
+		id, r := ids[i], new(result)
+		o := exp.Options{Fast: *fast, Trials: *trials, Seed: *seed}
+		var tc *exp.Tracing
+		if *traceDir != "" {
+			tc = &exp.Tracing{Dir: filepath.Join(*traceDir, figDirName(id)), Mask: mask}
+			o.Trace = tc
+		}
+		if err := run(&r.out, id, o); err != nil {
+			r.errs = append(r.errs, fmt.Errorf("fig %s: %w", id, err))
+		}
+		if err := tc.Err(); err != nil {
+			r.errs = append(r.errs, fmt.Errorf("fig %s: %w", id, err))
+		}
+		return r
+	}, func(_ int, r *result) {
 		os.Stdout.Write(r.out.Bytes())
 		failures = append(failures, r.errs...)
-	}
-	wg.Wait()
+	})
 	if len(failures) > 0 {
 		for _, err := range failures {
 			fmt.Fprintf(os.Stderr, "proteusbench: %v\n", err)

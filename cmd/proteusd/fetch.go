@@ -31,7 +31,6 @@ func runFetch(fs *flag.FlagSet, args []string) error {
 	out := fs.String("out", "", "output file (default: object's base name; \"-\" discards)")
 	proto := fs.String("proto", exp.ProtoProteusS, "controller (proteus-s, proteus-p, proteus-h, ...)")
 	seed := fs.Int64("seed", 1, "controller and shim RNG seed")
-	segSize := fs.Int("segsize", 0, "segment payload bytes; must match the server (0 = default)")
 	timeout := fs.Float64("timeout", 0, "abort after this many seconds (0 = no limit)")
 	quiet := fs.Bool("quiet", false, "suppress per-second progress")
 	shimFlags := newShimFlags(fs)
@@ -71,17 +70,14 @@ func runFetch(fs *flag.FlagSet, args []string) error {
 		defer sink.Close()
 	}
 
-	// The fetch runs as a flow on a one-shard engine sized for a full
-	// segment response, bound to the wildcard of the server's family so
-	// the kernel picks the source address per route; stopping the engine
-	// ends it.
+	// The fetch runs as a flow on a one-shard engine, bound to the
+	// wildcard of the server's family so the kernel picks the source
+	// address per route; stopping the engine ends it.
 	listen := "::"
 	if dst.Addr().Unmap().Is4() {
 		listen = "0.0.0.0"
 	}
-	eng, err := engine.New(engine.Config{
-		ListenIP: listen, MaxPacket: wire.SegmentHeaderLen + max(*segSize, wire.DefaultSegSize),
-	})
+	eng, err := engine.New(engine.Config{ListenIP: listen})
 	if err != nil {
 		return err
 	}
@@ -91,8 +87,8 @@ func runFetch(fs *flag.FlagSet, args []string) error {
 	}
 	var writeErr error
 	f, err := eng.AddFetch(dst, engine.FetchConfig{
-		ObjID: fetch.ObjectID(*object), SegSize: *segSize,
-		CC: exp.NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55))), *proto),
+		ObjID: fetch.ObjectID(*object),
+		CC:    exp.NewControllerRNG(rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55))), *proto),
 		OnData: func(seg int64, payload []byte) {
 			if sink != nil && writeErr == nil {
 				_, writeErr = sink.Write(payload)

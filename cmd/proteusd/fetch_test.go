@@ -15,7 +15,6 @@ import (
 	"pccproteus/internal/engine"
 	"pccproteus/internal/engine/enginetest"
 	"pccproteus/internal/fetch"
-	"pccproteus/internal/wire"
 )
 
 // proteusd fetch against a fetch server in the same process: an engine
@@ -29,15 +28,12 @@ func TestFetchWritesServedFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "obj.bin"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	store := fetch.NewStore(0)
+	store := fetch.NewStore()
 	defer store.Close()
 	if _, err := store.ServeDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := engine.New(engine.Config{
-		ListenIP: "127.0.0.1", OnFetch: store.HandleFetch,
-		MaxPacket: max(2048, store.SegSize+wire.SegmentHeaderLen),
-	})
+	srv, err := engine.New(engine.Config{ListenIP: "127.0.0.1", OnFetch: store.HandleFetch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +101,7 @@ func TestFetchFlagSurface(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
 	want := map[string]string{
 		"to": "127.0.0.1:9741", "object": "", "out": "", "proto": "proteus-s",
-		"seed": "1", "segsize": "0", "timeout": "0", "quiet": "false",
+		"seed": "1", "timeout": "0", "quiet": "false",
 		"shim": "false", "mbps": "20", "rtt": "0.04", "queue": "0", "loss": "0",
 	}
 	if len(got) != len(want) {

@@ -39,7 +39,6 @@ import (
 	"pccproteus/internal/engine"
 	"pccproteus/internal/exp"
 	"pccproteus/internal/fetch"
-	"pccproteus/internal/overload"
 	"pccproteus/internal/wire"
 )
 
@@ -171,7 +170,7 @@ func runRecv(args []string) error {
 		cfg.ListenIP = addr.IP.String()
 	}
 	if *serve != "" {
-		store := fetch.NewStore(0)
+		store := fetch.NewStore()
 		defer store.Close()
 		t0 := time.Now()
 		names, err := store.ServeDir(*serve)
@@ -179,7 +178,6 @@ func runRecv(args []string) error {
 			return err
 		}
 		cfg.OnFetch = store.HandleFetch
-		cfg.MaxPacket = max(2048, store.SegSize+wire.SegmentHeaderLen)
 		fmt.Printf("proteusd recv: serving %d objects from %s (%d bytes hashed in %.3f s on %d workers): %v\n",
 			len(names), *serve, store.Bytes(), time.Since(t0).Seconds(), fetch.HashWorkers(len(names)), names)
 	}
@@ -282,13 +280,10 @@ func runSend(args []string) error {
 	if err := eng.Start(); err != nil {
 		return err
 	}
-	class := overload.ClassOf(*proto)
 	handles := make([]*engine.Flow, 0, *flows)
 	err = startFlows(*flows, *maxFlows, func(i int) error {
 		rng := rand.New(rand.NewSource(wire.MixSeed(*seed, 0x55+int64(i))))
-		fl, err := eng.AddFlow(engine.FlowConfig{
-			Dst: dst, CC: exp.NewControllerRNG(rng, *proto), Class: class,
-		})
+		fl, err := eng.AddFlow(engine.FlowConfig{Dst: dst, CC: exp.NewControllerRNG(rng, *proto)})
 		if err == nil {
 			handles = append(handles, fl)
 		}

@@ -3,9 +3,10 @@ package adversary
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
+
+	"pccproteus/internal/campaign"
 )
 
 // Config parameterizes one hunt.
@@ -66,39 +67,14 @@ func (e *evaluator) evalOne(s Schedule) evaluated {
 	return evaluated{schedule: rc.Schedule, verdicts: vs, fitness: MinMargin(vs)}
 }
 
-// evalBatch evaluates candidates on the worker pool. Results land in
-// input order, so the outcome is independent of scheduling.
+// evalBatch evaluates candidates on e.jobs workers (≤0 = GOMAXPROCS).
+// Results land in input order, so the outcome is independent of
+// scheduling.
 func (e *evaluator) evalBatch(cands []Schedule) []evaluated {
 	out := make([]evaluated, len(cands))
-	jobs := e.jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(cands) {
-		jobs = len(cands)
-	}
-	if jobs == 1 {
-		for i, c := range cands {
-			out[i] = e.evalOne(c)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = e.evalOne(cands[i])
-			}
-		}()
-	}
-	for i := range cands {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	campaign.OrderedReduce(len(cands), e.jobs,
+		func(i int) evaluated { return e.evalOne(cands[i]) },
+		func(i int, v evaluated) { out[i] = v })
 	return out
 }
 

@@ -17,7 +17,7 @@ type mmsgState struct{}
 // so it never counts as rx saturation: the ceiling is out of its reach.
 func (p *udpPort) initBatch() error {
 	sh := p.sh
-	sh.stage(make([]byte, sh.bufSize(1, sh.maxPacket)), 1, sh.maxPacket)
+	sh.stage(make([]byte, sh.bufSize(1, maxPacket)), 1, maxPacket)
 	sh.rxCeil = math.MaxInt
 	return nil
 }

@@ -252,7 +252,7 @@ func (p *udpPort) initBatch() error {
 // would back 2 MiB at the first write.
 func (p *udpPort) initRx() error {
 	sh, m := p.sh, &p.mmsg
-	rn, size := sh.batchSize, sh.maxPacket
+	rn, size := sh.batchSize, maxPacket
 	if m.gro {
 		rn, size = min(rn, groMaxSlots), groBufSize
 	}

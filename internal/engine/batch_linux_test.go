@@ -198,12 +198,12 @@ func TestBuildGSOStaging(t *testing.T) {
 // rewinds to offset 0, and queueTx refuses bytes that txBuf did not hand
 // out.
 func TestTxArenaBounds(t *testing.T) {
-	sh := newTestShard(t, Config{BatchSize: 8, MaxPacket: 2048})
-	if len(sh.txArena) != sh.batchSize*sh.maxPacket {
-		t.Fatalf("arena of %d bytes, want %d", len(sh.txArena), sh.batchSize*sh.maxPacket)
+	sh := newTestShard(t, Config{BatchSize: 8})
+	if len(sh.txArena) != sh.batchSize*maxPacket {
+		t.Fatalf("arena of %d bytes, want %d", len(sh.txArena), sh.batchSize*maxPacket)
 	}
 	for i := 0; i < sh.batchSize; i++ {
-		if len(sh.txq) != i || sh.txOff != i*sh.maxPacket {
+		if len(sh.txq) != i || sh.txOff != i*maxPacket {
 			t.Fatalf("before packet %d: %d queued at offset %d", i, len(sh.txq), sh.txOff)
 		}
 		sh.queueTx(sh.txBuf(), src(5000)) // the last one fills the batch and flushes
@@ -212,7 +212,7 @@ func TestTxArenaBounds(t *testing.T) {
 		t.Fatalf("after the flush: %d queued, offset %d", len(sh.txq), sh.txOff)
 	}
 	sh.queueTx(sh.txBuf()[:100], src(5000))
-	if b := sh.txBuf(); &b[0] != &sh.txArena[100] || len(b) != sh.maxPacket || cap(b) != sh.maxPacket {
+	if b := sh.txBuf(); &b[0] != &sh.txArena[100] || len(b) != maxPacket || cap(b) != maxPacket {
 		t.Fatalf("next buffer: len %d cap %d, want maxPacket bytes at offset 100", len(b), cap(b))
 	}
 	defer func() {

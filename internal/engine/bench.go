@@ -12,6 +12,14 @@ import (
 // benchmarks, where controller adaptation would only add noise.
 type FixedRateCC = fixedrate.Controller
 
+// scavFixedRate is FixedRateCC under a scavenger's name: the "-s" suffix
+// makes overload.ClassOf class its flows scavengers. It is the scavenger
+// load of RunOverload and of the overload tests.
+type scavFixedRate struct{ FixedRateCC }
+
+// Name implements transport.Controller.
+func (*scavFixedRate) Name() string { return "fixedrate-s" }
+
 // hotpathHarness wires one sender flow and one receiver flow through
 // two shards on in-memory ports that write into each other's inbox,
 // stepping the clock by hand. It exercises the full per-packet path —
@@ -89,19 +97,19 @@ func (h *hotpathHarness) step() int {
 }
 
 // RunFetchCoreBench measures the steady-state per-segment fetch path
-// against serve, a stateless server (Config.OnFetch) of object objID in
-// segments of segSize bytes: request selection and record bookkeeping in
-// the fetch core, FETCH encode and decode, serve's SEGMENT encode, SEGMENT
-// decode with CRC verify, and in-order delivery with the running
-// SHA-256. SetBytes is the segment payload, so the report's MB/s column
-// is the single-core goodput ceiling of the protocol machinery (no
-// sockets, no pacing). Exported for the benchmark harness.
-func RunFetchCoreBench(b *testing.B, serve func(wire.FetchHeader, []byte) []byte, objID uint64, segSize int) {
+// against serve, a stateless server (Config.OnFetch) of object objID:
+// request selection and record bookkeeping in the fetch core, FETCH
+// encode and decode, serve's SEGMENT encode, SEGMENT decode with CRC
+// verify, and in-order delivery with the running SHA-256. SetBytes is
+// the segment payload, so the report's MB/s column is the single-core
+// goodput ceiling of the protocol machinery (no sockets, no pacing).
+// Exported for the benchmark harness.
+func RunFetchCoreBench(b *testing.B, serve func(wire.FetchHeader, []byte) []byte, objID uint64) {
 	newCore := func() *fetchCore {
 		c, err := newFetchCore(FetchConfig{
 			// An uncontended controller: rate and window never gate, so the
 			// measured cost is the fetch machinery itself.
-			ObjID: objID, CC: &FixedRateCC{Rate: 125e6}, SegSize: segSize,
+			ObjID: objID, CC: &FixedRateCC{Rate: 125e6},
 			OnData: func(seg int64, payload []byte) {},
 		})
 		if err != nil {
@@ -111,11 +119,11 @@ func RunFetchCoreBench(b *testing.B, serve func(wire.FetchHeader, []byte) []byte
 	}
 	core := newCore()
 	reqBuf := make([]byte, wire.FetchLen)
-	segBuf := make([]byte, wire.MaxDataLen)
+	segBuf := make([]byte, maxPacket)
 	now := 0.0
 
 	b.ReportAllocs()
-	b.SetBytes(int64(segSize))
+	b.SetBytes(wire.SegSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 1e-5

@@ -14,17 +14,27 @@ import (
 	"pccproteus/internal/wire"
 )
 
+// maxPacket is the largest datagram an engine sends or receives: every
+// socket buffer is sized in it, and AddFlow refuses a larger PacketSize.
+const maxPacket = 2048
+
+// The largest ack, a full segment response and the default PacketSize
+// fit maxPacket: a negative difference does not convert to uint, so the
+// build fails if any of them outgrows it.
+const (
+	_ = uint(maxPacket - wire.MaxAckLen)
+	_ = uint(maxPacket - respSize)
+	_ = uint(maxPacket - netem.MTU)
+)
+
 // Config sizes an Engine. The zero value is usable: one shard, batch
-// of 32, 2KiB packets.
+// of 32.
 type Config struct {
 	// Shards is the number of event loops (and sockets). Default 1.
 	Shards int
 	// BatchSize is the number of datagrams staged per socket syscall
 	// (recvmmsg/sendmmsg on Linux). Default 32.
 	BatchSize int
-	// MaxPacket is the largest datagram the engine sends or receives.
-	// Default 2048; must cover every flow's PacketSize and MaxAckLen.
-	MaxPacket int
 	// MaxFlowsPerShard caps each shard's flow table; receiver-side
 	// flows beyond it evict the stalest. Default 16384.
 	MaxFlowsPerShard int
@@ -46,10 +56,10 @@ type Config struct {
 	Seed int64
 	// OnFetch, when set, answers fetch requests (fetch.Store.HandleFetch
 	// is the implementation): it is handed the decoded request and a
-	// MaxPacket-sized tx buffer and returns the encoded SEGMENT response
-	// — a prefix of buf — or nil to ignore the request. It runs on shard
-	// goroutines, concurrently across shards, so it must only read
-	// shared state. MaxPacket must cover the largest response.
+	// tx buffer that fits a full segment response and returns the
+	// encoded SEGMENT response — a prefix of buf — or nil to ignore the
+	// request. It runs on shard goroutines, concurrently across shards,
+	// so it must only read shared state.
 	OnFetch func(h wire.FetchHeader, buf []byte) []byte
 }
 
@@ -59,12 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.MaxPacket <= 0 {
-		c.MaxPacket = 2048
-	}
-	if c.MaxPacket < wire.MaxAckLen {
-		c.MaxPacket = wire.MaxAckLen
 	}
 	if c.MaxFlowsPerShard <= 0 {
 		c.MaxFlowsPerShard = 1 << 14
@@ -83,24 +87,21 @@ type FlowConfig struct {
 	// Dst is the peer: an engine shard, possibly behind a Shim.
 	Dst netip.AddrPort
 	// CC is the flow's congestion controller. Each flow needs its own
-	// instance: callbacks run on the owning shard's goroutine.
+	// instance: callbacks run on the owning shard's goroutine. Its name
+	// fixes the overload class (overload.ClassOf): a scavenger's flow is
+	// paused, shed and refused admission before any primary flow is
+	// touched, and carries the class in the top bit of its wire flow ID
+	// so the receiving engine sheds class-aware too.
 	CC transport.Controller
 	// Limit bounds the transfer in bytes (lost bytes re-credited);
 	// zero streams until Stop.
 	Limit int64
-	// PacketSize is the on-wire datagram size (default netem.MTU,
-	// clamped to the engine's MaxPacket).
+	// PacketSize is the on-wire datagram size (default netem.MTU, at
+	// most 2048).
 	PacketSize int
 	// RecordRTT keeps every per-ack RTT sample for Flow.RTTSamples —
 	// measurement harnesses only; leave off on production flows.
 	RecordRTT bool
-	// Class orders the flow under host overload: scavenger flows are
-	// paused/shed and refused admission before any primary flow is
-	// touched. The zero value is primary (never shed); use
-	// overload.ClassOf(protoName) to classify by controller name. The
-	// class is carried in the top bit of the wire flow ID so the
-	// receiving engine sheds class-aware too.
-	Class overload.Class
 }
 
 // Flow is the cross-goroutine handle for one sender flow.
@@ -330,16 +331,16 @@ func (e *Engine) AddFlow(fc FlowConfig) (*Flow, error) {
 	if fc.PacketSize < wire.DataHeaderLen {
 		return nil, errors.New("engine: packet size below header size")
 	}
-	if fc.PacketSize > e.cfg.MaxPacket {
-		return nil, fmt.Errorf("engine: packet size %d exceeds MaxPacket %d",
-			fc.PacketSize, e.cfg.MaxPacket)
+	if fc.PacketSize > maxPacket {
+		return nil, fmt.Errorf("engine: packet size %d exceeds %d", fc.PacketSize, maxPacket)
 	}
+	class := overload.ClassOf(fc.CC.Name())
 	sh := e.shards[int(e.rr.Add(1)-1)%len(e.shards)] // round-robin
-	if err := e.admitLocal(sh, fc.Class); err != nil {
+	if err := e.admitLocal(sh, class); err != nil {
 		return nil, err
 	}
 	id := e.nextID.Add(1)
-	if fc.Class == overload.ClassScavenger {
+	if class == overload.ClassScavenger {
 		// The class rides the top bit of the wire flow ID, so the
 		// receiving engine sheds class-aware without extra header bytes.
 		id |= wire.FlowClassScavenger

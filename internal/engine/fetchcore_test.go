@@ -13,12 +13,11 @@ import (
 // handServer drives a Core against a synthetic in-memory server with a
 // fixed RTT and a per-response drop hook, stepping virtual time by hand.
 type handServer struct {
-	data    []byte
-	segSize int
-	total   int64
-	digest  [32]byte
-	rtt     float64
-	drop    func(n int64) bool // drop the response to request number n
+	data   []byte
+	total  int64
+	digest [32]byte
+	rtt    float64
+	drop   func(n int64) bool // drop the response to request number n
 
 	reqs  int64
 	queue []timedResp
@@ -30,12 +29,12 @@ type timedResp struct {
 	payload []byte
 }
 
-func newHandServer(size int, segSize int, rtt float64) *handServer {
+func newHandServer(size int, rtt float64) *handServer {
 	data := make([]byte, size)
 	rand.New(rand.NewSource(7)).Read(data)
 	return &handServer{
-		data: data, segSize: segSize, rtt: rtt,
-		total:  int64((size + segSize - 1) / segSize),
+		data: data, rtt: rtt,
+		total:  int64((size + wire.SegSize - 1) / wire.SegSize),
 		digest: sha256.Sum256(data),
 	}
 }
@@ -51,8 +50,8 @@ func (sv *handServer) respond(req wire.FetchHeader, now float64) {
 	if req.Meta {
 		r.payload = sv.digest[:]
 	} else {
-		lo := req.Seg * int64(sv.segSize)
-		hi := lo + int64(sv.segSize)
+		lo := req.Seg * wire.SegSize
+		hi := lo + wire.SegSize
 		if hi > int64(len(sv.data)) {
 			hi = int64(len(sv.data))
 		}
@@ -114,11 +113,11 @@ func (sv *handServer) run(t *testing.T, c *fetchCore, horizon float64) float64 {
 // The tick publish copies the counters by value under a mutex: it
 // allocates nothing, and FetchFlow.Stats reads what the core counted.
 func TestCorePublishZeroAllocs(t *testing.T) {
-	c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 2e6, cwnd: math.Inf(1)}, SegSize: 1000})
+	c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 2e6, cwnd: math.Inf(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	newHandServer(10500, 1000, 0.050).run(t, c, 30)
+	newHandServer(cleanSize, 0.050).run(t, c, 30)
 	if allocs := testing.AllocsPerRun(100, func() { c.publish(1, 2) }); allocs != 0 {
 		t.Fatalf("tick publish allocates %.1f/op, want 0", allocs)
 	}
@@ -130,13 +129,16 @@ func TestCorePublishZeroAllocs(t *testing.T) {
 	}
 }
 
+// cleanSize is ten and a half segments: eleven data requests.
+const cleanSize = 10*wire.SegSize + wire.SegSize/2
+
 func TestCoreCleanTransfer(t *testing.T) {
 	cc := &countingCC{rate: 2e6, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 1000})
+	c, err := newFetchCore(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := newHandServer(10500, 1000, 0.050)
+	sv := newHandServer(cleanSize, 0.050)
 	end := sv.run(t, c, 30)
 	if !c.done() || !c.stats().Verified {
 		t.Fatalf("done=%v verified=%v", c.done(), c.stats().Verified)
@@ -145,8 +147,8 @@ func TestCoreCleanTransfer(t *testing.T) {
 		t.Fatalf("did not complete before horizon")
 	}
 	st := c.stats()
-	if st.Delivered != 10500 {
-		t.Fatalf("delivered=%d want 10500", st.Delivered)
+	if st.Delivered != cleanSize {
+		t.Fatalf("delivered=%d want %d", st.Delivered, cleanSize)
 	}
 	// 11 data segments + 1 metadata request, no losses, no dups.
 	if st.ReqsSent != 12 || st.LostReqs != 0 || st.Dups != 0 || st.Refetched != 0 {
@@ -159,11 +161,11 @@ func TestCoreCleanTransfer(t *testing.T) {
 
 func TestCoreRecoversFromLoss(t *testing.T) {
 	cc := &countingCC{rate: 4e6, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 1000})
+	c, err := newFetchCore(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := newHandServer(200_000, 1000, 0.040)
+	sv := newHandServer(200*wire.SegSize, 0.040)
 	sv.drop = func(n int64) bool { return n%7 == 3 } // lose every 7th response
 	sv.run(t, c, 60)
 	if !c.done() || !c.stats().Verified {
@@ -179,7 +181,7 @@ func TestCoreRecoversFromLoss(t *testing.T) {
 	if st.Refetched != 0 {
 		t.Fatalf("refetched=%d want 0", st.Refetched)
 	}
-	if st.Delivered != 200_000 {
+	if st.Delivered != 200*wire.SegSize {
 		t.Fatalf("delivered=%d", st.Delivered)
 	}
 }
@@ -189,12 +191,12 @@ func TestCoreRecoversFromLoss(t *testing.T) {
 // retransmit for that segment must be skipped, not re-sent.
 func TestCoreLateResponseDelivers(t *testing.T) {
 	cc := &countingCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 100})
+	c, err := newFetchCore(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Geometry via a synthetic meta response so the core can issue.
-	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 3, ObjSize: 300}, make([]byte, 32), 0, 0)
+	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 3, ObjSize: 3 * wire.SegSize}, make([]byte, 32), 0, 0)
 
 	req0, ok := c.issue(0, 0)
 	if !ok || req0.Meta {
@@ -206,7 +208,7 @@ func TestCoreLateResponseDelivers(t *testing.T) {
 		t.Fatalf("lostReqs=%d want 1", got)
 	}
 	// The late response arrives anyway.
-	c.onResponse(wire.SegmentHeader{Nonce: req0.Nonce, Seg: req0.Seg, TotalSegs: 3, ObjSize: 300}, nil, 5.1, 5.1)
+	c.onResponse(wire.SegmentHeader{Nonce: req0.Nonce, Seg: req0.Seg, TotalSegs: 3, ObjSize: 3 * wire.SegSize}, nil, 5.1, 5.1)
 	if c.stats().SegsRx != 1 {
 		t.Fatalf("late response did not deliver: %+v", c.stats())
 	}
@@ -226,12 +228,12 @@ func TestCoreLateResponseDelivers(t *testing.T) {
 // at exactly window outstanding segments.
 func TestCoreReassemblyWindowBound(t *testing.T) {
 	cc := &countingCC{rate: 1e9, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 100})
+	c, err := newFetchCore(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.window = 8
-	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 100, ObjSize: 10000}, make([]byte, 32), 0, 0)
+	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 100, ObjSize: 100 * wire.SegSize}, make([]byte, 32), 0, 0)
 	issued := 0
 	for {
 		req, ok := c.issue(0.001, 0.001)
@@ -245,7 +247,7 @@ func TestCoreReassemblyWindowBound(t *testing.T) {
 		if req.Seg != 0 {
 			// Respond to everything except segment 0.
 			c.onResponse(wire.SegmentHeader{Nonce: req.Nonce, Seg: req.Seg,
-				TotalSegs: 100, ObjSize: 10000}, nil, 0.002, 0.002)
+				TotalSegs: 100, ObjSize: 100 * wire.SegSize}, nil, 0.002, 0.002)
 		}
 		if issued > 50 {
 			break
@@ -258,13 +260,12 @@ func TestCoreReassemblyWindowBound(t *testing.T) {
 
 // The congestion window gates issuance in expected-response bytes.
 func TestCoreCwndGate(t *testing.T) {
-	respSize := wireRespSize(1000)
 	cc := &countingCC{rate: 1e9, cwnd: float64(3 * respSize)}
-	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 1000})
+	c, err := newFetchCore(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 100, ObjSize: 100_000}, make([]byte, 32), 0, 0)
+	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 100, ObjSize: 100 * wire.SegSize}, make([]byte, 32), 0, 0)
 	n := 0
 	for {
 		if _, ok := c.issue(0.001, 0.001); !ok {
@@ -287,11 +288,11 @@ func TestCoreCwndGate(t *testing.T) {
 // response recovers the transfer at the pre-outage rate.
 func TestCoreOutageAndRecovery(t *testing.T) {
 	cc := &countingCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 1000})
+	c, err := newFetchCore(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 50, ObjSize: 50_000}, make([]byte, 32), 0, 0)
+	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 50, ObjSize: 50 * wire.SegSize}, make([]byte, 32), 0, 0)
 	if _, ok := c.issue(0.01, 0.01); !ok {
 		t.Fatal("no request issued")
 	}
@@ -316,7 +317,7 @@ func TestCoreOutageAndRecovery(t *testing.T) {
 		t.Fatalf("issuance not frozen during outage")
 	}
 	// Any response heals the path.
-	c.onResponse(wire.SegmentHeader{Nonce: 12345, Seg: 3, TotalSegs: 50, ObjSize: 50_000}, nil, 3.0, 3.0)
+	c.onResponse(wire.SegmentHeader{Nonce: 12345, Seg: 3, TotalSegs: 50, ObjSize: 50 * wire.SegSize}, nil, 3.0, 3.0)
 	st = c.stats()
 	if st.InOutage || st.WdRecov != 1 {
 		t.Fatalf("no recovery: %+v", st)
@@ -339,7 +340,7 @@ func TestCoreStampLeadNoSpuriousLoss(t *testing.T) {
 		segs = 300
 	)
 	cc := &countingCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc, SegSize: 1000})
+	c, err := newFetchCore(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestCoreStampLeadNoSpuriousLoss(t *testing.T) {
 			if req, ok := c.issue(now, now+lead); ok {
 				queue = append(queue, timedResp{at: now + lead + rtt, h: wire.SegmentHeader{
 					Nonce: req.Nonce, Seg: req.Seg, Meta: req.Meta,
-					TotalSegs: segs, ObjSize: segs * 1000,
+					TotalSegs: segs, ObjSize: segs * wire.SegSize,
 				}})
 			}
 		}
@@ -378,14 +379,14 @@ func TestCoreStampLeadNoSpuriousLoss(t *testing.T) {
 // the claim, and the fetch still requests exactly a window ahead.
 func TestCoreHostileGeometry(t *testing.T) {
 	for _, total := range []int64{math.MaxInt64, 1 << 24} {
-		c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 1e9, cwnd: math.Inf(1)}, SegSize: 1000})
+		c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 1e9, cwnd: math.Inf(1)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.window = 64
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		c.onResponse(wire.SegmentHeader{Nonce: 1, Seg: 7, TotalSegs: total, ObjSize: math.MaxInt64}, make([]byte, 1000), 0, 0)
+		c.onResponse(wire.SegmentHeader{Nonce: 1, Seg: 7, TotalSegs: total, ObjSize: math.MaxInt64}, make([]byte, wire.SegSize), 0, 0)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
 			t.Fatalf("TotalSegs=%d: one response allocated %d bytes", total, grew)
@@ -406,24 +407,19 @@ func TestCoreHostileGeometry(t *testing.T) {
 	}
 }
 
-func wireRespSize(segSize int) int {
-	c, _ := newFetchCore(FetchConfig{CC: &countingCC{rate: 1, cwnd: 1}, SegSize: segSize})
-	return c.segWire(0)
-}
-
 // Reassembly recycles its buffers: under a schedule that loses every
 // eleventh response and holds every fifth back behind the ones after it,
 // window after window, a warm core allocates nothing — a segment that
 // arrives out of order waits in a buffer an earlier one gave back.
 func TestCoreReorderZeroAllocSteadyState(t *testing.T) {
-	const segSize, window = 200, 64
-	c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 1e6, cwnd: math.Inf(1)}, SegSize: segSize,
+	const window = 64
+	c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 1e6, cwnd: math.Inf(1)},
 		OnData: func(int64, []byte) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.window = window
-	sv := newHandServer(20000*segSize, segSize, 0.020)
+	sv := newHandServer(20000*wire.SegSize, 0.020)
 	sv.drop = func(n int64) bool { return n%11 == 7 }
 	now := 0.0
 	step := func() { // 10 ms

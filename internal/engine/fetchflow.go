@@ -25,9 +25,6 @@ type FetchConfig struct {
 	// name fixes the overload class (overload.ClassOf): a scavenger's
 	// fetch is a scavenger flow.
 	CC transport.Controller
-	// SegSize is the segment payload size the server was configured
-	// with; both ends must agree (default wire.DefaultSegSize).
-	SegSize int
 	// OnData, when set, observes each segment at in-order delivery, on
 	// the shard's goroutine. The payload slice is only valid during the
 	// call (copy what you keep).
@@ -72,18 +69,20 @@ type FetchStats struct {
 // the bucket is charged the expected response size per request.
 type FetchFlow struct {
 	origin
-	core     *fetchCore
-	respSize int
-	sh       *shard
-	key      fetchKey // its entry in sh.fetches
-	crcErrs  int64    // segments whose payload failed its CRC
+	core    *fetchCore
+	sh      *shard
+	key     fetchKey // its entry in sh.fetches
+	crcErrs int64    // segments whose payload failed its CRC
 
 	// Cross-goroutine surface: Stop runs on the caller's goroutine.
 	stop atomic.Bool
 	done chan struct{}
 }
 
-func (ff *FetchFlow) trainBytes() int { return ff.burst * ff.respSize }
+// respSize is the wire size of a full segment response.
+const respSize = wire.SegmentHeaderLen + wire.SegSize
+
+func (ff *FetchFlow) trainBytes() int { return ff.burst * respSize }
 
 func (ff *FetchFlow) peek() (int, bool) { return ff.core.peekSize() }
 
@@ -159,11 +158,10 @@ func (ff *FetchFlow) Stats() FetchStats {
 func (ff *FetchFlow) publish() { ff.core.publish(ff.crcErrs, ff.sh.st.BadPkts) }
 
 // AddFetch admits one fetch from dst (a serving engine shard, possibly
-// behind a Shim) under AddFlow's admission control. A full-segment
-// response must fit MaxPacket, and the class follows the controller
-// (overload.ClassOf). Responses select their flow by (source address,
-// object), so a second fetch of one object from one peer on the same
-// shard is refused.
+// behind a Shim) under AddFlow's admission control. The class follows
+// the controller (overload.ClassOf). Responses select their flow by
+// (source address, object), so a second fetch of one object from one
+// peer on the same shard is refused.
 func (e *Engine) AddFetch(dst netip.AddrPort, fc FetchConfig) (*FetchFlow, error) {
 	if !e.started {
 		return nil, errors.New("engine: AddFetch before Start")
@@ -175,15 +173,11 @@ func (e *Engine) AddFetch(dst netip.AddrPort, fc FetchConfig) (*FetchFlow, error
 	if err != nil {
 		return nil, err
 	}
-	respSize := wire.SegmentHeaderLen + core.cfg.SegSize
-	if respSize > e.cfg.MaxPacket {
-		return nil, fmt.Errorf("engine: segment response of %d B exceeds MaxPacket %d", respSize, e.cfg.MaxPacket)
-	}
 	class := overload.ClassOf(fc.CC.Name())
 	sh := e.shards[int(e.rr.Add(1)-1)%len(e.shards)] // round-robin
 	ff := &FetchFlow{
 		origin: newOrigin(transport.DefaultBurst, transport.DefaultBurst*respSize, class),
-		core:   core, respSize: respSize, sh: sh, done: make(chan struct{}),
+		core:   core, sh: sh, done: make(chan struct{}),
 		key: fetchKey{netip.AddrPortFrom(dst.Addr().Unmap(), dst.Port()), fc.ObjID},
 	}
 	f := &flow{addr: ff.key.addr, id: e.nextID.Add(1), fch: ff}
@@ -260,12 +254,6 @@ func newFetchCore(fc FetchConfig) (*fetchCore, error) {
 	if fc.CC == nil {
 		return nil, errors.New("engine: fetch needs a controller")
 	}
-	if fc.SegSize <= 0 {
-		fc.SegSize = wire.DefaultSegSize
-	}
-	if fc.SegSize > wire.MaxSegPayload {
-		return nil, errors.New("engine: segment size exceeds wire maximum")
-	}
 	c := &fetchCore{
 		cfg:     fc,
 		window:  fetchWindow,
@@ -282,9 +270,9 @@ func newFetchCore(fc FetchConfig) (*fetchCore, error) {
 // segWire returns the expected wire size of the response to a request
 // for seg (a full segment until the geometry is known).
 func (c *fetchCore) segWire(seg int64) int {
-	n := c.cfg.SegSize
+	n := wire.SegSize
 	if c.geomKnown {
-		if rem := c.objSize - seg*int64(c.cfg.SegSize); rem < int64(n) {
+		if rem := c.objSize - seg*wire.SegSize; rem < int64(n) {
 			n = int(rem)
 		}
 		if n < 0 {

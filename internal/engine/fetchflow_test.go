@@ -32,18 +32,17 @@ type fetchRig struct {
 
 const (
 	rigObj  = 0xfeed
-	rigResp = 1000 // response bytes per segment: 1 ms at the rig's 1 MB/s
-	rigSeg  = rigResp - wire.SegmentHeaderLen
-	rigRTT  = 0.005 // the metadata's turn-around
+	rigRate = 1000 * respSize // bytes/s: one full-segment response a ms
+	rigRTT  = 0.005           // the metadata's turn-around
 )
 
 func newFetchRig(t *testing.T, cfg Config, segs int64) *fetchRig {
 	t.Helper()
-	r := &fetchRig{t: t, sh: newTestShard(t, cfg), cc: &countingCC{rate: 1e6, cwnd: 1e9},
-		obj: make([]byte, segs*rigSeg), order: make([]int64, 0, segs), buf: make([]byte, rigResp)}
+	r := &fetchRig{t: t, sh: newTestShard(t, cfg), cc: &countingCC{rate: rigRate, cwnd: 1e9},
+		obj: make([]byte, segs*wire.SegSize), order: make([]int64, 0, segs), buf: make([]byte, respSize)}
 	rand.New(rand.NewSource(segs)).Read(r.obj)
 	r.digest = sha256.Sum256(r.obj)
-	ff, err := r.sh.eng.AddFetch(src(9000), FetchConfig{ObjID: rigObj, CC: r.cc, SegSize: rigSeg,
+	ff, err := r.sh.eng.AddFetch(src(9000), FetchConfig{ObjID: rigObj, CC: r.cc,
 		OnData: func(seg int64, _ []byte) { r.order = append(r.order, seg) }})
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +90,11 @@ func (r *fetchRig) requests() []wire.FetchHeader {
 func (r *fetchRig) segment(h wire.FetchHeader) []byte {
 	payload := r.digest[:]
 	if !h.Meta {
-		payload = r.obj[h.Seg*rigSeg : (h.Seg+1)*rigSeg]
+		payload = r.obj[h.Seg*wire.SegSize : (h.Seg+1)*wire.SegSize]
 	}
 	return wire.EncodeSegment(r.buf, wire.SegmentHeader{
 		Nonce: h.Nonce, SentAtEcho: h.SentAt, ObjID: h.ObjID, Meta: h.Meta, Seg: h.Seg,
-		TotalSegs: int64(len(r.obj) / rigSeg), ObjSize: int64(len(r.obj)),
+		TotalSegs: int64(len(r.obj) / wire.SegSize), ObjSize: int64(len(r.obj)),
 	}, payload)
 }
 
@@ -455,7 +454,7 @@ func TestAddFetchDuplicateRefused(t *testing.T) {
 	sh := newTestShard(t, Config{})
 	eng := sh.eng
 	add := func(obj uint64) (*FetchFlow, error) {
-		return eng.AddFetch(src(9000), FetchConfig{ObjID: obj, CC: &countingCC{rate: 1e6, cwnd: 1e9}, SegSize: rigSeg})
+		return eng.AddFetch(src(9000), FetchConfig{ObjID: obj, CC: &countingCC{rate: 1e6, cwnd: 1e9}})
 	}
 	fl, err := add(1)
 	if err != nil {

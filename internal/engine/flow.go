@@ -226,10 +226,10 @@ type senderFlow struct {
 }
 
 // newSenderFlow builds the sender state for an (already defaulted)
-// flow configuration.
+// flow configuration; the class follows the controller.
 func newSenderFlow(fc FlowConfig) *senderFlow {
 	s := &senderFlow{
-		origin: newOrigin(transport.DefaultBurst, transport.DefaultBurst*fc.PacketSize, fc.Class),
+		origin: newOrigin(transport.DefaultBurst, transport.DefaultBurst*fc.PacketSize, overload.ClassOf(fc.CC.Name())),
 		cc:     fc.CC, limit: fc.Limit,
 		packetSize: fc.PacketSize, done: make(chan struct{}),
 		recordRTT: fc.RecordRTT,

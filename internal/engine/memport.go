@@ -63,7 +63,7 @@ func (p *memPort) push(src netip.AddrPort, b []byte) {
 	if n := len(p.free); n > 0 {
 		buf, p.free = p.free[n-1], p.free[:n-1]
 	} else {
-		buf = make([]byte, p.sh.maxPacket)
+		buf = make([]byte, maxPacket)
 	}
 	p.inbox = append(p.inbox, memDatagram{src, buf[:copy(buf, b)]})
 	p.wake()
@@ -101,9 +101,9 @@ func (p *memPort) readBatch(wait time.Duration) int {
 		// The inbox's buffer becomes the staging slot, the slot's (if any)
 		// the next push's: both are maxPacket bytes.
 		if b := sh.rxBufs[i]; b != nil {
-			p.free = append(p.free, b[:sh.maxPacket])
+			p.free = append(p.free, b[:maxPacket])
 		}
-		sh.rxBufs[i], sh.rxLens[i], sh.rxSrcs[i], sh.rxSegs[i] = d.b[:sh.maxPacket], len(d.b), d.src, 0
+		sh.rxBufs[i], sh.rxLens[i], sh.rxSrcs[i], sh.rxSegs[i] = d.b[:maxPacket], len(d.b), d.src, 0
 	}
 	p.inbox = p.inbox[:copy(p.inbox, p.inbox[n:])]
 	return n

@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"pccproteus/internal/core"
 	"pccproteus/internal/overload"
+	"pccproteus/internal/sim"
+	"pccproteus/internal/transport"
 	"pccproteus/internal/wire"
 )
 
@@ -18,8 +21,8 @@ const scavBit = wire.FlowClassScavenger
 // way hotpathHarness does, so shed/pause behavior is testable without
 // sockets.
 func addLocalSender(sh *shard, id uint32, class overload.Class) *flow {
-	s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1, Win: 400}, PacketSize: 400, Class: class})
-	s.origin = newOrigin(1, 400, class) // one-packet trains
+	s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1, Win: 400}, PacketSize: 400})
+	s.origin = newOrigin(1, 400, class) // one-packet trains of the given class
 	f := &flow{addr: src(uint16(30000 + id)), id: id, snd: s}
 	sh.insert(f)
 	return f
@@ -542,7 +545,7 @@ func TestAddFlowScavengerGate(t *testing.T) {
 	eng.shards[0].ovState.Store(uint32(overload.StateBrownout))
 	dst := eng.Addrs()[0]
 	if _, err := eng.AddFlow(FlowConfig{
-		Dst: dst, CC: &FixedRateCC{Rate: 1}, Class: overload.ClassScavenger,
+		Dst: dst, CC: &scavFixedRate{FixedRateCC{Rate: 1}},
 	}); err == nil {
 		t.Fatal("scavenger AddFlow admitted under brownout")
 	}
@@ -559,7 +562,7 @@ func TestAddFlowScavengerGate(t *testing.T) {
 	// Back to normal: scavenger admitted, class bit set on the wire ID.
 	eng.shards[0].ovState.Store(uint32(overload.StateNormal))
 	sfl, err := eng.AddFlow(FlowConfig{
-		Dst: dst, CC: &FixedRateCC{Rate: 1}, Class: overload.ClassScavenger,
+		Dst: dst, CC: &scavFixedRate{FixedRateCC{Rate: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -570,5 +573,34 @@ func TestAddFlowScavengerGate(t *testing.T) {
 	st := eng.Stats()
 	if st.AdmittedPrimary != 1 || st.AdmittedScavenger != 1 {
 		t.Fatalf("admitted P=%d S=%d want 1,1", st.AdmittedPrimary, st.AdmittedScavenger)
+	}
+}
+
+// A flow's class follows its controller on every way in, Loopback's
+// StartFlow included: a Proteus-S flow is admitted as a scavenger and its
+// data packets carry the class bit the receiving engine sheds by; a
+// fixed-rate flow is primary on both counts.
+func TestStartFlowClassFollowsController(t *testing.T) {
+	for _, tc := range []struct {
+		cc   transport.Controller
+		scav bool
+	}{
+		{core.NewProteusS(rand.New(rand.NewSource(1))), true},
+		{&FixedRateCC{Rate: 1e5}, false},
+	} {
+		s := sim.New(1)
+		lb, fl, _ := simFlow(t, s, wire.ShimConfig{RateMbps: 10, QueueBytes: 30000, Delay: 0.010, AckDelay: 0.010}, tc.cc)
+		s.Run(0.5)
+		var rx []uint32 // the flow IDs the server's data packets carried
+		lb.Server.shards[0].eachFlow(func(f *flow) { rx = append(rx, f.id) })
+		st := lb.clients[0].Stats()
+		lb.Stop()
+		name := tc.cc.Name()
+		if (st.AdmittedScavenger == 1) != tc.scav || st.AdmittedScavenger+st.AdmittedPrimary != 1 {
+			t.Errorf("%s: admitted P=%d S=%d, scavenger %v", name, st.AdmittedPrimary, st.AdmittedScavenger, tc.scav)
+		}
+		if len(rx) != 1 || wire.ScavengerID(rx[0]) != tc.scav || wire.ScavengerID(fl.ID()) != tc.scav {
+			t.Errorf("%s: flow %#x, server saw %#x: want the class bit %v", name, fl.ID(), rx, tc.scav)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"pccproteus/internal/netem"
 	"pccproteus/internal/overload"
 	"pccproteus/internal/sim"
+	"pccproteus/internal/transport"
 )
 
 // OverloadConfig drives RunOverload: a steady primary population on a
@@ -155,16 +156,14 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 			}
 			eng.Start()
 			for j := 0; j < ph.Flows; j++ {
-				class := overload.ClassScavenger
+				var cc transport.Controller = &scavFixedRate{*fixedRate(overloadScavRate)}
 				if ph.Kind == overload.KindAckStarve && j >= ph.Flows/2 {
 					// A slow receiver starves everyone: the back half of
 					// the starved population is primary, which both mirrors
 					// reality and shows the cap refusing either class.
-					class = overload.ClassPrimary
+					cc = fixedRate(overloadScavRate)
 				}
-				_, err := eng.AddFlow(FlowConfig{
-					Dst: to, CC: fixedRate(overloadScavRate), PacketSize: overloadPacketSize, Class: class,
-				})
+				_, err := eng.AddFlow(FlowConfig{Dst: to, CC: cc, PacketSize: overloadPacketSize})
 				if err != nil {
 					res.LoadAddErrs++ // expected once the phase engine is at its cap
 				}

@@ -84,7 +84,6 @@ type shard struct {
 	// sweep, so the overload machine does not read them as load.
 	finished int
 
-	maxPacket int
 	batchSize int
 	maxFlows  int
 	idleTO    float64
@@ -163,7 +162,6 @@ func newShard(eng *Engine, idx int) *shard {
 		table:     make([]*flow, 8),
 		tabShift:  64 - 3,
 		tabMul:    [2]uint64{randv2.Uint64() | 1, randv2.Uint64() | 1},
-		maxPacket: cfg.MaxPacket,
 		batchSize: cfg.BatchSize,
 		maxFlows:  cfg.MaxFlowsPerShard,
 		idleTO:    cfg.IdleTimeout,
@@ -177,7 +175,7 @@ func newShard(eng *Engine, idx int) *shard {
 }
 
 // bufSize is the bytes stage lays out for n rx slots of size bytes.
-func (sh *shard) bufSize(n, size int) int { return n*size + sh.batchSize*sh.maxPacket }
+func (sh *shard) bufSize(n, size int) int { return n*size + sh.batchSize*maxPacket }
 
 // stage lays the shard's buffers out in buf, bufSize(n, size) bytes: n
 // rx slots of size bytes, then the tx arena. Size 0 leaves the slots
@@ -775,7 +773,7 @@ func (sh *shard) enqueue(f *flow) {
 // that is not queued is simply handed out again. Fewer than batchSize
 // packets are queued, so that many bytes are always free.
 func (sh *shard) txBuf() []byte {
-	return sh.txArena[sh.txOff : sh.txOff+sh.maxPacket : sh.txOff+sh.maxPacket]
+	return sh.txArena[sh.txOff : sh.txOff+maxPacket : sh.txOff+maxPacket]
 }
 
 // queueTx stages one encoded packet — a prefix of the buffer txBuf last

@@ -131,9 +131,10 @@ func threeFlows(t *testing.T) (flows [3]FlowStats, snd, recv Stats) {
 	se.Start()
 	re.Start()
 	var fl [3]*Flow
-	for i, class := range []overload.Class{overload.ClassPrimary, overload.ClassScavenger, overload.ClassScavenger} {
+	rate := FixedRateCC{Rate: 8e6 / 8} // one primary, then two scavengers
+	for i, cc := range []transport.Controller{&rate, &scavFixedRate{rate}, &scavFixedRate{rate}} {
 		var err error
-		fl[i], err = se.AddFlow(FlowConfig{Dst: re.Addrs()[0], CC: &FixedRateCC{Rate: 8e6 / 8}, Class: class})
+		fl[i], err = se.AddFlow(FlowConfig{Dst: re.Addrs()[0], CC: cc})
 		if err != nil {
 			t.Fatal(err)
 		}

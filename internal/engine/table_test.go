@@ -304,7 +304,7 @@ func TestFlowTableDroppedFlowIsNeverServed(t *testing.T) {
 // ID and port, another host) is in the table.
 func TestFlowTableQueuedFetchSegmentIsStray(t *testing.T) {
 	sh := newTestShard(t, Config{})
-	ff, err := sh.eng.AddFetch(peer(1, 9000), FetchConfig{ObjID: rigObj, CC: &countingCC{rate: 1e6, cwnd: 1e9}, SegSize: rigSeg})
+	ff, err := sh.eng.AddFetch(peer(1, 9000), FetchConfig{ObjID: rigObj, CC: &countingCC{rate: 1e6, cwnd: 1e9}})
 	if err != nil {
 		t.Fatal(err)
 	}

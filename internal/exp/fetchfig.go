@@ -84,9 +84,8 @@ func fetchYieldTrial(seed int64, background string, dur float64) (dashMbps float
 		// Segments cross the bottleneck beside the foreground; requests
 		// take its return path.
 		n := engine.NewSimNet(e.S)
-		maxPkt := wire.SegmentHeaderLen + wire.DefaultSegSize
-		srv := n.NewEngine(engine.Config{OnFetch: serveEndless, MaxPacket: maxPkt})
-		cli := n.NewEngine(engine.Config{MaxPacket: maxPkt})
+		srv := n.NewEngine(engine.Config{OnFetch: serveEndless})
+		cli := n.NewEngine(engine.Config{})
 		n.Connect(srv.Addrs()[0], cli.Addrs()[0], e.Path)
 		srv.Start()
 		cli.Start()
@@ -105,7 +104,7 @@ func fetchYieldTrial(seed int64, background string, dur float64) (dashMbps float
 // completes, so its goodput is pure steady-state yield.
 const endlessSize = 1 << 40
 
-var zeroSeg [wire.DefaultSegSize]byte
+var zeroSeg [wire.SegSize]byte
 
 // serveEndless is a stateless fetch server for one endlessSize object of
 // zero bytes under a zero digest, whatever object a request names.
@@ -116,7 +115,7 @@ func serveEndless(h wire.FetchHeader, buf []byte) []byte {
 	}
 	return wire.EncodeSegment(buf, wire.SegmentHeader{
 		Nonce: h.Nonce, SentAtEcho: h.SentAt, Meta: h.Meta, ObjID: h.ObjID, Seg: h.Seg,
-		TotalSegs: fetch.TotalSegs(endlessSize, wire.DefaultSegSize), ObjSize: endlessSize,
+		TotalSegs: fetch.TotalSegs(endlessSize), ObjSize: endlessSize,
 	}, payload)
 }
 

@@ -39,16 +39,14 @@ var AppendixSingles = []string{
 }
 
 // Figures is the figure table, in `-fig all` order. Figs 15–17, 19, 21
-// and 22 are Figs 3–6, 9 and 10 with the Appendix-B protocol sets. Fig 7
-// reads its RTT ratios off Fig 6's tables and is a row, not an alias,
-// because `-fig all` has always printed them a second time under it.
+// and 22 are Figs 3–6, 9 and 10 with the Appendix-B protocol sets; Fig 7
+// reads its RTT ratios off Fig 6's tables.
 var Figures = []Figure{
 	{ID: "2", All: true, Run: fig2Blocks},
 	{ID: "3", All: true, Run: fig3Blocks(3, AllSingle)},
 	{ID: "4", All: true, Run: tableFig("fig4", func(o Options) *Table { return Fig4(o, 4, AllSingle) })},
 	{ID: "5", All: true, Run: tableFig("fig5", func(o Options) *Table { return Fig5(o, 5, AllSingle) })},
-	{ID: "6", All: true, Run: fig6},
-	{ID: "7", All: true, Run: fig6},
+	{ID: "6", Aliases: []string{"7"}, All: true, Run: fig6Blocks("6", "fig6", ProtoLEDBAT, ProtoProteusS, ProtoProteusP, ProtoCopa)},
 	{ID: "8", All: true, Run: cdfFig("fig8", "Fig 8: primary throughput ratio over configuration sweep", Fig8)},
 	{ID: "9", All: true, Run: cdfFig("fig9", "Fig 9: normalized single-flow throughput on WiFi-like paths",
 		func(o Options) []CDFSeries { return Fig9(o, AllSingle) })},
@@ -143,8 +141,6 @@ func fig3Blocks(fig int, protocols []string) func(Options) ([]Block, error) {
 		return []Block{{Name: fmt.Sprintf("fig%da", fig), Table: tput}, {Name: fmt.Sprintf("fig%db", fig), Table: infl}}, nil
 	}
 }
-
-var fig6 = fig6Blocks("6", "fig6", ProtoLEDBAT, ProtoProteusS, ProtoProteusP, ProtoCopa)
 
 // fig6Blocks is one yield matrix per scavenger; fig labels the titles
 // and stem the CSV files.

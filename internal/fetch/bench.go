@@ -17,12 +17,12 @@ import (
 // Exported (rather than a regular Benchmark) for the benchmark harness.
 func RunFetchBench(b *testing.B) {
 	const objSegs = 512
-	store := NewStore(0)
-	data := make([]byte, objSegs*wire.DefaultSegSize)
+	store := NewStore()
+	data := make([]byte, objSegs*wire.SegSize)
 	rand.New(rand.NewSource(9)).Read(data)
 	ids, err := store.Add(Source{Name: "bench", R: bytes.NewReader(data), Size: int64(len(data))})
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine.RunFetchCoreBench(b, store.HandleFetch, ids[0], store.SegSize)
+	engine.RunFetchCoreBench(b, store.HandleFetch, ids[0])
 }

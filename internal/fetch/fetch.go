@@ -70,22 +70,13 @@ type object struct {
 // read from its object's source when it is requested, so memory is
 // O(objects), not O(bytes).
 type Store struct {
-	SegSize int // payload bytes per segment (default wire.DefaultSegSize)
-
 	objs  map[uint64]*object
 	files []*os.File // opened by AddFile/ServeDir; Close closes them
 }
 
-// NewStore returns an empty store with the given segment size (0 means
-// wire.DefaultSegSize).
-func NewStore(segSize int) *Store {
-	if segSize <= 0 {
-		segSize = wire.DefaultSegSize
-	}
-	if segSize > wire.MaxSegPayload {
-		segSize = wire.MaxSegPayload
-	}
-	return &Store{SegSize: segSize, objs: make(map[uint64]*object)}
+// NewStore returns an empty store.
+func NewStore() *Store {
+	return &Store{objs: make(map[uint64]*object)}
 }
 
 // Source is one object to add: its name, the reader its Size bytes are
@@ -267,11 +258,11 @@ func (st *Store) Close() error {
 	return errors.Join(errs...)
 }
 
-// TotalSegs returns the segment count for an object of size bytes at
-// the given segment size: at least 1, so even an empty object has a
-// well-formed geometry (one zero-byte segment).
-func TotalSegs(size int64, segSize int) int64 {
-	n := (size + int64(segSize) - 1) / int64(segSize)
+// TotalSegs returns the segment count for an object of size bytes: at
+// least 1, so even an empty object has a well-formed geometry (one
+// zero-byte segment).
+func TotalSegs(size int64) int64 {
+	n := (size + wire.SegSize - 1) / wire.SegSize
 	if n < 1 {
 		n = 1
 	}
@@ -290,7 +281,7 @@ func (st *Store) HandleFetch(h wire.FetchHeader, buf []byte) []byte {
 		return nil
 	}
 	size := obj.size
-	total := TotalSegs(size, st.SegSize)
+	total := TotalSegs(size)
 	sh := wire.SegmentHeader{
 		Nonce:      h.Nonce,
 		SentAtEcho: h.SentAt,
@@ -306,8 +297,8 @@ func (st *Store) HandleFetch(h wire.FetchHeader, buf []byte) []byte {
 		return nil
 	}
 	sh.Seg = h.Seg
-	lo := h.Seg * int64(st.SegSize)
-	payload := buf[wire.SegmentHeaderLen : wire.SegmentHeaderLen+min(int64(st.SegSize), size-lo)]
+	lo := h.Seg * wire.SegSize
+	payload := buf[wire.SegmentHeaderLen : wire.SegmentHeaderLen+min(wire.SegSize, size-lo)]
 	// A short read's error says only why; the answer is silence.
 	if n, _ := obj.src.ReadAt(payload, lo); n < len(payload) {
 		return nil

@@ -98,14 +98,12 @@ func runLoopback(s *sim.Sim, cfg LoopbackConfig, faults *chaos.Plan) (*LoopbackR
 	if seed == 0 {
 		seed = 1
 	}
-	store := NewStore(0)
+	store := NewStore()
 	objIDs, err := store.Add(seededObjects(seed, cfg.Flows, cfg.BytesPerFlow)...)
 	if err != nil {
 		return nil, err
 	}
-	maxPkt := store.SegSize + wire.SegmentHeaderLen
-	lb, err := engine.NewLoopback(s, engine.Config{MaxPacket: maxPkt},
-		engine.Config{OnFetch: store.HandleFetch, MaxPacket: maxPkt})
+	lb, err := engine.NewLoopback(s, engine.Config{}, engine.Config{OnFetch: store.HandleFetch})
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +116,7 @@ func runLoopback(s *sim.Sim, cfg LoopbackConfig, faults *chaos.Plan) (*LoopbackR
 		if err != nil {
 			return nil, err
 		}
-		fetchers[i], err = cli.AddFetch(dst, engine.FetchConfig{ObjID: objIDs[i], CC: cfg.NewController(), SegSize: store.SegSize})
+		fetchers[i], err = cli.AddFetch(dst, engine.FetchConfig{ObjID: objIDs[i], CC: cfg.NewController()})
 		if err != nil {
 			return nil, err
 		}

@@ -175,7 +175,7 @@ func TestLoopbackBlackoutResume(t *testing.T) {
 
 // A fixed-rate fetch on a SimNet lands on its analytic goodput. The
 // controller paces response wire bytes, of which the payload share
-// wire.DefaultSegSize/(wire.DefaultSegSize+SegmentHeaderLen) is object data; the
+// wire.SegSize/(wire.SegSize+SegmentHeaderLen) is object data; the
 // transfer adds two round trips to that — the metadata exchange before
 // the first data request, and the last request's after its pacing slot.
 func TestLoopbackSimParity(t *testing.T) {
@@ -197,7 +197,7 @@ func TestLoopbackSimParity(t *testing.T) {
 	if !res.AllDone || !res.AllVerified {
 		t.Fatalf("engine transfer incomplete: %+v", res.Flows[0].Fetcher)
 	}
-	payloadRate := rateMbps * 1e6 / 8 * float64(wire.DefaultSegSize) / float64(wire.DefaultSegSize+wire.SegmentHeaderLen)
+	payloadRate := rateMbps * 1e6 / 8 * float64(wire.SegSize) / float64(wire.SegSize+wire.SegmentHeaderLen)
 	want := float64(bytes) * 8 / (float64(bytes)/payloadRate + 4*delay) / 1e6
 	// Serialisation and noticing completion on a 5 ms grid are inside a
 	// percent.
@@ -254,7 +254,7 @@ func TestLoopbackManyFetchesOneShard(t *testing.T) {
 	if peakRelays != flows {
 		t.Fatalf("%d relay goroutines at peak for %d shims, want one each", peakRelays, flows)
 	}
-	if n := int64(flows); res.Receiver.FetchReqs < n*(128<<10)/int64(wire.DefaultSegSize) {
+	if n := int64(flows); res.Receiver.FetchReqs < n*(128<<10)/int64(wire.SegSize) {
 		t.Fatalf("server answered %d requests", res.Receiver.FetchReqs)
 	}
 }

@@ -29,7 +29,7 @@ type storeObject struct {
 }
 
 // testSize is ten full segments and a short last one.
-const testSize = 10*wire.DefaultSegSize + 517
+const testSize = 10*wire.SegSize + 517
 
 // addSources adds three objects of each source kind to st in one
 // batch: bytes held in memory, a file opened by the test, and the
@@ -93,10 +93,10 @@ func fetchSeg(t *testing.T, st *Store, id uint64, seg int64, meta bool, buf []by
 // sequential read, the short last one included, and the digest served
 // in the metadata is the SHA-256 of the whole content.
 func TestStoreServesSegments(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore()
 	defer st.Close()
 	buf := make([]byte, wire.MaxDataLen)
-	total := TotalSegs(testSize, wire.DefaultSegSize)
+	total := TotalSegs(testSize)
 	for _, o := range addSources(t, st) {
 		sh, digest, ok := fetchSeg(t, st, o.id, 0, true, buf)
 		if sum := sha256.Sum256(o.want); !ok || !bytes.Equal(digest, sum[:]) {
@@ -107,8 +107,8 @@ func TestStoreServesSegments(t *testing.T) {
 		}
 		for seg := int64(0); seg < total; seg++ {
 			sh, payload, ok := fetchSeg(t, st, o.id, seg, false, buf)
-			lo := seg * wire.DefaultSegSize
-			want := o.want[lo:min(lo+wire.DefaultSegSize, testSize)]
+			lo := seg * wire.SegSize
+			want := o.want[lo:min(lo+wire.SegSize, testSize)]
 			if !ok || sh.Seg != seg || sh.Nonce != seg+1 || sh.SentAtEcho != 7 || !bytes.Equal(payload, want) {
 				t.Fatalf("%s seg %d: ok=%v header %+v, %d payload bytes, want %d matching the sequential read",
 					o.kind, seg, ok, sh, len(payload), len(want))
@@ -126,7 +126,7 @@ func TestStoreServesSegments(t *testing.T) {
 // Add reads its source once for the digest, and refuses a negative
 // size or a source that fails or runs short instead of serving it.
 func TestStoreAddReportsReadErrors(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore()
 	if _, err := st.Add(Source{"short", bytes.NewReader(make([]byte, 100)), 101}); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short source: %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -156,7 +156,7 @@ func (r failingReader) ReadAt([]byte, int64) (int, error) { return 0, r.err }
 // returns that source's error; a ServeDir whose Add fails closes every
 // file it opened for the call.
 func TestStoreAddAllOrNothing(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore()
 	defer st.Close()
 	held := addSources(t, st)
 	broken := errors.New("device gone")
@@ -221,7 +221,7 @@ func openFilesUnder(t *testing.T, dir string) []string {
 // name whose ID another object already has, naming the object; the
 // first object stays served and the batch registers nothing.
 func TestStoreAddRejectsDuplicates(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore()
 	first := bytes.NewReader([]byte("first"))
 	if _, err := st.Add(Source{"a", first, 5}); err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func sha256sum(b []byte) []byte {
 // Add returns each object's ID at its input position, whatever order
 // the workers finish in, and each ID serves its own object's digest.
 func TestStoreAddReturnsIDsInInputOrder(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore()
 	n := 2*runtime.GOMAXPROCS(0) + 3
 	srcs := make([]Source, n)
 	for i := range srcs {
@@ -310,7 +310,7 @@ func TestStoreAddHashesInParallel(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = Source{fmt.Sprint("meet-", i), &meetReader{arrive: waiting.Done, met: met}, 1 << 16}
 	}
-	st := NewStore(0)
+	st := NewStore()
 	if _, err := st.Add(srcs...); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestStoreServeDir(t *testing.T) {
 	if err := os.Symlink("a.bin", filepath.Join(dir, "link")); err != nil {
 		t.Fatal(err)
 	}
-	st := NewStore(0)
+	st := NewStore()
 	names, err := st.ServeDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -369,21 +369,21 @@ func TestStoreServeDir(t *testing.T) {
 // A file truncated while it is served answers nothing for the segments
 // it lost, the one cut short included: never a short or corrupt one.
 func TestStoreTruncatedFile(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore()
 	defer st.Close()
 	objs := addSources(t, st)
 	file := objs[1]
 	path := st.objs[file.id].src.(*os.File).Name()
-	cut := int64(4*wire.DefaultSegSize + 100)
+	cut := int64(4*wire.SegSize + 100)
 	if err := os.Truncate(path, cut); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, wire.MaxDataLen)
-	total := TotalSegs(testSize, wire.DefaultSegSize)
+	total := TotalSegs(testSize)
 	for seg := int64(0); seg < total; seg++ {
 		_, payload, ok := fetchSeg(t, st, file.id, seg, false, buf)
-		lo := seg * wire.DefaultSegSize
-		if intact := lo+wire.DefaultSegSize <= cut; ok != intact || ok && !bytes.Equal(payload, file.want[lo:lo+wire.DefaultSegSize]) {
+		lo := seg * wire.SegSize
+		if intact := lo+wire.SegSize <= cut; ok != intact || ok && !bytes.Equal(payload, file.want[lo:lo+wire.SegSize]) {
 			t.Fatalf("seg %d after truncation to %d bytes: answered=%v (%d bytes), want answered=%v with the original bytes",
 				seg, cut, ok, len(payload), intact)
 		}
@@ -501,7 +501,7 @@ func TestStoreDoesNotCopyFiles(t *testing.T) {
 	if err := os.Truncate(path, 64<<20); err != nil {
 		t.Fatal(err)
 	}
-	st := NewStore(0)
+	st := NewStore()
 	defer st.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -514,7 +514,7 @@ func TestStoreDoesNotCopyFiles(t *testing.T) {
 		t.Fatalf("AddFile of a 64 MiB file allocated %d bytes", grew)
 	}
 	buf := make([]byte, wire.MaxDataLen)
-	if _, payload, ok := fetchSeg(t, st, id, TotalSegs(64<<20, wire.DefaultSegSize)-1, false, buf); !ok || len(payload) != (64<<20)%wire.DefaultSegSize {
+	if _, payload, ok := fetchSeg(t, st, id, TotalSegs(64<<20)-1, false, buf); !ok || len(payload) != (64<<20)%wire.SegSize {
 		t.Fatalf("last segment: ok=%v, %d bytes", ok, len(payload))
 	}
 }
@@ -523,10 +523,10 @@ func TestStoreDoesNotCopyFiles(t *testing.T) {
 // serves the metadata and every segment: AllocsPerRun truncates its
 // average, so a run must allocate at least once if any request does.
 func TestHandleFetchZeroAllocs(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore()
 	defer st.Close()
 	buf := make([]byte, wire.MaxDataLen)
-	total := TotalSegs(testSize, wire.DefaultSegSize)
+	total := TotalSegs(testSize)
 	for _, o := range addSources(t, st) {
 		allocs := testing.AllocsPerRun(50, func() {
 			for seg := int64(-1); seg < total; seg++ {
@@ -545,10 +545,10 @@ func TestHandleFetchZeroAllocs(t *testing.T) {
 // Four goroutines serve from one store at once, as the shards of one
 // proteusd do; run under -race.
 func TestHandleFetchConcurrent(t *testing.T) {
-	st := NewStore(0)
+	st := NewStore()
 	defer st.Close()
 	objs := addSources(t, st)
-	total := TotalSegs(testSize, wire.DefaultSegSize)
+	total := TotalSegs(testSize)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -560,8 +560,8 @@ func TestHandleFetchConcurrent(t *testing.T) {
 				seg := int64(g*7+i) % total
 				resp := st.HandleFetch(wire.FetchHeader{ObjID: o.id, Seg: seg, Nonce: int64(i)}, buf)
 				_, payload, err := wire.DecodeSegment(resp)
-				lo := seg * wire.DefaultSegSize
-				if err != nil || !bytes.Equal(payload, o.want[lo:min(lo+wire.DefaultSegSize, testSize)]) {
+				lo := seg * wire.SegSize
+				if err != nil || !bytes.Equal(payload, o.want[lo:min(lo+wire.SegSize, testSize)]) {
 					t.Errorf("goroutine %d: %s seg %d served wrong: %v", g, o.kind, seg, err)
 					return
 				}

@@ -1,17 +1,13 @@
 package pathmodel
 
-import (
-	"pccproteus/internal/netem"
-	"pccproteus/internal/sim"
-)
-
 // Incast describes the datacenter incast scenario: FanIn synchronized
 // senders (a partition-aggregate response wave) firing into one
 // shallow-buffered top-of-rack port. Unlike the time-varying models,
 // the path itself is static — the stress is the synchronized workload
 // against a queue of only BufPkts packets — so Incast is a scenario
-// descriptor the experiment and campaign layers build topologies from,
-// not a Model.
+// descriptor, not a Model: exp's incast table builds its link (BufPkts
+// full packets of queue, RTT split evenly between the two directions)
+// and its flows from it.
 type Incast struct {
 	FanIn   int     // synchronized senders (default 32)
 	Mbps    float64 // bottleneck port speed (default 1000)
@@ -38,13 +34,4 @@ func (ic Incast) WithDefaults() Incast {
 		ic.Bytes = 256 << 10
 	}
 	return ic
-}
-
-// Build constructs the shared bottleneck and its path: one link whose
-// queue holds BufPkts full packets, with the propagation delay split
-// evenly between the forward and ack directions.
-func (ic Incast) Build(s *sim.Sim) *netem.Path {
-	ic = ic.WithDefaults()
-	link := netem.NewLink(s, ic.Mbps, ic.BufPkts*netem.MTU, ic.RTT/2)
-	return &netem.Path{Link: link, AckDelay: ic.RTT / 2}
 }

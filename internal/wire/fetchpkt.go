@@ -63,12 +63,10 @@ const (
 	FetchLen = 35
 	// SegmentHeaderLen is the segment-packet header size in bytes.
 	SegmentHeaderLen = 67
-	// MaxSegPayload is the largest segment payload a datagram can carry.
-	MaxSegPayload = MaxDataLen - SegmentHeaderLen
-	// DefaultSegSize is the segment payload size both ends use unless
-	// told otherwise: a full segment response is exactly one 1500-byte
-	// MTU on the wire, which keeps sim and wire byte accounting aligned.
-	DefaultSegSize = 1500 - SegmentHeaderLen
+	// SegSize is the segment payload size, a protocol constant both
+	// ends share: a full segment response is exactly one 1500-byte MTU
+	// on the wire, which keeps sim and wire byte accounting aligned.
+	SegSize = 1500 - SegmentHeaderLen
 	// DigestLen is the whole-object digest size (SHA-256).
 	DigestLen = 32
 
