@@ -204,9 +204,9 @@ func runRecv(args []string) error {
 			// The engine stops only after the final summary is captured,
 			// so the counters reflect everything the datapath did.
 			st := eng.Stats()
-			fmt.Printf("total: pkts=%d bytes=%d dups=%d acks=%d flows=%d evicted=%d rebinds=%d bad=%d batches=%d fetch=%d segs=%d passes=%d empty=%d slots_peak=%d\n",
+			fmt.Printf("total: pkts=%d bytes=%d dups=%d acks=%d flows=%d evicted=%d rebinds=%d bad=%d batches=%d fetch=%d segs=%d seg_bytes=%d passes=%d empty=%d slots_peak=%d\n",
 				st.Delivered, st.DeliveredBytes, st.RxDups, st.TxPkts-st.SegsTx, st.Flows,
-				st.Evicted, st.Rebinds, st.BadPkts, st.RxBatches, st.FetchReqs, st.SegsTx,
+				st.Evicted, st.Rebinds, st.BadPkts, st.RxBatches, st.FetchReqs, st.SegsTx, st.SegBytesTx,
 				st.Passes, st.EmptyPasses, st.RxSlotsPeak)
 			fmt.Println(classStatsLine(st))
 			return nil
@@ -215,8 +215,8 @@ func runRecv(args []string) error {
 		case <-tick.C:
 			st := eng.Stats()
 			if !*quiet && st.RxPkts != last.RxPkts {
-				fmt.Printf("rx %7.3f Mbps  pkts=%d dups=%d flows=%d batches=%d fetch=%d segs=%d\n",
-					float64(st.DeliveredBytes-last.DeliveredBytes)*8/1e6,
+				fmt.Printf("rx %7.3f Mbps  served %7.3f Mbps  pkts=%d dups=%d flows=%d batches=%d fetch=%d segs=%d\n",
+					float64(st.DeliveredBytes-last.DeliveredBytes)*8/1e6, float64(st.SegBytesTx-last.SegBytesTx)*8/1e6,
 					st.Delivered, st.RxDups, st.Flows, st.RxBatches, st.FetchReqs, st.SegsTx)
 			}
 			last = st

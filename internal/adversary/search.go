@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"pccproteus/internal/campaign"
 )
@@ -52,18 +51,12 @@ type evaluator struct {
 	seed     int64
 	baseline *Baseline
 	jobs     int
-
-	mu    sync.Mutex
-	count int
 }
 
 func (e *evaluator) evalOne(s Schedule) evaluated {
 	rc := Run(e.sc, s, e.seed)
 	rc.Baseline = e.baseline
 	vs := CheckAll(rc)
-	e.mu.Lock()
-	e.count++
-	e.mu.Unlock()
 	return evaluated{schedule: rc.Schedule, verdicts: vs, fitness: MinMargin(vs)}
 }
 

@@ -18,7 +18,6 @@ type mi struct {
 	sentBytes   int64
 	sentPkts    int
 	lostPkts    int
-	ackedPkts   int
 	sendTimes   []float64 // per retained RTT sample
 	rtts        []float64
 	lastSend    float64
@@ -179,7 +178,6 @@ func (mo *monitor) onAck(recvAt float64, miID int64, sentAt, rtt float64, u Util
 		return miResult{}, false
 	}
 	m.outstanding--
-	m.ackedPkts++
 	if mo.ackFilter(recvAt, rtt) {
 		// Packets released in one pacing train share a send timestamp.
 		// Collapse them to the train head's (minimum) RTT: the tail of a

@@ -48,7 +48,8 @@ type mmsghdr struct {
 // of a flow's packets share one destination, and peer engines expose
 // only a handful of shard addresses — so a flush becomes a few
 // segmented sends instead of hundreds of entries. Probed per socket
-// at init; absent support (pre-4.18 kernels) keeps the plain path.
+// at init; absent support (pre-4.18 kernels), the same staging runs at
+// a one-segment ceiling, one datagram per entry.
 const (
 	solUDP     = 17
 	udpSegment = 103
@@ -157,7 +158,6 @@ type mmsgState struct {
 	rErr  syscall.Errno
 	wOff  int
 	wTot  int
-	wErr  syscall.Errno
 	wSkip int64 // datagrams dropped on per-message send errors
 	wSoft bool  // last flush attempt hit ENOBUFS/ENOMEM (retryable)
 }
@@ -196,7 +196,13 @@ func (p *udpPort) initBatch() error {
 		m.gso = syscall.SetsockoptInt(int(fd), solUDP, udpSegment, 0) == nil
 		m.gro = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1) == nil
 	})
-	m.initTx(sh.batchSize, gsoMaxSegs())
+	// Without GSO every entry is one datagram: the same staging at a
+	// one-segment ceiling.
+	segs := 1
+	if m.gso {
+		segs = gsoMaxSegs()
+	}
+	m.initTx(sh.batchSize, segs)
 	m.readFn = func(fd uintptr) bool {
 		r1, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
 			uintptr(unsafe.Pointer(&m.rhdrs[0])), uintptr(len(m.rhdrs)),
@@ -222,7 +228,6 @@ func (p *udpPort) initBatch() error {
 			// Kernel buffer exhaustion: the message is fine, the host is
 			// not. Retryable — writeBatch backs off and resends the same
 			// offset instead of dropping.
-			m.wErr = errno
 			m.wSoft = true
 			return true
 		}
@@ -230,7 +235,6 @@ func (p *udpPort) initBatch() error {
 			// sendmmsg reports an errno only when the *first* message
 			// failed; skip it so the batch cannot spin, and let the
 			// remainder go out on the next pass.
-			m.wErr = errno
 			m.wSkip += int64(m.wsegs[m.wOff])
 			m.wOff++
 			return true
@@ -345,23 +349,12 @@ func (p *udpPort) readBatch(wait time.Duration) int {
 
 // writeBatch sends every staged packet with as few sendmmsg calls as
 // partial sends allow, coalescing same-destination runs into UDP GSO
-// segmented sends when the kernel supports them. Undeliverable
-// datagrams are dropped — UDP semantics, same as the fallback path.
+// segmented sends when the kernel supports them (m.segs > 1).
+// Undeliverable datagrams are dropped — UDP semantics, same as the
+// fallback path.
 func (p *udpPort) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 	sh, m := p.sh, &p.mmsg
-	if m.gso {
-		m.wTot = p.buildGSO(pkts, addrs)
-	} else {
-		for i := range pkts {
-			m.wiovs[i].Base = &pkts[i][0]
-			m.wiovs[i].SetLen(len(pkts[i]))
-			m.whdrs[i].hdr.Iov = &m.wiovs[i]
-			m.whdrs[i].hdr.Iovlen = 1
-			m.whdrs[i].hdr.Namelen = putSockaddr(&m.wnames[i], addrs[i], p.v6)
-			m.wsegs[i] = 1
-		}
-		m.wTot = len(pkts)
-	}
+	m.wTot = p.buildGSO(pkts, addrs)
 	m.wOff = 0
 	p.conn.SetWriteDeadline(time.Now().Add(10 * time.Millisecond))
 	// ENOBUFS/ENOMEM adaptive backoff: the socket stays "writable" (no

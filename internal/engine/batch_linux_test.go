@@ -130,6 +130,9 @@ func TestBuildGSOStaging(t *testing.T) {
 		{"a gap in the arena is never merged across",
 			script(a400(2), []stagedPkt{{gap: 400}}, a400(1)), []entry{{0, 3, 2, 400}}, nil},
 		{"destinations beyond the table go out plain", overflowSteps, overflowWant, nil},
+		{"without GSO every packet is its own entry", // a socket without UDP GSO stages at ceiling 1
+			script(a400(2), run(1, 400, 2), run(0, 100, 1), run(1, 800, 1)),
+			[]entry{{0, 1, 1, 0}, {0, 1, 1, 0}, {0, 1, 1, 0}, {1, 1, 1, 0}, {1, 1, 1, 0}, {1, 1, 1, 0}}, []int{1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -98,15 +98,15 @@ func (h *hotpathHarness) step() int {
 
 // RunFetchCoreBench measures the steady-state per-segment fetch path
 // against serve, a stateless server (Config.OnFetch) of object objID:
-// request selection and record bookkeeping in the fetch core, FETCH
+// request selection and record bookkeeping in the fetch flow, FETCH
 // encode and decode, serve's SEGMENT encode, SEGMENT decode with CRC
 // verify, and in-order delivery with the running SHA-256. SetBytes is
 // the segment payload, so the report's MB/s column is the single-core
 // goodput ceiling of the protocol machinery (no sockets, no pacing).
 // Exported for the benchmark harness.
 func RunFetchCoreBench(b *testing.B, serve func(wire.FetchHeader, []byte) []byte, objID uint64) {
-	newCore := func() *fetchCore {
-		c, err := newFetchCore(FetchConfig{
+	newFetch := func() *FetchFlow {
+		ff, err := newFetchFlow(FetchConfig{
 			// An uncontended controller: rate and window never gate, so the
 			// measured cost is the fetch machinery itself.
 			ObjID: objID, CC: &FixedRateCC{Rate: 125e6},
@@ -115,9 +115,9 @@ func RunFetchCoreBench(b *testing.B, serve func(wire.FetchHeader, []byte) []byte
 		if err != nil {
 			b.Fatal(err)
 		}
-		return c
+		return ff
 	}
-	core := newCore()
+	ff := newFetch()
 	reqBuf := make([]byte, wire.FetchLen)
 	segBuf := make([]byte, maxPacket)
 	now := 0.0
@@ -127,9 +127,9 @@ func RunFetchCoreBench(b *testing.B, serve func(wire.FetchHeader, []byte) []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 1e-5
-		req, ok := core.issue(now, now)
+		req, ok := ff.issue(now, now)
 		if !ok {
-			b.Fatal("core refused to issue with an uncontended controller")
+			b.Fatal("fetch refused to issue with an uncontended controller")
 		}
 		req.SentAt = int64(now * 1e9)
 		h, err := wire.DecodeFetch(wire.EncodeFetch(reqBuf, req))
@@ -144,12 +144,12 @@ func RunFetchCoreBench(b *testing.B, serve func(wire.FetchHeader, []byte) []byte
 		if err != nil {
 			b.Fatal(err)
 		}
-		core.onResponse(sh, payload, now, now)
-		if core.done() {
-			if !core.verified {
+		ff.onResponse(sh, payload, now, now)
+		if ff.complete() {
+			if !ff.verified {
 				b.Fatal("object failed verification")
 			}
-			core = newCore()
+			ff = newFetch()
 		}
 	}
 }

@@ -171,6 +171,7 @@ type Stats struct {
 	DeliveredBytes int64
 	FetchReqs      int64 // fetch requests handed to Config.OnFetch
 	SegsTx         int64 // segment responses sent back
+	SegBytesTx     int64 // their wire bytes
 	Flows          int
 
 	// Work counts: loop passes that read the port, those whose read
@@ -412,6 +413,7 @@ func (st *Stats) add(s Stats) {
 	st.DeliveredBytes += s.DeliveredBytes
 	st.FetchReqs += s.FetchReqs
 	st.SegsTx += s.SegsTx
+	st.SegBytesTx += s.SegBytesTx
 	st.Flows += s.Flows
 	st.Passes += s.Passes
 	st.EmptyPasses += s.EmptyPasses

@@ -10,8 +10,9 @@ import (
 	"pccproteus/internal/wire"
 )
 
-// handServer drives a Core against a synthetic in-memory server with a
-// fixed RTT and a per-response drop hook, stepping virtual time by hand.
+// handServer drives a fetch's scheduler — a FetchFlow on no shard —
+// against a synthetic in-memory server with a fixed RTT and a
+// per-response drop hook, stepping virtual time by hand.
 type handServer struct {
 	data   []byte
 	total  int64
@@ -60,10 +61,10 @@ func (sv *handServer) respond(req wire.FetchHeader, now float64) {
 	sv.queue = append(sv.queue, r)
 }
 
-// tick drives the core's book as an engine shard's pump does on its
+// tick drives the fetch's book as an engine shard's pump does on its
 // tick: stall watchdog, RTO sweep, and a keep-alive probe when one is
 // due.
-func tick(c *fetchCore, now float64) (wire.FetchHeader, bool) {
+func tick(c *FetchFlow, now float64) (wire.FetchHeader, bool) {
 	b := &c.book
 	b.Watchdog(now)
 	if b.Expire(now) {
@@ -72,12 +73,12 @@ func tick(c *fetchCore, now float64) (wire.FetchHeader, bool) {
 	if !b.ProbeDue(now) {
 		return wire.FetchHeader{}, false
 	}
-	return c.probe(now), true
+	return c.bookProbe(now), true
 }
 
-// run steps the core against the server until completion or the time
+// run steps the fetch against the server until completion or the time
 // horizon, returning the completion time.
-func (sv *handServer) run(t *testing.T, c *fetchCore, horizon float64) float64 {
+func (sv *handServer) run(t *testing.T, c *FetchFlow, horizon float64) float64 {
 	t.Helper()
 	const dt = 0.001
 	for now := 0.0; now < horizon; now += dt {
@@ -85,12 +86,12 @@ func (sv *handServer) run(t *testing.T, c *fetchCore, horizon float64) float64 {
 			sv.respond(req, now)
 		}
 		for {
-			if _, ok := c.peekSize(); !ok {
+			if _, ok := c.peek(); !ok {
 				break
 			}
 			req, ok := c.issue(now, now)
 			if !ok {
-				t.Fatalf("peekSize ok but issue refused at t=%.3f", now)
+				t.Fatalf("peek ok but issue refused at t=%.3f", now)
 			}
 			sv.respond(req, now)
 		}
@@ -103,7 +104,7 @@ func (sv *handServer) run(t *testing.T, c *fetchCore, horizon float64) float64 {
 			}
 		}
 		sv.queue = rest
-		if c.done() {
+		if c.complete() {
 			return now
 		}
 	}
@@ -111,21 +112,20 @@ func (sv *handServer) run(t *testing.T, c *fetchCore, horizon float64) float64 {
 }
 
 // The tick publish copies the counters by value under a mutex: it
-// allocates nothing, and FetchFlow.Stats reads what the core counted.
+// allocates nothing, and FetchFlow.Stats reads what the flow counted.
 func TestCorePublishZeroAllocs(t *testing.T) {
-	c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 2e6, cwnd: math.Inf(1)}})
+	c, err := newFetchFlow(FetchConfig{CC: &countingCC{rate: 2e6, cwnd: math.Inf(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	newHandServer(cleanSize, 0.050).run(t, c, 30)
-	if allocs := testing.AllocsPerRun(100, func() { c.publish(1, 2) }); allocs != 0 {
+	c.crcErrs = 1
+	if allocs := testing.AllocsPerRun(100, c.publish); allocs != 0 {
 		t.Fatalf("tick publish allocates %.1f/op, want 0", allocs)
 	}
-	st, core := (&FetchFlow{core: c}).Stats(), c.stats()
-	core.BadResps, core.CrcErrs = st.BadResps, st.CrcErrs
-	if st != core || !st.Verified || st.CrcErrs != 1 || st.BadResps != 3 ||
+	if st := c.Stats(); st != c.stats() || !st.Verified || st.CrcErrs != 1 ||
 		st.SentBytes != (st.ReqsSent+st.Probes)*wire.FetchLen || math.Abs(st.P50RTT-0.050) > 0.004 {
-		t.Fatalf("published %+v, core %+v", st, c.stats())
+		t.Fatalf("published %+v, counted %+v", st, c.stats())
 	}
 }
 
@@ -134,14 +134,14 @@ const cleanSize = 10*wire.SegSize + wire.SegSize/2
 
 func TestCoreCleanTransfer(t *testing.T) {
 	cc := &countingCC{rate: 2e6, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc})
+	c, err := newFetchFlow(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sv := newHandServer(cleanSize, 0.050)
 	end := sv.run(t, c, 30)
-	if !c.done() || !c.stats().Verified {
-		t.Fatalf("done=%v verified=%v", c.done(), c.stats().Verified)
+	if !c.complete() || !c.stats().Verified {
+		t.Fatalf("done=%v verified=%v", c.complete(), c.stats().Verified)
 	}
 	if end >= 30 {
 		t.Fatalf("did not complete before horizon")
@@ -161,15 +161,15 @@ func TestCoreCleanTransfer(t *testing.T) {
 
 func TestCoreRecoversFromLoss(t *testing.T) {
 	cc := &countingCC{rate: 4e6, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc})
+	c, err := newFetchFlow(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sv := newHandServer(200*wire.SegSize, 0.040)
 	sv.drop = func(n int64) bool { return n%7 == 3 } // lose every 7th response
 	sv.run(t, c, 60)
-	if !c.done() || !c.stats().Verified {
-		t.Fatalf("done=%v stats=%+v", c.done(), c.stats())
+	if !c.complete() || !c.stats().Verified {
+		t.Fatalf("done=%v stats=%+v", c.complete(), c.stats())
 	}
 	st := c.stats()
 	if st.LostReqs == 0 {
@@ -191,11 +191,11 @@ func TestCoreRecoversFromLoss(t *testing.T) {
 // retransmit for that segment must be skipped, not re-sent.
 func TestCoreLateResponseDelivers(t *testing.T) {
 	cc := &countingCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc})
+	c, err := newFetchFlow(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Geometry via a synthetic meta response so the core can issue.
+	// Geometry via a synthetic meta response so the fetch can issue.
 	c.onResponse(wire.SegmentHeader{Nonce: 999, Meta: true, TotalSegs: 3, ObjSize: 3 * wire.SegSize}, make([]byte, 32), 0, 0)
 
 	req0, ok := c.issue(0, 0)
@@ -228,7 +228,7 @@ func TestCoreLateResponseDelivers(t *testing.T) {
 // at exactly window outstanding segments.
 func TestCoreReassemblyWindowBound(t *testing.T) {
 	cc := &countingCC{rate: 1e9, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc})
+	c, err := newFetchFlow(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestCoreReassemblyWindowBound(t *testing.T) {
 // The congestion window gates issuance in expected-response bytes.
 func TestCoreCwndGate(t *testing.T) {
 	cc := &countingCC{rate: 1e9, cwnd: float64(3 * respSize)}
-	c, err := newFetchCore(FetchConfig{CC: cc})
+	c, err := newFetchFlow(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestCoreCwndGate(t *testing.T) {
 // response recovers the transfer at the pre-outage rate.
 func TestCoreOutageAndRecovery(t *testing.T) {
 	cc := &countingCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc})
+	c, err := newFetchFlow(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestCoreOutageAndRecovery(t *testing.T) {
 	if probes == 0 {
 		t.Fatalf("no probes during outage")
 	}
-	if _, ok := c.peekSize(); ok {
+	if _, ok := c.peek(); ok {
 		t.Fatalf("issuance not frozen during outage")
 	}
 	// Any response heals the path.
@@ -322,7 +322,7 @@ func TestCoreOutageAndRecovery(t *testing.T) {
 	if st.InOutage || st.WdRecov != 1 {
 		t.Fatalf("no recovery: %+v", st)
 	}
-	if _, ok := c.peekSize(); !ok {
+	if _, ok := c.peek(); !ok {
 		t.Fatalf("issuance still frozen after recovery")
 	}
 }
@@ -340,12 +340,12 @@ func TestCoreStampLeadNoSpuriousLoss(t *testing.T) {
 		segs = 300
 	)
 	cc := &countingCC{rate: 1e6, cwnd: math.Inf(1)}
-	c, err := newFetchCore(FetchConfig{CC: cc})
+	c, err := newFetchFlow(FetchConfig{CC: cc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var queue []timedResp
-	for i := 0; i < 4000 && !c.done(); i++ {
+	for i := 0; i < 4000 && !c.complete(); i++ {
 		now := float64(i) * 0.001
 		if i%10 == 0 {
 			tick(c, now)
@@ -375,11 +375,11 @@ func TestCoreStampLeadNoSpuriousLoss(t *testing.T) {
 
 // The geometry a SEGMENT declares is the server's word, and a forged
 // one may stall its own fetch but never the shard: one response claiming
-// 2^63−1 segments neither panics the core nor allocates in proportion to
+// 2^63−1 segments neither panics the fetch nor allocates in proportion to
 // the claim, and the fetch still requests exactly a window ahead.
 func TestCoreHostileGeometry(t *testing.T) {
 	for _, total := range []int64{math.MaxInt64, 1 << 24} {
-		c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 1e9, cwnd: math.Inf(1)}})
+		c, err := newFetchFlow(FetchConfig{CC: &countingCC{rate: 1e9, cwnd: math.Inf(1)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,11 +409,11 @@ func TestCoreHostileGeometry(t *testing.T) {
 
 // Reassembly recycles its buffers: under a schedule that loses every
 // eleventh response and holds every fifth back behind the ones after it,
-// window after window, a warm core allocates nothing — a segment that
+// window after window, a warm fetch allocates nothing — a segment that
 // arrives out of order waits in a buffer an earlier one gave back.
 func TestCoreReorderZeroAllocSteadyState(t *testing.T) {
 	const window = 64
-	c, err := newFetchCore(FetchConfig{CC: &countingCC{rate: 1e6, cwnd: math.Inf(1)},
+	c, err := newFetchFlow(FetchConfig{CC: &countingCC{rate: 1e6, cwnd: math.Inf(1)},
 		OnData: func(int64, []byte) {}})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pccproteus/internal/overload"
+	"pccproteus/internal/sim"
 	"pccproteus/internal/wire"
 )
 
@@ -20,7 +21,7 @@ type fetchRig struct {
 	t      *testing.T
 	sh     *shard
 	f      *flow
-	core   *fetchCore
+	ff     *FetchFlow
 	cc     *countingCC
 	obj    []byte
 	digest [wire.DigestLen]byte
@@ -49,7 +50,7 @@ func newFetchRig(t *testing.T, cfg Config, segs int64) *fetchRig {
 	}
 	r.sh.admit()
 	v, _ := r.sh.fetches.Load(ff.key)
-	r.f, r.core = v.(*flow), ff.core
+	r.f, r.ff = v.(*flow), ff
 	reqs := r.requests()
 	if len(reqs) != 1 || !reqs[0].Meta {
 		t.Fatalf("admission queued %+v, want the metadata request alone", reqs)
@@ -163,17 +164,17 @@ func TestFetchTrainWaitsForFullBucket(t *testing.T) {
 }
 
 // A SEGMENT selects its flow by (source, ObjID), retires its nonce in
-// the core and delivers in order whatever order it arrived in.
+// the book and delivers in order whatever order it arrived in.
 func TestFetchSegmentRetiresNonceInOrder(t *testing.T) {
 	r := newFetchRig(t, Config{}, 64)
 	at, rx := r.t0, r.sh.st.RxPkts
 	reqs := r.requests()
 	r.answer(reqs[1], at+0.005)
-	if r.core.book.Find(reqs[1].Nonce) != nil || len(r.order) != 0 {
+	if r.ff.book.Find(reqs[1].Nonce) != nil || len(r.order) != 0 {
 		t.Fatalf("after seg 1: order=%v", r.order)
 	}
 	r.answer(reqs[0], at+0.006)
-	if r.core.book.Find(reqs[0].Nonce) != nil || len(r.order) != 2 || r.order[0] != 0 || r.order[1] != 1 {
+	if r.ff.book.Find(reqs[0].Nonce) != nil || len(r.order) != 2 || r.order[0] != 0 || r.order[1] != 1 {
 		t.Fatalf("after seg 0: order=%v", r.order)
 	}
 	if got := r.sh.st.RxPkts - rx; got != 2 {
@@ -184,7 +185,7 @@ func TestFetchSegmentRetiresNonceInOrder(t *testing.T) {
 	}
 	// The scheduled-send stamp came back as the echo: the RTT is measured
 	// from it to the shard's clock at the read.
-	if srtt := r.core.book.RTT.SRTT(); srtt < 0.004 || srtt > 0.007 {
+	if srtt := r.ff.book.RTT.SRTT(); srtt < 0.004 || srtt > 0.007 {
 		t.Fatalf("srtt=%.4f from 5 ms turn-arounds", srtt)
 	}
 }
@@ -216,8 +217,8 @@ func TestFetchSilentNonceReRequested(t *testing.T) {
 		t.Fatalf("losses=%d", r.cc.losses)
 	}
 	r.answer(re[0], again+0.005)
-	if !r.core.done() || !r.core.verified || r.core.refetched != 0 {
-		t.Fatalf("done=%v verified=%v refetched=%d", r.core.done(), r.core.verified, r.core.refetched)
+	if !r.ff.complete() || !r.ff.verified || r.ff.refetched != 0 {
+		t.Fatalf("done=%v verified=%v refetched=%d", r.ff.complete(), r.ff.verified, r.ff.refetched)
 	}
 }
 
@@ -299,11 +300,11 @@ func TestFetchRoleZeroAllocSteadyState(t *testing.T) {
 	for range 200 {
 		step()
 	}
-	before := r.core.segsRx
+	before := r.ff.segsRx
 	allocs := testing.AllocsPerRun(200, step)
-	if got := r.core.segsRx - before; got < 150 || r.core.done() || r.core.lostReqs != 0 || int64(len(r.order)) != r.core.segsRx {
+	if got := r.ff.segsRx - before; got < 150 || r.ff.complete() || r.ff.lostReqs != 0 || int64(len(r.order)) != r.ff.segsRx {
 		t.Fatalf("%d segments in 201 ms, lost %d, done=%v, %d delivered in order: want a steady, lossless, in-order fetch",
-			got, r.core.lostReqs, r.core.done(), len(r.order))
+			got, r.ff.lostReqs, r.ff.complete(), len(r.order))
 	}
 	if allocs != 0 {
 		t.Fatalf("the fetch role allocates %.2f per ms of steady state, want 0", allocs)
@@ -311,7 +312,7 @@ func TestFetchRoleZeroAllocSteadyState(t *testing.T) {
 }
 
 // The idle sweep must not evict an unfinished fetch however long its
-// peer is silent: through a blackout the core freezes and probes, and
+// peer is silent: through a blackout the fetch freezes and probes, and
 // the first response resumes it — re-anchored, with no catch-up burst —
 // without re-requesting anything it already has.
 func TestSweepSparesStalledFetch(t *testing.T) {
@@ -335,7 +336,7 @@ func TestSweepSparesStalledFetch(t *testing.T) {
 	if r.sh.lookup(r.f.addr, r.f.id) != r.f || r.sh.st.Evicted != 0 {
 		t.Fatalf("stalled fetch swept: flows=%d evicted=%d", r.sh.st.Flows, r.sh.st.Evicted)
 	}
-	if !r.core.book.InOutage() {
+	if !r.ff.book.InOutage() {
 		t.Fatal("3 s of silence with requests outstanding did not trip the watchdog")
 	}
 	if len(probes) < 3 || len(probes) > 5 {
@@ -343,16 +344,16 @@ func TestSweepSparesStalledFetch(t *testing.T) {
 	}
 
 	r.answer(probes[len(probes)-1], end)
-	if r.core.book.InOutage() {
+	if r.ff.book.InOutage() {
 		t.Fatal("response did not end the outage")
 	}
 	if len(r.sh.txq) != 0 {
 		t.Fatalf("recovery released a catch-up burst of %d requests", len(r.sh.txq))
 	}
 	// Back to work: serve every request until the object completes.
-	for now := end + 0.001; !r.core.done(); now += 0.001 {
+	for now := end + 0.001; !r.ff.complete(); now += 0.001 {
 		if now > end+2 {
-			t.Fatalf("did not finish after the blackout: order=%d/%d", len(r.order), r.core.totalSegs)
+			t.Fatalf("did not finish after the blackout: order=%d/%d", len(r.order), r.ff.totalSegs)
 		}
 		if r.sh.lookup(r.f.addr, r.f.id) == r.f {
 			r.sh.service(r.f, now)
@@ -361,8 +362,8 @@ func TestSweepSparesStalledFetch(t *testing.T) {
 			r.answer(h, now)
 		}
 	}
-	if !r.core.verified || r.core.refetched != 0 {
-		t.Fatalf("verified=%v, resume re-requested %d delivered segments", r.core.verified, r.core.refetched)
+	if !r.ff.verified || r.ff.refetched != 0 {
+		t.Fatalf("verified=%v, resume re-requested %d delivered segments", r.ff.verified, r.ff.refetched)
 	}
 }
 
@@ -374,7 +375,7 @@ func TestFetchOutageWakesOnTickCadence(t *testing.T) {
 	r := newFetchRig(t, Config{}, 32)
 	now := r.t0
 	r.requests() // never answered
-	for wakes := 0; !r.core.book.InOutage(); wakes++ {
+	for wakes := 0; !r.ff.book.InOutage(); wakes++ {
 		if wakes > 10000 {
 			t.Fatal("the watchdog never tripped")
 		}
@@ -426,7 +427,7 @@ func TestFetchPausedAndDrainingGate(t *testing.T) {
 			if r.f.fch.lastTick != last {
 				ticks, last = ticks+1, r.f.fch.lastTick
 			}
-			if silence := r.core.book.Silence(now); silence != 0 {
+			if silence := r.ff.book.Silence(now); silence != 0 {
 				t.Fatalf("%s: liveness clock running %.3f s at t=%.3f", mode, silence, now)
 			}
 		}
@@ -436,7 +437,7 @@ func TestFetchPausedAndDrainingGate(t *testing.T) {
 		if ticks < 150 {
 			t.Fatalf("%s: %d ticks over 2 s", mode, ticks)
 		}
-		if r.core.book.InOutage() || r.core.book.Trips() != 0 {
+		if r.ff.book.InOutage() || r.ff.book.Trips() != 0 {
 			t.Fatalf("%s: explained silence tripped the watchdog", mode)
 		}
 		if mode == "paused" {
@@ -469,7 +470,7 @@ func TestAddFetchDuplicateRefused(t *testing.T) {
 	// A SEGMENT naming a fetch the loop has not taken in yet is a stray.
 	sh.dispatch(src(9000), wire.EncodeSegment(make([]byte, 256), wire.SegmentHeader{ObjID: 1, TotalSegs: 4, ObjSize: 400}, make([]byte, 100)), 0)
 	if sh.st.StraySegs != 1 {
-		t.Fatal("segment for a queued fetch reached its core")
+		t.Fatal("segment for a queued fetch not counted stray")
 	}
 	sh.admit()
 	if sh.st.Flows != 2 || eng.senders.Load() != 2 || eng.Stats().AdmittedPrimary != 2 {
@@ -492,5 +493,52 @@ func TestAddFetchDuplicateRefused(t *testing.T) {
 	}
 	if _, err := add(1); err != nil {
 		t.Fatalf("key not released by the stopped fetch: %v", err)
+	}
+}
+
+// A serving shard counts the wire bytes of every SEGMENT it sends back:
+// over a whole SimNet fetch of an object with a short last segment,
+// Stats.SegBytesTx is the summed length of the responses OnFetch
+// returned, which is what a server's served rate is read from.
+func TestFetchServedBytesCounted(t *testing.T) {
+	const size = 40*wire.SegSize + 100
+	obj := make([]byte, size)
+	rand.New(rand.NewSource(5)).Read(obj)
+	digest := sha256.Sum256(obj)
+	var served, resps int64
+	serve := func(h wire.FetchHeader, buf []byte) []byte {
+		payload := digest[:]
+		if !h.Meta {
+			payload = obj[h.Seg*wire.SegSize : min((h.Seg+1)*wire.SegSize, size)]
+		}
+		pkt := wire.EncodeSegment(buf, wire.SegmentHeader{
+			Nonce: h.Nonce, SentAtEcho: h.SentAt, ObjID: h.ObjID, Meta: h.Meta, Seg: h.Seg,
+			TotalSegs: 41, ObjSize: size,
+		}, payload)
+		served += int64(len(pkt))
+		resps++
+		return pkt
+	}
+	lb, err := NewLoopback(sim.New(1), Config{}, Config{OnFetch: serve})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Stop()
+	cli, dst, _, err := lb.Path(wire.ShimConfig{RateMbps: 20, QueueBytes: 1 << 20, Delay: 0.005, AckDelay: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff, err := cli.AddFetch(dst, FetchConfig{ObjID: 1, CC: &FixedRateCC{Rate: 1e6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.Wait(2)
+	lb.Stop()
+	srv := lb.Server.Stats()
+	if st := ff.Stats(); !st.Done || !st.Verified {
+		t.Fatalf("fetch did not complete: %+v", st)
+	}
+	if srv.SegsTx != resps || srv.SegBytesTx != served || served <= resps*wire.SegmentHeaderLen {
+		t.Fatalf("server counted %d responses of %d bytes, served %d of %d", srv.SegsTx, srv.SegBytesTx, resps, served)
 	}
 }

@@ -75,23 +75,31 @@ const (
 )
 
 // origin is what the two locally originated roles, sender and fetch,
-// share: the token bucket their trains are paced from, the class that
-// fixes who yields under host pressure, and the pause the owning
-// shard's Shed action sets (emission stops, RTO aging continues).
+// share: the token bucket their trains are paced from, the controller
+// and the record book the one pump drives, the reverse-path constant
+// their RTT samples use, the class that fixes who yields under host
+// pressure, and the pause the owning shard's Shed action sets (emission
+// stops, RTO aging continues).
 type origin struct {
 	pacer    wire.Pacer
+	cc       transport.Controller
+	book     transport.Recovery
+	rev      revPath
 	burst    int
+	lastTick float64 // last run of the rtoCheckEvery work
 	class    overload.Class
 	paused   bool
-	lastTick float64 // last run of the rtoCheckEvery work
 }
 
-// newOrigin builds the shared state for trains of train bytes. The
-// bucket holds two trains or pacerDepth of the pacing rate, whichever is
-// more, and starts with one train in it: a new flow's first packets
-// leave in the pass that admits it.
-func newOrigin(burst, train int, class overload.Class) origin {
-	o := origin{burst: burst, class: class}
+// newOrigin builds the shared state for trains of train bytes under cc,
+// whose name fixes the class (overload.ClassOf); onLost is the role's
+// per-loss hook (transport.Recovery.Init). The bucket holds two trains
+// or pacerDepth of the pacing rate, whichever is more, and starts with
+// one train in it: a new flow's first packets leave in the pass that
+// admits it.
+func newOrigin(burst, train int, cc transport.Controller, onLost func(*transport.Record, float64)) origin {
+	o := origin{cc: cc, burst: burst, class: overload.ClassOf(cc.Name())}
+	o.book.Init(cc, onLost)
 	o.pacer.Cap, o.pacer.Depth = float64(2*train), pacerDepth
 	o.pacer.Prime(train)
 	return o
@@ -102,15 +110,15 @@ func newOrigin(burst, train int, class overload.Class) origin {
 // train waits for, what the next packet charges the bucket (false while
 // window, limit or lack of work gates the role), and the emission of one
 // packet stamped with its scheduled send time. For the rest of a wake:
-// its origin, the record book the shard drives, one outage keep-alive,
-// making the counters what the handle reads, whether the flow has
-// nothing left to do, and until when a peer's push-back holds emission.
+// its origin (which holds the record book the pump drives), one outage
+// keep-alive, making the counters what the handle reads, whether the
+// flow has nothing left to do, and until when a peer's push-back holds
+// emission.
 type role interface {
 	base() *origin
 	trainBytes() int
 	peek() (size int, ok bool)
 	emit(sh *shard, f *flow, now, virt float64, size int)
-	recovery() *transport.Recovery
 	probe(sh *shard, f *flow, now float64)
 	publish()
 	finished() bool
@@ -123,7 +131,7 @@ func (o *origin) base() *origin { return o }
 // paced train while tokens, window, limit and work allow. It returns the
 // next wake deadline, or 0 when the flow has nothing left to do.
 func (o *origin) pump(r role, sh *shard, f *flow, now float64) float64 {
-	book := r.recovery()
+	book := &o.book
 	if now-o.lastTick >= rtoCheckEvery {
 		o.lastTick = now
 		book.Watchdog(now)
@@ -185,20 +193,16 @@ func (o *origin) train(r role, sh *shard, f *flow, now, rate float64) float64 {
 
 // senderFlow drives one congestion-controlled flow from shard events:
 // origin.pump on timer fires, onAck() on ack arrival. It is a driver of
-// transport.Recovery — the same record book, loss rules and survival
-// machinery the simulated transport runs — adding what is the engine's
-// own: pacing, the wire codecs, overload class and push-back. All
-// methods run on the owning shard goroutine, so controllers — which
+// its origin's transport.Recovery — the same record book, loss rules and
+// survival machinery the simulated transport runs — adding what is the
+// engine's own: pacing, the wire codecs, overload class and push-back.
+// All methods run on the owning shard goroutine, so controllers — which
 // are not thread-safe — only ever see single-threaded calls.
 type senderFlow struct {
 	origin
-	cc         transport.Controller
-	book       transport.Recovery
 	launched   int64
 	limit      int64
 	packetSize int
-
-	rev revPath
 
 	// busyUntil/busyStreak implement the jittered exponential backoff a
 	// peer's BUSY frames demand.
@@ -229,12 +233,10 @@ type senderFlow struct {
 // flow configuration; the class follows the controller.
 func newSenderFlow(fc FlowConfig) *senderFlow {
 	s := &senderFlow{
-		origin: newOrigin(transport.DefaultBurst, transport.DefaultBurst*fc.PacketSize, overload.ClassOf(fc.CC.Name())),
-		cc:     fc.CC, limit: fc.Limit,
-		packetSize: fc.PacketSize, done: make(chan struct{}),
-		recordRTT: fc.RecordRTT,
+		limit: fc.Limit, packetSize: fc.PacketSize,
+		done: make(chan struct{}), recordRTT: fc.RecordRTT,
 	}
-	s.book.Init(fc.CC, s.onLost)
+	s.origin = newOrigin(transport.DefaultBurst, transport.DefaultBurst*fc.PacketSize, fc.CC, s.onLost)
 	return s
 }
 
@@ -250,8 +252,6 @@ func (s *senderFlow) publish() {
 	s.pub = s.st
 	s.pubMu.Unlock()
 }
-
-func (s *senderFlow) recovery() *transport.Recovery { return &s.book }
 
 // finished reports a fully acked finite transfer: nothing to schedule.
 func (s *senderFlow) finished() bool { return s.completed && s.book.Len() == 0 }
@@ -479,8 +479,6 @@ const (
 type recvFlow struct {
 	wire.AckTracker
 	highest int64
-	pkts    int64
-	dups    int64
 	// pushSeq is the newest push-marked sequence number seen, -1 before
 	// any: from then on the sender has launched its transfer's last byte.
 	pushSeq int64
@@ -511,16 +509,13 @@ func (rf *recvFlow) onData(sh *shard, f *flow, h wire.DataHeader, n int, now flo
 			sh.finished--
 		}
 		rf.highest, rf.pushSeq = -1, -1
-		rf.pkts, rf.dups = 0, 0
 		rf.unacked = 0
 		sh.st.Rebinds++
 	}
 	dup := !rf.Record(h.Seq)
 	if dup {
-		rf.dups++
 		sh.st.RxDups++
 	} else {
-		rf.pkts++
 		sh.st.Delivered++
 		sh.st.DeliveredBytes += int64(n)
 	}

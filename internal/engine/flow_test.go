@@ -658,7 +658,8 @@ func TestEnqueueWakesParkedShard(t *testing.T) {
 // TestRoleSizesInClass pins each flow role inside the allocation size
 // class it fills on a 64-bit target: a field that pushes a role over its
 // class costs every flow the gap to the next one (senderFlow at 584 B
-// would take 640).
+// would take 640, recvFlow at 88 would take 96, FetchFlow at 776 would
+// take 896).
 func TestRoleSizesInClass(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("size classes pinned for 64-bit targets")
@@ -669,8 +670,8 @@ func TestRoleSizesInClass(t *testing.T) {
 	}{
 		{"flow", unsafe.Sizeof(flow{}), 128},
 		{"senderFlow", unsafe.Sizeof(senderFlow{}), 576},
-		{"recvFlow", unsafe.Sizeof(recvFlow{}), 96},
-		{"FetchFlow", unsafe.Sizeof(FetchFlow{}), 176},
+		{"recvFlow", unsafe.Sizeof(recvFlow{}), 80},
+		{"FetchFlow", unsafe.Sizeof(FetchFlow{}), 768},
 	} {
 		if c.size > c.class {
 			t.Errorf("%s is %d B, over its %d B size class", c.name, c.size, c.class)

@@ -21,8 +21,12 @@ const scavBit = wire.FlowClassScavenger
 // way hotpathHarness does, so shed/pause behavior is testable without
 // sockets.
 func addLocalSender(sh *shard, id uint32, class overload.Class) *flow {
-	s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1, Win: 400}, PacketSize: 400})
-	s.origin = newOrigin(1, 400, class) // one-packet trains of the given class
+	var cc transport.Controller = &FixedRateCC{Rate: 1, Win: 400}
+	if class == overload.ClassScavenger {
+		cc = &scavFixedRate{FixedRateCC{Rate: 1, Win: 400}}
+	}
+	s := newSenderFlow(FlowConfig{CC: cc, PacketSize: 400})
+	s.origin = newOrigin(1, 400, cc, s.onLost) // one-packet trains of the given class
 	f := &flow{addr: src(uint16(30000 + id)), id: id, snd: s}
 	sh.insert(f)
 	return f

@@ -448,6 +448,7 @@ func (sh *shard) dispatch(src netip.AddrPort, b []byte, now float64) {
 		if pkt := onFetch(fh, sh.txBuf()); pkt != nil {
 			sh.queueTx(pkt, src)
 			sh.st.SegsTx++
+			sh.st.SegBytesTx += int64(len(pkt))
 		}
 	case 'S':
 		// A payload that fails its CRC still carries a well-formed header:
@@ -718,7 +719,7 @@ func (sh *shard) dropFlow(f *flow) {
 	}
 	if f.fch != nil {
 		sh.fetches.Delete(f.fch.key)
-		close(f.fch.done) // after the last touch of the core
+		close(f.fch.done) // after the last touch of its state
 	}
 }
 
@@ -745,10 +746,11 @@ func (sh *shard) admit() {
 		sh.insert(f)
 		f.lastSeen = now
 		// Ack silence is measured from admission.
-		f.role().recovery().Touch(now)
+		o := f.origin()
+		o.book.Touch(now)
 		// A scavenger admitted while the shard is shedding raced the
 		// admission gate; it starts paused and resumes with the rest.
-		if o := f.origin(); o.class == overload.ClassScavenger &&
+		if o.class == overload.ClassScavenger &&
 			!o.paused && sh.det.State().Shedding() {
 			o.paused = true
 			sh.st.Paused++

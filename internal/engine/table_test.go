@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"testing"
 
-	"pccproteus/internal/overload"
 	"pccproteus/internal/wire"
 )
 
@@ -292,7 +291,8 @@ func TestFlowTableDroppedFlowIsNeverServed(t *testing.T) {
 		}
 		sh.dispatch(a, dataPkt(t, 1, 10, 100), 101)
 		f := sh.lookup(a, 1)
-		if f == nil || f == old || f.rcv.Cum != 0 || f.rcv.pkts != 1 || old.rcv.pkts != 10 || sh.st.Flows != 1 {
+		if f == nil || f == old || f.rcv.Cum != 0 || len(f.rcv.Ranges) != 1 || f.rcv.Ranges[0] != (wire.SackBlock{Start: 10, End: 11}) ||
+			old.rcv.Cum != 10 || sh.st.Flows != 1 {
 			t.Fatalf("%s: packet after the drop served by %+v (old %+v), flows=%d", name, f, old, sh.st.Flows)
 		}
 	}
@@ -308,7 +308,6 @@ func TestFlowTableQueuedFetchSegmentIsStray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := ff.core
 	queued := sh.admitQ[0]
 	sh.dispatch(peer(2, 9000), dataPkt(t, queued.id, 0, 100), 0) // same key, in the table
 	if tableKey(queued.addr, queued.id) != tableKey(peer(2, 9000), queued.id) || sh.st.Flows != 1 {
@@ -316,13 +315,13 @@ func TestFlowTableQueuedFetchSegmentIsStray(t *testing.T) {
 	}
 	seg := wire.EncodeSegment(make([]byte, 256), wire.SegmentHeader{ObjID: rigObj, TotalSegs: 4, ObjSize: 400}, make([]byte, 100))
 	sh.dispatch(peer(1, 9000), seg, 0)
-	if sh.st.StraySegs != 1 || core.segsRx != 0 {
-		t.Fatalf("segment for a queued fetch: straySegs=%d delivered=%d", sh.st.StraySegs, core.segsRx)
+	if sh.st.StraySegs != 1 || ff.segsRx != 0 {
+		t.Fatalf("segment for a queued fetch: straySegs=%d delivered=%d", sh.st.StraySegs, ff.segsRx)
 	}
 	sh.admit()
 	sh.dispatch(peer(1, 9000), seg, 0)
-	if sh.st.StraySegs != 1 || core.segsRx != 1 || sh.st.Flows != 2 {
-		t.Fatalf("segment after admission: straySegs=%d delivered=%d flows=%d", sh.st.StraySegs, core.segsRx, sh.st.Flows)
+	if sh.st.StraySegs != 1 || ff.segsRx != 1 || sh.st.Flows != 2 {
+		t.Fatalf("segment after admission: straySegs=%d delivered=%d flows=%d", sh.st.StraySegs, ff.segsRx, sh.st.Flows)
 	}
 }
 
@@ -353,7 +352,7 @@ func TestFlowTableCountMatchesReachable(t *testing.T) {
 			delete(in, k)
 		} else if rng.Intn(4) == 0 { // a local sender towards that peer
 			s := newSenderFlow(FlowConfig{CC: &FixedRateCC{Rate: 1}, PacketSize: 400})
-			s.origin = newOrigin(1, 400, overload.ClassPrimary) // one-packet trains
+			s.origin = newOrigin(1, 400, s.cc, s.onLost) // one-packet trains
 			in[k] = &flow{addr: k.addr, id: k.id, snd: s}
 			sh.eng.senders.Add(1)
 			sh.insert(in[k])

@@ -36,8 +36,8 @@ func TestLoopbackSingleFlowClean(t *testing.T) {
 	if f.Fetcher.Refetched != 0 {
 		t.Fatalf("refetched=%d", f.Fetcher.Refetched)
 	}
-	if f.Fetcher.BadResps != 0 || f.Fetcher.CrcErrs != 0 {
-		t.Fatalf("codec rejects on a clean path: %+v", f.Fetcher)
+	if res.Receiver.BadPkts != 0 || f.Fetcher.CrcErrs != 0 {
+		t.Fatalf("codec rejects on a clean path: server %+v, fetch %+v", res.Receiver, f.Fetcher)
 	}
 	if f.P50RTT <= 0 || f.P99RTT < f.P50RTT {
 		t.Fatalf("rtt quantiles p50=%.4f p99=%.4f", f.P50RTT, f.P99RTT)

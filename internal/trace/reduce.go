@@ -11,8 +11,7 @@ type FlowSummary struct {
 
 	// ThroughputMbps[i] is the acked-byte rate over [i·w, (i+1)·w),
 	// computed from the cumulative acked-bytes counter carried by RTT
-	// samples — exact even when RTT samples are stride-sampled, since
-	// the counter is cumulative.
+	// samples.
 	ThroughputMbps []float64
 	// AvgRTT[i] is the mean of the bucket's RTT samples (NaN if none).
 	AvgRTT []float64

@@ -39,7 +39,7 @@ const (
 	// KindPacketDrop is a packet destroyed anywhere: tail-dropped at the
 	// queue, hit by random loss, or declared lost by the sender.
 	KindPacketDrop
-	// KindQueueDepth is a sampled bottleneck-queue occupancy.
+	// KindQueueDepth is a bottleneck-queue occupancy, one per enqueue.
 	KindQueueDepth
 	// KindRTTSample is one acknowledged packet's RTT, with the sender's
 	// cumulative acked bytes so throughput timelines can be rebuilt
@@ -146,10 +146,6 @@ type Options struct {
 	// DefaultFlowCap. When a ring is full the oldest events are
 	// overwritten (flight-recorder semantics) and counted as evicted.
 	FlowCap int
-	// SampleEvery keeps one in N of the per-packet kinds (RTTSample,
-	// QueueDepth); zero or one keeps all. Decision-level kinds are
-	// never sampled.
-	SampleEvery int
 }
 
 // flowRing is one flow's ring buffer. It grows geometrically up to the
@@ -159,13 +155,7 @@ type flowRing struct {
 	next    int // overwrite position once wrapped
 	wrapped bool
 	evicted int64
-	ctr     [2]uint32 // sampling counters: 0 = rtt, 1 = queue
 }
-
-const (
-	strideRTT = iota
-	strideQueue
-)
 
 func (f *flowRing) push(ev Event, capMax int) {
 	if f.wrapped {
@@ -216,7 +206,6 @@ func (f *flowRing) events() []Event {
 type Recorder struct {
 	mask  Mask
 	cap   int
-	every uint32
 	flows map[int32]*flowRing
 }
 
@@ -228,13 +217,9 @@ func NewRecorder(o Options) *Recorder {
 	if o.FlowCap <= 0 {
 		o.FlowCap = DefaultFlowCap
 	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 1
-	}
 	return &Recorder{
 		mask:  o.Mask,
 		cap:   o.FlowCap,
-		every: uint32(o.SampleEvery),
 		flows: make(map[int32]*flowRing),
 	}
 }
@@ -307,17 +292,6 @@ func (t Tracer) Enabled(k Kind) bool {
 	return t.rec != nil && t.rec.mask&(1<<k) != 0
 }
 
-// sampled reports whether this per-packet event passes the sampling
-// stride (keep the first, then every Nth).
-func (t Tracer) sampled(idx int) bool {
-	if t.rec.every <= 1 {
-		return true
-	}
-	n := t.ring.ctr[idx]
-	t.ring.ctr[idx] = n + 1
-	return n%t.rec.every == 0
-}
-
 // MIDecision records one finalized monitor interval: the rate it was
 // asked to run at, the rate it measured, its utility, and the
 // controller's base rate after processing it.
@@ -360,11 +334,11 @@ func (t Tracer) PacketDrop(now float64, seq int64, size, queueBytes int, reason 
 		A: float64(size), B: float64(queueBytes), Note: reason}, t.rec.cap)
 }
 
-// QueueDepth records a sampled bottleneck-queue occupancy along with
+// QueueDepth records one bottleneck-queue occupancy, at an enqueue, along with
 // the queueing delay a packet enqueued now would see and the link's
 // current drain rate (which varies under RateWalk).
 func (t Tracer) QueueDepth(now float64, queueBytes int, queueDelay, linkBps float64) {
-	if t.rec == nil || t.rec.mask&(1<<KindQueueDepth) == 0 || !t.sampled(strideQueue) {
+	if t.rec == nil || t.rec.mask&(1<<KindQueueDepth) == 0 {
 		return
 	}
 	t.ring.push(Event{T: now, Flow: t.flow, Kind: KindQueueDepth,
@@ -375,7 +349,7 @@ func (t Tracer) QueueDepth(now float64, queueBytes int, queueDelay, linkBps floa
 // RTT, the sender's cumulative acked bytes (so throughput timelines
 // reduce exactly from the trace), and bytes left in flight.
 func (t Tracer) RTTSample(now float64, seq int64, rtt, srtt float64, ackedBytes int64, inflight int) {
-	if t.rec == nil || t.rec.mask&(1<<KindRTTSample) == 0 || !t.sampled(strideRTT) {
+	if t.rec == nil || t.rec.mask&(1<<KindRTTSample) == 0 {
 		return
 	}
 	t.ring.push(Event{T: now, Flow: t.flow, Kind: KindRTTSample, Seq: seq,

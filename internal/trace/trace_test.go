@@ -91,30 +91,6 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-func TestSampling(t *testing.T) {
-	rec := NewRecorder(Options{SampleEvery: 3})
-	tr := rec.Tracer(1)
-	for i := 0; i < 10; i++ {
-		tr.RTTSample(float64(i), int64(i), 0.03, 0.03, int64(i), 0)
-	}
-	evs := rec.Events(1)
-	if len(evs) != 4 { // indices 0, 3, 6, 9
-		t.Fatalf("sampled %d events, want 4", len(evs))
-	}
-	for i, want := range []float64{0, 3, 6, 9} {
-		if evs[i].T != want {
-			t.Errorf("sample %d at T=%g, want %g", i, evs[i].T, want)
-		}
-	}
-	// Decision-level kinds are never sampled.
-	for i := 0; i < 5; i++ {
-		tr.ModeSwitch(float64(i), "m", 0)
-	}
-	if got := len(rec.Events(1)); got != 9 {
-		t.Errorf("after 5 mode events: %d total, want 9 (mode never sampled)", got)
-	}
-}
-
 func TestParseKinds(t *testing.T) {
 	for _, s := range []string{"", "all"} {
 		m, err := ParseKinds(s)

@@ -3,7 +3,7 @@ package transport
 import "math"
 
 // Loss-recovery and survival constants: one definition for the
-// simulated sender, the engine flow and the fetch core.
+// simulated sender, the engine flow and the engine fetch.
 const (
 	dupAckThreshold = 3
 
@@ -33,7 +33,7 @@ const (
 )
 
 // Record is the book's entry for one outstanding packet (or, in the
-// fetch core, one outstanding request). The embedded SentPacket is what
+// engine fetch, one outstanding request). The embedded SentPacket is what
 // the controller's OnSend sees; SentAt is the measurement timebase.
 type Record struct {
 	SentPacket

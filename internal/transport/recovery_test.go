@@ -587,7 +587,7 @@ func (m *bookModel) op() {
 	case 3:
 		m.ring.AddProbe(m.now, 30)
 		m.ref.AddProbe(m.now, 30)
-	case 4: // one per-packet ack, the simulator's and the fetch core's shape
+	case 4: // one per-packet ack, the simulator's and the engine fetch's shape
 		seq := m.ring.Lo() - 2 + int64(m.next())*(int64(m.ring.Len())+4)/256
 		m.ring.Alive(m.now)
 		m.ref.Alive(m.now)

@@ -11,7 +11,7 @@
 // even swap utility functions on a live connection.
 //
 // Loss recovery and outage survival live once, in Recovery: Sender
-// (here, on the simulator), the engine's sender flow and the fetch core
+// (here, on the simulator), the engine's sender flow and its fetch flow
 // are drivers of that one book.
 package transport
 
